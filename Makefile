@@ -6,7 +6,7 @@
 GO ?= go
 COUNT ?= 1
 
-.PHONY: check race bench-build bench-query bench-mem bench-snapshot bench-vec bench-delta serve-smoke snapshot-smoke shard-smoke delta-smoke discover-smoke
+.PHONY: check race bench-build bench-query bench-mem bench-snapshot bench-vec bench-delta bench-e2e benchdiff serve-smoke snapshot-smoke shard-smoke delta-smoke discover-smoke
 
 check:
 	$(GO) vet ./...
@@ -71,10 +71,22 @@ bench-delta:
 	$(GO) test -run xxx -bench 'BenchmarkDelta' -benchtime 2x -timeout 1200s .
 
 # Query-serving benchmarks over the 500-table lake, including the
-# loopback-HTTP serving benchmark (cold vs warm cache). Set COUNT=10
-# for benchstat-worthy samples: make bench-query COUNT=10 > new.txt
+# loopback-HTTP serving benchmark (cold vs warm cache), plus the D3L
+# whole-lake scan over a 300-table lake. Set COUNT=10 for
+# benchstat-worthy samples: make bench-query COUNT=10 > new.txt
 bench-query:
-	$(GO) test -run xxx -bench 'BenchmarkQuery|BenchmarkServeQPS' -benchmem -count $(COUNT) .
+	$(GO) test -run xxx -bench 'BenchmarkQuery|BenchmarkServeQPS|BenchmarkD3LSearch' \
+		-benchmem -count $(COUNT) . ./internal/union/
+
+# The end-to-end benchmark BENCHMARK.json declares: all four workloads,
+# untraced (see bench/README.md for flags; results land in bench/out/).
+bench-e2e:
+	bash bench/run.sh
+
+# Compare two sets of bench-e2e records against BENCHMARK.json's bounds:
+# make benchdiff OLD=/tmp/old.json NEW=/tmp/new.json
+benchdiff:
+	$(GO) -C bench run ./benchdiff -benchmark ../BENCHMARK.json $(OLD) $(NEW)
 
 # Vector-store benchmarks over a 100k-column-vector datagen corpus:
 # centroid-pruned exact search (recall@10 + dot-reduction per nprobe),

@@ -38,6 +38,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -573,7 +574,7 @@ func cmdUnion(args []string) error {
 			rows = append(rows, row{r.TableID, r.Score})
 		}
 	case "d3l":
-		res, err := sys.D3L.Search(t, *k)
+		res, err := sys.D3L.Search(context.Background(), t, *k)
 		if err != nil {
 			return err
 		}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"testing"
 
@@ -41,7 +42,7 @@ func TestBadQueriesReturnTypedError(t *testing.T) {
 			return err
 		}},
 		{"D3L unusable table", func() error {
-			_, err := sys.D3L.Search(table.MustNew("q", "q", nil), 5)
+			_, err := sys.D3L.Search(context.Background(), table.MustNew("q", "q", nil), 5)
 			return err
 		}},
 	}

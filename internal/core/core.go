@@ -319,13 +319,14 @@ func Build(catalog *lake.Catalog, opts Options) (*System, error) {
 			return santos.NumTables(), nil
 		}},
 		{stageD3L, false, func() (int, error) {
-			d3l, err := union.NewD3L(s.Model)
+			d3l, err := union.NewD3L(s.Model, s.Dict)
 			if err != nil {
 				return 0, err
 			}
 			for _, t := range tables {
 				d3l.AddTable(t)
 			}
+			d3l.Build()
 			s.D3L = d3l
 			return d3l.NumTables(), nil
 		}},

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"tablehound/internal/annotate"
@@ -100,7 +101,7 @@ func TestMatchSchemasEndToEnd(t *testing.T) {
 func TestD3LEndToEnd(t *testing.T) {
 	sys, gen := demoSystem(t)
 	q := gen.Tables[0]
-	res, err := sys.D3L.Search(q, 3)
+	res, err := sys.D3L.Search(context.Background(), q, 3)
 	if err != nil {
 		t.Fatal(err)
 	}

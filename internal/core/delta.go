@@ -284,17 +284,8 @@ func (d *Delta) Save(w io.Writer) error {
 				e.U32(uint32(c.ColIdx))
 				e.Strs(c.Distinct)
 				e.F64s(c.Format)
-				words := make([]string, 0, len(c.Words))
-				for w := range c.Words {
-					words = append(words, w)
-				}
-				sort.Strings(words)
-				weights := make([]float64, len(words))
-				for i, w := range words {
-					weights[i] = c.Words[w]
-				}
-				e.Strs(words)
-				e.F64s(weights)
+				e.Strs(c.Words)
+				e.F64s(c.WordFreq)
 				e.F32s(c.Vec)
 			}
 		}
@@ -446,18 +437,14 @@ func LoadDelta(r io.Reader) (*Delta, error) {
 				c := union.D3LColumnParts{ColIdx: int(dec.U32())}
 				c.Distinct = dec.Strs()
 				c.Format = dec.F64s()
-				words := dec.Strs()
-				weights := dec.F64s()
+				c.Words = dec.Strs()
+				c.WordFreq = dec.F64s()
 				c.Vec = dec.F32s()
 				if err := dec.Err(); err != nil {
 					return err
 				}
-				if len(words) != len(weights) {
-					return fmt.Errorf("%w: D3L column has %d words for %d weights", snap.ErrCorrupt, len(words), len(weights))
-				}
-				c.Words = make(map[string]float64, len(words))
-				for k, w := range words {
-					c.Words[w] = weights[k]
+				if len(c.Words) != len(c.WordFreq) {
+					return fmt.Errorf("%w: D3L column has %d words for %d weights", snap.ErrCorrupt, len(c.Words), len(c.WordFreq))
 				}
 				t.Cols = append(t.Cols, c)
 			}
@@ -766,13 +753,14 @@ func BuildDelta(basePath string, deltaPaths []string, add []*table.Table, remove
 			santos.AddTable(t)
 		}
 		delta.Santos = santos.Parts()
-		d3l, err := union.NewD3L(prefix.model)
+		d3l, err := union.NewD3L(prefix.model, nil)
 		if err != nil {
 			return nil, err
 		}
 		for _, t := range addSorted {
 			d3l.AddTable(t)
 		}
+		d3l.Build()
 		delta.D3L = d3l.Parts()
 		sx := starmie.NewIndex(starmie.NewEncoder(prefix.model, prefix.opts.ContextWeight))
 		sx.AddTables(addSorted, par)
@@ -1165,7 +1153,7 @@ func assembleMerged(cat *lake.Catalog, model *embedding.Model, curated *kb.KB, e
 			return santos.NumTables(), nil
 		}},
 		{stageD3L, false, func() (int, error) {
-			d3l, err := union.NewD3LFromParts(model, mp.d3l, lookup)
+			d3l, err := union.NewD3LFromParts(model, ext, mp.d3l, lookup)
 			if err != nil {
 				return 0, err
 			}

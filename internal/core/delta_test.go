@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -72,9 +73,12 @@ func assertSurfaceParity(t *testing.T, label string, got, want *System, gen *dat
 		wsa, we := want.Santos.Search(q, 5, union.Hybrid)
 		check("santos-"+tag, gsa, wsa, ge, we)
 
-		gd, ge := got.D3L.Search(q, 5)
-		wd, we := want.D3L.Search(q, 5)
+		gd, ge := got.D3L.Search(context.Background(), q, 5)
+		wd, we := want.D3L.Search(context.Background(), q, 5)
 		check("d3l-"+tag, gd, wd, ge, we)
+		gda, ge := d3lAnswers(got, q)
+		wda, we := d3lAnswers(want, q)
+		check("d3l-whole-lake-"+tag, gda, wda, ge, we)
 
 		gs, ge := got.Starmie.SearchTables(q, 5, 64, false)
 		ws, we := want.Starmie.SearchTables(q, 5, 64, false)

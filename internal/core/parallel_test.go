@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"reflect"
 	"testing"
 
@@ -106,11 +107,11 @@ func TestParallelBuildMatchesSequential(t *testing.T) {
 		t.Errorf("santos results differ:\npar %+v\nseq %+v", gotSa, wantSa)
 	}
 
-	gotD, err := par.D3L.Search(q, 5)
+	gotD, err := par.D3L.Search(context.Background(), q, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantD, err := seq.D3L.Search(q, 5)
+	wantD, err := seq.D3L.Search(context.Background(), q, 5)
 	if err != nil {
 		t.Fatal(err)
 	}

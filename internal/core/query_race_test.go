@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"reflect"
 	"sync"
@@ -67,6 +68,12 @@ func TestConcurrentQueriesAllSurfaces(t *testing.T) {
 					return
 				}
 				if _, err := sys.Starmie.SearchTables(query, 5, 0, false); err != nil {
+					t.Error(err)
+					return
+				}
+				// query is a staged table, so every goroutine's D3L scan
+				// reads the same staged column analysis.
+				if _, err := sys.D3L.Search(context.Background(), query, 5); err != nil {
 					t.Error(err)
 					return
 				}

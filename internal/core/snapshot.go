@@ -488,7 +488,7 @@ func load(r io.Reader, blobFile *os.File, opts Options) (*System, error) {
 	})
 	g.run(secD3L, secs, func(d *snap.Decoder) error {
 		var derr error
-		s.D3L, derr = union.DecodeD3LSnapshot(d, s.Model, lookup)
+		s.D3L, derr = union.DecodeD3LSnapshot(d, s.Model, s.Dict, lookup)
 		return derr
 	})
 	sv, _ := store.View("starmie")

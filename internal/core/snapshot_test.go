@@ -2,13 +2,16 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"errors"
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
 
 	"tablehound/internal/datagen"
 	"tablehound/internal/lake"
+	"tablehound/internal/table"
 	"tablehound/internal/union"
 )
 
@@ -80,9 +83,12 @@ func TestSnapshotRoundTripParity(t *testing.T) {
 	wantSa, werr := built.Santos.Search(q, 5, union.Hybrid)
 	check("santos", gotSa, wantSa, err, werr)
 
-	gotD, err := loaded.D3L.Search(q, 5)
-	wantD, werr := built.D3L.Search(q, 5)
+	gotD, err := loaded.D3L.Search(context.Background(), q, 5)
+	wantD, werr := built.D3L.Search(context.Background(), q, 5)
 	check("d3l", gotD, wantD, err, werr)
+	gotDA, err := d3lAnswers(loaded, q)
+	wantDA, werr := d3lAnswers(built, q)
+	check("d3l-whole-lake", gotDA, wantDA, err, werr)
 
 	gotS, err := loaded.Starmie.SearchTables(q, 5, 64, false)
 	wantS, werr := built.Starmie.SearchTables(q, 5, 64, false)
@@ -105,6 +111,32 @@ func TestSnapshotRoundTripParity(t *testing.T) {
 	gotM := loaded.MatchSchemas(gen.Tables[0], gen.Tables[1], 0.5)
 	wantM := built.MatchSchemas(gen.Tables[0], gen.Tables[1], 0.5)
 	check("match-schemas", gotM, wantM, nil, nil)
+}
+
+// d3lAnswers is the D3L evidence the parity suites compare beyond the
+// top of one ranking, each a score for every table of the lake: q as
+// given, the system's own table of q's ID (whose staged analysis the
+// engine reuses), and a copy of q under another ID with values and
+// words the lake has never seen.
+func d3lAnswers(s *System, q *table.Table) ([][]union.Result, error) {
+	cols := make([]*table.Column, len(q.Columns))
+	for j, c := range q.Columns {
+		vals := append([]string(nil), c.Values...)
+		for r := 0; r < len(vals); r += 3 {
+			vals[r] = fmt.Sprintf("%s unseen-word-%d", vals[r], r)
+		}
+		cols[j] = table.NewColumn(c.Name, vals)
+	}
+	foreign := table.MustNew("d3l-parity-foreign", "foreign", cols)
+	var out [][]union.Result
+	for _, query := range []*table.Table{q, s.Catalog.Table(q.ID), foreign} {
+		rs, err := s.D3L.Search(context.Background(), query, s.D3L.NumTables()+1)
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, rs)
+	}
+	return out, nil
 }
 
 // TestSnapshotSkipFlagsRoundTrip checks that a snapshot of a system

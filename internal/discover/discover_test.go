@@ -183,7 +183,7 @@ func TestUnionParity(t *testing.T) {
 				want = append(want, union.Result{TableID: r.TableID, Score: r.Score})
 			}
 		case "d3l":
-			want, err = sys.D3L.Search(seed, 8)
+			want, err = sys.D3L.Search(context.Background(), seed, 8)
 		}
 		if err != nil {
 			t.Fatalf("%s: %v", method, err)

@@ -617,7 +617,7 @@ func (p *Plan) runUnion(ctx context.Context, res *Result, allowed map[string]boo
 			rs = append(rs, union.Result{TableID: m.TableID, Score: m.Score})
 		}
 	case MethodD3L:
-		rs = sys.D3L.ScoreAmong(p.d3lQ, cands, k)
+		rs, err = sys.D3L.ScoreAmong(ctx, p.d3lQ, cands, k)
 	}
 	if err != nil {
 		return err

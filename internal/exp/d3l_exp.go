@@ -36,7 +36,7 @@ func E23D3L() Report {
 			DisjointInstances: regime.disjoint,
 		})
 		model := embedding.Train(lake.ColumnContexts(), embedding.Config{Dim: 48, Seed: 23})
-		d3l, err := union.NewD3L(model)
+		d3l, err := union.NewD3L(model, nil)
 		if err != nil {
 			panic(err)
 		}

@@ -3,6 +3,7 @@ package graph
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 )
 
@@ -210,5 +211,147 @@ func TestConnectedComponents(t *testing.T) {
 	ds := Degrees(adj)
 	if ds[0] != 1 || ds[2] != 0 {
 		t.Errorf("Degrees = %v", ds)
+	}
+}
+
+// referenceMatching is the Hungarian algorithm as it stood before the
+// Matcher took it over, allocating its scratch per call and per row.
+// Matcher and MaxWeightBipartiteMatching must agree with it to the last
+// bit: table-level union scores are sums it produces.
+func referenceMatching(w [][]float64) ([]int, float64) {
+	nl := len(w)
+	if nl == 0 {
+		return nil, 0
+	}
+	nr := 0
+	for _, row := range w {
+		if len(row) > nr {
+			nr = len(row)
+		}
+	}
+	if nr == 0 {
+		out := make([]int, nl)
+		for i := range out {
+			out[i] = -1
+		}
+		return out, 0
+	}
+	// Square cost matrix: n = max(nl, nr), cost = maxW - weight so
+	// minimizing cost maximizes weight; dummy cells cost maxW.
+	n := nl
+	if nr > n {
+		n = nr
+	}
+	maxW := 0.0
+	for _, row := range w {
+		for _, v := range row {
+			if v > maxW {
+				maxW = v
+			}
+		}
+	}
+	cost := func(i, j int) float64 {
+		if i < nl && j < len(w[i]) {
+			return maxW - w[i][j]
+		}
+		return maxW
+	}
+	// Hungarian algorithm (Jonker-Volgenant style with potentials),
+	// 1-indexed internal arrays per the classic formulation.
+	u := make([]float64, n+1)
+	v := make([]float64, n+1)
+	p := make([]int, n+1) // p[j] = row matched to column j
+	way := make([]int, n+1)
+	for i := 1; i <= n; i++ {
+		p[0] = i
+		j0 := 0
+		minv := make([]float64, n+1)
+		used := make([]bool, n+1)
+		for j := 0; j <= n; j++ {
+			minv[j] = math.Inf(1)
+		}
+		for {
+			used[j0] = true
+			i0 := p[j0]
+			delta := math.Inf(1)
+			j1 := 0
+			for j := 1; j <= n; j++ {
+				if used[j] {
+					continue
+				}
+				cur := cost(i0-1, j-1) - u[i0] - v[j]
+				if cur < minv[j] {
+					minv[j] = cur
+					way[j] = j0
+				}
+				if minv[j] < delta {
+					delta = minv[j]
+					j1 = j
+				}
+			}
+			for j := 0; j <= n; j++ {
+				if used[j] {
+					u[p[j]] += delta
+					v[j] -= delta
+				} else {
+					minv[j] -= delta
+				}
+			}
+			j0 = j1
+			if p[j0] == 0 {
+				break
+			}
+		}
+		for j0 != 0 {
+			j1 := way[j0]
+			p[j0] = p[j1]
+			j0 = j1
+		}
+	}
+	match := make([]int, nl)
+	for i := range match {
+		match[i] = -1
+	}
+	total := 0.0
+	for j := 1; j <= n; j++ {
+		i := p[j] - 1
+		if i >= 0 && i < nl && j-1 < len(w[i]) {
+			match[i] = j - 1
+			total += w[i][j-1]
+		}
+	}
+	return match, total
+}
+
+func TestMatcherMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	var m Matcher // reused across shapes: stale scratch must not leak
+	for trial := 0; trial < 300; trial++ {
+		nl, nr := 1+rng.Intn(7), 1+rng.Intn(7)
+		w := make([][]float64, nl)
+		flat := make([]float64, 0, nl*nr)
+		for i := range w {
+			w[i] = make([]float64, nr)
+			for j := range w[i] {
+				if rng.Intn(4) > 0 {
+					w[i][j] = rng.Float64()
+				}
+			}
+			flat = append(flat, w[i]...)
+		}
+		wantMatch, want := referenceMatching(w)
+		if got := m.MaxWeight(flat, nl, nr); got != want {
+			t.Fatalf("trial %d: Matcher total %v, reference %v for %v", trial, got, want, w)
+		}
+		// Ragged rows go through the slice-of-rows entry point only.
+		w[rng.Intn(nl)] = w[0][:rng.Intn(nr+1)]
+		wantMatch, want = referenceMatching(w)
+		gotMatch, got := MaxWeightBipartiteMatching(w)
+		if got != want || !reflect.DeepEqual(gotMatch, wantMatch) {
+			t.Fatalf("trial %d: got %v %v, reference %v %v for %v", trial, gotMatch, got, wantMatch, want, w)
+		}
+	}
+	if m.MaxWeight(nil, 0, 3) != 0 || m.MaxWeight(nil, 3, 0) != 0 {
+		t.Error("an empty side should match nothing")
 	}
 }

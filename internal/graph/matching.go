@@ -24,46 +24,95 @@ func MaxWeightBipartiteMatching(w [][]float64) ([]int, float64) {
 			nr = len(row)
 		}
 	}
-	if nr == 0 {
-		out := make([]int, nl)
-		for i := range out {
-			out[i] = -1
-		}
-		return out, 0
+	match := make([]int, nl)
+	for i := range match {
+		match[i] = -1
 	}
-	// Square cost matrix: n = max(nl, nr), cost = maxW - weight so
-	// minimizing cost maximizes weight; dummy cells cost maxW.
+	if nr == 0 {
+		return match, 0
+	}
+	// Short rows are padded with zero weights, which cost exactly what
+	// a dummy cell costs; a left node assigned to its own padding is
+	// unmatched.
+	flat := make([]float64, nl*nr)
+	for i, row := range w {
+		copy(flat[i*nr:], row)
+	}
+	var m Matcher
+	m.solve(flat, nl, nr)
+	total := 0.0
+	for j := 1; j <= nr; j++ {
+		if i := m.p[j] - 1; i < nl && j-1 < len(w[i]) {
+			match[i] = j - 1
+			total += w[i][j-1]
+		}
+	}
+	return match, total
+}
+
+// Matcher solves maximum-weight bipartite matchings over flat
+// row-major weight matrices, reusing its scratch between calls: a scan
+// that aggregates thousands of small column-alignment matrices
+// allocates once. The zero value is ready to use; a Matcher is not
+// safe for concurrent use.
+type Matcher struct {
+	u, v, minv []float64
+	p, way     []int // p[j] = row matched to column j, 1-indexed
+	used       []bool
+}
+
+// MaxWeight returns the total weight of a maximum-weight matching of
+// the nl x nr matrix w (w[i*nr+j] >= 0), bit-identical to
+// MaxWeightBipartiteMatching over the same weights as rows.
+func (m *Matcher) MaxWeight(w []float64, nl, nr int) float64 {
+	if nl == 0 || nr == 0 {
+		return 0
+	}
+	m.solve(w, nl, nr)
+	total := 0.0
+	for j := 1; j <= nr; j++ {
+		if i := m.p[j] - 1; i < nl {
+			total += w[i*nr+j-1]
+		}
+	}
+	return total
+}
+
+// solve runs the Hungarian algorithm (Jonker-Volgenant style with
+// potentials, 1-indexed per the classic formulation) on the square
+// n = max(nl, nr) cost matrix cost = maxW - weight, so minimizing cost
+// maximizes weight; dummy cells cost maxW. It leaves the assignment in
+// m.p.
+func (m *Matcher) solve(w []float64, nl, nr int) {
 	n := nl
 	if nr > n {
 		n = nr
 	}
 	maxW := 0.0
-	for _, row := range w {
-		for _, v := range row {
-			if v > maxW {
-				maxW = v
-			}
+	for _, x := range w[:nl*nr] {
+		if x > maxW {
+			maxW = x
 		}
 	}
-	cost := func(i, j int) float64 {
-		if i < nl && j < len(w[i]) {
-			return maxW - w[i][j]
-		}
-		return maxW
+	if cap(m.u) < n+1 {
+		m.u = make([]float64, n+1)
+		m.v = make([]float64, n+1)
+		m.minv = make([]float64, n+1)
+		m.p = make([]int, n+1)
+		m.way = make([]int, n+1)
+		m.used = make([]bool, n+1)
 	}
-	// Hungarian algorithm (Jonker-Volgenant style with potentials),
-	// 1-indexed internal arrays per the classic formulation.
-	u := make([]float64, n+1)
-	v := make([]float64, n+1)
-	p := make([]int, n+1) // p[j] = row matched to column j
-	way := make([]int, n+1)
+	u, v, minv := m.u[:n+1], m.v[:n+1], m.minv[:n+1]
+	p, way, used := m.p[:n+1], m.way[:n+1], m.used[:n+1]
+	for j := range u {
+		u[j], v[j], p[j], way[j] = 0, 0, 0, 0
+	}
 	for i := 1; i <= n; i++ {
 		p[0] = i
 		j0 := 0
-		minv := make([]float64, n+1)
-		used := make([]bool, n+1)
-		for j := 0; j <= n; j++ {
+		for j := range minv {
 			minv[j] = math.Inf(1)
+			used[j] = false
 		}
 		for {
 			used[j0] = true
@@ -74,7 +123,11 @@ func MaxWeightBipartiteMatching(w [][]float64) ([]int, float64) {
 				if used[j] {
 					continue
 				}
-				cur := cost(i0-1, j-1) - u[i0] - v[j]
+				cost := maxW
+				if i0 <= nl && j <= nr {
+					cost = maxW - w[(i0-1)*nr+j-1]
+				}
+				cur := cost - u[i0] - v[j]
 				if cur < minv[j] {
 					minv[j] = cur
 					way[j] = j0
@@ -103,17 +156,4 @@ func MaxWeightBipartiteMatching(w [][]float64) ([]int, float64) {
 			j0 = j1
 		}
 	}
-	match := make([]int, nl)
-	for i := range match {
-		match[i] = -1
-	}
-	total := 0.0
-	for j := 1; j <= n; j++ {
-		i := p[j] - 1
-		if i >= 0 && i < nl && j-1 < len(w[i]) {
-			match[i] = j - 1
-			total += w[i][j-1]
-		}
-	}
-	return match, total
 }

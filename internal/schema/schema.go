@@ -42,8 +42,19 @@ func (NameMatcher) Name() string { return "name" }
 
 // Score implements Matcher.
 func (NameMatcher) Score(src, dst *table.Column) float64 {
-	a := normLabel(src.Name)
-	b := normLabel(dst.Name)
+	return LabelSimilarity(NormLabel(src.Name), NormLabel(dst.Name))
+}
+
+// NormLabel canonicalizes a column label for name matching: separators
+// become spaces, then tokenize.Normalize.
+func NormLabel(s string) string {
+	return tokenize.Normalize(strings.ReplaceAll(strings.ReplaceAll(s, "_", " "), "-", " "))
+}
+
+// LabelSimilarity is NameMatcher's score over two labels already passed
+// through NormLabel, for callers that normalize each label once and
+// compare it many times.
+func LabelSimilarity(a, b string) float64 {
 	if a == "" || b == "" {
 		return 0
 	}
@@ -60,10 +71,6 @@ func (NameMatcher) Score(src, dst *table.Column) float64 {
 		return jac
 	}
 	return ed
-}
-
-func normLabel(s string) string {
-	return tokenize.Normalize(strings.ReplaceAll(strings.ReplaceAll(s, "_", " "), "-", " "))
 }
 
 // editDistance is the Levenshtein distance.

@@ -363,7 +363,7 @@ func (s *Server) handleUnion(w http.ResponseWriter, r *http.Request) {
 				results[i] = TableScore{TableID: m.TableID, Score: m.Score}
 			}
 		default:
-			rs, err := snap.sys.D3L.Search(q, k)
+			rs, err := snap.sys.D3L.Search(ctx, q, k)
 			if err != nil {
 				return nil, err
 			}

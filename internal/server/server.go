@@ -538,6 +538,15 @@ func (s *Server) runQuery(ctx context.Context, fn func(context.Context) (any, er
 	case o := <-ch:
 		return o.v, o.err
 	case <-qctx.Done():
+		// The query goroutine cancels qctx on its way out, after it has
+		// sent its result; a handler that gets here only then finds both
+		// cases ready and select picks at random. A result that is there
+		// wins over the cancellation it caused.
+		select {
+		case o := <-ch:
+			return o.v, o.err
+		default:
+		}
 		s.timeouts.Inc()
 		return nil, qctx.Err()
 	}

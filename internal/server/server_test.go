@@ -12,6 +12,7 @@ import (
 	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -671,4 +672,51 @@ func waitFor(t *testing.T, cond func() bool) {
 		time.Sleep(time.Millisecond)
 	}
 	t.Fatal("condition not reached within 5s")
+}
+
+// TestFinishedQueryNeverReportedCanceled: a query goroutine cancels its
+// context right after sending its result, and a handler that reaches
+// runQuery's select only then used to answer about one finished query
+// in 10^5 with 503 "request canceled". Every one of these trivial
+// queries finishes, so every reply must be a 200 and /stats must count
+// no timeout.
+func TestFinishedQueryNeverReportedCanceled(t *testing.T) {
+	if testing.Short() {
+		t.Skip("2x10^5 requests")
+	}
+	sys, _ := demoSystem(t)
+	srv := New(sys, Config{})
+	h := srv.Handler()
+	const workers, perWorker = 4, 50_000
+	body := []byte(`{"q":"city","k":1}`)
+	var wg sync.WaitGroup
+	var bad atomic.Int64
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < perWorker; i++ {
+				rec := httptest.NewRecorder()
+				h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/keyword", bytes.NewReader(body)))
+				if rec.Code != http.StatusOK {
+					if bad.Add(1) == 1 {
+						t.Errorf("request %d: status %d: %s", i, rec.Code, rec.Body.Bytes())
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if n := bad.Load(); n != 0 {
+		t.Errorf("%d of %d finished queries were not answered 200", n, workers*perWorker)
+	}
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/stats", nil))
+	var stats StatsResponse
+	if err := json.Unmarshal(rec.Body.Bytes(), &stats); err != nil {
+		t.Fatal(err)
+	}
+	if stats.Timeouts != 0 {
+		t.Errorf("/stats timeouts = %d, want 0", stats.Timeouts)
+	}
 }

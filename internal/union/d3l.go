@@ -1,15 +1,17 @@
 package union
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 
+	"tablehound/internal/dict"
 	"tablehound/internal/embedding"
 	"tablehound/internal/graph"
-	"tablehound/internal/minhash"
 	"tablehound/internal/schema"
 	"tablehound/internal/table"
 	"tablehound/internal/tokenize"
@@ -23,10 +25,21 @@ import (
 // is averaged into one relatedness score that surfaces joinable and
 // unionable tables simultaneously, without committing to either
 // definition.
+//
+// Stage tables with AddTable, then Build: the freeze interns every
+// staged column's values, words and label into integer IDs, so a scan
+// compares sorted ID arrays and never rebuilds a column's
+// representation per candidate pair.
 type D3L struct {
 	model  *embedding.Model
+	lake   *dict.Dict // the lake's value dictionary; nil for a stand-alone engine
 	tables map[string]*d3lTable
 	ids    []string
+	// vocab and maxCols (the widest staged table, which sizes a scan's
+	// weight matrix) are derived by Build and never persisted.
+	vocab   d3lVocab
+	maxCols int
+	built   bool
 }
 
 type d3lTable struct {
@@ -34,49 +47,218 @@ type d3lTable struct {
 	cols []*d3lColumn
 }
 
+// d3lColumn is one analyzed column. The first group of fields is the
+// portable analysis snapshots and deltas carry; the second is derived
+// from it against a d3lVocab.
 type d3lColumn struct {
-	col      *table.Column
-	distinct []string
+	colIdx   int       // position of the source column in its table; -1 for a loose column
+	distinct []string  // normalized distinct values, first-occurrence order
 	format   []float64 // normalized character-class histogram
-	words    map[string]float64
+	words    []string  // distinct words of the values, sorted
+	wordFreq []float64 // normalized frequency of each word, parallel to words
 	vec      embedding.Vector
+
+	label    string     // schema.NormLabel of the source column's name
+	norm     float64    // vec.Norm()
+	valueIDs dict.IDSet // distinct, interned
+	wordIDs  []uint32   // words, interned; ascending and parallel to wordFreq
+	labelID  int
 }
 
-// NewD3L creates an engine over an embedding model.
-func NewD3L(model *embedding.Model) (*D3L, error) {
+// d3lVocab is the token space columns are interned into. Word IDs are
+// assigned in ascending word order — the dict package's determinism
+// contract — so a merge over two columns' word IDs meets their shared
+// words in exactly the order sort.Strings would, which keeps the float
+// sum of the word evidence bit-stable. Value IDs only feed set
+// cardinalities, so any one-to-one assignment does: a value takes its
+// ID from the lake dictionary, which every engine of a system shares,
+// and only a value the dictionary lacks (every value, for an engine
+// without one) gets a private ID above the dictionary's, first seen
+// first.
+type d3lVocab struct {
+	lake    *dict.Dict
+	extra   map[string]uint32 // values lake lacks, IDs from lake.Size() up
+	wordIDs map[string]uint32
+	labels  []string // distinct normalized labels; a column's labelID indexes it
+}
+
+// valueID returns the ID of a staged value.
+func (v *d3lVocab) valueID(s string) (uint32, bool) {
+	if id, ok := v.lake.ID(s); ok {
+		return id, true
+	}
+	id, ok := v.extra[s]
+	return id, ok
+}
+
+// numValues is the first ID no staged value holds.
+func (v *d3lVocab) numValues() uint32 { return uint32(v.lake.Size() + len(v.extra)) }
+
+// NewD3L creates an engine over an embedding model. lake, when not
+// nil, is the dictionary the engine takes value IDs from instead of
+// building a vocabulary of its own; core passes the system's, which
+// holds every value of every staged table.
+func NewD3L(model *embedding.Model, lake *dict.Dict) (*D3L, error) {
 	if model == nil {
 		return nil, errors.New("union: D3L requires an embedding model")
 	}
-	return &D3L{model: model, tables: make(map[string]*d3lTable)}, nil
+	return &D3L{model: model, lake: lake, tables: make(map[string]*d3lTable)}, nil
 }
 
-// AddTable stages a table.
+// AddTable stages a table. The engine needs a Build before it answers
+// queries again.
 func (d *D3L) AddTable(t *table.Table) {
 	if _, dup := d.tables[t.ID]; dup {
 		return
 	}
 	entry := &d3lTable{tbl: t}
-	for _, c := range stringColumns(t) {
-		entry.cols = append(entry.cols, d.analyzeColumn(c))
+	for i, c := range t.Columns {
+		if isStringColumn(c) {
+			entry.cols = append(entry.cols, d.analyzeColumn(c, i))
+		}
 	}
 	if len(entry.cols) == 0 {
 		return
 	}
 	d.tables[t.ID] = entry
 	d.ids = append(d.ids, t.ID)
-	sort.Strings(d.ids)
+	d.built = false
 }
 
-func (d *D3L) analyzeColumn(c *table.Column) *d3lColumn {
+func (d *D3L) analyzeColumn(c *table.Column, colIdx int) *d3lColumn {
 	distinct := tokenize.NormalizeSet(c.Values)
-	dc := &d3lColumn{
-		col:      c,
-		distinct: distinct,
-		format:   FormatSignature(distinct),
-		words:    wordDist(distinct),
-		vec:      d.model.ColumnVector(distinct),
+	words, freq := wordDist(distinct)
+	return newD3LColumn(c, colIdx, distinct, FormatSignature(distinct), words, freq, d.model.ColumnVector(distinct))
+}
+
+// newD3LColumn wraps a portable analysis, filling what depends on the
+// column alone. words must be strictly ascending and parallel to freq.
+func newD3LColumn(c *table.Column, colIdx int, distinct []string, format []float64, words []string, freq []float64, vec embedding.Vector) *d3lColumn {
+	return &d3lColumn{
+		colIdx: colIdx, distinct: distinct, format: format,
+		words: words, wordFreq: freq, vec: vec,
+		label: schema.NormLabel(c.Name), norm: vec.Norm(),
 	}
-	return dc
+}
+
+// checkWords reports whether a word distribution read from outside has
+// the shape newD3LColumn requires.
+func checkWords(words []string, freq []float64) error {
+	if len(words) != len(freq) {
+		return fmt.Errorf("%d words for %d frequencies", len(words), len(freq))
+	}
+	for i := 1; i < len(words); i++ {
+		if words[i-1] >= words[i] {
+			return fmt.Errorf("words not strictly ascending at %q", words[i])
+		}
+	}
+	return nil
+}
+
+// Build freezes the staged tables: table IDs are sorted and every
+// column is interned into one lake-wide vocabulary. Search, Prepare
+// and ScoreAmong are pure reads afterwards.
+func (d *D3L) Build() {
+	sort.Strings(d.ids)
+	var cols []*d3lColumn
+	d.maxCols = 0
+	for _, id := range d.ids {
+		tc := d.tables[id].cols
+		cols = append(cols, tc...)
+		if len(tc) > d.maxCols {
+			d.maxCols = len(tc)
+		}
+	}
+	d.vocab = internColumns(d.lake, cols)
+	d.built = true
+}
+
+// internColumns builds the vocabulary of a column set and interns
+// every column into it, looking each token up once: words first get
+// IDs in first-seen order, which a remap turns into ascending word
+// order once every word is known.
+func internColumns(lake *dict.Dict, cols []*d3lColumn) d3lVocab {
+	v := d3lVocab{lake: lake, wordIDs: make(map[string]uint32)}
+	labelIDs := make(map[string]int)
+	var words []string // by first-seen ID
+	for _, c := range cols {
+		c.valueIDs = make(dict.IDSet, len(c.distinct))
+		for i, s := range c.distinct {
+			id, ok := v.valueID(s)
+			if !ok {
+				if v.extra == nil {
+					v.extra = make(map[string]uint32)
+				}
+				id = v.numValues()
+				v.extra[s] = id
+			}
+			c.valueIDs[i] = id
+		}
+		slices.Sort(c.valueIDs)
+		c.valueIDs = slices.Compact(c.valueIDs)
+		c.wordIDs = make([]uint32, len(c.words))
+		for i, w := range c.words {
+			id, ok := v.wordIDs[w]
+			if !ok {
+				id = uint32(len(words))
+				v.wordIDs[w] = id
+				words = append(words, w)
+			}
+			c.wordIDs[i] = id
+		}
+		id, ok := labelIDs[c.label]
+		if !ok {
+			id = len(v.labels)
+			labelIDs[c.label] = id
+			v.labels = append(v.labels, c.label)
+		}
+		c.labelID = id
+	}
+	sorted := slices.Clone(words)
+	slices.Sort(sorted)
+	for i, w := range sorted {
+		v.wordIDs[w] = uint32(i)
+	}
+	remap := make([]uint32, len(words))
+	for i, w := range words {
+		remap[i] = v.wordIDs[w]
+	}
+	for _, c := range cols {
+		for i, id := range c.wordIDs {
+			c.wordIDs[i] = remap[id]
+		}
+	}
+	return v
+}
+
+// intern derives a query column's ID arrays against the frozen
+// vocabulary and returns the next unused out-of-vocabulary ID. A value
+// the vocabulary lacks gets an ID from oov upward, as dict.Encoder
+// does: it matches no staged column but still counts toward the
+// column's cardinality. A word it lacks is shared with no staged
+// column and so adds nothing to any word sum: it is dropped with its
+// frequency, compacting the query column's own arrays in place.
+func (v *d3lVocab) intern(c *d3lColumn, oov uint32) uint32 {
+	c.valueIDs = make(dict.IDSet, 0, len(c.distinct))
+	for _, s := range c.distinct {
+		if id, ok := v.valueID(s); ok {
+			c.valueIDs = append(c.valueIDs, id)
+		}
+	}
+	slices.Sort(c.valueIDs)
+	for missing := len(c.distinct) - len(c.valueIDs); missing > 0; missing-- {
+		c.valueIDs = append(c.valueIDs, oov)
+		oov++
+	}
+	c.wordIDs = make([]uint32, 0, len(c.words))
+	for i, w := range c.words {
+		if id, ok := v.wordIDs[w]; ok {
+			c.wordFreq[len(c.wordIDs)] = c.wordFreq[i]
+			c.wordIDs = append(c.wordIDs, id)
+		}
+	}
+	c.words, c.wordFreq = nil, c.wordFreq[:len(c.wordIDs)]
+	return oov
 }
 
 // NumTables returns the number of staged tables.
@@ -149,8 +331,9 @@ func formatSimilarity(a, b []float64) float64 {
 	return s
 }
 
-// wordDist is the normalized word-frequency distribution of values.
-func wordDist(values []string) map[string]float64 {
+// wordDist is the normalized word-frequency distribution of values:
+// the distinct words in ascending order and each one's share.
+func wordDist(values []string) ([]string, []float64) {
 	m := make(map[string]float64)
 	var total float64
 	for _, v := range values {
@@ -159,33 +342,37 @@ func wordDist(values []string) map[string]float64 {
 			total++
 		}
 	}
+	words := make([]string, 0, len(m))
 	for w := range m {
-		m[w] /= total
+		words = append(words, w)
 	}
-	return m
+	sort.Strings(words)
+	freq := make([]float64, len(words))
+	for i, w := range words {
+		freq[i] = m[w] / total
+	}
+	return words, freq
 }
 
-// wordSimilarity is the Bhattacharyya-like overlap of distributions.
-// The shared words are summed in sorted order: float addition is not
-// associative, so summing in map-iteration order would make repeated
-// queries differ in the last bit — the kind of nondeterminism the
-// build pipeline's parallelism contract (identical results at every
-// worker count) cannot tolerate.
-func wordSimilarity(a, b map[string]float64) float64 {
-	small, big := a, b
-	if len(big) < len(small) {
-		small, big = big, small
-	}
-	shared := make([]string, 0, len(small))
-	for w := range small {
-		if _, ok := big[w]; ok {
-			shared = append(shared, w)
-		}
-	}
-	sort.Strings(shared)
+// wordSimilarity is the Bhattacharyya-like overlap of two interned
+// word distributions. The merge adds the shared words in ascending ID
+// order, which is ascending word order: float addition is not
+// associative, so any other order would move the last bit — the kind
+// of nondeterminism the build pipeline's parallelism contract
+// (identical results at every worker count) cannot tolerate.
+func wordSimilarity(aIDs []uint32, aFreq []float64, bIDs []uint32, bFreq []float64) float64 {
 	var s float64
-	for _, w := range shared {
-		s += math.Sqrt(small[w] * big[w])
+	for i, j := 0, 0; i < len(aIDs) && j < len(bIDs); {
+		switch {
+		case aIDs[i] == bIDs[j]:
+			s += math.Sqrt(aFreq[i] * bFreq[j])
+			i++
+			j++
+		case aIDs[i] < bIDs[j]:
+			i++
+		default:
+			j++
+		}
 	}
 	return s
 }
@@ -204,48 +391,67 @@ func (e Evidence) Combined() float64 {
 	return (e.Name + e.Value + e.Format + e.Words + e.Embed) / 5
 }
 
-// ColumnEvidence computes the five signals between two raw columns.
+// ColumnEvidence computes the five signals between two raw columns,
+// interned into a vocabulary of their own.
 func (d *D3L) ColumnEvidence(a, b *table.Column) Evidence {
-	ca := d.analyzeColumn(a)
-	cb := d.analyzeColumn(b)
-	return d.evidence(ca, cb)
+	ca := d.analyzeColumn(a, -1)
+	cb := d.analyzeColumn(b, -1)
+	internColumns(nil, []*d3lColumn{ca, cb})
+	return evidence(ca, cb, schema.LabelSimilarity(ca.label, cb.label))
 }
 
-func (d *D3L) evidence(a, b *d3lColumn) Evidence {
+// evidence compares two columns interned into one vocabulary. The name
+// signal depends on the two labels alone, so callers compute it once
+// per label pair and pass it in.
+func evidence(a, b *d3lColumn, name float64) Evidence {
 	return Evidence{
-		Name:   (schema.NameMatcher{}).Score(a.col, b.col),
-		Value:  minhash.ExactJaccard(a.distinct, b.distinct),
+		Name:   name,
+		Value:  dict.Jaccard(a.valueIDs, b.valueIDs),
 		Format: formatSimilarity(a.format, b.format),
-		Words:  wordSimilarity(a.words, b.words),
-		Embed:  (embedding.Cosine(a.vec, b.vec) + 1) / 2,
+		Words:  wordSimilarity(a.wordIDs, a.wordFreq, b.wordIDs, b.wordFreq),
+		Embed:  (embedding.CosineWithNorms(a.vec, b.vec, a.norm, b.norm) + 1) / 2,
 	}
 }
 
 // Search ranks staged tables by relatedness to the query: column
 // pairs are scored by combined evidence and aggregated to table level
-// with maximum-weight bipartite matching.
-func (d *D3L) Search(query *table.Table, k int) ([]Result, error) {
+// with maximum-weight bipartite matching. It requires a prior Build
+// (ErrNotBuilt otherwise), is safe for concurrent use, and checks ctx
+// between tables: a cancelled context returns ctx.Err().
+func (d *D3L) Search(ctx context.Context, query *table.Table, k int) ([]Result, error) {
 	pq, err := d.Prepare(query)
 	if err != nil {
 		return nil, err
 	}
-	return d.ScoreAmong(pq, d.ids, k), nil
+	return d.ScoreAmong(ctx, pq, d.ids, k)
 }
 
-// D3LQuery is a query table's analyzed columns. Prepare once, then
-// reuse across ScoreAmong calls so staged planners do not re-analyze
-// per stage.
+// D3LQuery is a query table's analyzed columns, interned against the
+// engine that prepared it. Prepare once, then reuse across ScoreAmong
+// calls so staged planners do not re-analyze per stage.
 type D3LQuery struct {
 	id    string
 	qcols []*d3lColumn
 }
 
-// Prepare analyzes a query table's string columns. A query without
-// usable string columns wraps table.ErrBadQuery.
+// Prepare analyzes a query table's string columns; a query that is a
+// staged table reuses its staged analysis. A query without usable
+// string columns wraps table.ErrBadQuery.
 func (d *D3L) Prepare(query *table.Table) (*D3LQuery, error) {
-	qcols := make([]*d3lColumn, 0)
-	for _, c := range stringColumns(query) {
-		qcols = append(qcols, d.analyzeColumn(c))
+	if !d.built {
+		return nil, ErrNotBuilt
+	}
+	if entry := d.tables[query.ID]; entry != nil && entry.tbl == query {
+		return &D3LQuery{id: query.ID, qcols: entry.cols}, nil
+	}
+	var qcols []*d3lColumn
+	oov := d.vocab.numValues()
+	for i, c := range query.Columns {
+		if isStringColumn(c) {
+			qc := d.analyzeColumn(c, i)
+			oov = d.vocab.intern(qc, oov)
+			qcols = append(qcols, qc)
+		}
 	}
 	if len(qcols) == 0 {
 		return nil, fmt.Errorf("union: D3L query has no usable string columns: %w", table.ErrBadQuery)
@@ -253,35 +459,111 @@ func (d *D3L) Prepare(query *table.Table) (*D3LQuery, error) {
 	return &D3LQuery{id: query.ID, qcols: qcols}, nil
 }
 
-// TableIDs returns the staged table IDs in insertion order. D3L has
+// TableIDs returns the staged table IDs in ascending order. D3L has
 // no candidate sketch — its candidate set is the whole lake.
 func (d *D3L) TableIDs() []string { return d.ids }
 
 // ScoreAmong scores the given staged tables by combined evidence and
 // returns the top k; with ids = TableIDs() it is bit-identical to
-// Search.
-func (d *D3L) ScoreAmong(pq *D3LQuery, ids []string, k int) []Result {
-	var res []Result
+// Search. Its allocations do not grow with len(ids): one weight
+// matrix, one matcher and one name-evidence memo serve every table,
+// and only the k best results are kept.
+func (d *D3L) ScoreAmong(ctx context.Context, pq *D3LQuery, ids []string, k int) ([]Result, error) {
+	if !d.built {
+		return nil, ErrNotBuilt
+	}
+	nq, nl := len(pq.qcols), len(d.vocab.labels)
+	// names[i*nl+l] is the name evidence of query column i against
+	// label l, computed when a candidate column first carries l.
+	names := make([]float64, nq*nl)
+	for i := range names {
+		names[i] = -1
+	}
+	w := make([]float64, nq*d.maxCols)
+	var matcher graph.Matcher
+	top := topK{k: k}
+	if n := min(k, len(ids)); n > 0 {
+		top.worstFirst = make([]Result, 0, n)
+	}
 	for _, id := range ids {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
 		if id == pq.id {
 			continue
 		}
 		ccols := d.tables[id].cols
-		w := make([][]float64, len(pq.qcols))
+		nc := len(ccols)
 		for i, qc := range pq.qcols {
-			w[i] = make([]float64, len(ccols))
 			for j, cc := range ccols {
-				w[i][j] = d.evidence(qc, cc).Combined()
+				name := &names[i*nl+cc.labelID]
+				if *name < 0 {
+					*name = schema.LabelSimilarity(qc.label, d.vocab.labels[cc.labelID])
+				}
+				w[i*nc+j] = evidence(qc, cc, *name).Combined()
 			}
 		}
-		_, total := graph.MaxWeightBipartiteMatching(w)
-		res = append(res, Result{TableID: id, Score: total / float64(len(pq.qcols))})
+		top.offer(Result{TableID: id, Score: matcher.MaxWeight(w, nq, nc) / float64(nq)})
 	}
-	sortResults(res)
-	if len(res) > k {
-		res = res[:k]
+	return top.results(), nil
+}
+
+// topK keeps the k best results offered (score descending, then table
+// ID ascending — the order sortResults gives) in a binary heap rooted
+// at the worst kept one, so a scan holds k results, not the lake.
+type topK struct {
+	k          int
+	worstFirst []Result
+}
+
+func worseResult(a, b Result) bool {
+	if a.Score != b.Score {
+		return a.Score < b.Score
 	}
-	return res
+	return a.TableID > b.TableID
+}
+
+func (t *topK) offer(r Result) {
+	h := t.worstFirst
+	if len(h) < t.k {
+		h = append(h, r)
+		for i := len(h) - 1; i > 0; {
+			parent := (i - 1) / 2
+			if !worseResult(h[i], h[parent]) {
+				break
+			}
+			h[i], h[parent] = h[parent], h[i]
+			i = parent
+		}
+		t.worstFirst = h
+		return
+	}
+	if len(h) == 0 || !worseResult(h[0], r) {
+		return
+	}
+	h[0] = r
+	for i := 0; ; {
+		worst := i
+		for c := 2*i + 1; c <= 2*i+2 && c < len(h); c++ {
+			if worseResult(h[c], h[worst]) {
+				worst = c
+			}
+		}
+		if worst == i {
+			return
+		}
+		h[i], h[worst] = h[worst], h[i]
+		i = worst
+	}
+}
+
+// results returns the kept results best first, nil when there are none.
+func (t *topK) results() []Result {
+	if len(t.worstFirst) == 0 {
+		return nil
+	}
+	sortResults(t.worstFirst)
+	return t.worstFirst
 }
 
 // FormatExample returns a compact textual rendering of a format

@@ -1,10 +1,13 @@
 package union
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"math"
 	"testing"
 
+	"tablehound/internal/datagen"
 	"tablehound/internal/embedding"
 	"tablehound/internal/table"
 )
@@ -45,7 +48,7 @@ func TestFormatExample(t *testing.T) {
 }
 
 func TestColumnEvidenceSignals(t *testing.T) {
-	d, err := NewD3L(d3lModel())
+	d, err := NewD3L(d3lModel(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +77,7 @@ func TestColumnEvidenceSignals(t *testing.T) {
 }
 
 func TestD3LSearchFindsRelatedTables(t *testing.T) {
-	d, err := NewD3L(d3lModel())
+	d, err := NewD3L(d3lModel(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +103,11 @@ func TestD3LSearchFindsRelatedTables(t *testing.T) {
 	if d.NumTables() != 3 {
 		t.Fatal("staging failed")
 	}
-	res, err := d.Search(mkPhones("query", 2000), 3)
+	if _, err := d.Search(context.Background(), mkPhones("query", 2000), 3); !errors.Is(err, ErrNotBuilt) {
+		t.Fatalf("search before Build: err = %v, want ErrNotBuilt", err)
+	}
+	d.Build()
+	res, err := d.Search(context.Background(), mkPhones("query", 2000), 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,10 +121,10 @@ func TestD3LSearchFindsRelatedTables(t *testing.T) {
 }
 
 func TestD3LErrors(t *testing.T) {
-	if _, err := NewD3L(nil); err == nil {
+	if _, err := NewD3L(nil, nil); err == nil {
 		t.Error("nil model should fail")
 	}
-	d, _ := NewD3L(d3lModel())
+	d, _ := NewD3L(d3lModel(), nil)
 	numeric := table.MustNew("n", "n", []*table.Column{
 		table.NewColumn("v", []string{"1", "2", "3"}),
 	})
@@ -125,13 +132,14 @@ func TestD3LErrors(t *testing.T) {
 	if d.NumTables() != 0 {
 		t.Error("numeric-only table staged")
 	}
-	if _, err := d.Search(numeric, 3); err == nil {
-		t.Error("numeric-only query should fail")
+	d.Build()
+	if _, err := d.Search(context.Background(), numeric, 3); !errors.Is(err, table.ErrBadQuery) {
+		t.Errorf("numeric-only query: err = %v, want ErrBadQuery", err)
 	}
 }
 
 func TestD3LDuplicateAdd(t *testing.T) {
-	d, _ := NewD3L(d3lModel())
+	d, _ := NewD3L(d3lModel(), nil)
 	tbl := table.MustNew("t", "t", []*table.Column{
 		table.NewColumn("a", []string{"x", "y"}),
 	})
@@ -139,5 +147,80 @@ func TestD3LDuplicateAdd(t *testing.T) {
 	d.AddTable(tbl)
 	if d.NumTables() != 1 {
 		t.Error("duplicate add changed count")
+	}
+}
+
+func TestD3LCancelledContext(t *testing.T) {
+	lake := datagen.Generate(datagen.Config{Seed: 4, NumTemplates: 2, TablesPerTemplate: 3})
+	d := builtD3L(t, d3lModel(), lake.Tables)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := d.Search(ctx, lake.Tables[0], 3); !errors.Is(err, context.Canceled) {
+		t.Errorf("Search on a cancelled context: err = %v, want context.Canceled", err)
+	}
+	pq, err := d.Prepare(lake.Tables[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := d.ScoreAmong(ctx, pq, d.TableIDs(), 3); !errors.Is(err, context.Canceled) {
+		t.Errorf("ScoreAmong on a cancelled context: err = %v, want context.Canceled", err)
+	}
+}
+
+// TestD3LScoreAmongAllocations: a scan allocates its scratch once and
+// the name matcher runs once per (query column, distinct label), so
+// scoring ten times the tables over the same labels costs not one
+// allocation more.
+func TestD3LScoreAmongAllocations(t *testing.T) {
+	const templates, perTemplate = 5, 20
+	lake := datagen.Generate(datagen.Config{Seed: 9, NumTemplates: templates, TablesPerTemplate: perTemplate})
+	d := builtD3L(t, d3lModel(), lake.Tables)
+	pq, err := d.Prepare(lake.Tables[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	all := d.TableIDs()
+	var twoPerTemplate []string
+	for i, id := range all {
+		if i%perTemplate < 2 {
+			twoPerTemplate = append(twoPerTemplate, id)
+		}
+	}
+	allocs := func(ids []string) float64 {
+		return testing.AllocsPerRun(5, func() {
+			if _, err := d.ScoreAmong(context.Background(), pq, ids, 10); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	few, many := allocs(twoPerTemplate), allocs(all)
+	if many > few {
+		t.Errorf("ScoreAmong allocations grow with the candidates: %v over %d tables, %v over %d",
+			few, len(twoPerTemplate), many, len(all))
+	}
+	// 16 covers the scan's own scratch; the rest is the name matcher's.
+	if limit := float64(16 + 16*len(pq.qcols)*len(d.vocab.labels)); many > limit {
+		t.Errorf("ScoreAmong over %d tables: %v allocations, want at most %v", len(all), many, limit)
+	}
+}
+
+var d3lBenchSink []Result
+
+// BenchmarkD3LSearch is the whole-lake scan over the shape of lake the
+// serving benchmark uses (300 tables), queried by staged tables as the
+// table_id endpoints do.
+func BenchmarkD3LSearch(b *testing.B) {
+	lake := datagen.Generate(datagen.Config{Seed: 1, NumDomains: 20, DomainSize: 80, NumTemplates: 10, TablesPerTemplate: 30})
+	model := embedding.Train(lake.ColumnContexts(), embedding.Config{Dim: 64, Seed: 3})
+	d := builtD3L(b, model, lake.Tables)
+	ctx := context.Background()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rs, err := d.Search(ctx, lake.Tables[i%len(lake.Tables)], 10)
+		if err != nil {
+			b.Fatal(err)
+		}
+		d3lBenchSink = rs
 	}
 }

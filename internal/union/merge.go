@@ -10,7 +10,6 @@ package union
 import (
 	"errors"
 	"fmt"
-	"sort"
 
 	"tablehound/internal/dict"
 	"tablehound/internal/embedding"
@@ -198,13 +197,15 @@ func NewSantosFromParts(curated *kb.KB, parts []SantosTableParts, lookup func(id
 // --- D3L ---
 
 // D3LColumnParts is one analyzed D3L column. ColIdx locates the source
-// column within its table so reassembly can rewire the pointer the
-// name evidence reads.
+// column within its table so reassembly can read the label the name
+// evidence compares. Words is strictly ascending and WordFreq parallel
+// to it.
 type D3LColumnParts struct {
 	ColIdx   int
 	Distinct []string
 	Format   []float64
-	Words    map[string]float64
+	Words    []string
+	WordFreq []float64
 	Vec      embedding.Vector
 }
 
@@ -215,23 +216,15 @@ type D3LTableParts struct {
 }
 
 // Parts returns the engine's per-table column analyses in indexed
-// order.
+// order. Slices alias the engine's state; do not mutate.
 func (d *D3L) Parts() []D3LTableParts {
 	out := make([]D3LTableParts, 0, len(d.ids))
 	for _, id := range d.ids {
-		entry := d.tables[id]
 		p := D3LTableParts{ID: id}
-		for _, c := range entry.cols {
-			colIdx := -1
-			for i, tc := range entry.tbl.Columns {
-				if tc == c.col {
-					colIdx = i
-					break
-				}
-			}
+		for _, c := range d.tables[id].cols {
 			p.Cols = append(p.Cols, D3LColumnParts{
-				ColIdx: colIdx, Distinct: c.distinct, Format: c.format,
-				Words: c.words, Vec: c.vec,
+				ColIdx: c.colIdx, Distinct: c.distinct, Format: c.format,
+				Words: c.words, WordFreq: c.wordFreq, Vec: c.vec,
 			})
 		}
 		out = append(out, p)
@@ -239,11 +232,12 @@ func (d *D3L) Parts() []D3LTableParts {
 	return out
 }
 
-// NewD3LFromParts assembles a D3L engine from parts. D3L has no global
-// index — Search scans tables in sorted-ID order — so reassembly is a
-// straight re-registration. lookup resolves table IDs.
-func NewD3LFromParts(model *embedding.Model, parts []D3LTableParts, lookup func(id string) *table.Table) (*D3L, error) {
-	d3, err := NewD3L(model)
+// NewD3LFromParts assembles a built D3L engine from parts. Build
+// re-interns the columns into a vocabulary over the merged lake — the
+// very thing a from-scratch build does. lake is the merged lake's
+// dictionary (see NewD3L); lookup resolves table IDs.
+func NewD3LFromParts(model *embedding.Model, lake *dict.Dict, parts []D3LTableParts, lookup func(id string) *table.Table) (*D3L, error) {
+	d3, err := NewD3L(model, lake)
 	if err != nil {
 		return nil, err
 	}
@@ -260,10 +254,10 @@ func NewD3LFromParts(model *embedding.Model, parts []D3LTableParts, lookup func(
 			if c.ColIdx < 0 || c.ColIdx >= len(tbl.Columns) {
 				return nil, fmt.Errorf("union: D3L column index %d out of range for table %q", c.ColIdx, p.ID)
 			}
-			entry.cols = append(entry.cols, &d3lColumn{
-				col: tbl.Columns[c.ColIdx], distinct: c.Distinct,
-				format: c.Format, words: c.Words, vec: c.Vec,
-			})
+			if err := checkWords(c.Words, c.WordFreq); err != nil {
+				return nil, fmt.Errorf("union: D3L column %d of table %q: %v", c.ColIdx, p.ID, err)
+			}
+			entry.cols = append(entry.cols, newD3LColumn(tbl.Columns[c.ColIdx], c.ColIdx, c.Distinct, c.Format, c.Words, c.WordFreq, c.Vec))
 		}
 		if len(entry.cols) == 0 {
 			continue
@@ -271,6 +265,6 @@ func NewD3LFromParts(model *embedding.Model, parts []D3LTableParts, lookup func(
 		d3.tables[p.ID] = entry
 		d3.ids = append(d3.ids, p.ID)
 	}
-	sort.Strings(d3.ids)
+	d3.Build()
 	return d3, nil
 }

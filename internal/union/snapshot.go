@@ -233,41 +233,31 @@ func DecodeSantosSnapshot(d *snap.Decoder, curated *kb.KB, lookup func(id string
 // AppendSnapshot encodes a D3L engine: every staged table's per-column
 // analyses (distinct values, format histogram, word distribution,
 // embedding) plus the index of the source column within its table, so
-// decode can rewire the column pointer the name evidence reads.
+// decode can read the label the name evidence compares. The interned
+// ID arrays are not stored; decode re-derives them.
 func (d3 *D3L) AppendSnapshot(e *snap.Encoder) {
 	e.Strs(d3.ids)
 	for _, id := range d3.ids {
 		entry := d3.tables[id]
 		e.U32(uint32(len(entry.cols)))
 		for _, c := range entry.cols {
-			colIdx := -1
-			for i, tc := range entry.tbl.Columns {
-				if tc == c.col {
-					colIdx = i
-					break
-				}
-			}
-			e.U32(uint32(colIdx))
+			e.U32(uint32(c.colIdx))
 			e.Strs(c.distinct)
 			e.F64s(c.format)
-			words := make([]string, 0, len(c.words))
-			for w := range c.words {
-				words = append(words, w)
-			}
-			sort.Strings(words)
-			e.U32(uint32(len(words)))
-			for _, w := range words {
+			e.U32(uint32(len(c.words)))
+			for i, w := range c.words {
 				e.Str(w)
-				e.F64(c.words[w])
+				e.F64(c.wordFreq[i])
 			}
 			e.F32s(c.vec)
 		}
 	}
 }
 
-// DecodeD3LSnapshot rebuilds a D3L engine written by AppendSnapshot.
-func DecodeD3LSnapshot(d *snap.Decoder, model *embedding.Model, lookup func(id string) *table.Table) (*D3L, error) {
-	d3, err := NewD3L(model)
+// DecodeD3LSnapshot rebuilds a D3L engine written by AppendSnapshot
+// and freezes it against the lake dictionary (see NewD3L).
+func DecodeD3LSnapshot(d *snap.Decoder, model *embedding.Model, lake *dict.Dict, lookup func(id string) *table.Table) (*D3L, error) {
+	d3, err := NewD3L(model, lake)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", snap.ErrCorrupt, err)
 	}
@@ -297,37 +287,35 @@ func DecodeD3LSnapshot(d *snap.Decoder, model *embedding.Model, lookup func(id s
 			if d.Err() != nil {
 				return nil, d.Err()
 			}
+			if numWords > d.Remaining()/12 { // a word is at least a length and a weight
+				return nil, fmt.Errorf("%w: D3L column of table %q claims %d words", snap.ErrCorrupt, id, numWords)
+			}
 			if colIdx < 0 || colIdx >= len(tbl.Columns) {
 				return nil, fmt.Errorf("%w: D3L column index %d out of range for table %q", snap.ErrCorrupt, colIdx, id)
 			}
-			words := make(map[string]float64, numWords)
-			for k := 0; k < numWords; k++ {
-				w := d.Str()
-				f := d.F64()
-				if d.Err() != nil {
-					return nil, d.Err()
-				}
-				words[w] = f
+			words := make([]string, numWords)
+			freq := make([]float64, numWords)
+			for k := range words {
+				words[k] = d.Str()
+				freq[k] = d.F64()
 			}
-			if len(words) != numWords {
-				return nil, fmt.Errorf("%w: duplicate word in D3L column of table %q", snap.ErrCorrupt, id)
+			if d.Err() != nil {
+				return nil, d.Err()
+			}
+			if err := checkWords(words, freq); err != nil {
+				return nil, fmt.Errorf("%w: D3L column of table %q: %v", snap.ErrCorrupt, id, err)
 			}
 			vec := d.F32s()
 			if d.Err() != nil {
 				return nil, d.Err()
 			}
-			entry.cols = append(entry.cols, &d3lColumn{
-				col:      tbl.Columns[colIdx],
-				distinct: distinct,
-				format:   format,
-				words:    words,
-				vec:      vec,
-			})
+			entry.cols = append(entry.cols, newD3LColumn(tbl.Columns[colIdx], colIdx, distinct, format, words, freq, vec))
 		}
 		if _, dup := d3.tables[id]; dup {
 			return nil, fmt.Errorf("%w: duplicate D3L table %q", snap.ErrCorrupt, id)
 		}
 		d3.tables[id] = entry
 	}
+	d3.Build()
 	return d3, nil
 }

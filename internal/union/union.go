@@ -54,13 +54,15 @@ func (m Measure) String() string {
 func stringColumns(t *table.Table) []*table.Column {
 	var out []*table.Column
 	for _, c := range t.Columns {
-		if c.Type == table.TypeString || c.Type == table.TypeDate || c.Type == table.TypeUnknown {
-			if c.Cardinality() >= 2 {
-				out = append(out, c)
-			}
+		if isStringColumn(c) {
+			out = append(out, c)
 		}
 	}
 	return out
+}
+
+func isStringColumn(c *table.Column) bool {
+	return (c.Type == table.TypeString || c.Type == table.TypeDate || c.Type == table.TypeUnknown) && c.Cardinality() >= 2
 }
 
 func sortResults(rs []Result) {
