@@ -9,6 +9,8 @@ COUNT ?= 1
 .PHONY: check race bench-build bench-query bench-mem bench-snapshot bench-vec bench-delta bench-e2e benchdiff serve-smoke snapshot-smoke shard-smoke delta-smoke discover-smoke
 
 check:
+	@unformatted=$$(gofmt -l cmd internal *.go); if [ -n "$$unformatted" ]; then \
+		echo "gofmt -l reports unformatted files:"; echo "$$unformatted"; exit 1; fi
 	$(GO) vet ./...
 	$(GO) build ./...
 	$(GO) test ./...
@@ -72,11 +74,14 @@ bench-delta:
 
 # Query-serving benchmarks over the 500-table lake, including the
 # loopback-HTTP serving benchmark (cold vs warm cache), plus the D3L
-# whole-lake scan over a 300-table lake. Set COUNT=10 for
+# whole-lake scan over a 300-table lake, one Starmie query by staged
+# pointer and by copy, and the HNSW kernel both engines share (Add is
+# the write side: builds, chain loads, compactions). Set COUNT=10 for
 # benchstat-worthy samples: make bench-query COUNT=10 > new.txt
 bench-query:
-	$(GO) test -run xxx -bench 'BenchmarkQuery|BenchmarkServeQPS|BenchmarkD3LSearch' \
-		-benchmem -count $(COUNT) . ./internal/union/
+	$(GO) test -run xxx \
+		-bench 'BenchmarkQuery|BenchmarkServeQPS|BenchmarkD3LSearch|BenchmarkStarmieSearch|BenchmarkHNSW' \
+		-benchmem -count $(COUNT) . ./internal/union/ ./internal/starmie/ ./internal/hnsw/
 
 # The end-to-end benchmark BENCHMARK.json declares: all four workloads,
 # untraced (see bench/README.md for flags; results land in bench/out/).

@@ -566,7 +566,7 @@ func cmdUnion(args []string) error {
 			rows = append(rows, row{r.TableID, r.Score})
 		}
 	case "starmie":
-		res, err := sys.Starmie.SearchTables(t, *k, 64, false)
+		res, err := sys.Starmie.SearchTables(context.Background(), t, *k, 64, false)
 		if err != nil {
 			return err
 		}

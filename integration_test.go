@@ -1,6 +1,7 @@
 package tablehound
 
 import (
+	"context"
 	"os"
 	"path/filepath"
 	"testing"
@@ -113,7 +114,7 @@ func TestEndToEndDiscoveryPipeline(t *testing.T) {
 		t.Fatal(err)
 	}
 	check("santos", resultIDs(sres))
-	stres, err := sys.Starmie.SearchTables(qt, 3, 64, false)
+	stres, err := sys.Starmie.SearchTables(context.Background(), qt, 3, 64, false)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -38,7 +38,7 @@ func TestBadQueriesReturnTypedError(t *testing.T) {
 			return err
 		}},
 		{"Starmie empty table", func() error {
-			_, err := sys.Starmie.SearchTables(table.MustNew("q", "q", nil), 5, 64, false)
+			_, err := sys.Starmie.SearchTables(context.Background(), table.MustNew("q", "q", nil), 5, 64, false)
 			return err
 		}},
 		{"D3L unusable table", func() error {

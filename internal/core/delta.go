@@ -1161,7 +1161,7 @@ func assembleMerged(cat *lake.Catalog, model *embedding.Model, curated *kb.KB, e
 			return d3l.NumTables(), nil
 		}},
 		{stageStarmie, false, func() (int, error) {
-			ix, err := starmie.NewIndexFromParts(starmie.NewEncoder(model, bopts.ContextWeight), mp.starmie)
+			ix, err := starmie.NewIndexFromParts(starmie.NewEncoder(model, bopts.ContextWeight), mp.starmie, lookup)
 			if err != nil {
 				return 0, err
 			}

@@ -80,8 +80,8 @@ func assertSurfaceParity(t *testing.T, label string, got, want *System, gen *dat
 		wda, we := d3lAnswers(want, q)
 		check("d3l-whole-lake-"+tag, gda, wda, ge, we)
 
-		gs, ge := got.Starmie.SearchTables(q, 5, 64, false)
-		ws, we := want.Starmie.SearchTables(q, 5, 64, false)
+		gs, ge := got.Starmie.SearchTables(context.Background(), q, 5, 64, false)
+		ws, we := want.Starmie.SearchTables(context.Background(), q, 5, 64, false)
 		check("starmie-"+tag, gs, ws, ge, we)
 
 		gf, _ := got.Fuzzy.Search(qcol.Values, 0.85, 0.5)

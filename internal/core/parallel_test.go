@@ -77,11 +77,11 @@ func TestParallelBuildMatchesSequential(t *testing.T) {
 		t.Errorf("unionable results differ:\npar %+v\nseq %+v", gotU, wantU)
 	}
 
-	gotS, err := par.Starmie.SearchTables(q, 5, 64, false)
+	gotS, err := par.Starmie.SearchTables(context.Background(), q, 5, 64, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantS, err := seq.Starmie.SearchTables(q, 5, 64, false)
+	wantS, err := seq.Starmie.SearchTables(context.Background(), q, 5, 64, false)
 	if err != nil {
 		t.Fatal(err)
 	}

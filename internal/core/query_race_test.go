@@ -67,7 +67,7 @@ func TestConcurrentQueriesAllSurfaces(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				if _, err := sys.Starmie.SearchTables(query, 5, 0, false); err != nil {
+				if _, err := sys.Starmie.SearchTables(context.Background(), query, 5, 0, false); err != nil {
 					t.Error(err)
 					return
 				}

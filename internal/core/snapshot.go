@@ -493,7 +493,7 @@ func load(r io.Reader, blobFile *os.File, opts Options) (*System, error) {
 	})
 	sv, _ := store.View("starmie")
 	g.run(secStarmie, secs, func(d *snap.Decoder) error {
-		ix, derr := starmie.DecodeSnapshot(d, s.Model, sv)
+		ix, derr := starmie.DecodeSnapshot(d, s.Model, sv, lookup)
 		if derr != nil {
 			return derr
 		}

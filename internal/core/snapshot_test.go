@@ -90,8 +90,8 @@ func TestSnapshotRoundTripParity(t *testing.T) {
 	wantDA, werr := d3lAnswers(built, q)
 	check("d3l-whole-lake", gotDA, wantDA, err, werr)
 
-	gotS, err := loaded.Starmie.SearchTables(q, 5, 64, false)
-	wantS, werr := built.Starmie.SearchTables(q, 5, 64, false)
+	gotS, err := loaded.Starmie.SearchTables(context.Background(), q, 5, 64, false)
+	wantS, werr := built.Starmie.SearchTables(context.Background(), q, 5, 64, false)
 	check("starmie", gotS, wantS, err, werr)
 
 	gotF, _ := loaded.Fuzzy.Search(qcol.Values, 0.85, 0.5)

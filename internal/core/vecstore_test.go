@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"path/filepath"
 	"reflect"
 	"testing"
@@ -51,8 +52,8 @@ func TestCentroidPrunedSearchBitIdentical(t *testing.T) {
 	}
 
 	for _, q := range gen.Tables {
-		got, err := pruned.Starmie.SearchTables(q, 5, 64, true)
-		want, werr := plain.Starmie.SearchTables(q, 5, 64, true)
+		got, err := pruned.Starmie.SearchTables(context.Background(), q, 5, 64, true)
+		want, werr := plain.Starmie.SearchTables(context.Background(), q, 5, 64, true)
 		if err != nil || werr != nil {
 			t.Fatalf("starmie %s: errs %v / %v", q.ID, err, werr)
 		}
@@ -110,8 +111,8 @@ func TestSnapshotLoadFileVecModes(t *testing.T) {
 			t.Fatal("centroid table lost in snapshot")
 		}
 		for _, q := range gen.Tables[:6] {
-			got, err := loaded.Starmie.SearchTables(q, 5, 64, true)
-			want, werr := built.Starmie.SearchTables(q, 5, 64, true)
+			got, err := loaded.Starmie.SearchTables(context.Background(), q, 5, 64, true)
+			want, werr := built.Starmie.SearchTables(context.Background(), q, 5, 64, true)
 			if err != nil || werr != nil {
 				t.Fatalf("starmie %s: errs %v / %v", q.ID, err, werr)
 			}

@@ -177,7 +177,7 @@ func TestUnionParity(t *testing.T) {
 		case "santos":
 			want, err = sys.Santos.Search(seed, 8, union.Hybrid)
 		case "starmie":
-			rs, serr := sys.Starmie.SearchTables(seed, 8, 64, false)
+			rs, serr := sys.Starmie.SearchTables(context.Background(), seed, 8, 64, false)
 			err = serr
 			for _, r := range rs {
 				want = append(want, union.Result{TableID: r.TableID, Score: r.Score})

@@ -613,7 +613,9 @@ func (p *Plan) runUnion(ctx context.Context, res *Result, allowed map[string]boo
 	case MethodSantos:
 		rs, err = sys.Santos.ScoreAmongCtx(ctx, p.santosQ, cands, k, union.Hybrid)
 	case MethodStarmie:
-		for _, m := range sys.Starmie.ScoreTablesAmong(p.starmieQ, cands, k) {
+		var ms []starmie.Result
+		ms, err = sys.Starmie.ScoreTablesAmong(ctx, p.starmieQ, cands, k)
+		for _, m := range ms {
 			rs = append(rs, union.Result{TableID: m.TableID, Score: m.Score})
 		}
 	case MethodD3L:

@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"time"
@@ -243,7 +244,7 @@ func E5Starmie() Report {
 				var res []starmie.Result
 				elapsed += timeIt(func() {
 					var err error
-					res, err = ix.SearchTables(q, 7, 64, mode.exact)
+					res, err = ix.SearchTables(context.Background(), q, 7, 64, mode.exact)
 					if err != nil {
 						panic(err)
 					}

@@ -10,10 +10,10 @@
 package hnsw
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"sync"
 
@@ -111,23 +111,38 @@ func (g *Graph) Add(key string, vec embedding.Vector) error {
 	if top > g.maxLevel {
 		top = g.maxLevel
 	}
+	s := getScratch()
+	defer scratchPool.Put(s)
 	for l := top; l >= 0; l-- {
-		cands := g.searchLayer(vec, []int32{ep}, g.cfg.EfConstruction, l)
+		cands := g.searchLayer(s, vec, ep, g.cfg.EfConstruction, l)
+		ep = cands[0].id
 		maxM := g.cfg.M
 		if l == 0 {
 			maxM = 2 * g.cfg.M
 		}
-		selected := g.selectNeighbors(vec, cands, g.cfg.M)
+		// cands carry their distance to vec already: selection needs no
+		// second pass of dot products over the beam.
+		picked := g.selectNeighbors(s, cands, g.cfg.M)
+		selected := make([]int32, len(picked))
+		for i, c := range picked {
+			selected[i] = c.id
+		}
 		g.nodes[id].neighbors[l] = selected
 		for _, nb := range selected {
-			g.nodes[nb].neighbors[l] = append(g.nodes[nb].neighbors[l], id)
-			if len(g.nodes[nb].neighbors[l]) > maxM {
-				g.nodes[nb].neighbors[l] = g.selectNeighbors(
-					g.nodes[nb].vec, g.nodes[nb].neighbors[l], maxM)
+			links := append(g.nodes[nb].neighbors[l], id)
+			if len(links) > maxM {
+				// Re-select nb's links by distance to nb, in place.
+				base := g.nodes[nb].vec
+				s.links = s.links[:0]
+				for _, c := range links {
+					s.links = append(s.links, distItem{c, dist(base, g.nodes[c].vec)})
+				}
+				links = links[:0]
+				for _, c := range g.selectNeighbors(s, s.links, maxM) {
+					links = append(links, c.id)
+				}
 			}
-		}
-		if len(cands) > 0 {
-			ep = cands[0]
+			g.nodes[nb].neighbors[l] = links
 		}
 	}
 	if level > g.maxLevel {
@@ -162,74 +177,164 @@ func (g *Graph) neighborsAt(id int32, l int) []int32 {
 	return g.nodes[id].neighbors[l]
 }
 
-// distHeap is a min-heap or max-heap over (id, dist) by dist.
+// distItem is a node with its distance to the current query or base.
 type distItem struct {
 	id int32
 	d  float64
 }
+
+// distHeap is a binary min-heap (or max-heap) of distItems by
+// distance. push and pop sift exactly as the standard library's heap
+// package does — same parent/child choices, same strict comparisons —
+// so items at equal distance (lakes hold identical columns) leave the
+// heap in the order they always have (the reference kernel in the
+// tests pins it), without boxing an item per operation.
 type distHeap struct {
 	items []distItem
 	max   bool
 }
 
-func (h *distHeap) Len() int { return len(h.items) }
-func (h *distHeap) Less(i, j int) bool {
+// before reports whether a leaves the heap before b.
+func (h *distHeap) before(a, b distItem) bool {
 	if h.max {
-		return h.items[i].d > h.items[j].d
+		return a.d > b.d
 	}
-	return h.items[i].d < h.items[j].d
+	return a.d < b.d
 }
-func (h *distHeap) Swap(i, j int)      { h.items[i], h.items[j] = h.items[j], h.items[i] }
-func (h *distHeap) Push(x interface{}) { h.items = append(h.items, x.(distItem)) }
-func (h *distHeap) Pop() interface{} {
-	old := h.items
-	n := len(old)
-	it := old[n-1]
-	h.items = old[:n-1]
-	return it
+
+func (h *distHeap) push(it distItem) {
+	h.items = append(h.items, it)
+	items := h.items
+	j := len(items) - 1
+	for j > 0 {
+		i := (j - 1) / 2 // parent
+		if !h.before(items[j], items[i]) {
+			break
+		}
+		items[i], items[j] = items[j], items[i]
+		j = i
+	}
+}
+
+func (h *distHeap) pop() distItem {
+	items := h.items
+	n := len(items) - 1
+	items[0], items[n] = items[n], items[0]
+	i := 0
+	for {
+		j := 2*i + 1 // left child
+		if j >= n {
+			break
+		}
+		if j2 := j + 1; j2 < n && h.before(items[j2], items[j]) {
+			j = j2
+		}
+		if !h.before(items[j], items[i]) {
+			break
+		}
+		items[i], items[j] = items[j], items[i]
+		i = j
+	}
+	h.items = items[:n]
+	return items[n]
+}
+
+// sortByDist orders items by ascending distance. The order among
+// equal distances is whatever pdqsort leaves, which is a function of
+// the input sequence alone — the same function sort.Slice computed.
+func sortByDist(items []distItem) {
+	slices.SortFunc(items, func(a, b distItem) int {
+		switch {
+		case a.d < b.d:
+			return -1
+		case a.d > b.d:
+			return 1
+		}
+		return 0
+	})
+}
+
+// scratch is the working memory of one Add or Search: everything the
+// beam search and the neighbor selection would otherwise allocate per
+// call or per visited node. A scratch belongs to one goroutine between
+// getScratch and scratchPool.Put; nothing in it outlives that span,
+// and every use starts by resetting the part it reads (a fresh visited
+// epoch, zero-length buffers), so a result never depends on which
+// scratch the pool handed out or which graph used it last.
+type scratch struct {
+	// visited[id] == epoch marks node id as seen by the current
+	// searchLayer; bumping epoch clears the set in O(1).
+	visited []uint32
+	epoch   uint32
+	cand    distHeap   // min-heap: the frontier
+	result  distHeap   // max-heap: the best ef so far
+	found   []distItem // searchLayer's answer
+	links   []distItem // a node's links with their distances, for re-selection
+	sel     []distItem // selectNeighbors' answer
+	pruned  []distItem
+}
+
+// scratchPool is shared by all graphs: a pool inside each Graph would
+// keep a dropped graph (and the vector block its nodes alias) reachable
+// from the runtime's pool list for two more GC cycles.
+var scratchPool sync.Pool
+
+func getScratch() *scratch {
+	if s, ok := scratchPool.Get().(*scratch); ok {
+		return s
+	}
+	return &scratch{result: distHeap{max: true}}
+}
+
+// beginVisit starts an empty visited set over n nodes.
+func (s *scratch) beginVisit(n int) {
+	if len(s.visited) < n {
+		// Unstamped (zero) entries: epoch is never zero here. append
+		// grows the capacity geometrically, so a graph growing one node
+		// per Add does not reallocate per Add.
+		s.visited = append(s.visited, make([]uint32, n-len(s.visited))...)
+	}
+	s.epoch++
+	if s.epoch == 0 { // wrapped: stamps from 2^32 searches ago would read as current
+		clear(s.visited)
+		s.epoch = 1
+	}
 }
 
 // searchLayer is the beam search of the paper (Algorithm 2): returns
-// up to ef node IDs closest to q at layer l, sorted by distance.
-func (g *Graph) searchLayer(q embedding.Vector, eps []int32, ef, l int) []int32 {
-	visited := make(map[int32]bool, ef*4)
-	cand := &distHeap{}            // min-heap of frontier
-	result := &distHeap{max: true} // max-heap of best ef
-	for _, ep := range eps {
-		d := dist(q, g.nodes[ep].vec)
-		visited[ep] = true
-		heap.Push(cand, distItem{ep, d})
-		heap.Push(result, distItem{ep, d})
-	}
-	for cand.Len() > 0 {
-		c := heap.Pop(cand).(distItem)
-		worst := result.items[0].d
-		if c.d > worst && result.Len() >= ef {
+// up to ef nodes closest to q at layer l with their distances, sorted
+// by distance. The slice is s.found, valid until s searches again.
+func (g *Graph) searchLayer(s *scratch, q embedding.Vector, ep int32, ef, l int) []distItem {
+	s.beginVisit(len(g.nodes))
+	cand, result := &s.cand, &s.result
+	cand.items, result.items = cand.items[:0], result.items[:0]
+	d := dist(q, g.nodes[ep].vec)
+	s.visited[ep] = s.epoch
+	cand.push(distItem{ep, d})
+	result.push(distItem{ep, d})
+	for len(cand.items) > 0 {
+		c := cand.pop()
+		if c.d > result.items[0].d && len(result.items) >= ef {
 			break
 		}
 		for _, nb := range g.neighborsAt(c.id, l) {
-			if visited[nb] {
+			if s.visited[nb] == s.epoch {
 				continue
 			}
-			visited[nb] = true
+			s.visited[nb] = s.epoch
 			d := dist(q, g.nodes[nb].vec)
-			if result.Len() < ef || d < result.items[0].d {
-				heap.Push(cand, distItem{nb, d})
-				heap.Push(result, distItem{nb, d})
-				if result.Len() > ef {
-					heap.Pop(result)
+			if len(result.items) < ef || d < result.items[0].d {
+				cand.push(distItem{nb, d})
+				result.push(distItem{nb, d})
+				if len(result.items) > ef {
+					result.pop()
 				}
 			}
 		}
 	}
-	out := make([]distItem, len(result.items))
-	copy(out, result.items)
-	sort.Slice(out, func(i, j int) bool { return out[i].d < out[j].d })
-	ids := make([]int32, len(out))
-	for i, it := range out {
-		ids[i] = it.id
-	}
-	return ids
+	s.found = append(s.found[:0], result.items...)
+	sortByDist(s.found)
+	return s.found
 }
 
 // selectNeighbors is the heuristic selection of the paper (Algorithm
@@ -238,31 +343,21 @@ func (g *Graph) searchLayer(q embedding.Vector, eps []int32, ef, l int) []int32 
 // yields spatially diverse links that keep clustered data connected —
 // with simple closest-m selection, well-separated clusters fragment
 // into disconnected components. Pruned candidates backfill remaining
-// slots (keepPrunedConnections).
-func (g *Graph) selectNeighbors(base embedding.Vector, cands []int32, m int) []int32 {
+// slots (keepPrunedConnections). cands carry their distance to the
+// base and are sorted in place; the answer is cands itself or s.sel.
+func (g *Graph) selectNeighbors(s *scratch, cands []distItem, m int) []distItem {
 	if len(cands) <= m {
-		out := make([]int32, len(cands))
-		copy(out, cands)
-		return out
+		return cands
 	}
-	type cd struct {
-		id int32
-		d  float64
-	}
-	ds := make([]cd, len(cands))
-	for i, c := range cands {
-		ds[i] = cd{c, dist(base, g.nodes[c].vec)}
-	}
-	sort.Slice(ds, func(i, j int) bool { return ds[i].d < ds[j].d })
-	selected := make([]cd, 0, m)
-	var pruned []cd
-	for _, c := range ds {
+	sortByDist(cands)
+	selected, pruned := s.sel[:0], s.pruned[:0]
+	for _, c := range cands {
 		if len(selected) >= m {
 			break
 		}
 		diverse := true
-		for _, s := range selected {
-			if dist(g.nodes[c.id].vec, g.nodes[s.id].vec) < c.d {
+		for _, sd := range selected {
+			if dist(g.nodes[c.id].vec, g.nodes[sd.id].vec) < c.d {
 				diverse = false
 				break
 			}
@@ -279,11 +374,8 @@ func (g *Graph) selectNeighbors(base embedding.Vector, cands []int32, m int) []i
 		}
 		selected = append(selected, c)
 	}
-	out := make([]int32, len(selected))
-	for i, s := range selected {
-		out[i] = s.id
-	}
-	return out
+	s.sel, s.pruned = selected, pruned
+	return selected
 }
 
 // Search returns the k most similar indexed vectors to q, best first.
@@ -302,13 +394,15 @@ func (g *Graph) Search(q embedding.Vector, k, efSearch int) []Result {
 	for l := g.maxLevel; l > 0; l-- {
 		ep = g.greedyClosest(q, ep, l)
 	}
-	ids := g.searchLayer(q, []int32{ep}, efSearch, 0)
-	if len(ids) > k {
-		ids = ids[:k]
+	s := getScratch()
+	defer scratchPool.Put(s)
+	found := g.searchLayer(s, q, ep, efSearch, 0)
+	if len(found) > k {
+		found = found[:k]
 	}
-	out := make([]Result, len(ids))
-	for i, id := range ids {
-		out[i] = Result{Key: g.nodes[id].key, Score: q.Dot(g.nodes[id].vec)}
+	out := make([]Result, len(found))
+	for i, it := range found {
+		out[i] = Result{Key: g.nodes[it.id].key, Score: q.Dot(g.nodes[it.id].vec)}
 	}
 	return out
 }

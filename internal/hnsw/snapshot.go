@@ -110,6 +110,16 @@ func decodeSnapshot(d *snap.Decoder, at func(int) []float32, n int) (*Graph, err
 	if at != nil && numNodes != n {
 		return nil, fmt.Errorf("%w: hnsw has %d nodes, vector segment %d rows", snap.ErrCorrupt, numNodes, n)
 	}
+	// The counts below size allocations, so each is held to the bytes
+	// left: a node is at least a key length and a level count (plus a
+	// vector length when inline), a level at least a neighbor count.
+	minNode := 8
+	if at == nil {
+		minNode = 12
+	}
+	if numNodes > d.Remaining()/minNode {
+		return nil, fmt.Errorf("%w: hnsw claims %d nodes in %d bytes", snap.ErrCorrupt, numNodes, d.Remaining())
+	}
 	g := &Graph{
 		cfg:      cfg,
 		ml:       1 / math.Log(float64(cfg.M)),
@@ -130,6 +140,9 @@ func decodeSnapshot(d *snap.Decoder, at func(int) []float32, n int) (*Graph, err
 		levels := int(d.U32())
 		if d.Err() != nil {
 			return nil, d.Err()
+		}
+		if levels > d.Remaining()/4 {
+			return nil, fmt.Errorf("%w: hnsw node %d claims %d levels in %d bytes", snap.ErrCorrupt, i, levels, d.Remaining())
 		}
 		neighbors := make([][]int32, levels)
 		for l := range neighbors {
@@ -153,6 +166,10 @@ func decodeSnapshot(d *snap.Decoder, at func(int) []float32, n int) (*Graph, err
 		}
 	} else if entry < 0 || int(entry) >= numNodes {
 		return nil, fmt.Errorf("%w: hnsw entry %d out of range", snap.ErrCorrupt, entry)
+	} else if top := len(g.nodes[entry].neighbors); maxLevel+1 != top {
+		// Add keeps the entry point on the top level; Search descends
+		// maxLevel layers from it, so a forged value is a 2^32-step loop.
+		return nil, fmt.Errorf("%w: hnsw top level %d, entry node has %d levels", snap.ErrCorrupt, maxLevel, top)
 	}
 	return g, nil
 }

@@ -24,10 +24,10 @@ import (
 // column sets plus the sketch parameters. Everything else (inverted
 // index, LSH bands, signatures) is a deterministic function of these.
 type EngineParts struct {
-	Keys          []string               // sorted column keys
-	IDSets        map[string]dict.IDSet  // per-column encoded value sets
-	NumHashes     int                    // MinHash signature width
-	NumPartitions int                    // LSH Ensemble partition count
+	Keys          []string              // sorted column keys
+	IDSets        map[string]dict.IDSet // per-column encoded value sets
+	NumHashes     int                   // MinHash signature width
+	NumPartitions int                   // LSH Ensemble partition count
 }
 
 // Parts returns the engine's frozen column state. The returned maps

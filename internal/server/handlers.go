@@ -354,7 +354,7 @@ func (s *Server) handleUnion(w http.ResponseWriter, r *http.Request) {
 			}
 			results = unionScores(rs)
 		case 2:
-			rs, err := snap.sys.Starmie.SearchTables(q, k, 64, false)
+			rs, err := snap.sys.Starmie.SearchTables(ctx, q, k, 64, false)
 			if err != nil {
 				return nil, err
 			}

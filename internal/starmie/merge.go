@@ -13,6 +13,7 @@ import (
 	"sort"
 
 	"tablehound/internal/embedding"
+	"tablehound/internal/table"
 )
 
 // TableParts is one table's contextualized column vectors: Keys in
@@ -49,13 +50,19 @@ func (ix *Index) Parts() []TableParts {
 // keys register in their original column order (preserving byTable
 // iteration order for candidate scoring), then Build sorts the global
 // key list and constructs the graph exactly as a fresh build would.
+// lookup resolves table IDs against the merged catalog, binding each
+// part to the table a table_id query will present (see PrepareTable).
 // The caller re-binds the index onto a vector store afterwards (see
 // core's buildVecStore).
-func NewIndexFromParts(enc *Encoder, parts []TableParts) (*Index, error) {
+func NewIndexFromParts(enc *Encoder, parts []TableParts, lookup func(id string) *table.Table) (*Index, error) {
 	ix := NewIndex(enc)
 	for _, p := range parts {
 		if _, dup := ix.byTable[p.ID]; dup {
 			return nil, fmt.Errorf("starmie: duplicate table %q", p.ID)
+		}
+		tbl := lookup(p.ID)
+		if tbl == nil {
+			return nil, fmt.Errorf("starmie: table %q missing from catalog", p.ID)
 		}
 		if len(p.Keys) != len(p.Vecs) {
 			return nil, fmt.Errorf("starmie: table %q has %d keys for %d vectors", p.ID, len(p.Keys), len(p.Vecs))
@@ -68,6 +75,7 @@ func NewIndexFromParts(enc *Encoder, parts []TableParts) (*Index, error) {
 			ix.colKeys = append(ix.colKeys, k)
 		}
 		ix.byTable[p.ID] = p.Keys
+		ix.staged[p.ID] = tbl
 	}
 	if len(ix.colKeys) == 0 {
 		return nil, errors.New("starmie: no columns in parts")

@@ -7,6 +7,7 @@ import (
 	"tablehound/internal/embedding"
 	"tablehound/internal/hnsw"
 	"tablehound/internal/snap"
+	"tablehound/internal/table"
 	"tablehound/internal/vecstore"
 )
 
@@ -42,8 +43,10 @@ func (ix *Index) AppendSnapshot(e *snap.Encoder) {
 // whose row i backs colKeys[i]. The loaded index comes back bound
 // (norm-precomputed scoring, centroid-pruned exact search if the
 // segment carries a centroid table) with nprobe 0; the caller applies
-// its runtime nprobe via SetNProbe.
-func DecodeSnapshot(d *snap.Decoder, model *embedding.Model, view vecstore.View) (*Index, error) {
+// its runtime nprobe via SetNProbe. lookup resolves table IDs against
+// the loaded catalog, binding each indexed table to the table a
+// table_id query will present (see PrepareTable).
+func DecodeSnapshot(d *snap.Decoder, model *embedding.Model, view vecstore.View, lookup func(id string) *table.Table) (*Index, error) {
 	contextWeight := d.F64()
 	colKeys := d.Strs()
 	if d.Err() != nil {
@@ -75,12 +78,17 @@ func DecodeSnapshot(d *snap.Decoder, model *embedding.Model, view vecstore.View)
 		if _, dup := ix.byTable[id]; dup {
 			return nil, fmt.Errorf("%w: duplicate starmie table %q", snap.ErrCorrupt, id)
 		}
+		tbl := lookup(id)
+		if tbl == nil {
+			return nil, fmt.Errorf("%w: starmie table %q missing from catalog", snap.ErrCorrupt, id)
+		}
 		for _, k := range keys {
 			if _, ok := ix.vecs[k]; !ok {
 				return nil, fmt.Errorf("%w: starmie table %q references unknown column %q", snap.ErrCorrupt, id, k)
 			}
 		}
 		ix.byTable[id] = keys
+		ix.staged[id] = tbl
 	}
 	var err error
 	if ix.graph, err = hnsw.DecodeSnapshotShared(d, view.Vec, view.Len()); err != nil {

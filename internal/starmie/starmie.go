@@ -11,6 +11,7 @@
 package starmie
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"sort"
@@ -101,7 +102,13 @@ type Index struct {
 	colKeys []string
 	vecs    map[string]embedding.Vector
 	byTable map[string][]string // table ID -> column keys
-	built   bool
+	// staged maps a table ID to the table whose columns were encoded
+	// under it (AddTable/AddTables, or the catalog lookup of a decoded or
+	// reassembled index). A query that is that very table — the same
+	// pointer, not merely the same ID — is answered from the indexed
+	// vectors instead of being encoded again (see PrepareTable).
+	staged map[string]*table.Table
+	built  bool
 
 	// Bound vector-store state (see Bind): row i of view backs
 	// colKeys[i], rowOf inverts that for norm lookups, and nprobe
@@ -119,6 +126,7 @@ func NewIndex(enc *Encoder) *Index {
 		enc:     enc,
 		vecs:    make(map[string]embedding.Vector),
 		byTable: make(map[string][]string),
+		staged:  make(map[string]*table.Table),
 	}
 }
 
@@ -136,6 +144,7 @@ func (ix *Index) AddTable(t *table.Table) {
 		keys = append(keys, key)
 	}
 	ix.byTable[t.ID] = keys
+	ix.staged[t.ID] = t
 	ix.built = false
 }
 
@@ -161,6 +170,7 @@ func (ix *Index) AddTables(tables []*table.Table, workers int) {
 			keys = append(keys, key)
 		}
 		ix.byTable[t.ID] = keys
+		ix.staged[t.ID] = t
 		ix.built = false
 	}
 }
@@ -275,13 +285,14 @@ func (ix *Index) SearchColumns(v embedding.Vector, k, efSearch int, exact bool) 
 // tables are scored by bipartite matching of column cosines, top k
 // returned. exact switches retrieval to the linear-scan baseline.
 // SearchTables is a pure read: it requires a prior Build (ErrNotBuilt
-// otherwise) and is safe for concurrent use.
-func (ix *Index) SearchTables(query *table.Table, k, efSearch int, exact bool) ([]Result, error) {
+// otherwise) and is safe for concurrent use. Scoring checks ctx
+// between candidate tables; a cancelled context returns ctx.Err().
+func (ix *Index) SearchTables(ctx context.Context, query *table.Table, k, efSearch int, exact bool) ([]Result, error) {
 	pq, err := ix.PrepareTable(query)
 	if err != nil {
 		return nil, err
 	}
-	return ix.ScoreTablesAmong(pq, ix.CandidateTables(pq, efSearch, exact), k), nil
+	return ix.ScoreTablesAmong(ctx, pq, ix.CandidateTables(pq, efSearch, exact), k)
 }
 
 // TableQuery is a query table's encoded column vectors with
@@ -293,24 +304,36 @@ type TableQuery struct {
 	qn []float64
 }
 
-// PrepareTable encodes a query table's columns. A query without
-// columns wraps table.ErrBadQuery.
+// PrepareTable encodes a query table's columns; a query that is a
+// staged table reuses its indexed vectors and norms, which are the
+// encoder's output bit for bit. A query without columns wraps
+// table.ErrBadQuery.
 func (ix *Index) PrepareTable(query *table.Table) (*TableQuery, error) {
 	if !ix.built {
 		return nil, ErrNotBuilt
 	}
-	qv := ix.enc.EncodeColumns(query)
-	if len(qv) == 0 {
+	pq := &TableQuery{id: query.ID}
+	if ix.staged[query.ID] == query {
+		keys := ix.byTable[query.ID]
+		pq.qv = make([]embedding.Vector, len(keys))
+		pq.qn = make([]float64, len(keys))
+		for i, k := range keys {
+			pq.qv[i], pq.qn[i] = ix.vecs[k], ix.norm(k)
+		}
+	} else {
+		// Query-column norms once per query; indexed-column norms come
+		// precomputed from the vector store when bound, so each matrix
+		// cell in scoring is a single dot product.
+		pq.qv = ix.enc.EncodeColumns(query)
+		pq.qn = make([]float64, len(pq.qv))
+		for i, v := range pq.qv {
+			pq.qn[i] = v.Norm()
+		}
+	}
+	if len(pq.qv) == 0 {
 		return nil, fmt.Errorf("starmie: query table has no columns: %w", table.ErrBadQuery)
 	}
-	// Query-column norms once per query; indexed-column norms come
-	// precomputed from the vector store when bound, so each matrix
-	// cell in scoring is a single dot product.
-	qn := make([]float64, len(qv))
-	for i, v := range qv {
-		qn[i] = v.Norm()
-	}
-	return &TableQuery{id: query.ID, qv: qv, qn: qn}, nil
+	return pq, nil
 }
 
 // CandidateTables returns the sorted candidate table IDs from
@@ -334,26 +357,38 @@ func (ix *Index) CandidateTables(pq *TableQuery, efSearch int, exact bool) []str
 // ScoreTablesAmong scores the given candidate tables by bipartite
 // matching of column cosines and returns the top k; with ids =
 // CandidateTables(pq, efSearch, exact) it is bit-identical to
-// SearchTables.
-func (ix *Index) ScoreTablesAmong(pq *TableQuery, ids []string, k int) []Result {
-	var res []Result
+// SearchTables. One weight matrix and one matcher serve every
+// candidate; ctx is checked between candidates.
+func (ix *Index) ScoreTablesAmong(ctx context.Context, pq *TableQuery, ids []string, k int) ([]Result, error) {
+	var (
+		res     []Result
+		w       []float64
+		matcher graph.Matcher
+	)
+	nq := len(pq.qv)
 	for _, id := range ids {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
 		if id == pq.id {
 			continue
 		}
 		ckeys := ix.byTable[id]
-		w := make([][]float64, len(pq.qv))
-		for i, v := range pq.qv {
-			w[i] = make([]float64, len(ckeys))
-			for j, ck := range ckeys {
-				c := ix.cosine(v, pq.qn[i], ck)
-				if c > 0 {
-					w[i][j] = c
+		nc := len(ckeys)
+		if cap(w) < nq*nc {
+			w = make([]float64, nq*nc)
+		}
+		w = w[:nq*nc]
+		for j, ck := range ckeys {
+			cv, cn := ix.vecs[ck], ix.norm(ck)
+			for i, v := range pq.qv {
+				w[i*nc+j] = 0
+				if c := embedding.CosineWithNorms(v, cv, pq.qn[i], cn); c > 0 {
+					w[i*nc+j] = c
 				}
 			}
 		}
-		_, total := graph.MaxWeightBipartiteMatching(w)
-		res = append(res, Result{TableID: id, Score: total / float64(len(pq.qv))})
+		res = append(res, Result{TableID: id, Score: matcher.MaxWeight(w, nq, nc) / float64(nq)})
 	}
 	sort.Slice(res, func(i, j int) bool {
 		if res[i].Score != res[j].Score {
@@ -364,17 +399,16 @@ func (ix *Index) ScoreTablesAmong(pq *TableQuery, ids []string, k int) []Result 
 	if len(res) > k {
 		res = res[:k]
 	}
-	return res
+	return res, nil
 }
 
-// cosine scores a query column (norm vn) against an indexed column,
-// using the store's precomputed norm when a view is bound — same
-// value as embedding.Cosine, one dot product instead of three.
-func (ix *Index) cosine(v embedding.Vector, vn float64, ck string) float64 {
+// norm returns an indexed column's norm: the store's precomputed one
+// when a view is bound, the same value computed on the spot otherwise.
+func (ix *Index) norm(ck string) float64 {
 	if ix.hasView {
 		if row, ok := ix.rowOf[ck]; ok {
-			return embedding.CosineWithNorms(v, ix.vecs[ck], vn, ix.view.Norm(row))
+			return ix.view.Norm(row)
 		}
 	}
-	return embedding.CosineWithNorms(v, ix.vecs[ck], vn, ix.vecs[ck].Norm())
+	return ix.vecs[ck].Norm()
 }

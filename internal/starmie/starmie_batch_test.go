@@ -1,6 +1,7 @@
 package starmie
 
 import (
+	"context"
 	"reflect"
 	"testing"
 )
@@ -20,7 +21,7 @@ func TestAddTablesMatchesSequential(t *testing.T) {
 	if err := seq.Build(); err != nil {
 		t.Fatal(err)
 	}
-	want, err := seq.SearchTables(query, 5, 64, false)
+	want, err := seq.SearchTables(context.Background(), query, 5, 64, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,7 +35,7 @@ func TestAddTablesMatchesSequential(t *testing.T) {
 		if err := par.Build(); err != nil {
 			t.Fatal(err)
 		}
-		got, err := par.SearchTables(query, 5, 64, false)
+		got, err := par.SearchTables(context.Background(), query, 5, 64, false)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,6 +1,7 @@
 package starmie
 
 import (
+	"context"
 	"testing"
 
 	"tablehound/internal/datagen"
@@ -71,7 +72,7 @@ func TestSearchTablesFindsUnionable(t *testing.T) {
 	var relevant []map[string]bool
 	for i := 0; i < 5; i++ {
 		q := lake.Tables[i*5]
-		res, err := ix.SearchTables(q, 4, 64, false)
+		res, err := ix.SearchTables(context.Background(), q, 4, 64, false)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -161,7 +162,7 @@ func TestHomographDisambiguation(t *testing.T) {
 	}
 	// Query: an animal table containing the homograph.
 	q := mk("query", []string{"jaguar", "leopard", "lion", "tiger"}, habitats)
-	res, err := ix.SearchTables(q, 2, 64, true)
+	res, err := ix.SearchTables(context.Background(), q, 2, 64, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,7 +181,7 @@ func TestSearchTablesSkipsSelf(t *testing.T) {
 		t.Fatal(err)
 	}
 	q := lake.Tables[0]
-	res, err := ix.SearchTables(q, 30, 64, false)
+	res, err := ix.SearchTables(context.Background(), q, 30, 64, false)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -91,7 +91,7 @@ func NewTUSFromParts(cfg TUSConfig, parts []TUSTableParts, lookup func(id string
 				}
 			}
 			entry.cols = append(entry.cols, &tusColumn{
-				name: c.Name, ids: c.IDs, sig: c.Sig, vec: c.Vec,
+				name: c.Name, ids: c.IDs, sig: c.Sig, vec: c.Vec, norm: c.Vec.Norm(),
 				semType: c.SemType, semCover: c.SemCover,
 			})
 			for _, v := range cfg.Dict.Decode(c.IDs) {

@@ -6,6 +6,8 @@ import (
 	"reflect"
 	"sync"
 	"testing"
+
+	"tablehound/internal/table"
 )
 
 // TestTUSSearchRequiresBuild pins the read-path contract: Search never
@@ -162,5 +164,73 @@ func TestLogFactTableMatchesLgamma(t *testing.T) {
 		if got := lf.hypergeomCDF(c[0], c[1], c[2], c[3]); got != want {
 			t.Fatalf("cached CDF%v = %v, want %v", c, got, want)
 		}
+	}
+}
+
+// sameTable is a deep copy under the same ID: equal in every cell, but
+// not the pointer an engine staged.
+func sameTable(tb *table.Table) *table.Table {
+	cols := make([]*table.Column, len(tb.Columns))
+	for i, c := range tb.Columns {
+		cols[i] = &table.Column{Name: c.Name, Type: c.Type, Values: append([]string(nil), c.Values...)}
+	}
+	return table.MustNew(tb.ID, tb.Name, cols)
+}
+
+// TestPrepareReusesStagedAnalysis: a query that is a staged table gets
+// the engine's own staged columns / relationships (no re-analysis), a
+// copy of it gets a fresh analysis, and the two are equal field for
+// field — IDs, signature, vector, norm, annotations — which is what
+// makes the reuse invisible in every ranking.
+func TestPrepareReusesStagedAnalysis(t *testing.T) {
+	lake, tus := lakeAndTUS(t, false, true)
+	santos := NewSantos(lake.BuildKB(0.9))
+	for _, tb := range lake.Tables {
+		santos.AddTable(tb)
+	}
+	if err := santos.Build(); err != nil {
+		t.Fatal(err)
+	}
+	santosQueries := 0
+	for _, tb := range lake.Tables {
+		staged, err := tus.Prepare(tb)
+		if err != nil {
+			t.Fatal(err)
+		}
+		copied, err := tus.Prepare(sameTable(tb))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if &staged.qcols[0] != &tus.tables[tb.ID].cols[0] {
+			t.Fatalf("TUS %s: staged query was analyzed again", tb.ID)
+		}
+		if &copied.qcols[0] == &tus.tables[tb.ID].cols[0] {
+			t.Fatalf("TUS %s: a copy was answered from the staged columns", tb.ID)
+		}
+		if !reflect.DeepEqual(staged.qcols, copied.qcols) {
+			t.Fatalf("TUS %s: staged columns differ from a fresh analysis", tb.ID)
+		}
+
+		sst, err := santos.Prepare(tb)
+		if err != nil {
+			continue // no intent column plus one other: a bad query either way
+		}
+		santosQueries++
+		scp, err := santos.Prepare(sameTable(tb))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sst.q != santos.tables[tb.ID] {
+			t.Fatalf("SANTOS %s: staged query was analyzed again", tb.ID)
+		}
+		if scp.q == santos.tables[tb.ID] {
+			t.Fatalf("SANTOS %s: a copy was answered from the staged relationships", tb.ID)
+		}
+		if !reflect.DeepEqual(sst.q.rels, scp.q.rels) {
+			t.Fatalf("SANTOS %s: staged relationships differ from a fresh analysis", tb.ID)
+		}
+	}
+	if santosQueries == 0 {
+		t.Fatal("no table of the lake is a valid SANTOS query")
 	}
 }

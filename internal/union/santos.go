@@ -231,11 +231,15 @@ type SantosQuery struct {
 // pair sets against the frozen pair dictionary. One encoder across
 // relationships: pairs absent from the lake get ephemeral IDs (never
 // matching an indexed pair) that are shared between query
-// relationships. A query without the shape SANTOS needs wraps
-// table.ErrBadQuery.
+// relationships. A query that is a staged table reuses its staged
+// relationships (all its pairs are in the dictionary). A query without
+// the shape SANTOS needs wraps table.ErrBadQuery.
 func (s *Santos) Prepare(query *table.Table) (*SantosQuery, error) {
 	if !s.built {
 		return nil, ErrNotBuilt
+	}
+	if st := s.tables[query.ID]; st != nil && st.tbl == query {
+		return &SantosQuery{id: query.ID, q: st}, nil
 	}
 	q := s.analyze(query)
 	if q == nil {

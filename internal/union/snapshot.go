@@ -117,6 +117,7 @@ func DecodeTUSSnapshot(d *snap.Decoder, cfg TUSConfig, lookup func(id string) *t
 			if d.Err() != nil {
 				return nil, d.Err()
 			}
+			c.norm = c.vec.Norm()
 			entry.cols = append(entry.cols, c)
 		}
 		if _, dup := t.tables[id]; dup {

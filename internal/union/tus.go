@@ -75,6 +75,10 @@ type tusColumn struct {
 	ids    dict.IDSet // same values as sorted dictionary IDs
 	sig    minhash.Signature
 	vec    embedding.Vector
+	// norm is vec.Norm(), computed once where the column is made so the
+	// NL measure costs one dot product per matrix cell. Derived, never
+	// persisted.
+	norm float64
 	// Semantic annotation (dominant ontology type), when covered.
 	semType  string
 	semCover float64
@@ -157,6 +161,7 @@ func (t *TUS) makeColumn(c *table.Column) *tusColumn {
 		sig:    t.hasher.Sign(values),
 		vec:    t.cfg.Model.ColumnVector(values),
 	}
+	tc.norm = tc.vec.Norm()
 	if t.cfg.KB != nil {
 		if typ, cover, ok := t.cfg.KB.DominantType(values, 0.5); ok {
 			tc.semType, tc.semCover = typ, cover
@@ -390,7 +395,7 @@ func (t *TUS) semUnionability(a, b *tusColumn) float64 {
 
 // nlUnionability maps embedding cosine from [-1, 1] to [0, 1].
 func nlUnionability(a, b *tusColumn) float64 {
-	return (embedding.Cosine(a.vec, b.vec) + 1) / 2
+	return (embedding.CosineWithNorms(a.vec, b.vec, a.norm, b.norm) + 1) / 2
 }
 
 // ErrNotBuilt is returned by Search when the index has pending tables
@@ -432,11 +437,16 @@ type TUSQuery struct {
 }
 
 // Prepare encodes a query table's string columns against the frozen
-// dictionary. A query without usable string columns wraps
+// dictionary; a query that is a staged table reuses its staged columns
+// (every staged value is in the dictionary, so they are what encoding
+// would produce). A query without usable string columns wraps
 // table.ErrBadQuery.
 func (t *TUS) Prepare(query *table.Table) (*TUSQuery, error) {
 	if !t.built {
 		return nil, ErrNotBuilt
+	}
+	if entry := t.tables[query.ID]; entry != nil && entry.tbl == query {
+		return &TUSQuery{id: query.ID, query: query, qcols: entry.cols}, nil
 	}
 	enc := t.dict.Encoder()
 	qcols := make([]*tusColumn, 0)
