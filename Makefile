@@ -73,15 +73,19 @@ bench-delta:
 	$(GO) test -run xxx -bench 'BenchmarkDelta' -benchtime 2x -timeout 1200s .
 
 # Query-serving benchmarks over the 500-table lake, including the
-# loopback-HTTP serving benchmark (cold vs warm cache), plus the D3L
-# whole-lake scan over a 300-table lake, one Starmie query by staged
-# pointer and by copy, and the HNSW kernel both engines share (Add is
-# the write side: builds, chain loads, compactions). Set COUNT=10 for
+# loopback-HTTP serving benchmark (cold vs warm cache) and the routed
+# union classes over the end-to-end benchmark's 2-shard fleet, plus the
+# D3L whole-lake scan over a 300-table lake, one Starmie query by staged
+# pointer and by copy, the HNSW kernel both engines share (Add is the
+# write side: builds, chain loads, compactions), and what an inline
+# query table pays per cell: the out-of-vocabulary embedding kernel and
+# type inference, each beside the kernel it replaced. Set COUNT=10 for
 # benchstat-worthy samples: make bench-query COUNT=10 > new.txt
 bench-query:
 	$(GO) test -run xxx \
-		-bench 'BenchmarkQuery|BenchmarkServeQPS|BenchmarkD3LSearch|BenchmarkStarmieSearch|BenchmarkHNSW' \
-		-benchmem -count $(COUNT) . ./internal/union/ ./internal/starmie/ ./internal/hnsw/
+		-bench 'BenchmarkQuery|BenchmarkServeQPS|BenchmarkRoutedUnion|BenchmarkD3LSearch|BenchmarkStarmieSearch|BenchmarkHNSW|BenchmarkCharGramVector|BenchmarkInferType' \
+		-benchmem -count $(COUNT) . ./internal/union/ ./internal/starmie/ ./internal/hnsw/ \
+		./internal/embedding/ ./internal/table/
 
 # The end-to-end benchmark BENCHMARK.json declares: all four workloads,
 # untraced (see bench/README.md for flags; results land in bench/out/).

@@ -18,18 +18,36 @@ package embedding
 
 import (
 	"fmt"
-	"hash/fnv"
 	"math"
+	"math/bits"
 	"sort"
+	"unicode/utf8"
 
 	"tablehound/internal/tokenize"
 )
 
-// hashToken maps a token+seed to a 64-bit value.
-func hashToken(tok string, seed uint64) uint64 {
-	h := fnv.New64a()
-	h.Write([]byte(tok))
-	x := h.Sum64() ^ (seed * 0x9e3779b97f4a7c15)
+// FNV-1a 64 and splitmix64 constants: a token's sign bits are the
+// splitmix finalizer of its FNV-1a hash salted with seed and block.
+const (
+	fnvOffset64 uint64 = 14695981039346656037
+	fnvPrime64  uint64 = 1099511628211
+	golden64    uint64 = 0x9e3779b97f4a7c15
+)
+
+// fnv1a is FNV-1a 64 over the string's bytes.
+func fnv1a(s string) uint64 {
+	h := fnvOffset64
+	for i := 0; i < len(s); i++ {
+		h = (h ^ uint64(s[i])) * fnvPrime64
+	}
+	return h
+}
+
+// signBits returns the 64 sign bits of dimensions [base, base+64) of
+// the index vector of a token whose FNV-1a hash is h: the pool is
+// re-drawn every 64 dimensions by salting with seed+base.
+func signBits(h, seed uint64, base int) uint64 {
+	x := h ^ ((seed + uint64(base)) * golden64)
 	// splitmix finalizer.
 	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
 	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
@@ -39,30 +57,127 @@ func hashToken(tok string, seed uint64) uint64 {
 // RandomVector returns the deterministic ±1 index vector of a token.
 func RandomVector(tok string, dim int, seed uint64) Vector {
 	v := make(Vector, dim)
-	x := hashToken(tok, seed)
-	for i := 0; i < dim; i++ {
-		// Refresh the bit pool every 64 dims.
-		if i%64 == 0 && i > 0 {
-			x = hashToken(tok, seed+uint64(i))
-		}
-		if x&(1<<(uint(i)%64)) != 0 {
-			v[i] = 1
-		} else {
-			v[i] = -1
+	h := fnv1a(tok)
+	for base := 0; base < dim; base += 64 {
+		x := signBits(h, seed, base)
+		for j := range v[base:min(base+64, dim)] {
+			v[base+j] = float32(int(x>>uint(j)&1)*2 - 1)
 		}
 	}
 	return v
 }
 
+// gramChunk is how many q-grams one bit-sliced pass counts: 8 counter
+// planes hold 0..255.
+const gramChunk = 255
+
 // CharGramVector returns the unit-normalized sum of the index vectors
-// of the string's padded character q-grams. Strings at small edit
-// distance share most grams and therefore have high cosine similarity.
+// of the string's padded character q-grams ('#' before, '$' after, as
+// tokenize.QGrams pads them). Strings at small edit distance share
+// most grams and therefore have high cosine similarity.
+//
+// Only the result is allocated: grams are hashed where they lie, and
+// their ±1 signs are counted 64 dimensions at a time in bit-sliced
+// counters. Every partial sum is a small integer, exact in float32, so
+// the result equals adding one index vector per gram, float for float
+// (up to 2^24 grams, past which a float32 sum of ±1 is no longer
+// exact in any order).
 func CharGramVector(s string, dim, q int, seed uint64) Vector {
 	out := Zero(dim)
-	for _, g := range tokenize.QGrams(tokenize.Normalize(s), q) {
-		out.Add(RandomVector(g, dim, seed))
+	if q <= 0 {
+		return out
 	}
+	s = tokenize.Normalize(s)
+	var hs [gramChunk]uint64
+	n := 0
+	// Gram g covers positions [g, g+q) of the padded rune sequence: q-1
+	// '#', the runes of s, q-1 '$'. lo is the byte offset of the first
+	// rune of s the gram covers.
+	grams := utf8.RuneCountInString(s) + q - 1
+	lo := 0
+	for g := 0; g < grams; g++ {
+		h := fnvOffset64
+		left := q
+		for ; left > g+1; left-- {
+			h = (h ^ '#') * fnvPrime64
+		}
+		for off := lo; left > 0 && off < len(s); left-- {
+			var size int
+			h, size = hashRune(h, s[off:])
+			off += size
+		}
+		for ; left > 0; left-- {
+			h = (h ^ '$') * fnvPrime64
+		}
+		if g >= q-1 {
+			_, size := utf8.DecodeRuneInString(s[lo:])
+			lo += size
+		}
+		if n == gramChunk {
+			addSigns(out, hs[:n], seed)
+			n = 0
+		}
+		hs[n] = h
+		n++
+	}
+	if grams == 0 {
+		// "" at q = 1 pads to nothing: its one gram is the empty string.
+		hs[0], n = fnvOffset64, 1
+	}
+	addSigns(out, hs[:n], seed)
 	return out.Normalize()
+}
+
+// hashRune folds the UTF-8 encoding of the first rune of s into the
+// FNV-1a state h and returns the rune's width in s. An invalid byte
+// hashes as U+FFFD, which is what a []rune conversion makes of it.
+func hashRune(h uint64, s string) (uint64, int) {
+	if s[0] < utf8.RuneSelf {
+		return (h ^ uint64(s[0])) * fnvPrime64, 1
+	}
+	r, size := utf8.DecodeRuneInString(s)
+	enc := s[:size]
+	if r == utf8.RuneError && size == 1 {
+		enc = "\uFFFD"
+	}
+	for i := 0; i < len(enc); i++ {
+		h = (h ^ uint64(enc[i])) * fnvPrime64
+	}
+	return h, size
+}
+
+// addSigns adds to out the sum of the ±1 index vectors of the tokens
+// whose FNV-1a hashes are hs, at most gramChunk of them.
+func addSigns(out Vector, hs []uint64, seed uint64) {
+	np := bits.Len(uint(len(hs)))
+	for base := 0; base < len(out); base += 64 {
+		// planes[k] holds bit k of each dimension's count of +1 signs;
+		// adding a token's 64 signs is a carry-ripple down the planes.
+		var planes [8]uint64
+		for _, h := range hs {
+			carry := signBits(h, seed, base)
+			for k := 0; carry != 0; k++ {
+				planes[k], carry = planes[k]^carry, planes[k]&carry
+			}
+		}
+		// Read the counts back eight dimensions at a time, one per byte.
+		blk := out[base:min(base+64, len(out))]
+		for g := 0; g < len(blk); g += 8 {
+			var ones uint64
+			for k := 0; k < np; k++ {
+				ones |= spreadBits(planes[k]>>uint(g)&0xff) << k
+			}
+			for j := range blk[g:min(g+8, len(blk))] {
+				blk[g+j] += float32(2*int(ones>>(8*uint(j))&0xff) - len(hs))
+			}
+		}
+	}
+}
+
+// spreadBits moves bit i of the byte b to the lowest bit of byte i.
+func spreadBits(b uint64) uint64 {
+	x := (b * 0x0101010101010101) & 0x8040201008040201
+	return ((x + 0x7f7f7f7f7f7f7f7f) >> 7) & 0x0101010101010101
 }
 
 // Config controls training.

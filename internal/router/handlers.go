@@ -10,7 +10,6 @@ import (
 	"tablehound/internal/discover"
 	"tablehound/internal/qcache"
 	"tablehound/internal/server"
-	"tablehound/internal/snap"
 )
 
 // --- response types ---
@@ -124,26 +123,40 @@ func (w *statusWriter) Write(b []byte) (int, error) {
 
 // gather runs the scatter-gather tail shared by every query endpoint:
 // cache lookup (keyed on the endpoint, the generation vector, and the
-// exact request bytes), fan-out of fanBody to every eligible shard,
-// ok/failure triage, and the degradation decision. merge turns the ok
-// shard bodies into the response value; its ShardsOK field is set by
-// the caller-supplied setPartial before marshaling when the answer is
-// incomplete. Only complete answers are cached.
+// exact request bytes), fan-out of body to every eligible shard — with
+// a seed to route, as fanout describes — ok/failure triage, and the
+// degradation decision. merge turns the ok shard bodies into the
+// response value; its ShardsOK field is set by the caller-supplied
+// setPartial before marshaling when the answer is incomplete. Only
+// complete answers are cached.
 func (rt *Router) gather(
 	w http.ResponseWriter, r *http.Request,
-	endpoint byte, path string, cacheBody, fanBody []byte,
+	endpoint byte, path string, body []byte, seed *seedRoute,
 	merge func(bodies [][]byte) (any, error),
 	setPartial func(v any, shardsOK string),
 	empty func(shardsOK string) any,
 ) {
+	total := len(rt.shards)
+	// Operational failure degrades to an empty 200, never a 5xx.
+	allDown := func() {
+		rt.allDown.Inc()
+		rt.markPartial(endpoint)
+		writeJSON(w, http.StatusOK, empty(fmt.Sprintf("0/%d", total)))
+	}
+	if seed != nil && seed.owner.state.Load().quarantined {
+		// Without the seed table no shard can answer.
+		allDown()
+		return
+	}
+
 	var key string
 	if rt.cache != nil {
 		var kb qcache.KeyBuilder
-		kb.Byte(endpoint).U64(rt.genHash.Load()).Str(string(cacheBody))
+		kb.Byte(endpoint).U64(rt.genHash.Load()).Str(string(body))
 		key = kb.String()
-		if body, ok := rt.cache.Get(key); ok {
+		if hit, ok := rt.cache.Get(key); ok {
 			w.Header().Set("X-Cache", "HIT")
-			writeJSONBytes(w, http.StatusOK, body)
+			writeJSONBytes(w, http.StatusOK, hit)
 			return
 		}
 		w.Header().Set("X-Cache", "MISS")
@@ -151,9 +164,7 @@ func (rt *Router) gather(
 		w.Header().Set("X-Cache", "BYPASS")
 	}
 
-	total := len(rt.shards)
-	shards := rt.eligible()
-	results := rt.fanout(r.Context(), path, fanBody, shards)
+	results := rt.fanout(r.Context(), path, body, rt.eligible(), seed)
 
 	bodies := make([][]byte, 0, len(results))
 	for _, res := range results {
@@ -164,17 +175,14 @@ func (rt *Router) gather(
 	if len(bodies) == 0 {
 		// No shard produced a mergeable answer. A deterministic client
 		// error (every shard computes it from the request alone) is
-		// propagated verbatim; operational failure degrades to an empty
-		// 200, never a 5xx.
+		// propagated verbatim.
 		for _, res := range results {
 			if res.clientError() {
 				writeJSONBytes(w, res.status, res.body)
 				return
 			}
 		}
-		rt.allDown.Inc()
-		rt.markPartial(endpoint)
-		writeJSON(w, http.StatusOK, empty(fmt.Sprintf("0/%d", total)))
+		allDown()
 		return
 	}
 
@@ -188,15 +196,15 @@ func (rt *Router) gather(
 		rt.markPartial(endpoint)
 		setPartial(v, fmt.Sprintf("%d/%d", len(bodies), total))
 	}
-	body, err := json.Marshal(v)
+	out, err := json.Marshal(v)
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, "encoding response: "+err.Error())
 		return
 	}
 	if complete && key != "" {
-		rt.cache.Put(key, body)
+		rt.cache.Put(key, out)
 	}
-	writeJSONBytes(w, http.StatusOK, body)
+	writeJSONBytes(w, http.StatusOK, out)
 }
 
 func (rt *Router) markPartial(endpoint byte) {
@@ -231,7 +239,7 @@ func (rt *Router) handleJoin(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	byContainment := req.Mode == "containment"
-	rt.gather(w, r, 'J', "/v1/join", body, body,
+	rt.gather(w, r, 'J', "/v1/join", body, nil,
 		func(bodies [][]byte) (any, error) {
 			lists := make([][]server.JoinMatch, 0, len(bodies))
 			for _, b := range bodies {
@@ -278,51 +286,11 @@ func (rt *Router) handleUnion(w http.ResponseWriter, r *http.Request) {
 	}
 
 	// A table_id query names a lake table that lives on exactly one
-	// shard; the others would answer 404. Fetch it from its owner and
-	// fan out the inline form instead — the table keeps its ID, so the
-	// owner shard still excludes the query table from its own results.
-	fanBody := body
-	total := len(rt.shards)
-	if req.TableID != "" && total > 1 {
-		owner := rt.shards[snap.ShardOf(req.TableID, total)]
-		if owner.state.Load().quarantined {
-			rt.allDown.Inc()
-			rt.markPartial('U')
-			writeJSON(w, http.StatusOK, &unionRouterResponse{
-				UnionResponse: server.UnionResponse{Results: []server.TableScore{}},
-				ShardsOK:      fmt.Sprintf("0/%d", total),
-			})
-			return
-		}
-		t, err := owner.client.Table(r.Context(), req.TableID)
-		if err != nil {
-			if apiErr, isAPI := err.(*server.APIError); isAPI && apiErr.Status/100 == 4 {
-				// Deterministic: the owner has the table or nobody does.
-				writeError(w, apiErr.Status, apiErr.Message)
-				return
-			}
-			// Owner unreachable: without the query table no shard can
-			// answer. Degrade, don't 5xx.
-			owner.fails.Inc()
-			rt.allDown.Inc()
-			rt.markPartial('U')
-			writeJSON(w, http.StatusOK, &unionRouterResponse{
-				UnionResponse: server.UnionResponse{Results: []server.TableScore{}},
-				ShardsOK:      fmt.Sprintf("0/%d", total),
-			})
-			return
-		}
-		inline := req
-		inline.TableID = ""
-		inline.Table = &server.InlineTable{ID: t.ID, Name: t.Name, Columns: t.Columns}
-		fanBody, err = json.Marshal(inline)
-		if err != nil {
-			writeError(w, http.StatusInternalServerError, "encoding shard request: "+err.Error())
-			return
-		}
-	}
-
-	rt.gather(w, r, 'U', "/v1/union", body, fanBody,
+	// shard; the others would answer 404, so they get it inline. The
+	// table keeps its ID there, which is what excludes it from results.
+	inline := req
+	inline.TableID = ""
+	rt.gather(w, r, 'U', "/v1/union", body, rt.seedFor(req.TableID, inline),
 		func(bodies [][]byte) (any, error) {
 			lists := make([][]server.TableScore, 0, len(bodies))
 			for _, b := range bodies {
@@ -365,7 +333,7 @@ func (rt *Router) handleKeyword(w http.ResponseWriter, r *http.Request) {
 	if mode == "" {
 		mode = "meta"
 	}
-	rt.gather(w, r, 'K', "/v1/keyword", body, body,
+	rt.gather(w, r, 'K', "/v1/keyword", body, nil,
 		func(bodies [][]byte) (any, error) {
 			var scores [][]server.TableScore
 			var clusters [][]server.ValueCluster
@@ -443,43 +411,10 @@ func (rt *Router) handleDiscover(w http.ResponseWriter, r *http.Request) {
 		return out
 	}
 
-	// Same owner-resolution dance as /v1/union: a table_id seed lives
-	// on exactly one shard, so fetch it from its owner and fan out the
-	// inline form (the table keeps its ID, so the owner shard still
-	// excludes the seed from its own results).
-	fanBody := body
-	total := len(rt.shards)
-	if req.TableID != "" && total > 1 {
-		owner := rt.shards[snap.ShardOf(req.TableID, total)]
-		if owner.state.Load().quarantined {
-			rt.allDown.Inc()
-			rt.markPartial('D')
-			writeJSON(w, http.StatusOK, emptyResp(fmt.Sprintf("0/%d", total)))
-			return
-		}
-		t, err := owner.client.Table(r.Context(), req.TableID)
-		if err != nil {
-			if apiErr, isAPI := err.(*server.APIError); isAPI && apiErr.Status/100 == 4 {
-				writeError(w, apiErr.Status, apiErr.Message)
-				return
-			}
-			owner.fails.Inc()
-			rt.allDown.Inc()
-			rt.markPartial('D')
-			writeJSON(w, http.StatusOK, emptyResp(fmt.Sprintf("0/%d", total)))
-			return
-		}
-		inline := req
-		inline.TableID = ""
-		inline.Table = &server.InlineTable{ID: t.ID, Name: t.Name, Columns: t.Columns}
-		fanBody, err = json.Marshal(inline)
-		if err != nil {
-			writeError(w, http.StatusInternalServerError, "encoding shard request: "+err.Error())
-			return
-		}
-	}
-
-	rt.gather(w, r, 'D', "/v1/discover", body, fanBody,
+	// A table_id seed travels as it does for /v1/union.
+	inline := req
+	inline.TableID = ""
+	rt.gather(w, r, 'D', "/v1/discover", body, rt.seedFor(req.TableID, inline),
 		func(bodies [][]byte) (any, error) {
 			matchLists := make([][]server.JoinMatch, 0, len(bodies))
 			scoreLists := make([][]server.TableScore, 0, len(bodies))
@@ -538,7 +473,7 @@ func (rt *Router) ReloadAll(ctx context.Context) ReloadResponse {
 	okCount := 0
 	for i, sh := range rt.shards {
 		out[i] = ReloadShard{Shard: i}
-		status, body, err := rt.postShard(ctx, sh, "/v1/admin/reload", nil)
+		status, body, err := rt.callShard(ctx, sh, http.MethodPost, "/v1/admin/reload", nil)
 		if err != nil {
 			out[i].Error = err.Error()
 			continue

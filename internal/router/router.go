@@ -20,7 +20,9 @@
 //	                 outage that produced it
 //	fan-out        → one concurrent sub-request per shard under a
 //	                 per-shard timeout; failures (refused, timed out,
-//	                 5xx, shed) only shrink shards_ok
+//	                 5xx, shed) only shrink shards_ok. A table_id seed
+//	                 goes to its owner shard by id while the table is
+//	                 fetched for the shards that do not hold it
 //	merge          → concatenate + re-sort with the engine comparator,
 //	                 truncate to k (merge.go)
 //
@@ -39,6 +41,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/url"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -46,6 +49,7 @@ import (
 	"tablehound/internal/obs"
 	"tablehound/internal/qcache"
 	"tablehound/internal/server"
+	"tablehound/internal/snap"
 )
 
 // maxBodyBytes mirrors the shard servers' request/response body bound.
@@ -143,7 +147,7 @@ func New(cfg Config) (*Router, error) {
 	}
 	rt := &Router{
 		cfg:        cfg,
-		http:       &http.Client{Transport: cfg.Transport},
+		http:       &http.Client{Transport: shardTransport(cfg.Transport)},
 		cache:      qcache.New(cfg.CacheEntries),
 		reg:        obs.NewRegistry(),
 		start:      time.Now(),
@@ -198,6 +202,27 @@ func New(cfg Config) (*Router, error) {
 	rt.mux.HandleFunc("/stats", rt.handleStats)
 	rt.mux.HandleFunc("/metrics", rt.handleMetrics)
 	return rt, nil
+}
+
+// idleConnsPerShard sizes the keep-alive pool per shard. The default
+// transport keeps two idle connections per host, so a third concurrent
+// sub-request to a shard dials a connection, uses it once and closes
+// it; a shard admits NumCPU queries at a time by default and a routed
+// seed adds a fetch beside the owner's query, so keep enough for a
+// fan-out that wide.
+const idleConnsPerShard = 64
+
+// shardTransport returns the transport shard requests travel on: the
+// override when one is given, otherwise a clone of the default one
+// whose idle pool fits a fan-out.
+func shardTransport(override http.RoundTripper) http.RoundTripper {
+	if override != nil {
+		return override
+	}
+	t := http.DefaultTransport.(*http.Transport).Clone()
+	t.MaxIdleConns = 0 // no global cap: the per-host one bounds it
+	t.MaxIdleConnsPerHost = idleConnsPerShard
+	return t
 }
 
 func hasScheme(addr string) bool {
@@ -330,7 +355,6 @@ func (rt *Router) CheckShards(ctx context.Context) int {
 
 // shardResult is one shard's answer to a fanned-out sub-request.
 type shardResult struct {
-	idx    int
 	status int
 	body   []byte
 	err    error
@@ -361,36 +385,110 @@ func (rt *Router) eligible() []*shard {
 	return out
 }
 
+// seedRoute is how a table_id seed reaches the shards that do not hold
+// the table: the owner answers the caller's own request, resolving the
+// ID in its catalog, and the others get rest — the request without its
+// seed — with the owner's copy of the table spliced in as "table".
+type seedRoute struct {
+	owner *shard
+	id    string
+	rest  any
+}
+
+// seedFor routes a request seeded by table id, whose seedless form is
+// rest. A single shard owns every table: nothing has to travel.
+func (rt *Router) seedFor(id string, rest any) *seedRoute {
+	if id == "" || len(rt.shards) == 1 {
+		return nil
+	}
+	return &seedRoute{owner: rt.shards[snap.ShardOf(id, len(rt.shards))], id: id, rest: rest}
+}
+
+// fetch GETs the seed table from its owner as raw bytes and returns
+// the inline request for the other shards. When there is none to
+// send, the second result is what those shards contribute instead: the
+// owner's deterministic 4xx (it has the table or nobody does), or a
+// failure, which is counted against the owner.
+func (rt *Router) fetch(ctx context.Context, seed *seedRoute) ([]byte, shardResult) {
+	var res shardResult
+	res.status, res.body, res.err = rt.callShard(ctx, seed.owner, http.MethodGet, "/v1/table?id="+url.QueryEscape(seed.id), nil)
+	if !res.ok() {
+		if !res.clientError() {
+			seed.owner.fails.Inc()
+		}
+		return nil, res
+	}
+	// /v1/table answers in the inline-table wire form, so its bytes are
+	// the "table" member as they stand.
+	head, err := json.Marshal(seed.rest)
+	if err != nil {
+		return nil, shardResult{err: err}
+	}
+	inline := make([]byte, 0, len(head)+len(res.body)+len(`,"table":`))
+	inline = append(inline, head[:len(head)-1]...)
+	if len(head) > len(`{}`) {
+		inline = append(inline, ',')
+	}
+	inline = append(inline, `"table":`...)
+	inline = append(inline, res.body...)
+	return append(inline, '}'), shardResult{}
+}
+
 // fanout POSTs body to path on every given shard concurrently, each
-// under its own ShardTimeout, and returns one result per shard.
-func (rt *Router) fanout(ctx context.Context, path string, body []byte, shards []*shard) []shardResult {
+// under its own ShardTimeout, and returns one result per shard. With a
+// seed to route, only its owner gets body, at once; the fetch of the
+// table runs beside that query, and the other shards are posted the
+// inline form the moment it lands.
+func (rt *Router) fanout(ctx context.Context, path string, body []byte, shards []*shard, seed *seedRoute) []shardResult {
 	results := make([]shardResult, len(shards))
 	var wg sync.WaitGroup
-	for i, sh := range shards {
+	post := func(i int, sh *shard, body []byte) {
 		wg.Add(1)
-		go func(i int, sh *shard) {
+		go func() {
 			defer wg.Done()
 			t0 := time.Now()
-			status, out, err := rt.postShard(ctx, sh, path, body)
+			status, out, err := rt.callShard(ctx, sh, http.MethodPost, path, body)
 			sh.latency.Observe(time.Since(t0))
-			results[i] = shardResult{idx: i, status: status, body: out, err: err}
+			results[i] = shardResult{status: status, body: out, err: err}
 			if !results[i].ok() && !results[i].clientError() {
 				sh.fails.Inc()
 			}
-		}(i, sh)
+		}()
+	}
+	for i, sh := range shards {
+		if seed == nil || sh == seed.owner {
+			post(i, sh, body)
+		}
+	}
+	if seed != nil {
+		inline, failed := rt.fetch(ctx, seed)
+		for i, sh := range shards {
+			if sh == seed.owner {
+				continue
+			}
+			if inline == nil {
+				results[i] = failed
+				continue
+			}
+			post(i, sh, inline)
+		}
 	}
 	wg.Wait()
 	return results
 }
 
-func (rt *Router) postShard(ctx context.Context, sh *shard, path string, body []byte) (int, []byte, error) {
+// callShard sends one sub-request to a shard under ShardTimeout and
+// returns the status and the whole body.
+func (rt *Router) callShard(ctx context.Context, sh *shard, method, path string, body []byte) (int, []byte, error) {
 	sctx, cancel := context.WithTimeout(ctx, rt.cfg.ShardTimeout)
 	defer cancel()
-	req, err := http.NewRequestWithContext(sctx, http.MethodPost, sh.base+path, bytes.NewReader(body))
+	req, err := http.NewRequestWithContext(sctx, method, sh.base+path, bytes.NewReader(body))
 	if err != nil {
 		return 0, nil, err
 	}
-	req.Header.Set("Content-Type", "application/json")
+	if method == http.MethodPost {
+		req.Header.Set("Content-Type", "application/json")
+	}
 	resp, err := rt.http.Do(req)
 	if err != nil {
 		return 0, nil, err

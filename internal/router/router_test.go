@@ -62,35 +62,42 @@ func fixture(t *testing.T) (*datagen.Lake, *core.System, []*core.System, *snap.M
 			panic(err)
 		}
 
-		const n = 2
-		parts := make([]*lake.Catalog, n)
-		ids := make([][]string, n)
-		for i := range parts {
-			parts[i] = lake.NewCatalog()
-		}
-		for _, tbl := range gen.Tables {
-			i := snap.ShardOf(tbl.ID, n)
-			if err := parts[i].Add(tbl); err != nil {
-				panic(err)
-			}
-			ids[i] = append(ids[i], tbl.ID)
-		}
-		two := make([]*core.System, n)
-		man := &snap.Manifest{Assign: snap.AssignFNV1a}
-		for i := range parts {
-			two[i], err = core.Build(parts[i], buildOpts(gen))
-			if err != nil {
-				panic(err)
-			}
-			man.Shards = append(man.Shards, snap.ShardEntry{
-				Snapshot:   fmt.Sprintf("lake.%d.snap", i),
-				Generation: snap.HashIDs(ids[i]),
-				Tables:     len(ids[i]),
-			})
-		}
+		two, man := buildPartition(gen, 2)
 		fixGen, fixSys, fixTwo, fixMan = gen, sys, two, man
 	})
 	return fixGen, fixSys, fixTwo, fixMan
+}
+
+// buildPartition splits gen's tables n ways under the production
+// assignment function and builds one system per shard.
+func buildPartition(gen *datagen.Lake, n int) ([]*core.System, *snap.Manifest) {
+	parts := make([]*lake.Catalog, n)
+	ids := make([][]string, n)
+	for i := range parts {
+		parts[i] = lake.NewCatalog()
+	}
+	for _, tbl := range gen.Tables {
+		i := snap.ShardOf(tbl.ID, n)
+		if err := parts[i].Add(tbl); err != nil {
+			panic(err)
+		}
+		ids[i] = append(ids[i], tbl.ID)
+	}
+	systems := make([]*core.System, n)
+	man := &snap.Manifest{Assign: snap.AssignFNV1a}
+	for i := range parts {
+		sys, err := core.Build(parts[i], buildOpts(gen))
+		if err != nil {
+			panic(err)
+		}
+		systems[i] = sys
+		man.Shards = append(man.Shards, snap.ShardEntry{
+			Snapshot:   fmt.Sprintf("lake.%d.snap", i),
+			Generation: snap.HashIDs(ids[i]),
+			Tables:     len(ids[i]),
+		})
+	}
+	return systems, man
 }
 
 // startShards serves each system as one shard of the given manifest
@@ -453,9 +460,9 @@ func TestTwoShardJoinOverlapParity(t *testing.T) {
 	}
 }
 
-// A table_id union query is relocated: the router fetches the table
-// from its owner shard and fans out the inline form, so shards that do
-// not hold the table still contribute candidates.
+// A table_id union query is relocated: the owner shard answers it by
+// id while the router fetches the table from it for the shards that do
+// not hold the table, so they still contribute candidates.
 func TestTwoShardUnionByTableID(t *testing.T) {
 	gen, _, two, man := fixture(t)
 	_, _, addrs := startShards(t, two, man)

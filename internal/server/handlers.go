@@ -146,7 +146,9 @@ type ShardHealth struct {
 
 // TableResponse is the /v1/table answer: one lake table in the inline
 // form union queries accept, so a router can relocate a table_id query
-// to shards that do not own the table.
+// to shards that do not own the table. Its members must stay
+// InlineTable's: the router splices the answer's bytes into a request
+// as the "table" member without decoding them.
 type TableResponse struct {
 	ID      string         `json:"id"`
 	Name    string         `json:"name"`

@@ -265,11 +265,14 @@ func InferType(values []string) Type {
 		if isBool(v) {
 			bools++
 		}
-		if _, err := strconv.ParseInt(v, 10, 64); err == nil {
-			ints++
-			floats++ // every int parses as float
-		} else if _, err := strconv.ParseFloat(v, 64); err == nil {
-			floats++
+		// For a text cell strconv would allocate two errors to say no.
+		if mayBeNumber(v) {
+			if _, err := strconv.ParseInt(v, 10, 64); err == nil {
+				ints++
+				floats++ // every int parses as float
+			} else if _, err := strconv.ParseFloat(v, 64); err == nil {
+				floats++
+			}
 		}
 		if isDate(v) {
 			dates++
@@ -295,6 +298,26 @@ func InferType(values []string) Type {
 	default:
 		return TypeString
 	}
+}
+
+// mayBeNumber reports whether strconv could parse v as an int or a
+// float: after one optional sign a number starts with a digit or a
+// point, or is a spelling of infinity or NaN. A true answer decides
+// nothing; strconv still does.
+func mayBeNumber(v string) bool {
+	if v != "" && (v[0] == '+' || v[0] == '-') {
+		v = v[1:]
+	}
+	if v == "" {
+		return false
+	}
+	switch c := v[0]; {
+	case '0' <= c && c <= '9', c == '.':
+		return true
+	case c == 'i', c == 'I', c == 'n', c == 'N':
+		return strings.EqualFold(v, "inf") || strings.EqualFold(v, "infinity") || strings.EqualFold(v, "nan")
+	}
+	return false
 }
 
 func isBool(v string) bool {

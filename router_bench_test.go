@@ -1,8 +1,12 @@
 package tablehound
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
+	"io"
+	"net/http"
 	"net/http/httptest"
 	"sort"
 	"sync"
@@ -62,6 +66,16 @@ func routerBenchShards(b *testing.B, n int) ([]*core.System, *snap.Manifest) {
 		SkipFuzzy:        true,
 		SkipGraph:        true,
 	}
+	systems, man := buildShardSet(b, gen, opts, n)
+	routerBench.shards[n] = systems
+	routerBench.mans[n] = man
+	return systems, man
+}
+
+// buildShardSet partitions gen's tables n ways with the production
+// assignment function and builds one System per shard.
+func buildShardSet(b *testing.B, gen *datagen.Lake, opts core.Options, n int) ([]*core.System, *snap.Manifest) {
+	b.Helper()
 	parts := make([]*lake.Catalog, n)
 	ids := make([][]string, n)
 	for i := range parts {
@@ -88,9 +102,30 @@ func routerBenchShards(b *testing.B, n int) ([]*core.System, *snap.Manifest) {
 			Tables:     len(ids[i]),
 		})
 	}
-	routerBench.shards[n] = systems
-	routerBench.mans[n] = man
 	return systems, man
+}
+
+// startRoutedStack serves systems as the shards of man, each under cfg,
+// behind a cacheless router on loopback, and returns the router's URL.
+func startRoutedStack(b *testing.B, systems []*core.System, man *snap.Manifest, cfg server.Config) string {
+	b.Helper()
+	addrs := make([]string, len(systems))
+	for i, sys := range systems {
+		cfg.Shard = &server.ShardIdentity{Index: i, Count: len(systems), ManifestHash: man.Hash()}
+		ts := httptest.NewServer(server.New(sys, cfg).Handler())
+		b.Cleanup(ts.Close)
+		addrs[i] = ts.URL
+	}
+	rt, err := router.New(router.Config{Addrs: addrs, ShardTimeout: time.Minute})
+	if err != nil {
+		b.Fatal(err)
+	}
+	if up := rt.CheckShards(context.Background()); up != len(addrs) {
+		b.Fatalf("router sees %d of %d shards", up, len(addrs))
+	}
+	front := httptest.NewServer(rt.Handler())
+	b.Cleanup(front.Close)
+	return front.URL
 }
 
 // BenchmarkRouterQPS measures aggregate throughput and tail latency of
@@ -112,26 +147,9 @@ func BenchmarkRouterQPS(b *testing.B) {
 func benchRouterQPS(b *testing.B, n int) {
 	systems, man := routerBenchShards(b, n)
 
-	addrs := make([]string, n)
-	for i, sys := range systems {
-		srv := server.New(sys, server.Config{
-			MaxInFlight:  64,
-			MaxQueue:     4096,
-			QueryTimeout: time.Minute,
-			Shard:        &server.ShardIdentity{Index: i, Count: n, ManifestHash: man.Hash()},
-		})
-		ts := httptest.NewServer(srv.Handler())
-		defer ts.Close()
-		addrs[i] = ts.URL
-	}
-	rt, err := router.New(router.Config{Addrs: addrs, ShardTimeout: time.Minute})
-	if err != nil {
-		b.Fatal(err)
-	}
-	rt.CheckShards(context.Background())
-	front := httptest.NewServer(rt.Handler())
-	defer front.Close()
-	c := server.NewClient(front.URL)
+	c := server.NewClient(startRoutedStack(b, systems, man, server.Config{
+		MaxInFlight: 64, MaxQueue: 4096, QueryTimeout: time.Minute,
+	}))
 	ctx := context.Background()
 
 	gen := routerBench.gen
@@ -190,4 +208,91 @@ func benchRouterQPS(b *testing.B, n int) {
 	b.ReportMetric(float64(lat[len(lat)/2])/float64(time.Microsecond), "p50-us")
 	b.ReportMetric(float64(lat[len(lat)*99/100])/float64(time.Microsecond), "p99-us")
 	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "qps")
+}
+
+// ---- Routed union by table_id (the serve_routed classes) ----
+
+// routedUnionShards is the end-to-end benchmark's serve_routed fleet:
+// the harness lake split in two, built once per process.
+var routedUnionShards struct {
+	once    sync.Once
+	systems []*core.System
+	man     *snap.Manifest
+}
+
+// BenchmarkRoutedUnion is one serve_routed request class at a time:
+// union (and union-relation discover) by table_id through a router
+// over 2 shards of the harness's 10 × 30 lake, from 2 closed-loop
+// clients, caches off so that every request reaches the engines. The
+// seeds walk the whole lake, so half are owned by either shard. p50-us
+// is the class median the end-to-end benchmark reports in ms.
+func BenchmarkRoutedUnion(b *testing.B) {
+	routedUnionShards.once.Do(func() {
+		gen, opts := harnessLake()
+		routedUnionShards.systems, routedUnionShards.man = buildShardSet(b, gen, opts, 2)
+	})
+	gen, _ := harnessLake()
+	front := startRoutedStack(b, routedUnionShards.systems, routedUnionShards.man, server.Config{})
+
+	for _, class := range []string{"tus", "santos", "starmie", "d3l", "discover"} {
+		bodies := make([][]byte, len(gen.Tables))
+		path := "/v1/union"
+		for i, tbl := range gen.Tables {
+			var req any = server.UnionRequest{TableID: tbl.ID, K: 10, Method: class}
+			if class == "discover" {
+				path = "/v1/discover"
+				req = server.DiscoverRequest{TableID: tbl.ID, K: 10, Relation: "union"}
+			}
+			body, err := json.Marshal(req)
+			if err != nil {
+				b.Fatal(err)
+			}
+			bodies[i] = body
+		}
+		b.Run(class, func(b *testing.B) {
+			const clients = 2
+			lat := make([][]time.Duration, clients)
+			var next atomic.Int64
+			var wg sync.WaitGroup
+			b.ResetTimer()
+			for c := range lat {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					hc := &http.Client{Transport: &http.Transport{MaxIdleConnsPerHost: 1}}
+					defer hc.CloseIdleConnections()
+					for {
+						i := int(next.Add(1) - 1)
+						if i >= b.N {
+							return
+						}
+						t0 := time.Now()
+						resp, err := hc.Post(front+path, "application/json", bytes.NewReader(bodies[i%len(bodies)]))
+						if err != nil {
+							b.Error(err)
+							return
+						}
+						out, err := io.ReadAll(resp.Body)
+						resp.Body.Close()
+						if err != nil || resp.StatusCode != http.StatusOK || bytes.Contains(out, []byte("shards_ok")) {
+							b.Errorf("status %d, err %v: %.200s", resp.StatusCode, err, out)
+							return
+						}
+						lat[c] = append(lat[c], time.Since(t0))
+					}
+				}()
+			}
+			wg.Wait()
+			b.StopTimer()
+			var all []time.Duration
+			for _, l := range lat {
+				all = append(all, l...)
+			}
+			if len(all) == 0 {
+				return
+			}
+			sort.Slice(all, func(i, j int) bool { return all[i] < all[j] })
+			b.ReportMetric(float64(all[len(all)/2])/float64(time.Microsecond), "p50-us")
+		})
+	}
 }

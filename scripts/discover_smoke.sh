@@ -103,9 +103,13 @@ for body in \
 done
 
 echo "== per-stage observability in /stats and /metrics"
-curl -sf "http://$ADDR/stats" | grep -q '"prefilter_meta"' \
+# Into files first: under pipefail, grep -q leaving at the first match
+# can kill curl mid-body with SIGPIPE and fail a step that matched.
+curl -sf "http://$ADDR/stats" -o "$TMP/stats.json"
+grep -q '"prefilter_meta"' "$TMP/stats.json" \
     || { echo "FAIL: /stats has no discover stage block" >&2; exit 1; }
-curl -sf "http://$ADDR/metrics" | grep -q lakeserved_discover_stage_seconds \
+curl -sf "http://$ADDR/metrics" -o "$TMP/metrics.txt"
+grep -q lakeserved_discover_stage_seconds "$TMP/metrics.txt" \
     || { echo "FAIL: /metrics has no discover stage histogram" >&2; exit 1; }
 
 echo "== draining single server"

@@ -106,8 +106,20 @@ grep -q '"shards_ok":"1/2"' "$TMP/degraded.json" \
     || { echo "FAIL: degraded response lacks shards_ok 1/2: $(cat "$TMP/degraded.json")" >&2; exit 1; }
 
 echo "== router /healthz shows the outage (still HTTP 200)"
-hcode=$(curl -s -o "$TMP/health.json" -w '%{http_code}' "http://$ROUTER/healthz")
-[ "$hcode" = 200 ] || { echo "FAIL: degraded healthz returned $hcode" >&2; exit 1; }
+# Wait for the health sweep to notice: restarting the shard while
+# /healthz still reads the stale 2/2 would let the recovery loop below
+# pass before the new process listens.
+noticed=""
+for _ in $(seq 1 150); do
+    hcode=$(curl -s -o "$TMP/health.json" -w '%{http_code}' "http://$ROUTER/healthz")
+    [ "$hcode" = 200 ] || { echo "FAIL: degraded healthz returned $hcode" >&2; exit 1; }
+    if grep -q '"shards_ok":"1/2"' "$TMP/health.json"; then
+        noticed=1
+        break
+    fi
+    sleep 0.2
+done
+[ -n "$noticed" ] || { echo "FAIL: router /healthz never showed 1/2: $(cat "$TMP/health.json")" >&2; exit 1; }
 
 echo "== restarting shard 1"
 start_shard 1 "$SHARD1"
