@@ -22,7 +22,7 @@ race:
 		./internal/dict/... ./internal/server/... ./internal/qcache/... \
 		./internal/obs/... ./internal/snap/... ./internal/invindex/... \
 		./internal/lshensemble/... ./internal/router/... ./internal/vecstore/... \
-		./internal/discover/... ./internal/josie/...
+		./internal/discover/... ./internal/josie/... ./internal/lsh/...
 
 # End-to-end smoke of the serving layer: real lakeserved process over
 # a generated 100-table lake, one query per endpoint via lakectl's
@@ -79,11 +79,14 @@ bench-delta:
 # pointer and by copy, the HNSW kernel both engines share (Add is the
 # write side: builds, chain loads, compactions), and what an inline
 # query table pays per cell: the out-of-vocabulary embedding kernel and
-# type inference, each beside the kernel it replaced. Set COUNT=10 for
-# benchstat-worthy samples: make bench-query COUNT=10 > new.txt
+# type inference, each beside the kernel it replaced; and the two join
+# indexes on their own — JOSIE over 10k Zipf sets, one LSH and one LSH
+# Ensemble probe, and the ensemble build every load pays (with the heap
+# it retains). Set COUNT=10 for benchstat-worthy samples:
+# make bench-query COUNT=10 > new.txt
 bench-query:
 	$(GO) test -run xxx \
-		-bench 'BenchmarkQuery|BenchmarkServeQPS|BenchmarkRoutedUnion|BenchmarkD3LSearch|BenchmarkStarmieSearch|BenchmarkHNSW|BenchmarkCharGramVector|BenchmarkInferType' \
+		-bench 'BenchmarkQuery|BenchmarkServeQPS|BenchmarkRoutedUnion|BenchmarkD3LSearch|BenchmarkStarmieSearch|BenchmarkHNSW|BenchmarkCharGramVector|BenchmarkInferType|BenchmarkJosieTopK|BenchmarkLSHQuery|BenchmarkLSHEnsemble' \
 		-benchmem -count $(COUNT) . ./internal/union/ ./internal/starmie/ ./internal/hnsw/ \
 		./internal/embedding/ ./internal/table/
 

@@ -12,6 +12,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"strconv"
 	"sync"
 	"testing"
@@ -398,38 +399,81 @@ func BenchmarkLSHQuery(b *testing.B) {
 		for j := range vals {
 			vals[j] = fmt.Sprintf("v%d_%d", i, j)
 		}
-		ix.Add(fmt.Sprintf("k%d", i), h.Sign(vals))
+		ix.Add(h.Sign(vals))
 	}
+	ix.Build()
 	q := h.Sign(benchValues(50))
+	var seen lsh.Seen
+	var hits []int32
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ix.Query(q)
+		seen.Reset(ix.Len())
+		hits = ix.Query(hits[:0], q, 32, &seen)
 	}
 }
 
-func BenchmarkLSHEnsembleQuery(b *testing.B) {
+// ensembleDomains signs n domains of 10-509 values, the size spread of
+// the ensemble benchmarks.
+func ensembleDomains(n int) []lshensemble.Domain {
 	h := minhash.NewHasher(128, 1)
-	ix := lshensemble.New(128, 8)
 	rng := rand.New(rand.NewSource(1))
-	for i := 0; i < 5000; i++ {
-		n := 10 + rng.Intn(500)
-		vals := make([]string, n)
+	doms := make([]lshensemble.Domain, n)
+	for i := range doms {
+		size := 10 + rng.Intn(500)
+		vals := make([]string, size)
 		for j := range vals {
 			vals[j] = fmt.Sprintf("v%d_%d", i, j)
 		}
-		ix.Add(lshensemble.Domain{Key: fmt.Sprintf("k%d", i), Size: n, Sig: h.Sign(vals)})
+		doms[i] = lshensemble.Domain{Key: fmt.Sprintf("k%d", i), Size: size, Sig: h.Sign(vals)}
+	}
+	return doms
+}
+
+func BenchmarkLSHEnsembleQuery(b *testing.B) {
+	ix := lshensemble.New(128, 8)
+	for _, d := range ensembleDomains(5000) {
+		ix.Add(d)
 	}
 	if err := ix.Build(); err != nil {
 		b.Fatal(err)
 	}
-	q := benchValues(100)
-	sig := h.Sign(q)
+	sig := minhash.NewHasher(128, 1).Sign(benchValues(100))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := ix.Query(sig, 100, 0.7); err != nil {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkLSHEnsembleBuild builds the ensemble of the end-to-end
+// benchmark's 300-table lake (1 392 join columns x 128 hashes, 8
+// partitions) — what every build, load, chain load and compaction pays
+// — and reports the heap the built index retains.
+func BenchmarkLSHEnsembleBuild(b *testing.B) {
+	doms := ensembleDomains(1392)
+	heap := func() float64 {
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return float64(ms.HeapAlloc) / (1 << 20)
+	}
+	var ix *lshensemble.Index
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ix = lshensemble.New(128, 8)
+		for _, d := range doms {
+			ix.Add(d)
+		}
+		if err := ix.Build(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	with := heap()
+	runtime.KeepAlive(ix)
+	ix = nil
+	b.ReportMetric(with-heap(), "retained-MiB")
 }
 
 func BenchmarkJosieTopK(b *testing.B) {

@@ -153,14 +153,22 @@ func Build(tables []*table.Table, cfg Config) (*Graph, error) {
 	b, r := lsh.OptimalParams(cfg.ContentThreshold, cfg.NumHashes, 0.7, 0.3)
 	ix := lsh.New(b, r)
 	for _, n := range nodes {
-		if err := ix.Add(n.key, n.sig); err != nil {
+		if err := ix.Add(n.sig); err != nil {
 			return nil, err
 		}
 	}
+	ix.Build()
+	// Signatures went in in node order: an LSH ordinal is a node index.
+	var (
+		collided lsh.Seen
+		cands    []int32
+	)
 	seen := make(map[[2]int]bool)
 	for i, n := range nodes {
-		for _, cand := range ix.Query(n.sig) {
-			j := g.byKey[cand]
+		collided.Reset(len(nodes))
+		cands = ix.Query(cands[:0], n.sig, b, &collided)
+		for _, cand := range cands {
+			j := int(cand)
 			if j == i || n.tableID == nodes[j].tableID {
 				continue
 			}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"context"
 	"testing"
 
@@ -253,5 +254,45 @@ func TestNavigateEndToEnd(t *testing.T) {
 	}
 	if sys2.Fuzzy != nil {
 		t.Error("SkipFuzzy ignored")
+	}
+}
+
+// TestMemStatsCountsLSHTables checks that the memory report accounts
+// for the LSH band tables of the join engine and of TUS — rebuilt on
+// every load, never serialized, and a third of the loaded heap while
+// the report could not see them — the same on a loaded system as on
+// the built one.
+func TestMemStatsCountsLSHTables(t *testing.T) {
+	sys, _ := demoSystem(t)
+	var buf bytes.Buffer
+	if err := sys.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := Load(bytes.NewReader(buf.Bytes()), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := func(s *System) map[string]MemEntry {
+		m := make(map[string]MemEntry)
+		for _, e := range s.MemStats().Entries {
+			m[e.Name] = e
+		}
+		return m
+	}
+	built := rows(sys)
+	for _, name := range []string{"join-lsh", "tus-lsh"} {
+		e, ok := built[name]
+		if !ok {
+			t.Fatalf("no %s row in %+v", name, sys.MemStats().Entries)
+		}
+		if e.Sets == 0 || e.Count < e.Sets || e.Bytes <= int64(e.Count)*4 || e.LegacyBytes <= e.Bytes {
+			t.Errorf("%s = %+v: want entries for every set, bytes beyond the bare ordinals, and a costlier legacy form", name, e)
+		}
+		if got := rows(loaded)[name]; got != e {
+			t.Errorf("%s of the loaded system = %+v, built %+v", name, got, e)
+		}
+	}
+	if total := sys.MemStats().Totals(); total.Bytes < built["join-lsh"].Bytes+built["tus-lsh"].Bytes {
+		t.Errorf("total %d B leaves out the LSH rows", total.Bytes)
 	}
 }

@@ -42,19 +42,26 @@ func (r MemReport) Totals() MemEntry {
 
 // MemStats reports the resident footprint of the dictionary and of
 // every index family encoded through it. Estimates use fixed per-entry
-// overheads (string header 16 B, map entry 32 B), so numbers are
-// comparable across runs rather than exact heap measurements.
+// overheads (string header 16 B, slice header 24 B, map entry 32 B),
+// so numbers are comparable across runs rather than exact heap
+// measurements.
 func (s *System) MemStats() MemReport {
 	var r MemReport
 	add := func(name string, sets int, f dict.Footprint) {
 		r.Entries = append(r.Entries, MemEntry{Name: name, Sets: sets, Footprint: f})
 	}
 	add("dict", 0, s.Dict.Footprint())
+	// The *-lsh rows are the LSH band tables, rebuilt from signatures on
+	// every build and load and never serialized: flat ordinal arrays
+	// behind a directory per band, against the map of string-key lists
+	// per band they replaced.
 	if s.Join != nil {
 		add("join-sets", s.Join.NumColumns(), s.Join.SetsFootprint())
+		add("join-lsh", s.Join.NumColumns(), s.Join.LSHFootprint())
 	}
 	if s.TUS != nil {
 		add("tus-sets", s.TUS.NumTables(), s.TUS.SetsFootprint())
+		add("tus-lsh", s.TUS.NumTables(), s.TUS.LSHFootprint())
 	}
 	if s.Santos != nil {
 		add("santos-dict", 0, s.Santos.PairDict().Footprint())

@@ -7,6 +7,9 @@ import (
 	"sync"
 	"testing"
 
+	"tablehound/internal/datagen"
+	"tablehound/internal/join"
+	"tablehound/internal/lake"
 	"tablehound/internal/table"
 	"tablehound/internal/union"
 )
@@ -152,4 +155,78 @@ func TestSystemQueryParallelismParity(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestJoinableColumnsOneAnswerOnTies asks for the columns joinable with
+// each column of two tables, 320 calls from 8 goroutines, on a lake where
+// every table exists twice — so every place in a ranking is tied, the
+// last one included. JOSIE used to break such ties by Go map iteration
+// order (a third of these queries answered differently from call to
+// call); every call must now return the (overlap desc, key asc) answer
+// of a full scan.
+func TestJoinableColumnsOneAnswerOnTies(t *testing.T) {
+	gen := datagen.Generate(datagen.Config{Seed: 51, NumDomains: 8, DomainSize: 60, NumTemplates: 4, TablesPerTemplate: 5})
+	cat := lake.NewCatalog()
+	for _, tbl := range gen.Tables {
+		cols := make([]*table.Column, len(tbl.Columns))
+		for i, c := range tbl.Columns {
+			cols[i] = table.NewColumn(c.Name, c.Values)
+		}
+		twin, err := table.New("twin_"+tbl.ID, tbl.Name, cols)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := cat.AddBatch([]*table.Table{tbl, twin}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sys, err := Build(cat, Options{Seed: 3, SkipFuzzy: true, SkipGraph: true, SkipOrganization: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	type query struct {
+		values []string
+		k      int
+		want   []join.Match
+	}
+	var queries []query
+	every := sys.Join.Parts().Keys
+	for _, tbl := range gen.Tables[:2] {
+		for _, c := range tbl.Columns {
+			q := sys.Join.EncodeQuery(c.Values)
+			if sys.Join.IDSet(table.ColumnKey(tbl.ID, c.Name)) == nil {
+				continue // not a join column
+			}
+			for _, k := range []int{1, 5} {
+				want, err := sys.Join.TopKOverlapAmongCtx(context.Background(), q, every, k)
+				if err != nil {
+					t.Fatal(err)
+				}
+				queries = append(queries, query{c.Values, k, want})
+			}
+		}
+	}
+	if len(queries) < 10 {
+		t.Fatalf("only %d queries", len(queries))
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for calls := 0; calls < 40; calls++ {
+				q := queries[calls%len(queries)]
+				got, err := sys.JoinableColumns(q.values, q.k)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if !reflect.DeepEqual(got, q.want) {
+					t.Errorf("JoinableColumns(k=%d) = %+v, want %+v", q.k, got, q.want)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }

@@ -107,7 +107,7 @@ func E1LSHEnsemble() Report {
 		var elapsed time.Duration
 		for q := range queries {
 			sig := hasher.Sign(queries[q])
-			var got []string
+			var got []int32
 			elapsed += timeIt(func() {
 				var err error
 				got, err = ix.Query(sig, 100, threshold)
@@ -117,8 +117,8 @@ func E1LSHEnsemble() Report {
 			})
 			cands += len(got)
 			tp := 0
-			for _, k := range got {
-				if truth[q][k] {
+			for _, o := range got {
+				if truth[q][ix.Key(o)] {
 					tp++
 				}
 			}
@@ -184,7 +184,7 @@ func E2Josie() Report {
 			for _, q := range queries {
 				var st josie.Stats
 				elapsed += timeIt(func() {
-					_, st = s.TopKStats(q, k, algo)
+					_, st = s.TopK(q, k, algo)
 				})
 				cost += cm.ReadPosting*float64(st.PostingsRead) +
 					cm.ReadToken*float64(st.TokensRead) +

@@ -11,6 +11,7 @@ package invindex
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -79,7 +80,9 @@ func (b *Builder) Add(key string, values []string) error {
 }
 
 // AddIDs stages a set of pre-interned dictionary IDs under a unique
-// key. IDs are deduplicated; the slice is copied.
+// key. The slice is copied; IDs are deduplicated, and staged in
+// ascending order (ranks are assigned per token, so the staging order
+// of a set's members never shows in the built index).
 func (b *Builder) AddIDs(key string, ids []uint32) error {
 	if b.values != nil {
 		return fmt.Errorf("invindex: AddIDs after Add on the same builder")
@@ -92,12 +95,13 @@ func (b *Builder) AddIDs(key string, ids []uint32) error {
 	}
 	b.seen[key] = true
 	b.keys = append(b.keys, key)
-	dedup := make(map[uint32]bool, len(ids))
-	vs := make([]uint32, 0, len(ids))
-	for _, id := range ids {
-		if !dedup[id] {
-			dedup[id] = true
-			vs = append(vs, id)
+	vs := slices.Clone(ids)
+	// Callers pass dict.IDSets, which are already strictly ascending.
+	for i := 1; i < len(vs); i++ {
+		if vs[i] <= vs[i-1] {
+			slices.Sort(vs)
+			vs = slices.Compact(vs)
+			break
 		}
 	}
 	b.idValues = append(b.idValues, vs)
@@ -281,7 +285,7 @@ func (ix *Index) QueryRanksIDs(ids []uint32) []int32 {
 			}
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 

@@ -87,6 +87,41 @@ func TestDuplicateValuesDeduped(t *testing.T) {
 	}
 }
 
+// TestAddIDsDedupes stages the same set as a clean ascending ID list,
+// with adjacent duplicates, and shuffled with duplicates: the built
+// sets are one and the same, and the caller's slice is left alone.
+func TestAddIDsDedupes(t *testing.T) {
+	b := NewBuilder()
+	shuffled := []uint32{9, 2, 7, 2, 4, 9}
+	for key, ids := range map[string][]uint32{
+		"clean":    {2, 4, 7, 9},
+		"adjacent": {2, 2, 4, 7, 9, 9},
+		"shuffled": shuffled,
+		"other":    {4, 5},
+	} {
+		if err := b.AddIDs(key, ids); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !reflect.DeepEqual(shuffled, []uint32{9, 2, 7, 2, 4, 9}) {
+		t.Errorf("AddIDs reordered the caller's slice: %v", shuffled)
+	}
+	ix, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	clean, _ := ix.SetID("clean")
+	for _, key := range []string{"adjacent", "shuffled"} {
+		id, _ := ix.SetID(key)
+		if !reflect.DeepEqual(ix.Set(id), ix.Set(clean)) {
+			t.Errorf("%s staged as %v, want %v", key, ix.Set(id), ix.Set(clean))
+		}
+	}
+	if ix.SetSize(clean) != 4 {
+		t.Errorf("SetSize = %d, want 4", ix.SetSize(clean))
+	}
+}
+
 func TestDuplicateKeyRejected(t *testing.T) {
 	b := NewBuilder()
 	b.Add("k", []string{"a"})

@@ -6,6 +6,8 @@ import (
 	"math/rand"
 	"reflect"
 	"testing"
+
+	"tablehound/internal/datagen"
 )
 
 // randomEngine builds a lake of nCols columns over a small shared
@@ -77,6 +79,54 @@ func TestTopKOverlapAmongPushdownParity(t *testing.T) {
 		if !reflect.DeepEqual(pinned, want) {
 			t.Errorf("seed %d: pinned enumerate diverged", seed)
 		}
+	}
+}
+
+// TestOverlapPathsAgreeOnTies runs every column of a lake whose tables
+// all exist twice — so every overlap is tied at least once, mostly
+// across the k-th place — through the three ways to ask for a top-k
+// overlap. JOSIE over the whole lake, enumerate-and-score over every
+// key, and the masked traversal must give one answer, keys included.
+func TestOverlapPathsAgreeOnTies(t *testing.T) {
+	lake := datagen.Generate(datagen.Config{Seed: 3, NumDomains: 6, DomainSize: 40, NumTemplates: 4, TablesPerTemplate: 5})
+	b := NewBuilder(2)
+	for _, tbl := range lake.Tables {
+		b.AddTable(tbl)
+		for _, c := range tbl.Columns {
+			b.AddColumn("copy_"+tbl.ID+"."+c.Name, c.Values)
+		}
+	}
+	e, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	pushed := 0
+	for _, key := range e.keys {
+		q := Query{IDs: e.IDSet(key)}
+		for _, k := range []int{1, 10} {
+			whole := e.TopKOverlapQuery(q, k)
+			scored, err := e.TopKOverlapAmongCtx(ctx, q, e.keys, k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			masked, st, err := e.TopKOverlapAmongStatsCtx(ctx, q, e.keys, k, true)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st.Pushdown {
+				pushed++
+			}
+			if !reflect.DeepEqual(whole, scored) || !reflect.DeepEqual(masked, scored) {
+				t.Fatalf("%s k=%d (pushdown=%v):\n  whole lake %v\n  enumerated %v\n      masked %v", key, k, st.Pushdown, whole, scored, masked)
+			}
+			if len(scored) < min(k, 2) {
+				t.Fatalf("%s k=%d: %d matches, want the column and its copy at least", key, k, len(scored))
+			}
+		}
+	}
+	if pushed == 0 {
+		t.Error("no query took the masked traversal")
 	}
 }
 

@@ -118,7 +118,7 @@ func (e *CorrEngine) TopK(keys []string, vals []float64, k int, negative bool) [
 	if negative {
 		toks = sketch.FlipTokens(toks)
 	}
-	res := e.searcher.TopK(toks, k, josie.Adaptive)
+	res, _ := e.searcher.TopK(toks, k, josie.Adaptive)
 	out := make([]CorrMatch, 0, len(res))
 	qm := make(map[string]float64, len(norm))
 	for i, s := range norm {

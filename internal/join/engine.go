@@ -115,16 +115,16 @@ func (b *Builder) Build() (*Engine, error) {
 	// Encode every column through the provided dictionary; if it lacks
 	// coverage (or none was given), build one over the staged values.
 	d := b.dict
-	idsets := make(map[string]dict.IDSet, len(b.cols))
+	idsets := make([]dict.IDSet, len(b.order))
 	covered := d != nil
 	if covered {
-		for _, key := range b.order {
+		for i, key := range b.order {
 			ids, ok := d.EncodeKnown(b.cols[key])
 			if !ok {
 				covered = false
 				break
 			}
-			idsets[key] = ids
+			idsets[i] = ids
 		}
 	}
 	if !covered {
@@ -133,25 +133,32 @@ func (b *Builder) Build() (*Engine, error) {
 			db.Add(vals...)
 		}
 		d = db.Build()
-		idsets = make(map[string]dict.IDSet, len(b.cols))
-		for _, key := range b.order {
+		for i, key := range b.order {
 			ids, ok := d.EncodeKnown(b.cols[key])
 			if !ok {
 				return nil, fmt.Errorf("join: self-built dictionary missing value of column %q", key)
 			}
-			idsets[key] = ids
+			idsets[i] = ids
 		}
 	}
+	return assemble(d, b.order, idsets, b.numHashes, b.numPartitions, 1)
+}
+
+// assemble freezes encoded columns into an Engine. keys are sorted and
+// idsets runs parallel to them; the inverted index and the LSH Ensemble
+// both receive the columns in that order, so a column's position in
+// keys is also its set ID and its ensemble ordinal. parallelism bounds
+// the ensemble's band-building workers.
+func assemble(d *dict.Dict, keys []string, idsets []dict.IDSet, numHashes, numPartitions, parallelism int) (*Engine, error) {
 	inv := invindex.NewBuilder()
-	hasher := minhash.NewHasher(b.numHashes, 42)
-	ens := lshensemble.New(b.numHashes, b.numPartitions)
-	for _, key := range b.order {
-		ids := idsets[key]
-		if err := inv.AddIDs(key, ids); err != nil {
+	hasher := minhash.NewHasher(numHashes, 42)
+	ens := lshensemble.New(numHashes, numPartitions)
+	for i, key := range keys {
+		if err := inv.AddIDs(key, idsets[i]); err != nil {
 			return nil, err
 		}
-		sig := d.Sign(hasher, ids)
-		if err := ens.Add(lshensemble.Domain{Key: key, Size: len(ids), Sig: sig}); err != nil {
+		sig := d.Sign(hasher, idsets[i])
+		if err := ens.Add(lshensemble.Domain{Key: key, Size: len(idsets[i]), Sig: sig}); err != nil {
 			return nil, err
 		}
 	}
@@ -159,7 +166,7 @@ func (b *Builder) Build() (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := ens.Build(); err != nil {
+	if err := ens.BuildN(parallelism); err != nil {
 		return nil, err
 	}
 	return &Engine{
@@ -169,7 +176,7 @@ func (b *Builder) Build() (*Engine, error) {
 		hasher:   hasher,
 		dict:     d,
 		idsets:   idsets,
-		keys:     b.order,
+		keys:     keys,
 	}, nil
 }
 
@@ -182,8 +189,8 @@ type Engine struct {
 	ensemble *lshensemble.Index
 	hasher   *minhash.Hasher
 	dict     *dict.Dict
-	idsets   map[string]dict.IDSet // per-column ID-encoded value sets
-	keys     []string              // sorted column keys (scan order)
+	keys     []string     // sorted column keys (scan order)
+	idsets   []dict.IDSet // per-column ID-encoded value sets, parallel to keys
 
 	// QueryParallelism bounds the per-query fan-out of candidate
 	// verification (ContainmentSearch) and the exact-scan baselines
@@ -202,16 +209,22 @@ func (e *Engine) Dict() *dict.Dict { return e.dict }
 // IDSet returns the indexed value-ID set for a column key (nil when
 // the column is not join-indexed). The set is frozen shared state:
 // callers must not mutate it.
-func (e *Engine) IDSet(key string) dict.IDSet { return e.idsets[key] }
+func (e *Engine) IDSet(key string) dict.IDSet {
+	// Set IDs are assigned in key order: a set ID indexes keys and idsets.
+	if i, ok := e.inv.SetID(key); ok {
+		return e.idsets[i]
+	}
+	return nil
+}
 
 // ColumnValues returns the indexed distinct values of a column key,
 // sorted ascending.
 func (e *Engine) ColumnValues(key string) ([]string, bool) {
-	ids, ok := e.idsets[key]
+	i, ok := e.inv.SetID(key)
 	if !ok {
 		return nil, false
 	}
-	return e.dict.Decode(ids), true
+	return e.dict.Decode(e.idsets[i]), true
 }
 
 // SetsFootprint reports the resident cost of the engine's ID-encoded
@@ -219,11 +232,15 @@ func (e *Engine) ColumnValues(key string) ([]string, bool) {
 // replaced.
 func (e *Engine) SetsFootprint() dict.Footprint {
 	var f dict.Footprint
-	for _, key := range e.keys {
-		f.Accumulate(e.dict.SetFootprint(e.idsets[key]))
+	for _, ids := range e.idsets {
+		f.Accumulate(e.dict.SetFootprint(ids))
 	}
 	return f
 }
+
+// LSHFootprint reports the resident cost of the LSH Ensemble's band
+// tables next to an estimate of the map-per-band form they replaced.
+func (e *Engine) LSHFootprint() dict.Footprint { return e.ensemble.Footprint() }
 
 // Query is a query column encoded once against the engine's
 // dictionary: the sorted ID set of its distinct normalized values and
@@ -261,16 +278,8 @@ func (e *Engine) TopKOverlapQueryStats(q Query, k int) ([]Match, josie.Stats) {
 	if len(q.IDs) == 0 {
 		return nil, josie.Stats{}
 	}
-	res, jst := e.searcher.TopKIDsStats(q.IDs, k, josie.Adaptive)
-	out := make([]Match, len(res))
-	for i, r := range res {
-		out[i] = Match{
-			ColumnKey:   r.Key,
-			Overlap:     r.Overlap,
-			Containment: float64(r.Overlap) / float64(len(q.IDs)),
-		}
-	}
-	return out, jst
+	res, jst := e.searcher.TopKIDs(q.IDs, k, josie.Adaptive, nil)
+	return overlapMatches(make([]Match, 0, len(res)), res, len(q.IDs)), jst
 }
 
 // TopKOverlapAlgo is TopKOverlap with an explicit JOSIE strategy, for
@@ -280,12 +289,21 @@ func (e *Engine) TopKOverlapAlgo(values []string, k int, algo josie.Algorithm) (
 	if len(q.IDs) == 0 {
 		return nil, josie.Stats{}
 	}
-	res, st := e.searcher.TopKIDsStats(q.IDs, k, algo)
-	out := make([]Match, len(res))
-	for i, r := range res {
-		out[i] = Match{ColumnKey: r.Key, Overlap: r.Overlap, Containment: float64(r.Overlap) / float64(len(q.IDs))}
+	res, st := e.searcher.TopKIDs(q.IDs, k, algo, nil)
+	return overlapMatches(make([]Match, 0, len(res)), res, len(q.IDs)), st
+}
+
+// overlapMatches appends JOSIE's hits to dst as matches of a query with
+// qlen distinct values.
+func overlapMatches(dst []Match, res []josie.Result, qlen int) []Match {
+	for _, r := range res {
+		dst = append(dst, Match{
+			ColumnKey:   r.Key,
+			Overlap:     r.Overlap,
+			Containment: float64(r.Overlap) / float64(qlen),
+		})
 	}
-	return out, st
+	return dst
 }
 
 // ContainmentSearch returns columns whose containment of the query is
@@ -308,11 +326,22 @@ func (e *Engine) ContainmentSearchQuery(q Query, threshold float64, verify bool)
 // ctx.Err(). Results of a run that completes are bit-identical to the
 // context-free call. An empty query wraps table.ErrBadQuery.
 func (e *Engine) ContainmentSearchQueryCtx(ctx context.Context, q Query, threshold float64, verify bool) ([]Match, error) {
-	cands, err := e.ContainmentCandidatesQuery(q, threshold)
+	cands, err := e.containmentCandidates(q, threshold)
 	if err != nil {
 		return nil, err
 	}
-	return e.verifyContainment(ctx, q, cands, threshold, verify)
+	return e.verifyContainment(ctx, q, cands, nil, threshold, verify)
+}
+
+// containmentCandidates is the LSH Ensemble stage of a containment
+// search: the positions in e.keys of the columns whose containment of
+// the query is likely >= threshold.
+func (e *Engine) containmentCandidates(q Query, threshold float64) ([]int32, error) {
+	if len(q.IDs) == 0 {
+		return nil, fmt.Errorf("join: empty query column: %w", table.ErrBadQuery)
+	}
+	sig := e.hasher.SignHashes(q.Hashes)
+	return e.ensemble.Query(sig, len(q.IDs), threshold)
 }
 
 // ContainmentCandidatesQuery runs only the LSH Ensemble candidate
@@ -324,11 +353,15 @@ func (e *Engine) ContainmentSearchQueryCtx(ctx context.Context, q Query, thresho
 // ContainmentSearchQueryCtx bit-identically. An empty query wraps
 // table.ErrBadQuery.
 func (e *Engine) ContainmentCandidatesQuery(q Query, threshold float64) ([]string, error) {
-	if len(q.IDs) == 0 {
-		return nil, fmt.Errorf("join: empty query column: %w", table.ErrBadQuery)
+	cands, err := e.containmentCandidates(q, threshold)
+	if len(cands) == 0 {
+		return nil, err
 	}
-	sig := e.hasher.SignHashes(q.Hashes)
-	return e.ensemble.Query(sig, len(q.IDs), threshold)
+	keys := make([]string, len(cands))
+	for i, c := range cands {
+		keys[i] = e.keys[c]
+	}
+	return keys, nil
 }
 
 // VerifyContainmentQueryCtx exactly verifies the given candidate
@@ -340,18 +373,37 @@ func (e *Engine) VerifyContainmentQueryCtx(ctx context.Context, q Query, cands [
 	if len(q.IDs) == 0 {
 		return nil, fmt.Errorf("join: empty query column: %w", table.ErrBadQuery)
 	}
-	return e.verifyContainment(ctx, q, cands, threshold, true)
+	at := make([]int32, len(cands))
+	for i, key := range cands {
+		at[i] = -1 // not indexed: an empty column
+		if sid, ok := e.inv.SetID(key); ok {
+			at[i] = sid
+		}
+	}
+	return e.verifyContainment(ctx, q, at, cands, threshold, true)
 }
 
-func (e *Engine) verifyContainment(ctx context.Context, q Query, cands []string, threshold float64, verify bool) ([]Match, error) {
+// verifyContainment scores the candidate columns at the given positions
+// of e.keys (-1: no such column, scored as empty). names, when non-nil,
+// runs parallel to cands and supplies the keys to report.
+func (e *Engine) verifyContainment(ctx context.Context, q Query, cands []int32, names []string, threshold float64, verify bool) ([]Match, error) {
 	type verdict struct {
 		m    Match
 		keep bool
 	}
 	verdicts, err := parallel.MapCtx(ctx, len(cands), parallel.Resolve(e.QueryParallelism), func(i int) (verdict, error) {
-		m := Match{ColumnKey: cands[i]}
+		var m Match
+		var ids dict.IDSet
+		if names != nil {
+			m.ColumnKey = names[i]
+		} else {
+			m.ColumnKey = e.keys[cands[i]]
+		}
+		if cands[i] >= 0 {
+			ids = e.idsets[cands[i]]
+		}
 		if verify {
-			c := dict.Containment(q.IDs, e.idsets[cands[i]])
+			c := dict.Containment(q.IDs, ids)
 			if c < threshold {
 				return verdict{}, nil
 			}
@@ -386,7 +438,7 @@ func (e *Engine) TopKOverlapAmongCtx(ctx context.Context, q Query, cands []strin
 		return nil, fmt.Errorf("join: empty query column: %w", table.ErrBadQuery)
 	}
 	overlaps, err := parallel.MapCtx(ctx, len(cands), parallel.Resolve(e.QueryParallelism), func(i int) (int, error) {
-		return dict.Overlap(q.IDs, e.idsets[cands[i]]), nil
+		return dict.Overlap(q.IDs, e.IDSet(cands[i])), nil
 	})
 	if err != nil {
 		return nil, err
@@ -465,17 +517,19 @@ type AmongStats struct {
 // and scores each exactly (cheap when few survive the prefilters), or
 // masks JOSIE's posting traversal to the candidate set (cheap when the
 // query's posting lists are shorter than the candidates' combined
-// token lists). Both paths return bit-identical results — the exact
-// top-k overlap among cands, ordered (overlap desc, key asc) — so the
-// choice is free; AmongStats records it. allowPushdown false pins the
-// enumerate path (the baseline planners compare against).
+// token lists; JOSIE's early stops then apply to the restricted search
+// as they do to the whole lake). Both paths return bit-identical
+// results — the exact top-k overlap among cands, ordered (overlap desc,
+// key asc) — so the choice is free; AmongStats records it.
+// allowPushdown false pins the enumerate path (the baseline planners
+// compare against).
 func (e *Engine) TopKOverlapAmongStatsCtx(ctx context.Context, q Query, cands []string, k int, allowPushdown bool) ([]Match, AmongStats, error) {
 	if len(q.IDs) == 0 {
 		return nil, AmongStats{}, fmt.Errorf("join: empty query column: %w", table.ErrBadQuery)
 	}
 	var st AmongStats
 	for _, key := range cands {
-		st.EnumCost += int64(len(q.IDs) + len(e.idsets[key]))
+		st.EnumCost += int64(len(q.IDs) + len(e.IDSet(key)))
 	}
 	// The masked traversal scans at most every query token's posting
 	// list plus the mask build over the candidate list.
@@ -485,31 +539,13 @@ func (e *Engine) TopKOverlapAmongStatsCtx(ctx context.Context, q Query, cands []
 	st.PushCost += int64(len(cands))
 	if allowPushdown && st.PushCost < st.EnumCost {
 		st.Pushdown = true
-		allowed := make([]bool, e.inv.NumSets())
-		for _, key := range cands {
-			if sid, ok := e.inv.SetID(key); ok {
-				allowed[sid] = true
-			}
-		}
-		// MergeList, not Adaptive: the masked traversal must be
-		// bit-identical to enumerate-and-score, and only MergeList counts
-		// every allowed candidate exactly and tie-breaks canonically
-		// (Adaptive may early-stop past an unverified candidate tied at
-		// the k-th overlap). Its full posting-list reads are exactly what
-		// PushCost priced, so the cost gate already paid for them.
-		res, jst := e.searcher.TopKIDsAllowedStats(q.IDs, k, josie.MergeList, allowed)
+		// EnumCost > 0, so cands is non-empty: never the nil that would
+		// lift the restriction.
+		res, jst := e.searcher.TopKIDs(q.IDs, k, josie.Adaptive, cands)
 		st.Work = int64(jst.PostingsRead+jst.TokensRead) + int64(len(cands))
-		// var, not make: zero hits must stay a nil slice, like the
-		// enumerate path's.
-		var out []Match
-		for _, r := range res {
-			out = append(out, Match{
-				ColumnKey:   r.Key,
-				Overlap:     r.Overlap,
-				Containment: float64(r.Overlap) / float64(len(q.IDs)),
-			})
-		}
-		return out, st, nil
+		// A nil dst: zero hits must stay a nil slice, like the enumerate
+		// path's.
+		return overlapMatches(nil, res, len(q.IDs)), st, nil
 	}
 	st.Work = st.EnumCost
 	ms, err := e.TopKOverlapAmongCtx(ctx, q, cands, k)
@@ -537,7 +573,7 @@ func (e *Engine) ColumnKeysOf(tableID string) []string {
 func (e *Engine) JaccardSearch(values []string, threshold float64) []Match {
 	qids := e.dict.Encoder().Encode(tokenize.NormalizeSet(values))
 	scores, _ := parallel.Map(len(e.keys), parallel.Resolve(e.QueryParallelism), func(i int) (float64, error) {
-		return dict.Jaccard(qids, e.idsets[e.keys[i]]), nil
+		return dict.Jaccard(qids, e.idsets[i]), nil
 	})
 	var out []Match
 	for i, key := range e.keys {
@@ -555,7 +591,7 @@ func (e *Engine) JaccardSearch(values []string, threshold float64) []Match {
 func (e *Engine) ExactContainmentScan(values []string, threshold float64) []Match {
 	qids := e.dict.Encoder().Encode(tokenize.NormalizeSet(values))
 	scores, _ := parallel.Map(len(e.keys), parallel.Resolve(e.QueryParallelism), func(i int) (float64, error) {
-		return dict.Containment(qids, e.idsets[e.keys[i]]), nil
+		return dict.Containment(qids, e.idsets[i]), nil
 	})
 	var out []Match
 	for i, key := range e.keys {

@@ -53,7 +53,7 @@ func TestTopKOverlap(t *testing.T) {
 func TestTopKOverlapAlgoStats(t *testing.T) {
 	e := demoEngine(t)
 	q := genVals("city", 50)
-	for _, algo := range []josie.Algorithm{josie.MergeList, josie.ProbeSet, josie.Adaptive} {
+	for algo := josie.Algorithm(0); algo <= josie.Adaptive; algo++ { // every strategy
 		res, st := e.TopKOverlapAlgo(q, 2, algo)
 		if len(res) != 2 || res[0].Overlap != 50 {
 			t.Errorf("%v: res = %+v", algo, res)

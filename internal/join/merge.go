@@ -14,10 +14,6 @@ import (
 	"sort"
 
 	"tablehound/internal/dict"
-	"tablehound/internal/invindex"
-	"tablehound/internal/josie"
-	"tablehound/internal/lshensemble"
-	"tablehound/internal/minhash"
 )
 
 // EngineParts is the portable state of a join engine: the encoded
@@ -30,15 +26,18 @@ type EngineParts struct {
 	NumPartitions int                   // LSH Ensemble partition count
 }
 
-// Parts returns the engine's frozen column state. The returned maps
-// and slices alias the engine's own (the engine is immutable after
-// Build, so sharing is safe); callers merging parts must copy the map
-// before mutating it.
+// Parts returns the engine's frozen column state. Keys and the ID sets
+// alias the engine's own (the engine is immutable after Build, so
+// sharing is safe); the map holding them is the caller's.
 func (e *Engine) Parts() EngineParts {
 	numHashes, numPart := e.ensemble.Params()
+	idsets := make(map[string]dict.IDSet, len(e.keys))
+	for i, key := range e.keys {
+		idsets[key] = e.idsets[i]
+	}
 	return EngineParts{
 		Keys:          e.keys,
-		IDSets:        e.idsets,
+		IDSets:        idsets,
 		NumHashes:     numHashes,
 		NumPartitions: numPart,
 	}
@@ -59,33 +58,9 @@ func NewEngineFromParts(d *dict.Dict, idsets map[string]dict.IDSet, numHashes, n
 		keys = append(keys, key)
 	}
 	sort.Strings(keys)
-	inv := invindex.NewBuilder()
-	hasher := minhash.NewHasher(numHashes, 42)
-	ens := lshensemble.New(numHashes, numPartitions)
-	for _, key := range keys {
-		ids := idsets[key]
-		if err := inv.AddIDs(key, ids); err != nil {
-			return nil, err
-		}
-		sig := d.Sign(hasher, ids)
-		if err := ens.Add(lshensemble.Domain{Key: key, Size: len(ids), Sig: sig}); err != nil {
-			return nil, err
-		}
+	sets := make([]dict.IDSet, len(keys))
+	for i, key := range keys {
+		sets[i] = idsets[key]
 	}
-	ix, err := inv.Build()
-	if err != nil {
-		return nil, err
-	}
-	if err := ens.BuildN(parallelism); err != nil {
-		return nil, err
-	}
-	return &Engine{
-		inv:      ix,
-		searcher: josie.NewSearcher(ix),
-		ensemble: ens,
-		hasher:   hasher,
-		dict:     d,
-		idsets:   idsets,
-		keys:     keys,
-	}, nil
+	return assemble(d, keys, sets, numHashes, numPartitions, parallelism)
 }

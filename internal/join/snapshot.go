@@ -34,9 +34,9 @@ func (e *Engine) AppendSnapshot(enc *snap.Encoder, sysDict *dict.Dict) {
 	enc.U32(uint32(numHashes))
 	enc.U32(uint32(numPart))
 	enc.Strs(e.keys)
-	for _, key := range e.keys {
-		enc.U32s(e.idsets[key])
-		enc.U64s(e.dict.Sign(e.hasher, e.idsets[key]))
+	for _, ids := range e.idsets {
+		enc.U32s(ids)
+		enc.U64s(e.dict.Sign(e.hasher, ids))
 	}
 	e.inv.AppendSnapshot(enc)
 }
@@ -78,21 +78,21 @@ func DecodeEngineSnapshot(d *snap.Decoder, sysDict *dict.Dict, parallelism int) 
 	if !sort.StringsAreSorted(keys) {
 		return nil, fmt.Errorf("%w: join engine keys not sorted", snap.ErrCorrupt)
 	}
-	idsets := make(map[string]dict.IDSet, len(keys))
+	idsets := make([]dict.IDSet, len(keys))
 	ens := lshensemble.New(numHashes, numPart)
-	for _, key := range keys {
+	for i, key := range keys {
 		ids := dict.IDSet(d.U32s())
 		sig := minhash.Signature(d.U64s())
 		if d.Err() != nil {
 			return nil, d.Err()
 		}
-		if _, dup := idsets[key]; dup {
+		if i > 0 && keys[i-1] == key { // keys are sorted: duplicates are neighbours
 			return nil, fmt.Errorf("%w: duplicate join column %q", snap.ErrCorrupt, key)
 		}
 		if len(sig) != numHashes {
 			return nil, fmt.Errorf("%w: join column %q signature has %d hashes, want %d", snap.ErrCorrupt, key, len(sig), numHashes)
 		}
-		idsets[key] = ids
+		idsets[i] = ids
 		if err := ens.Add(lshensemble.Domain{Key: key, Size: len(ids), Sig: sig}); err != nil {
 			return nil, fmt.Errorf("%w: %v", snap.ErrCorrupt, err)
 		}
@@ -108,6 +108,12 @@ func DecodeEngineSnapshot(d *snap.Decoder, sysDict *dict.Dict, parallelism int) 
 	}
 	if ix.NumSets() != len(keys) {
 		return nil, fmt.Errorf("%w: inverted index has %d sets for %d join columns", snap.ErrCorrupt, ix.NumSets(), len(keys))
+	}
+	// The engine finds a column's ID set by its set ID.
+	for i, key := range keys {
+		if ix.Key(int32(i)) != key {
+			return nil, fmt.Errorf("%w: inverted index set %d is %q, join column %d is %q", snap.ErrCorrupt, i, ix.Key(int32(i)), i, key)
+		}
 	}
 	return &Engine{
 		inv:      ix,

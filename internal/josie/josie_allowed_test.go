@@ -34,13 +34,10 @@ func idLake(t *testing.T, nSets int, seed int64) (*invindex.Index, [][]uint32) {
 	return ix, sets
 }
 
-// TestTopKAllowedIsFilteredTopK pins the allowed-mask contract: the
-// restricted result must equal the unrestricted full ranking filtered
-// to allowed sets and re-truncated to k — bit-identically for
-// MergeList (which counts every allowed candidate and tie-breaks
-// canonically), and in overlap values for ProbeSet and Adaptive
-// (whose early stopping may pick a different tie representative at
-// the k-th position).
+// TestTopKAllowedIsFilteredTopK pins the allowed-mask contract: under
+// every strategy the restricted result equals the unrestricted full
+// ranking filtered to allowed sets and re-truncated to k, keys
+// included.
 func TestTopKAllowedIsFilteredTopK(t *testing.T) {
 	for seed := int64(0); seed < 20; seed++ {
 		ix, _ := idLake(t, 30, seed)
@@ -55,58 +52,63 @@ func TestTopKAllowedIsFilteredTopK(t *testing.T) {
 		for id := range dedup {
 			query = append(query, id)
 		}
-		allowed := make([]bool, ix.NumSets())
-		for i := range allowed {
-			allowed[i] = rng.Intn(3) != 0
+		allowed := []string{"not-indexed"}
+		isAllowed := make(map[string]bool)
+		for i := 0; i < ix.NumSets(); i++ {
+			if rng.Intn(3) != 0 {
+				allowed = append(allowed, ix.Key(int32(i)))
+				isAllowed[ix.Key(int32(i))] = true
+			}
 		}
 		k := 1 + rng.Intn(6)
 		// Oracle: full unrestricted ranking, filtered, truncated.
-		full, _ := s.TopKIDsStats(query, ix.NumSets(), MergeList)
+		full, _ := s.TopKIDs(query, ix.NumSets(), MergeList, nil)
 		var want []Result
 		for _, r := range full {
-			id, ok := ix.SetID(r.Key)
-			if !ok {
-				t.Fatalf("unknown key %q", r.Key)
-			}
-			if allowed[id] {
+			if isAllowed[r.Key] {
 				want = append(want, r)
 			}
 		}
 		if len(want) > k {
 			want = want[:k]
 		}
-		if got, _ := s.TopKIDsAllowedStats(query, k, MergeList, allowed); !reflect.DeepEqual(got, want) {
-			t.Errorf("seed %d mergelist: allowed top-k = %v, want %v", seed, got, want)
-		}
-		for _, algo := range []Algorithm{ProbeSet, Adaptive} {
-			got, _ := s.TopKIDsAllowedStats(query, k, algo, allowed)
-			if len(got) != len(want) {
-				t.Errorf("seed %d %v: %d results, want %d", seed, algo, len(got), len(want))
-				continue
-			}
-			for i := range got {
-				if got[i].Overlap != want[i].Overlap {
-					t.Errorf("seed %d %v: overlaps at %d = %v, want %v", seed, algo, i, got, want)
-					break
-				}
+		for _, algo := range []Algorithm{MergeList, ProbeSet, Adaptive} {
+			if got, _ := s.TopKIDs(query, k, algo, allowed); !reflect.DeepEqual(got, want) {
+				t.Errorf("seed %d %v: allowed top-k = %v, want %v", seed, algo, got, want)
 			}
 		}
 	}
 }
 
 // TestTopKAllowedNilMask checks that a nil mask is the unrestricted
-// search, and an all-false mask returns nothing.
+// search, and an empty one returns nothing.
 func TestTopKAllowedNilMask(t *testing.T) {
 	ix, sets := idLake(t, 20, 7)
 	s := NewSearcher(ix)
-	query := sets[0]
-	want, _ := s.TopKIDsStats(query, 5, Adaptive)
-	got, _ := s.TopKIDsAllowedStats(query, 5, Adaptive, nil)
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("nil mask diverged from unrestricted: %v vs %v", got, want)
+	query := dedupIDs(sets[0])
+	every := make([]string, ix.NumSets())
+	for i := range every {
+		every[i] = ix.Key(int32(i))
 	}
-	none, _ := s.TopKIDsAllowedStats(query, 5, Adaptive, make([]bool, ix.NumSets()))
+	want, _ := s.TopKIDs(query, 5, Adaptive, every)
+	got, _ := s.TopKIDs(query, 5, Adaptive, nil)
+	if len(got) == 0 || !reflect.DeepEqual(got, want) {
+		t.Errorf("nil mask diverged from allowing every set: %v vs %v", got, want)
+	}
+	none, _ := s.TopKIDs(query, 5, Adaptive, []string{})
 	if len(none) != 0 {
-		t.Errorf("all-false mask returned %v", none)
+		t.Errorf("empty mask returned %v", none)
 	}
+}
+
+func dedupIDs(ids []uint32) []uint32 {
+	seen := make(map[uint32]bool)
+	var out []uint32
+	for _, id := range ids {
+		if !seen[id] {
+			seen[id] = true
+			out = append(out, id)
+		}
+	}
+	return out
 }

@@ -3,6 +3,7 @@ package josie
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -10,7 +11,7 @@ import (
 )
 
 // TestExactnessProperty drives randomized small universes through all
-// three strategies and checks the returned overlap values against
+// three strategies and checks the answers, keys included, against
 // brute force — the core correctness contract of the package.
 func TestExactnessProperty(t *testing.T) {
 	type spec struct {
@@ -46,9 +47,9 @@ func TestExactnessProperty(t *testing.T) {
 		for j := range query {
 			query[j] = fmt.Sprintf("t%d", rng.Intn(30))
 		}
-		want := overlaps(bruteTopK(raw, query, k))
+		want := bruteTopK(raw, query, k)
 		for _, algo := range []Algorithm{MergeList, ProbeSet, Adaptive} {
-			if !equalInts(overlaps(srch.TopK(query, k, algo)), want) {
+			if !reflect.DeepEqual(topK(srch, query, k, algo), want) {
 				return false
 			}
 		}
@@ -66,7 +67,7 @@ func TestStatsAccounting(t *testing.T) {
 	ix, raw := randomLake(t, 100, 11)
 	s := NewSearcher(ix)
 	for _, algo := range []Algorithm{MergeList, ProbeSet, Adaptive} {
-		_, st := s.TopKStats(raw["set0001"], 5, algo)
+		_, st := s.TopK(raw["set0001"], 5, algo)
 		if st.PostingsRead <= 0 {
 			t.Errorf("%v: no postings read", algo)
 		}

@@ -3,6 +3,7 @@ package josie
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"sort"
 	"testing"
 
@@ -57,24 +58,10 @@ func bruteTopK(raw map[string][]string, query []string, k int) []Result {
 	return res
 }
 
-func overlaps(rs []Result) []int {
-	out := make([]int, len(rs))
-	for i, r := range rs {
-		out[i] = r.Overlap
-	}
-	return out
-}
-
-func equalInts(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
+// topK is TopK without the work counters.
+func topK(s *Searcher, query []string, k int, algo Algorithm) []Result {
+	res, _ := s.TopK(query, k, algo)
+	return res
 }
 
 func TestAllAlgorithmsMatchBruteForce(t *testing.T) {
@@ -89,11 +76,10 @@ func TestAllAlgorithmsMatchBruteForce(t *testing.T) {
 			query[i] = fmt.Sprintf("tok%d", zipf.Uint64())
 		}
 		for _, k := range []int{1, 3, 10} {
-			want := overlaps(bruteTopK(raw, query, k))
+			want := bruteTopK(raw, query, k)
 			for _, algo := range []Algorithm{MergeList, ProbeSet, Adaptive} {
-				got := overlaps(s.TopK(query, k, algo))
-				if !equalInts(got, want) {
-					t.Errorf("trial %d k=%d %v: overlaps %v, want %v", trial, k, algo, got, want)
+				if got := topK(s, query, k, algo); !reflect.DeepEqual(got, want) {
+					t.Errorf("trial %d k=%d %v: got %v, want %v", trial, k, algo, got, want)
 				}
 			}
 		}
@@ -106,7 +92,7 @@ func TestTopKExactQueryFromLake(t *testing.T) {
 	// Query with an indexed set: it must rank itself first with
 	// overlap equal to its own distinct size.
 	query := raw["set0007"]
-	res := s.TopK(query, 5, Adaptive)
+	res := topK(s, query, 5, Adaptive)
 	if len(res) == 0 {
 		t.Fatal("no results")
 	}
@@ -125,13 +111,13 @@ func TestTopKExactQueryFromLake(t *testing.T) {
 func TestEdgeCases(t *testing.T) {
 	ix, _ := randomLake(t, 50, 4)
 	s := NewSearcher(ix)
-	if r := s.TopK(nil, 5, Adaptive); r != nil {
+	if r := topK(s, nil, 5, Adaptive); r != nil {
 		t.Error("empty query should return nil")
 	}
-	if r := s.TopK([]string{"never-seen-token"}, 5, Adaptive); r != nil {
+	if r := topK(s, []string{"never-seen-token"}, 5, Adaptive); r != nil {
 		t.Error("unknown-token query should return nil")
 	}
-	if r := s.TopK([]string{"tok1"}, 0, Adaptive); r != nil {
+	if r := topK(s, []string{"tok1"}, 0, Adaptive); r != nil {
 		t.Error("k=0 should return nil")
 	}
 }
@@ -140,10 +126,9 @@ func TestKLargerThanLake(t *testing.T) {
 	ix, raw := randomLake(t, 20, 5)
 	s := NewSearcher(ix)
 	query := raw["set0000"]
-	want := overlaps(bruteTopK(raw, query, 100))
+	want := bruteTopK(raw, query, 100)
 	for _, algo := range []Algorithm{MergeList, ProbeSet, Adaptive} {
-		got := overlaps(s.TopK(query, 100, algo))
-		if !equalInts(got, want) {
+		if got := topK(s, query, 100, algo); !reflect.DeepEqual(got, want) {
 			t.Errorf("%v: got %v, want %v", algo, got, want)
 		}
 	}
@@ -153,8 +138,8 @@ func TestAdaptiveDoesLessWorkThanMergeListOnLargeK(t *testing.T) {
 	ix, raw := randomLake(t, 2000, 6)
 	s := NewSearcher(ix)
 	query := raw["set0100"]
-	_, stMerge := s.TopKStats(query, 5, MergeList)
-	_, stAdapt := s.TopKStats(query, 5, Adaptive)
+	_, stMerge := s.TopK(query, 5, MergeList)
+	_, stAdapt := s.TopK(query, 5, Adaptive)
 	costMerge := float64(stMerge.PostingsRead) + float64(stMerge.TokensRead) + 32*float64(stMerge.SetsProbed)
 	costAdapt := float64(stAdapt.PostingsRead) + float64(stAdapt.TokensRead) + 32*float64(stAdapt.SetsProbed)
 	if costAdapt > costMerge*1.5 {
@@ -169,9 +154,9 @@ func TestCostModelSwitchesStrategy(t *testing.T) {
 	// more posting entries. Cheap probes raise the k-th bound early
 	// and stop reading sooner.
 	expensive := NewSearcherCost(ix, CostModel{ReadPosting: 1, ReadToken: 1000, ProbeSeek: 1e6})
-	_, stE := expensive.TopKStats(query, 3, Adaptive)
+	_, stE := expensive.TopK(query, 3, Adaptive)
 	cheap := NewSearcherCost(ix, CostModel{ReadPosting: 1000, ReadToken: 0.001, ProbeSeek: 0})
-	_, stC := cheap.TopKStats(query, 3, Adaptive)
+	_, stC := cheap.TopK(query, 3, Adaptive)
 	if stC.PostingsRead > stE.PostingsRead {
 		t.Errorf("cheap probes should not read more postings: cheap=%d expensive=%d", stC.PostingsRead, stE.PostingsRead)
 	}

@@ -64,16 +64,17 @@ func TestIndexFindsSimilarMissesDissimilar(t *testing.T) {
 	// near: ~90% Jaccard with base.
 	near := append(genSet("v", 180), genSet("n", 20)...)
 	far := genSet("far", 200)
-	if err := ix.Add("near", h.Sign(near)); err != nil {
+	keys := []string{"near", "far"}
+	if err := ix.Add(h.Sign(near)); err != nil {
 		t.Fatal(err)
 	}
-	if err := ix.Add("far", h.Sign(far)); err != nil {
+	if err := ix.Add(h.Sign(far)); err != nil {
 		t.Fatal(err)
 	}
-	got := ix.Query(h.Sign(base))
+	ix.Build()
 	found := map[string]bool{}
-	for _, k := range got {
-		found[k] = true
+	for _, o := range query(ix, h.Sign(base), b) {
+		found[keys[o]] = true
 	}
 	if !found["near"] {
 		t.Error("high-similarity key not retrieved")
@@ -86,48 +87,52 @@ func TestIndexFindsSimilarMissesDissimilar(t *testing.T) {
 	}
 }
 
+// query runs one Query with a fresh Seen and buffer.
+func query(ix *Index, sig minhash.Signature, bands int) []int32 {
+	var seen Seen
+	seen.Reset(ix.Len())
+	return ix.Query(nil, sig, bands, &seen)
+}
+
 func TestQueryBandsSubset(t *testing.T) {
 	h := minhash.NewHasher(64, 1)
 	ix := New(16, 4)
 	sig := h.Sign(genSet("a", 50))
-	if err := ix.Add("a", sig); err != nil {
+	if err := ix.Add(sig); err != nil {
 		t.Fatal(err)
 	}
-	// Probing a prefix of bands must return a subset of full Query.
-	full := ix.Query(sig)
-	sub := ix.QueryBands(sig, 4)
+	if got := query(ix, sig, 16); got != nil {
+		t.Errorf("query before Build returned %v", got)
+	}
+	ix.Build()
+	// Probing a prefix of bands must return a subset of the full query.
+	full := query(ix, sig, 16)
+	sub := query(ix, sig, 4)
 	if len(sub) > len(full) {
 		t.Error("band-prefix query returned more than full query")
 	}
 	if len(full) != 1 {
 		t.Errorf("self query returned %v", full)
 	}
-	if got := ix.QueryBands(sig, 0); got != nil {
+	if got := query(ix, sig, 0); got != nil {
 		t.Errorf("0 bands should return nil, got %v", got)
 	}
-	if got := ix.QueryBands(sig, 100); len(got) != 1 {
+	if got := query(ix, sig, 100); len(got) != 1 {
 		t.Errorf("excess bands should clamp, got %v", got)
+	}
+	if got := query(ix, sig[:8], 16); got != nil {
+		t.Errorf("short signature should match nothing, got %v", got)
 	}
 }
 
 func TestAddRejectsShortSignature(t *testing.T) {
 	ix := New(4, 4)
-	if err := ix.Add("x", make(minhash.Signature, 8)); err == nil {
+	if err := ix.Add(make(minhash.Signature, 8)); err == nil {
 		t.Error("want error for short signature")
 	}
-}
-
-func TestSignatureLookup(t *testing.T) {
-	h := minhash.NewHasher(16, 1)
-	ix := New(4, 4)
-	sig := h.Sign([]string{"a"})
-	ix.Add("k", sig)
-	got, ok := ix.Signature("k")
-	if !ok || len(got) != 16 {
-		t.Error("Signature lookup failed")
-	}
-	if _, ok := ix.Signature("missing"); ok {
-		t.Error("missing key reported present")
+	ix.Build()
+	if err := ix.Add(make(minhash.Signature, 16)); err == nil {
+		t.Error("want error for Add after Build")
 	}
 }
 

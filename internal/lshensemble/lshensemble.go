@@ -17,13 +17,16 @@
 package lshensemble
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
-	"sort"
+	"math/bits"
+	"slices"
 	"sync"
 	"sync/atomic"
 
+	"tablehound/internal/dict"
 	"tablehound/internal/lsh"
 	"tablehound/internal/minhash"
 )
@@ -37,22 +40,30 @@ type Domain struct {
 }
 
 // Index is an LSH Ensemble over domains. Construct with New, Add all
-// domains, then call Build before querying.
+// domains, then call Build before querying. A domain is known by its
+// ordinal — the number of domains added before it — which is what
+// Query returns; Key turns an ordinal back into the domain's key.
 type Index struct {
 	numHashes int
 	numPart   int
-	pending   []Domain
-	parts     []*partition
-	built     bool
+	pending   []Domain // until Build
+	keys      []string // ordinal -> key
+	// order lists the ordinals by ascending (size, key): partitions are
+	// consecutive runs of it, and a partition's banded indexes number
+	// their signatures by position within the run.
+	order []int32
+	parts []partition
+	built bool
 }
 
 type partition struct {
-	lower, upper int                // inclusive cardinality range
-	byRows       map[int]*lsh.Index // rows r -> banded index with floor(k/r) bands
-	sizes        map[string]int     // key -> domain size, for post-filtering
+	lower, upper int          // inclusive cardinality range
+	lo, hi       int          // the partition's run of Index.order
+	byRows       []*lsh.Index // log2(rows r) -> banded index with floor(k/r) bands
 }
 
-// rowChoices are the row counts each partition maintains an index for.
+// rowChoices are the row counts each partition maintains an index for:
+// the powers of two up to numHashes.
 func rowChoices(numHashes int) []int {
 	var rs []int
 	for r := 1; r <= numHashes; r *= 2 {
@@ -102,51 +113,50 @@ func (ix *Index) BuildN(parallelism int) error {
 	if len(ix.pending) == 0 {
 		return errors.New("lshensemble: no domains added")
 	}
-	sort.Slice(ix.pending, func(i, j int) bool {
-		if ix.pending[i].Size != ix.pending[j].Size {
-			return ix.pending[i].Size < ix.pending[j].Size
-		}
-		return ix.pending[i].Key < ix.pending[j].Key
-	})
 	n := len(ix.pending)
+	ix.keys = make([]string, n)
+	ix.order = make([]int32, n)
+	for i, d := range ix.pending {
+		ix.keys[i], ix.order[i] = d.Key, int32(i)
+	}
+	slices.SortFunc(ix.order, func(a, b int32) int {
+		da, db := &ix.pending[a], &ix.pending[b]
+		return cmp.Or(cmp.Compare(da.Size, db.Size), cmp.Compare(da.Key, db.Key), cmp.Compare(a, b))
+	})
 	p := ix.numPart
 	if p > n {
 		p = n
 	}
-	type job struct {
-		part  *partition
-		chunk []Domain
-		rows  int
-	}
+	rows := rowChoices(ix.numHashes)
+	type job struct{ part, rows int }
 	var jobs []job
 	for i := 0; i < p; i++ {
 		lo, hi := i*n/p, (i+1)*n/p
 		if lo >= hi {
 			continue
 		}
-		chunk := ix.pending[lo:hi]
-		part := &partition{
-			lower:  chunk[0].Size,
-			upper:  chunk[len(chunk)-1].Size,
-			byRows: make(map[int]*lsh.Index),
-			sizes:  make(map[string]int, len(chunk)),
+		ix.parts = append(ix.parts, partition{
+			lower:  ix.pending[ix.order[lo]].Size,
+			upper:  ix.pending[ix.order[hi-1]].Size,
+			lo:     lo,
+			hi:     hi,
+			byRows: make([]*lsh.Index, len(rows)),
+		})
+		for ri := range rows {
+			jobs = append(jobs, job{part: len(ix.parts) - 1, rows: ri})
 		}
-		for _, d := range chunk {
-			part.sizes[d.Key] = d.Size
-		}
-		for _, r := range rowChoices(ix.numHashes) {
-			part.byRows[r] = lsh.NewSized(ix.numHashes/r, r, len(chunk))
-			jobs = append(jobs, job{part: part, chunk: chunk, rows: r})
-		}
-		ix.parts = append(ix.parts, part)
 	}
 	fill := func(j job) error {
-		sub := j.part.byRows[j.rows]
-		for _, d := range j.chunk {
-			if err := sub.Add(d.Key, d.Sig); err != nil {
+		part := &ix.parts[j.part]
+		r := rows[j.rows]
+		sub := lsh.New(ix.numHashes/r, r)
+		for _, o := range ix.order[part.lo:part.hi] {
+			if err := sub.Add(ix.pending[o].Sig); err != nil {
 				return err
 			}
 		}
+		sub.Build()
+		part.byRows[j.rows] = sub
 		return nil
 	}
 	if parallelism <= 1 || len(jobs) <= 1 {
@@ -194,6 +204,10 @@ func (ix *Index) BuildN(parallelism int) error {
 	ix.built = true
 	return nil
 }
+
+// Key returns the key of the domain with the given ordinal. Only valid
+// after Build.
+func (ix *Index) Key(ord int32) string { return ix.keys[ord] }
 
 // NumPartitions returns the number of non-empty partitions built.
 func (ix *Index) NumPartitions() int { return len(ix.parts) }
@@ -248,11 +262,22 @@ func optimalBootstrap(j float64, numHashes int) (bands, rows int) {
 	return bands, rows
 }
 
-// Query returns candidate domain keys whose containment of the query is
-// likely >= threshold. querySize is the distinct-value count of the
-// query column. Candidates are approximate: verify with exact
-// containment for precision-critical uses.
-func (ix *Index) Query(sig minhash.Signature, querySize int, threshold float64) ([]string, error) {
+// scratch is one query's working memory: the dedupe set of the
+// partition being probed and the ordinals gathered so far. It holds no
+// pointer into any index, so the pool can be shared by all of them.
+type scratch struct {
+	seen lsh.Seen
+	ords []int32
+}
+
+var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
+
+// Query returns the ordinals of the candidate domains whose containment
+// of the query is likely >= threshold, partition by partition in the
+// order each partition's banded index meets them. querySize is the
+// distinct-value count of the query column. Candidates are approximate:
+// verify with exact containment for precision-critical uses.
+func (ix *Index) Query(sig minhash.Signature, querySize int, threshold float64) ([]int32, error) {
 	if !ix.built {
 		return nil, errors.New("lshensemble: Query before Build")
 	}
@@ -262,33 +287,45 @@ func (ix *Index) Query(sig minhash.Signature, querySize int, threshold float64) 
 	if threshold < 0 || threshold > 1 {
 		return nil, fmt.Errorf("lshensemble: threshold %v out of [0,1]", threshold)
 	}
-	seen := make(map[string]bool)
-	var out []string
-	for _, part := range ix.parts {
+	sc := scratchPool.Get().(*scratch)
+	defer scratchPool.Put(sc)
+	ords := sc.ords[:0]
+	for i := range ix.parts {
+		part := &ix.parts[i]
 		// A domain X can contain fraction t of Q only if |X| >= t|Q|.
 		if float64(part.upper) < threshold*float64(querySize) {
 			continue
 		}
 		j := jaccardThreshold(threshold, querySize, part.upper)
 		b, r := optimalBootstrap(j, ix.numHashes)
-		for _, k := range part.byRows[r].QueryBands(sig, b) {
-			if !seen[k] {
-				seen[k] = true
-				out = append(out, k)
-			}
+		// A domain lives in one partition, so duplicates can only arise
+		// within one banded index; its ordinals are positions in the
+		// partition's run of order.
+		sc.seen.Reset(part.hi - part.lo)
+		from := len(ords)
+		ords = part.byRows[bits.TrailingZeros(uint(r))].Query(ords, sig, b, &sc.seen)
+		for k := from; k < len(ords); k++ {
+			ords[k] = ix.order[part.lo+int(ords[k])]
 		}
 	}
-	return out, nil
+	sc.ords = ords
+	if len(ords) == 0 {
+		return nil, nil
+	}
+	return slices.Clone(ords), nil
 }
 
-// DomainSize returns the indexed size of a domain key, if present.
-func (ix *Index) DomainSize(key string) (int, bool) {
-	for _, p := range ix.parts {
-		if s, ok := p.sizes[key]; ok {
-			return s, true
+// Footprint reports the resident bytes of every partition's band
+// tables next to an estimate of the map-per-band form they replace
+// (see lsh.Index.Footprint).
+func (ix *Index) Footprint() dict.Footprint {
+	var f dict.Footprint
+	for i := range ix.parts {
+		for _, sub := range ix.parts[i].byRows {
+			f.Accumulate(sub.Footprint())
 		}
 	}
-	return 0, false
+	return f
 }
 
 // PartitionBounds returns the (lower, upper) cardinality bound of each

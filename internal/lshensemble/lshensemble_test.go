@@ -62,6 +62,16 @@ func skewedLake(t *testing.T, ix *Index, h *minhash.Hasher, rng *rand.Rand, n in
 	return lake
 }
 
+// queryKeys is Query with the ordinals turned back into domain keys.
+func queryKeys(ix *Index, sig minhash.Signature, querySize int, threshold float64) ([]string, error) {
+	ords, err := ix.Query(sig, querySize, threshold)
+	keys := make([]string, len(ords))
+	for i, o := range ords {
+		keys[i] = ix.Key(o)
+	}
+	return keys, err
+}
+
 func TestQueryFindsHighContainmentDomains(t *testing.T) {
 	h := minhash.NewHasher(numHashes, 42)
 	rng := rand.New(rand.NewSource(1))
@@ -70,7 +80,7 @@ func TestQueryFindsHighContainmentDomains(t *testing.T) {
 	containers := map[string]float64{"hit1": 0.95, "hit2": 0.8, "miss": 0.1}
 	skewedLake(t, ix, h, rng, 200, query, containers)
 
-	got, err := ix.Query(h.Sign(query), 100, 0.7)
+	got, err := queryKeys(ix, h.Sign(query), 100, 0.7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +100,7 @@ func TestLowContainmentMostlyExcluded(t *testing.T) {
 	query := genSet("q", 100)
 	skewedLake(t, ix, h, rng, 300, query, map[string]float64{"hit": 0.9})
 
-	got, err := ix.Query(h.Sign(query), 100, 0.8)
+	got, err := queryKeys(ix, h.Sign(query), 100, 0.8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,8 +135,8 @@ func TestPartitionBoundsAreSorted(t *testing.T) {
 			t.Errorf("partition %d overlaps previous", i)
 		}
 	}
-	if s, ok := ix.DomainSize("d10"); !ok || s != 50 {
-		t.Errorf("DomainSize(d10) = %d,%v", s, ok)
+	if ix.Key(9) != "d10" {
+		t.Errorf("Key(9) = %q, want the tenth domain added", ix.Key(9))
 	}
 }
 
@@ -194,11 +204,11 @@ func TestMorePartitionsImprovePrecision(t *testing.T) {
 	h := minhash.NewHasher(numHashes, 42)
 	sig := h.Sign(query)
 
-	c1, err := build(1).Query(sig, 100, 0.6)
+	c1, err := queryKeys(build(1), sig, 100, 0.6)
 	if err != nil {
 		t.Fatal(err)
 	}
-	c16, err := build(16).Query(sig, 100, 0.6)
+	c16, err := queryKeys(build(16), sig, 100, 0.6)
 	if err != nil {
 		t.Fatal(err)
 	}

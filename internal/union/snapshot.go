@@ -8,7 +8,6 @@ import (
 	"tablehound/internal/embedding"
 	"tablehound/internal/hnsw"
 	"tablehound/internal/kb"
-	"tablehound/internal/lsh"
 	"tablehound/internal/minhash"
 	"tablehound/internal/snap"
 	"tablehound/internal/table"
@@ -130,14 +129,8 @@ func DecodeTUSSnapshot(d *snap.Decoder, cfg TUSConfig, lookup func(id string) *t
 	}
 	// Rebuild the candidate-generation LSH exactly as Build does: same
 	// banding parameters, same insertion order.
-	b, r := lsh.OptimalParams(0.3, t.cfg.NumHashes, 0.8, 0.2)
-	t.setLSH = lsh.New(b, r)
-	for _, id := range t.ids {
-		for _, c := range t.tables[id].cols {
-			if err := t.setLSH.Add(table.ColumnKey(id, c.name), c.sig); err != nil {
-				return nil, fmt.Errorf("%w: %v", snap.ErrCorrupt, err)
-			}
-		}
+	if err := t.buildSetLSH(); err != nil {
+		return nil, fmt.Errorf("%w: %v", snap.ErrCorrupt, err)
 	}
 	t.lfact = newLogFactTable(len(t.univ) + 1)
 	t.built = true

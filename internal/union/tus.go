@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"sync"
 
 	"tablehound/internal/dict"
 	"tablehound/internal/embedding"
@@ -49,6 +50,7 @@ type TUS struct {
 	univ    map[string]bool // distinct value universe (for set measure)
 	dict    *dict.Dict      // dictionary the columns are encoded in
 	setLSH  *lsh.Index
+	owner   []int32 // setLSH ordinal (a column, tables in ids order) -> position in ids of its table
 	nlIndex *hnsw.Graph
 	hasher  *minhash.Hasher
 	lfact   logFactTable // ln n! cache for the hypergeometric CDF
@@ -64,6 +66,7 @@ type TUS struct {
 type tusTable struct {
 	tbl  *table.Table
 	cols []*tusColumn
+	idx  int32 // position in TUS.ids, set when the indexes are frozen
 }
 
 type tusColumn struct {
@@ -188,18 +191,13 @@ func (t *TUS) Build() error {
 	}
 	sort.Strings(t.ids)
 	t.encodeColumns()
-	// Low-threshold LSH: candidate columns need only weak set overlap;
-	// scoring decides.
-	b, r := lsh.OptimalParams(0.3, t.cfg.NumHashes, 0.8, 0.2)
-	t.setLSH = lsh.New(b, r)
+	if err := t.buildSetLSH(); err != nil {
+		return err
+	}
 	t.nlIndex = hnsw.New(hnsw.Config{M: 12, EfConstruction: 80, Seed: 11})
 	for _, id := range t.ids {
 		for _, c := range t.tables[id].cols {
-			key := table.ColumnKey(id, c.name)
-			if err := t.setLSH.Add(key, c.sig); err != nil {
-				return err
-			}
-			if err := t.nlIndex.Add(key, c.vec); err != nil {
+			if err := t.nlIndex.Add(table.ColumnKey(id, c.name), c.vec); err != nil {
 				return err
 			}
 		}
@@ -209,6 +207,27 @@ func (t *TUS) Build() error {
 	// columns larger than the universe fall back to math.Lgamma).
 	t.lfact = newLogFactTable(len(t.univ) + 1)
 	t.built = true
+	return nil
+}
+
+// buildSetLSH freezes the candidate-generation LSH over every staged
+// column, tables in ids order. The threshold is low: candidate columns
+// need only weak set overlap; scoring decides.
+func (t *TUS) buildSetLSH() error {
+	b, r := lsh.OptimalParams(0.3, t.cfg.NumHashes, 0.8, 0.2)
+	t.setLSH = lsh.New(b, r)
+	t.owner = t.owner[:0]
+	for ti, id := range t.ids {
+		entry := t.tables[id]
+		entry.idx = int32(ti)
+		for _, c := range entry.cols {
+			if err := t.setLSH.Add(c.sig); err != nil {
+				return err
+			}
+			t.owner = append(t.owner, entry.idx)
+		}
+	}
+	t.setLSH.Build()
 	return nil
 }
 
@@ -432,7 +451,6 @@ func (t *TUS) SearchCtx(ctx context.Context, query *table.Table, k int, m Measur
 // re-encode per stage.
 type TUSQuery struct {
 	id    string
-	query *table.Table
 	qcols []*tusColumn
 }
 
@@ -446,7 +464,7 @@ func (t *TUS) Prepare(query *table.Table) (*TUSQuery, error) {
 		return nil, ErrNotBuilt
 	}
 	if entry := t.tables[query.ID]; entry != nil && entry.tbl == query {
-		return &TUSQuery{id: query.ID, query: query, qcols: entry.cols}, nil
+		return &TUSQuery{id: query.ID, qcols: entry.cols}, nil
 	}
 	enc := t.dict.Encoder()
 	qcols := make([]*tusColumn, 0)
@@ -456,13 +474,13 @@ func (t *TUS) Prepare(query *table.Table) (*TUSQuery, error) {
 	if len(qcols) == 0 {
 		return nil, fmt.Errorf("union: query table has no usable string columns: %w", table.ErrBadQuery)
 	}
-	return &TUSQuery{id: query.ID, query: query, qcols: qcols}, nil
+	return &TUSQuery{id: query.ID, qcols: qcols}, nil
 }
 
 // Candidates returns the sorted candidate table IDs the sketch
 // indexes generate for a prepared query (all tables when exhaustive).
 func (t *TUS) Candidates(pq *TUSQuery) []string {
-	return t.candidateTables(pq.query, pq.qcols)
+	return t.candidateTables(pq.qcols)
 }
 
 // ScoreAmongCtx exactly scores the given candidate tables and returns
@@ -510,30 +528,50 @@ func (t *TUS) tableScore(qcols, ccols []*tusColumn, m Measure) float64 {
 	return total / float64(len(qcols))
 }
 
+// candidateScratch is the working memory of one candidateTables call.
+// It holds ordinals only, so the pool is shared by all engines.
+type candidateScratch struct {
+	cols, tables lsh.Seen
+	ords         []int32
+}
+
+var candidateScratchPool = sync.Pool{New: func() any { return new(candidateScratch) }}
+
 // candidateTables returns table IDs to score: all tables when
 // exhaustive, otherwise tables owning columns retrieved by the set-LSH
 // or the NL vector index.
-func (t *TUS) candidateTables(query *table.Table, qcols []*tusColumn) []string {
+func (t *TUS) candidateTables(qcols []*tusColumn) []string {
 	if t.cfg.Exhaustive {
 		return t.ids
 	}
-	seen := make(map[string]bool)
+	sc := candidateScratchPool.Get().(*candidateScratch)
+	defer candidateScratchPool.Put(sc)
+	sc.cols.Reset(len(t.owner))
+	sc.tables.Reset(len(t.ids))
+	bands, _ := t.setLSH.Params()
 	var out []string
-	add := func(key string) {
-		id, _ := table.SplitColumnKey(key)
-		if !seen[id] {
-			seen[id] = true
-			out = append(out, id)
-		}
-	}
 	for _, qc := range qcols {
-		for _, key := range t.setLSH.Query(qc.sig) {
-			add(key)
+		sc.ords = t.setLSH.Query(sc.ords[:0], qc.sig, bands, &sc.cols)
+		for _, o := range sc.ords {
+			if ti := t.owner[o]; sc.tables.Add(ti) {
+				out = append(out, t.ids[ti])
+			}
 		}
 		for _, r := range t.nlIndex.Search(qc.vec, 10, 60) {
-			add(r.Key)
+			id, _ := table.SplitColumnKey(r.Key)
+			if ti := t.tables[id].idx; sc.tables.Add(ti) {
+				out = append(out, t.ids[ti])
+			}
 		}
 	}
 	sort.Strings(out)
 	return out
+}
+
+// LSHFootprint reports the resident cost of the set-LSH band tables
+// next to an estimate of the map-per-band form they replaced.
+func (t *TUS) LSHFootprint() dict.Footprint {
+	f := t.setLSH.Footprint()
+	f.Bytes += int64(len(t.owner)) * 4
+	return f
 }
