@@ -10,6 +10,7 @@ package tablehound
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"math/rand"
 	"runtime"
@@ -224,7 +225,7 @@ func BenchmarkQueryTUS(b *testing.B) {
 	sys.TUS.QueryParallelism = 1
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := sys.TUS.Search(qt, 10, union.EnsembleMeasure); err != nil {
+		if _, err := sys.TUS.Search(context.Background(), qt, 10, union.EnsembleMeasure); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -240,64 +241,63 @@ func BenchmarkQueryTUSPar(b *testing.B) {
 	defer func() { sys.TUS.QueryParallelism = 1 }()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := sys.TUS.Search(qt, 10, union.EnsembleMeasure); err != nil {
+		if _, err := sys.TUS.Search(context.Background(), qt, 10, union.EnsembleMeasure); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
-// BenchmarkQueryJosie measures one exact top-k overlap search.
+// BenchmarkQueryJosie measures one exact top-k overlap search: "values"
+// from the raw query column (normalization and dictionary encoding
+// included, what a cold request pays), "encoded" from a query encoded
+// once outside the loop — the integer posting merge alone.
 func BenchmarkQueryJosie(b *testing.B) {
 	sys := queryBenchSystem(b)
 	_, qvals := queryBenchInputs(sys)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sys.Join.TopKOverlap(qvals, 10)
-	}
+	ctx := context.Background()
+	b.Run("values", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if _, _, err := sys.Join.TopKOverlap(ctx, sys.Join.EncodeQuery(qvals), 10, nil); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("encoded", func(b *testing.B) {
+		q := sys.Join.EncodeQuery(qvals)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, _, err := sys.Join.TopKOverlap(ctx, q, 10, nil); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }
 
 // BenchmarkQueryContainment measures one verified LSH Ensemble
-// containment search.
+// containment search, from the raw column ("values") and from a
+// pre-encoded query ("encoded": signing runs from cached hashes and
+// verification is a sorted-integer merge per candidate).
 func BenchmarkQueryContainment(b *testing.B) {
 	sys := queryBenchSystem(b)
 	_, qvals := queryBenchInputs(sys)
 	sys.Join.QueryParallelism = 1
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := sys.Join.ContainmentSearch(qvals, 0.5, true); err != nil {
-			b.Fatal(err)
+	ctx := context.Background()
+	b.Run("values", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if _, err := sys.Join.ContainmentSearch(ctx, sys.Join.EncodeQuery(qvals), 0.5); err != nil {
+				b.Fatal(err)
+			}
 		}
-	}
-}
-
-// BenchmarkQueryJosieDict is BenchmarkQueryJosie with the query
-// pre-encoded to dictionary IDs once, outside the loop — isolating
-// the integer posting merge from normalization and encoding, the shape
-// of a server re-running one query column against many k values.
-func BenchmarkQueryJosieDict(b *testing.B) {
-	sys := queryBenchSystem(b)
-	_, qvals := queryBenchInputs(sys)
-	q := sys.Join.EncodeQuery(qvals)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sys.Join.TopKOverlapQuery(q, 10)
-	}
-}
-
-// BenchmarkQueryContainmentDict is BenchmarkQueryContainment over a
-// pre-encoded query: signing runs from cached hashes and verification
-// is a sorted-integer merge per candidate.
-func BenchmarkQueryContainmentDict(b *testing.B) {
-	sys := queryBenchSystem(b)
-	_, qvals := queryBenchInputs(sys)
-	sys.Join.QueryParallelism = 1
-	q := sys.Join.EncodeQuery(qvals)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := sys.Join.ContainmentSearchQuery(q, 0.5, true); err != nil {
-			b.Fatal(err)
+	})
+	b.Run("encoded", func(b *testing.B) {
+		q := sys.Join.EncodeQuery(qvals)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := sys.Join.ContainmentSearch(ctx, q, 0.5); err != nil {
+				b.Fatal(err)
+			}
 		}
-	}
+	})
 }
 
 // BenchmarkQueryTUSDict measures the TUS set measure alone — the
@@ -309,7 +309,7 @@ func BenchmarkQueryTUSDict(b *testing.B) {
 	sys.TUS.QueryParallelism = 1
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := sys.TUS.Search(qt, 10, union.SetMeasure); err != nil {
+		if _, err := sys.TUS.Search(context.Background(), qt, 10, union.SetMeasure); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -346,13 +346,15 @@ func BenchmarkQueryQPS(b *testing.B) {
 					b.Fatal(err)
 				}
 			case 1:
-				sys.Join.TopKOverlap(qvals, 10)
+				if _, err := sys.JoinableColumns(qvals, 10); err != nil {
+					b.Fatal(err)
+				}
 			case 2:
-				if _, err := sys.Join.ContainmentSearch(qvals, 0.5, true); err != nil {
+				if _, err := sys.ContainmentSearch(qvals, 0.5, 10); err != nil {
 					b.Fatal(err)
 				}
 			case 3:
-				if _, err := sys.TUS.Search(qt, 10, union.EnsembleMeasure); err != nil {
+				if _, err := sys.TUS.Search(context.Background(), qt, 10, union.EnsembleMeasure); err != nil {
 					b.Fatal(err)
 				}
 			}

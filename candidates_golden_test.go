@@ -1,6 +1,7 @@
 package tablehound
 
 import (
+	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
@@ -41,11 +42,15 @@ func candidatesDigest(t *testing.T, sys *core.System) string {
 				continue
 			}
 			for _, threshold := range []float64{0.1, 0.5, 0.9} {
-				cands, err := sys.Join.ContainmentCandidatesQuery(q, threshold)
+				ords, err := sys.Join.ContainmentCandidates(q, threshold)
 				if err != nil {
 					t.Fatal(err)
 				}
-				ms, err := sys.Join.ContainmentSearchQuery(q, threshold, true)
+				cands := make([]string, len(ords))
+				for i, o := range ords {
+					cands[i] = sys.Join.Key(o)
+				}
+				ms, err := sys.Join.ContainmentSearch(context.Background(), q, threshold)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -11,9 +11,9 @@ import (
 
 	"tablehound/internal/core"
 	"tablehound/internal/datagen"
+	"tablehound/internal/discover"
 	"tablehound/internal/lake"
 	"tablehound/internal/table"
-	"tablehound/internal/union"
 )
 
 // cmdBenchQPS builds a discovery system and measures query throughput
@@ -108,14 +108,19 @@ func cmdBenchQPS(args []string) error {
 	}
 	kw := qt.Name
 
+	// The ranked surfaces run the way the server runs them: one compiled
+	// discover plan per query.
+	plan := func(q discover.Query) func() error {
+		return func() error { _, err := executePlan(sys, q); return err }
+	}
 	surfaces := []struct {
 		name string
 		run  func() error
 	}{
 		{"keyword", func() error { _, err := sys.KeywordSearch(kw, *k); return err }},
-		{"join-overlap", func() error { _, err := sys.JoinableColumns(vals, *k); return err }},
-		{"containment", func() error { _, err := sys.ContainmentSearch(vals, 0.5, *k); return err }},
-		{"union-tus", func() error { _, err := sys.TUS.Search(qt, *k, union.EnsembleMeasure); return err }},
+		{"join-overlap", plan(discover.Query{Values: vals, Relation: "join", K: *k})},
+		{"containment", plan(discover.Query{Values: vals, Relation: "join", Mode: "containment", K: *k})},
+		{"union-tus", plan(discover.Query{Seed: qt, Relation: "union", K: *k})},
 	}
 	fmt.Printf("%-14s %10s %12s %12s\n", "surface", "queries", "qps", "mean")
 	for _, s := range surfaces {

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"strings"
 
+	"tablehound/internal/core"
 	"tablehound/internal/discover"
 	"tablehound/internal/server"
 )
@@ -109,11 +110,14 @@ func cmdDiscover(args []string) error {
 		q.Seed = t
 		q.Values = nil
 	}
-	plan, err := discover.NewPlan(sys, q)
-	if err != nil {
-		return err
-	}
-	res, err := plan.Execute(context.Background())
+	return runPlan(sys, q, *explain)
+}
+
+// runPlan answers a query locally the way the server answers it: it
+// compiles the discover plan, runs it, and prints the ranking (columns
+// for the join relation, tables otherwise).
+func runPlan(sys *core.System, q discover.Query, explain bool) error {
+	res, err := executePlan(sys, q)
 	if err != nil {
 		return err
 	}
@@ -123,10 +127,19 @@ func cmdDiscover(args []string) error {
 	for i, r := range res.Tables {
 		fmt.Printf("%2d. %-20s %.3f\n", i+1, r.TableID, r.Score)
 	}
-	if *explain {
+	if explain {
 		printExplain(res.Explain)
 	}
 	return nil
+}
+
+// executePlan compiles q against sys and runs it once.
+func executePlan(sys *core.System, q discover.Query) (*discover.Result, error) {
+	plan, err := discover.NewPlan(sys, q)
+	if err != nil {
+		return nil, err
+	}
+	return plan.Execute(context.Background())
 }
 
 func printExplain(stages []discover.StageExplain) {

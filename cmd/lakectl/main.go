@@ -38,7 +38,6 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -48,10 +47,10 @@ import (
 
 	"tablehound/internal/core"
 	"tablehound/internal/datagen"
+	"tablehound/internal/discover"
 	"tablehound/internal/exp"
 	"tablehound/internal/lake"
 	"tablehound/internal/table"
-	"tablehound/internal/union"
 )
 
 func main() {
@@ -513,18 +512,7 @@ func cmdJoin(args []string) error {
 	if t == nil {
 		return fmt.Errorf("join: no table %q", *tableID)
 	}
-	c := t.Column(*column)
-	if c == nil {
-		return fmt.Errorf("join: table %q has no column %q", *tableID, *column)
-	}
-	ms, err := sys.JoinableColumns(c.Values, *k)
-	if err != nil {
-		return err
-	}
-	for i, m := range ms {
-		fmt.Printf("%2d. %-32s overlap=%-5d containment=%.2f\n", i+1, m.ColumnKey, m.Overlap, m.Containment)
-	}
-	return nil
+	return runPlan(sys, discover.Query{Seed: t, Column: *column, Relation: "join", K: *k}, false)
 }
 
 func cmdUnion(args []string) error {
@@ -543,51 +531,7 @@ func cmdUnion(args []string) error {
 	if t == nil {
 		return fmt.Errorf("union: no table %q", *tableID)
 	}
-	type row struct {
-		id    string
-		score float64
-	}
-	var rows []row
-	switch *method {
-	case "tus":
-		res, err := sys.TUS.Search(t, *k, union.EnsembleMeasure)
-		if err != nil {
-			return err
-		}
-		for _, r := range res {
-			rows = append(rows, row{r.TableID, r.Score})
-		}
-	case "santos":
-		res, err := sys.Santos.Search(t, *k, union.Hybrid)
-		if err != nil {
-			return err
-		}
-		for _, r := range res {
-			rows = append(rows, row{r.TableID, r.Score})
-		}
-	case "starmie":
-		res, err := sys.Starmie.SearchTables(context.Background(), t, *k, 64, false)
-		if err != nil {
-			return err
-		}
-		for _, r := range res {
-			rows = append(rows, row{r.TableID, r.Score})
-		}
-	case "d3l":
-		res, err := sys.D3L.Search(context.Background(), t, *k)
-		if err != nil {
-			return err
-		}
-		for _, r := range res {
-			rows = append(rows, row{r.TableID, r.Score})
-		}
-	default:
-		return fmt.Errorf("union: unknown method %q", *method)
-	}
-	for i, r := range rows {
-		fmt.Printf("%2d. %-20s %.3f\n", i+1, r.id, r.score)
-	}
-	return nil
+	return runPlan(sys, discover.Query{Seed: t, Relation: "union", Method: *method, K: *k}, false)
 }
 
 func cmdNavigate(args []string) error {

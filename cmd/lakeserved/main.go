@@ -97,7 +97,6 @@ func run() error {
 	vecMode := fs.String("vec-mode", "auto", "snapshot vector materialization: auto | heap | mmap (zero-copy)")
 	nprobe := fs.Int("nprobe", 0, "clusters visited by pruned exact vector search (0 = all = exhaustive-identical)")
 	centroids := fs.Int("centroids", 0, "coarse-quantizer clusters when building from -lake (0 = auto, -1 = off)")
-	fixedPlanner := fs.Bool("fixed-planner", false, "pin /v1/discover to the fixed cheap-to-expensive prefilter order instead of cost-based reordering (results identical; for A/B-ing stage costs)")
 	routerMode := fs.Bool("router", false, "route queries across shard servers instead of serving a lake")
 	shardAddrs := fs.String("shard-addrs", "", "comma-separated shard server addresses (router mode)")
 	shardTimeout := fs.Duration("shard-timeout", 10*time.Second, "per-shard sub-request budget (router mode)")
@@ -229,8 +228,6 @@ func run() error {
 		DrainTimeout: *drain,
 		CacheEntries: *cacheEntries,
 		Shard:        shardIdent,
-
-		FixedOrderPlanner: *fixedPlanner,
 	})
 	srv.SetReloader(load)
 

@@ -109,7 +109,7 @@ func TestEndToEndDiscoveryPipeline(t *testing.T) {
 		t.Fatal(err)
 	}
 	check("tus", resultIDs(tres))
-	sres, err := sys.Santos.Search(qt, 3, union.Hybrid)
+	sres, err := sys.Santos.Search(context.Background(), qt, 3, union.Hybrid)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,6 +6,7 @@
 package apps
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math"
@@ -64,7 +65,10 @@ func (a *Augmenter) Discover(base *table.Table, key, target string, maxFeatures 
 	}
 	y := columnFloats(targetCol)
 	// Joinable tables by key overlap.
-	matches := a.engine.TopKOverlap(keyCol.Values, 20)
+	matches, _, err := a.engine.TopKOverlap(context.TODO(), a.engine.EncodeQuery(keyCol.Values), 20, nil)
+	if err != nil {
+		return nil, err
+	}
 	var feats []Feature
 	seenTables := make(map[string]bool)
 	for _, m := range matches {

@@ -1,6 +1,7 @@
 package apps
 
 import (
+	"context"
 	"fmt"
 
 	"tablehound/internal/table"
@@ -19,7 +20,7 @@ type TrainingSetResult struct {
 
 // tableSearcher is the slice of union search the harvester needs.
 type tableSearcher interface {
-	Search(query *table.Table, k int, m union.Measure) ([]union.Result, error)
+	Search(ctx context.Context, query *table.Table, k int, m union.Measure) ([]union.Result, error)
 }
 
 // DiscoverTrainingSet grows a labeled seed table with rows from
@@ -28,7 +29,7 @@ type tableSearcher interface {
 // aligned to the seed by name, and rows appended. minScore gates how
 // unionable a source must be.
 func DiscoverTrainingSet(seed *table.Table, tus tableSearcher, lookup func(string) *table.Table, k int, measure union.Measure, minScore float64) (*TrainingSetResult, error) {
-	res, err := tus.Search(seed, k, measure)
+	res, err := tus.Search(context.TODO(), seed, k, measure)
 	if err != nil {
 		return nil, err
 	}

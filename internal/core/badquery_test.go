@@ -34,7 +34,7 @@ func TestBadQueriesReturnTypedError(t *testing.T) {
 			return err
 		}},
 		{"Santos unusable table", func() error {
-			_, err := sys.Santos.Search(table.MustNew("q", "q", nil), 5, union.Hybrid)
+			_, err := sys.Santos.Search(context.Background(), table.MustNew("q", "q", nil), 5, union.Hybrid)
 			return err
 		}},
 		{"Starmie empty table", func() error {

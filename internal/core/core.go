@@ -6,6 +6,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math"
@@ -638,30 +639,24 @@ func (s *System) KeywordSearch(query string, k int) ([]keyword.Result, error) {
 // normalization (no values, or whitespace-only values) wraps
 // table.ErrBadQuery instead of silently returning no matches.
 func (s *System) JoinableColumns(values []string, k int) ([]join.Match, error) {
-	q := s.Join.EncodeQuery(values)
-	if len(q.IDs) == 0 {
-		return nil, fmt.Errorf("core: query column has no usable values: %w", table.ErrBadQuery)
-	}
-	return s.Join.TopKOverlapQuery(q, k), nil
+	ms, _, err := s.Join.TopKOverlap(context.TODO(), s.Join.EncodeQuery(values), k, nil)
+	return ms, err
 }
 
 // ContainmentSearch returns columns whose containment of the query
 // column is likely >= threshold (LSH Ensemble candidates, exactly
 // verified).
 func (s *System) ContainmentSearch(values []string, threshold float64, k int) ([]join.Match, error) {
-	ms, err := s.Join.ContainmentSearch(values, threshold, true)
-	if err != nil {
-		return nil, err
-	}
+	ms, err := s.Join.ContainmentSearch(context.TODO(), s.Join.EncodeQuery(values), threshold)
 	if len(ms) > k {
 		ms = ms[:k]
 	}
-	return ms, nil
+	return ms, err
 }
 
 // UnionableTables returns the top-k unionable tables (TUS ensemble).
 func (s *System) UnionableTables(query *table.Table, k int) ([]union.Result, error) {
-	return s.TUS.Search(query, k, union.EnsembleMeasure)
+	return s.TUS.Search(context.TODO(), query, k, union.EnsembleMeasure)
 }
 
 // Navigate descends the organization toward a topic described by

@@ -69,8 +69,8 @@ func assertSurfaceParity(t *testing.T, label string, got, want *System, gen *dat
 		wu, we := want.UnionableTables(q, 10)
 		check("tus-union-"+tag, gu, wu, ge, we)
 
-		gsa, ge := got.Santos.Search(q, 5, union.Hybrid)
-		wsa, we := want.Santos.Search(q, 5, union.Hybrid)
+		gsa, ge := got.Santos.Search(context.Background(), q, 5, union.Hybrid)
+		wsa, we := want.Santos.Search(context.Background(), q, 5, union.Hybrid)
 		check("santos-"+tag, gsa, wsa, ge, we)
 
 		gd, ge := got.D3L.Search(context.Background(), q, 5)

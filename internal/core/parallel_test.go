@@ -95,11 +95,11 @@ func TestParallelBuildMatchesSequential(t *testing.T) {
 		t.Errorf("fuzzy results differ:\npar %+v\nseq %+v", gotF, wantF)
 	}
 
-	gotSa, err := par.Santos.Search(q, 5, union.Hybrid)
+	gotSa, err := par.Santos.Search(context.Background(), q, 5, union.Hybrid)
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantSa, err := seq.Santos.Search(q, 5, union.Hybrid)
+	wantSa, err := seq.Santos.Search(context.Background(), q, 5, union.Hybrid)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,10 +4,12 @@ import (
 	"context"
 	"fmt"
 	"reflect"
+	"sort"
 	"sync"
 	"testing"
 
 	"tablehound/internal/datagen"
+	"tablehound/internal/dict"
 	"tablehound/internal/join"
 	"tablehound/internal/lake"
 	"tablehound/internal/table"
@@ -66,7 +68,7 @@ func TestConcurrentQueriesAllSurfaces(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				if _, err := sys.Santos.Search(query, 5, union.Hybrid); err != nil {
+				if _, err := sys.Santos.Search(context.Background(), query, 5, union.Hybrid); err != nil {
 					t.Error(err)
 					return
 				}
@@ -118,7 +120,7 @@ func TestSystemQueryParallelismParity(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		santosRes, err := sys.Santos.Search(query, 5, union.Hybrid)
+		santosRes, err := sys.Santos.Search(context.Background(), query, 5, union.Hybrid)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -155,6 +157,27 @@ func TestSystemQueryParallelismParity(t *testing.T) {
 			}
 		}
 	}
+}
+
+// fullScanOverlap is the top-k overlap oracle: every key scored by an
+// exact set merge, ordered (overlap desc, key asc).
+func fullScanOverlap(e *join.Engine, q join.Query, keys []string, k int) []join.Match {
+	var out []join.Match
+	for _, key := range keys {
+		if o := dict.Overlap(q.IDs, e.IDSet(key)); o > 0 {
+			out = append(out, join.Match{ColumnKey: key, Overlap: o, Containment: float64(o) / float64(len(q.IDs))})
+		}
+	}
+	sort.Slice(out, func(i, j int) bool {
+		if out[i].Overlap != out[j].Overlap {
+			return out[i].Overlap > out[j].Overlap
+		}
+		return out[i].ColumnKey < out[j].ColumnKey
+	})
+	if len(out) > k {
+		out = out[:k]
+	}
+	return out
 }
 
 // TestJoinableColumnsOneAnswerOnTies asks for the columns joinable with
@@ -198,11 +221,7 @@ func TestJoinableColumnsOneAnswerOnTies(t *testing.T) {
 				continue // not a join column
 			}
 			for _, k := range []int{1, 5} {
-				want, err := sys.Join.TopKOverlapAmongCtx(context.Background(), q, every, k)
-				if err != nil {
-					t.Fatal(err)
-				}
-				queries = append(queries, query{c.Values, k, want})
+				queries = append(queries, query{c.Values, k, fullScanOverlap(sys.Join, q, every, k)})
 			}
 		}
 	}

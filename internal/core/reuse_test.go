@@ -77,13 +77,13 @@ func reuseSystems(t *testing.T) map[string]*System {
 func unionRankings(t *testing.T, s *System, q *table.Table) [3]any {
 	t.Helper()
 	ctx := context.Background()
-	tus, err := s.TUS.SearchCtx(ctx, q, 10, union.EnsembleMeasure)
+	tus, err := s.TUS.Search(ctx, q, 10, union.EnsembleMeasure)
 	if err != nil {
 		t.Fatalf("TUS %s: %v", q.ID, err)
 	}
 	// Tables without an intent column and a second string column are
 	// bad SANTOS queries either way; the error is part of the answer.
-	santos, serr := s.Santos.SearchCtx(ctx, q, 10, union.Hybrid)
+	santos, serr := s.Santos.Search(ctx, q, 10, union.Hybrid)
 	st, err := s.Starmie.SearchTables(ctx, q, 10, 64, false)
 	if err != nil {
 		t.Fatalf("Starmie %s: %v", q.ID, err)
@@ -146,13 +146,13 @@ func TestBorrowedIDQueriesOwnCells(t *testing.T) {
 	}
 	ctx := context.Background()
 	n := len(tables)
-	gt, err := sys.TUS.SearchCtx(ctx, borrowed, n, union.EnsembleMeasure)
-	wt, werr := sys.TUS.SearchCtx(ctx, foreign, n, union.EnsembleMeasure)
+	gt, err := sys.TUS.Search(ctx, borrowed, n, union.EnsembleMeasure)
+	wt, werr := sys.TUS.Search(ctx, foreign, n, union.EnsembleMeasure)
 	if err != nil || werr != nil || !reflect.DeepEqual(drop(gt), drop(wt)) {
 		t.Errorf("TUS answered a borrowed ID from the wrong cells:\ngot  %+v (%v)\nwant %+v (%v)", gt, err, wt, werr)
 	}
-	gs, err := sys.Santos.SearchCtx(ctx, borrowed, n, union.Hybrid)
-	ws, werr := sys.Santos.SearchCtx(ctx, foreign, n, union.Hybrid)
+	gs, err := sys.Santos.Search(ctx, borrowed, n, union.Hybrid)
+	ws, werr := sys.Santos.Search(ctx, foreign, n, union.Hybrid)
 	if (err != nil) != (werr != nil) || !reflect.DeepEqual(drop(gs), drop(ws)) {
 		t.Errorf("SANTOS answered a borrowed ID from the wrong cells:\ngot  %+v (%v)\nwant %+v (%v)", gs, err, ws, werr)
 	}
@@ -163,7 +163,7 @@ func TestBorrowedIDQueriesOwnCells(t *testing.T) {
 	}
 	// And the answers do differ from the owner's own: the guard above
 	// would pass vacuously if the two tables ranked the lake alike.
-	own, err := sys.TUS.SearchCtx(ctx, owner, n, union.EnsembleMeasure)
+	own, err := sys.TUS.Search(ctx, owner, n, union.EnsembleMeasure)
 	if err != nil || reflect.DeepEqual(drop(own), drop(gt)) {
 		t.Errorf("owner and borrowed-ID rankings coincide (%v): the fixture does not tell them apart", err)
 	}

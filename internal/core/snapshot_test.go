@@ -79,8 +79,8 @@ func TestSnapshotRoundTripParity(t *testing.T) {
 	wantU, werr := built.UnionableTables(q, 10)
 	check("tus-union", gotU, wantU, err, werr)
 
-	gotSa, err := loaded.Santos.Search(q, 5, union.Hybrid)
-	wantSa, werr := built.Santos.Search(q, 5, union.Hybrid)
+	gotSa, err := loaded.Santos.Search(context.Background(), q, 5, union.Hybrid)
+	wantSa, werr := built.Santos.Search(context.Background(), q, 5, union.Hybrid)
 	check("santos", gotSa, wantSa, err, werr)
 
 	gotD, err := loaded.D3L.Search(context.Background(), q, 5)

@@ -173,9 +173,9 @@ func TestUnionParity(t *testing.T) {
 		var err error
 		switch method {
 		case "tus":
-			want, err = sys.TUS.Search(seed, 8, union.EnsembleMeasure)
+			want, err = sys.TUS.Search(context.Background(), seed, 8, union.EnsembleMeasure)
 		case "santos":
-			want, err = sys.Santos.Search(seed, 8, union.Hybrid)
+			want, err = sys.Santos.Search(context.Background(), seed, 8, union.Hybrid)
 		case "starmie":
 			rs, serr := sys.Starmie.SearchTables(context.Background(), seed, 8, 64, false)
 			err = serr
@@ -286,7 +286,7 @@ func TestFilteredEqualsPostFiltered(t *testing.T) {
 
 	k := 5
 	t.Run("union-tus", func(t *testing.T) {
-		full, err := sys.TUS.Search(seed, sys.Catalog.Len(), union.EnsembleMeasure)
+		full, err := sys.TUS.Search(context.Background(), seed, sys.Catalog.Len(), union.EnsembleMeasure)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -10,7 +10,6 @@ import (
 	"tablehound/internal/core"
 	"tablehound/internal/join"
 	"tablehound/internal/qcache"
-	"tablehound/internal/starmie"
 	"tablehound/internal/table"
 	"tablehound/internal/tokenize"
 	"tablehound/internal/union"
@@ -61,12 +60,12 @@ type Plan struct {
 	pre       []stagePlan // prefilters in execution order, with estimates
 	colTypes  []table.Type
 
-	// Pre-encoded seeds, filled per relation at compile time.
-	joinQ    join.Query      // join or any
-	tusQ     *union.TUSQuery // union/tus or any
-	santosQ  *union.SantosQuery
-	starmieQ *starmie.TableQuery
-	d3lQ     *union.D3LQuery
+	// The pre-encoded seed, filled per relation at compile time: the
+	// join column (join or any), and the union method's two stages bound
+	// to its prepared query table (union; any uses TUS).
+	joinQ      join.Query
+	unionCands func() []string
+	unionScore func(ctx context.Context, ids []string, k int) ([]union.Result, error)
 }
 
 // Stages returns the ordered stage names the planner compiled, for
@@ -143,10 +142,10 @@ func NewPlanOrdered(sys *core.System, q Query, ord Order) (*Plan, error) {
 }
 
 // prepareSeed pre-encodes the seed against the engines the relation
-// needs, mirroring exactly what the bare endpoints do so unfiltered
-// plans rank bit-identically.
+// needs. A join seed with no usable values is not checked here: the
+// join engine raises that error, once, when the plan runs.
 func (p *Plan) prepareSeed() error {
-	sys, q := p.sys, p.q
+	q := p.q
 	switch p.relation {
 	case RelationJoin:
 		vals := q.Values
@@ -159,42 +158,80 @@ func (p *Plan) prepareSeed() error {
 				return err
 			}
 		}
-		p.joinQ = sys.Join.EncodeQuery(vals)
-		if len(p.joinQ.IDs) == 0 {
-			return fmt.Errorf("discover: seed column has no usable values: %w", table.ErrBadQuery)
-		}
+		p.joinQ = p.sys.Join.EncodeQuery(vals)
 	case RelationUnion:
 		if q.Seed == nil {
 			return fmt.Errorf("discover: union relation needs a seed table: %w", table.ErrBadQuery)
 		}
-		var err error
-		switch p.method {
-		case MethodTUS:
-			p.tusQ, err = sys.TUS.Prepare(q.Seed)
-		case MethodSantos:
-			p.santosQ, err = sys.Santos.Prepare(q.Seed)
-		case MethodStarmie:
-			p.starmieQ, err = sys.Starmie.PrepareTable(q.Seed)
-		case MethodD3L:
-			p.d3lQ, err = sys.D3L.Prepare(q.Seed)
-		}
-		if err != nil {
-			return err
-		}
+		return p.prepareUnion(p.method)
 	case RelationAny:
 		if q.Seed == nil {
 			return fmt.Errorf("discover: relation \"any\" needs a seed table: %w", table.ErrBadQuery)
 		}
-		var err error
-		if p.tusQ, err = sys.TUS.Prepare(q.Seed); err != nil {
+		if err := p.prepareUnion(MethodTUS); err != nil {
 			return err
 		}
 		// The join side is best-effort: a seed table whose columns all
-		// fall out of the join vocabulary still discovers by union.
+		// fall out of the join vocabulary still discovers by union, so an
+		// empty joinQ is legitimate here and runAny skips the join engine.
 		if vals, err := seedColumnValues(q.Seed, q.Column); err == nil {
-			p.joinQ = sys.Join.EncodeQuery(vals)
+			p.joinQ = p.sys.Join.EncodeQuery(vals)
 		} else if q.Column != "" {
 			return err
+		}
+	}
+	return nil
+}
+
+// prepareUnion is the one place a union method name becomes engine
+// calls: it prepares the seed table against the method's engine and
+// binds the candidates and scoring stages to the result, with the
+// defaults every surface shares (TUS ensemble measure, SANTOS hybrid
+// mode, Starmie approximate retrieval at efSearch 64).
+func (p *Plan) prepareUnion(method UnionMethod) error {
+	sys, seed := p.sys, p.q.Seed
+	switch method {
+	case MethodTUS:
+		pq, err := sys.TUS.Prepare(seed)
+		if err != nil {
+			return err
+		}
+		p.unionCands = func() []string { return sys.TUS.Candidates(pq) }
+		p.unionScore = func(ctx context.Context, ids []string, k int) ([]union.Result, error) {
+			return sys.TUS.ScoreAmong(ctx, pq, ids, k, union.EnsembleMeasure)
+		}
+	case MethodSantos:
+		pq, err := sys.Santos.Prepare(seed)
+		if err != nil {
+			return err
+		}
+		p.unionCands = func() []string { return sys.Santos.Candidates(pq, union.Hybrid) }
+		p.unionScore = func(ctx context.Context, ids []string, k int) ([]union.Result, error) {
+			return sys.Santos.ScoreAmong(ctx, pq, ids, k, union.Hybrid)
+		}
+	case MethodStarmie:
+		pq, err := sys.Starmie.PrepareTable(seed)
+		if err != nil {
+			return err
+		}
+		p.unionCands = func() []string { return sys.Starmie.CandidateTables(pq, 64, false) }
+		p.unionScore = func(ctx context.Context, ids []string, k int) ([]union.Result, error) {
+			ms, err := sys.Starmie.ScoreTablesAmong(ctx, pq, ids, k)
+			var rs []union.Result
+			for _, m := range ms {
+				rs = append(rs, union.Result{TableID: m.TableID, Score: m.Score})
+			}
+			return rs, err
+		}
+	case MethodD3L:
+		pq, err := sys.D3L.Prepare(seed)
+		if err != nil {
+			return err
+		}
+		// D3L has no sketch: its candidate set is the whole lake.
+		p.unionCands = sys.D3L.TableIDs
+		p.unionScore = func(ctx context.Context, ids []string, k int) ([]union.Result, error) {
+			return sys.D3L.ScoreAmong(ctx, pq, ids, k)
 		}
 	}
 	return nil
@@ -243,7 +280,7 @@ func (p *Plan) Execute(ctx context.Context) (*Result, error) {
 //     the allowed tables (allowed ∩ fullAdmit ≡ the per-allowed-table
 //     predicate checks, since the predicate is per-table).
 func (p *Plan) ExecuteOpts(ctx context.Context, opts ExecOptions) (*Result, error) {
-	res := &Result{}
+	res := &Result{Explain: make([]StageExplain, 0, len(p.stages))}
 	lakeN := p.sys.Catalog.Len()
 	var allowed map[string]bool // nil = unrestricted
 	count := func() int {
@@ -293,10 +330,6 @@ func (p *Plan) stagePlanOf(stage string) stagePlan {
 		}
 	}
 	return stagePlan{name: stage}
-}
-
-func (r *Result) record(stage string, in, out int, start time.Time) {
-	r.recordStage(StageExplain{Stage: stage, In: in, Out: out}, start)
 }
 
 func (r *Result) recordCost(stage string, in, out int, cost int64, start time.Time) {
@@ -527,54 +560,42 @@ func (p *Plan) runJoin(ctx context.Context, res *Result, allowed map[string]bool
 	e := p.sys.Join
 	k := p.q.K
 	if p.mode == ModeOverlap {
-		if allowed == nil {
-			// No predicates: JOSIE's own pruning is the candidate stage;
-			// every indexed column is in play.
-			start := time.Now()
-			res.record(StageCandidates, in, e.NumColumns(), start)
-			vstart := time.Now()
-			ms, jst := e.TopKOverlapQueryStats(p.joinQ, k)
-			res.Matches = ms
-			res.recordCost(StageVerify, e.NumColumns(), len(ms),
-				int64(jst.PostingsRead+jst.TokensRead), vstart)
-			return nil
-		}
+		// No predicates: JOSIE's own pruning is the candidate stage and
+		// every indexed column is in play. Otherwise the columns of the
+		// allowed tables are; the list stays non-nil when nothing is
+		// allowed, because a nil one would lift the restriction.
 		start := time.Now()
-		var keys []string
-		for _, id := range sortedIDs(allowed) {
-			keys = append(keys, e.ColumnKeysOf(id)...)
+		var among []string
+		cands := e.NumColumns()
+		if allowed != nil {
+			among = []string{}
+			for _, id := range sortedIDs(allowed) {
+				among = append(among, e.ColumnKeysOf(id)...)
+			}
+			cands = len(among)
 		}
-		res.recordCost(StageCandidates, in, len(keys), int64(len(keys)), start)
+		res.recordCost(StageCandidates, in, cands, int64(len(among)), start)
 		vstart := time.Now()
-		ms, ast, err := e.TopKOverlapAmongStatsCtx(ctx, p.joinQ, keys, k, p.order == OrderCost)
+		ms, st, err := e.TopKOverlap(ctx, p.joinQ, k, among)
 		if err != nil {
 			return err
 		}
 		res.Matches = ms
-		res.recordCost(StageVerify, len(keys), len(ms), ast.Work, vstart)
+		res.recordCost(StageVerify, cands, len(ms), st.Work, vstart)
 		return nil
 	}
 	// Containment: LSH Ensemble candidates, restricted, then exactly
-	// verified — the unfiltered composition is literally
-	// ContainmentSearchQueryCtx.
+	// verified — the unfiltered composition is literally the engine's
+	// ContainmentSearch.
 	start := time.Now()
-	cands, err := e.ContainmentCandidatesQuery(p.joinQ, p.threshold)
+	cands, err := e.ContainmentCandidates(p.joinQ, p.threshold)
 	if err != nil {
 		return err
 	}
-	if allowed != nil {
-		kept := cands[:0:0]
-		for _, key := range cands {
-			id, _ := table.SplitColumnKey(key)
-			if allowed[id] {
-				kept = append(kept, key)
-			}
-		}
-		cands = kept
-	}
+	cands = p.keepAllowedColumns(cands, allowed, "")
 	res.recordCost(StageCandidates, in, len(cands), int64(len(cands)), start)
 	vstart := time.Now()
-	ms, err := e.VerifyContainmentQueryCtx(ctx, p.joinQ, cands, p.threshold)
+	ms, err := e.VerifyContainment(ctx, p.joinQ, cands, p.threshold)
 	if err != nil {
 		return err
 	}
@@ -586,41 +607,29 @@ func (p *Plan) runJoin(ctx context.Context, res *Result, allowed map[string]bool
 	return nil
 }
 
-func (p *Plan) runUnion(ctx context.Context, res *Result, allowed map[string]bool, in int) error {
-	sys, k := p.sys, p.q.K
-	start := time.Now()
-	var cands []string
-	switch p.method {
-	case MethodTUS:
-		cands = keepAllowed(sys.TUS.Candidates(p.tusQ), allowed)
-	case MethodSantos:
-		cands = keepAllowed(sys.Santos.Candidates(p.santosQ, union.Hybrid), allowed)
-	case MethodStarmie:
-		cands = keepAllowed(sys.Starmie.CandidateTables(p.starmieQ, 64, false), allowed)
-	case MethodD3L:
-		// D3L has no sketch: its candidate set is the whole lake.
-		cands = keepAllowed(sys.D3L.TableIDs(), allowed)
+// keepAllowedColumns filters join candidate ordinals to the columns of
+// allowed tables (nil = every table) other than the table named skip,
+// preserving order.
+func (p *Plan) keepAllowedColumns(cands []int32, allowed map[string]bool, skip string) []int32 {
+	if allowed == nil && skip == "" {
+		return cands
 	}
+	kept := cands[:0:0]
+	for _, c := range cands {
+		id, _ := table.SplitColumnKey(p.sys.Join.Key(c))
+		if id != skip && (allowed == nil || allowed[id]) {
+			kept = append(kept, c)
+		}
+	}
+	return kept
+}
+
+func (p *Plan) runUnion(ctx context.Context, res *Result, allowed map[string]bool, in int) error {
+	start := time.Now()
+	cands := keepAllowed(p.unionCands(), allowed)
 	res.recordCost(StageCandidates, in, len(cands), int64(len(cands)), start)
 	vstart := time.Now()
-	var (
-		rs  []union.Result
-		err error
-	)
-	switch p.method {
-	case MethodTUS:
-		rs, err = sys.TUS.ScoreAmongCtx(ctx, p.tusQ, cands, k, union.EnsembleMeasure)
-	case MethodSantos:
-		rs, err = sys.Santos.ScoreAmongCtx(ctx, p.santosQ, cands, k, union.Hybrid)
-	case MethodStarmie:
-		var ms []starmie.Result
-		ms, err = sys.Starmie.ScoreTablesAmong(ctx, p.starmieQ, cands, k)
-		for _, m := range ms {
-			rs = append(rs, union.Result{TableID: m.TableID, Score: m.Score})
-		}
-	case MethodD3L:
-		rs, err = sys.D3L.ScoreAmong(ctx, p.d3lQ, cands, k)
-	}
+	rs, err := p.unionScore(ctx, cands, p.q.K)
 	if err != nil {
 		return err
 	}
@@ -637,28 +646,20 @@ func (p *Plan) runUnion(ctx context.Context, res *Result, allowed map[string]boo
 func (p *Plan) runAny(ctx context.Context, res *Result, allowed map[string]bool, in int) error {
 	sys, k := p.sys, p.q.K
 	start := time.Now()
-	ucands := keepAllowed(sys.TUS.Candidates(p.tusQ), allowed)
-	var jcands []string
+	ucands := keepAllowed(p.unionCands(), allowed)
+	var jcands []int32
 	if len(p.joinQ.IDs) > 0 {
-		all, err := sys.Join.ContainmentCandidatesQuery(p.joinQ, p.threshold)
+		all, err := sys.Join.ContainmentCandidates(p.joinQ, p.threshold)
 		if err != nil {
 			return err
 		}
-		for _, key := range all {
-			id, _ := table.SplitColumnKey(key)
-			if id == p.q.Seed.ID {
-				continue
-			}
-			if allowed == nil || allowed[id] {
-				jcands = append(jcands, key)
-			}
-		}
+		jcands = p.keepAllowedColumns(all, allowed, p.q.Seed.ID)
 	}
 	res.recordCost(StageCandidates, in, len(ucands)+len(jcands),
 		int64(len(ucands)+len(jcands)), start)
 
 	vstart := time.Now()
-	urs, err := sys.TUS.ScoreAmongCtx(ctx, p.tusQ, ucands, len(ucands), union.EnsembleMeasure)
+	urs, err := p.unionScore(ctx, ucands, len(ucands))
 	if err != nil {
 		return err
 	}
@@ -667,7 +668,7 @@ func (p *Plan) runAny(ctx context.Context, res *Result, allowed map[string]bool,
 		best[r.TableID] = r.Score
 	}
 	if len(jcands) > 0 {
-		ms, err := sys.Join.VerifyContainmentQueryCtx(ctx, p.joinQ, jcands, p.threshold)
+		ms, err := sys.Join.VerifyContainment(ctx, p.joinQ, jcands, p.threshold)
 		if err != nil {
 			return err
 		}

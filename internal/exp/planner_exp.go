@@ -28,7 +28,7 @@ import (
 // masking posting lists during traversal (work = postings + tokens
 // read) versus enumerating each candidate's ID set (the EnumCost the
 // engine would otherwise pay), with result parity against the
-// unpushed path.
+// whole-lake search those candidates amount to.
 func E25Planner() Report {
 	rep := Report{
 		ID:    "E25",
@@ -116,11 +116,11 @@ func E25Planner() Report {
 		cands = append(cands, e.ColumnKeysOf(t.ID)...)
 	}
 	ctx := context.Background()
-	pushed, ast, err := e.TopKOverlapAmongStatsCtx(ctx, q, cands, 10, true)
+	pushed, ast, err := e.TopKOverlap(ctx, q, 10, cands)
 	if err != nil {
 		panic(err)
 	}
-	plain, err := e.TopKOverlapAmongCtx(ctx, q, cands, 10)
+	plain, _, err := e.TopKOverlap(ctx, q, 10, nil)
 	if err != nil {
 		panic(err)
 	}

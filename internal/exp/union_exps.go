@@ -65,7 +65,7 @@ func E3TUS() Report {
 			var res []union.Result
 			elapsed += timeIt(func() {
 				var err error
-				res, err = tus.Search(q, k, m)
+				res, err = tus.Search(context.Background(), q, k, m)
 				if err != nil {
 					panic(err)
 				}
@@ -170,14 +170,14 @@ func E4Santos() Report {
 		return pAtK / float64(nq), metrics.MAP(retrieved, relevant)
 	}
 	pS, mS := eval(func(q *table.Table) []string {
-		res, err := santos.Search(q, k, union.SynthOnly)
+		res, err := santos.Search(context.Background(), q, k, union.SynthOnly)
 		if err != nil {
 			panic(err)
 		}
 		return resultIDs(res)
 	})
 	pT, mT := eval(func(q *table.Table) []string {
-		res, err := tus.Search(q, k, union.SetMeasure)
+		res, err := tus.Search(context.Background(), q, k, union.SetMeasure)
 		if err != nil {
 			panic(err)
 		}

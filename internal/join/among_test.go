@@ -31,11 +31,33 @@ func randomEngine(t *testing.T, nCols int, seed int64) *Engine {
 	return e
 }
 
+// wholeLakeAmong is the oracle of a restricted overlap search: the
+// unbounded whole-lake ranking filtered to the candidates and cut to k.
+func wholeLakeAmong(t *testing.T, e *Engine, q Query, among []string, k int) []Match {
+	t.Helper()
+	all, _, err := e.TopKOverlap(context.Background(), q, e.NumColumns(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	allowed := make(map[string]bool, len(among))
+	for _, key := range among {
+		allowed[key] = true
+	}
+	var want []Match
+	for _, m := range all {
+		if allowed[m.ColumnKey] && len(want) < k {
+			want = append(want, m)
+		}
+	}
+	return want
+}
+
 // TestTopKOverlapAmongPushdownParity pins the contract that the masked
-// posting-traversal path and the enumerate-and-score path return
-// bit-identical rankings for any candidate subset, including
-// candidates that are out of the index and queries with
-// out-of-vocabulary values.
+// posting-traversal path and the enumerate-and-score path both return
+// the whole-lake ranking filtered to the candidates, for any candidate
+// subset, including candidates that are out of the index and queries
+// with out-of-vocabulary values — and that the cost-picked search is
+// one of them.
 func TestTopKOverlapAmongPushdownParity(t *testing.T) {
 	ctx := context.Background()
 	for seed := int64(0); seed < 12; seed++ {
@@ -57,27 +79,28 @@ func TestTopKOverlapAmongPushdownParity(t *testing.T) {
 		}
 		cands = append(cands, "ghost.col") // unindexed candidate
 		k := 1 + rng.Intn(8)
-		want, err := e.TopKOverlapAmongCtx(ctx, q, cands, k)
+		want := wholeLakeAmong(t, e, q, cands, k)
+		scored, err := e.overlapEnumerated(ctx, q, cands, k)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, st, err := e.TopKOverlapAmongStatsCtx(ctx, q, cands, k, true)
+		if !reflect.DeepEqual(scored, want) {
+			t.Errorf("seed %d: enumerated = %v, want %v", seed, scored, want)
+		}
+		if masked, _ := e.overlapMasked(q, cands, k); !reflect.DeepEqual(masked, want) {
+			t.Errorf("seed %d: masked = %v, want %v", seed, masked, want)
+		}
+		got, st, err := e.TopKOverlap(ctx, q, k, cands)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(got, want) {
 			t.Errorf("seed %d (pushdown=%v): among = %v, want %v", seed, st.Pushdown, got, want)
 		}
-		// The pinned-enumerate call must never push down.
-		pinned, pst, err := e.TopKOverlapAmongStatsCtx(ctx, q, cands, k, false)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if pst.Pushdown {
-			t.Errorf("seed %d: allowPushdown=false still pushed down", seed)
-		}
-		if !reflect.DeepEqual(pinned, want) {
-			t.Errorf("seed %d: pinned enumerate diverged", seed)
+		// An empty candidate list admits nothing; only nil lifts the
+		// restriction.
+		if none, _, err := e.TopKOverlap(ctx, q, k, []string{}); err != nil || len(none) != 0 {
+			t.Errorf("seed %d: empty among = %v (%v), want no matches", seed, none, err)
 		}
 	}
 }
@@ -105,20 +128,24 @@ func TestOverlapPathsAgreeOnTies(t *testing.T) {
 	for _, key := range e.keys {
 		q := Query{IDs: e.IDSet(key)}
 		for _, k := range []int{1, 10} {
-			whole := e.TopKOverlapQuery(q, k)
-			scored, err := e.TopKOverlapAmongCtx(ctx, q, e.keys, k)
+			whole, _, err := e.TopKOverlap(ctx, q, k, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
-			masked, st, err := e.TopKOverlapAmongStatsCtx(ctx, q, e.keys, k, true)
+			scored, err := e.overlapEnumerated(ctx, q, e.keys, k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			masked, _ := e.overlapMasked(q, e.keys, k)
+			picked, st, err := e.TopKOverlap(ctx, q, k, e.keys)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if st.Pushdown {
 				pushed++
 			}
-			if !reflect.DeepEqual(whole, scored) || !reflect.DeepEqual(masked, scored) {
-				t.Fatalf("%s k=%d (pushdown=%v):\n  whole lake %v\n  enumerated %v\n      masked %v", key, k, st.Pushdown, whole, scored, masked)
+			if !reflect.DeepEqual(whole, scored) || !reflect.DeepEqual(masked, scored) || !reflect.DeepEqual(picked, scored) {
+				t.Fatalf("%s k=%d (pushdown=%v):\n  whole lake %v\n  enumerated %v\n      masked %v\n      picked %v", key, k, st.Pushdown, whole, scored, masked, picked)
 			}
 			if len(scored) < min(k, 2) {
 				t.Fatalf("%s k=%d: %d matches, want the column and its copy at least", key, k, len(scored))
@@ -150,7 +177,7 @@ func TestPushdownReadsFewerPostings(t *testing.T) {
 	}
 	q := e.EncodeQuery([]string{"needle", "city_0001", "city_0002"})
 	cands := append([]string(nil), e.keys...)
-	ms, st, err := e.TopKOverlapAmongStatsCtx(context.Background(), q, cands, 5, true)
+	ms, st, err := e.TopKOverlap(context.Background(), q, 5, cands)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,6 +189,9 @@ func TestPushdownReadsFewerPostings(t *testing.T) {
 	}
 	if len(ms) == 0 || ms[0].ColumnKey != "t00.wide" {
 		t.Errorf("needle column not ranked first: %v", ms)
+	}
+	if want := wholeLakeAmong(t, e, q, cands, 5); !reflect.DeepEqual(ms, want) {
+		t.Errorf("pushdown = %v, want the whole-lake ranking %v", ms, want)
 	}
 }
 

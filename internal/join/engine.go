@@ -245,7 +245,7 @@ func (e *Engine) LSHFootprint() dict.Footprint { return e.ensemble.Footprint() }
 // Query is a query column encoded once against the engine's
 // dictionary: the sorted ID set of its distinct normalized values and
 // the parallel minhash base hashes. Encode once, reuse across the
-// engine's *Query methods; a Query is plain data and safe to share.
+// engine's search methods; a Query is plain data and safe to share.
 type Query struct {
 	IDs    dict.IDSet
 	Hashes []uint64
@@ -259,192 +259,98 @@ func (e *Engine) EncodeQuery(values []string) Query {
 	return Query{IDs: ids, Hashes: hashes}
 }
 
-// TopKOverlap returns the k columns with largest exact value overlap
-// with the query (JOSIE). Values are normalized before matching; a
-// query with no usable values returns nil.
-func (e *Engine) TopKOverlap(values []string, k int) []Match {
-	return e.TopKOverlapQuery(e.EncodeQuery(values), k)
+// errEmptyQuery is the one answer to a query column with no values left
+// after normalization; every search method returns it, so callers do
+// not check for the case themselves.
+var errEmptyQuery = fmt.Errorf("join: query column has no usable values: %w", table.ErrBadQuery)
+
+// Key returns the column key at a position of the engine's sorted key
+// list — the ordinal ContainmentCandidates reports candidates by.
+func (e *Engine) Key(ord int32) string { return e.keys[ord] }
+
+// OverlapStats reports how an overlap search ran: which path was
+// chosen and the deterministic work units it was priced at. Work units
+// are wall-clock-free (posting entries scanned, set tokens merged,
+// candidates handled), so explain output is stable across runs.
+type OverlapStats struct {
+	// Pushdown is true when a candidate restriction was pushed into
+	// JOSIE's posting traversal instead of enumerating and scoring the
+	// candidates.
+	Pushdown bool
+	// Work is the units the chosen path actually spent.
+	Work int64
+	// EnumCost and PushCost are the a-priori estimates a restricted
+	// search chose its path from; zero for a whole-lake search.
+	EnumCost int64
+	PushCost int64
 }
 
-// TopKOverlapQuery is TopKOverlap over a pre-encoded query.
-func (e *Engine) TopKOverlapQuery(q Query, k int) []Match {
-	ms, _ := e.TopKOverlapQueryStats(q, k)
-	return ms
-}
-
-// TopKOverlapQueryStats is TopKOverlapQuery plus JOSIE work counters,
-// for planners that account per-stage cost.
-func (e *Engine) TopKOverlapQueryStats(q Query, k int) ([]Match, josie.Stats) {
+// TopKOverlap returns the k columns with the largest exact value
+// overlap with the query, ordered (overlap desc, column key asc). A nil
+// among searches the whole lake through JOSIE. Otherwise only the given
+// column keys are eligible (an empty list admits nothing), and the
+// engine picks the cheaper of two paths from what it can count: it
+// enumerates the candidates and scores each exactly (cheap when few
+// survive a planner's prefilters), or masks JOSIE's posting traversal
+// to them (cheap when the query's posting lists are shorter than the
+// candidates' combined token lists). Per-column overlaps are
+// independent and the order is total, so both paths return exactly the
+// whole-lake ranking filtered to among and cut to k; OverlapStats
+// records the choice. An empty query wraps table.ErrBadQuery.
+func (e *Engine) TopKOverlap(ctx context.Context, q Query, k int, among []string) ([]Match, OverlapStats, error) {
 	if len(q.IDs) == 0 {
-		return nil, josie.Stats{}
+		return nil, OverlapStats{}, errEmptyQuery
 	}
-	res, jst := e.searcher.TopKIDs(q.IDs, k, josie.Adaptive, nil)
-	return overlapMatches(make([]Match, 0, len(res)), res, len(q.IDs)), jst
+	if among == nil {
+		res, jst := e.searcher.TopKIDs(q.IDs, k, josie.Adaptive, nil)
+		st := OverlapStats{Work: int64(jst.PostingsRead + jst.TokensRead)}
+		return overlapMatches(make([]Match, 0, len(res)), res, len(q.IDs)), st, nil
+	}
+	var st OverlapStats
+	for _, key := range among {
+		st.EnumCost += int64(len(q.IDs) + len(e.IDSet(key)))
+	}
+	// The masked traversal scans at most every query token's posting
+	// list plus the mask build over the candidate list.
+	for _, id := range q.IDs {
+		st.PushCost += int64(e.ValueDF(id))
+	}
+	st.PushCost += int64(len(among))
+	if st.PushCost < st.EnumCost {
+		st.Pushdown = true
+		var ms []Match
+		ms, st.Work = e.overlapMasked(q, among, k)
+		return ms, st, nil
+	}
+	st.Work = st.EnumCost
+	ms, err := e.overlapEnumerated(ctx, q, among, k)
+	return ms, st, err
 }
 
-// TopKOverlapAlgo is TopKOverlap with an explicit JOSIE strategy, for
-// the benchmark ablation.
-func (e *Engine) TopKOverlapAlgo(values []string, k int, algo josie.Algorithm) ([]Match, josie.Stats) {
-	q := e.EncodeQuery(values)
-	if len(q.IDs) == 0 {
-		return nil, josie.Stats{}
-	}
-	res, st := e.searcher.TopKIDs(q.IDs, k, algo, nil)
-	return overlapMatches(make([]Match, 0, len(res)), res, len(q.IDs)), st
+// overlapMasked is the restricted search through JOSIE with the allowed
+// set pushed into the posting traversal, so JOSIE's early stops apply
+// as they do to the whole lake. among must be non-empty: a nil list
+// would lift the restriction. It reports the work units spent.
+func (e *Engine) overlapMasked(q Query, among []string, k int) ([]Match, int64) {
+	res, jst := e.searcher.TopKIDs(q.IDs, k, josie.Adaptive, among)
+	// A nil dst: zero hits must stay a nil slice, like the enumerated
+	// path's.
+	return overlapMatches(nil, res, len(q.IDs)), int64(jst.PostingsRead+jst.TokensRead) + int64(len(among))
 }
 
-// overlapMatches appends JOSIE's hits to dst as matches of a query with
-// qlen distinct values.
-func overlapMatches(dst []Match, res []josie.Result, qlen int) []Match {
-	for _, r := range res {
-		dst = append(dst, Match{
-			ColumnKey:   r.Key,
-			Overlap:     r.Overlap,
-			Containment: float64(r.Overlap) / float64(qlen),
-		})
-	}
-	return dst
-}
-
-// ContainmentSearch returns columns whose containment of the query is
-// likely >= threshold, via LSH Ensemble. With verify, candidates are
-// checked against exact containment (integer-set merges against the
-// precomputed per-column ID sets) and false positives dropped; the
-// verification fans out over QueryParallelism workers.
-func (e *Engine) ContainmentSearch(values []string, threshold float64, verify bool) ([]Match, error) {
-	return e.ContainmentSearchQuery(e.EncodeQuery(values), threshold, verify)
-}
-
-// ContainmentSearchQuery is ContainmentSearch over a pre-encoded query.
-func (e *Engine) ContainmentSearchQuery(q Query, threshold float64, verify bool) ([]Match, error) {
-	return e.ContainmentSearchQueryCtx(context.Background(), q, threshold, verify)
-}
-
-// ContainmentSearchQueryCtx is ContainmentSearchQuery with cooperative
-// cancellation: candidate verification checks ctx between candidates,
-// so a cancelled request stops burning verification work and returns
-// ctx.Err(). Results of a run that completes are bit-identical to the
-// context-free call. An empty query wraps table.ErrBadQuery.
-func (e *Engine) ContainmentSearchQueryCtx(ctx context.Context, q Query, threshold float64, verify bool) ([]Match, error) {
-	cands, err := e.containmentCandidates(q, threshold)
-	if err != nil {
-		return nil, err
-	}
-	return e.verifyContainment(ctx, q, cands, nil, threshold, verify)
-}
-
-// containmentCandidates is the LSH Ensemble stage of a containment
-// search: the positions in e.keys of the columns whose containment of
-// the query is likely >= threshold.
-func (e *Engine) containmentCandidates(q Query, threshold float64) ([]int32, error) {
-	if len(q.IDs) == 0 {
-		return nil, fmt.Errorf("join: empty query column: %w", table.ErrBadQuery)
-	}
-	sig := e.hasher.SignHashes(q.Hashes)
-	return e.ensemble.Query(sig, len(q.IDs), threshold)
-}
-
-// ContainmentCandidatesQuery runs only the LSH Ensemble candidate
-// generation of a containment search: the column keys whose containment
-// of the query is likely >= threshold, unverified. A staged query
-// planner uses it to intersect the sketch candidates with a prefiltered
-// allow-set before paying for exact verification; composing it with
-// VerifyContainmentQueryCtx over the full candidate list reproduces
-// ContainmentSearchQueryCtx bit-identically. An empty query wraps
-// table.ErrBadQuery.
-func (e *Engine) ContainmentCandidatesQuery(q Query, threshold float64) ([]string, error) {
-	cands, err := e.containmentCandidates(q, threshold)
-	if len(cands) == 0 {
-		return nil, err
-	}
-	keys := make([]string, len(cands))
-	for i, c := range cands {
-		keys[i] = e.keys[c]
-	}
-	return keys, nil
-}
-
-// VerifyContainmentQueryCtx exactly verifies the given candidate
-// column keys against the query and returns those with containment >=
-// threshold, ordered (containment desc, column key asc). Per-candidate
-// verification is independent, so restricting the candidate list and
-// verifying is bit-identical to verifying everything and filtering.
-func (e *Engine) VerifyContainmentQueryCtx(ctx context.Context, q Query, cands []string, threshold float64) ([]Match, error) {
-	if len(q.IDs) == 0 {
-		return nil, fmt.Errorf("join: empty query column: %w", table.ErrBadQuery)
-	}
-	at := make([]int32, len(cands))
-	for i, key := range cands {
-		at[i] = -1 // not indexed: an empty column
-		if sid, ok := e.inv.SetID(key); ok {
-			at[i] = sid
-		}
-	}
-	return e.verifyContainment(ctx, q, at, cands, threshold, true)
-}
-
-// verifyContainment scores the candidate columns at the given positions
-// of e.keys (-1: no such column, scored as empty). names, when non-nil,
-// runs parallel to cands and supplies the keys to report.
-func (e *Engine) verifyContainment(ctx context.Context, q Query, cands []int32, names []string, threshold float64, verify bool) ([]Match, error) {
-	type verdict struct {
-		m    Match
-		keep bool
-	}
-	verdicts, err := parallel.MapCtx(ctx, len(cands), parallel.Resolve(e.QueryParallelism), func(i int) (verdict, error) {
-		var m Match
-		var ids dict.IDSet
-		if names != nil {
-			m.ColumnKey = names[i]
-		} else {
-			m.ColumnKey = e.keys[cands[i]]
-		}
-		if cands[i] >= 0 {
-			ids = e.idsets[cands[i]]
-		}
-		if verify {
-			c := dict.Containment(q.IDs, ids)
-			if c < threshold {
-				return verdict{}, nil
-			}
-			m.Containment = c
-			m.Overlap = int(c*float64(len(q.IDs)) + 0.5)
-		}
-		return verdict{m: m, keep: true}, nil
+// overlapEnumerated is the restricted search by exact integer-set
+// overlap with every candidate, fanned out over QueryParallelism
+// workers: it keeps overlaps > 0 and returns the top k in JOSIE's
+// order. Keys that are not indexed score as empty columns.
+func (e *Engine) overlapEnumerated(ctx context.Context, q Query, among []string, k int) ([]Match, error) {
+	overlaps, err := parallel.MapCtx(ctx, len(among), parallel.Resolve(e.QueryParallelism), func(i int) (int, error) {
+		return dict.Overlap(q.IDs, e.IDSet(among[i])), nil
 	})
 	if err != nil {
 		return nil, err
 	}
 	var out []Match
-	for _, v := range verdicts {
-		if v.keep {
-			out = append(out, v.m)
-		}
-	}
-	sortMatches(out, func(m Match) float64 { return m.Containment })
-	return out, nil
-}
-
-// TopKOverlapAmongCtx is the restricted exact-overlap search: it
-// scores only the given candidate column keys (exact integer-set
-// overlap, fanned out over QueryParallelism workers), keeps those with
-// overlap > 0, and returns the top k ordered (overlap desc, column key
-// asc) — JOSIE's exact comparator. Because per-column overlaps are
-// independent, the result equals an unbounded TopKOverlapQuery filtered
-// to the candidate set and truncated to k; a staged planner uses it to
-// push table-level predicates below the exact scoring.
-func (e *Engine) TopKOverlapAmongCtx(ctx context.Context, q Query, cands []string, k int) ([]Match, error) {
-	if len(q.IDs) == 0 {
-		return nil, fmt.Errorf("join: empty query column: %w", table.ErrBadQuery)
-	}
-	overlaps, err := parallel.MapCtx(ctx, len(cands), parallel.Resolve(e.QueryParallelism), func(i int) (int, error) {
-		return dict.Overlap(q.IDs, e.IDSet(cands[i])), nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	var out []Match
-	for i, key := range cands {
+	for i, key := range among {
 		if overlaps[i] > 0 {
 			out = append(out, Match{
 				ColumnKey:   key,
@@ -462,6 +368,80 @@ func (e *Engine) TopKOverlapAmongCtx(ctx context.Context, q Query, cands []strin
 	if len(out) > k {
 		out = out[:k]
 	}
+	return out, nil
+}
+
+// overlapMatches appends JOSIE's hits to dst as matches of a query with
+// qlen distinct values.
+func overlapMatches(dst []Match, res []josie.Result, qlen int) []Match {
+	for _, r := range res {
+		dst = append(dst, Match{
+			ColumnKey:   r.Key,
+			Overlap:     r.Overlap,
+			Containment: float64(r.Overlap) / float64(qlen),
+		})
+	}
+	return dst
+}
+
+// ContainmentSearch returns the columns whose containment of the query
+// is >= threshold, ordered (containment desc, column key asc): LSH
+// Ensemble candidates, each exactly verified. It is
+// ContainmentCandidates and VerifyContainment composed. An empty query
+// wraps table.ErrBadQuery.
+func (e *Engine) ContainmentSearch(ctx context.Context, q Query, threshold float64) ([]Match, error) {
+	cands, err := e.ContainmentCandidates(q, threshold)
+	if err != nil {
+		return nil, err
+	}
+	return e.VerifyContainment(ctx, q, cands, threshold)
+}
+
+// ContainmentCandidates is the LSH Ensemble stage of a containment
+// search: the ordinals (positions in the engine's sorted key list, see
+// Key) of the columns whose containment of the query is likely >=
+// threshold, unverified. A staged planner intersects them with a
+// prefiltered allow-set before paying for exact verification.
+// Candidates travel as ordinals because that is what the ensemble
+// yields and what verification indexes by: no key is looked up or
+// copied per candidate. An empty query wraps table.ErrBadQuery.
+func (e *Engine) ContainmentCandidates(q Query, threshold float64) ([]int32, error) {
+	if len(q.IDs) == 0 {
+		return nil, errEmptyQuery
+	}
+	sig := e.hasher.SignHashes(q.Hashes)
+	return e.ensemble.Query(sig, len(q.IDs), threshold)
+}
+
+// VerifyContainment exactly scores the candidate columns at the given
+// ordinals (integer-set merges against the per-column ID sets, fanned
+// out over QueryParallelism workers, ctx checked between candidates)
+// and returns those with containment >= threshold, ordered (containment
+// desc, column key asc). Per-candidate verification is independent, so
+// restricting the candidate list and verifying is bit-identical to
+// verifying everything and filtering. An empty query wraps
+// table.ErrBadQuery.
+func (e *Engine) VerifyContainment(ctx context.Context, q Query, cands []int32, threshold float64) ([]Match, error) {
+	if len(q.IDs) == 0 {
+		return nil, errEmptyQuery
+	}
+	scores, err := parallel.MapCtx(ctx, len(cands), parallel.Resolve(e.QueryParallelism), func(i int) (float64, error) {
+		return dict.Containment(q.IDs, e.idsets[cands[i]]), nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	var out []Match
+	for i, c := range scores {
+		if c >= threshold {
+			out = append(out, Match{
+				ColumnKey:   e.keys[cands[i]],
+				Containment: c,
+				Overlap:     int(c*float64(len(q.IDs)) + 0.5),
+			})
+		}
+	}
+	sortMatches(out, func(m Match) float64 { return m.Containment })
 	return out, nil
 }
 
@@ -493,63 +473,6 @@ func (e *Engine) ColumnsWithValue(id uint32) []string {
 		out[i] = e.inv.Key(p.Set)
 	}
 	return out
-}
-
-// AmongStats reports how a restricted overlap search ran: which path
-// was chosen and the deterministic work units both paths were priced
-// at. Work units are wall-clock-free (posting entries scanned, set
-// tokens merged, candidates handled), so explain output is stable
-// across runs.
-type AmongStats struct {
-	// Pushdown is true when the allowed set was pushed into JOSIE's
-	// posting traversal instead of enumerating and scoring candidates.
-	Pushdown bool
-	// Work is the units the chosen path actually spent.
-	Work int64
-	// EnumCost and PushCost are the a-priori estimates the choice was
-	// made from.
-	EnumCost int64
-	PushCost int64
-}
-
-// TopKOverlapAmongStatsCtx is TopKOverlapAmongCtx with a cost-based
-// choice of execution path: it either enumerates the candidate columns
-// and scores each exactly (cheap when few survive the prefilters), or
-// masks JOSIE's posting traversal to the candidate set (cheap when the
-// query's posting lists are shorter than the candidates' combined
-// token lists; JOSIE's early stops then apply to the restricted search
-// as they do to the whole lake). Both paths return bit-identical
-// results — the exact top-k overlap among cands, ordered (overlap desc,
-// key asc) — so the choice is free; AmongStats records it.
-// allowPushdown false pins the enumerate path (the baseline planners
-// compare against).
-func (e *Engine) TopKOverlapAmongStatsCtx(ctx context.Context, q Query, cands []string, k int, allowPushdown bool) ([]Match, AmongStats, error) {
-	if len(q.IDs) == 0 {
-		return nil, AmongStats{}, fmt.Errorf("join: empty query column: %w", table.ErrBadQuery)
-	}
-	var st AmongStats
-	for _, key := range cands {
-		st.EnumCost += int64(len(q.IDs) + len(e.IDSet(key)))
-	}
-	// The masked traversal scans at most every query token's posting
-	// list plus the mask build over the candidate list.
-	for _, id := range q.IDs {
-		st.PushCost += int64(e.ValueDF(id))
-	}
-	st.PushCost += int64(len(cands))
-	if allowPushdown && st.PushCost < st.EnumCost {
-		st.Pushdown = true
-		// EnumCost > 0, so cands is non-empty: never the nil that would
-		// lift the restriction.
-		res, jst := e.searcher.TopKIDs(q.IDs, k, josie.Adaptive, cands)
-		st.Work = int64(jst.PostingsRead+jst.TokensRead) + int64(len(cands))
-		// A nil dst: zero hits must stay a nil slice, like the enumerate
-		// path's.
-		return overlapMatches(nil, res, len(q.IDs)), st, nil
-	}
-	st.Work = st.EnumCost
-	ms, err := e.TopKOverlapAmongCtx(ctx, q, cands, k)
-	return ms, st, err
 }
 
 // ColumnKeysOf returns the indexed column keys of one table, in sorted

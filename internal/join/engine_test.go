@@ -1,10 +1,11 @@
 package join
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"testing"
 
-	"tablehound/internal/josie"
 	"tablehound/internal/table"
 )
 
@@ -34,7 +35,10 @@ func demoEngine(t *testing.T) *Engine {
 func TestTopKOverlap(t *testing.T) {
 	e := demoEngine(t)
 	q := genVals("city", 50)
-	res := e.TopKOverlap(q, 3)
+	res, _, err := e.TopKOverlap(context.Background(), e.EncodeQuery(q), 3, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(res) != 3 {
 		t.Fatalf("results = %d", len(res))
 	}
@@ -50,16 +54,29 @@ func TestTopKOverlap(t *testing.T) {
 	}
 }
 
+// TestTopKOverlapAlgoStats checks the work units an overlap search
+// reports: a whole-lake search prices JOSIE's reads and estimates
+// nothing, a restricted one carries both estimates and spends the
+// cheaper.
 func TestTopKOverlapAlgoStats(t *testing.T) {
 	e := demoEngine(t)
-	q := genVals("city", 50)
-	for algo := josie.Algorithm(0); algo <= josie.Adaptive; algo++ { // every strategy
-		res, st := e.TopKOverlapAlgo(q, 2, algo)
-		if len(res) != 2 || res[0].Overlap != 50 {
-			t.Errorf("%v: res = %+v", algo, res)
+	q := e.EncodeQuery(genVals("city", 50))
+	for _, among := range [][]string{nil, e.keys} {
+		res, st, err := e.TopKOverlap(context.Background(), q, 2, among)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if st.PostingsRead == 0 {
-			t.Errorf("%v: no postings read", algo)
+		if len(res) != 2 || res[0].Overlap != 50 {
+			t.Errorf("among %v: res = %+v", among, res)
+		}
+		if st.Work == 0 {
+			t.Errorf("among %v: no work reported: %+v", among, st)
+		}
+		if among == nil && (st.Pushdown || st.EnumCost != 0 || st.PushCost != 0) {
+			t.Errorf("whole-lake search carries restricted-path estimates: %+v", st)
+		}
+		if among != nil && st.Work > min(st.EnumCost, st.PushCost) && !st.Pushdown {
+			t.Errorf("restricted search spent %d, estimates %d / %d", st.Work, st.EnumCost, st.PushCost)
 		}
 	}
 }
@@ -67,7 +84,7 @@ func TestTopKOverlapAlgoStats(t *testing.T) {
 func TestContainmentSearchVerified(t *testing.T) {
 	e := demoEngine(t)
 	q := genVals("city", 50)
-	res, err := e.ContainmentSearch(q, 0.7, true)
+	res, err := e.ContainmentSearch(context.Background(), e.EncodeQuery(q), 0.7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,8 +105,8 @@ func TestContainmentSearchVerified(t *testing.T) {
 
 func TestContainmentSearchEmptyQuery(t *testing.T) {
 	e := demoEngine(t)
-	if _, err := e.ContainmentSearch(nil, 0.5, true); err == nil {
-		t.Error("empty query should error")
+	if _, err := e.ContainmentSearch(context.Background(), e.EncodeQuery(nil), 0.5); !errors.Is(err, table.ErrBadQuery) {
+		t.Errorf("empty query: err = %v, want table.ErrBadQuery", err)
 	}
 }
 

@@ -1,6 +1,7 @@
 package join
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -82,7 +83,10 @@ func TestFuzzyExactEquijoinMissesWhatFuzzyFinds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	exact := e.TopKOverlap(clean, 1)
+	exact, _, err := e.TopKOverlap(context.Background(), e.EncodeQuery(clean), 1, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	exactOverlap := 0
 	if len(exact) > 0 {
 		exactOverlap = exact[0].Overlap

@@ -1,28 +1,37 @@
 package join
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"math"
 	"reflect"
 	"sync"
 	"testing"
+
+	"tablehound/internal/table"
 )
 
 // TestTopKOverlapEmptyQuery pins the divide-by-zero guard: a query
-// that normalizes to nothing returns no matches — never NaN scores.
+// that normalizes to nothing is a bad query on the whole-lake and the
+// restricted search alike — never NaN scores.
 func TestTopKOverlapEmptyQuery(t *testing.T) {
 	e := demoEngine(t)
+	ctx := context.Background()
 	for _, q := range [][]string{nil, {}, {"", "  ", "\t"}} {
-		if res := e.TopKOverlap(q, 3); res != nil {
-			t.Errorf("TopKOverlap(%q) = %+v, want nil", q, res)
-		}
-		res, _ := e.TopKOverlapAlgo(q, 3, 0)
-		if res != nil {
-			t.Errorf("TopKOverlapAlgo(%q) = %+v, want nil", q, res)
+		for _, among := range [][]string{nil, e.keys} {
+			res, _, err := e.TopKOverlap(ctx, e.EncodeQuery(q), 3, among)
+			if res != nil || !errors.Is(err, table.ErrBadQuery) {
+				t.Errorf("TopKOverlap(%q) = %+v, %v, want nil and table.ErrBadQuery", q, res, err)
+			}
 		}
 	}
 	// Sanity: a real query still produces finite containments.
-	for _, m := range e.TopKOverlap(genVals("city", 10), 3) {
+	real, _, err := e.TopKOverlap(ctx, e.EncodeQuery(genVals("city", 10)), 3, nil)
+	if err != nil || len(real) == 0 {
+		t.Fatalf("real query = %v, %v", real, err)
+	}
+	for _, m := range real {
 		if math.IsNaN(m.Containment) || math.IsInf(m.Containment, 0) {
 			t.Errorf("non-finite containment: %+v", m)
 		}
@@ -34,13 +43,14 @@ func TestTopKOverlapEmptyQuery(t *testing.T) {
 func TestEngineQueryParallelismParity(t *testing.T) {
 	e := demoEngine(t)
 	q := genVals("city", 50)
+	ctx, eq := context.Background(), e.EncodeQuery(q)
 	type run struct {
 		name string
 		exec func() interface{}
 	}
 	runs := []run{
 		{"ContainmentSearch", func() interface{} {
-			res, err := e.ContainmentSearch(q, 0.6, true)
+			res, err := e.ContainmentSearch(ctx, eq, 0.6)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -68,14 +78,18 @@ func TestEngineConcurrentQueries(t *testing.T) {
 	e := demoEngine(t)
 	e.QueryParallelism = 2
 	q := genVals("city", 50)
+	ctx, eq := context.Background(), e.EncodeQuery(q)
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 5; i++ {
-				e.TopKOverlap(q, 3)
-				if _, err := e.ContainmentSearch(q, 0.6, true); err != nil {
+				if _, _, err := e.TopKOverlap(ctx, eq, 3, nil); err != nil {
+					t.Error(err)
+					return
+				}
+				if _, err := e.ContainmentSearch(ctx, eq, 0.6); err != nil {
 					t.Error(err)
 					return
 				}

@@ -1,6 +1,7 @@
 package join
 
 import (
+	"context"
 	"errors"
 	"reflect"
 	"testing"
@@ -22,18 +23,20 @@ func TestEngineSnapshotRoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(back.keys, e.keys) || !reflect.DeepEqual(back.idsets, e.idsets) {
 		t.Fatal("keys or ID sets changed across the snapshot")
 	}
+	ctx := context.Background()
 	for _, key := range e.keys {
 		q := Query{IDs: e.IDSet(key)}
 		q.Hashes = e.EncodeQuery(e.dict.Decode(q.IDs)).Hashes
-		want, err := e.ContainmentSearchQuery(q, 0.3, true)
+		want, err := e.ContainmentSearch(ctx, q, 0.3)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got, err := back.ContainmentSearchQuery(q, 0.3, true); err != nil || !reflect.DeepEqual(got, want) {
+		if got, err := back.ContainmentSearch(ctx, q, 0.3); err != nil || !reflect.DeepEqual(got, want) {
 			t.Fatalf("%s: containment = %v (%v), want %v", key, got, err, want)
 		}
-		if got, want := back.TopKOverlapQuery(q, 5), e.TopKOverlapQuery(q, 5); !reflect.DeepEqual(got, want) {
-			t.Fatalf("%s: overlap = %v, want %v", key, got, want)
+		got, _, gerr := back.TopKOverlap(ctx, q, 5, nil)
+		if want, _, err := e.TopKOverlap(ctx, q, 5, nil); err != nil || gerr != nil || !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: overlap = %v (%v), want %v (%v)", key, got, gerr, want, err)
 		}
 	}
 }

@@ -18,15 +18,12 @@ import (
 // field layout (and therefore the marshaled bytes) match the unsharded
 // server exactly; ShardsOK is appended only when at least one shard
 // failed to contribute. A complete answer from a 1-shard router is
-// byte-identical to the shard's own answer.
+// byte-identical to the shard's own answer. The three ranked endpoints
+// share one wrapper: a DiscoverResponse marshals exactly like the
+// JoinResponse or UnionResponse it stands for.
 
-type joinRouterResponse struct {
-	server.JoinResponse
-	ShardsOK string `json:"shards_ok,omitempty"`
-}
-
-type unionRouterResponse struct {
-	server.UnionResponse
+type discoverRouterResponse struct {
+	server.DiscoverResponse
 	ShardsOK string `json:"shards_ok,omitempty"`
 }
 
@@ -35,10 +32,11 @@ type keywordRouterResponse struct {
 	ShardsOK string `json:"shards_ok,omitempty"`
 }
 
-type discoverRouterResponse struct {
-	server.DiscoverResponse
-	ShardsOK string `json:"shards_ok,omitempty"`
-}
+func (r *discoverRouterResponse) setShardsOK(s string) { r.ShardsOK = s }
+func (r *keywordRouterResponse) setShardsOK(s string)  { r.ShardsOK = s }
+
+// routerResponse is a merged answer that can be marked incomplete.
+type routerResponse interface{ setShardsOK(string) }
 
 // ShardStatus is one shard's health as the router last observed it.
 type ShardStatus struct {
@@ -84,41 +82,6 @@ type ReloadResponse struct {
 	Shards   []ReloadShard `json:"shards"`
 }
 
-// --- endpoint middleware (mirrors the shard server's) ---
-
-func (rt *Router) queryEndpoint(name string, h func(http.ResponseWriter, *http.Request)) http.HandlerFunc {
-	m := rt.endpoints[name]
-	return func(w http.ResponseWriter, r *http.Request) {
-		start := time.Now()
-		sw := &statusWriter{ResponseWriter: w}
-		h(sw, r)
-		m.requests.Inc()
-		if sw.status >= 400 {
-			m.errors.Inc()
-		}
-		m.latency.Observe(time.Since(start))
-	}
-}
-
-type statusWriter struct {
-	http.ResponseWriter
-	status int
-}
-
-func (w *statusWriter) WriteHeader(code int) {
-	if w.status == 0 {
-		w.status = code
-	}
-	w.ResponseWriter.WriteHeader(code)
-}
-
-func (w *statusWriter) Write(b []byte) (int, error) {
-	if w.status == 0 {
-		w.status = http.StatusOK
-	}
-	return w.ResponseWriter.Write(b)
-}
-
 // --- shared fan-out tail ---
 
 // gather runs the scatter-gather tail shared by every query endpoint:
@@ -126,22 +89,22 @@ func (w *statusWriter) Write(b []byte) (int, error) {
 // exact request bytes), fan-out of body to every eligible shard — with
 // a seed to route, as fanout describes — ok/failure triage, and the
 // degradation decision. merge turns the ok shard bodies into the
-// response value; its ShardsOK field is set by the caller-supplied
-// setPartial before marshaling when the answer is incomplete. Only
+// response value — given none, into the empty answer — which is marked
+// with the shards that contributed when the answer is incomplete. Only
 // complete answers are cached.
 func (rt *Router) gather(
 	w http.ResponseWriter, r *http.Request,
-	endpoint byte, path string, body []byte, seed *seedRoute,
-	merge func(bodies [][]byte) (any, error),
-	setPartial func(v any, shardsOK string),
-	empty func(shardsOK string) any,
+	endpoint string, path string, body []byte, seed *seedRoute,
+	merge func(bodies [][]byte) (routerResponse, error),
 ) {
 	total := len(rt.shards)
 	// Operational failure degrades to an empty 200, never a 5xx.
 	allDown := func() {
 		rt.allDown.Inc()
 		rt.markPartial(endpoint)
-		writeJSON(w, http.StatusOK, empty(fmt.Sprintf("0/%d", total)))
+		empty, _ := merge(nil)
+		empty.setShardsOK(fmt.Sprintf("0/%d", total))
+		server.WriteJSON(w, http.StatusOK, empty)
 	}
 	if seed != nil && seed.owner.state.Load().quarantined {
 		// Without the seed table no shard can answer.
@@ -152,11 +115,11 @@ func (rt *Router) gather(
 	var key string
 	if rt.cache != nil {
 		var kb qcache.KeyBuilder
-		kb.Byte(endpoint).U64(rt.genHash.Load()).Str(string(body))
+		kb.Byte(endpointKeyByte[endpoint]).U64(rt.genHash.Load()).Str(string(body))
 		key = kb.String()
 		if hit, ok := rt.cache.Get(key); ok {
 			w.Header().Set("X-Cache", "HIT")
-			writeJSONBytes(w, http.StatusOK, hit)
+			server.WriteJSONBytes(w, http.StatusOK, hit)
 			return
 		}
 		w.Header().Set("X-Cache", "MISS")
@@ -178,7 +141,7 @@ func (rt *Router) gather(
 		// propagated verbatim.
 		for _, res := range results {
 			if res.clientError() {
-				writeJSONBytes(w, res.status, res.body)
+				server.WriteJSONBytes(w, res.status, res.body)
 				return
 			}
 		}
@@ -188,266 +151,153 @@ func (rt *Router) gather(
 
 	v, err := merge(bodies)
 	if err != nil {
-		writeError(w, http.StatusBadGateway, "merging shard responses: "+err.Error())
+		server.WriteError(w, http.StatusBadGateway, "merging shard responses: "+err.Error())
 		return
 	}
 	complete := len(bodies) == total
 	if !complete {
 		rt.markPartial(endpoint)
-		setPartial(v, fmt.Sprintf("%d/%d", len(bodies), total))
+		v.setShardsOK(fmt.Sprintf("%d/%d", len(bodies), total))
 	}
 	out, err := json.Marshal(v)
 	if err != nil {
-		writeError(w, http.StatusInternalServerError, "encoding response: "+err.Error())
+		server.WriteError(w, http.StatusInternalServerError, "encoding response: "+err.Error())
 		return
 	}
 	if complete && key != "" {
 		rt.cache.Put(key, out)
 	}
-	writeJSONBytes(w, http.StatusOK, out)
+	server.WriteJSONBytes(w, http.StatusOK, out)
 }
 
-func (rt *Router) markPartial(endpoint byte) {
+// endpointKeyByte namespaces each query endpoint's cache keys.
+var endpointKeyByte = map[string]byte{"join": 'J', "union": 'U', "keyword": 'K', "discover": 'D'}
+
+func (rt *Router) markPartial(endpoint string) {
 	rt.partials.Inc()
-	switch endpoint {
-	case 'J':
-		rt.endpoints["join"].partial.Inc()
-	case 'U':
-		rt.endpoints["union"].partial.Inc()
-	case 'K':
-		rt.endpoints["keyword"].partial.Inc()
-	case 'D':
-		rt.endpoints["discover"].partial.Inc()
-	}
+	rt.endpoints[endpoint].partial.Inc()
+}
+
+// gatherRanked is the tail /v1/join, /v1/union and /v1/discover share
+// once each has decoded and validated its own request: every shard
+// answers with a body that decodes as a DiscoverResponse, the lists are
+// merged in the engines' order and cut to k, and the merged answer goes
+// out in the same wrapper.
+func (rt *Router) gatherRanked(w http.ResponseWriter, r *http.Request, endpoint string, body []byte, seed *seedRoute, q server.RankedRequest) {
+	rt.gather(w, r, endpoint, "/v1/"+endpoint, body, seed, func(bodies [][]byte) (routerResponse, error) {
+		matchLists := make([][]server.JoinMatch, 0, len(bodies))
+		scoreLists := make([][]server.TableScore, 0, len(bodies))
+		explains := make([][]discover.StageExplain, 0, len(bodies))
+		for _, b := range bodies {
+			var resp server.DiscoverResponse
+			if err := json.Unmarshal(b, &resp); err != nil {
+				return nil, err
+			}
+			if resp.Matches != nil {
+				matchLists = append(matchLists, *resp.Matches)
+			}
+			if resp.Results != nil {
+				scoreLists = append(scoreLists, *resp.Results)
+			}
+			explains = append(explains, resp.Explain)
+		}
+		out := &discoverRouterResponse{}
+		if q.Rel == discover.RelationJoin {
+			m := mergeJoinMatches(q.JoinMode == discover.ModeContainment, matchLists, q.K)
+			out.Matches = &m
+		} else {
+			rs := mergeScores(scoreLists, q.K)
+			out.Results = &rs
+		}
+		if q.Explain {
+			out.Explain = mergeExplains(explains)
+		}
+		return out, nil
+	})
 }
 
 // --- query endpoints ---
 
 func (rt *Router) handleJoin(w http.ResponseWriter, r *http.Request) {
 	var req server.JoinRequest
-	body, ok := decodeBody(w, r, &req)
+	body, ok := server.DecodeBody(w, r, &req)
 	if !ok {
 		return
 	}
-	k, err := server.CheckK(req.K)
+	q, err := req.Validate()
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
+		server.WriteError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	if _, err := server.ParseJoinMode(req.Mode); err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	byContainment := req.Mode == "containment"
-	rt.gather(w, r, 'J', "/v1/join", body, nil,
-		func(bodies [][]byte) (any, error) {
-			lists := make([][]server.JoinMatch, 0, len(bodies))
-			for _, b := range bodies {
-				var resp server.JoinResponse
-				if err := json.Unmarshal(b, &resp); err != nil {
-					return nil, err
-				}
-				lists = append(lists, resp.Matches)
-			}
-			return &joinRouterResponse{
-				JoinResponse: server.JoinResponse{
-					Matches: mergeJoinMatches(byContainment, lists, k),
-				},
-			}, nil
-		},
-		func(v any, shardsOK string) { v.(*joinRouterResponse).ShardsOK = shardsOK },
-		func(shardsOK string) any {
-			return &joinRouterResponse{
-				JoinResponse: server.JoinResponse{Matches: []server.JoinMatch{}},
-				ShardsOK:     shardsOK,
-			}
-		},
-	)
+	rt.gatherRanked(w, r, "join", body, nil, q)
 }
 
 func (rt *Router) handleUnion(w http.ResponseWriter, r *http.Request) {
 	var req server.UnionRequest
-	body, ok := decodeBody(w, r, &req)
+	body, ok := server.DecodeBody(w, r, &req)
 	if !ok {
 		return
 	}
-	k, err := server.CheckK(req.K)
+	q, err := req.Validate()
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
+		server.WriteError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	if _, err := server.ParseUnionMethod(req.Method); err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	if (req.TableID == "") == (req.Table == nil) {
-		writeError(w, http.StatusBadRequest, "exactly one of table_id or table must be set")
-		return
-	}
-
 	// A table_id query names a lake table that lives on exactly one
 	// shard; the others would answer 404, so they get it inline. The
 	// table keeps its ID there, which is what excludes it from results.
 	inline := req
 	inline.TableID = ""
-	rt.gather(w, r, 'U', "/v1/union", body, rt.seedFor(req.TableID, inline),
-		func(bodies [][]byte) (any, error) {
-			lists := make([][]server.TableScore, 0, len(bodies))
-			for _, b := range bodies {
-				var resp server.UnionResponse
-				if err := json.Unmarshal(b, &resp); err != nil {
-					return nil, err
-				}
-				lists = append(lists, resp.Results)
-			}
-			return &unionRouterResponse{
-				UnionResponse: server.UnionResponse{Results: mergeScores(lists, k)},
-			}, nil
-		},
-		func(v any, shardsOK string) { v.(*unionRouterResponse).ShardsOK = shardsOK },
-		func(shardsOK string) any {
-			return &unionRouterResponse{
-				UnionResponse: server.UnionResponse{Results: []server.TableScore{}},
-				ShardsOK:      shardsOK,
-			}
-		},
-	)
+	rt.gatherRanked(w, r, "union", body, rt.seedFor(req.TableID, inline), q)
 }
 
 func (rt *Router) handleKeyword(w http.ResponseWriter, r *http.Request) {
 	var req server.KeywordRequest
-	body, ok := decodeBody(w, r, &req)
+	body, ok := server.DecodeBody(w, r, &req)
 	if !ok {
 		return
 	}
-	k, err := server.CheckK(req.K)
+	k, mode, err := req.Validate()
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
+		server.WriteError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	if _, err := server.ParseKeywordMode(req.Mode); err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	mode := req.Mode
-	if mode == "" {
-		mode = "meta"
-	}
-	rt.gather(w, r, 'K', "/v1/keyword", body, nil,
-		func(bodies [][]byte) (any, error) {
-			var scores [][]server.TableScore
-			var clusters [][]server.ValueCluster
-			for _, b := range bodies {
-				var resp server.KeywordResponse
-				if err := json.Unmarshal(b, &resp); err != nil {
-					return nil, err
-				}
-				scores = append(scores, resp.Results)
-				clusters = append(clusters, resp.Clusters)
+	rt.gather(w, r, "keyword", "/v1/keyword", body, nil, func(bodies [][]byte) (routerResponse, error) {
+		var scores [][]server.TableScore
+		var clusters [][]server.ValueCluster
+		for _, b := range bodies {
+			var resp server.KeywordResponse
+			if err := json.Unmarshal(b, &resp); err != nil {
+				return nil, err
 			}
-			out := &keywordRouterResponse{}
-			if mode == "meta" {
-				out.Results = mergeScores(scores, k)
-			} else {
-				out.Clusters = mergeClusters(clusters, k)
-			}
-			return out, nil
-		},
-		func(v any, shardsOK string) { v.(*keywordRouterResponse).ShardsOK = shardsOK },
-		func(shardsOK string) any { return &keywordRouterResponse{ShardsOK: shardsOK} },
-	)
+			scores = append(scores, resp.Results)
+			clusters = append(clusters, resp.Clusters)
+		}
+		out := &keywordRouterResponse{}
+		if mode == 0 {
+			out.Results = mergeScores(scores, k)
+		} else {
+			out.Clusters = mergeClusters(clusters, k)
+		}
+		return out, nil
+	})
 }
 
 func (rt *Router) handleDiscover(w http.ResponseWriter, r *http.Request) {
 	var req server.DiscoverRequest
-	body, ok := decodeBody(w, r, &req)
+	body, ok := server.DecodeBody(w, r, &req)
 	if !ok {
 		return
 	}
-	k, err := server.CheckK(req.K)
+	q, err := req.Validate()
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
+		server.WriteError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	rel, err := discover.ParseRelation(req.Relation)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	if _, err := discover.ParseJoinMode(req.Mode); err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	if _, err := discover.ParseUnionMethod(req.Method); err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	seeds := 0
-	if req.TableID != "" {
-		seeds++
-	}
-	if req.Table != nil {
-		seeds++
-	}
-	if len(req.Values) > 0 {
-		seeds++
-	}
-	if seeds != 1 {
-		writeError(w, http.StatusBadRequest, "exactly one of table_id, table, or values must be set")
-		return
-	}
-	byContainment := req.Mode == "containment"
-	join := rel == discover.RelationJoin
-
-	emptyResp := func(shardsOK string) *discoverRouterResponse {
-		out := &discoverRouterResponse{ShardsOK: shardsOK}
-		if join {
-			m := []server.JoinMatch{}
-			out.Matches = &m
-		} else {
-			rs := []server.TableScore{}
-			out.Results = &rs
-		}
-		return out
-	}
-
 	// A table_id seed travels as it does for /v1/union.
 	inline := req
 	inline.TableID = ""
-	rt.gather(w, r, 'D', "/v1/discover", body, rt.seedFor(req.TableID, inline),
-		func(bodies [][]byte) (any, error) {
-			matchLists := make([][]server.JoinMatch, 0, len(bodies))
-			scoreLists := make([][]server.TableScore, 0, len(bodies))
-			explains := make([][]discover.StageExplain, 0, len(bodies))
-			for _, b := range bodies {
-				var resp server.DiscoverResponse
-				if err := json.Unmarshal(b, &resp); err != nil {
-					return nil, err
-				}
-				if resp.Matches != nil {
-					matchLists = append(matchLists, *resp.Matches)
-				}
-				if resp.Results != nil {
-					scoreLists = append(scoreLists, *resp.Results)
-				}
-				explains = append(explains, resp.Explain)
-			}
-			out := &discoverRouterResponse{}
-			if join {
-				m := mergeJoinMatches(byContainment, matchLists, k)
-				out.Matches = &m
-			} else {
-				rs := mergeScores(scoreLists, k)
-				out.Results = &rs
-			}
-			if req.Explain {
-				out.Explain = mergeExplains(explains)
-			}
-			return out, nil
-		},
-		func(v any, shardsOK string) { v.(*discoverRouterResponse).ShardsOK = shardsOK },
-		func(shardsOK string) any { return emptyResp(shardsOK) },
-	)
+	rt.gatherRanked(w, r, "discover", body, rt.seedFor(req.TableID, inline), q)
 }
 
 // --- admin & introspection ---
@@ -456,10 +306,10 @@ func (rt *Router) handleDiscover(w http.ResponseWriter, r *http.Request) {
 func (rt *Router) handleReload(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		w.Header().Set("Allow", http.MethodPost)
-		writeError(w, http.StatusMethodNotAllowed, "POST required")
+		server.WriteError(w, http.StatusMethodNotAllowed, "POST required")
 		return
 	}
-	writeJSON(w, http.StatusOK, rt.ReloadAll(r.Context()))
+	server.WriteJSON(w, http.StatusOK, rt.ReloadAll(r.Context()))
 }
 
 // ReloadAll rolls a reload across the shards one at a time, in shard
@@ -534,7 +384,7 @@ func (rt *Router) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	case up < len(shards):
 		status = "degraded"
 	}
-	writeJSON(w, http.StatusOK, HealthResponse{
+	server.WriteJSON(w, http.StatusOK, HealthResponse{
 		Status:        status,
 		UptimeSeconds: time.Since(rt.start).Seconds(),
 		ShardsOK:      fmt.Sprintf("%d/%d", up, len(shards)),
@@ -548,21 +398,9 @@ func (rt *Router) handleStats(w http.ResponseWriter, r *http.Request) {
 	uptime := time.Since(rt.start).Seconds()
 	eps := make(map[string]server.EndpointStats, len(rt.endpoints))
 	for name, m := range rt.endpoints {
-		reqs := m.requests.Value()
-		qps := 0.0
-		if uptime > 0 {
-			qps = float64(reqs) / uptime
-		}
-		eps[name] = server.EndpointStats{
-			Requests: reqs,
-			Errors:   m.errors.Value(),
-			QPS:      qps,
-			P50Ms:    float64(m.latency.Quantile(0.5)) / float64(time.Millisecond),
-			P95Ms:    float64(m.latency.Quantile(0.95)) / float64(time.Millisecond),
-			P99Ms:    float64(m.latency.Quantile(0.99)) / float64(time.Millisecond),
-		}
+		eps[name] = m.Stats(uptime)
 	}
-	writeJSON(w, http.StatusOK, StatsResponse{
+	server.WriteJSON(w, http.StatusOK, StatsResponse{
 		UptimeSeconds: uptime,
 		ShardsOK:      fmt.Sprintf("%d/%d", up, len(shards)),
 		Partials:      rt.partials.Value(),

@@ -131,10 +131,8 @@ type Router struct {
 }
 
 type endpointMetrics struct {
-	requests *obs.Counter
-	errors   *obs.Counter
-	partial  *obs.Counter
-	latency  *obs.Histogram
+	server.EndpointMetrics
+	partial *obs.Counter
 }
 
 // New builds a Router over the given shard addresses. The health loop
@@ -158,10 +156,12 @@ func New(cfg Config) (*Router, error) {
 	for _, name := range []string{"join", "union", "keyword", "discover"} {
 		lbl := fmt.Sprintf("endpoint=%q", name)
 		rt.endpoints[name] = &endpointMetrics{
-			requests: rt.reg.Counter("lakerouter_requests_total", "Requests handled, by endpoint.", lbl),
-			errors:   rt.reg.Counter("lakerouter_errors_total", "Requests answered with a non-2xx status, by endpoint.", lbl),
-			partial:  rt.reg.Counter("lakerouter_partial_total", "Requests answered 200 with fewer than all shards, by endpoint.", lbl),
-			latency:  rt.reg.Histogram("lakerouter_request_seconds", "End-to-end request latency, by endpoint.", lbl),
+			EndpointMetrics: server.EndpointMetrics{
+				Requests: rt.reg.Counter("lakerouter_requests_total", "Requests handled, by endpoint.", lbl),
+				Errors:   rt.reg.Counter("lakerouter_errors_total", "Requests answered with a non-2xx status, by endpoint.", lbl),
+				Latency:  rt.reg.Histogram("lakerouter_request_seconds", "End-to-end request latency, by endpoint.", lbl),
+			},
+			partial: rt.reg.Counter("lakerouter_partial_total", "Requests answered 200 with fewer than all shards, by endpoint.", lbl),
 		}
 	}
 	rt.partials = rt.reg.Counter("lakerouter_partial_responses_total", "Responses merged from fewer than all shards.", "")
@@ -193,10 +193,10 @@ func New(cfg Config) (*Router, error) {
 	}
 
 	rt.mux = http.NewServeMux()
-	rt.mux.HandleFunc("/v1/join", rt.queryEndpoint("join", rt.handleJoin))
-	rt.mux.HandleFunc("/v1/union", rt.queryEndpoint("union", rt.handleUnion))
-	rt.mux.HandleFunc("/v1/keyword", rt.queryEndpoint("keyword", rt.handleKeyword))
-	rt.mux.HandleFunc("/v1/discover", rt.queryEndpoint("discover", rt.handleDiscover))
+	rt.mux.HandleFunc("/v1/join", rt.endpoints["join"].Handler(rt.handleJoin))
+	rt.mux.HandleFunc("/v1/union", rt.endpoints["union"].Handler(rt.handleUnion))
+	rt.mux.HandleFunc("/v1/keyword", rt.endpoints["keyword"].Handler(rt.handleKeyword))
+	rt.mux.HandleFunc("/v1/discover", rt.endpoints["discover"].Handler(rt.handleDiscover))
 	rt.mux.HandleFunc("/v1/admin/reload", rt.handleReload)
 	rt.mux.HandleFunc("/healthz", rt.handleHealthz)
 	rt.mux.HandleFunc("/stats", rt.handleStats)
@@ -240,7 +240,7 @@ func (rt *Router) Handler() http.Handler {
 		defer func() {
 			if v := recover(); v != nil {
 				rt.panics.Inc()
-				writeError(w, http.StatusInternalServerError, fmt.Sprintf("internal error: %v", v))
+				server.WriteError(w, http.StatusInternalServerError, fmt.Sprintf("internal error: %v", v))
 			}
 		}()
 		rt.mux.ServeHTTP(w, r)
@@ -499,45 +499,4 @@ func (rt *Router) callShard(ctx context.Context, sh *shard, method, path string,
 		return 0, nil, err
 	}
 	return resp.StatusCode, out, nil
-}
-
-// --- response plumbing (mirrors the shard server's exactly, so a
-// 1-shard router is byte-identical on error paths too) ---
-
-func writeJSONBytes(w http.ResponseWriter, status int, body []byte) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_, _ = w.Write(body)
-}
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	body, err := json.Marshal(v)
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, err.Error())
-		return
-	}
-	writeJSONBytes(w, status, body)
-}
-
-func writeError(w http.ResponseWriter, status int, msg string) {
-	body, _ := json.Marshal(server.ErrorResponse{Error: msg})
-	writeJSONBytes(w, status, body)
-}
-
-func decodeBody(w http.ResponseWriter, r *http.Request, v any) ([]byte, bool) {
-	if r.Method != http.MethodPost {
-		w.Header().Set("Allow", http.MethodPost)
-		writeError(w, http.StatusMethodNotAllowed, "use POST with a JSON body")
-		return nil, false
-	}
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "reading body: "+err.Error())
-		return nil, false
-	}
-	if err := json.Unmarshal(body, v); err != nil {
-		writeError(w, http.StatusBadRequest, "parsing JSON body: "+err.Error())
-		return nil, false
-	}
-	return body, true
 }

@@ -382,10 +382,18 @@ func TestSingleShardByteParity(t *testing.T) {
 	}{
 		{"join overlap", "/v1/join", server.JoinRequest{Values: qt.Columns[0].Values, K: 5}},
 		{"join containment", "/v1/join", server.JoinRequest{Values: qt.Columns[0].Values, K: 5, Mode: "containment"}},
+		{"join containment threshold", "/v1/join", server.JoinRequest{Values: qt.Columns[0].Values, K: 5, Mode: "containment", Threshold: 0.3}},
+		{"join empty column", "/v1/join", server.JoinRequest{Values: []string{" "}, K: 5}},
 		{"join bad mode", "/v1/join", server.JoinRequest{Values: qt.Columns[0].Values, K: 5, Mode: "fuzzy"}},
 		{"union tus by id", "/v1/union", server.UnionRequest{TableID: qt.ID, K: 5}},
 		{"union starmie by id", "/v1/union", server.UnionRequest{TableID: qt.ID, K: 5, Method: "starmie"}},
 		{"union inline", "/v1/union", server.UnionRequest{Table: inline, K: 5}},
+		{"union santos inline", "/v1/union", server.UnionRequest{Table: inline, K: 5, Method: "santos"}},
+		{"union starmie inline", "/v1/union", server.UnionRequest{Table: inline, K: 5, Method: "starmie"}},
+		{"union d3l inline", "/v1/union", server.UnionRequest{Table: inline, K: 5, Method: "d3l"}},
+		{"union hollow inline", "/v1/union", server.UnionRequest{Table: &server.InlineTable{}, K: 5}},
+		{"discover union inline", "/v1/discover", server.DiscoverRequest{Table: inline, Relation: "union", K: 5}},
+		{"discover join inline containment", "/v1/discover", server.DiscoverRequest{Table: inline, Relation: "join", Mode: "containment", Threshold: 0.3, K: 5}},
 		{"union bad method", "/v1/union", server.UnionRequest{TableID: qt.ID, K: 5, Method: "psychic"}},
 		{"union both set", "/v1/union", server.UnionRequest{TableID: qt.ID, Table: inline, K: 5}},
 		{"union unknown table", "/v1/union", server.UnionRequest{TableID: "no-such-table", K: 5}},
@@ -481,18 +489,18 @@ func TestTwoShardUnionByTableID(t *testing.T) {
 		if resp.StatusCode != 200 {
 			t.Fatalf("shard-%d table: status %d: %s", n, resp.StatusCode, body)
 		}
-		var out unionRouterResponse
+		var out discoverRouterResponse
 		if err := json.Unmarshal(body, &out); err != nil {
 			t.Fatal(err)
 		}
 		if out.ShardsOK != "" {
 			t.Errorf("complete response carries shards_ok %q", out.ShardsOK)
 		}
-		if len(out.Results) == 0 {
+		if out.Results == nil || len(*out.Results) == 0 {
 			t.Fatalf("no results for %s", qt.ID)
 		}
 		seen := map[int]bool{}
-		for _, r := range out.Results {
+		for _, r := range *out.Results {
 			if r.TableID == qt.ID {
 				t.Errorf("query table %s in its own results", qt.ID)
 			}
@@ -563,11 +571,11 @@ func TestDegradation(t *testing.T) {
 	if resp.StatusCode != 200 {
 		t.Fatalf("owner-down union: status %d: %s", resp.StatusCode, body)
 	}
-	var uout unionRouterResponse
+	var uout discoverRouterResponse
 	if err := json.Unmarshal(body, &uout); err != nil {
 		t.Fatal(err)
 	}
-	if uout.ShardsOK != "0/2" || uout.Results == nil || len(uout.Results) != 0 {
+	if uout.ShardsOK != "0/2" || uout.Results == nil || len(*uout.Results) != 0 {
 		t.Errorf("owner-down union = %s, want empty results and shards_ok 0/2", body)
 	}
 
@@ -577,11 +585,11 @@ func TestDegradation(t *testing.T) {
 	if resp.StatusCode != 200 {
 		t.Fatalf("all shards down: status %d: %s", resp.StatusCode, body)
 	}
-	var jout joinRouterResponse
+	var jout discoverRouterResponse
 	if err := json.Unmarshal(body, &jout); err != nil {
 		t.Fatal(err)
 	}
-	if jout.ShardsOK != "0/2" || jout.Matches == nil || len(jout.Matches) != 0 {
+	if jout.ShardsOK != "0/2" || jout.Matches == nil || len(*jout.Matches) != 0 {
 		t.Errorf("all-down join = %s, want empty matches and shards_ok 0/2", body)
 	}
 
@@ -626,7 +634,7 @@ func TestManifestMismatchQuarantine(t *testing.T) {
 	if resp.StatusCode != 200 {
 		t.Fatalf("status %d: %s", resp.StatusCode, body)
 	}
-	var out joinRouterResponse
+	var out discoverRouterResponse
 	if err := json.Unmarshal(body, &out); err != nil {
 		t.Fatal(err)
 	}

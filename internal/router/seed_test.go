@@ -76,7 +76,7 @@ func (o inlineOracle) shardsOK(bodies [][]byte) string {
 	return fmt.Sprintf("%d/%d", len(bodies), len(o.addrs))
 }
 
-func (o inlineOracle) union(req server.UnionRequest) *unionRouterResponse {
+func (o inlineOracle) union(req server.UnionRequest) *discoverRouterResponse {
 	var bodies [][]byte
 	if tbl := o.seed(req.TableID); tbl != nil {
 		inline := req
@@ -92,8 +92,9 @@ func (o inlineOracle) union(req server.UnionRequest) *unionRouterResponse {
 		lists = append(lists, resp.Results)
 	}
 	k, _ := server.CheckK(req.K)
-	out := &unionRouterResponse{ShardsOK: o.shardsOK(bodies)}
-	out.Results = mergeScores(lists, k)
+	out := &discoverRouterResponse{ShardsOK: o.shardsOK(bodies)}
+	rs := mergeScores(lists, k)
+	out.Results = &rs
 	return out
 }
 
@@ -409,7 +410,7 @@ func TestSeedErrorMatrix(t *testing.T) {
 		shedding := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 			if r.Method == http.MethodPost {
 				w.Header().Set("Retry-After", "1")
-				writeError(w, http.StatusTooManyRequests, "server overloaded, retry later")
+				server.WriteError(w, http.StatusTooManyRequests, "server overloaded, retry later")
 				return
 			}
 			https[1].Config.Handler.ServeHTTP(w, r)

@@ -55,85 +55,130 @@ type DiscoverResponse struct {
 	Explain []discover.StageExplain `json:"explain,omitempty"`
 }
 
-func (s *Server) handleDiscover(w http.ResponseWriter, r *http.Request) {
-	var req DiscoverRequest
-	if !decodeBody(w, r, &req) {
-		return
+// RankedRequest is a validated /v1/join, /v1/union or /v1/discover
+// request in the one form the plan executor and the router's merge tail
+// take: the discover wire request the two bare endpoints are special
+// cases of — K capped, Threshold defaulted — with its relation, mode
+// and method parsed.
+type RankedRequest struct {
+	DiscoverRequest
+	Rel         discover.Relation
+	JoinMode    discover.JoinMode
+	UnionMethod discover.UnionMethod
+}
+
+// Validate checks a /v1/join request. A query column with no usable
+// values is left to the join engine, which raises that error once.
+func (req JoinRequest) Validate() (RankedRequest, error) {
+	return validateRanked(DiscoverRequest{
+		Values: req.Values, Relation: "join", Mode: req.Mode, Threshold: req.Threshold, K: req.K,
+	}, "")
+}
+
+// Validate checks a /v1/union request.
+func (req UnionRequest) Validate() (RankedRequest, error) {
+	return validateRanked(DiscoverRequest{
+		TableID: req.TableID, Table: req.Table, Relation: "union", Method: req.Method, K: req.K,
+	}, "table_id or table")
+}
+
+// Validate checks a /v1/discover request.
+func (req DiscoverRequest) Validate() (RankedRequest, error) {
+	return validateRanked(req, "table_id, table, or values")
+}
+
+// validateRanked is the request policy the three ranked endpoints and
+// the router in front of them share, in the order every surface
+// reports it: k, relation, mode, method, then — when seeds names the
+// seed members the endpoint accepts — that exactly one of them is set.
+// Every error wraps table.ErrBadQuery.
+func validateRanked(req DiscoverRequest, seeds string) (RankedRequest, error) {
+	q := RankedRequest{DiscoverRequest: req}
+	var err error
+	if q.K, err = CheckK(req.K); err != nil {
+		return q, err
 	}
-	k, err := CheckK(req.K)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
-		return
+	if q.Rel, err = discover.ParseRelation(req.Relation); err != nil {
+		return q, err
 	}
-	rel, err := discover.ParseRelation(req.Relation)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
-		return
+	if q.JoinMode, err = discover.ParseJoinMode(req.Mode); err != nil {
+		return q, err
 	}
-	mode, err := discover.ParseJoinMode(req.Mode)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
-		return
+	if q.UnionMethod, err = discover.ParseUnionMethod(req.Method); err != nil {
+		return q, err
 	}
-	method, err := discover.ParseUnionMethod(req.Method)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
-		return
+	if q.Threshold <= 0 {
+		q.Threshold = 0.5
 	}
-	seeds := 0
+	n := 0
 	if req.TableID != "" {
-		seeds++
+		n++
 	}
 	if req.Table != nil {
-		seeds++
+		n++
 	}
 	if len(req.Values) > 0 {
-		seeds++
+		n++
 	}
-	if seeds != 1 {
-		writeError(w, http.StatusBadRequest, "exactly one of table_id, table, or values must be set")
+	if seeds != "" && n != 1 {
+		return q, fmt.Errorf("exactly one of %s must be set: %w", seeds, table.ErrBadQuery)
+	}
+	return q, nil
+}
+
+func (s *Server) handleDiscover(w http.ResponseWriter, r *http.Request) {
+	var req DiscoverRequest
+	if _, ok := DecodeBody(w, r, &req); !ok {
 		return
 	}
-
+	q, err := req.Validate()
+	if err != nil {
+		WriteError(w, http.StatusBadRequest, err.Error())
+		return
+	}
 	snap := s.snap.Load()
 	// Like /v1/union, only table_id seeds are cached: inline tables
 	// and bare value columns would need their whole content hashed
 	// into the key.
 	var key string
-	if req.TableID != "" {
-		key = discoverKey(snap, rel, mode, method, k, req)
+	if q.TableID != "" {
+		key = discoverKey(snap, q)
 	}
+	s.serveRanked(w, r, snap, key, q, true)
+}
+
+// serveRanked is the one way from a validated ranked request to the
+// engines, whichever endpoint it arrived on: resolve the seed against
+// the snapshot, compile the discover plan, run it under admission
+// control, and encode the answer — a DiscoverResponse, which for an
+// unpredicated join or union request is byte for byte the bare
+// endpoint's JoinResponse or UnionResponse. observe feeds the planner
+// stage metrics, which count /v1/discover traffic only.
+func (s *Server) serveRanked(w http.ResponseWriter, r *http.Request, snap *snapshot, key string, q RankedRequest, observe bool) {
 	s.serveQuery(w, r, key, func(ctx context.Context) (any, error) {
-		q := discover.Query{
-			Column:     req.Column,
-			Relation:   req.Relation,
-			Mode:       req.Mode,
-			Method:     req.Method,
-			Threshold:  req.Threshold,
-			K:          k,
-			Predicates: req.Predicates,
+		dq := discover.Query{
+			Values:     q.Values,
+			Column:     q.Column,
+			Relation:   q.Relation,
+			Mode:       q.Mode,
+			Method:     q.Method,
+			Threshold:  q.Threshold,
+			K:          q.K,
+			Predicates: q.Predicates,
 		}
 		switch {
-		case req.TableID != "":
-			t := snap.sys.Catalog.Table(req.TableID)
-			if t == nil {
-				return nil, fmt.Errorf("table %q: %w", req.TableID, errNotFound)
+		case q.TableID != "":
+			if dq.Seed = snap.sys.Catalog.Table(q.TableID); dq.Seed == nil {
+				return nil, fmt.Errorf("table %q: %w", q.TableID, errNotFound)
 			}
-			q.Seed = t
-		case req.Table != nil:
-			t, err := inlineTable(req.Table)
+		case q.Table != nil:
+			t, err := inlineTable(q.Table)
 			if err != nil {
 				return nil, err
 			}
-			q.Seed = t
-		default:
-			q.Values = req.Values
+			dq.Seed = t
 		}
-		ord := discover.OrderCost
-		if s.cfg.FixedOrderPlanner {
-			ord = discover.OrderFixed
-		}
-		plan, err := discover.NewPlanOrdered(snap.sys, q, ord)
+		plan, err := discover.NewPlan(snap.sys, dq)
 		if err != nil {
 			return nil, err
 		}
@@ -141,9 +186,11 @@ func (s *Server) handleDiscover(w http.ResponseWriter, r *http.Request) {
 		if err != nil {
 			return nil, err
 		}
-		s.observeStages(res.Explain)
+		if observe {
+			s.observeStages(res.Explain)
+		}
 		var resp DiscoverResponse
-		if rel == discover.RelationJoin {
+		if q.Rel == discover.RelationJoin {
 			out := make([]JoinMatch, len(res.Matches))
 			for i, m := range res.Matches {
 				out[i] = JoinMatch{
@@ -153,10 +200,13 @@ func (s *Server) handleDiscover(w http.ResponseWriter, r *http.Request) {
 			}
 			resp.Matches = &out
 		} else {
-			out := unionScores(res.Tables)
+			out := make([]TableScore, len(res.Tables))
+			for i, t := range res.Tables {
+				out[i] = TableScore{TableID: t.TableID, Score: t.Score}
+			}
 			resp.Results = &out
 		}
-		if req.Explain {
+		if q.Explain {
 			resp.Explain = res.Explain
 		}
 		return resp, nil
@@ -166,25 +216,20 @@ func (s *Server) handleDiscover(w http.ResponseWriter, r *http.Request) {
 // discoverKey builds the cache key for a table_id-seeded discover
 // query: generation, relation/mode/method bytes, k, threshold, the
 // explain flag, the seed coordinates, and the predicate block.
-func discoverKey(snap *snapshot, rel discover.Relation, mode discover.JoinMode, method discover.UnionMethod, k int, req DiscoverRequest) string {
-	preds, _ := json.Marshal(req.Predicates)
-	threshold := req.Threshold
-	if threshold <= 0 {
-		threshold = 0.5
-	}
+func discoverKey(snap *snapshot, q RankedRequest) string {
+	preds, _ := json.Marshal(q.Predicates)
 	var explain byte
-	if req.Explain {
+	if q.Explain {
 		explain = 1
 	}
 	var kb qcache.KeyBuilder
-	kb.Byte('D').U64(snap.dataGen).Byte(byte(rel)).Byte(byte(mode)).Byte(byte(method)).
-		U32(uint32(k)).U64(math.Float64bits(threshold)).Byte(explain).
-		Str(req.TableID).Str(req.Column).Str(string(preds))
+	kb.Byte('D').U64(snap.dataGen).Byte(byte(q.Rel)).Byte(byte(q.JoinMode)).Byte(byte(q.UnionMethod)).
+		U32(uint32(q.K)).U64(math.Float64bits(q.Threshold)).Byte(explain).
+		Str(q.TableID).Str(q.Column).Str(string(preds))
 	return kb.String()
 }
 
-// inlineTable materializes an inline request table, the same way
-// /v1/union does.
+// inlineTable materializes an inline request table.
 func inlineTable(in *InlineTable) (*table.Table, error) {
 	cols := make([]*table.Column, len(in.Columns))
 	for i, c := range in.Columns {

@@ -1,55 +1,12 @@
 package server
 
 import (
-	"bytes"
 	"encoding/json"
 	"strings"
 	"testing"
 
 	"tablehound/internal/discover"
 )
-
-// --- cost-ordered planner: HTTP byte parity with the fixed order ---
-
-// TestDiscoverPlannerOrderByteParity pins that the cost-based planner
-// is invisible on the wire: a server with the default (cost) ordering
-// and one pinned to the fixed order answer every discover request with
-// identical bytes (explain off — stage rows legitimately differ).
-func TestDiscoverPlannerOrderByteParity(t *testing.T) {
-	_, costTS, gen := newTestServer(t, Config{})
-	_, fixedTS, _ := newTestServer(t, Config{FixedOrderPlanner: true})
-	qt := gen.Tables[0]
-	vals := qt.Columns[0].Values
-
-	cases := []struct {
-		name string
-		req  DiscoverRequest
-	}{
-		{"join with meta+keyword", DiscoverRequest{Values: vals, Relation: "join", K: 5,
-			Predicates: discover.Predicates{MinRows: 1, Keywords: "template0"}}},
-		{"join containment predicated", DiscoverRequest{Values: vals, Relation: "join", K: 5,
-			Mode: "containment", Threshold: 0.3,
-			Predicates: discover.Predicates{ColumnNames: []string{qt.Columns[0].Name}}}},
-		{"union all groups", DiscoverRequest{TableID: qt.ID, Relation: "union", K: 5,
-			Predicates: discover.Predicates{MinRows: 1, Keywords: "template1",
-				Values: []string{gen.Tables[2].Columns[0].Values[0]}}}},
-		{"any with values", DiscoverRequest{TableID: qt.ID, K: 5,
-			Predicates: discover.Predicates{Values: []string{gen.Tables[1].Columns[0].Values[0]}}}},
-		{"no predicates", DiscoverRequest{TableID: qt.ID, Relation: "union", K: 5}},
-	}
-	for _, c := range cases {
-		t.Run(c.name, func(t *testing.T) {
-			cResp, cBody := postJSON(t, costTS.URL+"/v1/discover", c.req)
-			fResp, fBody := postJSON(t, fixedTS.URL+"/v1/discover", c.req)
-			if cResp.StatusCode != fResp.StatusCode {
-				t.Fatalf("status: cost %d, fixed %d", cResp.StatusCode, fResp.StatusCode)
-			}
-			if !bytes.Equal(cBody, fBody) {
-				t.Errorf("bytes diverged:\ncost  %s\nfixed %s", cBody, fBody)
-			}
-		})
-	}
-}
 
 // TestDiscoverExplainEstimates checks the wire explain block carries
 // the cost-model fields: prefilter rows have est_out, a provably-total

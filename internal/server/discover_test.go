@@ -2,12 +2,20 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
+	"math"
 	"net/http"
+	"sort"
 	"strings"
 	"testing"
 
 	"tablehound/internal/discover"
+	"tablehound/internal/join"
+	"tablehound/internal/qcache"
+	"tablehound/internal/table"
+	"tablehound/internal/tokenize"
+	"tablehound/internal/union"
 )
 
 // --- satellite: uniform bad-query handling across every surface ---
@@ -62,54 +70,201 @@ func TestBadQuerySweep(t *testing.T) {
 
 // --- degenerate-case parity: discover == bare endpoint, bit for bit ---
 
-func TestDiscoverParityWithJoin(t *testing.T) {
-	_, ts, gen := newTestServer(t, Config{})
-	vals := gen.Tables[0].Columns[0].Values
+// parityRow is one question asked every way there is to ask it: the
+// bare endpoint, the unpredicated /v1/discover spelling, and the
+// core.System facade (or, where the facade has no method, the engine).
+type parityRow struct {
+	path   string
+	bare   any
+	disc   DiscoverRequest
+	direct func() (any, error) // the answer in the bare endpoint's wire type
+	// bareKey and discKey are the cache keys the documented layouts give
+	// the two requests; "" where the request is not cached.
+	bareKey, discKey string
+}
 
-	for _, c := range []struct {
-		name     string
-		join     JoinRequest
-		discover DiscoverRequest
-	}{
-		{
-			"overlap",
-			JoinRequest{Values: vals, K: 7},
-			DiscoverRequest{Values: vals, Relation: "join", K: 7},
+// check requires one answer, byte for byte, from all three, and on
+// replay a HIT with the same bytes exactly where a key is expected —
+// stored under that key, so the key bytes are pinned too.
+func (row parityRow) check(t *testing.T, srv *Server, url string) {
+	t.Helper()
+	want, err := row.direct()
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantBody, err := json.Marshal(want)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, ask := range []struct {
+		path string
+		req  any
+		key  string
+	}{{row.path, row.bare, row.bareKey}, {"/v1/discover", row.disc, row.discKey}} {
+		first, replay := "BYPASS", "BYPASS"
+		if ask.key != "" {
+			first, replay = "MISS", "HIT"
+		}
+		for _, wantCache := range []string{first, replay} {
+			resp, body := postJSON(t, url+ask.path, ask.req)
+			if resp.StatusCode != 200 {
+				t.Fatalf("%s: status %d: %s", ask.path, resp.StatusCode, body)
+			}
+			if !bytes.Equal(body, wantBody) {
+				t.Errorf("%s != direct answer\n got %s\nwant %s", ask.path, body, wantBody)
+			}
+			if got := resp.Header.Get("X-Cache"); got != wantCache {
+				t.Errorf("%s: X-Cache = %q, want %q", ask.path, got, wantCache)
+			}
+		}
+		if ask.key != "" {
+			if cached, ok := srv.cache.Get(ask.key); !ok || !bytes.Equal(cached, wantBody) {
+				t.Errorf("%s: nothing (or other bytes) cached under the documented key", ask.path)
+			}
+		}
+	}
+}
+
+func joinMatches(ms []join.Match, err error) (any, error) {
+	out := make([]JoinMatch, len(ms))
+	for i, m := range ms {
+		out[i] = JoinMatch{ColumnKey: m.ColumnKey, Overlap: m.Overlap, Containment: m.Containment, Jaccard: m.Jaccard}
+	}
+	return JoinResponse{Matches: out}, err
+}
+
+func TestDiscoverParityWithJoin(t *testing.T) {
+	srv, ts, gen := newTestServer(t, Config{CacheEntries: 64})
+	sys, snap := srv.System(), srv.snap.Load()
+	vals := gen.Tables[0].Columns[0].Values
+	// The 'J' key: generation, mode, k, the threshold in containment
+	// mode, then each distinct normalized value, sorted, as its dictionary
+	// ID.
+	joinKey := func(mode byte, threshold float64) string {
+		var kb qcache.KeyBuilder
+		kb.Byte('J').U64(snap.dataGen).Byte(mode).U32(7)
+		if mode == 1 {
+			kb.U64(math.Float64bits(threshold))
+		}
+		norm := tokenize.NormalizeSet(vals)
+		sort.Strings(norm)
+		for _, v := range norm {
+			id, ok := sys.Dict.ID(v)
+			if !ok {
+				t.Fatalf("lake value %q not in the dictionary", v)
+			}
+			kb.Byte(0).U32(id)
+		}
+		return kb.String()
+	}
+
+	for name, row := range map[string]parityRow{
+		"overlap": {
+			bare:    JoinRequest{Values: vals, K: 7},
+			disc:    DiscoverRequest{Values: vals, Relation: "join", K: 7},
+			direct:  func() (any, error) { return joinMatches(sys.JoinableColumns(vals, 7)) },
+			bareKey: joinKey(0, 0),
 		},
-		{
-			"containment",
-			JoinRequest{Values: vals, K: 7, Mode: "containment", Threshold: 0.3},
-			DiscoverRequest{Values: vals, Relation: "join", K: 7, Mode: "containment", Threshold: 0.3},
+		"containment": {
+			bare:    JoinRequest{Values: vals, K: 7, Mode: "containment", Threshold: 0.3},
+			disc:    DiscoverRequest{Values: vals, Relation: "join", K: 7, Mode: "containment", Threshold: 0.3},
+			direct:  func() (any, error) { return joinMatches(sys.ContainmentSearch(vals, 0.3, 7)) },
+			bareKey: joinKey(1, 0.3),
 		},
 	} {
-		t.Run(c.name, func(t *testing.T) {
-			jResp, jBody := postJSON(t, ts.URL+"/v1/join", c.join)
-			dResp, dBody := postJSON(t, ts.URL+"/v1/discover", c.discover)
-			if jResp.StatusCode != 200 || dResp.StatusCode != 200 {
-				t.Fatalf("status join %d discover %d (%s / %s)", jResp.StatusCode, dResp.StatusCode, jBody, dBody)
-			}
-			if !bytes.Equal(jBody, dBody) {
-				t.Errorf("discover join != /v1/join\n/v1/join:     %s\n/v1/discover: %s", jBody, dBody)
-			}
+		t.Run(name, func(t *testing.T) {
+			row.path = "/v1/join"
+			row.check(t, srv, ts.URL)
 		})
+	}
+
+	// A column with nothing left after normalization is a bad query on
+	// both spellings.
+	blank := []string{"", "  "}
+	for path, req := range map[string]any{
+		"/v1/join":     JoinRequest{Values: blank, K: 7},
+		"/v1/discover": DiscoverRequest{Values: blank, Relation: "join", K: 7},
+	} {
+		if resp, body := postJSON(t, ts.URL+path, req); resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("%s, empty column: status %d (%s), want 400", path, resp.StatusCode, body)
+		}
 	}
 }
 
 func TestDiscoverParityWithUnion(t *testing.T) {
-	_, ts, gen := newTestServer(t, Config{})
+	srv, ts, gen := newTestServer(t, Config{CacheEntries: 64})
+	sys, snap := srv.System(), srv.snap.Load()
 	qt := gen.Tables[0]
-
-	for _, method := range []string{"tus", "santos", "starmie", "d3l"} {
-		t.Run(method, func(t *testing.T) {
-			uResp, uBody := postJSON(t, ts.URL+"/v1/union",
-				UnionRequest{TableID: qt.ID, K: 6, Method: method})
-			dResp, dBody := postJSON(t, ts.URL+"/v1/discover",
-				DiscoverRequest{TableID: qt.ID, Relation: "union", K: 6, Method: method})
-			if uResp.StatusCode != 200 || dResp.StatusCode != 200 {
-				t.Fatalf("status union %d discover %d (%s / %s)", uResp.StatusCode, dResp.StatusCode, uBody, dBody)
+	inline := &InlineTable{ID: "q", Name: qt.Name}
+	for _, c := range qt.Columns {
+		inline.Columns = append(inline.Columns, InlineColumn{Name: c.Name, Values: c.Values})
+	}
+	ctx := context.Background()
+	unionScores := func(rs []union.Result, err error) (any, error) {
+		out := make([]TableScore, len(rs))
+		for i, r := range rs {
+			out[i] = TableScore{TableID: r.TableID, Score: r.Score}
+		}
+		return UnionResponse{Results: out}, err
+	}
+	engines := map[string]func(q *table.Table) (any, error){
+		"tus":    func(q *table.Table) (any, error) { return unionScores(sys.UnionableTables(q, 6)) },
+		"santos": func(q *table.Table) (any, error) { return unionScores(sys.Santos.Search(ctx, q, 6, union.Hybrid)) },
+		"starmie": func(q *table.Table) (any, error) {
+			ms, err := sys.Starmie.SearchTables(ctx, q, 6, 64, false)
+			rs := make([]union.Result, len(ms))
+			for i, m := range ms {
+				rs[i] = union.Result{TableID: m.TableID, Score: m.Score}
 			}
-			if !bytes.Equal(uBody, dBody) {
-				t.Errorf("discover union != /v1/union (%s)\n/v1/union:    %s\n/v1/discover: %s", method, uBody, dBody)
+			return unionScores(rs, err)
+		},
+		"d3l": func(q *table.Table) (any, error) { return unionScores(sys.D3L.Search(ctx, q, 6)) },
+	}
+
+	for mi, method := range []string{"tus", "santos", "starmie", "d3l"} {
+		t.Run(method, func(t *testing.T) {
+			t.Run("table_id", func(t *testing.T) {
+				// The 'U' and 'D' keys, laid out by hand.
+				var u, d qcache.KeyBuilder
+				u.Byte('U').U64(snap.dataGen).Byte(byte(mi)).U32(6).Str(qt.ID)
+				d.Byte('D').U64(snap.dataGen).Byte(byte(discover.RelationUnion)).Byte(0).Byte(byte(mi)).
+					U32(6).U64(math.Float64bits(0.5)).Byte(0).Str(qt.ID).Str("").Str("{}")
+				parityRow{
+					path:    "/v1/union",
+					bare:    UnionRequest{TableID: qt.ID, K: 6, Method: method},
+					disc:    DiscoverRequest{TableID: qt.ID, Relation: "union", K: 6, Method: method},
+					direct:  func() (any, error) { return engines[method](qt) },
+					bareKey: u.String(), discKey: d.String(),
+				}.check(t, srv, ts.URL)
+			})
+			t.Run("inline", func(t *testing.T) {
+				q, err := inlineTable(inline)
+				if err != nil {
+					t.Fatal(err)
+				}
+				parityRow{
+					path:   "/v1/union",
+					bare:   UnionRequest{Table: inline, K: 6, Method: method},
+					disc:   DiscoverRequest{Table: inline, Relation: "union", K: 6, Method: method},
+					direct: func() (any, error) { return engines[method](q) },
+				}.check(t, srv, ts.URL)
+			})
+			// Bad seeds fail alike on both spellings: an unknown table is
+			// 404, an inline table the method cannot use is 400.
+			hollow := &InlineTable{Columns: []InlineColumn{}}
+			for _, c := range []struct {
+				path string
+				req  any
+				want int
+			}{
+				{"/v1/union", UnionRequest{TableID: "no-such-table", K: 6, Method: method}, http.StatusNotFound},
+				{"/v1/discover", DiscoverRequest{TableID: "no-such-table", Relation: "union", K: 6, Method: method}, http.StatusNotFound},
+				{"/v1/union", UnionRequest{Table: hollow, K: 6, Method: method}, http.StatusBadRequest},
+				{"/v1/discover", DiscoverRequest{Table: hollow, Relation: "union", K: 6, Method: method}, http.StatusBadRequest},
+			} {
+				if resp, body := postJSON(t, ts.URL+c.path, c.req); resp.StatusCode != c.want {
+					t.Errorf("%s %+v: status %d (%s), want %d", c.path, c.req, resp.StatusCode, body, c.want)
+				}
 			}
 		})
 	}

@@ -2,19 +2,16 @@ package server
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
-	"io"
 	"math"
 	"net/http"
 	"sort"
 	"time"
 
-	"tablehound/internal/join"
+	"tablehound/internal/discover"
 	"tablehound/internal/qcache"
 	"tablehound/internal/table"
 	"tablehound/internal/tokenize"
-	"tablehound/internal/union"
 )
 
 // maxBodyBytes bounds request bodies; inline query tables fit well
@@ -246,148 +243,48 @@ type EndpointStats struct {
 
 func (s *Server) handleJoin(w http.ResponseWriter, r *http.Request) {
 	var req JoinRequest
-	if !decodeBody(w, r, &req) {
+	if _, ok := DecodeBody(w, r, &req); !ok {
 		return
 	}
-	k, err := CheckK(req.K)
+	q, err := req.Validate()
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
+		WriteError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	modeByte, err := ParseJoinMode(req.Mode)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	threshold := req.Threshold
-	if threshold <= 0 {
-		threshold = 0.5
-	}
-
 	snap := s.snap.Load()
-	key := s.joinKey(snap, modeByte, k, threshold, req.Values)
-	s.serveQuery(w, r, key, func(ctx context.Context) (any, error) {
-		var (
-			ms  []join.Match
-			err error
-		)
-		if modeByte == 0 {
-			ms, err = snap.sys.JoinableColumns(req.Values, k)
-		} else {
-			q := snap.sys.Join.EncodeQuery(req.Values)
-			if len(q.IDs) == 0 {
-				return nil, fmt.Errorf("query column has no usable values: %w", table.ErrBadQuery)
-			}
-			ms, err = snap.sys.Join.ContainmentSearchQueryCtx(ctx, q, threshold, true)
-			if err == nil && len(ms) > k {
-				ms = ms[:k]
-			}
-		}
-		if err != nil {
-			return nil, err
-		}
-		out := make([]JoinMatch, len(ms))
-		for i, m := range ms {
-			out[i] = JoinMatch{
-				ColumnKey: m.ColumnKey, Overlap: m.Overlap,
-				Containment: m.Containment, Jaccard: m.Jaccard,
-			}
-		}
-		return JoinResponse{Matches: out}, nil
-	})
+	s.serveRanked(w, r, snap, joinKey(snap, q), q, false)
 }
 
 func (s *Server) handleUnion(w http.ResponseWriter, r *http.Request) {
 	var req UnionRequest
-	if !decodeBody(w, r, &req) {
+	if _, ok := DecodeBody(w, r, &req); !ok {
 		return
 	}
-	k, err := CheckK(req.K)
+	q, err := req.Validate()
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
+		WriteError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	methodByte, err := ParseUnionMethod(req.Method)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	if (req.TableID == "") == (req.Table == nil) {
-		writeError(w, http.StatusBadRequest, "exactly one of table_id or table must be set")
-		return
-	}
-
 	snap := s.snap.Load()
 	var key string
-	resolve := func() (*table.Table, error) {
-		if req.TableID != "" {
-			t := snap.sys.Catalog.Table(req.TableID)
-			if t == nil {
-				return nil, fmt.Errorf("table %q: %w", req.TableID, errNotFound)
-			}
-			return t, nil
-		}
-		return inlineTable(req.Table)
-	}
-	if req.TableID != "" {
+	if q.TableID != "" {
 		// Inline tables are not cached: their content is the key and
 		// hashing it wholesale buys little for one-off queries.
 		var kb qcache.KeyBuilder
-		kb.Byte('U').U64(snap.dataGen).Byte(methodByte).U32(uint32(k)).Str(req.TableID)
+		kb.Byte('U').U64(snap.dataGen).Byte(byte(q.UnionMethod)).U32(uint32(q.K)).Str(q.TableID)
 		key = kb.String()
 	}
-	s.serveQuery(w, r, key, func(ctx context.Context) (any, error) {
-		q, err := resolve()
-		if err != nil {
-			return nil, err
-		}
-		var results []TableScore
-		switch methodByte {
-		case 0:
-			rs, err := snap.sys.TUS.SearchCtx(ctx, q, k, union.EnsembleMeasure)
-			if err != nil {
-				return nil, err
-			}
-			results = unionScores(rs)
-		case 1:
-			rs, err := snap.sys.Santos.SearchCtx(ctx, q, k, union.Hybrid)
-			if err != nil {
-				return nil, err
-			}
-			results = unionScores(rs)
-		case 2:
-			rs, err := snap.sys.Starmie.SearchTables(ctx, q, k, 64, false)
-			if err != nil {
-				return nil, err
-			}
-			results = make([]TableScore, len(rs))
-			for i, m := range rs {
-				results[i] = TableScore{TableID: m.TableID, Score: m.Score}
-			}
-		default:
-			rs, err := snap.sys.D3L.Search(ctx, q, k)
-			if err != nil {
-				return nil, err
-			}
-			results = unionScores(rs)
-		}
-		return UnionResponse{Results: results}, nil
-	})
+	s.serveRanked(w, r, snap, key, q, false)
 }
 
 func (s *Server) handleKeyword(w http.ResponseWriter, r *http.Request) {
 	var req KeywordRequest
-	if !decodeBody(w, r, &req) {
+	if _, ok := DecodeBody(w, r, &req); !ok {
 		return
 	}
-	k, err := CheckK(req.K)
+	k, modeByte, err := req.Validate()
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	modeByte, err := ParseKeywordMode(req.Mode)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
+		WriteError(w, http.StatusBadRequest, err.Error())
 		return
 	}
 
@@ -440,7 +337,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 			ManifestHash: fmt.Sprintf("%016x", sh.ManifestHash),
 		}
 	}
-	writeJSON(w, http.StatusOK, resp)
+	WriteJSON(w, http.StatusOK, resp)
 }
 
 // handleTable serves GET /v1/table?id=X: the named lake table in
@@ -449,25 +346,25 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleTable(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		w.Header().Set("Allow", http.MethodGet)
-		writeError(w, http.StatusMethodNotAllowed, "use GET with an id parameter")
+		WriteError(w, http.StatusMethodNotAllowed, "use GET with an id parameter")
 		return
 	}
 	id := r.URL.Query().Get("id")
 	if id == "" {
-		writeError(w, http.StatusBadRequest, "missing id parameter")
+		WriteError(w, http.StatusBadRequest, "missing id parameter")
 		return
 	}
 	snap := s.snap.Load()
 	t := snap.sys.Catalog.Table(id)
 	if t == nil {
-		writeError(w, http.StatusNotFound, fmt.Sprintf("table %q: not found", id))
+		WriteError(w, http.StatusNotFound, fmt.Sprintf("table %q: not found", id))
 		return
 	}
 	resp := TableResponse{ID: t.ID, Name: t.Name, Columns: make([]InlineColumn, len(t.Columns))}
 	for i, c := range t.Columns {
 		resp.Columns[i] = InlineColumn{Name: c.Name, Values: c.Values}
 	}
-	writeJSON(w, http.StatusOK, resp)
+	WriteJSON(w, http.StatusOK, resp)
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
@@ -476,19 +373,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	uptime := time.Since(s.start).Seconds()
 	eps := make(map[string]EndpointStats, len(s.endpoints))
 	for name, m := range s.endpoints {
-		reqs := m.requests.Value()
-		qps := 0.0
-		if uptime > 0 {
-			qps = float64(reqs) / uptime
-		}
-		eps[name] = EndpointStats{
-			Requests: reqs,
-			Errors:   m.errors.Value(),
-			QPS:      qps,
-			P50Ms:    ms(m.latency.Quantile(0.5)),
-			P95Ms:    ms(m.latency.Quantile(0.95)),
-			P99Ms:    ms(m.latency.Quantile(0.99)),
-		}
+		eps[name] = m.Stats(uptime)
 	}
 	ds2 := make(map[string]DiscoverStageStats, len(s.stages))
 	for name, m := range s.stages {
@@ -524,7 +409,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 			LastCompactGen: fmt.Sprintf("%016x", lin.LastCompactGen()),
 		}
 	}
-	writeJSON(w, http.StatusOK, StatsResponse{
+	WriteJSON(w, http.StatusOK, StatsResponse{
 		UptimeSeconds: uptime,
 		SnapshotGen:   snap.gen,
 		VecStore:      vs,
@@ -564,13 +449,13 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 // encoder IDs are not stable across queries and must not be keys).
 // This matches exactly the information join.EncodeQuery extracts, so
 // two requests with the same key provably produce the same result.
-func (s *Server) joinKey(snap *snapshot, modeByte byte, k int, threshold float64, values []string) string {
-	vals := tokenize.NormalizeSet(values)
+func joinKey(snap *snapshot, q RankedRequest) string {
+	vals := tokenize.NormalizeSet(q.Values)
 	sort.Strings(vals)
 	var kb qcache.KeyBuilder
-	kb.Byte('J').U64(snap.dataGen).Byte(modeByte).U32(uint32(k))
-	if modeByte == 1 {
-		kb.U64(math.Float64bits(threshold))
+	kb.Byte('J').U64(snap.dataGen).Byte(byte(q.JoinMode)).U32(uint32(q.K))
+	if q.JoinMode == discover.ModeContainment {
+		kb.U64(math.Float64bits(q.Threshold))
 	}
 	d := snap.sys.Dict
 	for _, v := range vals {
@@ -585,19 +470,9 @@ func (s *Server) joinKey(snap *snapshot, modeByte byte, k int, threshold float64
 	return kb.String()
 }
 
-func unionScores(rs []union.Result) []TableScore {
-	out := make([]TableScore, len(rs))
-	for i, r := range rs {
-		out[i] = TableScore{TableID: r.TableID, Score: r.Score}
-	}
-	return out
-}
-
 // CheckK applies the server-side top-k policy: an absent or
 // non-positive k is a bad query (wrapping table.ErrBadQuery → HTTP
-// 400) on every endpoint, and k is capped at maxK. Exported so the
-// shard-fanout router rejects and truncates with exactly the same
-// policy as the shards it fans to.
+// 400) on every endpoint, and k is capped at maxK.
 func CheckK(k int) (int, error) {
 	if k <= 0 {
 		return 0, fmt.Errorf("k must be a positive integer (got %d): %w", k, table.ErrBadQuery)
@@ -608,67 +483,20 @@ func CheckK(k int) (int, error) {
 	return k, nil
 }
 
-// ParseJoinMode maps the /v1/join mode string to its cache-key byte:
-// "" or "overlap" → 0, "containment" → 1. Unknown strings wrap
-// table.ErrBadQuery so every surface rejects them identically.
-func ParseJoinMode(mode string) (byte, error) {
-	switch mode {
-	case "", "overlap":
-		return 0, nil
-	case "containment":
-		return 1, nil
+// Validate checks a /v1/keyword request and returns the capped k and
+// the mode as its cache-key byte: "" or "meta" → 0, "values" → 1.
+// Errors wrap table.ErrBadQuery.
+func (req KeywordRequest) Validate() (k int, mode byte, err error) {
+	if k, err = CheckK(req.K); err != nil {
+		return 0, 0, err
 	}
-	return 0, fmt.Errorf("unknown join mode %q (want overlap or containment): %w", mode, table.ErrBadQuery)
-}
-
-// ParseUnionMethod maps the /v1/union method string to its cache-key
-// byte: "" or "tus" → 0, "santos" → 1, "starmie" → 2, "d3l" → 3.
-// Unknown strings wrap table.ErrBadQuery.
-func ParseUnionMethod(method string) (byte, error) {
-	switch method {
-	case "", "tus":
-		return 0, nil
-	case "santos":
-		return 1, nil
-	case "starmie":
-		return 2, nil
-	case "d3l":
-		return 3, nil
-	}
-	return 0, fmt.Errorf("unknown union method %q (want tus, santos, starmie, or d3l): %w", method, table.ErrBadQuery)
-}
-
-// ParseKeywordMode maps the /v1/keyword mode string to its cache-key
-// byte: "" or "meta" → 0, "values" → 1. Unknown strings wrap
-// table.ErrBadQuery.
-func ParseKeywordMode(mode string) (byte, error) {
-	switch mode {
+	switch req.Mode {
 	case "", "meta":
-		return 0, nil
+		return k, 0, nil
 	case "values":
-		return 1, nil
+		return k, 1, nil
 	}
-	return 0, fmt.Errorf("unknown keyword mode %q (want meta or values): %w", mode, table.ErrBadQuery)
+	return 0, 0, fmt.Errorf("unknown keyword mode %q (want meta or values): %w", req.Mode, table.ErrBadQuery)
 }
 
 func ms(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
-
-// decodeBody enforces POST, bounds the body, and parses JSON. On
-// failure it writes the error response and returns false.
-func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
-	if r.Method != http.MethodPost {
-		w.Header().Set("Allow", http.MethodPost)
-		writeError(w, http.StatusMethodNotAllowed, "use POST with a JSON body")
-		return false
-	}
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "reading body: "+err.Error())
-		return false
-	}
-	if err := json.Unmarshal(body, v); err != nil {
-		writeError(w, http.StatusBadRequest, "parsing JSON body: "+err.Error())
-		return false
-	}
-	return true
-}

@@ -31,6 +31,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"net/http"
 	"runtime"
@@ -70,11 +71,6 @@ type Config struct {
 	// that every upstream was built from the same manifest before
 	// fanning queries across them.
 	Shard *ShardIdentity
-	// FixedOrderPlanner pins /v1/discover to the fixed cheap→expensive
-	// prefilter order instead of the cost-based ordering. Results are
-	// bit-identical either way (prefilter intersection is commutative);
-	// the knob exists for A/B-ing stage costs and as an escape hatch.
-	FixedOrderPlanner bool
 }
 
 // ShardIdentity names the shard a server is serving and the manifest
@@ -146,7 +142,7 @@ type Server struct {
 
 	// Observability.
 	reg       *obs.Registry
-	endpoints map[string]*endpointMetrics
+	endpoints map[string]*EndpointMetrics
 	stages    map[string]*stageMetrics
 	inflight  *obs.Gauge
 	queued    *obs.Gauge
@@ -164,10 +160,66 @@ type Server struct {
 	testHookQueryStart func()
 }
 
-type endpointMetrics struct {
-	requests *obs.Counter
-	errors   *obs.Counter
-	latency  *obs.Histogram
+// EndpointMetrics are one query endpoint's serving counters: requests,
+// non-2xx answers, and latency. The server and the router each register
+// theirs under their own metric names and share the middleware that
+// feeds them and the /stats row that reads them.
+type EndpointMetrics struct {
+	Requests *obs.Counter
+	Errors   *obs.Counter
+	Latency  *obs.Histogram
+}
+
+// Handler wraps a query handler so every request is counted and timed;
+// the handler's final status code is read off the response writer.
+func (m *EndpointMetrics) Handler(h func(http.ResponseWriter, *http.Request)) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		start := time.Now()
+		sw := &statusWriter{ResponseWriter: w}
+		h(sw, r)
+		m.Requests.Inc()
+		if sw.status >= 400 {
+			m.Errors.Inc()
+		}
+		m.Latency.Observe(time.Since(start))
+	}
+}
+
+// Stats renders the endpoint's /stats row for a process up uptime
+// seconds.
+func (m *EndpointMetrics) Stats(uptime float64) EndpointStats {
+	reqs := m.Requests.Value()
+	qps := 0.0
+	if uptime > 0 {
+		qps = float64(reqs) / uptime
+	}
+	return EndpointStats{
+		Requests: reqs,
+		Errors:   m.Errors.Value(),
+		QPS:      qps,
+		P50Ms:    ms(m.Latency.Quantile(0.5)),
+		P95Ms:    ms(m.Latency.Quantile(0.95)),
+		P99Ms:    ms(m.Latency.Quantile(0.99)),
+	}
+}
+
+type statusWriter struct {
+	http.ResponseWriter
+	status int
+}
+
+func (w *statusWriter) WriteHeader(code int) {
+	if w.status == 0 {
+		w.status = code
+	}
+	w.ResponseWriter.WriteHeader(code)
+}
+
+func (w *statusWriter) Write(b []byte) (int, error) {
+	if w.status == 0 {
+		w.status = http.StatusOK
+	}
+	return w.ResponseWriter.Write(b)
 }
 
 // stageMetrics tracks one discover planner stage: latency,
@@ -194,13 +246,13 @@ func New(sys *core.System, cfg Config) *Server {
 	}
 	s.snap.Store(&snapshot{sys: sys, stats: sys.Catalog.Stats(), gen: 0, dataGen: sys.Generation()})
 
-	s.endpoints = make(map[string]*endpointMetrics)
+	s.endpoints = make(map[string]*EndpointMetrics)
 	for _, name := range []string{"join", "union", "keyword", "discover"} {
 		lbl := fmt.Sprintf("endpoint=%q", name)
-		s.endpoints[name] = &endpointMetrics{
-			requests: s.reg.Counter("lakeserved_requests_total", "Requests handled, by endpoint.", lbl),
-			errors:   s.reg.Counter("lakeserved_errors_total", "Requests answered with a non-2xx status, by endpoint.", lbl),
-			latency:  s.reg.Histogram("lakeserved_request_seconds", "Request latency, by endpoint.", lbl),
+		s.endpoints[name] = &EndpointMetrics{
+			Requests: s.reg.Counter("lakeserved_requests_total", "Requests handled, by endpoint.", lbl),
+			Errors:   s.reg.Counter("lakeserved_errors_total", "Requests answered with a non-2xx status, by endpoint.", lbl),
+			Latency:  s.reg.Histogram("lakeserved_request_seconds", "Request latency, by endpoint.", lbl),
 		}
 	}
 	s.stages = make(map[string]*stageMetrics)
@@ -233,10 +285,10 @@ func New(sys *core.System, cfg Config) *Server {
 	})
 
 	s.mux = http.NewServeMux()
-	s.mux.HandleFunc("/v1/join", s.queryEndpoint("join", s.handleJoin))
-	s.mux.HandleFunc("/v1/union", s.queryEndpoint("union", s.handleUnion))
-	s.mux.HandleFunc("/v1/keyword", s.queryEndpoint("keyword", s.handleKeyword))
-	s.mux.HandleFunc("/v1/discover", s.queryEndpoint("discover", s.handleDiscover))
+	s.mux.HandleFunc("/v1/join", s.endpoints["join"].Handler(s.handleJoin))
+	s.mux.HandleFunc("/v1/union", s.endpoints["union"].Handler(s.handleUnion))
+	s.mux.HandleFunc("/v1/keyword", s.endpoints["keyword"].Handler(s.handleKeyword))
+	s.mux.HandleFunc("/v1/discover", s.endpoints["discover"].Handler(s.handleDiscover))
 	s.mux.HandleFunc("/v1/table", s.handleTable)
 	s.mux.HandleFunc("/v1/admin/reload", s.handleReload)
 	s.mux.HandleFunc("/v1/admin/compact", s.handleCompact)
@@ -342,19 +394,19 @@ func (s *Server) Compact() (*core.System, error) {
 func (s *Server) handleCompact(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		w.Header().Set("Allow", http.MethodPost)
-		writeError(w, http.StatusMethodNotAllowed, "POST required")
+		WriteError(w, http.StatusMethodNotAllowed, "POST required")
 		return
 	}
 	sys, err := s.Compact()
 	if err != nil {
 		if errors.Is(err, errNoCompactor) {
-			writeError(w, http.StatusNotImplemented, err.Error())
+			WriteError(w, http.StatusNotImplemented, err.Error())
 			return
 		}
-		writeError(w, http.StatusInternalServerError, "compact failed: "+err.Error())
+		WriteError(w, http.StatusInternalServerError, "compact failed: "+err.Error())
 		return
 	}
-	writeJSON(w, http.StatusOK, CompactResponse{
+	WriteJSON(w, http.StatusOK, CompactResponse{
 		Generation: s.gen.Load(),
 		Tables:     sys.Catalog.Stats().Tables,
 		DeltaDepth: sys.Lineage.Depth(),
@@ -377,20 +429,20 @@ var errNoCompactor = errors.New("server: no compactor configured")
 func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		w.Header().Set("Allow", http.MethodPost)
-		writeError(w, http.StatusMethodNotAllowed, "POST required")
+		WriteError(w, http.StatusMethodNotAllowed, "POST required")
 		return
 	}
 	sys, err := s.Reload()
 	if err != nil {
 		if errors.Is(err, errNoReloader) {
-			writeError(w, http.StatusNotImplemented, err.Error())
+			WriteError(w, http.StatusNotImplemented, err.Error())
 			return
 		}
-		writeError(w, http.StatusInternalServerError, "reload failed: "+err.Error())
+		WriteError(w, http.StatusInternalServerError, "reload failed: "+err.Error())
 		return
 	}
 	st := sys.Catalog.Stats()
-	writeJSON(w, http.StatusOK, ReloadResponse{
+	WriteJSON(w, http.StatusOK, ReloadResponse{
 		Generation: s.gen.Load(),
 		Tables:     st.Tables,
 		Columns:    st.Columns,
@@ -438,7 +490,7 @@ func (s *Server) recoverMiddleware(next http.Handler) http.Handler {
 		defer func() {
 			if v := recover(); v != nil {
 				s.panics.Inc()
-				writeError(w, http.StatusInternalServerError, fmt.Sprintf("internal error: %v", v))
+				WriteError(w, http.StatusInternalServerError, fmt.Sprintf("internal error: %v", v))
 			}
 		}()
 		next.ServeHTTP(w, r)
@@ -449,46 +501,11 @@ func (s *Server) drainMiddleware(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if s.draining.Load() {
 			w.Header().Set("Connection", "close")
-			writeError(w, http.StatusServiceUnavailable, "server is shutting down")
+			WriteError(w, http.StatusServiceUnavailable, "server is shutting down")
 			return
 		}
 		next.ServeHTTP(w, r)
 	})
-}
-
-// queryEndpoint wraps a query handler with per-endpoint metrics. The
-// inner handler reports its final status code through statusWriter.
-func (s *Server) queryEndpoint(name string, h func(http.ResponseWriter, *http.Request)) http.HandlerFunc {
-	m := s.endpoints[name]
-	return func(w http.ResponseWriter, r *http.Request) {
-		start := time.Now()
-		sw := &statusWriter{ResponseWriter: w}
-		h(sw, r)
-		m.requests.Inc()
-		if sw.status >= 400 {
-			m.errors.Inc()
-		}
-		m.latency.Observe(time.Since(start))
-	}
-}
-
-type statusWriter struct {
-	http.ResponseWriter
-	status int
-}
-
-func (w *statusWriter) WriteHeader(code int) {
-	if w.status == 0 {
-		w.status = code
-	}
-	w.ResponseWriter.WriteHeader(code)
-}
-
-func (w *statusWriter) Write(b []byte) (int, error) {
-	if w.status == 0 {
-		w.status = http.StatusOK
-	}
-	return w.ResponseWriter.Write(b)
 }
 
 // --- query execution ---
@@ -559,7 +576,7 @@ func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, key string, 
 	if key != "" {
 		if body, ok := s.cache.Get(key); ok {
 			w.Header().Set("X-Cache", "HIT")
-			writeJSONBytes(w, http.StatusOK, body)
+			WriteJSONBytes(w, http.StatusOK, body)
 			return
 		}
 		w.Header().Set("X-Cache", "MISS")
@@ -576,18 +593,18 @@ func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, key string, 
 		} else if errors.Is(err, errSlotWait) {
 			w.Header().Set("Retry-After", s.retryAfter())
 		}
-		writeError(w, status, msg)
+		WriteError(w, status, msg)
 		return
 	}
 	body, err := json.Marshal(v)
 	if err != nil {
-		writeError(w, http.StatusInternalServerError, "encoding response: "+err.Error())
+		WriteError(w, http.StatusInternalServerError, "encoding response: "+err.Error())
 		return
 	}
 	if key != "" {
 		s.cache.Put(key, body)
 	}
-	writeJSONBytes(w, http.StatusOK, body)
+	WriteJSONBytes(w, http.StatusOK, body)
 }
 
 // retryAfter estimates how long a shed client should wait before
@@ -637,25 +654,50 @@ func errorStatus(err error) (int, string) {
 // errNotFound marks a lookup of an unknown table ID.
 var errNotFound = errors.New("not found")
 
-// --- response plumbing ---
+// --- the HTTP edge, shared with the router so a 1-shard router is
+// byte-identical on error paths too ---
 
-func writeJSONBytes(w http.ResponseWriter, status int, body []byte) {
+// DecodeBody enforces POST, bounds the body, and parses JSON into v.
+// On failure it writes the error response and returns false; on
+// success it also returns the raw bytes (the router forwards them).
+func DecodeBody(w http.ResponseWriter, r *http.Request, v any) ([]byte, bool) {
+	if r.Method != http.MethodPost {
+		w.Header().Set("Allow", http.MethodPost)
+		WriteError(w, http.StatusMethodNotAllowed, "use POST with a JSON body")
+		return nil, false
+	}
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	if err != nil {
+		WriteError(w, http.StatusBadRequest, "reading body: "+err.Error())
+		return nil, false
+	}
+	if err := json.Unmarshal(body, v); err != nil {
+		WriteError(w, http.StatusBadRequest, "parsing JSON body: "+err.Error())
+		return nil, false
+	}
+	return body, true
+}
+
+// WriteJSONBytes answers with an already-encoded JSON body.
+func WriteJSONBytes(w http.ResponseWriter, status int, body []byte) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	_, _ = w.Write(body)
 }
 
-func writeJSON(w http.ResponseWriter, status int, v any) {
+// WriteJSON encodes v and answers with it.
+func WriteJSON(w http.ResponseWriter, status int, v any) {
 	body, err := json.Marshal(v)
 	if err != nil {
-		writeError(w, http.StatusInternalServerError, err.Error())
+		WriteError(w, http.StatusInternalServerError, err.Error())
 		return
 	}
-	writeJSONBytes(w, status, body)
+	WriteJSONBytes(w, status, body)
 }
 
-func writeError(w http.ResponseWriter, status int, msg string) {
-	writeJSONBytes(w, status, mustMarshal(ErrorResponse{Error: msg}))
+// WriteError answers with the ErrorResponse envelope.
+func WriteError(w http.ResponseWriter, status int, msg string) {
+	WriteJSONBytes(w, status, mustMarshal(ErrorResponse{Error: msg}))
 }
 
 func mustMarshal(v any) []byte {

@@ -1,6 +1,7 @@
 package union
 
 import (
+	"context"
 	"errors"
 	"math"
 	"reflect"
@@ -20,12 +21,12 @@ func TestTUSSearchRequiresBuild(t *testing.T) {
 		t.Fatal(err)
 	}
 	fresh.AddTable(lake.Tables[0])
-	if _, err := fresh.Search(lake.Tables[1], 3, SetMeasure); !errors.Is(err, ErrNotBuilt) {
+	if _, err := fresh.Search(context.Background(), lake.Tables[1], 3, SetMeasure); !errors.Is(err, ErrNotBuilt) {
 		t.Errorf("Search before Build: err = %v, want ErrNotBuilt", err)
 	}
 	// Staging a table after Build un-freezes the index again.
 	tus.AddTable(confusableTables("restaged", 0, 1, 20)[0])
-	if _, err := tus.Search(lake.Tables[1], 3, SetMeasure); !errors.Is(err, ErrNotBuilt) {
+	if _, err := tus.Search(context.Background(), lake.Tables[1], 3, SetMeasure); !errors.Is(err, ErrNotBuilt) {
 		t.Errorf("Search after post-Build AddTable: err = %v, want ErrNotBuilt", err)
 	}
 }
@@ -39,12 +40,12 @@ func TestTUSQueryParallelismParity(t *testing.T) {
 		for _, q := range []int{0, 2} {
 			query := lake.Tables[q*7]
 			tus.QueryParallelism = 1
-			want, err := tus.Search(query, 6, m)
+			want, err := tus.Search(context.Background(), query, 6, m)
 			if err != nil {
 				t.Fatal(err)
 			}
 			tus.QueryParallelism = 8
-			got, err := tus.Search(query, 6, m)
+			got, err := tus.Search(context.Background(), query, 6, m)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -60,7 +61,7 @@ func TestTUSQueryParallelismParity(t *testing.T) {
 func TestTUSConcurrentSearch(t *testing.T) {
 	lake, tus := lakeAndTUS(t, false, true)
 	tus.QueryParallelism = 2 // exercise the per-query fan-out too
-	want, err := tus.Search(lake.Tables[0], 5, EnsembleMeasure)
+	want, err := tus.Search(context.Background(), lake.Tables[0], 5, EnsembleMeasure)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +73,7 @@ func TestTUSConcurrentSearch(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 4; i++ {
 				query := lake.Tables[(g*4+i)%len(lake.Tables)]
-				res, err := tus.Search(query, 5, EnsembleMeasure)
+				res, err := tus.Search(context.Background(), query, 5, EnsembleMeasure)
 				if err != nil {
 					errs <- err
 					return
@@ -97,7 +98,7 @@ func TestSantosSearchRequiresBuild(t *testing.T) {
 	for _, tbl := range groupA {
 		s.AddTable(tbl)
 	}
-	if _, err := s.Search(groupA[0], 3, SynthOnly); !errors.Is(err, ErrNotBuilt) {
+	if _, err := s.Search(context.Background(), groupA[0], 3, SynthOnly); !errors.Is(err, ErrNotBuilt) {
 		t.Errorf("Search before Build: err = %v, want ErrNotBuilt", err)
 	}
 }
@@ -110,12 +111,12 @@ func TestSantosQueryParallelismParity(t *testing.T) {
 		for _, query := range []int{0, 1} {
 			q := append(groupA, groupB...)[query*3]
 			s.QueryParallelism = 1
-			want, err := s.Search(q, 8, mode)
+			want, err := s.Search(context.Background(), q, 8, mode)
 			if err != nil {
 				t.Fatal(err)
 			}
 			s.QueryParallelism = 8
-			got, err := s.Search(q, 8, mode)
+			got, err := s.Search(context.Background(), q, 8, mode)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -138,7 +139,7 @@ func TestSantosConcurrentSearch(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < 4; i++ {
-				if _, err := s.Search(tables[(g+i)%len(tables)], 5, Hybrid); err != nil {
+				if _, err := s.Search(context.Background(), tables[(g+i)%len(tables)], 5, Hybrid); err != nil {
 					t.Error(err)
 					return
 				}

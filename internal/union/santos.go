@@ -203,25 +203,20 @@ func (s *Santos) PairFootprint() dict.Footprint {
 // query's, under the given knowledge mode. Search is a pure read: it
 // requires a prior Build (ErrNotBuilt otherwise) and is safe for
 // concurrent use; candidate verification fans out over
-// QueryParallelism workers with bit-identical results.
-func (s *Santos) Search(query *table.Table, k int, mode SantosMode) ([]Result, error) {
-	return s.SearchCtx(context.Background(), query, k, mode)
-}
-
-// SearchCtx is Search with cooperative cancellation: candidate
-// verification checks ctx between candidate tables. A query table
-// without the shape SANTOS needs wraps table.ErrBadQuery.
-func (s *Santos) SearchCtx(ctx context.Context, query *table.Table, k int, mode SantosMode) ([]Result, error) {
+// QueryParallelism workers with bit-identical results and checks ctx
+// between candidate tables. A query table without the shape SANTOS
+// needs wraps table.ErrBadQuery.
+func (s *Santos) Search(ctx context.Context, query *table.Table, k int, mode SantosMode) ([]Result, error) {
 	pq, err := s.Prepare(query)
 	if err != nil {
 		return nil, err
 	}
-	return s.ScoreAmongCtx(ctx, pq, s.Candidates(pq, mode), k, mode)
+	return s.ScoreAmong(ctx, pq, s.Candidates(pq, mode), k, mode)
 }
 
 // SantosQuery is a query table analyzed and pair-encoded against the
 // frozen pair dictionary. Prepare once, then reuse across Candidates
-// and ScoreAmongCtx so staged planners do not re-encode per stage.
+// and ScoreAmong so staged planners do not re-encode per stage.
 type SantosQuery struct {
 	id string
 	q  *santosTable
@@ -260,10 +255,10 @@ func (s *Santos) Candidates(pq *SantosQuery, mode SantosMode) []string {
 	return s.candidates(pq.q, mode)
 }
 
-// ScoreAmongCtx exactly scores the given candidate tables and returns
+// ScoreAmong exactly scores the given candidate tables and returns
 // the top k; with ids = Candidates(pq, mode) it is bit-identical to
-// SearchCtx.
-func (s *Santos) ScoreAmongCtx(ctx context.Context, pq *SantosQuery, ids []string, k int, mode SantosMode) ([]Result, error) {
+// Search.
+func (s *Santos) ScoreAmong(ctx context.Context, pq *SantosQuery, ids []string, k int, mode SantosMode) ([]Result, error) {
 	scores, err := parallel.MapCtx(ctx, len(ids), parallel.Resolve(s.QueryParallelism), func(i int) (float64, error) {
 		if ids[i] == pq.id {
 			return 0, nil

@@ -1,6 +1,7 @@
 package union
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -71,7 +72,7 @@ func topIDs(rs []Result) []string {
 func TestSantosDistinguishesRelationships(t *testing.T) {
 	for _, mode := range []SantosMode{SynthOnly, CuratedOnly, Hybrid} {
 		s, groupA, _ := buildSantos(t, curatedKB())
-		res, err := s.Search(groupA[0], 4, mode)
+		res, err := s.Search(context.Background(), groupA[0], 4, mode)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -101,7 +102,7 @@ func TestSantosColumnOnlyBaselineConfused(t *testing.T) {
 	if err := tus.Build(); err != nil {
 		t.Fatal(err)
 	}
-	res, err := tus.Search(groupA[0], 9, SetMeasure)
+	res, err := tus.Search(context.Background(), groupA[0], 9, SetMeasure)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +127,7 @@ func TestSantosCuratedDetectsPredicateMismatch(t *testing.T) {
 	// Hybrid mode with full coverage must use the curated verdict:
 	// tables with overlapping pairs but different predicates score low.
 	s, groupA, groupB := buildSantos(t, curatedKB())
-	res, err := s.Search(groupA[0], 10, Hybrid)
+	res, err := s.Search(context.Background(), groupA[0], 10, Hybrid)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +143,7 @@ func TestSantosCuratedDetectsPredicateMismatch(t *testing.T) {
 
 func TestSantosWithoutKB(t *testing.T) {
 	s, groupA, _ := buildSantos(t, nil)
-	res, err := s.Search(groupA[0], 4, SynthOnly)
+	res, err := s.Search(context.Background(), groupA[0], 4, SynthOnly)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +153,7 @@ func TestSantosWithoutKB(t *testing.T) {
 		}
 	}
 	// CuratedOnly without a KB finds nothing.
-	res, err = s.Search(groupA[0], 4, CuratedOnly)
+	res, err = s.Search(context.Background(), groupA[0], 4, CuratedOnly)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +178,7 @@ func TestSantosErrors(t *testing.T) {
 	oneCol := table.MustNew("q", "q", []*table.Column{
 		table.NewColumn("only", []string{"a", "b"}),
 	})
-	if _, err := s2.Search(oneCol, 3, SynthOnly); err == nil {
+	if _, err := s2.Search(context.Background(), oneCol, 3, SynthOnly); err == nil {
 		t.Error("unusable query should fail")
 	}
 	_ = groupA

@@ -427,27 +427,21 @@ var ErrNotBuilt = errors.New("union: index not built (call Build after adding ta
 // rebuild) and is safe for concurrent use. Candidate scoring — the
 // bipartite-matching + hypergeometric hot loop — fans out over
 // QueryParallelism workers into indexed slots, so results are
-// bit-identical to the sequential scan.
-func (t *TUS) Search(query *table.Table, k int, m Measure) ([]Result, error) {
-	return t.SearchCtx(context.Background(), query, k, m)
-}
-
-// SearchCtx is Search with cooperative cancellation: candidate scoring
-// checks ctx between candidate tables and a cancelled context returns
-// ctx.Err() instead of finishing the scan. A query without usable
-// string columns wraps table.ErrBadQuery. Results of a run that
-// completes are bit-identical to Search.
-func (t *TUS) SearchCtx(ctx context.Context, query *table.Table, k int, m Measure) ([]Result, error) {
+// bit-identical to the sequential scan; it checks ctx between candidate
+// tables, and a cancelled context returns ctx.Err() instead of
+// finishing the scan. A query without usable string columns wraps
+// table.ErrBadQuery.
+func (t *TUS) Search(ctx context.Context, query *table.Table, k int, m Measure) ([]Result, error) {
 	pq, err := t.Prepare(query)
 	if err != nil {
 		return nil, err
 	}
-	return t.ScoreAmongCtx(ctx, pq, t.Candidates(pq), k, m)
+	return t.ScoreAmong(ctx, pq, t.Candidates(pq), k, m)
 }
 
 // TUSQuery is a query table pre-encoded against the frozen index —
 // the table-level analogue of join.EncodeQuery. Prepare once, then
-// reuse across Candidates and ScoreAmongCtx so staged planners do not
+// reuse across Candidates and ScoreAmong so staged planners do not
 // re-encode per stage.
 type TUSQuery struct {
 	id    string
@@ -483,12 +477,12 @@ func (t *TUS) Candidates(pq *TUSQuery) []string {
 	return t.candidateTables(pq.qcols)
 }
 
-// ScoreAmongCtx exactly scores the given candidate tables and returns
+// ScoreAmong exactly scores the given candidate tables and returns
 // the top k. Because per-candidate scores are independent and the
 // final order is a total order, restricting ids before scoring yields
-// exactly the results SearchCtx would after dropping the same tables;
-// with ids = Candidates(pq) it is bit-identical to SearchCtx.
-func (t *TUS) ScoreAmongCtx(ctx context.Context, pq *TUSQuery, ids []string, k int, m Measure) ([]Result, error) {
+// exactly the results Search would after dropping the same tables;
+// with ids = Candidates(pq) it is bit-identical to Search.
+func (t *TUS) ScoreAmong(ctx context.Context, pq *TUSQuery, ids []string, k int, m Measure) ([]Result, error) {
 	scores, err := parallel.MapCtx(ctx, len(ids), parallel.Resolve(t.QueryParallelism), func(i int) (float64, error) {
 		if ids[i] == pq.id {
 			return 0, nil

@@ -1,6 +1,7 @@
 package union
 
 import (
+	"context"
 	"reflect"
 	"testing"
 
@@ -38,7 +39,7 @@ func TestTUSAddTablesMatchesSequential(t *testing.T) {
 		t.Fatal(err)
 	}
 	query := lake.Tables[0]
-	want, err := seq.Search(query, 5, EnsembleMeasure)
+	want, err := seq.Search(context.Background(), query, 5, EnsembleMeasure)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +53,7 @@ func TestTUSAddTablesMatchesSequential(t *testing.T) {
 		if err := par.Build(); err != nil {
 			t.Fatal(err)
 		}
-		got, err := par.Search(query, 5, EnsembleMeasure)
+		got, err := par.Search(context.Background(), query, 5, EnsembleMeasure)
 		if err != nil {
 			t.Fatal(err)
 		}

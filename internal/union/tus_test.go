@@ -1,6 +1,7 @@
 package union
 
 import (
+	"context"
 	"testing"
 
 	"tablehound/internal/datagen"
@@ -40,7 +41,7 @@ func TestTUSFindsUnionableTables(t *testing.T) {
 	lake, tus := lakeAndTUS(t, false, true)
 	query := lake.Tables[0]
 	truth := lake.UnionableWith(query.ID)
-	res, err := tus.Search(query, 4, EnsembleMeasure)
+	res, err := tus.Search(context.Background(), query, 4, EnsembleMeasure)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +67,7 @@ func TestTUSEnsembleAtLeastAsGoodAsSingles(t *testing.T) {
 		var relevant []map[string]bool
 		for i := 0; i < 6; i++ {
 			q := lake.Tables[i*5] // one query per template
-			res, err := tus.Search(q, 4, m)
+			res, err := tus.Search(context.Background(), q, 4, m)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -149,7 +150,7 @@ func TestTUSErrors(t *testing.T) {
 	numQuery := table.MustNew("n", "n", []*table.Column{
 		table.NewColumn("v", []string{"1", "2", "3"}),
 	})
-	if _, err := tus.Search(numQuery, 3, SetMeasure); err == nil {
+	if _, err := tus.Search(context.Background(), numQuery, 3, SetMeasure); err == nil {
 		t.Error("numeric-only query should fail")
 	}
 	if tus.NumTables() != 1 {
