@@ -78,7 +78,10 @@ bench-snapshot:
 # Incremental-vs-full cost of adding 10 tables to the 500-table lake:
 # BenchmarkDeltaAdd10 (lakectl add) against BenchmarkDeltaFullRebuild
 # (the from-scratch build it replaces), plus the merge-on-load cost a
-# compaction reclaims. Results recorded in EXPERIMENTS.md.
+# compaction reclaims — over that lake without the graph, and
+# (BenchmarkDeltaChainLoadFullPipeline) over the end-to-end benchmark's
+# 100-table `lifecycle` lake shape with every rebuilt stage on. Results
+# recorded in EXPERIMENTS.md.
 bench-delta:
 	$(GO) test -run xxx -bench 'BenchmarkDelta' -benchtime 2x -timeout 1200s .
 
@@ -113,10 +116,14 @@ benchdiff:
 # Vector-store benchmarks over a 100k-column-vector datagen corpus:
 # centroid-pruned exact search (recall@10 + dot-reduction per nprobe),
 # the exhaustive baseline, the heap-vs-mmap section reload ratio, and
-# the cosine-with-precomputed-norms micro-benchmark. Results are
-# recorded in EXPERIMENTS.md.
+# the cosine-with-precomputed-norms micro-benchmark; then the k-means
+# behind the centroids (14k × 64, k = 118) on one and two workers
+# beside the kernel it replaced. Results are recorded in
+# EXPERIMENTS.md.
 bench-vec:
 	$(GO) test -run xxx -bench 'BenchmarkVsearch|BenchmarkVecBlobLoad' \
 		-benchtime 200x -timeout 900s -count $(COUNT) ./internal/vecstore/
+	$(GO) test -run xxx -bench 'BenchmarkTrain' -benchmem -benchtime 5x \
+		-count $(COUNT) ./internal/vecstore/
 	$(GO) test -run xxx -bench 'BenchmarkCosine' -benchmem -count $(COUNT) \
 		./internal/embedding/

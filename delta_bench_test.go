@@ -20,11 +20,11 @@ import (
 	"tablehound/internal/table"
 )
 
-// deltaBench prepares, once per process and outside every timer: the
-// 500-table bench lake split into a 490-table base (built and saved to
-// disk) plus the 10 held-out tables a delta will add, and the full
-// catalog for the rebuild comparator.
-var deltaBench struct {
+// deltaFixture is one lake split into a base (built and saved to disk)
+// plus the 10 held-out tables a delta will add, and the full catalog
+// for the rebuild comparator — prepared once per process and outside
+// every timer.
+type deltaFixture struct {
 	once     sync.Once
 	dir      string
 	basePath string
@@ -34,50 +34,63 @@ var deltaBench struct {
 	err      error
 }
 
+// deltaBench is the 500-table bench lake (490-table base) with every
+// stage but the quadratic graph; deltaBenchFull is the end-to-end
+// benchmark's `lifecycle` lake shape (100 tables, 90-table base) with
+// the program's default options, so every stage a chain load derives —
+// fuzzy, organization, graph — is on.
+var deltaBench, deltaBenchFull deltaFixture
+
 func deltaBenchSetup(b *testing.B) {
-	deltaBench.once.Do(func() {
+	deltaBench.setup(b, 50, func(gen *datagen.Lake) core.Options {
+		return core.Options{KB: gen.BuildKB(0.8), Seed: 7, SkipGraph: true}
+	})
+}
+
+func (f *deltaFixture) setup(b *testing.B, tablesPerTemplate int, options func(*datagen.Lake) core.Options) {
+	f.once.Do(func() {
 		gen := datagen.Generate(datagen.Config{
 			Seed:              41,
 			NumDomains:        20,
 			DomainSize:        80,
 			NumTemplates:      10,
-			TablesPerTemplate: 50,
+			TablesPerTemplate: tablesPerTemplate,
 		})
 		tables := append([]*table.Table(nil), gen.Tables...)
 		sort.Slice(tables, func(i, j int) bool { return tables[i].ID < tables[j].ID })
 		baseTables, add := tables[:len(tables)-10], tables[len(tables)-10:]
 
-		opts := core.Options{KB: gen.BuildKB(0.8), Seed: 7, SkipGraph: true}
+		opts := options(gen)
 		cat := lake.NewCatalog()
-		if deltaBench.err = cat.AddBatch(baseTables); deltaBench.err != nil {
+		if f.err = cat.AddBatch(baseTables); f.err != nil {
 			return
 		}
 		sys, err := core.Build(cat, opts)
 		if err != nil {
-			deltaBench.err = err
+			f.err = err
 			return
 		}
 		dir, err := os.MkdirTemp("", "tablehound-delta-bench")
 		if err != nil {
-			deltaBench.err = err
+			f.err = err
 			return
 		}
 		basePath := filepath.Join(dir, "base.snap")
-		if deltaBench.err = sys.SaveFile(basePath); deltaBench.err != nil {
+		if f.err = sys.SaveFile(basePath); f.err != nil {
 			return
 		}
 		full := lake.NewCatalog()
-		if deltaBench.err = full.AddBatch(tables); deltaBench.err != nil {
+		if f.err = full.AddBatch(tables); f.err != nil {
 			return
 		}
-		deltaBench.dir = dir
-		deltaBench.basePath = basePath
-		deltaBench.add = add
-		deltaBench.fullCat = full
-		deltaBench.opts = opts
+		f.dir = dir
+		f.basePath = basePath
+		f.add = add
+		f.fullCat = full
+		f.opts = opts
 	})
-	if deltaBench.err != nil {
-		b.Fatal(deltaBench.err)
+	if f.err != nil {
+		b.Fatal(f.err)
 	}
 }
 
@@ -121,8 +134,21 @@ func BenchmarkDeltaFullRebuild(b *testing.B) {
 // compaction reclaims.
 func BenchmarkDeltaChainLoad(b *testing.B) {
 	deltaBenchSetup(b)
-	deltaPath := filepath.Join(deltaBench.dir, "chainload.thdb")
-	d, err := core.BuildDelta(deltaBench.basePath, nil, deltaBench.add, nil, core.Options{})
+	deltaBench.chainLoad(b)
+}
+
+// BenchmarkDeltaChainLoadFullPipeline is the same merge-on-load with
+// every rebuilt stage on, over the `lifecycle` lake shape: the
+// rebuild-on-load indexes (fuzzy's k-means above all) are derived once
+// per chain load, over the merged catalog, and this is what that costs.
+func BenchmarkDeltaChainLoadFullPipeline(b *testing.B) {
+	deltaBenchFull.setup(b, 10, func(*datagen.Lake) core.Options { return core.Options{} })
+	deltaBenchFull.chainLoad(b)
+}
+
+func (f *deltaFixture) chainLoad(b *testing.B) {
+	deltaPath := filepath.Join(f.dir, "chainload.thdb")
+	d, err := core.BuildDelta(f.basePath, nil, f.add, nil, core.Options{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -131,7 +157,7 @@ func BenchmarkDeltaChainLoad(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := core.LoadChainFiles(deltaBench.basePath, []string{deltaPath}, core.Options{}); err != nil {
+		if _, err := core.LoadChainFiles(f.basePath, []string{deltaPath}, core.Options{}); err != nil {
 			b.Fatal(err)
 		}
 	}

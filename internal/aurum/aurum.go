@@ -223,17 +223,43 @@ func (g *Graph) testPKFK(pk, fk *nodeData) {
 	}
 }
 
+// linkSchemas scores every cross-table column pair by label. Columns
+// are many and distinct labels few, so each label is normalised and
+// interned once and each label pair scored once: sims[a*nl+b] memoises
+// schema.LabelSimilarity in argument order (-1 = not yet scored),
+// which makes every edge and weight the one NameMatcher would produce
+// pair by pair.
 func (g *Graph) linkSchemas(nodes []nodeData) {
-	m := schema.NameMatcher{}
+	labelOf := make([]int, len(nodes))
+	var labels []string
+	ids := make(map[string]int)
 	for i := range nodes {
+		l := schema.NormLabel(nodes[i].name)
+		id, ok := ids[l]
+		if !ok {
+			id = len(labels)
+			ids[l] = id
+			labels = append(labels, l)
+		}
+		labelOf[i] = id
+	}
+	nl := len(labels)
+	sims := make([]float64, nl*nl)
+	for i := range sims {
+		sims[i] = -1
+	}
+	for i := range nodes {
+		row := sims[labelOf[i]*nl : (labelOf[i]+1)*nl]
 		for j := i + 1; j < len(nodes); j++ {
 			if nodes[i].tableID == nodes[j].tableID {
 				continue
 			}
-			ci := table.NewColumn(nodes[i].name, nil)
-			cj := table.NewColumn(nodes[j].name, nil)
-			if s := m.Score(ci, cj); s >= g.cfg.SchemaThreshold {
-				g.addEdge(Edge{From: nodes[i].key, To: nodes[j].key, Kind: SchemaSim, Weight: s})
+			s := &row[labelOf[j]]
+			if *s < 0 {
+				*s = schema.LabelSimilarity(labels[labelOf[i]], labels[labelOf[j]])
+			}
+			if *s >= g.cfg.SchemaThreshold {
+				g.addEdge(Edge{From: nodes[i].key, To: nodes[j].key, Kind: SchemaSim, Weight: *s})
 			}
 		}
 	}

@@ -2,8 +2,11 @@ package aurum
 
 import (
 	"fmt"
+	"reflect"
 	"testing"
 
+	"tablehound/internal/datagen"
+	"tablehound/internal/schema"
 	"tablehound/internal/table"
 )
 
@@ -193,5 +196,56 @@ func TestEdgeKindString(t *testing.T) {
 	if SchemaSim.String() != "schema" || ContentSim.String() != "content" ||
 		PKFK.String() != "pkfk" || EdgeKind(9).String() != "unknown" {
 		t.Error("EdgeKind strings wrong")
+	}
+}
+
+// linkSchemasReference is the pair-by-pair scoring linkSchemas
+// replaced, kept as the oracle: two throwaway columns and one
+// NameMatcher call for every cross-table column pair.
+func (g *Graph) linkSchemasReference(nodes []nodeData) {
+	m := schema.NameMatcher{}
+	for i := range nodes {
+		for j := i + 1; j < len(nodes); j++ {
+			if nodes[i].tableID == nodes[j].tableID {
+				continue
+			}
+			ci := table.NewColumn(nodes[i].name, nil)
+			cj := table.NewColumn(nodes[j].name, nil)
+			if s := m.Score(ci, cj); s >= g.cfg.SchemaThreshold {
+				g.addEdge(Edge{From: nodes[i].key, To: nodes[j].key, Kind: SchemaSim, Weight: s})
+			}
+		}
+	}
+}
+
+// TestLinkSchemasMatchesPerPairReference pins the memoised schema
+// linking to the per-pair NameMatcher scoring on a generated lake,
+// whose headers repeat across the tables of a template ("dom03_1" many
+// times over) and differ by one character between columns ("dom03_1" /
+// "dom03_2", "note_0" / "note_1"), plus hand-written labels that only
+// normalisation makes equal: same edges, same weights, same insertion
+// order — which is what keeps snapshot bytes unchanged.
+func TestLinkSchemasMatchesPerPairReference(t *testing.T) {
+	gen := datagen.Generate(datagen.Config{Seed: 5, NumDomains: 8, DomainSize: 30, NumTemplates: 5, TablesPerTemplate: 6})
+	var nodes []nodeData
+	for _, tb := range gen.Tables {
+		for _, c := range tb.Columns {
+			nodes = append(nodes, nodeData{key: table.ColumnKey(tb.ID, c.Name), tableID: tb.ID, name: c.Name})
+		}
+	}
+	for i, name := range []string{"Customer-ID", "customer_id", "customer id", "CustomerID", "", "_", "customer_ids"} {
+		id := fmt.Sprintf("hand%d", i)
+		nodes = append(nodes, nodeData{key: table.ColumnKey(id, name), tableID: id, name: name})
+	}
+	cfg := Config{}.withDefaults()
+	got := &Graph{cfg: cfg, adj: make(map[string][]Edge)}
+	want := &Graph{cfg: cfg, adj: make(map[string][]Edge)}
+	got.linkSchemas(nodes)
+	want.linkSchemasReference(nodes)
+	if want.NumEdges() == 0 {
+		t.Fatal("reference linked nothing; the fixture no longer exercises schema edges")
+	}
+	if !reflect.DeepEqual(got.adj, want.adj) {
+		t.Fatalf("memoised linking differs from the per-pair reference: %d edges, want %d", got.NumEdges(), want.NumEdges())
 	}
 }

@@ -417,10 +417,11 @@ func centroidK(n, forced, minRows, maxK int) int {
 // replicas share pages via mmap.
 func buildVecStore(s *System, opts Options) (int, error) {
 	b := vecstore.NewBuilder(s.Model.Dim())
-	for _, tok := range s.Model.Tokens() {
+	tokens, colKeys := s.Model.Tokens(), s.Starmie.ColumnKeys()
+	b.Grow(len(tokens) + len(colKeys))
+	for _, tok := range tokens {
 		b.Append("model", s.Model.TokenVector(tok))
 	}
-	colKeys := s.Starmie.ColumnKeys()
 	for _, key := range colKeys {
 		b.Append("starmie", s.Starmie.VectorOf(key))
 	}
@@ -431,7 +432,7 @@ func buildVecStore(s *System, opts Options) (int, error) {
 	if k := centroidK(len(colKeys), opts.VecCentroids, 128, 0); k > 0 {
 		// Seeding from the key-set hash makes centroids a pure function
 		// of the indexed lake: rebuilds are bit-reproducible.
-		if err := store.TrainCentroids("starmie", k, vecstore.HashStrings(colKeys)); err != nil {
+		if err := store.TrainCentroids("starmie", k, vecstore.HashStrings(colKeys), opts.Parallelism); err != nil {
 			return 0, err
 		}
 	}
@@ -567,7 +568,7 @@ func buildFuzzy(s *System, tables []*table.Table, opts Options) (int, error) {
 		for i, c := range batch {
 			keys[i] = c.Key
 		}
-		s.Fuzzy.BuildCentroids(k, vecstore.HashStrings(keys))
+		s.Fuzzy.BuildCentroids(k, vecstore.HashStrings(keys), opts.Parallelism)
 	}
 	return len(batch), nil
 }

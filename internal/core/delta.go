@@ -847,13 +847,19 @@ func applyMembership(d *Delta, path string, live map[string]uint64, gen uint64, 
 // interrupted between installing the new base and retiring its
 // consumed delta files — is skipped and reported via Lineage.Folded
 // rather than failing the load.
+//
+// The base is only decoded, not derived, while a merge may follow:
+// ApplyDeltas reads none of the rebuild-on-load indexes and derives
+// them over the merged catalog, so deriving them over the base first
+// would be done twice and discarded once. The base derives itself only
+// when nothing is left to apply and it is the system returned.
 func LoadChainFiles(basePath string, deltaPaths []string, opts Options) (*System, error) {
-	base, err := LoadFile(basePath, opts)
+	if len(deltaPaths) == 0 {
+		return LoadFile(basePath, opts)
+	}
+	base, err := decodeFile(basePath, opts)
 	if err != nil {
 		return nil, err
-	}
-	if len(deltaPaths) == 0 {
-		return base, nil
 	}
 	deltas := make([]*Delta, len(deltaPaths))
 	infos := make([]DeltaInfo, len(deltaPaths))
@@ -872,6 +878,9 @@ func LoadChainFiles(basePath string, deltaPaths []string, opts Options) (*System
 	folded := foldedPrefix(deltas, base.Lineage.Gen)
 	skipped := deltaPaths[:folded]
 	if folded == len(deltas) {
+		if err := base.derive(); err != nil {
+			return nil, err
+		}
 		base.Lineage.Folded = skipped
 		return base, nil
 	}
@@ -887,6 +896,8 @@ func LoadChainFiles(basePath string, deltaPaths []string, opts Options) (*System
 // system and returns the merged system. The base is consumed: its
 // model is rebound onto the merged vector block, so it must not keep
 // serving queries (load a fresh base per merge — LoadChainFiles does).
+// Only what a snapshot stores is read from the base; its Profiles,
+// Entities and Fuzzy may be nil.
 func ApplyDeltas(base *System, deltas []*Delta, infos []DeltaInfo) (*System, error) {
 	start := time.Now()
 	if base.Lineage == nil {

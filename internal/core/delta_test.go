@@ -541,6 +541,27 @@ func TestLoadChainSkipsFoldedDeltas(t *testing.T) {
 	if sys.Catalog.Table(added.ID) == nil {
 		t.Errorf("folded table %q missing from the catalog", added.ID)
 	}
+	// With nothing left to apply the base is the system returned, so it
+	// must have run the rebuild-on-load half a merge would have run for
+	// it: same derived indexes, same answers as a plain LoadFile.
+	if sys.Profiles == nil || sys.Entities == nil || sys.Fuzzy == nil {
+		t.Fatalf("fully folded chain load skipped the rebuild-on-load stages: Profiles %v, Entities %v, Fuzzy %v",
+			sys.Profiles != nil, sys.Entities != nil, sys.Fuzzy != nil)
+	}
+	plain, err := LoadFile(basePath, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := sys.Profiles.Len(), plain.Profiles.Len(); got != want {
+		t.Errorf("profiles = %d, LoadFile has %d", got, want)
+	}
+	for _, c := range added.Columns {
+		got, _ := sys.Fuzzy.Search(c.Values, 0.85, 0.5)
+		want, _ := plain.Fuzzy.Search(c.Values, 0.85, 0.5)
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("Fuzzy.Search(%s) over a folded chain differs from LoadFile", c.Name)
+		}
+	}
 
 	// BuildDelta over the same stale spec must chain onto the folded
 	// base, so `lakectl add` keeps working after the interrupted

@@ -241,14 +241,33 @@ func (s *System) Save(w io.Writer) error {
 // loaded system answers every search surface bit-identically to the
 // saved one. Load always reads the vector blob onto the heap; use
 // LoadFile for the zero-copy mmap path.
+//
+// A load is two halves run back to back: decode reads, checksums and
+// decodes every section, derive runs the rebuild-on-load stages over
+// what was decoded. A chain load runs only the first half on a base
+// the delta merge is about to consume (see LoadChainFiles).
 func Load(r io.Reader, opts Options) (*System, error) {
-	return load(r, nil, opts)
+	return thenDerive(decode(r, nil, opts))
 }
 
-// load is the shared implementation: when blobFile is non-nil the
-// vector blob is mmap'd from it at its recorded offset instead of
-// being read (and CRC-verified) through r.
-func load(r io.Reader, blobFile *os.File, opts Options) (*System, error) {
+// thenDerive runs the second half of a load on the outcome of the
+// first.
+func thenDerive(s *System, err error) (*System, error) {
+	if err != nil {
+		return nil, err
+	}
+	if err := s.derive(); err != nil {
+		return nil, err
+	}
+	return s, nil
+}
+
+// decode is the first half of a load: every section is read,
+// CRC-checked and decoded, and every stored engine is live, but the
+// rebuild-on-load fields (Profiles, Entities, Fuzzy) are still nil.
+// When blobFile is non-nil the vector blob is mmap'd from it at its
+// recorded offset instead of being read (and CRC-verified) through r.
+func decode(r io.Reader, blobFile *os.File, opts Options) (*System, error) {
 	start := time.Now()
 	version, _, err := snap.ReadHeader(r, snapMagic)
 	if err != nil {
@@ -446,13 +465,10 @@ func load(r io.Reader, blobFile *os.File, opts Options) (*System, error) {
 	bopts.KB = s.KB
 	s.buildOpts = bopts
 	lookup := s.Catalog.Table
-	tables := s.Catalog.Tables()
 	stats := newBuildStats(bopts.Parallelism)
 
 	// Phase 2b: the search engines, each depending only on phase-2a
-	// results, plus the rebuild-on-load stages (profiles, entities,
-	// fuzzy) — cheap deterministic functions of the loaded catalog,
-	// model, and dictionary that are not worth serializing.
+	// results.
 	g = newDecodeGroup(bopts.Parallelism > 1)
 	g.run(secJoin, secs, func(d *snap.Decoder) error {
 		eng, derr := join.DecodeEngineSnapshot(d, s.Dict, bopts.Parallelism)
@@ -501,6 +517,37 @@ func load(r io.Reader, blobFile *os.File, opts Options) (*System, error) {
 		s.Starmie = ix
 		return nil
 	})
+	if err := g.wait(); err != nil {
+		return nil, err
+	}
+
+	for _, st := range []int{stageModel, stageDict, stageKeyword, stageJoin,
+		stageCorr, stageMate, stageTUS, stageSantos, stageD3L, stageStarmie,
+		stageStats, stageVecs} {
+		stats.Stages[st].Items = -1 // loaded from snapshot, not rebuilt
+	}
+	if bopts.SkipOrganization {
+		stats.skip(stageOrg)
+	}
+	if bopts.SkipGraph {
+		stats.skip(stageGraph)
+	}
+	stats.Total = time.Since(start)
+	s.BuildStats = stats
+	return s, nil
+}
+
+// derive is the second half of a load: the rebuild-on-load stages
+// (profiles, entities, fuzzy) — deterministic functions of the decoded
+// catalog, model and dictionary that are not worth serializing. It
+// runs on a system that will serve as decoded; a base the delta merge
+// consumes skips it, because the merge derives the same three over the
+// merged catalog instead.
+func (s *System) derive() error {
+	start := time.Now()
+	bopts, stats := s.buildOpts, s.BuildStats
+	tables := s.Catalog.Tables()
+	g := newDecodeGroup(bopts.Parallelism > 1)
 	g.do(func() error {
 		return stats.time(stageProfiles, func() (int, error) {
 			s.Profiles = profile.NewIndexN(tables, bopts.Parallelism)
@@ -522,24 +569,9 @@ func load(r io.Reader, blobFile *os.File, opts Options) (*System, error) {
 			})
 		})
 	}
-	if err := g.wait(); err != nil {
-		return nil, err
-	}
-
-	for _, st := range []int{stageModel, stageDict, stageKeyword, stageJoin,
-		stageCorr, stageMate, stageTUS, stageSantos, stageD3L, stageStarmie,
-		stageStats, stageVecs} {
-		stats.Stages[st].Items = -1 // loaded from snapshot, not rebuilt
-	}
-	if bopts.SkipOrganization {
-		stats.skip(stageOrg)
-	}
-	if bopts.SkipGraph {
-		stats.skip(stageGraph)
-	}
-	stats.Total = time.Since(start)
-	s.BuildStats = stats
-	return s, nil
+	err := g.wait()
+	stats.Total += time.Since(start)
+	return err
 }
 
 // sortedTableIDs returns the catalog's table IDs in sorted order —
@@ -652,6 +684,12 @@ func (s *System) SaveFile(path string) error {
 // Mapped pages survive the file handle: they stay valid for the life
 // of the process and are shared between replicas by the page cache.
 func LoadFile(path string, opts Options) (*System, error) {
+	return thenDerive(decodeFile(path, opts))
+}
+
+// decodeFile is decode over a snapshot file, with the vector blob
+// materialized per opts.VecMode.
+func decodeFile(path string, opts Options) (*System, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
@@ -672,5 +710,5 @@ func LoadFile(path string, opts Options) (*System, error) {
 	default:
 		return nil, fmt.Errorf("core: unknown VecMode %q (want auto, heap, or mmap)", opts.VecMode)
 	}
-	return load(bufio.NewReaderSize(f, 1<<20), blobFile, opts)
+	return decode(bufio.NewReaderSize(f, 1<<20), blobFile, opts)
 }

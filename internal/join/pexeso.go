@@ -279,13 +279,14 @@ func (f *FuzzyJoiner) AddColumns(cols []FuzzyColumn, workers int) error {
 // and buckets every column's slots by cluster, enabling lossless
 // cluster pruning in Search. Call after all columns are indexed;
 // adding columns afterwards drops the table. k is clamped to the
-// number of slots; k <= 0 is a no-op.
-func (f *FuzzyJoiner) BuildCentroids(k int, seed uint64) {
+// number of slots; k <= 0 is a no-op. Training fans out over up to
+// workers goroutines; the table is the same at every count.
+func (f *FuzzyJoiner) BuildCentroids(k int, seed uint64, workers int) {
 	n := len(f.slotVec)
 	if n == 0 || k <= 0 {
 		return
 	}
-	c := vecstore.Train(func(i int) []float32 { return f.slotVec[i] }, n, f.model.Dim(), k, seed)
+	c := vecstore.Train(func(i int) []float32 { return f.slotVec[i] }, n, f.model.Dim(), k, seed, workers)
 	f.cents = c
 	for _, fc := range f.cols {
 		fc.buildGroups(c)

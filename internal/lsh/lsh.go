@@ -9,6 +9,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"sync"
 
 	"tablehound/internal/dict"
 	"tablehound/internal/minhash"
@@ -270,10 +271,33 @@ func FalseProbabilities(threshold float64, bands, rows int) (fp, fn float64) {
 	return fp, fn
 }
 
+// optimalKey is OptimalParams' argument list, its memo key.
+type optimalKey struct {
+	threshold          float64
+	numHashes          int
+	fpWeight, fnWeight float64
+}
+
+// optimalMemo caches OptimalParams process-wide: a pure function of
+// its arguments whose O(numHashes · ln numHashes) numeric integrations
+// every TUS and Aurum build, load and merge would otherwise repeat for
+// the same handful of settings. The lock is held across a computation,
+// so concurrent first calls compute once.
+var optimalMemo = struct {
+	sync.Mutex
+	m map[optimalKey][2]int
+}{m: make(map[optimalKey][2]int)}
+
 // OptimalParams chooses (bands, rows) with bands*rows <= numHashes
 // minimizing weighted false-positive + false-negative mass at the given
 // Jaccard threshold. Weights follow datasketch's convention.
 func OptimalParams(threshold float64, numHashes int, fpWeight, fnWeight float64) (bands, rows int) {
+	key := optimalKey{threshold, numHashes, fpWeight, fnWeight}
+	optimalMemo.Lock()
+	defer optimalMemo.Unlock()
+	if p, ok := optimalMemo.m[key]; ok {
+		return p[0], p[1]
+	}
 	best := math.Inf(1)
 	bands, rows = 1, numHashes
 	for b := 1; b <= numHashes; b++ {
@@ -287,5 +311,6 @@ func OptimalParams(threshold float64, numHashes int, fpWeight, fnWeight float64)
 			}
 		}
 	}
+	optimalMemo.m[key] = [2]int{bands, rows}
 	return bands, rows
 }

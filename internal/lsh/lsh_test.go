@@ -3,6 +3,7 @@ package lsh
 import (
 	"fmt"
 	"math"
+	"sync"
 	"testing"
 
 	"tablehound/internal/minhash"
@@ -52,6 +53,28 @@ func TestOptimalParamsThresholdMonotone(t *testing.T) {
 	_, rHigh := OptimalParams(0.9, 128, 0.5, 0.5)
 	if rHigh < rLow {
 		t.Errorf("rows at t=0.9 (%d) < rows at t=0.2 (%d)", rHigh, rLow)
+	}
+}
+
+// TestOptimalParamsMemoised: a repeated call answers from the memo with
+// the first call's result, distinct arguments do not share an entry,
+// and concurrent callers (stages of one build ask at the same time) are
+// safe under the race detector.
+func TestOptimalParamsMemoised(t *testing.T) {
+	b0, r0 := OptimalParams(0.35, 64, 0.7, 0.3)
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if b, r := OptimalParams(0.35, 64, 0.7, 0.3); b != b0 || r != r0 {
+				t.Errorf("memoised call returned (%d, %d), first call (%d, %d)", b, r, b0, r0)
+			}
+		}()
+	}
+	wg.Wait()
+	if b, r := OptimalParams(0.35, 64, 0.3, 0.7); b == b0 && r == r0 {
+		t.Errorf("swapped weights returned the same (%d, %d): the memo key ignores them", b, r)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -73,7 +74,7 @@ func ensureBenchCorpus(tb testing.TB) {
 			tb.Fatal(err)
 		}
 		// k ≈ √n, the same shape core's auto policy picks.
-		if err := store.TrainCentroids("cols", 316, HashStrings([]string{"bench"})); err != nil {
+		if err := store.TrainCentroids("cols", 316, HashStrings([]string{"bench"}), runtime.GOMAXPROCS(0)); err != nil {
 			tb.Fatal(err)
 		}
 		benchCorpus.store = store

@@ -17,6 +17,7 @@ package vecstore
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"unsafe"
 )
@@ -108,8 +109,9 @@ func (s *Store) Centroids(name string) *Centroids { return s.cents[name] }
 
 // TrainCentroids builds and attaches a deterministic k-means table
 // over the named segment. k is clamped to the segment's row count;
-// the same (rows, k, seed) always yields the same table bit for bit.
-func (s *Store) TrainCentroids(name string, k int, seed uint64) error {
+// the same (rows, k, seed) always yields the same table bit for bit,
+// on any number of workers.
+func (s *Store) TrainCentroids(name string, k int, seed uint64, workers int) error {
 	v, ok := s.View(name)
 	if !ok {
 		return fmt.Errorf("vecstore: no segment %q", name)
@@ -117,7 +119,7 @@ func (s *Store) TrainCentroids(name string, k int, seed uint64) error {
 	if v.Len() == 0 || k <= 0 {
 		return nil
 	}
-	c := Train(v.Vec, v.Len(), s.dim, k, seed)
+	c := Train(v.Vec, v.Len(), s.dim, k, seed, workers)
 	if s.cents == nil {
 		s.cents = make(map[string]*Centroids)
 	}
@@ -362,6 +364,13 @@ type Builder struct {
 // NewBuilder returns a builder for dim-dimensional vectors.
 func NewBuilder(dim int) *Builder {
 	return &Builder{dim: dim, segIx: make(map[string]int)}
+}
+
+// Grow reserves room for rows more rows, so a caller that knows its
+// row count up front appends without regrowing the block.
+func (b *Builder) Grow(rows int) {
+	b.data = slices.Grow(b.data, rows*b.dim)
+	b.norms = slices.Grow(b.norms, rows)
 }
 
 // Append adds one row to the named segment, which must be the

@@ -92,6 +92,25 @@ func TestBuilderNormsMatchVectorNorm(t *testing.T) {
 	}
 }
 
+// TestBuilderGrowSameStore: reserving rows up front changes where the
+// block is allocated, never what it holds.
+func TestBuilderGrowSameStore(t *testing.T) {
+	vecs := synthVecs(300, 16, 4, 2)
+	want := buildStore(t, vecs, "a")
+	b := NewBuilder(16)
+	b.Grow(len(vecs))
+	for _, v := range vecs {
+		b.Append("a", v)
+	}
+	got, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got.data, want.data) || !reflect.DeepEqual(got.norms, want.norms) || got.BlobCRC() != want.BlobCRC() {
+		t.Fatal("a grown builder built a different store")
+	}
+}
+
 func TestTopKExhaustiveMatchesReference(t *testing.T) {
 	vecs := synthVecs(500, 24, 7, 2)
 	s := buildStore(t, vecs, "a")
@@ -111,7 +130,7 @@ func TestTopKExhaustiveMatchesReference(t *testing.T) {
 func TestPrunedNProbeAllBitIdentical(t *testing.T) {
 	vecs := synthVecs(2000, 32, 13, 4)
 	s := buildStore(t, vecs, "a")
-	if err := s.TrainCentroids("a", 24, 99); err != nil {
+	if err := s.TrainCentroids("a", 24, 99, 1); err != nil {
 		t.Fatal(err)
 	}
 	v, _ := s.View("a")
@@ -139,7 +158,7 @@ func TestPrunedNProbeAllBitIdentical(t *testing.T) {
 func TestPrunedActuallyPrunes(t *testing.T) {
 	vecs := synthVecs(5000, 32, 16, 6)
 	s := buildStore(t, vecs, "a")
-	if err := s.TrainCentroids("a", 70, 7); err != nil {
+	if err := s.TrainCentroids("a", 70, 7, 1); err != nil {
 		t.Fatal(err)
 	}
 	v, _ := s.View("a")
@@ -162,7 +181,7 @@ func TestPrunedActuallyPrunes(t *testing.T) {
 func TestNProbeLimitsWork(t *testing.T) {
 	vecs := synthVecs(3000, 32, 10, 9)
 	s := buildStore(t, vecs, "a")
-	if err := s.TrainCentroids("a", 50, 11); err != nil {
+	if err := s.TrainCentroids("a", 50, 11, 1); err != nil {
 		t.Fatal(err)
 	}
 	v, _ := s.View("a")
@@ -177,12 +196,12 @@ func TestNProbeLimitsWork(t *testing.T) {
 func TestTrainDeterministic(t *testing.T) {
 	vecs := synthVecs(800, 16, 6, 12)
 	at := func(i int) []float32 { return vecs[i] }
-	a := Train(at, len(vecs), 16, 20, 42)
-	b := Train(at, len(vecs), 16, 20, 42)
+	a := Train(at, len(vecs), 16, 20, 42, 1)
+	b := Train(at, len(vecs), 16, 20, 42, 4)
 	if !reflect.DeepEqual(a, b) {
 		t.Fatal("same seed produced different centroid tables")
 	}
-	c := Train(at, len(vecs), 16, 20, 43)
+	c := Train(at, len(vecs), 16, 20, 43, 1)
 	if reflect.DeepEqual(a.assign, c.assign) && reflect.DeepEqual(a.cents, c.cents) {
 		t.Log("different seeds converged to identical tables (possible but suspicious)")
 	}
@@ -194,7 +213,7 @@ func TestTrainDegenerate(t *testing.T) {
 	for i := range vecs {
 		vecs[i] = []float32{1, 2, 3, 4}
 	}
-	c := Train(func(i int) []float32 { return vecs[i] }, 50, 4, 8, 1)
+	c := Train(func(i int) []float32 { return vecs[i] }, 50, 4, 8, 1, 1)
 	total := 0
 	for j := 0; j < c.K(); j++ {
 		total += len(c.Members(j))
@@ -254,7 +273,7 @@ func TestSnapshotRoundTripHeap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.TrainCentroids("a", 9, HashStrings([]string{"x", "y"})); err != nil {
+	if err := s.TrainCentroids("a", 9, HashStrings([]string{"x", "y"}), 1); err != nil {
 		t.Fatal(err)
 	}
 
@@ -287,7 +306,7 @@ func TestMmapParity(t *testing.T) {
 	}
 	vecs := synthVecs(400, 12, 4, 30)
 	s := buildStore(t, vecs, "a")
-	if err := s.TrainCentroids("a", 10, 3); err != nil {
+	if err := s.TrainCentroids("a", 10, 3, 1); err != nil {
 		t.Fatal(err)
 	}
 
@@ -435,7 +454,7 @@ func TestReadBlobRejectsCorruption(t *testing.T) {
 func TestConcurrentTopK(t *testing.T) {
 	vecs := synthVecs(1000, 16, 8, 60)
 	s := buildStore(t, vecs, "a")
-	if err := s.TrainCentroids("a", 16, 1); err != nil {
+	if err := s.TrainCentroids("a", 16, 1, 1); err != nil {
 		t.Fatal(err)
 	}
 	v, _ := s.View("a")
