@@ -197,8 +197,8 @@ func Build(catalog *lake.Catalog, opts Options) (*System, error) {
 	if len(tables) == 0 {
 		return nil, errors.New("core: empty catalog")
 	}
-	s := &System{Catalog: catalog, KB: opts.KB, buildOpts: opts}
 	stats := newBuildStats(opts.Parallelism)
+	s := &System{Catalog: catalog, KB: opts.KB, BuildStats: stats, buildOpts: opts}
 	start := time.Now()
 
 	// Table understanding: train embeddings on the lake's columns.
@@ -238,148 +238,13 @@ func Build(catalog *lake.Catalog, opts Options) (*System, error) {
 	}
 
 	// The remaining stages are mutually independent: each reads the
-	// catalog, model, and KB, and writes one System field. They run on
-	// the worker pool in declaration order (exactly sequentially when
-	// Parallelism is 1).
-	stages := []struct {
-		id   int
-		skip bool
-		run  func() (int, error)
-	}{
-		{stageKeyword, false, func() (int, error) {
-			// Keyword search over metadata and over cell values
-			// (OCTOPUS-style).
-			return buildKeyword(s, tables)
-		}},
-		{stageProfiles, false, func() (int, error) {
-			// Auctus-style structured profiles.
-			s.Profiles = profile.NewIndexN(tables, opts.Parallelism)
-			return s.Profiles.Len(), nil
-		}},
-		{stageEntities, false, func() (int, error) {
-			// InfoGather-style entity augmentation over the raw tables.
-			s.Entities = apps.NewEntityAugmenter(tables)
-			return len(tables), nil
-		}},
-		{stageJoin, false, func() (int, error) {
-			// Joinable search: exact overlap + containment indexes,
-			// encoded against the lake dictionary.
-			jb := join.NewBuilder(opts.MinJoinCardinality)
-			jb.UseDict(s.Dict)
-			for _, t := range tables {
-				jb.AddTable(t)
-			}
-			eng, err := jb.Build()
-			if err != nil {
-				return 0, fmt.Errorf("core: join index: %w", err)
-			}
-			eng.QueryParallelism = opts.QueryParallelism
-			s.Join = eng
-			return eng.NumColumns(), nil
-		}},
-		{stageFuzzy, opts.SkipFuzzy, func() (int, error) {
-			// Fuzzy join (PEXESO-style): embedding a vector per value is
-			// the single heaviest stage, so it fans out per column.
-			return buildFuzzy(s, tables, opts)
-		}},
-		{stageCorr, false, func() (int, error) {
-			// Correlation search: first string column as key, numeric
-			// columns as measures.
-			return buildCorr(s, tables, opts)
-		}},
-		{stageMate, false, func() (int, error) {
-			// Multi-attribute join.
-			s.Mate = join.NewMateIndex(tables)
-			return len(tables), nil
-		}},
-		{stageTUS, false, func() (int, error) {
-			tus, err := union.NewTUS(union.TUSConfig{Model: s.Model, KB: opts.KB, Dict: s.Dict, NumHashes: 128})
-			if err != nil {
-				return 0, err
-			}
-			tus.QueryParallelism = opts.QueryParallelism
-			tus.AddTables(tables, opts.Parallelism)
-			if err := tus.Build(); err != nil {
-				return 0, err
-			}
-			s.TUS = tus
-			return tus.NumTables(), nil
-		}},
-		{stageSantos, false, func() (int, error) {
-			santos := union.NewSantos(opts.KB)
-			santos.QueryParallelism = opts.QueryParallelism
-			for _, t := range tables {
-				santos.AddTable(t)
-			}
-			if santos.NumTables() > 0 {
-				if err := santos.Build(); err != nil {
-					return 0, err
-				}
-			}
-			s.Santos = santos
-			return santos.NumTables(), nil
-		}},
-		{stageD3L, false, func() (int, error) {
-			d3l, err := union.NewD3L(s.Model, s.Dict)
-			if err != nil {
-				return 0, err
-			}
-			for _, t := range tables {
-				d3l.AddTable(t)
-			}
-			d3l.Build()
-			s.D3L = d3l
-			return d3l.NumTables(), nil
-		}},
-		{stageStarmie, false, func() (int, error) {
-			// Starmie contextual retrieval: encoding fans out per table.
-			s.Starmie = starmie.NewIndex(starmie.NewEncoder(s.Model, opts.ContextWeight))
-			s.Starmie.AddTables(tables, opts.Parallelism)
-			if err := s.Starmie.Build(); err != nil {
-				return 0, err
-			}
-			return s.Starmie.NumColumns(), nil
-		}},
-		{stageOrg, opts.SkipOrganization, func() (int, error) {
-			s.Org = navigation.Organize(tables, s.Model, navigation.Config{Fanout: opts.OrgFanout, Seed: opts.Seed})
-			return len(tables), nil
-		}},
-		{stageGraph, opts.SkipGraph, func() (int, error) {
-			// Aurum-style discovery graph for linkage navigation and
-			// join paths. Lakes without usable string columns simply
-			// have none (the build error is deliberately swallowed).
-			if g, err := aurum.Build(tables, aurum.Config{}); err == nil {
-				s.Graph = g
-			}
-			return len(tables), nil
-		}},
-		{stageStats, false, func() (int, error) {
-			// Catalog statistics for the discover planner's cost model.
-			s.Stats = BuildCatalogStats(tables)
-			return len(tables), nil
-		}},
-	}
-	err := parallel.ForEach(len(stages), opts.Parallelism, func(i int) error {
-		st := stages[i]
-		if st.skip {
-			stats.skip(st.id)
-			return nil
-		}
-		return stats.time(st.id, st.run)
-	})
-	if err != nil {
-		return nil, err
-	}
-	// The vector store runs after the pool: it consolidates the model
-	// and Starmie vectors — both frozen by now — into one flat block
-	// and rebinds their owners onto it, so it must observe every stage.
-	if err := stats.time(stageVecs, func() (int, error) {
-		return buildVecStore(s, opts)
-	}); err != nil {
+	// catalog, model, dictionary and KB, and writes one System field.
+	// After them the vector store consolidates the model and Starmie
+	// vectors — both frozen by then — into one flat block.
+	if err := (pipeline{s: s, opts: opts}).run(); err != nil {
 		return nil, err
 	}
 	stats.Total = time.Since(start)
-	s.BuildStats = stats
 	return s, nil
 }
 
@@ -483,24 +348,8 @@ func buildDict(tables []*table.Table, parallelism int) (*dict.Dict, error) {
 	return db.Build(), nil
 }
 
-// buildKeyword constructs the metadata and cell-value keyword indexes
-// over the catalog. Shared by Build's stageKeyword and by the delta
-// merge path, which re-derives both indexes over the merged catalog.
-func buildKeyword(s *System, tables []*table.Table) (int, error) {
-	s.Keyword = keyword.NewIndex()
-	s.Values = keyword.NewValueIndex()
-	for _, t := range tables {
-		s.Keyword.Add(t)
-		s.Values.Add(t)
-	}
-	s.Keyword.Finish()
-	s.Values.Finish()
-	return len(tables), nil
-}
-
 // buildCorr constructs the correlation engine: first qualifying string
-// column as key, numeric columns as measures. Shared by Build's
-// stageCorr and by the delta merge path.
+// column as key, numeric columns as measures.
 func buildCorr(s *System, tables []*table.Table, opts Options) (int, error) {
 	cb := join.NewCorrBuilder(256)
 	pairs := 0
@@ -539,14 +388,14 @@ func buildCorr(s *System, tables []*table.Table, opts Options) (int, error) {
 	return pairs, nil
 }
 
-// buildFuzzy constructs the fuzzy join index over the catalog. It is
-// shared by Build's stageFuzzy and by Load, which re-derives the index
-// from the loaded model/dictionary/catalog instead of storing a vector
-// per value on disk; both paths produce bit-identical indexes.
+// buildFuzzy constructs the fuzzy join index (PEXESO-style) over the
+// catalog. Embedding a vector per value makes it the single heaviest
+// stage, so it fans out per column; a load re-derives it from the
+// decoded model, dictionary and catalog rather than storing a vector
+// per value on disk.
 func buildFuzzy(s *System, tables []*table.Table, opts Options) (int, error) {
 	s.Fuzzy = join.NewFuzzyJoiner(s.Model, 4)
 	s.Fuzzy.UseDict(s.Dict)
-	s.Fuzzy.QueryParallelism = opts.QueryParallelism
 	var batch []join.FuzzyColumn
 	for _, t := range tables {
 		for _, c := range t.Columns {

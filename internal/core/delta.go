@@ -5,8 +5,8 @@
 // A delta is built by analyzing ONLY the new tables: their values
 // extend the base dictionary append-only (dict.Extend — every base ID
 // keeps its meaning, so base postings and signatures stay valid
-// verbatim), and scratch engines over just those tables produce the
-// new postings, MinHash signatures, and column vectors, encoded
+// verbatim), and Build's engine stages over just those tables produce
+// the new postings, MinHash signatures, and column vectors, encoded
 // against the frozen base embedding model (training is globally
 // corpus-coupled; retraining would invalidate every base vector).
 // Removals are tombstones: the base bytes are untouched and the ID is
@@ -20,14 +20,15 @@
 // its query cache on the generation, so membership-only hashing would
 // let a replace serve stale cached results.
 //
-// Loading a chain (LoadChain*) materializes the merge: base and delta
-// parts are folded per search surface through each engine's FromParts
-// constructor, which replays the engine's own Build freeze, so the
-// merged system answers every surface bit-identically to a
-// from-scratch build over the merged catalog (with tables in sorted-ID
-// order — the order lake.LoadCSVDir produces). Compaction
-// (CompactFiles) is just LoadChain + Save: the fold becomes the next
-// base and the chain resets.
+// Loading a chain (LoadChain*) materializes the merge: Build's stage
+// table runs over the merged catalog, with base and delta parts folded
+// per search surface through each engine's FromParts constructor,
+// which replays the engine's own Build freeze, so the merged system
+// answers every surface bit-identically to a from-scratch build over
+// the merged catalog (with tables in sorted-ID order — the order
+// lake.LoadCSVDir produces). Compaction (CompactFiles) is just
+// LoadChain + Save: the fold becomes the next base and the chain
+// resets.
 package core
 
 import (
@@ -41,22 +42,14 @@ import (
 	"strings"
 	"time"
 
-	"tablehound/internal/apps"
-	"tablehound/internal/aurum"
 	"tablehound/internal/dict"
 	"tablehound/internal/embedding"
-	"tablehound/internal/join"
-	"tablehound/internal/kb"
 	"tablehound/internal/lake"
-	"tablehound/internal/navigation"
-	"tablehound/internal/parallel"
-	"tablehound/internal/profile"
 	"tablehound/internal/snap"
 	"tablehound/internal/starmie"
 	"tablehound/internal/table"
 	"tablehound/internal/tokenize"
 	"tablehound/internal/union"
-	"tablehound/internal/vecstore"
 )
 
 // ErrDeltaChain marks a structurally sound delta that does not chain
@@ -304,22 +297,10 @@ func (d *Delta) Save(w io.Writer) error {
 	})
 }
 
-// SaveFile writes the delta to path (created or truncated), buffered.
+// SaveFile writes the delta to path (created or truncated), buffered;
+// the file is synced before return.
 func (d *Delta) SaveFile(path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	bw := bufio.NewWriterSize(f, 1<<20)
-	if err := d.Save(bw); err != nil {
-		f.Close()
-		return err
-	}
-	if err := bw.Flush(); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
+	return writeFile(path, d.Save)
 }
 
 // LoadDelta reads a delta written by Save. Structural damage surfaces
@@ -491,147 +472,34 @@ func LoadDeltaFile(path string) (*Delta, error) {
 	return LoadDelta(bufio.NewReaderSize(f, 1<<20))
 }
 
-// basePrefix is the cheap-to-read slice of a base snapshot that delta
-// building needs: parameters, membership, and the three frozen
-// foundations every delta encodes against (model, KB, dictionary). The
-// expensive sections — engines, catalog, HNSW graphs — are framed
-// through but never decoded, which is what keeps `lakectl add` far
-// under the cost of a full load, let alone a rebuild.
-type basePrefix struct {
-	opts        Options // build parameters (not runtime knobs)
-	gen         uint64
-	tableIDs    []string
-	tableHashes []uint64
-	model       *embedding.Model
-	kb          *kb.KB
-	dict        *dict.Dict
-}
-
-// live returns the prefix's membership as an id → content-hash map,
-// the state delta chains fold over.
-func (p *basePrefix) live() map[string]uint64 {
-	m := make(map[string]uint64, len(p.tableIDs))
-	for i, id := range p.tableIDs {
-		m[id] = p.tableHashes[i]
+// live returns the lineage's membership as table ID → content hash,
+// the state a delta chain folds over.
+func (l *Lineage) live() map[string]uint64 {
+	m := make(map[string]uint64, len(l.TableIDs))
+	for i, id := range l.TableIDs {
+		m[id] = l.TableHashes[i]
 	}
 	return m
 }
 
-// loadBasePrefix reads just the foundation sections of a base
-// snapshot. All section frames are consumed (the vector blob must be
-// reached for the model's rows) but only options, meta, model, KB, and
-// dictionary are decoded.
-func loadBasePrefix(path string) (*basePrefix, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	r := bufio.NewReaderSize(f, 1<<20)
-	version, _, err := snap.ReadHeader(r, snapMagic)
-	if err != nil {
-		return nil, err
-	}
-	if version != snapVersion {
-		return nil, fmt.Errorf("%w: found version %d, expected %d", ErrVersionMismatch, version, snapVersion)
-	}
-	sr := snap.NewReader(r)
-	secs := make(map[uint16]*snap.Decoder, secVecs)
-	for id := secOptions; id <= secVecs; id++ {
-		d, err := sr.Payload(id)
+// loadDeltaFiles loads a delta chain in order, with each file's
+// footprint.
+func loadDeltaFiles(paths []string) ([]*Delta, []DeltaInfo, error) {
+	deltas := make([]*Delta, len(paths))
+	infos := make([]DeltaInfo, len(paths))
+	for i, p := range paths {
+		dd, err := LoadDeltaFile(p)
 		if err != nil {
-			return nil, err
+			return nil, nil, fmt.Errorf("%s: %w", p, err)
 		}
-		secs[id] = d
-	}
-	var store *vecstore.Store
-	if err := decodeSection(secVecs, secs, func(d *snap.Decoder) error {
-		dir, derr := vecstore.DecodeDirectory(d)
-		if derr != nil {
-			return derr
+		deltas[i] = dd
+		var size int64
+		if fi, serr := os.Stat(p); serr == nil {
+			size = fi.Size()
 		}
-		blobOff := int64(snapHeaderLen) + sr.Consumed()
-		pad := vecstore.PadTo(blobOff)
-		if pad > 0 {
-			var padBuf [64]byte
-			if _, rerr := io.ReadFull(r, padBuf[:pad]); rerr != nil {
-				return fmt.Errorf("%w: short vector-blob padding: %v", ErrCorruptSnapshot, rerr)
-			}
-			for _, pb := range padBuf[:pad] {
-				if pb != 0 {
-					return fmt.Errorf("%w: nonzero vector-blob padding", ErrCorruptSnapshot)
-				}
-			}
-		}
-		store, derr = dir.ReadBlob(r)
-		return derr
-	}); err != nil {
-		return nil, err
+		infos[i] = DeltaInfo{Path: p, Gen: dd.ResultGen, Tables: dd.Catalog.Len(), Tombstones: len(dd.Tombstones), Bytes: size}
 	}
-	if err := sr.Close(); err != nil {
-		return nil, err
-	}
-	p := &basePrefix{}
-	if err := decodeSection(secOptions, secs, func(d *snap.Decoder) error {
-		p.opts.EmbeddingDim = int(d.U32())
-		p.opts.Seed = d.I64()
-		p.opts.MinJoinCardinality = int(d.U32())
-		p.opts.ContextWeight = d.F64()
-		p.opts.OrgFanout = int(d.U32())
-		p.opts.SkipOrganization = d.Bool()
-		p.opts.SkipFuzzy = d.Bool()
-		p.opts.SkipGraph = d.Bool()
-		p.opts.VecCentroids = int(d.I64())
-		return d.Err()
-	}); err != nil {
-		return nil, err
-	}
-	if err := decodeSection(secMeta, secs, func(d *snap.Decoder) error {
-		p.gen = d.U64()
-		p.tableIDs = d.Strs()
-		p.tableHashes = d.U64s()
-		if err := d.Err(); err != nil {
-			return err
-		}
-		if len(p.tableHashes) != len(p.tableIDs) {
-			return fmt.Errorf("%w: meta has %d content hashes for %d table IDs", ErrCorruptSnapshot, len(p.tableHashes), len(p.tableIDs))
-		}
-		if want := snap.HashTables(p.tableIDs, p.tableHashes); p.gen != want {
-			return fmt.Errorf("%w: meta generation %016x does not hash its table set (%016x)", ErrCorruptSnapshot, p.gen, want)
-		}
-		return nil
-	}); err != nil {
-		return nil, err
-	}
-	mv, ok := store.View("model")
-	if !ok {
-		return nil, fmt.Errorf("%w: vector directory has no model segment", ErrCorruptSnapshot)
-	}
-	if err := decodeSection(secModel, secs, func(d *snap.Decoder) error {
-		var derr error
-		p.model, derr = embedding.DecodeSnapshot(d, mv.Vec, mv.Len())
-		return derr
-	}); err != nil {
-		return nil, err
-	}
-	if err := decodeSection(secKB, secs, func(d *snap.Decoder) error {
-		if !d.Bool() {
-			return d.Err()
-		}
-		var derr error
-		p.kb, derr = kb.DecodeSnapshot(d)
-		return derr
-	}); err != nil {
-		return nil, err
-	}
-	if err := decodeSection(secDict, secs, func(d *snap.Decoder) error {
-		var derr error
-		p.dict, derr = dict.DecodeSnapshot(d)
-		return derr
-	}); err != nil {
-		return nil, err
-	}
-	return p, nil
+	return deltas, infos, nil
 }
 
 // BuildDelta analyzes a lake mutation — add tables, remove tables, or
@@ -643,21 +511,29 @@ func loadBasePrefix(path string) (*basePrefix, error) {
 // parameters come from the base so delta parts are exchangeable with
 // base parts.
 func BuildDelta(basePath string, deltaPaths []string, add []*table.Table, remove []string, opts Options) (*Delta, error) {
-	par := parallel.Resolve(opts.Parallelism)
-	prefix, err := loadBasePrefix(basePath)
+	// Of the base only the foundations every delta encodes against are
+	// decoded (model, KB, dictionary): the engines, catalog and HNSW
+	// graphs are framed and checksummed but never decoded, which keeps
+	// `lakectl add` far under the cost of a full load. The vector blob
+	// is read rather than mapped, so its checksum is verified too.
+	o, err := openFile(basePath, Options{Parallelism: opts.Parallelism, VecMode: "heap"})
 	if err != nil {
 		return nil, err
 	}
-	live := prefix.live()
-	d := prefix.dict
-	gen := prefix.gen
-	chain := make([]*Delta, len(deltaPaths))
-	for i, p := range deltaPaths {
-		dd, err := LoadDeltaFile(p)
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", p, err)
-		}
-		chain[i] = dd
+	g := &decodeGroup{}
+	if err := o.foundations(g); err != nil {
+		return nil, err
+	}
+	if err := g.wait(); err != nil {
+		return nil, err
+	}
+	base := o.s
+	live := base.Lineage.live()
+	d := base.Dict
+	gen := base.Lineage.Gen
+	chain, _, err := loadDeltaFiles(deltaPaths)
+	if err != nil {
+		return nil, err
 	}
 	// A compaction interrupted between installing the folded base and
 	// retiring its consumed delta files leaves deltas on disk that are
@@ -722,49 +598,24 @@ func BuildDelta(basePath string, deltaPaths []string, add []*table.Table, remove
 		if err := delta.Catalog.AddBatch(addSorted); err != nil {
 			return nil, err
 		}
-		jb := join.NewBuilder(prefix.opts.MinJoinCardinality)
-		jb.UseDict(ext)
-		for _, t := range addSorted {
-			jb.AddTable(t)
+		// Build's own engine stages, over the added tables alone, against
+		// the frozen base model and the extended dictionary — without
+		// the vector store, which would rebind that model.
+		scratch := &System{Catalog: delta.Catalog, Model: base.Model, KB: base.KB, Dict: ext, BuildStats: newBuildStats(base.buildOpts.Parallelism)}
+		if err := (pipeline{s: scratch, opts: base.buildOpts, partsOnly: true}).run(engineStages...); err != nil {
+			return nil, err
 		}
-		if jb.NumStaged() > 0 {
-			eng, err := jb.Build()
-			if err != nil {
+		if scratch.Join != nil {
+			delta.JoinIDSets = scratch.Join.Parts().IDSets
+		}
+		if scratch.TUS != nil {
+			if delta.TUS, err = scratch.TUS.Parts(); err != nil {
 				return nil, err
 			}
-			parts := eng.Parts()
-			for _, k := range parts.Keys {
-				delta.JoinIDSets[k] = parts.IDSets[k]
-			}
 		}
-		tus, err := union.NewTUS(union.TUSConfig{Model: prefix.model, KB: prefix.kb, Dict: ext, NumHashes: 128})
-		if err != nil {
-			return nil, err
-		}
-		tus.AddTables(addSorted, par)
-		if err := tus.Build(); err != nil {
-			return nil, err
-		}
-		if delta.TUS, err = tus.Parts(); err != nil {
-			return nil, err
-		}
-		santos := union.NewSantos(prefix.kb)
-		for _, t := range addSorted {
-			santos.AddTable(t)
-		}
-		delta.Santos = santos.Parts()
-		d3l, err := union.NewD3L(prefix.model, nil)
-		if err != nil {
-			return nil, err
-		}
-		for _, t := range addSorted {
-			d3l.AddTable(t)
-		}
-		d3l.Build()
-		delta.D3L = d3l.Parts()
-		sx := starmie.NewIndex(starmie.NewEncoder(prefix.model, prefix.opts.ContextWeight))
-		sx.AddTables(addSorted, par)
-		delta.Starmie = sx.Parts()
+		delta.Santos = scratch.Santos.Parts()
+		delta.D3L = scratch.D3L.Parts()
+		delta.Starmie = scratch.Starmie.Parts()
 		for _, t := range addSorted {
 			live[t.ID] = t.ContentHash()
 		}
@@ -857,23 +708,17 @@ func LoadChainFiles(basePath string, deltaPaths []string, opts Options) (*System
 	if len(deltaPaths) == 0 {
 		return LoadFile(basePath, opts)
 	}
-	base, err := decodeFile(basePath, opts)
+	o, err := openFile(basePath, opts)
 	if err != nil {
 		return nil, err
 	}
-	deltas := make([]*Delta, len(deltaPaths))
-	infos := make([]DeltaInfo, len(deltaPaths))
-	for i, p := range deltaPaths {
-		dd, err := LoadDeltaFile(p)
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", p, err)
-		}
-		deltas[i] = dd
-		var size int64
-		if fi, serr := os.Stat(p); serr == nil {
-			size = fi.Size()
-		}
-		infos[i] = DeltaInfo{Path: p, Gen: dd.ResultGen, Tables: dd.Catalog.Len(), Tombstones: len(dd.Tombstones), Bytes: size}
+	base, err := o.decode()
+	if err != nil {
+		return nil, err
+	}
+	deltas, infos, err := loadDeltaFiles(deltaPaths)
+	if err != nil {
+		return nil, err
 	}
 	folded := foldedPrefix(deltas, base.Lineage.Gen)
 	skipped := deltaPaths[:folded]
@@ -906,26 +751,21 @@ func ApplyDeltas(base *System, deltas []*Delta, infos []DeltaInfo) (*System, err
 	bopts := base.buildOpts
 	gen := base.Lineage.Gen
 	ext := base.Dict
-	liveTbl := make(map[string]*table.Table, base.Catalog.Len())
-	for _, t := range base.Catalog.Tables() {
-		liveTbl[t.ID] = t
-	}
-	// liveHash mirrors liveTbl as id → content hash — the membership
-	// the generation chain folds over. Base hashes come from the
-	// snapshot's meta section so they are never recomputed over the
-	// full base catalog.
+	// live is the membership the generation chain folds over, as table
+	// ID → content hash. Base hashes come from the snapshot's meta
+	// section so they are never recomputed over the full base catalog.
 	if len(base.Lineage.TableHashes) != len(base.Lineage.TableIDs) {
 		return nil, fmt.Errorf("core: base lineage has %d content hashes for %d table IDs", len(base.Lineage.TableHashes), len(base.Lineage.TableIDs))
 	}
-	liveHash := make(map[string]uint64, len(base.Lineage.TableIDs))
-	for i, id := range base.Lineage.TableIDs {
-		liveHash[id] = base.Lineage.TableHashes[i]
+	live := base.Lineage.live()
+	// tables holds every table the chain has added under an ID, the
+	// latest last; the live IDs pick from it.
+	tables := make(map[string]*table.Table, base.Catalog.Len())
+	for _, t := range base.Catalog.Tables() {
+		tables[t.ID] = t
 	}
 	baseJoin := base.Join.Parts()
-	joinSets := make(map[string]dict.IDSet, len(baseJoin.IDSets))
-	for k, v := range baseJoin.IDSets {
-		joinSets[k] = v
-	}
+	joinSets := baseJoin.IDSets
 	tusParts, err := base.TUS.Parts()
 	if err != nil {
 		return nil, err
@@ -952,18 +792,10 @@ func ApplyDeltas(base *System, deltas []*Delta, infos []DeltaInfo) (*System, err
 		if i < len(infos) && infos[i].Path != "" {
 			path = infos[i].Path
 		}
-		if dd.ParentGen != gen {
-			return nil, fmt.Errorf("%w: delta %s chains onto generation %016x, lake is at %016x", ErrDeltaChain, path, dd.ParentGen, gen)
-		}
-		if dd.BaseDictSize != ext.Size() {
-			return nil, fmt.Errorf("%w: delta %s extends a dictionary of %d values, lake has %d", ErrDeltaChain, path, dd.BaseDictSize, ext.Size())
+		if err := applyMembership(dd, path, live, gen, ext.Size()); err != nil {
+			return nil, err
 		}
 		for _, id := range dd.Tombstones {
-			if liveTbl[id] == nil {
-				return nil, fmt.Errorf("%w: delta %s removes %q, which is not in the lake", ErrDeltaChain, path, id)
-			}
-			delete(liveTbl, id)
-			delete(liveHash, id)
 			delete(tusBy, id)
 			delete(santosBy, id)
 			delete(d3lBy, id)
@@ -975,11 +807,7 @@ func ApplyDeltas(base *System, deltas []*Delta, infos []DeltaInfo) (*System, err
 			}
 		}
 		for _, t := range dd.Catalog.Tables() {
-			if liveTbl[t.ID] != nil {
-				return nil, fmt.Errorf("%w: delta %s re-adds %q without a tombstone", ErrDeltaChain, path, t.ID)
-			}
-			liveTbl[t.ID] = t
-			liveHash[t.ID] = t.ContentHash()
+			tables[t.ID] = t
 		}
 		for key, ids := range dd.JoinIDSets {
 			if _, dup := joinSets[key]; dup {
@@ -1000,20 +828,17 @@ func ApplyDeltas(base *System, deltas []*Delta, infos []DeltaInfo) (*System, err
 			starBy[p.ID] = p
 		}
 		ext = dict.Extend(ext, dd.NewValues)
-		if want := contentGen(liveHash); want != dd.ResultGen {
-			return nil, fmt.Errorf("%w: delta %s declares result generation %016x, applying it yields %016x", ErrDeltaChain, path, dd.ResultGen, want)
-		}
 		gen = dd.ResultGen
 	}
 
 	// Merged catalog in sorted-ID order — the canonical order a fresh
 	// build over the same tables uses, which keeps the order-sensitive
 	// rebuilt structures (keyword statistics) bit-identical.
-	ids := sortedKeys(liveTbl)
+	ids := sortedKeys(live)
 	cat := lake.NewCatalog()
 	ordered := make([]*table.Table, len(ids))
 	for i, id := range ids {
-		ordered[i] = liveTbl[id]
+		ordered[i] = tables[id]
 	}
 	if err := cat.AddBatch(ordered); err != nil {
 		return nil, err
@@ -1075,20 +900,27 @@ func ApplyDeltas(base *System, deltas []*Delta, infos []DeltaInfo) (*System, err
 		d3l:           partsInIDOrder(ids, d3lBy),
 		starmie:       partsInIDOrder(ids, starBy),
 	}
-	sys, err := assembleMerged(cat, base.Model, base.KB, freshDict, mp, bopts)
-	if err != nil {
+	// Build's stage table over the merged catalog, with the base's
+	// build parameters: the engines reassemble from the folded parts,
+	// every other stage rebuilds from the catalog.
+	stats := newBuildStats(bopts.Parallelism)
+	sys := &System{Catalog: cat, Model: base.Model, KB: base.KB, Dict: freshDict, BuildStats: stats, buildOpts: bopts}
+	if err := (pipeline{s: sys, opts: bopts, parts: &mp}).run(); err != nil {
 		return nil, err
 	}
+	stats.Stages[stageModel].Items = -1 // frozen base model, never retrained
+	stats.Stages[stageDict].Items = -1  // extended, not rebuilt
 	hashes := make([]uint64, len(ids))
 	for i, id := range ids {
-		hashes[i] = liveHash[id]
+		hashes[i] = live[id]
 	}
 	sys.Lineage = &Lineage{BaseGen: base.Lineage.Gen, Gen: gen, TableIDs: ids, TableHashes: hashes, Deltas: infos}
-	sys.BuildStats.Total = time.Since(start)
+	stats.Total = time.Since(start)
 	return sys, nil
 }
 
-// mergedParts carries the folded per-surface parts into assembly.
+// mergedParts carries a merge's folded per-engine parts into the
+// engine stages.
 type mergedParts struct {
 	joinSets      map[string]dict.IDSet
 	numHashes     int
@@ -1097,123 +929,6 @@ type mergedParts struct {
 	santos        []union.SantosTableParts
 	d3l           []union.D3LTableParts
 	starmie       []starmie.TableParts
-}
-
-// assembleMerged wires a System over the merged catalog: the heavy
-// engines reassemble from parts through their FromParts constructors,
-// and everything that Load already re-derives cheaply (keyword,
-// profiles, entities, fuzzy, correlation, MATE, organization, graph)
-// rebuilds from the merged catalog with the base's build parameters.
-// Stage structure mirrors Build so merging parallelizes the same way.
-func assembleMerged(cat *lake.Catalog, model *embedding.Model, curated *kb.KB, ext *dict.Dict, mp mergedParts, bopts Options) (*System, error) {
-	tables := cat.Tables()
-	s := &System{Catalog: cat, Model: model, KB: curated, Dict: ext, buildOpts: bopts}
-	stats := newBuildStats(bopts.Parallelism)
-	lookup := cat.Table
-	stages := []struct {
-		id   int
-		skip bool
-		run  func() (int, error)
-	}{
-		{stageKeyword, false, func() (int, error) {
-			return buildKeyword(s, tables)
-		}},
-		{stageProfiles, false, func() (int, error) {
-			s.Profiles = profile.NewIndexN(tables, bopts.Parallelism)
-			return s.Profiles.Len(), nil
-		}},
-		{stageEntities, false, func() (int, error) {
-			s.Entities = apps.NewEntityAugmenter(tables)
-			return len(tables), nil
-		}},
-		{stageJoin, false, func() (int, error) {
-			eng, err := join.NewEngineFromParts(ext, mp.joinSets, mp.numHashes, mp.numPartitions, bopts.Parallelism)
-			if err != nil {
-				return 0, fmt.Errorf("core: join merge: %w", err)
-			}
-			eng.QueryParallelism = bopts.QueryParallelism
-			s.Join = eng
-			return eng.NumColumns(), nil
-		}},
-		{stageFuzzy, bopts.SkipFuzzy, func() (int, error) {
-			return buildFuzzy(s, tables, bopts)
-		}},
-		{stageCorr, false, func() (int, error) {
-			return buildCorr(s, tables, bopts)
-		}},
-		{stageMate, false, func() (int, error) {
-			s.Mate = join.NewMateIndex(tables)
-			return len(tables), nil
-		}},
-		{stageTUS, false, func() (int, error) {
-			tus, err := union.NewTUSFromParts(union.TUSConfig{Model: model, KB: curated, Dict: ext, NumHashes: 128}, mp.tus, lookup)
-			if err != nil {
-				return 0, err
-			}
-			tus.QueryParallelism = bopts.QueryParallelism
-			s.TUS = tus
-			return tus.NumTables(), nil
-		}},
-		{stageSantos, false, func() (int, error) {
-			santos, err := union.NewSantosFromParts(curated, mp.santos, lookup)
-			if err != nil {
-				return 0, err
-			}
-			santos.QueryParallelism = bopts.QueryParallelism
-			s.Santos = santos
-			return santos.NumTables(), nil
-		}},
-		{stageD3L, false, func() (int, error) {
-			d3l, err := union.NewD3LFromParts(model, ext, mp.d3l, lookup)
-			if err != nil {
-				return 0, err
-			}
-			s.D3L = d3l
-			return d3l.NumTables(), nil
-		}},
-		{stageStarmie, false, func() (int, error) {
-			ix, err := starmie.NewIndexFromParts(starmie.NewEncoder(model, bopts.ContextWeight), mp.starmie, lookup)
-			if err != nil {
-				return 0, err
-			}
-			s.Starmie = ix
-			return ix.NumColumns(), nil
-		}},
-		{stageOrg, bopts.SkipOrganization, func() (int, error) {
-			s.Org = navigation.Organize(tables, model, navigation.Config{Fanout: bopts.OrgFanout, Seed: bopts.Seed})
-			return len(tables), nil
-		}},
-		{stageGraph, bopts.SkipGraph, func() (int, error) {
-			if g, err := aurum.Build(tables, aurum.Config{}); err == nil {
-				s.Graph = g
-			}
-			return len(tables), nil
-		}},
-		{stageStats, false, func() (int, error) {
-			s.Stats = BuildCatalogStats(tables)
-			return len(tables), nil
-		}},
-	}
-	err := parallel.ForEach(len(stages), bopts.Parallelism, func(i int) error {
-		st := stages[i]
-		if st.skip {
-			stats.skip(st.id)
-			return nil
-		}
-		return stats.time(st.id, st.run)
-	})
-	if err != nil {
-		return nil, err
-	}
-	if err := stats.time(stageVecs, func() (int, error) {
-		return buildVecStore(s, bopts)
-	}); err != nil {
-		return nil, err
-	}
-	stats.Stages[stageModel].Items = -1 // frozen base model, never retrained
-	stats.Stages[stageDict].Items = -1  // extended, not rebuilt
-	s.BuildStats = stats
-	return s, nil
 }
 
 // partsInIDOrder flattens a parts map to a slice in sorted-table-ID
@@ -1269,9 +984,10 @@ func ExpandDeltas(spec string) ([]string, error) {
 }
 
 // CompactFiles folds a base snapshot plus its delta chain into a new
-// base at outPath (written to a temp file, then renamed, so readers —
-// including mmap'd loads of an old base at the same path — never see a
-// torn file). The merged system is returned so a server can hot-swap
+// base at outPath (written and fsynced to a temp file, then renamed,
+// and the directory fsynced, so readers — including mmap'd loads of an
+// old base at the same path — never see a torn file, not even after a
+// crash). The merged system is returned so a server can hot-swap
 // onto it without reloading. Compaction never retrains the embedding
 // model: the frozen base model persists into the new base, by design —
 // results stay bit-identical across compactions.
@@ -1289,7 +1005,27 @@ func CompactFiles(basePath string, deltaPaths []string, outPath string, opts Opt
 		os.Remove(tmp)
 		return nil, err
 	}
+	// The rename is durable only once the directory entry is: a crash
+	// before that may still show the old base, whose deltas the loaders
+	// then apply as usual.
+	if err := syncDir(filepath.Dir(outPath)); err != nil {
+		return nil, err
+	}
 	// The fold is now a base: depth resets, generation carries over.
 	sys.Lineage = &Lineage{BaseGen: sys.Lineage.Gen, Gen: sys.Lineage.Gen, TableIDs: sys.Lineage.TableIDs, TableHashes: sys.Lineage.TableHashes}
 	return sys, nil
+}
+
+// syncDir fsyncs a directory, making the entries renamed into it
+// durable.
+func syncDir(dir string) error {
+	f, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	err = f.Sync()
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }

@@ -10,6 +10,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"sort"
+	"strings"
 	"testing"
 
 	"tablehound/internal/datagen"
@@ -346,6 +347,249 @@ func TestDeltaChainValidation(t *testing.T) {
 			t.Error("BuildDelta with nothing to do succeeded")
 		}
 	})
+
+	// The same links checked where a chain is loaded rather than
+	// extended: each case must fail on the check its name says, so the
+	// message is pinned beside the sentinel.
+	loadFails := func(t *testing.T, paths []string, msg string) {
+		t.Helper()
+		_, err := LoadChainFiles(basePath, paths, Options{})
+		if !errors.Is(err, ErrDeltaChain) || !strings.Contains(err.Error(), msg) {
+			t.Errorf("err = %v, want ErrDeltaChain naming %q", err, msg)
+		}
+	}
+	// next chains a copy of d onto d itself: it adds nothing new to the
+	// dictionary and leaves the membership at d's result.
+	next := func(name string, mutate func(*Delta)) string {
+		return saveVariant(name, func(v *Delta) {
+			v.ParentGen = d.ResultGen
+			v.BaseDictSize = d.BaseDictSize + len(d.NewValues)
+			v.NewValues = nil
+			mutate(v)
+		})
+	}
+	t.Run("load: tombstone for an absent table", func(t *testing.T) {
+		p := saveVariant("absent.thdb", func(v *Delta) { v.Tombstones = []string{"no-such-table"} })
+		loadFails(t, []string{p}, `removes "no-such-table"`)
+	})
+	t.Run("load: re-add without a tombstone", func(t *testing.T) {
+		p := next("readd.thdb", func(*Delta) {})
+		loadFails(t, []string{deltaPath, p}, "without a tombstone")
+	})
+	t.Run("load: duplicate join column", func(t *testing.T) {
+		if len(d.JoinIDSets) == 0 {
+			t.Fatal("fixture delta indexes no join column")
+		}
+		p := next("dupjoin.thdb", func(v *Delta) { v.Catalog = lake.NewCatalog() })
+		loadFails(t, []string{deltaPath, p}, "re-adds join column")
+	})
+	t.Run("load: dictionary size mismatch on the second delta", func(t *testing.T) {
+		d2, err := BuildDelta(basePath, []string{deltaPath}, nil, []string{added.ID}, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		d2.BaseDictSize++
+		p := filepath.Join(dir, "dict2.thdb")
+		if err := d2.SaveFile(p); err != nil {
+			t.Fatal(err)
+		}
+		loadFails(t, []string{deltaPath, p}, "extends a dictionary of")
+	})
+}
+
+// TestBuildDeltaRejectsCorruptBase sweeps the base snapshot a delta is
+// built against: truncation and flipped bytes must surface
+// ErrCorruptSnapshot (the version field, bytes 4..5, ErrVersionMismatch)
+// and never panic, exactly as LoadFile does over the same bytes.
+func TestBuildDeltaRejectsCorruptBase(t *testing.T) {
+	basePath, _, _, added := deltaFixture(t)
+	good, err := os.ReadFile(basePath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	badPath := filepath.Join(t.TempDir(), "bad.snap")
+	buildOn := func(b []byte) error {
+		t.Helper()
+		if err := os.WriteFile(badPath, b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, err := BuildDelta(badPath, nil, []*table.Table{added}, nil, Options{})
+		return err
+	}
+	if err := buildOn(good); err != nil {
+		t.Fatalf("pristine base: %v", err)
+	}
+	t.Run("truncation", func(t *testing.T) {
+		for n := 0; n < len(good); n += 997 {
+			if err := buildOn(good[:n]); !errors.Is(err, ErrCorruptSnapshot) {
+				t.Fatalf("truncated to %d bytes: err = %v, want ErrCorruptSnapshot", n, err)
+			}
+		}
+	})
+	t.Run("bitflip", func(t *testing.T) {
+		bad := make([]byte, len(good))
+		for _, off := range append([]int{4, 5}, offsetsEvery(len(good), 1009)...) {
+			if off == 6 || off == 7 {
+				continue // header flags: reserved, not checked by any reader
+			}
+			copy(bad, good)
+			bad[off] ^= 0x40
+			want := ErrCorruptSnapshot
+			if off == 4 || off == 5 {
+				want = ErrVersionMismatch
+			}
+			if err := buildOn(bad); !errors.Is(err, want) {
+				t.Fatalf("flipped byte at %d: err = %v, want %v", off, err, want)
+			}
+		}
+	})
+}
+
+// offsetsEvery returns 0, step, 2·step, ... below n.
+func offsetsEvery(n, step int) []int {
+	var out []int
+	for off := 0; off < n; off += step {
+		out = append(out, off)
+	}
+	return out
+}
+
+// TestDeltaSparseTables adds tables that leave some engines with
+// nothing to index — one with only numeric columns (no join, TUS,
+// SANTOS or D3L column) and one with a single string column (SANTOS
+// needs two). Each must build as a delta and merge into the snapshot a
+// fresh build over the same tables writes.
+func TestDeltaSparseTables(t *testing.T) {
+	basePath, _, _, _ := deltaFixture(t)
+	dir := filepath.Dir(basePath)
+	base, err := LoadFile(basePath, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	numeric := table.MustNew("zz_numeric", "numeric only", []*table.Column{
+		table.NewColumn("id", []string{"1", "2", "3", "4", "5", "6"}),
+		table.NewColumn("score", []string{"0.5", "1.5", "2.5", "3.5", "4.5", "5.5"}),
+	})
+	single := table.MustNew("zz_single", "one string column", []*table.Column{
+		table.NewColumn("name", []string{"alpha", "beta", "gamma", "delta", "epsilon", "zeta"}),
+		table.NewColumn("rank", []string{"6", "5", "4", "3", "2", "1"}),
+	})
+	for _, add := range []*table.Table{numeric, single} {
+		t.Run(add.ID, func(t *testing.T) {
+			d, err := BuildDelta(basePath, nil, []*table.Table{add}, nil, Options{})
+			if err != nil {
+				t.Fatalf("BuildDelta: %v", err)
+			}
+			p := filepath.Join(dir, add.ID+".thdb")
+			if err := d.SaveFile(p); err != nil {
+				t.Fatal(err)
+			}
+			merged, err := LoadChainFiles(basePath, []string{p}, Options{})
+			if err != nil {
+				t.Fatalf("LoadChainFiles: %v", err)
+			}
+			want := freshSnapshot(t, base, append(base.Catalog.Tables(), add))
+			if got := saved(t, merged); !bytes.Equal(got, want) {
+				t.Errorf("merged snapshot (%d bytes) differs from a fresh build's (%d bytes)", len(got), len(want))
+			}
+		})
+	}
+}
+
+// TestCompactedSnapshotBytesEqualFreshBuild is the merge contract at
+// its strictest: compacting a base plus a delta that adds tables and
+// tombstones one writes the very bytes a fresh build over the
+// surviving tables (the base's model pinned) writes — for a serving
+// configuration and for the full pipeline.
+func TestCompactedSnapshotBytesEqualFreshBuild(t *testing.T) {
+	gen := datagen.Generate(datagen.Config{Seed: 11, NumTemplates: 4, TablesPerTemplate: 4})
+	all := append([]*table.Table(nil), gen.Tables...)
+	sort.Slice(all, func(i, j int) bool { return all[i].ID < all[j].ID })
+	curated := gen.BuildKB(0.8)
+	for _, tc := range []struct {
+		name string
+		opts Options
+	}{
+		{"serving-only", Options{KB: curated, Seed: 3, SkipFuzzy: true, SkipGraph: true, SkipOrganization: true}},
+		{"full-pipeline", Options{KB: curated, Seed: 3}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cat := lake.NewCatalog()
+			if err := cat.AddBatch(all[:12]); err != nil {
+				t.Fatal(err)
+			}
+			base, err := Build(cat, tc.opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			dir := t.TempDir()
+			basePath := filepath.Join(dir, "base.snap")
+			if err := base.SaveFile(basePath); err != nil {
+				t.Fatal(err)
+			}
+			victim := all[5]
+			d, err := BuildDelta(basePath, nil, all[12:], []string{victim.ID}, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			dp := filepath.Join(dir, "delta0.thdb")
+			if err := d.SaveFile(dp); err != nil {
+				t.Fatal(err)
+			}
+			outPath := filepath.Join(dir, "compacted.snap")
+			csys, err := CompactFiles(basePath, []string{dp}, outPath, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var survivors []*table.Table
+			for _, tb := range all {
+				if tb.ID != victim.ID {
+					survivors = append(survivors, tb)
+				}
+			}
+			want := freshSnapshot(t, base, survivors)
+			if got := saved(t, csys); !bytes.Equal(got, want) {
+				t.Errorf("compacted system saves %d bytes, fresh build %d: not byte-identical", len(got), len(want))
+			}
+			onDisk, err := os.ReadFile(outPath)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(onDisk, want) {
+				t.Errorf("compacted file (%d bytes) differs from a fresh build's snapshot (%d bytes)", len(onDisk), len(want))
+			}
+		})
+	}
+}
+
+// freshSnapshot builds a system over tables (in sorted-ID order, the
+// order a merge uses) with base's build parameters and frozen model,
+// and returns its snapshot bytes.
+func freshSnapshot(t *testing.T, base *System, tables []*table.Table) []byte {
+	t.Helper()
+	ordered := append([]*table.Table(nil), tables...)
+	sort.Slice(ordered, func(i, j int) bool { return ordered[i].ID < ordered[j].ID })
+	cat := lake.NewCatalog()
+	if err := cat.AddBatch(ordered); err != nil {
+		t.Fatal(err)
+	}
+	opts := base.buildOpts
+	opts.Model = base.Model
+	fresh, err := Build(cat, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return saved(t, fresh)
+}
+
+// saved returns a system's snapshot bytes.
+func saved(t *testing.T, s *System) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := s.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
 }
 
 // TestDeltaRejectsCorruption extends the corruption sweep to the delta

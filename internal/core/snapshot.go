@@ -24,7 +24,6 @@ import (
 	"sync"
 	"time"
 
-	"tablehound/internal/apps"
 	"tablehound/internal/aurum"
 	"tablehound/internal/dict"
 	"tablehound/internal/embedding"
@@ -34,7 +33,6 @@ import (
 	"tablehound/internal/lake"
 	"tablehound/internal/navigation"
 	"tablehound/internal/parallel"
-	"tablehound/internal/profile"
 	"tablehound/internal/snap"
 	"tablehound/internal/starmie"
 	"tablehound/internal/union"
@@ -115,115 +113,61 @@ func (s *System) Save(w io.Writer) error {
 	if err := snap.WriteHeader(w, snapMagic, snapVersion, 0); err != nil {
 		return err
 	}
+	// optional frames an optional subsystem behind a presence flag.
+	optional := func(present bool, enc func(*snap.Encoder)) func(*snap.Encoder) {
+		return func(e *snap.Encoder) {
+			e.Bool(present)
+			if present {
+				enc(e)
+			}
+		}
+	}
+	sections := []struct {
+		id  uint16
+		enc func(*snap.Encoder)
+	}{
+		{secOptions, s.buildOpts.appendSnapshot},
+		// Meta: the sorted table-ID list, each table's content hash, and
+		// the generation folding both. Delta snapshots record this
+		// generation as their parent link, and the serving tier keys
+		// caches on it — content hashes make a replaced table (same ID,
+		// different bytes) a new generation.
+		{secMeta, func(e *snap.Encoder) {
+			ids := sortedTableIDs(s.Catalog)
+			hashes := contentHashes(s.Catalog, ids)
+			e.U64(snap.HashTables(ids, hashes))
+			e.Strs(ids)
+			e.U64s(hashes)
+		}},
+		{secCatalog, s.Catalog.AppendSnapshot},
+		{secModel, s.Model.AppendSnapshot},
+		{secKB, optional(s.KB != nil, s.KB.AppendSnapshot)},
+		{secDict, s.Dict.AppendSnapshot},
+		{secKeyword, s.Keyword.AppendSnapshot},
+		{secValues, s.Values.AppendSnapshot},
+		{secJoin, func(e *snap.Encoder) { s.Join.AppendSnapshot(e, s.Dict) }},
+		{secCorr, optional(s.Corr != nil, s.Corr.AppendSnapshot)},
+		{secMate, s.Mate.AppendSnapshot},
+		{secTUS, func(e *snap.Encoder) { s.TUS.AppendSnapshot(e, s.Dict) }},
+		{secSantos, s.Santos.AppendSnapshot},
+		{secD3L, s.D3L.AppendSnapshot},
+		{secStarmie, s.Starmie.AppendSnapshot},
+		{secOrg, optional(s.Org != nil, s.Org.AppendSnapshot)},
+		{secGraph, optional(s.Graph != nil, s.Graph.AppendSnapshot)},
+		{secStats, s.Stats.AppendSnapshot},
+		// The vector block closes the stream: its directory (shape,
+		// segment table, centroid tables, blob length + CRC) travels as a
+		// normal CRC-framed section, then zero padding aligns the raw
+		// blob's first byte to a 64-byte file offset so an mmap view of
+		// the data is always well aligned, then the blob itself — the
+		// only bytes of the snapshot outside the section framing.
+		{secVecs, s.Vecs.AppendDirectory},
+	}
 	sw := snap.NewWriter(w)
-	opts := s.buildOpts
-	if err := sw.Section(secOptions, func(e *snap.Encoder) {
-		e.U32(uint32(opts.EmbeddingDim))
-		e.I64(opts.Seed)
-		e.U32(uint32(opts.MinJoinCardinality))
-		e.F64(opts.ContextWeight)
-		e.U32(uint32(opts.OrgFanout))
-		e.Bool(opts.SkipOrganization)
-		e.Bool(opts.SkipFuzzy)
-		e.Bool(opts.SkipGraph)
-		e.I64(int64(opts.VecCentroids))
-	}); err != nil {
-		return err
-	}
-	// Meta: the sorted table-ID list, each table's content hash, and
-	// the generation folding both. Delta snapshots record this
-	// generation as their parent link, and the serving tier keys
-	// caches on it — content hashes make a replaced table (same ID,
-	// different bytes) a new generation.
-	if err := sw.Section(secMeta, func(e *snap.Encoder) {
-		ids := sortedTableIDs(s.Catalog)
-		hashes := contentHashes(s.Catalog, ids)
-		e.U64(snap.HashTables(ids, hashes))
-		e.Strs(ids)
-		e.U64s(hashes)
-	}); err != nil {
-		return err
-	}
-	if err := sw.Section(secCatalog, s.Catalog.AppendSnapshot); err != nil {
-		return err
-	}
-	if err := sw.Section(secModel, s.Model.AppendSnapshot); err != nil {
-		return err
-	}
-	if err := sw.Section(secKB, func(e *snap.Encoder) {
-		e.Bool(s.KB != nil)
-		if s.KB != nil {
-			s.KB.AppendSnapshot(e)
+	for _, sec := range sections {
+		if err := sw.Section(sec.id, sec.enc); err != nil {
+			return err
 		}
-	}); err != nil {
-		return err
-	}
-	if err := sw.Section(secDict, s.Dict.AppendSnapshot); err != nil {
-		return err
-	}
-	if err := sw.Section(secKeyword, s.Keyword.AppendSnapshot); err != nil {
-		return err
-	}
-	if err := sw.Section(secValues, s.Values.AppendSnapshot); err != nil {
-		return err
-	}
-	if err := sw.Section(secJoin, func(e *snap.Encoder) {
-		s.Join.AppendSnapshot(e, s.Dict)
-	}); err != nil {
-		return err
-	}
-	if err := sw.Section(secCorr, func(e *snap.Encoder) {
-		e.Bool(s.Corr != nil)
-		if s.Corr != nil {
-			s.Corr.AppendSnapshot(e)
-		}
-	}); err != nil {
-		return err
-	}
-	if err := sw.Section(secMate, s.Mate.AppendSnapshot); err != nil {
-		return err
-	}
-	if err := sw.Section(secTUS, func(e *snap.Encoder) {
-		s.TUS.AppendSnapshot(e, s.Dict)
-	}); err != nil {
-		return err
-	}
-	if err := sw.Section(secSantos, s.Santos.AppendSnapshot); err != nil {
-		return err
-	}
-	if err := sw.Section(secD3L, s.D3L.AppendSnapshot); err != nil {
-		return err
-	}
-	if err := sw.Section(secStarmie, s.Starmie.AppendSnapshot); err != nil {
-		return err
-	}
-	if err := sw.Section(secOrg, func(e *snap.Encoder) {
-		e.Bool(s.Org != nil)
-		if s.Org != nil {
-			s.Org.AppendSnapshot(e)
-		}
-	}); err != nil {
-		return err
-	}
-	if err := sw.Section(secGraph, func(e *snap.Encoder) {
-		e.Bool(s.Graph != nil)
-		if s.Graph != nil {
-			s.Graph.AppendSnapshot(e)
-		}
-	}); err != nil {
-		return err
-	}
-	if err := sw.Section(secStats, s.Stats.AppendSnapshot); err != nil {
-		return err
-	}
-	// The vector block closes the stream: its directory (shape, segment
-	// table, centroid tables, blob length + CRC) travels as a normal
-	// CRC-framed section, then zero padding aligns the raw blob's first
-	// byte to a 64-byte file offset so an mmap view of the data is
-	// always well aligned, then the blob itself — the only bytes of the
-	// snapshot outside the section framing.
-	if err := sw.Section(secVecs, s.Vecs.AppendDirectory); err != nil {
-		return err
 	}
 	if pad := vecstore.PadTo(snapHeaderLen + sw.Written()); pad > 0 {
 		if _, err := w.Write(make([]byte, pad)); err != nil {
@@ -231,6 +175,41 @@ func (s *System) Save(w io.Writer) error {
 		}
 	}
 	return s.Vecs.WriteBlob(w)
+}
+
+// appendSnapshot writes the build parameters a snapshot persists — the
+// ones the rebuild stages replay. Runtime knobs are not persisted.
+func (o Options) appendSnapshot(e *snap.Encoder) {
+	e.U32(uint32(o.EmbeddingDim))
+	e.I64(o.Seed)
+	e.U32(uint32(o.MinJoinCardinality))
+	e.F64(o.ContextWeight)
+	e.U32(uint32(o.OrgFanout))
+	e.Bool(o.SkipOrganization)
+	e.Bool(o.SkipFuzzy)
+	e.Bool(o.SkipGraph)
+	e.I64(int64(o.VecCentroids))
+}
+
+// decodeOptions reads what appendSnapshot wrote and takes the runtime
+// knobs from rt: Parallelism, QueryParallelism (both resolved),
+// VecNProbe and VecMode.
+func decodeOptions(d *snap.Decoder, rt Options) Options {
+	return Options{
+		EmbeddingDim:       int(d.U32()),
+		Seed:               d.I64(),
+		MinJoinCardinality: int(d.U32()),
+		ContextWeight:      d.F64(),
+		OrgFanout:          int(d.U32()),
+		SkipOrganization:   d.Bool(),
+		SkipFuzzy:          d.Bool(),
+		SkipGraph:          d.Bool(),
+		VecCentroids:       int(d.I64()),
+		Parallelism:        parallel.Resolve(rt.Parallelism),
+		QueryParallelism:   parallel.Resolve(rt.QueryParallelism),
+		VecNProbe:          rt.VecNProbe,
+		VecMode:            rt.VecMode,
+	}
 }
 
 // Load reconstructs a system from a snapshot written by Save. Only the
@@ -247,12 +226,15 @@ func (s *System) Save(w io.Writer) error {
 // what was decoded. A chain load runs only the first half on a base
 // the delta merge is about to consume (see LoadChainFiles).
 func Load(r io.Reader, opts Options) (*System, error) {
-	return thenDerive(decode(r, nil, opts))
+	return load(open(r, nil, opts))
 }
 
-// thenDerive runs the second half of a load on the outcome of the
-// first.
-func thenDerive(s *System, err error) (*System, error) {
+// load runs both halves of a load on an opened snapshot.
+func load(o *opened, err error) (*System, error) {
+	if err != nil {
+		return nil, err
+	}
+	s, err := o.decode()
 	if err != nil {
 		return nil, err
 	}
@@ -262,12 +244,22 @@ func thenDerive(s *System, err error) (*System, error) {
 	return s, nil
 }
 
-// decode is the first half of a load: every section is read,
-// CRC-checked and decoded, and every stored engine is live, but the
-// rebuild-on-load fields (Profiles, Entities, Fuzzy) are still nil.
-// When blobFile is non-nil the vector blob is mmap'd from it at its
-// recorded offset instead of being read (and CRC-verified) through r.
-func decode(r io.Reader, blobFile *os.File, opts Options) (*System, error) {
+// opened is a snapshot read as far as every reader of it reads: by
+// Load, by a chain load's base, and by delta analysis, which decodes
+// only the foundations.
+type opened struct {
+	s     *System                  // Vecs, buildOpts and Lineage set
+	secs  map[uint16]*snap.Decoder // every section payload, checksummed, undecoded
+	start time.Time
+}
+
+// open reads the header and checks its version, reads and checksums
+// every section frame (decoding is deferred so independent sections
+// can decode in parallel), materializes the vector block, and decodes
+// the options (with opts' runtime knobs) and the meta section. When
+// blobFile is non-nil the vector blob is mmap'd from it at its recorded
+// offset instead of being read (and CRC-verified) through r.
+func open(r io.Reader, blobFile *os.File, opts Options) (*opened, error) {
 	start := time.Now()
 	version, _, err := snap.ReadHeader(r, snapMagic)
 	if err != nil {
@@ -276,9 +268,6 @@ func decode(r io.Reader, blobFile *os.File, opts Options) (*System, error) {
 	if version != snapVersion {
 		return nil, fmt.Errorf("%w: found version %d, expected %d", ErrVersionMismatch, version, snapVersion)
 	}
-	// Phase 1: read and checksum every section frame sequentially;
-	// decoding is deferred so independent sections can decode in
-	// parallel below.
 	sr := snap.NewReader(r)
 	secs := make(map[uint16]*snap.Decoder, secVecs)
 	for id := secOptions; id <= secVecs; id++ {
@@ -345,27 +334,13 @@ func decode(r io.Reader, blobFile *os.File, opts Options) (*System, error) {
 	}
 
 	// Build options decode inline: they govern the rebuild stages.
-	bopts := Options{}
+	s := &System{Vecs: store}
 	if err := decodeSection(secOptions, secs, func(d *snap.Decoder) error {
-		bopts.EmbeddingDim = int(d.U32())
-		bopts.Seed = d.I64()
-		bopts.MinJoinCardinality = int(d.U32())
-		bopts.ContextWeight = d.F64()
-		bopts.OrgFanout = int(d.U32())
-		bopts.SkipOrganization = d.Bool()
-		bopts.SkipFuzzy = d.Bool()
-		bopts.SkipGraph = d.Bool()
-		bopts.VecCentroids = int(d.I64())
+		s.buildOpts = decodeOptions(d, opts)
 		return d.Err()
 	}); err != nil {
 		return nil, err
 	}
-	bopts.Parallelism = parallel.Resolve(opts.Parallelism)
-	bopts.QueryParallelism = parallel.Resolve(opts.QueryParallelism)
-	bopts.VecNProbe = opts.VecNProbe
-	bopts.VecMode = opts.VecMode
-
-	s := &System{Vecs: store}
 
 	// Meta: the generation hash this snapshot's table membership and
 	// content pin; delta chains validate against it and the serving
@@ -388,96 +363,87 @@ func decode(r io.Reader, blobFile *os.File, opts Options) (*System, error) {
 	}); err != nil {
 		return nil, err
 	}
+	return &opened{s: s, secs: secs, start: start}, nil
+}
 
-	// Phase 2a: the foundation sections — everything later decodes
-	// against the catalog, model, KB, and dictionary, so this wave runs
-	// first; its members are mutually independent.
-	g := newDecodeGroup(bopts.Parallelism > 1)
-	g.run(secCatalog, secs, func(d *snap.Decoder) error {
-		var derr error
-		s.Catalog, derr = lake.DecodeSnapshot(d)
-		return derr
-	})
-	mv, ok := store.View("model")
-	if !ok {
-		return nil, fmt.Errorf("%w: vector directory has no model segment", ErrCorruptSnapshot)
+// openFile is open over a snapshot file, with the vector blob
+// materialized per opts.VecMode. Every section is in memory when it
+// returns, and a mapping outlives the file handle, so the file is
+// closed.
+func openFile(path string, opts Options) (*opened, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
 	}
-	g.run(secModel, secs, func(d *snap.Decoder) error {
+	defer f.Close()
+	var blobFile *os.File
+	switch opts.VecMode {
+	case "", "auto":
+		if vecstore.MmapSupported() {
+			blobFile = f
+		}
+	case "heap":
+	case "mmap":
+		if !vecstore.MmapSupported() {
+			return nil, fmt.Errorf("core: VecMode \"mmap\": not supported on this platform")
+		}
+		blobFile = f
+	default:
+		return nil, fmt.Errorf("core: unknown VecMode %q (want auto, heap, or mmap)", opts.VecMode)
+	}
+	return open(bufio.NewReaderSize(f, 1<<20), blobFile, opts)
+}
+
+// foundations queues on g the sections every other section decodes
+// against: model, KB and dictionary.
+func (o *opened) foundations(g *decodeGroup) error {
+	s := o.s
+	mv, ok := s.Vecs.View("model")
+	if !ok {
+		return fmt.Errorf("%w: vector directory has no model segment", ErrCorruptSnapshot)
+	}
+	g.run(secModel, o.secs, func(d *snap.Decoder) error {
 		var derr error
 		s.Model, derr = embedding.DecodeSnapshot(d, mv.Vec, mv.Len())
 		return derr
 	})
-	g.run(secKB, secs, func(d *snap.Decoder) error {
-		if !d.Bool() {
-			return d.Err()
-		}
-		var derr error
-		s.KB, derr = kb.DecodeSnapshot(d)
-		return derr
-	})
-	g.run(secDict, secs, func(d *snap.Decoder) error {
-		var derr error
-		s.Dict, derr = dict.DecodeSnapshot(d)
-		return derr
-	})
-	g.run(secKeyword, secs, func(d *snap.Decoder) error {
-		var derr error
-		s.Keyword, derr = keyword.DecodeIndexSnapshot(d)
-		return derr
-	})
-	g.run(secValues, secs, func(d *snap.Decoder) error {
-		var derr error
-		s.Values, derr = keyword.DecodeValueIndexSnapshot(d)
-		return derr
-	})
-	g.run(secCorr, secs, func(d *snap.Decoder) error {
-		if !d.Bool() {
-			return d.Err()
-		}
-		var derr error
-		s.Corr, derr = join.DecodeCorrSnapshot(d)
-		return derr
-	})
-	g.run(secOrg, secs, func(d *snap.Decoder) error {
-		if !d.Bool() {
-			return d.Err()
-		}
-		var derr error
-		s.Org, derr = navigation.DecodeSnapshot(d)
-		return derr
-	})
-	g.run(secGraph, secs, func(d *snap.Decoder) error {
-		if !d.Bool() {
-			return d.Err()
-		}
-		var derr error
-		s.Graph, derr = aurum.DecodeSnapshot(d)
-		return derr
-	})
-	g.run(secStats, secs, func(d *snap.Decoder) error {
-		var derr error
-		s.Stats, derr = DecodeCatalogStatsSnapshot(d)
-		return derr
-	})
+	g.run(secKB, o.secs, present(&s.KB, kb.DecodeSnapshot))
+	g.run(secDict, o.secs, into(&s.Dict, dict.DecodeSnapshot))
+	return nil
+}
+
+// decode is the first half of a load: every section is decoded and
+// every stored engine is live, but the rebuild-on-load fields
+// (Profiles, Entities, Fuzzy) are still nil.
+func (o *opened) decode() (*System, error) {
+	s, secs, bopts := o.s, o.secs, o.s.buildOpts
+	// Phase 1: the foundations and the catalog — everything later
+	// decodes against them — together with every other section that
+	// needs nothing else; its members are mutually independent.
+	g := &decodeGroup{parallel: bopts.Parallelism > 1}
+	if err := o.foundations(g); err != nil {
+		return nil, err
+	}
+	g.run(secCatalog, secs, into(&s.Catalog, lake.DecodeSnapshot))
+	g.run(secKeyword, secs, into(&s.Keyword, keyword.DecodeIndexSnapshot))
+	g.run(secValues, secs, into(&s.Values, keyword.DecodeValueIndexSnapshot))
+	g.run(secCorr, secs, present(&s.Corr, join.DecodeCorrSnapshot))
+	g.run(secOrg, secs, present(&s.Org, navigation.DecodeSnapshot))
+	g.run(secGraph, secs, present(&s.Graph, aurum.DecodeSnapshot))
+	g.run(secStats, secs, into(&s.Stats, DecodeCatalogStatsSnapshot))
 	if err := g.wait(); err != nil {
 		return nil, err
 	}
-	bopts.KB = s.KB
-	s.buildOpts = bopts
+	s.buildOpts.KB = s.KB
 	lookup := s.Catalog.Table
-	stats := newBuildStats(bopts.Parallelism)
 
-	// Phase 2b: the search engines, each depending only on phase-2a
+	// Phase 2: the search engines, each depending only on phase-1
 	// results.
-	g = newDecodeGroup(bopts.Parallelism > 1)
+	g = &decodeGroup{parallel: bopts.Parallelism > 1}
 	g.run(secJoin, secs, func(d *snap.Decoder) error {
-		eng, derr := join.DecodeEngineSnapshot(d, s.Dict, bopts.Parallelism)
-		if derr != nil {
-			return derr
-		}
-		eng.QueryParallelism = bopts.QueryParallelism
-		s.Join = eng
-		return nil
+		var derr error
+		s.Join, derr = join.DecodeEngineSnapshot(d, s.Dict, bopts.Parallelism)
+		return derr
 	})
 	g.run(secMate, secs, func(d *snap.Decoder) error {
 		var derr error
@@ -485,29 +451,21 @@ func decode(r io.Reader, blobFile *os.File, opts Options) (*System, error) {
 		return derr
 	})
 	g.run(secTUS, secs, func(d *snap.Decoder) error {
-		tus, derr := union.DecodeTUSSnapshot(d, union.TUSConfig{Model: s.Model, KB: s.KB, Dict: s.Dict}, lookup)
-		if derr != nil {
-			return derr
-		}
-		tus.QueryParallelism = bopts.QueryParallelism
-		s.TUS = tus
-		return nil
+		var derr error
+		s.TUS, derr = union.DecodeTUSSnapshot(d, union.TUSConfig{Model: s.Model, KB: s.KB, Dict: s.Dict}, lookup)
+		return derr
 	})
 	g.run(secSantos, secs, func(d *snap.Decoder) error {
-		santos, derr := union.DecodeSantosSnapshot(d, s.KB, lookup)
-		if derr != nil {
-			return derr
-		}
-		santos.QueryParallelism = bopts.QueryParallelism
-		s.Santos = santos
-		return nil
+		var derr error
+		s.Santos, derr = union.DecodeSantosSnapshot(d, s.KB, lookup)
+		return derr
 	})
 	g.run(secD3L, secs, func(d *snap.Decoder) error {
 		var derr error
 		s.D3L, derr = union.DecodeD3LSnapshot(d, s.Model, s.Dict, lookup)
 		return derr
 	})
-	sv, _ := store.View("starmie")
+	sv, _ := s.Vecs.View("starmie")
 	g.run(secStarmie, secs, func(d *snap.Decoder) error {
 		ix, derr := starmie.DecodeSnapshot(d, s.Model, sv, lookup)
 		if derr != nil {
@@ -521,18 +479,13 @@ func decode(r io.Reader, blobFile *os.File, opts Options) (*System, error) {
 		return nil, err
 	}
 
+	stats := newBuildStats(bopts.Parallelism)
 	for _, st := range []int{stageModel, stageDict, stageKeyword, stageJoin,
 		stageCorr, stageMate, stageTUS, stageSantos, stageD3L, stageStarmie,
 		stageStats, stageVecs} {
 		stats.Stages[st].Items = -1 // loaded from snapshot, not rebuilt
 	}
-	if bopts.SkipOrganization {
-		stats.skip(stageOrg)
-	}
-	if bopts.SkipGraph {
-		stats.skip(stageGraph)
-	}
-	stats.Total = time.Since(start)
+	stats.Total = time.Since(o.start)
 	s.BuildStats = stats
 	return s, nil
 }
@@ -545,32 +498,8 @@ func decode(r io.Reader, blobFile *os.File, opts Options) (*System, error) {
 // merged catalog instead.
 func (s *System) derive() error {
 	start := time.Now()
-	bopts, stats := s.buildOpts, s.BuildStats
-	tables := s.Catalog.Tables()
-	g := newDecodeGroup(bopts.Parallelism > 1)
-	g.do(func() error {
-		return stats.time(stageProfiles, func() (int, error) {
-			s.Profiles = profile.NewIndexN(tables, bopts.Parallelism)
-			return s.Profiles.Len(), nil
-		})
-	})
-	g.do(func() error {
-		return stats.time(stageEntities, func() (int, error) {
-			s.Entities = apps.NewEntityAugmenter(tables)
-			return len(tables), nil
-		})
-	})
-	if bopts.SkipFuzzy {
-		stats.skip(stageFuzzy)
-	} else {
-		g.do(func() error {
-			return stats.time(stageFuzzy, func() (int, error) {
-				return buildFuzzy(s, tables, bopts)
-			})
-		})
-	}
-	err := g.wait()
-	stats.Total += time.Since(start)
+	err := pipeline{s: s, opts: s.buildOpts}.run(derivedStages...)
+	s.BuildStats.Total += time.Since(start)
 	return err
 }
 
@@ -608,8 +537,28 @@ func decodeSection(id uint16, secs map[uint16]*snap.Decoder, fn func(*snap.Decod
 	return nil
 }
 
-// decodeGroup runs decode tasks, concurrently when parallel (they are
-// bounded in number, so no worker pool), and keeps the first error.
+// into adapts a section decoder that returns its value to a decode
+// task that stores it in *dst.
+func into[T any](dst *T, dec func(*snap.Decoder) (T, error)) func(*snap.Decoder) error {
+	return func(d *snap.Decoder) (err error) {
+		*dst, err = dec(d)
+		return err
+	}
+}
+
+// present is into for an optional subsystem, whose section leads with
+// a presence flag; an absent one leaves *dst nil.
+func present[T any](dst *T, dec func(*snap.Decoder) (T, error)) func(*snap.Decoder) error {
+	return func(d *snap.Decoder) error {
+		if !d.Bool() {
+			return d.Err()
+		}
+		return into(dst, dec)(d)
+	}
+}
+
+// decodeGroup runs section decodes, concurrently when parallel (they
+// are bounded in number, so no worker pool), and keeps the first error.
 type decodeGroup struct {
 	parallel bool
 	wg       sync.WaitGroup
@@ -617,30 +566,24 @@ type decodeGroup struct {
 	err      error
 }
 
-func newDecodeGroup(parallel bool) *decodeGroup {
-	return &decodeGroup{parallel: parallel}
-}
-
-func (g *decodeGroup) do(fn func() error) {
+// run decodes section id with fn as one task of the group.
+func (g *decodeGroup) run(id uint16, secs map[uint16]*snap.Decoder, fn func(*snap.Decoder) error) {
+	task := func() {
+		if err := decodeSection(id, secs, fn); err != nil {
+			g.setErr(err)
+		}
+	}
 	if !g.parallel {
 		if g.err == nil {
-			if err := fn(); err != nil {
-				g.setErr(err)
-			}
+			task()
 		}
 		return
 	}
 	g.wg.Add(1)
 	go func() {
 		defer g.wg.Done()
-		if err := fn(); err != nil {
-			g.setErr(err)
-		}
+		task()
 	}()
-}
-
-func (g *decodeGroup) run(id uint16, secs map[uint16]*snap.Decoder, fn func(*snap.Decoder) error) {
-	g.do(func() error { return decodeSection(id, secs, fn) })
 }
 
 func (g *decodeGroup) setErr(err error) {
@@ -661,20 +604,30 @@ func (g *decodeGroup) wait() error {
 // SaveFile writes the snapshot to a file, buffered; the file is
 // created (or truncated) and synced before return.
 func (s *System) SaveFile(path string) error {
+	return writeFile(path, s.Save)
+}
+
+// writeFile creates (or truncates) path, writes it through a 1 MiB
+// buffer, and flushes and fsyncs it before closing: a nil return means
+// the bytes are on stable storage, which is what lets a compaction
+// rename the file over a live base.
+func writeFile(path string, write func(io.Writer) error) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
 	bw := bufio.NewWriterSize(f, 1<<20)
-	if err := s.Save(bw); err != nil {
-		f.Close()
-		return err
+	err = write(bw)
+	if err == nil {
+		err = bw.Flush()
 	}
-	if err := bw.Flush(); err != nil {
-		f.Close()
-		return err
+	if err == nil {
+		err = f.Sync()
 	}
-	return f.Close()
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 // LoadFile loads a snapshot from a file written by SaveFile. The
@@ -684,31 +637,5 @@ func (s *System) SaveFile(path string) error {
 // Mapped pages survive the file handle: they stay valid for the life
 // of the process and are shared between replicas by the page cache.
 func LoadFile(path string, opts Options) (*System, error) {
-	return thenDerive(decodeFile(path, opts))
-}
-
-// decodeFile is decode over a snapshot file, with the vector blob
-// materialized per opts.VecMode.
-func decodeFile(path string, opts Options) (*System, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	var blobFile *os.File
-	switch opts.VecMode {
-	case "", "auto":
-		if vecstore.MmapSupported() {
-			blobFile = f
-		}
-	case "heap":
-	case "mmap":
-		if !vecstore.MmapSupported() {
-			return nil, fmt.Errorf("core: VecMode \"mmap\": not supported on this platform")
-		}
-		blobFile = f
-	default:
-		return nil, fmt.Errorf("core: unknown VecMode %q (want auto, heap, or mmap)", opts.VecMode)
-	}
-	return decode(bufio.NewReaderSize(f, 1<<20), blobFile, opts)
+	return load(openFile(path, opts))
 }
