@@ -43,7 +43,7 @@ import (
 	"time"
 
 	"tablehound/internal/dict"
-	"tablehound/internal/embedding"
+	"tablehound/internal/join"
 	"tablehound/internal/lake"
 	"tablehound/internal/snap"
 	"tablehound/internal/starmie"
@@ -143,12 +143,13 @@ func (l *Lineage) LastCompactGen() uint64 {
 
 // Delta snapshot framing: same CRC-framed section codec as the system
 // snapshot, under its own magic so the two cannot be confused. Version
-// 2 chains on content-folded generations (snap.HashTables) instead of
-// membership-only hashes; v1 files fail with ErrVersionMismatch rather
-// than a confusing chain error.
+// 2 chained on content-folded generations (snap.HashTables); version 3
+// lays each engine section out in that engine's per-table parts codec.
+// Older files fail with ErrVersionMismatch rather than a confusing
+// chain error.
 const (
 	deltaMagic   uint32 = 0x54484442 // "THDB": tablehound delta binary
-	deltaVersion uint16 = 2
+	deltaVersion uint16 = 3
 )
 
 // Delta section IDs, in stream order.
@@ -200,101 +201,37 @@ func (d *Delta) AddedIDs() []string {
 	return sortedTableIDs(d.Catalog)
 }
 
-// Save writes the delta as one self-contained CRC-framed stream.
+// Save writes the delta as one self-contained CRC-framed stream: the
+// chain links, the dictionary extension and the added tables, then one
+// section per engine in that engine's parts codec.
 func (d *Delta) Save(w io.Writer) error {
 	if err := snap.WriteHeader(w, deltaMagic, deltaVersion, 0); err != nil {
 		return err
 	}
 	sw := snap.NewWriter(w)
-	if err := sw.Section(dsecMeta, func(e *snap.Encoder) {
-		e.U64(d.ParentGen)
-		e.U64(d.ResultGen)
-		e.U32(uint32(d.BaseDictSize))
-		e.Strs(d.Tombstones)
-	}); err != nil {
-		return err
-	}
-	if err := sw.Section(dsecDict, func(e *snap.Encoder) {
-		e.Strs(d.NewValues)
-	}); err != nil {
-		return err
-	}
-	if err := sw.Section(dsecCatalog, d.Catalog.AppendSnapshot); err != nil {
-		return err
-	}
-	if err := sw.Section(dsecJoin, func(e *snap.Encoder) {
-		keys := make([]string, 0, len(d.JoinIDSets))
-		for k := range d.JoinIDSets {
-			keys = append(keys, k)
+	for _, sec := range []struct {
+		id  uint16
+		enc func(*snap.Encoder)
+	}{
+		{dsecMeta, func(e *snap.Encoder) {
+			e.U64(d.ParentGen)
+			e.U64(d.ResultGen)
+			e.U32(uint32(d.BaseDictSize))
+			e.Strs(d.Tombstones)
+		}},
+		{dsecDict, func(e *snap.Encoder) { e.Strs(d.NewValues) }},
+		{dsecCatalog, d.Catalog.AppendSnapshot},
+		{dsecJoin, func(e *snap.Encoder) { join.AppendParts(e, d.JoinIDSets) }},
+		{dsecTUS, func(e *snap.Encoder) { union.AppendTUSParts(e, d.TUS) }},
+		{dsecSantos, func(e *snap.Encoder) { union.AppendSantosParts(e, d.Santos) }},
+		{dsecD3L, func(e *snap.Encoder) { union.AppendD3LParts(e, d.D3L) }},
+		{dsecStarmie, func(e *snap.Encoder) { starmie.AppendParts(e, d.Starmie) }},
+	} {
+		if err := sw.Section(sec.id, sec.enc); err != nil {
+			return err
 		}
-		sort.Strings(keys)
-		e.U32(uint32(len(keys)))
-		for _, k := range keys {
-			e.Str(k)
-			e.U32s(d.JoinIDSets[k])
-		}
-	}); err != nil {
-		return err
 	}
-	if err := sw.Section(dsecTUS, func(e *snap.Encoder) {
-		e.U32(uint32(len(d.TUS)))
-		for _, t := range d.TUS {
-			e.Str(t.ID)
-			e.U32(uint32(len(t.Cols)))
-			for _, c := range t.Cols {
-				e.Str(c.Name)
-				e.U32s(c.IDs)
-				e.U64s(c.Sig)
-				e.F32s(c.Vec)
-				e.Str(c.SemType)
-				e.F64(c.SemCover)
-			}
-		}
-	}); err != nil {
-		return err
-	}
-	if err := sw.Section(dsecSantos, func(e *snap.Encoder) {
-		e.U32(uint32(len(d.Santos)))
-		for _, t := range d.Santos {
-			e.Str(t.ID)
-			e.U32(uint32(len(t.Rels)))
-			for _, r := range t.Rels {
-				e.Str(r.ColName)
-				e.Strs(r.Pairs)
-				e.Str(r.Pred)
-				e.F64(r.PredFrac)
-			}
-		}
-	}); err != nil {
-		return err
-	}
-	if err := sw.Section(dsecD3L, func(e *snap.Encoder) {
-		e.U32(uint32(len(d.D3L)))
-		for _, t := range d.D3L {
-			e.Str(t.ID)
-			e.U32(uint32(len(t.Cols)))
-			for _, c := range t.Cols {
-				e.U32(uint32(c.ColIdx))
-				e.Strs(c.Distinct)
-				e.F64s(c.Format)
-				e.Strs(c.Words)
-				e.F64s(c.WordFreq)
-				e.F32s(c.Vec)
-			}
-		}
-	}); err != nil {
-		return err
-	}
-	return sw.Section(dsecStarmie, func(e *snap.Encoder) {
-		e.U32(uint32(len(d.Starmie)))
-		for _, t := range d.Starmie {
-			e.Str(t.ID)
-			e.Strs(t.Keys)
-			for _, v := range t.Vecs {
-				e.F32s(v)
-			}
-		}
-	})
+	return nil
 }
 
 // SaveFile writes the delta to path (created or truncated), buffered;
@@ -316,145 +253,32 @@ func LoadDelta(r io.Reader) (*Delta, error) {
 		return nil, fmt.Errorf("%w: found delta version %d, expected %d", ErrVersionMismatch, version, deltaVersion)
 	}
 	sr := snap.NewReader(r)
-	d := &Delta{JoinIDSets: make(map[string]dict.IDSet)}
-	if err := sr.Section(dsecMeta, func(dec *snap.Decoder) error {
-		d.ParentGen = dec.U64()
-		d.ResultGen = dec.U64()
-		d.BaseDictSize = int(dec.U32())
-		d.Tombstones = dec.Strs()
-		return dec.Err()
-	}); err != nil {
-		return nil, err
-	}
-	if err := sr.Section(dsecDict, func(dec *snap.Decoder) error {
-		d.NewValues = dec.Strs()
-		return dec.Err()
-	}); err != nil {
-		return nil, err
-	}
-	if err := sr.Section(dsecCatalog, func(dec *snap.Decoder) error {
-		var derr error
-		d.Catalog, derr = lake.DecodeSnapshot(dec)
-		return derr
-	}); err != nil {
-		return nil, err
-	}
-	if err := sr.Section(dsecJoin, func(dec *snap.Decoder) error {
-		n := int(dec.U32())
-		for i := 0; i < n; i++ {
-			key := dec.Str()
-			ids := dict.IDSet(dec.U32s())
-			if err := dec.Err(); err != nil {
-				return err
-			}
-			if _, dup := d.JoinIDSets[key]; dup {
-				return fmt.Errorf("%w: duplicate join column %q", snap.ErrCorrupt, key)
-			}
-			d.JoinIDSets[key] = ids
+	d := &Delta{}
+	for _, sec := range []struct {
+		id  uint16
+		dec func(*snap.Decoder) error
+	}{
+		{dsecMeta, func(dec *snap.Decoder) error {
+			d.ParentGen = dec.U64()
+			d.ResultGen = dec.U64()
+			d.BaseDictSize = int(dec.U32())
+			d.Tombstones = dec.Strs()
+			return dec.Err()
+		}},
+		{dsecDict, func(dec *snap.Decoder) error {
+			d.NewValues = dec.Strs()
+			return dec.Err()
+		}},
+		{dsecCatalog, into(&d.Catalog, lake.DecodeSnapshot)},
+		{dsecJoin, into(&d.JoinIDSets, join.DecodeParts)},
+		{dsecTUS, into(&d.TUS, union.DecodeTUSParts)},
+		{dsecSantos, into(&d.Santos, union.DecodeSantosParts)},
+		{dsecD3L, into(&d.D3L, union.DecodeD3LParts)},
+		{dsecStarmie, into(&d.Starmie, starmie.DecodeParts)},
+	} {
+		if err := sr.Section(sec.id, sec.dec); err != nil {
+			return nil, err
 		}
-		return dec.Err()
-	}); err != nil {
-		return nil, err
-	}
-	if err := sr.Section(dsecTUS, func(dec *snap.Decoder) error {
-		n := int(dec.U32())
-		for i := 0; i < n; i++ {
-			t := union.TUSTableParts{ID: dec.Str()}
-			ncols := int(dec.U32())
-			if err := dec.Err(); err != nil {
-				return err
-			}
-			for j := 0; j < ncols; j++ {
-				c := union.TUSColumnParts{Name: dec.Str()}
-				c.IDs = dict.IDSet(dec.U32s())
-				c.Sig = dec.U64s()
-				c.Vec = dec.F32s()
-				c.SemType = dec.Str()
-				c.SemCover = dec.F64()
-				if err := dec.Err(); err != nil {
-					return err
-				}
-				t.Cols = append(t.Cols, c)
-			}
-			d.TUS = append(d.TUS, t)
-		}
-		return dec.Err()
-	}); err != nil {
-		return nil, err
-	}
-	if err := sr.Section(dsecSantos, func(dec *snap.Decoder) error {
-		n := int(dec.U32())
-		for i := 0; i < n; i++ {
-			t := union.SantosTableParts{ID: dec.Str()}
-			nrels := int(dec.U32())
-			if err := dec.Err(); err != nil {
-				return err
-			}
-			for j := 0; j < nrels; j++ {
-				r := union.SantosRelParts{ColName: dec.Str()}
-				r.Pairs = dec.Strs()
-				r.Pred = dec.Str()
-				r.PredFrac = dec.F64()
-				if err := dec.Err(); err != nil {
-					return err
-				}
-				t.Rels = append(t.Rels, r)
-			}
-			d.Santos = append(d.Santos, t)
-		}
-		return dec.Err()
-	}); err != nil {
-		return nil, err
-	}
-	if err := sr.Section(dsecD3L, func(dec *snap.Decoder) error {
-		n := int(dec.U32())
-		for i := 0; i < n; i++ {
-			t := union.D3LTableParts{ID: dec.Str()}
-			ncols := int(dec.U32())
-			if err := dec.Err(); err != nil {
-				return err
-			}
-			for j := 0; j < ncols; j++ {
-				c := union.D3LColumnParts{ColIdx: int(dec.U32())}
-				c.Distinct = dec.Strs()
-				c.Format = dec.F64s()
-				c.Words = dec.Strs()
-				c.WordFreq = dec.F64s()
-				c.Vec = dec.F32s()
-				if err := dec.Err(); err != nil {
-					return err
-				}
-				if len(c.Words) != len(c.WordFreq) {
-					return fmt.Errorf("%w: D3L column has %d words for %d weights", snap.ErrCorrupt, len(c.Words), len(c.WordFreq))
-				}
-				t.Cols = append(t.Cols, c)
-			}
-			d.D3L = append(d.D3L, t)
-		}
-		return dec.Err()
-	}); err != nil {
-		return nil, err
-	}
-	if err := sr.Section(dsecStarmie, func(dec *snap.Decoder) error {
-		n := int(dec.U32())
-		for i := 0; i < n; i++ {
-			t := starmie.TableParts{ID: dec.Str()}
-			t.Keys = dec.Strs()
-			if err := dec.Err(); err != nil {
-				return err
-			}
-			t.Vecs = make([]embedding.Vector, len(t.Keys))
-			for j := range t.Keys {
-				t.Vecs[j] = dec.F32s()
-			}
-			if err := dec.Err(); err != nil {
-				return err
-			}
-			d.Starmie = append(d.Starmie, t)
-		}
-		return dec.Err()
-	}); err != nil {
-		return nil, err
 	}
 	if err := sr.Close(); err != nil {
 		return nil, err
@@ -576,12 +400,12 @@ func BuildDelta(basePath string, deltaPaths []string, add []*table.Table, remove
 		}
 	}
 	ext := dict.Extend(d, vals)
-	newIDs := make(dict.IDSet, 0, ext.Size()-baseSize)
+	var newValues []string
 	for i := baseSize; i < ext.Size(); i++ {
-		newIDs = append(newIDs, uint32(i))
+		newValues = append(newValues, ext.Value(uint32(i)))
 	}
 
-	tombstones := make([]string, 0, len(removeSet))
+	var tombstones []string
 	for id := range removeSet {
 		tombstones = append(tombstones, id)
 	}
@@ -590,35 +414,30 @@ func BuildDelta(basePath string, deltaPaths []string, add []*table.Table, remove
 		ParentGen:    gen,
 		BaseDictSize: baseSize,
 		Tombstones:   tombstones,
-		NewValues:    ext.Decode(newIDs),
+		NewValues:    newValues,
 		Catalog:      lake.NewCatalog(),
 		JoinIDSets:   make(map[string]dict.IDSet),
 	}
-	if len(addSorted) > 0 {
-		if err := delta.Catalog.AddBatch(addSorted); err != nil {
-			return nil, err
-		}
-		// Build's own engine stages, over the added tables alone, against
-		// the frozen base model and the extended dictionary — without
-		// the vector store, which would rebind that model.
-		scratch := &System{Catalog: delta.Catalog, Model: base.Model, KB: base.KB, Dict: ext, BuildStats: newBuildStats(base.buildOpts.Parallelism)}
-		if err := (pipeline{s: scratch, opts: base.buildOpts, partsOnly: true}).run(engineStages...); err != nil {
-			return nil, err
-		}
-		if scratch.Join != nil {
-			delta.JoinIDSets = scratch.Join.Parts().IDSets
-		}
-		if scratch.TUS != nil {
-			if delta.TUS, err = scratch.TUS.Parts(); err != nil {
-				return nil, err
-			}
-		}
-		delta.Santos = scratch.Santos.Parts()
-		delta.D3L = scratch.D3L.Parts()
-		delta.Starmie = scratch.Starmie.Parts()
-		for _, t := range addSorted {
-			live[t.ID] = t.ContentHash()
-		}
+	if err := delta.Catalog.AddBatch(addSorted); err != nil {
+		return nil, err
+	}
+	// Build's own engine stages, over the added tables alone (none, for a
+	// remove-only delta), against the frozen base model and the extended
+	// dictionary — without the vector store, which would rebind that
+	// model.
+	scratch := &System{Catalog: delta.Catalog, Model: base.Model, KB: base.KB, Dict: ext, BuildStats: newBuildStats(base.buildOpts.Parallelism)}
+	if err := (pipeline{s: scratch, opts: base.buildOpts, partsOnly: true}).run(engineStages...); err != nil {
+		return nil, err
+	}
+	if scratch.Join != nil {
+		delta.JoinIDSets = scratch.Join.Parts().IDSets
+	}
+	delta.TUS = scratch.TUS.Parts()
+	delta.Santos = scratch.Santos.Parts()
+	delta.D3L = scratch.D3L.Parts()
+	delta.Starmie = scratch.Starmie.Parts()
+	for _, t := range addSorted {
+		live[t.ID] = t.ContentHash()
 	}
 	delta.ResultGen = contentGen(live)
 	return delta, nil
@@ -758,34 +577,15 @@ func ApplyDeltas(base *System, deltas []*Delta, infos []DeltaInfo) (*System, err
 		return nil, fmt.Errorf("core: base lineage has %d content hashes for %d table IDs", len(base.Lineage.TableHashes), len(base.Lineage.TableIDs))
 	}
 	live := base.Lineage.live()
-	// tables holds every table the chain has added under an ID, the
-	// latest last; the live IDs pick from it.
-	tables := make(map[string]*table.Table, base.Catalog.Len())
-	for _, t := range base.Catalog.Tables() {
-		tables[t.ID] = t
-	}
+	// The catalog folds like the engines' parts: the table under each
+	// live ID, and each engine's parts for it.
+	tables := foldParts(base.Catalog.Tables(), func(t *table.Table) string { return t.ID })
 	baseJoin := base.Join.Parts()
 	joinSets := baseJoin.IDSets
-	tusParts, err := base.TUS.Parts()
-	if err != nil {
-		return nil, err
-	}
-	tusBy := make(map[string]union.TUSTableParts, len(tusParts))
-	for _, p := range tusParts {
-		tusBy[p.ID] = p
-	}
-	santosBy := make(map[string]union.SantosTableParts)
-	for _, p := range base.Santos.Parts() {
-		santosBy[p.ID] = p
-	}
-	d3lBy := make(map[string]union.D3LTableParts)
-	for _, p := range base.D3L.Parts() {
-		d3lBy[p.ID] = p
-	}
-	starBy := make(map[string]starmie.TableParts)
-	for _, p := range base.Starmie.Parts() {
-		starBy[p.ID] = p
-	}
+	tus := foldParts(base.TUS.Parts(), func(p union.TUSTableParts) string { return p.ID })
+	santos := foldParts(base.Santos.Parts(), func(p union.SantosTableParts) string { return p.ID })
+	d3l := foldParts(base.D3L.Parts(), func(p union.D3LTableParts) string { return p.ID })
+	star := foldParts(base.Starmie.Parts(), func(p starmie.TableParts) string { return p.ID })
 
 	for i, dd := range deltas {
 		path := fmt.Sprintf("delta[%d]", i)
@@ -796,18 +596,11 @@ func ApplyDeltas(base *System, deltas []*Delta, infos []DeltaInfo) (*System, err
 			return nil, err
 		}
 		for _, id := range dd.Tombstones {
-			delete(tusBy, id)
-			delete(santosBy, id)
-			delete(d3lBy, id)
-			delete(starBy, id)
 			for key := range joinSets {
 				if tid, _ := table.SplitColumnKey(key); tid == id {
 					delete(joinSets, key)
 				}
 			}
-		}
-		for _, t := range dd.Catalog.Tables() {
-			tables[t.ID] = t
 		}
 		for key, ids := range dd.JoinIDSets {
 			if _, dup := joinSets[key]; dup {
@@ -815,18 +608,11 @@ func ApplyDeltas(base *System, deltas []*Delta, infos []DeltaInfo) (*System, err
 			}
 			joinSets[key] = ids
 		}
-		for _, p := range dd.TUS {
-			tusBy[p.ID] = p
-		}
-		for _, p := range dd.Santos {
-			santosBy[p.ID] = p
-		}
-		for _, p := range dd.D3L {
-			d3lBy[p.ID] = p
-		}
-		for _, p := range dd.Starmie {
-			starBy[p.ID] = p
-		}
+		tables.apply(dd.Tombstones, dd.Catalog.Tables())
+		tus.apply(dd.Tombstones, dd.TUS)
+		santos.apply(dd.Tombstones, dd.Santos)
+		d3l.apply(dd.Tombstones, dd.D3L)
+		star.apply(dd.Tombstones, dd.Starmie)
 		ext = dict.Extend(ext, dd.NewValues)
 		gen = dd.ResultGen
 	}
@@ -836,10 +622,7 @@ func ApplyDeltas(base *System, deltas []*Delta, infos []DeltaInfo) (*System, err
 	// rebuilt structures (keyword statistics) bit-identical.
 	ids := sortedKeys(live)
 	cat := lake.NewCatalog()
-	ordered := make([]*table.Table, len(ids))
-	for i, id := range ids {
-		ordered[i] = tables[id]
-	}
+	ordered := tables.inIDOrder(ids)
 	if err := cat.AddBatch(ordered); err != nil {
 		return nil, err
 	}
@@ -881,7 +664,7 @@ func ApplyDeltas(base *System, deltas []*Delta, infos []DeltaInfo) (*System, err
 		}
 		joinSets[key] = ns
 	}
-	tusOrdered := partsInIDOrder(ids, tusBy)
+	tusOrdered := tus.inIDOrder(ids)
 	for ti := range tusOrdered {
 		for ci := range tusOrdered[ti].Cols {
 			ns, rerr := remapSet(tusOrdered[ti].Cols[ci].IDs)
@@ -896,9 +679,9 @@ func ApplyDeltas(base *System, deltas []*Delta, infos []DeltaInfo) (*System, err
 		numHashes:     baseJoin.NumHashes,
 		numPartitions: baseJoin.NumPartitions,
 		tus:           tusOrdered,
-		santos:        partsInIDOrder(ids, santosBy),
-		d3l:           partsInIDOrder(ids, d3lBy),
-		starmie:       partsInIDOrder(ids, starBy),
+		santos:        santos.inIDOrder(ids),
+		d3l:           d3l.inIDOrder(ids),
+		starmie:       star.inIDOrder(ids),
 	}
 	// Build's stage table over the merged catalog, with the base's
 	// build parameters: the engines reassemble from the folded parts,
@@ -931,13 +714,37 @@ type mergedParts struct {
 	starmie       []starmie.TableParts
 }
 
-// partsInIDOrder flattens a parts map to a slice in sorted-table-ID
-// order (dropping entries for tables no longer live — the tombstone
-// deletes already removed those, so this is just the ordering pass).
-func partsInIDOrder[P any](ids []string, by map[string]P) []P {
-	out := make([]P, 0, len(by))
+// partsFold is per-table state — a table, or one engine's parts for
+// it — folded along a delta chain, keyed by table ID.
+type partsFold[P any] struct {
+	by map[string]P
+	id func(P) string
+}
+
+// foldParts starts a fold at the base's parts.
+func foldParts[P any](base []P, id func(P) string) partsFold[P] {
+	f := partsFold[P]{by: make(map[string]P, len(base)), id: id}
+	f.apply(nil, base)
+	return f
+}
+
+// apply folds one delta: its tombstoned tables leave, its added parts
+// enter (a replace is both).
+func (f partsFold[P]) apply(tombstones []string, added []P) {
+	for _, id := range tombstones {
+		delete(f.by, id)
+	}
+	for _, p := range added {
+		f.by[f.id(p)] = p
+	}
+}
+
+// inIDOrder flattens the fold in sorted-table-ID order; ids are the
+// merged lake's live tables, a superset of the fold's.
+func (f partsFold[P]) inIDOrder(ids []string) []P {
+	out := make([]P, 0, len(f.by))
 	for _, id := range ids {
-		if p, ok := by[id]; ok {
+		if p, ok := f.by[id]; ok {
 			out = append(out, p)
 		}
 	}

@@ -627,6 +627,19 @@ func TestDeltaRejectsCorruption(t *testing.T) {
 			t.Errorf("err = %v, want ErrVersionMismatch", err)
 		}
 	})
+	t.Run("v2 header", func(t *testing.T) {
+		// A delta written before the engine sections followed the parts
+		// codecs: stale, not damaged, and the message names both versions.
+		bad := append([]byte{}, good...)
+		bad[4], bad[5] = 2, 0
+		_, err := LoadDelta(bytes.NewReader(bad))
+		if !errors.Is(err, ErrVersionMismatch) || errors.Is(err, ErrCorruptSnapshot) {
+			t.Fatalf("err = %v, want ErrVersionMismatch alone", err)
+		}
+		if msg := err.Error(); !strings.Contains(msg, "version 2") || !strings.Contains(msg, "expected 3") {
+			t.Errorf("err %q does not name versions 2 and 3", msg)
+		}
+	})
 	t.Run("bitflip", func(t *testing.T) {
 		bad := make([]byte, len(good))
 		for off := 0; off < len(good); off += 101 {
@@ -851,4 +864,76 @@ func TestLoadChainSkipsFoldedDeltas(t *testing.T) {
 	if _, err := LoadChainFiles(basePath, []string{bp}, Options{}); !errors.Is(err, ErrDeltaChain) {
 		t.Errorf("mismatched delta: err = %v, want ErrDeltaChain", err)
 	}
+}
+
+// TestDeltaPartsRoundTrip pins every engine's parts codec through the
+// delta format: a delta read back from its own bytes is DeepEqual to
+// the one written, for an add, a remove-only delta (no table in any
+// engine section) and a numeric-only add (no TUS, SANTOS or D3L parts).
+func TestDeltaPartsRoundTrip(t *testing.T) {
+	basePath, deltaPath, add, added := deltaFixture(t)
+	removeOnly, err := BuildDelta(basePath, []string{deltaPath}, nil, []string{added.ID}, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	numeric := table.MustNew("zz_numeric", "numeric only", []*table.Column{
+		table.NewColumn("id", []string{"1", "2", "3", "4", "5", "6"}),
+		table.NewColumn("score", []string{"0.5", "1.5", "2.5", "3.5", "4.5", "5.5"}),
+	})
+	numericOnly, err := BuildDelta(basePath, nil, []*table.Table{numeric}, nil, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := len(removeOnly.JoinIDSets) + len(removeOnly.TUS) + len(removeOnly.Santos) + len(removeOnly.D3L) + len(removeOnly.Starmie); n != 0 {
+		t.Fatalf("remove-only delta carries %d engine parts", n)
+	}
+	if n := len(numericOnly.TUS) + len(numericOnly.Santos) + len(numericOnly.D3L); n != 0 || len(numericOnly.Starmie) != 1 {
+		t.Fatalf("numeric-only delta: %d TUS/SANTOS/D3L parts, %d Starmie parts; want 0 and 1", n, len(numericOnly.Starmie))
+	}
+	for _, tc := range []struct {
+		name string
+		d    *Delta
+	}{{"add", add}, {"remove-only", removeOnly}, {"numeric-only", numericOnly}} {
+		t.Run(tc.name, func(t *testing.T) {
+			var buf bytes.Buffer
+			if err := tc.d.Save(&buf); err != nil {
+				t.Fatal(err)
+			}
+			got, err := LoadDelta(&buf)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, f := range []struct {
+				name      string
+				got, want any
+			}{
+				{"join", got.JoinIDSets, tc.d.JoinIDSets},
+				{"TUS", got.TUS, tc.d.TUS},
+				{"SANTOS", got.Santos, tc.d.Santos},
+				{"D3L", got.D3L, tc.d.D3L},
+				{"Starmie", got.Starmie, tc.d.Starmie},
+			} {
+				if !reflect.DeepEqual(f.got, f.want) {
+					t.Errorf("%s parts differ after a round trip:\ngot  %+v\nwant %+v", f.name, f.got, f.want)
+				}
+			}
+			// A catalog is compared by its encoding: its columns cache
+			// value statistics lazily, which no codec carries.
+			if g, w := catalogBytes(got.Catalog), catalogBytes(tc.d.Catalog); !bytes.Equal(g, w) {
+				t.Errorf("catalog differs after a round trip")
+			}
+			rest := *got
+			rest.Catalog = tc.d.Catalog
+			if !reflect.DeepEqual(&rest, tc.d) {
+				t.Errorf("delta differs after a round trip:\ngot  %+v\nwant %+v", &rest, tc.d)
+			}
+		})
+	}
+}
+
+// catalogBytes returns a catalog's snapshot encoding.
+func catalogBytes(c *lake.Catalog) []byte {
+	var e snap.Encoder
+	c.AppendSnapshot(&e)
+	return e.Bytes()
 }

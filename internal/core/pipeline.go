@@ -80,8 +80,8 @@ type pipeline struct {
 	// the catalog's tables.
 	parts *mergedParts
 	// partsOnly marks delta analysis: the engine stages take the tables
-	// only as far as each engine's Parts needs, and an engine with
-	// nothing to index stays nil instead of failing the run.
+	// only as far as each engine's Parts needs, and a join engine with
+	// no column to index stays nil instead of failing the run.
 	partsOnly bool
 }
 
@@ -212,7 +212,8 @@ func (p pipeline) join() (int, error) {
 	return eng.NumColumns(), nil
 }
 
-// tus builds the TUS union engine; column analysis fans out per table.
+// tus builds the TUS union engine; column analysis fans out per table,
+// and its Parts encode what AddTables staged.
 func (p pipeline) tus() (int, error) {
 	s := p.s
 	cfg := union.TUSConfig{Model: s.Model, KB: s.KB, Dict: s.Dict, NumHashes: 128}
@@ -222,10 +223,9 @@ func (p pipeline) tus() (int, error) {
 		tus, err = union.NewTUSFromParts(cfg, p.parts.tus, s.Catalog.Table)
 	} else if tus, err = union.NewTUS(cfg); err == nil {
 		tus.AddTables(s.Catalog.Tables(), p.opts.Parallelism)
-		if p.partsOnly && tus.NumTables() == 0 {
-			return 0, nil
+		if !p.partsOnly {
+			err = tus.Build()
 		}
-		err = tus.Build()
 	}
 	if err != nil {
 		return 0, err

@@ -249,3 +249,26 @@ func TestSaveRejectsPartialSystem(t *testing.T) {
 		t.Errorf("partial Save wrote %d bytes", buf.Len())
 	}
 }
+
+// TestSnapshotRejectsTUSIDBeyondDict forges a CRC-valid TUS section
+// whose column references a value ID past the dictionary: the load must
+// fail as corrupt rather than serve a set measure scored over a value
+// that does not exist.
+func TestSnapshotRejectsTUSIDBeyondDict(t *testing.T) {
+	gen := datagen.Generate(datagen.Config{Seed: 5, NumTemplates: 2, TablesPerTemplate: 2})
+	cat := lake.NewCatalog()
+	if err := cat.AddBatch(gen.Tables); err != nil {
+		t.Fatal(err)
+	}
+	built, err := Build(cat, Options{Seed: 3, SkipFuzzy: true, SkipGraph: true, SkipOrganization: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Parts alias the engine's column sets, so writing through them
+	// forges the section Save encodes.
+	ids := built.TUS.Parts()[0].Cols[0].IDs
+	ids[len(ids)-1] = uint32(built.Dict.Size())
+	if _, err := Load(bytes.NewReader(saved(t, built)), Options{}); !errors.Is(err, ErrCorruptSnapshot) {
+		t.Fatalf("TUS ID %d with a %d-value dictionary: err = %v, want ErrCorruptSnapshot", built.Dict.Size(), built.Dict.Size(), err)
+	}
+}

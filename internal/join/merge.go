@@ -11,9 +11,11 @@ package join
 
 import (
 	"errors"
+	"fmt"
 	"sort"
 
 	"tablehound/internal/dict"
+	"tablehound/internal/snap"
 )
 
 // EngineParts is the portable state of a join engine: the encoded
@@ -63,4 +65,32 @@ func NewEngineFromParts(d *dict.Dict, idsets map[string]dict.IDSet, numHashes, n
 		sets[i] = idsets[key]
 	}
 	return assemble(d, keys, sets, numHashes, numPartitions, parallelism)
+}
+
+// AppendParts writes a set of encoded columns (EngineParts.IDSets) as
+// the sorted key list followed by each key's ID set: a delta's join
+// section.
+func AppendParts(e *snap.Encoder, idsets map[string]dict.IDSet) {
+	keys := make([]string, 0, len(idsets))
+	for key := range idsets {
+		keys = append(keys, key)
+	}
+	sort.Strings(keys)
+	e.Strs(keys)
+	for _, key := range keys {
+		e.U32s(idsets[key])
+	}
+}
+
+// DecodeParts reads what AppendParts wrote.
+func DecodeParts(d *snap.Decoder) (map[string]dict.IDSet, error) {
+	keys := d.Strs()
+	idsets := make(map[string]dict.IDSet, len(keys))
+	for _, key := range keys {
+		if _, dup := idsets[key]; dup {
+			return nil, fmt.Errorf("%w: duplicate join column %q", snap.ErrCorrupt, key)
+		}
+		idsets[key] = d.U32s()
+	}
+	return idsets, d.Err()
 }

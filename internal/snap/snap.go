@@ -428,9 +428,11 @@ func (d *Decoder) F64() float64 { return math.Float64frombits(d.U64()) }
 // F32 reads a float32.
 func (d *Decoder) F32() float32 { return math.Float32frombits(d.U32()) }
 
-// count reads a count prefix and checks it against the remaining
-// bytes at minBytes per element.
-func (d *Decoder) count(minBytes int) int {
+// Count reads a count prefix and checks it against the remaining
+// bytes at minBytes per element. Once an error is latched it reads 0,
+// so a decode loop over counts ends at the first failure and the
+// caller checks Err once at the end.
+func (d *Decoder) Count(minBytes int) int {
 	n := int(d.U32())
 	if d.err != nil {
 		return 0
@@ -444,7 +446,7 @@ func (d *Decoder) count(minBytes int) int {
 
 // Str reads a length-prefixed string.
 func (d *Decoder) Str() string {
-	n := d.count(1)
+	n := d.Count(1)
 	b := d.take(n)
 	if b == nil {
 		return ""
@@ -454,7 +456,7 @@ func (d *Decoder) Str() string {
 
 // Strs reads a count-prefixed string slice.
 func (d *Decoder) Strs() []string {
-	n := d.count(4)
+	n := d.Count(4)
 	if d.err != nil || n == 0 {
 		return nil
 	}
@@ -467,7 +469,7 @@ func (d *Decoder) Strs() []string {
 
 // U32s reads a count-prefixed []uint32.
 func (d *Decoder) U32s() []uint32 {
-	n := d.count(4)
+	n := d.Count(4)
 	if d.err != nil || n == 0 {
 		return nil
 	}
@@ -480,7 +482,7 @@ func (d *Decoder) U32s() []uint32 {
 
 // I32s reads a count-prefixed []int32.
 func (d *Decoder) I32s() []int32 {
-	n := d.count(4)
+	n := d.Count(4)
 	if d.err != nil || n == 0 {
 		return nil
 	}
@@ -493,7 +495,7 @@ func (d *Decoder) I32s() []int32 {
 
 // U64s reads a count-prefixed []uint64.
 func (d *Decoder) U64s() []uint64 {
-	n := d.count(8)
+	n := d.Count(8)
 	if d.err != nil || n == 0 {
 		return nil
 	}
@@ -506,7 +508,7 @@ func (d *Decoder) U64s() []uint64 {
 
 // F64s reads a count-prefixed []float64.
 func (d *Decoder) F64s() []float64 {
-	n := d.count(8)
+	n := d.Count(8)
 	if d.err != nil || n == 0 {
 		return nil
 	}
@@ -519,7 +521,7 @@ func (d *Decoder) F64s() []float64 {
 
 // F32s reads a count-prefixed []float32.
 func (d *Decoder) F32s() []float32 {
-	n := d.count(4)
+	n := d.Count(4)
 	if d.err != nil || n == 0 {
 		return nil
 	}

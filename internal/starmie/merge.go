@@ -1,6 +1,7 @@
-// Merge support for incremental (delta) index maintenance: an index
-// can be decomposed into per-table column vectors and reassembled from
-// parts gathered across a base snapshot and a delta chain. Column
+// Per-table parts for incremental (delta) index maintenance: an index
+// decomposes into per-table column vectors, written and read by one
+// codec (a delta's Starmie section), and reassembles from parts
+// gathered across a base snapshot and a delta chain. Column
 // vectors are pure functions of the frozen embedding model and the
 // table's own content, so reassembly plus Build — which sorts the
 // global key list before constructing the HNSW graph — is
@@ -13,6 +14,7 @@ import (
 	"sort"
 
 	"tablehound/internal/embedding"
+	"tablehound/internal/snap"
 	"tablehound/internal/table"
 )
 
@@ -44,6 +46,37 @@ func (ix *Index) Parts() []TableParts {
 		out = append(out, p)
 	}
 	return out
+}
+
+// AppendParts writes parts as their table-ID list followed by each
+// table's column keys and vectors: a delta's Starmie section.
+func AppendParts(e *snap.Encoder, parts []TableParts) {
+	ids := make([]string, len(parts))
+	for i, p := range parts {
+		ids[i] = p.ID
+	}
+	e.Strs(ids)
+	for _, p := range parts {
+		e.Strs(p.Keys)
+		for _, v := range p.Vecs {
+			e.F32s(v)
+		}
+	}
+}
+
+// DecodeParts reads what AppendParts wrote.
+func DecodeParts(d *snap.Decoder) ([]TableParts, error) {
+	ids := d.Strs()
+	parts := make([]TableParts, len(ids))
+	for i, id := range ids {
+		p := TableParts{ID: id, Keys: d.Strs()}
+		p.Vecs = make([]embedding.Vector, len(p.Keys))
+		for j := range p.Vecs {
+			p.Vecs[j] = d.F32s()
+		}
+		parts[i] = p
+	}
+	return parts, d.Err()
 }
 
 // NewIndexFromParts assembles a built index from parts: every table's

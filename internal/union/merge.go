@@ -1,10 +1,12 @@
-// Merge support for incremental (delta) index maintenance: each union
-// engine can be decomposed into portable per-table parts and
-// reassembled from parts gathered across a base snapshot and a delta
-// chain. The reassembly paths replay each engine's own Build freeze —
-// same sorted orders, same index parameters, same encodings — so a
-// merged engine answers every query bit-identically to a from-scratch
-// build over the merged catalog.
+// Per-table parts for incremental (delta) index maintenance: each
+// union engine decomposes into portable per-table parts, written and
+// read by one codec per engine (a delta's section, and the table
+// blocks of the TUS and D3L snapshot sections), and reassembles from
+// parts gathered across a base snapshot and a delta chain. The
+// reassembly paths replay each engine's own Build freeze — same sorted
+// orders, same index parameters, same encodings — so a merged engine
+// answers every query bit-identically to a from-scratch build over the
+// merged catalog.
 package union
 
 import (
@@ -15,6 +17,7 @@ import (
 	"tablehound/internal/embedding"
 	"tablehound/internal/kb"
 	"tablehound/internal/minhash"
+	"tablehound/internal/snap"
 	"tablehound/internal/table"
 )
 
@@ -39,12 +42,15 @@ type TUSTableParts struct {
 	Cols []TUSColumnParts
 }
 
-// Parts returns the engine's per-table column analyses in indexed-ID
-// order. The engine must be built (column sets are only encoded by
-// Build). Slices alias the engine's frozen state; do not mutate.
-func (t *TUS) Parts() ([]TUSTableParts, error) {
+// Parts returns the engine's per-table column analyses in sorted-ID
+// order. On a staged engine it first encodes the staged columns as
+// Build does (without freezing the candidate indexes), so the parts
+// equal the built engine's; like Build it must then not run
+// concurrently with AddTable or Search. Slices alias the engine's
+// state; do not mutate.
+func (t *TUS) Parts() []TUSTableParts {
 	if !t.built {
-		return nil, ErrNotBuilt
+		t.encodeColumns()
 	}
 	out := make([]TUSTableParts, 0, len(t.ids))
 	for _, id := range t.ids {
@@ -57,7 +63,80 @@ func (t *TUS) Parts() ([]TUSTableParts, error) {
 		}
 		out = append(out, p)
 	}
-	return out, nil
+	return out
+}
+
+// AppendTUSParts writes parts as their table-ID list followed by each
+// table's column block: the table blocks of the TUS snapshot section
+// and the whole of a delta's TUS section.
+func AppendTUSParts(e *snap.Encoder, parts []TUSTableParts) {
+	ids := make([]string, len(parts))
+	for i, p := range parts {
+		ids[i] = p.ID
+	}
+	e.Strs(ids)
+	for _, p := range parts {
+		e.U32(uint32(len(p.Cols)))
+		for _, c := range p.Cols {
+			e.Str(c.Name)
+			e.U32s(c.IDs)
+			e.U64s(c.Sig)
+			e.F32s(c.Vec)
+			e.Str(c.SemType)
+			e.F64(c.SemCover)
+		}
+	}
+}
+
+// DecodeTUSParts reads what AppendTUSParts wrote.
+func DecodeTUSParts(d *snap.Decoder) ([]TUSTableParts, error) {
+	ids := d.Strs()
+	parts := make([]TUSTableParts, len(ids))
+	for i, id := range ids {
+		cols := make([]TUSColumnParts, d.Count(28)) // a column is at least 28 bytes
+		for j := range cols {
+			cols[j] = TUSColumnParts{Name: d.Str(), IDs: d.U32s(), Sig: d.U64s(), Vec: d.F32s(), SemType: d.Str(), SemCover: d.F64()}
+		}
+		parts[i] = TUSTableParts{ID: id, Cols: cols}
+	}
+	return parts, d.Err()
+}
+
+// adopt installs parts as the engine's tables: the one adoption path
+// of NewTUSFromParts and of a snapshot decode. Every column ID must
+// lie inside t.dict — an ID beyond it would silently mis-score the
+// set measure. A table without columns is skipped, as AddTable skips
+// it; lookup resolves table IDs against the catalog.
+func (t *TUS) adopt(parts []TUSTableParts, lookup func(id string) *table.Table) error {
+	size := t.dict.Size()
+	t.ids = make([]string, 0, len(parts))
+	for _, p := range parts {
+		tbl := lookup(p.ID)
+		if tbl == nil {
+			return fmt.Errorf("union: TUS table %q missing from catalog", p.ID)
+		}
+		if _, dup := t.tables[p.ID]; dup {
+			return fmt.Errorf("union: duplicate TUS table %q", p.ID)
+		}
+		if len(p.Cols) == 0 {
+			continue
+		}
+		entry := &tusTable{tbl: tbl, cols: make([]*tusColumn, len(p.Cols))}
+		for i, c := range p.Cols {
+			for _, id := range c.IDs {
+				if int(id) >= size {
+					return fmt.Errorf("union: TUS column %s.%s references ID %d beyond dictionary size %d", p.ID, c.Name, id, size)
+				}
+			}
+			entry.cols[i] = &tusColumn{
+				name: c.Name, ids: c.IDs, sig: c.Sig, vec: c.Vec, norm: c.Vec.Norm(),
+				semType: c.SemType, semCover: c.SemCover,
+			}
+		}
+		t.tables[p.ID] = entry
+		t.ids = append(t.ids, p.ID)
+	}
+	return nil
 }
 
 // NewTUSFromParts assembles a built TUS engine from parts whose column
@@ -75,37 +154,18 @@ func NewTUSFromParts(cfg TUSConfig, parts []TUSTableParts, lookup func(id string
 		return nil, err
 	}
 	t.dict = cfg.Dict
-	for _, p := range parts {
-		tbl := lookup(p.ID)
-		if tbl == nil {
-			return nil, fmt.Errorf("union: TUS table %q missing from catalog", p.ID)
-		}
-		if _, dup := t.tables[p.ID]; dup {
-			return nil, fmt.Errorf("union: duplicate TUS table %q", p.ID)
-		}
-		entry := &tusTable{tbl: tbl}
-		for _, c := range p.Cols {
-			for _, id := range c.IDs {
-				if int(id) >= cfg.Dict.Size() {
-					return nil, fmt.Errorf("union: TUS column %s.%s references ID %d beyond dictionary size %d", p.ID, c.Name, id, cfg.Dict.Size())
-				}
-			}
-			entry.cols = append(entry.cols, &tusColumn{
-				name: c.Name, ids: c.IDs, sig: c.Sig, vec: c.Vec, norm: c.Vec.Norm(),
-				semType: c.SemType, semCover: c.SemCover,
-			})
-			for _, v := range cfg.Dict.Decode(c.IDs) {
-				t.univ[v] = true
-			}
-		}
-		if len(entry.cols) == 0 {
-			continue
-		}
-		t.tables[p.ID] = entry
-		t.ids = append(t.ids, p.ID)
+	if err := t.adopt(parts, lookup); err != nil {
+		return nil, err
 	}
 	if len(t.tables) == 0 {
 		return nil, errors.New("union: no tables in TUS parts")
+	}
+	for _, p := range parts {
+		for _, c := range p.Cols {
+			for _, id := range c.IDs {
+				t.univ[t.dict.Value(id)] = true
+			}
+		}
 	}
 	// Build sorts the IDs and freezes setLSH/nlIndex/lfact; the columns
 	// are already encoded in t.dict, so encodeColumns keeps them as-is.
@@ -156,6 +216,39 @@ func (s *Santos) Parts() []SantosTableParts {
 		out = append(out, p)
 	}
 	return out
+}
+
+// AppendSantosParts writes parts as their table-ID list followed by
+// each table's relationship block: a delta's SANTOS section.
+func AppendSantosParts(e *snap.Encoder, parts []SantosTableParts) {
+	ids := make([]string, len(parts))
+	for i, p := range parts {
+		ids[i] = p.ID
+	}
+	e.Strs(ids)
+	for _, p := range parts {
+		e.U32(uint32(len(p.Rels)))
+		for _, r := range p.Rels {
+			e.Str(r.ColName)
+			e.Strs(r.Pairs)
+			e.Str(r.Pred)
+			e.F64(r.PredFrac)
+		}
+	}
+}
+
+// DecodeSantosParts reads what AppendSantosParts wrote.
+func DecodeSantosParts(d *snap.Decoder) ([]SantosTableParts, error) {
+	ids := d.Strs()
+	parts := make([]SantosTableParts, len(ids))
+	for i, id := range ids {
+		rels := make([]SantosRelParts, d.Count(20)) // a relationship is at least 20 bytes
+		for j := range rels {
+			rels[j] = SantosRelParts{ColName: d.Str(), Pairs: d.Strs(), Pred: d.Str(), PredFrac: d.F64()}
+		}
+		parts[i] = SantosTableParts{ID: id, Rels: rels}
+	}
+	return parts, d.Err()
 }
 
 // NewSantosFromParts assembles a built SANTOS engine from parts.
@@ -232,6 +325,53 @@ func (d *D3L) Parts() []D3LTableParts {
 	return out
 }
 
+// AppendD3LParts writes parts as their table-ID list followed by each
+// table's column block, every word next to its frequency: the whole of
+// both the D3L snapshot section and a delta's D3L section. The
+// interned ID arrays are not parts; NewD3LFromParts re-derives them.
+func AppendD3LParts(e *snap.Encoder, parts []D3LTableParts) {
+	ids := make([]string, len(parts))
+	for i, p := range parts {
+		ids[i] = p.ID
+	}
+	e.Strs(ids)
+	for _, p := range parts {
+		e.U32(uint32(len(p.Cols)))
+		for _, c := range p.Cols {
+			e.U32(uint32(c.ColIdx))
+			e.Strs(c.Distinct)
+			e.F64s(c.Format)
+			e.U32(uint32(len(c.Words)))
+			for i, w := range c.Words {
+				e.Str(w)
+				e.F64(c.WordFreq[i])
+			}
+			e.F32s(c.Vec)
+		}
+	}
+}
+
+// DecodeD3LParts reads what AppendD3LParts wrote.
+func DecodeD3LParts(d *snap.Decoder) ([]D3LTableParts, error) {
+	ids := d.Strs()
+	parts := make([]D3LTableParts, len(ids))
+	for i, id := range ids {
+		cols := make([]D3LColumnParts, d.Count(20)) // a column is at least 20 bytes
+		for j := range cols {
+			c := D3LColumnParts{ColIdx: int(int32(d.U32())), Distinct: d.Strs(), Format: d.F64s()}
+			n := d.Count(12) // a word is at least a length and a frequency
+			c.Words, c.WordFreq = make([]string, n), make([]float64, n)
+			for k := range c.Words {
+				c.Words[k], c.WordFreq[k] = d.Str(), d.F64()
+			}
+			c.Vec = d.F32s()
+			cols[j] = c
+		}
+		parts[i] = D3LTableParts{ID: id, Cols: cols}
+	}
+	return parts, d.Err()
+}
+
 // NewD3LFromParts assembles a built D3L engine from parts. Build
 // re-interns the columns into a vocabulary over the merged lake — the
 // very thing a from-scratch build does. lake is the merged lake's
@@ -241,6 +381,7 @@ func NewD3LFromParts(model *embedding.Model, lake *dict.Dict, parts []D3LTablePa
 	if err != nil {
 		return nil, err
 	}
+	d3.ids = make([]string, 0, len(parts))
 	for _, p := range parts {
 		tbl := lookup(p.ID)
 		if tbl == nil {

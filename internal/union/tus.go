@@ -189,7 +189,6 @@ func (t *TUS) Build() error {
 	if len(t.tables) == 0 {
 		return errors.New("union: no tables added")
 	}
-	sort.Strings(t.ids)
 	t.encodeColumns()
 	if err := t.buildSetLSH(); err != nil {
 		return err
@@ -231,14 +230,16 @@ func (t *TUS) buildSetLSH() error {
 	return nil
 }
 
-// encodeColumns picks the dictionary for this build and encodes every
-// column's values into sorted ID sets. The configured lake dictionary
+// encodeColumns sorts the table IDs, picks the dictionary for this
+// build and encodes every column's values into sorted ID sets — the
+// half of Build that Parts also needs. The configured lake dictionary
 // is used when it covers the whole staged universe; otherwise a
 // dictionary is built over the universe itself. When the dictionary
 // changes between builds (the self-built one grows with new tables),
 // previously encoded columns are re-encoded — IDs from different
 // dictionaries must never mix, or cross-column overlap breaks.
 func (t *TUS) encodeColumns() {
+	sort.Strings(t.ids)
 	d := t.cfg.Dict
 	covered := d != nil
 	if covered {

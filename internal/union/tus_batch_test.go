@@ -3,10 +3,13 @@ package union
 import (
 	"context"
 	"reflect"
+	"slices"
 	"testing"
 
 	"tablehound/internal/datagen"
+	"tablehound/internal/dict"
 	"tablehound/internal/embedding"
+	"tablehound/internal/tokenize"
 )
 
 // TestTUSAddTablesMatchesSequential checks the batch loader's parity
@@ -59,6 +62,44 @@ func TestTUSAddTablesMatchesSequential(t *testing.T) {
 		}
 		if !reflect.DeepEqual(got, want) {
 			t.Errorf("workers=%d: results differ\ngot  %+v\nwant %+v", workers, got, want)
+		}
+	}
+}
+
+// TestTUSStagedPartsEqualBuilt pins what delta analysis relies on: the
+// parts of a staged engine (never built, tables added out of order)
+// equal those of the same engine after Build — with the lake dictionary
+// the columns encode in, and with the self-built fallback.
+func TestTUSStagedPartsEqualBuilt(t *testing.T) {
+	lake := datagen.Generate(datagen.Config{Seed: 31, NumDomains: 10, DomainSize: 80, NumTemplates: 3, TablesPerTemplate: 3})
+	model := embedding.Train(lake.ColumnContexts(), embedding.Config{Dim: 32, Seed: 3})
+	db := dict.NewBuilder()
+	db.Add("a value no table holds")
+	for _, tbl := range lake.Tables {
+		for _, c := range tbl.Columns {
+			db.Add(tokenize.NormalizeSet(c.Values)...)
+		}
+	}
+	reversed := slices.Clone(lake.Tables)
+	slices.Reverse(reversed)
+	for _, d := range []*dict.Dict{db.Build(), nil} {
+		cfg := TUSConfig{Model: model, KB: lake.BuildKB(0.9), Dict: d}
+		staged, err := NewTUS(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		staged.AddTables(reversed, 2)
+		built, err := NewTUS(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		built.AddTables(lake.Tables, 1)
+		if err := built.Build(); err != nil {
+			t.Fatal(err)
+		}
+		got, want := staged.Parts(), built.Parts()
+		if len(want) != len(lake.Tables) || !reflect.DeepEqual(got, want) {
+			t.Errorf("lake dictionary %v: staged parts (%d tables) differ from built parts (%d tables)", d != nil, len(got), len(want))
 		}
 	}
 }
