@@ -99,7 +99,7 @@ bench-delta:
 # make bench-query COUNT=10 > new.txt
 bench-query:
 	$(GO) test -run xxx \
-		-bench 'BenchmarkQuery|BenchmarkServeQPS|BenchmarkRoutedUnion|BenchmarkD3LSearch|BenchmarkStarmieSearch|BenchmarkHNSW|BenchmarkCharGramVector|BenchmarkInferType|BenchmarkJosieTopK|BenchmarkLSHQuery|BenchmarkLSHEnsemble' \
+		-bench 'BenchmarkQuery|BenchmarkKeywordSearch|BenchmarkServeQPS|BenchmarkRoutedUnion|BenchmarkD3LSearch|BenchmarkStarmieSearch|BenchmarkHNSW|BenchmarkCharGramVector|BenchmarkInferType|BenchmarkJosieTopK|BenchmarkLSHQuery|BenchmarkLSHEnsemble' \
 		-benchmem -count $(COUNT) . ./internal/union/ ./internal/starmie/ ./internal/hnsw/ \
 		./internal/embedding/ ./internal/table/
 

@@ -15,6 +15,7 @@ import (
 	"math/rand"
 	"runtime"
 	"strconv"
+	"strings"
 	"sync"
 	"testing"
 
@@ -315,15 +316,36 @@ func BenchmarkQueryTUSDict(b *testing.B) {
 	}
 }
 
-// BenchmarkQueryKeyword measures one BM25 metadata search.
-func BenchmarkQueryKeyword(b *testing.B) {
+// BenchmarkKeywordSearch measures one search of each keyword surface
+// on the query table's tags and cells: BM25 over metadata ("meta", what
+// /v1/keyword runs), the lake-wide boolean AND the discover planner's
+// keyword prefilter runs ("boolean_and"), and BM25 over cell values
+// grouped into schema clusters ("values").
+func BenchmarkKeywordSearch(b *testing.B) {
 	sys := queryBenchSystem(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := sys.KeywordSearch("records data", 10); err != nil {
-			b.Fatal(err)
+	qt, qvals := queryBenchInputs(sys)
+	topic, cells := strings.Join(qt.Tags, " "), strings.Join(qvals[:2], " ")
+	b.Run("meta", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if len(sys.Keyword.Search(topic, 10)) == 0 {
+				b.Fatal("no hit")
+			}
 		}
-	}
+	})
+	b.Run("boolean_and", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if len(sys.Keyword.BooleanSearch(topic, sys.Catalog.Len(), true)) == 0 {
+				b.Fatal("no hit")
+			}
+		}
+	})
+	b.Run("values", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if len(sys.Values.SearchClusters(cells, 10)) == 0 {
+				b.Fatal("no hit")
+			}
+		}
+	})
 }
 
 // BenchmarkQueryQPS drives a mixed read workload (keyword, join,

@@ -34,10 +34,16 @@ import (
 	"tablehound/internal/vecstore"
 )
 
+// Build parameters every caller runs with.
+const (
+	embeddingDim       = 64  // dense vector width
+	minJoinCardinality = 3   // distinct values a string column needs to be join-indexed
+	contextWeight      = 0.3 // Starmie encoder's context mix
+	orgFanout          = 4   // navigation fanout
+)
+
 // Options configures system construction. The zero value is usable.
 type Options struct {
-	// EmbeddingDim is the dense vector width (default 64).
-	EmbeddingDim int
 	// Seed drives every randomized structure (default 1).
 	Seed int64
 	// KB is an optional curated knowledge base for semantic measures.
@@ -48,13 +54,6 @@ type Options struct {
 	// corpus-coupled, so retraining would invalidate every base vector).
 	// Build clones it, so the caller's copy is never rebound.
 	Model *embedding.Model
-	// MinJoinCardinality filters tiny columns from join indexing
-	// (default 3).
-	MinJoinCardinality int
-	// ContextWeight is the Starmie encoder's context mix (default 0.3).
-	ContextWeight float64
-	// OrgFanout is the navigation fanout (default 4).
-	OrgFanout int
 	// SkipOrganization skips hierarchy building (it is the most
 	// expensive optional step on large lakes).
 	SkipOrganization bool
@@ -104,20 +103,8 @@ type Options struct {
 }
 
 func (o Options) withDefaults() Options {
-	if o.EmbeddingDim <= 0 {
-		o.EmbeddingDim = 64
-	}
 	if o.Seed == 0 {
 		o.Seed = 1
-	}
-	if o.MinJoinCardinality <= 0 {
-		o.MinJoinCardinality = 3
-	}
-	if o.ContextWeight == 0 {
-		o.ContextWeight = 0.3
-	}
-	if o.OrgFanout == 0 {
-		o.OrgFanout = 4
 	}
 	o.Parallelism = parallel.Resolve(o.Parallelism)
 	o.QueryParallelism = parallel.Resolve(o.QueryParallelism)
@@ -216,7 +203,7 @@ func Build(catalog *lake.Catalog, opts Options) (*System, error) {
 				}
 			}
 		}
-		s.Model = embedding.Train(contexts, embedding.Config{Dim: opts.EmbeddingDim, Seed: uint64(opts.Seed)})
+		s.Model = embedding.Train(contexts, embedding.Config{Dim: embeddingDim, Seed: uint64(opts.Seed)})
 		return len(contexts), nil
 	}); err != nil {
 		return nil, err
@@ -350,13 +337,13 @@ func buildDict(tables []*table.Table, parallelism int) (*dict.Dict, error) {
 
 // buildCorr constructs the correlation engine: first qualifying string
 // column as key, numeric columns as measures.
-func buildCorr(s *System, tables []*table.Table, opts Options) (int, error) {
+func buildCorr(s *System, tables []*table.Table) (int, error) {
 	cb := join.NewCorrBuilder(256)
 	pairs := 0
 	for _, t := range tables {
 		var keyCol *table.Column
 		for _, c := range t.Columns {
-			if c.Type == table.TypeString && c.Cardinality() >= opts.MinJoinCardinality {
+			if c.Type == table.TypeString && c.Cardinality() >= minJoinCardinality {
 				keyCol = c
 				break
 			}
@@ -399,7 +386,7 @@ func buildFuzzy(s *System, tables []*table.Table, opts Options) (int, error) {
 	var batch []join.FuzzyColumn
 	for _, t := range tables {
 		for _, c := range t.Columns {
-			if c.Type == table.TypeString && c.Cardinality() >= opts.MinJoinCardinality {
+			if c.Type == table.TypeString && c.Cardinality() >= minJoinCardinality {
 				batch = append(batch, join.FuzzyColumn{Key: table.ColumnKey(t.ID, c.Name), Values: c.Values})
 			}
 		}

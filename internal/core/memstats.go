@@ -67,17 +67,11 @@ func (s *System) MemStats() MemReport {
 		add("santos-dict", 0, s.Santos.PairDict().Footprint())
 		add("santos-pairs", s.Santos.NumTables(), s.Santos.PairFootprint())
 	}
+	if s.Keyword != nil {
+		add("keyword-meta", s.Keyword.Len(), s.Keyword.Footprint())
+	}
 	if s.Values != nil {
-		terms, postings := s.Values.Stats()
-		// Integer postings: 4 B term ID + 8 B tf per posting. Legacy
-		// form: one map[string]float64 entry per posting (header +
-		// value + bucket overhead; term bytes live in the vocabulary
-		// either way).
-		add("keyword-postings", s.Values.Len(), dict.Footprint{
-			Count:       terms,
-			Bytes:       int64(postings) * 12,
-			LegacyBytes: int64(postings) * (16 + 8 + 32),
-		})
+		add("keyword-values", s.Values.Len(), s.Values.Footprint())
 	}
 	if s.Vecs != nil {
 		// The shared vector block. "Legacy" is what the pre-block form

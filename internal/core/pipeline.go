@@ -130,13 +130,7 @@ func (p pipeline) stages() []stage {
 		{stageKeyword, false, func() (int, error) {
 			// Keyword search over metadata and over cell values
 			// (OCTOPUS-style).
-			s.Keyword, s.Values = keyword.NewIndex(), keyword.NewValueIndex()
-			for _, t := range tables {
-				s.Keyword.Add(t)
-				s.Values.Add(t)
-			}
-			s.Keyword.Finish()
-			s.Values.Finish()
+			s.Keyword, s.Values = keyword.NewIndex(tables), keyword.NewValueIndex(tables)
 			return len(tables), nil
 		}},
 		{stageProfiles, false, func() (int, error) {
@@ -154,7 +148,7 @@ func (p pipeline) stages() []stage {
 			return buildFuzzy(s, tables, opts)
 		}},
 		{stageCorr, false, func() (int, error) {
-			return buildCorr(s, tables, opts)
+			return buildCorr(s, tables)
 		}},
 		{stageMate, false, func() (int, error) {
 			// Multi-attribute join.
@@ -166,7 +160,7 @@ func (p pipeline) stages() []stage {
 		{stageD3L, false, p.d3l},
 		{stageStarmie, false, p.starmie},
 		{stageOrg, opts.SkipOrganization, func() (int, error) {
-			s.Org = navigation.Organize(tables, s.Model, navigation.Config{Fanout: opts.OrgFanout, Seed: opts.Seed})
+			s.Org = navigation.Organize(tables, s.Model, navigation.Config{Fanout: orgFanout, Seed: opts.Seed})
 			return len(tables), nil
 		}},
 		{stageGraph, opts.SkipGraph, func() (int, error) {
@@ -195,7 +189,7 @@ func (p pipeline) join() (int, error) {
 	if mp := p.parts; mp != nil {
 		eng, err = join.NewEngineFromParts(s.Dict, mp.joinSets, mp.numHashes, mp.numPartitions, p.opts.Parallelism)
 	} else {
-		jb := join.NewBuilder(p.opts.MinJoinCardinality)
+		jb := join.NewBuilder(minJoinCardinality)
 		jb.UseDict(s.Dict)
 		for _, t := range s.Catalog.Tables() {
 			jb.AddTable(t)
@@ -284,7 +278,7 @@ func (p pipeline) d3l() (int, error) {
 // out per table, and its Parts read the staged vectors.
 func (p pipeline) starmie() (int, error) {
 	s := p.s
-	enc := starmie.NewEncoder(s.Model, p.opts.ContextWeight)
+	enc := starmie.NewEncoder(s.Model, contextWeight)
 	var ix *starmie.Index
 	var err error
 	if p.parts != nil {

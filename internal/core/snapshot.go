@@ -64,10 +64,14 @@ var ErrVersionMismatch = errors.New("core: snapshot version mismatch")
 // changes the generation — membership alone cannot tell such lakes
 // apart, and the serving tier keys its query cache on the generation.
 // Version 5 added the catalog-statistics section (secStats), the
-// discover planner's cost-model input.
+// discover planner's cost-model input. Version 6 writes the keyword and
+// values sections through the keyword package's one postings codec
+// (the metadata section no longer repeats term strings per document)
+// and drops the build parameters that became constants from the
+// options section.
 const (
 	snapMagic   uint32 = 0x54485342 // "THSB": tablehound system binary
-	snapVersion uint16 = 5
+	snapVersion uint16 = 6
 
 	// snapHeaderLen is the byte length of the snap header (magic,
 	// version, flags) that precedes the first section; blob-offset
@@ -180,11 +184,7 @@ func (s *System) Save(w io.Writer) error {
 // appendSnapshot writes the build parameters a snapshot persists — the
 // ones the rebuild stages replay. Runtime knobs are not persisted.
 func (o Options) appendSnapshot(e *snap.Encoder) {
-	e.U32(uint32(o.EmbeddingDim))
 	e.I64(o.Seed)
-	e.U32(uint32(o.MinJoinCardinality))
-	e.F64(o.ContextWeight)
-	e.U32(uint32(o.OrgFanout))
 	e.Bool(o.SkipOrganization)
 	e.Bool(o.SkipFuzzy)
 	e.Bool(o.SkipGraph)
@@ -196,19 +196,15 @@ func (o Options) appendSnapshot(e *snap.Encoder) {
 // VecNProbe and VecMode.
 func decodeOptions(d *snap.Decoder, rt Options) Options {
 	return Options{
-		EmbeddingDim:       int(d.U32()),
-		Seed:               d.I64(),
-		MinJoinCardinality: int(d.U32()),
-		ContextWeight:      d.F64(),
-		OrgFanout:          int(d.U32()),
-		SkipOrganization:   d.Bool(),
-		SkipFuzzy:          d.Bool(),
-		SkipGraph:          d.Bool(),
-		VecCentroids:       int(d.I64()),
-		Parallelism:        parallel.Resolve(rt.Parallelism),
-		QueryParallelism:   parallel.Resolve(rt.QueryParallelism),
-		VecNProbe:          rt.VecNProbe,
-		VecMode:            rt.VecMode,
+		Seed:             d.I64(),
+		SkipOrganization: d.Bool(),
+		SkipFuzzy:        d.Bool(),
+		SkipGraph:        d.Bool(),
+		VecCentroids:     int(d.I64()),
+		Parallelism:      parallel.Resolve(rt.Parallelism),
+		QueryParallelism: parallel.Resolve(rt.QueryParallelism),
+		VecNProbe:        rt.VecNProbe,
+		VecMode:          rt.VecMode,
 	}
 }
 

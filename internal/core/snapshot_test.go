@@ -3,16 +3,23 @@ package core
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
 
 	"tablehound/internal/datagen"
+	"tablehound/internal/dict"
 	"tablehound/internal/lake"
+	"tablehound/internal/minhash"
+	"tablehound/internal/snap"
 	"tablehound/internal/table"
 	"tablehound/internal/union"
+	"tablehound/internal/vecstore"
 )
 
 // roundTrip saves built to a buffer and loads it back at the given
@@ -200,9 +207,10 @@ func TestSnapshotRejectsCorruption(t *testing.T) {
 		// A clean header with the wrong version is a stale snapshot, not
 		// bit rot: the typed ErrVersionMismatch (naming both versions)
 		// lets operators tell the two apart, so it must not also satisfy
-		// the corruption sentinel.
+		// the corruption sentinel. The header claims v5, whose keyword
+		// sections predate the shared postings codec.
 		bad := append([]byte{}, good...)
-		bad[4] = 0xEE // version lives at header bytes 4..5
+		bad[4], bad[5] = 5, 0 // version lives at header bytes 4..5
 		_, err := Load(bytes.NewReader(bad), Options{})
 		if !errors.Is(err, ErrVersionMismatch) {
 			t.Errorf("err = %v, want ErrVersionMismatch", err)
@@ -210,7 +218,7 @@ func TestSnapshotRejectsCorruption(t *testing.T) {
 		if errors.Is(err, ErrCorruptSnapshot) {
 			t.Errorf("version mismatch also satisfies ErrCorruptSnapshot: %v", err)
 		}
-		for _, want := range []string{"found version", "expected 5"} {
+		for _, want := range []string{"found version 5", "expected 6"} {
 			if err == nil || !strings.Contains(err.Error(), want) {
 				t.Errorf("err %q does not name versions (%q missing)", err, want)
 			}
@@ -270,5 +278,156 @@ func TestSnapshotRejectsTUSIDBeyondDict(t *testing.T) {
 	ids[len(ids)-1] = uint32(built.Dict.Size())
 	if _, err := Load(bytes.NewReader(saved(t, built)), Options{}); !errors.Is(err, ErrCorruptSnapshot) {
 		t.Fatalf("TUS ID %d with a %d-value dictionary: err = %v, want ErrCorruptSnapshot", built.Dict.Size(), built.Dict.Size(), err)
+	}
+}
+
+// withSection returns the snapshot good with section id's payload
+// replaced by edit(payload): every frame re-checksummed and the vector
+// blob re-aligned, so only the forged content can fail a load.
+func withSection(t *testing.T, good []byte, id uint16, edit func(payload []byte) []byte) []byte {
+	t.Helper()
+	var frames bytes.Buffer
+	sw := snap.NewWriter(&frames)
+	pos := snapHeaderLen
+	for sid := secOptions; sid <= secVecs; sid++ {
+		if got := binary.LittleEndian.Uint16(good[pos:]); got != sid {
+			t.Fatalf("section %d at offset %d, want %d", got, pos, sid)
+		}
+		n := int(binary.LittleEndian.Uint64(good[pos+2:]))
+		payload := good[pos+10 : pos+10+n]
+		pos += 10 + n + 4
+		if sid == id {
+			payload = edit(append([]byte(nil), payload...))
+		}
+		if err := sw.Section(sid, func(e *snap.Encoder) {
+			for _, b := range payload {
+				e.U8(b)
+			}
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	out := append(append([]byte(nil), good[:snapHeaderLen]...), frames.Bytes()...)
+	out = append(out, make([]byte, vecstore.PadTo(snapHeaderLen+sw.Written()))...)
+	return append(out, good[pos+vecstore.PadTo(int64(pos)):]...)
+}
+
+// TestSnapshotRejectsForgedIDSets re-encodes the SANTOS and join
+// sections of a valid snapshot with one bad ID set at a time: an ID
+// past its dictionary, IDs not strictly ascending, and pair IDs in a
+// SANTOS section without a pair dictionary. Each one used to load, and
+// then panicked in a later delta merge or Save; LoadFile must refuse it
+// as corrupt.
+func TestSnapshotRejectsForgedIDSets(t *testing.T) {
+	gen := datagen.Generate(datagen.Config{Seed: 5, NumTemplates: 2, TablesPerTemplate: 2})
+	cat := lake.NewCatalog()
+	if err := cat.AddBatch(gen.Tables); err != nil {
+		t.Fatal(err)
+	}
+	built, err := Build(cat, Options{Seed: 3, SkipFuzzy: true, SkipGraph: true, SkipOrganization: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	good := saved(t, built)
+	at := func(p []byte, d *snap.Decoder) int { return len(p) - d.Remaining() }
+	// santos walks a SANTOS payload to its pair dictionary and to the
+	// first element of the first pair set with two or more IDs.
+	santos := func(p []byte) (dictStart, dictEnd, set, pairs int) {
+		d := snap.NewDecoder(p)
+		d.Bool()
+		if !d.Bool() {
+			t.Fatal("SANTOS section has no pair dictionary")
+		}
+		dictStart = at(p, d)
+		pd, err := dict.DecodeSnapshot(d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dictEnd = at(p, d)
+		for range d.Strs() {
+			for r := d.U32(); r > 0; r-- {
+				d.Str()
+				if n := binary.LittleEndian.Uint32(p[at(p, d):]); n >= 2 && set == 0 {
+					set = at(p, d) + 4
+				}
+				d.U32s()
+				d.Str()
+				d.F64()
+			}
+		}
+		if set == 0 {
+			t.Fatal("no SANTOS pair set with two IDs")
+		}
+		return dictStart, dictEnd, set, pd.Size()
+	}
+	// joinSet is the offset of the first element of the first join
+	// column set with two or more IDs.
+	joinSet := func(p []byte) int {
+		d := snap.NewDecoder(p)
+		if !d.Bool() {
+			t.Fatal("join section carries its own dictionary")
+		}
+		if _, err := minhash.DecodeSnapshot(d); err != nil {
+			t.Fatal(err)
+		}
+		d.U32()
+		d.U32()
+		for range d.Strs() {
+			if n := binary.LittleEndian.Uint32(p[at(p, d):]); n >= 2 {
+				return at(p, d) + 4
+			}
+			d.U32s()
+			d.U64s()
+		}
+		t.Fatal("no join column with two IDs")
+		return 0
+	}
+	put := func(p []byte, off int, v uint32) []byte {
+		binary.LittleEndian.PutUint32(p[off:], v)
+		return p
+	}
+	// equalNext makes a set's first ID equal its second.
+	equalNext := func(p []byte, off int) []byte { return put(p, off, binary.LittleEndian.Uint32(p[off+4:])) }
+
+	dir := t.TempDir()
+	for _, c := range []struct {
+		name string
+		sec  uint16
+		edit func([]byte) []byte
+	}{
+		{"unchanged", secSantos, func(p []byte) []byte { return p }},
+		{"SANTOS pair ID past the pair dictionary", secSantos, func(p []byte) []byte {
+			_, _, set, pairs := santos(p)
+			return put(p, set, uint32(pairs))
+		}},
+		{"SANTOS pair IDs not ascending", secSantos, func(p []byte) []byte {
+			_, _, set, _ := santos(p)
+			return equalNext(p, set)
+		}},
+		{"SANTOS pair IDs without a pair dictionary", secSantos, func(p []byte) []byte {
+			start, end, _, _ := santos(p)
+			return append(append(p[:start-1:start-1], 0), p[end:]...)
+		}},
+		{"join ID past the dictionary", secJoin, func(p []byte) []byte {
+			return put(p, joinSet(p), uint32(built.Dict.Size()))
+		}},
+		{"join IDs not ascending", secJoin, func(p []byte) []byte { return equalNext(p, joinSet(p)) }},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			path := filepath.Join(dir, "forged.snap")
+			if err := os.WriteFile(path, withSection(t, good, c.sec, c.edit), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			_, err := LoadFile(path, Options{})
+			if c.name == "unchanged" {
+				if err != nil {
+					t.Fatalf("re-framed snapshot does not load: %v", err)
+				}
+				return
+			}
+			if !errors.Is(err, ErrCorruptSnapshot) {
+				t.Fatalf("err = %v, want ErrCorruptSnapshot", err)
+			}
+		})
 	}
 }

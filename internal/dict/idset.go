@@ -1,6 +1,9 @@
 package dict
 
-import "sort"
+import (
+	"fmt"
+	"sort"
+)
 
 // IDSet is a sorted, duplicate-free slice of dictionary IDs — the
 // integer posting-list form of a value set. The zero value is the
@@ -14,6 +17,21 @@ func NewIDSet(ids []uint32) IDSet {
 	cp := make([]uint32, len(ids))
 	copy(cp, ids)
 	return newSortedDedup(cp)
+}
+
+// Check reports why s is not a set over IDs [0, size): an ID out of
+// that range, or IDs not strictly ascending. Decoders run it on stored
+// sets, which the set algebra and every ID lookup trust.
+func (s IDSet) Check(size int) error {
+	for i, id := range s {
+		if int(id) >= size {
+			return fmt.Errorf("ID %d out of range [0, %d)", id, size)
+		}
+		if i > 0 && s[i-1] >= id {
+			return fmt.Errorf("IDs not strictly ascending at position %d", i)
+		}
+	}
+	return nil
 }
 
 // Contains reports membership via binary search.

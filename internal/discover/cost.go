@@ -96,22 +96,22 @@ func (p *Plan) estimateMeta() stagePlan {
 }
 
 // estimateKeyword prices the keyword prefilter from the metadata
-// index's per-term document frequencies. BooleanSearch is a full scan
-// of the corpus whatever the query, so the cost is N × terms and there
-// is no restricted path. A query whose terms are all stopwords admits
-// nothing (selectivity 0); a query whose every term appears in every
-// document provably admits all tables.
+// index's per-term document frequencies. BooleanSearch reads exactly
+// the query terms' posting lists, so the cost is Σ df(t), the postings
+// it reads, and there is no restricted path. A query whose terms are
+// all stopwords admits nothing (selectivity 0); a query whose every
+// term appears in every document provably admits all tables.
 func (p *Plan) estimateKeyword() stagePlan {
 	sp := stagePlan{name: StageKeyword, sel: 1}
 	n := p.sys.Catalog.Len()
 	dfs := p.sys.Keyword.QueryDFs(p.q.Predicates.Keywords)
-	terms := len(dfs)
-	if terms == 0 {
+	if len(dfs) == 0 {
 		sp.sel = 0
-		sp.cost = int64(n)
 		return sp
 	}
-	sp.cost = int64(n) * int64(terms)
+	for _, df := range dfs {
+		sp.cost += int64(df)
+	}
 	if n == 0 {
 		return sp
 	}

@@ -163,7 +163,7 @@ func E14Arda() Report {
 // them.
 func E15Keyword() Report {
 	topics := []string{"city population", "company revenue", "river flow", "team roster"}
-	ix := keyword.NewIndex()
+	var tables []*table.Table
 	relevantFor := make([]map[string]bool, len(topics))
 	for ti, topic := range topics {
 		relevantFor[ti] = make(map[string]bool)
@@ -173,7 +173,7 @@ func E15Keyword() Report {
 			t := table.MustNew(id, fmt.Sprintf("%s %d", topic, i),
 				[]*table.Column{table.NewColumn("value", []string{"x"})})
 			t.Description = "reference statistics"
-			ix.Add(t)
+			tables = append(tables, t)
 			relevantFor[ti][id] = true
 		}
 		// Distractors: topic words buried in the description of tables
@@ -183,10 +183,10 @@ func E15Keyword() Report {
 			t := table.MustNew(id, fmt.Sprintf("miscellaneous dataset %d %d", ti, i),
 				[]*table.Column{table.NewColumn("value", []string{"x"})})
 			t.Description = fmt.Sprintf("unrelated records, normalized by %s figures", topic)
-			ix.Add(t)
+			tables = append(tables, t)
 		}
 	}
-	ix.Finish()
+	ix := keyword.NewIndex(tables)
 	var retrievedBM, retrievedBool [][]string
 	var relevant []map[string]bool
 	for ti, topic := range topics {

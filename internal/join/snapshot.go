@@ -92,6 +92,9 @@ func DecodeEngineSnapshot(d *snap.Decoder, sysDict *dict.Dict, parallelism int) 
 		if len(sig) != numHashes {
 			return nil, fmt.Errorf("%w: join column %q signature has %d hashes, want %d", snap.ErrCorrupt, key, len(sig), numHashes)
 		}
+		if err := ids.Check(dc.Size()); err != nil {
+			return nil, fmt.Errorf("%w: join column %q: %v", snap.ErrCorrupt, key, err)
+		}
 		idsets[i] = ids
 		if err := ens.Add(lshensemble.Domain{Key: key, Size: len(ids), Sig: sig}); err != nil {
 			return nil, fmt.Errorf("%w: %v", snap.ErrCorrupt, err)

@@ -1,17 +1,16 @@
-// Package keyword implements metadata keyword search over data-lake
-// tables (Section 2.3 of the tutorial): the user supplies topic
-// keywords and the engine ranks tables by metadata relevance, the
-// query mode of OCTOPUS and Google Dataset Search. Two retrieval
-// models are provided — BM25 (the default) and boolean AND/OR
-// matching (the baseline benchmarks compare against).
+// Package keyword implements keyword search over data-lake tables
+// (Section 2.3 of the tutorial): the user supplies topic keywords and
+// the engine ranks tables by relevance. Index searches metadata, the
+// query mode of OCTOPUS and Google Dataset Search, with BM25 (the
+// default) and boolean AND/OR matching (the baseline benchmarks compare
+// against); ValueIndex searches cell values. Both are one BM25 engine
+// over different terms.
 package keyword
 
 import (
-	"math"
-	"sort"
 	"strings"
-	"sync"
 
+	"tablehound/internal/snap"
 	"tablehound/internal/table"
 	"tablehound/internal/tokenize"
 )
@@ -25,35 +24,14 @@ const (
 	weightHeader = 1.0
 )
 
-// BM25 hyperparameters (standard defaults).
-const (
-	bm25K1 = 1.2
-	bm25B  = 0.75
-)
+// Index is a BM25 inverted index over table metadata. It is built once
+// by NewIndex and never changes, so every method is safe for concurrent
+// use.
+type Index struct{ postings }
 
-// Result is one ranked table.
-type Result struct {
-	TableID string
-	Score   float64
-}
-
-// Index is a BM25 inverted index over table metadata. Build once with
-// Add + Finish; then query concurrently. Add must not run
-// concurrently with anything; Search is safe for concurrent use (the
-// lazy Finish it performs on first use is mutex-guarded).
-type Index struct {
-	docs     []string             // doc -> table ID
-	termFreq []map[string]float64 // doc -> term -> weighted tf
-	docLen   []float64            // weighted token count
-	df       map[string]int
-	avgLen   float64
-	mu       sync.Mutex // guards frozen/avgLen for the lazy Finish
-	frozen   bool
-}
-
-// NewIndex returns an empty metadata index.
-func NewIndex() *Index {
-	return &Index{df: make(map[string]int)}
+// NewIndex indexes the metadata of tables, in order.
+func NewIndex(tables []*table.Table) *Index {
+	return &Index{newPostings(tables, metadataTerms)}
 }
 
 // metadataTerms extracts weighted terms from a table's metadata.
@@ -78,147 +56,50 @@ func metadataTerms(t *table.Table) map[string]float64 {
 	return tf
 }
 
-// Add indexes one table's metadata.
-func (ix *Index) Add(t *table.Table) {
-	tf := metadataTerms(t)
-	ix.docs = append(ix.docs, t.ID)
-	ix.termFreq = append(ix.termFreq, tf)
-	var l float64
-	for term, f := range tf {
-		l += f
-		ix.df[term]++
-	}
-	ix.docLen = append(ix.docLen, l)
-	ix.frozen = false
-}
-
-// Finish precomputes corpus statistics. Called implicitly by Search.
-func (ix *Index) Finish() {
-	ix.mu.Lock()
-	defer ix.mu.Unlock()
-	ix.finishLocked()
-}
-
-func (ix *Index) finishLocked() {
-	var sum float64
-	for _, l := range ix.docLen {
-		sum += l
-	}
-	if len(ix.docLen) > 0 {
-		ix.avgLen = sum / float64(len(ix.docLen))
-	}
-	ix.frozen = true
-}
-
-// ensureFinished runs the lazy Finish exactly when needed. The mutex
-// gives concurrent Searches a happens-before edge on avgLen, keeping
-// the read path race-free even when no explicit Finish was called.
-func (ix *Index) ensureFinished() {
-	ix.mu.Lock()
-	if !ix.frozen {
-		ix.finishLocked()
-	}
-	ix.mu.Unlock()
-}
-
-// Len returns the number of indexed tables.
-func (ix *Index) Len() int { return len(ix.docs) }
-
-// idf is the BM25 idf with the standard +1 smoothing.
-func (ix *Index) idf(term string) float64 {
-	n := float64(len(ix.docs))
-	d := float64(ix.df[term])
-	return math.Log(1 + (n-d+0.5)/(d+0.5))
-}
-
-// Search ranks tables by BM25 score against the query keywords and
-// returns the top k (fewer when fewer match).
-func (ix *Index) Search(query string, k int) []Result {
-	ix.ensureFinished()
-	terms := queryTerms(query)
-	if len(terms) == 0 || k <= 0 {
-		return nil
-	}
-	var res []Result
-	for d := range ix.docs {
-		var score float64
-		for _, t := range terms {
-			f := ix.termFreq[d][t]
-			if f == 0 {
-				continue
-			}
-			norm := f * (bm25K1 + 1) / (f + bm25K1*(1-bm25B+bm25B*ix.docLen[d]/ix.avgLen))
-			score += ix.idf(t) * norm
-		}
-		if score > 0 {
-			res = append(res, Result{TableID: ix.docs[d], Score: score})
-		}
-	}
-	sortResults(res)
-	if len(res) > k {
-		res = res[:k]
-	}
-	return res
-}
-
-// BooleanSearch is the baseline: rank by the count of distinct query
-// terms present (AND-biased OR semantics), ignoring term frequency and
+// BooleanSearch is the baseline: rank by the count of query terms
+// present (AND-biased OR semantics), ignoring term frequency and
 // rarity. requireAll restricts results to tables matching every term.
 func (ix *Index) BooleanSearch(query string, k int, requireAll bool) []Result {
-	terms := queryTerms(query)
-	if len(terms) == 0 || k <= 0 {
+	if k <= 0 {
 		return nil
 	}
-	var res []Result
-	for d := range ix.docs {
-		matched := 0
-		for _, t := range terms {
-			if ix.termFreq[d][t] > 0 {
-				matched++
+	terms := queryTerms(query)
+	hits := ix.match(terms, false)
+	if requireAll {
+		all := hits[:0]
+		for _, h := range hits {
+			if h.score == float64(len(terms)) {
+				all = append(all, h)
 			}
 		}
-		if matched == 0 || (requireAll && matched < len(terms)) {
-			continue
-		}
-		res = append(res, Result{TableID: ix.docs[d], Score: float64(matched)})
+		hits = all
 	}
-	sortResults(res)
-	if len(res) > k {
-		res = res[:k]
-	}
-	return res
+	return ix.results(ix.top(hits, k))
 }
 
 // QueryDFs returns the document frequency of each query term,
 // tokenized exactly as Search/BooleanSearch tokenize (stopwords
-// dropped, duplicates kept). A cost-based planner estimates the
-// boolean-AND prefilter's selectivity from these counts: a term absent
+// dropped, duplicates kept): the lengths of the posting lists those
+// searches read. A cost-based planner estimates the boolean-AND
+// prefilter's selectivity and cost from these counts: a term absent
 // from the corpus has DF 0 and admits nothing, a term present in every
 // document has DF Len() and restricts nothing.
 func (ix *Index) QueryDFs(query string) []int {
 	terms := queryTerms(query)
 	out := make([]int, len(terms))
 	for i, t := range terms {
-		out[i] = ix.df[t]
-	}
-	return out
-}
-
-func queryTerms(query string) []string {
-	var out []string
-	for _, t := range tokenize.Words(query) {
-		if !tokenize.IsStopword(t) {
-			out = append(out, t)
+		if id, ok := ix.termID(t); ok {
+			out[i] = ix.df(id)
 		}
 	}
 	return out
 }
 
-func sortResults(res []Result) {
-	sort.Slice(res, func(i, j int) bool {
-		if res[i].Score != res[j].Score {
-			return res[i].Score > res[j].Score
-		}
-		return res[i].TableID < res[j].TableID
-	})
+// DecodeIndexSnapshot rebuilds an index written by AppendSnapshot.
+func DecodeIndexSnapshot(d *snap.Decoder) (*Index, error) {
+	p, err := decodePostings(d)
+	if err != nil {
+		return nil, err
+	}
+	return &Index{p}, nil
 }

@@ -18,13 +18,12 @@ func mkTable(id, name, desc string, tags []string, headers ...string) *table.Tab
 }
 
 func demoIndex() *Index {
-	ix := NewIndex()
-	ix.Add(mkTable("t1", "city population", "population counts for world cities", []string{"demographics"}, "city", "population", "year"))
-	ix.Add(mkTable("t2", "company revenue", "annual revenue of tech companies", []string{"finance"}, "company", "revenue"))
-	ix.Add(mkTable("t3", "city weather", "daily weather observations by city", []string{"climate"}, "city", "temp", "rain"))
-	ix.Add(mkTable("t4", "bird sightings", "sightings of rare birds", []string{"nature"}, "species", "count"))
-	ix.Finish()
-	return ix
+	return NewIndex([]*table.Table{
+		mkTable("t1", "city population", "population counts for world cities", []string{"demographics"}, "city", "population", "year"),
+		mkTable("t2", "company revenue", "annual revenue of tech companies", []string{"finance"}, "company", "revenue"),
+		mkTable("t3", "city weather", "daily weather observations by city", []string{"climate"}, "city", "temp", "rain"),
+		mkTable("t4", "bird sightings", "sightings of rare birds", []string{"nature"}, "species", "count"),
+	})
 }
 
 func ids(rs []Result) []string {
@@ -57,9 +56,10 @@ func TestSearchRanksRelevantFirst(t *testing.T) {
 }
 
 func TestSearchNameBeatsHeader(t *testing.T) {
-	ix := NewIndex()
-	ix.Add(mkTable("byname", "weather data", "", nil, "a", "b"))
-	ix.Add(mkTable("byheader", "misc", "", nil, "weather", "b"))
+	ix := NewIndex([]*table.Table{
+		mkTable("byname", "weather data", "", nil, "a", "b"),
+		mkTable("byheader", "misc", "", nil, "weather", "b"),
+	})
 	res := ix.Search("weather", 2)
 	if len(res) != 2 || res[0].TableID != "byname" {
 		t.Errorf("results = %v, want byname first", ids(res))
@@ -121,15 +121,16 @@ func TestLen(t *testing.T) {
 	}
 }
 
+// TestSearchWithoutExplicitFinish checks that an index is searchable
+// straight from NewIndex, and that growing the lake means building a
+// new index from the larger slice, which sees every table.
 func TestSearchWithoutExplicitFinish(t *testing.T) {
-	ix := NewIndex()
-	ix.Add(mkTable("t1", "solar panels", "", nil, "watts"))
-	if res := ix.Search("solar", 1); len(res) != 1 {
-		t.Error("Search should self-finish")
+	tables := []*table.Table{mkTable("t1", "solar panels", "", nil, "watts")}
+	if res := NewIndex(tables).Search("solar", 1); len(res) != 1 {
+		t.Errorf("Search on a fresh index = %v, want one hit", ids(res))
 	}
-	// Adding after Finish re-opens the index.
-	ix.Add(mkTable("t2", "solar farms", "", nil, "acres"))
-	if res := ix.Search("solar", 5); len(res) != 2 {
-		t.Error("index not refreshed after Add")
+	tables = append(tables, mkTable("t2", "solar farms", "", nil, "acres"))
+	if res := NewIndex(tables).Search("solar", 5); len(res) != 2 {
+		t.Errorf("Search on the rebuilt index = %v, want two hits", ids(res))
 	}
 }

@@ -1,11 +1,11 @@
 package keyword
 
 import (
-	"math"
+	"fmt"
 	"sort"
 	"strings"
-	"sync"
 
+	"tablehound/internal/snap"
 	"tablehound/internal/table"
 	"tablehound/internal/tokenize"
 )
@@ -13,43 +13,28 @@ import (
 // ValueIndex supports keyword search over cell values — the OCTOPUS
 // SEARCH operator (Cafarella et al., VLDB 2009): queries hit the data
 // itself rather than metadata, and results come back as clusters of
-// same-schema tables ready for union. Add must not run concurrently
-// with anything; Search/SearchClusters are safe for concurrent use
-// (the lazy Finish on first use is mutex-guarded).
-//
-// Terms are interned into a dense index-local ID space at Finish, and
-// each document stores sorted (term ID, tf) postings: scoring a term
-// against a document is a binary search over integers instead of a
-// string-map probe, and the per-document string maps are dropped.
+// same-schema tables ready for union. It is built once by
+// NewValueIndex and never changes, so every method is safe for
+// concurrent use.
 type ValueIndex struct {
-	docs    []string
-	schemas []string // schema signature per doc
-	docLen  []float64
-	termID  map[string]uint32 // term -> dense ID (index-local vocabulary)
-	df      []int             // term ID -> document frequency
-	// docTerms/docTF are each document's postings, sorted by term ID.
-	docTerms [][]uint32
-	docTF    [][]float64
-	// pending holds term-frequency maps of documents added since the
-	// last Finish (a suffix of docs, in order); finishLocked encodes
-	// them and assigns IDs to unseen terms deterministically.
-	pending []map[string]float64
-	avgLen  float64
-	mu      sync.Mutex // guards frozen/avgLen for the lazy Finish
-	frozen  bool
+	postings
+	schemas []string // doc ordinal -> schema signature
 }
 
-// NewValueIndex returns an empty value index.
-func NewValueIndex() *ValueIndex {
-	return &ValueIndex{termID: make(map[string]uint32)}
+// NewValueIndex indexes the cell values of tables, in order.
+func NewValueIndex(tables []*table.Table) *ValueIndex {
+	ix := &ValueIndex{postings: newPostings(tables, valueTerms), schemas: make([]string, len(tables))}
+	for i, t := range tables {
+		ix.schemas[i] = schemaSig(t)
+	}
+	return ix
 }
 
-// Add indexes one table's cell values (word tokens, stopwords
-// dropped, capped per column to bound skew from huge columns).
-func (ix *ValueIndex) Add(t *table.Table) {
+// valueTerms counts a table's cell words (stopwords dropped, capped per
+// column to bound skew from huge columns).
+func valueTerms(t *table.Table) map[string]float64 {
 	const maxPerColumn = 2000
 	tf := make(map[string]float64)
-	var l float64
 	for _, c := range t.Columns {
 		n := 0
 		for _, v := range c.Values {
@@ -61,16 +46,11 @@ func (ix *ValueIndex) Add(t *table.Table) {
 					continue
 				}
 				tf[w]++
-				l++
 				n++
 			}
 		}
 	}
-	ix.docs = append(ix.docs, t.ID)
-	ix.schemas = append(ix.schemas, schemaSig(t))
-	ix.docLen = append(ix.docLen, l)
-	ix.pending = append(ix.pending, tf)
-	ix.frozen = false
+	return tf
 }
 
 func schemaSig(t *table.Table) string {
@@ -80,142 +60,6 @@ func schemaSig(t *table.Table) string {
 	}
 	sort.Strings(hs)
 	return strings.Join(hs, "\x1f")
-}
-
-// Finish precomputes corpus statistics; Search calls it implicitly.
-func (ix *ValueIndex) Finish() {
-	ix.mu.Lock()
-	defer ix.mu.Unlock()
-	ix.finishLocked()
-}
-
-func (ix *ValueIndex) finishLocked() {
-	// Encode pending documents. New terms get IDs in per-document
-	// sorted order, so the vocabulary is a pure function of the add
-	// sequence regardless of map iteration order.
-	for _, tf := range ix.pending {
-		terms := make([]string, 0, len(tf))
-		for t := range tf {
-			terms = append(terms, t)
-		}
-		sort.Strings(terms)
-		ids := make([]uint32, len(terms))
-		for i, t := range terms {
-			id, ok := ix.termID[t]
-			if !ok {
-				id = uint32(len(ix.df))
-				ix.termID[t] = id
-				ix.df = append(ix.df, 0)
-			}
-			ix.df[id]++
-			ids[i] = id
-		}
-		// Order postings by term ID (string order above only applies to
-		// newly assigned IDs; revisited terms carry older, smaller IDs).
-		ord := make([]int, len(terms))
-		for i := range ord {
-			ord[i] = i
-		}
-		sort.Slice(ord, func(i, j int) bool { return ids[ord[i]] < ids[ord[j]] })
-		sortedIDs := make([]uint32, len(terms))
-		sortedTF := make([]float64, len(terms))
-		for i, o := range ord {
-			sortedIDs[i] = ids[o]
-			sortedTF[i] = tf[terms[o]]
-		}
-		ix.docTerms = append(ix.docTerms, sortedIDs)
-		ix.docTF = append(ix.docTF, sortedTF)
-	}
-	ix.pending = nil
-	var sum float64
-	for _, l := range ix.docLen {
-		sum += l
-	}
-	if len(ix.docLen) > 0 {
-		ix.avgLen = sum / float64(len(ix.docLen))
-	}
-	ix.frozen = true
-}
-
-// ensureFinished runs the lazy Finish exactly when needed, mutex-
-// guarded so concurrent Searches stay race-free.
-func (ix *ValueIndex) ensureFinished() {
-	ix.mu.Lock()
-	if !ix.frozen {
-		ix.finishLocked()
-	}
-	ix.mu.Unlock()
-}
-
-// Len returns the number of indexed tables.
-func (ix *ValueIndex) Len() int { return len(ix.docs) }
-
-// Stats returns the vocabulary size and the total posting count across
-// documents (valid after Finish).
-func (ix *ValueIndex) Stats() (terms, postings int) {
-	terms = len(ix.df)
-	for _, ts := range ix.docTerms {
-		postings += len(ts)
-	}
-	return terms, postings
-}
-
-func (ix *ValueIndex) idf(df int) float64 {
-	n := float64(len(ix.docs))
-	d := float64(df)
-	return math.Log(1 + (n-d+0.5)/(d+0.5))
-}
-
-// tfOf returns the term frequency of a term ID in a document via
-// binary search over its sorted postings.
-func (ix *ValueIndex) tfOf(doc int, id uint32) float64 {
-	ts := ix.docTerms[doc]
-	i := sort.Search(len(ts), func(i int) bool { return ts[i] >= id })
-	if i < len(ts) && ts[i] == id {
-		return ix.docTF[doc][i]
-	}
-	return 0
-}
-
-// Search ranks tables by BM25 over cell values.
-func (ix *ValueIndex) Search(query string, k int) []Result {
-	ix.ensureFinished()
-	terms := queryTerms(query)
-	if len(terms) == 0 || k <= 0 {
-		return nil
-	}
-	// Resolve query terms once: unknown terms can never score and are
-	// skipped per document exactly as a zero term frequency was. The
-	// per-term idf is a pure function of the df, so hoisting it out of
-	// the document loop changes no bits.
-	qids := make([]uint32, 0, len(terms))
-	qidf := make([]float64, 0, len(terms))
-	for _, t := range terms {
-		if id, ok := ix.termID[t]; ok {
-			qids = append(qids, id)
-			qidf = append(qidf, ix.idf(ix.df[id]))
-		}
-	}
-	var res []Result
-	for d := range ix.docs {
-		var score float64
-		for i, id := range qids {
-			f := ix.tfOf(d, id)
-			if f == 0 {
-				continue
-			}
-			norm := f * (bm25K1 + 1) / (f + bm25K1*(1-bm25B+bm25B*ix.docLen[d]/ix.avgLen))
-			score += qidf[i] * norm
-		}
-		if score > 0 {
-			res = append(res, Result{TableID: ix.docs[d], Score: score})
-		}
-	}
-	sortResults(res)
-	if len(res) > k {
-		res = res[:k]
-	}
-	return res
 }
 
 // Cluster is a group of same-schema result tables — OCTOPUS's unit of
@@ -229,26 +73,21 @@ type Cluster struct {
 // SearchClusters runs Search and groups the top maxTables hits by
 // schema signature, clusters ordered by best member score.
 func (ix *ValueIndex) SearchClusters(query string, maxTables int) []Cluster {
-	hits := ix.Search(query, maxTables)
+	hits := ix.ranked(query, maxTables)
 	if len(hits) == 0 {
 		return nil
-	}
-	sigOf := make(map[string]string, len(ix.docs))
-	for i, id := range ix.docs {
-		sigOf[id] = ix.schemas[i]
 	}
 	group := make(map[string]*Cluster)
 	var order []string
 	for _, h := range hits {
-		sig := sigOf[h.TableID]
+		sig := ix.schemas[h.doc]
 		cl, ok := group[sig]
 		if !ok {
-			cols := strings.Split(sig, "\x1f")
-			cl = &Cluster{Schema: cols, Score: h.Score}
+			cl = &Cluster{Schema: strings.Split(sig, "\x1f"), Score: h.score}
 			group[sig] = cl
 			order = append(order, sig)
 		}
-		cl.TableIDs = append(cl.TableIDs, h.TableID)
+		cl.TableIDs = append(cl.TableIDs, ix.docs[h.doc])
 	}
 	out := make([]Cluster, 0, len(order))
 	for _, sig := range order {
@@ -261,4 +100,27 @@ func (ix *ValueIndex) SearchClusters(query string, maxTables int) []Cluster {
 		return strings.Join(out[i].Schema, ",") < strings.Join(out[j].Schema, ",")
 	})
 	return out
+}
+
+// AppendSnapshot encodes the index: the shared postings codec, then
+// each table's schema signature.
+func (ix *ValueIndex) AppendSnapshot(e *snap.Encoder) {
+	ix.postings.AppendSnapshot(e)
+	e.Strs(ix.schemas)
+}
+
+// DecodeValueIndexSnapshot rebuilds an index written by AppendSnapshot.
+func DecodeValueIndexSnapshot(d *snap.Decoder) (*ValueIndex, error) {
+	p, err := decodePostings(d)
+	if err != nil {
+		return nil, err
+	}
+	schemas := d.Strs()
+	if err := d.Err(); err != nil {
+		return nil, err
+	}
+	if len(schemas) != len(p.docs) {
+		return nil, fmt.Errorf("%w: keyword: %d schemas for %d documents", snap.ErrCorrupt, len(schemas), len(p.docs))
+	}
+	return &ValueIndex{postings: p, schemas: schemas}, nil
 }

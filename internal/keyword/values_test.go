@@ -34,11 +34,7 @@ func valueTables() []*table.Table {
 }
 
 func TestValueSearchHitsCellContents(t *testing.T) {
-	ix := NewValueIndex()
-	for _, tbl := range valueTables() {
-		ix.Add(tbl)
-	}
-	ix.Finish()
+	ix := NewValueIndex(valueTables())
 	res := ix.Search("boston", 5)
 	if len(res) != 2 {
 		t.Fatalf("results = %v", res)
@@ -59,11 +55,17 @@ func TestValueSearchHitsCellContents(t *testing.T) {
 	}
 }
 
-func TestSearchClustersGroupBySchema(t *testing.T) {
-	ix := NewValueIndex()
-	for _, tbl := range valueTables() {
-		ix.Add(tbl)
+// TestValueIndexSelfFinish checks that a value index is searchable
+// straight from NewValueIndex, with no finishing step.
+func TestValueIndexSelfFinish(t *testing.T) {
+	ix := NewValueIndex(valueTables()[:1])
+	if res := ix.Search("boston", 1); len(res) != 1 {
+		t.Errorf("Search on a fresh value index = %v, want one hit", res)
 	}
+}
+
+func TestSearchClustersGroupBySchema(t *testing.T) {
+	ix := NewValueIndex(valueTables())
 	clusters := ix.SearchClusters("boston wu", 10)
 	if len(clusters) != 1 {
 		t.Fatalf("clusters = %+v", clusters)
@@ -85,13 +87,5 @@ func TestSearchClustersGroupBySchema(t *testing.T) {
 	}
 	if ix.SearchClusters("zzzz", 10) != nil {
 		t.Error("no-hit query should return nil clusters")
-	}
-}
-
-func TestValueIndexSelfFinish(t *testing.T) {
-	ix := NewValueIndex()
-	ix.Add(valueTables()[0])
-	if res := ix.Search("boston", 1); len(res) != 1 {
-		t.Error("search without explicit Finish failed")
 	}
 }

@@ -103,10 +103,11 @@ func DecodeTUSParts(d *snap.Decoder) ([]TUSTableParts, error) {
 }
 
 // adopt installs parts as the engine's tables: the one adoption path
-// of NewTUSFromParts and of a snapshot decode. Every column ID must
-// lie inside t.dict — an ID beyond it would silently mis-score the
-// set measure. A table without columns is skipped, as AddTable skips
-// it; lookup resolves table IDs against the catalog.
+// of NewTUSFromParts and of a snapshot decode. Every column set must
+// pass dict.IDSet.Check against t.dict — an ID beyond it or out of
+// order would silently mis-score the set measure. A table without
+// columns is skipped, as AddTable skips it; lookup resolves table IDs
+// against the catalog.
 func (t *TUS) adopt(parts []TUSTableParts, lookup func(id string) *table.Table) error {
 	size := t.dict.Size()
 	t.ids = make([]string, 0, len(parts))
@@ -123,10 +124,8 @@ func (t *TUS) adopt(parts []TUSTableParts, lookup func(id string) *table.Table) 
 		}
 		entry := &tusTable{tbl: tbl, cols: make([]*tusColumn, len(p.Cols))}
 		for i, c := range p.Cols {
-			for _, id := range c.IDs {
-				if int(id) >= size {
-					return fmt.Errorf("union: TUS column %s.%s references ID %d beyond dictionary size %d", p.ID, c.Name, id, size)
-				}
+			if err := c.IDs.Check(size); err != nil {
+				return fmt.Errorf("union: TUS column %s.%s: %v", p.ID, c.Name, err)
 			}
 			entry.cols[i] = &tusColumn{
 				name: c.Name, ids: c.IDs, sig: c.Sig, vec: c.Vec, norm: c.Vec.Norm(),

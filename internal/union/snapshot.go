@@ -148,6 +148,10 @@ func DecodeSantosSnapshot(d *snap.Decoder, curated *kb.KB, lookup func(id string
 		return nil, fmt.Errorf("%w: SANTOS table IDs not sorted", snap.ErrCorrupt)
 	}
 	s.ids = ids
+	pairs := 0 // without a pair dictionary no relationship may hold a pair
+	if s.pairDict != nil {
+		pairs = s.pairDict.Size()
+	}
 	for _, id := range ids {
 		tbl := lookup(id)
 		if tbl == nil {
@@ -167,6 +171,9 @@ func DecodeSantosSnapshot(d *snap.Decoder, curated *kb.KB, lookup func(id string
 			}
 			if d.Err() != nil {
 				return nil, d.Err()
+			}
+			if err := rel.pairIDs.Check(pairs); err != nil {
+				return nil, fmt.Errorf("%w: SANTOS relationship %s.%s: %v", snap.ErrCorrupt, id, rel.colName, err)
 			}
 			st.rels = append(st.rels, rel)
 		}
