@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"tablehound/internal/core"
+	"tablehound/internal/datagen"
 	"tablehound/internal/lake"
 	"tablehound/internal/table"
 )
@@ -24,9 +25,14 @@ import (
 // Both indexes are rebuilt from signatures on every load and merge, so
 // a band table that lost a collision, invented one or reordered a
 // bucket anywhere on those paths would move them.
+//
+// Re-recorded when the ensemble's memoized (bands, rows) choice became
+// a function of its 1e-3 threshold bucket alone: it used to be computed
+// at the first threshold of the bucket any query brought, so these
+// answers depended on the queries a process had served before.
 const (
-	goldenCandidates      = "c57454a55845ba7610f495f0fd32fdc244b3df006a369160d596bdf20acf8661"
-	goldenChainCandidates = "314a2e53c8d05f9188b515e7d61afe39c5772438b6e393afa95aaeb00874352a"
+	goldenCandidates      = "a4639a2557f8aebd7864399eaea0e1f25f7153e2feb53d70acf80fb10d00d234"
+	goldenChainCandidates = "862249d7228bb216721c37bee9767868e8f2fc713fd07dd40badfa1fb8ffe36e"
 )
 
 func candidatesDigest(t *testing.T, sys *core.System) string {
@@ -86,6 +92,23 @@ func TestHarnessLakeCandidatesGolden(t *testing.T) {
 			t.Fatal(err)
 		}
 		return path
+	}
+
+	// The ensemble's (bands, rows) choice is memoized process-wide;
+	// containment queries over another lake fill that memo first, and
+	// the answers below must not notice.
+	other := build(datagen.Generate(datagen.Config{Seed: 7, NumDomains: 12, DomainSize: 60, NumTemplates: 4, TablesPerTemplate: 10}).Tables)
+	for _, tbl := range other.Catalog.Tables() {
+		for _, c := range tbl.Columns {
+			q := other.Join.EncodeQuery(c.Values)
+			for _, threshold := range []float64{0.05, 0.3, 0.7} {
+				if len(q.IDs) > 0 {
+					if _, err := other.Join.ContainmentCandidates(q, threshold); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+		}
 	}
 
 	built := build(gen.Tables)

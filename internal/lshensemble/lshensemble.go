@@ -227,24 +227,38 @@ func jaccardThreshold(t float64, querySize, upper int) float64 {
 		j = 1
 	}
 	if j <= 0 {
-		j = 1e-9
+		j = minJaccard
 	}
 	return j
 }
+
+// minJaccard is the floor jaccardThreshold clamps a bound to.
+const minJaccard = 1e-9
 
 // paramCache memoizes optimalBootstrap: the numeric integration is
 // ~10^4 S-curve evaluations, far too slow to repeat per query per
 // partition. Thresholds are quantized to 1e-3 for the cache key.
 var paramCache sync.Map // [2]int{numHashes, round(j*1000)} -> [2]int{b, r}
 
-// optimalBootstrap picks (bands, rows) among the bootstrap row choices
-// minimizing FP+FN mass at Jaccard threshold j.
+// optimalBootstrap returns the (bands, rows) bootstrapParams picks for
+// the representative of j's 1e-3 bucket: key/1000, or minJaccard for
+// key 0. Every j of a bucket gets that one answer whichever j filled
+// the cache, so candidates never depend on the queries served before.
 func optimalBootstrap(j float64, numHashes int) (bands, rows int) {
-	key := [2]int{numHashes, int(j*1000 + 0.5)}
+	q := int(j*1000 + 0.5)
+	key := [2]int{numHashes, q}
 	if v, ok := paramCache.Load(key); ok {
 		p := v.([2]int)
 		return p[0], p[1]
 	}
+	bands, rows = bootstrapParams(max(float64(q)/1000, minJaccard), numHashes)
+	paramCache.Store(key, [2]int{bands, rows})
+	return bands, rows
+}
+
+// bootstrapParams picks (bands, rows) among the bootstrap row choices
+// minimizing FP+FN mass at Jaccard threshold j.
+func bootstrapParams(j float64, numHashes int) (bands, rows int) {
 	best := math.Inf(1)
 	bands, rows = 1, numHashes
 	for _, r := range rowChoices(numHashes) {
@@ -258,7 +272,6 @@ func optimalBootstrap(j float64, numHashes int) (bands, rows int) {
 			}
 		}
 	}
-	paramCache.Store(key, [2]int{bands, rows})
 	return bands, rows
 }
 

@@ -181,3 +181,24 @@ func TestQueryAllocations(t *testing.T) {
 		t.Errorf("Query allocates %.0f times per call, want 1", allocs)
 	}
 }
+
+// TestBootstrapIsAPureFunctionOfTheKey fills every 1e-3 cache bucket
+// from its top end, then asks from its bottom end: both must get what
+// the bucket's representative threshold computes uncached, so the
+// (bands, rows) a query probes with cannot depend on which thresholds
+// earlier queries brought. The signature length is one no other test
+// uses, so this test warms those buckets itself.
+func TestBootstrapIsAPureFunctionOfTheKey(t *testing.T) {
+	const nh = 32
+	for q := 0; q <= 1000; q++ {
+		want := [2]int{}
+		want[0], want[1] = bootstrapParams(max(float64(q)/1000, minJaccard), nh)
+		top := min((float64(q)+0.49)/1000, 1)
+		bottom := max((float64(q)-0.49)/1000, minJaccard)
+		for _, j := range []float64{top, bottom} {
+			if b, r := optimalBootstrap(j, nh); [2]int{b, r} != want {
+				t.Fatalf("key %d, j=%v: (b, r) = (%d, %d), want %v", q, j, b, r, want)
+			}
+		}
+	}
+}
