@@ -88,7 +88,8 @@ bench-delta:
 # Query-serving benchmarks over the 500-table lake, including the
 # loopback-HTTP serving benchmark (cold vs warm cache) and the routed
 # union classes over the end-to-end benchmark's 2-shard fleet, plus the
-# D3L whole-lake scan over a 300-table lake, one Starmie query by staged
+# D3L whole-lake scan and one sequential TUS search over a 300-table
+# lake (the union scoring kernel both share), one Starmie query by staged
 # pointer and by copy, the HNSW kernel both engines share (Add is the
 # write side: builds, chain loads, compactions), and what an inline
 # query table pays per cell: the out-of-vocabulary embedding kernel and
@@ -99,7 +100,7 @@ bench-delta:
 # make bench-query COUNT=10 > new.txt
 bench-query:
 	$(GO) test -run xxx \
-		-bench 'BenchmarkQuery|BenchmarkKeywordSearch|BenchmarkServeQPS|BenchmarkRoutedUnion|BenchmarkD3LSearch|BenchmarkStarmieSearch|BenchmarkHNSW|BenchmarkCharGramVector|BenchmarkInferType|BenchmarkJosieTopK|BenchmarkLSHQuery|BenchmarkLSHEnsemble' \
+		-bench 'BenchmarkQuery|BenchmarkKeywordSearch|BenchmarkServeQPS|BenchmarkRoutedUnion|BenchmarkD3LSearch|BenchmarkTUSSearch|BenchmarkStarmieSearch|BenchmarkHNSW|BenchmarkCharGramVector|BenchmarkInferType|BenchmarkJosieTopK|BenchmarkLSHQuery|BenchmarkLSHEnsemble' \
 		-benchmem -count $(COUNT) . ./internal/union/ ./internal/starmie/ ./internal/hnsw/ \
 		./internal/embedding/ ./internal/table/
 

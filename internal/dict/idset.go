@@ -160,11 +160,16 @@ func Union(a, b IDSet) IDSet {
 // Jaccard computes exact Jaccard similarity, matching
 // minhash.JaccardSets bit for bit (two empty sets score 0).
 func Jaccard(a, b IDSet) float64 {
-	if len(a) == 0 && len(b) == 0 {
+	return JaccardOf(Overlap(a, b), len(a), len(b))
+}
+
+// JaccardOf is Jaccard of two sets of sizes na and nb that share inter
+// members, for callers that counted the overlap themselves.
+func JaccardOf(inter, na, nb int) float64 {
+	if na == 0 && nb == 0 {
 		return 0
 	}
-	inter := Overlap(a, b)
-	return float64(inter) / float64(len(a)+len(b)-inter)
+	return float64(inter) / float64(na+nb-inter)
 }
 
 // Containment computes exact |Q ∩ X| / |Q|, matching

@@ -83,23 +83,23 @@ func rankTablesByEvidence(d *union.D3L, lake *datagen.Lake, query *table.Table, 
 	}
 	qcols := usableColumns(query)
 	var res []scored
+	var matcher graph.Matcher
 	for _, t := range lake.Tables {
 		if t.ID == query.ID {
 			continue
 		}
 		ccols := usableColumns(t)
-		if len(ccols) == 0 || len(qcols) == 0 {
+		nq, nc := len(qcols), len(ccols)
+		if nc == 0 || nq == 0 {
 			continue
 		}
-		w := make([][]float64, len(qcols))
+		w := make([]float64, nq*nc)
 		for i, qc := range qcols {
-			w[i] = make([]float64, len(ccols))
 			for j, cc := range ccols {
-				w[i][j] = get(d.ColumnEvidence(qc, cc))
+				w[i*nc+j] = get(d.ColumnEvidence(qc, cc))
 			}
 		}
-		_, total := graph.MaxWeightBipartiteMatching(w)
-		res = append(res, scored{t.ID, total / float64(len(qcols))})
+		res = append(res, scored{t.ID, matcher.MaxWeight(w, nq, nc) / float64(nq)})
 	}
 	sort.Slice(res, func(i, j int) bool {
 		if res[i].score != res[j].score {

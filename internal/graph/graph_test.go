@@ -14,7 +14,7 @@ func TestMatchingSimple(t *testing.T) {
 		{7, 9},
 		{8, 6},
 	}
-	match, total := MaxWeightBipartiteMatching(w)
+	match, total := maxWeightBipartiteMatching(w)
 	if total != 17 {
 		t.Fatalf("total = %v, want 17", total)
 	}
@@ -30,7 +30,7 @@ func TestMatchingRectangular(t *testing.T) {
 		{9},
 		{1},
 	}
-	match, total := MaxWeightBipartiteMatching(w)
+	match, total := maxWeightBipartiteMatching(w)
 	if total != 9 {
 		t.Fatalf("total = %v, want 9", total)
 	}
@@ -49,10 +49,10 @@ func TestMatchingRectangular(t *testing.T) {
 }
 
 func TestMatchingEmpty(t *testing.T) {
-	if m, total := MaxWeightBipartiteMatching(nil); m != nil || total != 0 {
+	if m, total := maxWeightBipartiteMatching(nil); m != nil || total != 0 {
 		t.Error("nil input should yield nil, 0")
 	}
-	m, total := MaxWeightBipartiteMatching([][]float64{{}, {}})
+	m, total := maxWeightBipartiteMatching([][]float64{{}, {}})
 	if total != 0 || m[0] != -1 || m[1] != -1 {
 		t.Errorf("empty rows: match=%v total=%v", m, total)
 	}
@@ -100,7 +100,7 @@ func TestMatchingAgainstBruteForce(t *testing.T) {
 				w[i][j] = math.Floor(rng.Float64()*100) / 10
 			}
 		}
-		_, got := MaxWeightBipartiteMatching(w)
+		_, got := maxWeightBipartiteMatching(w)
 		want := bruteMatch(w)
 		if math.Abs(got-want) > 1e-9 {
 			t.Errorf("trial %d: got %v, want %v for %v", trial, got, want, w)
@@ -117,7 +117,7 @@ func TestMatchingValidAssignment(t *testing.T) {
 			w[i][j] = rng.Float64()
 		}
 	}
-	match, total := MaxWeightBipartiteMatching(w)
+	match, total := maxWeightBipartiteMatching(w)
 	seen := map[int]bool{}
 	sum := 0.0
 	for i, j := range match {
@@ -214,9 +214,48 @@ func TestConnectedComponents(t *testing.T) {
 	}
 }
 
+// maxWeightBipartiteMatching runs a Matcher over a weight matrix given
+// as rows w[i][j] >= 0 and returns match[i] = j (or -1 if i is
+// unmatched) and the total weight. Short rows are padded with zero
+// weights, which cost exactly what a dummy cell costs; a row assigned
+// to its own padding is unmatched.
+func maxWeightBipartiteMatching(w [][]float64) ([]int, float64) {
+	nl := len(w)
+	if nl == 0 {
+		return nil, 0
+	}
+	nr := 0
+	for _, row := range w {
+		if len(row) > nr {
+			nr = len(row)
+		}
+	}
+	match := make([]int, nl)
+	for i := range match {
+		match[i] = -1
+	}
+	if nr == 0 {
+		return match, 0
+	}
+	flat := make([]float64, nl*nr)
+	for i, row := range w {
+		copy(flat[i*nr:], row)
+	}
+	var m Matcher
+	m.solve(flat, nl, nr)
+	total := 0.0
+	for j := 1; j <= nr; j++ {
+		if i := m.p[j] - 1; i < nl && j-1 < len(w[i]) {
+			match[i] = j - 1
+			total += w[i][j-1]
+		}
+	}
+	return match, total
+}
+
 // referenceMatching is the Hungarian algorithm as it stood before the
 // Matcher took it over, allocating its scratch per call and per row.
-// Matcher and MaxWeightBipartiteMatching must agree with it to the last
+// Matcher and maxWeightBipartiteMatching must agree with it to the last
 // bit: table-level union scores are sums it produces.
 func referenceMatching(w [][]float64) ([]int, float64) {
 	nl := len(w)
@@ -346,7 +385,7 @@ func TestMatcherMatchesReference(t *testing.T) {
 		// Ragged rows go through the slice-of-rows entry point only.
 		w[rng.Intn(nl)] = w[0][:rng.Intn(nr+1)]
 		wantMatch, want = referenceMatching(w)
-		gotMatch, got := MaxWeightBipartiteMatching(w)
+		gotMatch, got := maxWeightBipartiteMatching(w)
 		if got != want || !reflect.DeepEqual(gotMatch, wantMatch) {
 			t.Fatalf("trial %d: got %v %v, reference %v %v for %v", trial, gotMatch, got, wantMatch, want, w)
 		}

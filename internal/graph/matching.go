@@ -6,50 +6,6 @@ package graph
 
 import "math"
 
-// MaxWeightBipartiteMatching computes a maximum-weight matching of a
-// bipartite graph given as a weight matrix w[i][j] >= 0 for left node
-// i and right node j. It returns match[i] = j (or -1 if i unmatched)
-// and the total weight. Implemented as the Hungarian algorithm with
-// potentials in O(n^3); matching a left node to a dummy (zero-weight)
-// right node models leaving it unmatched, so partial matchings with
-// rectangular inputs are handled.
-func MaxWeightBipartiteMatching(w [][]float64) ([]int, float64) {
-	nl := len(w)
-	if nl == 0 {
-		return nil, 0
-	}
-	nr := 0
-	for _, row := range w {
-		if len(row) > nr {
-			nr = len(row)
-		}
-	}
-	match := make([]int, nl)
-	for i := range match {
-		match[i] = -1
-	}
-	if nr == 0 {
-		return match, 0
-	}
-	// Short rows are padded with zero weights, which cost exactly what
-	// a dummy cell costs; a left node assigned to its own padding is
-	// unmatched.
-	flat := make([]float64, nl*nr)
-	for i, row := range w {
-		copy(flat[i*nr:], row)
-	}
-	var m Matcher
-	m.solve(flat, nl, nr)
-	total := 0.0
-	for j := 1; j <= nr; j++ {
-		if i := m.p[j] - 1; i < nl && j-1 < len(w[i]) {
-			match[i] = j - 1
-			total += w[i][j-1]
-		}
-	}
-	return match, total
-}
-
 // Matcher solves maximum-weight bipartite matchings over flat
 // row-major weight matrices, reusing its scratch between calls: a scan
 // that aggregates thousands of small column-alignment matrices
@@ -62,8 +18,10 @@ type Matcher struct {
 }
 
 // MaxWeight returns the total weight of a maximum-weight matching of
-// the nl x nr matrix w (w[i*nr+j] >= 0), bit-identical to
-// MaxWeightBipartiteMatching over the same weights as rows.
+// the nl x nr matrix w (w[i*nr+j] >= 0). Implemented as the Hungarian
+// algorithm with potentials in O(n^3) for n = max(nl, nr); matching a
+// row to a dummy (zero-weight) column models leaving it unmatched, so
+// partial matchings of rectangular inputs are handled.
 func (m *Matcher) MaxWeight(w []float64, nl, nr int) float64 {
 	if nl == 0 || nr == 0 {
 		return 0

@@ -11,7 +11,6 @@ import (
 
 	"tablehound/internal/dict"
 	"tablehound/internal/embedding"
-	"tablehound/internal/graph"
 	"tablehound/internal/schema"
 	"tablehound/internal/table"
 	"tablehound/internal/tokenize"
@@ -35,11 +34,8 @@ type D3L struct {
 	lake   *dict.Dict // the lake's value dictionary; nil for a stand-alone engine
 	tables map[string]*d3lTable
 	ids    []string
-	// vocab and maxCols (the widest staged table, which sizes a scan's
-	// weight matrix) are derived by Build and never persisted.
-	vocab   d3lVocab
-	maxCols int
-	built   bool
+	vocab  d3lVocab // derived by Build, never persisted
+	built  bool
 }
 
 type d3lTable struct {
@@ -161,13 +157,8 @@ func checkWords(words []string, freq []float64) error {
 func (d *D3L) Build() {
 	sort.Strings(d.ids)
 	var cols []*d3lColumn
-	d.maxCols = 0
 	for _, id := range d.ids {
-		tc := d.tables[id].cols
-		cols = append(cols, tc...)
-		if len(tc) > d.maxCols {
-			d.maxCols = len(tc)
-		}
+		cols = append(cols, d.tables[id].cols...)
 	}
 	d.vocab = internColumns(d.lake, cols)
 	d.built = true
@@ -359,7 +350,8 @@ func wordDist(values []string) ([]string, []float64) {
 // order, which is ascending word order: float addition is not
 // associative, so any other order would move the last bit — the kind
 // of nondeterminism the build pipeline's parallelism contract
-// (identical results at every worker count) cannot tolerate.
+// (identical results at every worker count) cannot tolerate. A scan
+// computes it for every query column at once (queryMarks.wordSums).
 func wordSimilarity(aIDs []uint32, aFreq []float64, bIDs []uint32, bFreq []float64) float64 {
 	var s float64
 	for i, j := 0, 0; i < len(aIDs) && j < len(bIDs); {
@@ -397,18 +389,20 @@ func (d *D3L) ColumnEvidence(a, b *table.Column) Evidence {
 	ca := d.analyzeColumn(a, -1)
 	cb := d.analyzeColumn(b, -1)
 	internColumns(nil, []*d3lColumn{ca, cb})
-	return evidence(ca, cb, schema.LabelSimilarity(ca.label, cb.label))
+	return evidence(ca, cb, schema.LabelSimilarity(ca.label, cb.label),
+		dict.Overlap(ca.valueIDs, cb.valueIDs), wordSimilarity(ca.wordIDs, ca.wordFreq, cb.wordIDs, cb.wordFreq))
 }
 
-// evidence compares two columns interned into one vocabulary. The name
-// signal depends on the two labels alone, so callers compute it once
-// per label pair and pass it in.
-func evidence(a, b *d3lColumn, name float64) Evidence {
+// evidence compares two columns interned into one vocabulary, given
+// their value overlap and word similarity. A scan counts those two for
+// every query column at once, and the name signal depends on the two
+// labels alone, so callers compute all three and pass them in.
+func evidence(a, b *d3lColumn, name float64, inter int, words float64) Evidence {
 	return Evidence{
 		Name:   name,
-		Value:  dict.Jaccard(a.valueIDs, b.valueIDs),
+		Value:  dict.JaccardOf(inter, len(a.valueIDs), len(b.valueIDs)),
 		Format: formatSimilarity(a.format, b.format),
-		Words:  wordSimilarity(a.wordIDs, a.wordFreq, b.wordIDs, b.wordFreq),
+		Words:  words,
 		Embed:  (embedding.CosineWithNorms(a.vec, b.vec, a.norm, b.norm) + 1) / 2,
 	}
 }
@@ -465,26 +459,34 @@ func (d *D3L) TableIDs() []string { return d.ids }
 
 // ScoreAmong scores the given staged tables by combined evidence and
 // returns the top k; with ids = TableIDs() it is bit-identical to
-// Search. Its allocations do not grow with len(ids): one weight
-// matrix, one matcher and one name-evidence memo serve every table,
-// and only the k best results are kept.
+// Search. Each candidate column's value and word IDs are read once,
+// against every query column (see queryMarks). Its allocations do not
+// grow with len(ids): reused marks and scratch (weight matrix, matcher,
+// name-evidence memo) serve every table, and only the k best results
+// are kept.
 func (d *D3L) ScoreAmong(ctx context.Context, pq *D3LQuery, ids []string, k int) ([]Result, error) {
 	if !d.built {
 		return nil, ErrNotBuilt
 	}
+	values := newQueryMarks(int(d.vocab.numValues()))
+	defer values.release()
+	words := newQueryMarks(len(d.vocab.wordIDs))
+	defer words.release()
+	for i, qc := range pq.qcols {
+		values.add(i, qc.valueIDs, nil)
+		words.add(i, qc.wordIDs, qc.wordFreq)
+	}
 	nq, nl := len(pq.qcols), len(d.vocab.labels)
+	sc := newScanScratch(nq)
+	defer freeScratch.put(sc)
 	// names[i*nl+l] is the name evidence of query column i against
 	// label l, computed when a candidate column first carries l.
-	names := make([]float64, nq*nl)
+	sc.names = resize(sc.names, nq*nl)
+	names := sc.names
 	for i := range names {
 		names[i] = -1
 	}
-	w := make([]float64, nq*d.maxCols)
-	var matcher graph.Matcher
-	top := topK{k: k}
-	if n := min(k, len(ids)); n > 0 {
-		top.worstFirst = make([]Result, 0, n)
-	}
+	top := newTopK(k, len(ids))
 	for _, id := range ids {
 		if err := ctx.Err(); err != nil {
 			return nil, err
@@ -494,16 +496,19 @@ func (d *D3L) ScoreAmong(ctx context.Context, pq *D3LQuery, ids []string, k int)
 		}
 		ccols := d.tables[id].cols
 		nc := len(ccols)
-		for i, qc := range pq.qcols {
-			for j, cc := range ccols {
+		w := sc.matrix(nq, nc)
+		for j, cc := range ccols {
+			values.overlaps(cc.valueIDs, sc.inter)
+			words.wordSums(cc.wordIDs, cc.wordFreq, sc.words)
+			for i, qc := range pq.qcols {
 				name := &names[i*nl+cc.labelID]
 				if *name < 0 {
 					*name = schema.LabelSimilarity(qc.label, d.vocab.labels[cc.labelID])
 				}
-				w[i*nc+j] = evidence(qc, cc, *name).Combined()
+				w[i*nc+j] = evidence(qc, cc, *name, int(sc.inter[i]), sc.words[i]).Combined()
 			}
 		}
-		top.offer(Result{TableID: id, Score: matcher.MaxWeight(w, nq, nc) / float64(nq)})
+		top.offer(Result{TableID: id, Score: sc.matcher.MaxWeight(w, nq, nc) / float64(nq)})
 	}
 	return top.results(), nil
 }
@@ -514,6 +519,15 @@ func (d *D3L) ScoreAmong(ctx context.Context, pq *D3LQuery, ids []string, k int)
 type topK struct {
 	k          int
 	worstFirst []Result
+}
+
+// newTopK keeps the k best of at most n results.
+func newTopK(k, n int) *topK {
+	t := &topK{k: k}
+	if m := min(k, n); m > 0 {
+		t.worstFirst = make([]Result, 0, m)
+	}
+	return t
 }
 
 func worseResult(a, b Result) bool {

@@ -113,14 +113,31 @@ func (o *d3lOracle) scoreAmong(query *table.Table, ids []string, k int) []Result
 				w[i][j] = oracleEvidence(qc, cc).Combined()
 			}
 		}
-		_, total := graph.MaxWeightBipartiteMatching(w)
-		res = append(res, Result{TableID: id, Score: total / float64(len(qcols))})
+		res = append(res, Result{TableID: id, Score: matchRows(w) / float64(len(qcols))})
 	}
 	sortResults(res)
 	if len(res) > k {
 		res = res[:k]
 	}
 	return res
+}
+
+// matchRows is the total weight of a maximum-weight matching of a
+// weight matrix given as equal-length rows, as the scans computed it
+// before they kept one flat matrix: the rows copied into one and
+// matched by a fresh Matcher (graph's tests hold the Matcher to a
+// per-call reference implementation).
+func matchRows(w [][]float64) float64 {
+	if len(w) == 0 {
+		return 0
+	}
+	nl, nr := len(w), len(w[0])
+	flat := make([]float64, 0, nl*nr)
+	for _, row := range w {
+		flat = append(flat, row...)
+	}
+	var m graph.Matcher
+	return m.MaxWeight(flat, nl, nr)
 }
 
 // builtD3L stages and freezes a stand-alone engine over tables.
@@ -191,6 +208,44 @@ func foreignQuery(src *table.Table, seed int) *table.Table {
 		cols[j] = table.NewColumn(c.Name, vals)
 	}
 	return table.MustNew(fmt.Sprintf("foreign_%d", seed), "foreign", cols)
+}
+
+// wideQuery joins the string columns of tables, in order, into one
+// query table of more than 64 string columns, each cut or cycled to
+// rows values.
+func wideQuery(t *testing.T, tables []*table.Table, rows int) *table.Table {
+	t.Helper()
+	var cols []*table.Column
+	for _, tbl := range tables {
+		for _, c := range stringColumns(tbl) {
+			vals := make([]string, rows)
+			for r := range vals {
+				vals[r] = c.Values[r%len(c.Values)]
+			}
+			if wc := table.NewColumn(c.Name, vals); isStringColumn(wc) {
+				cols = append(cols, wc)
+			}
+			if len(cols) > 64 {
+				return table.MustNew("wide", "wide", cols)
+			}
+		}
+	}
+	t.Fatalf("the lake has only %d string columns, want more than 64", len(cols))
+	return nil
+}
+
+// unseenQuery is a query none of whose values, and none of whose
+// words, any lake column holds.
+func unseenQuery(names []string) *table.Table {
+	cols := make([]*table.Column, len(names))
+	for j, name := range names {
+		vals := make([]string, 10)
+		for r := range vals {
+			vals[r] = fmt.Sprintf("qzvx%d wqyj%d", r%(3+j), j)
+		}
+		cols[j] = table.NewColumn(name, vals)
+	}
+	return table.MustNew("unseen", "unseen", cols)
 }
 
 // TestD3LMatchesOracleOverSeeds compares rankings and scores with the
@@ -283,6 +338,25 @@ func TestD3LMatchesOracleEdgeColumns(t *testing.T) {
 			for _, k := range []int{1, 2, 10} {
 				checkAgainstOracle(t, d, o, q, d.TableIDs(), k, "edge columns")
 			}
+		}
+	}
+}
+
+// TestD3LMatchesOracleWideAndUnseenQueries extends the D3L oracle
+// comparison to a query of more than 64 string columns and a query
+// whose every word is out of vocabulary.
+func TestD3LMatchesOracleWideAndUnseenQueries(t *testing.T) {
+	lake := datagen.Generate(datagen.Config{
+		Seed: 5, NumDomains: 10, DomainSize: 40, NumTemplates: 5, TablesPerTemplate: 4, RowsMin: 8, RowsMax: 24,
+	})
+	model := embedding.Train(lake.ColumnContexts(), embedding.Config{Dim: 24, Seed: 5})
+	o := newD3LOracle(model, lake.Tables)
+	names := []string{"name", lake.Tables[0].Columns[0].Name, "zzunseen"}
+	for _, values := range []*dict.Dict{nil, valueDict(lake.Tables)} {
+		d := builtD3LOver(t, model, values, lake.Tables)
+		for _, q := range []*table.Table{wideQuery(t, lake.Tables, 12), unseenQuery(names)} {
+			checkAgainstOracle(t, d, o, q, d.TableIDs(), 5, "whole lake")
+			checkAgainstOracle(t, d, o, q, d.TableIDs()[3:9], 2, "id subset")
 		}
 	}
 }

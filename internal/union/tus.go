@@ -7,10 +7,10 @@ import (
 	"math"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"tablehound/internal/dict"
 	"tablehound/internal/embedding"
-	"tablehound/internal/graph"
 	"tablehound/internal/hnsw"
 	"tablehound/internal/kb"
 	"tablehound/internal/lsh"
@@ -300,19 +300,20 @@ func (t *TUS) ColumnUnionability(a, b []string, m Measure) float64 {
 	enc := t.dict.Encoder()
 	ca := t.queryColumn(table.NewColumn("a", a), enc)
 	cb := t.queryColumn(table.NewColumn("b", b), enc)
-	return t.columnScore(ca, cb, m)
+	return t.columnScore(ca, cb, dict.Overlap(ca.ids, cb.ids), m)
 }
 
-func (t *TUS) columnScore(a, b *tusColumn, m Measure) float64 {
+// columnScore scores two columns that share overlap values under m.
+func (t *TUS) columnScore(a, b *tusColumn, overlap int, m Measure) float64 {
 	switch m {
 	case SetMeasure:
-		return t.setUnionability(a, b)
+		return t.setUnionability(a, b, overlap)
 	case SemMeasure:
 		return t.semUnionability(a, b)
 	case NLMeasure:
 		return nlUnionability(a, b)
 	default:
-		s := t.setUnionability(a, b)
+		s := t.setUnionability(a, b, overlap)
 		if v := t.semUnionability(a, b); v > s {
 			s = v
 		}
@@ -327,8 +328,7 @@ func (t *TUS) columnScore(a, b *tusColumn, m Measure) float64 {
 // random draws of |A| and |B| values from the universe share at most
 // the observed overlap — i.e. the hypergeometric CDF at the overlap.
 // High observed overlap relative to chance drives the score to 1.
-func (t *TUS) setUnionability(a, b *tusColumn) float64 {
-	overlap := dict.Overlap(a.ids, b.ids)
+func (t *TUS) setUnionability(a, b *tusColumn, overlap int) float64 {
 	if overlap == 0 {
 		return 0
 	}
@@ -482,45 +482,64 @@ func (t *TUS) Candidates(pq *TUSQuery) []string {
 // the top k. Because per-candidate scores are independent and the
 // final order is a total order, restricting ids before scoring yields
 // exactly the results Search would after dropping the same tables;
-// with ids = Candidates(pq) it is bit-identical to Search.
+// with ids = Candidates(pq) it is bit-identical to Search. Each of the
+// QueryParallelism workers scores the tables it takes with its own
+// reused scratch, reading each candidate column's value IDs once
+// against every query column (see queryMarks), so allocations do not
+// grow with len(ids).
 func (t *TUS) ScoreAmong(ctx context.Context, pq *TUSQuery, ids []string, k int, m Measure) ([]Result, error) {
-	scores, err := parallel.MapCtx(ctx, len(ids), parallel.Resolve(t.QueryParallelism), func(i int) (float64, error) {
-		if ids[i] == pq.id {
-			return 0, nil
+	var marks *queryMarks // only the set measure reads overlaps
+	if m == SetMeasure || m == EnsembleMeasure {
+		marks = newQueryMarks(t.dict.Size())
+		defer marks.release()
+		for i, qc := range pq.qcols {
+			marks.add(i, qc.ids, nil)
 		}
-		return t.tableScore(pq.qcols, t.tables[ids[i]].cols, m), nil
+	}
+	scores := make([]float64, len(ids))
+	workers := min(parallel.Resolve(t.QueryParallelism), len(ids))
+	var next atomic.Int64
+	err := parallel.ForEach(workers, workers, func(int) error {
+		sc := newScanScratch(len(pq.qcols))
+		defer freeScratch.put(sc)
+		for i := int(next.Add(1) - 1); i < len(ids); i = int(next.Add(1) - 1) {
+			if err := ctx.Err(); err != nil {
+				return err
+			}
+			if ids[i] != pq.id {
+				scores[i] = t.tableScore(marks, pq.qcols, t.tables[ids[i]].cols, m, sc)
+			}
+		}
+		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	var res []Result
+	top := newTopK(k, len(ids))
 	for i, id := range ids {
-		if id == pq.id {
-			continue
-		}
-		if scores[i] > 0 {
-			res = append(res, Result{TableID: id, Score: scores[i]})
+		if id != pq.id && scores[i] > 0 {
+			top.offer(Result{TableID: id, Score: scores[i]})
 		}
 	}
-	sortResults(res)
-	if len(res) > k {
-		res = res[:k]
-	}
-	return res, nil
+	return top.results(), nil
 }
 
 // tableScore aligns query columns to candidate columns by maximum-
 // weight bipartite matching and normalizes by query column count.
-func (t *TUS) tableScore(qcols, ccols []*tusColumn, m Measure) float64 {
-	w := make([][]float64, len(qcols))
-	for i, qc := range qcols {
-		w[i] = make([]float64, len(ccols))
-		for j, cc := range ccols {
-			w[i][j] = t.columnScore(qc, cc, m)
+// marks, nil under the measures that ignore overlap, count each
+// candidate column's overlap with every query column in one pass.
+func (t *TUS) tableScore(marks *queryMarks, qcols, ccols []*tusColumn, m Measure, sc *scanScratch) float64 {
+	nq, nc := len(qcols), len(ccols)
+	w := sc.matrix(nq, nc)
+	for j, cc := range ccols {
+		if marks != nil {
+			marks.overlaps(cc.ids, sc.inter)
+		}
+		for i, qc := range qcols {
+			w[i*nc+j] = t.columnScore(qc, cc, int(sc.inter[i]), m)
 		}
 	}
-	_, total := graph.MaxWeightBipartiteMatching(w)
-	return total / float64(len(qcols))
+	return sc.matcher.MaxWeight(w, nq, nc) / float64(nq)
 }
 
 // candidateScratch is the working memory of one candidateTables call.

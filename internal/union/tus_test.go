@@ -183,3 +183,34 @@ func TestMeasureString(t *testing.T) {
 		t.Error("Measure.String wrong")
 	}
 }
+
+var tusBenchSink []Result
+
+// BenchmarkTUSSearch is one ensemble-measure search, candidates and
+// scoring on one goroutine, over the lake shape BenchmarkD3LSearch
+// scans (the serving benchmark's: 300 tables), with the lake's
+// dictionary and no KB as a served system has, queried by staged
+// tables as the table_id endpoints do.
+func BenchmarkTUSSearch(b *testing.B) {
+	lake := datagen.Generate(datagen.Config{Seed: 1, NumDomains: 20, DomainSize: 80, NumTemplates: 10, TablesPerTemplate: 30})
+	model := embedding.Train(lake.ColumnContexts(), embedding.Config{Dim: 64, Seed: 3})
+	tus, err := NewTUS(TUSConfig{Model: model, Dict: valueDict(lake.Tables)})
+	if err != nil {
+		b.Fatal(err)
+	}
+	tus.AddTables(lake.Tables, 0)
+	if err := tus.Build(); err != nil {
+		b.Fatal(err)
+	}
+	tus.QueryParallelism = 1
+	ctx := context.Background()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rs, err := tus.Search(ctx, lake.Tables[i%len(lake.Tables)], 10, EnsembleMeasure)
+		if err != nil {
+			b.Fatal(err)
+		}
+		tusBenchSink = rs
+	}
+}
