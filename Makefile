@@ -6,14 +6,23 @@
 GO ?= go
 COUNT ?= 1
 
-.PHONY: check race loc bench-build bench-query bench-snapshot bench-vec bench-delta bench-e2e benchdiff serve-smoke snapshot-smoke shard-smoke delta-smoke discover-smoke
+.PHONY: check race fuzz loc bench-build bench-query bench-snapshot bench-vec bench-delta bench-e2e benchdiff serve-smoke snapshot-smoke shard-smoke delta-smoke discover-smoke
 
 # The end-to-end harness under bench/ is a nested module: `go build
 # ./...` here does not compile it, yet it imports this module's
 # packages, so the gate vets and builds it too.
+#
+# The serving daemon must not link the library-only engines: `go list
+# -deps ./cmd/lakeserved` may reach none of SERVING_FORBIDDEN.
+SERVING_FORBIDDEN = apps annotate profile
+
 check:
 	@unformatted=$$(gofmt -l cmd internal *.go); if [ -n "$$unformatted" ]; then \
 		echo "gofmt -l reports unformatted files:"; echo "$$unformatted"; exit 1; fi
+	@deps=$$($(GO) list -deps ./cmd/lakeserved) || exit 1; \
+	for p in $(SERVING_FORBIDDEN); do \
+		if echo "$$deps" | grep -qx "tablehound/internal/$$p"; then \
+			echo "cmd/lakeserved depends on tablehound/internal/$$p"; exit 1; fi; done
 	$(GO) vet ./...
 	$(GO) build ./...
 	$(GO) test ./...
@@ -33,6 +42,15 @@ race:
 		./internal/obs/... ./internal/snap/... ./internal/invindex/... \
 		./internal/lshensemble/... ./internal/router/... ./internal/vecstore/... \
 		./internal/discover/... ./internal/josie/... ./internal/lsh/...
+
+# Native fuzzing of the snapshot loader: FuzzLoadSection forges one
+# section of a small valid snapshot per input. Plain `go test` replays
+# the committed seeds and any crasher kept under testdata/fuzz. The
+# seeds are real sections of up to 32 KB, and minimizing each new
+# corpus entry that large takes the default minute with no executions
+# in between, so minimization is capped.
+fuzz:
+	$(GO) test -run XXX -fuzz FuzzLoadSection -fuzztime 60s -fuzzminimizetime 3s ./internal/core
 
 # End-to-end smoke of the serving layer: real lakeserved process over
 # a generated 100-table lake, one query per endpoint via lakectl's

@@ -50,6 +50,7 @@ import (
 	"tablehound/internal/discover"
 	"tablehound/internal/exp"
 	"tablehound/internal/lake"
+	"tablehound/internal/profile"
 	"tablehound/internal/table"
 )
 
@@ -592,11 +593,12 @@ func cmdProfile(args []string) error {
 	if err != nil {
 		return err
 	}
-	tp, ok := sys.Profiles.Profile(*tableID)
-	if !ok {
+	// A profile reads only its own table.
+	t := sys.Catalog.Table(*tableID)
+	if t == nil {
 		return fmt.Errorf("profile: no table %q", *tableID)
 	}
-	fmt.Print(tp.FormatSummary())
+	fmt.Print(profile.Build(t).FormatSummary())
 	return nil
 }
 

@@ -1,6 +1,9 @@
 package main
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"io"
 	"os"
 	"path/filepath"
 	"testing"
@@ -20,6 +23,35 @@ func silence(t *testing.T) {
 		os.Stdout = old
 		devnull.Close()
 	})
+}
+
+// stdoutSHA runs fn with stdout captured and returns the SHA-256 of
+// what it printed.
+func stdoutSHA(t *testing.T, fn func() error) string {
+	t.Helper()
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	old := os.Stdout
+	os.Stdout = w
+	sum := sha256.New()
+	done := make(chan error, 1)
+	go func() {
+		_, err := io.Copy(sum, r)
+		done <- err
+	}()
+	ferr := fn()
+	os.Stdout = old
+	w.Close()
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	r.Close()
+	if ferr != nil {
+		t.Fatal(ferr)
+	}
+	return hex.EncodeToString(sum.Sum(nil))
 }
 
 // genLake generates a small lake directory once per test.
@@ -84,8 +116,19 @@ func TestCmdNavigateProfileMatchJoinPath(t *testing.T) {
 	if err := cmdNavigate([]string{"-lake", dir}); err == nil {
 		t.Error("navigate without -topic should fail")
 	}
-	if err := cmdProfile([]string{"-lake", dir, "-table", "t000_00"}); err != nil {
+	// The profile of t000_00 as lakectl printed it when every build
+	// profiled the whole lake; printed from the lake and from its
+	// snapshot, it must not move.
+	const wantProfile = "babb2c13df83bd53c6e1685fe5eaab64149dcf3cd7cb8c92a75fed2e399cd11e"
+	if got := stdoutSHA(t, func() error { return cmdProfile([]string{"-lake", dir, "-table", "t000_00"}) }); got != wantProfile {
+		t.Errorf("profile -lake printed SHA-256 %s, want %s", got, wantProfile)
+	}
+	snapPath := filepath.Join(t.TempDir(), "lake.snap")
+	if err := cmdBuild([]string{"-lake", dir, "-o", snapPath}); err != nil {
 		t.Fatal(err)
+	}
+	if got := stdoutSHA(t, func() error { return cmdProfile([]string{"-snapshot", snapPath, "-table", "t000_00"}) }); got != wantProfile {
+		t.Errorf("profile -snapshot printed SHA-256 %s, want %s", got, wantProfile)
 	}
 	if err := cmdProfile([]string{"-lake", dir, "-table", "nope"}); err == nil {
 		t.Error("unknown profile table should fail")

@@ -139,13 +139,11 @@ func TestEndToEndDiscoveryPipeline(t *testing.T) {
 			}
 		}
 	}
-	if err := sys.TrainAnnotator(examples); err != nil {
-		t.Fatal(err)
-	}
-	preds, err := sys.AnnotateTable(gen.Tables[20])
+	annotator, err := annotate.Train(examples, annotate.Config{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
+	preds := annotator.AnnotateTable(gen.Tables[20], true)
 	hit, total := 0, 0
 	for i, c := range gen.Tables[20].Columns {
 		d, ok := gen.ColumnDomain[table.ColumnKey(gen.Tables[20].ID, c.Name)]

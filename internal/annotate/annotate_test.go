@@ -198,3 +198,33 @@ func TestRulePredictTypes(t *testing.T) {
 		t.Error("empty column should be unknown")
 	}
 }
+
+// TestAnnotateEndToEnd trains the detector on the ground-truth domains
+// of a generated lake's first ten tables and annotates a table with
+// Sato-style smoothing: one prediction per column.
+func TestAnnotateEndToEnd(t *testing.T) {
+	gen := datagen.Generate(datagen.Config{
+		Seed:              51,
+		NumDomains:        12,
+		DomainSize:        80,
+		NumTemplates:      5,
+		TablesPerTemplate: 4,
+	})
+	var examples []Example
+	for _, tbl := range gen.Tables[:10] {
+		for _, c := range tbl.Columns {
+			if d, ok := gen.ColumnDomain[table.ColumnKey(tbl.ID, c.Name)]; ok {
+				examples = append(examples, Example{
+					Values: c.Values, Header: c.Name, Label: gen.DomainNames[d],
+				})
+			}
+		}
+	}
+	a, err := Train(examples, Config{Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if preds := a.AnnotateTable(gen.Tables[0], true); len(preds) != gen.Tables[0].NumCols() {
+		t.Errorf("predictions = %d, want %d", len(preds), gen.Tables[0].NumCols())
+	}
+}

@@ -3,6 +3,7 @@ package apps
 import (
 	"testing"
 
+	"tablehound/internal/datagen"
 	"tablehound/internal/table"
 )
 
@@ -141,5 +142,41 @@ func TestRelationsDedup(t *testing.T) {
 	got := a.AugmentByAttribute([]string{"x"}, "e", "v")
 	if got["x"].Value != "first" {
 		t.Errorf("dup handling = %v", got)
+	}
+}
+
+// TestAugmentEntitiesEndToEnd fills an attribute from two example
+// pairs over a generated lake: a template table's first two columns
+// are the relation, and a third entity of it must be augmented.
+func TestAugmentEntitiesEndToEnd(t *testing.T) {
+	gen := datagen.Generate(datagen.Config{
+		Seed:              51,
+		NumDomains:        12,
+		DomainSize:        80,
+		NumTemplates:      5,
+		TablesPerTemplate: 4,
+	})
+	tbl := gen.Tables[0]
+	ents := tbl.Columns[0].Values
+	vals := tbl.Columns[1].Values
+	examples := map[string]string{ents[0]: vals[0]}
+	// Find a second distinct example and a target entity.
+	var target string
+	for i := 1; i < len(ents); i++ {
+		if ents[i] != ents[0] {
+			if len(examples) < 2 {
+				examples[ents[i]] = vals[i]
+			} else {
+				target = ents[i]
+				break
+			}
+		}
+	}
+	if target == "" {
+		t.Skip("not enough distinct entities")
+	}
+	got := NewEntityAugmenter(gen.Tables).AugmentByExample([]string{target}, examples, 0.5)
+	if len(got) == 0 {
+		t.Fatalf("no augmentation for %q", target)
 	}
 }

@@ -63,7 +63,7 @@ func DecodeSnapshot(d *snap.Decoder) (*Graph, error) {
 		g.colsOf[id] = append(g.colsOf[id], k)
 	}
 	for _, k := range nodes {
-		numEdges := int(d.U32())
+		numEdges := d.Count(13) // an edge is at least a target, a kind and a weight
 		if d.Err() != nil {
 			return nil, d.Err()
 		}

@@ -1,8 +1,11 @@
-// Package core assembles the full table-discovery system of the
-// tutorial's Figure 1: table understanding (embeddings, annotation),
-// indexing (set, vector, sketch, inverted), the table search engine
-// (keyword, joinable, unionable), navigation, and data-science
-// support — all behind one System facade built over a lake catalog.
+// Package core assembles the serving table-discovery system of the
+// tutorial's Figure 1: table understanding (embeddings), indexing (set,
+// vector, sketch, inverted), the table search engine (keyword,
+// joinable, unionable) and navigation — behind one System facade built
+// over a lake catalog. It holds what the serving endpoints read. The
+// other Figure 1 engines (MATE, QCR, profiles, semantic annotation,
+// entity augmentation) are library packages that take a table set;
+// internal/exp and lakectl build them on demand.
 package core
 
 import (
@@ -10,12 +13,9 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"strconv"
 	"strings"
 	"time"
 
-	"tablehound/internal/annotate"
-	"tablehound/internal/apps"
 	"tablehound/internal/aurum"
 	"tablehound/internal/dict"
 	"tablehound/internal/embedding"
@@ -25,7 +25,6 @@ import (
 	"tablehound/internal/lake"
 	"tablehound/internal/navigation"
 	"tablehound/internal/parallel"
-	"tablehound/internal/profile"
 	"tablehound/internal/schema"
 	"tablehound/internal/starmie"
 	"tablehound/internal/table"
@@ -128,27 +127,21 @@ type System struct {
 	// mmap'd snapshot region — see Options.VecMode).
 	Vecs *vecstore.Store
 
-	Keyword  *keyword.Index
-	Values   *keyword.ValueIndex
-	Profiles *profile.Index
-	Join     *join.Engine
-	Fuzzy    *join.FuzzyJoiner
-	Corr     *join.CorrEngine
-	Mate     *join.MateIndex
-	TUS      *union.TUS
-	Santos   *union.Santos
-	D3L      *union.D3L
-	Starmie  *starmie.Index
-	Org      *navigation.Organization
-	Entities *apps.EntityAugmenter
-	Graph    *aurum.Graph
-
-	// Annotator is nil until TrainAnnotator is called.
-	Annotator *annotate.Annotator
+	Keyword *keyword.Index
+	Values  *keyword.ValueIndex
+	Join    *join.Engine
+	Fuzzy   *join.FuzzyJoiner
+	TUS     *union.TUS
+	Santos  *union.Santos
+	D3L     *union.D3L
+	Starmie *starmie.Index
+	Org     *navigation.Organization
+	Graph   *aurum.Graph
 
 	// Stats is the catalog statistics block the discover planner's
 	// cost model reads: per-table shape distributions and column
-	// name/type document frequencies. Persisted in snapshots.
+	// name/type document frequencies. A pure function of the catalog,
+	// so a load rebuilds it rather than reading it from the snapshot.
 	Stats *CatalogStats
 
 	// BuildStats records per-stage wall time and item counts for the
@@ -171,7 +164,7 @@ type System struct {
 //
 // Construction is a two-phase pipeline: the embedding model — the one
 // dependency every index family shares — trains first, then the
-// independent stages (keyword, profiles, join, fuzzy, union, Starmie,
+// independent stages (keyword, join, fuzzy, union, Starmie,
 // navigation, graph, ...) run on a bounded worker pool of
 // Options.Parallelism goroutines, with per-table/per-column fan-out
 // inside the heaviest stages. Every stage reads shared state only
@@ -335,46 +328,6 @@ func buildDict(tables []*table.Table, parallelism int) (*dict.Dict, error) {
 	return db.Build(), nil
 }
 
-// buildCorr constructs the correlation engine: first qualifying string
-// column as key, numeric columns as measures.
-func buildCorr(s *System, tables []*table.Table) (int, error) {
-	cb := join.NewCorrBuilder(256)
-	pairs := 0
-	for _, t := range tables {
-		var keyCol *table.Column
-		for _, c := range t.Columns {
-			if c.Type == table.TypeString && c.Cardinality() >= minJoinCardinality {
-				keyCol = c
-				break
-			}
-		}
-		if keyCol == nil {
-			continue
-		}
-		for _, c := range t.Columns {
-			if !c.Type.IsNumeric() {
-				continue
-			}
-			nums, n := numericAligned(keyCol, c)
-			if n < 3 {
-				continue
-			}
-			pk := join.PairKey(t.ID, keyCol.Name, c.Name)
-			if err := cb.Add(pk, nums.keys, nums.vals); err == nil {
-				pairs++
-			}
-		}
-	}
-	if pairs > 0 {
-		eng, err := cb.Build()
-		if err != nil {
-			return 0, err
-		}
-		s.Corr = eng
-	}
-	return pairs, nil
-}
-
 // buildFuzzy constructs the fuzzy join index (PEXESO-style) over the
 // catalog. Embedding a vector per value makes it the single heaviest
 // stage, so it fans out per column; a load re-derives it from the
@@ -409,54 +362,11 @@ func buildFuzzy(s *System, tables []*table.Table, opts Options) (int, error) {
 	return len(batch), nil
 }
 
-type keyedNums struct {
-	keys []string
-	vals []float64
-}
-
-// numericAligned extracts (key, number) rows where both parse.
-func numericAligned(keyCol, numCol *table.Column) (keyedNums, int) {
-	var out keyedNums
-	for r := 0; r < keyCol.Len() && r < numCol.Len(); r++ {
-		k := keyCol.Values[r]
-		if k == "" {
-			continue
-		}
-		f, err := strconv.ParseFloat(numCol.Values[r], 64)
-		if err != nil {
-			continue
-		}
-		out.keys = append(out.keys, k)
-		out.vals = append(out.vals, f)
-	}
-	return out, len(out.keys)
-}
-
-// TrainAnnotator fits the semantic type detector on labeled columns
-// and attaches it to the system.
-func (s *System) TrainAnnotator(examples []annotate.Example) error {
-	a, err := annotate.Train(examples, annotate.Config{Seed: 1})
-	if err != nil {
-		return err
-	}
-	s.Annotator = a
-	return nil
-}
-
-// AnnotateTable predicts semantic column types for a table, with
-// Sato-style context smoothing. Requires TrainAnnotator first.
-func (s *System) AnnotateTable(t *table.Table) ([]annotate.Prediction, error) {
-	if s.Annotator == nil {
-		return nil, errors.New("core: annotator not trained; call TrainAnnotator")
-	}
-	return s.Annotator.AnnotateTable(t, true), nil
-}
-
 // Query-path concurrency contract: once Build has returned, every
 // search surface on System — KeywordSearch, ValueSearch,
 // JoinableColumns, ContainmentSearch, UnionableTables, Navigate,
 // MatchSchemas, and the engines reachable through the exported fields
-// (Join, Fuzzy, TUS, Santos, D3L, Starmie, Org, Profiles) — is a pure
+// (Join, Fuzzy, TUS, Santos, D3L, Starmie, Org) — is a pure
 // read over frozen state and safe for unbounded concurrent use.
 // Options.QueryParallelism bounds the fan-out *inside* one query;
 // results are bit-identical at every setting.
@@ -525,10 +435,4 @@ func (s *System) MatchSchemas(src, dst *table.Table, threshold float64) []schema
 		NameWeight: 0.3, // lake headers are unreliable; trust content
 	}
 	return schema.Match(src, dst, m, threshold)
-}
-
-// AugmentEntities fills an attribute for entities from a few example
-// pairs via InfoGather-style holistic matching over the lake.
-func (s *System) AugmentEntities(entities []string, examples map[string]string) map[string]apps.AttrValue {
-	return s.Entities.AugmentByExample(entities, examples, 0.5)
 }

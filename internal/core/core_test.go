@@ -5,10 +5,8 @@ import (
 	"context"
 	"testing"
 
-	"tablehound/internal/annotate"
 	"tablehound/internal/datagen"
 	"tablehound/internal/lake"
-	"tablehound/internal/table"
 )
 
 func demoSystem(t *testing.T) (*System, *datagen.Lake) {
@@ -35,14 +33,19 @@ func demoSystem(t *testing.T) (*System, *datagen.Lake) {
 
 func TestBuildWiresEverything(t *testing.T) {
 	sys, _ := demoSystem(t)
-	if sys.Model == nil || sys.Keyword == nil || sys.Join == nil ||
-		sys.Fuzzy == nil || sys.Mate == nil || sys.TUS == nil ||
-		sys.Santos == nil || sys.Starmie == nil || sys.Org == nil ||
-		sys.Values == nil || sys.Profiles == nil || sys.Entities == nil {
+	if sys.Model == nil || sys.Dict == nil || sys.Keyword == nil || sys.Values == nil ||
+		sys.Join == nil || sys.Fuzzy == nil || sys.TUS == nil || sys.Santos == nil ||
+		sys.D3L == nil || sys.Starmie == nil || sys.Org == nil || sys.Graph == nil ||
+		sys.Stats == nil || sys.Vecs == nil {
 		t.Fatal("missing components")
 	}
-	if sys.Corr == nil {
-		t.Error("correlation engine missing despite numeric columns")
+	if got := len(sys.BuildStats.Stages); got != 13 {
+		t.Errorf("%d stages, want 13", got)
+	}
+	for _, st := range sys.BuildStats.Stages {
+		if st.Skipped || st.Items < 0 {
+			t.Errorf("stage %s of a default build: skipped %v, items %d", st.Name, st.Skipped, st.Items)
+		}
 	}
 }
 
@@ -67,23 +70,6 @@ func TestValueSearchEndToEnd(t *testing.T) {
 	}
 	if !found {
 		t.Error("table containing the value not in any cluster")
-	}
-}
-
-func TestProfilesEndToEnd(t *testing.T) {
-	sys, gen := demoSystem(t)
-	tp, ok := sys.Profiles.Profile(gen.Tables[0].ID)
-	if !ok {
-		t.Fatal("no profile for first table")
-	}
-	if tp.Rows != gen.Tables[0].NumRows() {
-		t.Error("profile rows wrong")
-	}
-	// The generated metric column is numeric and must be range-
-	// searchable.
-	hits := sys.Profiles.NumericRangeSearch(-1e6, 1e6, 0)
-	if len(hits) == 0 {
-		t.Error("no numeric columns found by range search")
 	}
 }
 
@@ -120,35 +106,6 @@ func TestD3LEndToEnd(t *testing.T) {
 	}
 	if !hit {
 		t.Errorf("no ground-truth unionable table in D3L top-3: %+v", res)
-	}
-}
-
-func TestAugmentEntitiesEndToEnd(t *testing.T) {
-	sys, gen := demoSystem(t)
-	// Use a template table's first two columns as the relation; two
-	// rows as examples, ask for a third entity.
-	tbl := gen.Tables[0]
-	ents := tbl.Columns[0].Values
-	vals := tbl.Columns[1].Values
-	examples := map[string]string{ents[0]: vals[0]}
-	// Find a second distinct example and a target entity.
-	var target string
-	for i := 1; i < len(ents); i++ {
-		if ents[i] != ents[0] {
-			if len(examples) < 2 {
-				examples[ents[i]] = vals[i]
-			} else {
-				target = ents[i]
-				break
-			}
-		}
-	}
-	if target == "" {
-		t.Skip("not enough distinct entities")
-	}
-	got := sys.AugmentEntities([]string{target}, examples)
-	if len(got) == 0 {
-		t.Fatalf("no augmentation for %q", target)
 	}
 }
 
@@ -200,33 +157,6 @@ func TestUnionableTablesEndToEnd(t *testing.T) {
 	truth := gen.UnionableWith(q.ID)
 	if !truth[res[0].TableID] {
 		t.Errorf("top unionable %s not in ground truth", res[0].TableID)
-	}
-}
-
-func TestAnnotateEndToEnd(t *testing.T) {
-	sys, gen := demoSystem(t)
-	if _, err := sys.AnnotateTable(gen.Tables[0]); err == nil {
-		t.Error("annotation before training should fail")
-	}
-	var examples []annotate.Example
-	for _, tbl := range gen.Tables[:10] {
-		for _, c := range tbl.Columns {
-			if d, ok := gen.ColumnDomain[table.ColumnKey(tbl.ID, c.Name)]; ok {
-				examples = append(examples, annotate.Example{
-					Values: c.Values, Header: c.Name, Label: gen.DomainNames[d],
-				})
-			}
-		}
-	}
-	if err := sys.TrainAnnotator(examples); err != nil {
-		t.Fatal(err)
-	}
-	preds, err := sys.AnnotateTable(gen.Tables[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(preds) != gen.Tables[0].NumCols() {
-		t.Errorf("predictions = %d", len(preds))
 	}
 }
 

@@ -560,8 +560,8 @@ func LoadChainFiles(basePath string, deltaPaths []string, opts Options) (*System
 // system and returns the merged system. The base is consumed: its
 // model is rebound onto the merged vector block, so it must not keep
 // serving queries (load a fresh base per merge — LoadChainFiles does).
-// Only what a snapshot stores is read from the base; its Profiles,
-// Entities and Fuzzy may be nil.
+// Only what a snapshot stores is read from the base; its Fuzzy and
+// Stats may be nil.
 func ApplyDeltas(base *System, deltas []*Delta, infos []DeltaInfo) (*System, error) {
 	start := time.Now()
 	if base.Lineage == nil {
@@ -633,8 +633,14 @@ func ApplyDeltas(base *System, deltas []*Delta, infos []DeltaInfo) (*System, err
 	// unsorted value table (which the dict snapshot codec rightly
 	// rejects) and let stale values from removed tables accumulate
 	// across compactions.
-	freshDict, err := buildDict(ordered, bopts.Parallelism)
-	if err != nil {
+	stats := newBuildStats(bopts.Parallelism)
+	var freshDict *dict.Dict
+	if err := stats.time(stageDict, func() (n int, err error) {
+		if freshDict, err = buildDict(ordered, bopts.Parallelism); err == nil {
+			n = freshDict.Size()
+		}
+		return n, err
+	}); err != nil {
 		return nil, err
 	}
 	const unmapped = ^uint32(0)
@@ -686,13 +692,11 @@ func ApplyDeltas(base *System, deltas []*Delta, infos []DeltaInfo) (*System, err
 	// Build's stage table over the merged catalog, with the base's
 	// build parameters: the engines reassemble from the folded parts,
 	// every other stage rebuilds from the catalog.
-	stats := newBuildStats(bopts.Parallelism)
 	sys := &System{Catalog: cat, Model: base.Model, KB: base.KB, Dict: freshDict, BuildStats: stats, buildOpts: bopts}
 	if err := (pipeline{s: sys, opts: bopts, parts: &mp}).run(); err != nil {
 		return nil, err
 	}
-	stats.Stages[stageModel].Items = -1 // frozen base model, never retrained
-	stats.Stages[stageDict].Items = -1  // extended, not rebuilt
+	stats.Stages[stageModel].Items = loadedItems // the base's frozen model, never retrained
 	hashes := make([]uint64, len(ids))
 	for i, id := range ids {
 		hashes[i] = live[id]

@@ -6,18 +6,17 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 	"strings"
 	"time"
 
-	"tablehound/internal/apps"
 	"tablehound/internal/aurum"
 	"tablehound/internal/join"
 	"tablehound/internal/keyword"
 	"tablehound/internal/navigation"
 	"tablehound/internal/parallel"
-	"tablehound/internal/profile"
 	"tablehound/internal/starmie"
 	"tablehound/internal/union"
 )
@@ -31,12 +30,8 @@ const (
 	stageModel = iota
 	stageDict
 	stageKeyword
-	stageProfiles
-	stageEntities
 	stageJoin
 	stageFuzzy
-	stageCorr
-	stageMate
 	stageTUS
 	stageSantos
 	stageD3L
@@ -49,17 +44,25 @@ const (
 )
 
 var stageNames = [numStages]string{
-	"model", "dict", "keyword", "profiles", "entities", "join", "fuzzy",
-	"corr", "mate", "tus", "santos", "d3l", "starmie", "org", "graph",
-	"stats", "vecs",
+	"model", "dict", "keyword", "join", "fuzzy", "tus", "santos", "d3l",
+	"starmie", "org", "graph", "stats", "vecs",
 }
 
 // Stage subsets: what a load rebuilds over a decoded snapshot, and what
 // delta analysis runs over the tables a delta adds.
 var (
-	derivedStages = []int{stageProfiles, stageEntities, stageFuzzy}
+	derivedStages = []int{stageFuzzy, stageStats}
 	engineStages  = []int{stageJoin, stageTUS, stageSantos, stageD3L, stageStarmie}
 )
+
+// loadedItems is StageTiming.Items of a stage a load decoded.
+const loadedItems = -1
+
+// storedStages are the stages whose state snapshot sections hold: a
+// load decodes them and derives derivedStages, so the two lists are
+// every stage.
+var storedStages = []int{stageModel, stageDict, stageKeyword, stageJoin, stageTUS,
+	stageSantos, stageD3L, stageStarmie, stageOrg, stageGraph, stageVecs}
 
 // stage is one entry of the stage table: it reads the system's shared
 // foundations (catalog, model, dictionary, KB) and writes one System
@@ -133,27 +136,9 @@ func (p pipeline) stages() []stage {
 			s.Keyword, s.Values = keyword.NewIndex(tables), keyword.NewValueIndex(tables)
 			return len(tables), nil
 		}},
-		{stageProfiles, false, func() (int, error) {
-			// Auctus-style structured profiles.
-			s.Profiles = profile.NewIndexN(tables, opts.Parallelism)
-			return s.Profiles.Len(), nil
-		}},
-		{stageEntities, false, func() (int, error) {
-			// InfoGather-style entity augmentation over the raw tables.
-			s.Entities = apps.NewEntityAugmenter(tables)
-			return len(tables), nil
-		}},
 		{stageJoin, false, p.join},
 		{stageFuzzy, opts.SkipFuzzy, func() (int, error) {
 			return buildFuzzy(s, tables, opts)
-		}},
-		{stageCorr, false, func() (int, error) {
-			return buildCorr(s, tables)
-		}},
-		{stageMate, false, func() (int, error) {
-			// Multi-attribute join.
-			s.Mate = join.NewMateIndex(tables)
-			return len(tables), nil
 		}},
 		{stageTUS, false, p.tus},
 		{stageSantos, false, p.santos},
@@ -302,7 +287,9 @@ type StageTiming struct {
 	Name    string
 	Skipped bool
 	// Items is the stage's unit count: tables for per-table stages,
-	// columns for column indexes, key/measure pairs for correlation.
+	// columns for column indexes; loadedItems (-1) for a stage whose
+	// state was decoded from a snapshot rather than built, whose Wall
+	// is then zero.
 	Items int
 	// Wall is the stage's own elapsed time. Stages overlap when
 	// Parallelism > 1, so stage walls can sum to more than Total.
@@ -338,8 +325,10 @@ func (bs *BuildStats) time(stage int, run func() (int, error)) error {
 	return err
 }
 
+// skip marks a stage skipped, also one a load marked loaded: a stage
+// the build skipped stored no state.
 func (bs *BuildStats) skip(stage int) {
-	bs.Stages[stage].Skipped = true
+	bs.Stages[stage].Skipped, bs.Stages[stage].Items = true, 0
 }
 
 // Stage returns the timing record for a named stage.
@@ -356,23 +345,18 @@ func (bs *BuildStats) Stage(name string) (StageTiming, bool) {
 func (bs *BuildStats) Report() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "build: total %v, parallelism %d\n", bs.Total.Round(time.Microsecond), bs.Parallelism)
-	order := make([]int, len(bs.Stages))
-	for i := range order {
-		order[i] = i
-	}
-	for i := 1; i < len(order); i++ { // insertion sort by wall, stable
-		for j := i; j > 0 && bs.Stages[order[j]].Wall > bs.Stages[order[j-1]].Wall; j-- {
-			order[j], order[j-1] = order[j-1], order[j]
-		}
-	}
+	stages := slices.Clone(bs.Stages)
+	slices.SortStableFunc(stages, func(a, b StageTiming) int { return cmp.Compare(b.Wall, a.Wall) })
 	fmt.Fprintf(&b, "  %-10s %8s %12s\n", "stage", "items", "wall")
-	for _, i := range order {
-		st := bs.Stages[i]
-		if st.Skipped {
-			fmt.Fprintf(&b, "  %-10s %8s %12s\n", st.Name, "-", "skipped")
-			continue
+	for _, st := range stages {
+		items, wall := fmt.Sprint(st.Items), st.Wall.Round(time.Microsecond).String()
+		switch {
+		case st.Skipped:
+			items, wall = "-", "skipped"
+		case st.Items == loadedItems:
+			items, wall = "-", "loaded"
 		}
-		fmt.Fprintf(&b, "  %-10s %8d %12v\n", st.Name, st.Items, st.Wall.Round(time.Microsecond))
+		fmt.Fprintf(&b, "  %-10s %8s %12s\n", st.Name, items, wall)
 	}
 	return b.String()
 }

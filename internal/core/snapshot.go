@@ -4,14 +4,14 @@
 // was saved — without re-running the build pipeline.
 //
 // The format is a snap header followed by a fixed sequence of
-// length-framed, CRC-checked sections, one per subsystem. Structures
-// whose construction is deterministic-but-expensive are stored
-// verbatim (embedding model, dictionary, inverted indexes, column
-// analyses, HNSW topology); structures that are cheap, deterministic
-// functions of already-stored state are rebuilt on load (LSH banding
-// tables, posting maps, profile/entity/fuzzy indexes). Optional
-// subsystems carry a presence flag so a snapshot of a system built
-// with Skip* options round-trips exactly.
+// length-framed, CRC-checked sections, one per stored subsystem.
+// Structures whose construction is deterministic-but-expensive are
+// stored verbatim (embedding model, dictionary, inverted indexes,
+// column analyses, HNSW topology); structures that are cheap,
+// deterministic functions of already-stored state are rebuilt on load
+// (LSH banding tables, posting maps, the catalog statistics, the fuzzy
+// index). Optional subsystems carry a presence flag so a snapshot of a
+// system built with Skip* options round-trips exactly.
 package core
 
 import (
@@ -68,10 +68,12 @@ var ErrVersionMismatch = errors.New("core: snapshot version mismatch")
 // values sections through the keyword package's one postings codec
 // (the metadata section no longer repeats term strings per document)
 // and drops the build parameters that became constants from the
-// options section.
+// options section. Version 7 stores only what a served system reads:
+// no MATE or correlation section (those indexes left the System), and
+// no statistics section (a load rebuilds them).
 const (
 	snapMagic   uint32 = 0x54485342 // "THSB": tablehound system binary
-	snapVersion uint16 = 6
+	snapVersion uint16 = 7
 
 	// snapHeaderLen is the byte length of the snap header (magic,
 	// version, flags) that precedes the first section; blob-offset
@@ -92,15 +94,12 @@ const (
 	secKeyword
 	secValues
 	secJoin
-	secCorr
-	secMate
 	secTUS
 	secSantos
 	secD3L
 	secStarmie
 	secOrg
 	secGraph
-	secStats
 	secVecs
 )
 
@@ -109,9 +108,8 @@ const (
 // constructed systems are rejected rather than half-written.
 func (s *System) Save(w io.Writer) error {
 	if s.Catalog == nil || s.Model == nil || s.Dict == nil || s.Keyword == nil ||
-		s.Values == nil || s.Join == nil || s.Mate == nil || s.TUS == nil ||
-		s.Santos == nil || s.D3L == nil || s.Starmie == nil || s.Stats == nil ||
-		s.Vecs == nil {
+		s.Values == nil || s.Join == nil || s.TUS == nil || s.Santos == nil ||
+		s.D3L == nil || s.Starmie == nil || s.Vecs == nil {
 		return fmt.Errorf("core: cannot snapshot a partially built system")
 	}
 	if err := snap.WriteHeader(w, snapMagic, snapVersion, 0); err != nil {
@@ -150,15 +148,12 @@ func (s *System) Save(w io.Writer) error {
 		{secKeyword, s.Keyword.AppendSnapshot},
 		{secValues, s.Values.AppendSnapshot},
 		{secJoin, func(e *snap.Encoder) { s.Join.AppendSnapshot(e, s.Dict) }},
-		{secCorr, optional(s.Corr != nil, s.Corr.AppendSnapshot)},
-		{secMate, s.Mate.AppendSnapshot},
 		{secTUS, func(e *snap.Encoder) { s.TUS.AppendSnapshot(e, s.Dict) }},
 		{secSantos, s.Santos.AppendSnapshot},
 		{secD3L, s.D3L.AppendSnapshot},
 		{secStarmie, s.Starmie.AppendSnapshot},
 		{secOrg, optional(s.Org != nil, s.Org.AppendSnapshot)},
 		{secGraph, optional(s.Graph != nil, s.Graph.AppendSnapshot)},
-		{secStats, s.Stats.AppendSnapshot},
 		// The vector block closes the stream: its directory (shape,
 		// segment table, centroid tables, blob length + CRC) travels as a
 		// normal CRC-framed section, then zero padding aligns the raw
@@ -409,8 +404,8 @@ func (o *opened) foundations(g *decodeGroup) error {
 }
 
 // decode is the first half of a load: every section is decoded and
-// every stored engine is live, but the rebuild-on-load fields
-// (Profiles, Entities, Fuzzy) are still nil.
+// every stored engine is live, but the rebuild-on-load fields (Fuzzy,
+// Stats) are still nil.
 func (o *opened) decode() (*System, error) {
 	s, secs, bopts := o.s, o.secs, o.s.buildOpts
 	// Phase 1: the foundations and the catalog — everything later
@@ -423,10 +418,8 @@ func (o *opened) decode() (*System, error) {
 	g.run(secCatalog, secs, into(&s.Catalog, lake.DecodeSnapshot))
 	g.run(secKeyword, secs, into(&s.Keyword, keyword.DecodeIndexSnapshot))
 	g.run(secValues, secs, into(&s.Values, keyword.DecodeValueIndexSnapshot))
-	g.run(secCorr, secs, present(&s.Corr, join.DecodeCorrSnapshot))
 	g.run(secOrg, secs, present(&s.Org, navigation.DecodeSnapshot))
 	g.run(secGraph, secs, present(&s.Graph, aurum.DecodeSnapshot))
-	g.run(secStats, secs, into(&s.Stats, DecodeCatalogStatsSnapshot))
 	if err := g.wait(); err != nil {
 		return nil, err
 	}
@@ -439,11 +432,6 @@ func (o *opened) decode() (*System, error) {
 	g.run(secJoin, secs, func(d *snap.Decoder) error {
 		var derr error
 		s.Join, derr = join.DecodeEngineSnapshot(d, s.Dict, bopts.Parallelism)
-		return derr
-	})
-	g.run(secMate, secs, func(d *snap.Decoder) error {
-		var derr error
-		s.Mate, derr = join.DecodeMateSnapshot(d, lookup)
 		return derr
 	})
 	g.run(secTUS, secs, func(d *snap.Decoder) error {
@@ -476,10 +464,8 @@ func (o *opened) decode() (*System, error) {
 	}
 
 	stats := newBuildStats(bopts.Parallelism)
-	for _, st := range []int{stageModel, stageDict, stageKeyword, stageJoin,
-		stageCorr, stageMate, stageTUS, stageSantos, stageD3L, stageStarmie,
-		stageStats, stageVecs} {
-		stats.Stages[st].Items = -1 // loaded from snapshot, not rebuilt
+	for _, st := range storedStages {
+		stats.Stages[st].Items = loadedItems
 	}
 	stats.Total = time.Since(o.start)
 	s.BuildStats = stats
@@ -487,11 +473,11 @@ func (o *opened) decode() (*System, error) {
 }
 
 // derive is the second half of a load: the rebuild-on-load stages
-// (profiles, entities, fuzzy) — deterministic functions of the decoded
-// catalog, model and dictionary that are not worth serializing. It
-// runs on a system that will serve as decoded; a base the delta merge
-// consumes skips it, because the merge derives the same three over the
-// merged catalog instead.
+// (fuzzy, stats) — deterministic functions of the decoded catalog,
+// model and dictionary that are not worth serializing. It runs on a
+// system that will serve as decoded; a base the delta merge consumes
+// skips it, because the merge derives the same two over the merged
+// catalog instead.
 func (s *System) derive() error {
 	start := time.Now()
 	err := pipeline{s: s, opts: s.buildOpts}.run(derivedStages...)

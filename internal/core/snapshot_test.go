@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -207,10 +208,10 @@ func TestSnapshotRejectsCorruption(t *testing.T) {
 		// A clean header with the wrong version is a stale snapshot, not
 		// bit rot: the typed ErrVersionMismatch (naming both versions)
 		// lets operators tell the two apart, so it must not also satisfy
-		// the corruption sentinel. The header claims v5, whose keyword
-		// sections predate the shared postings codec.
+		// the corruption sentinel. The header claims v6, which still
+		// stored the MATE, correlation and catalog-stats sections.
 		bad := append([]byte{}, good...)
-		bad[4], bad[5] = 5, 0 // version lives at header bytes 4..5
+		bad[4], bad[5] = 6, 0 // version lives at header bytes 4..5
 		_, err := Load(bytes.NewReader(bad), Options{})
 		if !errors.Is(err, ErrVersionMismatch) {
 			t.Errorf("err = %v, want ErrVersionMismatch", err)
@@ -218,7 +219,7 @@ func TestSnapshotRejectsCorruption(t *testing.T) {
 		if errors.Is(err, ErrCorruptSnapshot) {
 			t.Errorf("version mismatch also satisfies ErrCorruptSnapshot: %v", err)
 		}
-		for _, want := range []string{"found version 5", "expected 6"} {
+		for _, want := range []string{"found version 6", "expected 7"} {
 			if err == nil || !strings.Contains(err.Error(), want) {
 				t.Errorf("err %q does not name versions (%q missing)", err, want)
 			}
@@ -427,6 +428,55 @@ func TestSnapshotRejectsForgedIDSets(t *testing.T) {
 			}
 			if !errors.Is(err, ErrCorruptSnapshot) {
 				t.Fatalf("err = %v, want ErrCorruptSnapshot", err)
+			}
+		})
+	}
+}
+
+// TestLoadedBuildReportNamesEveryStage checks a loaded system's build
+// report over every Skip* combination: each stage reads as exactly one
+// of loaded (its section was decoded), derived (a rebuild-on-load stage
+// that ran) or skipped, and the skipped set is the built system's. The
+// report prints loaded stages as "loaded", never as an item count.
+func TestLoadedBuildReportNamesEveryStage(t *testing.T) {
+	gen := datagen.Generate(datagen.Config{Seed: 5, NumTemplates: 2, TablesPerTemplate: 2})
+	for mask := 0; mask < 8; mask++ {
+		opts := Options{Seed: 3, SkipFuzzy: mask&1 != 0, SkipOrganization: mask&2 != 0, SkipGraph: mask&4 != 0}
+		t.Run(fmt.Sprintf("fuzzy=%v,org=%v,graph=%v", !opts.SkipFuzzy, !opts.SkipOrganization, !opts.SkipGraph), func(t *testing.T) {
+			cat := lake.NewCatalog()
+			if err := cat.AddBatch(gen.Tables); err != nil {
+				t.Fatal(err)
+			}
+			built, err := Build(cat, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			loaded, err := Load(bytes.NewReader(saved(t, built)), Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, st := range loaded.BuildStats.Stages {
+				isLoaded := st.Items == loadedItems
+				derived := !st.Skipped && !isLoaded && slices.Contains(derivedStages, i) && st.Wall > 0
+				n := 0
+				for _, b := range []bool{isLoaded, derived, st.Skipped} {
+					if b {
+						n++
+					}
+				}
+				if n != 1 {
+					t.Errorf("stage %s: loaded %v, derived %v, skipped %v (items %d, wall %v)", st.Name, isLoaded, derived, st.Skipped, st.Items, st.Wall)
+				}
+				if want := built.BuildStats.Stages[i].Skipped; st.Skipped != want {
+					t.Errorf("stage %s: skipped %v after load, %v at build", st.Name, st.Skipped, want)
+				}
+				if isLoaded && st.Wall != 0 {
+					t.Errorf("stage %s: loaded but timed %v", st.Name, st.Wall)
+				}
+			}
+			report := loaded.BuildStats.Report()
+			if strings.Contains(report, "-1") || !strings.Contains(report, "loaded") {
+				t.Errorf("report misstates loaded stages:\n%s", report)
 			}
 		})
 	}

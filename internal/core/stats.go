@@ -1,15 +1,15 @@
 // Catalog statistics for the discover planner's cost model: per-table
 // shape distributions and document frequencies of column names and
-// inferred types, computed once at build time and persisted in the
-// snapshot. The planner estimates each prefilter's selectivity from
-// this block (plus the postings lengths already stored in the keyword
-// and join indexes) without touching table contents at query time.
+// inferred types, a pure function of the catalog computed at build and
+// again at every load (one pass over the tables; never stored). The
+// planner estimates each prefilter's selectivity from this block (plus
+// the postings lengths already stored in the keyword and join indexes)
+// without touching table contents at query time.
 package core
 
 import (
 	"sort"
 
-	"tablehound/internal/snap"
 	"tablehound/internal/table"
 	"tablehound/internal/tokenize"
 )
@@ -100,77 +100,3 @@ func (cs *CatalogStats) CountColName(name string) int {
 // CountType returns how many tables have at least one column of the
 // inferred type.
 func (cs *CatalogStats) CountType(t table.Type) int { return cs.Types[t] }
-
-// AppendSnapshot serializes the stats block. Map entries are written
-// in sorted key order, so encoding is deterministic.
-func (cs *CatalogStats) AppendSnapshot(e *snap.Encoder) {
-	e.U64(uint64(cs.Tables))
-	e.U64(uint64(cs.Columns))
-	e.U64s(toU64s(cs.Rows))
-	e.U64s(toU64s(cs.Cols))
-	names := make([]string, 0, len(cs.ColNames))
-	for n := range cs.ColNames {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	e.U32(uint32(len(names)))
-	for _, n := range names {
-		e.Str(n)
-		e.U64(uint64(cs.ColNames[n]))
-	}
-	types := make([]int, 0, len(cs.Types))
-	for ty := range cs.Types {
-		types = append(types, int(ty))
-	}
-	sort.Ints(types)
-	e.U32(uint32(len(types)))
-	for _, ty := range types {
-		e.U8(uint8(ty))
-		e.U64(uint64(cs.Types[table.Type(ty)]))
-	}
-}
-
-// DecodeCatalogStatsSnapshot reconstructs a stats block written by
-// AppendSnapshot.
-func DecodeCatalogStatsSnapshot(d *snap.Decoder) (*CatalogStats, error) {
-	cs := &CatalogStats{
-		Tables:   int(d.U64()),
-		Columns:  int(d.U64()),
-		Rows:     toInts(d.U64s()),
-		Cols:     toInts(d.U64s()),
-		ColNames: make(map[string]int),
-		Types:    make(map[table.Type]int),
-	}
-	for i, n := 0, int(d.U32()); i < n && d.Err() == nil; i++ {
-		name := d.Str()
-		cs.ColNames[name] = int(d.U64())
-	}
-	for i, n := 0, int(d.U32()); i < n && d.Err() == nil; i++ {
-		ty := table.Type(d.U8())
-		cs.Types[ty] = int(d.U64())
-	}
-	if err := d.Err(); err != nil {
-		return nil, err
-	}
-	// The range accessors binary-search, so re-establish sortedness
-	// rather than trusting the stream.
-	sort.Ints(cs.Rows)
-	sort.Ints(cs.Cols)
-	return cs, nil
-}
-
-func toU64s(vs []int) []uint64 {
-	out := make([]uint64, len(vs))
-	for i, v := range vs {
-		out[i] = uint64(v)
-	}
-	return out
-}
-
-func toInts(vs []uint64) []int {
-	out := make([]int, len(vs))
-	for i, v := range vs {
-		out[i] = int(v)
-	}
-	return out
-}

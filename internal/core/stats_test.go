@@ -1,11 +1,12 @@
 package core
 
 import (
+	"bytes"
 	"reflect"
 	"testing"
 
 	"tablehound/internal/datagen"
-	"tablehound/internal/snap"
+	"tablehound/internal/lake"
 	"tablehound/internal/table"
 	"tablehound/internal/tokenize"
 )
@@ -97,21 +98,29 @@ func TestCatalogStatsCountsExact(t *testing.T) {
 	}
 }
 
-// TestCatalogStatsSnapshotRoundtrip pins the stats section's wire
-// format: encode, decode, deep-equal.
-func TestCatalogStatsSnapshotRoundtrip(t *testing.T) {
-	_, st := statsFixture(t)
-	var e snap.Encoder
-	st.AppendSnapshot(&e)
-	d := snap.NewDecoder(e.Bytes())
-	got, err := DecodeCatalogStatsSnapshot(d)
+// TestCatalogStatsRebuiltOnLoad checks that the stats block a load
+// rebuilds from the decoded catalog equals the one the build computed:
+// snapshots do not store it, so this is the built ≡ loaded contract
+// for the cost model's input.
+func TestCatalogStatsRebuiltOnLoad(t *testing.T) {
+	tables, want := statsFixture(t)
+	cat := lake.NewCatalog()
+	if err := cat.AddBatch(tables); err != nil {
+		t.Fatal(err)
+	}
+	sys, err := Build(cat, Options{SkipFuzzy: true, SkipGraph: true, SkipOrganization: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := d.Finish(); err != nil {
+	var buf bytes.Buffer
+	if err := sys.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(got, st) {
-		t.Errorf("roundtrip diverged:\n got %+v\nwant %+v", got, st)
+	loaded, err := Load(&buf, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(sys.Stats, want) || !reflect.DeepEqual(loaded.Stats, want) {
+		t.Errorf("stats: built %+v, loaded %+v, want %+v", sys.Stats, loaded.Stats, want)
 	}
 }

@@ -3,6 +3,7 @@ package invindex
 import (
 	"fmt"
 	"io"
+	"math"
 
 	"tablehound/internal/snap"
 )
@@ -49,8 +50,10 @@ func (ix *Index) AppendSnapshot(e *snap.Encoder) {
 }
 
 // DecodeSnapshot rebuilds an index written by AppendSnapshot,
-// validating every structural invariant the query paths rely on.
-func DecodeSnapshot(d *snap.Decoder) (*Index, error) {
+// validating every structural invariant the query paths rely on. An
+// ID-built index's IDs must be below idSpace, the size of their
+// dictionary, since the largest one sizes the ID → rank table.
+func DecodeSnapshot(d *snap.Decoder, idSpace int) (*Index, error) {
 	idBuilt := d.Bool()
 	var ids []uint32
 	var tokens []string
@@ -90,6 +93,9 @@ func DecodeSnapshot(d *snap.Decoder) (*Index, error) {
 		ix.idOf = ids
 		maxID := uint32(0)
 		for _, id := range ids {
+			if int64(id) >= int64(idSpace) {
+				return nil, fmt.Errorf("%w: ID %d outside a dictionary of %d", ErrCorruptSnapshot, id, idSpace)
+			}
 			if id > maxID {
 				maxID = id
 			}
@@ -138,7 +144,8 @@ func (ix *Index) Save(w io.Writer) error {
 
 // Load reads an index previously written by Save. Truncated input,
 // checksum mismatches, and trailing garbage after the final section
-// all return ErrCorruptSnapshot.
+// all return ErrCorruptSnapshot. A standalone file has no dictionary
+// to bound an ID-built index's IDs by.
 func Load(r io.Reader) (*Index, error) {
 	version, _, err := snap.ReadHeader(r, saveMagic)
 	if err != nil {
@@ -151,7 +158,7 @@ func Load(r io.Reader) (*Index, error) {
 	var ix *Index
 	if err := sr.Section(saveSection, func(d *snap.Decoder) error {
 		var derr error
-		ix, derr = DecodeSnapshot(d)
+		ix, derr = DecodeSnapshot(d, math.MaxInt)
 		return derr
 	}); err != nil {
 		return nil, err

@@ -10,7 +10,6 @@ import (
 	"tablehound/internal/lshensemble"
 	"tablehound/internal/minhash"
 	"tablehound/internal/snap"
-	"tablehound/internal/table"
 )
 
 // AppendSnapshot encodes the join engine against the system dictionary
@@ -105,7 +104,7 @@ func DecodeEngineSnapshot(d *snap.Decoder, sysDict *dict.Dict, parallelism int) 
 			return nil, fmt.Errorf("%w: %v", snap.ErrCorrupt, err)
 		}
 	}
-	ix, err := invindex.DecodeSnapshot(d)
+	ix, err := invindex.DecodeSnapshot(d, dc.Size())
 	if err != nil {
 		return nil, err
 	}
@@ -127,181 +126,4 @@ func DecodeEngineSnapshot(d *snap.Decoder, sysDict *dict.Dict, parallelism int) 
 		idsets:   idsets,
 		keys:     keys,
 	}, nil
-}
-
-// AppendSnapshot encodes the correlation engine: the QCR inverted
-// index plus the joined (key, value) data maps, pair keys and inner
-// keys both in sorted order.
-func (e *CorrEngine) AppendSnapshot(enc *snap.Encoder) {
-	enc.U32(uint32(e.sketchSize))
-	e.inv.AppendSnapshot(enc)
-	pairKeys := make([]string, 0, len(e.data))
-	for pk := range e.data {
-		pairKeys = append(pairKeys, pk)
-	}
-	sort.Strings(pairKeys)
-	enc.U32(uint32(len(pairKeys)))
-	for _, pk := range pairKeys {
-		enc.Str(pk)
-		m := e.data[pk]
-		ks := make([]string, 0, len(m))
-		for k := range m {
-			ks = append(ks, k)
-		}
-		sort.Strings(ks)
-		enc.U32(uint32(len(ks)))
-		for _, k := range ks {
-			enc.Str(k)
-			enc.F64(m[k])
-		}
-	}
-}
-
-// DecodeCorrSnapshot rebuilds a correlation engine written by
-// AppendSnapshot.
-func DecodeCorrSnapshot(d *snap.Decoder) (*CorrEngine, error) {
-	sketchSize := int(d.U32())
-	if d.Err() != nil {
-		return nil, d.Err()
-	}
-	ix, err := invindex.DecodeSnapshot(d)
-	if err != nil {
-		return nil, err
-	}
-	numPairs := int(d.U32())
-	if d.Err() != nil {
-		return nil, d.Err()
-	}
-	data := make(map[string]map[string]float64, numPairs)
-	for i := 0; i < numPairs; i++ {
-		pk := d.Str()
-		n := int(d.U32())
-		if d.Err() != nil {
-			return nil, d.Err()
-		}
-		m := make(map[string]float64, n)
-		for j := 0; j < n; j++ {
-			k := d.Str()
-			v := d.F64()
-			if d.Err() != nil {
-				return nil, d.Err()
-			}
-			m[k] = v
-		}
-		if len(m) != n {
-			return nil, fmt.Errorf("%w: duplicate key in correlation pair %q", snap.ErrCorrupt, pk)
-		}
-		if _, dup := data[pk]; dup {
-			return nil, fmt.Errorf("%w: duplicate correlation pair %q", snap.ErrCorrupt, pk)
-		}
-		data[pk] = m
-	}
-	return &CorrEngine{
-		sketchSize: sketchSize,
-		inv:        ix,
-		searcher:   josie.NewSearcher(ix),
-		data:       data,
-	}, nil
-}
-
-// AppendSnapshot encodes the MATE index: per-table normalized cell
-// matrices and XASH super keys verbatim, and the value posting lists
-// in sorted value order (each list's row references stay in build
-// order: table, then row, then column).
-func (m *MateIndex) AppendSnapshot(enc *snap.Encoder) {
-	enc.Strs(m.ids)
-	for _, id := range m.ids {
-		mt := m.tables[id]
-		enc.U64s(mt.keys)
-		enc.U32(uint32(len(mt.norm)))
-		for _, row := range mt.norm {
-			enc.Strs(row)
-		}
-	}
-	values := make([]string, 0, len(m.posting))
-	for v := range m.posting {
-		values = append(values, v)
-	}
-	sort.Strings(values)
-	enc.U32(uint32(len(values)))
-	for _, v := range values {
-		refs := m.posting[v]
-		enc.Str(v)
-		tis := make([]int32, len(refs))
-		rows := make([]int32, len(refs))
-		cols := make([]int32, len(refs))
-		for i, r := range refs {
-			tis[i], rows[i], cols[i] = r.tableIdx, r.row, int32(r.col)
-		}
-		enc.I32s(tis)
-		enc.I32s(rows)
-		enc.I32s(cols)
-	}
-}
-
-// DecodeMateSnapshot rebuilds a MATE index written by AppendSnapshot.
-// Table pointers are rewired through lookup (the loaded catalog).
-func DecodeMateSnapshot(d *snap.Decoder, lookup func(id string) *table.Table) (*MateIndex, error) {
-	ids := d.Strs()
-	if d.Err() != nil {
-		return nil, d.Err()
-	}
-	m := &MateIndex{
-		tables:  make(map[string]*mateTable, len(ids)),
-		ids:     ids,
-		posting: make(map[string][]rowRef),
-	}
-	for _, id := range ids {
-		tbl := lookup(id)
-		if tbl == nil {
-			return nil, fmt.Errorf("%w: MATE table %q missing from catalog", snap.ErrCorrupt, id)
-		}
-		keys := d.U64s()
-		rows := int(d.U32())
-		if d.Err() != nil {
-			return nil, d.Err()
-		}
-		if len(keys) != rows {
-			return nil, fmt.Errorf("%w: MATE table %q has %d super keys for %d rows", snap.ErrCorrupt, id, len(keys), rows)
-		}
-		norm := make([][]string, rows)
-		for r := 0; r < rows; r++ {
-			norm[r] = d.Strs()
-			if d.Err() != nil {
-				return nil, d.Err()
-			}
-		}
-		if _, dup := m.tables[id]; dup {
-			return nil, fmt.Errorf("%w: duplicate MATE table %q", snap.ErrCorrupt, id)
-		}
-		m.tables[id] = &mateTable{tbl: tbl, keys: keys, norm: norm}
-	}
-	numValues := int(d.U32())
-	if d.Err() != nil {
-		return nil, d.Err()
-	}
-	for i := 0; i < numValues; i++ {
-		v := d.Str()
-		tis := d.I32s()
-		rows := d.I32s()
-		cols := d.I32s()
-		if d.Err() != nil {
-			return nil, d.Err()
-		}
-		if len(rows) != len(tis) || len(cols) != len(tis) {
-			return nil, fmt.Errorf("%w: MATE posting %q has ragged reference arrays", snap.ErrCorrupt, v)
-		}
-		refs := make([]rowRef, len(tis))
-		for j := range tis {
-			if tis[j] < 0 || int(tis[j]) >= len(ids) {
-				return nil, fmt.Errorf("%w: MATE row reference table %d out of range", snap.ErrCorrupt, tis[j])
-			}
-			refs[j] = rowRef{tableIdx: tis[j], row: rows[j], col: int16(cols[j])}
-		}
-		if _, dup := m.posting[v]; dup {
-			return nil, fmt.Errorf("%w: duplicate MATE posting value %q", snap.ErrCorrupt, v)
-		}
-		m.posting[v] = refs
-	}
-	return m, nil
 }

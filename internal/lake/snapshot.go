@@ -41,7 +41,7 @@ func DecodeSnapshot(d *snap.Decoder) (*Catalog, error) {
 		name := d.Str()
 		desc := d.Str()
 		tags := d.Strs()
-		numCols := int(d.U32())
+		numCols := d.Count(9) // a column is at least a name length, a type and a value count
 		if d.Err() != nil {
 			return nil, d.Err()
 		}

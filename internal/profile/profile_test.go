@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"tablehound/internal/datagen"
 	"tablehound/internal/table"
 )
 
@@ -140,5 +141,29 @@ func TestIndexAccessors(t *testing.T) {
 	s := tp.FormatSummary()
 	if !strings.Contains(s, "amount") || !strings.Contains(s, "range=") {
 		t.Errorf("summary = %q", s)
+	}
+}
+
+// TestProfilesEndToEnd profiles a generated lake: a table's profile
+// counts its rows, and the generated metric columns are numeric, so a
+// wide range search finds them.
+func TestProfilesEndToEnd(t *testing.T) {
+	gen := datagen.Generate(datagen.Config{
+		Seed:              51,
+		NumDomains:        12,
+		DomainSize:        80,
+		NumTemplates:      5,
+		TablesPerTemplate: 4,
+	})
+	ix := NewIndexN(gen.Tables, 2)
+	tp, ok := ix.Profile(gen.Tables[0].ID)
+	if !ok {
+		t.Fatal("no profile for first table")
+	}
+	if tp.Rows != gen.Tables[0].NumRows() {
+		t.Error("profile rows wrong")
+	}
+	if hits := ix.NumericRangeSearch(-1e6, 1e6, 0); len(hits) == 0 {
+		t.Error("no numeric columns found by range search")
 	}
 }

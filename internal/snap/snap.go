@@ -423,10 +423,22 @@ func (d *Decoder) U64() uint64 {
 func (d *Decoder) I64() int64 { return int64(d.U64()) }
 
 // F64 reads a float64.
-func (d *Decoder) F64() float64 { return math.Float64frombits(d.U64()) }
+func (d *Decoder) F64() float64 { return d.finite(math.Float64frombits(d.U64())) }
 
 // F32 reads a float32.
-func (d *Decoder) F32() float32 { return math.Float32frombits(d.U32()) }
+func (d *Decoder) F32() float32 { return float32(d.finite(float64(math.Float32frombits(d.U32())))) }
+
+// finite passes v through, or latches corruption and reads 0 when v is
+// NaN or ±Inf. Encoders store only finite floats, and a non-finite one
+// poisons whatever it reaches: a score computed from it orders against
+// nothing, and a matching over such weights never terminates.
+func (d *Decoder) finite(v float64) float64 {
+	if math.IsNaN(v) || math.IsInf(v, 0) {
+		d.fail("non-finite float %v", v)
+		return 0
+	}
+	return v
+}
 
 // Count reads a count prefix and checks it against the remaining
 // bytes at minBytes per element. Once an error is latched it reads 0,

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"io"
+	"math"
 	"testing"
 )
 
@@ -209,3 +210,27 @@ func TestEOFPassthrough(t *testing.T) {
 type errReader struct{}
 
 func (errReader) Read([]byte) (int, error) { return 0, io.ErrClosedPipe }
+
+// TestNonFiniteFloatsAreCorrupt checks that NaN and ±Inf, which no
+// encoder writes, read as corruption through every float reader.
+func TestNonFiniteFloatsAreCorrupt(t *testing.T) {
+	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		for name, c := range map[string]struct {
+			enc  func(*Encoder)
+			read func(*Decoder)
+		}{
+			"F64":  {func(e *Encoder) { e.F64(v) }, func(d *Decoder) { d.F64() }},
+			"F32":  {func(e *Encoder) { e.F32(float32(v)) }, func(d *Decoder) { d.F32() }},
+			"F64s": {func(e *Encoder) { e.F64s([]float64{1, v}) }, func(d *Decoder) { d.F64s() }},
+			"F32s": {func(e *Encoder) { e.F32s([]float32{1, float32(v)}) }, func(d *Decoder) { d.F32s() }},
+		} {
+			var e Encoder
+			c.enc(&e)
+			d := NewDecoder(e.Bytes())
+			c.read(d)
+			if !errors.Is(d.Err(), ErrCorrupt) {
+				t.Errorf("%s of %v: err = %v, want ErrCorrupt", name, v, d.Err())
+			}
+		}
+	}
+}

@@ -7,6 +7,7 @@ import (
 	"io"
 	"math"
 	"os"
+	"slices"
 
 	"tablehound/internal/snap"
 )
@@ -280,9 +281,15 @@ func blobCRC(data []float32, norms []float64) uint32 {
 // it onto the heap — the portable fallback, byte-identical in effect
 // to the mmap path.
 func (dir *Directory) ReadBlob(r io.Reader) (*Store, error) {
-	raw := make([]byte, dir.BlobLen)
-	if _, err := io.ReadFull(r, raw); err != nil {
-		return nil, fmt.Errorf("%w: vecstore: short blob: %v", snap.ErrCorrupt, err)
+	// Read in 64 MiB chunks: a declared length the stream does not hold
+	// fails at the stream's end instead of sizing one allocation.
+	var raw []byte
+	for n := 0; n < int(dir.BlobLen); n = len(raw) {
+		m := min(int(dir.BlobLen)-n, 64<<20)
+		raw = slices.Grow(raw, m)[:n+m]
+		if _, err := io.ReadFull(r, raw[n:]); err != nil {
+			return nil, fmt.Errorf("%w: vecstore: short blob: %v", snap.ErrCorrupt, err)
+		}
 	}
 	if got := crc32.ChecksumIEEE(raw); got != dir.CRC {
 		return nil, fmt.Errorf("%w: vecstore: blob checksum mismatch", snap.ErrCorrupt)

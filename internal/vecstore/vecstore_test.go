@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"sort"
 	"testing"
 
@@ -448,6 +449,20 @@ func TestReadBlobRejectsCorruption(t *testing.T) {
 	// Pristine blob loads.
 	if _, err := dirOf().ReadBlob(bytes.NewReader(blob.Bytes())); err != nil {
 		t.Fatal(err)
+	}
+	// A directory that declares a 16 GiB blob over the same short
+	// stream fails without allocating the declared length.
+	big := dirOf()
+	big.Count, big.Dim = 1<<26, 63
+	big.BlobLen = uint64(big.Count*big.Dim*4) + uint64(big.Count)*8
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if _, err := big.ReadBlob(bytes.NewReader(blob.Bytes())); !errors.Is(err, snap.ErrCorrupt) {
+		t.Fatalf("over-declared blob: err = %v, want snap.ErrCorrupt", err)
+	}
+	runtime.ReadMemStats(&after)
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 256<<20 {
+		t.Errorf("reading a short stream allocated %d MiB", grew>>20)
 	}
 }
 
