@@ -43,14 +43,16 @@ race:
 		./internal/lshensemble/... ./internal/router/... ./internal/vecstore/... \
 		./internal/discover/... ./internal/josie/... ./internal/lsh/...
 
-# Native fuzzing of the snapshot loader: FuzzLoadSection forges one
-# section of a small valid snapshot per input. Plain `go test` replays
-# the committed seeds and any crasher kept under testdata/fuzz. The
-# seeds are real sections of up to 32 KB, and minimizing each new
-# corpus entry that large takes the default minute with no executions
-# in between, so minimization is capped.
+# Native fuzzing of the snapshot and delta loaders: FuzzLoadSection
+# forges one section of a small valid snapshot per input, and
+# FuzzLoadDeltaSection one section of a small valid delta chained onto
+# its base. Plain `go test` replays the committed seeds and any crasher
+# kept under testdata/fuzz. The seeds are real sections of up to 40 KB,
+# and minimizing each new corpus entry that large takes the default
+# minute with no executions in between, so minimization is capped.
 fuzz:
-	$(GO) test -run XXX -fuzz FuzzLoadSection -fuzztime 60s -fuzzminimizetime 3s ./internal/core
+	$(GO) test -run XXX -fuzz 'FuzzLoadSection$$' -fuzztime 60s -fuzzminimizetime 3s ./internal/core
+	$(GO) test -run XXX -fuzz 'FuzzLoadDeltaSection$$' -fuzztime 60s -fuzzminimizetime 3s ./internal/core
 
 # End-to-end smoke of the serving layer: real lakeserved process over
 # a generated 100-table lake, one query per endpoint via lakectl's
@@ -132,15 +134,13 @@ bench-e2e:
 benchdiff:
 	$(GO) -C bench run ./benchdiff -benchmark ../BENCHMARK.json $(OLD) $(NEW)
 
-# Vector-store benchmarks over a 100k-column-vector datagen corpus:
-# centroid-pruned exact search (recall@10 + dot-reduction per nprobe),
-# the exhaustive baseline, the heap-vs-mmap section reload ratio, and
-# the cosine-with-precomputed-norms micro-benchmark; then the k-means
-# behind the centroids (14k × 64, k = 118) on one and two workers
-# beside the kernel it replaced. Results are recorded in
-# EXPERIMENTS.md.
+# Vector-store benchmarks: the heap-vs-mmap reload ratio of a
+# 100k-column-vector datagen corpus, the k-means behind PEXESO's
+# centroids (14k × 64, k = 118) on one and two workers beside the
+# kernel it replaced, and the cosine-with-precomputed-norms
+# micro-benchmark. Results are recorded in EXPERIMENTS.md.
 bench-vec:
-	$(GO) test -run xxx -bench 'BenchmarkVsearch|BenchmarkVecBlobLoad' \
+	$(GO) test -run xxx -bench 'BenchmarkVecBlobLoad' \
 		-benchtime 200x -timeout 900s -count $(COUNT) ./internal/vecstore/
 	$(GO) test -run xxx -bench 'BenchmarkTrain' -benchmem -benchtime 5x \
 		-count $(COUNT) ./internal/vecstore/

@@ -27,12 +27,8 @@
 // (load a prebuilt system from a `lakectl build -o` snapshot instead
 // of rebuilding from CSVs) plus -deltas D1,D2 (delta snapshots from
 // `lakectl add`/`lakectl remove`, applied on top of -snapshot in
-// order; globs allowed). The snapshot's shared vector block is
-// governed by -centroids K (coarse-quantizer clusters per searchable
-// segment; 0 = automatic ≈√n policy, -1 disables), -nprobe N (clusters
-// visited by pruned exact search; 0 = all, bit-identical to an
-// exhaustive scan), and -vec-mode auto|heap|mmap (how a loaded
-// snapshot materializes vectors; mmap is zero-copy).
+// order; globs allowed), and -vec-mode auto|heap|mmap (how a loaded
+// snapshot materializes its shared vector block; mmap is zero-copy).
 //
 // A lake is a directory of CSV files (one table per file).
 package main
@@ -144,24 +140,20 @@ commands:
 // buildFlags carries the system-construction flags shared by every
 // command that builds a discovery system.
 type buildFlags struct {
-	parallel  *int
-	timing    *bool
-	snapshot  *string
-	deltas    *string
-	centroids *int
-	nprobe    *int
-	vecMode   *string
+	parallel *int
+	timing   *bool
+	snapshot *string
+	deltas   *string
+	vecMode  *string
 }
 
 func addBuildFlags(fs *flag.FlagSet) buildFlags {
 	return buildFlags{
-		parallel:  fs.Int("parallel", 0, "construction workers (0 = all CPUs, 1 = sequential)"),
-		timing:    fs.Bool("timing", false, "print per-stage build timing to stderr"),
-		snapshot:  fs.String("snapshot", "", "load the system from a snapshot file instead of building from -lake"),
-		deltas:    fs.String("deltas", "", "comma-separated delta snapshots (globs allowed) applied on top of -snapshot, in order"),
-		centroids: fs.Int("centroids", 0, "coarse-quantizer clusters per vector segment (0 = auto, -1 = off)"),
-		nprobe:    fs.Int("nprobe", 0, "clusters visited by pruned exact search (0 = all = exhaustive-identical)"),
-		vecMode:   fs.String("vec-mode", "auto", "snapshot vector materialization: auto | heap | mmap"),
+		parallel: fs.Int("parallel", 0, "construction workers (0 = all CPUs, 1 = sequential)"),
+		timing:   fs.Bool("timing", false, "print per-stage build timing to stderr"),
+		snapshot: fs.String("snapshot", "", "load the system from a snapshot file instead of building from -lake"),
+		deltas:   fs.String("deltas", "", "comma-separated delta snapshots (globs allowed) applied on top of -snapshot, in order"),
+		vecMode:  fs.String("vec-mode", "auto", "snapshot vector materialization: auto | heap | mmap"),
 	}
 }
 
@@ -169,10 +161,8 @@ func (bf buildFlags) deltaPaths() ([]string, error) { return core.ExpandDeltas(*
 
 func (bf buildFlags) options() core.Options {
 	return core.Options{
-		Parallelism:  *bf.parallel,
-		VecCentroids: *bf.centroids,
-		VecNProbe:    *bf.nprobe,
-		VecMode:      *bf.vecMode,
+		Parallelism: *bf.parallel,
+		VecMode:     *bf.vecMode,
 	}
 }
 
@@ -448,12 +438,8 @@ func cmdMemStats(args []string) error {
 		if v.Mapped() {
 			residency = "mmap (file-backed, zero-copy)"
 		}
-		fmt.Printf("vector block:     %d vectors x %d dims in %d segments, %s on disk, residency %s",
+		fmt.Printf("vector block:     %d vectors x %d dims in %d segments, %s on disk, residency %s\n",
 			v.Count(), v.Dim(), len(v.Segments()), memBytes(v.DataBytes()+v.NormBytes()), residency)
-		if cb := v.CentroidBytes(); cb > 0 {
-			fmt.Printf(", centroid tables %s", memBytes(cb))
-		}
-		fmt.Println()
 	}
 	fmt.Print(sys.MemStats().Report())
 	return nil

@@ -95,8 +95,6 @@ func run() error {
 	drain := fs.Duration("drain", 10*time.Second, "shutdown drain deadline")
 	timing := fs.Bool("timing", false, "print per-stage build timing to stderr")
 	vecMode := fs.String("vec-mode", "auto", "snapshot vector materialization: auto | heap | mmap (zero-copy)")
-	nprobe := fs.Int("nprobe", 0, "clusters visited by pruned exact vector search (0 = all = exhaustive-identical)")
-	centroids := fs.Int("centroids", 0, "coarse-quantizer clusters when building from -lake (0 = auto, -1 = off)")
 	routerMode := fs.Bool("router", false, "route queries across shard servers instead of serving a lake")
 	shardAddrs := fs.String("shard-addrs", "", "comma-separated shard server addresses (router mode)")
 	shardTimeout := fs.Duration("shard-timeout", 10*time.Second, "per-shard sub-request budget (router mode)")
@@ -159,8 +157,6 @@ func run() error {
 			Parallelism:      *parallel,
 			QueryParallelism: *qparallel,
 			VecMode:          *vecMode,
-			VecNProbe:        *nprobe,
-			VecCentroids:     *centroids,
 		}
 	}
 

@@ -78,20 +78,6 @@ type Options struct {
 	// usually right (the queries themselves saturate the cores);
 	// larger values cut the latency of isolated queries.
 	QueryParallelism int
-	// VecCentroids controls the coarse quantizer trained over the
-	// searchable vector sets (the Starmie column segment of the shared
-	// vector block, and PEXESO's shared value vectors). 0 applies the
-	// automatic policy — k ≈ √n once a set is large enough for pruning
-	// to pay for the centroid pass; > 0 forces that cluster count;
-	// < 0 disables centroid training entirely. Pruning is lossless
-	// (bound-based), so results are bit-identical at every setting.
-	VecCentroids int
-	// VecNProbe bounds how many clusters Starmie's centroid-pruned
-	// exact search visits per query. 0 (the default) visits every
-	// cluster not provably excluded — bit-identical to the exhaustive
-	// scan; > 0 caps the visit count, trading recall for fewer exact
-	// distance computations. Runtime knob: not persisted in snapshots.
-	VecNProbe int
 	// VecMode selects how LoadFile materializes the snapshot's vector
 	// blob: "auto" (default) memory-maps it where the platform
 	// supports zero-copy mapping and falls back to a heap read
@@ -121,10 +107,9 @@ type System struct {
 	Dict *dict.Dict
 	// Vecs is the flat vector block behind the embedding model and the
 	// Starmie column index: one contiguous float32 blob plus
-	// precomputed norms, carved into named segments, optionally coarse-
-	// quantized for cluster-pruned search. After Build or Load, Model
-	// and Starmie alias rows of this store (which may itself alias an
-	// mmap'd snapshot region — see Options.VecMode).
+	// precomputed norms, carved into named segments. After Build or
+	// Load, Model and Starmie alias rows of this store (which may
+	// itself alias an mmap'd snapshot region — see Options.VecMode).
 	Vecs *vecstore.Store
 
 	Keyword *keyword.Index
@@ -228,39 +213,13 @@ func Build(catalog *lake.Catalog, opts Options) (*System, error) {
 	return s, nil
 }
 
-// centroidK resolves the cluster count for a searchable vector set of
-// n rows: a forced count (Options.VecCentroids > 0) wins, a negative
-// setting disables, and the automatic policy trains k ≈ √n clusters
-// once the set reaches minRows (below that an exhaustive scan is
-// already cheap), capped at maxK when maxK > 0.
-func centroidK(n, forced, minRows, maxK int) int {
-	if forced != 0 {
-		if forced < 0 {
-			return 0
-		}
-		if forced > n {
-			forced = n
-		}
-		return forced
-	}
-	if n < minRows {
-		return 0
-	}
-	k := int(math.Sqrt(float64(n)))
-	if maxK > 0 && k > maxK {
-		k = maxK
-	}
-	return k
-}
-
 // buildVecStore consolidates the trained model's token vectors and the
-// Starmie index's column vectors into one contiguous vecstore block,
-// trains the coarse quantizer over the searchable (Starmie) segment,
-// and rebinds both owners onto the block. Vector values are copied
+// Starmie index's column vectors into one contiguous vecstore block and
+// rebinds both owners onto the block. Vector values are copied
 // bit-for-bit, so every search surface is unchanged; only the backing
 // memory moves — which is what makes snapshot reload O(1) and lets
 // replicas share pages via mmap.
-func buildVecStore(s *System, opts Options) (int, error) {
+func buildVecStore(s *System) (int, error) {
 	b := vecstore.NewBuilder(s.Model.Dim())
 	tokens, colKeys := s.Model.Tokens(), s.Starmie.ColumnKeys()
 	b.Grow(len(tokens) + len(colKeys))
@@ -274,20 +233,13 @@ func buildVecStore(s *System, opts Options) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	if k := centroidK(len(colKeys), opts.VecCentroids, 128, 0); k > 0 {
-		// Seeding from the key-set hash makes centroids a pure function
-		// of the indexed lake: rebuilds are bit-reproducible.
-		if err := store.TrainCentroids("starmie", k, vecstore.HashStrings(colKeys), opts.Parallelism); err != nil {
-			return 0, err
-		}
-	}
 	if mv, ok := store.View("model"); ok {
 		if err := s.Model.Rebind(mv.Vec, mv.Len()); err != nil {
 			return 0, err
 		}
 	}
 	if sv, ok := store.View("starmie"); ok {
-		if err := s.Starmie.Bind(sv, opts.VecNProbe); err != nil {
+		if err := s.Starmie.Bind(sv); err != nil {
 			return 0, err
 		}
 	}
@@ -349,10 +301,12 @@ func buildFuzzy(s *System, tables []*table.Table, opts Options) (int, error) {
 	}
 	// Coarse-quantize the shared value vectors so queries can skip
 	// whole clusters under the tau threshold (lossless, PEXESO-style
-	// results unchanged). Value sets are much larger than column sets,
-	// so the auto policy kicks in later and caps k.
-	slots, _ := s.Fuzzy.VectorStats()
-	if k := centroidK(slots, opts.VecCentroids, 1024, 128); k > 0 {
+	// results unchanged): k ≈ √n clusters, capped at 128, once there
+	// are enough vectors that an exhaustive scan stops being cheap.
+	// Seeding from the key-set hash makes the centroids a pure
+	// function of the indexed lake.
+	if slots, _ := s.Fuzzy.VectorStats(); slots >= 1024 {
+		k := min(int(math.Sqrt(float64(slots))), 128)
 		keys := make([]string, len(batch))
 		for i, c := range batch {
 			keys[i] = c.Key

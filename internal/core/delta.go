@@ -283,7 +283,63 @@ func LoadDelta(r io.Reader) (*Delta, error) {
 	if err := sr.Close(); err != nil {
 		return nil, err
 	}
+	if err := d.checkParts(); err != nil {
+		return nil, err
+	}
 	return d, nil
+}
+
+// checkParts rejects engine parts that the delta's own catalog does not
+// back: a part or join key for a table the delta does not add, a table
+// listed twice in one engine's parts, or a join key naming no column of
+// its table. A merge folds parts by table ID, so such a part would
+// replace a base table's analysis or index a column that is not there.
+func (d *Delta) checkParts() error {
+	added := make(map[string]*table.Table, d.Catalog.Len())
+	for _, t := range d.Catalog.Tables() {
+		added[t.ID] = t
+	}
+	corrupt := func(format string, args ...any) error {
+		return fmt.Errorf("%w: delta %s", ErrCorruptSnapshot, fmt.Sprintf(format, args...))
+	}
+	for key := range d.JoinIDSets {
+		id, col := table.SplitColumnKey(key)
+		if t := added[id]; t == nil {
+			return corrupt("join parts name table %q, which it does not add", id)
+		} else if t.Column(col) == nil {
+			return corrupt("join parts name column %q, which table %q does not have", col, id)
+		}
+	}
+	for _, e := range []struct {
+		engine string
+		ids    []string
+	}{
+		{"TUS", partIDs(d.TUS, func(p union.TUSTableParts) string { return p.ID })},
+		{"SANTOS", partIDs(d.Santos, func(p union.SantosTableParts) string { return p.ID })},
+		{"D3L", partIDs(d.D3L, func(p union.D3LTableParts) string { return p.ID })},
+		{"Starmie", partIDs(d.Starmie, func(p starmie.TableParts) string { return p.ID })},
+	} {
+		seen := make(map[string]bool, len(e.ids))
+		for _, id := range e.ids {
+			if added[id] == nil {
+				return corrupt("%s parts name table %q, which it does not add", e.engine, id)
+			}
+			if seen[id] {
+				return corrupt("%s parts name table %q twice", e.engine, id)
+			}
+			seen[id] = true
+		}
+	}
+	return nil
+}
+
+// partIDs lists the table ID of each part, in order.
+func partIDs[P any](parts []P, id func(P) string) []string {
+	out := make([]string, len(parts))
+	for i, p := range parts {
+		out[i] = id(p)
+	}
+	return out
 }
 
 // LoadDeltaFile loads a delta from a file written by SaveFile.

@@ -14,8 +14,10 @@ import (
 	"testing"
 
 	"tablehound/internal/datagen"
+	"tablehound/internal/dict"
 	"tablehound/internal/lake"
 	"tablehound/internal/snap"
+	"tablehound/internal/starmie"
 	"tablehound/internal/table"
 	"tablehound/internal/union"
 )
@@ -261,7 +263,7 @@ func TestDeltaMergeParity(t *testing.T) {
 
 // deltaFixture builds a tiny base snapshot plus one valid delta and
 // returns their paths along with the delta and the table it added.
-func deltaFixture(t *testing.T) (basePath, deltaPath string, d *Delta, added *table.Table) {
+func deltaFixture(t testing.TB) (basePath, deltaPath string, d *Delta, added *table.Table) {
 	t.Helper()
 	gen := datagen.Generate(datagen.Config{Seed: 5, NumTemplates: 2, TablesPerTemplate: 2})
 	all := append([]*table.Table(nil), gen.Tables...)
@@ -377,11 +379,27 @@ func TestDeltaChainValidation(t *testing.T) {
 		loadFails(t, []string{deltaPath, p}, "without a tombstone")
 	})
 	t.Run("load: duplicate join column", func(t *testing.T) {
+		// A delta file whose join parts name a table it does not add
+		// fails LoadDelta as corrupt (TestDeltaRejectsForeignParts); the
+		// merge itself still refuses such a delta handed to it directly.
 		if len(d.JoinIDSets) == 0 {
 			t.Fatal("fixture delta indexes no join column")
 		}
-		p := next("dupjoin.thdb", func(v *Delta) { v.Catalog = lake.NewCatalog() })
-		loadFails(t, []string{deltaPath, p}, "re-adds join column")
+		o, err := openFile(basePath, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		base, err := o.decode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		dup := *d
+		dup.ParentGen, dup.BaseDictSize, dup.NewValues = d.ResultGen, d.BaseDictSize+len(d.NewValues), nil
+		dup.Catalog = lake.NewCatalog()
+		_, err = ApplyDeltas(base, []*Delta{d, &dup}, nil)
+		if !errors.Is(err, ErrDeltaChain) || !strings.Contains(err.Error(), "re-adds join column") {
+			t.Errorf("err = %v, want ErrDeltaChain naming %q", err, "re-adds join column")
+		}
 	})
 	t.Run("load: dictionary size mismatch on the second delta", func(t *testing.T) {
 		d2, err := BuildDelta(basePath, []string{deltaPath}, nil, []string{added.ID}, Options{})
@@ -395,6 +413,67 @@ func TestDeltaChainValidation(t *testing.T) {
 		}
 		loadFails(t, []string{deltaPath, p}, "extends a dictionary of")
 	})
+}
+
+// TestDeltaRejectsForeignParts forges one engine part of a valid delta
+// at a time so that it no longer matches the delta's own catalog. A
+// merge folds parts by table ID, so a part relabelled to a base table
+// would replace that table's analysis; each such delta must fail its
+// chain load as corrupt.
+func TestDeltaRejectsForeignParts(t *testing.T) {
+	basePath, deltaPath, d, added := deltaFixture(t)
+	const baseID = "t000_00"
+	if len(d.TUS) == 0 || len(d.Santos) == 0 || len(d.D3L) == 0 || len(d.Starmie) == 0 || len(d.JoinIDSets) == 0 {
+		t.Fatal("fixture delta lacks parts for some engine")
+	}
+	relabel := func(p *string) { *p = baseID }
+	for _, tc := range []struct {
+		name   string
+		mutate func(v *Delta)
+	}{
+		{"TUS part of a base table", func(v *Delta) {
+			v.TUS = append([]union.TUSTableParts(nil), d.TUS...)
+			relabel(&v.TUS[0].ID)
+		}},
+		{"SANTOS part of a base table", func(v *Delta) {
+			v.Santos = append([]union.SantosTableParts(nil), d.Santos...)
+			relabel(&v.Santos[0].ID)
+		}},
+		{"D3L part of a base table", func(v *Delta) {
+			v.D3L = append([]union.D3LTableParts(nil), d.D3L...)
+			relabel(&v.D3L[0].ID)
+		}},
+		{"Starmie part of a base table", func(v *Delta) {
+			v.Starmie = append([]starmie.TableParts(nil), d.Starmie...)
+			relabel(&v.Starmie[0].ID)
+		}},
+		{"TUS part twice", func(v *Delta) {
+			v.TUS = append(append([]union.TUSTableParts(nil), d.TUS...), d.TUS[0])
+		}},
+		{"join key of a base table", func(v *Delta) {
+			v.JoinIDSets = map[string]dict.IDSet{baseID + ".zzz": d.JoinIDSets[sortedKeys(d.JoinIDSets)[0]]}
+		}},
+		{"join key of a missing column", func(v *Delta) {
+			v.JoinIDSets = map[string]dict.IDSet{table.ColumnKey(added.ID, "zzz"): d.JoinIDSets[sortedKeys(d.JoinIDSets)[0]]}
+		}},
+		{"D3L column past its table", func(v *Delta) {
+			v.D3L = append([]union.D3LTableParts(nil), d.D3L...)
+			v.D3L[0].Cols = append([]union.D3LColumnParts(nil), d.D3L[0].Cols...)
+			v.D3L[0].Cols[0].ColIdx = len(added.Columns)
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			v := *d
+			tc.mutate(&v)
+			p := filepath.Join(filepath.Dir(deltaPath), "forged.thdb")
+			if err := v.SaveFile(p); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := LoadChainFiles(basePath, []string{p}, Options{}); !errors.Is(err, ErrCorruptSnapshot) {
+				t.Errorf("err = %v, want ErrCorruptSnapshot", err)
+			}
+		})
+	}
 }
 
 // TestBuildDeltaRejectsCorruptBase sweeps the base snapshot a delta is

@@ -5,6 +5,8 @@ import (
 	"context"
 	"errors"
 	"io"
+	"os"
+	"path/filepath"
 	"sync"
 	"testing"
 
@@ -49,6 +51,37 @@ func FuzzLoadSection(f *testing.F) {
 		if err != nil {
 			if !errors.Is(err, ErrCorruptSnapshot) {
 				t.Fatalf("section %d: err = %v, want ErrCorruptSnapshot", sec, err)
+			}
+			return
+		}
+		queryEveryEngine(sys)
+	})
+}
+
+// FuzzLoadDeltaSection replaces one section payload of the fixture
+// delta (deltaFixture) with the fuzzer's bytes, re-framed under a valid
+// checksum, and loads the chain of the fixture base and that delta.
+// The contract: LoadChainFiles succeeds or fails with ErrCorruptSnapshot
+// or ErrDeltaChain, and never panics; a system that loads answers one
+// query per engine without panicking. The committed seeds under
+// testdata/fuzz are every real section of the fixture delta.
+func FuzzLoadDeltaSection(f *testing.F) {
+	basePath, deltaPath, _, _ := deltaFixture(f)
+	good, err := os.ReadFile(deltaPath)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Fuzz(func(t *testing.T, id uint16, payload []byte) {
+		sec := dsecMeta + id%dsecStarmie
+		forged, _ := reframe(t, good, dsecStarmie, sec, func([]byte) []byte { return payload })
+		path := filepath.Join(t.TempDir(), "forged.thdb")
+		if err := os.WriteFile(path, forged, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		sys, err := LoadChainFiles(basePath, []string{path}, Options{Parallelism: 1})
+		if err != nil {
+			if !errors.Is(err, ErrCorruptSnapshot) && !errors.Is(err, ErrDeltaChain) {
+				t.Fatalf("delta section %d: err = %v, want ErrCorruptSnapshot or ErrDeltaChain", sec, err)
 			}
 			return
 		}

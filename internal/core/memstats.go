@@ -91,11 +91,6 @@ func (s *System) MemStats() MemReport {
 			Bytes:       resident,
 			LegacyBytes: int64(s.Vecs.Count()) * (dim*4 + 24 + 32),
 		})
-		if cb := s.Vecs.CentroidBytes(); cb > 0 {
-			// Pure overhead (like the dictionary), repaid in pruned
-			// distance computations rather than bytes.
-			add("vec-centroids", 0, dict.Footprint{Bytes: cb})
-		}
 	}
 	if s.Fuzzy != nil {
 		slots, refs := s.Fuzzy.VectorStats()

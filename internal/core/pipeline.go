@@ -7,6 +7,7 @@ package core
 
 import (
 	"cmp"
+	"errors"
 	"fmt"
 	"slices"
 	"strings"
@@ -112,7 +113,7 @@ func (p pipeline) run(ids ...int) error {
 		return err
 	}
 	if len(ids) == 0 {
-		if err := stats.time(stageVecs, func() (int, error) { return buildVecStore(s, p.opts) }); err != nil {
+		if err := stats.time(stageVecs, func() (int, error) { return buildVecStore(s) }); err != nil {
 			return err
 		}
 	}
@@ -173,6 +174,7 @@ func (p pipeline) join() (int, error) {
 	var err error
 	if mp := p.parts; mp != nil {
 		eng, err = join.NewEngineFromParts(s.Dict, mp.joinSets, mp.numHashes, mp.numPartitions, p.opts.Parallelism)
+		err = corruptParts(err)
 	} else {
 		jb := join.NewBuilder(minJoinCardinality)
 		jb.UseDict(s.Dict)
@@ -191,6 +193,16 @@ func (p pipeline) join() (int, error) {
 	return eng.NumColumns(), nil
 }
 
+// corruptParts marks an error of assembling an engine from a merge's
+// folded parts as corruption: every part was decoded from a snapshot or
+// a delta file, so parts that do not assemble are damaged input.
+func corruptParts(err error) error {
+	if err == nil || errors.Is(err, ErrCorruptSnapshot) {
+		return err
+	}
+	return fmt.Errorf("%w: %w", ErrCorruptSnapshot, err)
+}
+
 // tus builds the TUS union engine; column analysis fans out per table,
 // and its Parts encode what AddTables staged.
 func (p pipeline) tus() (int, error) {
@@ -200,6 +212,7 @@ func (p pipeline) tus() (int, error) {
 	var err error
 	if p.parts != nil {
 		tus, err = union.NewTUSFromParts(cfg, p.parts.tus, s.Catalog.Table)
+		err = corruptParts(err)
 	} else if tus, err = union.NewTUS(cfg); err == nil {
 		tus.AddTables(s.Catalog.Tables(), p.opts.Parallelism)
 		if !p.partsOnly {
@@ -221,6 +234,7 @@ func (p pipeline) santos() (int, error) {
 	var err error
 	if p.parts != nil {
 		santos, err = union.NewSantosFromParts(s.KB, p.parts.santos, s.Catalog.Table)
+		err = corruptParts(err)
 	} else {
 		santos = union.NewSantos(s.KB)
 		for _, t := range s.Catalog.Tables() {
@@ -244,6 +258,7 @@ func (p pipeline) d3l() (int, error) {
 	var err error
 	if p.parts != nil {
 		d3l, err = union.NewD3LFromParts(s.Model, s.Dict, p.parts.d3l, s.Catalog.Table)
+		err = corruptParts(err)
 	} else if d3l, err = union.NewD3L(s.Model, s.Dict); err == nil {
 		for _, t := range s.Catalog.Tables() {
 			d3l.AddTable(t)
@@ -268,6 +283,7 @@ func (p pipeline) starmie() (int, error) {
 	var err error
 	if p.parts != nil {
 		ix, err = starmie.NewIndexFromParts(enc, p.parts.starmie, s.Catalog.Table)
+		err = corruptParts(err)
 	} else {
 		ix = starmie.NewIndex(enc)
 		ix.AddTables(s.Catalog.Tables(), p.opts.Parallelism)

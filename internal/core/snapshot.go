@@ -70,10 +70,12 @@ var ErrVersionMismatch = errors.New("core: snapshot version mismatch")
 // and drops the build parameters that became constants from the
 // options section. Version 7 stores only what a served system reads:
 // no MATE or correlation section (those indexes left the System), and
-// no statistics section (a load rebuilds them).
+// no statistics section (a load rebuilds them). Version 8 drops the
+// coarse quantizer over the Starmie column vectors: the options section
+// loses its cluster count and the vector directory its centroid tables.
 const (
 	snapMagic   uint32 = 0x54485342 // "THSB": tablehound system binary
-	snapVersion uint16 = 7
+	snapVersion uint16 = 8
 
 	// snapHeaderLen is the byte length of the snap header (magic,
 	// version, flags) that precedes the first section; blob-offset
@@ -155,7 +157,7 @@ func (s *System) Save(w io.Writer) error {
 		{secOrg, optional(s.Org != nil, s.Org.AppendSnapshot)},
 		{secGraph, optional(s.Graph != nil, s.Graph.AppendSnapshot)},
 		// The vector block closes the stream: its directory (shape,
-		// segment table, centroid tables, blob length + CRC) travels as a
+		// segment table, blob length + CRC) travels as a
 		// normal CRC-framed section, then zero padding aligns the raw
 		// blob's first byte to a 64-byte file offset so an mmap view of
 		// the data is always well aligned, then the blob itself — the
@@ -183,22 +185,19 @@ func (o Options) appendSnapshot(e *snap.Encoder) {
 	e.Bool(o.SkipOrganization)
 	e.Bool(o.SkipFuzzy)
 	e.Bool(o.SkipGraph)
-	e.I64(int64(o.VecCentroids))
 }
 
 // decodeOptions reads what appendSnapshot wrote and takes the runtime
-// knobs from rt: Parallelism, QueryParallelism (both resolved),
-// VecNProbe and VecMode.
+// knobs from rt: Parallelism, QueryParallelism (both resolved) and
+// VecMode.
 func decodeOptions(d *snap.Decoder, rt Options) Options {
 	return Options{
 		Seed:             d.I64(),
 		SkipOrganization: d.Bool(),
 		SkipFuzzy:        d.Bool(),
 		SkipGraph:        d.Bool(),
-		VecCentroids:     int(d.I64()),
 		Parallelism:      parallel.Resolve(rt.Parallelism),
 		QueryParallelism: parallel.Resolve(rt.QueryParallelism),
-		VecNProbe:        rt.VecNProbe,
 		VecMode:          rt.VecMode,
 	}
 }
@@ -206,7 +205,7 @@ func decodeOptions(d *snap.Decoder, rt Options) Options {
 // Load reconstructs a system from a snapshot written by Save. Only the
 // runtime knobs are taken from opts (Parallelism for the rebuild-on-
 // load stages, QueryParallelism for the per-query fan-out of the
-// loaded engines, VecNProbe for pruned search); everything else —
+// loaded engines); everything else —
 // catalog, model, KB, build parameters — comes from the snapshot. The
 // loaded system answers every search surface bit-identically to the
 // saved one. Load always reads the vector blob onto the heap; use
@@ -273,7 +272,7 @@ func open(r io.Reader, blobFile *os.File, opts Options) (*opened, error) {
 	// and Starmie sections hold no vector bytes of their own, only
 	// references into the block's segments. The directory is decoded
 	// and fully validated (shape vs declared blob length, segment
-	// cover, centroid tables) before any blob slice or mapping is
+	// cover) before any blob slice or mapping is
 	// constructed; then the alignment pad is consumed and checked, and
 	// the blob either decodes onto the heap (CRC-verified) or is
 	// mmap'd at its recorded offset — O(1) in the vector count.
@@ -451,13 +450,9 @@ func (o *opened) decode() (*System, error) {
 	})
 	sv, _ := s.Vecs.View("starmie")
 	g.run(secStarmie, secs, func(d *snap.Decoder) error {
-		ix, derr := starmie.DecodeSnapshot(d, s.Model, sv, lookup)
-		if derr != nil {
-			return derr
-		}
-		ix.SetNProbe(bopts.VecNProbe)
-		s.Starmie = ix
-		return nil
+		var derr error
+		s.Starmie, derr = starmie.DecodeSnapshot(d, s.Model, sv, lookup)
+		return derr
 	})
 	if err := g.wait(); err != nil {
 		return nil, err

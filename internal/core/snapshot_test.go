@@ -208,10 +208,10 @@ func TestSnapshotRejectsCorruption(t *testing.T) {
 		// A clean header with the wrong version is a stale snapshot, not
 		// bit rot: the typed ErrVersionMismatch (naming both versions)
 		// lets operators tell the two apart, so it must not also satisfy
-		// the corruption sentinel. The header claims v6, which still
-		// stored the MATE, correlation and catalog-stats sections.
+		// the corruption sentinel. The header claims v7, which still
+		// stored the Starmie coarse quantizer.
 		bad := append([]byte{}, good...)
-		bad[4], bad[5] = 6, 0 // version lives at header bytes 4..5
+		bad[4], bad[5] = 7, 0 // version lives at header bytes 4..5
 		_, err := Load(bytes.NewReader(bad), Options{})
 		if !errors.Is(err, ErrVersionMismatch) {
 			t.Errorf("err = %v, want ErrVersionMismatch", err)
@@ -219,7 +219,7 @@ func TestSnapshotRejectsCorruption(t *testing.T) {
 		if errors.Is(err, ErrCorruptSnapshot) {
 			t.Errorf("version mismatch also satisfies ErrCorruptSnapshot: %v", err)
 		}
-		for _, want := range []string{"found version 6", "expected 7"} {
+		for _, want := range []string{"found version 7", "expected 8"} {
 			if err == nil || !strings.Contains(err.Error(), want) {
 				t.Errorf("err %q does not name versions (%q missing)", err, want)
 			}
@@ -287,10 +287,21 @@ func TestSnapshotRejectsTUSIDBeyondDict(t *testing.T) {
 // blob re-aligned, so only the forged content can fail a load.
 func withSection(t *testing.T, good []byte, id uint16, edit func(payload []byte) []byte) []byte {
 	t.Helper()
+	out, pos := reframe(t, good, secVecs, id, edit)
+	out = append(out, make([]byte, vecstore.PadTo(int64(len(out))))...)
+	return append(out, good[pos+vecstore.PadTo(int64(pos)):]...)
+}
+
+// reframe re-encodes the header and the section frames 1..last of a
+// snapshot or delta stream good, with section id's payload replaced by
+// edit(payload) and every frame re-checksummed. It also returns where
+// the frames end in good.
+func reframe(t *testing.T, good []byte, last, id uint16, edit func(payload []byte) []byte) ([]byte, int) {
+	t.Helper()
 	var frames bytes.Buffer
 	sw := snap.NewWriter(&frames)
 	pos := snapHeaderLen
-	for sid := secOptions; sid <= secVecs; sid++ {
+	for sid := uint16(1); sid <= last; sid++ {
 		if got := binary.LittleEndian.Uint16(good[pos:]); got != sid {
 			t.Fatalf("section %d at offset %d, want %d", got, pos, sid)
 		}
@@ -308,9 +319,7 @@ func withSection(t *testing.T, good []byte, id uint16, edit func(payload []byte)
 			t.Fatal(err)
 		}
 	}
-	out := append(append([]byte(nil), good[:snapHeaderLen]...), frames.Bytes()...)
-	out = append(out, make([]byte, vecstore.PadTo(snapHeaderLen+sw.Written()))...)
-	return append(out, good[pos+vecstore.PadTo(int64(pos)):]...)
+	return append(append([]byte(nil), good[:snapHeaderLen]...), frames.Bytes()...), pos
 }
 
 // TestSnapshotRejectsForgedIDSets re-encodes the SANTOS and join

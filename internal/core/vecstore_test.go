@@ -12,9 +12,8 @@ import (
 	"tablehound/internal/vecstore"
 )
 
-// vecLake builds one system over a moderate synthetic lake with the
-// given vector-store options.
-func vecLake(t *testing.T, opts Options) (*System, *datagen.Lake) {
+// vecLake builds one system over a moderate synthetic lake.
+func vecLake(t *testing.T) (*System, *datagen.Lake) {
 	t.Helper()
 	gen := datagen.Generate(datagen.Config{
 		Seed:              131,
@@ -27,76 +26,19 @@ func vecLake(t *testing.T, opts Options) (*System, *datagen.Lake) {
 	if err := cat.AddBatch(gen.Tables); err != nil {
 		t.Fatal(err)
 	}
-	opts.Seed = 3
-	sys, err := Build(cat, opts)
+	sys, err := Build(cat, Options{Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
 	return sys, gen
 }
 
-// TestCentroidPrunedSearchBitIdentical is the pruning contract at the
-// system level: a build with a coarse quantizer (nprobe = all) must
-// answer every vector-search surface — Starmie table union, exact
-// column vsearch, PEXESO fuzzy join — with results == (scores and
-// order) to a build with pruning disabled.
-func TestCentroidPrunedSearchBitIdentical(t *testing.T) {
-	plain, gen := vecLake(t, Options{VecCentroids: -1})
-	pruned, _ := vecLake(t, Options{VecCentroids: 96})
-
-	if plain.Vecs.Centroids("starmie") != nil {
-		t.Fatal("VecCentroids -1 still trained a centroid table")
-	}
-	if pruned.Vecs.Centroids("starmie") == nil {
-		t.Fatal("forced VecCentroids trained no centroid table")
-	}
-
-	for _, q := range gen.Tables {
-		got, err := pruned.Starmie.SearchTables(context.Background(), q, 5, 64, true)
-		want, werr := plain.Starmie.SearchTables(context.Background(), q, 5, 64, true)
-		if err != nil || werr != nil {
-			t.Fatalf("starmie %s: errs %v / %v", q.ID, err, werr)
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("starmie tables %s:\npruned %+v\nplain  %+v", q.ID, got, want)
-		}
-	}
-
-	// Exact column vsearch over every indexed vector as its own query:
-	// the pruned scan must return the same hits in the same order.
-	for _, key := range plain.Starmie.ColumnKeys() {
-		v := plain.Starmie.VectorOf(key)
-		got := pruned.Starmie.SearchColumns(v, 10, 0, true)
-		want := plain.Starmie.SearchColumns(v, 10, 0, true)
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("vsearch %s:\npruned %+v\nplain  %+v", key, got, want)
-		}
-	}
-
-	// Fuzzy matches must be identical; comparison counts may differ
-	// either way (grouping by cluster reorders the early-exit scan),
-	// but cluster skipping must actually engage somewhere.
-	skips := 0
-	for _, q := range gen.Tables[:5] {
-		vals := q.Columns[0].Values
-		got, gs := pruned.Fuzzy.Search(vals, 0.85, 0.5)
-		want, _ := plain.Fuzzy.Search(vals, 0.85, 0.5)
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("fuzzy %s:\npruned %+v\nplain  %+v", q.ID, got, want)
-		}
-		skips += gs.ClusterSkips
-	}
-	if skips == 0 {
-		t.Error("cluster pruning never skipped a slot group")
-	}
-}
-
 // TestSnapshotLoadFileVecModes pins the file-loading matrix: the heap
 // and mmap materializations of one snapshot must answer identically to
-// the built system (nprobe = all), and "mmap"/"auto" must actually map
+// the built system, and "mmap"/"auto" must actually map
 // on platforms that support it.
 func TestSnapshotLoadFileVecModes(t *testing.T) {
-	built, gen := vecLake(t, Options{VecCentroids: 96})
+	built, gen := vecLake(t)
 	path := filepath.Join(t.TempDir(), "sys.snap")
 	if err := built.SaveFile(path); err != nil {
 		t.Fatal(err)
@@ -106,9 +48,6 @@ func TestSnapshotLoadFileVecModes(t *testing.T) {
 		t.Helper()
 		if got, want := loaded.Vecs.BlobCRC(), built.Vecs.BlobCRC(); got != want {
 			t.Fatalf("blob CRC %08x, want %08x", got, want)
-		}
-		if loaded.Vecs.Centroids("starmie") == nil {
-			t.Fatal("centroid table lost in snapshot")
 		}
 		for _, q := range gen.Tables[:6] {
 			got, err := loaded.Starmie.SearchTables(context.Background(), q, 5, 64, true)
@@ -189,7 +128,7 @@ func TestSnapshotLoadFileVecModes(t *testing.T) {
 // column vectors are the store's own rows (same backing array), not
 // copies — that aliasing is what makes mmap sharing effective.
 func TestModelSharesVecStoreRows(t *testing.T) {
-	sys, _ := vecLake(t, Options{})
+	sys, _ := vecLake(t)
 	mv, ok := sys.Vecs.View("model")
 	if !ok {
 		t.Fatal("no model segment")

@@ -201,15 +201,13 @@ type DeltaStats struct {
 }
 
 // VecStoreStats describes the serving system's shared vector block:
-// residency mode, shape, on-disk bytes, and the coarse-quantizer
-// footprint (0 when no centroid tables are attached).
+// residency mode, shape and on-disk bytes.
 type VecStoreStats struct {
-	Mode          string `json:"mode"` // "heap" | "mmap"
-	Vectors       int    `json:"vectors"`
-	Dim           int    `json:"dim"`
-	Segments      int    `json:"segments"`
-	Bytes         int64  `json:"bytes"`
-	CentroidBytes int64  `json:"centroid_bytes"`
+	Mode     string `json:"mode"` // "heap" | "mmap"
+	Vectors  int    `json:"vectors"`
+	Dim      int    `json:"dim"`
+	Segments int    `json:"segments"`
+	Bytes    int64  `json:"bytes"`
 }
 
 // LakeStats mirrors lake.Stats for the wire.
@@ -393,12 +391,11 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 			mode = "mmap"
 		}
 		vs = &VecStoreStats{
-			Mode:          mode,
-			Vectors:       v.Count(),
-			Dim:           v.Dim(),
-			Segments:      len(v.Segments()),
-			Bytes:         v.DataBytes() + v.NormBytes(),
-			CentroidBytes: v.CentroidBytes(),
+			Mode:     mode,
+			Vectors:  v.Count(),
+			Dim:      v.Dim(),
+			Segments: len(v.Segments()),
+			Bytes:    v.DataBytes() + v.NormBytes(),
 		}
 	}
 	var ds *DeltaStats

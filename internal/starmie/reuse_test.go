@@ -31,7 +31,7 @@ func builtIndex(t testing.TB, bound bool) (*Index, []*table.Table) {
 			t.Fatal(err)
 		}
 		view, _ := store.View("starmie")
-		if err := ix.Bind(view, 0); err != nil {
+		if err := ix.Bind(view); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -41,9 +41,7 @@ func (ix *Index) AppendSnapshot(e *snap.Encoder) {
 // DecodeSnapshot rebuilds an index written by AppendSnapshot over the
 // loaded embedding model and the snapshot's "starmie" vector segment,
 // whose row i backs colKeys[i]. The loaded index comes back bound
-// (norm-precomputed scoring, centroid-pruned exact search if the
-// segment carries a centroid table) with nprobe 0; the caller applies
-// its runtime nprobe via SetNProbe. lookup resolves table IDs against
+// (norm-precomputed scoring). lookup resolves table IDs against
 // the loaded catalog, binding each indexed table to the table a
 // table_id query will present (see PrepareTable).
 func DecodeSnapshot(d *snap.Decoder, model *embedding.Model, view vecstore.View, lookup func(id string) *table.Table) (*Index, error) {

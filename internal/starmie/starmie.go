@@ -111,13 +111,10 @@ type Index struct {
 	built  bool
 
 	// Bound vector-store state (see Bind): row i of view backs
-	// colKeys[i], rowOf inverts that for norm lookups, and nprobe
-	// limits centroid-pruned exact search (0 = all = exhaustive-
-	// identical).
+	// colKeys[i], and rowOf inverts that for norm lookups.
 	view    vecstore.View
 	rowOf   map[string]int
 	hasView bool
-	nprobe  int
 }
 
 // NewIndex creates an index over the encoder.
@@ -220,11 +217,8 @@ func (ix *Index) VectorOf(key string) embedding.Vector { return ix.vecs[key] }
 
 // Bind aliases the index onto a vector-store view whose row i holds
 // colKeys[i]'s vector (bit-identical values — only the backing
-// memory moves). It enables norm-precomputed cosine in SearchTables
-// and, when the view's segment has a centroid table, cluster-pruned
-// exact search with the given nprobe (0 = visit every non-excluded
-// cluster = bit-identical to the exhaustive scan).
-func (ix *Index) Bind(view vecstore.View, nprobe int) error {
+// memory moves). It enables norm-precomputed cosine in SearchTables.
+func (ix *Index) Bind(view vecstore.View) error {
 	if !ix.built {
 		return ErrNotBuilt
 	}
@@ -240,13 +234,8 @@ func (ix *Index) Bind(view vecstore.View, nprobe int) error {
 		return err
 	}
 	ix.view, ix.rowOf, ix.hasView = view, rowOf, true
-	ix.nprobe = nprobe
 	return nil
 }
-
-// SetNProbe adjusts how many clusters pruned exact search visits.
-// Not safe to call concurrently with searches; set it at load time.
-func (ix *Index) SetNProbe(n int) { ix.nprobe = n }
 
 // ErrNotBuilt is returned (or nil results, for SearchColumns) when a
 // search runs before Build has frozen the staged tables.
@@ -262,19 +251,6 @@ func (ix *Index) SearchColumns(v embedding.Vector, k, efSearch int, exact bool) 
 		return nil
 	}
 	if exact {
-		// Centroid-pruned scan when a quantized view is bound: visits
-		// clusters in ascending centroid distance, skips those whose
-		// dot bound cannot reach the current k-th score. With nprobe=0
-		// the results are bit-identical to BruteForce; nprobe>0 trades
-		// recall for work.
-		if ix.hasView && ix.view.Centroids() != nil {
-			hits := ix.view.TopK(v, k, ix.nprobe, nil)
-			out := make([]hnsw.Result, len(hits))
-			for i, h := range hits {
-				out[i] = hnsw.Result{Key: ix.colKeys[h.Row], Score: h.Score}
-			}
-			return out
-		}
 		return ix.graph.BruteForce(v, k)
 	}
 	return ix.graph.Search(v, k, efSearch)

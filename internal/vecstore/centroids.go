@@ -2,24 +2,22 @@ package vecstore
 
 import (
 	"math"
-	"sort"
 	"sync/atomic"
 
 	"tablehound/internal/parallel"
 )
 
-// BoundEps is added to every upper dot bound before comparing against
-// a threshold or the current k-th score. The bounds below are exact
-// in real arithmetic; in float64 each is a handful of operations over
-// O(dim)-term sums, so the accumulated error is < 1e-12 for any sane
-// embedding scale. 1e-9 is a conservative margin that keeps pruning
+// BoundEps is added to every upper dot bound before comparing it
+// against a threshold. The bounds below are exact in real arithmetic;
+// in float64 each is a handful of operations over O(dim)-term sums, so
+// the accumulated error is < 1e-12 for any sane embedding scale. 1e-9 is a conservative margin that keeps pruning
 // lossless without giving up measurable selectivity.
 const BoundEps = 1e-9
 
-// Centroids is a coarse quantizer over one segment: k centers, the
-// rows assigned to each, and per-cluster bounds (max member norm²,
-// max member distance to center) that let a search discard a whole
-// cluster when its best possible dot product is provably too small.
+// Centroids is a coarse quantizer over a set of rows: k centers, the
+// cluster of each row, and per-cluster bounds (max member norm², max
+// member distance to center) that let a search discard a whole cluster
+// when its best possible dot product is provably too small.
 type Centroids struct {
 	k         int
 	dim       int
@@ -28,7 +26,6 @@ type Centroids struct {
 	radius    []float64 // max_j member distance to centroid j
 	maxNorm2  []float64 // max_j member norm²
 	assign    []int32   // row -> cluster
-	members   [][]int32 // cluster -> rows, ascending
 }
 
 // K returns the number of clusters.
@@ -36,15 +33,6 @@ func (c *Centroids) K() int { return c.k }
 
 // AssignOf returns the cluster row i belongs to.
 func (c *Centroids) AssignOf(i int) int32 { return c.assign[i] }
-
-// Members returns the rows of cluster j, ascending. Read-only.
-func (c *Centroids) Members(j int) []int32 { return c.members[j] }
-
-func (c *Centroids) footprint() int64 {
-	return int64(len(c.cents))*4 +
-		int64(len(c.centNorm2)+len(c.radius)+len(c.maxNorm2))*8 +
-		int64(len(c.assign))*4 + int64(c.k)*24 // member slice headers
-}
 
 // splitmix64 is the deterministic RNG behind k-means seeding: tiny,
 // well-distributed, and identical on every platform.
@@ -351,7 +339,6 @@ func train(at func(int) []float32, n, dim, k int, seed uint64, workers int) (*Ce
 		dim:       dim,
 		cents:     make([]float32, k*dim),
 		assign:    assign,
-		members:   make([][]int32, k),
 		radius:    make([]float64, k),
 		maxNorm2:  make([]float64, k),
 		centNorm2: make([]float64, k),
@@ -384,27 +371,22 @@ func halfNearest(half, cents []float64, dim int) {
 	}
 }
 
-// finish derives members, centNorm2, radius, and maxNorm2 from the
-// float32 centroids and assignments — the same derivation snapshot
-// decode performs, so a loaded table equals a trained one.
+// finish derives centNorm2, radius and maxNorm2 from the float32
+// centroids and assignments.
 func (c *Centroids) finish(at func(int) []float32, norm2 []float64) {
+	cf := make([][]float64, c.k)
 	for j := 0; j < c.k; j++ {
 		c.centNorm2[j] = dot(c.cent(j), c.cent(j))
+		cf[j] = f64View(c.cent(j))
 	}
-	for i, j := range c.assign {
-		c.members[j] = append(c.members[j], int32(i))
-	}
-	for j := 0; j < c.k; j++ {
-		cj := f64View(c.cent(j))
-		for _, row := range c.members[j] {
-			n2 := norm2[row]
-			d := distSq(at(int(row)), n2, cj, c.centNorm2[j])
-			if r := math.Sqrt(d); r > c.radius[j] {
-				c.radius[j] = r
-			}
-			if n2 > c.maxNorm2[j] {
-				c.maxNorm2[j] = n2
-			}
+	for row, j := range c.assign {
+		n2 := norm2[row]
+		d := distSq(at(row), n2, cf[j], c.centNorm2[j])
+		if r := math.Sqrt(d); r > c.radius[j] {
+			c.radius[j] = r
+		}
+		if n2 > c.maxNorm2[j] {
+			c.maxNorm2[j] = n2
 		}
 	}
 }
@@ -433,17 +415,20 @@ func f64View(c []float32) []float64 {
 	return out
 }
 
-// queryBounds computes, for a query q, the cluster visit order
-// (ascending distance from q to each centroid, index-ascending on
-// ties) and each cluster's upper dot-product bound:
+// MaxDots fills out (len >= K) with each cluster's upper bound on
+// q·x over members x, for callers that do their own thresholding
+// (PEXESO's tau cut), and returns out[:K]; with a shorter out it
+// allocates. By the triangle inequality,
 //
-//	d(q, x) >= max(0, d(q, c_j) - radius_j)       (triangle inequality)
+//	d(q, x) >= max(0, d(q, c_j) - radius_j)
 //	q·x      = (||q||² + ||x||² - d(q,x)²) / 2
 //	        <= (||q||² + maxNorm2_j - minD_j²) / 2
-func (c *Centroids) queryBounds(q []float32) (order []int32, maxDot []float64) {
+func (c *Centroids) MaxDots(q []float32, out []float64) []float64 {
+	if cap(out) < c.k {
+		out = make([]float64, c.k)
+	}
+	out = out[:c.k]
 	qn2 := dot(q, q)
-	dist := make([]float64, c.k)
-	maxDot = make([]float64, c.k)
 	for j := 0; j < c.k; j++ {
 		var dp float64
 		cj := c.cent(j)
@@ -454,37 +439,11 @@ func (c *Centroids) queryBounds(q []float32) (order []int32, maxDot []float64) {
 		if d2 < 0 {
 			d2 = 0
 		}
-		d := math.Sqrt(d2)
-		dist[j] = d
-		minD := d - c.radius[j]
+		minD := math.Sqrt(d2) - c.radius[j]
 		if minD < 0 {
 			minD = 0
 		}
-		maxDot[j] = (qn2 + c.maxNorm2[j] - minD*minD) / 2
+		out[j] = (qn2 + c.maxNorm2[j] - minD*minD) / 2
 	}
-	order = make([]int32, c.k)
-	for j := range order {
-		order[j] = int32(j)
-	}
-	sort.Slice(order, func(a, b int) bool {
-		ja, jb := order[a], order[b]
-		if dist[ja] != dist[jb] {
-			return dist[ja] < dist[jb]
-		}
-		return ja < jb
-	})
-	return order, maxDot
-}
-
-// MaxDots fills out (len >= K) with each cluster's upper bound on
-// q·x over members x, for callers that do their own thresholding
-// (PEXESO's tau cut). Returns out[:K].
-func (c *Centroids) MaxDots(q []float32, out []float64) []float64 {
-	_, maxDot := c.queryBounds(q)
-	if out == nil || cap(out) < c.k {
-		return maxDot
-	}
-	out = out[:c.k]
-	copy(out, maxDot)
 	return out
 }

@@ -13,7 +13,7 @@ import (
 )
 
 // On-disk model: the snapshot carries a small *directory* section
-// (dim, count, segment table, centroid tables, blob length + CRC)
+// (dim, count, segment table, blob length + CRC)
 // through the normal CRC-framed section stream, and the raw *blob*
 // (row-major float32 data, zero pad to 8, float64 norms) as a tail
 // after the last section, zero-padded so its first byte sits at a
@@ -55,8 +55,8 @@ func (s *Store) BlobLen() uint64 {
 }
 
 // AppendDirectory encodes everything about the store except the raw
-// blob bytes: shape, segment table, centroid tables, and the blob's
-// length and CRC for cross-checking at load time.
+// blob bytes: shape, segment table, and the blob's length and CRC for
+// cross-checking at load time.
 func (s *Store) AppendDirectory(e *snap.Encoder) {
 	e.U32(vecFormatV1)
 	e.U64(uint64(s.dim))
@@ -67,19 +67,6 @@ func (s *Store) AppendDirectory(e *snap.Encoder) {
 	for _, sg := range s.segs {
 		e.Str(sg.name)
 		e.U64(uint64(sg.n))
-	}
-	e.U64(uint64(len(s.cents)))
-	for _, sg := range s.segs { // deterministic order: segment order
-		c, ok := s.cents[sg.name]
-		if !ok {
-			continue
-		}
-		e.Str(sg.name)
-		e.U64(uint64(c.k))
-		e.F32s(c.cents)
-		e.F64s(c.radius)
-		e.F64s(c.maxNorm2)
-		e.I32s(c.assign)
 	}
 }
 
@@ -93,7 +80,6 @@ type Directory struct {
 
 	segs  []segment
 	segIx map[string]int
-	cents map[string]*Centroids
 }
 
 // DecodeDirectory decodes and fully validates a directory. Every
@@ -160,61 +146,6 @@ func DecodeDirectory(d *snap.Decoder) (*Directory, error) {
 		return corrupt("segments cover %d of %d rows", off, count)
 	}
 
-	ncents := d.U64()
-	if ncents > nsegs {
-		return corrupt("%d centroid tables over %d segments", ncents, nsegs)
-	}
-	for i := uint64(0); i < ncents; i++ {
-		name := d.Str()
-		k := d.U64()
-		cents := d.F32s()
-		radius := d.F64s()
-		maxNorm2 := d.F64s()
-		assign := d.I32s()
-		if d.Err() != nil {
-			return nil, d.Err()
-		}
-		ix, ok := dir.segIx[name]
-		if !ok {
-			return corrupt("centroid table for unknown segment %q", name)
-		}
-		segN := dir.segs[ix].n
-		if k < 1 || k > uint64(segN) {
-			return corrupt("segment %q: %d centroids over %d rows", name, k, segN)
-		}
-		if uint64(len(cents)) != k*dim || uint64(len(radius)) != k || uint64(len(maxNorm2)) != k {
-			return corrupt("segment %q: centroid table shape mismatch", name)
-		}
-		if len(assign) != segN {
-			return corrupt("segment %q: %d assignments for %d rows", name, len(assign), segN)
-		}
-		c := &Centroids{
-			k:         int(k),
-			dim:       int(dim),
-			cents:     cents,
-			radius:    radius,
-			maxNorm2:  maxNorm2,
-			assign:    assign,
-			centNorm2: make([]float64, k),
-			members:   make([][]int32, k),
-		}
-		for j := 0; j < c.k; j++ {
-			c.centNorm2[j] = dot(c.cent(j), c.cent(j))
-		}
-		for row, j := range assign {
-			if j < 0 || int(j) >= c.k {
-				return corrupt("segment %q: row %d assigned to cluster %d of %d", name, row, j, k)
-			}
-			c.members[j] = append(c.members[j], int32(row))
-		}
-		if dir.cents == nil {
-			dir.cents = make(map[string]*Centroids)
-		}
-		if _, dup := dir.cents[name]; dup {
-			return corrupt("duplicate centroid table for segment %q", name)
-		}
-		dir.cents[name] = c
-	}
 	if err := d.Err(); err != nil {
 		return nil, err
 	}
@@ -361,7 +292,6 @@ func (dir *Directory) assemble(data []float32, norms []float64, mapping []byte) 
 		norms:   norms,
 		segs:    dir.segs,
 		segIx:   dir.segIx,
-		cents:   dir.cents,
 		blobCRC: dir.CRC,
 		mapping: mapping,
 	}

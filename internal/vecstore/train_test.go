@@ -122,7 +122,6 @@ func trainReference(at func(int) []float32, n, dim, k int, seed uint64) *Centroi
 		dim:       dim,
 		cents:     make([]float32, k*dim),
 		assign:    assign,
-		members:   make([][]int32, k),
 		radius:    make([]float64, k),
 		maxNorm2:  make([]float64, k),
 		centNorm2: make([]float64, k),

@@ -5,20 +5,18 @@
 // on-disk layout and is loaded either by a portable heap read or
 // zero-copy via mmap, so snapshot reload cost for vectors is
 // independent of how many there are and replica processes share pages.
+// The store only holds rows; searching them is its owners' business.
 //
-// An optional coarse quantizer (deterministic k-means, see
-// centroids.go) can be attached per segment; View.TopK then visits
-// clusters in ascending centroid distance and prunes whole clusters
-// with triangle-inequality dot-product bounds before exact rescoring.
-// With nprobe <= 0 every cluster is visited or provably excluded, and
-// results are bit-identical to an exhaustive scan.
+// The package also carries the deterministic k-means coarse quantizer
+// (Train, see centroids.go) whose per-cluster dot-product bounds
+// (MaxDots) let PEXESO's fuzzy join discard whole clusters under its
+// threshold. The quantizer is not attached to a store or persisted.
 package vecstore
 
 import (
 	"fmt"
 	"math"
 	"slices"
-	"sort"
 	"unsafe"
 )
 
@@ -37,16 +35,15 @@ type segment struct {
 	n    int // row count
 }
 
-// Store is an immutable vector block plus per-row norms and optional
-// per-segment centroid tables. Row data either lives on the Go heap
-// or aliases an mmap'd region of the snapshot file.
+// Store is an immutable vector block plus per-row norms. Row data
+// either lives on the Go heap or aliases an mmap'd region of the
+// snapshot file.
 type Store struct {
 	dim     int
 	data    []float32 // count*dim, row-major
 	norms   []float64 // count, norms[i] == ||row i||
 	segs    []segment
 	segIx   map[string]int
-	cents   map[string]*Centroids
 	blobCRC uint32
 	mapping []byte // whole mmap region when mapped, else nil
 }
@@ -75,16 +72,6 @@ func (s *Store) DataBytes() int64 { return int64(len(s.data)) * 4 }
 // NormBytes returns the on-disk size of the precomputed norms.
 func (s *Store) NormBytes() int64 { return int64(len(s.norms)) * 8 }
 
-// CentroidBytes returns the approximate in-memory footprint of all
-// attached centroid tables (centroids, bounds, assignments, members).
-func (s *Store) CentroidBytes() int64 {
-	var b int64
-	for _, c := range s.cents {
-		b += c.footprint()
-	}
-	return b
-}
-
 // Segments returns the segment names in row order.
 func (s *Store) Segments() []string {
 	out := make([]string, len(s.segs))
@@ -101,30 +88,6 @@ func (s *Store) View(name string) (View, bool) {
 		return View{}, false
 	}
 	return View{s: s, seg: s.segs[ix]}, true
-}
-
-// Centroids returns the centroid table attached to the named
-// segment, or nil.
-func (s *Store) Centroids(name string) *Centroids { return s.cents[name] }
-
-// TrainCentroids builds and attaches a deterministic k-means table
-// over the named segment. k is clamped to the segment's row count;
-// the same (rows, k, seed) always yields the same table bit for bit,
-// on any number of workers.
-func (s *Store) TrainCentroids(name string, k int, seed uint64, workers int) error {
-	v, ok := s.View(name)
-	if !ok {
-		return fmt.Errorf("vecstore: no segment %q", name)
-	}
-	if v.Len() == 0 || k <= 0 {
-		return nil
-	}
-	c := Train(v.Vec, v.Len(), s.dim, k, seed, workers)
-	if s.cents == nil {
-		s.cents = make(map[string]*Centroids)
-	}
-	s.cents[name] = c
-	return nil
 }
 
 // Close releases the mmap mapping, if any. Only tests should call
@@ -171,97 +134,9 @@ func (v View) Vec(i int) []float32 {
 // computing it from the row at query time.
 func (v View) Norm(i int) float64 { return v.s.norms[v.seg.off+i] }
 
-// Centroids returns the segment's attached centroid table, or nil.
-func (v View) Centroids() *Centroids {
-	if v.s == nil {
-		return nil
-	}
-	return v.s.cents[v.seg.name]
-}
-
-// Hit is one TopK result: a segment-relative row and its raw dot
-// product with the query.
-type Hit struct {
-	Row   int
-	Score float64
-}
-
-// SearchStats counts the work one or more TopK calls performed.
-type SearchStats struct {
-	VecDots         int // exact row dot products
-	CentroidDots    int // centroid distance evaluations
-	ClustersScanned int
-	ClustersSkipped int // skipped by bound or nprobe cutoff
-}
-
-// TopK returns the k rows with the highest dot product against q,
-// ordered by (score desc, row asc). Without an attached centroid
-// table it scans exhaustively. With one, clusters are visited in
-// ascending centroid distance; a cluster is skipped when its upper
-// dot bound cannot beat the current k-th score (lossless) or when
-// nprobe > 0 clusters have already been scanned (lossy). nprobe <= 0
-// means "all": bit-identical to the exhaustive scan.
-func (v View) TopK(q []float32, k, nprobe int, st *SearchStats) []Hit {
-	if v.s == nil || v.seg.n == 0 || k <= 0 || len(q) != v.s.dim {
-		return nil
-	}
-	c := v.Centroids()
-	if c == nil {
-		return v.scanAll(q, k, st)
-	}
-	return v.scanPruned(c, q, k, nprobe, st)
-}
-
-func (v View) scanAll(q []float32, k int, st *SearchStats) []Hit {
-	h := newTopHeap(k)
-	for i := 0; i < v.seg.n; i++ {
-		h.offer(i, dot(q, v.Vec(i)))
-	}
-	if st != nil {
-		st.VecDots += v.seg.n
-	}
-	return h.sorted()
-}
-
-func (v View) scanPruned(c *Centroids, q []float32, k, nprobe int, st *SearchStats) []Hit {
-	order, maxDot := c.queryBounds(q)
-	if st != nil {
-		st.CentroidDots += c.k
-	}
-	h := newTopHeap(k)
-	scanned := 0
-	for _, j := range order {
-		if nprobe > 0 && scanned >= nprobe {
-			if st != nil {
-				st.ClustersSkipped += len(order) - scanned
-			}
-			break
-		}
-		// Lossless skip: even the best possible row in this cluster
-		// cannot displace the current k-th hit. BoundEps absorbs the
-		// (tiny, well-bounded) floating-point error in the bound so
-		// the skip never fires on a row the exhaustive scan would keep.
-		if h.full() && maxDot[j]+BoundEps < h.worstScore() {
-			if st != nil {
-				st.ClustersSkipped++
-			}
-			continue
-		}
-		scanned++
-		if st != nil {
-			st.ClustersScanned++
-			st.VecDots += len(c.members[j])
-		}
-		for _, row := range c.members[j] {
-			h.offer(int(row), dot(q, v.Vec(int(row))))
-		}
-	}
-	return h.sorted()
-}
-
 // dot accumulates in float64 in index order — the exact expression
-// embedding.Vector.Dot uses, so scores here are bit-identical to the
-// pre-vecstore comparators.
+// embedding.Vector.Dot uses, so stored norms are bit-identical to
+// embedding.Vector.Norm.
 func dot(a, b []float32) float64 {
 	var s float64
 	for i := range a {
@@ -272,81 +147,6 @@ func dot(a, b []float32) float64 {
 
 // norm matches embedding.Vector.Norm bit for bit.
 func norm(a []float32) float64 { return math.Sqrt(dot(a, a)) }
-
-// --- top-k selection ---
-
-// topHeap keeps the k best (score desc, row asc) hits seen so far as
-// a min-heap keyed by "worst first".
-type topHeap struct {
-	k    int
-	hits []Hit
-}
-
-func newTopHeap(k int) *topHeap { return &topHeap{k: k, hits: make([]Hit, 0, k)} }
-
-func (h *topHeap) full() bool { return len(h.hits) == h.k }
-
-func (h *topHeap) worstScore() float64 { return h.hits[0].Score }
-
-// worse reports whether a ranks strictly below b under
-// (score desc, row asc).
-func worse(a, b Hit) bool {
-	if a.Score != b.Score {
-		return a.Score < b.Score
-	}
-	return a.Row > b.Row
-}
-
-func (h *topHeap) offer(row int, score float64) {
-	nh := Hit{Row: row, Score: score}
-	if len(h.hits) < h.k {
-		h.hits = append(h.hits, nh)
-		h.up(len(h.hits) - 1)
-		return
-	}
-	if !worse(h.hits[0], nh) {
-		return
-	}
-	h.hits[0] = nh
-	h.down(0)
-}
-
-func (h *topHeap) up(i int) {
-	for i > 0 {
-		p := (i - 1) / 2
-		if !worse(h.hits[i], h.hits[p]) {
-			return
-		}
-		h.hits[i], h.hits[p] = h.hits[p], h.hits[i]
-		i = p
-	}
-}
-
-func (h *topHeap) down(i int) {
-	n := len(h.hits)
-	for {
-		l, r := 2*i+1, 2*i+2
-		m := i
-		if l < n && worse(h.hits[l], h.hits[m]) {
-			m = l
-		}
-		if r < n && worse(h.hits[r], h.hits[m]) {
-			m = r
-		}
-		if m == i {
-			return
-		}
-		h.hits[i], h.hits[m] = h.hits[m], h.hits[i]
-		i = m
-	}
-}
-
-// sorted drains the heap into (score desc, row asc) order.
-func (h *topHeap) sorted() []Hit {
-	out := h.hits
-	sort.Slice(out, func(i, j int) bool { return worse(out[j], out[i]) })
-	return out
-}
 
 // --- builder ---
 

@@ -9,7 +9,6 @@ import (
 	"path/filepath"
 	"reflect"
 	"runtime"
-	"sort"
 	"testing"
 
 	"tablehound/internal/snap"
@@ -60,25 +59,6 @@ func buildStore(t testing.TB, vecs [][]float32, seg string) *Store {
 	return s
 }
 
-// refTopK is the independent exhaustive reference: full sort by
-// (score desc, row asc), truncate.
-func refTopK(vecs [][]float32, q []float32, k int) []Hit {
-	hits := make([]Hit, len(vecs))
-	for i, v := range vecs {
-		hits[i] = Hit{Row: i, Score: dot(q, v)}
-	}
-	sort.Slice(hits, func(i, j int) bool {
-		if hits[i].Score != hits[j].Score {
-			return hits[i].Score > hits[j].Score
-		}
-		return hits[i].Row < hits[j].Row
-	})
-	if len(hits) > k {
-		hits = hits[:k]
-	}
-	return hits
-}
-
 func TestBuilderNormsMatchVectorNorm(t *testing.T) {
 	vecs := synthVecs(100, 16, 4, 1)
 	s := buildStore(t, vecs, "a")
@@ -112,88 +92,6 @@ func TestBuilderGrowSameStore(t *testing.T) {
 	}
 }
 
-func TestTopKExhaustiveMatchesReference(t *testing.T) {
-	vecs := synthVecs(500, 24, 7, 2)
-	s := buildStore(t, vecs, "a")
-	v, _ := s.View("a")
-	queries := synthVecs(25, 24, 7, 3)
-	for _, k := range []int{1, 3, 10, 499, 500, 600} {
-		for _, q := range queries {
-			got := v.TopK(q, k, 0, nil)
-			want := refTopK(vecs, q, k)
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("k=%d: exhaustive TopK differs from reference", k)
-			}
-		}
-	}
-}
-
-func TestPrunedNProbeAllBitIdentical(t *testing.T) {
-	vecs := synthVecs(2000, 32, 13, 4)
-	s := buildStore(t, vecs, "a")
-	if err := s.TrainCentroids("a", 24, 99, 1); err != nil {
-		t.Fatal(err)
-	}
-	v, _ := s.View("a")
-	queries := synthVecs(50, 32, 13, 5)
-	for _, k := range []int{1, 10, 100} {
-		for _, q := range queries {
-			var st SearchStats
-			got := v.TopK(q, k, 0, &st)
-			want := refTopK(vecs, q, k)
-			if len(got) != len(want) {
-				t.Fatalf("k=%d: got %d hits, want %d", k, len(got), len(want))
-			}
-			for i := range got {
-				if got[i] != want[i] { // exact == on score and row
-					t.Fatalf("k=%d hit %d: got %+v, want %+v", k, i, got[i], want[i])
-				}
-			}
-			if st.VecDots+0 > len(vecs) {
-				t.Fatalf("scanned %d dots over %d rows", st.VecDots, len(vecs))
-			}
-		}
-	}
-}
-
-func TestPrunedActuallyPrunes(t *testing.T) {
-	vecs := synthVecs(5000, 32, 16, 6)
-	s := buildStore(t, vecs, "a")
-	if err := s.TrainCentroids("a", 70, 7, 1); err != nil {
-		t.Fatal(err)
-	}
-	v, _ := s.View("a")
-	var st SearchStats
-	queries := synthVecs(20, 32, 16, 8)
-	for _, q := range queries {
-		v.TopK(q, 10, 0, &st)
-	}
-	exhaustive := len(queries) * len(vecs)
-	if st.VecDots >= exhaustive {
-		t.Fatalf("lossless pruning did no work reduction: %d dots vs %d exhaustive", st.VecDots, exhaustive)
-	}
-	if st.ClustersSkipped == 0 {
-		t.Fatal("no clusters were skipped")
-	}
-	t.Logf("lossless: %d/%d dots (%.1fx), %d skipped clusters",
-		st.VecDots, exhaustive, float64(exhaustive)/float64(st.VecDots), st.ClustersSkipped)
-}
-
-func TestNProbeLimitsWork(t *testing.T) {
-	vecs := synthVecs(3000, 32, 10, 9)
-	s := buildStore(t, vecs, "a")
-	if err := s.TrainCentroids("a", 50, 11, 1); err != nil {
-		t.Fatal(err)
-	}
-	v, _ := s.View("a")
-	q := synthVecs(1, 32, 10, 10)[0]
-	var st SearchStats
-	v.TopK(q, 10, 3, &st)
-	if st.ClustersScanned > 3 {
-		t.Fatalf("nprobe=3 scanned %d clusters", st.ClustersScanned)
-	}
-}
-
 func TestTrainDeterministic(t *testing.T) {
 	vecs := synthVecs(800, 16, 6, 12)
 	at := func(i int) []float32 { return vecs[i] }
@@ -215,12 +113,10 @@ func TestTrainDegenerate(t *testing.T) {
 		vecs[i] = []float32{1, 2, 3, 4}
 	}
 	c := Train(func(i int) []float32 { return vecs[i] }, 50, 4, 8, 1, 1)
-	total := 0
-	for j := 0; j < c.K(); j++ {
-		total += len(c.Members(j))
-	}
-	if total != 50 {
-		t.Fatalf("members cover %d of 50 rows", total)
+	for i := range vecs {
+		if j := c.AssignOf(i); j < 0 || int(j) >= c.K() {
+			t.Fatalf("row %d assigned to cluster %d of %d", i, j, c.K())
+		}
 	}
 }
 
@@ -274,9 +170,6 @@ func TestSnapshotRoundTripHeap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.TrainCentroids("a", 9, HashStrings([]string{"x", "y"}), 1); err != nil {
-		t.Fatal(err)
-	}
 
 	got := roundTrip(t, s)
 	if !reflect.DeepEqual(got.data, s.data) || !reflect.DeepEqual(got.norms, s.norms) {
@@ -285,19 +178,28 @@ func TestSnapshotRoundTripHeap(t *testing.T) {
 	if !reflect.DeepEqual(got.segs, s.segs) {
 		t.Fatalf("segments changed: %+v vs %+v", got.segs, s.segs)
 	}
-	if !reflect.DeepEqual(got.cents["a"], s.cents["a"]) {
-		t.Fatal("centroid table changed across round trip")
-	}
 	if got.BlobCRC() != s.BlobCRC() {
 		t.Fatal("CRC changed")
 	}
 
-	// Loaded store answers identically.
-	va, _ := s.View("a")
-	ga, _ := got.View("a")
-	q := synthVecs(1, 16, 5, 21)[0]
-	if !reflect.DeepEqual(va.TopK(q, 7, 0, nil), ga.TopK(q, 7, 0, nil)) {
-		t.Fatal("loaded store search differs")
+	sameRows(t, got, s)
+}
+
+// sameRows checks that every segment of got serves want's rows and
+// norms, bit for bit.
+func sameRows(t *testing.T, got, want *Store) {
+	t.Helper()
+	for _, name := range want.Segments() {
+		gv, ok := got.View(name)
+		wv, _ := want.View(name)
+		if !ok || gv.Len() != wv.Len() {
+			t.Fatalf("segment %q: got %d rows, want %d", name, gv.Len(), wv.Len())
+		}
+		for i := 0; i < wv.Len(); i++ {
+			if !reflect.DeepEqual(gv.Vec(i), wv.Vec(i)) || gv.Norm(i) != wv.Norm(i) {
+				t.Fatalf("segment %q row %d differs", name, i)
+			}
+		}
 	}
 }
 
@@ -307,9 +209,6 @@ func TestMmapParity(t *testing.T) {
 	}
 	vecs := synthVecs(400, 12, 4, 30)
 	s := buildStore(t, vecs, "a")
-	if err := s.TrainCentroids("a", 10, 3, 1); err != nil {
-		t.Fatal(err)
-	}
 
 	var buf bytes.Buffer
 	sw := snap.NewWriter(&buf)
@@ -352,12 +251,7 @@ func TestMmapParity(t *testing.T) {
 	if !reflect.DeepEqual(m.data, s.data) || !reflect.DeepEqual(m.norms, s.norms) {
 		t.Fatal("mmap view differs from built data")
 	}
-	mv, _ := m.View("a")
-	sv, _ := s.View("a")
-	q := synthVecs(1, 12, 4, 31)[0]
-	if !reflect.DeepEqual(mv.TopK(q, 5, 0, nil), sv.TopK(q, 5, 0, nil)) {
-		t.Fatal("mmap search differs from heap search")
-	}
+	sameRows(t, m, s)
 }
 
 func TestDirectoryRejectsShapeMismatch(t *testing.T) {
@@ -382,7 +276,6 @@ func TestDirectoryRejectsShapeMismatch(t *testing.T) {
 		e.U64(1)
 		e.Str("a")
 		e.U64(50)
-		e.U64(0)
 	})
 	if !errors.Is(err, snap.ErrCorrupt) {
 		t.Fatalf("blob-length lie not rejected: %v", err)
@@ -394,7 +287,6 @@ func TestDirectoryRejectsShapeMismatch(t *testing.T) {
 		e.U64(1 << 30)
 		e.U64(0)
 		e.U32(0)
-		e.U64(0)
 		e.U64(0)
 	})
 	if !errors.Is(err, snap.ErrCorrupt) {
@@ -410,7 +302,6 @@ func TestDirectoryRejectsShapeMismatch(t *testing.T) {
 		e.U64(1)
 		e.Str("a")
 		e.U64(49) // segment table does not cover the store
-		e.U64(0)
 	})
 	if !errors.Is(err, snap.ErrCorrupt) {
 		t.Fatalf("short segment table not rejected: %v", err)
@@ -463,23 +354,5 @@ func TestReadBlobRejectsCorruption(t *testing.T) {
 	runtime.ReadMemStats(&after)
 	if grew := after.TotalAlloc - before.TotalAlloc; grew > 256<<20 {
 		t.Errorf("reading a short stream allocated %d MiB", grew>>20)
-	}
-}
-
-func TestConcurrentTopK(t *testing.T) {
-	vecs := synthVecs(1000, 16, 8, 60)
-	s := buildStore(t, vecs, "a")
-	if err := s.TrainCentroids("a", 16, 1, 1); err != nil {
-		t.Fatal(err)
-	}
-	v, _ := s.View("a")
-	queries := synthVecs(64, 16, 8, 61)
-	done := make(chan []Hit, len(queries))
-	for _, q := range queries {
-		q := q
-		go func() { done <- v.TopK(q, 5, 0, nil) }()
-	}
-	for range queries {
-		<-done
 	}
 }

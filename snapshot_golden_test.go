@@ -47,15 +47,22 @@ var harnessLake = sync.OnceValues(func() (*datagen.Lake, core.Options) {
 // catalog-stats sections and renumbers the rest. goldenHarnessSections
 // was recorded from the v6 snapshot before that change and still
 // matches, so only the framing and the dropped sections moved.
-const goldenHarnessSnapshot = "e30e3267cd6dbf64c61385570c609f0f1bbd862e635709d014b3146de871b60b"
+//
+// Re-recorded for format v8, which drops the coarse quantizer over the
+// Starmie column vectors: the options section loses its cluster count
+// and the vecs directory its centroid tables, so exactly those two
+// entries of goldenHarnessSections were re-recorded with it. The other
+// fourteen sections and the blob hash as before.
+const goldenHarnessSnapshot = "5f7795374934106484907ee2a8b50f0f473c1b92b62d3ed1f514d29d9d84379e"
 
 // goldenHarnessSections is the SHA-256 of each section payload of that
 // snapshot, in stream order, and of the vector blob after them. They
-// were recorded from the v6 snapshot, so a format change that only
-// drops or renumbers sections leaves them all in place, and the one
-// whose digest moves names the section that changed.
+// were recorded from the v6 snapshot (options and vecs from v8), so a
+// format change that only drops or renumbers sections leaves them all
+// in place, and the one whose digest moves names the section that
+// changed.
 var goldenHarnessSections = []struct{ name, sha string }{
-	{"options", "2b67a5c1901b894806d4fa8e09b25d5e51c64a8f539dbff5f4a8ca0b46be3276"},
+	{"options", "2605eb361f9013a4a6494ae520facbf3ebc676bfbd23f54cc013c99ac03241d2"},
 	{"meta", "bd874bd5dbdef034ecfe998554c1b0c8adab63fe1948dc60a2f7ff2a21660a1a"},
 	{"catalog", "59fae7795703e1fffad10b04c40c4e3724f607f348877605ef6fab883ddf4579"},
 	{"model", "a59b9d52506a6d72639cd8bbae3750018d78eba11795e96f3f71d087376aeac9"},
@@ -70,7 +77,7 @@ var goldenHarnessSections = []struct{ name, sha string }{
 	{"starmie", "97b0b86176ea6c5efc373da07e672ad8790eee67b56f9359bbdde03ae578f6d2"},
 	{"org", "6e340b9cffb37a989ca544e6bb780a2c78901d3fb33738768511a30617afa01d"},
 	{"graph", "6e340b9cffb37a989ca544e6bb780a2c78901d3fb33738768511a30617afa01d"},
-	{"vecs", "d529db7da38f709b37d62f645e68606aaf32c25e6cfdb1ecb4cd61e47b08efd0"},
+	{"vecs", "b72d98b8dd78d9dbbf3148a1709584434a39f48f0526d8f2a859a234f0255d60"},
 	{"blob", "30ae2d3244c5acdbe4af49a041630c8c8d43ea5fbcf081992cf7d234f6dd335e"},
 }
 
