@@ -120,7 +120,7 @@ bench-delta:
 # make bench-query COUNT=10 > new.txt
 bench-query:
 	$(GO) test -run xxx \
-		-bench 'BenchmarkQuery|BenchmarkKeywordSearch|BenchmarkServeQPS|BenchmarkRoutedUnion|BenchmarkD3LSearch|BenchmarkTUSSearch|BenchmarkStarmieSearch|BenchmarkHNSW|BenchmarkCharGramVector|BenchmarkInferType|BenchmarkJosieTopK|BenchmarkLSHQuery|BenchmarkLSHEnsemble' \
+		-bench 'BenchmarkQuery|BenchmarkKeywordSearch|BenchmarkServeQPS|BenchmarkRoutedUnion|BenchmarkD3LSearch|BenchmarkTUSSearch|BenchmarkSantosSearch|BenchmarkStarmieSearch|BenchmarkHNSW|BenchmarkCharGramVector|BenchmarkInferType|BenchmarkJosieTopK|BenchmarkLSHQuery|BenchmarkLSHEnsemble' \
 		-benchmem -count $(COUNT) . ./internal/union/ ./internal/starmie/ ./internal/hnsw/ \
 		./internal/embedding/ ./internal/table/
 

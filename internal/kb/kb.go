@@ -21,8 +21,9 @@ import (
 
 // KB is an ontology plus entity and relation assertions. Not safe for
 // concurrent mutation; safe for concurrent reads after loading (the
-// internal depth memo is mutex-guarded, so read paths that populate it
-// lazily — TypeSimilarity, DominantType — may run concurrently).
+// internal depth and similarity memos are mutex-guarded, so read paths
+// that populate them lazily — TypeSimilarity, DominantType — may run
+// concurrently).
 type KB struct {
 	parents  map[string][]string // type -> direct parents
 	children map[string][]string
@@ -31,6 +32,9 @@ type KB struct {
 	relNames map[string]int           // predicate -> fact count
 	depthMu  sync.Mutex
 	depth    map[string]int // type -> depth from a root (memo)
+	// sims memoizes TypeSimilarity of two distinct types, keyed by the
+	// pair in ascending order (the similarity is symmetric).
+	sims map[[2]string]float64
 }
 
 type pair struct{ s, o string }
@@ -56,7 +60,8 @@ func (k *KB) AddType(child, parent string) {
 	}
 	k.parents[child] = append(k.parents[child], parent)
 	k.children[parent] = append(k.children[parent], child)
-	k.depth = make(map[string]int) // invalidate memo
+	k.depth = make(map[string]int) // invalidate the memos
+	k.sims = nil
 }
 
 // AddEntity asserts that a value has the given direct types. The value
@@ -222,12 +227,20 @@ func (k *KB) ancestorsOf(t string) map[string]bool {
 
 // LCA returns the deepest common ancestor of two types, if any.
 func (k *KB) LCA(a, b string) (string, bool) {
+	k.depthMu.Lock()
+	defer k.depthMu.Unlock()
+	return k.lcaLocked(a, b)
+}
+
+// lcaLocked is LCA with depthMu held. Ties in depth go to the smaller
+// name, so the answer does not depend on the argument order.
+func (k *KB) lcaLocked(a, b string) (string, bool) {
 	aa := k.ancestorsOf(a)
 	var best string
 	bestDepth := -1
 	for c := range k.ancestorsOf(b) {
 		if aa[c] {
-			if d := k.typeDepth(c); d > bestDepth || (d == bestDepth && c < best) {
+			if d := k.typeDepthLocked(c); d > bestDepth || (d == bestDepth && c < best) {
 				best, bestDepth = c, d
 			}
 		}
@@ -237,20 +250,32 @@ func (k *KB) LCA(a, b string) (string, bool) {
 
 // TypeSimilarity is Wu-Palmer similarity over the hierarchy:
 // 2*depth(lca) / (depth(a) + depth(b)), in [0, 1]. Identical types
-// score 1; types with no common ancestor score 0.
+// score 1; types with no common ancestor score 0. Each pair of types
+// is computed once and memoized, so a repeated call does not allocate.
 func (k *KB) TypeSimilarity(a, b string) float64 {
 	if a == b {
 		return 1
 	}
-	lca, ok := k.LCA(a, b)
-	if !ok {
-		return 0
+	if b < a {
+		a, b = b, a
 	}
-	da, db := k.typeDepth(a), k.typeDepth(b)
-	if da+db == 0 {
-		return 0
+	key := [2]string{a, b}
+	k.depthMu.Lock()
+	defer k.depthMu.Unlock()
+	if s, ok := k.sims[key]; ok {
+		return s
 	}
-	return 2 * float64(k.typeDepth(lca)) / float64(da+db)
+	var s float64
+	if lca, ok := k.lcaLocked(a, b); ok {
+		if da, db := k.typeDepthLocked(a), k.typeDepthLocked(b); da+db != 0 {
+			s = 2 * float64(k.typeDepthLocked(lca)) / float64(da+db)
+		}
+	}
+	if k.sims == nil {
+		k.sims = make(map[[2]string]float64)
+	}
+	k.sims[key] = s
+	return s
 }
 
 // ValueSimilarity is the best Wu-Palmer similarity over the two

@@ -176,3 +176,25 @@ func TestDiamondHierarchy(t *testing.T) {
 		t.Errorf("LCA = %q", lca)
 	}
 }
+
+// TestTypeSimilarityMemo: the memoized similarity is symmetric, costs
+// no allocation once computed, and follows a hierarchy that grows
+// after it was first asked for.
+func TestTypeSimilarityMemo(t *testing.T) {
+	k := New()
+	k.AddType("city", "place")
+	k.AddType("country", "place")
+	// place is a root: the LCA has depth 0.
+	if s := k.TypeSimilarity("city", "country"); s != 0 {
+		t.Errorf("TypeSimilarity(city, country) = %v under a root LCA, want 0", s)
+	}
+	k.AddType("place", "thing")
+	for _, ab := range [][2]string{{"city", "country"}, {"country", "city"}} {
+		if s := k.TypeSimilarity(ab[0], ab[1]); s != 0.5 {
+			t.Errorf("TypeSimilarity(%s, %s) = %v after AddType, want 0.5", ab[0], ab[1], s)
+		}
+	}
+	if a := testing.AllocsPerRun(10, func() { k.TypeSimilarity("country", "city") }); a != 0 {
+		t.Errorf("a memoized TypeSimilarity allocates %v times", a)
+	}
+}

@@ -235,17 +235,25 @@ func jaccardThreshold(t float64, querySize, upper int) float64 {
 // minJaccard is the floor jaccardThreshold clamps a bound to.
 const minJaccard = 1e-9
 
-// paramCache memoizes optimalBootstrap: the numeric integration is
-// ~10^4 S-curve evaluations, far too slow to repeat per query per
-// partition. Thresholds are quantized to 1e-3 for the cache key.
+//go:generate go test -run TestBootstrapTable -update
+
+// paramCache memoizes optimalBootstrap at the signature widths
+// bootstrap128 does not cover: the numeric integration is ~10^4
+// S-curve evaluations, far too slow to repeat per query per partition.
+// Thresholds are quantized to 1e-3 for the cache key.
 var paramCache sync.Map // [2]int{numHashes, round(j*1000)} -> [2]int{b, r}
 
 // optimalBootstrap returns the (bands, rows) bootstrapParams picks for
 // the representative of j's 1e-3 bucket: key/1000, or minJaccard for
 // key 0. Every j of a bucket gets that one answer whichever j filled
 // the cache, so candidates never depend on the queries served before.
+// At 128 hashes, the served width, the answer is precomputed.
 func optimalBootstrap(j float64, numHashes int) (bands, rows int) {
 	q := int(j*1000 + 0.5)
+	if numHashes == 128 && q >= 0 && q < len(bootstrap128) {
+		p := bootstrap128[q]
+		return int(p[0]), int(p[1])
+	}
 	key := [2]int{numHashes, q}
 	if v, ok := paramCache.Load(key); ok {
 		p := v.([2]int)

@@ -8,7 +8,9 @@ import (
 
 // The union scoring kernel. Scoring a candidate table needs, for every
 // (query column, candidate column) pair, the pair's value overlap and,
-// for D3L, the overlap of their word distributions. Rather than merge
+// for D3L, the overlap of their word distributions; SANTOS needs the
+// pair-ID overlap of every (query relationship, candidate relationship)
+// pair, and treats a relationship as a column here. Rather than merge
 // the two sorted ID arrays of every pair, ScoreAmong marks once which
 // query columns hold each ID; one ascending pass over a candidate
 // column's IDs then yields its overlap with every query column at once.
@@ -55,8 +57,8 @@ func (f freeList[T]) put(x *T) {
 	}
 }
 
-// Each buffer keeps the state of up to 16 idle scans: a TUS scan holds
-// one marks and one scratch per worker, and 16 covers the concurrent
+// Each buffer keeps the state of up to 16 idle scans: a TUS or SANTOS
+// scan holds one marks and one scratch per worker, and 16 covers the concurrent
 // scans of a server on a few cores; a burst past it allocates, and the
 // excess is collected.
 var (
@@ -132,8 +134,9 @@ func (m *queryMarks) wordSums(ids []uint32, freq []float64, s []float64) {
 
 // scanScratch is the memory one scanning goroutine reuses across the
 // candidate tables of a ScoreAmong call: the per-query-column results
-// of the kernel, the flat weight matrix and the matcher, plus D3L's
-// name-evidence memo.
+// of the kernel (words holds SANTOS's best per query relationship),
+// the flat weight matrix and the matcher, plus D3L's name-evidence
+// memo.
 type scanScratch struct {
 	inter   []int32
 	words   []float64

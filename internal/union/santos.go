@@ -4,7 +4,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
+	"sync/atomic"
 
 	"tablehound/internal/dict"
 	"tablehound/internal/kb"
@@ -54,10 +56,15 @@ type Santos struct {
 	// containment is an integer merge. Rebuilt by Build (the pair
 	// vocabulary is lake-derived, never external).
 	pairDict *dict.Dict
-	// pairIndex maps a pair token ID to tables containing it — the
-	// synthesized KB, mined from the lake itself.
-	pairIndex map[uint32][]string
-	built     bool
+	// The synthesized KB, mined from the lake itself: the tables
+	// holding pair ID p are pairTables[pairOff[p]:pairOff[p+1]], as
+	// ascending ordinals into ids, each once.
+	pairOff    []uint32
+	pairTables []int32
+	// predTables maps a curated predicate to the ordinals of the tables
+	// with a relationship annotated by it, ascending, each once.
+	predTables map[string][]int32
+	built      bool
 
 	// QueryParallelism bounds the per-query candidate-verification
 	// fan-out in Search: 0 = GOMAXPROCS, negative or 1 = sequential.
@@ -89,9 +96,8 @@ type santosRel struct {
 // NewSantos creates an engine; curated may be nil (SynthOnly then).
 func NewSantos(curated *kb.KB) *Santos {
 	return &Santos{
-		curated:   curated,
-		tables:    make(map[string]*santosTable),
-		pairIndex: make(map[uint32][]string),
+		curated: curated,
+		tables:  make(map[string]*santosTable),
 	}
 }
 
@@ -146,9 +152,10 @@ func (s *Santos) analyze(tbl *table.Table) *santosTable {
 
 // Build freezes the synthesized pair index: it interns the pair
 // vocabulary into a fresh dictionary, encodes every relationship's
-// pair set to sorted IDs, and indexes pair ID -> owning tables.
-// Relationships encoded by an earlier Build are first decoded through
-// the old dictionary — IDs from two dictionaries must never mix.
+// pair set to sorted IDs, and indexes the tables by pair and by
+// predicate. Relationships encoded by an earlier Build are first
+// decoded through the old dictionary — IDs from two dictionaries must
+// never mix.
 func (s *Santos) Build() error {
 	if len(s.tables) == 0 {
 		return errors.New("union: no tables added to SANTOS")
@@ -165,19 +172,63 @@ func (s *Santos) Build() error {
 		}
 	}
 	s.pairDict = db.Build()
-	s.pairIndex = make(map[uint32][]string)
 	for _, id := range s.ids {
 		for i := range s.tables[id].rels {
 			rel := &s.tables[id].rels[i]
 			rel.pairIDs, _ = s.pairDict.EncodeKnown(rel.pairs)
 			rel.pairs = nil
+		}
+	}
+	s.index()
+	s.built = true
+	return nil
+}
+
+// index builds the candidate indexes over the tables in ids order:
+// the pair index's CSR arrays and the predicate index. Every
+// relationship's pair IDs must lie below the pair dictionary's size,
+// as Build encodes them and DecodeSantosSnapshot checks them.
+func (s *Santos) index() {
+	n := s.pairDict.Size()
+	s.pairOff = make([]uint32, n+1)
+	s.predTables = make(map[string][]int32)
+	last := make([]int32, n) // 1 + the ordinal of the last table counted for a pair
+	for ti, id := range s.ids {
+		o := int32(ti)
+		for _, rel := range s.tables[id].rels {
 			for _, p := range rel.pairIDs {
-				s.pairIndex[p] = append(s.pairIndex[p], id)
+				if last[p] != o+1 {
+					last[p] = o + 1
+					s.pairOff[p+1]++
+				}
+			}
+			if rel.pred == "" {
+				continue
+			}
+			if ts := s.predTables[rel.pred]; len(ts) == 0 || ts[len(ts)-1] != o {
+				s.predTables[rel.pred] = append(ts, o)
 			}
 		}
 	}
-	s.built = true
-	return nil
+	for p := 0; p < n; p++ {
+		s.pairOff[p+1] += s.pairOff[p]
+	}
+	s.pairTables = make([]int32, s.pairOff[n])
+	next := last // reused as each pair's write cursor
+	for p := range next {
+		next[p] = int32(s.pairOff[p])
+	}
+	for ti, id := range s.ids {
+		o := int32(ti)
+		for _, rel := range s.tables[id].rels {
+			for _, p := range rel.pairIDs {
+				if c := next[p]; uint32(c) == s.pairOff[p] || s.pairTables[c-1] != o {
+					s.pairTables[c] = o
+					next[p]++
+				}
+			}
+		}
+	}
 }
 
 // NumTables returns the number of indexed tables.
@@ -257,47 +308,68 @@ func (s *Santos) Candidates(pq *SantosQuery, mode SantosMode) []string {
 
 // ScoreAmong exactly scores the given candidate tables and returns
 // the top k; with ids = Candidates(pq, mode) it is bit-identical to
-// Search.
+// Search. Each of the QueryParallelism workers scores the tables it
+// takes with its own reused scratch, reading each candidate
+// relationship's pair IDs once against every query relationship (see
+// queryMarks), so allocations do not grow with len(ids).
 func (s *Santos) ScoreAmong(ctx context.Context, pq *SantosQuery, ids []string, k int, mode SantosMode) ([]Result, error) {
-	scores, err := parallel.MapCtx(ctx, len(ids), parallel.Resolve(s.QueryParallelism), func(i int) (float64, error) {
-		if ids[i] == pq.id {
-			return 0, nil
+	q := pq.q
+	var marks *queryMarks // only synthesized evidence reads overlaps
+	if mode != CuratedOnly {
+		marks = newQueryMarks(s.pairDict.Size())
+		defer marks.release()
+		for i, rel := range q.rels {
+			marks.add(i, rel.pairIDs, nil)
 		}
-		return s.tableScore(pq.q, s.tables[ids[i]], mode), nil
+	}
+	scores := make([]float64, len(ids))
+	workers := min(parallel.Resolve(s.QueryParallelism), len(ids))
+	var next atomic.Int64
+	err := parallel.ForEach(workers, workers, func(int) error {
+		sc := newScanScratch(len(q.rels))
+		defer freeScratch.put(sc)
+		for i := int(next.Add(1) - 1); i < len(ids); i = int(next.Add(1) - 1) {
+			if err := ctx.Err(); err != nil {
+				return err
+			}
+			if ids[i] != pq.id {
+				scores[i] = tableScore(marks, q, s.tables[ids[i]], mode, sc)
+			}
+		}
+		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	var res []Result
+	top := newTopK(k, len(ids))
 	for i, id := range ids {
-		if id == pq.id {
-			continue
-		}
-		if scores[i] > 0 {
-			res = append(res, Result{TableID: id, Score: scores[i]})
+		if id != pq.id && scores[i] > 0 {
+			top.offer(Result{TableID: id, Score: scores[i]})
 		}
 	}
-	sortResults(res)
-	if len(res) > k {
-		res = res[:k]
-	}
-	return res, nil
+	return top.results(), nil
 }
 
+// candidates returns the sorted IDs of the tables sharing a value pair
+// with the query (unless mode is CuratedOnly) or a curated predicate
+// (unless mode is SynthOnly). It gathers ordinals, and ids is sorted,
+// so sorting them sorts the IDs.
 func (s *Santos) candidates(q *santosTable, mode SantosMode) []string {
-	seen := make(map[string]bool)
-	var out []string
-	add := func(id string) {
-		if !seen[id] {
-			seen[id] = true
-			out = append(out, id)
-		}
-	}
+	sc := candidateScratchPool.Get().(*candidateScratch)
+	defer candidateScratchPool.Put(sc)
+	sc.tables.Reset(len(s.ids))
+	ords := sc.ords[:0]
 	if mode != CuratedOnly {
+		n := uint32(len(s.pairOff) - 1)
 		for _, rel := range q.rels {
 			for _, p := range rel.pairIDs {
-				for _, id := range s.pairIndex[p] {
-					add(id)
+				if p >= n { // the query's own pair, in no table
+					continue
+				}
+				for _, o := range s.pairTables[s.pairOff[p]:s.pairOff[p+1]] {
+					if sc.tables.Add(o) {
+						ords = append(ords, o)
+					}
 				}
 			}
 		}
@@ -307,52 +379,64 @@ func (s *Santos) candidates(q *santosTable, mode SantosMode) []string {
 			if rel.pred == "" {
 				continue
 			}
-			for _, id := range s.ids {
-				for _, crel := range s.tables[id].rels {
-					if crel.pred == rel.pred {
-						add(id)
-					}
+			for _, o := range s.predTables[rel.pred] {
+				if sc.tables.Add(o) {
+					ords = append(ords, o)
 				}
 			}
 		}
 	}
-	sort.Strings(out)
+	sc.ords = ords
+	if len(ords) == 0 {
+		return nil
+	}
+	slices.Sort(ords)
+	out := make([]string, len(ords))
+	for i, o := range ords {
+		out[i] = s.ids[o]
+	}
 	return out
 }
 
 // tableScore averages, over the query's relationships, the best
-// relationship alignment found in the candidate.
-func (s *Santos) tableScore(q, c *santosTable, mode SantosMode) float64 {
+// relationship alignment found in the candidate. marks, nil in
+// CuratedOnly mode, count each candidate relationship's pair overlap
+// with every query relationship in one pass; sc.words holds the bests.
+func tableScore(marks *queryMarks, q, c *santosTable, mode SantosMode, sc *scanScratch) float64 {
 	if len(q.rels) == 0 {
 		return 0
 	}
-	var total float64
-	for _, qr := range q.rels {
-		best := 0.0
-		for _, cr := range c.rels {
-			if v := relScore(qr, cr, mode); v > best {
-				best = v
+	best := sc.words
+	clear(best)
+	for _, cr := range c.rels {
+		if marks != nil {
+			marks.overlaps(cr.pairIDs, sc.inter)
+		}
+		for i, qr := range q.rels {
+			if v := relScore(qr, cr, int(sc.inter[i]), mode); v > best[i] {
+				best[i] = v
 			}
 		}
-		total += best
+	}
+	var total float64
+	for _, b := range best {
+		total += b
 	}
 	return total / float64(len(q.rels))
 }
 
-// relScore scores one relationship pair. Curated predicate equality is
-// decisive evidence; synthesized evidence is the containment of the
-// smaller pair set in the larger.
-func relScore(a, b santosRel, mode SantosMode) float64 {
+// relScore scores one relationship pair sharing inter value pairs.
+// Curated predicate equality is decisive evidence; synthesized
+// evidence is the containment of the smaller pair set in the larger.
+func relScore(a, b santosRel, inter int, mode SantosMode) float64 {
 	var curated, synth float64
 	if a.pred != "" && a.pred == b.pred {
 		curated = (a.predFrac + b.predFrac) / 2
 	}
 	if mode != CuratedOnly {
-		small, big := a.pairIDs, b.pairIDs
-		if len(big) < len(small) {
-			small, big = big, small
+		if n := min(len(a.pairIDs), len(b.pairIDs)); n > 0 {
+			synth = float64(inter) / float64(n)
 		}
-		synth = dict.Containment(small, big)
 	}
 	switch mode {
 	case CuratedOnly:

@@ -115,9 +115,9 @@ func DecodeTUSSnapshot(d *snap.Decoder, cfg TUSConfig, lookup func(id string) *t
 }
 
 // AppendSnapshot encodes a SANTOS engine: the pair dictionary, each
-// table's encoded relationships, and the built flag. The pair-to-table
-// index is rebuilt on decode by replaying Build's indexing loop over
-// the stored (sorted) table order.
+// table's encoded relationships, and the built flag. The pair and
+// predicate indexes are rebuilt on decode by Build's index over the
+// stored (sorted) table order.
 func (s *Santos) AppendSnapshot(e *snap.Encoder) {
 	e.Bool(s.built)
 	hasPairDict := s.pairDict != nil
@@ -196,14 +196,7 @@ func DecodeSantosSnapshot(d *snap.Decoder, curated *kb.KB, lookup func(id string
 		}
 		s.tables[id] = st
 	}
-	// Replay Build's pair-indexing loop over the stored order.
-	for _, id := range s.ids {
-		for i := range s.tables[id].rels {
-			for _, p := range s.tables[id].rels[i].pairIDs {
-				s.pairIndex[p] = append(s.pairIndex[p], id)
-			}
-		}
-	}
+	s.index()
 	s.built = built
 	return s, nil
 }

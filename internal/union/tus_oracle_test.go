@@ -109,15 +109,17 @@ func TestTUSMatchesOracle(t *testing.T) {
 }
 
 // TestScoreAmongSharesPreparedQuery scores one prepared query from
-// several goroutines at once, on each engine (TUS fanned out too): the
-// reused marks and scratch must keep every call to its own memory and
-// leave the prepared query untouched (run with -race).
+// several goroutines at once, on each engine (TUS and SANTOS fanned out
+// too): the reused marks and scratch must keep every call to its own
+// memory and leave the prepared query untouched (run with -race).
 func TestScoreAmongSharesPreparedQuery(t *testing.T) {
 	lake := datagen.Generate(datagen.Config{Seed: 3, NumDomains: 10, DomainSize: 40, NumTemplates: 5, TablesPerTemplate: 4})
 	model := embedding.Train(lake.ColumnContexts(), embedding.Config{Dim: 24, Seed: 3})
 	tus := builtTUS(t, lake, model, true)
 	tus.QueryParallelism = 2
 	d := builtD3L(t, model, lake.Tables)
+	s := builtSantos(t, lake.Tables, lake.BuildKB(0.9))
+	s.QueryParallelism = 2
 	query := foreignQuery(lake.Tables[2], 3)
 	tq, err := tus.Prepare(query)
 	if err != nil {
@@ -127,16 +129,24 @@ func TestScoreAmongSharesPreparedQuery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctx := context.Background()
-	score := func() ([]Result, []Result, error) {
-		tr, err := tus.ScoreAmong(ctx, tq, tus.ids, 8, EnsembleMeasure)
-		if err != nil {
-			return nil, nil, err
-		}
-		dr, err := d.ScoreAmong(ctx, dq, d.TableIDs(), 8)
-		return tr, dr, err
+	sq, err := s.Prepare(query)
+	if err != nil {
+		t.Fatal(err)
 	}
-	wantTUS, wantD3L, err := score()
+	ctx := context.Background()
+	score := func() ([3][]Result, error) {
+		var rs [3][]Result
+		var err error
+		if rs[0], err = tus.ScoreAmong(ctx, tq, tus.ids, 8, EnsembleMeasure); err != nil {
+			return rs, err
+		}
+		if rs[1], err = d.ScoreAmong(ctx, dq, d.TableIDs(), 8); err != nil {
+			return rs, err
+		}
+		rs[2], err = s.ScoreAmong(ctx, sq, s.ids, 8, Hybrid)
+		return rs, err
+	}
+	want, err := score()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,12 +156,12 @@ func TestScoreAmongSharesPreparedQuery(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 3; i++ {
-				tr, dr, err := score()
+				got, err := score()
 				if err != nil {
 					t.Error(err)
 					return
 				}
-				if !reflect.DeepEqual(tr, wantTUS) || !reflect.DeepEqual(dr, wantD3L) {
+				if !reflect.DeepEqual(got, want) {
 					t.Error("a concurrent score of the shared prepared query diverged")
 					return
 				}
@@ -163,30 +173,32 @@ func TestScoreAmongSharesPreparedQuery(t *testing.T) {
 
 // TestTUSScoreAmongAllocations: the scan reuses its marks and scratch
 // and keeps k results, so scoring five times the tables
-// costs not one allocation more, under every measure. Without a KB:
-// the KB's type similarity allocates on its own, per column pair.
+// costs not one allocation more, under every measure, with and
+// without a KB (whose type similarity is memoized per pair of types).
 func TestTUSScoreAmongAllocations(t *testing.T) {
 	lake := datagen.Generate(datagen.Config{Seed: 9, NumTemplates: 5, TablesPerTemplate: 10})
 	model := embedding.Train(lake.ColumnContexts(), embedding.Config{Dim: 24, Seed: 9})
-	tus := builtTUS(t, lake, model, false)
-	tus.QueryParallelism = 1
-	pq, err := tus.Prepare(lake.Tables[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	all := tus.ids
-	few := all[:len(all)/5]
-	for _, m := range []Measure{SetMeasure, SemMeasure, NLMeasure, EnsembleMeasure} {
-		allocs := func(ids []string) float64 {
-			return testing.AllocsPerRun(5, func() {
-				if _, err := tus.ScoreAmong(context.Background(), pq, ids, 5, m); err != nil {
-					t.Fatal(err)
-				}
-			})
+	for _, useKB := range []bool{false, true} {
+		tus := builtTUS(t, lake, model, useKB)
+		tus.QueryParallelism = 1
+		pq, err := tus.Prepare(lake.Tables[0])
+		if err != nil {
+			t.Fatal(err)
 		}
-		if a, b := allocs(few), allocs(all); b > a {
-			t.Errorf("measure %v: ScoreAmong allocations grow with the candidates: %v over %d tables, %v over %d",
-				m, a, len(few), b, len(all))
+		all := tus.ids
+		few := all[:len(all)/5]
+		for _, m := range []Measure{SetMeasure, SemMeasure, NLMeasure, EnsembleMeasure} {
+			allocs := func(ids []string) float64 {
+				return testing.AllocsPerRun(5, func() {
+					if _, err := tus.ScoreAmong(context.Background(), pq, ids, 5, m); err != nil {
+						t.Fatal(err)
+					}
+				})
+			}
+			if a, b := allocs(few), allocs(all); b > a {
+				t.Errorf("kb=%v measure %v: ScoreAmong allocations grow with the candidates: %v over %d tables, %v over %d",
+					useKB, m, a, len(few), b, len(all))
+			}
 		}
 	}
 }
