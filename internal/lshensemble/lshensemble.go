@@ -237,31 +237,23 @@ const minJaccard = 1e-9
 
 //go:generate go test -run TestBootstrapTable -update
 
-// paramCache memoizes optimalBootstrap at the signature widths
-// bootstrap128 does not cover: the numeric integration is ~10^4
-// S-curve evaluations, far too slow to repeat per query per partition.
-// Thresholds are quantized to 1e-3 for the cache key.
-var paramCache sync.Map // [2]int{numHashes, round(j*1000)} -> [2]int{b, r}
+// bootstrapBuckets is the number of 1e-3 threshold buckets, 0 to 1000,
+// that optimalBootstrap quantizes a Jaccard threshold into.
+const bootstrapBuckets = 1001
 
 // optimalBootstrap returns the (bands, rows) bootstrapParams picks for
-// the representative of j's 1e-3 bucket: key/1000, or minJaccard for
-// key 0. Every j of a bucket gets that one answer whichever j filled
-// the cache, so candidates never depend on the queries served before.
-// At 128 hashes, the served width, the answer is precomputed.
+// the representative of j's 1e-3 bucket q: q/1000, or minJaccard for
+// q = 0. Every j of a bucket gets that one answer, so candidates never
+// depend on the queries served before. At 128 hashes, the only width
+// the engines build, the answer is read from bootstrap128; any other
+// width integrates it afresh, ~10^4 S-curve evaluations.
 func optimalBootstrap(j float64, numHashes int) (bands, rows int) {
 	q := int(j*1000 + 0.5)
-	if numHashes == 128 && q >= 0 && q < len(bootstrap128) {
+	if numHashes == 128 && q >= 0 && q < bootstrapBuckets {
 		p := bootstrap128[q]
 		return int(p[0]), int(p[1])
 	}
-	key := [2]int{numHashes, q}
-	if v, ok := paramCache.Load(key); ok {
-		p := v.([2]int)
-		return p[0], p[1]
-	}
-	bands, rows = bootstrapParams(max(float64(q)/1000, minJaccard), numHashes)
-	paramCache.Store(key, [2]int{bands, rows})
-	return bands, rows
+	return bootstrapParams(max(float64(q)/1000, minJaccard), numHashes)
 }
 
 // bootstrapParams picks (bands, rows) among the bootstrap row choices

@@ -182,12 +182,11 @@ func TestQueryAllocations(t *testing.T) {
 	}
 }
 
-// TestBootstrapIsAPureFunctionOfTheKey fills every 1e-3 cache bucket
-// from its top end, then asks from its bottom end: both must get what
-// the bucket's representative threshold computes uncached, so the
-// (bands, rows) a query probes with cannot depend on which thresholds
-// earlier queries brought. The signature length is one no other test
-// uses, so this test warms those buckets itself.
+// TestBootstrapIsAPureFunctionOfTheKey asks for every 1e-3 bucket from
+// its top end, then from its bottom end, at a signature length with no
+// precomputed table: both must get what the bucket's representative
+// threshold computes, so the (bands, rows) a query probes with depends
+// on its bucket alone.
 func TestBootstrapIsAPureFunctionOfTheKey(t *testing.T) {
 	const nh = 32
 	for q := 0; q <= 1000; q++ {

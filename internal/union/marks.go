@@ -1,9 +1,12 @@
 package union
 
 import (
+	"context"
 	"math"
+	"sync/atomic"
 
 	"tablehound/internal/graph"
+	"tablehound/internal/parallel"
 )
 
 // The union scoring kernel. Scoring a candidate table needs, for every
@@ -152,6 +155,40 @@ func newScanScratch(nq int) *scanScratch {
 	sc.inter = resize(sc.inter, nq)
 	sc.words = resize(sc.words, nq)
 	return sc
+}
+
+// scoreAmong scores the tables named by ids and returns the top k with a
+// positive score, skipping skipID (the query's own table). Up to
+// parallelism workers take indexes from a shared counter, each with
+// its own scratch for nq query columns, so allocations do not grow
+// with len(ids). score must only read shared state.
+func scoreAmong(ctx context.Context, ids []string, skipID string, parallelism, nq, k int, score func(id string, sc *scanScratch) float64) ([]Result, error) {
+	scores := make([]float64, len(ids))
+	workers := min(parallel.Resolve(parallelism), len(ids))
+	var next atomic.Int64
+	err := parallel.ForEach(workers, workers, func(int) error {
+		sc := newScanScratch(nq)
+		defer freeScratch.put(sc)
+		for i := int(next.Add(1) - 1); i < len(ids); i = int(next.Add(1) - 1) {
+			if err := ctx.Err(); err != nil {
+				return err
+			}
+			if ids[i] != skipID {
+				scores[i] = score(ids[i], sc)
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	top := newTopK(k, len(ids))
+	for i, id := range ids {
+		if id != skipID && scores[i] > 0 {
+			top.offer(Result{TableID: id, Score: scores[i]})
+		}
+	}
+	return top.results(), nil
 }
 
 // matrix returns the weight matrix for nq query and nc candidate

@@ -6,11 +6,9 @@ import (
 	"fmt"
 	"slices"
 	"sort"
-	"sync/atomic"
 
 	"tablehound/internal/dict"
 	"tablehound/internal/kb"
-	"tablehound/internal/parallel"
 	"tablehound/internal/table"
 	"tablehound/internal/tokenize"
 )
@@ -322,32 +320,9 @@ func (s *Santos) ScoreAmong(ctx context.Context, pq *SantosQuery, ids []string, 
 			marks.add(i, rel.pairIDs, nil)
 		}
 	}
-	scores := make([]float64, len(ids))
-	workers := min(parallel.Resolve(s.QueryParallelism), len(ids))
-	var next atomic.Int64
-	err := parallel.ForEach(workers, workers, func(int) error {
-		sc := newScanScratch(len(q.rels))
-		defer freeScratch.put(sc)
-		for i := int(next.Add(1) - 1); i < len(ids); i = int(next.Add(1) - 1) {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			if ids[i] != pq.id {
-				scores[i] = tableScore(marks, q, s.tables[ids[i]], mode, sc)
-			}
-		}
-		return nil
+	return scoreAmong(ctx, ids, pq.id, s.QueryParallelism, len(q.rels), k, func(id string, sc *scanScratch) float64 {
+		return tableScore(marks, q, s.tables[id], mode, sc)
 	})
-	if err != nil {
-		return nil, err
-	}
-	top := newTopK(k, len(ids))
-	for i, id := range ids {
-		if id != pq.id && scores[i] > 0 {
-			top.offer(Result{TableID: id, Score: scores[i]})
-		}
-	}
-	return top.results(), nil
 }
 
 // candidates returns the sorted IDs of the tables sharing a value pair

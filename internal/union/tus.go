@@ -7,7 +7,6 @@ import (
 	"math"
 	"sort"
 	"sync"
-	"sync/atomic"
 
 	"tablehound/internal/dict"
 	"tablehound/internal/embedding"
@@ -496,32 +495,9 @@ func (t *TUS) ScoreAmong(ctx context.Context, pq *TUSQuery, ids []string, k int,
 			marks.add(i, qc.ids, nil)
 		}
 	}
-	scores := make([]float64, len(ids))
-	workers := min(parallel.Resolve(t.QueryParallelism), len(ids))
-	var next atomic.Int64
-	err := parallel.ForEach(workers, workers, func(int) error {
-		sc := newScanScratch(len(pq.qcols))
-		defer freeScratch.put(sc)
-		for i := int(next.Add(1) - 1); i < len(ids); i = int(next.Add(1) - 1) {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			if ids[i] != pq.id {
-				scores[i] = t.tableScore(marks, pq.qcols, t.tables[ids[i]].cols, m, sc)
-			}
-		}
-		return nil
+	return scoreAmong(ctx, ids, pq.id, t.QueryParallelism, len(pq.qcols), k, func(id string, sc *scanScratch) float64 {
+		return t.tableScore(marks, pq.qcols, t.tables[id].cols, m, sc)
 	})
-	if err != nil {
-		return nil, err
-	}
-	top := newTopK(k, len(ids))
-	for i, id := range ids {
-		if id != pq.id && scores[i] > 0 {
-			top.offer(Result{TableID: id, Score: scores[i]})
-		}
-	}
-	return top.results(), nil
 }
 
 // tableScore aligns query columns to candidate columns by maximum-
