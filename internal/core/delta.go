@@ -23,12 +23,19 @@
 // Loading a chain (LoadChain*) materializes the merge: Build's stage
 // table runs over the merged catalog, with base and delta parts folded
 // per search surface through each engine's FromParts constructor,
-// which replays the engine's own Build freeze, so the merged system
-// answers every surface bit-identically to a from-scratch build over
-// the merged catalog (with tables in sorted-ID order — the order
-// lake.LoadCSVDir produces). Compaction (CompactFiles) is just
+// which replays the engine's own Build freeze over the merged catalog
+// (with tables in sorted-ID order — the order lake.LoadCSVDir
+// produces). The two HNSW graphs (Starmie's columns, TUS's NL index)
+// are the exception: they grow from the base's by each delta's added
+// columns (see graphFold) instead of being rebuilt. So every section
+// but those two and the Starmie rows of the vector blob is the one a
+// from-scratch build writes, and those differ only when an add-only
+// chain's columns do not sort after the base's; the approximate
+// answers over the grown graphs are checked equal to a fresh build's
+// on the test and benchmark lakes. Compaction (CompactFiles) is just
 // LoadChain + Save: the fold becomes the next base and the chain
-// resets.
+// resets, and a chain, its compaction and any compacted prefix
+// followed by the rest of the chain write the same bytes.
 package core
 
 import (
@@ -43,6 +50,7 @@ import (
 	"time"
 
 	"tablehound/internal/dict"
+	"tablehound/internal/hnsw"
 	"tablehound/internal/join"
 	"tablehound/internal/lake"
 	"tablehound/internal/snap"
@@ -100,7 +108,8 @@ type DeltaInfo struct {
 // the hash of the catalog's sorted (table ID, content hash) pairs
 // (fresh in-memory builds). Two systems with the same generation hold
 // the same live tables with the same contents and — by the delta
-// parity invariant — answer every query bit-identically, which is what
+// parity invariant — answer every query alike (bit-identically when
+// one is the other's chain or compaction), which is what
 // lets the serving tier keep its query cache across swaps that do not
 // change the data while purging on any swap that does, including a
 // replace that leaves the ID set unchanged.
@@ -567,7 +576,8 @@ func applyMembership(d *Delta, path string, live map[string]uint64, gen uint64, 
 
 // LoadChainFiles loads a base snapshot plus an ordered delta chain and
 // materializes the merge: one System answering every search surface
-// bit-identically to a from-scratch build over the surviving tables.
+// as a from-scratch build over the surviving tables does (see the
+// package comment for where their bytes may differ).
 // With no deltas it is exactly LoadFile. A leading run of deltas that
 // are already folded into the base — left behind by a compaction
 // interrupted between installing the new base and retiring its
@@ -642,6 +652,10 @@ func ApplyDeltas(base *System, deltas []*Delta, infos []DeltaInfo) (*System, err
 	santos := foldParts(base.Santos.Parts(), func(p union.SantosTableParts) string { return p.ID })
 	d3l := foldParts(base.D3L.Parts(), func(p union.D3LTableParts) string { return p.ID })
 	star := foldParts(base.Starmie.Parts(), func(p starmie.TableParts) string { return p.ID })
+	// The two HNSW graphs fold too: from the base's, each delta inserts
+	// the columns of the tables it adds, and one that tombstones any
+	// table restarts them empty over the tables live after it.
+	graphs := graphFold{starmie: base.Starmie.Graph(), tus: base.TUS.NLGraph()}
 
 	for i, dd := range deltas {
 		path := fmt.Sprintf("delta[%d]", i)
@@ -669,6 +683,7 @@ func ApplyDeltas(base *System, deltas []*Delta, infos []DeltaInfo) (*System, err
 		santos.apply(dd.Tombstones, dd.Santos)
 		d3l.apply(dd.Tombstones, dd.D3L)
 		star.apply(dd.Tombstones, dd.Starmie)
+		graphs.apply(dd, live)
 		ext = dict.Extend(ext, dd.NewValues)
 		gen = dd.ResultGen
 	}
@@ -744,6 +759,7 @@ func ApplyDeltas(base *System, deltas []*Delta, infos []DeltaInfo) (*System, err
 		santos:        santos.inIDOrder(ids),
 		d3l:           d3l.inIDOrder(ids),
 		starmie:       star.inIDOrder(ids),
+		graphs:        graphs,
 	}
 	// Build's stage table over the merged catalog, with the base's
 	// build parameters: the engines reassemble from the folded parts,
@@ -772,6 +788,29 @@ type mergedParts struct {
 	santos        []union.SantosTableParts
 	d3l           []union.D3LTableParts
 	starmie       []starmie.TableParts
+	graphs        graphFold
+}
+
+// graphFold is the two HNSW graphs folded along a delta chain: the
+// graphs to start from (nil: empty ones) and the batches of table IDs
+// to grow them by, in chain order. Each step is a function of the
+// graphs so far and one delta, so a chain, its compaction and any
+// compacted prefix followed by the rest of the chain save the same
+// graphs. An add-only chain inserts only its own columns; a merge
+// rebuilds at most once, from its last delta that tombstones a table.
+type graphFold struct {
+	starmie, tus *hnsw.Graph
+	batches      [][]string
+}
+
+// apply folds one delta whose membership live already holds.
+func (f *graphFold) apply(d *Delta, live map[string]uint64) {
+	if len(d.Tombstones) > 0 {
+		f.starmie, f.tus = nil, nil
+		f.batches = [][]string{sortedKeys(live)}
+		return
+	}
+	f.batches = append(f.batches, d.AddedIDs())
 }
 
 // partsFold is per-table state — a table, or one engine's parts for

@@ -646,6 +646,12 @@ func TestCompactedSnapshotBytesEqualFreshBuild(t *testing.T) {
 // and returns its snapshot bytes.
 func freshSnapshot(t *testing.T, base *System, tables []*table.Table) []byte {
 	t.Helper()
+	return saved(t, freshSystem(t, base, tables))
+}
+
+// freshSystem is the system freshSnapshot saves.
+func freshSystem(t *testing.T, base *System, tables []*table.Table) *System {
+	t.Helper()
 	ordered := append([]*table.Table(nil), tables...)
 	sort.Slice(ordered, func(i, j int) bool { return ordered[i].ID < ordered[j].ID })
 	cat := lake.NewCatalog()
@@ -658,7 +664,7 @@ func freshSnapshot(t *testing.T, base *System, tables []*table.Table) []byte {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return saved(t, fresh)
+	return fresh
 }
 
 // saved returns a system's snapshot bytes.

@@ -211,7 +211,8 @@ func (p pipeline) tus() (int, error) {
 	var tus *union.TUS
 	var err error
 	if p.parts != nil {
-		tus, err = union.NewTUSFromParts(cfg, p.parts.tus, s.Catalog.Table)
+		g := p.parts.graphs
+		tus, err = union.NewTUSFromParts(cfg, p.parts.tus, g.tus, g.batches, s.Catalog.Table)
 		err = corruptParts(err)
 	} else if tus, err = union.NewTUS(cfg); err == nil {
 		tus.AddTables(s.Catalog.Tables(), p.opts.Parallelism)
@@ -282,7 +283,8 @@ func (p pipeline) starmie() (int, error) {
 	var ix *starmie.Index
 	var err error
 	if p.parts != nil {
-		ix, err = starmie.NewIndexFromParts(enc, p.parts.starmie, s.Catalog.Table)
+		g := p.parts.graphs
+		ix, err = starmie.NewIndexFromParts(enc, p.parts.starmie, g.starmie, g.batches, s.Catalog.Table)
 		err = corruptParts(err)
 	} else {
 		ix = starmie.NewIndex(enc)

@@ -490,3 +490,91 @@ func TestLoadedBuildReportNamesEveryStage(t *testing.T) {
 		})
 	}
 }
+
+// TestSnapshotRejectsSwappedStarmieNodes swaps the keys of two Starmie
+// graph nodes in a CRC-valid section. Row i of the vector segment backs
+// both colKeys[i] and node i, so the forged graph would score each of
+// the two nodes by the other's vector: a silently wrong ranking. The
+// load must fail as corrupt instead.
+func TestSnapshotRejectsSwappedStarmieNodes(t *testing.T) {
+	gen := datagen.Generate(datagen.Config{Seed: 5, NumTemplates: 2, TablesPerTemplate: 2})
+	cat := lake.NewCatalog()
+	if err := cat.AddBatch(gen.Tables); err != nil {
+		t.Fatal(err)
+	}
+	built, err := Build(cat, Options{Seed: 3, SkipFuzzy: true, SkipGraph: true, SkipOrganization: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	good := saved(t, built)
+	// nodeKeys walks a Starmie payload to its graph and returns the
+	// offset of each node key's bytes.
+	nodeKeys := func(p []byte) []int {
+		d := snap.NewDecoder(p)
+		d.F64()
+		d.Strs()
+		for n := d.U32(); n > 0; n-- {
+			d.Str()
+			d.Strs()
+		}
+		d.U32()
+		d.U32()
+		d.I64()
+		d.I64()
+		d.U32()
+		offs := make([]int, d.U32())
+		for i := range offs {
+			offs[i] = len(p) - d.Remaining() + 4
+			d.Str()
+			for l := d.U32(); l > 0; l-- {
+				d.I32s()
+			}
+		}
+		if d.Err() != nil {
+			t.Fatal(d.Err())
+		}
+		return offs
+	}
+	swap := func(p []byte) []byte {
+		offs := nodeKeys(p)
+		keyAt := func(off int) []byte { return p[off : off+int(binary.LittleEndian.Uint32(p[off-4:]))] }
+		for i := range offs {
+			for j := i + 1; j < len(offs); j++ {
+				a, b := keyAt(offs[i]), keyAt(offs[j])
+				if len(a) == len(b) {
+					tmp := append([]byte(nil), a...)
+					copy(a, b)
+					copy(b, tmp)
+					return p
+				}
+			}
+		}
+		t.Fatal("no two Starmie node keys of one length")
+		return nil
+	}
+	dir := t.TempDir()
+	for _, c := range []struct {
+		name string
+		edit func([]byte) []byte
+	}{
+		{"unchanged", func(p []byte) []byte { return p }},
+		{"two node keys swapped", swap},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			path := filepath.Join(dir, "forged.snap")
+			if err := os.WriteFile(path, withSection(t, good, secStarmie, c.edit), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			_, err := LoadFile(path, Options{})
+			if c.name == "unchanged" {
+				if err != nil {
+					t.Fatalf("re-framed snapshot does not load: %v", err)
+				}
+				return
+			}
+			if !errors.Is(err, ErrCorruptSnapshot) {
+				t.Fatalf("err = %v, want ErrCorruptSnapshot", err)
+			}
+		})
+	}
+}

@@ -407,6 +407,18 @@ func (g *Graph) Search(q embedding.Vector, k, efSearch int) []Result {
 	return out
 }
 
+// Keys returns the node keys in insertion order: node i is the i-th
+// key added (or decoded).
+func (g *Graph) Keys() []string {
+	g.mu.RLock()
+	defer g.mu.RUnlock()
+	out := make([]string, len(g.nodes))
+	for i := range g.nodes {
+		out[i] = g.nodes[i].key
+	}
+	return out
+}
+
 // Vector returns the stored vector for key, if present.
 func (g *Graph) Vector(key string) (embedding.Vector, bool) {
 	g.mu.RLock()

@@ -62,7 +62,7 @@ func (g *Graph) AppendSnapshotShared(e *snap.Encoder) {
 // DecodeSnapshotShared rebuilds a graph written by
 // AppendSnapshotShared: at(i) supplies node i's vector (typically a
 // vector-store row, possibly mmap-backed) and must be valid for n
-// nodes.
+// nodes. The level RNG continues as DecodeSnapshot's does.
 func DecodeSnapshotShared(d *snap.Decoder, at func(int) []float32, n int) (*Graph, error) {
 	return decodeSnapshot(d, at, n)
 }
@@ -82,9 +82,12 @@ func (g *Graph) RebindVecs(at func(int) []float32, n int) error {
 	return nil
 }
 
-// DecodeSnapshot rebuilds a graph written by AppendSnapshot. The RNG
-// is re-seeded from the stored config; it only matters if the caller
-// keeps inserting after load.
+// DecodeSnapshot rebuilds a graph written by AppendSnapshot. The
+// level RNG is re-seeded from the stored config and advanced past one
+// draw per node, where the saved graph's stream stood: a caller that
+// keeps inserting after load draws the levels the saved graph would
+// have drawn, so saving, loading and inserting the rest builds the
+// graph inserting every key into one graph builds.
 func DecodeSnapshot(d *snap.Decoder) (*Graph, error) {
 	return decodeSnapshot(d, nil, 0)
 }
@@ -159,6 +162,21 @@ func decodeSnapshot(d *snap.Decoder, at func(int) []float32, n int) (*Graph, err
 		}
 		g.nodes[i] = node{key: key, vec: vec, neighbors: neighbors}
 		g.byKey[key] = int32(i)
+	}
+	// Add links a new node to the nodes a search reaches on each level
+	// and links them back on that level, so a node linked on level l
+	// must have a level l of its own.
+	for i := range g.nodes {
+		for l, nbs := range g.nodes[i].neighbors {
+			for _, nb := range nbs {
+				if len(g.nodes[nb].neighbors) <= l {
+					return nil, fmt.Errorf("%w: hnsw node %d links node %d on level %d, above its top", snap.ErrCorrupt, i, nb, l)
+				}
+			}
+		}
+	}
+	for range numNodes { // one level draw per Add
+		g.rng.Float64()
 	}
 	if numNodes == 0 {
 		if entry != -1 {

@@ -21,9 +21,8 @@ import (
 
 // KB is an ontology plus entity and relation assertions. Not safe for
 // concurrent mutation; safe for concurrent reads after loading (the
-// internal depth and similarity memos are mutex-guarded, so read paths
-// that populate them lazily — TypeSimilarity, DominantType — may run
-// concurrently).
+// internal depth memo is mutex-guarded, so read paths that populate it
+// lazily — TypeSimilarity, DominantType — may run concurrently).
 type KB struct {
 	parents  map[string][]string // type -> direct parents
 	children map[string][]string
@@ -32,9 +31,6 @@ type KB struct {
 	relNames map[string]int           // predicate -> fact count
 	depthMu  sync.Mutex
 	depth    map[string]int // type -> depth from a root (memo)
-	// sims memoizes TypeSimilarity of two distinct types, keyed by the
-	// pair in ascending order (the similarity is symmetric).
-	sims map[[2]string]float64
 }
 
 type pair struct{ s, o string }
@@ -60,8 +56,7 @@ func (k *KB) AddType(child, parent string) {
 	}
 	k.parents[child] = append(k.parents[child], parent)
 	k.children[parent] = append(k.children[parent], child)
-	k.depth = make(map[string]int) // invalidate the memos
-	k.sims = nil
+	k.depth = make(map[string]int) // invalidate memo
 }
 
 // AddEntity asserts that a value has the given direct types. The value
@@ -208,74 +203,61 @@ func (k *KB) typeDepthLocked(t string) int {
 	return best
 }
 
-// ancestorsOf returns the ancestor closure of a type including itself.
-func (k *KB) ancestorsOf(t string) map[string]bool {
-	out := make(map[string]bool)
-	var walk func(x string)
-	walk = func(x string) {
-		if out[x] {
-			return
-		}
-		out[x] = true
-		for _, p := range k.parents[x] {
-			walk(p)
-		}
-	}
-	walk(t)
-	return out
-}
-
-// LCA returns the deepest common ancestor of two types, if any.
+// LCA returns the deepest common ancestor of two types, if any. Ties
+// in depth go to the smaller name, so the answer does not depend on
+// the argument order. It walks the hierarchy without allocating; only
+// the depth memo persists across calls.
 func (k *KB) LCA(a, b string) (string, bool) {
-	k.depthMu.Lock()
-	defer k.depthMu.Unlock()
-	return k.lcaLocked(a, b)
+	lca, d := k.deepestCommon(a, b)
+	return lca, d >= 0
 }
 
-// lcaLocked is LCA with depthMu held. Ties in depth go to the smaller
-// name, so the answer does not depend on the argument order.
-func (k *KB) lcaLocked(a, b string) (string, bool) {
-	aa := k.ancestorsOf(a)
-	var best string
-	bestDepth := -1
-	for c := range k.ancestorsOf(b) {
-		if aa[c] {
-			if d := k.typeDepthLocked(c); d > bestDepth || (d == bestDepth && c < best) {
-				best, bestDepth = c, d
-			}
+// deepestCommon walks up from c and returns the deepest type on the
+// way that is a or an ancestor of a, with its depth (-1 when there is
+// none). The walk stops at the first such type on each path: the types
+// above it are common ancestors too, but shallower.
+func (k *KB) deepestCommon(a, c string) (string, int) {
+	if k.isAncestor(c, a) {
+		return c, k.typeDepth(c)
+	}
+	best, bestDepth := "", -1
+	for _, p := range k.parents[c] {
+		if q, d := k.deepestCommon(a, p); d > bestDepth || (d == bestDepth && q < best) {
+			best, bestDepth = q, d
 		}
 	}
-	return best, bestDepth >= 0
+	return best, bestDepth
+}
+
+// isAncestor reports whether x is t or one of t's ancestors.
+func (k *KB) isAncestor(x, t string) bool {
+	if x == t {
+		return true
+	}
+	for _, p := range k.parents[t] {
+		if k.isAncestor(x, p) {
+			return true
+		}
+	}
+	return false
 }
 
 // TypeSimilarity is Wu-Palmer similarity over the hierarchy:
 // 2*depth(lca) / (depth(a) + depth(b)), in [0, 1]. Identical types
-// score 1; types with no common ancestor score 0. Each pair of types
-// is computed once and memoized, so a repeated call does not allocate.
+// score 1; types with no common ancestor score 0.
 func (k *KB) TypeSimilarity(a, b string) float64 {
 	if a == b {
 		return 1
 	}
-	if b < a {
-		a, b = b, a
+	lca, ok := k.LCA(a, b)
+	if !ok {
+		return 0
 	}
-	key := [2]string{a, b}
-	k.depthMu.Lock()
-	defer k.depthMu.Unlock()
-	if s, ok := k.sims[key]; ok {
-		return s
+	da, db := k.typeDepth(a), k.typeDepth(b)
+	if da+db == 0 {
+		return 0
 	}
-	var s float64
-	if lca, ok := k.lcaLocked(a, b); ok {
-		if da, db := k.typeDepthLocked(a), k.typeDepthLocked(b); da+db != 0 {
-			s = 2 * float64(k.typeDepthLocked(lca)) / float64(da+db)
-		}
-	}
-	if k.sims == nil {
-		k.sims = make(map[[2]string]float64)
-	}
-	k.sims[key] = s
-	return s
+	return 2 * float64(k.typeDepth(lca)) / float64(da+db)
 }
 
 // ValueSimilarity is the best Wu-Palmer similarity over the two

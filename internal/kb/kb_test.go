@@ -1,6 +1,8 @@
 package kb
 
 import (
+	"fmt"
+	"math/rand"
 	"reflect"
 	"testing"
 )
@@ -177,9 +179,9 @@ func TestDiamondHierarchy(t *testing.T) {
 	}
 }
 
-// TestTypeSimilarityMemo: the memoized similarity is symmetric, costs
-// no allocation once computed, and follows a hierarchy that grows
-// after it was first asked for.
+// TestTypeSimilarityMemo: the similarity is symmetric, costs no
+// allocation once the depth memo holds its types, and follows a
+// hierarchy that grows after it was first asked for.
 func TestTypeSimilarityMemo(t *testing.T) {
 	k := New()
 	k.AddType("city", "place")
@@ -196,5 +198,51 @@ func TestTypeSimilarityMemo(t *testing.T) {
 	}
 	if a := testing.AllocsPerRun(10, func() { k.TypeSimilarity("country", "city") }); a != 0 {
 		t.Errorf("a memoized TypeSimilarity allocates %v times", a)
+	}
+}
+
+// TestLCAMatchesClosure holds LCA to its definition on random
+// hierarchies with shared ancestors: the deepest type in both
+// ancestor closures, ties to the smaller name.
+func TestLCAMatchesClosure(t *testing.T) {
+	closure := func(k *KB, t string) map[string]bool {
+		out := map[string]bool{}
+		var walk func(string)
+		walk = func(x string) {
+			if !out[x] {
+				out[x] = true
+				for _, p := range k.parents[x] {
+					walk(p)
+				}
+			}
+		}
+		walk(t)
+		return out
+	}
+	for seed := int64(0); seed < 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		k := New()
+		types := make([]string, 24)
+		for i := range types {
+			types[i] = fmt.Sprintf("t%02d", rng.Intn(100)*100+i)
+			for j := 0; j < i && j < 3; j++ { // up to three parents among earlier types
+				if p := rng.Intn(i); rng.Intn(2) == 0 {
+					k.AddType(types[i], types[p])
+				}
+			}
+		}
+		for _, a := range types {
+			for _, b := range types {
+				ca, want, wantDepth := closure(k, a), "", -1
+				for c := range closure(k, b) {
+					if d := k.typeDepth(c); ca[c] && (d > wantDepth || (d == wantDepth && c < want)) {
+						want, wantDepth = c, d
+					}
+				}
+				if got, ok := k.LCA(a, b); got != want || ok != (wantDepth >= 0) {
+					t.Fatalf("seed %d: LCA(%s, %s) = %q, %v; want %q, %v", seed, a, b, got, ok, want, wantDepth >= 0)
+				}
+			}
+		}
 	}
 }

@@ -1,11 +1,13 @@
 // Per-table parts for incremental (delta) index maintenance: an index
 // decomposes into per-table column vectors, written and read by one
 // codec (a delta's Starmie section), and reassembles from parts
-// gathered across a base snapshot and a delta chain. Column
-// vectors are pure functions of the frozen embedding model and the
-// table's own content, so reassembly plus Build — which sorts the
-// global key list before constructing the HNSW graph — is
-// bit-identical to a from-scratch build over the merged catalog.
+// gathered across a base snapshot and a delta chain. Column vectors
+// are pure functions of the frozen embedding model and the table's own
+// content, so the reassembled index holds the vectors a from-scratch
+// build over the merged catalog holds. Its graph is the one the merge
+// hands it, grown by batches of tables in the order a Build inserts
+// in: the loaded base's graph grown by each delta's additions, or an
+// empty one grown over every table, which is a from-scratch build.
 package starmie
 
 import (
@@ -14,6 +16,7 @@ import (
 	"sort"
 
 	"tablehound/internal/embedding"
+	"tablehound/internal/hnsw"
 	"tablehound/internal/snap"
 	"tablehound/internal/table"
 )
@@ -81,13 +84,17 @@ func DecodeParts(d *snap.Decoder) ([]TableParts, error) {
 
 // NewIndexFromParts assembles a built index from parts: every table's
 // keys register in their original column order (preserving byTable
-// iteration order for candidate scoring), then Build sorts the global
-// key list and constructs the graph exactly as a fresh build would.
-// lookup resolves table IDs against the merged catalog, binding each
-// part to the table a table_id query will present (see PrepareTable).
-// The caller re-binds the index onto a vector store afterwards (see
-// core's buildVecStore).
-func NewIndexFromParts(enc *Encoder, parts []TableParts, lookup func(id string) *table.Table) (*Index, error) {
+// iteration order for candidate scoring). The graph starts from g —
+// a fresh one when nil — and grows by each batch of table IDs in turn,
+// inserting the columns of the batch's tables it lacks in sorted key
+// order, as Build does. The graph must end up holding exactly the
+// parts' columns. An index over a graph grown from a loaded one keeps
+// that graph's node order: its rows follow, not the sorted order. g is
+// grown in place. lookup resolves table IDs against the merged
+// catalog, binding each part to the table a table_id query will
+// present (see PrepareTable). The caller re-binds the index onto a
+// vector store afterwards (see core's buildVecStore).
+func NewIndexFromParts(enc *Encoder, parts []TableParts, g *hnsw.Graph, batches [][]string, lookup func(id string) *table.Table) (*Index, error) {
 	ix := NewIndex(enc)
 	for _, p := range parts {
 		if _, dup := ix.byTable[p.ID]; dup {
@@ -105,16 +112,36 @@ func NewIndexFromParts(enc *Encoder, parts []TableParts, lookup func(id string) 
 				return nil, fmt.Errorf("starmie: duplicate column key %q", k)
 			}
 			ix.vecs[k] = p.Vecs[i]
-			ix.colKeys = append(ix.colKeys, k)
 		}
 		ix.byTable[p.ID] = p.Keys
 		ix.staged[p.ID] = tbl
 	}
-	if len(ix.colKeys) == 0 {
+	if len(ix.vecs) == 0 {
 		return nil, errors.New("starmie: no columns in parts")
 	}
-	if err := ix.Build(); err != nil {
-		return nil, err
+	if g == nil {
+		g = hnsw.New(graphConfig)
 	}
+	ix.graph, ix.colKeys = g, g.Keys()
+	for _, ids := range batches {
+		var keys []string
+		for _, id := range ids {
+			keys = append(keys, ix.byTable[id]...)
+		}
+		if err := ix.insert(keys); err != nil {
+			return nil, err
+		}
+	}
+	// Every part's column is a node: with as many nodes as columns, no
+	// node is a column the parts do not hold.
+	for k := range ix.vecs {
+		if _, ok := g.Vector(k); !ok {
+			return nil, fmt.Errorf("starmie: column %q missing from the graph", k)
+		}
+	}
+	if len(ix.colKeys) != len(ix.vecs) {
+		return nil, fmt.Errorf("starmie: graph has %d nodes for %d columns", len(ix.colKeys), len(ix.vecs))
+	}
+	ix.built = true
 	return ix, nil
 }

@@ -11,19 +11,18 @@ import (
 	"tablehound/internal/vecstore"
 )
 
-// AppendSnapshot encodes a built index: the column keys in their
-// sorted (post-Build) order, the per-table key grouping in
+// AppendSnapshot encodes a built index: the column keys in the
+// graph's node order (see ColumnKeys), the per-table key grouping in
 // registration order, and the HNSW graph topology (its structure
 // depends on insertion order and the construction RNG, so it cannot
 // be re-derived from the vectors). Column vectors are not stored
 // here — row i of the snapshot's "starmie" vector-store segment is
-// colKeys[i]'s vector, shared by the map, the graph, and any
-// centroid table.
+// colKeys[i]'s vector, shared by the map and graph node i.
 func (ix *Index) AppendSnapshot(e *snap.Encoder) {
 	e.F64(ix.enc.contextWeight)
 	e.Strs(ix.colKeys)
 	// byTable key lists keep each table's original column order (the
-	// order bipartite matching iterates), which sorted colKeys cannot
+	// order bipartite matching iterates), which colKeys cannot
 	// reproduce — store them verbatim, tables in sorted ID order.
 	ids := make([]string, 0, len(ix.byTable))
 	for id := range ix.byTable {
@@ -40,10 +39,11 @@ func (ix *Index) AppendSnapshot(e *snap.Encoder) {
 
 // DecodeSnapshot rebuilds an index written by AppendSnapshot over the
 // loaded embedding model and the snapshot's "starmie" vector segment,
-// whose row i backs colKeys[i]. The loaded index comes back bound
-// (norm-precomputed scoring). lookup resolves table IDs against
-// the loaded catalog, binding each indexed table to the table a
-// table_id query will present (see PrepareTable).
+// whose row i backs colKeys[i] and graph node i (a snapshot whose node
+// keys are not colKeys, in order, is corrupt). The loaded index comes
+// back bound (norm-precomputed scoring). lookup resolves table IDs
+// against the loaded catalog, binding each indexed table to the table
+// a table_id query will present (see PrepareTable).
 func DecodeSnapshot(d *snap.Decoder, model *embedding.Model, view vecstore.View, lookup func(id string) *table.Table) (*Index, error) {
 	contextWeight := d.F64()
 	colKeys := d.Strs()
@@ -91,6 +91,14 @@ func DecodeSnapshot(d *snap.Decoder, model *embedding.Model, view vecstore.View,
 	var err error
 	if ix.graph, err = hnsw.DecodeSnapshotShared(d, view.Vec, view.Len()); err != nil {
 		return nil, err
+	}
+	// Row i backs both colKeys[i] and graph node i, and nothing else
+	// ties the two: a swapped pair would score each node by another
+	// column's vector.
+	for i, k := range ix.graph.Keys() {
+		if k != colKeys[i] {
+			return nil, fmt.Errorf("%w: starmie graph node %d is %q, row %d is %q", snap.ErrCorrupt, i, k, i, colKeys[i])
+		}
 	}
 	ix.view, ix.hasView = view, true
 	ix.built = true

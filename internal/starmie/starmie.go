@@ -186,17 +186,19 @@ func (ix *Index) AddVector(key string, v embedding.Vector) {
 	ix.built = false
 }
 
-// Build constructs the HNSW graph.
+// graphConfig shapes the column graph.
+var graphConfig = hnsw.Config{M: 12, EfConstruction: 100, Seed: 23}
+
+// Build constructs the HNSW graph over every staged column, in sorted
+// key order.
 func (ix *Index) Build() error {
 	if len(ix.colKeys) == 0 {
 		return errors.New("starmie: no tables added")
 	}
-	sort.Strings(ix.colKeys)
-	ix.graph = hnsw.New(hnsw.Config{M: 12, EfConstruction: 100, Seed: 23})
-	for _, k := range ix.colKeys {
-		if err := ix.graph.Add(k, ix.vecs[k]); err != nil {
-			return err
-		}
+	keys := ix.colKeys
+	ix.graph, ix.colKeys = hnsw.New(graphConfig), make([]string, 0, len(keys))
+	if err := ix.insert(keys); err != nil {
+		return err
 	}
 	ix.built = true
 	ix.hasView = false // stale after any re-Build; caller re-Binds
@@ -204,13 +206,38 @@ func (ix *Index) Build() error {
 	return nil
 }
 
+// insert adds to the graph, in sorted order, each of keys the graph
+// lacks, and appends it to colKeys, which so stays the graph's node
+// order. It is the one insertion loop of Build and of a merge (see
+// NewIndexFromParts); keys is sorted in place.
+func (ix *Index) insert(keys []string) error {
+	sort.Strings(keys)
+	for _, k := range keys {
+		if _, ok := ix.graph.Vector(k); ok {
+			continue
+		}
+		if err := ix.graph.Add(k, ix.vecs[k]); err != nil {
+			return err
+		}
+		ix.colKeys = append(ix.colKeys, k)
+	}
+	return nil
+}
+
 // NumColumns returns the number of indexed column vectors.
 func (ix *Index) NumColumns() int { return len(ix.colKeys) }
 
-// ColumnKeys returns the indexed column keys in their sorted
-// (post-Build) order — the row order of the index's vector-store
-// segment. The slice is the index's own; callers must not mutate it.
+// ColumnKeys returns the indexed column keys in the graph's node order
+// — the row order of the index's vector-store segment. A Build inserts
+// in sorted order; a merge that grew a loaded graph appends each
+// delta's keys after the ones it loaded. The slice is the index's own;
+// callers must not mutate it.
 func (ix *Index) ColumnKeys() []string { return ix.colKeys }
+
+// Graph returns the column graph (nil before Build). A merge grows it
+// in place (see NewIndexFromParts), so the index it came from must not
+// serve afterwards.
+func (ix *Index) Graph() *hnsw.Graph { return ix.graph }
 
 // VectorOf returns the indexed vector for a column key, or nil.
 func (ix *Index) VectorOf(key string) embedding.Vector { return ix.vecs[key] }

@@ -15,6 +15,7 @@ import (
 
 	"tablehound/internal/dict"
 	"tablehound/internal/embedding"
+	"tablehound/internal/hnsw"
 	"tablehound/internal/kb"
 	"tablehound/internal/minhash"
 	"tablehound/internal/snap"
@@ -140,11 +141,13 @@ func (t *TUS) adopt(parts []TUSTableParts, lookup func(id string) *table.Table) 
 
 // NewTUSFromParts assembles a built TUS engine from parts whose column
 // sets are all encoded in cfg.Dict (required). The value universe is
-// recovered by decoding every column set, then Build freezes the
-// candidate indexes exactly as a from-scratch build would (sorted
-// table-ID insertion order, same LSH/HNSW parameters). lookup resolves
-// table IDs against the merged catalog.
-func NewTUSFromParts(cfg TUSConfig, parts []TUSTableParts, lookup func(id string) *table.Table) (*TUS, error) {
+// recovered by decoding every column set, and the set-LSH freezes
+// exactly as a from-scratch build's does (sorted table-ID order, same
+// parameters). The NL graph starts from g — a fresh one when nil — and
+// grows by each batch of table IDs in turn, in the order Build inserts
+// in; g is grown in place. lookup resolves table IDs against the
+// merged catalog.
+func NewTUSFromParts(cfg TUSConfig, parts []TUSTableParts, g *hnsw.Graph, batches [][]string, lookup func(id string) *table.Table) (*TUS, error) {
 	if cfg.Dict == nil {
 		return nil, errors.New("union: TUS parts require the dictionary they are encoded in")
 	}
@@ -166,9 +169,9 @@ func NewTUSFromParts(cfg TUSConfig, parts []TUSTableParts, lookup func(id string
 			}
 		}
 	}
-	// Build sorts the IDs and freezes setLSH/nlIndex/lfact; the columns
-	// are already encoded in t.dict, so encodeColumns keeps them as-is.
-	if err := t.Build(); err != nil {
+	// The columns are already encoded in t.dict, so build's
+	// encodeColumns keeps them as they are.
+	if err := t.build(g, batches); err != nil {
 		return nil, err
 	}
 	return t, nil

@@ -90,19 +90,8 @@ func DecodeTUSSnapshot(d *snap.Decoder, cfg TUSConfig, lookup func(id string) *t
 	if t.nlIndex, err = hnsw.DecodeSnapshot(d); err != nil {
 		return nil, err
 	}
-	// A search resolves each node key to its table, so the NL index
-	// must hold exactly the adopted columns, as Build makes it.
-	cols := 0
-	for _, id := range t.ids {
-		for _, c := range t.tables[id].cols {
-			if _, ok := t.nlIndex.Vector(table.ColumnKey(id, c.name)); !ok {
-				return nil, fmt.Errorf("%w: TUS column %s.%s missing from the NL index", snap.ErrCorrupt, id, c.name)
-			}
-			cols++
-		}
-	}
-	if t.nlIndex.Len() != cols {
-		return nil, fmt.Errorf("%w: TUS NL index has %d nodes for %d columns", snap.ErrCorrupt, t.nlIndex.Len(), cols)
+	if err := t.checkNL(); err != nil {
+		return nil, fmt.Errorf("%w: %v", snap.ErrCorrupt, err)
 	}
 	// Rebuild the candidate-generation LSH exactly as Build does: same
 	// banding parameters, same insertion order.

@@ -183,8 +183,18 @@ func (t *TUS) queryColumn(c *table.Column, enc *dict.Encoder) *tusColumn {
 	return tc
 }
 
+// nlGraphConfig shapes the natural-language column graph.
+var nlGraphConfig = hnsw.Config{M: 12, EfConstruction: 80, Seed: 11}
+
 // Build freezes the candidate-generation indexes.
-func (t *TUS) Build() error {
+func (t *TUS) Build() error { return t.build(nil, nil) }
+
+// build freezes the candidate-generation indexes. The NL graph starts
+// from g — a fresh one when nil — and grows by each batch of table IDs
+// in turn (see insertNL); nil batches are every table, which with a
+// fresh graph is Build. The graph must end up holding exactly the
+// engine's columns.
+func (t *TUS) build(g *hnsw.Graph, batches [][]string) error {
 	if len(t.tables) == 0 {
 		return errors.New("union: no tables added")
 	}
@@ -192,19 +202,70 @@ func (t *TUS) Build() error {
 	if err := t.buildSetLSH(); err != nil {
 		return err
 	}
-	t.nlIndex = hnsw.New(hnsw.Config{M: 12, EfConstruction: 80, Seed: 11})
-	for _, id := range t.ids {
-		for _, c := range t.tables[id].cols {
-			if err := t.nlIndex.Add(table.ColumnKey(id, c.name), c.vec); err != nil {
-				return err
-			}
+	if g == nil {
+		g = hnsw.New(nlGraphConfig)
+	}
+	if batches == nil {
+		batches = [][]string{t.ids}
+	}
+	t.nlIndex = g
+	for _, ids := range batches {
+		if err := t.insertNL(ids); err != nil {
+			return err
 		}
+	}
+	if err := t.checkNL(); err != nil {
+		return err
 	}
 	// Freeze the ln n! cache for the hypergeometric CDF: every
 	// logChoose argument is at most d+1 where d = len(t.univ) (query
 	// columns larger than the universe fall back to math.Lgamma).
 	t.lfact = newLogFactTable(len(t.univ) + 1)
 	t.built = true
+	return nil
+}
+
+// insertNL adds to the NL graph each column of the tables ids names
+// that the graph lacks, tables in sorted ID order and each table's
+// columns in order: the order a Build inserts in, and the one
+// insertion loop of Build and of a merge (see NewTUSFromParts). IDs
+// of tables the engine does not hold (no string column) are skipped.
+func (t *TUS) insertNL(ids []string) error {
+	ids = append([]string(nil), ids...)
+	sort.Strings(ids)
+	for _, id := range ids {
+		entry := t.tables[id]
+		if entry == nil {
+			continue
+		}
+		for _, c := range entry.cols {
+			key := table.ColumnKey(id, c.name)
+			if _, ok := t.nlIndex.Vector(key); ok {
+				continue
+			}
+			if err := t.nlIndex.Add(key, c.vec); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
+// checkNL holds the NL graph to exactly the engine's columns: a search
+// resolves each node key to its table.
+func (t *TUS) checkNL() error {
+	cols := 0
+	for _, id := range t.ids {
+		for _, c := range t.tables[id].cols {
+			if _, ok := t.nlIndex.Vector(table.ColumnKey(id, c.name)); !ok {
+				return fmt.Errorf("union: TUS column %s.%s missing from the NL index", id, c.name)
+			}
+			cols++
+		}
+	}
+	if n := t.nlIndex.Len(); n != cols {
+		return fmt.Errorf("union: TUS NL index has %d nodes for %d columns", n, cols)
+	}
 	return nil
 }
 
@@ -557,6 +618,11 @@ func (t *TUS) candidateTables(qcols []*tusColumn) []string {
 	sort.Strings(out)
 	return out
 }
+
+// NLGraph returns the natural-language column graph (nil before
+// Build). A merge grows it in place (see NewTUSFromParts), so the
+// engine it came from must not serve afterwards.
+func (t *TUS) NLGraph() *hnsw.Graph { return t.nlIndex }
 
 // LSHFootprint reports the resident cost of the set-LSH band tables
 // next to an estimate of the map-per-band form they replaced.
