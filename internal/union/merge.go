@@ -144,9 +144,9 @@ func (t *TUS) adopt(parts []TUSTableParts, lookup func(id string) *table.Table) 
 // recovered by decoding every column set, and the set-LSH freezes
 // exactly as a from-scratch build's does (sorted table-ID order, same
 // parameters). The NL graph starts from g — a fresh one when nil — and
-// grows by each batch of table IDs in turn, in the order Build inserts
-// in; g is grown in place. lookup resolves table IDs against the
-// merged catalog.
+// grows by each batch of sorted table IDs in turn, in the order Build
+// inserts in; g is grown in place. lookup resolves table IDs against
+// the merged catalog.
 func NewTUSFromParts(cfg TUSConfig, parts []TUSTableParts, g *hnsw.Graph, batches [][]string, lookup func(id string) *table.Table) (*TUS, error) {
 	if cfg.Dict == nil {
 		return nil, errors.New("union: TUS parts require the dictionary they are encoded in")

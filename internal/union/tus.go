@@ -226,13 +226,12 @@ func (t *TUS) build(g *hnsw.Graph, batches [][]string) error {
 }
 
 // insertNL adds to the NL graph each column of the tables ids names
-// that the graph lacks, tables in sorted ID order and each table's
-// columns in order: the order a Build inserts in, and the one
-// insertion loop of Build and of a merge (see NewTUSFromParts). IDs
-// of tables the engine does not hold (no string column) are skipped.
+// that the graph lacks, tables in ids order (sorted, as every caller
+// passes them) and each table's columns in order: the order a Build
+// inserts in, and the one insertion loop of Build and of a merge (see
+// NewTUSFromParts). IDs of tables the engine does not hold (no string
+// column) are skipped.
 func (t *TUS) insertNL(ids []string) error {
-	ids = append([]string(nil), ids...)
-	sort.Strings(ids)
 	for _, id := range ids {
 		entry := t.tables[id]
 		if entry == nil {
