@@ -1,7 +1,8 @@
 # Developer entry points. `make check` is the tier-1 verify gate;
 # `make race` exercises the concurrent build pipeline and the
 # concurrent query paths under the race detector (slower, so it
-# targets the packages that share state).
+# targets the packages that share state), then fuzzes the snapshot and
+# delta loaders for 15 s each (see `make fuzz`).
 
 GO ?= go
 COUNT ?= 1
@@ -42,6 +43,8 @@ race:
 		./internal/obs/... ./internal/snap/... ./internal/invindex/... \
 		./internal/lshensemble/... ./internal/router/... ./internal/vecstore/... \
 		./internal/discover/... ./internal/josie/... ./internal/lsh/...
+	$(GO) test -run XXX -fuzz 'FuzzLoadSection$$' -fuzztime 15s -fuzzminimizetime 3s ./internal/core
+	$(GO) test -run XXX -fuzz 'FuzzLoadDeltaSection$$' -fuzztime 15s -fuzzminimizetime 3s ./internal/core
 
 # Native fuzzing of the snapshot and delta loaders: FuzzLoadSection
 # forges one section of a small valid snapshot per input, and
@@ -98,10 +101,13 @@ bench-snapshot:
 # Incremental-vs-full cost of adding 10 tables to the 500-table lake:
 # BenchmarkDeltaAdd10 (lakectl add) against BenchmarkDeltaFullRebuild
 # (the from-scratch build it replaces), plus the merge-on-load cost a
-# compaction reclaims — over that lake without the graph, and
-# (BenchmarkDeltaChainLoadFullPipeline) over the end-to-end benchmark's
-# 100-table `lifecycle` lake shape with every rebuilt stage on. Results
-# recorded in EXPERIMENTS.md.
+# compaction reclaims — over that lake without the graph, over the
+# end-to-end benchmark's 100-table `lifecycle` lake shape with every
+# rebuilt stage on (BenchmarkDeltaChainLoadFullPipeline), and over its
+# 300-table `serve_cold` shape with the serving options
+# (BenchmarkDeltaChainLoadServing, which also reports the merge's
+# dict, keyword, join and vecs stage walls). Results recorded in
+# EXPERIMENTS.md.
 bench-delta:
 	$(GO) test -run xxx -bench 'BenchmarkDelta' -benchtime 2x -timeout 1200s .
 

@@ -13,6 +13,7 @@ import (
 	"sort"
 	"sync"
 	"testing"
+	"time"
 
 	"tablehound/internal/core"
 	"tablehound/internal/datagen"
@@ -38,8 +39,10 @@ type deltaFixture struct {
 // stage but the quadratic graph; deltaBenchFull is the end-to-end
 // benchmark's `lifecycle` lake shape (100 tables, 90-table base) with
 // the program's default options, so every stage a chain load derives —
-// fuzzy, organization, graph — is on.
-var deltaBench, deltaBenchFull deltaFixture
+// fuzzy, organization, graph — is on; deltaBenchServing is its
+// `serve_cold` shape (300 tables, 290-table base) with the serving
+// options, which skip fuzzy, organization and graph.
+var deltaBench, deltaBenchFull, deltaBenchServing deltaFixture
 
 func deltaBenchSetup(b *testing.B) {
 	deltaBench.setup(b, 50, func(gen *datagen.Lake) core.Options {
@@ -146,7 +149,21 @@ func BenchmarkDeltaChainLoadFullPipeline(b *testing.B) {
 	deltaBenchFull.chainLoad(b)
 }
 
-func (f *deltaFixture) chainLoad(b *testing.B) {
+// BenchmarkDeltaChainLoadServing is the merge-on-load behind the
+// end-to-end benchmark's `serve_cold` delta_visible_s, over that lake
+// shape. Besides the load it reports, in ms per load, the merge's own
+// walls for the stages that fold the base's state instead of deriving
+// it again — dict, keyword, join — and for the vector store.
+func BenchmarkDeltaChainLoadServing(b *testing.B) {
+	deltaBenchServing.setup(b, 30, func(*datagen.Lake) core.Options {
+		return core.Options{SkipFuzzy: true, SkipGraph: true, SkipOrganization: true}
+	})
+	deltaBenchServing.chainLoad(b, "dict", "keyword", "join", "vecs")
+}
+
+// chainLoad times loading the base plus a delta of the held-out tables,
+// and reports the mean wall of each named merge stage.
+func (f *deltaFixture) chainLoad(b *testing.B, stages ...string) {
 	deltaPath := filepath.Join(f.dir, "chainload.thdb")
 	d, err := core.BuildDelta(f.basePath, nil, f.add, nil, core.Options{})
 	if err != nil {
@@ -155,12 +172,21 @@ func (f *deltaFixture) chainLoad(b *testing.B) {
 	if err := d.SaveFile(deltaPath); err != nil {
 		b.Fatal(err)
 	}
+	walls := make([]time.Duration, len(stages))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := core.LoadChainFiles(f.basePath, []string{deltaPath}, core.Options{}); err != nil {
+		sys, err := core.LoadChainFiles(f.basePath, []string{deltaPath}, core.Options{})
+		if err != nil {
 			b.Fatal(err)
+		}
+		for j, name := range stages {
+			st, _ := sys.BuildStats.Stage(name)
+			walls[j] += st.Wall
 		}
 	}
 	b.StopTimer()
+	for j, name := range stages {
+		b.ReportMetric(walls[j].Seconds()*1e3/float64(b.N), name+"-ms/op")
+	}
 	os.Remove(deltaPath)
 }

@@ -259,9 +259,9 @@ func (s *System) JoinPath(fromTable, toTable string, maxHops int) []aurum.JoinHo
 
 // buildDict constructs the lake-wide value dictionary over a table
 // set: every distinct normalized cell value, IDs assigned in
-// lexicographic order. Shared by Build's stageDict and by the delta
-// merge path, which re-derives the dictionary over the merged catalog
-// (the extended dictionary is only the deltas' transport encoding).
+// lexicographic order. Shared by Build's stageDict and by a delta
+// merge whose chain tombstones a table, which derives the dictionary
+// over the merged catalog again (see mergeDict).
 func buildDict(tables []*table.Table, parallelism int) (*dict.Dict, error) {
 	perTable, err := parallel.Map(len(tables), parallelism, func(i int) ([]string, error) {
 		var vals []string

@@ -25,10 +25,12 @@
 // per search surface through each engine's FromParts constructor,
 // which replays the engine's own Build freeze over the merged catalog
 // (with tables in sorted-ID order — the order lake.LoadCSVDir
-// produces). The two HNSW graphs (Starmie's columns, TUS's NL index)
-// are the exception: they grow from the base's by each delta's added
-// columns (see graphFold) instead of being rebuilt. So every section
-// but those two and the Starmie rows of the vector blob is the one a
+// produces). Only the tables the chain adds are analysed: the base's
+// dictionary values, keyword postings and join signatures carry over
+// (see applyDeltas), and the two HNSW graphs (Starmie's columns, TUS's
+// NL index) grow from the base's by each delta's added columns (see
+// graphFold) instead of being rebuilt. So every section but those two
+// graphs' and the Starmie rows of the vector blob is the one a
 // from-scratch build writes, and those differ only when an add-only
 // chain's columns do not sort after the base's; the approximate
 // answers over the grown graphs are checked equal to a fresh build's
@@ -45,6 +47,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -52,6 +55,7 @@ import (
 	"tablehound/internal/dict"
 	"tablehound/internal/hnsw"
 	"tablehound/internal/join"
+	"tablehound/internal/keyword"
 	"tablehound/internal/lake"
 	"tablehound/internal/snap"
 	"tablehound/internal/starmie"
@@ -195,8 +199,9 @@ type Delta struct {
 	// delta).
 	Catalog *lake.Catalog
 	// JoinIDSets are the new tables' join postings, encoded in the
-	// extended dictionary. Signatures are not stored: the merge
-	// re-derives them through dict.Sign, bit-identically.
+	// extended dictionary. Signatures are not stored: the merge signs
+	// these columns through dict.Sign, bit-identically, and keeps the
+	// base snapshot's stored ones for the tables the chain leaves alone.
 	JoinIDSets map[string]dict.IDSet
 	// Per-surface parts for the added tables.
 	TUS     []union.TUSTableParts
@@ -299,10 +304,13 @@ func LoadDelta(r io.Reader) (*Delta, error) {
 }
 
 // checkParts rejects engine parts that the delta's own catalog does not
-// back: a part or join key for a table the delta does not add, a table
-// listed twice in one engine's parts, or a join key naming no column of
-// its table. A merge folds parts by table ID, so such a part would
-// replace a base table's analysis or index a column that is not there.
+// back, and a catalog whose parts are missing: a part or join key for a
+// table the delta does not add, a table listed twice in one engine's
+// parts, a join key naming no column of its table, or an engine's parts
+// that lack an added table (a join column) its AddTable would index or
+// hold one it would not. A merge folds parts by table ID, so such a part
+// would replace a base table's analysis or index a column that is not
+// there, and a missing one would leave the table out of that engine.
 func (d *Delta) checkParts() error {
 	added := make(map[string]*table.Table, d.Catalog.Len())
 	for _, t := range d.Catalog.Tables() {
@@ -319,14 +327,23 @@ func (d *Delta) checkParts() error {
 			return corrupt("join parts name column %q, which table %q does not have", col, id)
 		}
 	}
+	for _, t := range d.Catalog.Tables() {
+		for _, c := range t.Columns {
+			key := table.ColumnKey(t.ID, c.Name)
+			if _, ok := d.JoinIDSets[key]; ok != join.Indexes(c, minJoinCardinality) {
+				return corrupt("join parts disagree with the join index on column %q", key)
+			}
+		}
+	}
 	for _, e := range []struct {
-		engine string
-		ids    []string
+		engine  string
+		ids     []string
+		indexes func(*table.Table) bool // nil: every table
 	}{
-		{"TUS", partIDs(d.TUS, func(p union.TUSTableParts) string { return p.ID })},
-		{"SANTOS", partIDs(d.Santos, func(p union.SantosTableParts) string { return p.ID })},
-		{"D3L", partIDs(d.D3L, func(p union.D3LTableParts) string { return p.ID })},
-		{"Starmie", partIDs(d.Starmie, func(p starmie.TableParts) string { return p.ID })},
+		{"TUS", partIDs(d.TUS, func(p union.TUSTableParts) string { return p.ID }), union.TUSIndexes},
+		{"SANTOS", partIDs(d.Santos, func(p union.SantosTableParts) string { return p.ID }), union.SantosIndexes},
+		{"D3L", partIDs(d.D3L, func(p union.D3LTableParts) string { return p.ID }), union.D3LIndexes},
+		{"Starmie", partIDs(d.Starmie, func(p starmie.TableParts) string { return p.ID }), nil},
 	} {
 		seen := make(map[string]bool, len(e.ids))
 		for _, id := range e.ids {
@@ -337,6 +354,11 @@ func (d *Delta) checkParts() error {
 				return corrupt("%s parts name table %q twice", e.engine, id)
 			}
 			seen[id] = true
+		}
+		for _, t := range d.Catalog.Tables() {
+			if seen[t.ID] != (e.indexes == nil || e.indexes(t)) {
+				return corrupt("%s parts disagree with the %s index on table %q", e.engine, e.engine, t.ID)
+			}
 		}
 	}
 	return nil
@@ -585,10 +607,11 @@ func applyMembership(d *Delta, path string, live map[string]uint64, gen uint64, 
 // rather than failing the load.
 //
 // The base is only decoded, not derived, while a merge may follow:
-// ApplyDeltas reads none of the rebuild-on-load indexes and derives
+// the merge reads none of the rebuild-on-load indexes and derives
 // them over the merged catalog, so deriving them over the base first
-// would be done twice and discarded once. The base derives itself only
-// when nothing is left to apply and it is the system returned.
+// would be done twice and discarded once. Its join section decodes as
+// parts, for the same reason. The base derives itself only when
+// nothing is left to apply and it is the system returned.
 func LoadChainFiles(basePath string, deltaPaths []string, opts Options) (*System, error) {
 	if len(deltaPaths) == 0 {
 		return LoadFile(basePath, opts)
@@ -597,24 +620,26 @@ func LoadChainFiles(basePath string, deltaPaths []string, opts Options) (*System
 	if err != nil {
 		return nil, err
 	}
-	base, err := o.decode()
-	if err != nil {
-		return nil, err
-	}
 	deltas, infos, err := loadDeltaFiles(deltaPaths)
 	if err != nil {
 		return nil, err
 	}
-	folded := foldedPrefix(deltas, base.Lineage.Gen)
+	folded := foldedPrefix(deltas, o.s.Lineage.Gen)
 	skipped := deltaPaths[:folded]
 	if folded == len(deltas) {
-		if err := base.derive(); err != nil {
+		base, err := load(o, nil)
+		if err != nil {
 			return nil, err
 		}
 		base.Lineage.Folded = skipped
 		return base, nil
 	}
-	sys, err := ApplyDeltas(base, deltas[folded:], infos[folded:])
+	var baseJoin join.EngineParts
+	base, err := o.decode(&baseJoin)
+	if err != nil {
+		return nil, err
+	}
+	sys, err := applyDeltas(base, baseJoin, deltas[folded:], infos[folded:])
 	if err != nil {
 		return nil, err
 	}
@@ -622,20 +647,33 @@ func LoadChainFiles(basePath string, deltaPaths []string, opts Options) (*System
 	return sys, nil
 }
 
-// ApplyDeltas folds an ordered delta chain over a freshly loaded base
-// system and returns the merged system. The base is consumed: its
-// model is rebound onto the merged vector block, so it must not keep
-// serving queries (load a fresh base per merge — LoadChainFiles does).
-// Only what a snapshot stores is read from the base; its Fuzzy and
-// Stats may be nil.
-func ApplyDeltas(base *System, deltas []*Delta, infos []DeltaInfo) (*System, error) {
+// unmapped is a merge's remap target for a value of the chain's
+// extended dictionary that no live table holds.
+const unmapped = ^uint32(0)
+
+// applyDeltas folds an ordered delta chain over a freshly decoded base
+// system and returns the merged system. The base's join engine comes
+// as parts, baseJoin (base.Join is not read), whose stored signatures
+// are reused for the columns of the tables the chain leaves alone. The
+// base is consumed: its model is rebound onto the merged vector block,
+// so it must not keep serving queries (LoadChainFiles decodes a fresh
+// base per merge). Only what a snapshot stores is read from the base;
+// its Fuzzy and Stats may be nil.
+//
+// The merge analyses only the tables the chain adds; every other live
+// table is the base's, and what the base derived from it carries over:
+// its dictionary values (on a chain without tombstones), its keyword
+// postings, its join signatures and its graph nodes (see graphFold).
+func applyDeltas(base *System, baseJoin join.EngineParts, deltas []*Delta, infos []DeltaInfo) (*System, error) {
 	start := time.Now()
 	if base.Lineage == nil {
 		return nil, errors.New("core: base system has no lineage (not loaded from a snapshot)")
 	}
 	bopts := base.buildOpts
 	gen := base.Lineage.Gen
-	ext := base.Dict
+	// dictSize is the size of the chain's extended dictionary: each
+	// delta's new values take the IDs after the previous ones.
+	dictSize := base.Dict.Size()
 	// live is the membership the generation chain folds over, as table
 	// ID → content hash. Base hashes come from the snapshot's meta
 	// section so they are never recomputed over the full base catalog.
@@ -646,7 +684,6 @@ func ApplyDeltas(base *System, deltas []*Delta, infos []DeltaInfo) (*System, err
 	// The catalog folds like the engines' parts: the table under each
 	// live ID, and each engine's parts for it.
 	tables := foldParts(base.Catalog.Tables(), func(t *table.Table) string { return t.ID })
-	baseJoin := base.Join.Parts()
 	joinSets := baseJoin.IDSets
 	tus := foldParts(base.TUS.Parts(), func(p union.TUSTableParts) string { return p.ID })
 	santos := foldParts(base.Santos.Parts(), func(p union.SantosTableParts) string { return p.ID })
@@ -656,13 +693,18 @@ func ApplyDeltas(base *System, deltas []*Delta, infos []DeltaInfo) (*System, err
 	// the columns of the tables it adds, and one that tombstones any
 	// table restarts them empty over the tables live after it.
 	graphs := graphFold{starmie: base.Starmie.Graph(), tus: base.TUS.NLGraph()}
+	// added holds the live tables the chain added, replaced ones
+	// included; blocks holds each delta's new dictionary values.
+	added := make(map[string]*table.Table)
+	var blocks [][]string
+	tombstoned := false
 
 	for i, dd := range deltas {
 		path := fmt.Sprintf("delta[%d]", i)
 		if i < len(infos) && infos[i].Path != "" {
 			path = infos[i].Path
 		}
-		if err := applyMembership(dd, path, live, gen, ext.Size()); err != nil {
+		if err := applyMembership(dd, path, live, gen, dictSize); err != nil {
 			return nil, err
 		}
 		for _, id := range dd.Tombstones {
@@ -671,6 +713,7 @@ func ApplyDeltas(base *System, deltas []*Delta, infos []DeltaInfo) (*System, err
 					delete(joinSets, key)
 				}
 			}
+			delete(added, id)
 		}
 		for key, ids := range dd.JoinIDSets {
 			if _, dup := joinSets[key]; dup {
@@ -678,50 +721,46 @@ func ApplyDeltas(base *System, deltas []*Delta, infos []DeltaInfo) (*System, err
 			}
 			joinSets[key] = ids
 		}
+		for _, t := range dd.Catalog.Tables() {
+			added[t.ID] = t
+		}
 		tables.apply(dd.Tombstones, dd.Catalog.Tables())
 		tus.apply(dd.Tombstones, dd.TUS)
 		santos.apply(dd.Tombstones, dd.Santos)
 		d3l.apply(dd.Tombstones, dd.D3L)
 		star.apply(dd.Tombstones, dd.Starmie)
 		graphs.apply(dd, live)
-		ext = dict.Extend(ext, dd.NewValues)
+		tombstoned = tombstoned || len(dd.Tombstones) > 0
+		blocks = append(blocks, dd.NewValues)
+		dictSize += len(dd.NewValues)
 		gen = dd.ResultGen
 	}
 
 	// Merged catalog in sorted-ID order — the canonical order a fresh
 	// build over the same tables uses, which keeps the order-sensitive
-	// rebuilt structures (keyword statistics) bit-identical.
+	// structures (keyword statistics) bit-identical.
 	ids := sortedKeys(live)
 	cat := lake.NewCatalog()
 	ordered := tables.inIDOrder(ids)
 	if err := cat.AddBatch(ordered); err != nil {
 		return nil, err
 	}
-	// The merged system gets a fresh, sorted dictionary over the merged
-	// catalog — identical to the one a from-scratch build constructs —
-	// and the folded ID sets remap onto it. The extended dictionary is
-	// only the deltas' transport encoding: keeping it would persist an
-	// unsorted value table (which the dict snapshot codec rightly
-	// rejects) and let stale values from removed tables accumulate
-	// across compactions.
+	// The merged system gets the sorted dictionary a from-scratch build
+	// constructs over the merged catalog, and the folded ID sets remap
+	// onto it. The chain's extended dictionary is only the deltas'
+	// transport encoding: keeping it would persist an unsorted value
+	// table (which the dict snapshot codec rightly rejects) and let
+	// stale values from removed tables accumulate across compactions.
 	stats := newBuildStats(bopts.Parallelism)
 	var freshDict *dict.Dict
+	var remap []uint32
 	if err := stats.time(stageDict, func() (n int, err error) {
-		if freshDict, err = buildDict(ordered, bopts.Parallelism); err == nil {
+		if freshDict, remap, err = mergeDict(base.Dict, blocks, tombstoned, ordered, bopts.Parallelism); err == nil {
 			n = freshDict.Size()
 		}
 		return n, err
 	}); err != nil {
 		return nil, err
-	}
-	const unmapped = ^uint32(0)
-	remap := make([]uint32, ext.Size())
-	for i := range remap {
-		if id, ok := freshDict.ID(ext.Value(uint32(i))); ok {
-			remap[i] = id
-		} else {
-			remap[i] = unmapped // value only in removed tables
-		}
 	}
 	remapSet := func(ids dict.IDSet) (dict.IDSet, error) {
 		out := make(dict.IDSet, len(ids))
@@ -731,7 +770,7 @@ func ApplyDeltas(base *System, deltas []*Delta, infos []DeltaInfo) (*System, err
 			}
 			out[i] = remap[id]
 		}
-		sort.Slice(out, func(a, b int) bool { return out[a] < out[b] })
+		slices.Sort(out)
 		return out, nil
 	}
 	for key, set := range joinSets {
@@ -740,6 +779,16 @@ func ApplyDeltas(base *System, deltas []*Delta, infos []DeltaInfo) (*System, err
 			return nil, fmt.Errorf("join column %q: %w", key, rerr)
 		}
 		joinSets[key] = ns
+	}
+	// A signature is a function of its column's values, so a base
+	// column's stored one still holds — unless the chain added its table,
+	// even under a key the base had: a replaced table's columns are
+	// signed again.
+	sigs := baseJoin.Sigs
+	for key := range sigs {
+		if tid, _ := table.SplitColumnKey(key); added[tid] != nil {
+			delete(sigs, key)
+		}
 	}
 	tusOrdered := tus.inIDOrder(ids)
 	for ti := range tusOrdered {
@@ -752,18 +801,20 @@ func ApplyDeltas(base *System, deltas []*Delta, infos []DeltaInfo) (*System, err
 		}
 	}
 	mp := mergedParts{
-		joinSets:      joinSets,
-		numHashes:     baseJoin.NumHashes,
-		numPartitions: baseJoin.NumPartitions,
-		tus:           tusOrdered,
-		santos:        santos.inIDOrder(ids),
-		d3l:           d3l.inIDOrder(ids),
-		starmie:       star.inIDOrder(ids),
-		graphs:        graphs,
+		added:   added,
+		keyword: base.Keyword,
+		values:  base.Values,
+		join:    join.EngineParts{IDSets: joinSets, Sigs: sigs, NumHashes: baseJoin.NumHashes, NumPartitions: baseJoin.NumPartitions},
+		tus:     tusOrdered,
+		santos:  santos.inIDOrder(ids),
+		d3l:     d3l.inIDOrder(ids),
+		starmie: star.inIDOrder(ids),
+		graphs:  graphs,
 	}
 	// Build's stage table over the merged catalog, with the base's
-	// build parameters: the engines reassemble from the folded parts,
-	// every other stage rebuilds from the catalog.
+	// build parameters: the keyword indexes and the engines fold from
+	// the base's and the chain's parts, every other stage rebuilds from
+	// the catalog.
 	sys := &System{Catalog: cat, Model: base.Model, KB: base.KB, Dict: freshDict, BuildStats: stats, buildOpts: bopts}
 	if err := (pipeline{s: sys, opts: bopts, parts: &mp}).run(); err != nil {
 		return nil, err
@@ -778,17 +829,68 @@ func ApplyDeltas(base *System, deltas []*Delta, infos []DeltaInfo) (*System, err
 	return sys, nil
 }
 
-// mergedParts carries a merge's folded per-engine parts into the
-// engine stages.
+// mergeDict returns the merged lake's dictionary — the sorted one a
+// fresh build constructs over tables — and the remap from the chain's
+// extended IDs (base's, then each block's in turn) onto it, unmapped
+// for a value no live table holds. A chain without tombstones removes
+// no value, so its dictionary is the base's merged with each delta's
+// new values; a tombstone may remove some, and the dictionary is built
+// from the tables again.
+func mergeDict(base *dict.Dict, blocks [][]string, tombstoned bool, tables []*table.Table, parallelism int) (*dict.Dict, []uint32, error) {
+	if !tombstoned {
+		d, remap, err := dict.Merge(base, blocks...)
+		if err != nil {
+			return nil, nil, fmt.Errorf("%w: %v", ErrDeltaChain, err)
+		}
+		return d, remap, nil
+	}
+	d, err := buildDict(tables, parallelism)
+	if err != nil {
+		return nil, nil, err
+	}
+	remap := make([]uint32, 0, base.Size())
+	claimed := make([]bool, d.Size())
+	add := func(v string) error {
+		id, ok := d.ID(v)
+		switch {
+		case !ok:
+			id = unmapped // value only in removed tables
+		case claimed[id]:
+			return fmt.Errorf("%w: value %q interned twice", ErrDeltaChain, v)
+		default:
+			claimed[id] = true
+		}
+		remap = append(remap, id)
+		return nil
+	}
+	for i := 0; i < base.Size(); i++ {
+		if err := add(base.Value(uint32(i))); err != nil {
+			return nil, nil, err
+		}
+	}
+	for _, b := range blocks {
+		for _, v := range b {
+			if err := add(v); err != nil {
+				return nil, nil, err
+			}
+		}
+	}
+	return d, remap, nil
+}
+
+// mergedParts carries what a merge folds into the keyword and engine
+// stages: the tables the chain added (by ID, replaced ones included),
+// the base's keyword indexes, and each engine's folded parts.
 type mergedParts struct {
-	joinSets      map[string]dict.IDSet
-	numHashes     int
-	numPartitions int
-	tus           []union.TUSTableParts
-	santos        []union.SantosTableParts
-	d3l           []union.D3LTableParts
-	starmie       []starmie.TableParts
-	graphs        graphFold
+	added   map[string]*table.Table
+	keyword *keyword.Index
+	values  *keyword.ValueIndex
+	join    join.EngineParts
+	tus     []union.TUSTableParts
+	santos  []union.SantosTableParts
+	d3l     []union.D3LTableParts
+	starmie []starmie.TableParts
+	graphs  graphFold
 }
 
 // graphFold is the two HNSW graphs folded along a delta chain: the

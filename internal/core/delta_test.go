@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"maps"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -15,6 +16,7 @@ import (
 
 	"tablehound/internal/datagen"
 	"tablehound/internal/dict"
+	"tablehound/internal/join"
 	"tablehound/internal/lake"
 	"tablehound/internal/snap"
 	"tablehound/internal/starmie"
@@ -389,14 +391,15 @@ func TestDeltaChainValidation(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		base, err := o.decode()
+		var parts join.EngineParts
+		base, err := o.decode(&parts)
 		if err != nil {
 			t.Fatal(err)
 		}
 		dup := *d
 		dup.ParentGen, dup.BaseDictSize, dup.NewValues = d.ResultGen, d.BaseDictSize+len(d.NewValues), nil
 		dup.Catalog = lake.NewCatalog()
-		_, err = ApplyDeltas(base, []*Delta{d, &dup}, nil)
+		_, err = applyDeltas(base, parts, []*Delta{d, &dup}, nil)
 		if !errors.Is(err, ErrDeltaChain) || !strings.Contains(err.Error(), "re-adds join column") {
 			t.Errorf("err = %v, want ErrDeltaChain naming %q", err, "re-adds join column")
 		}
@@ -418,7 +421,8 @@ func TestDeltaChainValidation(t *testing.T) {
 // TestDeltaRejectsForeignParts forges one engine part of a valid delta
 // at a time so that it no longer matches the delta's own catalog. A
 // merge folds parts by table ID, so a part relabelled to a base table
-// would replace that table's analysis; each such delta must fail its
+// would replace that table's analysis, and a dropped one would leave
+// the added table out of its engine; each such delta must fail its
 // chain load as corrupt.
 func TestDeltaRejectsForeignParts(t *testing.T) {
 	basePath, deltaPath, d, added := deltaFixture(t)
@@ -456,6 +460,16 @@ func TestDeltaRejectsForeignParts(t *testing.T) {
 		{"join key of a missing column", func(v *Delta) {
 			v.JoinIDSets = map[string]dict.IDSet{table.ColumnKey(added.ID, "zzz"): d.JoinIDSets[sortedKeys(d.JoinIDSets)[0]]}
 		}},
+		// Dropped parts: the delta adds a table every engine indexes, so
+		// a merge that took these would leave it out of that engine.
+		{"join column dropped", func(v *Delta) {
+			v.JoinIDSets = maps.Clone(d.JoinIDSets)
+			delete(v.JoinIDSets, sortedKeys(d.JoinIDSets)[0])
+		}},
+		{"TUS part dropped", func(v *Delta) { v.TUS = nil }},
+		{"SANTOS part dropped", func(v *Delta) { v.Santos = nil }},
+		{"D3L part dropped", func(v *Delta) { v.D3L = nil }},
+		{"Starmie part dropped", func(v *Delta) { v.Starmie = nil }},
 		{"D3L column past its table", func(v *Delta) {
 			v.D3L = append([]union.D3LTableParts(nil), d.D3L...)
 			v.D3L[0].Cols = append([]union.D3LColumnParts(nil), d.D3L[0].Cols...)

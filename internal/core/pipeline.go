@@ -131,12 +131,7 @@ func (p pipeline) run(ids ...int) error {
 func (p pipeline) stages() []stage {
 	s, opts, tables := p.s, p.opts, p.s.Catalog.Tables()
 	return []stage{
-		{stageKeyword, false, func() (int, error) {
-			// Keyword search over metadata and over cell values
-			// (OCTOPUS-style).
-			s.Keyword, s.Values = keyword.NewIndex(tables), keyword.NewValueIndex(tables)
-			return len(tables), nil
-		}},
+		{stageKeyword, false, p.keyword},
 		{stageJoin, false, p.join},
 		{stageFuzzy, opts.SkipFuzzy, func() (int, error) {
 			return buildFuzzy(s, tables, opts)
@@ -166,6 +161,27 @@ func (p pipeline) stages() []stage {
 	}
 }
 
+// keyword builds keyword search over metadata and over cell values
+// (OCTOPUS-style). A merge folds the base's indexes, so only the tables
+// the chain added are tokenized.
+func (p pipeline) keyword() (int, error) {
+	s, tables := p.s, p.s.Catalog.Tables()
+	mp := p.parts
+	if mp == nil {
+		s.Keyword, s.Values = keyword.NewIndex(tables), keyword.NewValueIndex(tables)
+		return len(tables), nil
+	}
+	docs := make([]string, len(tables))
+	for i, t := range tables {
+		docs[i] = t.ID
+	}
+	var err error
+	if s.Keyword, err = mp.keyword.Fold(docs, mp.added); err == nil {
+		s.Values, err = mp.values.Fold(docs, mp.added)
+	}
+	return len(tables), corruptParts(err)
+}
+
 // join builds the joinable-search engine: exact overlap and
 // containment indexes, encoded against the lake dictionary.
 func (p pipeline) join() (int, error) {
@@ -173,7 +189,7 @@ func (p pipeline) join() (int, error) {
 	var eng *join.Engine
 	var err error
 	if mp := p.parts; mp != nil {
-		eng, err = join.NewEngineFromParts(s.Dict, mp.joinSets, mp.numHashes, mp.numPartitions, p.opts.Parallelism)
+		eng, err = join.NewEngineFromParts(s.Dict, mp.join, p.opts.Parallelism)
 		err = corruptParts(err)
 	} else {
 		jb := join.NewBuilder(minJoinCardinality)

@@ -224,7 +224,7 @@ func load(o *opened, err error) (*System, error) {
 	if err != nil {
 		return nil, err
 	}
-	s, err := o.decode()
+	s, err := o.decode(nil)
 	if err != nil {
 		return nil, err
 	}
@@ -404,8 +404,11 @@ func (o *opened) foundations(g *decodeGroup) error {
 
 // decode is the first half of a load: every section is decoded and
 // every stored engine is live, but the rebuild-on-load fields (Fuzzy,
-// Stats) are still nil.
-func (o *opened) decode() (*System, error) {
+// Stats) are still nil. With joinParts non-nil the join section decodes
+// into it instead, stored signatures included, and Join stays nil: a
+// merge reads the base's join engine only as parts, so building its
+// ensemble bands would be wasted.
+func (o *opened) decode(joinParts *join.EngineParts) (*System, error) {
 	s, secs, bopts := o.s, o.secs, o.s.buildOpts
 	// Phase 1: the foundations and the catalog — everything later
 	// decodes against them — together with every other section that
@@ -428,9 +431,12 @@ func (o *opened) decode() (*System, error) {
 	// Phase 2: the search engines, each depending only on phase-1
 	// results.
 	g = &decodeGroup{parallel: bopts.Parallelism > 1}
-	g.run(secJoin, secs, func(d *snap.Decoder) error {
-		var derr error
-		s.Join, derr = join.DecodeEngineSnapshot(d, s.Dict, bopts.Parallelism)
+	g.run(secJoin, secs, func(d *snap.Decoder) (derr error) {
+		if joinParts != nil {
+			*joinParts, derr = join.DecodeEngineParts(d, s.Dict)
+		} else {
+			s.Join, derr = join.DecodeEngineSnapshot(d, s.Dict, bopts.Parallelism)
+		}
 		return derr
 	})
 	g.run(secTUS, secs, func(d *snap.Decoder) error {

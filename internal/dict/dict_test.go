@@ -340,3 +340,61 @@ func TestNewIDSetSortsAndDedups(t *testing.T) {
 		t.Error("Contains wrong")
 	}
 }
+
+// TestMergeEqualsBuild folds a base and a chain of Extend blocks with
+// Merge: the result is the dictionary a Builder over every value
+// builds, hashes included, and remap carries each extended ID to the
+// merged ID of the same value. A block that repeats a value fails.
+func TestMergeEqualsBuild(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	all := NewBuilder()
+	baseVals := randValues(rng, 300, 400)
+	all.Add(baseVals...)
+	b := NewBuilder()
+	b.Add(baseVals...)
+	ext := b.Build()
+	base := ext
+	var blocks [][]string
+	for range 3 {
+		vals := randValues(rng, 100, 600)
+		all.Add(vals...)
+		next := Extend(ext, vals)
+		var block []string
+		for i := ext.Size(); i < next.Size(); i++ {
+			block = append(block, next.Value(uint32(i)))
+		}
+		blocks = append(blocks, block)
+		ext = next
+	}
+	want := all.Build()
+	got, remap, err := Merge(base, blocks...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Size() != want.Size() {
+		t.Fatalf("merged size %d, built %d", got.Size(), want.Size())
+	}
+	for i := 0; i < want.Size(); i++ {
+		id := uint32(i)
+		if got.Value(id) != want.Value(id) || got.HashID(id) != want.HashID(id) {
+			t.Fatalf("ID %d: merged (%q, %x), built (%q, %x)", i, got.Value(id), got.HashID(id), want.Value(id), want.HashID(id))
+		}
+		if gid, ok := got.ID(want.Value(id)); !ok || gid != id {
+			t.Fatalf("ID(%q) = %d, %v; want %d", want.Value(id), gid, ok, i)
+		}
+	}
+	if len(remap) != ext.Size() {
+		t.Fatalf("remap covers %d IDs, the chain has %d", len(remap), ext.Size())
+	}
+	for i, m := range remap {
+		if got.Value(m) != ext.Value(uint32(i)) {
+			t.Fatalf("remap[%d] = %d holds %q, extended ID holds %q", i, m, got.Value(m), ext.Value(uint32(i)))
+		}
+	}
+	if _, _, err := Merge(base, []string{base.Value(0)}); err == nil {
+		t.Error("a block repeating a base value merged")
+	}
+	if _, _, err := Merge(base, []string{"zz-new"}, []string{"zz-new"}); err == nil {
+		t.Error("two blocks adding one value merged")
+	}
+}

@@ -14,7 +14,11 @@
 package dict
 
 import (
+	"errors"
+	"fmt"
+	"slices"
 	"sort"
+	"strings"
 
 	"tablehound/internal/minhash"
 )
@@ -60,4 +64,60 @@ func Extend(base *Dict, values []string) *Dict {
 		d.hashes = append(d.hashes, minhash.HashValue(v))
 	}
 	return d
+}
+
+// Merge returns the sorted dictionary over base's values and every
+// block's — the one a Builder over all of them builds — and remap, which
+// takes an ID of the extension chain the blocks describe to its ID in
+// the merged dictionary. The chain numbers base's values first, then
+// each block's in turn from base.Size() on, as a run of Extend calls
+// appends them; a block must hold only values the chain before it
+// lacks, as Extend's appended blocks do, or Merge fails. Base values
+// keep their cached hashes: only the blocks' values are hashed, and no
+// map of base's is copied.
+func Merge(base *Dict, blocks ...[]string) (*Dict, []uint32, error) {
+	type added struct {
+		v  string
+		id uint32
+	}
+	n := base.Size()
+	var adds []added
+	for _, b := range blocks {
+		for _, v := range b {
+			if v == "" {
+				return nil, nil, errors.New("dict: merge: empty value")
+			}
+			adds = append(adds, added{v, uint32(n + len(adds))})
+		}
+	}
+	slices.SortFunc(adds, func(a, b added) int { return strings.Compare(a.v, b.v) })
+	total := n + len(adds)
+	d := &Dict{
+		values: make([]string, 0, total),
+		ids:    make(map[string]uint32, total),
+		hashes: make([]uint64, 0, total),
+	}
+	remap := make([]uint32, total)
+	for i, j := 0, 0; i < n || j < len(adds); {
+		var v string
+		var h uint64
+		var ext uint32
+		if j == len(adds) || (i < n && base.values[i] < adds[j].v) {
+			v, h, ext = base.values[i], base.hashes[i], uint32(i)
+			i++
+		} else {
+			v, h, ext = adds[j].v, minhash.HashValue(adds[j].v), adds[j].id
+			j++
+		}
+		// base is sorted and adds are, so only a value met twice fails.
+		if k := len(d.values); k > 0 && d.values[k-1] >= v {
+			return nil, nil, fmt.Errorf("dict: merge: value %q interned twice", v)
+		}
+		id := uint32(len(d.values))
+		d.values = append(d.values, v)
+		d.hashes = append(d.hashes, h)
+		d.ids[v] = id
+		remap[ext] = id
+	}
+	return d, remap, nil
 }

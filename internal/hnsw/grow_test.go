@@ -3,8 +3,11 @@ package hnsw
 import (
 	"errors"
 	"fmt"
+	"math"
+	"math/rand"
 	"testing"
 
+	"tablehound/internal/embedding"
 	"tablehound/internal/snap"
 )
 
@@ -92,5 +95,43 @@ func TestDecodeRejectsLinkAboveTop(t *testing.T) {
 	g.nodes[high].neighbors[1] = append(g.nodes[high].neighbors[1], int32(low))
 	if _, err := DecodeSnapshot(snap.NewDecoder(snapshotBytes(g))); !errors.Is(err, snap.ErrCorrupt) {
 		t.Fatalf("DecodeSnapshot = %v, want ErrCorrupt", err)
+	}
+}
+
+// TestRebindVecsChecksBits rebinds a graph onto copies of its vectors:
+// each node then holds its copy, and a copy with one bit off, or a key
+// the lookup lacks, fails the rebind.
+func TestRebindVecsChecksBits(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	g := New(Config{M: 4, EfConstruction: 16, Seed: 1})
+	copies := make(map[string]embedding.Vector)
+	for i := range 20 {
+		key := fmt.Sprintf("k%02d", i)
+		v := randUnit(rng, 8)
+		if err := g.Add(key, v); err != nil {
+			t.Fatal(err)
+		}
+		copies[key] = append(embedding.Vector(nil), v...)
+	}
+	lookup := func(key string) (embedding.Vector, bool) {
+		v, ok := copies[key]
+		return v, ok
+	}
+	if err := g.RebindVecs(lookup); err != nil {
+		t.Fatal(err)
+	}
+	for key, c := range copies {
+		if v, _ := g.Vector(key); &v[0] != &c[0] {
+			t.Fatalf("%s: node does not hold the vector it was rebound onto", key)
+		}
+	}
+	copies["k07"] = append(embedding.Vector(nil), copies["k07"]...)
+	copies["k07"][3] = math.Nextafter32(copies["k07"][3], 2)
+	if err := g.RebindVecs(lookup); err == nil {
+		t.Error("rebind onto a vector one ulp off succeeded")
+	}
+	delete(copies, "k07")
+	if err := g.RebindVecs(lookup); err == nil {
+		t.Error("rebind with a key missing succeeded")
 	}
 }

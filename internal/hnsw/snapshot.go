@@ -67,19 +67,39 @@ func DecodeSnapshotShared(d *snap.Decoder, at func(int) []float32, n int) (*Grap
 	return decodeSnapshot(d, at, n)
 }
 
-// RebindVecs replaces every node's vector with at(i), for callers
-// that move the backing storage after construction. Vector values
-// must be identical; only the memory moves.
-func (g *Graph) RebindVecs(at func(int) []float32, n int) error {
+// RebindVecs points every node's vector at vecOf(its key), for callers
+// that move the backing storage after construction or share it with
+// the vectors' other owner: only the memory moves. A key vecOf does not
+// know, or a vector that is not bit-equal to the node's, fails; the
+// graph must then not be used.
+func (g *Graph) RebindVecs(vecOf func(key string) (embedding.Vector, bool)) error {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	if n != len(g.nodes) {
-		return fmt.Errorf("hnsw: rebind over %d rows, graph has %d nodes", n, len(g.nodes))
-	}
 	for i := range g.nodes {
-		g.nodes[i].vec = embedding.Vector(at(i))
+		n := &g.nodes[i]
+		v, ok := vecOf(n.key)
+		if !ok {
+			return fmt.Errorf("hnsw: no vector to rebind node %q onto", n.key)
+		}
+		if !bitEqual(v, n.vec) {
+			return fmt.Errorf("hnsw: node %q vector differs from the one it is rebound onto", n.key)
+		}
+		n.vec = v
 	}
 	return nil
+}
+
+// bitEqual reports whether two vectors hold the same bits.
+func bitEqual(a, b embedding.Vector) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if math.Float32bits(a[i]) != math.Float32bits(b[i]) {
+			return false
+		}
+	}
+	return true
 }
 
 // DecodeSnapshot rebuilds a graph written by AppendSnapshot. The

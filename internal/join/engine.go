@@ -77,22 +77,43 @@ func NewBuilder(minCardinality int) *Builder {
 // dictionary (cross-column matching must stay within one ID space).
 func (b *Builder) UseDict(d *dict.Dict) { b.dict = d }
 
-// AddTable stages every string-typed column of the table.
+// AddTable stages every column of the table that Indexes admits.
 func (b *Builder) AddTable(t *table.Table) {
 	for _, c := range t.Columns {
-		if c.Type != table.TypeString && c.Type != table.TypeDate && c.Type != table.TypeUnknown {
-			continue
+		if distinct, ok := admit(c, b.minCardinality); ok {
+			b.stage(table.ColumnKey(t.ID, c.Name), distinct)
 		}
-		b.AddColumn(table.ColumnKey(t.ID, c.Name), c.Values)
 	}
+}
+
+// Indexes reports whether AddTable stages column c on a Builder of
+// minCardinality: a string, date or untyped column with at least
+// minCardinality distinct normalized values.
+func Indexes(c *table.Column, minCardinality int) bool {
+	_, ok := admit(c, max(minCardinality, 1))
+	return ok
+}
+
+// admit returns column c's distinct normalized values and whether
+// AddTable stages it.
+func admit(c *table.Column, minCardinality int) ([]string, bool) {
+	if c.Type != table.TypeString && c.Type != table.TypeDate && c.Type != table.TypeUnknown {
+		return nil, false
+	}
+	distinct := tokenize.NormalizeSet(c.Values)
+	return distinct, len(distinct) >= minCardinality
 }
 
 // AddColumn stages one column under a unique key.
 func (b *Builder) AddColumn(key string, values []string) {
-	distinct := tokenize.NormalizeSet(values)
-	if len(distinct) < b.minCardinality {
-		return
+	if distinct := tokenize.NormalizeSet(values); len(distinct) >= b.minCardinality {
+		b.stage(key, distinct)
 	}
+}
+
+// stage stages a column's distinct values under key, unless the key
+// is staged already.
+func (b *Builder) stage(key string, distinct []string) {
 	if _, dup := b.cols[key]; dup {
 		return
 	}
@@ -141,15 +162,16 @@ func (b *Builder) Build() (*Engine, error) {
 			idsets[i] = ids
 		}
 	}
-	return assemble(d, b.order, idsets, b.numHashes, b.numPartitions, 1)
+	return assemble(d, b.order, idsets, nil, b.numHashes, b.numPartitions, 1)
 }
 
 // assemble freezes encoded columns into an Engine. keys are sorted and
-// idsets runs parallel to them; the inverted index and the LSH Ensemble
-// both receive the columns in that order, so a column's position in
-// keys is also its set ID and its ensemble ordinal. parallelism bounds
-// the ensemble's band-building workers.
-func assemble(d *dict.Dict, keys []string, idsets []dict.IDSet, numHashes, numPartitions, parallelism int) (*Engine, error) {
+// idsets runs parallel to them, as does sigs, whose nil entries (all of
+// them, when sigs is nil) are signed here; the inverted index and the
+// LSH Ensemble both receive the columns in that order, so a column's
+// position in keys is also its set ID and its ensemble ordinal.
+// parallelism bounds the ensemble's band-building workers.
+func assemble(d *dict.Dict, keys []string, idsets []dict.IDSet, sigs []minhash.Signature, numHashes, numPartitions, parallelism int) (*Engine, error) {
 	inv := invindex.NewBuilder()
 	hasher := minhash.NewHasher(numHashes, 42)
 	ens := lshensemble.New(numHashes, numPartitions)
@@ -157,7 +179,15 @@ func assemble(d *dict.Dict, keys []string, idsets []dict.IDSet, numHashes, numPa
 		if err := inv.AddIDs(key, idsets[i]); err != nil {
 			return nil, err
 		}
-		sig := d.Sign(hasher, idsets[i])
+		var sig minhash.Signature
+		if sigs != nil {
+			sig = sigs[i]
+		}
+		if sig == nil {
+			sig = d.Sign(hasher, idsets[i])
+		} else if len(sig) != numHashes {
+			return nil, fmt.Errorf("join: column %q signature has %d hashes, want %d", key, len(sig), numHashes)
+		}
 		if err := ens.Add(lshensemble.Domain{Key: key, Size: len(idsets[i]), Sig: sig}); err != nil {
 			return nil, err
 		}

@@ -1,12 +1,13 @@
 // Merge support for incremental (delta) index maintenance: a built
 // engine can be decomposed into its frozen per-column parts, and an
 // engine can be assembled from parts gathered across a base snapshot
-// and a chain of deltas. Because column sets are dictionary-encoded
-// and the extended dictionary preserves every base ID (dict.Extend),
-// base ID sets are reused verbatim; signatures are re-derived through
-// dict.Sign — the exact function Build uses — so the assembled engine
-// answers every query bit-identically to a from-scratch build over the
-// merged catalog.
+// and a chain of deltas. Because column sets are dictionary-encoded,
+// a merge carries them over by remapping their IDs; a signature is a
+// function of a column's values alone, so a base column's stored
+// signature carries over too, and only the columns without one are
+// signed, through dict.Sign — the exact function Build uses. The
+// assembled engine answers every query bit-identically to a
+// from-scratch build over the merged catalog.
 package join
 
 import (
@@ -15,6 +16,7 @@ import (
 	"sort"
 
 	"tablehound/internal/dict"
+	"tablehound/internal/minhash"
 	"tablehound/internal/snap"
 )
 
@@ -22,15 +24,20 @@ import (
 // column sets plus the sketch parameters. Everything else (inverted
 // index, LSH bands, signatures) is a deterministic function of these.
 type EngineParts struct {
-	Keys          []string              // sorted column keys
-	IDSets        map[string]dict.IDSet // per-column encoded value sets
-	NumHashes     int                   // MinHash signature width
-	NumPartitions int                   // LSH Ensemble partition count
+	Keys   []string              // sorted column keys
+	IDSets map[string]dict.IDSet // per-column encoded value sets
+	// Sigs holds the MinHash signatures known for some columns, by key
+	// (a decoded snapshot section stores one per column); assembly
+	// signs every column without one. The engine keeps none.
+	Sigs          map[string]minhash.Signature
+	NumHashes     int // MinHash signature width
+	NumPartitions int // LSH Ensemble partition count
 }
 
-// Parts returns the engine's frozen column state. Keys and the ID sets
-// alias the engine's own (the engine is immutable after Build, so
-// sharing is safe); the map holding them is the caller's.
+// Parts returns the engine's frozen column state, without signatures.
+// Keys and the ID sets alias the engine's own (the engine is immutable
+// after Build, so sharing is safe); the map holding them is the
+// caller's.
 func (e *Engine) Parts() EngineParts {
 	numHashes, numPart := e.ensemble.Params()
 	idsets := make(map[string]dict.IDSet, len(e.keys))
@@ -45,26 +52,29 @@ func (e *Engine) Parts() EngineParts {
 	}
 }
 
-// NewEngineFromParts assembles an engine over columns already encoded
-// in d. It replays Build's freeze exactly — sorted key order, the same
-// hasher seed, dict-derived signatures, deterministic band
-// construction — so an engine assembled from (base + delta) parts is
-// bit-identical to one built from scratch over the union of their
-// columns. parallelism bounds the ensemble's band-building workers.
-func NewEngineFromParts(d *dict.Dict, idsets map[string]dict.IDSet, numHashes, numPartitions, parallelism int) (*Engine, error) {
-	if len(idsets) == 0 {
+// NewEngineFromParts assembles an engine over p's columns, encoded in
+// d (p.Keys is not read). It replays Build's freeze exactly — sorted
+// key order, the same hasher seed, dict-derived signatures for the
+// columns p.Sigs lacks, deterministic band construction — so an engine
+// assembled from (base + delta) parts is bit-identical to one built
+// from scratch over the union of their columns, provided every
+// signature in p.Sigs is its column's. parallelism bounds the
+// ensemble's band-building workers.
+func NewEngineFromParts(d *dict.Dict, p EngineParts, parallelism int) (*Engine, error) {
+	if len(p.IDSets) == 0 {
 		return nil, errors.New("join: no columns to assemble")
 	}
-	keys := make([]string, 0, len(idsets))
-	for key := range idsets {
+	keys := make([]string, 0, len(p.IDSets))
+	for key := range p.IDSets {
 		keys = append(keys, key)
 	}
 	sort.Strings(keys)
 	sets := make([]dict.IDSet, len(keys))
+	sigs := make([]minhash.Signature, len(keys))
 	for i, key := range keys {
-		sets[i] = idsets[key]
+		sets[i], sigs[i] = p.IDSets[key], p.Sigs[key]
 	}
-	return assemble(d, keys, sets, numHashes, numPartitions, parallelism)
+	return assemble(d, keys, sets, sigs, p.NumHashes, p.NumPartitions, parallelism)
 }
 
 // AppendParts writes a set of encoded columns (EngineParts.IDSets) as

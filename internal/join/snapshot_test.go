@@ -1,11 +1,13 @@
 package join
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"reflect"
 	"testing"
 
+	"tablehound/internal/minhash"
 	"tablehound/internal/snap"
 )
 
@@ -51,7 +53,7 @@ func TestDecodeRejectsMisalignedIndex(t *testing.T) {
 	for i, key := range other.keys { // same columns, renamed: same set count, other keys
 		other.keys[i] = "x" + key
 	}
-	renamed, err := assemble(other.dict, other.keys, other.idsets, DefaultNumHashes, 8, 1)
+	renamed, err := assemble(other.dict, other.keys, other.idsets, nil, DefaultNumHashes, 8, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,5 +63,48 @@ func TestDecodeRejectsMisalignedIndex(t *testing.T) {
 	forged.AppendSnapshot(&enc, nil)
 	if _, err := DecodeEngineSnapshot(snap.NewDecoder(enc.Bytes()), nil, 1); !errors.Is(err, snap.ErrCorrupt) {
 		t.Fatalf("err = %v, want snap.ErrCorrupt", err)
+	}
+}
+
+// TestEnginePartsCarrySignatures decodes a saved engine as parts and
+// reassembles it: the parts carry every stored signature, the engine
+// assembled from them saves the bytes of the one saved, and so does
+// one assembled with no signature known. A section whose engine does
+// not share the system dictionary does not decode as parts.
+func TestEnginePartsCarrySignatures(t *testing.T) {
+	e := randomEngine(t, 24, 1)
+	saved := func(x *Engine) []byte {
+		var enc snap.Encoder
+		x.AppendSnapshot(&enc, e.dict)
+		return enc.Bytes()
+	}
+	want := saved(e)
+	p, err := DecodeEngineParts(snap.NewDecoder(want), e.dict)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(p.Sigs) != len(e.keys) {
+		t.Fatalf("parts carry %d signatures for %d columns", len(p.Sigs), len(e.keys))
+	}
+	for i, key := range e.keys {
+		if !reflect.DeepEqual(p.Sigs[key], e.dict.Sign(e.hasher, e.idsets[i])) {
+			t.Fatalf("%s: decoded signature is not the column's", key)
+		}
+	}
+	for name, sigs := range map[string]map[string]minhash.Signature{"stored": p.Sigs, "none": nil} {
+		q := p
+		q.Sigs = sigs
+		back, err := NewEngineFromParts(e.dict, q, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(saved(back), want) {
+			t.Errorf("%s signatures: reassembled engine saves other bytes", name)
+		}
+	}
+	var own snap.Encoder
+	e.AppendSnapshot(&own, nil)
+	if _, err := DecodeEngineParts(snap.NewDecoder(own.Bytes()), e.dict); !errors.Is(err, snap.ErrCorrupt) {
+		t.Errorf("unshared engine as parts: err = %v, want snap.ErrCorrupt", err)
 	}
 }

@@ -34,6 +34,18 @@ func NewIndex(tables []*table.Table) *Index {
 	return &Index{newPostings(tables, metadataTerms)}
 }
 
+// Fold returns the index NewIndex builds over a merged lake whose
+// table IDs are docs, in index order, from ix and the tables the merge
+// adds (by ID, replaced tables included): only the added tables are
+// tokenized; every other table keeps its postings.
+func (ix *Index) Fold(docs []string, added map[string]*table.Table) (*Index, error) {
+	p, _, err := ix.fold(docs, added, metadataTerms)
+	if err != nil {
+		return nil, err
+	}
+	return &Index{p}, nil
+}
+
 // metadataTerms extracts weighted terms from a table's metadata.
 func metadataTerms(t *table.Table) map[string]float64 {
 	tf := make(map[string]float64)

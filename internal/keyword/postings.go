@@ -47,10 +47,6 @@ type postings struct {
 // frequencies. Term IDs follow the sorted vocabulary, so the index is a
 // pure function of the tables whatever the map iteration order.
 func newPostings(tables []*table.Table, terms func(*table.Table) map[string]float64) postings {
-	type entry struct {
-		doc uint32
-		tf  float64
-	}
 	p := postings{docs: make([]string, len(tables)), docLen: make([]float64, len(tables))}
 	lists := make(map[string][]entry)
 	total := 0
@@ -61,11 +57,7 @@ func newPostings(tables []*table.Table, terms func(*table.Table) map[string]floa
 			total++
 		}
 	}
-	p.vocab = make([]string, 0, len(lists))
-	for term := range lists {
-		p.vocab = append(p.vocab, term)
-	}
-	slices.Sort(p.vocab)
+	p.vocab = sortedTerms(lists)
 	p.start = make([]uint32, 1, len(p.vocab)+1)
 	p.doc, p.tf = make([]uint32, 0, total), make([]float64, 0, total)
 	for _, term := range p.vocab {
@@ -78,6 +70,127 @@ func newPostings(tables []*table.Table, terms func(*table.Table) map[string]floa
 	}
 	p.avgLen = meanLen(p.docLen)
 	return p
+}
+
+// entry is one posting while an index is assembled.
+type entry struct {
+	doc uint32
+	tf  float64
+}
+
+// fold returns the postings newPostings builds over the merged lake,
+// whose table IDs are docs in index order, from p and the tables the
+// merge adds (by ID, replaced tables included): each doc of p whose
+// table is in docs and not in added keeps its postings, remapped to
+// its new ordinal, and its length; the tables in added are indexed by
+// terms, with lengths summed in vocabulary order as newPostings sums
+// them. A doc of the merged lake that is neither is an error. from
+// maps each merged doc to its ordinal in p, or -1 when added.
+func (p *postings) fold(docs []string, added map[string]*table.Table, terms func(*table.Table) map[string]float64) (out postings, from []int32, err error) {
+	baseOrd := make(map[string]int32, len(p.docs))
+	for o, id := range p.docs {
+		if _, dup := baseOrd[id]; dup {
+			return postings{}, nil, fmt.Errorf("keyword: table %q indexed twice", id)
+		}
+		baseOrd[id] = int32(o)
+	}
+	out = postings{docs: docs, docLen: make([]float64, len(docs))}
+	from = make([]int32, len(docs))
+	remap := make([]int32, len(p.docs)) // p's doc -> merged doc, -1 when it leaves
+	for o := range remap {
+		remap[o] = -1
+	}
+	lists := make(map[string][]entry)
+	for d, id := range docs {
+		t := added[id]
+		if t == nil {
+			o, ok := baseOrd[id]
+			if !ok {
+				return postings{}, nil, fmt.Errorf("keyword: table %q is neither indexed nor added", id)
+			}
+			from[d], remap[o] = o, int32(d)
+			out.docLen[d] = p.docLen[o]
+			continue
+		}
+		from[d] = -1
+		tf := terms(t)
+		for _, term := range sortedTerms(tf) {
+			lists[term] = append(lists[term], entry{uint32(d), tf[term]})
+			out.docLen[d] += tf[term]
+		}
+	}
+	// Kept docs usually keep their relative order (both lakes list
+	// tables in sorted-ID order), so a term's kept postings stay sorted.
+	monotone, last := true, int32(-1)
+	for _, r := range remap {
+		if r >= 0 {
+			monotone = monotone && r > last
+			last = r
+		}
+	}
+	addTerms := sortedTerms(lists)
+	out.start = make([]uint32, 1, len(p.vocab)+len(addTerms)+1)
+	out.doc = make([]uint32, 0, len(p.doc))
+	out.tf = make([]float64, 0, len(p.doc))
+	var kept []entry
+	for i, j := 0, 0; i < len(p.vocab) || j < len(addTerms); {
+		// The next term is the base's (c < 0), the added tables' (c > 0)
+		// or both lists' (c == 0).
+		c := -1
+		switch {
+		case i == len(p.vocab):
+			c = 1
+		case j < len(addTerms):
+			c = strings.Compare(p.vocab[i], addTerms[j])
+		}
+		var term string
+		var add []entry
+		kept = kept[:0]
+		if c <= 0 {
+			term = p.vocab[i]
+			for k := p.start[i]; k < p.start[i+1]; k++ {
+				if r := remap[p.doc[k]]; r >= 0 {
+					kept = append(kept, entry{uint32(r), p.tf[k]})
+				}
+			}
+			if !monotone {
+				slices.SortFunc(kept, func(a, b entry) int { return cmp.Compare(a.doc, b.doc) })
+			}
+			i++
+		}
+		if c >= 0 {
+			term, add = addTerms[j], lists[addTerms[j]]
+			j++
+		}
+		n := len(out.doc)
+		for a, b := 0, 0; a < len(kept) || b < len(add); {
+			e := entry{}
+			if b == len(add) || (a < len(kept) && kept[a].doc < add[b].doc) {
+				e, a = kept[a], a+1
+			} else {
+				e, b = add[b], b+1
+			}
+			out.doc = append(out.doc, e.doc)
+			out.tf = append(out.tf, e.tf)
+		}
+		if len(out.doc) == n {
+			continue // every table holding the term left
+		}
+		out.vocab = append(out.vocab, term)
+		out.start = append(out.start, uint32(len(out.doc)))
+	}
+	out.avgLen = meanLen(out.docLen)
+	return out, from, nil
+}
+
+// sortedTerms returns a term map's keys in ascending order.
+func sortedTerms[V any](m map[string]V) []string {
+	out := make([]string, 0, len(m))
+	for term := range m {
+		out = append(out, term)
+	}
+	slices.Sort(out)
+	return out
 }
 
 func meanLen(docLen []float64) float64 {

@@ -30,6 +30,25 @@ func NewValueIndex(tables []*table.Table) *ValueIndex {
 	return ix
 }
 
+// Fold is Index.Fold for cell values: only the added tables'
+// cells are tokenized, and every other table keeps its schema
+// signature.
+func (ix *ValueIndex) Fold(docs []string, added map[string]*table.Table) (*ValueIndex, error) {
+	p, from, err := ix.fold(docs, added, valueTerms)
+	if err != nil {
+		return nil, err
+	}
+	out := &ValueIndex{postings: p, schemas: make([]string, len(docs))}
+	for d, o := range from {
+		if o >= 0 {
+			out.schemas[d] = ix.schemas[o]
+		} else {
+			out.schemas[d] = schemaSig(added[docs[d]])
+		}
+	}
+	return out, nil
+}
+
 // valueTerms counts a table's cell words (stopwords dropped, capped per
 // column to bound skew from huge columns).
 func valueTerms(t *table.Table) map[string]float64 {

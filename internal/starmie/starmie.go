@@ -257,7 +257,10 @@ func (ix *Index) Bind(view vecstore.View) error {
 		ix.vecs[k] = embedding.Vector(view.Vec(i))
 		rowOf[k] = i
 	}
-	if err := ix.graph.RebindVecs(view.Vec, view.Len()); err != nil {
+	if err := ix.graph.RebindVecs(func(k string) (embedding.Vector, bool) {
+		v, ok := ix.vecs[k]
+		return v, ok
+	}); err != nil {
 		return err
 	}
 	ix.view, ix.rowOf, ix.hasView = view, rowOf, true

@@ -104,7 +104,7 @@ func NewD3L(model *embedding.Model, lake *dict.Dict) (*D3L, error) {
 // AddTable stages a table. The engine needs a Build before it answers
 // queries again.
 func (d *D3L) AddTable(t *table.Table) {
-	if _, dup := d.tables[t.ID]; dup {
+	if _, dup := d.tables[t.ID]; dup || !D3LIndexes(t) {
 		return
 	}
 	entry := &d3lTable{tbl: t}
@@ -112,9 +112,6 @@ func (d *D3L) AddTable(t *table.Table) {
 		if isStringColumn(c) {
 			entry.cols = append(entry.cols, d.analyzeColumn(c, i))
 		}
-	}
-	if len(entry.cols) == 0 {
-		return
 	}
 	d.tables[t.ID] = entry
 	d.ids = append(d.ids, t.ID)

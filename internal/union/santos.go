@@ -115,10 +115,10 @@ func (s *Santos) AddTable(tbl *table.Table) {
 
 // analyze extracts the intent column and its relationships.
 func (s *Santos) analyze(tbl *table.Table) *santosTable {
-	cols := stringColumns(tbl)
-	if len(cols) < 2 {
+	if !SantosIndexes(tbl) {
 		return nil
 	}
+	cols := stringColumns(tbl)
 	intent := cols[0]
 	st := &santosTable{tbl: tbl}
 	for _, c := range cols[1:] {

@@ -90,7 +90,7 @@ func DecodeTUSSnapshot(d *snap.Decoder, cfg TUSConfig, lookup func(id string) *t
 	if t.nlIndex, err = hnsw.DecodeSnapshot(d); err != nil {
 		return nil, err
 	}
-	if err := t.checkNL(); err != nil {
+	if err := t.bindNL(); err != nil {
 		return nil, fmt.Errorf("%w: %v", snap.ErrCorrupt, err)
 	}
 	// Rebuild the candidate-generation LSH exactly as Build does: same

@@ -104,7 +104,7 @@ func NewTUS(cfg TUSConfig) (*TUS, error) {
 
 // AddTable stages a table for indexing.
 func (t *TUS) AddTable(tbl *table.Table) {
-	if _, dup := t.tables[tbl.ID]; dup {
+	if _, dup := t.tables[tbl.ID]; dup || !TUSIndexes(tbl) {
 		return
 	}
 	entry := &tusTable{tbl: tbl}
@@ -114,9 +114,6 @@ func (t *TUS) AddTable(tbl *table.Table) {
 		for _, v := range tc.values {
 			t.univ[t.cfg.Dict.Intern(v)] = true
 		}
-	}
-	if len(entry.cols) == 0 {
-		return
 	}
 	t.tables[tbl.ID] = entry
 	t.ids = append(t.ids, tbl.ID)
@@ -138,10 +135,7 @@ func (t *TUS) AddTables(tbls []*table.Table, workers int) {
 		return entry, nil
 	})
 	for _, entry := range entries {
-		if _, dup := t.tables[entry.tbl.ID]; dup {
-			continue
-		}
-		if len(entry.cols) == 0 {
+		if _, dup := t.tables[entry.tbl.ID]; dup || !TUSIndexes(entry.tbl) {
 			continue
 		}
 		for _, tc := range entry.cols {
@@ -214,7 +208,7 @@ func (t *TUS) build(g *hnsw.Graph, batches [][]string) error {
 			return err
 		}
 	}
-	if err := t.checkNL(); err != nil {
+	if err := t.bindNL(); err != nil {
 		return err
 	}
 	// Freeze the ln n! cache for the hypergeometric CDF: every
@@ -250,20 +244,27 @@ func (t *TUS) insertNL(ids []string) error {
 	return nil
 }
 
-// checkNL holds the NL graph to exactly the engine's columns: a search
-// resolves each node key to its table.
-func (t *TUS) checkNL() error {
+// bindNL holds the NL graph to exactly the engine's columns — a search
+// resolves each node key to its table — and points each node at its
+// column's vector, which must hold the same bits: the graph keeps no
+// copy of its own, whether it was built, grown or decoded.
+func (t *TUS) bindNL() error {
+	vecs := make(map[string]embedding.Vector, t.nlIndex.Len())
 	cols := 0
 	for _, id := range t.ids {
 		for _, c := range t.tables[id].cols {
-			if _, ok := t.nlIndex.Vector(table.ColumnKey(id, c.name)); !ok {
-				return fmt.Errorf("union: TUS column %s.%s missing from the NL index", id, c.name)
-			}
+			vecs[table.ColumnKey(id, c.name)] = c.vec
 			cols++
 		}
 	}
 	if n := t.nlIndex.Len(); n != cols {
 		return fmt.Errorf("union: TUS NL index has %d nodes for %d columns", n, cols)
+	}
+	if err := t.nlIndex.RebindVecs(func(key string) (embedding.Vector, bool) {
+		v, ok := vecs[key]
+		return v, ok
+	}); err != nil {
+		return fmt.Errorf("union: TUS NL index: %w", err)
 	}
 	return nil
 }

@@ -14,6 +14,7 @@
 package union
 
 import (
+	"slices"
 	"sort"
 
 	"tablehound/internal/table"
@@ -60,6 +61,18 @@ func stringColumns(t *table.Table) []*table.Column {
 	}
 	return out
 }
+
+// TUSIndexes reports whether TUS's AddTable indexes a table: it has a
+// string column.
+func TUSIndexes(t *table.Table) bool { return slices.ContainsFunc(t.Columns, isStringColumn) }
+
+// D3LIndexes reports whether D3L's AddTable indexes a table: it has a
+// string column.
+func D3LIndexes(t *table.Table) bool { return slices.ContainsFunc(t.Columns, isStringColumn) }
+
+// SantosIndexes reports whether SANTOS's AddTable indexes a table: it
+// has an intent column and a string column to relate it to.
+func SantosIndexes(t *table.Table) bool { return len(stringColumns(t)) >= 2 }
 
 func isStringColumn(c *table.Column) bool {
 	return (c.Type == table.TypeString || c.Type == table.TypeDate || c.Type == table.TypeUnknown) && c.Cardinality() >= 2
