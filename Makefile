@@ -114,9 +114,12 @@ bench-delta:
 # Query-serving benchmarks over the 500-table lake, including the
 # loopback-HTTP serving benchmark (cold vs warm cache) and the routed
 # union classes over the end-to-end benchmark's 2-shard fleet, plus the
-# D3L whole-lake scan and one sequential TUS search over a 300-table
-# lake (the union scoring kernel both share), one Starmie query by staged
-# pointer and by copy, the HNSW kernel both engines share (Add is the
+# D3L whole-lake scan over the serving workloads' 300-table lake (/300,
+# where its max-score bound passes over most tables) and the lifecycle
+# workload's 100-table lake (/100, where it prunes little), one
+# sequential TUS search over a 300-table lake (the union scoring kernel
+# both share), one Starmie query by staged pointer and by copy, the
+# HNSW kernel both engines share (Add is the
 # write side: builds, chain loads, compactions), and what an inline
 # query table pays per cell: the out-of-vocabulary embedding kernel and
 # type inference, each beside the kernel it replaced; and the two join

@@ -228,7 +228,9 @@ func (p *Plan) prepareUnion(method UnionMethod) error {
 		if err != nil {
 			return err
 		}
-		// D3L has no sketch: its candidate set is the whole lake.
+		// D3L has no sketch: its candidates are every allowed table, and
+		// ScoreAmong's max-score bound scores only those that can still
+		// reach the top k.
 		p.unionCands = sys.D3L.TableIDs
 		p.unionScore = func(ctx context.Context, ids []string, k int) ([]union.Result, error) {
 			return sys.D3L.ScoreAmong(ctx, pq, ids, k)

@@ -9,6 +9,7 @@
 package schema
 
 import (
+	"slices"
 	"sort"
 	"strings"
 
@@ -52,8 +53,8 @@ func NormLabel(s string) string {
 }
 
 // LabelSimilarity is NameMatcher's score over two labels already passed
-// through NormLabel, for callers that normalize each label once and
-// compare it many times.
+// through NormLabel. A caller that compares each label many times
+// analyzes it once with NewLabel and scores with a LabelMatcher.
 func LabelSimilarity(a, b string) float64 {
 	if a == "" || b == "" {
 		return 0
@@ -75,9 +76,18 @@ func LabelSimilarity(a, b string) float64 {
 
 // editDistance is the Levenshtein distance.
 func editDistance(a, b string) int {
-	ra, rb := []rune(a), []rune(b)
-	prev := make([]int, len(rb)+1)
-	cur := make([]int, len(rb)+1)
+	d, _, _ := levenshtein([]rune(a), []rune(b), nil, nil)
+	return d
+}
+
+// levenshtein is the edit distance of two rune slices, computed in the
+// two DP rows prev and cur, which it grows when they are short and
+// returns for reuse.
+func levenshtein(ra, rb []rune, prev, cur []int) (int, []int, []int) {
+	if n := len(rb) + 1; cap(prev) < n || cap(cur) < n {
+		prev, cur = make([]int, n), make([]int, n)
+	}
+	prev, cur = prev[:len(rb)+1], cur[:len(rb)+1]
 	for j := range prev {
 		prev[j] = j
 	}
@@ -92,7 +102,71 @@ func editDistance(a, b string) int {
 		}
 		prev, cur = cur, prev
 	}
-	return prev[len(rb)]
+	return prev[len(rb)], prev, cur
+}
+
+// Label is a label passed through NormLabel, analyzed once so that
+// comparing it many times tokenizes and decodes nothing per pair.
+type Label struct {
+	norm  string
+	words []string // the distinct words of norm, ascending
+	runes []rune
+}
+
+// NewLabel analyzes a label already passed through NormLabel.
+func NewLabel(norm string) Label {
+	words := tokenize.Words(norm)
+	slices.Sort(words)
+	return Label{norm: norm, words: slices.Compact(words), runes: []rune(norm)}
+}
+
+// LabelMatcher scores analyzed labels, reusing its edit-distance rows
+// across calls: scoring many pairs allocates only when a label is
+// longer than every one before it. The zero value is ready to use; a
+// LabelMatcher is not safe for concurrent use.
+type LabelMatcher struct {
+	prev, cur []int
+}
+
+// Similarity is LabelSimilarity of the two labels, bit for bit: the
+// Jaccard term divides the same integer counts, and the edit term is
+// the same expression over the same distance.
+func (m *LabelMatcher) Similarity(a, b *Label) float64 {
+	if a.norm == "" || b.norm == "" {
+		return 0
+	}
+	if a.norm == b.norm {
+		return 1
+	}
+	var jac float64
+	if inter := sortedOverlap(a.words, b.words); len(a.words)+len(b.words) > 0 {
+		jac = float64(inter) / float64(len(a.words)+len(b.words)-inter)
+	}
+	var d int
+	d, m.prev, m.cur = levenshtein(a.runes, b.runes, m.prev, m.cur)
+	ed := 1 - float64(d)/float64(max(len(a.norm), len(b.norm)))
+	if jac > ed {
+		return jac
+	}
+	return ed
+}
+
+// sortedOverlap counts the strings two ascending distinct slices share.
+func sortedOverlap(a, b []string) int {
+	n := 0
+	for i, j := 0, 0; i < len(a) && j < len(b); {
+		switch {
+		case a[i] == b[j]:
+			n++
+			i++
+			j++
+		case a[i] < b[j]:
+			i++
+		default:
+			j++
+		}
+	}
+	return n
 }
 
 func min3(a, b, c int) int {

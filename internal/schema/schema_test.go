@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"tablehound/internal/datagen"
 	"tablehound/internal/embedding"
 	"tablehound/internal/table"
 )
@@ -46,6 +47,52 @@ func TestEditDistance(t *testing.T) {
 		if got := editDistance(c.a, c.b); got != c.want {
 			t.Errorf("editDistance(%q, %q) = %d, want %d", c.a, c.b, got, c.want)
 		}
+	}
+}
+
+// TestLabelMatcherMatchesLabelSimilarity holds the analyzed-label path
+// to LabelSimilarity bit for bit, over every ordered pair of the
+// labels of a generated lake plus empty, equal, repeated-word,
+// wordless and non-ASCII labels, all scored by one reused matcher.
+func TestLabelMatcherMatchesLabelSimilarity(t *testing.T) {
+	lake := datagen.Generate(datagen.Config{Seed: 7, NumTemplates: 8, TablesPerTemplate: 3, NumHomographs: 2})
+	seen := make(map[string]bool)
+	var norms []string
+	add := func(raw string) {
+		if l := NormLabel(raw); !seen[l] {
+			seen[l] = true
+			norms = append(norms, l)
+		}
+	}
+	for _, tbl := range lake.Tables {
+		for _, c := range tbl.Columns {
+			add(c.Name)
+		}
+	}
+	for _, raw := range []string{"", "city", "City", "city city name", "name city", "--", "!!",
+		"café", "cafe", "naïve_résumé", "résumé", "東京 都", "東京", "Ünïcödé-x"} {
+		add(raw)
+	}
+	labels := make([]Label, len(norms))
+	for i, l := range norms {
+		labels[i] = NewLabel(l)
+	}
+	var m LabelMatcher
+	for i, a := range norms {
+		for j, b := range norms {
+			if got, want := m.Similarity(&labels[i], &labels[j]), LabelSimilarity(a, b); got != want {
+				t.Errorf("Similarity(%q, %q) = %v, LabelSimilarity %v", a, b, got, want)
+			}
+		}
+	}
+	longest := &labels[0]
+	for i := range labels {
+		if len(labels[i].runes) > len(longest.runes) {
+			longest = &labels[i]
+		}
+	}
+	if allocs := testing.AllocsPerRun(10, func() { m.Similarity(longest, &labels[1]) }); allocs != 0 {
+		t.Errorf("a warm LabelMatcher allocates %v times per pair, want 0", allocs)
 	}
 }
 

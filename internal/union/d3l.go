@@ -1,6 +1,7 @@
 package union
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -35,7 +36,10 @@ type D3L struct {
 	tables map[string]*d3lTable
 	ids    []string
 	vocab  d3lVocab // derived by Build, never persisted
-	built  bool
+	// maxCols is the most columns a staged table has, derived by Build:
+	// a scan's partial scores fit in maxCols per query column and table.
+	maxCols int
+	built   bool
 }
 
 type d3lTable struct {
@@ -75,7 +79,7 @@ type d3lVocab struct {
 	lake    *dict.Dict
 	extra   map[string]uint32 // values lake lacks, IDs from lake.Size() up
 	wordIDs map[string]uint32
-	labels  []string // distinct normalized labels; a column's labelID indexes it
+	labels  []schema.Label // distinct analyzed labels; a column's labelID indexes it
 }
 
 // valueID returns the ID of a staged value.
@@ -154,8 +158,10 @@ func checkWords(words []string, freq []float64) error {
 func (d *D3L) Build() {
 	sort.Strings(d.ids)
 	var cols []*d3lColumn
+	d.maxCols = 0
 	for _, id := range d.ids {
 		cols = append(cols, d.tables[id].cols...)
+		d.maxCols = max(d.maxCols, len(d.tables[id].cols))
 	}
 	d.vocab = internColumns(d.lake, cols)
 	d.built = true
@@ -198,7 +204,7 @@ func internColumns(lake *dict.Dict, cols []*d3lColumn) d3lVocab {
 		if !ok {
 			id = len(v.labels)
 			labelIDs[c.label] = id
-			v.labels = append(v.labels, c.label)
+			v.labels = append(v.labels, schema.NewLabel(c.label))
 		}
 		c.labelID = id
 	}
@@ -386,22 +392,19 @@ func (d *D3L) ColumnEvidence(a, b *table.Column) Evidence {
 	ca := d.analyzeColumn(a, -1)
 	cb := d.analyzeColumn(b, -1)
 	internColumns(nil, []*d3lColumn{ca, cb})
-	return evidence(ca, cb, schema.LabelSimilarity(ca.label, cb.label),
-		dict.Overlap(ca.valueIDs, cb.valueIDs), wordSimilarity(ca.wordIDs, ca.wordFreq, cb.wordIDs, cb.wordFreq))
+	return Evidence{
+		Name:   schema.LabelSimilarity(ca.label, cb.label),
+		Value:  dict.JaccardOf(dict.Overlap(ca.valueIDs, cb.valueIDs), len(ca.valueIDs), len(cb.valueIDs)),
+		Format: formatSimilarity(ca.format, cb.format),
+		Words:  wordSimilarity(ca.wordIDs, ca.wordFreq, cb.wordIDs, cb.wordFreq),
+		Embed:  embedEvidence(ca, cb),
+	}
 }
 
-// evidence compares two columns interned into one vocabulary, given
-// their value overlap and word similarity. A scan counts those two for
-// every query column at once, and the name signal depends on the two
-// labels alone, so callers compute all three and pass them in.
-func evidence(a, b *d3lColumn, name float64, inter int, words float64) Evidence {
-	return Evidence{
-		Name:   name,
-		Value:  dict.JaccardOf(inter, len(a.valueIDs), len(b.valueIDs)),
-		Format: formatSimilarity(a.format, b.format),
-		Words:  words,
-		Embed:  (embedding.CosineWithNorms(a.vec, b.vec, a.norm, b.norm) + 1) / 2,
-	}
+// embedEvidence is the embedding signal of two columns: their cosine
+// mapped into [0, 1].
+func embedEvidence(a, b *d3lColumn) float64 {
+	return (embedding.CosineWithNorms(a.vec, b.vec, a.norm, b.norm) + 1) / 2
 }
 
 // Search ranks staged tables by relatedness to the query: column
@@ -421,8 +424,9 @@ func (d *D3L) Search(ctx context.Context, query *table.Table, k int) ([]Result, 
 // engine that prepared it. Prepare once, then reuse across ScoreAmong
 // calls so staged planners do not re-analyze per stage.
 type D3LQuery struct {
-	id    string
-	qcols []*d3lColumn
+	id     string
+	qcols  []*d3lColumn
+	labels []schema.Label // the query columns' labels, analyzed
 }
 
 // Prepare analyzes a query table's string columns; a query that is a
@@ -433,49 +437,147 @@ func (d *D3L) Prepare(query *table.Table) (*D3LQuery, error) {
 		return nil, ErrNotBuilt
 	}
 	if entry := d.tables[query.ID]; entry != nil && entry.tbl == query {
-		return &D3LQuery{id: query.ID, qcols: entry.cols}, nil
+		labels := make([]schema.Label, len(entry.cols))
+		for i, c := range entry.cols {
+			labels[i] = d.vocab.labels[c.labelID]
+		}
+		return &D3LQuery{id: query.ID, qcols: entry.cols, labels: labels}, nil
 	}
 	var qcols []*d3lColumn
+	var labels []schema.Label
 	oov := d.vocab.numValues()
 	for i, c := range query.Columns {
 		if isStringColumn(c) {
 			qc := d.analyzeColumn(c, i)
 			oov = d.vocab.intern(qc, oov)
 			qcols = append(qcols, qc)
+			labels = append(labels, schema.NewLabel(qc.label))
 		}
 	}
 	if len(qcols) == 0 {
 		return nil, fmt.Errorf("union: D3L query has no usable string columns: %w", table.ErrBadQuery)
 	}
-	return &D3LQuery{id: query.ID, qcols: qcols}, nil
+	return &D3LQuery{id: query.ID, qcols: qcols, labels: labels}, nil
 }
 
-// TableIDs returns the staged table IDs in ascending order. D3L has
-// no candidate sketch — its candidate set is the whole lake.
+// TableIDs returns the staged table IDs in ascending order, the
+// candidate set a planner hands ScoreAmong. D3L keeps no candidate
+// sketch: ScoreAmong bounds every candidate by its cheap evidence and
+// scores exactly only those that can still reach the top k.
 func (d *D3L) TableIDs() []string { return d.ids }
+
+// boundMargin absorbs the rounding of the sums behind a bound. The
+// bound is exact in real arithmetic; in floats, a score's sums (the
+// evidence terms, the matching, the word sums that can round past 1)
+// differ from the bound's by a few ulps of numbers no larger than 5,
+// many orders below the margin. A table is passed over only when its
+// bound plus the margin is below the worst kept score, so it cannot
+// have tied or beaten that score.
+const boundMargin = 1e-9
+
+// d3lBound is a candidate of a scan: its position in ids, where its
+// partial scores start in the scan's scratch, and its upper bound.
+type d3lBound struct {
+	ub       float64
+	pos, off int
+}
 
 // ScoreAmong scores the given staged tables by combined evidence and
 // returns the top k; with ids = TableIDs() it is bit-identical to
-// Search. Each candidate column's value and word IDs are read once,
-// against every query column (see queryMarks). Its allocations do not
-// grow with len(ids): reused marks and scratch (weight matrix, matcher,
-// name-evidence memo) serve every table, and only the k best results
-// are kept.
+// Search, and to scoring every table (see scoreAmong for the bound
+// that lets it score only a few). Its allocations do not grow with
+// len(ids): reused marks and scratch (partial scores, bounds, matcher,
+// name-evidence memo, label matcher) serve every table, and only the
+// k best results are kept.
 func (d *D3L) ScoreAmong(ctx context.Context, pq *D3LQuery, ids []string, k int) ([]Result, error) {
+	rs, _, err := d.scoreAmong(ctx, pq, ids, k)
+	return rs, err
+}
+
+// scoreAmong is ScoreAmong in two passes, a max-score scan; it also
+// returns how many tables it scored exactly.
+//
+// Pass 1 computes, for every (query column, candidate column) pair of
+// every candidate, the partial score (name + value) + format: cheap
+// evidence, read from the name memo and one pass of queryMarks over
+// each candidate column's values. Words and embedding are each at most
+// 1, and a matching takes at most one pair per query column, so its
+// weight is at most the sum of the rows' maxima: bound(partials, 2) is
+// never below the table's score.
+//
+// Pass 2 walks the candidates by bound, best first (then by position
+// in ids), and stops at the first whose bound cannot reach the worst
+// of k kept scores. A table it reaches gets its word evidence added
+// (queryMarks.wordSums) and is bounded again with the embedding at 1;
+// only if it can still enter is the embedding added and the matching
+// run. The partials are completed in place, in Evidence.Combined's
+// order, ((((N+V)+F)+W)+E)/5, so each weight is bit-identical to it.
+func (d *D3L) scoreAmong(ctx context.Context, pq *D3LQuery, ids []string, k int) ([]Result, int, error) {
 	if !d.built {
-		return nil, ErrNotBuilt
+		return nil, 0, ErrNotBuilt
 	}
-	values := newQueryMarks(int(d.vocab.numValues()))
-	defer values.release()
+	nq := len(pq.qcols)
+	sc := newScanScratch(nq)
+	defer freeScratch.put(sc)
+	bounds, err := d.boundAll(ctx, pq, ids, sc)
+	if err != nil || k <= 0 {
+		return nil, 0, err
+	}
+	slices.SortFunc(bounds, func(a, b d3lBound) int {
+		if c := cmp.Compare(b.ub, a.ub); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.pos, b.pos)
+	})
 	words := newQueryMarks(len(d.vocab.wordIDs))
 	defer words.release()
 	for i, qc := range pq.qcols {
-		values.add(i, qc.valueIDs, nil)
 		words.add(i, qc.wordIDs, qc.wordFreq)
 	}
+	top := newTopK(k, len(bounds))
+	scored := 0
+	for _, b := range bounds {
+		bar, full := top.bar()
+		if full && b.ub+boundMargin < bar {
+			break
+		}
+		if err := ctx.Err(); err != nil {
+			return nil, 0, err
+		}
+		ccols := d.tables[ids[b.pos]].cols
+		nc := len(ccols)
+		w := sc.partials[b.off : b.off+nq*nc]
+		for j, cc := range ccols {
+			words.wordSums(cc.wordIDs, cc.wordFreq, sc.words)
+			for i := range nq {
+				w[i*nc+j] += sc.words[i]
+			}
+		}
+		if full && bound(w, nq, nc, 1)+boundMargin < bar {
+			continue
+		}
+		for j, cc := range ccols {
+			for i, qc := range pq.qcols {
+				w[i*nc+j] = (w[i*nc+j] + embedEvidence(qc, cc)) / 5
+			}
+		}
+		scored++
+		top.offer(Result{TableID: ids[b.pos], Score: sc.matcher.MaxWeight(w, nq, nc) / float64(nq)})
+	}
+	return top.results(), scored, nil
+}
+
+// boundAll is pass 1 of scoreAmong: it stores every candidate's
+// partial scores in sc.partials, row-major by query column, and
+// returns the candidates with their bounds, in ids order. It skips the
+// query's own table and checks ctx between tables.
+func (d *D3L) boundAll(ctx context.Context, pq *D3LQuery, ids []string, sc *scanScratch) ([]d3lBound, error) {
+	values := newQueryMarks(int(d.vocab.numValues()))
+	defer values.release()
+	for i, qc := range pq.qcols {
+		values.add(i, qc.valueIDs, nil)
+	}
 	nq, nl := len(pq.qcols), len(d.vocab.labels)
-	sc := newScanScratch(nq)
-	defer freeScratch.put(sc)
 	// names[i*nl+l] is the name evidence of query column i against
 	// label l, computed when a candidate column first carries l.
 	sc.names = resize(sc.names, nq*nl)
@@ -483,8 +585,10 @@ func (d *D3L) ScoreAmong(ctx context.Context, pq *D3LQuery, ids []string, k int)
 	for i := range names {
 		names[i] = -1
 	}
-	top := newTopK(k, len(ids))
-	for _, id := range ids {
+	sc.partials = resize(sc.partials, nq*d.maxCols*len(ids))
+	bounds := resize(sc.bounds, len(ids))[:0]
+	off := 0
+	for pos, id := range ids {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
@@ -493,21 +597,39 @@ func (d *D3L) ScoreAmong(ctx context.Context, pq *D3LQuery, ids []string, k int)
 		}
 		ccols := d.tables[id].cols
 		nc := len(ccols)
-		w := sc.matrix(nq, nc)
+		p := sc.partials[off : off+nq*nc]
 		for j, cc := range ccols {
 			values.overlaps(cc.valueIDs, sc.inter)
-			words.wordSums(cc.wordIDs, cc.wordFreq, sc.words)
 			for i, qc := range pq.qcols {
 				name := &names[i*nl+cc.labelID]
 				if *name < 0 {
-					*name = schema.LabelSimilarity(qc.label, d.vocab.labels[cc.labelID])
+					*name = sc.labels.Similarity(&pq.labels[i], &d.vocab.labels[cc.labelID])
 				}
-				w[i*nc+j] = evidence(qc, cc, *name, int(sc.inter[i]), sc.words[i]).Combined()
+				value := dict.JaccardOf(int(sc.inter[i]), len(qc.valueIDs), len(cc.valueIDs))
+				p[i*nc+j] = *name + value + formatSimilarity(qc.format, cc.format)
 			}
 		}
-		top.offer(Result{TableID: id, Score: sc.matcher.MaxWeight(w, nq, nc) / float64(nq)})
+		bounds = append(bounds, d3lBound{ub: bound(p, nq, nc, 2), pos: pos, off: off})
+		off += nq * nc
 	}
-	return top.results(), nil
+	sc.bounds = bounds
+	return bounds, nil
+}
+
+// bound is the most a table's score can reach when each pair weight
+// w[i*nc+j] (a sum of evidence terms not yet divided by 5) still lacks
+// terms that add at most rest: the matching takes at most one pair per
+// query column, so its weight is at most the sum of the rows' maxima.
+func bound(w []float64, nq, nc int, rest float64) float64 {
+	var s float64
+	for i := range nq {
+		var m float64
+		for _, x := range w[i*nc : (i+1)*nc] {
+			m = max(m, x)
+		}
+		s += (m + rest) / 5
+	}
+	return s / float64(nq)
 }
 
 // topK keeps the k best results offered (score descending, then table
@@ -525,6 +647,15 @@ func newTopK(k, n int) *topK {
 		t.worstFirst = make([]Result, 0, m)
 	}
 	return t
+}
+
+// bar returns the worst kept score once k results are kept: a result
+// must reach it to enter.
+func (t *topK) bar() (float64, bool) {
+	if t.k <= 0 || len(t.worstFirst) < t.k {
+		return 0, false
+	}
+	return t.worstFirst[0].Score, true
 }
 
 func worseResult(a, b Result) bool {

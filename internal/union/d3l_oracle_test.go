@@ -4,7 +4,9 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 
@@ -358,5 +360,112 @@ func TestD3LMatchesOracleWideAndUnseenQueries(t *testing.T) {
 			checkAgainstOracle(t, d, o, q, d.TableIDs(), 5, "whole lake")
 			checkAgainstOracle(t, d, o, q, d.TableIDs()[3:9], 2, "id subset")
 		}
+	}
+}
+
+// oracleLake is the generated lake of TestD3LMatchesOracleOverSeeds
+// for a seed, with the engine over it (value IDs from its own
+// vocabulary, the lake's dictionary or half of it, by seed) and the
+// oracle.
+func oracleLake(t *testing.T, seed int64, extra func([]*table.Table) []*table.Table) ([]*table.Table, *D3L, *d3lOracle) {
+	t.Helper()
+	lake := datagen.Generate(datagen.Config{
+		Seed: seed, NumDomains: 8, DomainSize: 30, NumTemplates: 4, TablesPerTemplate: 4,
+		RowsMin: 8, RowsMax: 24, NumHomographs: 2, DisjointInstances: seed%2 == 0,
+	})
+	tables := lake.Tables
+	if extra != nil {
+		tables = extra(tables)
+	}
+	model := embedding.Train(lake.ColumnContexts(), embedding.Config{Dim: 24, Seed: uint64(seed)})
+	var values *dict.Dict
+	switch seed % 3 {
+	case 1:
+		values = valueDict(tables)
+	case 2:
+		values = valueDict(tables[:len(tables)/2])
+	}
+	return tables, builtD3LOver(t, model, values, tables), newD3LOracle(model, tables)
+}
+
+// TestD3LMatchesOracleOverKAndSubsets holds the bounded scan to the
+// oracle at k from 1 to past the lake, over the whole lake and over
+// seeded random ID subsets — kept in lake order, as the discover
+// planner passes an allowed set, and shuffled.
+func TestD3LMatchesOracleOverKAndSubsets(t *testing.T) {
+	for seed := int64(1); seed <= 12; seed++ {
+		tables, d, o := oracleLake(t, seed, nil)
+		all := d.TableIDs()
+		rng := rand.New(rand.NewSource(seed))
+		staged := tables[rng.Intn(len(tables))]
+		foreign := foreignQuery(tables[rng.Intn(len(tables))], int(seed))
+		for _, q := range []*table.Table{staged, foreign} {
+			for _, k := range []int{1, 3, 10, len(all) - 1, len(all) + 5} {
+				checkAgainstOracle(t, d, o, q, all, k, "whole lake")
+			}
+			for r := 0; r < 4; r++ {
+				var subset []string
+				for _, id := range all {
+					if rng.Intn(2) == 0 {
+						subset = append(subset, id)
+					}
+				}
+				if r%2 == 1 {
+					rng.Shuffle(len(subset), func(i, j int) { subset[i], subset[j] = subset[j], subset[i] })
+				}
+				for _, k := range []int{1, 3, 10, len(subset) + 5} {
+					checkAgainstOracle(t, d, o, q, subset, k, fmt.Sprintf("random subset %d", r))
+				}
+			}
+		}
+	}
+}
+
+// TestD3LMatchesOracleWithTies duplicates tables under new IDs, one
+// sorting before its original and one after, so exact score ties fall
+// across the k-th place: the bounded scan must keep the tied tables
+// with the smaller IDs, as the oracle's full sort does, also when the
+// IDs come in descending order and the scan meets the larger ones
+// first. A staged query with copies ties at the top, where a copy's
+// score is its bound give or take the rounding of its word and
+// embedding evidence.
+func TestD3LMatchesOracleWithTies(t *testing.T) {
+	withCopies := func(tables []*table.Table) []*table.Table {
+		out := slices.Clone(tables)
+		for i, tbl := range tables {
+			if i%2 != 0 {
+				continue
+			}
+			for _, id := range []string{"a_" + tbl.ID, tbl.ID + "_copy"} {
+				cols := make([]*table.Column, len(tbl.Columns))
+				for j, c := range tbl.Columns {
+					cols[j] = table.NewColumn(c.Name, c.Values)
+				}
+				out = append(out, table.MustNew(id, tbl.Name, cols))
+			}
+		}
+		return out
+	}
+	straddled := 0
+	for seed := int64(1); seed <= 8; seed++ {
+		tables, d, o := oracleLake(t, seed, withCopies)
+		all := d.TableIDs()
+		descending := slices.Clone(all)
+		slices.Reverse(descending)
+		for _, q := range []*table.Table{tables[0], tables[int(seed)%len(tables)], foreignQuery(tables[int(seed*3)%len(tables)], int(seed))} {
+			ranked := o.scoreAmong(q, all, len(all))
+			// The first few ties down the ranking, where the bound prunes most.
+			for k, n := 1, 0; k < len(ranked) && n < 4; k++ {
+				if ranked[k-1].Score == ranked[k].Score {
+					checkAgainstOracle(t, d, o, q, all, k, "tie at the k-th place")
+					checkAgainstOracle(t, d, o, q, descending, k, "tie at the k-th place, IDs descending")
+					n++
+					straddled++
+				}
+			}
+		}
+	}
+	if straddled < 10 {
+		t.Fatalf("only %d ties across the k-th place, want at least 10", straddled)
 	}
 }

@@ -168,9 +168,9 @@ func TestD3LCancelledContext(t *testing.T) {
 }
 
 // TestD3LScoreAmongAllocations: a scan allocates its scratch once and
-// the name matcher runs once per (query column, distinct label), so
-// scoring ten times the tables over the same labels costs not one
-// allocation more.
+// the name matcher scores analyzed labels with reused rows, so scoring
+// ten times the tables costs not one allocation more, and a scan
+// allocates a constant number of times.
 func TestD3LScoreAmongAllocations(t *testing.T) {
 	const templates, perTemplate = 5, 20
 	lake := datagen.Generate(datagen.Config{Seed: 9, NumTemplates: templates, TablesPerTemplate: perTemplate})
@@ -198,29 +198,99 @@ func TestD3LScoreAmongAllocations(t *testing.T) {
 		t.Errorf("ScoreAmong allocations grow with the candidates: %v over %d tables, %v over %d",
 			few, len(twoPerTemplate), many, len(all))
 	}
-	// 16 covers the scan's own scratch; the rest is the name matcher's.
-	if limit := float64(16 + 16*len(pq.qcols)*len(d.vocab.labels)); many > limit {
+	// The scan's scratch and the label matcher's rows are reused, so
+	// what is left is a constant: the kept results and their sort.
+	if limit := float64(8); many > limit {
 		t.Errorf("ScoreAmong over %d tables: %v allocations, want at most %v", len(all), many, limit)
+	}
+}
+
+// errAfter is a context whose Err reports cancellation from its n-th
+// call on, so a test can cancel a scan at a chosen check.
+type errAfter struct {
+	context.Context
+	calls, n int
+}
+
+func (c *errAfter) Err() error {
+	if c.calls++; c.calls >= c.n {
+		return context.Canceled
+	}
+	return nil
+}
+
+// d3lShapeLake is the serving benchmark's lake of templates×perTemplate
+// tables with a model trained on it, and a D3L engine built over it.
+func d3lShapeLake(tb testing.TB, templates, perTemplate int) (*datagen.Lake, *D3L) {
+	tb.Helper()
+	lake := datagen.Generate(datagen.Config{Seed: 1, NumDomains: 20, DomainSize: 80, NumTemplates: templates, TablesPerTemplate: perTemplate})
+	model := embedding.Train(lake.ColumnContexts(), embedding.Config{Dim: 64, Seed: 3})
+	return lake, builtD3L(tb, model, lake.Tables)
+}
+
+// TestD3LBoundPrunes: on the 300-table serving lake at k = 10, a
+// staged query scores exactly at most 15 % of the tables, and at k at
+// least the lake size it scores every one. A cancelled context stops
+// either pass.
+func TestD3LBoundPrunes(t *testing.T) {
+	lake, d := d3lShapeLake(t, 10, 30)
+	ids := d.TableIDs()
+	ctx := context.Background()
+	for qi := 0; qi < len(lake.Tables); qi += 23 {
+		pq, err := d.Prepare(lake.Tables[qi])
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, scored, err := d.scoreAmong(ctx, pq, ids, 10)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if limit := len(ids) * 15 / 100; scored > limit {
+			t.Errorf("query %s at k=10 scored %d of %d tables, want at most %d", pq.id, scored, len(ids), limit)
+		}
+		for _, k := range []int{len(ids) - 1, len(ids), len(ids) + 5} {
+			rs, scored, err := d.scoreAmong(ctx, pq, ids, k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if scored != len(ids)-1 || len(rs) != len(ids)-1 {
+				t.Errorf("query %s at k=%d scored %d and kept %d of the %d other tables", pq.id, k, scored, len(rs), len(ids)-1)
+			}
+		}
+	}
+	pq, err := d.Prepare(lake.Tables[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Pass 1 checks ctx once per id; the next check is pass 2's.
+	for _, n := range []int{1, len(ids), len(ids) + 1, len(ids) + 3} {
+		if _, err := d.ScoreAmong(&errAfter{Context: ctx, n: n}, pq, ids, 10); !errors.Is(err, context.Canceled) {
+			t.Errorf("context cancelled at check %d: err = %v, want context.Canceled", n, err)
+		}
 	}
 }
 
 var d3lBenchSink []Result
 
-// BenchmarkD3LSearch is the whole-lake scan over the shape of lake the
-// serving benchmark uses (300 tables), queried by staged tables as the
-// table_id endpoints do.
+// BenchmarkD3LSearch is the whole-lake scan, queried by staged tables
+// as the table_id endpoints do, over the lake shapes the serving
+// benchmark uses: /300 is the serving workloads' lake, where the bound
+// passes over most tables, and /100 the lifecycle workload's, where
+// k = 10 reaches past the 9 same-template tables and it prunes little.
 func BenchmarkD3LSearch(b *testing.B) {
-	lake := datagen.Generate(datagen.Config{Seed: 1, NumDomains: 20, DomainSize: 80, NumTemplates: 10, TablesPerTemplate: 30})
-	model := embedding.Train(lake.ColumnContexts(), embedding.Config{Dim: 64, Seed: 3})
-	d := builtD3L(b, model, lake.Tables)
-	ctx := context.Background()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		rs, err := d.Search(ctx, lake.Tables[i%len(lake.Tables)], 10)
-		if err != nil {
-			b.Fatal(err)
-		}
-		d3lBenchSink = rs
+	for _, shape := range []struct{ templates, perTemplate int }{{10, 30}, {10, 10}} {
+		b.Run(fmt.Sprint(shape.templates*shape.perTemplate), func(b *testing.B) {
+			lake, d := d3lShapeLake(b, shape.templates, shape.perTemplate)
+			ctx := context.Background()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				rs, err := d.Search(ctx, lake.Tables[i%len(lake.Tables)], 10)
+				if err != nil {
+					b.Fatal(err)
+				}
+				d3lBenchSink = rs
+			}
+		})
 	}
 }

@@ -7,6 +7,7 @@ import (
 
 	"tablehound/internal/graph"
 	"tablehound/internal/parallel"
+	"tablehound/internal/schema"
 )
 
 // The union scoring kernel. Scoring a candidate table needs, for every
@@ -139,13 +140,16 @@ func (m *queryMarks) wordSums(ids []uint32, freq []float64, s []float64) {
 // candidate tables of a ScoreAmong call: the per-query-column results
 // of the kernel (words holds SANTOS's best per query relationship),
 // the flat weight matrix and the matcher, plus D3L's name-evidence
-// memo.
+// memo and label matcher, and its pass-1 partial scores and bounds.
 type scanScratch struct {
-	inter   []int32
-	words   []float64
-	w       []float64
-	names   []float64
-	matcher graph.Matcher
+	inter    []int32
+	words    []float64
+	w        []float64
+	names    []float64
+	matcher  graph.Matcher
+	labels   schema.LabelMatcher
+	partials []float64
+	bounds   []d3lBound
 }
 
 // newScanScratch takes scratch for nq query columns from freeScratch;
