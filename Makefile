@@ -53,9 +53,12 @@ race:
 # kept under testdata/fuzz. The seeds are real sections of up to 40 KB,
 # and minimizing each new corpus entry that large takes the default
 # minute with no executions in between, so minimization is capped.
+# FuzzDot4 checks the four-wide dot kernel against Dot bit for bit on
+# arbitrary float32 bits (NaN, infinities, subnormals).
 fuzz:
 	$(GO) test -run XXX -fuzz 'FuzzLoadSection$$' -fuzztime 60s -fuzzminimizetime 3s ./internal/core
 	$(GO) test -run XXX -fuzz 'FuzzLoadDeltaSection$$' -fuzztime 60s -fuzzminimizetime 3s ./internal/core
+	$(GO) test -run XXX -fuzz 'FuzzDot4$$' -fuzztime 60s ./internal/embedding
 
 # End-to-end smoke of the serving layer: real lakeserved process over
 # a generated 100-table lake, one query per endpoint via lakectl's
@@ -119,17 +122,19 @@ bench-delta:
 # workload's 100-table lake (/100, where it prunes little), one
 # sequential TUS search over a 300-table lake (the union scoring kernel
 # both share), one Starmie query by staged pointer and by copy, the
-# HNSW kernel both engines share (Add is the
-# write side: builds, chain loads, compactions), and what an inline
-# query table pays per cell: the out-of-vocabulary embedding kernel and
-# type inference, each beside the kernel it replaced; and the two join
-# indexes on their own — JOSIE over 10k Zipf sets, one LSH and one LSH
-# Ensemble probe, and the ensemble build every load pays (with the heap
-# it retains). Set COUNT=10 for benchstat-worthy samples:
+# HNSW kernel both engines share (Add is the write side: builds, chain
+# loads, compactions), the dot kernel under the HNSW beams and the
+# union weight matrices (four Dot calls beside one Dot4, and the cosine
+# with and without stored norms), and what an inline query table pays
+# per cell: the out-of-vocabulary embedding kernel and type inference,
+# each beside the kernel it replaced; and the two join indexes on their
+# own — JOSIE over 10k Zipf sets, one LSH and one LSH Ensemble probe,
+# and the ensemble build every load pays (with the heap it retains).
+# Set COUNT=10 for benchstat-worthy samples:
 # make bench-query COUNT=10 > new.txt
 bench-query:
 	$(GO) test -run xxx \
-		-bench 'BenchmarkQuery|BenchmarkKeywordSearch|BenchmarkServeQPS|BenchmarkRoutedUnion|BenchmarkD3LSearch|BenchmarkTUSSearch|BenchmarkSantosSearch|BenchmarkStarmieSearch|BenchmarkHNSW|BenchmarkCharGramVector|BenchmarkInferType|BenchmarkJosieTopK|BenchmarkLSHQuery|BenchmarkLSHEnsemble' \
+		-bench 'BenchmarkQuery|BenchmarkKeywordSearch|BenchmarkServeQPS|BenchmarkRoutedUnion|BenchmarkD3LSearch|BenchmarkTUSSearch|BenchmarkSantosSearch|BenchmarkStarmieSearch|BenchmarkHNSW|BenchmarkCosine|BenchmarkDot|BenchmarkCharGramVector|BenchmarkInferType|BenchmarkJosieTopK|BenchmarkLSHQuery|BenchmarkLSHEnsemble' \
 		-benchmem -count $(COUNT) . ./internal/union/ ./internal/starmie/ ./internal/hnsw/ \
 		./internal/embedding/ ./internal/table/
 

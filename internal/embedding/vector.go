@@ -17,6 +17,40 @@ func (v Vector) Dot(o Vector) float64 {
 	return s
 }
 
+// Dot4 returns q.Dot(a), q.Dot(b), q.Dot(c) and q.Dot(d), each
+// bit-identical to the single dot product on every architecture: four
+// accumulators run side by side, so the adds of one do not wait on the
+// others, and each adds its terms in index order as Dot does. A product
+// of two float32 values is exact in float64 (24 + 24 significand bits),
+// so a fused multiply-add rounds each step exactly as a separate
+// multiply and add would.
+func Dot4(q, a, b, c, d Vector) (float64, float64, float64, float64) {
+	n := len(q)
+	a, b, c, d = a[:n], b[:n], c[:n], d[:n]
+	var sa, sb, sc, sd float64
+	for i, x := range q {
+		xf := float64(x)
+		sa += xf * float64(a[i])
+		sb += xf * float64(b[i])
+		sc += xf * float64(c[i])
+		sd += xf * float64(d[i])
+	}
+	return sa, sb, sc, sd
+}
+
+// DotMany sets out[i] to v.Dot(qs[i]) for every i, bit for bit, four
+// at a time through Dot4. out must hold len(qs) values.
+func DotMany(v Vector, qs []Vector, out []float64) {
+	out = out[:len(qs)]
+	i := 0
+	for ; i+4 <= len(qs); i += 4 {
+		out[i], out[i+1], out[i+2], out[i+3] = Dot4(v, qs[i], qs[i+1], qs[i+2], qs[i+3])
+	}
+	for ; i < len(qs); i++ {
+		out[i] = v.Dot(qs[i])
+	}
+}
+
 // Norm returns the Euclidean norm.
 func (v Vector) Norm() float64 { return math.Sqrt(v.Dot(v)) }
 
@@ -34,6 +68,16 @@ func CosineWithNorms(a, b Vector, na, nb float64) float64 {
 		return 0
 	}
 	return a.Dot(b) / (na * nb)
+}
+
+// CosineOfDot is CosineWithNorms for callers that computed the dot
+// product a·b already (through Dot4 or DotMany): bit-identical to
+// CosineWithNorms(a, b, na, nb), zero-norm rule included.
+func CosineOfDot(dot, na, nb float64) float64 {
+	if na == 0 || nb == 0 {
+		return 0
+	}
+	return dot / (na * nb)
 }
 
 // Normalize scales v to unit norm in place and returns it. Zero

@@ -101,18 +101,18 @@ func (g *Graph) Add(key string, vec embedding.Vector) error {
 		g.maxLevel = level
 		return nil
 	}
+	s := getScratch()
+	defer scratchPool.Put(s)
 	ep := g.entry
 	// Greedy descent through layers above the new node's level.
 	for l := g.maxLevel; l > level; l-- {
-		ep = g.greedyClosest(vec, ep, l)
+		ep = g.greedyClosest(s, vec, ep, l)
 	}
 	// Insert at each layer from min(level, maxLevel) down to 0.
 	top := level
 	if top > g.maxLevel {
 		top = g.maxLevel
 	}
-	s := getScratch()
-	defer scratchPool.Put(s)
 	for l := top; l >= 0; l-- {
 		cands := g.searchLayer(s, vec, ep, g.cfg.EfConstruction, l)
 		ep = cands[0].id
@@ -132,10 +132,10 @@ func (g *Graph) Add(key string, vec embedding.Vector) error {
 			links := append(g.nodes[nb].neighbors[l], id)
 			if len(links) > maxM {
 				// Re-select nb's links by distance to nb, in place.
-				base := g.nodes[nb].vec
+				s.dists = g.dists(g.nodes[nb].vec, links, s.dists)
 				s.links = s.links[:0]
-				for _, c := range links {
-					s.links = append(s.links, distItem{c, dist(base, g.nodes[c].vec)})
+				for i, c := range links {
+					s.links = append(s.links, distItem{c, s.dists[i]})
 				}
 				links = links[:0]
 				for _, c := range g.selectNeighbors(s, s.links, maxM) {
@@ -153,13 +153,15 @@ func (g *Graph) Add(key string, vec embedding.Vector) error {
 }
 
 // greedyClosest walks layer l greedily toward q from ep.
-func (g *Graph) greedyClosest(q embedding.Vector, ep int32, l int) int32 {
+func (g *Graph) greedyClosest(s *scratch, q embedding.Vector, ep int32, l int) int32 {
 	cur := ep
 	curDist := dist(q, g.nodes[cur].vec)
 	for {
 		improved := false
-		for _, nb := range g.neighborsAt(cur, l) {
-			if d := dist(q, g.nodes[nb].vec); d < curDist {
+		nbs := g.neighborsAt(cur, l)
+		s.dists = g.dists(q, nbs, s.dists)
+		for i, nb := range nbs {
+			if d := s.dists[i]; d < curDist {
 				cur, curDist = nb, d
 				improved = true
 			}
@@ -168,6 +170,24 @@ func (g *Graph) greedyClosest(q embedding.Vector, ep int32, l int) int32 {
 			return cur
 		}
 	}
+}
+
+// dists returns out, resized, with out[i] = dist(q, node ids[i]) for
+// every i, bit for bit: the dot products run four at a time through
+// embedding.Dot4, which keeps each one's bits, so a caller that takes
+// its decisions over the batch in ids order decides as it would with
+// one dist call per node.
+func (g *Graph) dists(q embedding.Vector, ids []int32, out []float64) []float64 {
+	out = slices.Grow(out[:0], len(ids))[:len(ids)]
+	i := 0
+	for ; i+4 <= len(ids); i += 4 {
+		a, b, c, d := embedding.Dot4(q, g.nodes[ids[i]].vec, g.nodes[ids[i+1]].vec, g.nodes[ids[i+2]].vec, g.nodes[ids[i+3]].vec)
+		out[i], out[i+1], out[i+2], out[i+3] = 1-a, 1-b, 1-c, 1-d
+	}
+	for ; i < len(ids); i++ {
+		out[i] = dist(q, g.nodes[ids[i]].vec)
+	}
+	return out
 }
 
 func (g *Graph) neighborsAt(id int32, l int) []int32 {
@@ -270,6 +290,8 @@ type scratch struct {
 	result  distHeap   // max-heap: the best ef so far
 	found   []distItem // searchLayer's answer
 	links   []distItem // a node's links with their distances, for re-selection
+	fresh   []int32    // searchLayer: the unvisited neighbors of the popped node
+	dists   []float64  // the distances of a batch of nodes (see dists)
 	sel     []distItem // selectNeighbors' answer
 	pruned  []distItem
 }
@@ -317,12 +339,19 @@ func (g *Graph) searchLayer(s *scratch, q embedding.Vector, ep int32, ef, l int)
 		if c.d > result.items[0].d && len(result.items) >= ef {
 			break
 		}
+		// Mark the unvisited neighbors first, then take their distances
+		// as one batch, then decide for each in neighbor order.
+		s.fresh = s.fresh[:0]
 		for _, nb := range g.neighborsAt(c.id, l) {
 			if s.visited[nb] == s.epoch {
 				continue
 			}
 			s.visited[nb] = s.epoch
-			d := dist(q, g.nodes[nb].vec)
+			s.fresh = append(s.fresh, nb)
+		}
+		s.dists = g.dists(q, s.fresh, s.dists)
+		for i, nb := range s.fresh {
+			d := s.dists[i]
 			if len(result.items) < ef || d < result.items[0].d {
 				cand.push(distItem{nb, d})
 				result.push(distItem{nb, d})
@@ -390,12 +419,12 @@ func (g *Graph) Search(q embedding.Vector, k, efSearch int) []Result {
 	if efSearch < k {
 		efSearch = k
 	}
-	ep := g.entry
-	for l := g.maxLevel; l > 0; l-- {
-		ep = g.greedyClosest(q, ep, l)
-	}
 	s := getScratch()
 	defer scratchPool.Put(s)
+	ep := g.entry
+	for l := g.maxLevel; l > 0; l-- {
+		ep = g.greedyClosest(s, q, ep, l)
+	}
 	found := g.searchLayer(s, q, ep, efSearch, 0)
 	if len(found) > k {
 		found = found[:k]

@@ -368,7 +368,7 @@ func (ix *Index) CandidateTables(pq *TableQuery, efSearch int, exact bool) []str
 func (ix *Index) ScoreTablesAmong(ctx context.Context, pq *TableQuery, ids []string, k int) ([]Result, error) {
 	var (
 		res     []Result
-		w       []float64
+		buf     []float64
 		matcher graph.Matcher
 	)
 	nq := len(pq.qv)
@@ -381,15 +381,18 @@ func (ix *Index) ScoreTablesAmong(ctx context.Context, pq *TableQuery, ids []str
 		}
 		ckeys := ix.byTable[id]
 		nc := len(ckeys)
-		if cap(w) < nq*nc {
-			w = make([]float64, nq*nc)
+		// One buffer holds the matrix and, past it, the row of a
+		// candidate column's dot products with the query columns.
+		if cap(buf) < nq*nc+nq {
+			buf = make([]float64, nq*nc+nq)
 		}
-		w = w[:nq*nc]
+		w, dots := buf[:nq*nc], buf[nq*nc:nq*nc+nq]
 		for j, ck := range ckeys {
 			cv, cn := ix.vecs[ck], ix.norm(ck)
-			for i, v := range pq.qv {
+			embedding.DotMany(cv, pq.qv, dots)
+			for i := range pq.qv {
 				w[i*nc+j] = 0
-				if c := embedding.CosineWithNorms(v, cv, pq.qn[i], cn); c > 0 {
+				if c := embedding.CosineOfDot(dots[i], pq.qn[i], cn); c > 0 {
 					w[i*nc+j] = c
 				}
 			}

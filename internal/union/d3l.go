@@ -397,14 +397,14 @@ func (d *D3L) ColumnEvidence(a, b *table.Column) Evidence {
 		Value:  dict.JaccardOf(dict.Overlap(ca.valueIDs, cb.valueIDs), len(ca.valueIDs), len(cb.valueIDs)),
 		Format: formatSimilarity(ca.format, cb.format),
 		Words:  wordSimilarity(ca.wordIDs, ca.wordFreq, cb.wordIDs, cb.wordFreq),
-		Embed:  embedEvidence(ca, cb),
+		Embed:  embedEvidence(ca, cb, ca.vec.Dot(cb.vec)),
 	}
 }
 
-// embedEvidence is the embedding signal of two columns: their cosine
-// mapped into [0, 1].
-func embedEvidence(a, b *d3lColumn) float64 {
-	return (embedding.CosineWithNorms(a.vec, b.vec, a.norm, b.norm) + 1) / 2
+// embedEvidence is the embedding signal of two columns whose vectors
+// have the dot product dot: their cosine mapped into [0, 1].
+func embedEvidence(a, b *d3lColumn, dot float64) float64 {
+	return (embedding.CosineOfDot(dot, a.norm, b.norm) + 1) / 2
 }
 
 // Search ranks staged tables by relatedness to the query: column
@@ -426,7 +426,16 @@ func (d *D3L) Search(ctx context.Context, query *table.Table, k int) ([]Result, 
 type D3LQuery struct {
 	id     string
 	qcols  []*d3lColumn
-	labels []schema.Label // the query columns' labels, analyzed
+	labels []schema.Label     // the query columns' labels, analyzed
+	qvecs  []embedding.Vector // the query columns' vectors, for DotMany
+}
+
+func newD3LQuery(id string, qcols []*d3lColumn, labels []schema.Label) *D3LQuery {
+	pq := &D3LQuery{id: id, qcols: qcols, labels: labels, qvecs: make([]embedding.Vector, len(qcols))}
+	for i, qc := range qcols {
+		pq.qvecs[i] = qc.vec
+	}
+	return pq
 }
 
 // Prepare analyzes a query table's string columns; a query that is a
@@ -441,7 +450,7 @@ func (d *D3L) Prepare(query *table.Table) (*D3LQuery, error) {
 		for i, c := range entry.cols {
 			labels[i] = d.vocab.labels[c.labelID]
 		}
-		return &D3LQuery{id: query.ID, qcols: entry.cols, labels: labels}, nil
+		return newD3LQuery(query.ID, entry.cols, labels), nil
 	}
 	var qcols []*d3lColumn
 	var labels []schema.Label
@@ -457,7 +466,7 @@ func (d *D3L) Prepare(query *table.Table) (*D3LQuery, error) {
 	if len(qcols) == 0 {
 		return nil, fmt.Errorf("union: D3L query has no usable string columns: %w", table.ErrBadQuery)
 	}
-	return &D3LQuery{id: query.ID, qcols: qcols, labels: labels}, nil
+	return newD3LQuery(query.ID, qcols, labels), nil
 }
 
 // TableIDs returns the staged table IDs in ascending order, the
@@ -557,8 +566,9 @@ func (d *D3L) scoreAmong(ctx context.Context, pq *D3LQuery, ids []string, k int)
 			continue
 		}
 		for j, cc := range ccols {
+			embedding.DotMany(cc.vec, pq.qvecs, sc.dots)
 			for i, qc := range pq.qcols {
-				w[i*nc+j] = (w[i*nc+j] + embedEvidence(qc, cc)) / 5
+				w[i*nc+j] = (w[i*nc+j] + embedEvidence(qc, cc, sc.dots[i])) / 5
 			}
 		}
 		scored++

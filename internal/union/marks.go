@@ -138,12 +138,14 @@ func (m *queryMarks) wordSums(ids []uint32, freq []float64, s []float64) {
 
 // scanScratch is the memory one scanning goroutine reuses across the
 // candidate tables of a ScoreAmong call: the per-query-column results
-// of the kernel (words holds SANTOS's best per query relationship),
+// of the kernel (words holds SANTOS's best per query relationship,
+// dots a candidate column's dot products with the query columns),
 // the flat weight matrix and the matcher, plus D3L's name-evidence
 // memo and label matcher, and its pass-1 partial scores and bounds.
 type scanScratch struct {
 	inter    []int32
 	words    []float64
+	dots     []float64
 	w        []float64
 	names    []float64
 	matcher  graph.Matcher
@@ -158,6 +160,7 @@ func newScanScratch(nq int) *scanScratch {
 	sc := freeScratch.get()
 	sc.inter = resize(sc.inter, nq)
 	sc.words = resize(sc.words, nq)
+	sc.dots = resize(sc.dots, nq)
 	return sc
 }
 

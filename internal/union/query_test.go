@@ -161,7 +161,7 @@ func TestLogFactTableMatchesLgamma(t *testing.T) {
 		}
 	}
 	for _, c := range [][4]int{{3, 50, 10, 10}, {7, 1000, 10, 10}, {5, 20, 30, 40}} {
-		want := hypergeomCDF(c[0], c[1], c[2], c[3])
+		want := refHypergeomCDF(nil, c[0], c[1], c[2], c[3])
 		if got := lf.hypergeomCDF(c[0], c[1], c[2], c[3]); got != want {
 			t.Fatalf("cached CDF%v = %v, want %v", c, got, want)
 		}

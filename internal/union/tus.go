@@ -360,29 +360,33 @@ func (t *TUS) ColumnUnionability(a, b []string, m Measure) float64 {
 	enc := t.dict.Encoder()
 	ca := t.queryColumn(table.NewColumn("a", a), enc)
 	cb := t.queryColumn(table.NewColumn("b", b), enc)
-	return t.columnScore(ca, cb, dict.Overlap(ca.ids, cb.ids), m)
+	return t.columnScore(ca, cb, dict.Overlap(ca.ids, cb.ids), ca.vec.Dot(cb.vec), m)
 }
 
-// columnScore scores two columns that share overlap values under m.
-func (t *TUS) columnScore(a, b *tusColumn, overlap int, m Measure) float64 {
+// columnScore scores two columns that share overlap values and whose
+// vectors have the dot product dot under m.
+func (t *TUS) columnScore(a, b *tusColumn, overlap int, dot float64, m Measure) float64 {
 	switch m {
 	case SetMeasure:
 		return t.setUnionability(a, b, overlap)
 	case SemMeasure:
 		return t.semUnionability(a, b)
 	case NLMeasure:
-		return nlUnionability(a, b)
+		return nlUnionability(a, b, dot)
 	default:
 		s := t.setUnionability(a, b, overlap)
 		if v := t.semUnionability(a, b); v > s {
 			s = v
 		}
-		if v := nlUnionability(a, b); v > s {
+		if v := nlUnionability(a, b, dot); v > s {
 			s = v
 		}
 		return s
 	}
 }
+
+// readsDots reports whether the measure m reads the columns' vectors.
+func readsDots(m Measure) bool { return m == NLMeasure || m == EnsembleMeasure }
 
 // setUnionability is the TUS set measure: the probability that two
 // random draws of |A| and |B| values from the universe share at most
@@ -429,7 +433,17 @@ func (lf logFactTable) logChoose(n, k int) float64 {
 	return lf.logFact(n) - lf.logFact(k) - lf.logFact(n-k)
 }
 
-// hypergeomCDF returns P[X <= k] for X ~ Hypergeom(D, na, nb).
+// hypergeomCDF returns P[X <= k] for X ~ Hypergeom(D, na, nb): the
+// terms x = lo, lo+1, ... summed in order, as long as a term can still
+// change the sum. Past the mode (na+1)(nb+1)/(d+2), truncated, the
+// terms strictly decrease; the sum then holds the mode term, so it is
+// positive and half an ulp of it is at least cdf·2⁻⁵⁴. A term at most
+// cdf·2⁻⁶⁰ is below that, and so is every later one even with the few
+// ulps of relative error exp(logChoose...) carries (about 1e-9 at
+// d = 1e5, against the 64× margin): adding it, or any after it, leaves
+// the sum unchanged under round-to-nearest, and the loop stops there,
+// bit-identically to the full sum. The test files keep the full sum
+// as the reference.
 func (lf logFactTable) hypergeomCDF(k, d, na, nb int) float64 {
 	lo := na + nb - d
 	if lo < 0 {
@@ -443,19 +457,19 @@ func (lf logFactTable) hypergeomCDF(k, d, na, nb int) float64 {
 		return 1
 	}
 	denom := lf.logChoose(d, nb)
+	mode := (na + 1) * (nb + 1) / (d + 2)
 	var cdf float64
 	for x := lo; x <= k; x++ {
-		cdf += math.Exp(lf.logChoose(na, x) + lf.logChoose(d-na, nb-x) - denom)
+		term := math.Exp(lf.logChoose(na, x) + lf.logChoose(d-na, nb-x) - denom)
+		if x > mode && term <= cdf*0x1p-60 {
+			break
+		}
+		cdf += term
 	}
 	if cdf > 1 {
 		cdf = 1
 	}
 	return cdf
-}
-
-// hypergeomCDF is the uncached variant (reference for tests).
-func hypergeomCDF(k, d, na, nb int) float64 {
-	return logFactTable(nil).hypergeomCDF(k, d, na, nb)
 }
 
 // semUnionability scores by ontology: Wu-Palmer similarity of the
@@ -473,9 +487,10 @@ func (t *TUS) semUnionability(a, b *tusColumn) float64 {
 	return sim * cover
 }
 
-// nlUnionability maps embedding cosine from [-1, 1] to [0, 1].
-func nlUnionability(a, b *tusColumn) float64 {
-	return (embedding.CosineWithNorms(a.vec, b.vec, a.norm, b.norm) + 1) / 2
+// nlUnionability maps embedding cosine from [-1, 1] to [0, 1]; dot
+// is a.vec·b.vec.
+func nlUnionability(a, b *tusColumn, dot float64) float64 {
+	return (embedding.CosineOfDot(dot, a.norm, b.norm) + 1) / 2
 }
 
 // ErrNotBuilt is returned by Search when the index has pending tables
@@ -507,6 +522,15 @@ func (t *TUS) Search(ctx context.Context, query *table.Table, k int, m Measure) 
 type TUSQuery struct {
 	id    string
 	qcols []*tusColumn
+	qvecs []embedding.Vector // the query columns' vectors, for DotMany
+}
+
+func newTUSQuery(id string, qcols []*tusColumn) *TUSQuery {
+	pq := &TUSQuery{id: id, qcols: qcols, qvecs: make([]embedding.Vector, len(qcols))}
+	for i, qc := range qcols {
+		pq.qvecs[i] = qc.vec
+	}
+	return pq
 }
 
 // Prepare encodes a query table's string columns against the frozen
@@ -519,7 +543,7 @@ func (t *TUS) Prepare(query *table.Table) (*TUSQuery, error) {
 		return nil, ErrNotBuilt
 	}
 	if entry := t.tables[query.ID]; entry != nil && entry.tbl == query {
-		return &TUSQuery{id: query.ID, qcols: entry.cols}, nil
+		return newTUSQuery(query.ID, entry.cols), nil
 	}
 	enc := t.dict.Encoder()
 	qcols := make([]*tusColumn, 0)
@@ -529,7 +553,7 @@ func (t *TUS) Prepare(query *table.Table) (*TUSQuery, error) {
 	if len(qcols) == 0 {
 		return nil, fmt.Errorf("union: query table has no usable string columns: %w", table.ErrBadQuery)
 	}
-	return &TUSQuery{id: query.ID, qcols: qcols}, nil
+	return newTUSQuery(query.ID, qcols), nil
 }
 
 // Candidates returns the sorted candidate table IDs the sketch
@@ -557,23 +581,29 @@ func (t *TUS) ScoreAmong(ctx context.Context, pq *TUSQuery, ids []string, k int,
 		}
 	}
 	return scoreAmong(ctx, ids, pq.id, t.QueryParallelism, len(pq.qcols), k, func(id string, sc *scanScratch) float64 {
-		return t.tableScore(marks, pq.qcols, t.tables[id].cols, m, sc)
+		return t.tableScore(marks, pq, t.tables[id].cols, m, sc)
 	})
 }
 
 // tableScore aligns query columns to candidate columns by maximum-
 // weight bipartite matching and normalizes by query column count.
 // marks, nil under the measures that ignore overlap, count each
-// candidate column's overlap with every query column in one pass.
-func (t *TUS) tableScore(marks *queryMarks, qcols, ccols []*tusColumn, m Measure, sc *scanScratch) float64 {
-	nq, nc := len(qcols), len(ccols)
+// candidate column's overlap with every query column in one pass;
+// under the measures that read vectors, one DotMany takes each
+// candidate column's dot product with every query column.
+func (t *TUS) tableScore(marks *queryMarks, pq *TUSQuery, ccols []*tusColumn, m Measure, sc *scanScratch) float64 {
+	nq, nc := len(pq.qcols), len(ccols)
 	w := sc.matrix(nq, nc)
+	dots := readsDots(m)
 	for j, cc := range ccols {
 		if marks != nil {
 			marks.overlaps(cc.ids, sc.inter)
 		}
-		for i, qc := range qcols {
-			w[i*nc+j] = t.columnScore(qc, cc, int(sc.inter[i]), m)
+		if dots {
+			embedding.DotMany(cc.vec, pq.qvecs, sc.dots)
+		}
+		for i, qc := range pq.qcols {
+			w[i*nc+j] = t.columnScore(qc, cc, int(sc.inter[i]), sc.dots[i], m)
 		}
 	}
 	return sc.matcher.MaxWeight(w, nq, nc) / float64(nq)

@@ -14,8 +14,9 @@ import (
 
 // tusOracleScoreAmong is TUS's candidate scoring as it stood before the
 // scoring kernel: per candidate a fresh matrix of row slices, each cell
-// scored with its own sorted merge of the two columns' value IDs, the
-// rows matched, every positive score collected and the lot sorted. The
+// scored with its own sorted merge of the two columns' value IDs, its
+// own dot product and the hypergeometric CDF summed in full, the rows
+// matched, every positive score collected and the lot sorted. The
 // engine must rank and score bit-identically to it.
 func tusOracleScoreAmong(t *TUS, pq *TUSQuery, ids []string, k int, m Measure) []Result {
 	var res []Result
@@ -28,7 +29,7 @@ func tusOracleScoreAmong(t *TUS, pq *TUSQuery, ids []string, k int, m Measure) [
 		for i, qc := range pq.qcols {
 			w[i] = make([]float64, len(ccols))
 			for j, cc := range ccols {
-				w[i][j] = t.columnScore(qc, cc, dict.Overlap(qc.ids, cc.ids), m)
+				w[i][j] = tusOracleColumnScore(t, qc, cc, m)
 			}
 		}
 		if score := matchRows(w) / float64(len(pq.qcols)); score > 0 {
@@ -40,6 +41,24 @@ func tusOracleScoreAmong(t *TUS, pq *TUSQuery, ids []string, k int, m Measure) [
 		res = res[:k]
 	}
 	return res
+}
+
+// tusOracleColumnScore is TUS's column score under m from references
+// alone: the set measure through refSetUnionability, the NL measure
+// through CosineWithNorms, combined as max(set, sem, nl).
+func tusOracleColumnScore(t *TUS, a, b *tusColumn, m Measure) float64 {
+	set := refSetUnionability(t, a, b, dict.Overlap(a.ids, b.ids))
+	sem := t.semUnionability(a, b)
+	nl := (embedding.CosineWithNorms(a.vec, b.vec, a.norm, b.norm) + 1) / 2
+	switch m {
+	case SetMeasure:
+		return set
+	case SemMeasure:
+		return sem
+	case NLMeasure:
+		return nl
+	}
+	return max(set, sem, nl)
 }
 
 // builtTUS stages and freezes a TUS engine over tables, with the

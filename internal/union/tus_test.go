@@ -160,20 +160,20 @@ func TestTUSErrors(t *testing.T) {
 
 func TestHypergeomCDF(t *testing.T) {
 	// Overlap beyond the max is certain.
-	if v := hypergeomCDF(10, 100, 5, 5); v != 1 {
+	if v := refHypergeomCDF(nil, 10, 100, 5, 5); v != 1 {
 		t.Errorf("CDF beyond max = %v", v)
 	}
 	// CDF is monotone in k.
 	prev := -1.0
 	for k := 0; k <= 10; k++ {
-		v := hypergeomCDF(k, 50, 10, 10)
+		v := refHypergeomCDF(nil, k, 50, 10, 10)
 		if v < prev {
 			t.Fatalf("CDF not monotone at k=%d", k)
 		}
 		prev = v
 	}
 	// Large overlap is very unlikely by chance: CDF(overlap-1) ~ 1.
-	if v := hypergeomCDF(7, 1000, 10, 10); v < 0.999 {
+	if v := refHypergeomCDF(nil, 7, 1000, 10, 10); v < 0.999 {
 		t.Errorf("CDF(7; 1000,10,10) = %v", v)
 	}
 }
