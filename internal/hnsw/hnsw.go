@@ -176,7 +176,9 @@ func (g *Graph) greedyClosest(s *scratch, q embedding.Vector, ep int32, l int) i
 // every i, bit for bit: the dot products run four at a time through
 // embedding.Dot4, which keeps each one's bits, so a caller that takes
 // its decisions over the batch in ids order decides as it would with
-// one dist call per node.
+// one dist call per node. It is embedding.DotMany's loop over node
+// vectors, which sit in no slice of their own: gathering them into one
+// cost more than the loop it would share.
 func (g *Graph) dists(q embedding.Vector, ids []int32, out []float64) []float64 {
 	out = slices.Grow(out[:0], len(ids))[:len(ids)]
 	i := 0

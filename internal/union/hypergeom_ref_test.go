@@ -65,13 +65,13 @@ func checkCDFStop(t *testing.T, lf logFactTable, d, na, nb int) int {
 func TestHypergeomCDFStopsBitIdentical(t *testing.T) {
 	lf := newLogFactTable(100_001)
 	compared := 0
-	for _, d := range []int{20, 50, 200, 1000, 24815, 100_000} {
-		for na := 1; na <= 120; na += 9 {
-			for nb := 1; nb <= 120; nb += 7 {
+	for na := 1; na <= 120; na += 9 {
+		for nb := 1; nb <= 120; nb += 7 {
+			compared += checkCDFStop(t, lf, na+nb, na, nb)
+			for _, d := range []int{20, 50, 200, 1000, 24815, 100_000} {
 				if na+nb <= d {
 					compared += checkCDFStop(t, lf, d, na, nb)
 				}
-				compared += checkCDFStop(t, lf, na+nb, na, nb)
 			}
 		}
 	}
@@ -133,7 +133,7 @@ func TestHypergeomCDFStopsBitIdentical(t *testing.T) {
 		}
 		marks.release()
 	}
-	if compared < 50_000 || len(asked) < 1_000 {
+	if compared < 40_000 || len(asked) < 1_000 {
 		t.Fatalf("compared %d grid points and %d distinct lake cells, too few to pin the stop", compared, len(asked))
 	}
 	t.Logf("%d grid points and %d lake cells (%d distinct) match the full sum", compared, cells, len(asked))

@@ -385,9 +385,6 @@ func (t *TUS) columnScore(a, b *tusColumn, overlap int, dot float64, m Measure) 
 	}
 }
 
-// readsDots reports whether the measure m reads the columns' vectors.
-func readsDots(m Measure) bool { return m == NLMeasure || m == EnsembleMeasure }
-
 // setUnionability is the TUS set measure: the probability that two
 // random draws of |A| and |B| values from the universe share at most
 // the observed overlap — i.e. the hypergeometric CDF at the overlap.
@@ -594,7 +591,7 @@ func (t *TUS) ScoreAmong(ctx context.Context, pq *TUSQuery, ids []string, k int,
 func (t *TUS) tableScore(marks *queryMarks, pq *TUSQuery, ccols []*tusColumn, m Measure, sc *scanScratch) float64 {
 	nq, nc := len(pq.qcols), len(ccols)
 	w := sc.matrix(nq, nc)
-	dots := readsDots(m)
+	dots := m == NLMeasure || m == EnsembleMeasure
 	for j, cc := range ccols {
 		if marks != nil {
 			marks.overlaps(cc.ids, sc.inter)
