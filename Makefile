@@ -7,7 +7,7 @@
 GO ?= go
 COUNT ?= 1
 
-.PHONY: check race fuzz loc bench-build bench-query bench-snapshot bench-vec bench-delta bench-e2e benchdiff serve-smoke snapshot-smoke shard-smoke delta-smoke discover-smoke
+.PHONY: check race fuzz loc bench-build bench-query bench-snapshot bench-vec bench-delta bench-e2e benchdiff abtest serve-smoke snapshot-smoke shard-smoke delta-smoke discover-smoke
 
 # The end-to-end harness under bench/ is a nested module: `go build
 # ./...` here does not compile it, yet it imports this module's
@@ -118,12 +118,14 @@ bench-delta:
 # loopback-HTTP serving benchmark (cold vs warm cache) and the routed
 # union classes over the end-to-end benchmark's 2-shard fleet, plus the
 # D3L whole-lake scan over the serving workloads' 300-table lake (/300,
-# where its max-score bound passes over most tables) and the lifecycle
-# workload's 100-table lake (/100, where it prunes little), one
+# where its max-score bound passes over most tables; /300/inline sends
+# each table as a new inline query) and the lifecycle workload's
+# 100-table lake (/100, where it prunes little), one
 # sequential TUS search over a 300-table lake (the union scoring kernel
 # both share), one Starmie query by staged pointer and by copy, the
 # HNSW kernel both engines share (Add is the write side: builds, chain
-# loads, compactions), the dot kernel under the HNSW beams and the
+# loads, compactions; 24-dim test vectors, and 64-dim ones under each
+# served graph's config), the dot kernel under the HNSW beams and the
 # union weight matrices (four Dot calls beside one Dot4, and the cosine
 # with and without stored norms), and what an inline query table pays
 # per cell: the out-of-vocabulary embedding kernel and type inference,
@@ -147,6 +149,16 @@ bench-e2e:
 # make benchdiff OLD=/tmp/old.json NEW=/tmp/new.json
 benchdiff:
 	$(GO) -C bench run ./benchdiff -benchmark ../BENCHMARK.json $(OLD) $(NEW)
+
+# Same-session A/B of two commits (scripts/abtest.sh): both exported
+# under a temp dir, bench/run.sh alternating over seeds 1-10, the
+# parent's records to $(OUT).base.json and the change's to $(OUT).json,
+# then their benchdiff. With BENCH and PKG set it alternates the two
+# sides' `go test -bench` binaries instead:
+# make abtest PARENT=<sha> [CHANGE=HEAD] [OUT=BENCH_<pr>]
+# make abtest PARENT=<sha> BENCH=BenchmarkD3LSearch PKG=./internal/union
+abtest:
+	bash scripts/abtest.sh $(PARENT) $(CHANGE)
 
 # Vector-store benchmarks: the heap-vs-mmap reload ratio of a
 # 100k-column-vector datagen corpus, the k-means behind PEXESO's

@@ -228,9 +228,9 @@ func (p *Plan) prepareUnion(method UnionMethod) error {
 		if err != nil {
 			return err
 		}
-		// D3L has no sketch: its candidates are every allowed table, and
-		// ScoreAmong's max-score bound scores only those that can still
-		// reach the top k.
+		// D3L's candidates are every allowed table: ScoreAmong reads
+		// their value evidence from its value index, and its max-score
+		// bound scores only those that can still reach the top k.
 		p.unionCands = sys.D3L.TableIDs
 		p.unionScore = func(ctx context.Context, ids []string, k int) ([]union.Result, error) {
 			return sys.D3L.ScoreAmong(ctx, pq, ids, k)

@@ -24,11 +24,16 @@ var productionConfigs = []Config{
 // vector appears three times (shuffled), as identical columns do in a
 // datagen lake, so distances tie exactly.
 func oracleVectors(seed int64, n int, dups bool) []embedding.Vector {
+	return clusteredVectors(seed, n, 24, dups)
+}
+
+// clusteredVectors is oracleVectors at dim dimensions.
+func clusteredVectors(seed int64, n, dim int, dups bool) []embedding.Vector {
 	rng := rand.New(rand.NewSource(seed))
 	if !dups {
-		return clustered(rng, n, 6, 24)
+		return clustered(rng, n, 6, dim)
 	}
-	base := clustered(rng, (n+2)/3, 6, 24)
+	base := clustered(rng, (n+2)/3, 6, dim)
 	out := make([]embedding.Vector, n)
 	for i := range out {
 		out[i] = base[i%len(base)]
@@ -185,38 +190,61 @@ func TestDecodeRejectsForgedCounts(t *testing.T) {
 	}
 }
 
+// hnswBenchCases are the graphs the HNSW benchmarks build over 2 000
+// vectors (each three times, as datagen duplicates columns): the 24-dim
+// vectors of the reference tests under Starmie's config, and the 64-dim
+// vectors both served graphs hold, under each production config. At 24
+// dims a distance is a small share of a beam step; at 64 a change to
+// the distance kernel shows.
+var hnswBenchCases = []struct {
+	name string
+	dim  int
+	cfg  Config
+}{
+	{"24d", 24, productionConfigs[1]},
+	{"64d/tus", 64, productionConfigs[0]},
+	{"64d/starmie", 64, productionConfigs[1]},
+}
+
 func BenchmarkHNSWAdd(b *testing.B) {
-	vecs := oracleVectors(1, 2000, true)
-	keys := make([]string, len(vecs))
-	for i := range keys {
-		keys[i] = fmt.Sprintf("v%05d", i)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		g := New(productionConfigs[1])
-		for j, v := range vecs {
-			if err := g.Add(keys[j], v); err != nil {
-				b.Fatal(err)
+	for _, bc := range hnswBenchCases {
+		b.Run(bc.name, func(b *testing.B) {
+			vecs := clusteredVectors(1, 2000, bc.dim, true)
+			keys := make([]string, len(vecs))
+			for i := range keys {
+				keys[i] = fmt.Sprintf("v%05d", i)
 			}
-		}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				g := New(bc.cfg)
+				for j, v := range vecs {
+					if err := g.Add(keys[j], v); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(vecs)), "ns/add")
+		})
 	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(vecs)), "ns/add")
 }
 
 var benchSink []Result
 
 func BenchmarkHNSWSearch(b *testing.B) {
-	vecs := oracleVectors(1, 2000, true)
-	g := buildGraph(b, vecs, productionConfigs[1])
-	rng := rand.New(rand.NewSource(2))
-	queries := make([]embedding.Vector, 64)
-	for i := range queries {
-		queries[i] = randUnit(rng, 24)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		benchSink = g.Search(queries[i%len(queries)], 8, 64)
+	for _, bc := range hnswBenchCases {
+		b.Run(bc.name, func(b *testing.B) {
+			g := buildGraph(b, clusteredVectors(1, 2000, bc.dim, true), bc.cfg)
+			rng := rand.New(rand.NewSource(2))
+			queries := make([]embedding.Vector, 64)
+			for i := range queries {
+				queries[i] = randUnit(rng, bc.dim)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				benchSink = g.Search(queries[i%len(queries)], 8, 64)
+			}
+		})
 	}
 }

@@ -35,7 +35,8 @@ type D3L struct {
 	lake   *dict.Dict // the lake's value dictionary; nil for a stand-alone engine
 	tables map[string]*d3lTable
 	ids    []string
-	vocab  d3lVocab // derived by Build, never persisted
+	vocab  d3lVocab    // derived by Build, never persisted
+	values d3lPostings // derived by Build, never persisted
 	// maxCols is the most columns a staged table has, derived by Build:
 	// a scan's partial scores fit in maxCols per query column and table.
 	maxCols int
@@ -43,8 +44,18 @@ type D3L struct {
 }
 
 type d3lTable struct {
-	tbl  *table.Table
-	cols []*d3lColumn
+	tbl   *table.Table
+	cols  []*d3lColumn
+	first int // ordinal of cols[0]: Build numbers the columns in ids order
+}
+
+// d3lPostings is the value index of the staged columns: the ordinals of
+// the columns holding value ID v are cols[start[v]:start[v+1]],
+// ascending. It spans the value IDs below d3lVocab.numValues.
+type d3lPostings struct {
+	start []int32
+	cols  []int32
+	n     int // the number of staged columns
 }
 
 // d3lColumn is one analyzed column. The first group of fields is the
@@ -152,19 +163,46 @@ func checkWords(words []string, freq []float64) error {
 	return nil
 }
 
-// Build freezes the staged tables: table IDs are sorted and every
-// column is interned into one lake-wide vocabulary. Search, Prepare
-// and ScoreAmong are pure reads afterwards.
+// Build freezes the staged tables: table IDs are sorted, every column
+// is interned into one lake-wide vocabulary, numbered in ids order and
+// posted under its value IDs. Search, Prepare and ScoreAmong are pure
+// reads afterwards.
 func (d *D3L) Build() {
 	sort.Strings(d.ids)
 	var cols []*d3lColumn
 	d.maxCols = 0
 	for _, id := range d.ids {
-		cols = append(cols, d.tables[id].cols...)
-		d.maxCols = max(d.maxCols, len(d.tables[id].cols))
+		t := d.tables[id]
+		t.first = len(cols)
+		cols = append(cols, t.cols...)
+		d.maxCols = max(d.maxCols, len(t.cols))
 	}
 	d.vocab = internColumns(d.lake, cols)
+	d.values = postValues(cols, d.vocab.numValues())
 	d.built = true
+}
+
+// postValues derives the value index of cols over the value IDs below
+// n, each column's ordinal being its position in cols.
+func postValues(cols []*d3lColumn, n uint32) d3lPostings {
+	p := d3lPostings{start: make([]int32, n+1), n: len(cols)}
+	for _, c := range cols {
+		for _, id := range c.valueIDs {
+			p.start[id+1]++
+		}
+	}
+	for v := range n {
+		p.start[v+1] += p.start[v]
+	}
+	p.cols = make([]int32, p.start[n])
+	next := slices.Clone(p.start[:n])
+	for ord, c := range cols {
+		for _, id := range c.valueIDs {
+			p.cols[next[id]] = int32(ord)
+			next[id]++
+		}
+	}
+	return p
 }
 
 // internColumns builds the vocabulary of a column set and interns
@@ -470,9 +508,11 @@ func (d *D3L) Prepare(query *table.Table) (*D3LQuery, error) {
 }
 
 // TableIDs returns the staged table IDs in ascending order, the
-// candidate set a planner hands ScoreAmong. D3L keeps no candidate
-// sketch: ScoreAmong bounds every candidate by its cheap evidence and
-// scores exactly only those that can still reach the top k.
+// candidate set a planner hands ScoreAmong (filtered by its allowed
+// set). ScoreAmong reads value evidence from the value index and
+// scores exactly only the candidates whose bound still reaches the top
+// k, so a whole-lake candidate set costs little more than the postings
+// of the query's values.
 func (d *D3L) TableIDs() []string { return d.ids }
 
 // boundMargin absorbs the rounding of the sums behind a bound. The
@@ -491,46 +531,53 @@ type d3lBound struct {
 	pos, off int
 }
 
+// d3lStages counts the tables a scan took past each step of pass 2:
+// formatted got their format evidence, scored were scored exactly.
+type d3lStages struct{ formatted, scored int }
+
 // ScoreAmong scores the given staged tables by combined evidence and
 // returns the top k; with ids = TableIDs() it is bit-identical to
 // Search, and to scoring every table (see scoreAmong for the bound
 // that lets it score only a few). Its allocations do not grow with
-// len(ids): reused marks and scratch (partial scores, bounds, matcher,
-// name-evidence memo, label matcher) serve every table, and only the
-// k best results are kept.
+// len(ids): reused marks and scratch (intersection counts, partial
+// scores, bounds, matcher, name-evidence memo, label matcher) serve
+// every table, and only the k best results are kept.
 func (d *D3L) ScoreAmong(ctx context.Context, pq *D3LQuery, ids []string, k int) ([]Result, error) {
 	rs, _, err := d.scoreAmong(ctx, pq, ids, k)
 	return rs, err
 }
 
 // scoreAmong is ScoreAmong in two passes, a max-score scan; it also
-// returns how many tables it scored exactly.
+// counts how far pass 2 took the tables.
 //
 // Pass 1 computes, for every (query column, candidate column) pair of
-// every candidate, the partial score (name + value) + format: cheap
-// evidence, read from the name memo and one pass of queryMarks over
-// each candidate column's values. Words and embedding are each at most
-// 1, and a matching takes at most one pair per query column, so its
-// weight is at most the sum of the rows' maxima: bound(partials, 2) is
-// never below the table's score.
+// every candidate, the partial score name + value: the name evidence
+// from a memo per label, the value evidence from intersection counts
+// that one walk over the postings of the query's values fills. Format,
+// words and embedding are each at most 1, and a matching takes at most
+// one pair per query column, so its weight is at most the sum of the
+// rows' maxima: bound(partials, 3) is never below the table's score.
 //
 // Pass 2 walks the candidates by bound, best first (then by position
 // in ids), and stops at the first whose bound cannot reach the worst
-// of k kept scores. A table it reaches gets its word evidence added
-// (queryMarks.wordSums) and is bounded again with the embedding at 1;
-// only if it can still enter is the embedding added and the matching
-// run. The partials are completed in place, in Evidence.Combined's
-// order, ((((N+V)+F)+W)+E)/5, so each weight is bit-identical to it.
-func (d *D3L) scoreAmong(ctx context.Context, pq *D3LQuery, ids []string, k int) ([]Result, int, error) {
+// of k kept scores. A table it reaches gets the rest of its evidence
+// a term at a time, each followed by a fresh bound that may pass it
+// over: format (then the bound with 2 terms missing), words
+// (queryMarks.wordSums; then 1 missing), and last the embedding and
+// the matching. The partials are completed in place, in
+// Evidence.Combined's order, ((((N+V)+F)+W)+E)/5, so each weight is
+// bit-identical to it.
+func (d *D3L) scoreAmong(ctx context.Context, pq *D3LQuery, ids []string, k int) ([]Result, d3lStages, error) {
+	var st d3lStages
 	if !d.built {
-		return nil, 0, ErrNotBuilt
+		return nil, st, ErrNotBuilt
 	}
 	nq := len(pq.qcols)
 	sc := newScanScratch(nq)
 	defer freeScratch.put(sc)
 	bounds, err := d.boundAll(ctx, pq, ids, sc)
 	if err != nil || k <= 0 {
-		return nil, 0, err
+		return nil, st, err
 	}
 	slices.SortFunc(bounds, func(a, b d3lBound) int {
 		if c := cmp.Compare(b.ub, a.ub); c != 0 {
@@ -544,18 +591,26 @@ func (d *D3L) scoreAmong(ctx context.Context, pq *D3LQuery, ids []string, k int)
 		words.add(i, qc.wordIDs, qc.wordFreq)
 	}
 	top := newTopK(k, len(bounds))
-	scored := 0
 	for _, b := range bounds {
 		bar, full := top.bar()
 		if full && b.ub+boundMargin < bar {
 			break
 		}
 		if err := ctx.Err(); err != nil {
-			return nil, 0, err
+			return nil, st, err
 		}
 		ccols := d.tables[ids[b.pos]].cols
 		nc := len(ccols)
 		w := sc.partials[b.off : b.off+nq*nc]
+		st.formatted++
+		for j, cc := range ccols {
+			for i, qc := range pq.qcols {
+				w[i*nc+j] += formatSimilarity(qc.format, cc.format)
+			}
+		}
+		if full && bound(w, nq, nc, 2)+boundMargin < bar {
+			continue
+		}
 		for j, cc := range ccols {
 			words.wordSums(cc.wordIDs, cc.wordFreq, sc.words)
 			for i := range nq {
@@ -571,10 +626,10 @@ func (d *D3L) scoreAmong(ctx context.Context, pq *D3LQuery, ids []string, k int)
 				w[i*nc+j] = (w[i*nc+j] + embedEvidence(qc, cc, sc.dots[i])) / 5
 			}
 		}
-		scored++
+		st.scored++
 		top.offer(Result{TableID: ids[b.pos], Score: sc.matcher.MaxWeight(w, nq, nc) / float64(nq)})
 	}
-	return top.results(), scored, nil
+	return top.results(), st, nil
 }
 
 // boundAll is pass 1 of scoreAmong: it stores every candidate's
@@ -582,11 +637,7 @@ func (d *D3L) scoreAmong(ctx context.Context, pq *D3LQuery, ids []string, k int)
 // returns the candidates with their bounds, in ids order. It skips the
 // query's own table and checks ctx between tables.
 func (d *D3L) boundAll(ctx context.Context, pq *D3LQuery, ids []string, sc *scanScratch) ([]d3lBound, error) {
-	values := newQueryMarks(int(d.vocab.numValues()))
-	defer values.release()
-	for i, qc := range pq.qcols {
-		values.add(i, qc.valueIDs, nil)
-	}
+	counts := d.intersections(pq, sc)
 	nq, nl := len(pq.qcols), len(d.vocab.labels)
 	// names[i*nl+l] is the name evidence of query column i against
 	// label l, computed when a candidate column first carries l.
@@ -605,25 +656,47 @@ func (d *D3L) boundAll(ctx context.Context, pq *D3LQuery, ids []string, sc *scan
 		if id == pq.id {
 			continue
 		}
-		ccols := d.tables[id].cols
-		nc := len(ccols)
+		t := d.tables[id]
+		nc := len(t.cols)
 		p := sc.partials[off : off+nq*nc]
-		for j, cc := range ccols {
-			values.overlaps(cc.valueIDs, sc.inter)
+		for j, cc := range t.cols {
+			inter := counts[(t.first+j)*nq:]
 			for i, qc := range pq.qcols {
 				name := &names[i*nl+cc.labelID]
 				if *name < 0 {
 					*name = sc.labels.Similarity(&pq.labels[i], &d.vocab.labels[cc.labelID])
 				}
-				value := dict.JaccardOf(int(sc.inter[i]), len(qc.valueIDs), len(cc.valueIDs))
-				p[i*nc+j] = *name + value + formatSimilarity(qc.format, cc.format)
+				p[i*nc+j] = *name + dict.JaccardOf(int(inter[i]), len(qc.valueIDs), len(cc.valueIDs))
 			}
 		}
-		bounds = append(bounds, d3lBound{ub: bound(p, nq, nc, 2), pos: pos, off: off})
+		bounds = append(bounds, d3lBound{ub: bound(p, nq, nc, 3), pos: pos, off: off})
 		off += nq * nc
 	}
 	sc.bounds = bounds
 	return bounds, nil
+}
+
+// intersections returns, in sc.counts, the number of values query
+// column i shares with the staged column of ordinal c at [c*nq+i], for
+// every staged column: one walk over the postings of the query's value
+// IDs. An ID at or past the index's span is an out-of-vocabulary value
+// of an inline query, which no staged column holds.
+func (d *D3L) intersections(pq *D3LQuery, sc *scanScratch) []int32 {
+	nq, post := len(pq.qcols), &d.values
+	sc.counts = resize(sc.counts, post.n*nq)
+	clear(sc.counts)
+	span := uint32(len(post.start) - 1)
+	for i, qc := range pq.qcols {
+		for _, id := range qc.valueIDs {
+			if id >= span {
+				continue
+			}
+			for _, c := range post.cols[post.start[id]:post.start[id+1]] {
+				sc.counts[int(c)*nq+i]++
+			}
+		}
+	}
+	return sc.counts
 }
 
 // bound is the most a table's score can reach when each pair weight

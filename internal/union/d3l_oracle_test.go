@@ -16,6 +16,7 @@ import (
 	"tablehound/internal/graph"
 	"tablehound/internal/minhash"
 	"tablehound/internal/schema"
+	"tablehound/internal/snap"
 	"tablehound/internal/table"
 	"tablehound/internal/tokenize"
 )
@@ -467,5 +468,98 @@ func TestD3LMatchesOracleWithTies(t *testing.T) {
 	}
 	if straddled < 10 {
 		t.Fatalf("only %d ties across the k-th place, want at least 10", straddled)
+	}
+}
+
+// TestD3LPostingsPassMatchesMerge holds pass 1's intersection counts,
+// read from the value index, to the merge of the two columns' value
+// IDs, for every query column and staged column: on a built engine, one
+// assembled from its parts and one decoded from its snapshot section,
+// with staged queries and inline ones (out-of-vocabulary values, and a
+// query sharing no value). Each engine also ranks as the oracle does
+// over the candidate sets the discover planner's allowed-set filter
+// passes: every third ID, none, and all but the query's own table.
+func TestD3LPostingsPassMatchesMerge(t *testing.T) {
+	for seed := int64(1); seed <= 6; seed++ {
+		tables, built, o := oracleLake(t, seed, nil)
+		lookup := func(id string) *table.Table {
+			for _, tbl := range tables {
+				if tbl.ID == id {
+					return tbl
+				}
+			}
+			return nil
+		}
+		fromParts, err := NewD3LFromParts(built.model, built.lake, built.Parts(), lookup)
+		if err != nil {
+			t.Fatal(err)
+		}
+		e := new(snap.Encoder)
+		built.AppendSnapshot(e)
+		decoded, err := DecodeD3LSnapshot(snap.NewDecoder(e.Bytes()), built.model, built.lake, lookup)
+		if err != nil {
+			t.Fatal(err)
+		}
+		staged := tables[int(seed)%len(tables)]
+		queries := []*table.Table{staged, foreignQuery(tables[int(seed*5)%len(tables)], int(seed)), unseenQuery([]string{"name", "zzunseen"})}
+		for _, eng := range []struct {
+			what string
+			d    *D3L
+		}{{"built", built}, {"from parts", fromParts}, {"decoded", decoded}} {
+			d := eng.d
+			shared := 0
+			for _, q := range queries {
+				pq, err := d.Prepare(q)
+				if err != nil {
+					t.Fatal(err)
+				}
+				nq := len(pq.qcols)
+				sc := newScanScratch(nq)
+				counts := d.intersections(pq, sc)
+				cols := 0
+				for _, id := range d.TableIDs() {
+					tbl := d.tables[id]
+					if tbl.first != cols {
+						t.Fatalf("seed %d, %s: table %s starts at column %d, want %d", seed, eng.what, id, tbl.first, cols)
+					}
+					for j, cc := range tbl.cols {
+						for i, qc := range pq.qcols {
+							got, want := int(counts[(tbl.first+j)*nq+i]), dict.Overlap(qc.valueIDs, cc.valueIDs)
+							if got != want {
+								t.Fatalf("seed %d, %s, query %s: column %d against %s.%d: postings count %d, merge %d",
+									seed, eng.what, q.ID, i, id, j, got, want)
+							}
+							if q == staged {
+								shared += got
+							}
+						}
+					}
+					cols += len(tbl.cols)
+				}
+				freeScratch.put(sc)
+				if cols != d.values.n || len(counts) != cols*nq {
+					t.Fatalf("seed %d, %s: %d staged columns, index over %d, %d counts for %d query columns",
+						seed, eng.what, cols, d.values.n, len(counts), nq)
+				}
+			}
+			if shared == 0 {
+				t.Fatalf("seed %d, %s: the staged query shares no value with the lake", seed, eng.what)
+			}
+			all := d.TableIDs()
+			var thirds, others []string
+			for i, id := range all {
+				if i%3 == 0 {
+					thirds = append(thirds, id)
+				}
+				if id != staged.ID {
+					others = append(others, id)
+				}
+			}
+			for _, q := range queries[:2] {
+				checkAgainstOracle(t, d, o, q, thirds, 4, eng.what+", every third id")
+				checkAgainstOracle(t, d, o, q, all[:0:0], 4, eng.what+", no allowed id")
+				checkAgainstOracle(t, d, o, q, others, 5, eng.what+", without the staged query's table")
+			}
+		}
 	}
 }

@@ -229,32 +229,36 @@ func d3lShapeLake(tb testing.TB, templates, perTemplate int) (*datagen.Lake, *D3
 }
 
 // TestD3LBoundPrunes: on the 300-table serving lake at k = 10, a
-// staged query scores exactly at most 15 % of the tables, and at k at
-// least the lake size it scores every one. A cancelled context stops
-// either pass.
+// staged query takes at most 15 % of the tables to pass 2's format
+// step and scores exactly at most 15 % of them, and at k at least the
+// lake size it scores every one. A cancelled context stops either
+// pass.
 func TestD3LBoundPrunes(t *testing.T) {
 	lake, d := d3lShapeLake(t, 10, 30)
 	ids := d.TableIDs()
 	ctx := context.Background()
+	limit := len(ids) * 15 / 100
 	for qi := 0; qi < len(lake.Tables); qi += 23 {
 		pq, err := d.Prepare(lake.Tables[qi])
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, scored, err := d.scoreAmong(ctx, pq, ids, 10)
+		_, st, err := d.scoreAmong(ctx, pq, ids, 10)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if limit := len(ids) * 15 / 100; scored > limit {
-			t.Errorf("query %s at k=10 scored %d of %d tables, want at most %d", pq.id, scored, len(ids), limit)
+		if st.formatted > limit || st.scored > limit {
+			t.Errorf("query %s at k=10 formatted %d and scored %d of %d tables, want each at most %d",
+				pq.id, st.formatted, st.scored, len(ids), limit)
 		}
 		for _, k := range []int{len(ids) - 1, len(ids), len(ids) + 5} {
-			rs, scored, err := d.scoreAmong(ctx, pq, ids, k)
+			rs, st, err := d.scoreAmong(ctx, pq, ids, k)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if scored != len(ids)-1 || len(rs) != len(ids)-1 {
-				t.Errorf("query %s at k=%d scored %d and kept %d of the %d other tables", pq.id, k, scored, len(rs), len(ids)-1)
+			if st.formatted != len(ids)-1 || st.scored != len(ids)-1 || len(rs) != len(ids)-1 {
+				t.Errorf("query %s at k=%d formatted %d, scored %d and kept %d of the %d other tables",
+					pq.id, k, st.formatted, st.scored, len(rs), len(ids)-1)
 			}
 		}
 	}
@@ -277,20 +281,36 @@ var d3lBenchSink []Result
 // benchmark uses: /300 is the serving workloads' lake, where the bound
 // passes over most tables, and /100 the lifecycle workload's, where
 // k = 10 reaches past the 9 same-template tables and it prunes little.
+// /300/inline queries copies of the lake's tables under new IDs, as an
+// inline query table arrives: Prepare analyzes and interns each one.
 func BenchmarkD3LSearch(b *testing.B) {
-	for _, shape := range []struct{ templates, perTemplate int }{{10, 30}, {10, 10}} {
-		b.Run(fmt.Sprint(shape.templates*shape.perTemplate), func(b *testing.B) {
-			lake, d := d3lShapeLake(b, shape.templates, shape.perTemplate)
-			ctx := context.Background()
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				rs, err := d.Search(ctx, lake.Tables[i%len(lake.Tables)], 10)
-				if err != nil {
-					b.Fatal(err)
-				}
-				d3lBenchSink = rs
+	search := func(b *testing.B, d *D3L, queries []*table.Table) {
+		ctx := context.Background()
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			rs, err := d.Search(ctx, queries[i%len(queries)], 10)
+			if err != nil {
+				b.Fatal(err)
 			}
-		})
+			d3lBenchSink = rs
+		}
+	}
+	for _, shape := range []struct{ templates, perTemplate int }{{10, 30}, {10, 10}} {
+		name := fmt.Sprint(shape.templates * shape.perTemplate)
+		lake, d := d3lShapeLake(b, shape.templates, shape.perTemplate)
+		b.Run(name, func(b *testing.B) { search(b, d, lake.Tables) })
+		if shape.perTemplate != 30 {
+			continue
+		}
+		inline := make([]*table.Table, len(lake.Tables))
+		for i, tbl := range lake.Tables {
+			cols := make([]*table.Column, len(tbl.Columns))
+			for j, c := range tbl.Columns {
+				cols[j] = table.NewColumn(c.Name, c.Values)
+			}
+			inline[i] = table.MustNew("inline_"+tbl.ID, tbl.Name, cols)
+		}
+		b.Run(name+"/inline", func(b *testing.B) { search(b, d, inline) })
 	}
 }

@@ -140,10 +140,12 @@ func (m *queryMarks) wordSums(ids []uint32, freq []float64, s []float64) {
 // candidate tables of a ScoreAmong call: the per-query-column results
 // of the kernel (words holds SANTOS's best per query relationship,
 // dots a candidate column's dot products with the query columns),
-// the flat weight matrix and the matcher, plus D3L's name-evidence
-// memo and label matcher, and its pass-1 partial scores and bounds.
+// the flat weight matrix and the matcher, plus D3L's intersection
+// counts, name-evidence memo and label matcher, and its pass-1 partial
+// scores and bounds.
 type scanScratch struct {
 	inter    []int32
+	counts   []int32
 	words    []float64
 	dots     []float64
 	w        []float64
