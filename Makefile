@@ -150,7 +150,7 @@ bench-e2e:
 benchdiff:
 	$(GO) -C bench run ./benchdiff -benchmark ../BENCHMARK.json $(OLD) $(NEW)
 
-# Same-session A/B of two commits (scripts/abtest.sh): both exported
+# Back-to-back A/B of two commits (scripts/abtest.sh): both exported
 # under a temp dir, bench/run.sh alternating over seeds 1-10, the
 # parent's records to $(OUT).base.json and the change's to $(OUT).json,
 # then their benchdiff. With BENCH and PKG set it alternates the two

@@ -11,8 +11,9 @@ import (
 )
 
 // The union scoring kernel. Scoring a candidate table needs, for every
-// (query column, candidate column) pair, the pair's value overlap and,
-// for D3L, the overlap of their word distributions; SANTOS needs the
+// (query column, candidate column) pair, TUS's value overlap and D3L's
+// overlap of their word distributions (D3L reads value overlaps from
+// its value index instead, see D3L.intersections); SANTOS needs the
 // pair-ID overlap of every (query relationship, candidate relationship)
 // pair, and treats a relationship as a column here. Rather than merge
 // the two sorted ID arrays of every pair, ScoreAmong marks once which

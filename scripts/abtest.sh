@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
-# Same-session A/B of two commits: both sides run on the same host, in
-# the same session, alternating, so host drift lands on both equally.
+# A/B of two commits on one host: both sides run back to back,
+# alternating, so host drift lands on both equally.
 #
 #   bash scripts/abtest.sh PARENT [CHANGE]
 #       End to end. Runs `bench/run.sh --seed S` (all four workloads,
@@ -93,14 +93,15 @@ for round in $(seq "${ROUNDS:-10}"); do
 done
 
 # Per benchmark: the median ns/op of each side, the change in percent,
-# and the rounds (the i-th line of a name on each side) the change won.
+# and the rounds (the i-th line of a name on each side) the change won;
+# a benchmark only one side has gets its median alone.
 awk '
     FNR == 1 { side++ }
     /^Benchmark/ {
         for (f = 3; f < NF; f++) if ($(f + 1) == "ns/op") break
         n = ++count[side, $1]
         ns[side, $1, n] = $f
-        if (side == 1 && n == 1) names[++nn] = $1
+        if (n == 1 && !($1 in seen)) { seen[$1]; names[++nn] = $1 }
     }
     function median(s, name,    n, i, j, t, v) {
         n = count[s, name]
@@ -113,6 +114,11 @@ awk '
         printf "%-48s %14s %14s %8s %6s\n", "benchmark", "parent ns/op", "change ns/op", "change", "wins"
         for (k = 1; k <= nn; k++) {
             name = names[k]
+            if (!count[1, name] || !count[2, name]) {
+                printf "%-48s %14s %14s   (on one side only)\n", name,
+                    count[1, name] ? median(1, name) : "-", count[2, name] ? median(2, name) : "-"
+                continue
+            }
             a = median(1, name); b = median(2, name)
             wins = 0; pairs = count[1, name] < count[2, name] ? count[1, name] : count[2, name]
             for (i = 1; i <= pairs; i++) if (ns[2, name, i] < ns[1, name, i]) wins++
