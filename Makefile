@@ -155,8 +155,8 @@ benchdiff:
 # parent's records to $(OUT).base.json and the change's to $(OUT).json,
 # then their benchdiff. With BENCH and PKG set it alternates the two
 # sides' `go test -bench` binaries instead:
-# make abtest PARENT=<sha> [CHANGE=HEAD] [OUT=BENCH_<pr>]
-# make abtest PARENT=<sha> BENCH=BenchmarkD3LSearch PKG=./internal/union
+# make abtest PARENT=<sha> [CHANGE=HEAD] OUT=BENCH_<pr>
+# make abtest PARENT=<sha> OUT=/tmp/d3l BENCH=BenchmarkD3LSearch PKG=./internal/union
 abtest:
 	bash scripts/abtest.sh $(PARENT) $(CHANGE)
 

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"tablehound/internal/datagen"
@@ -283,6 +284,9 @@ var d3lBenchSink []Result
 // k = 10 reaches past the 9 same-template tables and it prunes little.
 // /300/inline queries copies of the lake's tables under new IDs, as an
 // inline query table arrives: Prepare analyzes and interns each one.
+// /300/template scores each staged query among the tables of its own
+// template only, 30 of 300: the allowed set discover's planner hands
+// ScoreAmong when a predicate keeps one template (its tag).
 func BenchmarkD3LSearch(b *testing.B) {
 	search := func(b *testing.B, d *D3L, queries []*table.Table) {
 		ctx := context.Background()
@@ -312,5 +316,28 @@ func BenchmarkD3LSearch(b *testing.B) {
 			inline[i] = table.MustNew("inline_"+tbl.ID, tbl.Name, cols)
 		}
 		b.Run(name+"/inline", func(b *testing.B) { search(b, d, inline) })
+		byTemplate := make(map[string][]string)
+		for _, id := range d.TableIDs() {
+			tpl, _, _ := strings.Cut(id, "_")
+			byTemplate[tpl] = append(byTemplate[tpl], id)
+		}
+		b.Run(name+"/template", func(b *testing.B) {
+			ctx := context.Background()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				q := lake.Tables[i%len(lake.Tables)]
+				pq, err := d.Prepare(q)
+				if err != nil {
+					b.Fatal(err)
+				}
+				tpl, _, _ := strings.Cut(q.ID, "_")
+				rs, err := d.ScoreAmong(ctx, pq, byTemplate[tpl], 10)
+				if err != nil {
+					b.Fatal(err)
+				}
+				d3lBenchSink = rs
+			}
+		})
 	}
 }

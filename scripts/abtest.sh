@@ -4,22 +4,20 @@
 #
 #   bash scripts/abtest.sh PARENT [CHANGE]
 #       End to end. Runs `bench/run.sh --seed S` (all four workloads,
-#       one process per seed) for every seed in SEEDS, the parent first
-#       on odd seeds and the change first on even ones. Writes the
+#       one process per seed) for seeds 1-10, the parent first on odd
+#       seeds and the change first on even ones. Writes the
 #       parent's records to $OUT.base.json and the change's to
 #       $OUT.json, then prints `make benchdiff` of the pair.
 #
 #   BENCH=REGEX PKG=./internal/union bash scripts/abtest.sh PARENT [CHANGE]
 #       Microbenchmarks. Builds one `go test` binary per side and runs
-#       them alternately ROUNDS times (-test.count 1 each, the parent
+#       them alternately 10 times (-test.count 1 each, the parent
 #       first on odd rounds). Writes the raw `go test -bench` lines to
 #       $OUT.base.txt and $OUT.txt (benchstat reads them) and prints,
 #       per benchmark, both medians and how many rounds the change won.
 #
 # CHANGE defaults to HEAD; both are any commit-ish. Environment:
-#   OUT        path prefix of the result files (default BENCH_ab)
-#   SEEDS      end-to-end seeds (default "1 2 3 4 5 6 7 8 9 10")
-#   ROUNDS     microbenchmark rounds (default 10)
+#   OUT        path prefix of the result files, e.g. BENCH_<pr> (required)
 #   BENCHTIME  microbenchmark -test.benchtime (default 1s)
 #   CPU        microbenchmark -test.cpu (default 1)
 #
@@ -30,13 +28,13 @@
 set -euo pipefail
 
 if [ $# -lt 1 ] || [ $# -gt 2 ]; then
-    echo "usage: [BENCH=REGEX PKG=PKG] scripts/abtest.sh PARENT [CHANGE]" >&2
+    echo "usage: OUT=PREFIX [BENCH=REGEX PKG=PKG] scripts/abtest.sh PARENT [CHANGE]" >&2
     exit 2
 fi
 root="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
 parent=$(git -C "$root" rev-parse --short "$1^{commit}")
 change=$(git -C "$root" rev-parse --short "${2:-HEAD}^{commit}")
-out="${OUT:-BENCH_ab}"
+out="${OUT:?OUT names the prefix of the result files, e.g. BENCH_<pr>}"
 case "$out" in /*) ;; *) out="$PWD/$out" ;; esac
 
 tmp=$(mktemp -d)
@@ -57,7 +55,7 @@ order() {
 if [ -z "${BENCH:-}" ]; then
     : >"$out.base.json"
     : >"$out.json"
-    for seed in ${SEEDS:-1 2 3 4 5 6 7 8 9 10}; do
+    for seed in $(seq 10); do
         for side in $(order "$seed"); do
             rev=$parent file=$out.base.json
             [ "$side" = change ] && rev=$change file=$out.json
@@ -82,7 +80,7 @@ for side in base change; do
 done
 : >"$out.base.txt"
 : >"$out.txt"
-for round in $(seq "${ROUNDS:-10}"); do
+for round in $(seq 10); do
     for side in $(order "$round"); do
         file=$out.base.txt
         [ "$side" = change ] && file=$out.txt
