@@ -11,15 +11,13 @@
 #
 #   BENCH=REGEX PKG=./internal/union bash scripts/abtest.sh PARENT [CHANGE]
 #       Microbenchmarks. Builds one `go test` binary per side and runs
-#       them alternately 10 times (-test.count 1 each, the parent
-#       first on odd rounds). Writes the raw `go test -bench` lines to
+#       them alternately 10 times (-test.count 1, -test.cpu 1 and
+#       -test.benchtime 1s each, the parent first on odd rounds). Writes the raw `go test -bench` lines to
 #       $OUT.base.txt and $OUT.txt (benchstat reads them) and prints,
 #       per benchmark, both medians and how many rounds the change won.
 #
 # CHANGE defaults to HEAD; both are any commit-ish. Environment:
 #   OUT        path prefix of the result files, e.g. BENCH_<pr> (required)
-#   BENCHTIME  microbenchmark -test.benchtime (default 1s)
-#   CPU        microbenchmark -test.cpu (default 1)
 #
 # An A/A run (PARENT = CHANGE) measures the noise floor of the protocol.
 # Each side is a `git archive` export under a temporary directory, not a
@@ -85,7 +83,7 @@ for round in $(seq 10); do
         file=$out.base.txt
         [ "$side" = change ] && file=$out.txt
         (cd "$tmp/$side/$pkg" && "$tmp/$side.test" -test.run '^$' -test.bench "$BENCH" \
-            -test.benchmem -test.count 1 -test.cpu "${CPU:-1}" -test.benchtime "${BENCHTIME:-1s}") |
+            -test.benchmem -test.count 1 -test.cpu 1 -test.benchtime 1s) |
             grep '^Benchmark' >>"$file"
     done
 done
