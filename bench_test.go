@@ -206,8 +206,8 @@ func queryBenchSystem(b *testing.B) *core.System {
 // queryBenchInputs picks deterministic representative queries: a mid-
 // catalog table for union search and its widest string column for
 // join search.
-func queryBenchInputs(sys *core.System) (*table.Table, []string) {
-	tables := sys.Catalog.Tables()
+func queryBenchInputs(cat *lake.Catalog) (*table.Table, []string) {
+	tables := cat.Tables()
 	qt := tables[len(tables)/2]
 	var qvals []string
 	for _, c := range qt.Columns {
@@ -222,7 +222,7 @@ func queryBenchInputs(sys *core.System) (*table.Table, []string) {
 // bipartite-matching + hypergeometric hot loop.
 func BenchmarkQueryTUS(b *testing.B) {
 	sys := queryBenchSystem(b)
-	qt, _ := queryBenchInputs(sys)
+	qt, _ := queryBenchInputs(sys.Catalog)
 	sys.TUS.QueryParallelism = 1
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -237,7 +237,7 @@ func BenchmarkQueryTUS(b *testing.B) {
 // queries; ties the sequential run on a single-core machine).
 func BenchmarkQueryTUSPar(b *testing.B) {
 	sys := queryBenchSystem(b)
-	qt, _ := queryBenchInputs(sys)
+	qt, _ := queryBenchInputs(sys.Catalog)
 	sys.TUS.QueryParallelism = 0
 	defer func() { sys.TUS.QueryParallelism = 1 }()
 	b.ResetTimer()
@@ -254,7 +254,7 @@ func BenchmarkQueryTUSPar(b *testing.B) {
 // once outside the loop — the integer posting merge alone.
 func BenchmarkQueryJosie(b *testing.B) {
 	sys := queryBenchSystem(b)
-	_, qvals := queryBenchInputs(sys)
+	_, qvals := queryBenchInputs(sys.Catalog)
 	ctx := context.Background()
 	b.Run("values", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
@@ -280,7 +280,7 @@ func BenchmarkQueryJosie(b *testing.B) {
 // verification is a sorted-integer merge per candidate).
 func BenchmarkQueryContainment(b *testing.B) {
 	sys := queryBenchSystem(b)
-	_, qvals := queryBenchInputs(sys)
+	_, qvals := queryBenchInputs(sys.Catalog)
 	sys.Join.QueryParallelism = 1
 	ctx := context.Background()
 	b.Run("values", func(b *testing.B) {
@@ -306,7 +306,7 @@ func BenchmarkQueryContainment(b *testing.B) {
 // integer-set overlaps.
 func BenchmarkQueryTUSDict(b *testing.B) {
 	sys := queryBenchSystem(b)
-	qt, _ := queryBenchInputs(sys)
+	qt, _ := queryBenchInputs(sys.Catalog)
 	sys.TUS.QueryParallelism = 1
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -323,7 +323,7 @@ func BenchmarkQueryTUSDict(b *testing.B) {
 // grouped into schema clusters ("values").
 func BenchmarkKeywordSearch(b *testing.B) {
 	sys := queryBenchSystem(b)
-	qt, qvals := queryBenchInputs(sys)
+	qt, qvals := queryBenchInputs(sys.Catalog)
 	topic, cells := strings.Join(qt.Tags, " "), strings.Join(qvals[:2], " ")
 	b.Run("meta", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
@@ -353,7 +353,7 @@ func BenchmarkKeywordSearch(b *testing.B) {
 // and reports aggregate throughput — the serving-side headline number.
 func BenchmarkQueryQPS(b *testing.B) {
 	sys := queryBenchSystem(b)
-	qt, qvals := queryBenchInputs(sys)
+	qt, qvals := queryBenchInputs(sys.Catalog)
 	// Concurrent queries already saturate the cores; per-query fan-out
 	// stays off so the measurement is pure inter-query throughput.
 	sys.TUS.QueryParallelism = 1

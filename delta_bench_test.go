@@ -142,11 +142,58 @@ func BenchmarkDeltaChainLoad(b *testing.B) {
 
 // BenchmarkDeltaChainLoadFullPipeline is the same merge-on-load with
 // every rebuilt stage on, over the `lifecycle` lake shape: the
-// rebuild-on-load indexes (fuzzy's k-means above all) are derived once
+// rebuild-on-load indexes (the fuzzy index's value embeddings above
+// all; its k-means waits for the first fuzzy search) are derived once
 // per chain load, over the merged catalog, and this is what that costs.
 func BenchmarkDeltaChainLoadFullPipeline(b *testing.B) {
-	deltaBenchFull.setup(b, 10, func(*datagen.Lake) core.Options { return core.Options{} })
+	deltaBenchFullSetup(b)
 	deltaBenchFull.chainLoad(b)
+}
+
+func deltaBenchFullSetup(b *testing.B) {
+	deltaBenchFull.setup(b, 10, func(*datagen.Lake) core.Options { return core.Options{} })
+}
+
+// BenchmarkSnapshotLoadFullPipeline is core.LoadFile of the `lifecycle`
+// lake shape's 90-table base snapshot with the program's default
+// options: what that workload's load_s times, rebuild-on-load stages
+// (fuzzy, stats) included.
+func BenchmarkSnapshotLoadFullPipeline(b *testing.B) {
+	deltaBenchFullSetup(b)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := core.LoadFile(deltaBenchFull.basePath, core.Options{}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkFuzzyFirstSearch times the first fuzzy search of a freshly
+// built system over the `lifecycle` lake shape (100 tables, default
+// options). That search trains the fuzzy index's k-means table, which
+// no build, load, chain load or compaction trains; later-ms/op is a
+// second search of the same system, which finds the table trained.
+// The builds run outside the timer.
+func BenchmarkFuzzyFirstSearch(b *testing.B) {
+	deltaBenchFullSetup(b)
+	_, query := queryBenchInputs(deltaBenchFull.fullCat)
+	var later time.Duration
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		sys, err := core.Build(deltaBenchFull.fullCat, deltaBenchFull.opts)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		sys.Fuzzy.Search(query, 0.85, 0.5)
+		b.StopTimer()
+		t0 := time.Now()
+		sys.Fuzzy.Search(query, 0.85, 0.5)
+		later += time.Since(t0)
+		b.StartTimer()
+	}
+	b.ReportMetric(later.Seconds()*1e3/float64(b.N), "later-ms/op")
 }
 
 // BenchmarkDeltaChainLoadServing is the merge-on-load behind the

@@ -304,7 +304,9 @@ func buildFuzzy(s *System, tables []*table.Table, opts Options) (int, error) {
 	// results unchanged): k ≈ √n clusters, capped at 128, once there
 	// are enough vectors that an exhaustive scan stops being cheap.
 	// Seeding from the key-set hash makes the centroids a pure
-	// function of the indexed lake.
+	// function of the indexed lake. This only records the request:
+	// the first fuzzy search trains the table, so a build, load,
+	// chain load or compaction runs no k-means.
 	if slots, _ := s.Fuzzy.VectorStats(); slots >= 1024 {
 		k := min(int(math.Sqrt(float64(slots))), 128)
 		keys := make([]string, len(batch))

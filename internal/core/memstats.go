@@ -93,15 +93,10 @@ func (s *System) MemStats() MemReport {
 		})
 	}
 	if s.Fuzzy != nil {
-		slots, refs := s.Fuzzy.VectorStats()
-		// Vectors are float64s of the model dimension; sharing slots
-		// across columns is the saving.
-		dim := int64(s.Model.Dim())
-		add("fuzzy-vectors", slots, dict.Footprint{
-			Count:       refs,
-			Bytes:       int64(slots)*dim*8 + int64(refs)*4,
-			LegacyBytes: int64(refs) * dim * 8,
-		})
+		// Sharing one vector and pivot row per distinct value across
+		// columns is the saving.
+		slots, _ := s.Fuzzy.VectorStats()
+		add("fuzzy-vectors", slots, s.Fuzzy.Footprint())
 	}
 	return r
 }

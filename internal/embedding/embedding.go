@@ -83,11 +83,15 @@ const gramChunk = 255
 // (up to 2^24 grams, past which a float32 sum of ±1 is no longer
 // exact in any order).
 func CharGramVector(s string, dim, q int, seed uint64) Vector {
-	out := Zero(dim)
+	return charGramInto(Zero(dim), tokenize.Normalize(s), q, seed)
+}
+
+// charGramInto is CharGramVector of an already normalized s, summed
+// into out, which must be all zeros.
+func charGramInto(out Vector, s string, q int, seed uint64) Vector {
 	if q <= 0 {
 		return out
 	}
-	s = tokenize.Normalize(s)
 	var hs [gramChunk]uint64
 	n := 0
 	// Gram g covers positions [g, g+q) of the padded rune sequence: q-1
@@ -338,33 +342,66 @@ func (m *Model) TokenVector(tok string) Vector {
 
 // ValueVector embeds one cell value: the normalized value is looked up
 // as a whole token first; otherwise the mean of its word vectors;
-// otherwise its character-gram vector.
+// otherwise its character-gram vector. A token's vector is the
+// model's own row and must not be mutated.
 func (m *Model) ValueVector(value string) Vector {
-	norm := tokenize.Normalize(value)
+	return m.NormalizedValueVector(tokenize.Normalize(value))
+}
+
+// NormalizedValueVector is ValueVector of a value tokenize.Normalize
+// has already normalized.
+func (m *Model) NormalizedValueVector(norm string) Vector {
 	if v, ok := m.vecs[norm]; ok {
 		return v
 	}
-	words := tokenize.Words(norm)
-	var known []Vector
-	for _, w := range words {
+	return m.embedInto(Zero(m.cfg.Dim), norm)
+}
+
+// embedInto writes into out (whatever it held) the vector of a
+// normalized value that is not a token: the unit-normalized mean of
+// its known word vectors, otherwise its character-gram vector.
+func (m *Model) embedInto(out Vector, norm string) Vector {
+	clear(out)
+	known := 0
+	tokenize.EachWord(norm, func(w string) {
 		if v, ok := m.vecs[w]; ok {
-			known = append(known, v)
+			out.Add(v)
+			known++
 		}
+	})
+	if known > 0 {
+		out.Scale(1 / float64(known))
+		return out.Normalize()
 	}
-	if len(known) > 0 {
-		return Mean(known, m.cfg.Dim).Normalize()
-	}
-	return CharGramVector(norm, m.cfg.Dim, m.cfg.CharGramQ, m.cfg.Seed)
+	return charGramInto(out, norm, m.cfg.CharGramQ, m.cfg.Seed)
 }
 
 // ColumnVector embeds a column as the unit-normalized mean of its
 // distinct values' vectors — the column representation TUS's natural-
 // language unionability measure compares.
 func (m *Model) ColumnVector(values []string) Vector {
-	distinct := tokenize.NormalizeSet(values)
-	vs := make([]Vector, 0, len(distinct))
-	for _, v := range distinct {
-		vs = append(vs, m.ValueVector(v))
+	return m.SetVector(tokenize.NormalizeSet(values))
+}
+
+// SetVector is ColumnVector of a value set tokenize.NormalizeSet has
+// already normalized. Only the result and one scratch vector are
+// allocated.
+func (m *Model) SetVector(distinct []string) Vector {
+	out := Zero(m.cfg.Dim)
+	if len(distinct) == 0 {
+		return out
 	}
-	return Mean(vs, m.cfg.Dim).Normalize()
+	var scratch Vector
+	for _, v := range distinct {
+		vec, ok := m.vecs[v]
+		if !ok {
+			if scratch == nil {
+				scratch = Zero(m.cfg.Dim)
+			}
+			vec = m.embedInto(scratch, v)
+		}
+		out.Add(vec)
+	}
+	out.Scale(1 / float64(len(distinct)))
+	return out.Normalize()
 }

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"sort"
+	"sync"
 
 	"tablehound/internal/dict"
 	"tablehound/internal/embedding"
@@ -59,11 +60,12 @@ type FuzzyJoiner struct {
 	slotPD    [][]float64        // slot -> distance per pivot
 	cols      map[string]*fuzzyColumn
 	keys      []string
-	// cents, when built, buckets the shared slots by nearest centroid;
-	// each column then groups its slots per cluster so a query value
-	// can discard a whole group when the cluster's dot upper bound
-	// falls short of tau (lossless — see valueMatchesPruned).
-	cents *vecstore.Centroids
+	// cents, once requested, buckets the shared slots by nearest
+	// centroid; each column then groups its slots per cluster so a
+	// query value can discard a whole group when the cluster's dot
+	// upper bound falls short of tau (lossless — see
+	// valueMatchesPruned). The table is trained by the first Search.
+	cents *centroidTable
 
 	// QueryParallelism bounds the per-query fan-out in Search (query-
 	// value embedding and per-column verification): 0 = GOMAXPROCS,
@@ -73,12 +75,22 @@ type FuzzyJoiner struct {
 }
 
 // fuzzyColumn is one indexed column: slots into the joiner's shared
-// vector tables, in normalized distinct-value order. groups is the
-// same slot set bucketed by centroid cluster (built lazily by
-// BuildCentroids; nil means scan slots directly).
+// vector tables, in normalized distinct-value order.
 type fuzzyColumn struct {
-	slots  []int32
-	groups []slotGroup
+	slots []int32
+}
+
+// centroidTable is a BuildCentroids request and, once the first
+// Search has trained it, the k-means table with every column's slots
+// bucketed by cluster (groups[i] belongs to keys[i]).
+type centroidTable struct {
+	k       int
+	seed    uint64
+	workers int
+
+	once   sync.Once
+	c      *vecstore.Centroids
+	groups [][]slotGroup
 }
 
 // slotGroup is one column's slots that share a centroid cluster.
@@ -148,7 +160,7 @@ func (f *FuzzyJoiner) slot(v string) int32 {
 	}
 	s := int32(len(f.slotVec))
 	f.slotOf[f.dict.Intern(v)] = s
-	f.slotVec = append(f.slotVec, f.model.ValueVector(v))
+	f.slotVec = append(f.slotVec, f.model.NormalizedValueVector(v))
 	f.slotPD = append(f.slotPD, nil)
 	return s
 }
@@ -190,7 +202,7 @@ func (f *FuzzyJoiner) AddColumn(key string, values []string) error {
 	f.cols[key] = fc
 	f.keys = append(f.keys, key)
 	sort.Strings(f.keys)
-	f.dropCentroids()
+	f.cents = nil
 	return nil
 }
 
@@ -242,7 +254,7 @@ func (f *FuzzyJoiner) AddColumns(cols []FuzzyColumn, workers int) error {
 	}
 	// Phase 3 (parallel): embed newly seen values, one writer per slot.
 	if err := parallel.ForEach(len(newVals), workers, func(i int) error {
-		f.slotVec[base+i] = f.model.ValueVector(newVals[i])
+		f.slotVec[base+i] = f.model.NormalizedValueVector(newVals[i])
 		return nil
 	}); err != nil {
 		return err
@@ -270,33 +282,47 @@ func (f *FuzzyJoiner) AddColumns(cols []FuzzyColumn, workers int) error {
 		return err
 	}
 	sort.Strings(f.keys)
-	f.dropCentroids()
+	f.cents = nil
 	return nil
 }
 
-// BuildCentroids trains a deterministic k-means table over the shared
-// slot vectors (seeded k-means++, bit-reproducible for a given seed)
-// and buckets every column's slots by cluster, enabling lossless
-// cluster pruning in Search. Call after all columns are indexed;
-// adding columns afterwards drops the table. k is clamped to the
-// number of slots; k <= 0 is a no-op. Training fans out over up to
-// workers goroutines; the table is the same at every count.
+// BuildCentroids requests a deterministic k-means table over the
+// shared slot vectors (seeded k-means++, bit-reproducible for a given
+// seed) whose clusters bucket every column's slots, enabling lossless
+// cluster pruning in Search. It only records k, seed and workers: the
+// first Search trains the table, once, so a joiner that is never
+// queried never pays for it. Call after all columns are indexed;
+// adding columns afterwards drops a pending or trained table. k is
+// clamped to the number of slots; k <= 0 is a no-op. Training fans out
+// over up to workers goroutines; the table is the same at every count.
 func (f *FuzzyJoiner) BuildCentroids(k int, seed uint64, workers int) {
-	n := len(f.slotVec)
-	if n == 0 || k <= 0 {
+	if len(f.slotVec) == 0 || k <= 0 {
 		return
 	}
-	c := vecstore.Train(func(i int) []float32 { return f.slotVec[i] }, n, f.model.Dim(), k, seed, workers)
-	f.cents = c
-	for _, fc := range f.cols {
-		fc.buildGroups(c)
-	}
+	f.cents = &centroidTable{k: k, seed: seed, workers: workers}
 }
 
-// buildGroups buckets the column's slots by cluster, clusters in
+// centroids returns the requested table, training it on first use, or
+// nil when none was requested. Safe for concurrent use.
+func (f *FuzzyJoiner) centroids() *centroidTable {
+	ct := f.cents
+	if ct == nil {
+		return nil
+	}
+	ct.once.Do(func() {
+		ct.c = vecstore.Train(func(i int) []float32 { return f.slotVec[i] }, len(f.slotVec), f.model.Dim(), ct.k, ct.seed, ct.workers)
+		ct.groups = make([][]slotGroup, len(f.keys))
+		for i, key := range f.keys {
+			ct.groups[i] = f.cols[key].groupSlots(ct.c)
+		}
+	})
+	return ct
+}
+
+// groupSlots buckets the column's slots by cluster, clusters in
 // ascending order, slots in original (normalized distinct-value)
 // order within each.
-func (fc *fuzzyColumn) buildGroups(c *vecstore.Centroids) {
+func (fc *fuzzyColumn) groupSlots(c *vecstore.Centroids) []slotGroup {
 	by := make(map[int32][]int32)
 	clusters := make([]int32, 0, 8)
 	for _, s := range fc.slots {
@@ -307,21 +333,11 @@ func (fc *fuzzyColumn) buildGroups(c *vecstore.Centroids) {
 		by[j] = append(by[j], s)
 	}
 	sort.Slice(clusters, func(a, b int) bool { return clusters[a] < clusters[b] })
-	fc.groups = make([]slotGroup, len(clusters))
+	groups := make([]slotGroup, len(clusters))
 	for i, j := range clusters {
-		fc.groups[i] = slotGroup{cluster: j, slots: by[j]}
+		groups[i] = slotGroup{cluster: j, slots: by[j]}
 	}
-}
-
-// dropCentroids invalidates cluster state after post-build mutation.
-func (f *FuzzyJoiner) dropCentroids() {
-	if f.cents == nil {
-		return
-	}
-	f.cents = nil
-	for _, fc := range f.cols {
-		fc.groups = nil
-	}
+	return groups
 }
 
 // VectorStats returns the number of distinct embedded vectors (shared
@@ -333,6 +349,43 @@ func (f *FuzzyJoiner) VectorStats() (slots, refs int) {
 		refs += len(fc.slots)
 	}
 	return slots, refs
+}
+
+// Per-entry overheads of Footprint's estimate, as in dict.Footprint.
+const (
+	sliceHeaderBytes  = 24 // slice header: pointer + length + capacity
+	stringHeaderBytes = 16 // string header: pointer + length
+	mapEntryBytes     = 32 // amortized hash-map bucket cost per entry
+)
+
+// Footprint reports the resident cost of the joiner's shared slot
+// tables next to an estimate of the form they replace, a vector and a
+// pivot-distance row per value of every column. Count is the number
+// of column value references. Each slot costs its vector (float32s of
+// the model dimension behind a slice header), its pivot-distance row
+// (a float64 per pivot behind a slice header) and its value → slot
+// map entry (the value string is the dictionary's); each column costs
+// its int32 slot per value, the slice header, its map entry and key.
+// A slot whose value is a model token shares the model's row, so only
+// its slice header is counted. The centroid table, trained by the
+// first Search, is not.
+func (f *FuzzyJoiner) Footprint() dict.Footprint {
+	dim := int64(f.model.Dim())
+	row := int64(len(f.pivots))*8 + sliceHeaderBytes
+	var fp dict.Footprint
+	for v := range f.slotOf {
+		fp.Bytes += sliceHeaderBytes + row + stringHeaderBytes + 4 + mapEntryBytes
+		if !f.model.Has(v) {
+			fp.Bytes += dim * 4
+		}
+	}
+	for key, fc := range f.cols {
+		refs := int64(len(fc.slots))
+		fp.Count += len(fc.slots)
+		fp.Bytes += refs*4 + sliceHeaderBytes + mapEntryBytes + stringHeaderBytes + int64(len(key))
+		fp.LegacyBytes += refs * (dim*4 + sliceHeaderBytes + row)
+	}
+	return fp
 }
 
 func (f *FuzzyJoiner) pivotDistances(v embedding.Vector) []float64 {
@@ -356,6 +409,8 @@ func euclid(a, b embedding.Vector) float64 {
 // summed in column order, so results are bit-identical to the
 // sequential scan. Query values already present in the slot tables
 // reuse their cached vector and distance row instead of re-embedding.
+// The first Search after BuildCentroids trains the centroid table;
+// concurrent first searches wait for one training.
 func (f *FuzzyJoiner) Search(values []string, tau, minFraction float64) ([]FuzzyMatch, FuzzyStats) {
 	var st FuzzyStats
 	q := tokenize.NormalizeSet(values)
@@ -365,19 +420,20 @@ func (f *FuzzyJoiner) Search(values []string, tau, minFraction float64) ([]Fuzzy
 	workers := parallel.Resolve(f.QueryParallelism)
 	qv := make([]embedding.Vector, len(q))
 	qp := make([][]float64, len(q))
+	ct := f.centroids()
 	var maxd [][]float64 // per query value: per-cluster dot upper bounds
-	if f.cents != nil {
+	if ct != nil {
 		maxd = make([][]float64, len(q))
 	}
 	parallel.ForEach(len(q), workers, func(i int) error {
 		if s, ok := f.slotOf[q[i]]; ok {
 			qv[i], qp[i] = f.slotVec[s], f.slotPD[s]
 		} else {
-			qv[i] = f.model.ValueVector(q[i])
+			qv[i] = f.model.NormalizedValueVector(q[i])
 			qp[i] = f.pivotDistances(qv[i])
 		}
 		if maxd != nil {
-			maxd[i] = f.cents.MaxDots(qv[i], nil)
+			maxd[i] = ct.c.MaxDots(qv[i], nil)
 		}
 		return nil
 	})
@@ -393,8 +449,8 @@ func (f *FuzzyJoiner) Search(values []string, tau, minFraction float64) ([]Fuzzy
 		var cr colResult
 		for j := range q {
 			var hit bool
-			if maxd != nil && fc.groups != nil {
-				hit = f.valueMatchesPruned(qv[j], qp[j], maxd[j], fc, tau, r, &cr.st)
+			if ct != nil {
+				hit = f.valueMatchesPruned(qv[j], qp[j], maxd[j], ct.groups[i], tau, r, &cr.st)
 			} else {
 				hit = f.valueMatches(qv[j], qp[j], fc, tau, r, &cr.st)
 			}
@@ -427,14 +483,14 @@ func (f *FuzzyJoiner) valueMatches(qv embedding.Vector, qp []float64, fc *fuzzyC
 	return f.matchSlots(qv, qp, fc.slots, tau, r, st)
 }
 
-// valueMatchesPruned is valueMatches over the column's cluster
+// valueMatchesPruned is valueMatches over one column's cluster
 // groups: a group whose cluster dot bound (plus the bound's error
 // margin) falls below tau cannot contain a match — every member x
 // has qv·x <= maxd[cluster] — so all its candidates are skipped
 // without touching their vectors or pivot rows. The boolean result
 // is always identical to valueMatches; only the work differs.
-func (f *FuzzyJoiner) valueMatchesPruned(qv embedding.Vector, qp, maxd []float64, fc *fuzzyColumn, tau, r float64, st *FuzzyStats) bool {
-	for _, g := range fc.groups {
+func (f *FuzzyJoiner) valueMatchesPruned(qv embedding.Vector, qp, maxd []float64, groups []slotGroup, tau, r float64, st *FuzzyStats) bool {
+	for _, g := range groups {
 		if maxd[g.cluster]+vecstore.BoundEps < tau {
 			st.ClusterSkips += len(g.slots)
 			continue

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"tablehound/internal/datagen"
+	"tablehound/internal/dict"
 	"tablehound/internal/embedding"
 )
 
@@ -118,5 +119,38 @@ func TestFuzzyEmptyQuery(t *testing.T) {
 	res, _ := f.Search(nil, 0.9, 0)
 	if res != nil {
 		t.Error("empty query should return nil")
+	}
+}
+
+// TestFuzzyFootprintHandCount pins Footprint on a joiner small enough
+// to count by hand: 8-dimensional vectors, two pivots, four slots of
+// which two (alpha, beta) are model tokens sharing the model's rows,
+// and six references from two three-value columns.
+func TestFuzzyFootprintHandCount(t *testing.T) {
+	model := embedding.Train([][]string{{"alpha", "beta"}}, embedding.Config{Dim: 8, Seed: 5})
+	f := NewFuzzyJoiner(model, 2)
+	if err := f.AddColumn("t.a", []string{"alpha", "beta", "gamma"}); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.AddColumn("t.b", []string{"beta", "gamma", "delta"}); err != nil {
+		t.Fatal(err)
+	}
+	if len(f.pivots) != 2 || !model.Has("alpha") || !model.Has("beta") || model.Has("gamma") {
+		t.Fatalf("fixture: %d pivots, want 2, and alpha and beta as the only model tokens", len(f.pivots))
+	}
+	const (
+		row     = 2*8 + 24               // pivot-distance row: 2 float64s + slice header
+		slot    = 24 + row + 16 + 4 + 32 // vector header, row, map entry (string header, int32, bucket)
+		vector  = 8 * 4                  // an owned vector: 8 float32s
+		column  = 3*4 + 24 + 32 + 16 + 3 // 3 int32 slots, slice header, map entry, key "t.x"
+		legacy1 = vector + 24 + row      // a vector and a row per reference
+	)
+	want := dict.Footprint{
+		Count:       6,
+		Bytes:       4*slot + 2*vector + 2*column,
+		LegacyBytes: 6 * legacy1,
+	}
+	if got := f.Footprint(); got != want {
+		t.Errorf("Footprint = %+v, want %+v", got, want)
 	}
 }

@@ -47,7 +47,7 @@ func NewEncoder(model *embedding.Model, contextWeight float64) *Encoder {
 
 // contentVector embeds a column from its own values and header.
 func (e *Encoder) contentVector(c *table.Column) embedding.Vector {
-	v := e.model.ColumnVector(c.Values).Clone()
+	v := e.model.ColumnVector(c.Values)
 	// Header words contribute lightly: lake headers are unreliable.
 	words := tokenize.Words(c.Name)
 	if len(words) > 0 {

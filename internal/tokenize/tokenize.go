@@ -36,8 +36,16 @@ func Normalize(s string) string {
 
 // Words splits a string into lowercase alphanumeric word tokens.
 func Words(s string) []string {
-	s = strings.ToLower(s)
 	var out []string
+	EachWord(s, func(w string) { out = append(out, w) })
+	return out
+}
+
+// EachWord calls fn with each word Words(s) returns, in order, without
+// building the slice. Nothing is allocated when s is already lowercase
+// (as Normalize returns it): the words are substrings of s.
+func EachWord(s string, fn func(w string)) {
+	s = strings.ToLower(s)
 	start := -1
 	for i, r := range s {
 		if unicode.IsLetter(r) || unicode.IsDigit(r) {
@@ -47,14 +55,13 @@ func Words(s string) []string {
 			continue
 		}
 		if start >= 0 {
-			out = append(out, s[start:i])
+			fn(s[start:i])
 			start = -1
 		}
 	}
 	if start >= 0 {
-		out = append(out, s[start:])
+		fn(s[start:])
 	}
-	return out
 }
 
 // stopwords is a compact English stopword list adequate for table

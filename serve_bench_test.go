@@ -17,7 +17,7 @@ import (
 // cache; reported as p50-us alongside qps.
 func BenchmarkServeQPS(b *testing.B) {
 	sys := queryBenchSystem(b)
-	qt, qvals := queryBenchInputs(sys)
+	qt, qvals := queryBenchInputs(sys.Catalog)
 
 	run := func(b *testing.B, cacheEntries int) {
 		srv := server.New(sys, server.Config{
