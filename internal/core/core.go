@@ -281,10 +281,9 @@ func buildDict(tables []*table.Table, parallelism int) (*dict.Dict, error) {
 }
 
 // buildFuzzy constructs the fuzzy join index (PEXESO-style) over the
-// catalog. Embedding a vector per value makes it the single heaviest
-// stage, so it fans out per column; a load re-derives it from the
-// decoded model, dictionary and catalog rather than storing a vector
-// per value on disk.
+// catalog. Its cost is embedding a vector per value, so it fans out
+// per column; a load re-derives it from the decoded model, dictionary
+// and catalog rather than storing a vector per value on disk.
 func buildFuzzy(s *System, tables []*table.Table, opts Options) (int, error) {
 	s.Fuzzy = join.NewFuzzyJoiner(s.Model, 4)
 	s.Fuzzy.UseDict(s.Dict)
