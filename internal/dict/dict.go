@@ -256,9 +256,12 @@ type Footprint struct {
 	LegacyBytes int64 // estimated bytes of the replaced string form
 }
 
+// Per-entry overheads of a Footprint estimate, shared by every
+// structure that reports one.
 const (
-	stringHeaderBytes = 16 // string header: pointer + length
-	mapEntryOverhead  = 32 // amortized hash-map bucket cost per entry
+	SliceHeaderBytes  = 24 // slice header: pointer + length + capacity
+	StringHeaderBytes = 16 // string header: pointer + length
+	MapEntryBytes     = 32 // amortized hash-map bucket cost per entry
 )
 
 // Footprint reports the dictionary's own cost: one canonical copy of
@@ -270,10 +273,10 @@ func (d *Dict) Footprint() Footprint {
 	}
 	f.Count = len(d.values)
 	for _, v := range d.values {
-		f.Bytes += int64(len(v)) + stringHeaderBytes
+		f.Bytes += int64(len(v)) + StringHeaderBytes
 	}
 	// value->ID map entries and the hash cache.
-	f.Bytes += int64(len(d.values)) * (stringHeaderBytes + 4 + mapEntryOverhead)
+	f.Bytes += int64(len(d.values)) * (StringHeaderBytes + 4 + MapEntryBytes)
 	f.Bytes += int64(len(d.hashes)) * 8
 	return f
 }
@@ -285,9 +288,9 @@ func (d *Dict) SetFootprint(ids IDSet) Footprint {
 	f := Footprint{Count: len(ids), Bytes: int64(len(ids)) * 4}
 	for _, id := range ids {
 		if int(id) < d.Size() {
-			f.LegacyBytes += int64(len(d.values[id])) + stringHeaderBytes + mapEntryOverhead
+			f.LegacyBytes += int64(len(d.values[id])) + StringHeaderBytes + MapEntryBytes
 		} else {
-			f.LegacyBytes += stringHeaderBytes + mapEntryOverhead
+			f.LegacyBytes += StringHeaderBytes + MapEntryBytes
 		}
 	}
 	return f

@@ -83,15 +83,11 @@ const gramChunk = 255
 // (up to 2^24 grams, past which a float32 sum of ±1 is no longer
 // exact in any order).
 func CharGramVector(s string, dim, q int, seed uint64) Vector {
-	return charGramInto(Zero(dim), tokenize.Normalize(s), q, seed)
-}
-
-// charGramInto is CharGramVector of an already normalized s, summed
-// into out, which must be all zeros.
-func charGramInto(out Vector, s string, q int, seed uint64) Vector {
+	out := Zero(dim)
 	if q <= 0 {
 		return out
 	}
+	s = tokenize.Normalize(s)
 	var hs [gramChunk]uint64
 	n := 0
 	// Gram g covers positions [g, g+q) of the padded rune sequence: q-1
@@ -342,66 +338,33 @@ func (m *Model) TokenVector(tok string) Vector {
 
 // ValueVector embeds one cell value: the normalized value is looked up
 // as a whole token first; otherwise the mean of its word vectors;
-// otherwise its character-gram vector. A token's vector is the
-// model's own row and must not be mutated.
+// otherwise its character-gram vector.
 func (m *Model) ValueVector(value string) Vector {
-	return m.NormalizedValueVector(tokenize.Normalize(value))
-}
-
-// NormalizedValueVector is ValueVector of a value tokenize.Normalize
-// has already normalized.
-func (m *Model) NormalizedValueVector(norm string) Vector {
+	norm := tokenize.Normalize(value)
 	if v, ok := m.vecs[norm]; ok {
 		return v
 	}
-	return m.embedInto(Zero(m.cfg.Dim), norm)
-}
-
-// embedInto writes into out (whatever it held) the vector of a
-// normalized value that is not a token: the unit-normalized mean of
-// its known word vectors, otherwise its character-gram vector.
-func (m *Model) embedInto(out Vector, norm string) Vector {
-	clear(out)
-	known := 0
-	tokenize.EachWord(norm, func(w string) {
+	words := tokenize.Words(norm)
+	var known []Vector
+	for _, w := range words {
 		if v, ok := m.vecs[w]; ok {
-			out.Add(v)
-			known++
+			known = append(known, v)
 		}
-	})
-	if known > 0 {
-		out.Scale(1 / float64(known))
-		return out.Normalize()
 	}
-	return charGramInto(out, norm, m.cfg.CharGramQ, m.cfg.Seed)
+	if len(known) > 0 {
+		return Mean(known, m.cfg.Dim).Normalize()
+	}
+	return CharGramVector(norm, m.cfg.Dim, m.cfg.CharGramQ, m.cfg.Seed)
 }
 
 // ColumnVector embeds a column as the unit-normalized mean of its
 // distinct values' vectors — the column representation TUS's natural-
 // language unionability measure compares.
 func (m *Model) ColumnVector(values []string) Vector {
-	return m.SetVector(tokenize.NormalizeSet(values))
-}
-
-// SetVector is ColumnVector of a value set tokenize.NormalizeSet has
-// already normalized. Only the result and one scratch vector are
-// allocated.
-func (m *Model) SetVector(distinct []string) Vector {
-	out := Zero(m.cfg.Dim)
-	if len(distinct) == 0 {
-		return out
-	}
-	var scratch Vector
+	distinct := tokenize.NormalizeSet(values)
+	vs := make([]Vector, 0, len(distinct))
 	for _, v := range distinct {
-		vec, ok := m.vecs[v]
-		if !ok {
-			if scratch == nil {
-				scratch = Zero(m.cfg.Dim)
-			}
-			vec = m.embedInto(scratch, v)
-		}
-		out.Add(vec)
+		vs = append(vs, m.ValueVector(v))
 	}
-	out.Scale(1 / float64(len(distinct)))
-	return out.Normalize()
+	return Mean(vs, m.cfg.Dim).Normalize()
 }

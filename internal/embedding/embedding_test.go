@@ -37,6 +37,13 @@ func TestVectorOps(t *testing.T) {
 	if d[0] != 2.5 {
 		t.Errorf("AddScaled = %v", d)
 	}
+	m := Mean([]Vector{{2, 0}, {0, 2}}, 2)
+	if m[0] != 1 || m[1] != 1 {
+		t.Errorf("Mean = %v", m)
+	}
+	if got := Mean(nil, 3); len(got) != 3 {
+		t.Error("Mean of empty should be zero vector of dim")
+	}
 }
 
 func TestRandomVectorDeterministic(t *testing.T) {

@@ -123,3 +123,17 @@ func (v Vector) Clone() Vector {
 	copy(out, v)
 	return out
 }
+
+// Mean returns the arithmetic mean of the vectors, or a zero vector of
+// dimension dim when the list is empty.
+func Mean(vs []Vector, dim int) Vector {
+	out := Zero(dim)
+	if len(vs) == 0 {
+		return out
+	}
+	for _, v := range vs {
+		out.Add(v)
+	}
+	out.Scale(1 / float64(len(vs)))
+	return out
+}

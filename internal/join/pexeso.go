@@ -160,7 +160,7 @@ func (f *FuzzyJoiner) slot(v string) int32 {
 	}
 	s := int32(len(f.slotVec))
 	f.slotOf[f.dict.Intern(v)] = s
-	f.slotVec = append(f.slotVec, f.model.NormalizedValueVector(v))
+	f.slotVec = append(f.slotVec, f.model.ValueVector(v))
 	f.slotPD = append(f.slotPD, nil)
 	return s
 }
@@ -254,7 +254,7 @@ func (f *FuzzyJoiner) AddColumns(cols []FuzzyColumn, workers int) error {
 	}
 	// Phase 3 (parallel): embed newly seen values, one writer per slot.
 	if err := parallel.ForEach(len(newVals), workers, func(i int) error {
-		f.slotVec[base+i] = f.model.NormalizedValueVector(newVals[i])
+		f.slotVec[base+i] = f.model.ValueVector(newVals[i])
 		return nil
 	}); err != nil {
 		return err
@@ -351,13 +351,6 @@ func (f *FuzzyJoiner) VectorStats() (slots, refs int) {
 	return slots, refs
 }
 
-// Per-entry overheads of Footprint's estimate, as in dict.Footprint.
-const (
-	sliceHeaderBytes  = 24 // slice header: pointer + length + capacity
-	stringHeaderBytes = 16 // string header: pointer + length
-	mapEntryBytes     = 32 // amortized hash-map bucket cost per entry
-)
-
 // Footprint reports the resident cost of the joiner's shared slot
 // tables next to an estimate of the form they replace, a vector and a
 // pivot-distance row per value of every column. Count is the number
@@ -371,10 +364,10 @@ const (
 // first Search, is not.
 func (f *FuzzyJoiner) Footprint() dict.Footprint {
 	dim := int64(f.model.Dim())
-	row := int64(len(f.pivots))*8 + sliceHeaderBytes
+	row := int64(len(f.pivots))*8 + dict.SliceHeaderBytes
 	var fp dict.Footprint
 	for v := range f.slotOf {
-		fp.Bytes += sliceHeaderBytes + row + stringHeaderBytes + 4 + mapEntryBytes
+		fp.Bytes += dict.SliceHeaderBytes + row + dict.StringHeaderBytes + 4 + dict.MapEntryBytes
 		if !f.model.Has(v) {
 			fp.Bytes += dim * 4
 		}
@@ -382,8 +375,8 @@ func (f *FuzzyJoiner) Footprint() dict.Footprint {
 	for key, fc := range f.cols {
 		refs := int64(len(fc.slots))
 		fp.Count += len(fc.slots)
-		fp.Bytes += refs*4 + sliceHeaderBytes + mapEntryBytes + stringHeaderBytes + int64(len(key))
-		fp.LegacyBytes += refs * (dim*4 + sliceHeaderBytes + row)
+		fp.Bytes += refs*4 + dict.SliceHeaderBytes + dict.MapEntryBytes + dict.StringHeaderBytes + int64(len(key))
+		fp.LegacyBytes += refs * (dim*4 + dict.SliceHeaderBytes + row)
 	}
 	return fp
 }
@@ -403,14 +396,15 @@ func euclid(a, b embedding.Vector) float64 {
 
 // Search returns columns where at least minFraction of the query's
 // distinct values fuzzy-match some target value at cosine >= tau,
-// ranked by matched fraction. Search is a pure read and safe for
-// concurrent use; query embedding and per-column verification fan out
-// over QueryParallelism workers into indexed slots, with the stats
-// summed in column order, so results are bit-identical to the
-// sequential scan. Query values already present in the slot tables
-// reuse their cached vector and distance row instead of re-embedding.
-// The first Search after BuildCentroids trains the centroid table;
-// concurrent first searches wait for one training.
+// ranked by matched fraction. Search is safe for concurrent use, but
+// not concurrently with AddColumn or AddColumns. The first Search
+// after BuildCentroids trains the centroid table while concurrent
+// callers wait for that one training. Query embedding and per-column
+// verification fan out over QueryParallelism workers into indexed
+// slots, with the stats summed in column order, so results are
+// bit-identical to the sequential scan. Query values already present
+// in the slot tables reuse their cached vector and distance row
+// instead of re-embedding.
 func (f *FuzzyJoiner) Search(values []string, tau, minFraction float64) ([]FuzzyMatch, FuzzyStats) {
 	var st FuzzyStats
 	q := tokenize.NormalizeSet(values)
@@ -429,7 +423,7 @@ func (f *FuzzyJoiner) Search(values []string, tau, minFraction float64) ([]Fuzzy
 		if s, ok := f.slotOf[q[i]]; ok {
 			qv[i], qp[i] = f.slotVec[s], f.slotPD[s]
 		} else {
-			qv[i] = f.model.NormalizedValueVector(q[i])
+			qv[i] = f.model.ValueVector(q[i])
 			qp[i] = f.pivotDistances(qv[i])
 		}
 		if maxd != nil {

@@ -36,16 +36,8 @@ func Normalize(s string) string {
 
 // Words splits a string into lowercase alphanumeric word tokens.
 func Words(s string) []string {
-	var out []string
-	EachWord(s, func(w string) { out = append(out, w) })
-	return out
-}
-
-// EachWord calls fn with each word Words(s) returns, in order, without
-// building the slice. Nothing is allocated when s is already lowercase
-// (as Normalize returns it): the words are substrings of s.
-func EachWord(s string, fn func(w string)) {
 	s = strings.ToLower(s)
+	var out []string
 	start := -1
 	for i, r := range s {
 		if unicode.IsLetter(r) || unicode.IsDigit(r) {
@@ -55,13 +47,14 @@ func EachWord(s string, fn func(w string)) {
 			continue
 		}
 		if start >= 0 {
-			fn(s[start:i])
+			out = append(out, s[start:i])
 			start = -1
 		}
 	}
 	if start >= 0 {
-		fn(s[start:])
+		out = append(out, s[start:])
 	}
+	return out
 }
 
 // stopwords is a compact English stopword list adequate for table

@@ -136,7 +136,7 @@ func (d *D3L) AddTable(t *table.Table) {
 func (d *D3L) analyzeColumn(c *table.Column, colIdx int) *d3lColumn {
 	distinct := tokenize.NormalizeSet(c.Values)
 	words, freq := wordDist(distinct)
-	return newD3LColumn(c, colIdx, distinct, FormatSignature(distinct), words, freq, d.model.SetVector(distinct))
+	return newD3LColumn(c, colIdx, distinct, FormatSignature(distinct), words, freq, d.model.ColumnVector(distinct))
 }
 
 // newD3LColumn wraps a portable analysis, filling what depends on the
@@ -364,31 +364,24 @@ func formatSimilarity(a, b []float64) float64 {
 }
 
 // wordDist is the normalized word-frequency distribution of values:
-// the distinct words in ascending order and each one's share. The
-// words of all values are sorted once and counted in runs.
+// the distinct words in ascending order and each one's share.
 func wordDist(values []string) ([]string, []float64) {
-	var all []string
+	m := make(map[string]float64)
+	var total float64
 	for _, v := range values {
-		tokenize.EachWord(v, func(w string) { all = append(all, w) })
-	}
-	sort.Strings(all)
-	n := 0
-	for i := range all {
-		if i == 0 || all[i] != all[i-1] {
-			n++
+		for _, w := range tokenize.Words(v) {
+			m[w]++
+			total++
 		}
 	}
-	words := make([]string, 0, n)
-	freq := make([]float64, 0, n)
-	total := float64(len(all))
-	for i := 0; i < len(all); {
-		j := i + 1
-		for j < len(all) && all[j] == all[i] {
-			j++
-		}
-		words = append(words, all[i])
-		freq = append(freq, float64(j-i)/total)
-		i = j
+	words := make([]string, 0, len(m))
+	for w := range m {
+		words = append(words, w)
+	}
+	sort.Strings(words)
+	freq := make([]float64, len(words))
+	for i, w := range words {
+		freq[i] = m[w] / total
 	}
 	return words, freq
 }

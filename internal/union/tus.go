@@ -155,7 +155,7 @@ func (t *TUS) makeColumn(c *table.Column) *tusColumn {
 		name:   c.Name,
 		values: values,
 		sig:    t.hasher.Sign(values),
-		vec:    t.cfg.Model.SetVector(values),
+		vec:    t.cfg.Model.ColumnVector(values),
 	}
 	tc.norm = tc.vec.Norm()
 	if t.cfg.KB != nil {
