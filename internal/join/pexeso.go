@@ -61,7 +61,7 @@ type FuzzyJoiner struct {
 	cols      map[string]*fuzzyColumn
 	keys      []string
 	// cents, once requested, buckets the shared slots by nearest
-	// centroid; each column then groups its slots per cluster so a
+	// centroid and groups each column's slots per cluster, so a
 	// query value can discard a whole group when the cluster's dot
 	// upper bound falls short of tau (lossless — see
 	// valueMatchesPruned). The table is trained by the first Search.
