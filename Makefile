@@ -99,11 +99,13 @@ bench-build:
 # Snapshot save/load over the 500-table lake. The Load/BuildPar ratio
 # is the startup speedup of serving from a snapshot.
 # BenchmarkSnapshotLoadFullPipeline loads the end-to-end benchmark's
-# `lifecycle` lake shape with the default options (its load_s), and
-# BenchmarkFuzzyFirstSearch times the first fuzzy search of a fresh
-# system of that shape, which trains the k-means table no load does.
+# `lifecycle` lake shape with the default options (its load_s).
+# BenchmarkFuzzyFirstSearch, BenchmarkFirstNavigate and
+# BenchmarkFirstJoinPath time the first call of a fresh system of that
+# shape, which builds the index no build or load does: the fuzzy index
+# and its k-means table, the organization, the Aurum graph.
 bench-snapshot:
-	$(GO) test -run xxx -bench 'BenchmarkSnapshot|BenchmarkSystemBuildPar|BenchmarkFuzzyFirstSearch' -benchtime 2x .
+	$(GO) test -run xxx -bench 'BenchmarkSnapshot|BenchmarkSystemBuildPar|BenchmarkFuzzyFirstSearch|BenchmarkFirstNavigate|BenchmarkFirstJoinPath' -benchtime 2x .
 
 # Incremental-vs-full cost of adding 10 tables to the 500-table lake:
 # BenchmarkDeltaAdd10 (lakectl add) against BenchmarkDeltaFullRebuild

@@ -35,14 +35,26 @@ type deltaFixture struct {
 	err      error
 }
 
-// deltaBench is the 500-table bench lake (490-table base) with every
-// stage but the quadratic graph; deltaBenchFull is the end-to-end
-// benchmark's `lifecycle` lake shape (100 tables, 90-table base) with
-// the program's default options, so every stage a chain load derives —
-// fuzzy, organization, graph — is on; deltaBenchServing is its
+// deltaBench is the 500-table bench lake (490-table base) without the
+// quadratic graph; deltaBenchFull is the end-to-end benchmark's
+// `lifecycle` lake shape (100 tables, 90-table base) with the program's
+// default options, so its systems may build the fuzzy index, the
+// organization and the graph on demand; deltaBenchServing is its
 // `serve_cold` shape (300 tables, 290-table base) with the serving
-// options, which skip fuzzy, organization and graph.
+// options, which skip all three.
 var deltaBench, deltaBenchFull, deltaBenchServing deltaFixture
+
+// TestMain removes the fixture directories the benchmarks made once
+// every test and benchmark of the package has run.
+func TestMain(m *testing.M) {
+	code := m.Run()
+	for _, f := range []*deltaFixture{&deltaBench, &deltaBenchFull, &deltaBenchServing} {
+		if f.dir != "" {
+			os.RemoveAll(f.dir)
+		}
+	}
+	os.Exit(code)
+}
 
 func deltaBenchSetup(b *testing.B) {
 	deltaBench.setup(b, 50, func(gen *datagen.Lake) core.Options {
@@ -78,6 +90,7 @@ func (f *deltaFixture) setup(b *testing.B, tablesPerTemplate int, options func(*
 			f.err = err
 			return
 		}
+		f.dir = dir
 		basePath := filepath.Join(dir, "base.snap")
 		if f.err = sys.SaveFile(basePath); f.err != nil {
 			return
@@ -86,7 +99,6 @@ func (f *deltaFixture) setup(b *testing.B, tablesPerTemplate int, options func(*
 		if f.err = full.AddBatch(tables); f.err != nil {
 			return
 		}
-		f.dir = dir
 		f.basePath = basePath
 		f.add = add
 		f.fullCat = full
@@ -140,11 +152,11 @@ func BenchmarkDeltaChainLoad(b *testing.B) {
 	deltaBench.chainLoad(b)
 }
 
-// BenchmarkDeltaChainLoadFullPipeline is the same merge-on-load with
-// every rebuilt stage on, over the `lifecycle` lake shape: the
-// rebuild-on-load indexes (the fuzzy index's value embeddings above
-// all; its k-means waits for the first fuzzy search) are derived once
-// per chain load, over the merged catalog, and this is what that costs.
+// BenchmarkDeltaChainLoadFullPipeline is the same merge-on-load over
+// the `lifecycle` lake shape with the program's default options; the
+// fuzzy index, organization and graph wait for their first reader (see
+// BenchmarkFuzzyFirstSearch, BenchmarkFirstNavigate and
+// BenchmarkFirstJoinPath).
 func BenchmarkDeltaChainLoadFullPipeline(b *testing.B) {
 	deltaBenchFullSetup(b)
 	deltaBenchFull.chainLoad(b)
@@ -156,8 +168,8 @@ func deltaBenchFullSetup(b *testing.B) {
 
 // BenchmarkSnapshotLoadFullPipeline is core.LoadFile of the `lifecycle`
 // lake shape's 90-table base snapshot with the program's default
-// options: what that workload's load_s times, rebuild-on-load stages
-// (fuzzy, stats) included.
+// options: what that workload's load_s times, the rebuild-on-load
+// stage (stats) included.
 func BenchmarkSnapshotLoadFullPipeline(b *testing.B) {
 	deltaBenchFullSetup(b)
 	b.ResetTimer()
@@ -170,26 +182,71 @@ func BenchmarkSnapshotLoadFullPipeline(b *testing.B) {
 
 // BenchmarkFuzzyFirstSearch times the first fuzzy search of a freshly
 // built system over the `lifecycle` lake shape (100 tables, default
-// options). That search trains the fuzzy index's k-means table, which
-// no build, load, chain load or compaction trains; later-ms/op is a
-// second search of the same system, which finds the table trained.
-// The builds run outside the timer.
+// options). That search builds the fuzzy index (a vector per value)
+// and trains its k-means table, which no build, load, chain load or
+// compaction does; later-ms/op is a second search of the same system,
+// which finds both built. The builds run outside the timer.
 func BenchmarkFuzzyFirstSearch(b *testing.B) {
 	deltaBenchFullSetup(b)
 	_, query := queryBenchInputs(deltaBenchFull.fullCat)
+	firstCall(b, func() (*core.System, error) {
+		return core.Build(deltaBenchFull.fullCat, deltaBenchFull.opts)
+	}, func(sys *core.System) {
+		fz, err := sys.Fuzzy()
+		if err != nil {
+			b.Fatal(err)
+		}
+		fz.Search(query, 0.85, 0.5)
+	})
+}
+
+// BenchmarkFirstNavigate times the first Navigate of a freshly loaded
+// `lifecycle`-shape base, which builds the organization; later-ms/op
+// is a second call of the same system. The loads run outside the
+// timer.
+func BenchmarkFirstNavigate(b *testing.B) {
+	deltaBenchFullSetup(b)
+	firstCall(b, loadFullBase, func(sys *core.System) {
+		if _, _, err := sys.Navigate("city"); err != nil {
+			b.Fatal(err)
+		}
+	})
+}
+
+// BenchmarkFirstJoinPath times the first JoinPath of a freshly loaded
+// `lifecycle`-shape base between its first and last table, which builds
+// the Aurum discovery graph; later-ms/op is a second call of the same
+// system. The loads run outside the timer.
+func BenchmarkFirstJoinPath(b *testing.B) {
+	deltaBenchFullSetup(b)
+	tables := deltaBenchFull.fullCat.Tables()
+	from, to := tables[0].ID, tables[len(tables)-11].ID // both in the base
+	firstCall(b, loadFullBase, func(sys *core.System) {
+		sys.JoinPath(from, to, 3)
+	})
+}
+
+func loadFullBase() (*core.System, error) {
+	return core.LoadFile(deltaBenchFull.basePath, core.Options{})
+}
+
+// firstCall times call's first run on a system fresh returns, fresh
+// outside the timer, and reports a second run on the same system as
+// later-ms/op.
+func firstCall(b *testing.B, fresh func() (*core.System, error), call func(*core.System)) {
 	var later time.Duration
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		sys, err := core.Build(deltaBenchFull.fullCat, deltaBenchFull.opts)
+		sys, err := fresh()
 		if err != nil {
 			b.Fatal(err)
 		}
 		b.StartTimer()
-		sys.Fuzzy.Search(query, 0.85, 0.5)
+		call(sys)
 		b.StopTimer()
 		t0 := time.Now()
-		sys.Fuzzy.Search(query, 0.85, 0.5)
+		call(sys)
 		later += time.Since(t0)
 		b.StartTimer()
 	}

@@ -90,7 +90,6 @@ func (c Config) withDefaults() Config {
 type Graph struct {
 	cfg   Config
 	nodes []string // sorted column keys
-	byKey map[string]int
 	adj   map[string][]Edge
 	// tableOf maps a column key to its table ID.
 	tableOf map[string]string
@@ -138,14 +137,12 @@ func Build(tables []*table.Table, cfg Config) (*Graph, error) {
 	sort.Slice(nodes, func(i, j int) bool { return nodes[i].key < nodes[j].key })
 	g := &Graph{
 		cfg:     cfg,
-		byKey:   make(map[string]int, len(nodes)),
 		adj:     make(map[string][]Edge),
 		tableOf: make(map[string]string, len(nodes)),
 		colsOf:  make(map[string][]string),
 	}
-	for i, n := range nodes {
+	for _, n := range nodes {
 		g.nodes = append(g.nodes, n.key)
-		g.byKey[n.key] = i
 		g.tableOf[n.key] = n.tableID
 		g.colsOf[n.tableID] = append(g.colsOf[n.tableID], n.key)
 	}

@@ -224,7 +224,7 @@ func (g *Graph) linkSchemasReference(nodes []nodeData) {
 // times over) and differ by one character between columns ("dom03_1" /
 // "dom03_2", "note_0" / "note_1"), plus hand-written labels that only
 // normalisation makes equal: same edges, same weights, same insertion
-// order — which is what keeps snapshot bytes unchanged.
+// order — which is what keeps every join path unchanged.
 func TestLinkSchemasMatchesPerPairReference(t *testing.T) {
 	gen := datagen.Generate(datagen.Config{Seed: 5, NumDomains: 8, DomainSize: 30, NumTemplates: 5, TablesPerTemplate: 6})
 	var nodes []nodeData

@@ -14,6 +14,8 @@ import (
 	"fmt"
 	"math"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"tablehound/internal/aurum"
@@ -53,13 +55,19 @@ type Options struct {
 	// corpus-coupled, so retraining would invalidate every base vector).
 	// Build clones it, so the caller's copy is never rebound.
 	Model *embedding.Model
-	// SkipOrganization skips hierarchy building (it is the most
-	// expensive optional step on large lakes).
+	// SkipOrganization means the system never builds its navigation
+	// hierarchy: Navigate fails. Without it, the first Navigate builds
+	// the hierarchy (the most expensive of the three on-demand indexes
+	// on large lakes).
 	SkipOrganization bool
-	// SkipFuzzy skips the fuzzy join index (vector per value).
+	// SkipFuzzy means the system never builds its fuzzy join index (a
+	// vector per value): Fuzzy returns nil. Without it, the first Fuzzy
+	// call builds the index.
 	SkipFuzzy bool
-	// SkipGraph skips the Aurum-style discovery graph, whose schema
-	// linking is quadratic in the column count.
+	// SkipGraph means the system never builds its Aurum-style discovery
+	// graph, whose schema linking is quadratic in the column count:
+	// Graph returns nil and JoinPath finds no path. Without it, the
+	// first Graph or JoinPath call builds the graph.
 	SkipGraph bool
 	// Parallelism bounds the worker pool of the construction pipeline:
 	// after the shared embedding model is trained, the independent
@@ -115,13 +123,16 @@ type System struct {
 	Keyword *keyword.Index
 	Values  *keyword.ValueIndex
 	Join    *join.Engine
-	Fuzzy   *join.FuzzyJoiner
 	TUS     *union.TUS
 	Santos  *union.Santos
 	D3L     *union.D3L
 	Starmie *starmie.Index
-	Org     *navigation.Organization
-	Graph   *aurum.Graph
+
+	// The indexes no serving endpoint reads, each built by its first
+	// reader (see Fuzzy, Org and Graph) and never stored in a snapshot.
+	fuzzy onDemand[join.FuzzyJoiner]
+	org   onDemand[navigation.Organization]
+	graph onDemand[aurum.Graph]
 
 	// Stats is the catalog statistics block the discover planner's
 	// cost model reads: per-table shape distributions and column
@@ -149,8 +160,7 @@ type System struct {
 //
 // Construction is a two-phase pipeline: the embedding model — the one
 // dependency every index family shares — trains first, then the
-// independent stages (keyword, join, fuzzy, union, Starmie,
-// navigation, graph, ...) run on a bounded worker pool of
+// independent stages (keyword, join, union, Starmie, stats) run on a bounded worker pool of
 // Options.Parallelism goroutines, with per-table/per-column fan-out
 // inside the heaviest stages. Every stage reads shared state only
 // (catalog tables, the trained model, the KB) and writes its own
@@ -247,14 +257,78 @@ func buildVecStore(s *System) (int, error) {
 	return store.Count(), nil
 }
 
+// onDemand is an index a System builds on its first reader: get runs
+// build once however many callers race to it, and every caller gets
+// its result.
+type onDemand[T any] struct {
+	once sync.Once
+	v    atomic.Pointer[T]
+	err  error
+}
+
+func (o *onDemand[T]) get(build func() (*T, error)) (*T, error) {
+	o.once.Do(func() {
+		v, err := build()
+		o.v.Store(v)
+		o.err = err
+	})
+	return o.v.Load(), o.err
+}
+
+// built returns the index if a reader has built it, without building it.
+func (o *onDemand[T]) built() *T { return o.v.Load() }
+
+// Fuzzy returns the fuzzy join index (PEXESO-style), building it on the
+// first call; nil when the system was built with SkipFuzzy. The error
+// is the build's, returned to every caller.
+func (s *System) Fuzzy() (*join.FuzzyJoiner, error) {
+	return s.fuzzy.get(func() (*join.FuzzyJoiner, error) {
+		if s.buildOpts.SkipFuzzy {
+			return nil, nil
+		}
+		return buildFuzzy(s)
+	})
+}
+
+// Org returns the navigation hierarchy, building it on the first call;
+// nil when the system was built with SkipOrganization.
+func (s *System) Org() *navigation.Organization {
+	org, _ := s.org.get(func() (*navigation.Organization, error) {
+		if s.buildOpts.SkipOrganization {
+			return nil, nil
+		}
+		return navigation.Organize(s.Catalog.Tables(), s.Model, navigation.Config{Fanout: orgFanout, Seed: s.buildOpts.Seed}), nil
+	})
+	return org
+}
+
+// Graph returns the Aurum-style discovery graph for linkage navigation
+// and join paths, building it on the first call; nil when the system
+// was built with SkipGraph, or when the lake has no usable string
+// column to link.
+func (s *System) Graph() *aurum.Graph {
+	g, _ := s.graph.get(func() (*aurum.Graph, error) {
+		if s.buildOpts.SkipGraph {
+			return nil, nil
+		}
+		g, err := aurum.Build(s.Catalog.Tables(), aurum.Config{})
+		if err != nil {
+			return nil, nil // a lake with no linkable column has no graph
+		}
+		return g, nil
+	})
+	return g
+}
+
 // JoinPath returns a chain of joinable-column hops connecting two
 // tables via the discovery graph, or nil when none exists within
 // maxHops.
 func (s *System) JoinPath(fromTable, toTable string, maxHops int) []aurum.JoinHop {
-	if s.Graph == nil {
+	g := s.Graph()
+	if g == nil {
 		return nil
 	}
-	return s.Graph.JoinPath(fromTable, toTable, aurum.ContentSim, maxHops)
+	return g.JoinPath(fromTable, toTable, aurum.ContentSim, maxHops)
 }
 
 // buildDict constructs the lake-wide value dictionary over a table
@@ -282,21 +356,22 @@ func buildDict(tables []*table.Table, parallelism int) (*dict.Dict, error) {
 
 // buildFuzzy constructs the fuzzy join index (PEXESO-style) over the
 // catalog. Its cost is embedding a vector per value, so it fans out
-// per column; a load re-derives it from the decoded model, dictionary
-// and catalog rather than storing a vector per value on disk.
-func buildFuzzy(s *System, tables []*table.Table, opts Options) (int, error) {
-	s.Fuzzy = join.NewFuzzyJoiner(s.Model, 4)
-	s.Fuzzy.UseDict(s.Dict)
+// per column; it is a function of the model, dictionary and catalog,
+// so no snapshot stores a vector per value.
+func buildFuzzy(s *System) (*join.FuzzyJoiner, error) {
+	opts := s.buildOpts
+	fz := join.NewFuzzyJoiner(s.Model, 4)
+	fz.UseDict(s.Dict)
 	var batch []join.FuzzyColumn
-	for _, t := range tables {
+	for _, t := range s.Catalog.Tables() {
 		for _, c := range t.Columns {
 			if c.Type == table.TypeString && c.Cardinality() >= minJoinCardinality {
 				batch = append(batch, join.FuzzyColumn{Key: table.ColumnKey(t.ID, c.Name), Values: c.Values})
 			}
 		}
 	}
-	if err := s.Fuzzy.AddColumns(batch, opts.Parallelism); err != nil {
-		return 0, err
+	if err := fz.AddColumns(batch, opts.Parallelism); err != nil {
+		return nil, err
 	}
 	// Coarse-quantize the shared value vectors so queries can skip
 	// whole clusters under the tau threshold (lossless, PEXESO-style
@@ -304,27 +379,30 @@ func buildFuzzy(s *System, tables []*table.Table, opts Options) (int, error) {
 	// are enough vectors that an exhaustive scan stops being cheap.
 	// Seeding from the key-set hash makes the centroids a pure
 	// function of the indexed lake. This only records the request:
-	// the first fuzzy search trains the table, so a build, load,
-	// chain load or compaction runs no k-means.
-	if slots, _ := s.Fuzzy.VectorStats(); slots >= 1024 {
+	// the first fuzzy search trains the table.
+	if slots, _ := fz.VectorStats(); slots >= 1024 {
 		k := min(int(math.Sqrt(float64(slots))), 128)
 		keys := make([]string, len(batch))
 		for i, c := range batch {
 			keys[i] = c.Key
 		}
-		s.Fuzzy.BuildCentroids(k, vecstore.HashStrings(keys), opts.Parallelism)
+		fz.BuildCentroids(k, vecstore.HashStrings(keys), opts.Parallelism)
 	}
-	return len(batch), nil
+	fz.QueryParallelism = opts.QueryParallelism
+	return fz, nil
 }
 
 // Query-path concurrency contract: once Build has returned, every
 // search surface on System — KeywordSearch, ValueSearch,
-// JoinableColumns, ContainmentSearch, UnionableTables, Navigate,
-// MatchSchemas, and the engines reachable through the exported fields
-// (Join, Fuzzy, TUS, Santos, D3L, Starmie, Org) — is a pure
-// read over frozen state and safe for unbounded concurrent use.
-// Options.QueryParallelism bounds the fan-out *inside* one query;
-// results are bit-identical at every setting.
+// JoinableColumns, ContainmentSearch, UnionableTables, MatchSchemas,
+// and the engines reachable through the exported fields (Join, TUS,
+// Santos, D3L, Starmie) — is a pure read over frozen state and safe
+// for unbounded concurrent use. Fuzzy, Org, Graph and the Navigate and
+// JoinPath calls over them are safe for concurrent use too, but not
+// pure reads: the first call builds the index while concurrent callers
+// wait for it, and the first fuzzy search trains the joiner's k-means
+// table the same way. Options.QueryParallelism bounds the fan-out
+// *inside* one query; results are bit-identical at every setting.
 
 // KeywordSearch ranks tables by metadata relevance. A query with no
 // content wraps table.ErrBadQuery instead of silently matching
@@ -364,11 +442,12 @@ func (s *System) UnionableTables(query *table.Table, k int) ([]union.Result, err
 // Navigate descends the organization toward a topic described by
 // keywords, returning the visited labels and the reached table.
 func (s *System) Navigate(topic string) (labels []string, tableID string, err error) {
-	if s.Org == nil {
+	org := s.Org()
+	if org == nil {
 		return nil, "", errors.New("core: organization not built")
 	}
 	vec := s.Model.ColumnVector([]string{topic})
-	labels, tableID = s.Org.Navigate(vec)
+	labels, tableID = org.Navigate(vec)
 	return labels, tableID, nil
 }
 

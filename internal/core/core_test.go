@@ -34,17 +34,17 @@ func demoSystem(t *testing.T) (*System, *datagen.Lake) {
 func TestBuildWiresEverything(t *testing.T) {
 	sys, _ := demoSystem(t)
 	if sys.Model == nil || sys.Dict == nil || sys.Keyword == nil || sys.Values == nil ||
-		sys.Join == nil || sys.Fuzzy == nil || sys.TUS == nil || sys.Santos == nil ||
-		sys.D3L == nil || sys.Starmie == nil || sys.Org == nil || sys.Graph == nil ||
+		sys.Join == nil || fuzzyOf(t, sys) == nil || sys.TUS == nil || sys.Santos == nil ||
+		sys.D3L == nil || sys.Starmie == nil || sys.Org() == nil || sys.Graph() == nil ||
 		sys.Stats == nil || sys.Vecs == nil {
 		t.Fatal("missing components")
 	}
-	if got := len(sys.BuildStats.Stages); got != 13 {
-		t.Errorf("%d stages, want 13", got)
+	if got := len(sys.BuildStats.Stages); got != 10 {
+		t.Errorf("%d stages, want 10", got)
 	}
 	for _, st := range sys.BuildStats.Stages {
-		if st.Skipped || st.Items < 0 {
-			t.Errorf("stage %s of a default build: skipped %v, items %d", st.Name, st.Skipped, st.Items)
+		if st.Items < 0 {
+			t.Errorf("stage %s of a default build: items %d", st.Name, st.Items)
 		}
 	}
 }
@@ -182,7 +182,7 @@ func TestNavigateEndToEnd(t *testing.T) {
 	if _, _, err := sys2.Navigate("x"); err == nil {
 		t.Error("Navigate without organization should fail")
 	}
-	if sys2.Fuzzy != nil {
+	if fuzzyOf(t, sys2) != nil {
 		t.Error("SkipFuzzy ignored")
 	}
 }

@@ -607,7 +607,7 @@ func applyMembership(d *Delta, path string, live map[string]uint64, gen uint64, 
 // rather than failing the load.
 //
 // The base is only decoded, not derived, while a merge may follow:
-// the merge reads none of the rebuild-on-load indexes and derives
+// the merge does not read the base's catalog statistics and derives
 // them over the merged catalog, so deriving them over the base first
 // would be done twice and discarded once. Its join section decodes as
 // parts, for the same reason. The base derives itself only when
@@ -658,7 +658,7 @@ const unmapped = ^uint32(0)
 // base is consumed: its model is rebound onto the merged vector block,
 // so it must not keep serving queries (LoadChainFiles decodes a fresh
 // base per merge). Only what a snapshot stores is read from the base;
-// its Fuzzy and Stats may be nil.
+// its Stats may be nil.
 //
 // The merge analyses only the tables the chain adds; every other live
 // table is the base's, and what the base derived from it carries over:
@@ -813,8 +813,8 @@ func applyDeltas(base *System, baseJoin join.EngineParts, deltas []*Delta, infos
 	}
 	// Build's stage table over the merged catalog, with the base's
 	// build parameters: the keyword indexes and the engines fold from
-	// the base's and the chain's parts, every other stage rebuilds from
-	// the catalog.
+	// the base's and the chain's parts, the statistics rebuild from the
+	// catalog.
 	sys := &System{Catalog: cat, Model: base.Model, KB: base.KB, Dict: freshDict, BuildStats: stats, buildOpts: bopts}
 	if err := (pipeline{s: sys, opts: bopts, parts: &mp}).run(); err != nil {
 		return nil, err

@@ -89,8 +89,8 @@ func assertSurfaceParity(t *testing.T, label string, got, want *System, gen *dat
 		ws, we := want.Starmie.SearchTables(context.Background(), q, 5, 64, false)
 		check("starmie-"+tag, gs, ws, ge, we)
 
-		gf, _ := got.Fuzzy.Search(qcol.Values, 0.85, 0.5)
-		wf, _ := want.Fuzzy.Search(qcol.Values, 0.85, 0.5)
+		gf, _ := fuzzyOf(t, got).Search(qcol.Values, 0.85, 0.5)
+		wf, _ := fuzzyOf(t, want).Search(qcol.Values, 0.85, 0.5)
 		check("fuzzy-"+tag, gf, wf, nil, nil)
 	}
 
@@ -900,9 +900,9 @@ func TestLoadChainSkipsFoldedDeltas(t *testing.T) {
 	// With nothing left to apply the base is the system returned, so it
 	// must have run the rebuild-on-load half a merge would have run for
 	// it: same derived indexes, same answers as a plain LoadFile.
-	if sys.Stats == nil || sys.Fuzzy == nil {
-		t.Fatalf("fully folded chain load skipped the rebuild-on-load stages: Stats %v, Fuzzy %v",
-			sys.Stats != nil, sys.Fuzzy != nil)
+	if sys.Stats == nil || fuzzyOf(t, sys) == nil {
+		t.Fatalf("fully folded chain load skipped the rebuild-on-load stage or the fuzzy index: Stats %v, Fuzzy %v",
+			sys.Stats != nil, fuzzyOf(t, sys) != nil)
 	}
 	plain, err := LoadFile(basePath, Options{})
 	if err != nil {
@@ -912,8 +912,8 @@ func TestLoadChainSkipsFoldedDeltas(t *testing.T) {
 		t.Errorf("catalog stats over a folded chain differ from LoadFile's")
 	}
 	for _, c := range added.Columns {
-		got, _ := sys.Fuzzy.Search(c.Values, 0.85, 0.5)
-		want, _ := plain.Fuzzy.Search(c.Values, 0.85, 0.5)
+		got, _ := fuzzyOf(t, sys).Search(c.Values, 0.85, 0.5)
+		want, _ := fuzzyOf(t, plain).Search(c.Values, 0.85, 0.5)
 		if !reflect.DeepEqual(got, want) {
 			t.Errorf("Fuzzy.Search(%s) over a folded chain differs from LoadFile", c.Name)
 		}

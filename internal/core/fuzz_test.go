@@ -16,8 +16,10 @@ import (
 )
 
 // fuzzBase is the snapshot FuzzLoadSection forges sections into: a
-// four-table lake built with every stage, so the organization and graph
-// sections carry state too.
+// four-table lake built with the default options, so the options
+// section lets a loaded system build its fuzzy index, organization and
+// graph, and queryEveryEngine builds all three from the forged
+// sections.
 var fuzzBase = sync.OnceValues(func() ([]byte, error) {
 	gen := datagen.Generate(datagen.Config{Seed: 5, NumDomains: 6, DomainSize: 20, NumTemplates: 2, TablesPerTemplate: 2, RowsMin: 8, RowsMax: 12})
 	cat := lake.NewCatalog()
@@ -113,12 +115,10 @@ func queryEveryEngine(s *System) {
 	s.Santos.Search(ctx, q, 5, union.Hybrid)
 	s.D3L.Search(ctx, q, 5)
 	s.Starmie.SearchTables(ctx, q, 5, 64, false)
-	if s.Fuzzy != nil {
-		s.Fuzzy.Search(values, 0.85, 0.5)
+	if fz, _ := s.Fuzzy(); fz != nil {
+		fz.Search(values, 0.85, 0.5)
 	}
-	if s.Org != nil {
-		s.Navigate(q.Name)
-	}
+	s.Navigate(q.Name)
 	s.JoinPath(q.ID, tables[len(tables)-1].ID, 3)
 	s.Stats.CountRows(1, 100)
 	s.Save(io.Discard)

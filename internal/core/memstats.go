@@ -92,11 +92,12 @@ func (s *System) MemStats() MemReport {
 			LegacyBytes: int64(s.Vecs.Count()) * (dim*4 + 24 + 32),
 		})
 	}
-	if s.Fuzzy != nil {
+	if fz := s.fuzzy.built(); fz != nil {
 		// Sharing one vector and pivot row per distinct value across
-		// columns is the saving.
-		slots, _ := s.Fuzzy.VectorStats()
-		add("fuzzy-vectors", slots, s.Fuzzy.Footprint())
+		// columns is the saving. The row appears once a reader has
+		// built the index.
+		slots, _ := fz.VectorStats()
+		add("fuzzy-vectors", slots, fz.Footprint())
 	}
 	return r
 }

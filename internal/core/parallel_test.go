@@ -89,8 +89,8 @@ func TestParallelBuildMatchesSequential(t *testing.T) {
 		t.Errorf("starmie results differ:\npar %+v\nseq %+v", gotS, wantS)
 	}
 
-	gotF, _ := par.Fuzzy.Search(qcol.Values, 0.85, 0.5)
-	wantF, _ := seq.Fuzzy.Search(qcol.Values, 0.85, 0.5)
+	gotF, _ := fuzzyOf(t, par).Search(qcol.Values, 0.85, 0.5)
+	wantF, _ := fuzzyOf(t, seq).Search(qcol.Values, 0.85, 0.5)
 	if !reflect.DeepEqual(gotF, wantF) {
 		t.Errorf("fuzzy results differ:\npar %+v\nseq %+v", gotF, wantF)
 	}
@@ -152,15 +152,19 @@ func TestBuildStatsRecorded(t *testing.T) {
 	if !ok || model.Items == 0 || model.Wall <= 0 {
 		t.Errorf("model stage not timed: %+v", model)
 	}
-	fuzzy, ok := bs.Stage("fuzzy")
-	if !ok || fuzzy.Skipped || fuzzy.Items == 0 {
-		t.Errorf("fuzzy stage not recorded: %+v", fuzzy)
+	join, ok := bs.Stage("join")
+	if !ok || join.Items == 0 {
+		t.Errorf("join stage not recorded: %+v", join)
 	}
 	if rep := bs.Report(); rep == "" {
 		t.Error("empty report")
 	}
 }
 
+// TestBuildStatsSkippedStages checks that the Skip* flags govern no
+// stage: they name indexes built on demand, so a build with all three
+// runs the same ten stages as a default one, and reports none of the
+// three.
 func TestBuildStatsSkippedStages(t *testing.T) {
 	gen := datagen.Generate(datagen.Config{Seed: 5, NumTemplates: 2, TablesPerTemplate: 2})
 	cat := lake.NewCatalog()
@@ -172,9 +176,16 @@ func TestBuildStatsSkippedStages(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, name := range []string{"fuzzy", "graph", "org"} {
-		st, ok := sys.BuildStats.Stage(name)
-		if !ok || !st.Skipped {
-			t.Errorf("stage %s not marked skipped: %+v", name, st)
+		if st, ok := sys.BuildStats.Stage(name); ok {
+			t.Errorf("stage %s in the build report: %+v", name, st)
+		}
+	}
+	if n := len(sys.BuildStats.Stages); n != numStages {
+		t.Errorf("%d stages, want %d", n, numStages)
+	}
+	for _, st := range sys.BuildStats.Stages {
+		if st.Items <= 0 || st.Wall <= 0 {
+			t.Errorf("stage %s did not run: %+v", st.Name, st)
 		}
 	}
 }

@@ -13,10 +13,8 @@ import (
 	"strings"
 	"time"
 
-	"tablehound/internal/aurum"
 	"tablehound/internal/join"
 	"tablehound/internal/keyword"
-	"tablehound/internal/navigation"
 	"tablehound/internal/parallel"
 	"tablehound/internal/starmie"
 	"tablehound/internal/union"
@@ -26,52 +24,42 @@ import (
 // and always run first (model, then the value dictionary); every other
 // stage reads only the catalog, the trained model, the dictionary, and
 // the optional KB, so the scheduler may run them in any order or
-// concurrently.
+// concurrently. The fuzzy index, the organization and the discovery
+// graph are no stages: each is built by its first reader (System.Fuzzy,
+// Org, Graph).
 const (
 	stageModel = iota
 	stageDict
 	stageKeyword
 	stageJoin
-	stageFuzzy
 	stageTUS
 	stageSantos
 	stageD3L
 	stageStarmie
-	stageOrg
-	stageGraph
 	stageStats
 	stageVecs
 	numStages
 )
 
 var stageNames = [numStages]string{
-	"model", "dict", "keyword", "join", "fuzzy", "tus", "santos", "d3l",
-	"starmie", "org", "graph", "stats", "vecs",
+	"model", "dict", "keyword", "join", "tus", "santos", "d3l",
+	"starmie", "stats", "vecs",
 }
 
-// Stage subsets: what a load rebuilds over a decoded snapshot, and what
-// delta analysis runs over the tables a delta adds.
-var (
-	derivedStages = []int{stageFuzzy, stageStats}
-	engineStages  = []int{stageJoin, stageTUS, stageSantos, stageD3L, stageStarmie}
-)
+// engineStages are what delta analysis runs over the tables a delta
+// adds. A load decodes every other stage but stageStats, which it
+// derives (see System.derive).
+var engineStages = []int{stageJoin, stageTUS, stageSantos, stageD3L, stageStarmie}
 
 // loadedItems is StageTiming.Items of a stage a load decoded.
 const loadedItems = -1
-
-// storedStages are the stages whose state snapshot sections hold: a
-// load decodes them and derives derivedStages, so the two lists are
-// every stage.
-var storedStages = []int{stageModel, stageDict, stageKeyword, stageJoin, stageTUS,
-	stageSantos, stageD3L, stageStarmie, stageOrg, stageGraph, stageVecs}
 
 // stage is one entry of the stage table: it reads the system's shared
 // foundations (catalog, model, dictionary, KB) and writes one System
 // field, so the stages may run in any order or at once.
 type stage struct {
-	id   int
-	skip bool
-	run  func() (int, error)
+	id  int
+	run func() (int, error)
 }
 
 // pipeline is one run of the stage table over a system whose Catalog,
@@ -91,19 +79,16 @@ type pipeline struct {
 
 // run runs the stages named by ids on a pool of opts.Parallelism
 // workers in table order (exactly sequentially at Parallelism 1),
-// recording each in s.BuildStats; a stage the options skip is marked
-// skipped whether named or not. With no ids it runs the whole table and
-// then the vector store, which must observe every stage. Serving
+// recording each in s.BuildStats. With no ids it runs the whole table
+// and then the vector store, which must observe every stage. Serving
 // systems' engines then take the per-query fan-out budget: this is the
-// one place it is handed to them.
+// one place it is handed to them (the fuzzy joiner takes it when it is
+// built).
 func (p pipeline) run(ids ...int) error {
 	s, stats := p.s, p.s.BuildStats
 	var todo []stage
 	for _, st := range p.stages() {
-		switch {
-		case st.skip:
-			stats.skip(st.id)
-		case len(ids) == 0 || slices.Contains(ids, st.id):
+		if len(ids) == 0 || slices.Contains(ids, st.id) {
 			todo = append(todo, st)
 		}
 	}
@@ -120,40 +105,21 @@ func (p pipeline) run(ids ...int) error {
 	if !p.partsOnly {
 		q := p.opts.QueryParallelism
 		s.Join.QueryParallelism, s.TUS.QueryParallelism, s.Santos.QueryParallelism = q, q, q
-		if s.Fuzzy != nil {
-			s.Fuzzy.QueryParallelism = q
-		}
 	}
 	return nil
 }
 
 // stages returns the stage table over s's catalog, in stage-ID order.
 func (p pipeline) stages() []stage {
-	s, opts, tables := p.s, p.opts, p.s.Catalog.Tables()
+	s, tables := p.s, p.s.Catalog.Tables()
 	return []stage{
-		{stageKeyword, false, p.keyword},
-		{stageJoin, false, p.join},
-		{stageFuzzy, opts.SkipFuzzy, func() (int, error) {
-			return buildFuzzy(s, tables, opts)
-		}},
-		{stageTUS, false, p.tus},
-		{stageSantos, false, p.santos},
-		{stageD3L, false, p.d3l},
-		{stageStarmie, false, p.starmie},
-		{stageOrg, opts.SkipOrganization, func() (int, error) {
-			s.Org = navigation.Organize(tables, s.Model, navigation.Config{Fanout: orgFanout, Seed: opts.Seed})
-			return len(tables), nil
-		}},
-		{stageGraph, opts.SkipGraph, func() (int, error) {
-			// Aurum-style discovery graph for linkage navigation and
-			// join paths. Lakes without usable string columns simply
-			// have none (the build error is deliberately swallowed).
-			if g, err := aurum.Build(tables, aurum.Config{}); err == nil {
-				s.Graph = g
-			}
-			return len(tables), nil
-		}},
-		{stageStats, false, func() (int, error) {
+		{stageKeyword, p.keyword},
+		{stageJoin, p.join},
+		{stageTUS, p.tus},
+		{stageSantos, p.santos},
+		{stageD3L, p.d3l},
+		{stageStarmie, p.starmie},
+		{stageStats, func() (int, error) {
 			// Catalog statistics for the discover planner's cost model.
 			s.Stats = BuildCatalogStats(tables)
 			return len(tables), nil
@@ -318,8 +284,7 @@ func (p pipeline) starmie() (int, error) {
 
 // StageTiming records one pipeline stage's work.
 type StageTiming struct {
-	Name    string
-	Skipped bool
+	Name string
 	// Items is the stage's unit count: tables for per-table stages,
 	// columns for column indexes; loadedItems (-1) for a stage whose
 	// state was decoded from a snapshot rather than built, whose Wall
@@ -359,12 +324,6 @@ func (bs *BuildStats) time(stage int, run func() (int, error)) error {
 	return err
 }
 
-// skip marks a stage skipped, also one a load marked loaded: a stage
-// the build skipped stored no state.
-func (bs *BuildStats) skip(stage int) {
-	bs.Stages[stage].Skipped, bs.Stages[stage].Items = true, 0
-}
-
 // Stage returns the timing record for a named stage.
 func (bs *BuildStats) Stage(name string) (StageTiming, bool) {
 	for _, st := range bs.Stages {
@@ -384,10 +343,7 @@ func (bs *BuildStats) Report() string {
 	fmt.Fprintf(&b, "  %-10s %8s %12s\n", "stage", "items", "wall")
 	for _, st := range stages {
 		items, wall := fmt.Sprint(st.Items), st.Wall.Round(time.Microsecond).String()
-		switch {
-		case st.Skipped:
-			items, wall = "-", "skipped"
-		case st.Items == loadedItems:
+		if st.Items == loadedItems {
 			items, wall = "-", "loaded"
 		}
 		fmt.Fprintf(&b, "  %-10s %8s %12s\n", st.Name, items, wall)

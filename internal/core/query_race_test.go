@@ -87,8 +87,8 @@ func TestConcurrentQueriesAllSurfaces(t *testing.T) {
 					// failures on the shared structures matter here.
 					_ = err
 				}
-				if sys.Fuzzy != nil {
-					sys.Fuzzy.Search(vals[:min(len(vals), 20)], 0.9, 0.5)
+				if fz, _ := sys.Fuzzy(); fz != nil {
+					fz.Search(vals[:min(len(vals), 20)], 0.9, 0.5)
 				}
 			}
 		}(g)
@@ -107,9 +107,7 @@ func TestSystemQueryParallelismParity(t *testing.T) {
 		sys.TUS.QueryParallelism = n
 		sys.Santos.QueryParallelism = n
 		sys.Join.QueryParallelism = n
-		if sys.Fuzzy != nil {
-			sys.Fuzzy.QueryParallelism = n
-		}
+		fuzzyOf(t, sys).QueryParallelism = n
 	}
 	type result struct {
 		name string
@@ -139,10 +137,8 @@ func TestSystemQueryParallelismParity(t *testing.T) {
 			{"Jaccard", sys.Join.JaccardSearch(vals, 0.05)},
 			{"Keyword", kwRes},
 		}
-		if sys.Fuzzy != nil {
-			fr, fs := sys.Fuzzy.Search(vals[:min(len(vals), 20)], 0.9, 0.3)
-			out = append(out, result{"Fuzzy", fmt.Sprintf("%+v %+v", fr, fs)})
-		}
+		fr, fs := fuzzyOf(t, sys).Search(vals[:min(len(vals), 20)], 0.9, 0.3)
+		out = append(out, result{"Fuzzy", fmt.Sprintf("%+v %+v", fr, fs)})
 		return out
 	}
 	setWorkers(1)

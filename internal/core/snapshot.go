@@ -9,9 +9,11 @@
 // stored verbatim (embedding model, dictionary, inverted indexes,
 // column analyses, HNSW topology); structures that are cheap,
 // deterministic functions of already-stored state are rebuilt on load
-// (LSH banding tables, posting maps, the catalog statistics, the fuzzy
-// index). Optional subsystems carry a presence flag so a snapshot of a
-// system built with Skip* options round-trips exactly.
+// (LSH banding tables, posting maps, the catalog statistics). The
+// indexes a System builds on demand (fuzzy index, organization,
+// discovery graph) are not stored: a loaded system builds them on first
+// use from the decoded catalog, model and dictionary, and the options
+// section carries the Skip* flags that say whether it may.
 package core
 
 import (
@@ -24,14 +26,12 @@ import (
 	"sync"
 	"time"
 
-	"tablehound/internal/aurum"
 	"tablehound/internal/dict"
 	"tablehound/internal/embedding"
 	"tablehound/internal/join"
 	"tablehound/internal/kb"
 	"tablehound/internal/keyword"
 	"tablehound/internal/lake"
-	"tablehound/internal/navigation"
 	"tablehound/internal/parallel"
 	"tablehound/internal/snap"
 	"tablehound/internal/starmie"
@@ -73,9 +73,11 @@ var ErrVersionMismatch = errors.New("core: snapshot version mismatch")
 // no statistics section (a load rebuilds them). Version 8 drops the
 // coarse quantizer over the Starmie column vectors: the options section
 // loses its cluster count and the vector directory its centroid tables.
+// Version 9 drops the organization and graph sections: both are built
+// by their first reader, like the fuzzy index.
 const (
 	snapMagic   uint32 = 0x54485342 // "THSB": tablehound system binary
-	snapVersion uint16 = 8
+	snapVersion uint16 = 9
 
 	// snapHeaderLen is the byte length of the snap header (magic,
 	// version, flags) that precedes the first section; blob-offset
@@ -100,8 +102,6 @@ const (
 	secSantos
 	secD3L
 	secStarmie
-	secOrg
-	secGraph
 	secVecs
 )
 
@@ -116,15 +116,6 @@ func (s *System) Save(w io.Writer) error {
 	}
 	if err := snap.WriteHeader(w, snapMagic, snapVersion, 0); err != nil {
 		return err
-	}
-	// optional frames an optional subsystem behind a presence flag.
-	optional := func(present bool, enc func(*snap.Encoder)) func(*snap.Encoder) {
-		return func(e *snap.Encoder) {
-			e.Bool(present)
-			if present {
-				enc(e)
-			}
-		}
 	}
 	sections := []struct {
 		id  uint16
@@ -145,7 +136,13 @@ func (s *System) Save(w io.Writer) error {
 		}},
 		{secCatalog, s.Catalog.AppendSnapshot},
 		{secModel, s.Model.AppendSnapshot},
-		{secKB, optional(s.KB != nil, s.KB.AppendSnapshot)},
+		// The KB is optional: a presence flag leads its section.
+		{secKB, func(e *snap.Encoder) {
+			e.Bool(s.KB != nil)
+			if s.KB != nil {
+				s.KB.AppendSnapshot(e)
+			}
+		}},
 		{secDict, s.Dict.AppendSnapshot},
 		{secKeyword, s.Keyword.AppendSnapshot},
 		{secValues, s.Values.AppendSnapshot},
@@ -154,8 +151,6 @@ func (s *System) Save(w io.Writer) error {
 		{secSantos, s.Santos.AppendSnapshot},
 		{secD3L, s.D3L.AppendSnapshot},
 		{secStarmie, s.Starmie.AppendSnapshot},
-		{secOrg, optional(s.Org != nil, s.Org.AppendSnapshot)},
-		{secGraph, optional(s.Graph != nil, s.Graph.AppendSnapshot)},
 		// The vector block closes the stream: its directory (shape,
 		// segment table, blob length + CRC) travels as a
 		// normal CRC-framed section, then zero padding aligns the raw
@@ -179,7 +174,8 @@ func (s *System) Save(w io.Writer) error {
 }
 
 // appendSnapshot writes the build parameters a snapshot persists — the
-// ones the rebuild stages replay. Runtime knobs are not persisted.
+// ones the rebuild stages and the on-demand indexes replay. Runtime
+// knobs are not persisted.
 func (o Options) appendSnapshot(e *snap.Encoder) {
 	e.I64(o.Seed)
 	e.Bool(o.SkipOrganization)
@@ -204,8 +200,8 @@ func decodeOptions(d *snap.Decoder, rt Options) Options {
 
 // Load reconstructs a system from a snapshot written by Save. Only the
 // runtime knobs are taken from opts (Parallelism for the rebuild-on-
-// load stages, QueryParallelism for the per-query fan-out of the
-// loaded engines); everything else —
+// load stage and the on-demand indexes, QueryParallelism for the
+// per-query fan-out of the loaded engines); everything else —
 // catalog, model, KB, build parameters — comes from the snapshot. The
 // loaded system answers every search surface bit-identically to the
 // saved one. Load always reads the vector blob onto the heap; use
@@ -403,8 +399,8 @@ func (o *opened) foundations(g *decodeGroup) error {
 }
 
 // decode is the first half of a load: every section is decoded and
-// every stored engine is live, but the rebuild-on-load fields (Fuzzy,
-// Stats) are still nil. With joinParts non-nil the join section decodes
+// every stored engine is live, but the rebuild-on-load field (Stats) is
+// still nil. With joinParts non-nil the join section decodes
 // into it instead, stored signatures included, and Join stays nil: a
 // merge reads the base's join engine only as parts, so building its
 // ensemble bands would be wasted.
@@ -420,8 +416,6 @@ func (o *opened) decode(joinParts *join.EngineParts) (*System, error) {
 	g.run(secCatalog, secs, into(&s.Catalog, lake.DecodeSnapshot))
 	g.run(secKeyword, secs, into(&s.Keyword, keyword.DecodeIndexSnapshot))
 	g.run(secValues, secs, into(&s.Values, keyword.DecodeValueIndexSnapshot))
-	g.run(secOrg, secs, present(&s.Org, navigation.DecodeSnapshot))
-	g.run(secGraph, secs, present(&s.Graph, aurum.DecodeSnapshot))
 	if err := g.wait(); err != nil {
 		return nil, err
 	}
@@ -465,23 +459,24 @@ func (o *opened) decode(joinParts *join.EngineParts) (*System, error) {
 	}
 
 	stats := newBuildStats(bopts.Parallelism)
-	for _, st := range storedStages {
-		stats.Stages[st].Items = loadedItems
+	for i := range stats.Stages {
+		if i != stageStats {
+			stats.Stages[i].Items = loadedItems
+		}
 	}
 	stats.Total = time.Since(o.start)
 	s.BuildStats = stats
 	return s, nil
 }
 
-// derive is the second half of a load: the rebuild-on-load stages
-// (fuzzy, stats) — deterministic functions of the decoded catalog,
-// model and dictionary that are not worth serializing. It runs on a
-// system that will serve as decoded; a base the delta merge consumes
-// skips it, because the merge derives the same two over the merged
-// catalog instead.
+// derive is the second half of a load: the rebuild-on-load stage
+// (stats), a deterministic function of the decoded catalog that is not
+// worth serializing. It runs on a system that will serve as decoded; a
+// base the delta merge consumes skips it, because the merge derives the
+// same statistics over the merged catalog instead.
 func (s *System) derive() error {
 	start := time.Now()
-	err := pipeline{s: s, opts: s.buildOpts}.run(derivedStages...)
+	err := pipeline{s: s, opts: s.buildOpts}.run(stageStats)
 	s.BuildStats.Total += time.Since(start)
 	return err
 }

@@ -9,7 +9,6 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
-	"slices"
 	"strings"
 	"testing"
 
@@ -102,8 +101,8 @@ func TestSnapshotRoundTripParity(t *testing.T) {
 	wantS, werr := built.Starmie.SearchTables(context.Background(), q, 5, 64, false)
 	check("starmie", gotS, wantS, err, werr)
 
-	gotF, _ := loaded.Fuzzy.Search(qcol.Values, 0.85, 0.5)
-	wantF, _ := built.Fuzzy.Search(qcol.Values, 0.85, 0.5)
+	gotF, _ := fuzzyOf(t, loaded).Search(qcol.Values, 0.85, 0.5)
+	wantF, _ := fuzzyOf(t, built).Search(qcol.Values, 0.85, 0.5)
 	check("fuzzy", gotF, wantF, nil, nil)
 
 	gotLabels, gotID, err := loaded.Navigate(topic)
@@ -147,34 +146,35 @@ func d3lAnswers(s *System, q *table.Table) ([][]union.Result, error) {
 	return out, nil
 }
 
-// TestSnapshotSkipFlagsRoundTrip checks that a snapshot of a system
-// built with Skip* options loads with the same subsystems absent and
-// the same stages marked skipped.
+// TestSnapshotSkipFlagsRoundTrip checks every Skip* combination on a
+// built system and on every system made from its files (loaded, chain
+// loaded, compacted, the compacted base loaded): a skipped index is
+// never built, so Fuzzy and Graph return nil, Navigate fails and
+// JoinPath finds nothing; one not skipped is built by its reader.
 func TestSnapshotSkipFlagsRoundTrip(t *testing.T) {
-	gen := datagen.Generate(datagen.Config{Seed: 5, NumTemplates: 2, TablesPerTemplate: 2})
-	cat := lake.NewCatalog()
-	if err := cat.AddBatch(gen.Tables); err != nil {
-		t.Fatal(err)
-	}
-	built, err := Build(cat, Options{SkipFuzzy: true, SkipGraph: true, SkipOrganization: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	loaded := roundTrip(t, built, 0)
-	if loaded.Fuzzy != nil {
-		t.Error("fuzzy joiner rebuilt despite SkipFuzzy snapshot")
-	}
-	if loaded.Graph != nil {
-		t.Error("graph present despite SkipGraph snapshot")
-	}
-	if loaded.Org != nil {
-		t.Error("organization present despite SkipOrganization snapshot")
-	}
-	for _, name := range []string{"fuzzy", "graph", "org"} {
-		st, ok := loaded.BuildStats.Stage(name)
-		if !ok || !st.Skipped {
-			t.Errorf("stage %s not marked skipped after load: %+v", name, st)
-		}
+	for mask := 0; mask < 8; mask++ {
+		opts := Options{Seed: 3, SkipFuzzy: mask&1 != 0, SkipOrganization: mask&2 != 0, SkipGraph: mask&4 != 0}
+		t.Run(fmt.Sprintf("fuzzy=%v,org=%v,graph=%v", !opts.SkipFuzzy, !opts.SkipOrganization, !opts.SkipGraph), func(t *testing.T) {
+			for name, sys := range skipFixture(t, opts) {
+				tables := sys.Catalog.Tables()
+				if got := fuzzyOf(t, sys) == nil; got != opts.SkipFuzzy {
+					t.Errorf("%s: fuzzy joiner nil %v, SkipFuzzy %v", name, got, opts.SkipFuzzy)
+				}
+				if _, _, err := sys.Navigate("city"); (err != nil) != opts.SkipOrganization {
+					t.Errorf("%s: Navigate err %v, SkipOrganization %v", name, err, opts.SkipOrganization)
+				}
+				if got := sys.Graph() == nil; got != opts.SkipGraph {
+					t.Errorf("%s: graph nil %v, SkipGraph %v", name, got, opts.SkipGraph)
+				}
+				if opts.SkipGraph && sys.JoinPath(tables[0].ID, tables[1].ID, 3) != nil {
+					t.Errorf("%s: JoinPath found a path despite SkipGraph", name)
+				}
+				if sys.buildOpts.SkipFuzzy != opts.SkipFuzzy || sys.buildOpts.SkipOrganization != opts.SkipOrganization ||
+					sys.buildOpts.SkipGraph != opts.SkipGraph {
+					t.Errorf("%s: build options %+v, built with %+v", name, sys.buildOpts, opts)
+				}
+			}
+		})
 	}
 }
 
@@ -208,20 +208,22 @@ func TestSnapshotRejectsCorruption(t *testing.T) {
 		// A clean header with the wrong version is a stale snapshot, not
 		// bit rot: the typed ErrVersionMismatch (naming both versions)
 		// lets operators tell the two apart, so it must not also satisfy
-		// the corruption sentinel. The header claims v7, which still
-		// stored the Starmie coarse quantizer.
-		bad := append([]byte{}, good...)
-		bad[4], bad[5] = 7, 0 // version lives at header bytes 4..5
-		_, err := Load(bytes.NewReader(bad), Options{})
-		if !errors.Is(err, ErrVersionMismatch) {
-			t.Errorf("err = %v, want ErrVersionMismatch", err)
-		}
-		if errors.Is(err, ErrCorruptSnapshot) {
-			t.Errorf("version mismatch also satisfies ErrCorruptSnapshot: %v", err)
-		}
-		for _, want := range []string{"found version 7", "expected 8"} {
-			if err == nil || !strings.Contains(err.Error(), want) {
-				t.Errorf("err %q does not name versions (%q missing)", err, want)
+		// the corruption sentinel. v7 still stored the Starmie coarse
+		// quantizer, v8 the organization and graph sections.
+		for _, v := range []byte{7, 8} {
+			bad := append([]byte{}, good...)
+			bad[4], bad[5] = v, 0 // version lives at header bytes 4..5
+			_, err := Load(bytes.NewReader(bad), Options{})
+			if !errors.Is(err, ErrVersionMismatch) {
+				t.Errorf("v%d: err = %v, want ErrVersionMismatch", v, err)
+			}
+			if errors.Is(err, ErrCorruptSnapshot) {
+				t.Errorf("v%d: version mismatch also satisfies ErrCorruptSnapshot: %v", v, err)
+			}
+			for _, want := range []string{fmt.Sprintf("found version %d", v), "expected 9"} {
+				if err == nil || !strings.Contains(err.Error(), want) {
+					t.Errorf("err %q does not name versions (%q missing)", err, want)
+				}
 			}
 		}
 	})
@@ -443,10 +445,11 @@ func TestSnapshotRejectsForgedIDSets(t *testing.T) {
 }
 
 // TestLoadedBuildReportNamesEveryStage checks a loaded system's build
-// report over every Skip* combination: each stage reads as exactly one
-// of loaded (its section was decoded), derived (a rebuild-on-load stage
-// that ran) or skipped, and the skipped set is the built system's. The
-// report prints loaded stages as "loaded", never as an item count.
+// report over every Skip* combination: each of the ten stages reads as
+// exactly one of loaded (its section was decoded) or derived (the
+// rebuild-on-load stage, which ran), whatever the Skip* flags, which
+// govern no stage. The report prints loaded stages as "loaded", never
+// as an item count.
 func TestLoadedBuildReportNamesEveryStage(t *testing.T) {
 	gen := datagen.Generate(datagen.Config{Seed: 5, NumTemplates: 2, TablesPerTemplate: 2})
 	for mask := 0; mask < 8; mask++ {
@@ -464,20 +467,14 @@ func TestLoadedBuildReportNamesEveryStage(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			if n := len(loaded.BuildStats.Stages); n != 10 {
+				t.Errorf("%d stages, want 10", n)
+			}
 			for i, st := range loaded.BuildStats.Stages {
 				isLoaded := st.Items == loadedItems
-				derived := !st.Skipped && !isLoaded && slices.Contains(derivedStages, i) && st.Wall > 0
-				n := 0
-				for _, b := range []bool{isLoaded, derived, st.Skipped} {
-					if b {
-						n++
-					}
-				}
-				if n != 1 {
-					t.Errorf("stage %s: loaded %v, derived %v, skipped %v (items %d, wall %v)", st.Name, isLoaded, derived, st.Skipped, st.Items, st.Wall)
-				}
-				if want := built.BuildStats.Stages[i].Skipped; st.Skipped != want {
-					t.Errorf("stage %s: skipped %v after load, %v at build", st.Name, st.Skipped, want)
+				derived := !isLoaded && i == stageStats && st.Wall > 0
+				if isLoaded == derived {
+					t.Errorf("stage %s: loaded %v, derived %v (items %d, wall %v)", st.Name, isLoaded, derived, st.Items, st.Wall)
 				}
 				if isLoaded && st.Wall != 0 {
 					t.Errorf("stage %s: loaded but timed %v", st.Name, st.Wall)

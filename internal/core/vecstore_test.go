@@ -71,8 +71,8 @@ func TestSnapshotLoadFileVecModes(t *testing.T) {
 			}
 		}
 		vals := gen.Tables[0].Columns[0].Values
-		gotF, _ := loaded.Fuzzy.Search(vals, 0.85, 0.5)
-		wantF, _ := built.Fuzzy.Search(vals, 0.85, 0.5)
+		gotF, _ := fuzzyOf(t, loaded).Search(vals, 0.85, 0.5)
+		wantF, _ := fuzzyOf(t, built).Search(vals, 0.85, 0.5)
 		if !reflect.DeepEqual(gotF, wantF) {
 			t.Fatalf("fuzzy:\nloaded %+v\nbuilt  %+v", gotF, wantF)
 		}
