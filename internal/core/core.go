@@ -160,9 +160,9 @@ type System struct {
 //
 // Construction is a two-phase pipeline: the embedding model — the one
 // dependency every index family shares — trains first, then the
-// independent stages (keyword, join, union, Starmie, stats) run on a bounded worker pool of
-// Options.Parallelism goroutines, with per-table/per-column fan-out
-// inside the heaviest stages. Every stage reads shared state only
+// independent stages (keyword, join, union, Starmie, stats) run on a
+// bounded worker pool of Options.Parallelism goroutines, with
+// per-table/per-column fan-out inside the heaviest stages. Every stage reads shared state only
 // (catalog tables, the trained model, the KB) and writes its own
 // System field, so results are identical at every parallelism level;
 // per-stage wall times land in System.BuildStats.
