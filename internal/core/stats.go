@@ -27,12 +27,10 @@ type CatalogStats struct {
 	// sorted ascending, so range predicates answer by binary search.
 	Rows []int
 	Cols []int
-	// ColNames maps each normalized column name to the tables with at
-	// least one column of that name, as ascending ordinals into the
-	// catalog's Tables: the length is the name's document frequency,
-	// and the meta prefilter reads a name's tables off it (both with
-	// tokenize.Normalize's normalization).
-	ColNames map[string][]int
+	// ColNames maps each normalized column name to the number of
+	// tables with at least one column of that name (the same
+	// normalization the meta prefilter matches with).
+	ColNames map[string]int
 	// Types maps each inferred column type to the number of tables
 	// with at least one column of that type.
 	Types map[table.Type]int
@@ -44,10 +42,10 @@ func BuildCatalogStats(tables []*table.Table) *CatalogStats {
 		Tables:   len(tables),
 		Rows:     make([]int, 0, len(tables)),
 		Cols:     make([]int, 0, len(tables)),
-		ColNames: make(map[string][]int),
+		ColNames: make(map[string]int),
 		Types:    make(map[table.Type]int),
 	}
-	for i, t := range tables {
+	for _, t := range tables {
 		cs.Columns += t.NumCols()
 		cs.Rows = append(cs.Rows, t.NumRows())
 		cs.Cols = append(cs.Cols, t.NumCols())
@@ -58,7 +56,7 @@ func BuildCatalogStats(tables []*table.Table) *CatalogStats {
 			types[c.Type] = true
 		}
 		for n := range names {
-			cs.ColNames[n] = append(cs.ColNames[n], i)
+			cs.ColNames[n]++
 		}
 		for ty := range types {
 			cs.Types[ty]++
@@ -92,6 +90,12 @@ func (cs *CatalogStats) CountRows(min, max int) int { return countRange(cs.Rows,
 
 // CountCols returns how many tables have a column count in [min, max].
 func (cs *CatalogStats) CountCols(min, max int) int { return countRange(cs.Cols, min, max) }
+
+// CountColName returns how many tables have a column whose normalized
+// name matches the given raw name.
+func (cs *CatalogStats) CountColName(name string) int {
+	return cs.ColNames[tokenize.Normalize(name)]
+}
 
 // CountType returns how many tables have at least one column of the
 // inferred type.

@@ -85,8 +85,8 @@ func (p *Plan) estimateMeta() stagePlan {
 	if pr.MinCols > 0 || pr.MaxCols > 0 {
 		factor(stats.CountCols(pr.MinCols, pr.MaxCols))
 	}
-	for _, name := range p.colNames {
-		factor(len(stats.ColNames[name]))
+	for _, name := range pr.ColumnNames {
+		factor(stats.CountColName(name))
 	}
 	for _, t := range p.colTypes {
 		factor(stats.CountType(t))

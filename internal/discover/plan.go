@@ -58,7 +58,6 @@ type Plan struct {
 	order     Order
 	stages    []string
 	pre       []stagePlan // prefilters in execution order, with estimates
-	colNames  []string    // the column_names predicate, normalized
 	colTypes  []table.Type
 
 	// The pre-encoded seed, filled per relation at compile time: the
@@ -120,9 +119,6 @@ func NewPlanOrdered(sys *core.System, q Query, ord Order) (*Plan, error) {
 	}
 	if p.threshold <= 0 {
 		p.threshold = 0.5
-	}
-	for _, name := range q.Predicates.ColumnNames {
-		p.colNames = append(p.colNames, tokenize.Normalize(name))
 	}
 	for _, name := range q.Predicates.ColumnTypes {
 		t, ok := typeByName[name]
@@ -372,9 +368,8 @@ func (p *Plan) prefilter(stage string, opts ExecOptions, allowed map[string]bool
 	if p.order == OrderCost && allowed != nil && sp.unit > 0 {
 		if restricted := int64(len(allowed)) * sp.unit; restricted < sp.cost {
 			var ids []string
-			named := p.namedTables()
 			for _, id := range sortedIDs(allowed) {
-				if p.matchesMeta(p.sys.Catalog.Table(id), named) {
+				if p.matchesMeta(p.sys.Catalog.Table(id)) {
 					ids = append(ids, id)
 				}
 			}
@@ -421,46 +416,16 @@ func (p *Plan) stagePredicates(stage string) string {
 
 func (p *Plan) metaFilter() []string {
 	var out []string
-	named := p.namedTables()
 	for _, t := range p.sys.Catalog.Tables() {
-		if p.matchesMeta(t, named) {
+		if p.matchesMeta(t) {
 			out = append(out, t.ID)
 		}
 	}
 	return out
 }
 
-// namedTables returns the IDs of the tables with a column of every
-// wanted name, read off the catalog statistics' name → tables map, or
-// nil when the query names no column: no column name is normalized per
-// query.
-func (p *Plan) namedTables() map[string]bool {
-	if len(p.colNames) == 0 {
-		return nil
-	}
-	held := make(map[int]int)
-	for _, name := range p.colNames {
-		for _, i := range p.sys.Stats.ColNames[name] {
-			held[i]++
-		}
-	}
-	tables := p.sys.Catalog.Tables()
-	named := make(map[string]bool, len(held))
-	for i, n := range held {
-		if n == len(p.colNames) {
-			named[tables[i].ID] = true
-		}
-	}
-	return named
-}
-
-// matchesMeta reports whether t satisfies the metadata predicates,
-// with named from namedTables.
-func (p *Plan) matchesMeta(t *table.Table, named map[string]bool) bool {
+func (p *Plan) matchesMeta(t *table.Table) bool {
 	pr := p.q.Predicates
-	if named != nil && !named[t.ID] {
-		return false
-	}
 	if pr.MinRows > 0 && t.NumRows() < pr.MinRows {
 		return false
 	}
@@ -472,6 +437,11 @@ func (p *Plan) matchesMeta(t *table.Table, named map[string]bool) bool {
 	}
 	if pr.MaxCols > 0 && t.NumCols() > pr.MaxCols {
 		return false
+	}
+	for _, want := range pr.ColumnNames {
+		if !hasColumnNamed(t, want) {
+			return false
+		}
 	}
 	for _, want := range p.colTypes {
 		found := false
@@ -489,6 +459,16 @@ func (p *Plan) matchesMeta(t *table.Table, named map[string]bool) bool {
 		}
 	}
 	return true
+}
+
+func hasColumnNamed(t *table.Table, name string) bool {
+	want := tokenize.Normalize(name)
+	for _, c := range t.Columns {
+		if tokenize.Normalize(c.Name) == want {
+			return true
+		}
+	}
+	return false
 }
 
 func (p *Plan) keywordFilter() []string {
