@@ -99,13 +99,17 @@ bench-build:
 # Snapshot save/load over the 500-table lake. The Load/BuildPar ratio
 # is the startup speedup of serving from a snapshot.
 # BenchmarkSnapshotLoadFullPipeline loads the end-to-end benchmark's
-# `lifecycle` lake shape with the default options (its load_s).
-# BenchmarkFuzzyFirstSearch, BenchmarkFirstNavigate and
-# BenchmarkFirstJoinPath time the first call of a fresh system of that
-# shape, which builds the index no build or load does: the fuzzy index
+# `lifecycle` lake shape with the default options (its load_s), and
+# BenchmarkSnapshotLoadServing its `serve_cold` shape with the serving
+# options. BenchmarkFuzzyFirstSearch, BenchmarkFirstNavigate and
+# BenchmarkFirstJoinPath time the first call of a fresh `lifecycle`
+# system, which builds the index no build or load does: the fuzzy index
 # and its k-means table, the organization, the Aurum graph.
+# BenchmarkFirstContainmentSearch and BenchmarkFirstTUSSearch time the
+# first query of a fresh `serve_cold` system, which builds the LSH band
+# tables it probes.
 bench-snapshot:
-	$(GO) test -run xxx -bench 'BenchmarkSnapshot|BenchmarkSystemBuildPar|BenchmarkFuzzyFirstSearch|BenchmarkFirstNavigate|BenchmarkFirstJoinPath' -benchtime 2x .
+	$(GO) test -run xxx -bench 'BenchmarkSnapshot|BenchmarkSystemBuildPar|BenchmarkFuzzyFirstSearch|BenchmarkFirst' -benchtime 2x .
 
 # Incremental-vs-full cost of adding 10 tables to the 500-table lake:
 # BenchmarkDeltaAdd10 (lakectl add) against BenchmarkDeltaFullRebuild

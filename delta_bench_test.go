@@ -8,6 +8,7 @@
 package tablehound
 
 import (
+	"context"
 	"os"
 	"path/filepath"
 	"sort"
@@ -19,6 +20,7 @@ import (
 	"tablehound/internal/datagen"
 	"tablehound/internal/lake"
 	"tablehound/internal/table"
+	"tablehound/internal/union"
 )
 
 // deltaFixture is one lake split into a base (built and saved to disk)
@@ -259,10 +261,60 @@ func firstCall(b *testing.B, fresh func() (*core.System, error), call func(*core
 // walls for the stages that fold the base's state instead of deriving
 // it again — dict, keyword, join — and for the vector store.
 func BenchmarkDeltaChainLoadServing(b *testing.B) {
+	deltaBenchServingSetup(b)
+	deltaBenchServing.chainLoad(b, "dict", "keyword", "join", "vecs")
+}
+
+func deltaBenchServingSetup(b *testing.B) {
 	deltaBenchServing.setup(b, 30, func(*datagen.Lake) core.Options {
 		return core.Options{SkipFuzzy: true, SkipGraph: true, SkipOrganization: true}
 	})
-	deltaBenchServing.chainLoad(b, "dict", "keyword", "join", "vecs")
+}
+
+func loadServingBase() (*core.System, error) {
+	return core.LoadFile(deltaBenchServing.basePath, core.Options{})
+}
+
+// BenchmarkSnapshotLoadServing is core.LoadFile of the `serve_cold`
+// lake shape's 290-table base snapshot with the serving options: what
+// that workload's load_s times.
+func BenchmarkSnapshotLoadServing(b *testing.B) {
+	deltaBenchServingSetup(b)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := loadServingBase(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkFirstContainmentSearch times the first containment search
+// (threshold 0.5) of a freshly loaded `serve_cold`-shape base, which
+// builds the band tables of the one banded index per partition it
+// probes; later-ms/op is a second search of the same column, which
+// finds them built. The loads run outside the timer.
+func BenchmarkFirstContainmentSearch(b *testing.B) {
+	deltaBenchServingSetup(b)
+	_, vals := queryBenchInputs(deltaBenchServing.fullCat)
+	firstCall(b, loadServingBase, func(sys *core.System) {
+		if _, err := sys.Join.ContainmentSearch(context.Background(), sys.Join.EncodeQuery(vals), 0.5); err != nil {
+			b.Fatal(err)
+		}
+	})
+}
+
+// BenchmarkFirstTUSSearch times the first TUS search of a freshly
+// loaded `serve_cold`-shape base, which builds the set-LSH band tables;
+// later-ms/op is a second search of the same table. The loads run
+// outside the timer.
+func BenchmarkFirstTUSSearch(b *testing.B) {
+	deltaBenchServingSetup(b)
+	qt, _ := queryBenchInputs(deltaBenchServing.fullCat)
+	firstCall(b, loadServingBase, func(sys *core.System) {
+		if _, err := sys.TUS.Search(context.Background(), qt, 10, union.EnsembleMeasure); err != nil {
+			b.Fatal(err)
+		}
+	})
 }
 
 // chainLoad times loading the base plus a delta of the held-out tables,

@@ -188,10 +188,12 @@ func TestNavigateEndToEnd(t *testing.T) {
 }
 
 // TestMemStatsCountsLSHTables checks that the memory report accounts
-// for the LSH band tables of the join engine and of TUS — rebuilt on
-// every load, never serialized, and a third of the loaded heap while
-// the report could not see them — the same on a loaded system as on
-// the built one.
+// for the LSH band tables of the join engine and of TUS — never
+// serialized, built by the first query that probes them, and a third
+// of the loaded heap when every load built them all — the same on a
+// loaded system as on the built one. No band table is built before a
+// query probes it; once every one has been probed, the rows count
+// entries for every set.
 func TestMemStatsCountsLSHTables(t *testing.T) {
 	sys, _ := demoSystem(t)
 	var buf bytes.Buffer
@@ -209,8 +211,17 @@ func TestMemStatsCountsLSHTables(t *testing.T) {
 		}
 		return m
 	}
+	lshRows := []string{"join-lsh", "tus-lsh"}
+	for _, s := range []*System{sys, loaded} {
+		for _, name := range lshRows {
+			if e := rows(s)[name]; e.Count != 0 || e.Bytes != 0 || e.LegacyBytes != 0 {
+				t.Errorf("%s = %+v before any query, want no band table", name, e)
+			}
+		}
+		probeEveryBandTable(t, s)
+	}
 	built := rows(sys)
-	for _, name := range []string{"join-lsh", "tus-lsh"} {
+	for _, name := range lshRows {
 		e, ok := built[name]
 		if !ok {
 			t.Fatalf("no %s row in %+v", name, sys.MemStats().Entries)
@@ -222,7 +233,40 @@ func TestMemStatsCountsLSHTables(t *testing.T) {
 			t.Errorf("%s of the loaded system = %+v, built %+v", name, got, e)
 		}
 	}
+	// Every partition keeps a banded index per row count 1, 2, …, 128,
+	// of 128/r bands each: 255 band entries per column in all.
+	if e := built["join-lsh"]; e.Count != 255*e.Sets {
+		t.Errorf("join-lsh counts %d entries over %d columns, want all 255 per column built", e.Count, e.Sets)
+	}
 	if total := sys.MemStats().Totals(); total.Bytes < built["join-lsh"].Bytes+built["tus-lsh"].Bytes {
 		t.Errorf("total %d B leaves out the LSH rows", total.Bytes)
+	}
+}
+
+// probeEveryBandTable runs the queries that reach every band table of
+// s: a TUS candidate search, and containment queries of every indexed
+// column with itself at thresholds 0.001 to 1 in steps of 0.001. A
+// partition's largest column queried with itself spans Jaccard bounds
+// from about 0 to 1 in that partition, and so every row count.
+func probeEveryBandTable(t *testing.T, s *System) {
+	t.Helper()
+	if pq, err := s.TUS.Prepare(s.Catalog.Tables()[0]); err != nil {
+		t.Fatal(err)
+	} else {
+		s.TUS.Candidates(pq)
+	}
+	sizes := make(map[int]bool)
+	for o := range s.Join.NumColumns() {
+		vals, _ := s.Join.ColumnValues(s.Join.Key(int32(o)))
+		if sizes[len(vals)] {
+			continue
+		}
+		sizes[len(vals)] = true
+		q := s.Join.EncodeQuery(vals)
+		for step := 1; step <= 1000; step++ {
+			if _, err := s.Join.ContainmentCandidates(q, float64(step)/1000); err != nil {
+				t.Fatal(err)
+			}
+		}
 	}
 }

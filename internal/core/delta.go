@@ -422,6 +422,13 @@ func loadDeltaFiles(paths []string) ([]*Delta, []DeltaInfo, error) {
 // parameters come from the base so delta parts are exchangeable with
 // base parts.
 func BuildDelta(basePath string, deltaPaths []string, add []*table.Table, remove []string, opts Options) (*Delta, error) {
+	d, _, err := buildDelta(basePath, deltaPaths, add, remove, opts)
+	return d, err
+}
+
+// buildDelta is BuildDelta, which also returns the scratch system whose
+// engines it took the delta's parts from.
+func buildDelta(basePath string, deltaPaths []string, add []*table.Table, remove []string, opts Options) (*Delta, *System, error) {
 	// Of the base only the foundations every delta encodes against are
 	// decoded (model, KB, dictionary): the engines, catalog and HNSW
 	// graphs are framed and checksummed but never decoded, which keeps
@@ -429,14 +436,14 @@ func BuildDelta(basePath string, deltaPaths []string, add []*table.Table, remove
 	// is read rather than mapped, so its checksum is verified too.
 	o, err := openFile(basePath, Options{Parallelism: opts.Parallelism, VecMode: "heap"})
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	g := &decodeGroup{}
 	if err := o.foundations(g); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if err := g.wait(); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	base := o.s
 	live := base.Lineage.live()
@@ -444,14 +451,14 @@ func BuildDelta(basePath string, deltaPaths []string, add []*table.Table, remove
 	gen := base.Lineage.Gen
 	chain, _, err := loadDeltaFiles(deltaPaths)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	// A compaction interrupted between installing the folded base and
 	// retiring its consumed delta files leaves deltas on disk that are
 	// already inside the base; skip that prefix instead of failing.
 	for i := foldedPrefix(chain, gen); i < len(chain); i++ {
 		if err := applyMembership(chain[i], deltaPaths[i], live, gen, d.Size()); err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		d = dict.Extend(d, chain[i].NewValues)
 		gen = chain[i].ResultGen
@@ -460,7 +467,7 @@ func BuildDelta(basePath string, deltaPaths []string, add []*table.Table, remove
 	removeSet := make(map[string]bool, len(remove))
 	for _, id := range remove {
 		if _, ok := live[id]; !ok {
-			return nil, fmt.Errorf("core: cannot remove %q: not in the lake", id)
+			return nil, nil, fmt.Errorf("core: cannot remove %q: not in the lake", id)
 		}
 		removeSet[id] = true
 	}
@@ -469,11 +476,11 @@ func BuildDelta(basePath string, deltaPaths []string, add []*table.Table, remove
 	sort.Slice(addSorted, func(i, j int) bool { return addSorted[i].ID < addSorted[j].ID })
 	for _, t := range addSorted {
 		if _, ok := live[t.ID]; ok && !removeSet[t.ID] {
-			return nil, fmt.Errorf("core: cannot add %q: already in the lake (remove it first to replace)", t.ID)
+			return nil, nil, fmt.Errorf("core: cannot add %q: already in the lake (remove it first to replace)", t.ID)
 		}
 	}
 	if len(addSorted) == 0 && len(removeSet) == 0 {
-		return nil, errors.New("core: empty delta: nothing to add or remove")
+		return nil, nil, errors.New("core: empty delta: nothing to add or remove")
 	}
 	for id := range removeSet {
 		delete(live, id)
@@ -506,7 +513,7 @@ func BuildDelta(basePath string, deltaPaths []string, add []*table.Table, remove
 		JoinIDSets:   make(map[string]dict.IDSet),
 	}
 	if err := delta.Catalog.AddBatch(addSorted); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	// Build's own engine stages, over the added tables alone (none, for a
 	// remove-only delta), against the frozen base model and the extended
@@ -514,7 +521,7 @@ func BuildDelta(basePath string, deltaPaths []string, add []*table.Table, remove
 	// model.
 	scratch := &System{Catalog: delta.Catalog, Model: base.Model, KB: base.KB, Dict: ext, BuildStats: newBuildStats(base.buildOpts.Parallelism)}
 	if err := (pipeline{s: scratch, opts: base.buildOpts, partsOnly: true}).run(engineStages...); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if scratch.Join != nil {
 		delta.JoinIDSets = scratch.Join.Parts().IDSets
@@ -527,7 +534,7 @@ func BuildDelta(basePath string, deltaPaths []string, add []*table.Table, remove
 		live[t.ID] = t.ContentHash()
 	}
 	delta.ResultGen = contentGen(live)
-	return delta, nil
+	return delta, scratch, nil
 }
 
 // contentGen hashes a live (table ID → content hash) membership into
@@ -609,8 +616,8 @@ func applyMembership(d *Delta, path string, live map[string]uint64, gen uint64, 
 // The base is only decoded, not derived, while a merge may follow:
 // the merge does not read the base's catalog statistics and derives
 // them over the merged catalog, so deriving them over the base first
-// would be done twice and discarded once. Its join section decodes as
-// parts, for the same reason. The base derives itself only when
+// would be done twice and discarded once. Its join and D3L sections
+// decode as parts, for the same reason. The base derives itself only when
 // nothing is left to apply and it is the system returned.
 func LoadChainFiles(basePath string, deltaPaths []string, opts Options) (*System, error) {
 	if len(deltaPaths) == 0 {
@@ -634,12 +641,12 @@ func LoadChainFiles(basePath string, deltaPaths []string, opts Options) (*System
 		base.Lineage.Folded = skipped
 		return base, nil
 	}
-	var baseJoin join.EngineParts
-	base, err := o.decode(&baseJoin)
+	var parts baseParts
+	base, err := o.decode(&parts)
 	if err != nil {
 		return nil, err
 	}
-	sys, err := applyDeltas(base, baseJoin, deltas[folded:], infos[folded:])
+	sys, err := applyDeltas(base, parts, deltas[folded:], infos[folded:])
 	if err != nil {
 		return nil, err
 	}
@@ -651,10 +658,18 @@ func LoadChainFiles(basePath string, deltaPaths []string, opts Options) (*System
 // extended dictionary that no live table holds.
 const unmapped = ^uint32(0)
 
+// baseParts are the sections of a chain load's base that decode as the
+// parts a merge folds rather than as engines.
+type baseParts struct {
+	join join.EngineParts
+	d3l  []union.D3LTableParts
+}
+
 // applyDeltas folds an ordered delta chain over a freshly decoded base
-// system and returns the merged system. The base's join engine comes
-// as parts, baseJoin (base.Join is not read), whose stored signatures
-// are reused for the columns of the tables the chain leaves alone. The
+// system and returns the merged system. The base's join and D3L
+// engines come as parts (base.Join and base.D3L are not read); the
+// join's stored signatures are reused for the columns of the tables
+// the chain leaves alone. The
 // base is consumed: its model is rebound onto the merged vector block,
 // so it must not keep serving queries (LoadChainFiles decodes a fresh
 // base per merge). Only what a snapshot stores is read from the base;
@@ -664,7 +679,7 @@ const unmapped = ^uint32(0)
 // table is the base's, and what the base derived from it carries over:
 // its dictionary values (on a chain without tombstones), its keyword
 // postings, its join signatures and its graph nodes (see graphFold).
-func applyDeltas(base *System, baseJoin join.EngineParts, deltas []*Delta, infos []DeltaInfo) (*System, error) {
+func applyDeltas(base *System, parts baseParts, deltas []*Delta, infos []DeltaInfo) (*System, error) {
 	start := time.Now()
 	if base.Lineage == nil {
 		return nil, errors.New("core: base system has no lineage (not loaded from a snapshot)")
@@ -684,10 +699,10 @@ func applyDeltas(base *System, baseJoin join.EngineParts, deltas []*Delta, infos
 	// The catalog folds like the engines' parts: the table under each
 	// live ID, and each engine's parts for it.
 	tables := foldParts(base.Catalog.Tables(), func(t *table.Table) string { return t.ID })
-	joinSets := baseJoin.IDSets
+	joinSets := parts.join.IDSets
 	tus := foldParts(base.TUS.Parts(), func(p union.TUSTableParts) string { return p.ID })
 	santos := foldParts(base.Santos.Parts(), func(p union.SantosTableParts) string { return p.ID })
-	d3l := foldParts(base.D3L.Parts(), func(p union.D3LTableParts) string { return p.ID })
+	d3l := foldParts(parts.d3l, func(p union.D3LTableParts) string { return p.ID })
 	star := foldParts(base.Starmie.Parts(), func(p starmie.TableParts) string { return p.ID })
 	// The two HNSW graphs fold too: from the base's, each delta inserts
 	// the columns of the tables it adds, and one that tombstones any
@@ -784,7 +799,7 @@ func applyDeltas(base *System, baseJoin join.EngineParts, deltas []*Delta, infos
 	// column's stored one still holds — unless the chain added its table,
 	// even under a key the base had: a replaced table's columns are
 	// signed again.
-	sigs := baseJoin.Sigs
+	sigs := parts.join.Sigs
 	for key := range sigs {
 		if tid, _ := table.SplitColumnKey(key); added[tid] != nil {
 			delete(sigs, key)
@@ -804,7 +819,7 @@ func applyDeltas(base *System, baseJoin join.EngineParts, deltas []*Delta, infos
 		added:   added,
 		keyword: base.Keyword,
 		values:  base.Values,
-		join:    join.EngineParts{IDSets: joinSets, Sigs: sigs, NumHashes: baseJoin.NumHashes, NumPartitions: baseJoin.NumPartitions},
+		join:    join.EngineParts{IDSets: joinSets, Sigs: sigs, NumHashes: parts.join.NumHashes, NumPartitions: parts.join.NumPartitions},
 		tus:     tusOrdered,
 		santos:  santos.inIDOrder(ids),
 		d3l:     d3l.inIDOrder(ids),

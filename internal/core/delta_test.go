@@ -16,7 +16,6 @@ import (
 
 	"tablehound/internal/datagen"
 	"tablehound/internal/dict"
-	"tablehound/internal/join"
 	"tablehound/internal/lake"
 	"tablehound/internal/snap"
 	"tablehound/internal/starmie"
@@ -391,7 +390,7 @@ func TestDeltaChainValidation(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var parts join.EngineParts
+		var parts baseParts
 		base, err := o.decode(&parts)
 		if err != nil {
 			t.Fatal(err)

@@ -51,8 +51,9 @@ func (s *System) MemStats() MemReport {
 		r.Entries = append(r.Entries, MemEntry{Name: name, Sets: sets, Footprint: f})
 	}
 	add("dict", 0, s.Dict.Footprint())
-	// The *-lsh rows are the LSH band tables, rebuilt from signatures on
-	// every build and load and never serialized: flat ordinal arrays
+	// The *-lsh rows are the LSH band tables, never serialized: each
+	// banded index builds them from its signatures on its first probe,
+	// and the rows count only those built so far. Flat ordinal arrays
 	// behind a directory per band, against the map of string-key lists
 	// per band they replaced.
 	if s.Join != nil {

@@ -155,7 +155,7 @@ func (p pipeline) join() (int, error) {
 	var eng *join.Engine
 	var err error
 	if mp := p.parts; mp != nil {
-		eng, err = join.NewEngineFromParts(s.Dict, mp.join, p.opts.Parallelism)
+		eng, err = join.NewEngineFromParts(s.Dict, mp.join)
 		err = corruptParts(err)
 	} else {
 		jb := join.NewBuilder(minJoinCardinality)

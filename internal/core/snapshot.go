@@ -400,11 +400,11 @@ func (o *opened) foundations(g *decodeGroup) error {
 
 // decode is the first half of a load: every section is decoded and
 // every stored engine is live, but the rebuild-on-load field (Stats) is
-// still nil. With joinParts non-nil the join section decodes
-// into it instead, stored signatures included, and Join stays nil: a
-// merge reads the base's join engine only as parts, so building its
-// ensemble bands would be wasted.
-func (o *opened) decode(joinParts *join.EngineParts) (*System, error) {
+// still nil. With base non-nil the join and D3L sections decode into
+// it instead, the join's stored signatures included, and Join and D3L
+// stay nil: a merge reads those two engines of its base only as parts,
+// so freezing them would be wasted.
+func (o *opened) decode(base *baseParts) (*System, error) {
 	s, secs, bopts := o.s, o.secs, o.s.buildOpts
 	// Phase 1: the foundations and the catalog — everything later
 	// decodes against them — together with every other section that
@@ -426,10 +426,10 @@ func (o *opened) decode(joinParts *join.EngineParts) (*System, error) {
 	// results.
 	g = &decodeGroup{parallel: bopts.Parallelism > 1}
 	g.run(secJoin, secs, func(d *snap.Decoder) (derr error) {
-		if joinParts != nil {
-			*joinParts, derr = join.DecodeEngineParts(d, s.Dict)
+		if base != nil {
+			base.join, derr = join.DecodeEngineParts(d, s.Dict)
 		} else {
-			s.Join, derr = join.DecodeEngineSnapshot(d, s.Dict, bopts.Parallelism)
+			s.Join, derr = join.DecodeEngineSnapshot(d, s.Dict)
 		}
 		return derr
 	})
@@ -443,9 +443,15 @@ func (o *opened) decode(joinParts *join.EngineParts) (*System, error) {
 		s.Santos, derr = union.DecodeSantosSnapshot(d, s.KB, lookup)
 		return derr
 	})
-	g.run(secD3L, secs, func(d *snap.Decoder) error {
-		var derr error
-		s.D3L, derr = union.DecodeD3LSnapshot(d, s.Model, s.Dict, lookup)
+	g.run(secD3L, secs, func(d *snap.Decoder) (derr error) {
+		if base != nil {
+			base.d3l, derr = union.DecodeD3LParts(d)
+			if derr == nil {
+				derr = corruptParts(union.CheckD3LParts(base.d3l, lookup))
+			}
+		} else {
+			s.D3L, derr = union.DecodeD3LSnapshot(d, s.Model, s.Dict, lookup)
+		}
 		return derr
 	})
 	sv, _ := s.Vecs.View("starmie")

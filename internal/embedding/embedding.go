@@ -205,8 +205,9 @@ func (c Config) withDefaults() Config {
 
 // Model holds trained token embeddings plus the OOV fallback.
 type Model struct {
-	cfg  Config
-	vecs map[string]Vector
+	cfg    Config
+	vecs   map[string]Vector
+	tokens []string // the keys of vecs, sorted
 }
 
 // Train learns embeddings from contexts: each context is a bag of
@@ -270,6 +271,11 @@ func Train(contexts [][]string, cfg Config) *Model {
 		}
 		v.Normalize()
 	}
+	m.tokens = make([]string, 0, len(m.vecs))
+	for t := range m.vecs {
+		m.tokens = append(m.tokens, t)
+	}
+	sort.Strings(m.tokens)
 	return m
 }
 
@@ -281,7 +287,7 @@ func (m *Model) Dim() int { return m.cfg.Dim }
 // (e.g. a base snapshot and a delta build pinned to its model) each
 // take their own clone.
 func (m *Model) Clone() *Model {
-	out := &Model{cfg: m.cfg, vecs: make(map[string]Vector, len(m.vecs))}
+	out := &Model{cfg: m.cfg, vecs: make(map[string]Vector, len(m.vecs)), tokens: m.tokens}
 	for t, v := range m.vecs {
 		cp := make(Vector, len(v))
 		copy(cp, v)
@@ -291,15 +297,9 @@ func (m *Model) Clone() *Model {
 }
 
 // Tokens returns the vocabulary in sorted order — the canonical row
-// order of the model's segment in the shared vector store.
-func (m *Model) Tokens() []string {
-	toks := make([]string, 0, len(m.vecs))
-	for t := range m.vecs {
-		toks = append(toks, t)
-	}
-	sort.Strings(toks)
-	return toks
-}
+// order of the model's segment in the shared vector store. The slice is
+// the model's own: callers must not mutate it.
+func (m *Model) Tokens() []string { return m.tokens }
 
 // Rebind replaces every token's vector with the store-backed row at
 // the token's sorted position: at(i) must hold exactly the bytes of

@@ -40,16 +40,18 @@ func DecodeSnapshot(d *snap.Decoder, at func(int) []float32, n int) (*Model, err
 	if len(toks) != n {
 		return nil, fmt.Errorf("%w: model has %d tokens, vector segment %d rows", snap.ErrCorrupt, len(toks), n)
 	}
-	m := &Model{cfg: cfg, vecs: make(map[string]Vector, len(toks))}
+	m := &Model{cfg: cfg, vecs: make(map[string]Vector, len(toks)), tokens: toks}
 	for i, tok := range toks {
+		// Row i is the i-th token in sorted order, and the model keeps
+		// the list as its sorted vocabulary.
+		if i > 0 && toks[i-1] >= tok {
+			return nil, fmt.Errorf("%w: model tokens not strictly ascending at %d (%q after %q)", snap.ErrCorrupt, i, tok, toks[i-1])
+		}
 		vec := Vector(at(i))
 		if len(vec) != cfg.Dim {
 			return nil, fmt.Errorf("%w: token %q vector has %d dims, want %d", snap.ErrCorrupt, tok, len(vec), cfg.Dim)
 		}
 		m.vecs[tok] = vec
-	}
-	if len(m.vecs) != len(toks) {
-		return nil, fmt.Errorf("%w: duplicate token in model snapshot", snap.ErrCorrupt)
 	}
 	return m, nil
 }

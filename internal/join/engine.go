@@ -162,16 +162,15 @@ func (b *Builder) Build() (*Engine, error) {
 			idsets[i] = ids
 		}
 	}
-	return assemble(d, b.order, idsets, nil, b.numHashes, b.numPartitions, 1)
+	return assemble(d, b.order, idsets, make([]minhash.Signature, len(b.order)), b.numHashes, b.numPartitions)
 }
 
 // assemble freezes encoded columns into an Engine. keys are sorted and
-// idsets runs parallel to them, as does sigs, whose nil entries (all of
-// them, when sigs is nil) are signed here; the inverted index and the
-// LSH Ensemble both receive the columns in that order, so a column's
+// idsets runs parallel to them, as does sigs, whose nil entries are
+// signed here; the engine keeps sigs. The inverted index and the LSH
+// Ensemble both receive the columns in that order, so a column's
 // position in keys is also its set ID and its ensemble ordinal.
-// parallelism bounds the ensemble's band-building workers.
-func assemble(d *dict.Dict, keys []string, idsets []dict.IDSet, sigs []minhash.Signature, numHashes, numPartitions, parallelism int) (*Engine, error) {
+func assemble(d *dict.Dict, keys []string, idsets []dict.IDSet, sigs []minhash.Signature, numHashes, numPartitions int) (*Engine, error) {
 	inv := invindex.NewBuilder()
 	hasher := minhash.NewHasher(numHashes, 42)
 	ens := lshensemble.New(numHashes, numPartitions)
@@ -179,12 +178,10 @@ func assemble(d *dict.Dict, keys []string, idsets []dict.IDSet, sigs []minhash.S
 		if err := inv.AddIDs(key, idsets[i]); err != nil {
 			return nil, err
 		}
-		var sig minhash.Signature
-		if sigs != nil {
-			sig = sigs[i]
-		}
+		sig := sigs[i]
 		if sig == nil {
 			sig = d.Sign(hasher, idsets[i])
+			sigs[i] = sig
 		} else if len(sig) != numHashes {
 			return nil, fmt.Errorf("join: column %q signature has %d hashes, want %d", key, len(sig), numHashes)
 		}
@@ -196,7 +193,7 @@ func assemble(d *dict.Dict, keys []string, idsets []dict.IDSet, sigs []minhash.S
 	if err != nil {
 		return nil, err
 	}
-	if err := ens.BuildN(parallelism); err != nil {
+	if err := ens.Build(); err != nil {
 		return nil, err
 	}
 	return &Engine{
@@ -206,6 +203,7 @@ func assemble(d *dict.Dict, keys []string, idsets []dict.IDSet, sigs []minhash.S
 		hasher:   hasher,
 		dict:     d,
 		idsets:   idsets,
+		sigs:     sigs,
 		keys:     keys,
 	}, nil
 }
@@ -219,8 +217,9 @@ type Engine struct {
 	ensemble *lshensemble.Index
 	hasher   *minhash.Hasher
 	dict     *dict.Dict
-	keys     []string     // sorted column keys (scan order)
-	idsets   []dict.IDSet // per-column ID-encoded value sets, parallel to keys
+	keys     []string            // sorted column keys (scan order)
+	idsets   []dict.IDSet        // per-column ID-encoded value sets, parallel to keys
+	sigs     []minhash.Signature // per-column MinHash signatures, parallel to keys
 
 	// QueryParallelism bounds the per-query fan-out of candidate
 	// verification (ContainmentSearch) and the exact-scan baselines

@@ -28,7 +28,7 @@ type EngineParts struct {
 	IDSets map[string]dict.IDSet // per-column encoded value sets
 	// Sigs holds the MinHash signatures known for some columns, by key
 	// (a decoded snapshot section stores one per column); assembly
-	// signs every column without one. The engine keeps none.
+	// signs every column without one. Parts leaves it nil.
 	Sigs          map[string]minhash.Signature
 	NumHashes     int // MinHash signature width
 	NumPartitions int // LSH Ensemble partition count
@@ -58,9 +58,8 @@ func (e *Engine) Parts() EngineParts {
 // columns p.Sigs lacks, deterministic band construction — so an engine
 // assembled from (base + delta) parts is bit-identical to one built
 // from scratch over the union of their columns, provided every
-// signature in p.Sigs is its column's. parallelism bounds the
-// ensemble's band-building workers.
-func NewEngineFromParts(d *dict.Dict, p EngineParts, parallelism int) (*Engine, error) {
+// signature in p.Sigs is its column's.
+func NewEngineFromParts(d *dict.Dict, p EngineParts) (*Engine, error) {
 	if len(p.IDSets) == 0 {
 		return nil, errors.New("join: no columns to assemble")
 	}
@@ -74,7 +73,7 @@ func NewEngineFromParts(d *dict.Dict, p EngineParts, parallelism int) (*Engine, 
 	for i, key := range keys {
 		sets[i], sigs[i] = p.IDSets[key], p.Sigs[key]
 	}
-	return assemble(d, keys, sets, sigs, p.NumHashes, p.NumPartitions, parallelism)
+	return assemble(d, keys, sets, sigs, p.NumHashes, p.NumPartitions)
 }
 
 // AppendParts writes a set of encoded columns (EngineParts.IDSets) as

@@ -19,9 +19,12 @@ import (
 // is serialized inline. Each column stores both its ID set and its
 // MinHash signature — the signature is derivable from the set, but
 // re-signing every column dominates load time, so the bytes buy back
-// startup latency. The LSH Ensemble itself is not stored: its Build
+// startup latency. The signatures written are the ones the engine
+// keeps, which it was built, loaded or merged with: no column is signed
+// again to save it. The LSH Ensemble itself is not stored: its Build
 // sorts domains by (size, key), so it is rebuilt bit-identically from
-// the stored domains.
+// the stored domains, and its band tables are built by the queries that
+// probe them.
 func (e *Engine) AppendSnapshot(enc *snap.Encoder, sysDict *dict.Dict) {
 	shared := e.dict == sysDict
 	enc.Bool(shared)
@@ -33,18 +36,17 @@ func (e *Engine) AppendSnapshot(enc *snap.Encoder, sysDict *dict.Dict) {
 	enc.U32(uint32(numHashes))
 	enc.U32(uint32(numPart))
 	enc.Strs(e.keys)
-	for _, ids := range e.idsets {
+	for i, ids := range e.idsets {
 		enc.U32s(ids)
-		enc.U64s(e.dict.Sign(e.hasher, ids))
+		enc.U64s(e.sigs[i])
 	}
 	e.inv.AppendSnapshot(enc)
 }
 
 // DecodeEngineSnapshot rebuilds an engine written by AppendSnapshot.
 // sysDict is the container's loaded dictionary, substituted when the
-// snapshot recorded a shared encoding. parallelism bounds the workers
-// used to rebuild the ensemble's banded indexes.
-func DecodeEngineSnapshot(d *snap.Decoder, sysDict *dict.Dict, parallelism int) (*Engine, error) {
+// snapshot recorded a shared encoding.
+func DecodeEngineSnapshot(d *snap.Decoder, sysDict *dict.Dict) (*Engine, error) {
 	sec, err := decodeSection(d, sysDict)
 	if err != nil {
 		return nil, err
@@ -56,7 +58,7 @@ func DecodeEngineSnapshot(d *snap.Decoder, sysDict *dict.Dict, parallelism int) 
 		}
 	}
 	if len(sec.keys) > 0 {
-		if err := ens.BuildN(parallelism); err != nil {
+		if err := ens.Build(); err != nil {
 			return nil, fmt.Errorf("%w: %v", snap.ErrCorrupt, err)
 		}
 	}
@@ -67,6 +69,7 @@ func DecodeEngineSnapshot(d *snap.Decoder, sysDict *dict.Dict, parallelism int) 
 		hasher:   sec.hasher,
 		dict:     sec.dict,
 		idsets:   sec.idsets,
+		sigs:     sec.sigs,
 		keys:     sec.keys,
 	}, nil
 }

@@ -18,7 +18,7 @@ func TestEngineSnapshotRoundTrip(t *testing.T) {
 	e := randomEngine(t, 24, 1)
 	var enc snap.Encoder
 	e.AppendSnapshot(&enc, nil)
-	back, err := DecodeEngineSnapshot(snap.NewDecoder(enc.Bytes()), nil, 2)
+	back, err := DecodeEngineSnapshot(snap.NewDecoder(enc.Bytes()), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +53,7 @@ func TestDecodeRejectsMisalignedIndex(t *testing.T) {
 	for i, key := range other.keys { // same columns, renamed: same set count, other keys
 		other.keys[i] = "x" + key
 	}
-	renamed, err := assemble(other.dict, other.keys, other.idsets, nil, DefaultNumHashes, 8, 1)
+	renamed, err := assemble(other.dict, other.keys, other.idsets, other.sigs, DefaultNumHashes, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +61,7 @@ func TestDecodeRejectsMisalignedIndex(t *testing.T) {
 	forged.inv = renamed.inv
 	var enc snap.Encoder
 	forged.AppendSnapshot(&enc, nil)
-	if _, err := DecodeEngineSnapshot(snap.NewDecoder(enc.Bytes()), nil, 1); !errors.Is(err, snap.ErrCorrupt) {
+	if _, err := DecodeEngineSnapshot(snap.NewDecoder(enc.Bytes()), nil); !errors.Is(err, snap.ErrCorrupt) {
 		t.Fatalf("err = %v, want snap.ErrCorrupt", err)
 	}
 }
@@ -94,7 +94,7 @@ func TestEnginePartsCarrySignatures(t *testing.T) {
 	for name, sigs := range map[string]map[string]minhash.Signature{"stored": p.Sigs, "none": nil} {
 		q := p
 		q.Sigs = sigs
-		back, err := NewEngineFromParts(e.dict, q, 2)
+		back, err := NewEngineFromParts(e.dict, q)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"math"
 	"sync"
+	"sync/atomic"
 
 	"tablehound/internal/dict"
 	"tablehound/internal/minhash"
@@ -19,12 +20,18 @@ import (
 // known by its ordinal — the number of signatures added before it —
 // and callers keep whatever that ordinal stands for (a column key, a
 // graph node) in an array of their own. Add every signature, then
-// Build; a built Index is immutable and safe for concurrent queries.
+// Build, which freezes them; the first Query builds the band tables.
+// A frozen Index is safe for concurrent queries: concurrent first
+// callers wait for the one build, and every caller reads the same
+// tables.
 type Index struct {
 	bands, rows int
-	staged      []minhash.Signature // until Build
-	n           int                 // signatures indexed
-	tables      []bandTable         // one per band, after Build
+	n           int                 // signatures added
+	staged      []minhash.Signature // until the band tables are built
+	frozen      bool                // Build was called
+	once        sync.Once           // builds the band tables
+	built       atomic.Bool         // the band tables are ready
+	tables      []bandTable         // one per band, built by the first Query
 }
 
 // bandTable is one band's buckets as flat arrays. Entries are grouped
@@ -53,7 +60,8 @@ func New(bands, rows int) *Index {
 func (ix *Index) Params() (bands, rows int) { return ix.bands, ix.rows }
 
 // Len returns the number of signatures added.
-func (ix *Index) Len() int { return ix.n + len(ix.staged) }
+func (ix *Index) Len() int { return ix.n }
+
 
 // bucket hashes one band slice of a signature: FNV-1a over the hashes'
 // little-endian bytes, unrolled per hash.
@@ -74,24 +82,27 @@ func bucket(band []uint64) uint64 {
 }
 
 // Add stages a signature; its ordinal is Len before the call. The
-// signature is read again by Build and must not change until then.
+// signature is read again when the band tables are built and must not
+// change until then.
 func (ix *Index) Add(sig minhash.Signature) error {
-	if ix.tables != nil {
+	if ix.frozen {
 		return errors.New("lsh: Add after Build")
 	}
 	if len(sig) < ix.bands*ix.rows {
 		return fmt.Errorf("lsh: signature has %d hashes, need %d", len(sig), ix.bands*ix.rows)
 	}
 	ix.staged = append(ix.staged, sig)
+	ix.n++
 	return nil
 }
 
-// Build freezes the staged signatures into the band tables and lets go
-// of the signatures themselves.
-func (ix *Index) Build() {
-	if ix.tables != nil {
-		return
-	}
+// Build freezes the staged signatures. The band tables are built by
+// the first Query, so an index nobody probes never pays for them.
+func (ix *Index) Build() { ix.frozen = true }
+
+// buildTables builds the band tables from the staged signatures and
+// lets go of the signatures themselves. It runs once, under ix.once.
+func (ix *Index) buildTables() {
 	n := len(ix.staged)
 	size := 1
 	for size < 2*n {
@@ -155,7 +166,8 @@ func (ix *Index) Build() {
 		}
 		ix.tables[b] = t
 	}
-	ix.n, ix.staged = n, nil
+	ix.staged = nil
+	ix.built.Store(true)
 }
 
 // Seen is a reusable set of ordinals (or of any small non-negative
@@ -194,8 +206,13 @@ func (s *Seen) Add(i int32) bool {
 // which lets one physical index serve several sensitivity levels (LSH
 // Ensemble's bootstrap). seen deduplicates; the caller Resets it to at
 // least Len beforehand, and members it already holds are skipped. An
-// index not yet built, or a signature too short, matches nothing.
+// index not yet frozen, or a signature too short, matches nothing. The
+// first Query of a frozen index builds its band tables.
 func (ix *Index) Query(dst []int32, sig minhash.Signature, bands int, seen *Seen) []int32 {
+	if !ix.frozen {
+		return dst
+	}
+	ix.once.Do(ix.buildTables)
 	if bands > len(ix.tables) {
 		bands = len(ix.tables)
 	}
@@ -223,7 +240,8 @@ func (ix *Index) Query(dst []int32, sig minhash.Signature, bands int, seen *Seen
 }
 
 // Footprint reports the resident bytes of the band tables next to an
-// estimate of the form they replace, a Go map per band from bucket hash
+// estimate of the form they replace (all zero until a Query has built
+// them), a Go map per band from bucket hash
 // to the list of string keys: a map entry holding the hash and a slice
 // header per bucket, a string header per entry, and the
 // key-to-signature map entry per key
@@ -231,6 +249,9 @@ func (ix *Index) Query(dst []int32, sig minhash.Signature, bands int, seen *Seen
 // 24 B, map entry 32 B). Count is the number of band entries.
 func (ix *Index) Footprint() dict.Footprint {
 	var f dict.Footprint
+	if !ix.built.Load() {
+		return f
+	}
 	for b := range ix.tables {
 		t := &ix.tables[b]
 		buckets := 0

@@ -6,10 +6,12 @@ import (
 	"hash/fnv"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"slices"
 	"sync"
 	"testing"
 
+	"tablehound/internal/dict"
 	"tablehound/internal/minhash"
 )
 
@@ -210,4 +212,87 @@ func TestConcurrentQueries(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+}
+
+// TestConcurrentFirstQuery races 8 goroutines to the first Query of one
+// frozen index: the band tables are built once, and every goroutine
+// gets the answers of an index a single goroutine built. A second build
+// would allocate its tables again, so the race may allocate at most
+// half a build beyond the one and the goroutines' own queries (run
+// with -race).
+func TestConcurrentFirstQuery(t *testing.T) {
+	const bands, rows, n, goroutines = 32, 4, 2000, 8
+	rng := rand.New(rand.NewSource(11))
+	sigs := make([]minhash.Signature, n)
+	for i := range sigs {
+		sigs[i] = crowdedSignature(rng, bands*rows, 50)
+	}
+	frozen := func() *Index {
+		ix := New(bands, rows)
+		for _, sig := range sigs {
+			if err := ix.Add(sig); err != nil {
+				t.Fatal(err)
+			}
+		}
+		ix.Build()
+		return ix
+	}
+	probes := sigs[:50]
+	allocated := func(fn func()) uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		fn()
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	single := frozen()
+	if f := single.Footprint(); f != (dict.Footprint{}) {
+		t.Fatalf("frozen index reports %+v before any query, want nothing built", f)
+	}
+	want := make([][]int32, len(probes))
+	first := allocated(func() {
+		for i, sig := range probes {
+			want[i] = query(single, sig, bands)
+		}
+	})
+	queries := allocated(func() {
+		for _, sig := range probes {
+			query(single, sig, bands)
+		}
+	})
+	build := first - queries
+
+	ix := frozen()
+	got := make([][][]int32, goroutines)
+	var start, wg sync.WaitGroup
+	start.Add(1)
+	raced := allocated(func() {
+		for g := range got {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				start.Wait()
+				for _, sig := range probes {
+					got[g] = append(got[g], query(ix, sig, bands))
+				}
+			}()
+		}
+		start.Done()
+		wg.Wait()
+	})
+	if budget := build*3/2 + goroutines*queries; raced > budget {
+		t.Errorf("%d racing first queries allocated %d B, over %d B (one build %d B, one goroutine's queries %d B): the tables were built more than once",
+			goroutines, raced, budget, build, queries)
+	}
+	for g := range got {
+		if !reflect.DeepEqual(got[g], want) {
+			t.Fatalf("goroutine %d: answers differ from a single-goroutine build's", g)
+		}
+	}
+	if !reflect.DeepEqual(ix.tables, single.tables) {
+		t.Error("band tables differ from a single-goroutine build's")
+	}
+	if ix.Footprint() != single.Footprint() || ix.Footprint().Count != bands*n {
+		t.Errorf("footprint %+v, single build %+v, want %d entries", ix.Footprint(), single.Footprint(), bands*n)
+	}
 }

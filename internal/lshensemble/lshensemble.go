@@ -14,6 +14,11 @@
 // index per row count r in {1, 2, 4, ...} (the paper's bootstrap);
 // at query time the (b, r) minimizing false-positive+false-negative
 // mass at j* is selected and only the first b bands are probed.
+//
+// A query probes one row count per partition, so most banded indexes
+// of an ensemble may never be probed. Each builds its band tables on
+// its first probe: Build only partitions the domains, and the first
+// query to reach a (partition, row count) pays for its tables.
 package lshensemble
 
 import (
@@ -24,7 +29,6 @@ import (
 	"math/bits"
 	"slices"
 	"sync"
-	"sync/atomic"
 
 	"tablehound/internal/dict"
 	"tablehound/internal/lsh"
@@ -98,15 +102,11 @@ func (ix *Index) Add(d Domain) error {
 }
 
 // Build partitions the staged domains by cardinality (equi-depth) and
-// constructs the per-partition banded indexes.
-func (ix *Index) Build() error { return ix.BuildN(1) }
-
-// BuildN is Build with the per-partition banded indexes constructed by
-// up to `parallelism` workers (<=1 means sequential). Each (partition,
-// row-count) index is independent and is filled by one worker in the
-// same sorted domain order the sequential build uses, so the built
-// index is identical at every parallelism level.
-func (ix *Index) BuildN(parallelism int) error {
+// creates the per-partition banded indexes, each frozen over its
+// partition's signatures in sorted domain order. A query probes one
+// row count per partition, and that index builds its band tables on
+// its first probe (see lsh.Index.Query); the others stay unbuilt.
+func (ix *Index) Build() error {
 	if ix.built {
 		return errors.New("lshensemble: Build called twice")
 	}
@@ -123,82 +123,31 @@ func (ix *Index) BuildN(parallelism int) error {
 		da, db := &ix.pending[a], &ix.pending[b]
 		return cmp.Or(cmp.Compare(da.Size, db.Size), cmp.Compare(da.Key, db.Key), cmp.Compare(a, b))
 	})
-	p := ix.numPart
-	if p > n {
-		p = n
-	}
+	p := min(ix.numPart, n)
 	rows := rowChoices(ix.numHashes)
-	type job struct{ part, rows int }
-	var jobs []job
 	for i := 0; i < p; i++ {
 		lo, hi := i*n/p, (i+1)*n/p
 		if lo >= hi {
 			continue
 		}
-		ix.parts = append(ix.parts, partition{
+		part := partition{
 			lower:  ix.pending[ix.order[lo]].Size,
 			upper:  ix.pending[ix.order[hi-1]].Size,
 			lo:     lo,
 			hi:     hi,
 			byRows: make([]*lsh.Index, len(rows)),
-		})
-		for ri := range rows {
-			jobs = append(jobs, job{part: len(ix.parts) - 1, rows: ri})
 		}
-	}
-	fill := func(j job) error {
-		part := &ix.parts[j.part]
-		r := rows[j.rows]
-		sub := lsh.New(ix.numHashes/r, r)
-		for _, o := range ix.order[part.lo:part.hi] {
-			if err := sub.Add(ix.pending[o].Sig); err != nil {
-				return err
-			}
-		}
-		sub.Build()
-		part.byRows[j.rows] = sub
-		return nil
-	}
-	if parallelism <= 1 || len(jobs) <= 1 {
-		for _, j := range jobs {
-			if err := fill(j); err != nil {
-				return err
-			}
-		}
-	} else {
-		if parallelism > len(jobs) {
-			parallelism = len(jobs)
-		}
-		var (
-			next int64 = -1
-			wg   sync.WaitGroup
-			mu   sync.Mutex
-			ferr error
-		)
-		wg.Add(parallelism)
-		for w := 0; w < parallelism; w++ {
-			go func() {
-				defer wg.Done()
-				for {
-					i := int(atomic.AddInt64(&next, 1))
-					if i >= len(jobs) {
-						return
-					}
-					if err := fill(jobs[i]); err != nil {
-						mu.Lock()
-						if ferr == nil {
-							ferr = err
-						}
-						mu.Unlock()
-						return
-					}
+		for ri, r := range rows {
+			sub := lsh.New(ix.numHashes/r, r)
+			for _, o := range ix.order[lo:hi] {
+				if err := sub.Add(ix.pending[o].Sig); err != nil {
+					return err
 				}
-			}()
+			}
+			sub.Build()
+			part.byRows[ri] = sub
 		}
-		wg.Wait()
-		if ferr != nil {
-			return ferr
-		}
+		ix.parts = append(ix.parts, part)
 	}
 	ix.pending = nil
 	ix.built = true
@@ -328,9 +277,9 @@ func (ix *Index) Query(sig minhash.Signature, querySize int, threshold float64) 
 	return slices.Clone(ords), nil
 }
 
-// Footprint reports the resident bytes of every partition's band
-// tables next to an estimate of the map-per-band form they replace
-// (see lsh.Index.Footprint).
+// Footprint reports the resident bytes of the partitions' band tables
+// built so far next to an estimate of the map-per-band form they
+// replace (see lsh.Index.Footprint).
 func (ix *Index) Footprint() dict.Footprint {
 	var f dict.Footprint
 	for i := range ix.parts {

@@ -59,8 +59,7 @@ func scanQuery(domains []Domain, numHashes, numPart int, sig minhash.Signature, 
 // the same order — over lakes with near-duplicate and duplicated
 // domains, thresholds from permissive to strict, and query sizes below,
 // inside and above every partition; domains are added in shuffled order
-// so ordinals say nothing about size order, and each lake is built
-// sequentially and by four workers.
+// so ordinals say nothing about size order.
 func TestQueryMatchesScan(t *testing.T) {
 	h := minhash.NewHasher(numHashes, 42)
 	for seed := int64(0); seed < 12; seed++ {
@@ -81,35 +80,33 @@ func TestQueryMatchesScan(t *testing.T) {
 			}
 		}
 		rng.Shuffle(n, func(i, j int) { domains[i], domains[j] = domains[j], domains[i] })
-		for _, workers := range []int{1, 4} {
-			ix := New(numHashes, numPart)
-			for _, d := range domains {
-				if err := ix.Add(d); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if err := ix.BuildN(workers); err != nil {
+		ix := New(numHashes, numPart)
+		for _, d := range domains {
+			if err := ix.Add(d); err != nil {
 				t.Fatal(err)
 			}
-			sizes := []int{1, 1000}
-			for _, b := range ix.PartitionBounds() {
-				sizes = append(sizes, (b[0]+b[1]+1)/2)
-			}
-			for _, querySize := range sizes {
-				sig := h.Sign(genSet(fmt.Sprintf("pool%d", rng.Intn(3)), querySize))
-				for _, threshold := range []float64{0.1, 0.5, 0.9} {
-					got, err := queryKeys(ix, sig, querySize, threshold)
-					if err != nil {
-						t.Fatal(err)
-					}
-					want := scanQuery(domains, numHashes, numPart, sig, querySize, threshold)
-					if len(got) == 0 {
-						got = nil
-					}
-					if !reflect.DeepEqual(got, want) {
-						t.Fatalf("seed %d parts=%d workers=%d |q|=%d t=%.1f:\n got %v\nwant %v",
-							seed, numPart, workers, querySize, threshold, got, want)
-					}
+		}
+		if err := ix.Build(); err != nil {
+			t.Fatal(err)
+		}
+		sizes := []int{1, 1000}
+		for _, b := range ix.PartitionBounds() {
+			sizes = append(sizes, (b[0]+b[1]+1)/2)
+		}
+		for _, querySize := range sizes {
+			sig := h.Sign(genSet(fmt.Sprintf("pool%d", rng.Intn(3)), querySize))
+			for _, threshold := range []float64{0.1, 0.5, 0.9} {
+				got, err := queryKeys(ix, sig, querySize, threshold)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want := scanQuery(domains, numHashes, numPart, sig, querySize, threshold)
+				if len(got) == 0 {
+					got = nil
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("seed %d parts=%d |q|=%d t=%.1f:\n got %v\nwant %v",
+						seed, numPart, querySize, threshold, got, want)
 				}
 			}
 		}
@@ -128,7 +125,7 @@ func TestConcurrentQueries(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := ix.BuildN(4); err != nil {
+	if err := ix.Build(); err != nil {
 		t.Fatal(err)
 	}
 	sigs := make([]minhash.Signature, 30)

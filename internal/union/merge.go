@@ -385,21 +385,12 @@ func NewD3LFromParts(model *embedding.Model, lake *dict.Dict, parts []D3LTablePa
 	}
 	d3.ids = make([]string, 0, len(parts))
 	for _, p := range parts {
-		tbl := lookup(p.ID)
-		if tbl == nil {
-			return nil, fmt.Errorf("union: D3L table %q missing from catalog", p.ID)
-		}
-		if _, dup := d3.tables[p.ID]; dup {
-			return nil, fmt.Errorf("union: duplicate D3L table %q", p.ID)
+		tbl, err := checkD3LPart(p, lookup, func(id string) bool { return d3.tables[id] != nil })
+		if err != nil {
+			return nil, err
 		}
 		entry := &d3lTable{tbl: tbl}
 		for _, c := range p.Cols {
-			if c.ColIdx < 0 || c.ColIdx >= len(tbl.Columns) {
-				return nil, fmt.Errorf("union: D3L column index %d out of range for table %q", c.ColIdx, p.ID)
-			}
-			if err := checkWords(c.Words, c.WordFreq); err != nil {
-				return nil, fmt.Errorf("union: D3L column %d of table %q: %v", c.ColIdx, p.ID, err)
-			}
 			entry.cols = append(entry.cols, newD3LColumn(tbl.Columns[c.ColIdx], c.ColIdx, c.Distinct, c.Format, c.Words, c.WordFreq, c.Vec))
 		}
 		if len(entry.cols) == 0 {
@@ -410,4 +401,40 @@ func NewD3LFromParts(model *embedding.Model, lake *dict.Dict, parts []D3LTablePa
 	}
 	d3.Build()
 	return d3, nil
+}
+
+// CheckD3LParts makes NewD3LFromParts' checks of parts without
+// assembling an engine: every table is in lookup and listed once, and
+// every column lies inside its table with well-formed word lists.
+func CheckD3LParts(parts []D3LTableParts, lookup func(id string) *table.Table) error {
+	indexed := make(map[string]bool, len(parts))
+	for _, p := range parts {
+		if _, err := checkD3LPart(p, lookup, func(id string) bool { return indexed[id] }); err != nil {
+			return err
+		}
+		indexed[p.ID] = len(p.Cols) > 0
+	}
+	return nil
+}
+
+// checkD3LPart resolves p's table through lookup and checks p against
+// it; indexed reports the tables already assembled (those with a
+// column).
+func checkD3LPart(p D3LTableParts, lookup func(id string) *table.Table, indexed func(id string) bool) (*table.Table, error) {
+	tbl := lookup(p.ID)
+	if tbl == nil {
+		return nil, fmt.Errorf("union: D3L table %q missing from catalog", p.ID)
+	}
+	if indexed(p.ID) {
+		return nil, fmt.Errorf("union: duplicate D3L table %q", p.ID)
+	}
+	for _, c := range p.Cols {
+		if c.ColIdx < 0 || c.ColIdx >= len(tbl.Columns) {
+			return nil, fmt.Errorf("union: D3L column index %d out of range for table %q", c.ColIdx, p.ID)
+		}
+		if err := checkWords(c.Words, c.WordFreq); err != nil {
+			return nil, fmt.Errorf("union: D3L column %d of table %q: %v", c.ColIdx, p.ID, err)
+		}
+	}
+	return tbl, nil
 }

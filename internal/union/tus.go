@@ -652,9 +652,13 @@ func (t *TUS) candidateTables(qcols []*tusColumn) []string {
 func (t *TUS) NLGraph() *hnsw.Graph { return t.nlIndex }
 
 // LSHFootprint reports the resident cost of the set-LSH band tables
-// next to an estimate of the map-per-band form they replaced.
+// and the column-to-table array their ordinals go through, next to an
+// estimate of the map-per-band form they replaced: nothing until the
+// first candidate search has built the tables.
 func (t *TUS) LSHFootprint() dict.Footprint {
 	f := t.setLSH.Footprint()
-	f.Bytes += int64(len(t.owner)) * 4
+	if f.Count > 0 {
+		f.Bytes += int64(len(t.owner)) * 4
+	}
 	return f
 }
