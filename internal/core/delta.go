@@ -617,8 +617,8 @@ func applyMembership(d *Delta, path string, live map[string]uint64, gen uint64, 
 // the merge does not read the base's catalog statistics and derives
 // them over the merged catalog, so deriving them over the base first
 // would be done twice and discarded once. Its join and D3L sections
-// decode as parts, for the same reason. The base derives itself only when
-// nothing is left to apply and it is the system returned.
+// decode as parts, for the same reason. The base derives itself only
+// when nothing is left to apply and it is the system returned.
 func LoadChainFiles(basePath string, deltaPaths []string, opts Options) (*System, error) {
 	if len(deltaPaths) == 0 {
 		return LoadFile(basePath, opts)
@@ -669,11 +669,10 @@ type baseParts struct {
 // system and returns the merged system. The base's join and D3L
 // engines come as parts (base.Join and base.D3L are not read); the
 // join's stored signatures are reused for the columns of the tables
-// the chain leaves alone. The
-// base is consumed: its model is rebound onto the merged vector block,
-// so it must not keep serving queries (LoadChainFiles decodes a fresh
-// base per merge). Only what a snapshot stores is read from the base;
-// its Stats may be nil.
+// the chain leaves alone. The base is consumed: its model is rebound
+// onto the merged vector block, so it must not keep serving queries
+// (LoadChainFiles decodes a fresh base per merge). Only what a snapshot
+// stores is read from the base; its Stats may be nil.
 //
 // The merge analyses only the tables the chain adds; every other live
 // table is the base's, and what the base derived from it carries over:

@@ -62,7 +62,6 @@ func (ix *Index) Params() (bands, rows int) { return ix.bands, ix.rows }
 // Len returns the number of signatures added.
 func (ix *Index) Len() int { return ix.n }
 
-
 // bucket hashes one band slice of a signature: FNV-1a over the hashes'
 // little-endian bytes, unrolled per hash.
 func bucket(band []uint64) uint64 {
