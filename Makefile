@@ -141,7 +141,8 @@ bench-delta:
 # per cell: the out-of-vocabulary embedding kernel and type inference,
 # each beside the kernel it replaced; and the two join indexes on their
 # own — JOSIE over 10k Zipf sets, one LSH and one LSH Ensemble probe,
-# and the ensemble build every load pays (with the heap it retains).
+# and the ensemble build every load pays (with the heap it retains;
+# the band tables wait for their first probe).
 # Set COUNT=10 for benchstat-worthy samples:
 # make bench-query COUNT=10 > new.txt
 bench-query:

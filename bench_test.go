@@ -473,7 +473,8 @@ func BenchmarkLSHEnsembleQuery(b *testing.B) {
 // BenchmarkLSHEnsembleBuild builds the ensemble of the end-to-end
 // benchmark's 300-table lake (1 392 join columns x 128 hashes, 8
 // partitions) — what every build, load, chain load and compaction pays
-// — and reports the heap the built index retains.
+// — and reports the heap the built index retains. Build only sorts and
+// partitions the domains: the band tables wait for their first probe.
 func BenchmarkLSHEnsembleBuild(b *testing.B) {
 	doms := ensembleDomains(1392)
 	heap := func() float64 {

@@ -616,8 +616,8 @@ func applyMembership(d *Delta, path string, live map[string]uint64, gen uint64, 
 // The base is only decoded, not derived, while a merge may follow:
 // the merge does not read the base's catalog statistics and derives
 // them over the merged catalog, so deriving them over the base first
-// would be done twice and discarded once. Its join and D3L sections
-// decode as parts, for the same reason. The base derives itself only
+// would be done twice and discarded once. Its D3L section decodes as
+// parts, for the same reason. The base derives itself only
 // when nothing is left to apply and it is the system returned.
 func LoadChainFiles(basePath string, deltaPaths []string, opts Options) (*System, error) {
 	if len(deltaPaths) == 0 {
@@ -641,12 +641,12 @@ func LoadChainFiles(basePath string, deltaPaths []string, opts Options) (*System
 		base.Lineage.Folded = skipped
 		return base, nil
 	}
-	var parts baseParts
-	base, err := o.decode(&parts)
+	var d3lParts []union.D3LTableParts
+	base, err := o.decode(&d3lParts)
 	if err != nil {
 		return nil, err
 	}
-	sys, err := applyDeltas(base, parts, deltas[folded:], infos[folded:])
+	sys, err := applyDeltas(base, d3lParts, deltas[folded:], infos[folded:])
 	if err != nil {
 		return nil, err
 	}
@@ -658,27 +658,20 @@ func LoadChainFiles(basePath string, deltaPaths []string, opts Options) (*System
 // extended dictionary that no live table holds.
 const unmapped = ^uint32(0)
 
-// baseParts are the sections of a chain load's base that decode as the
-// parts a merge folds rather than as engines.
-type baseParts struct {
-	join join.EngineParts
-	d3l  []union.D3LTableParts
-}
-
 // applyDeltas folds an ordered delta chain over a freshly decoded base
-// system and returns the merged system. The base's join and D3L
-// engines come as parts (base.Join and base.D3L are not read); the
-// join's stored signatures are reused for the columns of the tables
-// the chain leaves alone. The base is consumed: its model is rebound
-// onto the merged vector block, so it must not keep serving queries
-// (LoadChainFiles decodes a fresh base per merge). Only what a snapshot
-// stores is read from the base; its Stats may be nil.
+// system and returns the merged system. The base's D3L engine comes as
+// parts, d3lParts (base.D3L is not read); its join engine's signatures
+// are reused for the columns of the tables the chain leaves alone. The
+// base is consumed: its model is rebound onto the merged vector block,
+// so it must not keep serving queries (LoadChainFiles decodes a fresh
+// base per merge). Only what a snapshot stores is read from the base;
+// its Stats may be nil.
 //
 // The merge analyses only the tables the chain adds; every other live
 // table is the base's, and what the base derived from it carries over:
 // its dictionary values (on a chain without tombstones), its keyword
 // postings, its join signatures and its graph nodes (see graphFold).
-func applyDeltas(base *System, parts baseParts, deltas []*Delta, infos []DeltaInfo) (*System, error) {
+func applyDeltas(base *System, d3lParts []union.D3LTableParts, deltas []*Delta, infos []DeltaInfo) (*System, error) {
 	start := time.Now()
 	if base.Lineage == nil {
 		return nil, errors.New("core: base system has no lineage (not loaded from a snapshot)")
@@ -698,10 +691,14 @@ func applyDeltas(base *System, parts baseParts, deltas []*Delta, infos []DeltaIn
 	// The catalog folds like the engines' parts: the table under each
 	// live ID, and each engine's parts for it.
 	tables := foldParts(base.Catalog.Tables(), func(t *table.Table) string { return t.ID })
-	joinSets := parts.join.IDSets
+	if base.Join.Dict() != base.Dict {
+		return nil, fmt.Errorf("%w: join engine does not share the system dictionary, so its parts cannot merge", ErrCorruptSnapshot)
+	}
+	baseJoin := base.Join.Parts()
+	joinSets := baseJoin.IDSets
 	tus := foldParts(base.TUS.Parts(), func(p union.TUSTableParts) string { return p.ID })
 	santos := foldParts(base.Santos.Parts(), func(p union.SantosTableParts) string { return p.ID })
-	d3l := foldParts(parts.d3l, func(p union.D3LTableParts) string { return p.ID })
+	d3l := foldParts(d3lParts, func(p union.D3LTableParts) string { return p.ID })
 	star := foldParts(base.Starmie.Parts(), func(p starmie.TableParts) string { return p.ID })
 	// The two HNSW graphs fold too: from the base's, each delta inserts
 	// the columns of the tables it adds, and one that tombstones any
@@ -798,7 +795,7 @@ func applyDeltas(base *System, parts baseParts, deltas []*Delta, infos []DeltaIn
 	// column's stored one still holds — unless the chain added its table,
 	// even under a key the base had: a replaced table's columns are
 	// signed again.
-	sigs := parts.join.Sigs
+	sigs := baseJoin.Sigs
 	for key := range sigs {
 		if tid, _ := table.SplitColumnKey(key); added[tid] != nil {
 			delete(sigs, key)
@@ -818,7 +815,7 @@ func applyDeltas(base *System, parts baseParts, deltas []*Delta, infos []DeltaIn
 		added:   added,
 		keyword: base.Keyword,
 		values:  base.Values,
-		join:    join.EngineParts{IDSets: joinSets, Sigs: sigs, NumHashes: parts.join.NumHashes, NumPartitions: parts.join.NumPartitions},
+		join:    join.EngineParts{IDSets: joinSets, Sigs: sigs, NumHashes: baseJoin.NumHashes, NumPartitions: baseJoin.NumPartitions},
 		tus:     tusOrdered,
 		santos:  santos.inIDOrder(ids),
 		d3l:     d3l.inIDOrder(ids),

@@ -16,6 +16,7 @@ import (
 
 	"tablehound/internal/datagen"
 	"tablehound/internal/dict"
+	"tablehound/internal/join"
 	"tablehound/internal/lake"
 	"tablehound/internal/snap"
 	"tablehound/internal/starmie"
@@ -390,7 +391,7 @@ func TestDeltaChainValidation(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var parts baseParts
+		var parts []union.D3LTableParts
 		base, err := o.decode(&parts)
 		if err != nil {
 			t.Fatal(err)
@@ -401,6 +402,30 @@ func TestDeltaChainValidation(t *testing.T) {
 		_, err = applyDeltas(base, parts, []*Delta{d, &dup}, nil)
 		if !errors.Is(err, ErrDeltaChain) || !strings.Contains(err.Error(), "re-adds join column") {
 			t.Errorf("err = %v, want ErrDeltaChain naming %q", err, "re-adds join column")
+		}
+	})
+	t.Run("load: base join engine with a dictionary of its own", func(t *testing.T) {
+		// A merge remaps the base's join ID sets through the system
+		// dictionary, so an engine encoded in another one cannot merge.
+		o, err := openFile(basePath, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var parts []union.D3LTableParts
+		base, err := o.decode(&parts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		jb := join.NewBuilder(minJoinCardinality)
+		for _, tb := range base.Catalog.Tables() {
+			jb.AddTable(tb)
+		}
+		if base.Join, err = jb.Build(); err != nil {
+			t.Fatal(err)
+		}
+		_, err = applyDeltas(base, parts, []*Delta{d}, nil)
+		if !errors.Is(err, ErrCorruptSnapshot) || !strings.Contains(err.Error(), "does not share the system dictionary") {
+			t.Errorf("err = %v, want ErrCorruptSnapshot naming the dictionary", err)
 		}
 	})
 	t.Run("load: dictionary size mismatch on the second delta", func(t *testing.T) {

@@ -400,11 +400,10 @@ func (o *opened) foundations(g *decodeGroup) error {
 
 // decode is the first half of a load: every section is decoded and
 // every stored engine is live, but the rebuild-on-load field (Stats) is
-// still nil. With base non-nil the join and D3L sections decode into
-// it instead, the join's stored signatures included, and Join and D3L
-// stay nil: a merge reads those two engines of its base only as parts,
-// so freezing them would be wasted.
-func (o *opened) decode(base *baseParts) (*System, error) {
+// still nil. With d3lParts non-nil the D3L section decodes into it
+// instead, checked, and D3L stays nil: a merge reads the base's D3L
+// engine only as parts, so building it would be wasted.
+func (o *opened) decode(d3lParts *[]union.D3LTableParts) (*System, error) {
 	s, secs, bopts := o.s, o.secs, o.s.buildOpts
 	// Phase 1: the foundations and the catalog — everything later
 	// decodes against them — together with every other section that
@@ -426,11 +425,7 @@ func (o *opened) decode(base *baseParts) (*System, error) {
 	// results.
 	g = &decodeGroup{parallel: bopts.Parallelism > 1}
 	g.run(secJoin, secs, func(d *snap.Decoder) (derr error) {
-		if base != nil {
-			base.join, derr = join.DecodeEngineParts(d, s.Dict)
-		} else {
-			s.Join, derr = join.DecodeEngineSnapshot(d, s.Dict)
-		}
+		s.Join, derr = join.DecodeEngineSnapshot(d, s.Dict)
 		return derr
 	})
 	g.run(secTUS, secs, func(d *snap.Decoder) error {
@@ -444,10 +439,10 @@ func (o *opened) decode(base *baseParts) (*System, error) {
 		return derr
 	})
 	g.run(secD3L, secs, func(d *snap.Decoder) (derr error) {
-		if base != nil {
-			base.d3l, derr = union.DecodeD3LParts(d)
+		if d3lParts != nil {
+			*d3lParts, derr = union.DecodeD3LParts(d)
 			if derr == nil {
-				derr = corruptParts(union.CheckD3LParts(base.d3l, lookup))
+				derr = corruptParts(union.CheckD3LParts(*d3lParts, lookup))
 			}
 		} else {
 			s.D3L, derr = union.DecodeD3LSnapshot(d, s.Model, s.Dict, lookup)

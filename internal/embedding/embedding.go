@@ -270,9 +270,6 @@ func Train(contexts [][]string, cfg Config) *Model {
 			continue
 		}
 		v.Normalize()
-	}
-	m.tokens = make([]string, 0, len(m.vecs))
-	for t := range m.vecs {
 		m.tokens = append(m.tokens, t)
 	}
 	sort.Strings(m.tokens)

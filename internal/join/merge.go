@@ -27,26 +27,28 @@ type EngineParts struct {
 	Keys   []string              // sorted column keys
 	IDSets map[string]dict.IDSet // per-column encoded value sets
 	// Sigs holds the MinHash signatures known for some columns, by key
-	// (a decoded snapshot section stores one per column); assembly
-	// signs every column without one. Parts leaves it nil.
+	// (an engine keeps one per column); assembly signs every column
+	// without one.
 	Sigs          map[string]minhash.Signature
 	NumHashes     int // MinHash signature width
 	NumPartitions int // LSH Ensemble partition count
 }
 
-// Parts returns the engine's frozen column state, without signatures.
-// Keys and the ID sets alias the engine's own (the engine is immutable
-// after Build, so sharing is safe); the map holding them is the
-// caller's.
+// Parts returns the engine's frozen column state, signatures
+// included. Keys, the ID sets and the signatures alias the engine's own
+// (the engine is immutable after Build, so sharing is safe); the maps
+// holding them are the caller's.
 func (e *Engine) Parts() EngineParts {
 	numHashes, numPart := e.ensemble.Params()
 	idsets := make(map[string]dict.IDSet, len(e.keys))
+	sigs := make(map[string]minhash.Signature, len(e.keys))
 	for i, key := range e.keys {
-		idsets[key] = e.idsets[i]
+		idsets[key], sigs[key] = e.idsets[i], e.sigs[i]
 	}
 	return EngineParts{
 		Keys:          e.keys,
 		IDSets:        idsets,
+		Sigs:          sigs,
 		NumHashes:     numHashes,
 		NumPartitions: numPart,
 	}

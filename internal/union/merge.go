@@ -383,14 +383,38 @@ func NewD3LFromParts(model *embedding.Model, lake *dict.Dict, parts []D3LTablePa
 	if err != nil {
 		return nil, err
 	}
+	if err := d3.adopt(parts, lookup); err != nil {
+		return nil, err
+	}
+	d3.Build()
+	return d3, nil
+}
+
+// CheckD3LParts makes NewD3LFromParts' checks of parts without building
+// an engine.
+func CheckD3LParts(parts []D3LTableParts, lookup func(id string) *table.Table) error {
+	return (&D3L{tables: make(map[string]*d3lTable)}).adopt(parts, lookup)
+}
+
+// adopt stages parts, each table resolved through lookup and checked.
+func (d3 *D3L) adopt(parts []D3LTableParts, lookup func(id string) *table.Table) error {
 	d3.ids = make([]string, 0, len(parts))
 	for _, p := range parts {
-		tbl, err := checkD3LPart(p, lookup, func(id string) bool { return d3.tables[id] != nil })
-		if err != nil {
-			return nil, err
+		tbl := lookup(p.ID)
+		if tbl == nil {
+			return fmt.Errorf("union: D3L table %q missing from catalog", p.ID)
+		}
+		if _, dup := d3.tables[p.ID]; dup {
+			return fmt.Errorf("union: duplicate D3L table %q", p.ID)
 		}
 		entry := &d3lTable{tbl: tbl}
 		for _, c := range p.Cols {
+			if c.ColIdx < 0 || c.ColIdx >= len(tbl.Columns) {
+				return fmt.Errorf("union: D3L column index %d out of range for table %q", c.ColIdx, p.ID)
+			}
+			if err := checkWords(c.Words, c.WordFreq); err != nil {
+				return fmt.Errorf("union: D3L column %d of table %q: %v", c.ColIdx, p.ID, err)
+			}
 			entry.cols = append(entry.cols, newD3LColumn(tbl.Columns[c.ColIdx], c.ColIdx, c.Distinct, c.Format, c.Words, c.WordFreq, c.Vec))
 		}
 		if len(entry.cols) == 0 {
@@ -399,42 +423,5 @@ func NewD3LFromParts(model *embedding.Model, lake *dict.Dict, parts []D3LTablePa
 		d3.tables[p.ID] = entry
 		d3.ids = append(d3.ids, p.ID)
 	}
-	d3.Build()
-	return d3, nil
-}
-
-// CheckD3LParts makes NewD3LFromParts' checks of parts without
-// assembling an engine: every table is in lookup and listed once, and
-// every column lies inside its table with well-formed word lists.
-func CheckD3LParts(parts []D3LTableParts, lookup func(id string) *table.Table) error {
-	indexed := make(map[string]bool, len(parts))
-	for _, p := range parts {
-		if _, err := checkD3LPart(p, lookup, func(id string) bool { return indexed[id] }); err != nil {
-			return err
-		}
-		indexed[p.ID] = len(p.Cols) > 0
-	}
 	return nil
-}
-
-// checkD3LPart resolves p's table through lookup and checks p against
-// it; indexed reports the tables already assembled (those with a
-// column).
-func checkD3LPart(p D3LTableParts, lookup func(id string) *table.Table, indexed func(id string) bool) (*table.Table, error) {
-	tbl := lookup(p.ID)
-	if tbl == nil {
-		return nil, fmt.Errorf("union: D3L table %q missing from catalog", p.ID)
-	}
-	if indexed(p.ID) {
-		return nil, fmt.Errorf("union: duplicate D3L table %q", p.ID)
-	}
-	for _, c := range p.Cols {
-		if c.ColIdx < 0 || c.ColIdx >= len(tbl.Columns) {
-			return nil, fmt.Errorf("union: D3L column index %d out of range for table %q", c.ColIdx, p.ID)
-		}
-		if err := checkWords(c.Words, c.WordFreq); err != nil {
-			return nil, fmt.Errorf("union: D3L column %d of table %q: %v", c.ColIdx, p.ID, err)
-		}
-	}
-	return tbl, nil
 }
