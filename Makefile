@@ -13,9 +13,11 @@ COUNT ?= 1
 # ./...` here does not compile it, yet it imports this module's
 # packages, so the gate vets and builds it too.
 #
-# The serving daemon must not link the library-only engines: `go list
-# -deps ./cmd/lakeserved` may reach none of SERVING_FORBIDDEN.
-SERVING_FORBIDDEN = apps annotate profile
+# The serving daemon must not link the library-only engines, nor LSH
+# Ensemble, which only the experiments keep as a baseline (containment
+# is served exactly from the join postings): `go list -deps
+# ./cmd/lakeserved` may reach none of SERVING_FORBIDDEN.
+SERVING_FORBIDDEN = apps annotate profile lshensemble
 
 check:
 	@unformatted=$$(gofmt -l cmd internal *.go); if [ -n "$$unformatted" ]; then \
@@ -105,9 +107,11 @@ bench-build:
 # BenchmarkFirstJoinPath time the first call of a fresh `lifecycle`
 # system, which builds the index no build or load does: the fuzzy index
 # and its k-means table, the organization, the Aurum graph.
-# BenchmarkFirstContainmentSearch and BenchmarkFirstTUSSearch time the
-# first query of a fresh `serve_cold` system, which builds the LSH band
-# tables it probes.
+# BenchmarkFirstTUSSearch times the first TUS search of a fresh
+# `serve_cold` system, which builds the set-LSH band tables it probes;
+# BenchmarkFirstContainmentSearch its first containment search, which
+# reads the posting lists the load decoded and so costs what a later
+# one does.
 bench-snapshot:
 	$(GO) test -run xxx -bench 'BenchmarkSnapshot|BenchmarkSystemBuildPar|BenchmarkFuzzyFirstSearch|BenchmarkFirst' -benchtime 2x .
 
@@ -141,8 +145,9 @@ bench-delta:
 # per cell: the out-of-vocabulary embedding kernel and type inference,
 # each beside the kernel it replaced; and the two join indexes on their
 # own — JOSIE over 10k Zipf sets, one LSH and one LSH Ensemble probe,
-# and the ensemble build every load pays (with the heap it retains;
-# the band tables wait for their first probe).
+# and the ensemble build of the experiments' approximate containment
+# baseline (with the heap it retains; the band tables wait for their
+# first probe).
 # Set COUNT=10 for benchstat-worthy samples:
 # make bench-query COUNT=10 > new.txt
 bench-query:

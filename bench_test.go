@@ -274,9 +274,9 @@ func BenchmarkQueryJosie(b *testing.B) {
 	})
 }
 
-// BenchmarkQueryContainment measures one verified LSH Ensemble
-// containment search, from the raw column ("values") and from a
-// pre-encoded query ("encoded": signing runs from cached hashes and
+// BenchmarkQueryContainment measures one exact containment search,
+// from the raw column ("values") and from a pre-encoded query
+// ("encoded": the query's posting lists are walked once and
 // verification is a sorted-integer merge per candidate).
 func BenchmarkQueryContainment(b *testing.B) {
 	sys := queryBenchSystem(b)
@@ -470,11 +470,12 @@ func BenchmarkLSHEnsembleQuery(b *testing.B) {
 	}
 }
 
-// BenchmarkLSHEnsembleBuild builds the ensemble of the end-to-end
-// benchmark's 300-table lake (1 392 join columns x 128 hashes, 8
-// partitions) — what every build, load, chain load and compaction pays
-// — and reports the heap the built index retains. Build only sorts and
-// partitions the domains: the band tables wait for their first probe.
+// BenchmarkLSHEnsembleBuild builds an ensemble the size of the
+// end-to-end benchmark's 300-table lake (1 392 join columns x 128
+// hashes, 8 partitions), the approximate baseline the experiments
+// measure exact containment against, and reports the heap the built
+// index retains. Build only sorts and partitions the domains: the band
+// tables wait for their first probe.
 func BenchmarkLSHEnsembleBuild(b *testing.B) {
 	doms := ensembleDomains(1392)
 	heap := func() float64 {

@@ -289,10 +289,10 @@ func BenchmarkSnapshotLoadServing(b *testing.B) {
 }
 
 // BenchmarkFirstContainmentSearch times the first containment search
-// (threshold 0.5) of a freshly loaded `serve_cold`-shape base, which
-// builds the band tables of the one banded index per partition it
-// probes; later-ms/op is a second search of the same column, which
-// finds them built. The loads run outside the timer.
+// (threshold 0.5) of a freshly loaded `serve_cold`-shape base;
+// later-ms/op is a second search of the same column. Both read the
+// posting lists the load decoded, so the first costs what the second
+// does. The loads run outside the timer.
 func BenchmarkFirstContainmentSearch(b *testing.B) {
 	deltaBenchServingSetup(b)
 	_, vals := queryBenchInputs(deltaBenchServing.fullCat)

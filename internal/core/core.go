@@ -423,9 +423,9 @@ func (s *System) JoinableColumns(values []string, k int) ([]join.Match, error) {
 	return ms, err
 }
 
-// ContainmentSearch returns columns whose containment of the query
-// column is likely >= threshold (LSH Ensemble candidates, exactly
-// verified).
+// ContainmentSearch returns the k columns of highest containment of
+// the query column among those at or above threshold, found exactly
+// from the join engine's posting lists.
 func (s *System) ContainmentSearch(values []string, threshold float64, k int) ([]join.Match, error) {
 	ms, err := s.Join.ContainmentSearch(context.TODO(), s.Join.EncodeQuery(values), threshold)
 	if len(ms) > k {

@@ -6,9 +6,10 @@
 // extend the base dictionary append-only (dict.Extend — every base ID
 // keeps its meaning, so base postings and signatures stay valid
 // verbatim), and Build's engine stages over just those tables produce
-// the new postings, MinHash signatures, and column vectors, encoded
-// against the frozen base embedding model (training is globally
-// corpus-coupled; retraining would invalidate every base vector).
+// the new postings, join ID sets, TUS signatures and column vectors,
+// encoded against the frozen base embedding model (training is
+// globally corpus-coupled; retraining would invalidate every base
+// vector).
 // Removals are tombstones: the base bytes are untouched and the ID is
 // masked at merge. Deltas chain by generation hash — each records the
 // generation it applies to (ParentGen) and the generation that results
@@ -26,8 +27,7 @@
 // which replays the engine's own Build freeze over the merged catalog
 // (with tables in sorted-ID order — the order lake.LoadCSVDir
 // produces). Only the tables the chain adds are analysed: the base's
-// dictionary values, keyword postings and join signatures carry over
-// (see applyDeltas), and the two HNSW graphs (Starmie's columns, TUS's
+// dictionary values and keyword postings carry over (see applyDeltas), and the two HNSW graphs (Starmie's columns, TUS's
 // NL index) grow from the base's by each delta's added columns (see
 // graphFold) instead of being rebuilt. So every section but those two
 // graphs' and the Starmie rows of the vector blob is the one a
@@ -520,11 +520,8 @@ func buildDelta(basePath string, deltaPaths []string, add []*table.Table, remove
 	// dictionary — without the vector store, which would rebind that
 	// model.
 	scratch := &System{Catalog: delta.Catalog, Model: base.Model, KB: base.KB, Dict: ext, BuildStats: newBuildStats(base.buildOpts.Parallelism)}
-	if err := (pipeline{s: scratch, opts: base.buildOpts, partsOnly: true}).run(engineStages...); err != nil {
+	if err := (pipeline{s: scratch, opts: base.buildOpts, partsOnly: true, joinSets: delta.JoinIDSets}).run(engineStages...); err != nil {
 		return nil, nil, err
-	}
-	if scratch.Join != nil {
-		delta.JoinIDSets = scratch.Join.Parts().IDSets
 	}
 	delta.TUS = scratch.TUS.Parts()
 	delta.Santos = scratch.Santos.Parts()
@@ -660,9 +657,7 @@ const unmapped = ^uint32(0)
 
 // applyDeltas folds an ordered delta chain over a freshly decoded base
 // system and returns the merged system. The base's D3L engine comes as
-// parts, d3lParts (base.D3L is not read); its join engine's signatures
-// are reused for the columns of the tables the chain leaves alone. The
-// base is consumed: its model is rebound onto the merged vector block,
+// parts, d3lParts (base.D3L is not read). The base is consumed: its model is rebound onto the merged vector block,
 // so it must not keep serving queries (LoadChainFiles decodes a fresh
 // base per merge). Only what a snapshot stores is read from the base;
 // its Stats may be nil.
@@ -670,7 +665,7 @@ const unmapped = ^uint32(0)
 // The merge analyses only the tables the chain adds; every other live
 // table is the base's, and what the base derived from it carries over:
 // its dictionary values (on a chain without tombstones), its keyword
-// postings, its join signatures and its graph nodes (see graphFold).
+// postings, its join ID sets and its graph nodes (see graphFold).
 func applyDeltas(base *System, d3lParts []union.D3LTableParts, deltas []*Delta, infos []DeltaInfo) (*System, error) {
 	start := time.Now()
 	if base.Lineage == nil {
@@ -694,8 +689,7 @@ func applyDeltas(base *System, d3lParts []union.D3LTableParts, deltas []*Delta, 
 	if base.Join.Dict() != base.Dict {
 		return nil, fmt.Errorf("%w: join engine does not share the system dictionary, so its parts cannot merge", ErrCorruptSnapshot)
 	}
-	baseJoin := base.Join.Parts()
-	joinSets := baseJoin.IDSets
+	joinSets := base.Join.Parts().IDSets
 	tus := foldParts(base.TUS.Parts(), func(p union.TUSTableParts) string { return p.ID })
 	santos := foldParts(base.Santos.Parts(), func(p union.SantosTableParts) string { return p.ID })
 	d3l := foldParts(d3lParts, func(p union.D3LTableParts) string { return p.ID })
@@ -791,16 +785,6 @@ func applyDeltas(base *System, d3lParts []union.D3LTableParts, deltas []*Delta, 
 		}
 		joinSets[key] = ns
 	}
-	// A signature is a function of its column's values, so a base
-	// column's stored one still holds — unless the chain added its table,
-	// even under a key the base had: a replaced table's columns are
-	// signed again.
-	sigs := baseJoin.Sigs
-	for key := range sigs {
-		if tid, _ := table.SplitColumnKey(key); added[tid] != nil {
-			delete(sigs, key)
-		}
-	}
 	tusOrdered := tus.inIDOrder(ids)
 	for ti := range tusOrdered {
 		for ci := range tusOrdered[ti].Cols {
@@ -815,7 +799,7 @@ func applyDeltas(base *System, d3lParts []union.D3LTableParts, deltas []*Delta, 
 		added:   added,
 		keyword: base.Keyword,
 		values:  base.Values,
-		join:    join.EngineParts{IDSets: joinSets, Sigs: sigs, NumHashes: baseJoin.NumHashes, NumPartitions: baseJoin.NumPartitions},
+		join:    join.EngineParts{IDSets: joinSets},
 		tus:     tusOrdered,
 		santos:  santos.inIDOrder(ids),
 		d3l:     d3l.inIDOrder(ids),

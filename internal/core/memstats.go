@@ -51,15 +51,14 @@ func (s *System) MemStats() MemReport {
 		r.Entries = append(r.Entries, MemEntry{Name: name, Sets: sets, Footprint: f})
 	}
 	add("dict", 0, s.Dict.Footprint())
-	// The *-lsh rows are the LSH band tables, never serialized: each
-	// banded index builds them from its signatures on its first probe,
-	// and the rows count only those built so far. Flat ordinal arrays
-	// behind a directory per band, against the map of string-key lists
-	// per band they replaced.
 	if s.Join != nil {
 		add("join-sets", s.Join.NumColumns(), s.Join.SetsFootprint())
-		add("join-lsh", s.Join.NumColumns(), s.Join.LSHFootprint())
 	}
+	// The tus-lsh row is TUS's set-LSH band tables, never serialized:
+	// the banded index builds them from its signatures on its first
+	// probe, and the row counts them only once built. Flat ordinal
+	// arrays behind a directory per band, against the map of string-key
+	// lists per band they replaced.
 	if s.TUS != nil {
 		add("tus-sets", s.TUS.NumTables(), s.TUS.SetsFootprint())
 		add("tus-lsh", s.TUS.NumTables(), s.TUS.LSHFootprint())

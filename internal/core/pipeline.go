@@ -13,6 +13,7 @@ import (
 	"strings"
 	"time"
 
+	"tablehound/internal/dict"
 	"tablehound/internal/join"
 	"tablehound/internal/keyword"
 	"tablehound/internal/parallel"
@@ -72,9 +73,11 @@ type pipeline struct {
 	// the catalog's tables.
 	parts *mergedParts
 	// partsOnly marks delta analysis: the engine stages take the tables
-	// only as far as each engine's Parts needs, and a join engine with
-	// no column to index stays nil instead of failing the run.
+	// only as far as each engine's Parts needs. The join stage builds no
+	// engine: it encodes the staged columns into joinSets, which stays
+	// empty when no column qualifies.
 	partsOnly bool
+	joinSets  map[string]dict.IDSet
 }
 
 // run runs the stages named by ids on a pool of opts.Parallelism
@@ -163,8 +166,8 @@ func (p pipeline) join() (int, error) {
 		for _, t := range s.Catalog.Tables() {
 			jb.AddTable(t)
 		}
-		if p.partsOnly && jb.NumStaged() == 0 {
-			return 0, nil
+		if p.partsOnly {
+			return p.encodeJoin(jb)
 		}
 		eng, err = jb.Build()
 	}
@@ -173,6 +176,26 @@ func (p pipeline) join() (int, error) {
 	}
 	s.Join = eng
 	return eng.NumColumns(), nil
+}
+
+// encodeJoin is a delta's join stage: the staged columns' ID sets, into
+// p.joinSets. They must be encoded in the system's dictionary, which
+// the delta extended by every value of its tables.
+func (p pipeline) encodeJoin(jb *join.Builder) (int, error) {
+	if jb.NumStaged() == 0 {
+		return 0, nil
+	}
+	d, keys, sets, err := jb.Encode()
+	if err != nil {
+		return 0, fmt.Errorf("core: join index: %w", err)
+	}
+	if d != p.s.Dict {
+		return 0, errors.New("core: join index: a delta column holds a value outside the extended dictionary")
+	}
+	for i, key := range keys {
+		p.joinSets[key] = sets[i]
+	}
+	return len(keys), nil
 }
 
 // corruptParts marks an error of assembling an engine from a merge's

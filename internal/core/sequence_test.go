@@ -2,9 +2,11 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"math/rand"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"tablehound/internal/datagen"
@@ -18,10 +20,11 @@ import (
 // knobs — and after every step holds the chain-loaded system and its
 // compaction to a fresh build over the live tables: the same
 // generation, the same snapshot sections but the two HNSW graphs', and
-// the same answers on every surface, containment search included.
-// Answers are compared, not only bytes, because a save re-derives what
-// a stale in-memory index would answer from (the join signatures). The
-// compaction saves the chain's bytes. -short runs one seed.
+// the same answers on every surface, containment search included, and
+// every containment answer of both equal to the exact scan's. Answers
+// are compared, not only bytes, because an index a save does not write
+// (the band tables, the merged inverted index) could still answer
+// stale. The compaction saves the chain's bytes. -short runs one seed.
 func TestMergeSequences(t *testing.T) {
 	seeds := []int64{1, 2, 3}
 	if testing.Short() {
@@ -205,6 +208,7 @@ func (m *mergeModel) check(label string, touched *table.Table) *System {
 		queries = append(queries, touched)
 	}
 	assertSurfaceParity(t, label+"/chain", sys, fresh, m.gen, queries)
+	assertContainmentExact(t, label+"/chain", sys)
 
 	compacted, err := CompactFiles(m.basePath, m.chain, filepath.Join(m.dir, "check.snap"), Options{})
 	if err != nil {
@@ -214,5 +218,36 @@ func (m *mergeModel) check(label string, touched *table.Table) *System {
 		t.Fatalf("%s: the compaction saves other bytes than the chain", label)
 	}
 	assertSurfaceParity(t, label+"/compacted", compacted, fresh, m.gen, queries)
+	assertContainmentExact(t, label+"/compacted", compacted)
 	return sys
+}
+
+// assertContainmentExact holds s's containment search to the exact
+// scan: for every column of every table at thresholds 0.1, 0.5 and
+// 0.9, at QueryParallelism 1 and 8, the same matches (keys,
+// containments and overlaps) in the same order.
+func assertContainmentExact(t *testing.T, label string, s *System) {
+	t.Helper()
+	ctx := context.Background()
+	defer func(p int) { s.Join.QueryParallelism = p }(s.Join.QueryParallelism)
+	for _, par := range []int{1, 8} {
+		s.Join.QueryParallelism = par
+		for _, tbl := range s.Catalog.Tables() {
+			for _, c := range tbl.Columns {
+				q := s.Join.EncodeQuery(c.Values)
+				if len(q.IDs) == 0 {
+					continue
+				}
+				for _, threshold := range []float64{0.1, 0.5, 0.9} {
+					got, err := s.Join.ContainmentSearch(ctx, q, threshold)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if want := s.Join.ExactContainmentScan(c.Values, threshold); !reflect.DeepEqual(got, want) {
+						t.Fatalf("%s P=%d %s.%s t=%.1f: containment search %+v, exact scan %+v", label, par, tbl.ID, c.Name, threshold, got, want)
+					}
+				}
+			}
+		}
+	}
 }

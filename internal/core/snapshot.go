@@ -74,10 +74,12 @@ var ErrVersionMismatch = errors.New("core: snapshot version mismatch")
 // coarse quantizer over the Starmie column vectors: the options section
 // loses its cluster count and the vector directory its centroid tables.
 // Version 9 drops the organization and graph sections: both are built
-// by their first reader, like the fuzzy index.
+// by their first reader, like the fuzzy index. Version 10 drops the
+// join section's MinHash hasher, ensemble parameters and per-column
+// signatures: containment is answered from the inverted index.
 const (
 	snapMagic   uint32 = 0x54485342 // "THSB": tablehound system binary
-	snapVersion uint16 = 9
+	snapVersion uint16 = 10
 
 	// snapHeaderLen is the byte length of the snap header (magic,
 	// version, flags) that precedes the first section; blob-offset

@@ -15,7 +15,6 @@ import (
 	"tablehound/internal/datagen"
 	"tablehound/internal/dict"
 	"tablehound/internal/lake"
-	"tablehound/internal/minhash"
 	"tablehound/internal/snap"
 	"tablehound/internal/table"
 	"tablehound/internal/union"
@@ -209,8 +208,9 @@ func TestSnapshotRejectsCorruption(t *testing.T) {
 		// bit rot: the typed ErrVersionMismatch (naming both versions)
 		// lets operators tell the two apart, so it must not also satisfy
 		// the corruption sentinel. v7 still stored the Starmie coarse
-		// quantizer, v8 the organization and graph sections.
-		for _, v := range []byte{7, 8} {
+		// quantizer, v8 the organization and graph sections, v9 the join
+		// signatures.
+		for _, v := range []byte{7, 8, 9} {
 			bad := append([]byte{}, good...)
 			bad[4], bad[5] = v, 0 // version lives at header bytes 4..5
 			_, err := Load(bytes.NewReader(bad), Options{})
@@ -220,7 +220,7 @@ func TestSnapshotRejectsCorruption(t *testing.T) {
 			if errors.Is(err, ErrCorruptSnapshot) {
 				t.Errorf("v%d: version mismatch also satisfies ErrCorruptSnapshot: %v", v, err)
 			}
-			for _, want := range []string{fmt.Sprintf("found version %d", v), "expected 9"} {
+			for _, want := range []string{fmt.Sprintf("found version %d", v), "expected 10"} {
 				if err == nil || !strings.Contains(err.Error(), want) {
 					t.Errorf("err %q does not name versions (%q missing)", err, want)
 				}
@@ -379,17 +379,11 @@ func TestSnapshotRejectsForgedIDSets(t *testing.T) {
 		if !d.Bool() {
 			t.Fatal("join section carries its own dictionary")
 		}
-		if _, err := minhash.DecodeSnapshot(d); err != nil {
-			t.Fatal(err)
-		}
-		d.U32()
-		d.U32()
 		for range d.Strs() {
 			if n := binary.LittleEndian.Uint32(p[at(p, d):]); n >= 2 {
 				return at(p, d) + 4
 			}
 			d.U32s()
-			d.U64s()
 		}
 		t.Fatal("no join column with two IDs")
 		return 0

@@ -21,18 +21,13 @@
 // containment and Jaccard).
 package dict
 
-import (
-	"sort"
-
-	"tablehound/internal/minhash"
-)
+import "sort"
 
 // Dict is a frozen value dictionary. Build one with a Builder; a
 // frozen Dict is immutable and safe for unbounded concurrent use.
 type Dict struct {
 	values []string          // ID -> value, sorted ascending
 	ids    map[string]uint32 // value -> ID
-	hashes []uint64          // ID -> minhash.HashValue(value), cached
 }
 
 // Builder accumulates distinct values before freezing them into a
@@ -70,11 +65,9 @@ func (b *Builder) Build() *Dict {
 	d := &Dict{
 		values: values,
 		ids:    make(map[string]uint32, len(values)),
-		hashes: make([]uint64, len(values)),
 	}
 	for i, v := range values {
 		d.ids[v] = uint32(i)
-		d.hashes[i] = minhash.HashValue(v)
 	}
 	return d
 }
@@ -99,26 +92,6 @@ func (d *Dict) ID(v string) (uint32, bool) {
 	}
 	id, ok := d.ids[v]
 	return id, ok
-}
-
-// HashID returns the cached minhash base hash of an interned value:
-// HashID(id) == minhash.HashValue(Value(id)), computed once at Build.
-// Signatures built from IDs through this path are bit-identical to
-// signatures built from the underlying strings.
-func (d *Dict) HashID(id uint32) uint64 { return d.hashes[id] }
-
-// Sign computes the MinHash signature of an interned ID set from the
-// cached value hashes — bit-identical to h.Sign over the decoded
-// strings, without touching a byte of string data.
-func (d *Dict) Sign(h *minhash.Hasher, ids IDSet) minhash.Signature {
-	sig := make(minhash.Signature, h.K())
-	for i := range sig {
-		sig[i] = ^uint64(0)
-	}
-	for _, id := range ids {
-		h.UpdateHash(sig, d.hashes[id])
-	}
-	return sig
 }
 
 // EncodeKnown encodes values that must all be interned, returning the
@@ -174,9 +147,8 @@ func (d *Dict) Intern(v string) string {
 // may be nil, in which case every value is ephemeral (still internally
 // consistent — useful for comparing two ad-hoc sets).
 type Encoder struct {
-	d       *Dict
-	oov     map[string]uint32
-	oovHash []uint64
+	d   *Dict
+	oov map[string]uint32
 }
 
 // Encoder returns a fresh query encoder over the dictionary.
@@ -194,7 +166,6 @@ func (e *Encoder) encode(v string) uint32 {
 	}
 	id := uint32(e.d.Size() + len(e.oov))
 	e.oov[v] = id
-	e.oovHash = append(e.oovHash, minhash.HashValue(v))
 	return id
 }
 
@@ -209,27 +180,6 @@ func (e *Encoder) Encode(values []string) IDSet {
 		ids = append(ids, e.encode(v))
 	}
 	return newSortedDedup(ids)
-}
-
-// EncodeHashes is Encode plus the minhash base hash of each member,
-// parallel to the returned IDSet. Hashes of interned values come from
-// the Build-time cache; OOV values are hashed once per encoder.
-func (e *Encoder) EncodeHashes(values []string) (IDSet, []uint64) {
-	ids := e.Encode(values)
-	hashes := make([]uint64, len(ids))
-	for i, id := range ids {
-		hashes[i] = e.Hash(id)
-	}
-	return ids, hashes
-}
-
-// Hash returns the minhash base hash for an ID previously produced by
-// this encoder (interned or ephemeral).
-func (e *Encoder) Hash(id uint32) uint64 {
-	if n := e.d.Size(); int(id) >= n {
-		return e.oovHash[int(id)-n]
-	}
-	return e.d.hashes[id]
 }
 
 // newSortedDedup sorts ids ascending and collapses duplicates in
@@ -265,7 +215,7 @@ const (
 )
 
 // Footprint reports the dictionary's own cost: one canonical copy of
-// every distinct value plus the ID map and hash cache.
+// every distinct value plus the ID map.
 func (d *Dict) Footprint() Footprint {
 	var f Footprint
 	if d == nil {
@@ -275,9 +225,8 @@ func (d *Dict) Footprint() Footprint {
 	for _, v := range d.values {
 		f.Bytes += int64(len(v)) + StringHeaderBytes
 	}
-	// value->ID map entries and the hash cache.
+	// value->ID map entries.
 	f.Bytes += int64(len(d.values)) * (StringHeaderBytes + 4 + MapEntryBytes)
-	f.Bytes += int64(len(d.hashes)) * 8
 	return f
 }
 

@@ -62,9 +62,6 @@ func TestBuildOrderIndependence(t *testing.T) {
 		if d1.Value(id) != d2.Value(id) {
 			t.Fatalf("ID %d: %q vs %q", id, d1.Value(id), d2.Value(id))
 		}
-		if d1.HashID(id) != d2.HashID(id) {
-			t.Fatalf("hash of ID %d differs", id)
-		}
 	}
 }
 
@@ -197,46 +194,6 @@ func TestEncoderOOV(t *testing.T) {
 // TestSignParity: signatures computed from cached ID hashes must be
 // bit-identical to signing the underlying strings, with and without
 // OOV values in the set.
-func TestSignParity(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	lake := randValues(rng, 400, 150)
-	db := NewBuilder()
-	db.Add(lake...)
-	d := db.Build()
-	h := minhash.NewHasher(64, 42)
-	for trial := 0; trial < 50; trial++ {
-		vals := randValues(rng, rng.Intn(80), 200)
-		distinct := make([]string, 0, len(vals))
-		seen := map[string]bool{}
-		for _, v := range vals {
-			if v != "" && !seen[v] {
-				seen[v] = true
-				distinct = append(distinct, v)
-			}
-		}
-		want := h.Sign(distinct)
-
-		enc := d.Encoder()
-		ids, hashes := enc.EncodeHashes(vals)
-		got := h.SignHashes(hashes)
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("trial %d: signature slot %d differs", trial, i)
-			}
-		}
-		// Fully in-vocabulary sets can sign straight off the dictionary.
-		if known, ok := d.EncodeKnown(distinct); ok {
-			ds := d.Sign(h, known)
-			for i := range want {
-				if ds[i] != want[i] {
-					t.Fatalf("trial %d: Dict.Sign slot %d differs", trial, i)
-				}
-			}
-		}
-		_ = ids
-	}
-}
-
 func TestHashValueMatchesFNV(t *testing.T) {
 	// Reference FNV-1a (hash/fnv parameters) + splitmix64, as the
 	// pre-inline implementation computed it.
@@ -343,7 +300,7 @@ func TestNewIDSetSortsAndDedups(t *testing.T) {
 
 // TestMergeEqualsBuild folds a base and a chain of Extend blocks with
 // Merge: the result is the dictionary a Builder over every value
-// builds, hashes included, and remap carries each extended ID to the
+// builds, and remap carries each extended ID to the
 // merged ID of the same value. A block that repeats a value fails.
 func TestMergeEqualsBuild(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
@@ -376,8 +333,8 @@ func TestMergeEqualsBuild(t *testing.T) {
 	}
 	for i := 0; i < want.Size(); i++ {
 		id := uint32(i)
-		if got.Value(id) != want.Value(id) || got.HashID(id) != want.HashID(id) {
-			t.Fatalf("ID %d: merged (%q, %x), built (%q, %x)", i, got.Value(id), got.HashID(id), want.Value(id), want.HashID(id))
+		if got.Value(id) != want.Value(id) {
+			t.Fatalf("ID %d: merged %q, built %q", i, got.Value(id), want.Value(id))
 		}
 		if gid, ok := got.ID(want.Value(id)); !ok || gid != id {
 			t.Fatalf("ID(%q) = %d, %v; want %d", want.Value(id), gid, ok, i)

@@ -8,9 +8,8 @@
 //
 // The extended dictionary is NOT globally sorted (only each extension
 // block is), but nothing downstream requires global sortedness: set
-// operations work on any consistent value->ID bijection, minhash
-// signatures come from per-value hashes cached at intern time, and
-// result tie-breaks use string keys, not IDs.
+// operations work on any consistent value->ID bijection, and result
+// tie-breaks use string keys, not IDs.
 package dict
 
 import (
@@ -19,8 +18,6 @@ import (
 	"slices"
 	"sort"
 	"strings"
-
-	"tablehound/internal/minhash"
 )
 
 // Extend returns a new dictionary containing every entry of base at
@@ -49,11 +46,9 @@ func Extend(base *Dict, values []string) *Dict {
 	d := &Dict{
 		values: make([]string, 0, n+len(appended)),
 		ids:    make(map[string]uint32, n+len(appended)),
-		hashes: make([]uint64, 0, n+len(appended)),
 	}
 	if base != nil {
 		d.values = append(d.values, base.values...)
-		d.hashes = append(d.hashes, base.hashes...)
 		for v, id := range base.ids {
 			d.ids[v] = id
 		}
@@ -61,7 +56,6 @@ func Extend(base *Dict, values []string) *Dict {
 	for i, v := range appended {
 		d.values = append(d.values, v)
 		d.ids[v] = uint32(n + i)
-		d.hashes = append(d.hashes, minhash.HashValue(v))
 	}
 	return d
 }
@@ -72,9 +66,8 @@ func Extend(base *Dict, values []string) *Dict {
 // the merged dictionary. The chain numbers base's values first, then
 // each block's in turn from base.Size() on, as a run of Extend calls
 // appends them; a block must hold only values the chain before it
-// lacks, as Extend's appended blocks do, or Merge fails. Base values
-// keep their cached hashes: only the blocks' values are hashed, and no
-// map of base's is copied.
+// lacks, as Extend's appended blocks do, or Merge fails. No map of
+// base's is copied.
 func Merge(base *Dict, blocks ...[]string) (*Dict, []uint32, error) {
 	type added struct {
 		v  string
@@ -95,18 +88,16 @@ func Merge(base *Dict, blocks ...[]string) (*Dict, []uint32, error) {
 	d := &Dict{
 		values: make([]string, 0, total),
 		ids:    make(map[string]uint32, total),
-		hashes: make([]uint64, 0, total),
 	}
 	remap := make([]uint32, total)
 	for i, j := 0, 0; i < n || j < len(adds); {
 		var v string
-		var h uint64
 		var ext uint32
 		if j == len(adds) || (i < n && base.values[i] < adds[j].v) {
-			v, h, ext = base.values[i], base.hashes[i], uint32(i)
+			v, ext = base.values[i], uint32(i)
 			i++
 		} else {
-			v, h, ext = adds[j].v, minhash.HashValue(adds[j].v), adds[j].id
+			v, ext = adds[j].v, adds[j].id
 			j++
 		}
 		// base is sorted and adds are, so only a value met twice fails.
@@ -115,7 +106,6 @@ func Merge(base *Dict, blocks ...[]string) (*Dict, []uint32, error) {
 		}
 		id := uint32(len(d.values))
 		d.values = append(d.values, v)
-		d.hashes = append(d.hashes, h)
 		d.ids[v] = id
 		remap[ext] = id
 	}

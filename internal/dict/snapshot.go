@@ -3,20 +3,18 @@ package dict
 import (
 	"fmt"
 
-	"tablehound/internal/minhash"
 	"tablehound/internal/snap"
 )
 
 // AppendSnapshot encodes the dictionary. Only the sorted value table
-// is written: the ID map and the cached minhash values are fully
-// determined by it and are rebuilt on decode.
+// is written: the ID map is fully determined by it and is rebuilt on
+// decode.
 func (d *Dict) AppendSnapshot(e *snap.Encoder) {
 	e.Strs(d.values)
 }
 
 // DecodeSnapshot rebuilds a dictionary written by AppendSnapshot,
-// recomputing the value→ID map and the hash cache exactly as
-// Builder.Build does, so the result is bit-identical to the original.
+// recomputing the value→ID map exactly as Builder.Build does, so the result is bit-identical to the original.
 func DecodeSnapshot(sd *snap.Decoder) (*Dict, error) {
 	values := sd.Strs()
 	if sd.Err() != nil {
@@ -25,14 +23,12 @@ func DecodeSnapshot(sd *snap.Decoder) (*Dict, error) {
 	d := &Dict{
 		values: values,
 		ids:    make(map[string]uint32, len(values)),
-		hashes: make([]uint64, len(values)),
 	}
 	for i, v := range values {
 		if i > 0 && values[i-1] >= v {
 			return nil, fmt.Errorf("%w: dictionary values not strictly sorted at index %d", snap.ErrCorrupt, i)
 		}
 		d.ids[v] = uint32(i)
-		d.hashes[i] = minhash.HashValue(v)
 	}
 	return d, nil
 }

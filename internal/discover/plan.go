@@ -586,16 +586,17 @@ func (p *Plan) runJoin(ctx context.Context, res *Result, allowed map[string]bool
 		res.recordCost(StageVerify, cands, len(ms), st.Work, vstart)
 		return nil
 	}
-	// Containment: LSH Ensemble candidates, restricted, then exactly
-	// verified — the unfiltered composition is literally the engine's
-	// ContainmentSearch.
+	// Containment: the columns the query's posting lists put at or over
+	// the threshold, restricted, then verified — the unfiltered
+	// composition is literally the engine's ContainmentSearch. The
+	// candidate stage costs the posting entries it read.
 	start := time.Now()
-	cands, err := e.ContainmentCandidates(p.joinQ, p.threshold)
+	cands, read, err := e.ContainmentCandidates(p.joinQ, p.threshold)
 	if err != nil {
 		return err
 	}
 	cands = p.keepAllowedColumns(cands, allowed, "")
-	res.recordCost(StageCandidates, in, len(cands), int64(len(cands)), start)
+	res.recordCost(StageCandidates, in, len(cands), read, start)
 	vstart := time.Now()
 	ms, err := e.VerifyContainment(ctx, p.joinQ, cands, p.threshold)
 	if err != nil {
@@ -650,15 +651,16 @@ func (p *Plan) runAny(ctx context.Context, res *Result, allowed map[string]bool,
 	start := time.Now()
 	ucands := keepAllowed(p.unionCands(), allowed)
 	var jcands []int32
+	var read int64
 	if len(p.joinQ.IDs) > 0 {
-		all, err := sys.Join.ContainmentCandidates(p.joinQ, p.threshold)
+		all, n, err := sys.Join.ContainmentCandidates(p.joinQ, p.threshold)
 		if err != nil {
 			return err
 		}
-		jcands = p.keepAllowedColumns(all, allowed, p.q.Seed.ID)
+		jcands, read = p.keepAllowedColumns(all, allowed, p.q.Seed.ID), n
 	}
 	res.recordCost(StageCandidates, in, len(ucands)+len(jcands),
-		int64(len(ucands)+len(jcands)), start)
+		int64(len(ucands))+read, start)
 
 	vstart := time.Now()
 	urs, err := p.unionScore(ctx, ucands, len(ucands))

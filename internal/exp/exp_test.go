@@ -2,6 +2,7 @@ package exp
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 	"testing"
@@ -83,14 +84,18 @@ func TestE19Shape(t *testing.T) {
 		t.Skip("heavy experiment")
 	}
 	rep := E19Learned()
-	// Few segments on hash-distributed keys; learned lookups not
-	// slower than binary search at the largest size and eps=64.
+	// Few segments on hash-distributed keys; at the largest size and
+	// eps=64 no learned lookup makes more comparisons than binary
+	// search's ⌈log₂ n⌉. The claim is asserted on counted comparisons:
+	// the ns columns are reported but compare two wall-clock timings,
+	// which a loaded host reorders.
 	r := row(t, rep, "1000000", "64")
 	if cell(t, rep, r, 2) > 1000 {
 		t.Errorf("segments = %v, want few", cell(t, rep, r, 2))
 	}
-	if cell(t, rep, r, 3) > cell(t, rep, r, 4)*1.1 {
-		t.Errorf("learned %vns should not lose to binary %vns", cell(t, rep, r, 3), cell(t, rep, r, 4))
+	logN := math.Ceil(math.Log2(1e6))
+	if got := cell(t, rep, r, 5); got > logN {
+		t.Errorf("a learned lookup made %v comparisons, binary search's bound is %v", got, logN)
 	}
 }
 

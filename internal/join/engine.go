@@ -3,10 +3,11 @@
 // join with it. It unifies the surveyed strategies behind one engine:
 //
 //   - exact top-k overlap search (JOSIE),
-//   - approximate containment search (LSH Ensemble), with optional
-//     exact verification,
+//   - exact containment threshold search over JOSIE's posting lists
+//     (the question LSH Ensemble answers approximately; internal/exp
+//     keeps the ensemble as the baseline it is measured against),
 //   - exact Jaccard threshold search (the Das Sarma-era baseline whose
-//     bias against large domains LSH Ensemble fixes),
+//     bias against large domains containment fixes),
 //   - fuzzy/semantic join via embeddings with pivot filtering (PEXESO),
 //   - multi-attribute join via row super-keys (MATE), and
 //   - correlation-aware join discovery via QCR sketches.
@@ -21,21 +22,18 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
+	"sync"
 
 	"tablehound/internal/dict"
 	"tablehound/internal/invindex"
 	"tablehound/internal/josie"
-	"tablehound/internal/lshensemble"
-	"tablehound/internal/minhash"
 	"tablehound/internal/parallel"
 	"tablehound/internal/table"
 	"tablehound/internal/tokenize"
 )
-
-// DefaultNumHashes is the MinHash signature length used by the engine.
-const DefaultNumHashes = 128
 
 // Match is one joinable column hit.
 type Match struct {
@@ -48,8 +46,6 @@ type Match struct {
 // Builder stages columns for a join Engine.
 type Builder struct {
 	minCardinality int
-	numHashes      int
-	numPartitions  int
 	dict           *dict.Dict
 	cols           map[string][]string
 	order          []string
@@ -64,8 +60,6 @@ func NewBuilder(minCardinality int) *Builder {
 	}
 	return &Builder{
 		minCardinality: minCardinality,
-		numHashes:      DefaultNumHashes,
-		numPartitions:  8,
 		cols:           make(map[string][]string),
 	}
 }
@@ -122,19 +116,30 @@ func (b *Builder) stage(key string, distinct []string) {
 }
 
 // NumStaged reports how many columns passed the cardinality filter so
-// far. Incremental (delta) builds check it before Build, which rejects
+// far. Incremental (delta) builds check it before Encode, which rejects
 // an empty stage: a batch of new tables may legitimately contribute no
 // joinable columns.
 func (b *Builder) NumStaged() int { return len(b.order) }
 
 // Build freezes the staged columns into an Engine.
 func (b *Builder) Build() (*Engine, error) {
+	d, keys, idsets, err := b.Encode()
+	if err != nil {
+		return nil, err
+	}
+	return assemble(d, keys, idsets)
+}
+
+// Encode is Build's encode step alone: the staged keys, sorted, and
+// each column's ID set parallel to them, encoded through the dictionary
+// UseDict gave when it covers every staged value, else through one
+// built over the staged values, which it returns. A delta's analysis
+// stops here: its parts are these ID sets, and no index is built.
+func (b *Builder) Encode() (*dict.Dict, []string, []dict.IDSet, error) {
 	if len(b.order) == 0 {
-		return nil, errors.New("join: no columns staged")
+		return nil, nil, nil, errors.New("join: no columns staged")
 	}
 	sort.Strings(b.order)
-	// Encode every column through the provided dictionary; if it lacks
-	// coverage (or none was given), build one over the staged values.
 	d := b.dict
 	idsets := make([]dict.IDSet, len(b.order))
 	covered := d != nil
@@ -157,35 +162,21 @@ func (b *Builder) Build() (*Engine, error) {
 		for i, key := range b.order {
 			ids, ok := d.EncodeKnown(b.cols[key])
 			if !ok {
-				return nil, fmt.Errorf("join: self-built dictionary missing value of column %q", key)
+				return nil, nil, nil, fmt.Errorf("join: self-built dictionary missing value of column %q", key)
 			}
 			idsets[i] = ids
 		}
 	}
-	return assemble(d, b.order, idsets, make([]minhash.Signature, len(b.order)), b.numHashes, b.numPartitions)
+	return d, b.order, idsets, nil
 }
 
 // assemble freezes encoded columns into an Engine. keys are sorted and
-// idsets runs parallel to them, as does sigs, whose nil entries are
-// signed here; the engine keeps sigs. The inverted index and the LSH
-// Ensemble both receive the columns in that order, so a column's
-// position in keys is also its set ID and its ensemble ordinal.
-func assemble(d *dict.Dict, keys []string, idsets []dict.IDSet, sigs []minhash.Signature, numHashes, numPartitions int) (*Engine, error) {
+// idsets runs parallel to them. The inverted index receives the columns
+// in that order, so a column's position in keys is also its set ID.
+func assemble(d *dict.Dict, keys []string, idsets []dict.IDSet) (*Engine, error) {
 	inv := invindex.NewBuilder()
-	hasher := minhash.NewHasher(numHashes, 42)
-	ens := lshensemble.New(numHashes, numPartitions)
 	for i, key := range keys {
 		if err := inv.AddIDs(key, idsets[i]); err != nil {
-			return nil, err
-		}
-		sig := sigs[i]
-		if sig == nil {
-			sig = d.Sign(hasher, idsets[i])
-			sigs[i] = sig
-		} else if len(sig) != numHashes {
-			return nil, fmt.Errorf("join: column %q signature has %d hashes, want %d", key, len(sig), numHashes)
-		}
-		if err := ens.Add(lshensemble.Domain{Key: key, Size: len(idsets[i]), Sig: sig}); err != nil {
 			return nil, err
 		}
 	}
@@ -193,17 +184,11 @@ func assemble(d *dict.Dict, keys []string, idsets []dict.IDSet, sigs []minhash.S
 	if err != nil {
 		return nil, err
 	}
-	if err := ens.Build(); err != nil {
-		return nil, err
-	}
 	return &Engine{
 		inv:      ix,
 		searcher: josie.NewSearcher(ix),
-		ensemble: ens,
-		hasher:   hasher,
 		dict:     d,
 		idsets:   idsets,
-		sigs:     sigs,
 		keys:     keys,
 	}, nil
 }
@@ -214,12 +199,9 @@ func assemble(d *dict.Dict, keys []string, idsets []dict.IDSet, sigs []minhash.S
 type Engine struct {
 	inv      *invindex.Index
 	searcher *josie.Searcher
-	ensemble *lshensemble.Index
-	hasher   *minhash.Hasher
 	dict     *dict.Dict
-	keys     []string            // sorted column keys (scan order)
-	idsets   []dict.IDSet        // per-column ID-encoded value sets, parallel to keys
-	sigs     []minhash.Signature // per-column MinHash signatures, parallel to keys
+	keys     []string     // sorted column keys (scan order)
+	idsets   []dict.IDSet // per-column ID-encoded value sets, parallel to keys
 
 	// QueryParallelism bounds the per-query fan-out of candidate
 	// verification (ContainmentSearch) and the exact-scan baselines
@@ -267,25 +249,19 @@ func (e *Engine) SetsFootprint() dict.Footprint {
 	return f
 }
 
-// LSHFootprint reports the resident cost of the LSH Ensemble's band
-// tables next to an estimate of the map-per-band form they replaced.
-func (e *Engine) LSHFootprint() dict.Footprint { return e.ensemble.Footprint() }
-
 // Query is a query column encoded once against the engine's
-// dictionary: the sorted ID set of its distinct normalized values and
-// the parallel minhash base hashes. Encode once, reuse across the
-// engine's search methods; a Query is plain data and safe to share.
+// dictionary: the sorted ID set of its distinct normalized values.
+// Encode once, reuse across the engine's search methods; a Query is
+// plain data and safe to share.
 type Query struct {
-	IDs    dict.IDSet
-	Hashes []uint64
+	IDs dict.IDSet
 }
 
 // EncodeQuery normalizes, deduplicates, and dictionary-encodes a query
 // column. Out-of-vocabulary values get ephemeral IDs that can never
 // match an indexed value but still count toward the query cardinality.
 func (e *Engine) EncodeQuery(values []string) Query {
-	ids, hashes := e.dict.Encoder().EncodeHashes(tokenize.NormalizeSet(values))
-	return Query{IDs: ids, Hashes: hashes}
+	return Query{IDs: e.dict.Encoder().Encode(tokenize.NormalizeSet(values))}
 }
 
 // errEmptyQuery is the one answer to a query column with no values left
@@ -414,33 +390,87 @@ func overlapMatches(dst []Match, res []josie.Result, qlen int) []Match {
 }
 
 // ContainmentSearch returns the columns whose containment of the query
-// is >= threshold, ordered (containment desc, column key asc): LSH
-// Ensemble candidates, each exactly verified. It is
-// ContainmentCandidates and VerifyContainment composed. An empty query
-// wraps table.ErrBadQuery.
+// is >= threshold, ordered (containment desc, column key asc):
+// ContainmentCandidates and VerifyContainment composed, so the answer
+// is exactly ExactContainmentScan's. An empty query or a threshold
+// outside [0, 1] wraps table.ErrBadQuery.
 func (e *Engine) ContainmentSearch(ctx context.Context, q Query, threshold float64) ([]Match, error) {
-	cands, err := e.ContainmentCandidates(q, threshold)
+	cands, _, err := e.ContainmentCandidates(q, threshold)
 	if err != nil {
 		return nil, err
 	}
 	return e.VerifyContainment(ctx, q, cands, threshold)
 }
 
-// ContainmentCandidates is the LSH Ensemble stage of a containment
+// ContainmentCandidates is the candidate stage of a containment
 // search: the ordinals (positions in the engine's sorted key list, see
-// Key) of the columns whose containment of the query is likely >=
-// threshold, unverified. A staged planner intersects them with a
-// prefiltered allow-set before paying for exact verification.
-// Candidates travel as ordinals because that is what the ensemble
-// yields and what verification indexes by: no key is looked up or
-// copied per candidate. An empty query wraps table.ErrBadQuery.
-func (e *Engine) ContainmentCandidates(q Query, threshold float64) ([]int32, error) {
+// Key), ascending, of exactly the columns whose containment of the
+// query is >= threshold, and the posting entries it read to find them.
+// It walks the posting list of every query value, counting each
+// column's hits, and keeps the columns whose count over |Q| reaches
+// the threshold — dict.Containment's comparison, so no column is
+// missed or admitted that an exact scan would not. A staged planner
+// intersects the ordinals with a prefiltered allow-set before
+// VerifyContainment scores them. An empty query or a threshold outside
+// [0, 1] wraps table.ErrBadQuery.
+func (e *Engine) ContainmentCandidates(q Query, threshold float64) ([]int32, int64, error) {
 	if len(q.IDs) == 0 {
-		return nil, errEmptyQuery
+		return nil, 0, errEmptyQuery
 	}
-	sig := e.hasher.SignHashes(q.Hashes)
-	return e.ensemble.Query(sig, len(q.IDs), threshold)
+	if !(threshold >= 0 && threshold <= 1) {
+		return nil, 0, fmt.Errorf("join: containment threshold %v outside [0, 1]: %w", threshold, table.ErrBadQuery)
+	}
+	if threshold == 0 { // every column contains at least none of the query
+		all := make([]int32, len(e.keys))
+		for i := range all {
+			all[i] = int32(i)
+		}
+		return all, 0, nil
+	}
+	sc := hitPool.Get().(*hitScratch)
+	defer hitPool.Put(sc)
+	if cap(sc.counts) < len(e.keys) {
+		sc.counts = make([]int32, len(e.keys))
+	}
+	counts, touched := sc.counts[:len(e.keys)], sc.touched[:0]
+	var read int64
+	for _, id := range q.IDs {
+		rank := e.inv.RankOfID(id)
+		if rank < 0 {
+			continue
+		}
+		pl := e.inv.Postings(rank)
+		read += int64(len(pl))
+		for _, p := range pl {
+			if counts[p.Set] == 0 {
+				touched = append(touched, p.Set)
+			}
+			counts[p.Set]++
+		}
+	}
+	var out []int32
+	qn := float64(len(q.IDs))
+	for _, set := range touched {
+		if float64(counts[set])/qn >= threshold {
+			out = append(out, set)
+		}
+		counts[set] = 0
+	}
+	sc.touched = touched
+	slices.Sort(out)
+	return out, read, nil
 }
+
+// hitScratch is one containment query's per-column hit counters,
+// all zero between queries, and the columns the query touched. The
+// pool is shared by every engine: counts grows to the largest engine
+// a query ran on.
+type hitScratch struct {
+	counts  []int32
+	touched []int32
+}
+
+var hitPool = sync.Pool{New: func() any { return new(hitScratch) }}
 
 // VerifyContainment exactly scores the candidate columns at the given
 // ordinals (integer-set merges against the per-column ID sets, fanned
@@ -537,18 +567,27 @@ func (e *Engine) JaccardSearch(values []string, threshold float64) []Match {
 	return out
 }
 
-// ExactContainmentScan is the brute-force containment baseline used to
-// measure LSH Ensemble recall. The scan fans out over
+// ExactContainmentScan is the brute-force containment baseline: every
+// indexed column's overlap with the query is counted, no posting list
+// is read, and the columns whose containment (dict.Containment's
+// quotient) is >= threshold are returned with both, in
+// ContainmentSearch's order. It is the oracle ContainmentSearch's
+// answers are held to, and the ground truth the LSH Ensemble
+// experiments measure recall against. The scan fans out over
 // QueryParallelism workers.
 func (e *Engine) ExactContainmentScan(values []string, threshold float64) []Match {
 	qids := e.dict.Encoder().Encode(tokenize.NormalizeSet(values))
-	scores, _ := parallel.Map(len(e.keys), parallel.Resolve(e.QueryParallelism), func(i int) (float64, error) {
-		return dict.Containment(qids, e.idsets[i]), nil
+	overlaps, _ := parallel.Map(len(e.keys), parallel.Resolve(e.QueryParallelism), func(i int) (int, error) {
+		return dict.Overlap(qids, e.idsets[i]), nil
 	})
 	var out []Match
 	for i, key := range e.keys {
-		if scores[i] >= threshold {
-			out = append(out, Match{ColumnKey: key, Containment: scores[i]})
+		m := Match{ColumnKey: key, Overlap: overlaps[i]}
+		if len(qids) > 0 {
+			m.Containment = float64(m.Overlap) / float64(len(qids))
+		}
+		if m.Containment >= threshold {
+			out = append(out, m)
 		}
 	}
 	sortMatches(out, func(m Match) float64 { return m.Containment })

@@ -179,3 +179,56 @@ func TestAddTableOnlyStringColumns(t *testing.T) {
 		t.Errorf("NumColumns = %d, want 1 (numeric skipped)", e.NumColumns())
 	}
 }
+
+// TestContainmentCandidatesExact checks the posting-list candidate
+// stage on random engines against the exact scan: the candidates are
+// exactly the scan's columns, ascending; the posting entries read are
+// the query values' document frequencies summed; a threshold of 0
+// admits every column; and a threshold outside [0, 1] is a bad query.
+// Queries mix indexed columns, their halves and out-of-vocabulary
+// values, which count toward |Q| but match nothing.
+func TestContainmentCandidatesExact(t *testing.T) {
+	for seed := int64(1); seed <= 3; seed++ {
+		e := randomEngine(t, 40, seed)
+		var queries [][]string
+		for _, key := range e.keys {
+			vals, _ := e.ColumnValues(key)
+			queries = append(queries, vals, vals[:len(vals)/2+1], append(vals[:len(vals)/2:len(vals)/2], "oov-a", "oov-b"))
+		}
+		for _, vals := range queries {
+			q := e.EncodeQuery(vals)
+			for _, threshold := range []float64{0, 0.1, 1.0 / 3, 0.5, 0.9, 1} {
+				ords, read, err := e.ContainmentCandidates(q, threshold)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want := e.ExactContainmentScan(vals, threshold)
+				if len(ords) != len(want) {
+					t.Fatalf("seed %d t=%v: %d candidates, exact scan %d", seed, threshold, len(ords), len(want))
+				}
+				keys := make(map[string]bool, len(want))
+				for _, m := range want {
+					keys[m.ColumnKey] = true
+				}
+				for i, o := range ords {
+					if !keys[e.Key(o)] || (i > 0 && ords[i-1] >= o) {
+						t.Fatalf("seed %d t=%v: candidates %v are not the exact columns, ascending", seed, threshold, ords)
+					}
+				}
+				var df int64
+				for _, id := range q.IDs {
+					df += int64(e.ValueDF(id))
+				}
+				if threshold > 0 && read != df {
+					t.Errorf("seed %d t=%v: read %d posting entries, the query's lists hold %d", seed, threshold, read, df)
+				}
+			}
+		}
+		q := e.EncodeQuery(genVals("v", 10))
+		for _, threshold := range []float64{-0.1, 1.1} {
+			if _, _, err := e.ContainmentCandidates(q, threshold); !errors.Is(err, table.ErrBadQuery) {
+				t.Errorf("threshold %v: err = %v, want table.ErrBadQuery", threshold, err)
+			}
+		}
+	}
+}

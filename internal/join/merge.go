@@ -2,12 +2,9 @@
 // engine can be decomposed into its frozen per-column parts, and an
 // engine can be assembled from parts gathered across a base snapshot
 // and a chain of deltas. Because column sets are dictionary-encoded,
-// a merge carries them over by remapping their IDs; a signature is a
-// function of a column's values alone, so a base column's stored
-// signature carries over too, and only the columns without one are
-// signed, through dict.Sign — the exact function Build uses. The
-// assembled engine answers every query bit-identically to a
-// from-scratch build over the merged catalog.
+// a merge carries them over by remapping their IDs, and the assembled
+// engine answers every query bit-identically to a from-scratch build
+// over the merged catalog.
 package join
 
 import (
@@ -16,51 +13,33 @@ import (
 	"sort"
 
 	"tablehound/internal/dict"
-	"tablehound/internal/minhash"
 	"tablehound/internal/snap"
 )
 
 // EngineParts is the portable state of a join engine: the encoded
-// column sets plus the sketch parameters. Everything else (inverted
-// index, LSH bands, signatures) is a deterministic function of these.
+// column sets. Everything else (the inverted index) is a deterministic
+// function of them.
 type EngineParts struct {
 	Keys   []string              // sorted column keys
 	IDSets map[string]dict.IDSet // per-column encoded value sets
-	// Sigs holds the MinHash signatures known for some columns, by key
-	// (an engine keeps one per column); assembly signs every column
-	// without one.
-	Sigs          map[string]minhash.Signature
-	NumHashes     int // MinHash signature width
-	NumPartitions int // LSH Ensemble partition count
 }
 
-// Parts returns the engine's frozen column state, signatures
-// included. Keys, the ID sets and the signatures alias the engine's own
-// (the engine is immutable after Build, so sharing is safe); the maps
-// holding them are the caller's.
+// Parts returns the engine's frozen column state. Keys and the ID sets
+// alias the engine's own (the engine is immutable after Build, so
+// sharing is safe); the map holding them is the caller's.
 func (e *Engine) Parts() EngineParts {
-	numHashes, numPart := e.ensemble.Params()
 	idsets := make(map[string]dict.IDSet, len(e.keys))
-	sigs := make(map[string]minhash.Signature, len(e.keys))
 	for i, key := range e.keys {
-		idsets[key], sigs[key] = e.idsets[i], e.sigs[i]
+		idsets[key] = e.idsets[i]
 	}
-	return EngineParts{
-		Keys:          e.keys,
-		IDSets:        idsets,
-		Sigs:          sigs,
-		NumHashes:     numHashes,
-		NumPartitions: numPart,
-	}
+	return EngineParts{Keys: e.keys, IDSets: idsets}
 }
 
 // NewEngineFromParts assembles an engine over p's columns, encoded in
 // d (p.Keys is not read). It replays Build's freeze exactly — sorted
-// key order, the same hasher seed, dict-derived signatures for the
-// columns p.Sigs lacks, deterministic band construction — so an engine
-// assembled from (base + delta) parts is bit-identical to one built
-// from scratch over the union of their columns, provided every
-// signature in p.Sigs is its column's.
+// key order, deterministic index construction — so an engine assembled
+// from (base + delta) parts is bit-identical to one built from scratch
+// over the union of their columns.
 func NewEngineFromParts(d *dict.Dict, p EngineParts) (*Engine, error) {
 	if len(p.IDSets) == 0 {
 		return nil, errors.New("join: no columns to assemble")
@@ -71,11 +50,10 @@ func NewEngineFromParts(d *dict.Dict, p EngineParts) (*Engine, error) {
 	}
 	sort.Strings(keys)
 	sets := make([]dict.IDSet, len(keys))
-	sigs := make([]minhash.Signature, len(keys))
 	for i, key := range keys {
-		sets[i], sigs[i] = p.IDSets[key], p.Sigs[key]
+		sets[i] = p.IDSets[key]
 	}
-	return assemble(d, keys, sets, sigs, p.NumHashes, p.NumPartitions)
+	return assemble(d, keys, sets)
 }
 
 // AppendParts writes a set of encoded columns (EngineParts.IDSets) as

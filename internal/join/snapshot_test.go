@@ -7,13 +7,12 @@ import (
 	"reflect"
 	"testing"
 
-	"tablehound/internal/minhash"
 	"tablehound/internal/snap"
 )
 
 // TestEngineSnapshotRoundTrip reloads an engine and checks the state a
-// query reads by position — keys, ID sets, set IDs, ensemble ordinals —
-// lines up as it did when built.
+// query reads by position — keys, ID sets, set IDs — lines up as it did
+// when built.
 func TestEngineSnapshotRoundTrip(t *testing.T) {
 	e := randomEngine(t, 24, 1)
 	var enc snap.Encoder
@@ -28,7 +27,6 @@ func TestEngineSnapshotRoundTrip(t *testing.T) {
 	ctx := context.Background()
 	for _, key := range e.keys {
 		q := Query{IDs: e.IDSet(key)}
-		q.Hashes = e.EncodeQuery(e.dict.Decode(q.IDs)).Hashes
 		want, err := e.ContainmentSearch(ctx, q, 0.3)
 		if err != nil {
 			t.Fatal(err)
@@ -53,7 +51,7 @@ func TestDecodeRejectsMisalignedIndex(t *testing.T) {
 	for i, key := range other.keys { // same columns, renamed: same set count, other keys
 		other.keys[i] = "x" + key
 	}
-	renamed, err := assemble(other.dict, other.keys, other.idsets, other.sigs, DefaultNumHashes, 8)
+	renamed, err := assemble(other.dict, other.keys, other.idsets)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,11 +64,10 @@ func TestDecodeRejectsMisalignedIndex(t *testing.T) {
 	}
 }
 
-// TestEnginePartsCarrySignatures takes a loaded engine apart and
-// reassembles it: the parts carry every stored signature, the engine
-// assembled from them saves the bytes of the one saved, and so does
-// one assembled with no signature known.
-func TestEnginePartsCarrySignatures(t *testing.T) {
+// TestEnginePartsReassemble takes a loaded engine apart and
+// reassembles it: the parts carry every column's ID set, and the engine
+// assembled from them saves the bytes of the one saved.
+func TestEnginePartsReassemble(t *testing.T) {
 	e := randomEngine(t, 24, 1)
 	saved := func(x *Engine) []byte {
 		var enc snap.Encoder
@@ -83,23 +80,14 @@ func TestEnginePartsCarrySignatures(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := loaded.Parts()
-	if len(p.Sigs) != len(e.keys) {
-		t.Fatalf("parts carry %d signatures for %d columns", len(p.Sigs), len(e.keys))
+	if len(p.IDSets) != len(e.keys) {
+		t.Fatalf("parts carry %d ID sets for %d columns", len(p.IDSets), len(e.keys))
 	}
-	for i, key := range e.keys {
-		if !reflect.DeepEqual(p.Sigs[key], e.dict.Sign(e.hasher, e.idsets[i])) {
-			t.Fatalf("%s: decoded signature is not the column's", key)
-		}
+	back, err := NewEngineFromParts(e.dict, p)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for name, sigs := range map[string]map[string]minhash.Signature{"stored": p.Sigs, "none": nil} {
-		q := p
-		q.Sigs = sigs
-		back, err := NewEngineFromParts(e.dict, q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(saved(back), want) {
-			t.Errorf("%s signatures: reassembled engine saves other bytes", name)
-		}
+	if !bytes.Equal(saved(back), want) {
+		t.Error("reassembled engine saves other bytes")
 	}
 }

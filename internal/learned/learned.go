@@ -98,8 +98,24 @@ func (ix *Index) Epsilon() int { return ix.eps }
 // Lookup returns the position of key, or (insertion position, false)
 // when absent.
 func (ix *Index) Lookup(key uint64) (int, bool) {
+	var cmps int
+	return ix.lookup(key, &cmps)
+}
+
+// Comparisons reports how many comparisons Lookup(key) makes, against
+// segment starts and keys alike: the machine-independent cost of a
+// lookup, where its time depends on the host and its load.
+func (ix *Index) Comparisons(key uint64) int {
+	var cmps int
+	ix.lookup(key, &cmps)
+	return cmps
+}
+
+// lookup is Lookup, counting its comparisons into *cmps.
+func (ix *Index) lookup(key uint64, cmps *int) (int, bool) {
 	// Segment search: last segment with start <= key.
 	si := sort.Search(len(ix.segments), func(i int) bool {
+		*cmps++
 		return ix.segments[i].start > key
 	}) - 1
 	if si < 0 {
@@ -116,23 +132,41 @@ func (ix *Index) Lookup(key uint64) (int, bool) {
 		hi = len(ix.keys)
 	}
 	// Bounded local search inside the error window.
-	p := lo + sort.Search(hi-lo, func(i int) bool { return ix.keys[lo+i] >= key })
+	p := lo + sort.Search(hi-lo, func(i int) bool {
+		*cmps++
+		return ix.keys[lo+i] >= key
+	})
 	if p < len(ix.keys) && ix.keys[p] == key {
 		return p, true
 	}
 	// The window can miss when the key falls between segments; fall
 	// back to the invariant-preserving exact answer.
 	if p == hi || p == lo {
-		p = sort.Search(len(ix.keys), func(i int) bool { return ix.keys[i] >= key })
-		if p < len(ix.keys) && ix.keys[p] == key {
-			return p, true
-		}
+		p, ok := ix.binaryLookup(key, cmps)
+		return p, ok
 	}
 	return p, false
 }
 
 // BinaryLookup is the classic baseline over the same keys.
 func (ix *Index) BinaryLookup(key uint64) (int, bool) {
-	p := sort.Search(len(ix.keys), func(i int) bool { return ix.keys[i] >= key })
+	var cmps int
+	return ix.binaryLookup(key, &cmps)
+}
+
+// BinaryComparisons is Comparisons for BinaryLookup: about
+// ⌈log₂ Len()⌉ for every key.
+func (ix *Index) BinaryComparisons(key uint64) int {
+	var cmps int
+	ix.binaryLookup(key, &cmps)
+	return cmps
+}
+
+// binaryLookup is BinaryLookup, counting its comparisons into *cmps.
+func (ix *Index) binaryLookup(key uint64, cmps *int) (int, bool) {
+	p := sort.Search(len(ix.keys), func(i int) bool {
+		*cmps++
+		return ix.keys[i] >= key
+	})
 	return p, p < len(ix.keys) && ix.keys[p] == key
 }

@@ -59,9 +59,7 @@ const (
 // string bytes, passed through a splitmix64 finalizer — raw FNV of
 // short sequential strings is not uniform enough for order-statistic
 // sketches (KMV). Allocation-free; bit-identical to the historical
-// hash/fnv implementation. Callers holding dictionary IDs should
-// prefer the dict package's cached HashID path, which avoids
-// re-hashing the string entirely.
+// hash/fnv implementation.
 func HashValue(v string) uint64 {
 	h := uint64(fnvOffset64)
 	for i := 0; i < len(v); i++ {
@@ -80,18 +78,6 @@ func (h *Hasher) Sign(values []string) Signature {
 	}
 	for _, v := range values {
 		h.Update(sig, v)
-	}
-	return sig
-}
-
-// SignHashes computes a signature from pre-hashed values.
-func (h *Hasher) SignHashes(hashes []uint64) Signature {
-	sig := make(Signature, h.k)
-	for i := range sig {
-		sig[i] = ^uint64(0)
-	}
-	for _, hv := range hashes {
-		h.UpdateHash(sig, hv)
 	}
 	return sig
 }

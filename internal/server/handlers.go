@@ -32,8 +32,8 @@ type JoinRequest struct {
 	// maximum); omitting it is a bad query on every endpoint.
 	K int `json:"k,omitempty"`
 	// Mode is "overlap" (default; exact top-k by value overlap) or
-	// "containment" (LSH Ensemble candidates above Threshold, exactly
-	// verified).
+	// "containment" (every column containing at least Threshold of the
+	// values, exactly).
 	Mode string `json:"mode,omitempty"`
 	// Threshold is the containment cutoff for mode "containment"
 	// (default 0.5).

@@ -60,14 +60,20 @@ var harnessLake = sync.OnceValues(func() (*datagen.Lake, core.Options) {
 // goldenHarnessSections; every other section digest and the blob hash
 // as before, so only the framing and the blob's alignment padding
 // moved.
-const goldenHarnessSnapshot = "c91d9ea0ccbb444505314dbf7a98114245ce1e1f0850c778fcdf3fa95d2ac149"
+//
+// Re-recorded for format v10, which drops the join section's MinHash
+// hasher, ensemble parameters and per-column signatures (containment is
+// answered exactly from the inverted index). Only the join entry of
+// goldenHarnessSections was re-recorded with it; every other section
+// digest and the blob hash as before.
+const goldenHarnessSnapshot = "7438aaf79f6a03bee53e859ab5abc7dcf5880760067fb02e4277cb486d32e89f"
 
 // goldenHarnessSections is the SHA-256 of each section payload of that
 // snapshot, in stream order, and of the vector blob after them. They
-// were recorded from the v6 snapshot (options and vecs from v8), so a
-// format change that only drops or renumbers sections leaves them all
-// in place, and the one whose digest moves names the section that
-// changed.
+// were recorded from the v6 snapshot (options and vecs from v8, join
+// from v10), so a format change that only drops or renumbers sections
+// leaves them all in place, and the one whose digest moves names the
+// section that changed.
 var goldenHarnessSections = []struct{ name, sha string }{
 	{"options", "2605eb361f9013a4a6494ae520facbf3ebc676bfbd23f54cc013c99ac03241d2"},
 	{"meta", "bd874bd5dbdef034ecfe998554c1b0c8adab63fe1948dc60a2f7ff2a21660a1a"},
@@ -77,7 +83,7 @@ var goldenHarnessSections = []struct{ name, sha string }{
 	{"dict", "355135e4e8ef8371f6cd69823ce0dfad8f2357c875b225d0fcfd3f2b4bd7a3e3"},
 	{"keyword", "9ac97e224d0cc308137895e25020727651c2f6ee7ae27fd80a87e40d74dab859"},
 	{"values", "688a3d7953c68020de6076bd31c65ed8ffdbf9578e56c4dfb3ebdea57332009a"},
-	{"join", "e3a31b054cb397a1cb1edc1806df8a47d2cf8232f4b69e2c06dfaca98c9c7072"},
+	{"join", "d7c31a69d1d302362ee0b193c3bb8004b60040da26f03d9f6263f163612d81d3"},
 	{"tus", "651e0253c2dc6d8c9beac0b32e987900f46dde729c1c2af7f316e45445517bb2"},
 	{"santos", "fbd77bb711f9642069d7ad110ed5430d7d342a6687cc0208000a5111c34d178c"},
 	{"d3l", "770710974e812cf3badc3556720979cf5e224384037844c343d3e7bb667eb6b0"},
