@@ -27,17 +27,18 @@
 // which replays the engine's own Build freeze over the merged catalog
 // (with tables in sorted-ID order — the order lake.LoadCSVDir
 // produces). Only the tables the chain adds are analysed: the base's
-// dictionary values and keyword postings carry over (see applyDeltas), and the two HNSW graphs (Starmie's columns, TUS's
-// NL index) grow from the base's by each delta's added columns (see
-// graphFold) instead of being rebuilt. So every section but those two
-// graphs' and the Starmie rows of the vector blob is the one a
-// from-scratch build writes, and those differ only when an add-only
-// chain's columns do not sort after the base's; the approximate
-// answers over the grown graphs are checked equal to a fresh build's
-// on the test and benchmark lakes. Compaction (CompactFiles) is just
-// LoadChain + Save: the fold becomes the next base and the chain
-// resets, and a chain, its compaction and any compacted prefix
-// followed by the rest of the chain write the same bytes.
+// dictionary values and keyword postings carry over (see applyDeltas),
+// and the two HNSW graphs (Starmie's columns, TUS's NL index) grow from
+// the base's by each delta's added columns (see graphFold) instead of
+// being rebuilt. So every section but those two graphs' and the
+// Starmie rows of the vector blob is the one a from-scratch build
+// writes, and those differ only when an add-only chain's columns do
+// not sort after the base's; the approximate answers over the grown
+// graphs are checked equal to a fresh build's on the test and benchmark
+// lakes. Compaction (CompactFiles) is just LoadChain + Save: the fold
+// becomes the next base and the chain resets, and a chain, its
+// compaction and any compacted prefix followed by the rest of the chain
+// write the same bytes.
 package core
 
 import (
@@ -657,10 +658,11 @@ const unmapped = ^uint32(0)
 
 // applyDeltas folds an ordered delta chain over a freshly decoded base
 // system and returns the merged system. The base's D3L engine comes as
-// parts, d3lParts (base.D3L is not read). The base is consumed: its model is rebound onto the merged vector block,
-// so it must not keep serving queries (LoadChainFiles decodes a fresh
-// base per merge). Only what a snapshot stores is read from the base;
-// its Stats may be nil.
+// parts, d3lParts (base.D3L is not read). The base is consumed: its
+// model is rebound onto the merged vector block, so it must not keep
+// serving queries (LoadChainFiles decodes a fresh base per merge).
+// Only what a snapshot stores is read from the base; its Stats may be
+// nil.
 //
 // The merge analyses only the tables the chain adds; every other live
 // table is the base's, and what the base derived from it carries over:

@@ -448,15 +448,18 @@ func (e *Engine) ContainmentCandidates(q Query, threshold float64) ([]int32, int
 			counts[p.Set]++
 		}
 	}
-	var out []int32
+	// Keep the qualifying sets in touched's prefix, clearing every
+	// counter for the next query.
+	kept := touched[:0]
 	qn := float64(len(q.IDs))
 	for _, set := range touched {
 		if float64(counts[set])/qn >= threshold {
-			out = append(out, set)
+			kept = append(kept, set)
 		}
 		counts[set] = 0
 	}
 	sc.touched = touched
+	out := slices.Clone(kept)
 	slices.Sort(out)
 	return out, read, nil
 }

@@ -142,8 +142,7 @@ func (ix *Index) lookup(key uint64, cmps *int) (int, bool) {
 	// The window can miss when the key falls between segments; fall
 	// back to the invariant-preserving exact answer.
 	if p == hi || p == lo {
-		p, ok := ix.binaryLookup(key, cmps)
-		return p, ok
+		return ix.binaryLookup(key, cmps)
 	}
 	return p, false
 }
