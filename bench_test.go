@@ -478,12 +478,6 @@ func BenchmarkLSHEnsembleQuery(b *testing.B) {
 // tables wait for their first probe.
 func BenchmarkLSHEnsembleBuild(b *testing.B) {
 	doms := ensembleDomains(1392)
-	heap := func() float64 {
-		runtime.GC()
-		var ms runtime.MemStats
-		runtime.ReadMemStats(&ms)
-		return float64(ms.HeapAlloc) / (1 << 20)
-	}
 	var ix *lshensemble.Index
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -496,10 +490,18 @@ func BenchmarkLSHEnsembleBuild(b *testing.B) {
 		}
 	}
 	b.StopTimer()
-	with := heap()
+	with := liveHeapMiB()
 	runtime.KeepAlive(ix)
 	ix = nil
-	b.ReportMetric(with-heap(), "retained-MiB")
+	b.ReportMetric(with-liveHeapMiB(), "retained-MiB")
+}
+
+// liveHeapMiB is the heap in use after a collection, in MiB.
+func liveHeapMiB() float64 {
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return float64(ms.HeapAlloc) / (1 << 20)
 }
 
 func BenchmarkJosieTopK(b *testing.B) {

@@ -172,7 +172,7 @@ func TestContainmentEqualsExactScan(t *testing.T) {
 						slices.Sort(keys)
 						cands := make([]string, len(ords))
 						for i, o := range ords {
-							cands[i] = e.Key(o)
+							cands[i] = e.Key(o.Ord)
 						}
 						if !slices.Equal(cands, keys) {
 							t.Fatalf("%s %s.%s t=%.1f: candidates %v, exact columns %v", hs.name, tbl.ID, c.Name, threshold, cands, keys)

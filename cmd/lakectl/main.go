@@ -89,8 +89,6 @@ func main() {
 		err = cmdJoinPath(os.Args[2:])
 	case "query":
 		err = cmdQuery(os.Args[2:])
-	case "bench-qps":
-		err = cmdBenchQPS(os.Args[2:])
 	case "memstats":
 		err = cmdMemStats(os.Args[2:])
 	case "exp":
@@ -132,7 +130,6 @@ commands:
   profile   print a table's Auctus-style data profile
   match     align the schemas of two tables
   joinpath  find a chain of joins connecting two tables
-  bench-qps measure query throughput across the search surfaces
   memstats  report per-index memory footprint vs the string forms
   exp       run a reproduction experiment (e1..e23 or "all")`)
 }

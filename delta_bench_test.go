@@ -11,6 +11,7 @@ import (
 	"context"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sort"
 	"sync"
 	"testing"
@@ -259,10 +260,11 @@ func firstCall(b *testing.B, fresh func() (*core.System, error), call func(*core
 // end-to-end benchmark's `serve_cold` delta_visible_s, over that lake
 // shape. Besides the load it reports, in ms per load, the merge's own
 // walls for the stages that fold the base's state instead of deriving
-// it again — dict, keyword, join — and for the vector store.
+// it again — dict, keyword, join — for the two union engines that
+// remap their folded ID sets — tus, d3l — and for the vector store.
 func BenchmarkDeltaChainLoadServing(b *testing.B) {
 	deltaBenchServingSetup(b)
-	deltaBenchServing.chainLoad(b, "dict", "keyword", "join", "vecs")
+	deltaBenchServing.chainLoad(b, "dict", "keyword", "join", "tus", "d3l", "vecs")
 }
 
 func deltaBenchServingSetup(b *testing.B) {
@@ -277,7 +279,8 @@ func loadServingBase() (*core.System, error) {
 
 // BenchmarkSnapshotLoadServing is core.LoadFile of the `serve_cold`
 // lake shape's 290-table base snapshot with the serving options: what
-// that workload's load_s times.
+// that workload's load_s times. heap-MiB is the heap one loaded system
+// retains, measured outside the timer.
 func BenchmarkSnapshotLoadServing(b *testing.B) {
 	deltaBenchServingSetup(b)
 	b.ResetTimer()
@@ -286,6 +289,14 @@ func BenchmarkSnapshotLoadServing(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+	b.StopTimer()
+	before := liveHeapMiB()
+	sys, err := loadServingBase()
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportMetric(liveHeapMiB()-before, "heap-MiB")
+	runtime.KeepAlive(sys)
 }
 
 // BenchmarkFirstContainmentSearch times the first containment search

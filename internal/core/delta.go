@@ -158,12 +158,13 @@ func (l *Lineage) LastCompactGen() uint64 {
 // Delta snapshot framing: same CRC-framed section codec as the system
 // snapshot, under its own magic so the two cannot be confused. Version
 // 2 chained on content-folded generations (snap.HashTables); version 3
-// lays each engine section out in that engine's per-table parts codec.
-// Older files fail with ErrVersionMismatch rather than a confusing
-// chain error.
+// lays each engine section out in that engine's per-table parts codec;
+// version 4 carries D3L's values as IDs in the extended dictionary and
+// its words as positions in the section's own word list. Older files
+// fail with ErrVersionMismatch rather than a confusing chain error.
 const (
 	deltaMagic   uint32 = 0x54484442 // "THDB": tablehound delta binary
-	deltaVersion uint16 = 3
+	deltaVersion uint16 = 4
 )
 
 // Delta section IDs, in stream order.
@@ -204,10 +205,11 @@ type Delta struct {
 	// these columns through dict.Sign, bit-identically, and keeps the
 	// base snapshot's stored ones for the tables the chain leaves alone.
 	JoinIDSets map[string]dict.IDSet
-	// Per-surface parts for the added tables.
+	// Per-surface parts for the added tables. TUS's and D3L's value IDs
+	// are in the extended dictionary.
 	TUS     []union.TUSTableParts
 	Santos  []union.SantosTableParts
-	D3L     []union.D3LTableParts
+	D3L     union.D3LParts
 	Starmie []starmie.TableParts
 }
 
@@ -343,7 +345,7 @@ func (d *Delta) checkParts() error {
 	}{
 		{"TUS", partIDs(d.TUS, func(p union.TUSTableParts) string { return p.ID }), union.TUSIndexes},
 		{"SANTOS", partIDs(d.Santos, func(p union.SantosTableParts) string { return p.ID }), union.SantosIndexes},
-		{"D3L", partIDs(d.D3L, func(p union.D3LTableParts) string { return p.ID }), union.D3LIndexes},
+		{"D3L", partIDs(d.D3L.Tables, func(p union.D3LTableParts) string { return p.ID }), union.D3LIndexes},
 		{"Starmie", partIDs(d.Starmie, func(p starmie.TableParts) string { return p.ID }), nil},
 	} {
 		seen := make(map[string]bool, len(e.ids))
@@ -639,7 +641,7 @@ func LoadChainFiles(basePath string, deltaPaths []string, opts Options) (*System
 		base.Lineage.Folded = skipped
 		return base, nil
 	}
-	var d3lParts []union.D3LTableParts
+	var d3lParts union.D3LParts
 	base, err := o.decode(&d3lParts)
 	if err != nil {
 		return nil, err
@@ -668,7 +670,7 @@ const unmapped = ^uint32(0)
 // table is the base's, and what the base derived from it carries over:
 // its dictionary values (on a chain without tombstones), its keyword
 // postings, its join ID sets and its graph nodes (see graphFold).
-func applyDeltas(base *System, d3lParts []union.D3LTableParts, deltas []*Delta, infos []DeltaInfo) (*System, error) {
+func applyDeltas(base *System, d3lParts union.D3LParts, deltas []*Delta, infos []DeltaInfo) (*System, error) {
 	start := time.Now()
 	if base.Lineage == nil {
 		return nil, errors.New("core: base system has no lineage (not loaded from a snapshot)")
@@ -694,7 +696,19 @@ func applyDeltas(base *System, d3lParts []union.D3LTableParts, deltas []*Delta, 
 	joinSets := base.Join.Parts().IDSets
 	tus := foldParts(base.TUS.Parts(), func(p union.TUSTableParts) string { return p.ID })
 	santos := foldParts(base.Santos.Parts(), func(p union.SantosTableParts) string { return p.ID })
-	d3l := foldParts(d3lParts, func(p union.D3LTableParts) string { return p.ID })
+	// D3L's word IDs index each part set's own word list: they move onto
+	// the lists' union as they fold, and its value IDs are remapped with
+	// TUS's below.
+	wordLists := [][]string{d3lParts.Words}
+	for _, dd := range deltas {
+		wordLists = append(wordLists, dd.D3L.Words)
+	}
+	words, wordRemaps := union.MergeWords(wordLists...)
+	baseD3L, err := union.RemapWordIDs(d3lParts.Tables, wordRemaps[0])
+	if err != nil {
+		return nil, fmt.Errorf("%w: base: %w", ErrCorruptSnapshot, err)
+	}
+	d3l := foldParts(baseD3L, func(p union.D3LTableParts) string { return p.ID })
 	star := foldParts(base.Starmie.Parts(), func(p starmie.TableParts) string { return p.ID })
 	// The two HNSW graphs fold too: from the base's, each delta inserts
 	// the columns of the tables it adds, and one that tombstones any
@@ -734,7 +748,11 @@ func applyDeltas(base *System, d3lParts []union.D3LTableParts, deltas []*Delta, 
 		tables.apply(dd.Tombstones, dd.Catalog.Tables())
 		tus.apply(dd.Tombstones, dd.TUS)
 		santos.apply(dd.Tombstones, dd.Santos)
-		d3l.apply(dd.Tombstones, dd.D3L)
+		d3lAdded, err := union.RemapWordIDs(dd.D3L.Tables, wordRemaps[i+1])
+		if err != nil {
+			return nil, fmt.Errorf("%w: delta %s: %w", ErrCorruptSnapshot, path, err)
+		}
+		d3l.apply(dd.Tombstones, d3lAdded)
 		star.apply(dd.Tombstones, dd.Starmie)
 		graphs.apply(dd, live)
 		tombstoned = tombstoned || len(dd.Tombstones) > 0
@@ -797,6 +815,17 @@ func applyDeltas(base *System, d3lParts []union.D3LTableParts, deltas []*Delta, 
 			tusOrdered[ti].Cols[ci].IDs = ns
 		}
 	}
+	d3lOrdered := d3l.inIDOrder(ids)
+	for ti := range d3lOrdered {
+		for ci := range d3lOrdered[ti].Cols {
+			c := &d3lOrdered[ti].Cols[ci]
+			ns, rerr := remapSet(c.IDs)
+			if rerr != nil {
+				return nil, fmt.Errorf("D3L column %d of table %s: %w", c.ColIdx, d3lOrdered[ti].ID, rerr)
+			}
+			c.IDs = ns
+		}
+	}
 	mp := mergedParts{
 		added:   added,
 		keyword: base.Keyword,
@@ -804,7 +833,7 @@ func applyDeltas(base *System, d3lParts []union.D3LTableParts, deltas []*Delta, 
 		join:    join.EngineParts{IDSets: joinSets},
 		tus:     tusOrdered,
 		santos:  santos.inIDOrder(ids),
-		d3l:     d3l.inIDOrder(ids),
+		d3l:     union.D3LParts{Words: words, Tables: d3lOrdered},
 		starmie: star.inIDOrder(ids),
 		graphs:  graphs,
 	}
@@ -885,7 +914,7 @@ type mergedParts struct {
 	join    join.EngineParts
 	tus     []union.TUSTableParts
 	santos  []union.SantosTableParts
-	d3l     []union.D3LTableParts
+	d3l     union.D3LParts
 	starmie []starmie.TableParts
 	graphs  graphFold
 }

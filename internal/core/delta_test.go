@@ -10,6 +10,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -391,7 +392,7 @@ func TestDeltaChainValidation(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var parts []union.D3LTableParts
+		var parts union.D3LParts
 		base, err := o.decode(&parts)
 		if err != nil {
 			t.Fatal(err)
@@ -411,7 +412,7 @@ func TestDeltaChainValidation(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var parts []union.D3LTableParts
+		var parts union.D3LParts
 		base, err := o.decode(&parts)
 		if err != nil {
 			t.Fatal(err)
@@ -451,7 +452,7 @@ func TestDeltaChainValidation(t *testing.T) {
 func TestDeltaRejectsForeignParts(t *testing.T) {
 	basePath, deltaPath, d, added := deltaFixture(t)
 	const baseID = "t000_00"
-	if len(d.TUS) == 0 || len(d.Santos) == 0 || len(d.D3L) == 0 || len(d.Starmie) == 0 || len(d.JoinIDSets) == 0 {
+	if len(d.TUS) == 0 || len(d.Santos) == 0 || len(d.D3L.Tables) == 0 || len(d.Starmie) == 0 || len(d.JoinIDSets) == 0 {
 		t.Fatal("fixture delta lacks parts for some engine")
 	}
 	relabel := func(p *string) { *p = baseID }
@@ -468,8 +469,8 @@ func TestDeltaRejectsForeignParts(t *testing.T) {
 			relabel(&v.Santos[0].ID)
 		}},
 		{"D3L part of a base table", func(v *Delta) {
-			v.D3L = append([]union.D3LTableParts(nil), d.D3L...)
-			relabel(&v.D3L[0].ID)
+			v.D3L.Tables = append([]union.D3LTableParts(nil), d.D3L.Tables...)
+			relabel(&v.D3L.Tables[0].ID)
 		}},
 		{"Starmie part of a base table", func(v *Delta) {
 			v.Starmie = append([]starmie.TableParts(nil), d.Starmie...)
@@ -492,12 +493,20 @@ func TestDeltaRejectsForeignParts(t *testing.T) {
 		}},
 		{"TUS part dropped", func(v *Delta) { v.TUS = nil }},
 		{"SANTOS part dropped", func(v *Delta) { v.Santos = nil }},
-		{"D3L part dropped", func(v *Delta) { v.D3L = nil }},
+		{"D3L part dropped", func(v *Delta) { v.D3L.Tables = nil }},
 		{"Starmie part dropped", func(v *Delta) { v.Starmie = nil }},
 		{"D3L column past its table", func(v *Delta) {
-			v.D3L = append([]union.D3LTableParts(nil), d.D3L...)
-			v.D3L[0].Cols = append([]union.D3LColumnParts(nil), d.D3L[0].Cols...)
-			v.D3L[0].Cols[0].ColIdx = len(added.Columns)
+			forgeD3LColumn(v, d).ColIdx = len(added.Columns)
+		}},
+		{"D3L word past its list", func(v *Delta) {
+			c := forgeD3LColumn(v, d)
+			c.WordIDs = append(slices.Clone(c.WordIDs), uint32(len(d.D3L.Words)))
+			c.WordFreq = append(slices.Clone(c.WordFreq), 0.5)
+		}},
+		{"D3L words out of order", func(v *Delta) {
+			c := forgeD3LColumn(v, d)
+			c.WordIDs = slices.Clone(c.WordIDs)
+			c.WordIDs[0], c.WordIDs[1] = c.WordIDs[1], c.WordIDs[0]
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -512,6 +521,14 @@ func TestDeltaRejectsForeignParts(t *testing.T) {
 			}
 		})
 	}
+}
+
+// forgeD3LColumn gives v a copy of d's D3L parts and returns the first
+// column of its first table to forge.
+func forgeD3LColumn(v, d *Delta) *union.D3LColumnParts {
+	v.D3L.Tables = slices.Clone(d.D3L.Tables)
+	v.D3L.Tables[0].Cols = slices.Clone(d.D3L.Tables[0].Cols)
+	return &v.D3L.Tables[0].Cols[0]
 }
 
 // TestBuildDeltaRejectsCorruptBase sweeps the base snapshot a delta is
@@ -750,19 +767,22 @@ func TestDeltaRejectsCorruption(t *testing.T) {
 			t.Errorf("err = %v, want ErrVersionMismatch", err)
 		}
 	})
-	t.Run("v2 header", func(t *testing.T) {
-		// A delta written before the engine sections followed the parts
-		// codecs: stale, not damaged, and the message names both versions.
-		bad := append([]byte{}, good...)
-		bad[4], bad[5] = 2, 0
-		_, err := LoadDelta(bytes.NewReader(bad))
-		if !errors.Is(err, ErrVersionMismatch) || errors.Is(err, ErrCorruptSnapshot) {
-			t.Fatalf("err = %v, want ErrVersionMismatch alone", err)
-		}
-		if msg := err.Error(); !strings.Contains(msg, "version 2") || !strings.Contains(msg, "expected 3") {
-			t.Errorf("err %q does not name versions 2 and 3", msg)
-		}
-	})
+	// A delta written before the engine sections followed the parts
+	// codecs (v2), or while D3L's section carried strings (v3), is
+	// stale, not damaged, and the message names both versions.
+	for _, v := range []byte{2, 3} {
+		t.Run(fmt.Sprintf("v%d header", v), func(t *testing.T) {
+			bad := append([]byte{}, good...)
+			bad[4], bad[5] = v, 0
+			_, err := LoadDelta(bytes.NewReader(bad))
+			if !errors.Is(err, ErrVersionMismatch) || errors.Is(err, ErrCorruptSnapshot) {
+				t.Fatalf("err = %v, want ErrVersionMismatch alone", err)
+			}
+			if msg := err.Error(); !strings.Contains(msg, fmt.Sprintf("version %d", v)) || !strings.Contains(msg, "expected 4") {
+				t.Errorf("err %q does not name versions %d and 4", msg, v)
+			}
+		})
+	}
 	t.Run("bitflip", func(t *testing.T) {
 		bad := make([]byte, len(good))
 		for off := 0; off < len(good); off += 101 {
@@ -1007,10 +1027,10 @@ func TestDeltaPartsRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n := len(removeOnly.JoinIDSets) + len(removeOnly.TUS) + len(removeOnly.Santos) + len(removeOnly.D3L) + len(removeOnly.Starmie); n != 0 {
+	if n := len(removeOnly.JoinIDSets) + len(removeOnly.TUS) + len(removeOnly.Santos) + len(removeOnly.D3L.Tables) + len(removeOnly.Starmie); n != 0 {
 		t.Fatalf("remove-only delta carries %d engine parts", n)
 	}
-	if n := len(numericOnly.TUS) + len(numericOnly.Santos) + len(numericOnly.D3L); n != 0 || len(numericOnly.Starmie) != 1 {
+	if n := len(numericOnly.TUS) + len(numericOnly.Santos) + len(numericOnly.D3L.Tables); n != 0 || len(numericOnly.Starmie) != 1 {
 		t.Fatalf("numeric-only delta: %d TUS/SANTOS/D3L parts, %d Starmie parts; want 0 and 1", n, len(numericOnly.Starmie))
 	}
 	for _, tc := range []struct {

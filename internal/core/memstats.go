@@ -63,6 +63,9 @@ func (s *System) MemStats() MemReport {
 		add("tus-sets", s.TUS.NumTables(), s.TUS.SetsFootprint())
 		add("tus-lsh", s.TUS.NumTables(), s.TUS.LSHFootprint())
 	}
+	if s.D3L != nil {
+		add("d3l-sets", s.D3L.NumTables(), s.D3L.SetsFootprint())
+	}
 	if s.Santos != nil {
 		add("santos-dict", 0, s.Santos.PairDict().Footprint())
 		add("santos-pairs", s.Santos.NumTables(), s.Santos.PairFootprint())

@@ -76,10 +76,13 @@ var ErrVersionMismatch = errors.New("core: snapshot version mismatch")
 // Version 9 drops the organization and graph sections: both are built
 // by their first reader, like the fuzzy index. Version 10 drops the
 // join section's MinHash hasher, ensemble parameters and per-column
-// signatures: containment is answered from the inverted index.
+// signatures: containment is answered from the inverted index. Version
+// 11 stores D3L's values as dictionary IDs and its words as positions
+// in one word list, and drops TUS's universe strings (a load counts
+// them).
 const (
 	snapMagic   uint32 = 0x54485342 // "THSB": tablehound system binary
-	snapVersion uint16 = 10
+	snapVersion uint16 = 11
 
 	// snapHeaderLen is the byte length of the snap header (magic,
 	// version, flags) that precedes the first section; blob-offset
@@ -405,7 +408,7 @@ func (o *opened) foundations(g *decodeGroup) error {
 // still nil. With d3lParts non-nil the D3L section decodes into it
 // instead, checked, and D3L stays nil: a merge reads the base's D3L
 // engine only as parts, so building it would be wasted.
-func (o *opened) decode(d3lParts *[]union.D3LTableParts) (*System, error) {
+func (o *opened) decode(d3lParts *union.D3LParts) (*System, error) {
 	s, secs, bopts := o.s, o.secs, o.s.buildOpts
 	// Phase 1: the foundations and the catalog — everything later
 	// decodes against them — together with every other section that
@@ -442,10 +445,7 @@ func (o *opened) decode(d3lParts *[]union.D3LTableParts) (*System, error) {
 	})
 	g.run(secD3L, secs, func(d *snap.Decoder) (derr error) {
 		if d3lParts != nil {
-			*d3lParts, derr = union.DecodeD3LParts(d)
-			if derr == nil {
-				derr = corruptParts(union.CheckD3LParts(*d3lParts, lookup))
-			}
+			*d3lParts, derr = union.DecodeD3LSnapshotParts(d, s.Dict, lookup)
 		} else {
 			s.D3L, derr = union.DecodeD3LSnapshot(d, s.Model, s.Dict, lookup)
 		}

@@ -209,8 +209,9 @@ func TestSnapshotRejectsCorruption(t *testing.T) {
 		// lets operators tell the two apart, so it must not also satisfy
 		// the corruption sentinel. v7 still stored the Starmie coarse
 		// quantizer, v8 the organization and graph sections, v9 the join
-		// signatures.
-		for _, v := range []byte{7, 8, 9} {
+		// signatures, v10 D3L's value and word strings and TUS's
+		// universe.
+		for _, v := range []byte{7, 8, 9, 10} {
 			bad := append([]byte{}, good...)
 			bad[4], bad[5] = v, 0 // version lives at header bytes 4..5
 			_, err := Load(bytes.NewReader(bad), Options{})
@@ -220,7 +221,7 @@ func TestSnapshotRejectsCorruption(t *testing.T) {
 			if errors.Is(err, ErrCorruptSnapshot) {
 				t.Errorf("v%d: version mismatch also satisfies ErrCorruptSnapshot: %v", v, err)
 			}
-			for _, want := range []string{fmt.Sprintf("found version %d", v), "expected 10"} {
+			for _, want := range []string{fmt.Sprintf("found version %d", v), "expected 11"} {
 				if err == nil || !strings.Contains(err.Error(), want) {
 					t.Errorf("err %q does not name versions (%q missing)", err, want)
 				}

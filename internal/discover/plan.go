@@ -587,9 +587,10 @@ func (p *Plan) runJoin(ctx context.Context, res *Result, allowed map[string]bool
 		return nil
 	}
 	// Containment: the columns the query's posting lists put at or over
-	// the threshold, restricted, then verified — the unfiltered
-	// composition is literally the engine's ContainmentSearch. The
-	// candidate stage costs the posting entries it read.
+	// the threshold, restricted, then turned into matches from their hit
+	// counts — the unfiltered composition is literally the engine's
+	// ContainmentSearch. The candidate stage costs the posting entries
+	// it read.
 	start := time.Now()
 	cands, read, err := e.ContainmentCandidates(p.joinQ, p.threshold)
 	if err != nil {
@@ -598,10 +599,10 @@ func (p *Plan) runJoin(ctx context.Context, res *Result, allowed map[string]bool
 	cands = p.keepAllowedColumns(cands, allowed, "")
 	res.recordCost(StageCandidates, in, len(cands), read, start)
 	vstart := time.Now()
-	ms, err := e.VerifyContainment(ctx, p.joinQ, cands, p.threshold)
-	if err != nil {
+	if err := ctx.Err(); err != nil {
 		return err
 	}
+	ms := e.ContainmentMatches(p.joinQ, cands)
 	if len(ms) > k {
 		ms = ms[:k]
 	}
@@ -610,16 +611,16 @@ func (p *Plan) runJoin(ctx context.Context, res *Result, allowed map[string]bool
 	return nil
 }
 
-// keepAllowedColumns filters join candidate ordinals to the columns of
+// keepAllowedColumns filters containment candidates to the columns of
 // allowed tables (nil = every table) other than the table named skip,
 // preserving order.
-func (p *Plan) keepAllowedColumns(cands []int32, allowed map[string]bool, skip string) []int32 {
+func (p *Plan) keepAllowedColumns(cands []join.Candidate, allowed map[string]bool, skip string) []join.Candidate {
 	if allowed == nil && skip == "" {
 		return cands
 	}
 	kept := cands[:0:0]
 	for _, c := range cands {
-		id, _ := table.SplitColumnKey(p.sys.Join.Key(c))
+		id, _ := table.SplitColumnKey(p.sys.Join.Key(c.Ord))
 		if id != skip && (allowed == nil || allowed[id]) {
 			kept = append(kept, c)
 		}
@@ -650,7 +651,7 @@ func (p *Plan) runAny(ctx context.Context, res *Result, allowed map[string]bool,
 	sys, k := p.sys, p.q.K
 	start := time.Now()
 	ucands := keepAllowed(p.unionCands(), allowed)
-	var jcands []int32
+	var jcands []join.Candidate
 	var read int64
 	if len(p.joinQ.IDs) > 0 {
 		all, n, err := sys.Join.ContainmentCandidates(p.joinQ, p.threshold)
@@ -672,11 +673,7 @@ func (p *Plan) runAny(ctx context.Context, res *Result, allowed map[string]bool,
 		best[r.TableID] = r.Score
 	}
 	if len(jcands) > 0 {
-		ms, err := sys.Join.VerifyContainment(ctx, p.joinQ, jcands, p.threshold)
-		if err != nil {
-			return err
-		}
-		for _, m := range ms {
+		for _, m := range sys.Join.ContainmentMatches(p.joinQ, jcands) {
 			id, _ := table.SplitColumnKey(m.ColumnKey)
 			if m.Containment > best[id] {
 				best[id] = m.Containment

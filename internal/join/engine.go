@@ -391,41 +391,44 @@ func overlapMatches(dst []Match, res []josie.Result, qlen int) []Match {
 
 // ContainmentSearch returns the columns whose containment of the query
 // is >= threshold, ordered (containment desc, column key asc):
-// ContainmentCandidates and VerifyContainment composed, so the answer
-// is exactly ExactContainmentScan's. An empty query or a threshold
-// outside [0, 1] wraps table.ErrBadQuery.
+// ContainmentCandidates and ContainmentMatches composed, so the answer
+// is exactly ExactContainmentScan's. A cancelled ctx returns ctx.Err().
+// An empty query or a threshold outside [0, 1] wraps table.ErrBadQuery.
 func (e *Engine) ContainmentSearch(ctx context.Context, q Query, threshold float64) ([]Match, error) {
 	cands, _, err := e.ContainmentCandidates(q, threshold)
 	if err != nil {
 		return nil, err
 	}
-	return e.VerifyContainment(ctx, q, cands, threshold)
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	return e.ContainmentMatches(q, cands), nil
+}
+
+// Candidate is a column a containment search keeps: its ordinal (its
+// position in the engine's sorted key list, see Key) and how many of
+// the query's values it holds.
+type Candidate struct {
+	Ord, Hits int32
 }
 
 // ContainmentCandidates is the candidate stage of a containment
-// search: the ordinals (positions in the engine's sorted key list, see
-// Key), ascending, of exactly the columns whose containment of the
-// query is >= threshold, and the posting entries it read to find them.
-// It walks the posting list of every query value, counting each
-// column's hits, and keeps the columns whose count over |Q| reaches
-// the threshold — dict.Containment's comparison, so no column is
-// missed or admitted that an exact scan would not. A staged planner
-// intersects the ordinals with a prefiltered allow-set before
-// VerifyContainment scores them. An empty query or a threshold outside
-// [0, 1] wraps table.ErrBadQuery.
-func (e *Engine) ContainmentCandidates(q Query, threshold float64) ([]int32, int64, error) {
+// search: exactly the columns whose containment of the query is >=
+// threshold, ascending by ordinal, each with its exact hit count, and
+// the posting entries it read to find them. It walks the posting list
+// of every query value, counting each column's hits, and keeps the
+// columns whose count over |Q| reaches the threshold —
+// dict.Containment's comparison, so no column is missed or admitted
+// that an exact scan would not; a threshold of 0 keeps every column. A
+// staged planner intersects the candidates with a prefiltered
+// allow-set before ContainmentMatches turns them into matches. An
+// empty query or a threshold outside [0, 1] wraps table.ErrBadQuery.
+func (e *Engine) ContainmentCandidates(q Query, threshold float64) ([]Candidate, int64, error) {
 	if len(q.IDs) == 0 {
 		return nil, 0, errEmptyQuery
 	}
 	if !(threshold >= 0 && threshold <= 1) {
 		return nil, 0, fmt.Errorf("join: containment threshold %v outside [0, 1]: %w", threshold, table.ErrBadQuery)
-	}
-	if threshold == 0 { // every column contains at least none of the query
-		all := make([]int32, len(e.keys))
-		for i := range all {
-			all[i] = int32(i)
-		}
-		return all, 0, nil
 	}
 	sc := hitPool.Get().(*hitScratch)
 	defer hitPool.Put(sc)
@@ -448,19 +451,26 @@ func (e *Engine) ContainmentCandidates(q Query, threshold float64) ([]int32, int
 			counts[p.Set]++
 		}
 	}
-	// Keep the qualifying sets in touched's prefix, clearing every
-	// counter for the next query.
-	kept := touched[:0]
+	var out []Candidate
+	if threshold == 0 { // every column contains at least none of the query
+		out = make([]Candidate, len(e.keys))
+		for i := range out {
+			out[i] = Candidate{Ord: int32(i), Hits: counts[i]}
+		}
+	}
+	// Collect the qualifying columns, clearing every counter for the
+	// next query.
 	qn := float64(len(q.IDs))
 	for _, set := range touched {
-		if float64(counts[set])/qn >= threshold {
-			kept = append(kept, set)
+		if threshold > 0 && float64(counts[set])/qn >= threshold {
+			out = append(out, Candidate{Ord: set, Hits: counts[set]})
 		}
 		counts[set] = 0
 	}
 	sc.touched = touched
-	out := slices.Clone(kept)
-	slices.Sort(out)
+	if threshold > 0 {
+		slices.SortFunc(out, func(a, b Candidate) int { return int(a.Ord - b.Ord) })
+	}
 	return out, read, nil
 }
 
@@ -475,36 +485,24 @@ type hitScratch struct {
 
 var hitPool = sync.Pool{New: func() any { return new(hitScratch) }}
 
-// VerifyContainment exactly scores the candidate columns at the given
-// ordinals (integer-set merges against the per-column ID sets, fanned
-// out over QueryParallelism workers, ctx checked between candidates)
-// and returns those with containment >= threshold, ordered (containment
-// desc, column key asc). Per-candidate verification is independent, so
-// restricting the candidate list and verifying is bit-identical to
-// verifying everything and filtering. An empty query wraps
-// table.ErrBadQuery.
-func (e *Engine) VerifyContainment(ctx context.Context, q Query, cands []int32, threshold float64) ([]Match, error) {
-	if len(q.IDs) == 0 {
-		return nil, errEmptyQuery
+// ContainmentMatches turns containment candidates of q into matches,
+// ordered (containment desc, column key asc): a match's Overlap is its
+// candidate's hit count and its Containment that over |Q|, the
+// quotient dict.Containment computes, so no ID set is merged again.
+func (e *Engine) ContainmentMatches(q Query, cands []Candidate) []Match {
+	if len(cands) == 0 {
+		return nil
 	}
-	scores, err := parallel.MapCtx(ctx, len(cands), parallel.Resolve(e.QueryParallelism), func(i int) (float64, error) {
-		return dict.Containment(q.IDs, e.idsets[cands[i]]), nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	var out []Match
-	for i, c := range scores {
-		if c >= threshold {
-			out = append(out, Match{
-				ColumnKey:   e.keys[cands[i]],
-				Containment: c,
-				Overlap:     int(c*float64(len(q.IDs)) + 0.5),
-			})
+	out := make([]Match, len(cands))
+	for i, c := range cands {
+		out[i] = Match{
+			ColumnKey:   e.keys[c.Ord],
+			Overlap:     int(c.Hits),
+			Containment: float64(c.Hits) / float64(len(q.IDs)),
 		}
 	}
 	sortMatches(out, func(m Match) float64 { return m.Containment })
-	return out, nil
+	return out
 }
 
 // ValueDF returns how many indexed columns contain the dictionary ID

@@ -182,9 +182,10 @@ func TestAddTableOnlyStringColumns(t *testing.T) {
 
 // TestContainmentCandidatesExact checks the posting-list candidate
 // stage on random engines against the exact scan: the candidates are
-// exactly the scan's columns, ascending; the posting entries read are
-// the query values' document frequencies summed; a threshold of 0
-// admits every column; and a threshold outside [0, 1] is a bad query.
+// exactly the scan's columns, ascending, each with its overlap as its
+// hit count; the posting entries read are the query values' document
+// frequencies summed; a threshold of 0 admits every column; and a
+// threshold outside [0, 1] is a bad query.
 // Queries mix indexed columns, their halves and out-of-vocabulary
 // values, which count toward |Q| but match nothing.
 func TestContainmentCandidatesExact(t *testing.T) {
@@ -206,20 +207,21 @@ func TestContainmentCandidatesExact(t *testing.T) {
 				if len(ords) != len(want) {
 					t.Fatalf("seed %d t=%v: %d candidates, exact scan %d", seed, threshold, len(ords), len(want))
 				}
-				keys := make(map[string]bool, len(want))
+				overlaps := make(map[string]int, len(want))
 				for _, m := range want {
-					keys[m.ColumnKey] = true
+					overlaps[m.ColumnKey] = m.Overlap
 				}
 				for i, o := range ords {
-					if !keys[e.Key(o)] || (i > 0 && ords[i-1] >= o) {
-						t.Fatalf("seed %d t=%v: candidates %v are not the exact columns, ascending", seed, threshold, ords)
+					ov, ok := overlaps[e.Key(o.Ord)]
+					if !ok || int(o.Hits) != ov || (i > 0 && ords[i-1].Ord >= o.Ord) {
+						t.Fatalf("seed %d t=%v: candidates %v are not the exact columns with their overlaps, ascending", seed, threshold, ords)
 					}
 				}
 				var df int64
 				for _, id := range q.IDs {
 					df += int64(e.ValueDF(id))
 				}
-				if threshold > 0 && read != df {
+				if read != df {
 					t.Errorf("seed %d t=%v: read %d posting entries, the query's lists hold %d", seed, threshold, read, df)
 				}
 			}

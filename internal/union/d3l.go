@@ -26,17 +26,25 @@ import (
 // unionable tables simultaneously, without committing to either
 // definition.
 //
-// Stage tables with AddTable, then Build: the freeze interns every
-// staged column's values, words and label into integer IDs, so a scan
-// compares sorted ID arrays and never rebuilds a column's
-// representation per candidate pair.
+// Stage tables with AddTable, then Build: the freeze encodes every
+// staged column's values and words into integer IDs and drops their
+// strings, so a scan compares sorted ID arrays, never rebuilds a
+// column's representation per candidate pair, and a built engine holds
+// no value or word string.
 type D3L struct {
 	model  *embedding.Model
 	lake   *dict.Dict // the lake's value dictionary; nil for a stand-alone engine
 	tables map[string]*d3lTable
 	ids    []string
-	vocab  d3lVocab    // derived by Build, never persisted
-	values d3lPostings // derived by Build, never persisted
+	// dict is the dictionary the columns' value IDs index and words the
+	// sorted list their word IDs index, both set by encodeColumns.
+	dict  *dict.Dict
+	words []string
+	// labels are the distinct analyzed labels, a column's labelID
+	// indexing them, and values the value index: derived by Build, never
+	// persisted.
+	labels []schema.Label
+	values d3lPostings
 	// maxCols is the most columns a staged table has, derived by Build:
 	// a scan's partial scores fit in maxCols per query column and table.
 	maxCols int
@@ -51,64 +59,43 @@ type d3lTable struct {
 
 // d3lPostings is the value index of the staged columns: the ordinals of
 // the columns holding value ID v are cols[start[v]:start[v+1]],
-// ascending. It spans the value IDs below d3lVocab.numValues.
+// ascending. It spans the value IDs below the engine dictionary's size.
 type d3lPostings struct {
 	start []int32
 	cols  []int32
 	n     int // the number of staged columns
 }
 
-// d3lColumn is one analyzed column. The first group of fields is the
-// portable analysis snapshots and deltas carry; the second is derived
-// from it against a d3lVocab.
+// d3lColumn is one analyzed column. Staging fills distinct and words;
+// encoding replaces them with valueIDs and wordIDs and clears them.
+// The IDs, format, wordFreq and vec are the portable analysis
+// snapshots and deltas carry; label and norm are derived from the
+// column alone, labelID by Build.
 type d3lColumn struct {
-	colIdx   int       // position of the source column in its table; -1 for a loose column
-	distinct []string  // normalized distinct values, first-occurrence order
-	format   []float64 // normalized character-class histogram
-	words    []string  // distinct words of the values, sorted
-	wordFreq []float64 // normalized frequency of each word, parallel to words
+	colIdx   int      // position of the source column in its table; -1 for a loose column
+	distinct []string // normalized distinct values, first-occurrence order, until encoded
+	words    []string // distinct words of the values, sorted, until encoded
+
+	valueIDs dict.IDSet // the distinct values' IDs
+	wordIDs  []uint32   // the words' IDs; ascending and parallel to wordFreq
+	format   []float64  // normalized character-class histogram
+	wordFreq []float64  // normalized frequency of each word
 	vec      embedding.Vector
 
-	label    string     // schema.NormLabel of the source column's name
-	norm     float64    // vec.Norm()
-	valueIDs dict.IDSet // distinct, interned
-	wordIDs  []uint32   // words, interned; ascending and parallel to wordFreq
-	labelID  int
+	label   string  // schema.NormLabel of the source column's name
+	norm    float64 // vec.Norm()
+	labelID int
 }
 
-// d3lVocab is the token space columns are interned into. Word IDs are
-// assigned in ascending word order — the dict package's determinism
-// contract — so a merge over two columns' word IDs meets their shared
-// words in exactly the order sort.Strings would, which keeps the float
-// sum of the word evidence bit-stable. Value IDs only feed set
-// cardinalities, so any one-to-one assignment does: a value takes its
-// ID from the lake dictionary, which every engine of a system shares,
-// and only a value the dictionary lacks (every value, for an engine
-// without one) gets a private ID above the dictionary's, first seen
-// first.
-type d3lVocab struct {
-	lake    *dict.Dict
-	extra   map[string]uint32 // values lake lacks, IDs from lake.Size() up
-	wordIDs map[string]uint32
-	labels  []schema.Label // distinct analyzed labels; a column's labelID indexes it
-}
-
-// valueID returns the ID of a staged value.
-func (v *d3lVocab) valueID(s string) (uint32, bool) {
-	if id, ok := v.lake.ID(s); ok {
-		return id, true
-	}
-	id, ok := v.extra[s]
-	return id, ok
-}
-
-// numValues is the first ID no staged value holds.
-func (v *d3lVocab) numValues() uint32 { return uint32(v.lake.Size() + len(v.extra)) }
+// staged reports whether the column still holds the strings encoding
+// replaces. An encoded column and an empty staged one hold the same
+// (empty) sets, so telling them apart never matters.
+func (c *d3lColumn) staged() bool { return c.distinct != nil || c.words != nil }
 
 // NewD3L creates an engine over an embedding model. lake, when not
-// nil, is the dictionary the engine takes value IDs from instead of
-// building a vocabulary of its own; core passes the system's, which
-// holds every value of every staged table.
+// nil and holding every staged value, is the dictionary the engine
+// takes value IDs from instead of building one of its own; core passes
+// the system's, which holds every value of every staged table.
 func NewD3L(model *embedding.Model, lake *dict.Dict) (*D3L, error) {
 	if model == nil {
 		return nil, errors.New("union: D3L requires an embedding model")
@@ -136,49 +123,27 @@ func (d *D3L) AddTable(t *table.Table) {
 func (d *D3L) analyzeColumn(c *table.Column, colIdx int) *d3lColumn {
 	distinct := tokenize.NormalizeSet(c.Values)
 	words, freq := wordDist(distinct)
-	return newD3LColumn(c, colIdx, distinct, FormatSignature(distinct), words, freq, d.model.ColumnVector(distinct))
+	col := newD3LColumn(c, colIdx, FormatSignature(distinct), freq, d.model.ColumnVector(distinct))
+	col.distinct, col.words = distinct, words
+	return col
 }
 
 // newD3LColumn wraps a portable analysis, filling what depends on the
-// column alone. words must be strictly ascending and parallel to freq.
-func newD3LColumn(c *table.Column, colIdx int, distinct []string, format []float64, words []string, freq []float64, vec embedding.Vector) *d3lColumn {
+// column alone; the caller sets its values and words.
+func newD3LColumn(c *table.Column, colIdx int, format, freq []float64, vec embedding.Vector) *d3lColumn {
 	return &d3lColumn{
-		colIdx: colIdx, distinct: distinct, format: format,
-		words: words, wordFreq: freq, vec: vec,
+		colIdx: colIdx, format: format, wordFreq: freq, vec: vec,
 		label: schema.NormLabel(c.Name), norm: vec.Norm(),
 	}
 }
 
-// checkWords reports whether a word distribution read from outside has
-// the shape newD3LColumn requires.
-func checkWords(words []string, freq []float64) error {
-	if len(words) != len(freq) {
-		return fmt.Errorf("%d words for %d frequencies", len(words), len(freq))
-	}
-	for i := 1; i < len(words); i++ {
-		if words[i-1] >= words[i] {
-			return fmt.Errorf("words not strictly ascending at %q", words[i])
-		}
-	}
-	return nil
-}
-
 // Build freezes the staged tables: table IDs are sorted, every column
-// is interned into one lake-wide vocabulary, numbered in ids order and
-// posted under its value IDs. Search, Prepare and ScoreAmong are pure
-// reads afterwards.
+// is numbered in ids order, encoded (see encode) and posted under its
+// value IDs. Search, Prepare and ScoreAmong are pure reads afterwards.
 func (d *D3L) Build() {
-	sort.Strings(d.ids)
-	var cols []*d3lColumn
-	d.maxCols = 0
-	for _, id := range d.ids {
-		t := d.tables[id]
-		t.first = len(cols)
-		cols = append(cols, t.cols...)
-		d.maxCols = max(d.maxCols, len(t.cols))
-	}
-	d.vocab = internColumns(d.lake, cols)
-	d.values = postValues(cols, d.vocab.numValues())
+	cols := d.encode()
+	d.labels = internLabels(cols)
+	d.values = postValues(cols, uint32(d.dict.Size()))
 	d.built = true
 }
 
@@ -205,75 +170,127 @@ func postValues(cols []*d3lColumn, n uint32) d3lPostings {
 	return p
 }
 
-// internColumns builds the vocabulary of a column set and interns
-// every column into it, looking each token up once: words first get
-// IDs in first-seen order, which a remap turns into ascending word
-// order once every word is known.
-func internColumns(lake *dict.Dict, cols []*d3lColumn) d3lVocab {
-	v := d3lVocab{lake: lake, wordIDs: make(map[string]uint32)}
-	labelIDs := make(map[string]int)
-	var words []string // by first-seen ID
+// encode sorts the table IDs, numbers the columns in that order and
+// encodes the staged ones (see encodeColumns) — the half of Build that
+// Parts also needs — and returns the columns in order. The dictionary
+// and the word list depend on every column, so when any column is
+// staged, the columns an earlier encoding left as IDs are decoded back
+// first and everything is encoded afresh.
+func (d *D3L) encode() []*d3lColumn {
+	sort.Strings(d.ids)
+	var cols []*d3lColumn
+	d.maxCols = 0
+	for _, id := range d.ids {
+		t := d.tables[id]
+		t.first = len(cols)
+		cols = append(cols, t.cols...)
+		d.maxCols = max(d.maxCols, len(t.cols))
+	}
+	if d.dict != nil && !slices.ContainsFunc(cols, (*d3lColumn).staged) {
+		return cols
+	}
+	for _, c := range cols {
+		if !c.staged() {
+			c.distinct = d.dict.Decode(c.valueIDs)
+			c.words = make([]string, len(c.wordIDs))
+			for i, w := range c.wordIDs {
+				c.words[i] = d.words[w]
+			}
+		}
+	}
+	d.dict, d.words = encodeColumns(d.lake, cols)
+	return cols
+}
+
+// encodeColumns encodes the strings of cols into IDs and clears them,
+// returning the dictionary and the word list the IDs index. Values go
+// through lake when it holds every one — every engine of a system then
+// shares one ID space — and otherwise through a dictionary built over
+// them, TUS's rule; value IDs only feed set cardinalities, so either
+// one-to-one assignment scores the same. A word's ID is its position in
+// the sorted list of every column's words, so a merge over two
+// columns' word IDs meets their shared words in exactly the order
+// sort.Strings would, which keeps the float sum of the word evidence
+// bit-stable.
+func encodeColumns(lake *dict.Dict, cols []*d3lColumn) (*dict.Dict, []string) {
+	values := lake
+	if lake == nil || !encodeValues(lake, cols) {
+		b := dict.NewBuilder()
+		for _, c := range cols {
+			b.Add(c.distinct...)
+		}
+		values = b.Build()
+		encodeValues(values, cols)
+	}
+	ids := make(map[string]uint32)
+	for _, c := range cols {
+		for _, w := range c.words {
+			ids[w] = 0
+		}
+	}
+	var words []string // nil when there is none, as the decoder reads it
+	for w := range ids {
+		words = append(words, w)
+	}
+	slices.Sort(words)
+	for i, w := range words {
+		ids[w] = uint32(i)
+	}
+	for _, c := range cols {
+		c.wordIDs = make([]uint32, len(c.words))
+		for i, w := range c.words {
+			c.wordIDs[i] = ids[w]
+		}
+		c.distinct, c.words = nil, nil
+	}
+	return values, words
+}
+
+// encodeValues sets every column's value IDs from values and reports
+// whether values held them all.
+func encodeValues(values *dict.Dict, cols []*d3lColumn) bool {
 	for _, c := range cols {
 		c.valueIDs = make(dict.IDSet, len(c.distinct))
 		for i, s := range c.distinct {
-			id, ok := v.valueID(s)
+			id, ok := values.ID(s)
 			if !ok {
-				if v.extra == nil {
-					v.extra = make(map[string]uint32)
-				}
-				id = v.numValues()
-				v.extra[s] = id
+				return false
 			}
 			c.valueIDs[i] = id
 		}
 		slices.Sort(c.valueIDs)
-		c.valueIDs = slices.Compact(c.valueIDs)
-		c.wordIDs = make([]uint32, len(c.words))
-		for i, w := range c.words {
-			id, ok := v.wordIDs[w]
-			if !ok {
-				id = uint32(len(words))
-				v.wordIDs[w] = id
-				words = append(words, w)
-			}
-			c.wordIDs[i] = id
-		}
-		id, ok := labelIDs[c.label]
+	}
+	return true
+}
+
+// internLabels numbers the distinct labels of cols, first seen first,
+// and returns them analyzed.
+func internLabels(cols []*d3lColumn) []schema.Label {
+	ids := make(map[string]int)
+	var labels []schema.Label
+	for _, c := range cols {
+		id, ok := ids[c.label]
 		if !ok {
-			id = len(v.labels)
-			labelIDs[c.label] = id
-			v.labels = append(v.labels, schema.NewLabel(c.label))
+			id = len(labels)
+			ids[c.label] = id
+			labels = append(labels, schema.NewLabel(c.label))
 		}
 		c.labelID = id
 	}
-	sorted := slices.Clone(words)
-	slices.Sort(sorted)
-	for i, w := range sorted {
-		v.wordIDs[w] = uint32(i)
-	}
-	remap := make([]uint32, len(words))
-	for i, w := range words {
-		remap[i] = v.wordIDs[w]
-	}
-	for _, c := range cols {
-		for i, id := range c.wordIDs {
-			c.wordIDs[i] = remap[id]
-		}
-	}
-	return v
+	return labels
 }
 
-// intern derives a query column's ID arrays against the frozen
-// vocabulary and returns the next unused out-of-vocabulary ID. A value
-// the vocabulary lacks gets an ID from oov upward, as dict.Encoder
-// does: it matches no staged column but still counts toward the
-// column's cardinality. A word it lacks is shared with no staged
-// column and so adds nothing to any word sum: it is dropped with its
-// frequency, compacting the query column's own arrays in place.
-func (v *d3lVocab) intern(c *d3lColumn, oov uint32) uint32 {
+// intern encodes a query column against the frozen engine and returns
+// the next unused out-of-vocabulary ID. A value the dictionary lacks
+// gets an ID from oov upward, as dict.Encoder does: it matches no
+// staged column but still counts toward the column's cardinality. A
+// word the list lacks is shared with no staged column and so adds
+// nothing to any word sum: it is dropped with its frequency, compacting
+// the query column's own arrays in place.
+func (d *D3L) intern(c *d3lColumn, oov uint32) uint32 {
 	c.valueIDs = make(dict.IDSet, 0, len(c.distinct))
 	for _, s := range c.distinct {
-		if id, ok := v.valueID(s); ok {
+		if id, ok := d.dict.ID(s); ok {
 			c.valueIDs = append(c.valueIDs, id)
 		}
 	}
@@ -284,17 +301,33 @@ func (v *d3lVocab) intern(c *d3lColumn, oov uint32) uint32 {
 	}
 	c.wordIDs = make([]uint32, 0, len(c.words))
 	for i, w := range c.words {
-		if id, ok := v.wordIDs[w]; ok {
+		if id, ok := slices.BinarySearch(d.words, w); ok {
 			c.wordFreq[len(c.wordIDs)] = c.wordFreq[i]
-			c.wordIDs = append(c.wordIDs, id)
+			c.wordIDs = append(c.wordIDs, uint32(id))
 		}
 	}
-	c.words, c.wordFreq = nil, c.wordFreq[:len(c.wordIDs)]
+	c.distinct, c.words, c.wordFreq = nil, nil, c.wordFreq[:len(c.wordIDs)]
 	return oov
 }
 
 // NumTables returns the number of staged tables.
 func (d *D3L) NumTables() int { return len(d.tables) }
+
+// SetsFootprint reports the resident cost of the columns' value ID sets
+// next to an estimate of the per-column string slices they replaced.
+func (d *D3L) SetsFootprint() dict.Footprint {
+	var f dict.Footprint
+	for _, id := range d.ids {
+		for _, c := range d.tables[id].cols {
+			f.Count += len(c.valueIDs)
+			f.Bytes += int64(len(c.valueIDs)) * 4
+			for _, v := range c.valueIDs {
+				f.LegacyBytes += int64(len(d.dict.Value(v))) + dict.StringHeaderBytes
+			}
+		}
+	}
+	return f
+}
 
 // FormatSignature summarizes value shapes as a normalized histogram
 // over character classes and length buckets — D3L's format evidence.
@@ -425,11 +458,11 @@ func (e Evidence) Combined() float64 {
 }
 
 // ColumnEvidence computes the five signals between two raw columns,
-// interned into a vocabulary of their own.
+// encoded into a dictionary and a word list of their own.
 func (d *D3L) ColumnEvidence(a, b *table.Column) Evidence {
 	ca := d.analyzeColumn(a, -1)
 	cb := d.analyzeColumn(b, -1)
-	internColumns(nil, []*d3lColumn{ca, cb})
+	encodeColumns(nil, []*d3lColumn{ca, cb})
 	return Evidence{
 		Name:   schema.LabelSimilarity(ca.label, cb.label),
 		Value:  dict.JaccardOf(dict.Overlap(ca.valueIDs, cb.valueIDs), len(ca.valueIDs), len(cb.valueIDs)),
@@ -486,17 +519,17 @@ func (d *D3L) Prepare(query *table.Table) (*D3LQuery, error) {
 	if entry := d.tables[query.ID]; entry != nil && entry.tbl == query {
 		labels := make([]schema.Label, len(entry.cols))
 		for i, c := range entry.cols {
-			labels[i] = d.vocab.labels[c.labelID]
+			labels[i] = d.labels[c.labelID]
 		}
 		return newD3LQuery(query.ID, entry.cols, labels), nil
 	}
 	var qcols []*d3lColumn
 	var labels []schema.Label
-	oov := d.vocab.numValues()
+	oov := uint32(d.dict.Size())
 	for i, c := range query.Columns {
 		if isStringColumn(c) {
 			qc := d.analyzeColumn(c, i)
-			oov = d.vocab.intern(qc, oov)
+			oov = d.intern(qc, oov)
 			qcols = append(qcols, qc)
 			labels = append(labels, schema.NewLabel(qc.label))
 		}
@@ -585,7 +618,7 @@ func (d *D3L) scoreAmong(ctx context.Context, pq *D3LQuery, ids []string, k int)
 		}
 		return cmp.Compare(a.pos, b.pos)
 	})
-	words := newQueryMarks(len(d.vocab.wordIDs))
+	words := newQueryMarks(len(d.words))
 	defer words.release()
 	for i, qc := range pq.qcols {
 		words.add(i, qc.wordIDs, qc.wordFreq)
@@ -638,7 +671,7 @@ func (d *D3L) scoreAmong(ctx context.Context, pq *D3LQuery, ids []string, k int)
 // query's own table and checks ctx between tables.
 func (d *D3L) boundAll(ctx context.Context, pq *D3LQuery, ids []string, sc *scanScratch) ([]d3lBound, error) {
 	counts := d.intersections(pq, sc)
-	nq, nl := len(pq.qcols), len(d.vocab.labels)
+	nq, nl := len(pq.qcols), len(d.labels)
 	// names[i*nl+l] is the name evidence of query column i against
 	// label l, computed when a candidate column first carries l.
 	sc.names = resize(sc.names, nq*nl)
@@ -664,7 +697,7 @@ func (d *D3L) boundAll(ctx context.Context, pq *D3LQuery, ids []string, sc *scan
 			for i, qc := range pq.qcols {
 				name := &names[i*nl+cc.labelID]
 				if *name < 0 {
-					*name = sc.labels.Similarity(&pq.labels[i], &d.vocab.labels[cc.labelID])
+					*name = sc.labels.Similarity(&pq.labels[i], &d.labels[cc.labelID])
 				}
 				p[i*nc+j] = *name + dict.JaccardOf(int(inter[i]), len(qc.valueIDs), len(cc.valueIDs))
 			}

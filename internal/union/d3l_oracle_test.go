@@ -251,13 +251,56 @@ func unseenQuery(names []string) *table.Table {
 	return table.MustNew("unseen", "unseen", cols)
 }
 
+// d3lRoundTrips returns an engine over tables that takes its value IDs
+// from values as built, as decoded from its snapshot section, and as
+// assembled from the parts of a staged-only engine sent through the
+// delta codec (a delta's scratch build, whose parts travel in the
+// dictionary they were encoded in).
+func d3lRoundTrips(t *testing.T, model *embedding.Model, values *dict.Dict, tables []*table.Table) []struct {
+	what string
+	d    *D3L
+} {
+	t.Helper()
+	lookup := tablesByID(tables)
+	built := builtD3LOver(t, model, values, tables)
+	e := new(snap.Encoder)
+	built.AppendSnapshot(e)
+	decoded, err := DecodeD3LSnapshot(snap.NewDecoder(e.Bytes()), model, values, lookup)
+	if err != nil {
+		t.Fatal(err)
+	}
+	staged, err := NewD3L(model, values)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tbl := range tables {
+		staged.AddTable(tbl)
+	}
+	e = new(snap.Encoder)
+	AppendD3LParts(e, staged.Parts())
+	parts, err := DecodeD3LParts(snap.NewDecoder(e.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fromParts, err := NewD3LFromParts(model, staged.dict, parts, lookup)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return []struct {
+		what string
+		d    *D3L
+	}{{"built", built}, {"snapshot round trip", decoded}, {"delta parts round trip", fromParts}}
+}
+
 // TestD3LMatchesOracleOverSeeds compares rankings and scores with the
 // oracle over generated lakes: staged queries (the analysis-reuse
 // path), foreign queries with out-of-vocabulary values and words, ID
 // subsets as the discover planner passes them, and k on both sides of
-// the lake size. The engine's value IDs come, by seed, from a vocabulary
-// of its own, from the lake's dictionary, or from a dictionary that
-// lacks half the lake.
+// the lake size. The engine's value IDs come, by seed, from a
+// dictionary of its own, from the lake's dictionary, or from one that
+// lacks half the lake (which the engine then replaces with its own),
+// and each engine is checked as built, after a snapshot round trip and
+// after a delta-parts round trip.
 func TestD3LMatchesOracleOverSeeds(t *testing.T) {
 	for seed := int64(1); seed <= 24; seed++ {
 		lake := datagen.Generate(datagen.Config{
@@ -272,30 +315,32 @@ func TestD3LMatchesOracleOverSeeds(t *testing.T) {
 		case 2:
 			values = valueDict(lake.Tables[:len(lake.Tables)/2])
 		}
-		d := builtD3LOver(t, model, values, lake.Tables)
 		o := newD3LOracle(model, lake.Tables)
-		all := d.TableIDs()
-		var subset []string
-		for i, id := range all {
-			if (i+int(seed))%3 != 0 {
-				subset = append(subset, id)
+		for _, eng := range d3lRoundTrips(t, model, values, lake.Tables) {
+			d := eng.d
+			all := d.TableIDs()
+			var subset []string
+			for i, id := range all {
+				if (i+int(seed))%3 != 0 {
+					subset = append(subset, id)
+				}
 			}
-		}
-		staged := lake.Tables[int(seed)%len(lake.Tables)]
-		foreign := foreignQuery(lake.Tables[int(seed*5)%len(lake.Tables)], int(seed))
-		for _, q := range []*table.Table{staged, foreign} {
-			checkAgainstOracle(t, d, o, q, all, 5, "whole lake")
-			checkAgainstOracle(t, d, o, q, all, len(all)+10, "k beyond the lake")
-			checkAgainstOracle(t, d, o, q, subset, 3, "id subset")
-			checkAgainstOracle(t, d, o, q, subset[:1], 1, "single id")
-			checkAgainstOracle(t, d, o, q, nil, 4, "no ids")
-		}
-		got, err := d.Search(context.Background(), foreign, 7)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if want := o.scoreAmong(foreign, all, 7); !reflect.DeepEqual(got, want) {
-			t.Fatalf("seed %d: Search differs from the oracle:\n got %v\nwant %v", seed, got, want)
+			staged := lake.Tables[int(seed)%len(lake.Tables)]
+			foreign := foreignQuery(lake.Tables[int(seed*5)%len(lake.Tables)], int(seed))
+			for _, q := range []*table.Table{staged, foreign} {
+				checkAgainstOracle(t, d, o, q, all, 5, eng.what+", whole lake")
+				checkAgainstOracle(t, d, o, q, all, len(all)+10, eng.what+", k beyond the lake")
+				checkAgainstOracle(t, d, o, q, subset, 3, eng.what+", id subset")
+				checkAgainstOracle(t, d, o, q, subset[:1], 1, eng.what+", single id")
+				checkAgainstOracle(t, d, o, q, nil, 4, eng.what+", no ids")
+			}
+			got, err := d.Search(context.Background(), foreign, 7)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := o.scoreAmong(foreign, all, 7); !reflect.DeepEqual(got, want) {
+				t.Fatalf("seed %d, %s: Search differs from the oracle:\n got %v\nwant %v", seed, eng.what, got, want)
+			}
 		}
 	}
 }
@@ -366,7 +411,7 @@ func TestD3LMatchesOracleWideAndUnseenQueries(t *testing.T) {
 
 // oracleLake is the generated lake of TestD3LMatchesOracleOverSeeds
 // for a seed, with the engine over it (value IDs from its own
-// vocabulary, the lake's dictionary or half of it, by seed) and the
+// dictionary, the lake's dictionary or half of it, by seed) and the
 // oracle.
 func oracleLake(t *testing.T, seed int64, extra func([]*table.Table) []*table.Table) ([]*table.Table, *D3L, *d3lOracle) {
 	t.Helper()
@@ -490,7 +535,7 @@ func TestD3LPostingsPassMatchesMerge(t *testing.T) {
 			}
 			return nil
 		}
-		fromParts, err := NewD3LFromParts(built.model, built.lake, built.Parts(), lookup)
+		fromParts, err := NewD3LFromParts(built.model, built.dict, built.Parts(), lookup)
 		if err != nil {
 			t.Fatal(err)
 		}

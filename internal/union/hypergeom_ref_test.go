@@ -34,7 +34,7 @@ func refSetUnionability(t *TUS, a, b *tusColumn, overlap int) float64 {
 		return 0
 	}
 	na, nb := len(a.ids), len(b.ids)
-	d := max(len(t.univ), na+nb)
+	d := max(t.univ, na+nb)
 	return refHypergeomCDF(t.lfact, overlap-1, d, na, nb)
 }
 
@@ -93,7 +93,7 @@ func TestHypergeomCDFStopsBitIdentical(t *testing.T) {
 	// the ln n! cache: Build's part that makes them, without the LSH
 	// bands and the NL graph.
 	tus.encodeColumns()
-	tus.lfact = newLogFactTable(len(tus.univ) + 1)
+	tus.freezeUniverse()
 	// Overlaps come from the scoring kernel, one query table at a time;
 	// cells with the same (overlap, sizes) ask the same question, so it
 	// is asked once.
@@ -126,7 +126,7 @@ func TestHypergeomCDFStopsBitIdentical(t *testing.T) {
 					got, want := tus.setUnionability(qc, cc, overlap), refSetUnionability(tus, qc, cc, overlap)
 					if math.Float64bits(got) != math.Float64bits(want) {
 						t.Fatalf("%s.%s against %s.%s (overlap %d of %d, %d; d=%d): %v, full sum %v",
-							qid, qc.name, cid, cc.name, overlap, len(qc.ids), len(cc.ids), len(tus.univ), got, want)
+							qid, qc.name, cid, cc.name, overlap, len(qc.ids), len(cc.ids), tus.univ, got, want)
 					}
 				}
 			}

@@ -12,6 +12,7 @@ package union
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"tablehound/internal/dict"
 	"tablehound/internal/embedding"
@@ -141,7 +142,7 @@ func (t *TUS) adopt(parts []TUSTableParts, lookup func(id string) *table.Table) 
 
 // NewTUSFromParts assembles a built TUS engine from parts whose column
 // sets are all encoded in cfg.Dict (required). The value universe is
-// recovered by decoding every column set, and the set-LSH freezes
+// counted over the column sets, and the set-LSH freezes
 // exactly as a from-scratch build's does (sorted table-ID order, same
 // parameters). The NL graph starts from g — a fresh one when nil — and
 // grows by each batch of sorted table IDs in turn, in the order Build
@@ -162,13 +163,6 @@ func NewTUSFromParts(cfg TUSConfig, parts []TUSTableParts, g *hnsw.Graph, batche
 	if len(t.tables) == 0 {
 		return nil, errors.New("union: no tables in TUS parts")
 	}
-	for _, p := range parts {
-		for _, c := range p.Cols {
-			for _, id := range c.IDs {
-				t.univ[t.dict.Value(id)] = true
-			}
-		}
-	}
 	// The columns are already encoded in t.dict, so build's
 	// encodeColumns keeps them as they are.
 	if err := t.build(g, batches); err != nil {
@@ -179,7 +173,7 @@ func NewTUSFromParts(cfg TUSConfig, parts []TUSTableParts, g *hnsw.Graph, batche
 
 // --- SANTOS ---
 
-// SantosRelParts is one relationship: the raw "subject||object" pair
+// SantosRelParts is one relationship: the raw subject "\n" object pair
 // tokens (dictionary-independent — SANTOS re-interns its pair
 // vocabulary on every Build) and the curated-KB annotation.
 type SantosRelParts struct {
@@ -293,14 +287,15 @@ func NewSantosFromParts(curated *kb.KB, parts []SantosTableParts, lookup func(id
 
 // D3LColumnParts is one analyzed D3L column. ColIdx locates the source
 // column within its table so reassembly can read the label the name
-// evidence compares. Words is strictly ascending and WordFreq parallel
-// to it.
+// evidence compares. IDs are its values, encoded in the dictionary the
+// parts travel with (as TUS's are); WordIDs are strictly ascending
+// positions in the parts' word list, and WordFreq is parallel to them.
 type D3LColumnParts struct {
 	ColIdx   int
-	Distinct []string
-	Format   []float64
-	Words    []string
+	IDs      dict.IDSet
+	WordIDs  []uint32
 	WordFreq []float64
+	Format   []float64
 	Vec      embedding.Vector
 }
 
@@ -310,96 +305,161 @@ type D3LTableParts struct {
 	Cols []D3LColumnParts
 }
 
-// Parts returns the engine's per-table column analyses in indexed
-// order. Slices alias the engine's state; do not mutate.
-func (d *D3L) Parts() []D3LTableParts {
-	out := make([]D3LTableParts, 0, len(d.ids))
+// D3LParts is a D3L engine's per-table column analyses in sorted-ID
+// order and the sorted word list their word IDs index.
+type D3LParts struct {
+	Words  []string
+	Tables []D3LTableParts
+}
+
+// Parts returns the engine's per-table column analyses in sorted-ID
+// order. On a staged engine it first encodes the staged columns as
+// Build does (without deriving the value index), so the parts equal
+// the built engine's; like Build it must then not run concurrently
+// with AddTable or Search. Slices alias the engine's state; do not
+// mutate.
+func (d *D3L) Parts() D3LParts {
+	if !d.built {
+		d.encode()
+	}
+	out := D3LParts{Words: d.words, Tables: make([]D3LTableParts, 0, len(d.ids))}
 	for _, id := range d.ids {
 		p := D3LTableParts{ID: id}
 		for _, c := range d.tables[id].cols {
 			p.Cols = append(p.Cols, D3LColumnParts{
-				ColIdx: c.colIdx, Distinct: c.distinct, Format: c.format,
-				Words: c.words, WordFreq: c.wordFreq, Vec: c.vec,
+				ColIdx: c.colIdx, IDs: c.valueIDs, WordIDs: c.wordIDs, WordFreq: c.wordFreq,
+				Format: c.format, Vec: c.vec,
 			})
 		}
-		out = append(out, p)
+		out.Tables = append(out.Tables, p)
 	}
 	return out
 }
 
-// AppendD3LParts writes parts as their table-ID list followed by each
-// table's column block, every word next to its frequency: the whole of
-// both the D3L snapshot section and a delta's D3L section. The
-// interned ID arrays are not parts; NewD3LFromParts re-derives them.
-func AppendD3LParts(e *snap.Encoder, parts []D3LTableParts) {
-	ids := make([]string, len(parts))
-	for i, p := range parts {
+// AppendD3LParts writes parts as their word list, their table-ID list
+// and each table's column block: the whole of a delta's D3L section,
+// and the D3L snapshot section after its dictionary.
+func AppendD3LParts(e *snap.Encoder, parts D3LParts) {
+	e.Strs(parts.Words)
+	ids := make([]string, len(parts.Tables))
+	for i, p := range parts.Tables {
 		ids[i] = p.ID
 	}
 	e.Strs(ids)
-	for _, p := range parts {
+	for _, p := range parts.Tables {
 		e.U32(uint32(len(p.Cols)))
 		for _, c := range p.Cols {
 			e.U32(uint32(c.ColIdx))
-			e.Strs(c.Distinct)
+			e.U32s(c.IDs)
+			e.U32s(c.WordIDs)
+			e.F64s(c.WordFreq)
 			e.F64s(c.Format)
-			e.U32(uint32(len(c.Words)))
-			for i, w := range c.Words {
-				e.Str(w)
-				e.F64(c.WordFreq[i])
-			}
 			e.F32s(c.Vec)
 		}
 	}
 }
 
-// DecodeD3LParts reads what AppendD3LParts wrote.
-func DecodeD3LParts(d *snap.Decoder) ([]D3LTableParts, error) {
+// DecodeD3LParts reads what AppendD3LParts wrote. It checks nothing
+// against a dictionary or the word list; adoption does.
+func DecodeD3LParts(d *snap.Decoder) (D3LParts, error) {
+	parts := D3LParts{Words: d.Strs()}
 	ids := d.Strs()
-	parts := make([]D3LTableParts, len(ids))
+	parts.Tables = make([]D3LTableParts, len(ids))
 	for i, id := range ids {
-		cols := make([]D3LColumnParts, d.Count(20)) // a column is at least 20 bytes
+		cols := make([]D3LColumnParts, d.Count(24)) // a column is at least 24 bytes
 		for j := range cols {
-			c := D3LColumnParts{ColIdx: int(int32(d.U32())), Distinct: d.Strs(), Format: d.F64s()}
-			n := d.Count(12) // a word is at least a length and a frequency
-			c.Words, c.WordFreq = make([]string, n), make([]float64, n)
-			for k := range c.Words {
-				c.Words[k], c.WordFreq[k] = d.Str(), d.F64()
+			cols[j] = D3LColumnParts{
+				ColIdx: int(int32(d.U32())), IDs: d.U32s(), WordIDs: d.U32s(), WordFreq: d.F64s(),
+				Format: d.F64s(), Vec: d.F32s(),
 			}
-			c.Vec = d.F32s()
-			cols[j] = c
 		}
-		parts[i] = D3LTableParts{ID: id, Cols: cols}
+		parts.Tables[i] = D3LTableParts{ID: id, Cols: cols}
 	}
 	return parts, d.Err()
 }
 
-// NewD3LFromParts assembles a built D3L engine from parts. Build
-// re-interns the columns into a vocabulary over the merged lake — the
-// very thing a from-scratch build does. lake is the merged lake's
-// dictionary (see NewD3L); lookup resolves table IDs.
-func NewD3LFromParts(model *embedding.Model, lake *dict.Dict, parts []D3LTableParts, lookup func(id string) *table.Table) (*D3L, error) {
+// MergeWords returns the sorted union of sorted word lists and, for
+// each list, the position each of its words takes in the union: the
+// remap that moves word IDs of parts over the lists onto one list.
+func MergeWords(lists ...[]string) ([]string, [][]uint32) {
+	var all []string
+	for _, l := range lists {
+		all = append(all, l...)
+	}
+	slices.Sort(all)
+	all = slices.Compact(all)
+	remaps := make([][]uint32, len(lists))
+	for i, l := range lists {
+		remaps[i] = make([]uint32, len(l))
+		for j, w := range l {
+			pos, _ := slices.BinarySearch(all, w)
+			remaps[i][j] = uint32(pos)
+		}
+	}
+	return all, remaps
+}
+
+// RemapWordIDs returns tables with every column's word IDs moved
+// through remap, into fresh slices. A word ID that does not index
+// remap is an error.
+func RemapWordIDs(tables []D3LTableParts, remap []uint32) ([]D3LTableParts, error) {
+	out := make([]D3LTableParts, len(tables))
+	for i, p := range tables {
+		out[i] = D3LTableParts{ID: p.ID, Cols: slices.Clone(p.Cols)}
+		for j := range out[i].Cols {
+			c := &out[i].Cols[j]
+			ids := make([]uint32, len(c.WordIDs))
+			for k, w := range c.WordIDs {
+				if int(w) >= len(remap) {
+					return nil, fmt.Errorf("union: D3L table %q: word ID %d outside a list of %d", p.ID, w, len(remap))
+				}
+				ids[k] = remap[w]
+			}
+			c.WordIDs = ids
+		}
+	}
+	return out, nil
+}
+
+// NewD3LFromParts assembles a built D3L engine from parts whose value
+// IDs are in lake, the merged lake's dictionary (see NewD3L); lookup
+// resolves table IDs. Build then derives the labels and the value index
+// exactly as a from-scratch build does.
+func NewD3LFromParts(model *embedding.Model, lake *dict.Dict, parts D3LParts, lookup func(id string) *table.Table) (*D3L, error) {
+	return newD3LFromParts(model, lake, lake, parts, lookup)
+}
+
+// newD3LFromParts is NewD3LFromParts for parts whose value IDs are in
+// values, which need not be the engine's lake dictionary.
+func newD3LFromParts(model *embedding.Model, lake, values *dict.Dict, parts D3LParts, lookup func(id string) *table.Table) (*D3L, error) {
 	d3, err := NewD3L(model, lake)
 	if err != nil {
 		return nil, err
 	}
-	if err := d3.adopt(parts, lookup); err != nil {
+	if err := d3.adopt(parts, values, lookup); err != nil {
 		return nil, err
 	}
 	d3.Build()
 	return d3, nil
 }
 
-// CheckD3LParts makes NewD3LFromParts' checks of parts without building
-// an engine.
-func CheckD3LParts(parts []D3LTableParts, lookup func(id string) *table.Table) error {
-	return (&D3L{tables: make(map[string]*d3lTable)}).adopt(parts, lookup)
-}
-
-// adopt stages parts, each table resolved through lookup and checked.
-func (d3 *D3L) adopt(parts []D3LTableParts, lookup func(id string) *table.Table) error {
-	d3.ids = make([]string, 0, len(parts))
-	for _, p := range parts {
+// adopt installs parts, encoded in values, as the engine's columns,
+// each table resolved through lookup and checked: the word list must be
+// strictly ascending, and each column's value IDs a set below values'
+// size and its word IDs a set of positions in the list, parallel to its
+// frequencies. Words no column holds are dropped from the list, so it
+// is the list a Build over the same columns makes.
+func (d3 *D3L) adopt(parts D3LParts, values *dict.Dict, lookup func(id string) *table.Table) error {
+	words := parts.Words
+	for i := 1; i < len(words); i++ {
+		if words[i-1] >= words[i] {
+			return fmt.Errorf("union: D3L words not strictly ascending at %q", words[i])
+		}
+	}
+	used := make([]bool, len(words))
+	size := values.Size()
+	d3.ids = make([]string, 0, len(parts.Tables))
+	for _, p := range parts.Tables {
 		tbl := lookup(p.ID)
 		if tbl == nil {
 			return fmt.Errorf("union: D3L table %q missing from catalog", p.ID)
@@ -412,16 +472,48 @@ func (d3 *D3L) adopt(parts []D3LTableParts, lookup func(id string) *table.Table)
 			if c.ColIdx < 0 || c.ColIdx >= len(tbl.Columns) {
 				return fmt.Errorf("union: D3L column index %d out of range for table %q", c.ColIdx, p.ID)
 			}
-			if err := checkWords(c.Words, c.WordFreq); err != nil {
-				return fmt.Errorf("union: D3L column %d of table %q: %v", c.ColIdx, p.ID, err)
+			if err := c.IDs.Check(size); err != nil {
+				return fmt.Errorf("union: D3L column %d of table %q: values: %v", c.ColIdx, p.ID, err)
 			}
-			entry.cols = append(entry.cols, newD3LColumn(tbl.Columns[c.ColIdx], c.ColIdx, c.Distinct, c.Format, c.Words, c.WordFreq, c.Vec))
+			if err := dict.IDSet(c.WordIDs).Check(len(words)); err != nil {
+				return fmt.Errorf("union: D3L column %d of table %q: words: %v", c.ColIdx, p.ID, err)
+			}
+			if len(c.WordIDs) != len(c.WordFreq) {
+				return fmt.Errorf("union: D3L column %d of table %q: %d words for %d frequencies", c.ColIdx, p.ID, len(c.WordIDs), len(c.WordFreq))
+			}
+			for _, w := range c.WordIDs {
+				used[w] = true
+			}
+			col := newD3LColumn(tbl.Columns[c.ColIdx], c.ColIdx, c.Format, c.WordFreq, c.Vec)
+			col.valueIDs, col.wordIDs = c.IDs, c.WordIDs
+			entry.cols = append(entry.cols, col)
 		}
 		if len(entry.cols) == 0 {
 			continue
 		}
 		d3.tables[p.ID] = entry
 		d3.ids = append(d3.ids, p.ID)
+	}
+	d3.dict, d3.words = values, words
+	if !slices.Contains(used, false) {
+		return nil
+	}
+	remap := make([]uint32, len(words))
+	d3.words = nil
+	for i, w := range words {
+		if used[i] {
+			remap[i] = uint32(len(d3.words))
+			d3.words = append(d3.words, w)
+		}
+	}
+	for _, t := range d3.tables {
+		for _, c := range t.cols {
+			ids := make([]uint32, len(c.wordIDs))
+			for k, w := range c.wordIDs {
+				ids[k] = remap[w]
+			}
+			c.wordIDs = ids
+		}
 	}
 	return nil
 }

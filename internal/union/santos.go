@@ -49,7 +49,7 @@ type Santos struct {
 	curated *kb.KB
 	tables  map[string]*santosTable
 	ids     []string
-	// pairDict interns every "subject||object" pair token mined from
+	// pairDict interns every subject "\n" object pair token mined from
 	// the lake; relationships hold sorted ID sets over it, so pair
 	// containment is an integer merge. Rebuilt by Build (the pair
 	// vocabulary is lake-derived, never external).
@@ -80,7 +80,7 @@ type santosTable struct {
 
 type santosRel struct {
 	colName string
-	// pairs holds the "subject||object" value-pair tokens between
+	// pairs holds the subject "\n" object value-pair tokens between
 	// staging and Build; Build encodes them into pairIDs and clears the
 	// slice. Query relationships are encoded immediately.
 	pairs []string
@@ -131,7 +131,8 @@ func (s *Santos) analyze(tbl *table.Table) *santosTable {
 			if a == "" || b == "" {
 				continue
 			}
-			tok := a + "||" + b
+			// Normalize never emits "\n", so no two pairs share a token.
+			tok := a + "\n" + b
 			if !seen[tok] {
 				seen[tok] = true
 				rel.pairs = append(rel.pairs, tok)

@@ -189,3 +189,34 @@ func TestSantosModeString(t *testing.T) {
 		t.Error("SantosMode.String wrong")
 	}
 }
+
+// TestSantosPairTokensDoNotCollide holds two tables whose only
+// would-be shared pair differs in where a "|" sits — ("x|", "y")
+// against ("x", "|y") — apart: a pair token must not join subject and
+// object with a separator the values themselves may hold.
+func TestSantosPairTokensDoNotCollide(t *testing.T) {
+	left := table.MustNew("left", "left", []*table.Column{
+		table.NewColumn("subject", []string{"x|", "a1", "a2"}),
+		table.NewColumn("object", []string{"y", "b1", "b2"}),
+	})
+	right := table.MustNew("right", "right", []*table.Column{
+		table.NewColumn("subject", []string{"x", "c1", "c2"}),
+		table.NewColumn("object", []string{"|y", "d1", "d2"}),
+	})
+	s := NewSantos(nil)
+	s.AddTable(left)
+	s.AddTable(right)
+	if err := s.Build(); err != nil {
+		t.Fatal(err)
+	}
+	if s.NumTables() != 2 || s.PairDict().Size() != 6 {
+		t.Errorf("%d tables, %d pair tokens; want 2 tables of 3 distinct pairs each", s.NumTables(), s.PairDict().Size())
+	}
+	res, err := s.Search(context.Background(), left, 5, SynthOnly)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res) != 0 {
+		t.Errorf("tables sharing no value pair scored a synthesized match: %v", res)
+	}
+}

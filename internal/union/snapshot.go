@@ -18,7 +18,8 @@ import (
 // embeddings, KB annotations; see AppendTUSParts) and the HNSW
 // topology are stored verbatim; the banded set-LSH index is rebuilt on decode — its
 // construction is a deterministic function of the stored signatures in
-// table/column order — and so is the ln n! cache.
+// table/column order — and so are the universe count and the ln n!
+// cache.
 func (t *TUS) AppendSnapshot(e *snap.Encoder, sysDict *dict.Dict) {
 	e.Bool(t.cfg.Exhaustive)
 	e.U32(uint32(t.cfg.NumHashes))
@@ -28,19 +29,13 @@ func (t *TUS) AppendSnapshot(e *snap.Encoder, sysDict *dict.Dict) {
 	if !shared {
 		t.dict.AppendSnapshot(e)
 	}
-	univ := make([]string, 0, len(t.univ))
-	for v := range t.univ {
-		univ = append(univ, v)
-	}
-	sort.Strings(univ)
-	e.Strs(univ)
 	AppendTUSParts(e, t.Parts())
 	t.nlIndex.AppendSnapshot(e)
 }
 
 // DecodeTUSSnapshot rebuilds a TUS engine written by AppendSnapshot,
 // adopting its tables as NewTUSFromParts does but keeping the stored
-// universe and HNSW topology instead of rebuilding them. cfg supplies
+// HNSW topology instead of rebuilding it. cfg supplies
 // the runtime resources (model, KB, lake dictionary) the snapshot
 // references rather than stores; lookup resolves table IDs against
 // the loaded catalog.
@@ -73,7 +68,6 @@ func DecodeTUSSnapshot(d *snap.Decoder, cfg TUSConfig, lookup func(id string) *t
 			return nil, err
 		}
 	}
-	univ := d.Strs()
 	parts, err := DecodeTUSParts(d)
 	if err != nil {
 		return nil, err
@@ -83,9 +77,6 @@ func DecodeTUSSnapshot(d *snap.Decoder, cfg TUSConfig, lookup func(id string) *t
 	}
 	if err := t.adopt(parts, lookup); err != nil {
 		return nil, fmt.Errorf("%w: %v", snap.ErrCorrupt, err)
-	}
-	for _, v := range univ {
-		t.univ[v] = true
 	}
 	if t.nlIndex, err = hnsw.DecodeSnapshot(d); err != nil {
 		return nil, err
@@ -98,7 +89,7 @@ func DecodeTUSSnapshot(d *snap.Decoder, cfg TUSConfig, lookup func(id string) *t
 	if err := t.buildSetLSH(); err != nil {
 		return nil, fmt.Errorf("%w: %v", snap.ErrCorrupt, err)
 	}
-	t.lfact = newLogFactTable(len(t.univ) + 1)
+	t.freezeUniverse()
 	t.built = true
 	return t, nil
 }
@@ -190,23 +181,71 @@ func DecodeSantosSnapshot(d *snap.Decoder, curated *kb.KB, lookup func(id string
 	return s, nil
 }
 
-// AppendSnapshot encodes a D3L engine: its parts (see AppendD3LParts)
-// are the whole section.
+// AppendSnapshot encodes a D3L engine: whether it shares the lake
+// dictionary (the dictionary inline when it does not, as TUS writes
+// it), then its parts (see AppendD3LParts). A staged engine is encoded
+// first, as Parts does.
 func (d3 *D3L) AppendSnapshot(e *snap.Encoder) {
-	AppendD3LParts(e, d3.Parts())
+	parts := d3.Parts()
+	shared := d3.dict == d3.lake
+	e.Bool(shared)
+	if !shared {
+		d3.dict.AppendSnapshot(e)
+	}
+	AppendD3LParts(e, parts)
 }
 
-// DecodeD3LSnapshot rebuilds a D3L engine written by AppendSnapshot
-// through NewD3LFromParts, freezing it against the lake dictionary
-// (see NewD3L).
-func DecodeD3LSnapshot(d *snap.Decoder, model *embedding.Model, lake *dict.Dict, lookup func(id string) *table.Table) (*D3L, error) {
+// decodeD3LSection reads a section AppendSnapshot wrote: the
+// dictionary its value IDs are in (lake when shared) and its parts.
+func decodeD3LSection(d *snap.Decoder, lake *dict.Dict) (*dict.Dict, D3LParts, error) {
+	values := lake
+	shared := d.Bool()
+	if d.Err() != nil {
+		return nil, D3LParts{}, d.Err()
+	}
+	if shared && lake == nil {
+		return nil, D3LParts{}, fmt.Errorf("%w: D3L shares a dictionary the snapshot does not carry", snap.ErrCorrupt)
+	}
+	if !shared {
+		var err error
+		if values, err = dict.DecodeSnapshot(d); err != nil {
+			return nil, D3LParts{}, err
+		}
+	}
 	parts, err := DecodeD3LParts(d)
+	return values, parts, err
+}
+
+// DecodeD3LSnapshot rebuilds a D3L engine written by AppendSnapshot,
+// adopting its parts as NewD3LFromParts does; lake is the loaded
+// system's dictionary (see NewD3L) and lookup resolves table IDs
+// against the loaded catalog.
+func DecodeD3LSnapshot(d *snap.Decoder, model *embedding.Model, lake *dict.Dict, lookup func(id string) *table.Table) (*D3L, error) {
+	values, parts, err := decodeD3LSection(d, lake)
 	if err != nil {
 		return nil, err
 	}
-	d3, err := NewD3LFromParts(model, lake, parts, lookup)
+	d3, err := newD3LFromParts(model, lake, values, parts, lookup)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", snap.ErrCorrupt, err)
 	}
 	return d3, nil
+}
+
+// DecodeD3LSnapshotParts reads a section AppendSnapshot wrote as
+// parts, making DecodeD3LSnapshot's checks without building an engine:
+// a merge reads a base's D3L engine only as parts. Their value IDs
+// must be in lake, or they cannot merge.
+func DecodeD3LSnapshotParts(d *snap.Decoder, lake *dict.Dict, lookup func(id string) *table.Table) (D3LParts, error) {
+	values, parts, err := decodeD3LSection(d, lake)
+	if err != nil {
+		return D3LParts{}, err
+	}
+	if values != lake {
+		return D3LParts{}, fmt.Errorf("%w: D3L does not share the system dictionary, so its parts cannot merge", snap.ErrCorrupt)
+	}
+	if err := (&D3L{tables: make(map[string]*d3lTable)}).adopt(parts, values, lookup); err != nil {
+		return D3LParts{}, fmt.Errorf("%w: %v", snap.ErrCorrupt, err)
+	}
+	return parts, nil
 }

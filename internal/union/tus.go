@@ -46,8 +46,8 @@ type TUS struct {
 	cfg     TUSConfig
 	tables  map[string]*tusTable
 	ids     []string
-	univ    map[string]bool // distinct value universe (for set measure)
-	dict    *dict.Dict      // dictionary the columns are encoded in
+	univ    int        // distinct values across the columns (the set measure's universe)
+	dict    *dict.Dict // dictionary the columns are encoded in
 	setLSH  *lsh.Index
 	owner   []int32 // setLSH ordinal (a column, tables in ids order) -> position in ids of its table
 	nlIndex *hnsw.Graph
@@ -97,7 +97,6 @@ func NewTUS(cfg TUSConfig) (*TUS, error) {
 	return &TUS{
 		cfg:    cfg,
 		tables: make(map[string]*tusTable),
-		univ:   make(map[string]bool),
 		hasher: minhash.NewHasher(cfg.NumHashes, 7),
 	}, nil
 }
@@ -109,11 +108,7 @@ func (t *TUS) AddTable(tbl *table.Table) {
 	}
 	entry := &tusTable{tbl: tbl}
 	for _, c := range stringColumns(tbl) {
-		tc := t.makeColumn(c)
-		entry.cols = append(entry.cols, tc)
-		for _, v := range tc.values {
-			t.univ[t.cfg.Dict.Intern(v)] = true
-		}
+		entry.cols = append(entry.cols, t.makeColumn(c))
 	}
 	t.tables[tbl.ID] = entry
 	t.ids = append(t.ids, tbl.ID)
@@ -123,8 +118,8 @@ func (t *TUS) AddTable(tbl *table.Table) {
 // AddTables stages a batch of tables using up to workers goroutines.
 // Column analysis (normalization, MinHash signing, embedding, KB
 // annotation) — the dominant cost — fans out per table; registration
-// (universe accumulation, ID ordering) commits sequentially in batch
-// order, so the engine state is identical at any worker count. The
+// commits sequentially in batch order, so the engine state is
+// identical at any worker count. The
 // hasher, model, and KB are only read.
 func (t *TUS) AddTables(tbls []*table.Table, workers int) {
 	entries, _ := parallel.Map(len(tbls), workers, func(i int) (*tusTable, error) {
@@ -137,11 +132,6 @@ func (t *TUS) AddTables(tbls []*table.Table, workers int) {
 	for _, entry := range entries {
 		if _, dup := t.tables[entry.tbl.ID]; dup || !TUSIndexes(entry.tbl) {
 			continue
-		}
-		for _, tc := range entry.cols {
-			for _, v := range tc.values {
-				t.univ[t.cfg.Dict.Intern(v)] = true
-			}
 		}
 		t.tables[entry.tbl.ID] = entry
 		t.ids = append(t.ids, entry.tbl.ID)
@@ -211,12 +201,31 @@ func (t *TUS) build(g *hnsw.Graph, batches [][]string) error {
 	if err := t.bindNL(); err != nil {
 		return err
 	}
-	// Freeze the ln n! cache for the hypergeometric CDF: every
-	// logChoose argument is at most d+1 where d = len(t.univ) (query
-	// columns larger than the universe fall back to math.Lgamma).
-	t.lfact = newLogFactTable(len(t.univ) + 1)
+	t.freezeUniverse()
 	t.built = true
 	return nil
+}
+
+// freezeUniverse counts the distinct values across the engine's
+// columns — the universe the set measure draws from — in one stamp
+// pass over their ID sets, and freezes the ln n! cache for the
+// hypergeometric CDF: every logChoose argument is at most d+1 where d
+// is the universe (query columns larger than it fall back to
+// math.Lgamma).
+func (t *TUS) freezeUniverse() {
+	seen := make([]bool, t.dict.Size())
+	t.univ = 0
+	for _, id := range t.ids {
+		for _, c := range t.tables[id].cols {
+			for _, v := range c.ids {
+				if !seen[v] {
+					seen[v] = true
+					t.univ++
+				}
+			}
+		}
+	}
+	t.lfact = newLogFactTable(t.univ + 1)
 }
 
 // insertNL adds to the NL graph each column of the tables ids names
@@ -293,27 +302,35 @@ func (t *TUS) buildSetLSH() error {
 // encodeColumns sorts the table IDs, picks the dictionary for this
 // build and encodes every column's values into sorted ID sets — the
 // half of Build that Parts also needs. The configured lake dictionary
-// is used when it covers the whole staged universe; otherwise a
-// dictionary is built over the universe itself. When the dictionary
-// changes between builds (the self-built one grows with new tables),
-// previously encoded columns are re-encoded — IDs from different
-// dictionaries must never mix, or cross-column overlap breaks.
+// is used when it holds every value of every column (the staged ones
+// read, the encoded ones in it already); otherwise a dictionary is
+// built over those values. When the dictionary changes between builds
+// (the self-built one grows with new tables), previously encoded
+// columns are re-encoded — IDs from different dictionaries must never
+// mix, or cross-column overlap breaks.
 func (t *TUS) encodeColumns() {
 	sort.Strings(t.ids)
 	d := t.cfg.Dict
-	covered := d != nil
-	if covered {
-		for v := range t.univ {
-			if _, ok := d.ID(v); !ok {
-				covered = false
-				break
+	covered := d != nil && (t.dict == nil || t.dict == d)
+	for _, id := range t.ids {
+		for _, c := range t.tables[id].cols {
+			for _, v := range c.values {
+				if !covered {
+					break
+				}
+				_, covered = d.ID(v)
 			}
 		}
 	}
 	if !covered {
 		db := dict.NewBuilder()
-		for v := range t.univ {
-			db.Add(v)
+		for _, id := range t.ids {
+			for _, c := range t.tables[id].cols {
+				if c.values == nil {
+					db.Add(t.dict.Decode(c.ids)...)
+				}
+				db.Add(c.values...)
+			}
 		}
 		d = db.Build()
 	}
@@ -393,7 +410,7 @@ func (t *TUS) setUnionability(a, b *tusColumn, overlap int) float64 {
 	if overlap == 0 {
 		return 0
 	}
-	d := len(t.univ)
+	d := t.univ
 	na, nb := len(a.ids), len(b.ids)
 	if d < na+nb { // universe estimate too small for a valid model
 		d = na + nb

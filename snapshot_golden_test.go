@@ -66,12 +66,19 @@ var harnessLake = sync.OnceValues(func() (*datagen.Lake, core.Options) {
 // answered exactly from the inverted index). Only the join entry of
 // goldenHarnessSections was re-recorded with it; every other section
 // digest and the blob hash as before.
-const goldenHarnessSnapshot = "7438aaf79f6a03bee53e859ab5abc7dcf5880760067fb02e4277cb486d32e89f"
+//
+// Re-recorded for format v11, which stores D3L's values as dictionary
+// IDs and its words as positions in one word list, and drops TUS's
+// universe strings; SANTOS joins a pair's two values with "\n" instead
+// of "||", which reorders its pair dictionary. Only the tus, santos and
+// d3l entries of goldenHarnessSections were re-recorded with it; every
+// other section digest and the blob hash as before.
+const goldenHarnessSnapshot = "64205989aa78f73592388662c6a364e9f90fcabbcbcc9d5ab08ccbd5ef894b3c"
 
 // goldenHarnessSections is the SHA-256 of each section payload of that
 // snapshot, in stream order, and of the vector blob after them. They
 // were recorded from the v6 snapshot (options and vecs from v8, join
-// from v10), so a format change that only drops or renumbers sections
+// from v10, tus, santos and d3l from v11), so a format change that only drops or renumbers sections
 // leaves them all in place, and the one whose digest moves names the
 // section that changed.
 var goldenHarnessSections = []struct{ name, sha string }{
@@ -84,9 +91,9 @@ var goldenHarnessSections = []struct{ name, sha string }{
 	{"keyword", "9ac97e224d0cc308137895e25020727651c2f6ee7ae27fd80a87e40d74dab859"},
 	{"values", "688a3d7953c68020de6076bd31c65ed8ffdbf9578e56c4dfb3ebdea57332009a"},
 	{"join", "d7c31a69d1d302362ee0b193c3bb8004b60040da26f03d9f6263f163612d81d3"},
-	{"tus", "651e0253c2dc6d8c9beac0b32e987900f46dde729c1c2af7f316e45445517bb2"},
-	{"santos", "fbd77bb711f9642069d7ad110ed5430d7d342a6687cc0208000a5111c34d178c"},
-	{"d3l", "770710974e812cf3badc3556720979cf5e224384037844c343d3e7bb667eb6b0"},
+	{"tus", "9a59585c606e4139e34a02a97786128f0b906466706a91ad8ab02d287bf1fbeb"},
+	{"santos", "8b72993ba54e007e76e214bd2d6823a0f54429b32db898ce056f729defdb704a"},
+	{"d3l", "37b488c4cc511bad6aa35fb3afe2afde1b059e0889631676d06a9cefc479c6b3"},
 	{"starmie", "97b0b86176ea6c5efc373da07e672ad8790eee67b56f9359bbdde03ae578f6d2"},
 	{"vecs", "b72d98b8dd78d9dbbf3148a1709584434a39f48f0526d8f2a859a234f0255d60"},
 	{"blob", "30ae2d3244c5acdbe4af49a041630c8c8d43ea5fbcf081992cf7d234f6dd335e"},
