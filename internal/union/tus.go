@@ -119,8 +119,8 @@ func (t *TUS) AddTable(tbl *table.Table) {
 // Column analysis (normalization, MinHash signing, embedding, KB
 // annotation) — the dominant cost — fans out per table; registration
 // commits sequentially in batch order, so the engine state is
-// identical at any worker count. The
-// hasher, model, and KB are only read.
+// identical at any worker count. The hasher, model, and KB are only
+// read.
 func (t *TUS) AddTables(tbls []*table.Table, workers int) {
 	entries, _ := parallel.Map(len(tbls), workers, func(i int) (*tusTable, error) {
 		entry := &tusTable{tbl: tbls[i]}
