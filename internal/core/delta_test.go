@@ -503,6 +503,10 @@ func TestDeltaRejectsForeignParts(t *testing.T) {
 			c.WordIDs = append(slices.Clone(c.WordIDs), uint32(len(d.D3L.Words)))
 			c.WordFreq = append(slices.Clone(c.WordFreq), 0.5)
 		}},
+		{"D3L format signature cut short", func(v *Delta) {
+			c := forgeD3LColumn(v, d)
+			c.Format = c.Format[:3]
+		}},
 		{"D3L words out of order", func(v *Delta) {
 			c := forgeD3LColumn(v, d)
 			c.WordIDs = slices.Clone(c.WordIDs)

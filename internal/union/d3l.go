@@ -72,19 +72,18 @@ type d3lPostings struct {
 // snapshots and deltas carry; label and norm are derived from the
 // column alone, labelID by Build.
 type d3lColumn struct {
-	colIdx   int      // position of the source column in its table; -1 for a loose column
-	distinct []string // normalized distinct values, first-occurrence order, until encoded
-	words    []string // distinct words of the values, sorted, until encoded
-
-	valueIDs dict.IDSet // the distinct values' IDs
-	wordIDs  []uint32   // the words' IDs; ascending and parallel to wordFreq
-	format   []float64  // normalized character-class histogram
-	wordFreq []float64  // normalized frequency of each word
+	colIdx   int       // position of the source column in its table; -1 for a loose column
+	distinct []string  // normalized distinct values, first-occurrence order, until encoded
+	format   []float64 // normalized character-class histogram
+	words    []string  // distinct words of the values, sorted, until encoded
+	wordFreq []float64 // normalized frequency of each word
 	vec      embedding.Vector
 
-	label   string  // schema.NormLabel of the source column's name
-	norm    float64 // vec.Norm()
-	labelID int
+	label    string     // schema.NormLabel of the source column's name
+	norm     float64    // vec.Norm()
+	valueIDs dict.IDSet // the distinct values' IDs
+	wordIDs  []uint32   // the words' IDs; ascending and parallel to wordFreq
+	labelID  int
 }
 
 // staged reports whether the column still holds the strings encoding
@@ -329,15 +328,17 @@ func (d *D3L) SetsFootprint() dict.Footprint {
 	return f
 }
 
+// formatDims is the length of a format signature: the classes lower,
+// upper, digit, space and punct, then 4 length buckets (<=4, <=8, <=16,
+// >16).
+const formatDims = 9
+
 // FormatSignature summarizes value shapes as a normalized histogram
 // over character classes and length buckets — D3L's format evidence.
 // Two columns of phone numbers match on format even with zero value
 // overlap; a name column and an ID column do not.
 func FormatSignature(values []string) []float64 {
-	// Classes: lower, upper, digit, space, punct; plus 4 length
-	// buckets (<=4, <=8, <=16, >16).
-	const dims = 9
-	h := make([]float64, dims)
+	h := make([]float64, formatDims)
 	if len(values) == 0 {
 		return h
 	}

@@ -446,8 +446,9 @@ func newD3LFromParts(model *embedding.Model, lake, values *dict.Dict, parts D3LP
 // adopt installs parts, encoded in values, as the engine's columns,
 // each table resolved through lookup and checked: the word list must be
 // strictly ascending, and each column's value IDs a set below values'
-// size and its word IDs a set of positions in the list, parallel to its
-// frequencies. Words no column holds are dropped from the list, so it
+// size, its word IDs a set of positions in the list, parallel to its
+// frequencies, and its format signature formatDims long (a scan reads
+// it against the query's). Words no column holds are dropped from the list, so it
 // is the list a Build over the same columns makes.
 func (d3 *D3L) adopt(parts D3LParts, values *dict.Dict, lookup func(id string) *table.Table) error {
 	words := parts.Words
@@ -480,6 +481,9 @@ func (d3 *D3L) adopt(parts D3LParts, values *dict.Dict, lookup func(id string) *
 			}
 			if len(c.WordIDs) != len(c.WordFreq) {
 				return fmt.Errorf("union: D3L column %d of table %q: %d words for %d frequencies", c.ColIdx, p.ID, len(c.WordIDs), len(c.WordFreq))
+			}
+			if len(c.Format) != formatDims {
+				return fmt.Errorf("union: D3L column %d of table %q: format signature of %d values, want %d", c.ColIdx, p.ID, len(c.Format), formatDims)
 			}
 			for _, w := range c.WordIDs {
 				used[w] = true
