@@ -408,17 +408,26 @@ func RemapWordIDs(tables []D3LTableParts, remap []uint32) ([]D3LTableParts, erro
 		out[i] = D3LTableParts{ID: p.ID, Cols: slices.Clone(p.Cols)}
 		for j := range out[i].Cols {
 			c := &out[i].Cols[j]
-			ids := make([]uint32, len(c.WordIDs))
-			for k, w := range c.WordIDs {
-				if int(w) >= len(remap) {
-					return nil, fmt.Errorf("union: D3L table %q: word ID %d outside a list of %d", p.ID, w, len(remap))
-				}
-				ids[k] = remap[w]
+			var ok bool
+			if c.WordIDs, ok = remapWordIDs(c.WordIDs, remap); !ok {
+				return nil, fmt.Errorf("union: D3L table %q: a word ID outside a list of %d", p.ID, len(remap))
 			}
-			c.WordIDs = ids
 		}
 	}
 	return out, nil
+}
+
+// remapWordIDs returns ids moved through remap, in a fresh slice, and
+// whether every ID indexed remap.
+func remapWordIDs(ids, remap []uint32) ([]uint32, bool) {
+	out := make([]uint32, len(ids))
+	for k, w := range ids {
+		if int(w) >= len(remap) {
+			return nil, false
+		}
+		out[k] = remap[w]
+	}
+	return out, true
 }
 
 // NewD3LFromParts assembles a built D3L engine from parts whose value
@@ -448,8 +457,8 @@ func newD3LFromParts(model *embedding.Model, lake, values *dict.Dict, parts D3LP
 // strictly ascending, and each column's value IDs a set below values'
 // size, its word IDs a set of positions in the list, parallel to its
 // frequencies, and its format signature formatDims long (a scan reads
-// it against the query's). Words no column holds are dropped from the list, so it
-// is the list a Build over the same columns makes.
+// it against the query's). Words no column holds are dropped from the
+// list, so it is the list a Build over the same columns makes.
 func (d3 *D3L) adopt(parts D3LParts, values *dict.Dict, lookup func(id string) *table.Table) error {
 	words := parts.Words
 	for i := 1; i < len(words); i++ {
@@ -512,11 +521,7 @@ func (d3 *D3L) adopt(parts D3LParts, values *dict.Dict, lookup func(id string) *
 	}
 	for _, t := range d3.tables {
 		for _, c := range t.cols {
-			ids := make([]uint32, len(c.wordIDs))
-			for k, w := range c.wordIDs {
-				ids[k] = remap[w]
-			}
-			c.wordIDs = ids
+			c.wordIDs, _ = remapWordIDs(c.wordIDs, remap) // checked above
 		}
 	}
 	return nil
