@@ -20,7 +20,7 @@ COUNT ?= 1
 SERVING_FORBIDDEN = apps annotate profile lshensemble
 
 check:
-	@unformatted=$$(gofmt -l cmd internal *.go); if [ -n "$$unformatted" ]; then \
+	@unformatted=$$(gofmt -l cmd internal examples bench *.go); if [ -n "$$unformatted" ]; then \
 		echo "gofmt -l reports unformatted files:"; echo "$$unformatted"; exit 1; fi
 	@deps=$$($(GO) list -deps ./cmd/lakeserved) || exit 1; \
 	for p in $(SERVING_FORBIDDEN); do \

@@ -5,11 +5,11 @@
 // A delta is built by analyzing ONLY the new tables: their values
 // extend the base dictionary append-only (dict.Extend — every base ID
 // keeps its meaning, so base postings and signatures stay valid
-// verbatim), and Build's engine stages over just those tables produce
-// the new postings, join ID sets, TUS signatures and column vectors,
-// encoded against the frozen base embedding model (training is
+// verbatim), and each engine's builder over just those tables produces
+// their parts — join ID sets, TUS signatures, column vectors and the
+// rest — encoded against the frozen base embedding model (training is
 // globally corpus-coupled; retraining would invalidate every base
-// vector).
+// vector). No engine is assembled.
 // Removals are tombstones: the base bytes are untouched and the ID is
 // masked at merge. Deltas chain by generation hash — each records the
 // generation it applies to (ParentGen) and the generation that results
@@ -24,7 +24,7 @@
 // Loading a chain (LoadChain*) materializes the merge: Build's stage
 // table runs over the merged catalog, with base and delta parts folded
 // per search surface through each engine's FromParts constructor,
-// which replays the engine's own Build freeze over the merged catalog
+// the one assembly a build runs too, over the merged catalog
 // (with tables in sorted-ID order — the order lake.LoadCSVDir
 // produces). Only the tables the chain adds are analysed: the base's
 // dictionary values and keyword postings carry over (see applyDeltas),
@@ -58,6 +58,7 @@ import (
 	"tablehound/internal/join"
 	"tablehound/internal/keyword"
 	"tablehound/internal/lake"
+	"tablehound/internal/parallel"
 	"tablehound/internal/snap"
 	"tablehound/internal/starmie"
 	"tablehound/internal/table"
@@ -310,7 +311,7 @@ func LoadDelta(r io.Reader) (*Delta, error) {
 // back, and a catalog whose parts are missing: a part or join key for a
 // table the delta does not add, a table listed twice in one engine's
 // parts, a join key naming no column of its table, or an engine's parts
-// that lack an added table (a join column) its AddTable would index or
+// that lack an added table (a join column) its builder would index or
 // hold one it would not. A merge folds parts by table ID, so such a part
 // would replace a base table's analysis or index a column that is not
 // there, and a missing one would leave the table out of that engine.
@@ -425,13 +426,6 @@ func loadDeltaFiles(paths []string) ([]*Delta, []DeltaInfo, error) {
 // parameters come from the base so delta parts are exchangeable with
 // base parts.
 func BuildDelta(basePath string, deltaPaths []string, add []*table.Table, remove []string, opts Options) (*Delta, error) {
-	d, _, err := buildDelta(basePath, deltaPaths, add, remove, opts)
-	return d, err
-}
-
-// buildDelta is BuildDelta, which also returns the scratch system whose
-// engines it took the delta's parts from.
-func buildDelta(basePath string, deltaPaths []string, add []*table.Table, remove []string, opts Options) (*Delta, *System, error) {
 	// Of the base only the foundations every delta encodes against are
 	// decoded (model, KB, dictionary): the engines, catalog and HNSW
 	// graphs are framed and checksummed but never decoded, which keeps
@@ -439,14 +433,14 @@ func buildDelta(basePath string, deltaPaths []string, add []*table.Table, remove
 	// is read rather than mapped, so its checksum is verified too.
 	o, err := openFile(basePath, Options{Parallelism: opts.Parallelism, VecMode: "heap"})
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	g := &decodeGroup{}
 	if err := o.foundations(g); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	if err := g.wait(); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	base := o.s
 	live := base.Lineage.live()
@@ -454,14 +448,14 @@ func buildDelta(basePath string, deltaPaths []string, add []*table.Table, remove
 	gen := base.Lineage.Gen
 	chain, _, err := loadDeltaFiles(deltaPaths)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	// A compaction interrupted between installing the folded base and
 	// retiring its consumed delta files leaves deltas on disk that are
 	// already inside the base; skip that prefix instead of failing.
 	for i := foldedPrefix(chain, gen); i < len(chain); i++ {
 		if err := applyMembership(chain[i], deltaPaths[i], live, gen, d.Size()); err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		d = dict.Extend(d, chain[i].NewValues)
 		gen = chain[i].ResultGen
@@ -470,7 +464,7 @@ func buildDelta(basePath string, deltaPaths []string, add []*table.Table, remove
 	removeSet := make(map[string]bool, len(remove))
 	for _, id := range remove {
 		if _, ok := live[id]; !ok {
-			return nil, nil, fmt.Errorf("core: cannot remove %q: not in the lake", id)
+			return nil, fmt.Errorf("core: cannot remove %q: not in the lake", id)
 		}
 		removeSet[id] = true
 	}
@@ -479,11 +473,11 @@ func buildDelta(basePath string, deltaPaths []string, add []*table.Table, remove
 	sort.Slice(addSorted, func(i, j int) bool { return addSorted[i].ID < addSorted[j].ID })
 	for _, t := range addSorted {
 		if _, ok := live[t.ID]; ok && !removeSet[t.ID] {
-			return nil, nil, fmt.Errorf("core: cannot add %q: already in the lake (remove it first to replace)", t.ID)
+			return nil, fmt.Errorf("core: cannot add %q: already in the lake (remove it first to replace)", t.ID)
 		}
 	}
 	if len(addSorted) == 0 && len(removeSet) == 0 {
-		return nil, nil, errors.New("core: empty delta: nothing to add or remove")
+		return nil, errors.New("core: empty delta: nothing to add or remove")
 	}
 	for id := range removeSet {
 		delete(live, id)
@@ -516,25 +510,84 @@ func buildDelta(basePath string, deltaPaths []string, add []*table.Table, remove
 		JoinIDSets:   make(map[string]dict.IDSet),
 	}
 	if err := delta.Catalog.AddBatch(addSorted); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	// Build's own engine stages, over the added tables alone (none, for a
-	// remove-only delta), against the frozen base model and the extended
-	// dictionary — without the vector store, which would rebind that
-	// model.
-	scratch := &System{Catalog: delta.Catalog, Model: base.Model, KB: base.KB, Dict: ext, BuildStats: newBuildStats(base.buildOpts.Parallelism)}
-	if err := (pipeline{s: scratch, opts: base.buildOpts, partsOnly: true, joinSets: delta.JoinIDSets}).run(engineStages...); err != nil {
-		return nil, nil, err
+	if err := analyzeDelta(delta, base, ext); err != nil {
+		return nil, err
 	}
-	delta.TUS = scratch.TUS.Parts()
-	delta.Santos = scratch.Santos.Parts()
-	delta.D3L = scratch.D3L.Parts()
-	delta.Starmie = scratch.Starmie.Parts()
 	for _, t := range addSorted {
 		live[t.ID] = t.ContentHash()
 	}
 	delta.ResultGen = contentGen(live)
-	return delta, scratch, nil
+	return delta, nil
+}
+
+// analyzeDelta fills the delta's join ID sets and engine parts: each
+// engine's builder over the tables the delta adds (none, for a
+// remove-only delta), against the frozen base model and KB and the
+// extended dictionary ext, on the base's worker budget. Every value ID
+// must be in ext, which holds every value of the added tables.
+func analyzeDelta(delta *Delta, base *System, ext *dict.Dict) error {
+	tables, workers := delta.Catalog.Tables(), base.buildOpts.Parallelism
+	inExt := func(engine string, d *dict.Dict) error {
+		if d != ext {
+			return fmt.Errorf("core: %s: a delta column holds a value outside the extended dictionary", engine)
+		}
+		return nil
+	}
+	steps := []func() error{
+		func() error {
+			jb := join.NewBuilder(minJoinCardinality)
+			jb.UseDict(ext)
+			for _, t := range tables {
+				jb.AddTable(t)
+			}
+			if jb.NumStaged() == 0 {
+				return nil
+			}
+			d, keys, sets, err := jb.Encode()
+			if err != nil {
+				return fmt.Errorf("core: join index: %w", err)
+			}
+			for i, key := range keys {
+				delta.JoinIDSets[key] = sets[i]
+			}
+			return inExt("join index", d)
+		},
+		func() error {
+			b, err := union.NewTUSBuilder(union.TUSConfig{Model: base.Model, KB: base.KB, Dict: ext, NumHashes: 128})
+			if err != nil {
+				return err
+			}
+			b.AddTables(tables, workers)
+			var d *dict.Dict
+			d, delta.TUS = b.Parts()
+			return inExt("TUS", d)
+		},
+		func() error {
+			b := union.NewSantosBuilder(base.KB)
+			b.AddTables(tables, workers)
+			delta.Santos = b.Parts()
+			return nil
+		},
+		func() error {
+			b, err := union.NewD3LBuilder(base.Model, ext)
+			if err != nil {
+				return err
+			}
+			b.AddTables(tables, workers)
+			var d *dict.Dict
+			d, delta.D3L = b.Parts()
+			return inExt("D3L", d)
+		},
+		func() error {
+			b := starmie.NewBuilder(starmie.NewEncoder(base.Model, contextWeight))
+			b.AddTables(tables, workers)
+			delta.Starmie = b.Parts()
+			return nil
+		},
+	}
+	return parallel.ForEach(len(steps), workers, func(i int) error { return steps[i]() })
 }
 
 // contentGen hashes a live (table ID → content hash) membership into

@@ -1,6 +1,6 @@
 // The index-construction pipeline: its stage list, the one stage table
 // every way of making a System runs (Build, a load's rebuild-on-load
-// half, a delta merge, delta analysis), and the per-stage timing record
+// half, a delta merge), and the per-stage timing record
 // attached to every System. See DESIGN.md "Build pipeline & concurrency
 // contracts" for the stage DAG and the types each stage may share.
 package core
@@ -13,7 +13,6 @@ import (
 	"strings"
 	"time"
 
-	"tablehound/internal/dict"
 	"tablehound/internal/join"
 	"tablehound/internal/keyword"
 	"tablehound/internal/parallel"
@@ -47,11 +46,6 @@ var stageNames = [numStages]string{
 	"starmie", "stats", "vecs",
 }
 
-// engineStages are what delta analysis runs over the tables a delta
-// adds. A load decodes every other stage but stageStats, which it
-// derives (see System.derive).
-var engineStages = []int{stageJoin, stageTUS, stageSantos, stageD3L, stageStarmie}
-
 // loadedItems is StageTiming.Items of a stage a load decoded.
 const loadedItems = -1
 
@@ -69,15 +63,9 @@ type pipeline struct {
 	s    *System
 	opts Options
 	// parts, when non-nil, are a delta merge's folded per-engine parts:
-	// the five engine stages reassemble from them instead of analysing
-	// the catalog's tables.
+	// the five engine stages assemble from them instead of from a
+	// builder's analysis of the catalog's tables.
 	parts *mergedParts
-	// partsOnly marks delta analysis: the engine stages take the tables
-	// only as far as each engine's Parts needs. The join stage builds no
-	// engine: it encodes the staged columns into joinSets, which stays
-	// empty when no column qualifies.
-	partsOnly bool
-	joinSets  map[string]dict.IDSet
 }
 
 // run runs the stages named by ids on a pool of opts.Parallelism
@@ -105,10 +93,8 @@ func (p pipeline) run(ids ...int) error {
 			return err
 		}
 	}
-	if !p.partsOnly {
-		q := p.opts.QueryParallelism
-		s.Join.QueryParallelism, s.TUS.QueryParallelism, s.Santos.QueryParallelism = q, q, q
-	}
+	q := p.opts.QueryParallelism
+	s.Join.QueryParallelism, s.TUS.QueryParallelism, s.Santos.QueryParallelism = q, q, q
 	return nil
 }
 
@@ -166,9 +152,6 @@ func (p pipeline) join() (int, error) {
 		for _, t := range s.Catalog.Tables() {
 			jb.AddTable(t)
 		}
-		if p.partsOnly {
-			return p.encodeJoin(jb)
-		}
 		eng, err = jb.Build()
 	}
 	if err != nil {
@@ -176,26 +159,6 @@ func (p pipeline) join() (int, error) {
 	}
 	s.Join = eng
 	return eng.NumColumns(), nil
-}
-
-// encodeJoin is a delta's join stage: the staged columns' ID sets, into
-// p.joinSets. They must be encoded in the system's dictionary, which
-// the delta extended by every value of its tables.
-func (p pipeline) encodeJoin(jb *join.Builder) (int, error) {
-	if jb.NumStaged() == 0 {
-		return 0, nil
-	}
-	d, keys, sets, err := jb.Encode()
-	if err != nil {
-		return 0, fmt.Errorf("core: join index: %w", err)
-	}
-	if d != p.s.Dict {
-		return 0, errors.New("core: join index: a delta column holds a value outside the extended dictionary")
-	}
-	for i, key := range keys {
-		p.joinSets[key] = sets[i]
-	}
-	return len(keys), nil
 }
 
 // corruptParts marks an error of assembling an engine from a merge's
@@ -208,98 +171,109 @@ func corruptParts(err error) error {
 	return fmt.Errorf("%w: %w", ErrCorruptSnapshot, err)
 }
 
-// tus builds the TUS union engine; column analysis fans out per table,
-// and its Parts encode what AddTables staged.
+// assembled passes on an error of an engine stage's one assembly call,
+// marked as corruption when the parts were a merge's (see corruptParts).
+func (p pipeline) assembled(err error) error {
+	if p.parts != nil {
+		return corruptParts(err)
+	}
+	return err
+}
+
+// graphs returns where a stage grows its HNSW graph from: a merge's
+// fold, or nothing, which grows fresh graphs over every table.
+func (p pipeline) graphs() graphFold {
+	if p.parts != nil {
+		return p.parts.graphs
+	}
+	return graphFold{}
+}
+
+// tus assembles the TUS union engine from a merge's parts or from a
+// builder's, whose column analysis fans out per table.
 func (p pipeline) tus() (int, error) {
 	s := p.s
 	cfg := union.TUSConfig{Model: s.Model, KB: s.KB, Dict: s.Dict, NumHashes: 128}
-	var tus *union.TUS
-	var err error
+	var parts []union.TUSTableParts
 	if p.parts != nil {
-		g := p.parts.graphs
-		tus, err = union.NewTUSFromParts(cfg, p.parts.tus, g.tus, g.batches, s.Catalog.Table)
-		err = corruptParts(err)
-	} else if tus, err = union.NewTUS(cfg); err == nil {
-		tus.AddTables(s.Catalog.Tables(), p.opts.Parallelism)
-		if !p.partsOnly {
-			err = tus.Build()
+		parts = p.parts.tus
+	} else {
+		b, err := union.NewTUSBuilder(cfg)
+		if err != nil {
+			return 0, err
 		}
+		b.AddTables(s.Catalog.Tables(), p.opts.Parallelism)
+		cfg.Dict, parts = b.Parts()
 	}
+	g := p.graphs()
+	tus, err := union.NewTUSFromParts(cfg, parts, g.tus, g.batches, s.Catalog.Table)
 	if err != nil {
-		return 0, err
+		return 0, p.assembled(err)
 	}
 	s.TUS = tus
 	return tus.NumTables(), nil
 }
 
-// santos builds the SANTOS union engine. It has nothing to freeze
-// without a table, and its Parts read what AddTable staged.
+// santos assembles the SANTOS union engine from a merge's parts or
+// from a builder's; without a table it is empty.
 func (p pipeline) santos() (int, error) {
 	s := p.s
-	var santos *union.Santos
-	var err error
+	var parts []union.SantosTableParts
 	if p.parts != nil {
-		santos, err = union.NewSantosFromParts(s.KB, p.parts.santos, s.Catalog.Table)
-		err = corruptParts(err)
+		parts = p.parts.santos
 	} else {
-		santos = union.NewSantos(s.KB)
-		for _, t := range s.Catalog.Tables() {
-			santos.AddTable(t)
-		}
-		if santos.NumTables() > 0 && !p.partsOnly {
-			err = santos.Build()
-		}
+		b := union.NewSantosBuilder(s.KB)
+		b.AddTables(s.Catalog.Tables(), p.opts.Parallelism)
+		parts = b.Parts()
 	}
+	santos, err := union.NewSantosFromParts(s.KB, parts, s.Catalog.Table)
 	if err != nil {
-		return 0, err
+		return 0, p.assembled(err)
 	}
 	s.Santos = santos
 	return santos.NumTables(), nil
 }
 
-// d3l builds the D3L union engine; its Parts read what AddTable staged.
+// d3l assembles the D3L union engine from a merge's parts, in the
+// system dictionary, or from a builder's.
 func (p pipeline) d3l() (int, error) {
 	s := p.s
-	var d3l *union.D3L
-	var err error
+	values, parts := s.Dict, union.D3LParts{}
 	if p.parts != nil {
-		d3l, err = union.NewD3LFromParts(s.Model, s.Dict, p.parts.d3l, s.Catalog.Table)
-		err = corruptParts(err)
-	} else if d3l, err = union.NewD3L(s.Model, s.Dict); err == nil {
-		for _, t := range s.Catalog.Tables() {
-			d3l.AddTable(t)
+		parts = p.parts.d3l
+	} else {
+		b, err := union.NewD3LBuilder(s.Model, s.Dict)
+		if err != nil {
+			return 0, err
 		}
-		if !p.partsOnly {
-			d3l.Build()
-		}
+		b.AddTables(s.Catalog.Tables(), p.opts.Parallelism)
+		values, parts = b.Parts()
 	}
+	d3l, err := union.NewD3LFromParts(s.Model, values, parts, s.Catalog.Table)
 	if err != nil {
-		return 0, err
+		return 0, p.assembled(err)
 	}
 	s.D3L = d3l
 	return d3l.NumTables(), nil
 }
 
-// starmie builds the Starmie contextual-retrieval index: encoding fans
-// out per table, and its Parts read the staged vectors.
+// starmie assembles the Starmie contextual-retrieval index from a
+// merge's parts or from a builder's, whose encoding fans out per table.
 func (p pipeline) starmie() (int, error) {
 	s := p.s
 	enc := starmie.NewEncoder(s.Model, contextWeight)
-	var ix *starmie.Index
-	var err error
+	var parts []starmie.TableParts
 	if p.parts != nil {
-		g := p.parts.graphs
-		ix, err = starmie.NewIndexFromParts(enc, p.parts.starmie, g.starmie, g.batches, s.Catalog.Table)
-		err = corruptParts(err)
+		parts = p.parts.starmie
 	} else {
-		ix = starmie.NewIndex(enc)
-		ix.AddTables(s.Catalog.Tables(), p.opts.Parallelism)
-		if !p.partsOnly {
-			err = ix.Build()
-		}
+		b := starmie.NewBuilder(enc)
+		b.AddTables(s.Catalog.Tables(), p.opts.Parallelism)
+		parts = b.Parts()
 	}
+	g := p.graphs()
+	ix, err := starmie.NewIndexFromParts(enc, parts, g.starmie, g.batches, s.Catalog.Table)
 	if err != nil {
-		return 0, err
+		return 0, p.assembled(err)
 	}
 	s.Starmie = ix
 	return ix.NumColumns(), nil

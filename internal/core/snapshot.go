@@ -154,7 +154,7 @@ func (s *System) Save(w io.Writer) error {
 		{secJoin, func(e *snap.Encoder) { s.Join.AppendSnapshot(e, s.Dict) }},
 		{secTUS, func(e *snap.Encoder) { s.TUS.AppendSnapshot(e, s.Dict) }},
 		{secSantos, s.Santos.AppendSnapshot},
-		{secD3L, s.D3L.AppendSnapshot},
+		{secD3L, func(e *snap.Encoder) { s.D3L.AppendSnapshot(e, s.Dict) }},
 		{secStarmie, s.Starmie.AppendSnapshot},
 		// The vector block closes the stream: its directory (shape,
 		// segment table, blob length + CRC) travels as a

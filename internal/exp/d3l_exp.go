@@ -36,13 +36,6 @@ func E23D3L() Report {
 			DisjointInstances: regime.disjoint,
 		})
 		model := embedding.Train(lake.ColumnContexts(), embedding.Config{Dim: 48, Seed: 23})
-		d3l, err := union.NewD3L(model, nil)
-		if err != nil {
-			panic(err)
-		}
-		for _, t := range lake.Tables {
-			d3l.AddTable(t)
-		}
 		// Evidence selectors over the Evidence struct.
 		kinds := []struct {
 			name string
@@ -60,7 +53,7 @@ func E23D3L() Report {
 			var relevant []map[string]bool
 			for tpl := 0; tpl < 6; tpl++ {
 				q := lake.Tables[tpl*4]
-				ids := rankTablesByEvidence(d3l, lake, q, kind.get, 5)
+				ids := rankTablesByEvidence(model, lake, q, kind.get, 5)
 				retrieved = append(retrieved, ids)
 				relevant = append(relevant, lake.UnionableWith(q.ID))
 			}
@@ -76,7 +69,7 @@ func E23D3L() Report {
 // using one evidence selector, aggregating column pairs by bipartite
 // matching (the same aggregation D3L.Search uses for the combined
 // score).
-func rankTablesByEvidence(d *union.D3L, lake *datagen.Lake, query *table.Table, get func(union.Evidence) float64, k int) []string {
+func rankTablesByEvidence(model *embedding.Model, lake *datagen.Lake, query *table.Table, get func(union.Evidence) float64, k int) []string {
 	type scored struct {
 		id    string
 		score float64
@@ -96,7 +89,7 @@ func rankTablesByEvidence(d *union.D3L, lake *datagen.Lake, query *table.Table, 
 		w := make([]float64, nq*nc)
 		for i, qc := range qcols {
 			for j, cc := range ccols {
-				w[i*nc+j] = get(d.ColumnEvidence(qc, cc))
+				w[i*nc+j] = get(union.ColumnEvidence(model, qc, cc))
 			}
 		}
 		res = append(res, scored{t.ID, matcher.MaxWeight(w, nq, nc) / float64(nq)})

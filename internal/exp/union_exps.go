@@ -8,6 +8,7 @@ import (
 
 	"tablehound/internal/datagen"
 	"tablehound/internal/embedding"
+	"tablehound/internal/hnsw"
 	"tablehound/internal/metrics"
 	"tablehound/internal/starmie"
 	"tablehound/internal/table"
@@ -37,14 +38,13 @@ func unionLake(seed int64) (*datagen.Lake, *embedding.Model) {
 // ensemble at least matching every single measure.
 func E3TUS() Report {
 	lake, model := unionLake(303)
-	tus, err := union.NewTUS(union.TUSConfig{Model: model, KB: lake.BuildKB(0.85), Exhaustive: true})
+	tb, err := union.NewTUSBuilder(union.TUSConfig{Model: model, KB: lake.BuildKB(0.85), Exhaustive: true})
 	if err != nil {
 		panic(err)
 	}
-	for _, t := range lake.Tables {
-		tus.AddTable(t)
-	}
-	if err := tus.Build(); err != nil {
+	tb.AddTables(lake.Tables, 1)
+	tus, err := tb.Build()
+	if err != nil {
 		panic(err)
 	}
 	rep := Report{
@@ -123,20 +123,20 @@ func E4Santos() Report {
 			}
 		}
 	}
-	santos := union.NewSantos(nil)
-	model := embedding.Train(columnContexts(tables), embedding.Config{Dim: 64, Seed: 4})
-	tus, err := union.NewTUS(union.TUSConfig{Model: model, Exhaustive: true})
+	sb := union.NewSantosBuilder(nil)
+	sb.AddTables(tables, 1)
+	santos, err := sb.Build()
 	if err != nil {
 		panic(err)
 	}
-	for _, t := range tables {
-		santos.AddTable(t)
-		tus.AddTable(t)
-	}
-	if err := santos.Build(); err != nil {
+	model := embedding.Train(columnContexts(tables), embedding.Config{Dim: 64, Seed: 4})
+	tb, err := union.NewTUSBuilder(union.TUSConfig{Model: model, Exhaustive: true})
+	if err != nil {
 		panic(err)
 	}
-	if err := tus.Build(); err != nil {
+	tb.AddTables(tables, 1)
+	tus, err := tb.Build()
+	if err != nil {
 		panic(err)
 	}
 	rep := Report{
@@ -224,11 +224,10 @@ func E5Starmie() Report {
 		name string
 		w    float64
 	}{{"context-free", 0}, {"contextual", 0.3}} {
-		ix := starmie.NewIndex(starmie.NewEncoder(model, ctx.w))
-		for _, t := range lake.Tables {
-			ix.AddTable(t)
-		}
-		if err := ix.Build(); err != nil {
+		b := starmie.NewBuilder(starmie.NewEncoder(model, ctx.w))
+		b.AddTables(lake.Tables, 1)
+		ix, err := b.Build()
+		if err != nil {
 			panic(err)
 		}
 		for _, mode := range []struct {
@@ -278,19 +277,19 @@ func E5Starmie() Report {
 		return v.Normalize()
 	}
 	for _, n := range []int{4000, 16000, 64000} {
-		// Synthetic filler columns stand in for a larger lake.
-		big := starmie.NewIndex(enc)
+		// Synthetic filler columns stand in for a larger lake, in a
+		// graph shaped as a Starmie index's.
+		big := hnsw.New(starmie.GraphConfig)
 		for i := 0; i < n; i++ {
-			big.AddVector(fmt.Sprintf("t%06d.c", i), randUnit())
-		}
-		if err := big.Build(); err != nil {
-			panic(err)
+			if err := big.Add(fmt.Sprintf("t%06d.c", i), randUnit()); err != nil {
+				panic(err)
+			}
 		}
 		const reps = 20
 		var tH, tS time.Duration
 		for r := 0; r < reps; r++ {
-			tH += timeIt(func() { big.SearchColumns(qv, 10, 64, false) })
-			tS += timeIt(func() { big.SearchColumns(qv, 10, 0, true) })
+			tH += timeIt(func() { big.Search(qv, 10, 64) })
+			tS += timeIt(func() { big.BruteForce(qv, 10) })
 		}
 		rep.Rows = append(rep.Rows,
 			[]string{fmt.Sprintf("cols=%d", n), "hnsw", "-", ms(tH / reps)},

@@ -2,8 +2,6 @@ package invindex
 
 import (
 	"fmt"
-	"io"
-	"math"
 
 	"tablehound/internal/snap"
 )
@@ -14,18 +12,11 @@ import (
 // snapshot-format sentinel so callers can match either.
 var ErrCorruptSnapshot = snap.ErrCorrupt
 
-// Standalone snapshot framing (Save/Load). When the index is embedded
-// in a larger snapshot (core.Save), only AppendSnapshot/DecodeSnapshot
-// run and the container owns the framing.
-const (
-	saveMagic   uint32 = 0x58494854 // "THIX"
-	saveVersion uint16 = 1
-	saveSection uint16 = 1
-)
-
-// AppendSnapshot encodes the index payload. Postings are rebuilt on
-// decode from the stored sets — they are fully determined by them and
-// roughly double the on-disk size if stored.
+// AppendSnapshot encodes the index payload. The index has no framing
+// of its own: it is embedded in a larger snapshot (the join engine's
+// section), whose container frames and checksums it. Postings are
+// rebuilt on decode from the stored sets — they are fully determined
+// by them and roughly double the on-disk size if stored.
 func (ix *Index) AppendSnapshot(e *snap.Encoder) {
 	// The built-from-IDs flag is explicit: an ID-built index over
 	// all-empty sets has zero tokens and would otherwise silently
@@ -129,42 +120,6 @@ func DecodeSnapshot(d *snap.Decoder, idSpace int) (*Index, error) {
 			}
 			ix.postings[rank] = append(ix.postings[rank], Posting{Set: int32(sid), Pos: int32(pos)})
 		}
-	}
-	return ix, nil
-}
-
-// Save writes the index in the framed binary snapshot form: header,
-// one checksummed section, nothing after it.
-func (ix *Index) Save(w io.Writer) error {
-	if err := snap.WriteHeader(w, saveMagic, saveVersion, 0); err != nil {
-		return err
-	}
-	return snap.NewWriter(w).Section(saveSection, ix.AppendSnapshot)
-}
-
-// Load reads an index previously written by Save. Truncated input,
-// checksum mismatches, and trailing garbage after the final section
-// all return ErrCorruptSnapshot. A standalone file has no dictionary
-// to bound an ID-built index's IDs by.
-func Load(r io.Reader) (*Index, error) {
-	version, _, err := snap.ReadHeader(r, saveMagic)
-	if err != nil {
-		return nil, err
-	}
-	if version != saveVersion {
-		return nil, fmt.Errorf("%w: unsupported snapshot version %d", ErrCorruptSnapshot, version)
-	}
-	sr := snap.NewReader(r)
-	var ix *Index
-	if err := sr.Section(saveSection, func(d *snap.Decoder) error {
-		var derr error
-		ix, derr = DecodeSnapshot(d, math.MaxInt)
-		return derr
-	}); err != nil {
-		return nil, err
-	}
-	if err := sr.Close(); err != nil {
-		return nil, err
 	}
 	return ix, nil
 }

@@ -1,15 +1,33 @@
 package invindex
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
 
 	"tablehound/internal/snap"
 )
+
+// encode returns the index's snapshot payload.
+func encode(ix *Index) []byte {
+	var e snap.Encoder
+	ix.AppendSnapshot(&e)
+	return e.Bytes()
+}
+
+// decode reads a payload encode wrote, all of it, as the container's
+// section reader does: bytes left unconsumed are corruption.
+func decode(payload []byte) (*Index, error) {
+	d := snap.NewDecoder(payload)
+	ix, err := DecodeSnapshot(d, math.MaxInt)
+	if err != nil {
+		return nil, err
+	}
+	return ix, d.Finish()
+}
 
 func TestSaveLoadRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
@@ -28,11 +46,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := orig.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	back, err := Load(&buf)
+	back, err := decode(encode(orig))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +79,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 }
 
 func TestLoadRejectsGarbage(t *testing.T) {
-	if _, err := Load(bytes.NewReader([]byte("garbage"))); err == nil {
+	if _, err := decode([]byte("garbage")); err == nil {
 		t.Error("garbage should fail to load")
 	}
 }
@@ -91,11 +105,7 @@ func TestSaveLoadRoundTripIDs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := orig.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	back, err := Load(&buf)
+	back, err := decode(encode(orig))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,11 +153,7 @@ func TestSaveLoadEmptyIDIndexStaysIDBuilt(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := orig.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	back, err := Load(&buf)
+	back, err := decode(encode(orig))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,24 +165,8 @@ func TestSaveLoadEmptyIDIndexStaysIDBuilt(t *testing.T) {
 	}
 }
 
-// frameSnapshot wraps a hand-built payload in valid framing (header,
-// section, checksum), so the structural validators — not the
-// checksums — are what reject it.
-func frameSnapshot(t *testing.T, encode func(*snap.Encoder)) []byte {
-	t.Helper()
-	var buf bytes.Buffer
-	if err := snap.WriteHeader(&buf, saveMagic, saveVersion, 0); err != nil {
-		t.Fatal(err)
-	}
-	if err := snap.NewWriter(&buf).Section(saveSection, encode); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
-}
-
 // TestLoadRejectsInconsistentSnapshots checks the typed corruption
-// error for snapshots whose framing is intact but whose structure is
-// internally inconsistent.
+// error for payloads whose structure is internally inconsistent.
 func TestLoadRejectsInconsistentSnapshots(t *testing.T) {
 	cases := []struct {
 		name   string
@@ -236,7 +226,9 @@ func TestLoadRejectsInconsistentSnapshots(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			_, err := Load(bytes.NewReader(frameSnapshot(t, c.encode)))
+			var e snap.Encoder
+			c.encode(&e)
+			_, err := decode(e.Bytes())
 			if err == nil {
 				t.Fatal("inconsistent snapshot loaded without error")
 			}
@@ -247,9 +239,9 @@ func TestLoadRejectsInconsistentSnapshots(t *testing.T) {
 	}
 }
 
-// validSnapshotBytes returns the saved form of a small real index.
-func validSnapshotBytes(t *testing.T) []byte {
-	t.Helper()
+// TestLoadRejectsTruncation cuts the payload of a small real index at
+// every byte offset: no proper prefix may load.
+func TestLoadRejectsTruncation(t *testing.T) {
 	b := NewBuilder()
 	for i := 0; i < 10; i++ {
 		if err := b.AddIDs(fmt.Sprintf("s%d", i), []uint32{uint32(i), uint32(i + 1), 40}); err != nil {
@@ -260,47 +252,14 @@ func validSnapshotBytes(t *testing.T) []byte {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := ix.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
-}
-
-// TestLoadRejectsTruncation cuts a valid snapshot at every byte
-// offset: no proper prefix may load.
-func TestLoadRejectsTruncation(t *testing.T) {
-	data := validSnapshotBytes(t)
+	data := encode(ix)
 	for n := 0; n < len(data); n++ {
-		_, err := Load(bytes.NewReader(data[:n]))
+		_, err := decode(data[:n])
 		if err == nil {
-			t.Fatalf("truncated snapshot (%d/%d bytes) loaded", n, len(data))
+			t.Fatalf("truncated payload (%d/%d bytes) loaded", n, len(data))
 		}
 		if !errors.Is(err, ErrCorruptSnapshot) {
 			t.Fatalf("truncation at %d: err = %v, want ErrCorruptSnapshot", n, err)
-		}
-	}
-}
-
-// TestLoadRejectsTrailingGarbage appends bytes after the final
-// section; the old gob format accepted any parseable prefix.
-func TestLoadRejectsTrailingGarbage(t *testing.T) {
-	data := append(validSnapshotBytes(t), 'x')
-	_, err := Load(bytes.NewReader(data))
-	if !errors.Is(err, ErrCorruptSnapshot) {
-		t.Fatalf("trailing garbage: err = %v, want ErrCorruptSnapshot", err)
-	}
-}
-
-// TestLoadRejectsBitFlips flips one byte at every offset past the
-// header; the section checksum must catch each one.
-func TestLoadRejectsBitFlips(t *testing.T) {
-	data := validSnapshotBytes(t)
-	for i := 8; i < len(data); i++ {
-		mut := append([]byte(nil), data...)
-		mut[i] ^= 0x20
-		if _, err := Load(bytes.NewReader(mut)); err == nil {
-			t.Fatalf("bit flip at offset %d loaded", i)
 		}
 	}
 }

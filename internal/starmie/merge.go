@@ -5,7 +5,7 @@
 // are pure functions of the frozen embedding model and the table's own
 // content, so the reassembled index holds the vectors a from-scratch
 // build over the merged catalog holds. Its graph is the one the merge
-// hands it, grown by batches of tables in the order a Build inserts
+// hands it, grown by batches of tables in the order a build inserts
 // in: the loaded base's graph grown by each delta's additions, or an
 // empty one grown over every table, which is a from-scratch build.
 package starmie
@@ -31,8 +31,7 @@ type TableParts struct {
 }
 
 // Parts returns the index's per-table vectors, tables in sorted-ID
-// order. Works whether or not Build has run (vectors are staged by
-// AddTable/AddTables). Slices alias the index's state; do not mutate.
+// order. Slices alias the index's state; do not mutate.
 func (ix *Index) Parts() []TableParts {
 	ids := make([]string, 0, len(ix.byTable))
 	for id := range ix.byTable {
@@ -82,12 +81,13 @@ func DecodeParts(d *snap.Decoder) ([]TableParts, error) {
 	return parts, d.Err()
 }
 
-// NewIndexFromParts assembles a built index from parts: every table's
-// keys register in their original column order (preserving byTable
-// iteration order for candidate scoring). The graph starts from g —
-// a fresh one when nil — and grows by each batch of table IDs in turn,
-// inserting the columns of the batch's tables it lacks in sorted key
-// order, as Build does. The graph must end up holding exactly the
+// NewIndexFromParts assembles an index from parts: the one assembly of
+// a build (Builder.Build) and a merge. Every table's keys register in
+// their original column order (preserving byTable iteration order for
+// candidate scoring). The graph starts from g — a fresh one when nil —
+// and grows by each batch of table IDs in turn, nil batches being one
+// batch of every table, inserting the columns of the batch's tables it
+// lacks in sorted key order. The graph must end up holding exactly the
 // parts' columns. An index over a graph grown from a loaded one keeps
 // that graph's node order: its rows follow, not the sorted order. g is
 // grown in place. lookup resolves table IDs against the merged
@@ -95,7 +95,7 @@ func DecodeParts(d *snap.Decoder) ([]TableParts, error) {
 // present (see PrepareTable). The caller re-binds the index onto a
 // vector store afterwards (see core's buildVecStore).
 func NewIndexFromParts(enc *Encoder, parts []TableParts, g *hnsw.Graph, batches [][]string, lookup func(id string) *table.Table) (*Index, error) {
-	ix := NewIndex(enc)
+	ix := newIndex(enc)
 	for _, p := range parts {
 		if _, dup := ix.byTable[p.ID]; dup {
 			return nil, fmt.Errorf("starmie: duplicate table %q", p.ID)
@@ -114,13 +114,19 @@ func NewIndexFromParts(enc *Encoder, parts []TableParts, g *hnsw.Graph, batches 
 			ix.vecs[k] = p.Vecs[i]
 		}
 		ix.byTable[p.ID] = p.Keys
-		ix.staged[p.ID] = tbl
+		ix.indexed[p.ID] = tbl
 	}
 	if len(ix.vecs) == 0 {
 		return nil, errors.New("starmie: no columns in parts")
 	}
 	if g == nil {
-		g = hnsw.New(graphConfig)
+		g = hnsw.New(GraphConfig)
+	}
+	if batches == nil {
+		batches = [][]string{make([]string, len(parts))}
+		for i, p := range parts {
+			batches[0][i] = p.ID
+		}
 	}
 	ix.graph, ix.colKeys = g, g.Keys()
 	for _, ids := range batches {
@@ -142,6 +148,5 @@ func NewIndexFromParts(enc *Encoder, parts []TableParts, g *hnsw.Graph, batches 
 	if len(ix.colKeys) != len(ix.vecs) {
 		return nil, fmt.Errorf("starmie: graph has %d nodes for %d columns", len(ix.colKeys), len(ix.vecs))
 	}
-	ix.built = true
 	return ix, nil
 }

@@ -16,11 +16,7 @@ import (
 func builtIndex(t testing.TB, bound bool) (*Index, []*table.Table) {
 	t.Helper()
 	lake, model := testLake()
-	ix := NewIndex(NewEncoder(model, 0.3))
-	ix.AddTables(lake.Tables, 2)
-	if err := ix.Build(); err != nil {
-		t.Fatal(err)
-	}
+	ix := buildIndex(t, NewEncoder(model, 0.3), lake.Tables...)
 	if bound {
 		b := vecstore.NewBuilder(model.Dim())
 		for _, key := range ix.ColumnKeys() {
@@ -80,7 +76,7 @@ func TestPrepareTableReusesStagedVectors(t *testing.T) {
 	}
 }
 
-// TestRestagedTableIsNotReused: AddTable ignores a second table under
+// TestRestagedTableIsNotReused: AddTables ignores a second table under
 // a staged ID, so that table must not be taken for the staged one.
 func TestRestagedTableIsNotReused(t *testing.T) {
 	_, model := testLake()
@@ -88,12 +84,7 @@ func TestRestagedTableIsNotReused(t *testing.T) {
 		return table.MustNew("t", "t", []*table.Column{table.NewColumn("c", vals), table.NewColumn("d", vals)})
 	}
 	first, second := mk([]string{"alpha", "beta"}), mk([]string{"gamma", "delta"})
-	ix := NewIndex(NewEncoder(model, 0.3))
-	ix.AddTable(first)
-	ix.AddTable(second)
-	if err := ix.Build(); err != nil {
-		t.Fatal(err)
-	}
+	ix := buildIndex(t, NewEncoder(model, 0.3), first, second)
 	pq, err := ix.PrepareTable(second)
 	if err != nil {
 		t.Fatal(err)

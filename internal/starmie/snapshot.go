@@ -53,7 +53,7 @@ func DecodeSnapshot(d *snap.Decoder, model *embedding.Model, view vecstore.View,
 	if view.Len() != len(colKeys) {
 		return nil, fmt.Errorf("%w: starmie has %d columns, vector segment %d rows", snap.ErrCorrupt, len(colKeys), view.Len())
 	}
-	ix := NewIndex(NewEncoder(model, contextWeight))
+	ix := newIndex(NewEncoder(model, contextWeight))
 	ix.colKeys = colKeys
 	ix.rowOf = make(map[string]int, len(colKeys))
 	for i, k := range colKeys {
@@ -86,7 +86,7 @@ func DecodeSnapshot(d *snap.Decoder, model *embedding.Model, view vecstore.View,
 			}
 		}
 		ix.byTable[id] = keys
-		ix.staged[id] = tbl
+		ix.indexed[id] = tbl
 	}
 	var err error
 	if ix.graph, err = hnsw.DecodeSnapshotShared(d, view.Vec, view.Len()); err != nil {
@@ -101,6 +101,5 @@ func DecodeSnapshot(d *snap.Decoder, model *embedding.Model, view vecstore.View,
 		}
 	}
 	ix.view, ix.hasView = view, true
-	ix.built = true
 	return ix, nil
 }

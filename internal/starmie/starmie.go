@@ -12,9 +12,10 @@ package starmie
 
 import (
 	"context"
-	"errors"
 	"fmt"
+	"slices"
 	"sort"
+	"strings"
 
 	"tablehound/internal/embedding"
 	"tablehound/internal/graph"
@@ -95,20 +96,71 @@ type Result struct {
 	Score   float64
 }
 
-// Index retrieves unionable tables by contextualized column vectors.
+// Builder encodes tables for an Index: add tables, then take their
+// Parts (a delta's analysis) or Build the index from them. It must not
+// be used concurrently.
+type Builder struct {
+	enc    *Encoder
+	tables map[string]*table.Table
+	parts  []TableParts // empty, not nil, without tables: as the codec reads them back
+}
+
+// NewBuilder creates a builder over the encoder.
+func NewBuilder(enc *Encoder) *Builder {
+	return &Builder{enc: enc, tables: make(map[string]*table.Table), parts: []TableParts{}}
+}
+
+// AddTables stages a batch of tables using up to workers goroutines.
+// Contextual encoding — the dominant cost — fans out per table;
+// registration commits sequentially in batch order, so the staged
+// state is identical at any worker count. The encoder's model is only
+// read. A table already staged is skipped.
+func (b *Builder) AddTables(tables []*table.Table, workers int) {
+	encoded, _ := parallel.Map(len(tables), workers, func(i int) ([]embedding.Vector, error) {
+		return b.enc.EncodeColumns(tables[i]), nil
+	})
+	for i, t := range tables {
+		if _, dup := b.tables[t.ID]; dup {
+			continue
+		}
+		keys := make([]string, len(t.Columns))
+		for j, c := range t.Columns {
+			keys[j] = table.ColumnKey(t.ID, c.Name)
+		}
+		b.tables[t.ID] = t
+		b.parts = append(b.parts, TableParts{ID: t.ID, Keys: keys, Vecs: encoded[i]})
+	}
+}
+
+// Parts returns the staged tables' column vectors, tables in sorted-ID
+// order. Slices alias the builder's state; do not mutate.
+func (b *Builder) Parts() []TableParts {
+	slices.SortFunc(b.parts, func(x, y TableParts) int { return strings.Compare(x.ID, y.ID) })
+	return b.parts
+}
+
+// Build assembles the index over the staged tables from their Parts,
+// its graph holding every column inserted in sorted key order.
+func (b *Builder) Build() (*Index, error) {
+	return NewIndexFromParts(b.enc, b.Parts(), nil, nil, func(id string) *table.Table { return b.tables[id] })
+}
+
+// Index retrieves unionable tables by contextualized column vectors. It
+// is built by a Builder or assembled from parts (NewIndexFromParts, a
+// snapshot decode); every search is a pure read, safe for concurrent
+// use.
 type Index struct {
 	enc     *Encoder
 	graph   *hnsw.Graph
 	colKeys []string
 	vecs    map[string]embedding.Vector
 	byTable map[string][]string // table ID -> column keys
-	// staged maps a table ID to the table whose columns were encoded
-	// under it (AddTable/AddTables, or the catalog lookup of a decoded or
-	// reassembled index). A query that is that very table — the same
-	// pointer, not merely the same ID — is answered from the indexed
-	// vectors instead of being encoded again (see PrepareTable).
-	staged map[string]*table.Table
-	built  bool
+	// indexed maps a table ID to the table whose columns were encoded
+	// under it (the catalog lookup of an assembly or a decode). A query
+	// that is that very table — the same pointer, not merely the same
+	// ID — is answered from the indexed vectors instead of being
+	// encoded again (see PrepareTable).
+	indexed map[string]*table.Table
 
 	// Bound vector-store state (see Bind): row i of view backs
 	// colKeys[i], and rowOf inverts that for norm lookups.
@@ -117,98 +169,21 @@ type Index struct {
 	hasView bool
 }
 
-// NewIndex creates an index over the encoder.
-func NewIndex(enc *Encoder) *Index {
+func newIndex(enc *Encoder) *Index {
 	return &Index{
 		enc:     enc,
 		vecs:    make(map[string]embedding.Vector),
 		byTable: make(map[string][]string),
-		staged:  make(map[string]*table.Table),
+		indexed: make(map[string]*table.Table),
 	}
 }
 
-// AddTable encodes and stages a table's columns.
-func (ix *Index) AddTable(t *table.Table) {
-	if _, dup := ix.byTable[t.ID]; dup {
-		return
-	}
-	vecs := ix.enc.EncodeColumns(t)
-	var keys []string
-	for i, c := range t.Columns {
-		key := table.ColumnKey(t.ID, c.Name)
-		ix.vecs[key] = vecs[i]
-		ix.colKeys = append(ix.colKeys, key)
-		keys = append(keys, key)
-	}
-	ix.byTable[t.ID] = keys
-	ix.staged[t.ID] = t
-	ix.built = false
-}
-
-// AddTables stages a batch of tables using up to workers goroutines.
-// Contextual encoding — the dominant cost — fans out per table;
-// key registration commits sequentially in batch order, so the index
-// state is identical at any worker count. The encoder's model is only
-// read. The HNSW graph is still built by Build, sequentially, because
-// its structure depends on insertion order.
-func (ix *Index) AddTables(tables []*table.Table, workers int) {
-	encoded, _ := parallel.Map(len(tables), workers, func(i int) ([]embedding.Vector, error) {
-		return ix.enc.EncodeColumns(tables[i]), nil
-	})
-	for i, t := range tables {
-		if _, dup := ix.byTable[t.ID]; dup {
-			continue
-		}
-		var keys []string
-		for j, c := range t.Columns {
-			key := table.ColumnKey(t.ID, c.Name)
-			ix.vecs[key] = encoded[i][j]
-			ix.colKeys = append(ix.colKeys, key)
-			keys = append(keys, key)
-		}
-		ix.byTable[t.ID] = keys
-		ix.staged[t.ID] = t
-		ix.built = false
-	}
-}
-
-// AddVector stages a raw column vector under a key, for callers that
-// encode columns themselves (benchmarks, bulk loads). Keys must be
-// unique and of the form "tableID.column".
-func (ix *Index) AddVector(key string, v embedding.Vector) {
-	if _, dup := ix.vecs[key]; dup {
-		return
-	}
-	ix.vecs[key] = v
-	ix.colKeys = append(ix.colKeys, key)
-	id, _ := table.SplitColumnKey(key)
-	ix.byTable[id] = append(ix.byTable[id], key)
-	ix.built = false
-}
-
-// graphConfig shapes the column graph.
-var graphConfig = hnsw.Config{M: 12, EfConstruction: 100, Seed: 23}
-
-// Build constructs the HNSW graph over every staged column, in sorted
-// key order.
-func (ix *Index) Build() error {
-	if len(ix.colKeys) == 0 {
-		return errors.New("starmie: no tables added")
-	}
-	keys := ix.colKeys
-	ix.graph, ix.colKeys = hnsw.New(graphConfig), make([]string, 0, len(keys))
-	if err := ix.insert(keys); err != nil {
-		return err
-	}
-	ix.built = true
-	ix.hasView = false // stale after any re-Build; caller re-Binds
-	ix.rowOf = nil
-	return nil
-}
+// GraphConfig shapes the column graph.
+var GraphConfig = hnsw.Config{M: 12, EfConstruction: 100, Seed: 23}
 
 // insert adds to the graph, in sorted order, each of keys the graph
 // lacks, and appends it to colKeys, which so stays the graph's node
-// order. It is the one insertion loop of Build and of a merge (see
+// order. It is the one insertion loop of every assembly (see
 // NewIndexFromParts); keys is sorted in place.
 func (ix *Index) insert(keys []string) error {
 	sort.Strings(keys)
@@ -228,13 +203,13 @@ func (ix *Index) insert(keys []string) error {
 func (ix *Index) NumColumns() int { return len(ix.colKeys) }
 
 // ColumnKeys returns the indexed column keys in the graph's node order
-// — the row order of the index's vector-store segment. A Build inserts
+// — the row order of the index's vector-store segment. A build inserts
 // in sorted order; a merge that grew a loaded graph appends each
 // delta's keys after the ones it loaded. The slice is the index's own;
 // callers must not mutate it.
 func (ix *Index) ColumnKeys() []string { return ix.colKeys }
 
-// Graph returns the column graph (nil before Build). A merge grows it
+// Graph returns the column graph. A merge grows it
 // in place (see NewIndexFromParts), so the index it came from must not
 // serve afterwards.
 func (ix *Index) Graph() *hnsw.Graph { return ix.graph }
@@ -246,9 +221,6 @@ func (ix *Index) VectorOf(key string) embedding.Vector { return ix.vecs[key] }
 // colKeys[i]'s vector (bit-identical values — only the backing
 // memory moves). It enables norm-precomputed cosine in SearchTables.
 func (ix *Index) Bind(view vecstore.View) error {
-	if !ix.built {
-		return ErrNotBuilt
-	}
 	if view.Len() != len(ix.colKeys) {
 		return fmt.Errorf("starmie: bind over %d rows, index has %d columns", view.Len(), len(ix.colKeys))
 	}
@@ -267,19 +239,9 @@ func (ix *Index) Bind(view vecstore.View) error {
 	return nil
 }
 
-// ErrNotBuilt is returned (or nil results, for SearchColumns) when a
-// search runs before Build has frozen the staged tables.
-var ErrNotBuilt = errors.New("starmie: index not built (call Build after adding tables)")
-
 // SearchColumns returns the k nearest indexed columns to a vector.
 // Approximate (HNSW) unless exact is set, which linearly scans.
-// SearchColumns is a pure read: it requires a prior Build (nil
-// otherwise, never an implicit rebuild) and is safe for concurrent
-// use.
 func (ix *Index) SearchColumns(v embedding.Vector, k, efSearch int, exact bool) []hnsw.Result {
-	if !ix.built {
-		return nil
-	}
 	if exact {
 		return ix.graph.BruteForce(v, k)
 	}
@@ -290,9 +252,8 @@ func (ix *Index) SearchColumns(v embedding.Vector, k, efSearch int, exact bool) 
 // each query column retrieves its nearest indexed columns, candidate
 // tables are scored by bipartite matching of column cosines, top k
 // returned. exact switches retrieval to the linear-scan baseline.
-// SearchTables is a pure read: it requires a prior Build (ErrNotBuilt
-// otherwise) and is safe for concurrent use. Scoring checks ctx
-// between candidate tables; a cancelled context returns ctx.Err().
+// Scoring checks ctx between candidate tables; a cancelled context
+// returns ctx.Err().
 func (ix *Index) SearchTables(ctx context.Context, query *table.Table, k, efSearch int, exact bool) ([]Result, error) {
 	pq, err := ix.PrepareTable(query)
 	if err != nil {
@@ -310,16 +271,13 @@ type TableQuery struct {
 	qn []float64
 }
 
-// PrepareTable encodes a query table's columns; a query that is a
-// staged table reuses its indexed vectors and norms, which are the
+// PrepareTable encodes a query table's columns; a query that is an
+// indexed table reuses its indexed vectors and norms, which are the
 // encoder's output bit for bit. A query without columns wraps
 // table.ErrBadQuery.
 func (ix *Index) PrepareTable(query *table.Table) (*TableQuery, error) {
-	if !ix.built {
-		return nil, ErrNotBuilt
-	}
 	pq := &TableQuery{id: query.ID}
-	if ix.staged[query.ID] == query {
+	if ix.indexed[query.ID] == query {
 		keys := ix.byTable[query.ID]
 		pq.qv = make([]embedding.Vector, len(keys))
 		pq.qn = make([]float64, len(keys))

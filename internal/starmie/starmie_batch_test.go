@@ -4,38 +4,42 @@ import (
 	"context"
 	"reflect"
 	"testing"
+
+	"tablehound/internal/table"
 )
 
 // TestAddTablesMatchesSequential checks the batch loader's parity
-// contract: AddTables at any worker count must leave the index in the
-// same state as the historical one-at-a-time AddTable loop, so the
-// HNSW graph built afterwards — and every search — is identical.
+// contract: AddTables at any worker count must stage the same parts as
+// adding the tables one at a time, so the HNSW graph built afterwards —
+// and every search — is identical.
 func TestAddTablesMatchesSequential(t *testing.T) {
 	lake, model := testLake()
 	query := lake.Tables[0]
 
-	seq := NewIndex(NewEncoder(model, 0.3))
+	seq := NewBuilder(NewEncoder(model, 0.3))
 	for _, tbl := range lake.Tables {
-		seq.AddTable(tbl)
+		seq.AddTables([]*table.Table{tbl}, 1)
 	}
-	if err := seq.Build(); err != nil {
+	seqIx, err := seq.Build()
+	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := seq.SearchTables(context.Background(), query, 5, 64, false)
+	want, err := seqIx.SearchTables(context.Background(), query, 5, 64, false)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	for _, workers := range []int{1, 4} {
-		par := NewIndex(NewEncoder(model, 0.3))
+		par := NewBuilder(NewEncoder(model, 0.3))
 		par.AddTables(lake.Tables, workers)
-		if par.NumColumns() != seq.NumColumns() {
-			t.Fatalf("workers=%d: %d columns, want %d", workers, par.NumColumns(), seq.NumColumns())
+		if !reflect.DeepEqual(par.Parts(), seq.Parts()) {
+			t.Fatalf("workers=%d: staged parts differ from one-at-a-time staging", workers)
 		}
-		if err := par.Build(); err != nil {
+		ix, err := par.Build()
+		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := par.SearchTables(context.Background(), query, 5, 64, false)
+		got, err := ix.SearchTables(context.Background(), query, 5, 64, false)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -59,15 +59,21 @@ func TestEncoderClampsWeight(t *testing.T) {
 	}
 }
 
-func TestSearchTablesFindsUnionable(t *testing.T) {
-	lake, model := testLake()
-	ix := NewIndex(NewEncoder(model, 0.3))
-	for _, tbl := range lake.Tables {
-		ix.AddTable(tbl)
-	}
-	if err := ix.Build(); err != nil {
+// buildIndex builds an index over tables with enc.
+func buildIndex(t testing.TB, enc *Encoder, tables ...*table.Table) *Index {
+	t.Helper()
+	b := NewBuilder(enc)
+	b.AddTables(tables, 2)
+	ix, err := b.Build()
+	if err != nil {
 		t.Fatal(err)
 	}
+	return ix
+}
+
+func TestSearchTablesFindsUnionable(t *testing.T) {
+	lake, model := testLake()
+	ix := buildIndex(t, NewEncoder(model, 0.3), lake.Tables...)
 	var retrieved [][]string
 	var relevant []map[string]bool
 	for i := 0; i < 5; i++ {
@@ -90,13 +96,7 @@ func TestSearchTablesFindsUnionable(t *testing.T) {
 
 func TestApproxMatchesExactRetrieval(t *testing.T) {
 	lake, model := testLake()
-	ix := NewIndex(NewEncoder(model, 0.3))
-	for _, tbl := range lake.Tables {
-		ix.AddTable(tbl)
-	}
-	if err := ix.Build(); err != nil {
-		t.Fatal(err)
-	}
+	ix := buildIndex(t, NewEncoder(model, 0.3), lake.Tables...)
 	q := lake.Tables[3]
 	qv := ix.enc.EncodeColumns(q)[0]
 	exact := ix.SearchColumns(qv, 10, 0, true)
@@ -118,15 +118,13 @@ func TestApproxMatchesExactRetrieval(t *testing.T) {
 
 func TestIndexErrorsAndDedup(t *testing.T) {
 	_, model := testLake()
-	ix := NewIndex(NewEncoder(model, 0.3))
-	if err := ix.Build(); err == nil {
+	if _, err := NewBuilder(NewEncoder(model, 0.3)).Build(); err == nil {
 		t.Error("empty Build should fail")
 	}
 	tbl := table.MustNew("t", "t", []*table.Column{
 		table.NewColumn("a", []string{"x", "y"}),
 	})
-	ix.AddTable(tbl)
-	ix.AddTable(tbl) // duplicate ignored
+	ix := buildIndex(t, NewEncoder(model, 0.3), tbl, tbl) // duplicate ignored
 	if ix.NumColumns() != 1 {
 		t.Errorf("NumColumns = %d", ix.NumColumns())
 	}
@@ -154,12 +152,7 @@ func TestHomographDisambiguation(t *testing.T) {
 			table.NewColumn("context", b),
 		})
 	}
-	ix := NewIndex(NewEncoder(model, 0.5))
-	ix.AddTable(mk("animals1", animals, habitats))
-	ix.AddTable(mk("cars1", cars, dealers))
-	if err := ix.Build(); err != nil {
-		t.Fatal(err)
-	}
+	ix := buildIndex(t, NewEncoder(model, 0.5), mk("animals1", animals, habitats), mk("cars1", cars, dealers))
 	// Query: an animal table containing the homograph.
 	q := mk("query", []string{"jaguar", "leopard", "lion", "tiger"}, habitats)
 	res, err := ix.SearchTables(context.Background(), q, 2, 64, true)
@@ -173,13 +166,7 @@ func TestHomographDisambiguation(t *testing.T) {
 
 func TestSearchTablesSkipsSelf(t *testing.T) {
 	lake, model := testLake()
-	ix := NewIndex(NewEncoder(model, 0.3))
-	for _, tbl := range lake.Tables {
-		ix.AddTable(tbl)
-	}
-	if err := ix.Build(); err != nil {
-		t.Fatal(err)
-	}
+	ix := buildIndex(t, NewEncoder(model, 0.3), lake.Tables...)
 	q := lake.Tables[0]
 	res, err := ix.SearchTables(context.Background(), q, 30, 64, false)
 	if err != nil {

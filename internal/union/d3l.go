@@ -12,6 +12,7 @@ import (
 
 	"tablehound/internal/dict"
 	"tablehound/internal/embedding"
+	"tablehound/internal/parallel"
 	"tablehound/internal/schema"
 	"tablehound/internal/table"
 	"tablehound/internal/tokenize"
@@ -26,51 +27,48 @@ import (
 // unionable tables simultaneously, without committing to either
 // definition.
 //
-// Stage tables with AddTable, then Build: the freeze encodes every
-// staged column's values and words into integer IDs and drops their
-// strings, so a scan compares sorted ID arrays, never rebuilds a
-// column's representation per candidate pair, and a built engine holds
-// no value or word string.
+// A D3LBuilder analyzes tables and encodes every column's values and
+// words into integer IDs; the engine assembled from those parts holds
+// no value or word string, so a scan compares sorted ID arrays and
+// never rebuilds a column's representation per candidate pair.
 type D3L struct {
 	model  *embedding.Model
-	lake   *dict.Dict // the lake's value dictionary; nil for a stand-alone engine
 	tables map[string]*d3lTable
 	ids    []string
 	// dict is the dictionary the columns' value IDs index and words the
-	// sorted list their word IDs index, both set by encodeColumns.
+	// sorted list their word IDs index.
 	dict  *dict.Dict
 	words []string
 	// labels are the distinct analyzed labels, a column's labelID
-	// indexing them, and values the value index: derived by Build, never
-	// persisted.
+	// indexing them, and values the value index: derived by freeze,
+	// never persisted.
 	labels []schema.Label
 	values d3lPostings
-	// maxCols is the most columns a staged table has, derived by Build:
-	// a scan's partial scores fit in maxCols per query column and table.
+	// maxCols is the most columns a table has, derived by freeze: a
+	// scan's partial scores fit in maxCols per query column and table.
 	maxCols int
-	built   bool
 }
 
 type d3lTable struct {
 	tbl   *table.Table
 	cols  []*d3lColumn
-	first int // ordinal of cols[0]: Build numbers the columns in ids order
+	first int // ordinal of cols[0]: freeze numbers the columns in ids order
 }
 
-// d3lPostings is the value index of the staged columns: the ordinals of
-// the columns holding value ID v are cols[start[v]:start[v+1]],
+// d3lPostings is the value index of the engine's columns: the ordinals
+// of the columns holding value ID v are cols[start[v]:start[v+1]],
 // ascending. It spans the value IDs below the engine dictionary's size.
 type d3lPostings struct {
 	start []int32
 	cols  []int32
-	n     int // the number of staged columns
+	n     int // the number of columns
 }
 
-// d3lColumn is one analyzed column. Staging fills distinct and words;
-// encoding replaces them with valueIDs and wordIDs and clears them.
-// The IDs, format, wordFreq and vec are the portable analysis
-// snapshots and deltas carry; label and norm are derived from the
-// column alone, labelID by Build.
+// d3lColumn is one analyzed column. Analysis fills distinct and words;
+// encoding turns them into valueIDs and wordIDs. The IDs, format,
+// wordFreq and vec are the portable analysis snapshots and deltas
+// carry; label and norm are derived from the column alone, labelID by
+// freeze. A builder's column keeps its strings; an engine's holds IDs.
 type d3lColumn struct {
 	colIdx   int       // position of the source column in its table; -1 for a loose column
 	distinct []string  // normalized distinct values, first-occurrence order, until encoded
@@ -86,43 +84,84 @@ type d3lColumn struct {
 	labelID  int
 }
 
-// staged reports whether the column still holds the strings encoding
-// replaces. An encoded column and an empty staged one hold the same
-// (empty) sets, so telling them apart never matters.
-func (c *d3lColumn) staged() bool { return c.distinct != nil || c.words != nil }
+// D3LBuilder analyzes tables for a D3L engine: add tables, then take
+// their Parts (a delta's analysis) or Build the engine from them. It
+// must not be used concurrently.
+type D3LBuilder struct {
+	model  *embedding.Model
+	lake   *dict.Dict
+	tables map[string]*d3lTable
+	ids    []string
+}
 
-// NewD3L creates an engine over an embedding model. lake, when not
-// nil and holding every staged value, is the dictionary the engine
-// takes value IDs from instead of building one of its own; core passes
-// the system's, which holds every value of every staged table.
-func NewD3L(model *embedding.Model, lake *dict.Dict) (*D3L, error) {
+// NewD3LBuilder creates a builder over an embedding model. lake, when
+// not nil and holding every staged value, is the dictionary the parts
+// take value IDs from instead of one built over the staged values;
+// core passes the system's, which holds every value of every table.
+func NewD3LBuilder(model *embedding.Model, lake *dict.Dict) (*D3LBuilder, error) {
 	if model == nil {
 		return nil, errors.New("union: D3L requires an embedding model")
 	}
-	return &D3L{model: model, lake: lake, tables: make(map[string]*d3lTable)}, nil
+	return &D3LBuilder{model: model, lake: lake, tables: make(map[string]*d3lTable)}, nil
 }
 
-// AddTable stages a table. The engine needs a Build before it answers
-// queries again.
-func (d *D3L) AddTable(t *table.Table) {
-	if _, dup := d.tables[t.ID]; dup || !D3LIndexes(t) {
-		return
-	}
-	entry := &d3lTable{tbl: t}
-	for i, c := range t.Columns {
-		if isStringColumn(c) {
-			entry.cols = append(entry.cols, d.analyzeColumn(c, i))
+// AddTables stages a batch of tables using up to workers goroutines:
+// column analysis fans out per table, and registration commits
+// sequentially in batch order, so the staged state is identical at
+// any worker count. A table already staged, or without a string
+// column, is skipped.
+func (b *D3LBuilder) AddTables(tbls []*table.Table, workers int) {
+	staged, _ := parallel.Map(len(tbls), workers, func(i int) (*d3lTable, error) {
+		entry := &d3lTable{tbl: tbls[i]}
+		for j, c := range tbls[i].Columns {
+			if isStringColumn(c) {
+				entry.cols = append(entry.cols, analyzeD3LColumn(b.model, c, j))
+			}
 		}
+		return entry, nil
+	})
+	for _, entry := range staged {
+		if _, dup := b.tables[entry.tbl.ID]; dup || len(entry.cols) == 0 {
+			continue
+		}
+		b.tables[entry.tbl.ID] = entry
+		b.ids = append(b.ids, entry.tbl.ID)
 	}
-	d.tables[t.ID] = entry
-	d.ids = append(d.ids, t.ID)
-	d.built = false
 }
 
-func (d *D3L) analyzeColumn(c *table.Column, colIdx int) *d3lColumn {
+// NumTables returns the number of staged tables.
+func (b *D3LBuilder) NumTables() int { return len(b.ids) }
+
+// Parts returns the staged tables' analyses in sorted-ID order, encoded
+// (see encodeD3L), and the dictionary their value IDs are in. Slices
+// alias the builder's state; do not mutate.
+func (b *D3LBuilder) Parts() (*dict.Dict, D3LParts) {
+	sort.Strings(b.ids)
+	var cols []*d3lColumn
+	for _, id := range b.ids {
+		cols = append(cols, b.tables[id].cols...)
+	}
+	values, words, enc := encodeD3L(b.lake, cols)
+	parts := D3LParts{Words: words, Tables: make([]D3LTableParts, len(b.ids))}
+	for i, id := range b.ids {
+		n := len(b.tables[id].cols)
+		parts.Tables[i] = D3LTableParts{ID: id, Cols: enc[:n:n]}
+		enc = enc[n:]
+	}
+	return values, parts
+}
+
+// Build assembles the engine over the staged tables from their Parts.
+func (b *D3LBuilder) Build() (*D3L, error) {
+	values, parts := b.Parts()
+	return NewD3LFromParts(b.model, values, parts, func(id string) *table.Table { return b.tables[id].tbl })
+}
+
+// analyzeD3LColumn analyzes column c, at colIdx in its table.
+func analyzeD3LColumn(model *embedding.Model, c *table.Column, colIdx int) *d3lColumn {
 	distinct := tokenize.NormalizeSet(c.Values)
 	words, freq := wordDist(distinct)
-	col := newD3LColumn(c, colIdx, FormatSignature(distinct), freq, d.model.ColumnVector(distinct))
+	col := newD3LColumn(c, colIdx, FormatSignature(distinct), freq, model.ColumnVector(distinct))
 	col.distinct, col.words = distinct, words
 	return col
 }
@@ -136,14 +175,20 @@ func newD3LColumn(c *table.Column, colIdx int, format, freq []float64, vec embed
 	}
 }
 
-// Build freezes the staged tables: table IDs are sorted, every column
-// is numbered in ids order, encoded (see encode) and posted under its
-// value IDs. Search, Prepare and ScoreAmong are pure reads afterwards.
-func (d *D3L) Build() {
-	cols := d.encode()
+// freeze numbers the adopted columns in ids order and derives the
+// labels and the value index from them: the last step of every
+// assembly. Search, Prepare and ScoreAmong are pure reads afterwards.
+func (d *D3L) freeze() {
+	sort.Strings(d.ids)
+	var cols []*d3lColumn
+	for _, id := range d.ids {
+		t := d.tables[id]
+		t.first = len(cols)
+		cols = append(cols, t.cols...)
+		d.maxCols = max(d.maxCols, len(t.cols))
+	}
 	d.labels = internLabels(cols)
 	d.values = postValues(cols, uint32(d.dict.Size()))
-	d.built = true
 }
 
 // postValues derives the value index of cols over the value IDs below
@@ -169,57 +214,26 @@ func postValues(cols []*d3lColumn, n uint32) d3lPostings {
 	return p
 }
 
-// encode sorts the table IDs, numbers the columns in that order and
-// encodes the staged ones (see encodeColumns) — the half of Build that
-// Parts also needs — and returns the columns in order. The dictionary
-// and the word list depend on every column, so when any column is
-// staged, the columns an earlier encoding left as IDs are decoded back
-// first and everything is encoded afresh.
-func (d *D3L) encode() []*d3lColumn {
-	sort.Strings(d.ids)
-	var cols []*d3lColumn
-	d.maxCols = 0
-	for _, id := range d.ids {
-		t := d.tables[id]
-		t.first = len(cols)
-		cols = append(cols, t.cols...)
-		d.maxCols = max(d.maxCols, len(t.cols))
-	}
-	if d.dict != nil && !slices.ContainsFunc(cols, (*d3lColumn).staged) {
-		return cols
-	}
-	for _, c := range cols {
-		if !c.staged() {
-			c.distinct = d.dict.Decode(c.valueIDs)
-			c.words = make([]string, len(c.wordIDs))
-			for i, w := range c.wordIDs {
-				c.words[i] = d.words[w]
-			}
-		}
-	}
-	d.dict, d.words = encodeColumns(d.lake, cols)
-	return cols
-}
-
-// encodeColumns encodes the strings of cols into IDs and clears them,
-// returning the dictionary and the word list the IDs index. Values go
-// through lake when it holds every one — every engine of a system then
-// shares one ID space — and otherwise through a dictionary built over
-// them, TUS's rule; value IDs only feed set cardinalities, so either
-// one-to-one assignment scores the same. A word's ID is its position in
-// the sorted list of every column's words, so a merge over two
-// columns' word IDs meets their shared words in exactly the order
+// encodeD3L encodes the strings of cols into the parts of the same
+// columns, returning the dictionary and the word list the IDs index.
+// Values go through lake when it holds every one — every engine of a
+// system then shares one ID space — and otherwise through a dictionary
+// built over them, TUS's rule; value IDs only feed set cardinalities,
+// so either one-to-one assignment scores the same. A word's ID is its
+// position in the sorted list of every column's words, so a merge over
+// two columns' word IDs meets their shared words in exactly the order
 // sort.Strings would, which keeps the float sum of the word evidence
 // bit-stable.
-func encodeColumns(lake *dict.Dict, cols []*d3lColumn) (*dict.Dict, []string) {
+func encodeD3L(lake *dict.Dict, cols []*d3lColumn) (*dict.Dict, []string, []D3LColumnParts) {
+	out := make([]D3LColumnParts, len(cols))
 	values := lake
-	if lake == nil || !encodeValues(lake, cols) {
+	if lake == nil || !encodeValues(lake, cols, out) {
 		b := dict.NewBuilder()
 		for _, c := range cols {
 			b.Add(c.distinct...)
 		}
 		values = b.Build()
-		encodeValues(values, cols)
+		encodeValues(values, cols, out)
 	}
 	ids := make(map[string]uint32)
 	for _, c := range cols {
@@ -235,29 +249,33 @@ func encodeColumns(lake *dict.Dict, cols []*d3lColumn) (*dict.Dict, []string) {
 	for i, w := range words {
 		ids[w] = uint32(i)
 	}
-	for _, c := range cols {
-		c.wordIDs = make([]uint32, len(c.words))
-		for i, w := range c.words {
-			c.wordIDs[i] = ids[w]
+	for i, c := range cols {
+		wordIDs := make([]uint32, len(c.words))
+		for j, w := range c.words {
+			wordIDs[j] = ids[w]
 		}
-		c.distinct, c.words = nil, nil
+		out[i] = D3LColumnParts{
+			ColIdx: c.colIdx, IDs: out[i].IDs, WordIDs: wordIDs, WordFreq: c.wordFreq,
+			Format: c.format, Vec: c.vec,
+		}
 	}
-	return values, words
+	return values, words, out
 }
 
-// encodeValues sets every column's value IDs from values and reports
-// whether values held them all.
-func encodeValues(values *dict.Dict, cols []*d3lColumn) bool {
-	for _, c := range cols {
-		c.valueIDs = make(dict.IDSet, len(c.distinct))
-		for i, s := range c.distinct {
+// encodeValues sets the value IDs of every column's parts from values
+// and reports whether values held them all.
+func encodeValues(values *dict.Dict, cols []*d3lColumn, out []D3LColumnParts) bool {
+	for i, c := range cols {
+		ids := make(dict.IDSet, len(c.distinct))
+		for j, s := range c.distinct {
 			id, ok := values.ID(s)
 			if !ok {
 				return false
 			}
-			c.valueIDs[i] = id
+			ids[j] = id
 		}
-		slices.Sort(c.valueIDs)
+		slices.Sort(ids)
+		out[i].IDs = ids
 	}
 	return true
 }
@@ -282,8 +300,8 @@ func internLabels(cols []*d3lColumn) []schema.Label {
 // intern encodes a query column against the frozen engine and returns
 // the next unused out-of-vocabulary ID. A value the dictionary lacks
 // gets an ID from oov upward, as dict.Encoder does: it matches no
-// staged column but still counts toward the column's cardinality. A
-// word the list lacks is shared with no staged column and so adds
+// indexed column but still counts toward the column's cardinality. A
+// word the list lacks is shared with no indexed column and so adds
 // nothing to any word sum: it is dropped with its frequency, compacting
 // the query column's own arrays in place.
 func (d *D3L) intern(c *d3lColumn, oov uint32) uint32 {
@@ -309,7 +327,7 @@ func (d *D3L) intern(c *d3lColumn, oov uint32) uint32 {
 	return oov
 }
 
-// NumTables returns the number of staged tables.
+// NumTables returns the number of indexed tables.
 func (d *D3L) NumTables() int { return len(d.tables) }
 
 // SetsFootprint reports the resident cost of the columns' value ID sets
@@ -458,17 +476,17 @@ func (e Evidence) Combined() float64 {
 	return (e.Name + e.Value + e.Format + e.Words + e.Embed) / 5
 }
 
-// ColumnEvidence computes the five signals between two raw columns,
-// encoded into a dictionary and a word list of their own.
-func (d *D3L) ColumnEvidence(a, b *table.Column) Evidence {
-	ca := d.analyzeColumn(a, -1)
-	cb := d.analyzeColumn(b, -1)
-	encodeColumns(nil, []*d3lColumn{ca, cb})
+// ColumnEvidence computes the five signals between two raw columns
+// under model, encoded into a dictionary and a word list of their own.
+func ColumnEvidence(model *embedding.Model, a, b *table.Column) Evidence {
+	ca, cb := analyzeD3LColumn(model, a, -1), analyzeD3LColumn(model, b, -1)
+	_, _, enc := encodeD3L(nil, []*d3lColumn{ca, cb})
+	pa, pb := enc[0], enc[1]
 	return Evidence{
 		Name:   schema.LabelSimilarity(ca.label, cb.label),
-		Value:  dict.JaccardOf(dict.Overlap(ca.valueIDs, cb.valueIDs), len(ca.valueIDs), len(cb.valueIDs)),
+		Value:  dict.JaccardOf(dict.Overlap(pa.IDs, pb.IDs), len(pa.IDs), len(pb.IDs)),
 		Format: formatSimilarity(ca.format, cb.format),
-		Words:  wordSimilarity(ca.wordIDs, ca.wordFreq, cb.wordIDs, cb.wordFreq),
+		Words:  wordSimilarity(pa.WordIDs, pa.WordFreq, pb.WordIDs, pb.WordFreq),
 		Embed:  embedEvidence(ca, cb, ca.vec.Dot(cb.vec)),
 	}
 }
@@ -479,11 +497,11 @@ func embedEvidence(a, b *d3lColumn, dot float64) float64 {
 	return (embedding.CosineOfDot(dot, a.norm, b.norm) + 1) / 2
 }
 
-// Search ranks staged tables by relatedness to the query: column
+// Search ranks the engine's tables by relatedness to the query: column
 // pairs are scored by combined evidence and aggregated to table level
-// with maximum-weight bipartite matching. It requires a prior Build
-// (ErrNotBuilt otherwise), is safe for concurrent use, and checks ctx
-// between tables: a cancelled context returns ctx.Err().
+// with maximum-weight bipartite matching. It is safe for concurrent
+// use and checks ctx between tables: a cancelled context returns
+// ctx.Err().
 func (d *D3L) Search(ctx context.Context, query *table.Table, k int) ([]Result, error) {
 	pq, err := d.Prepare(query)
 	if err != nil {
@@ -510,13 +528,10 @@ func newD3LQuery(id string, qcols []*d3lColumn, labels []schema.Label) *D3LQuery
 	return pq
 }
 
-// Prepare analyzes a query table's string columns; a query that is a
-// staged table reuses its staged analysis. A query without usable
-// string columns wraps table.ErrBadQuery.
+// Prepare analyzes a query table's string columns; a query that is an
+// indexed table reuses its analysis. A query without usable string
+// columns wraps table.ErrBadQuery.
 func (d *D3L) Prepare(query *table.Table) (*D3LQuery, error) {
-	if !d.built {
-		return nil, ErrNotBuilt
-	}
 	if entry := d.tables[query.ID]; entry != nil && entry.tbl == query {
 		labels := make([]schema.Label, len(entry.cols))
 		for i, c := range entry.cols {
@@ -529,7 +544,7 @@ func (d *D3L) Prepare(query *table.Table) (*D3LQuery, error) {
 	oov := uint32(d.dict.Size())
 	for i, c := range query.Columns {
 		if isStringColumn(c) {
-			qc := d.analyzeColumn(c, i)
+			qc := analyzeD3LColumn(d.model, c, i)
 			oov = d.intern(qc, oov)
 			qcols = append(qcols, qc)
 			labels = append(labels, schema.NewLabel(qc.label))
@@ -541,7 +556,7 @@ func (d *D3L) Prepare(query *table.Table) (*D3LQuery, error) {
 	return newD3LQuery(query.ID, qcols, labels), nil
 }
 
-// TableIDs returns the staged table IDs in ascending order, the
+// TableIDs returns the indexed table IDs in ascending order, the
 // candidate set a planner hands ScoreAmong (filtered by its allowed
 // set). ScoreAmong reads value evidence from the value index and
 // scores exactly only the candidates whose bound still reaches the top
@@ -569,7 +584,7 @@ type d3lBound struct {
 // formatted got their format evidence, scored were scored exactly.
 type d3lStages struct{ formatted, scored int }
 
-// ScoreAmong scores the given staged tables by combined evidence and
+// ScoreAmong scores the given indexed tables by combined evidence and
 // returns the top k; with ids = TableIDs() it is bit-identical to
 // Search, and to scoring every table (see scoreAmong for the bound
 // that lets it score only a few). Its allocations do not grow with
@@ -603,9 +618,6 @@ func (d *D3L) ScoreAmong(ctx context.Context, pq *D3LQuery, ids []string, k int)
 // bit-identical to it.
 func (d *D3L) scoreAmong(ctx context.Context, pq *D3LQuery, ids []string, k int) ([]Result, d3lStages, error) {
 	var st d3lStages
-	if !d.built {
-		return nil, st, ErrNotBuilt
-	}
 	nq := len(pq.qcols)
 	sc := newScanScratch(nq)
 	defer freeScratch.put(sc)
@@ -711,10 +723,10 @@ func (d *D3L) boundAll(ctx context.Context, pq *D3LQuery, ids []string, sc *scan
 }
 
 // intersections returns, in sc.counts, the number of values query
-// column i shares with the staged column of ordinal c at [c*nq+i], for
-// every staged column: one walk over the postings of the query's value
+// column i shares with the indexed column of ordinal c at [c*nq+i], for
+// every indexed column: one walk over the postings of the query's value
 // IDs. An ID at or past the index's span is an out-of-vocabulary value
-// of an inline query, which no staged column holds.
+// of an inline query, which no indexed column holds.
 func (d *D3L) intersections(pq *D3LQuery, sc *scanScratch) []int32 {
 	nq, post := len(pq.qcols), &d.values
 	sc.counts = resize(sc.counts, post.n*nq)

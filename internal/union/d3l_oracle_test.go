@@ -160,18 +160,19 @@ func valueDict(tables []*table.Table) *dict.Dict {
 	return b.Build()
 }
 
-// builtD3LOver stages and freezes an engine over tables that takes its
-// value IDs from lake.
+// builtD3LOver builds an engine over tables that takes its value IDs
+// from lake.
 func builtD3LOver(t testing.TB, model *embedding.Model, lake *dict.Dict, tables []*table.Table) *D3L {
 	t.Helper()
-	d, err := NewD3L(model, lake)
+	b, err := NewD3LBuilder(model, lake)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, tbl := range tables {
-		d.AddTable(tbl)
+	b.AddTables(tables, 2)
+	d, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
 	}
-	d.Build()
 	return d
 }
 
@@ -264,28 +265,12 @@ func d3lRoundTrips(t *testing.T, model *embedding.Model, values *dict.Dict, tabl
 	lookup := tablesByID(tables)
 	built := builtD3LOver(t, model, values, tables)
 	e := new(snap.Encoder)
-	built.AppendSnapshot(e)
+	built.AppendSnapshot(e, values)
 	decoded, err := DecodeD3LSnapshot(snap.NewDecoder(e.Bytes()), model, values, lookup)
 	if err != nil {
 		t.Fatal(err)
 	}
-	staged, err := NewD3L(model, values)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, tbl := range tables {
-		staged.AddTable(tbl)
-	}
-	e = new(snap.Encoder)
-	AppendD3LParts(e, staged.Parts())
-	parts, err := DecodeD3LParts(snap.NewDecoder(e.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	fromParts, err := NewD3LFromParts(model, staged.dict, parts, lookup)
-	if err != nil {
-		t.Fatal(err)
-	}
+	fromParts := d3lFromCodecParts(t, model, values, tables)
 	return []struct {
 		what string
 		d    *D3L
@@ -540,8 +525,8 @@ func TestD3LPostingsPassMatchesMerge(t *testing.T) {
 			t.Fatal(err)
 		}
 		e := new(snap.Encoder)
-		built.AppendSnapshot(e)
-		decoded, err := DecodeD3LSnapshot(snap.NewDecoder(e.Bytes()), built.model, built.lake, lookup)
+		built.AppendSnapshot(e, nil)
+		decoded, err := DecodeD3LSnapshot(snap.NewDecoder(e.Bytes()), built.model, nil, lookup)
 		if err != nil {
 			t.Fatal(err)
 		}

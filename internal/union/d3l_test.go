@@ -49,15 +49,11 @@ func TestFormatExample(t *testing.T) {
 }
 
 func TestColumnEvidenceSignals(t *testing.T) {
-	d, err := NewD3L(d3lModel(), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
 	a := table.NewColumn("phone", []string{"555-0001", "555-1212", "555-8080"})
 	b := table.NewColumn("phone_number", []string{"444-9999", "333-1111"})
 	c := table.NewColumn("name", []string{"alice smith", "bob jones"})
-	evAB := d.ColumnEvidence(a, b)
-	evAC := d.ColumnEvidence(a, c)
+	evAB := ColumnEvidence(d3lModel(), a, b)
+	evAC := ColumnEvidence(d3lModel(), a, c)
 	if evAB.Value != 0 {
 		t.Errorf("disjoint phones value overlap = %v", evAB.Value)
 	}
@@ -78,10 +74,6 @@ func TestColumnEvidenceSignals(t *testing.T) {
 }
 
 func TestD3LSearchFindsRelatedTables(t *testing.T) {
-	d, err := NewD3L(d3lModel(), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
 	mkPhones := func(id string, offset int) *table.Table {
 		ph := make([]string, 20)
 		who := make([]string, 20)
@@ -98,16 +90,11 @@ func TestD3LSearchFindsRelatedTables(t *testing.T) {
 		table.NewColumn("gene", []string{"BRCA1", "TP53", "EGFR", "MYC"}),
 		table.NewColumn("chrom", []string{"chr17", "chr17", "chr7", "chr8"}),
 	})
-	d.AddTable(mkPhones("phones1", 0))
-	d.AddTable(mkPhones("phones2", 1000)) // zero value overlap, same shape
-	d.AddTable(genes)
+	// phones2 shares no value with phones1, only its shape.
+	d := builtD3L(t, d3lModel(), []*table.Table{mkPhones("phones1", 0), mkPhones("phones2", 1000), genes})
 	if d.NumTables() != 3 {
 		t.Fatal("staging failed")
 	}
-	if _, err := d.Search(context.Background(), mkPhones("query", 2000), 3); !errors.Is(err, ErrNotBuilt) {
-		t.Fatalf("search before Build: err = %v, want ErrNotBuilt", err)
-	}
-	d.Build()
 	res, err := d.Search(context.Background(), mkPhones("query", 2000), 3)
 	if err != nil {
 		t.Fatal(err)
@@ -122,31 +109,34 @@ func TestD3LSearchFindsRelatedTables(t *testing.T) {
 }
 
 func TestD3LErrors(t *testing.T) {
-	if _, err := NewD3L(nil, nil); err == nil {
+	if _, err := NewD3LBuilder(nil, nil); err == nil {
 		t.Error("nil model should fail")
 	}
-	d, _ := NewD3L(d3lModel(), nil)
+	b, _ := NewD3LBuilder(d3lModel(), nil)
 	numeric := table.MustNew("n", "n", []*table.Column{
 		table.NewColumn("v", []string{"1", "2", "3"}),
 	})
-	d.AddTable(numeric) // no string columns: skipped
-	if d.NumTables() != 0 {
+	b.AddTables([]*table.Table{numeric}, 1) // no string columns: skipped
+	if b.NumTables() != 0 {
 		t.Error("numeric-only table staged")
 	}
-	d.Build()
+	d, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
 	if _, err := d.Search(context.Background(), numeric, 3); !errors.Is(err, table.ErrBadQuery) {
 		t.Errorf("numeric-only query: err = %v, want ErrBadQuery", err)
 	}
 }
 
 func TestD3LDuplicateAdd(t *testing.T) {
-	d, _ := NewD3L(d3lModel(), nil)
+	b, _ := NewD3LBuilder(d3lModel(), nil)
 	tbl := table.MustNew("t", "t", []*table.Column{
 		table.NewColumn("a", []string{"x", "y"}),
 	})
-	d.AddTable(tbl)
-	d.AddTable(tbl)
-	if d.NumTables() != 1 {
+	b.AddTables([]*table.Table{tbl}, 1)
+	b.AddTables([]*table.Table{tbl}, 1)
+	if b.NumTables() != 1 {
 		t.Error("duplicate add changed count")
 	}
 }

@@ -1,7 +1,6 @@
 package union
 
 import (
-	"reflect"
 	"testing"
 
 	"tablehound/internal/datagen"
@@ -52,17 +51,13 @@ func checkD3LHoldsIDs(t *testing.T, what string, d *D3L) {
 	}
 }
 
-// checkTUSHoldsIDs fails unless no column of tus keeps its values as
-// strings and the universe is the number of distinct values across the
-// columns.
-func checkTUSHoldsIDs(t *testing.T, what string, tus *TUS) {
+// checkTUSUniverse fails unless tus's universe is the number of
+// distinct values across its columns' ID sets.
+func checkTUSUniverse(t *testing.T, what string, tus *TUS) {
 	t.Helper()
 	distinct := make(map[string]bool)
 	for _, id := range tus.ids {
 		for _, c := range tus.tables[id].cols {
-			if c.values != nil {
-				t.Fatalf("%s: column %s.%s keeps %d values as strings", what, id, c.name, len(c.values))
-			}
 			for _, v := range tus.dict.Decode(c.ids) {
 				distinct[v] = true
 			}
@@ -73,11 +68,59 @@ func checkTUSHoldsIDs(t *testing.T, what string, tus *TUS) {
 	}
 }
 
-// TestUnionEnginesHoldNoValueStrings checks that D3L and TUS keep
-// column values and words only as IDs on every path an engine comes
-// from: built, decoded from its snapshot section, assembled from parts
-// sent through the delta codec, and staged-only after Parts — with a
-// dictionary of their own and with the lake's.
+// d3lFromCodecParts assembles a D3L engine over tables from a
+// builder's parts sent through the delta codec.
+func d3lFromCodecParts(t testing.TB, model *embedding.Model, lake *dict.Dict, tables []*table.Table) *D3L {
+	t.Helper()
+	b, err := NewD3LBuilder(model, lake)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b.AddTables(tables, 2)
+	values, staged := b.Parts()
+	e := new(snap.Encoder)
+	AppendD3LParts(e, staged)
+	parts, err := DecodeD3LParts(snap.NewDecoder(e.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := NewD3LFromParts(model, values, parts, tablesByID(tables))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return d
+}
+
+// tusFromCodecParts assembles a TUS engine over tables from a
+// builder's parts sent through the delta codec.
+func tusFromCodecParts(t testing.TB, cfg TUSConfig, tables []*table.Table) *TUS {
+	t.Helper()
+	b, err := NewTUSBuilder(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b.AddTables(tables, 2)
+	d, staged := b.Parts()
+	e := new(snap.Encoder)
+	AppendTUSParts(e, staged)
+	parts, err := DecodeTUSParts(snap.NewDecoder(e.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Dict = d
+	tus, err := NewTUSFromParts(cfg, parts, nil, nil, tablesByID(tables))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tus
+}
+
+// TestUnionEnginesHoldNoValueStrings checks that D3L keeps column
+// values and words only as IDs on every path an engine comes from:
+// built, decoded from its snapshot section, and assembled from parts
+// sent through the delta codec — with a dictionary of its own and with
+// the lake's; and that TUS, whose columns cannot hold strings, counts
+// its universe on each of those paths.
 func TestUnionEnginesHoldNoValueStrings(t *testing.T) {
 	lake := datagen.Generate(datagen.Config{Seed: 3, NumTemplates: 3, TablesPerTemplate: 3})
 	model := embedding.Train(lake.ColumnContexts(), embedding.Config{Dim: 16, Seed: 3})
@@ -89,105 +132,32 @@ func TestUnionEnginesHoldNoValueStrings(t *testing.T) {
 		}
 
 		built := builtD3LOver(t, model, values, lake.Tables)
-		staged, err := NewD3L(model, values)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, tbl := range lake.Tables {
-			staged.AddTable(tbl)
-		}
 		e := new(snap.Encoder)
-		AppendD3LParts(e, staged.Parts())
-		parts, err := DecodeD3LParts(snap.NewDecoder(e.Bytes()))
-		if err != nil {
-			t.Fatal(err)
-		}
-		fromParts, err := NewD3LFromParts(model, staged.dict, parts, lookup)
-		if err != nil {
-			t.Fatal(err)
-		}
-		e = new(snap.Encoder)
-		built.AppendSnapshot(e)
+		built.AppendSnapshot(e, values)
 		decoded, err := DecodeD3LSnapshot(snap.NewDecoder(e.Bytes()), model, values, lookup)
 		if err != nil {
 			t.Fatal(err)
 		}
-		// A Build after more staging re-encodes what the first encoded.
-		half := len(lake.Tables) / 2
-		rebuilt := builtD3LOver(t, model, values, lake.Tables[:half])
-		for _, tbl := range lake.Tables[half:] {
-			rebuilt.AddTable(tbl)
-		}
-		rebuilt.Build()
-		if got, want := rebuilt.Parts(), built.Parts(); !reflect.DeepEqual(got, want) {
-			t.Fatalf("%s: D3L built in two steps has other parts than one built at once", regime)
-		}
 		for _, eng := range []struct {
 			what string
 			d    *D3L
-		}{{"built", built}, {"staged after Parts", staged}, {"from parts", fromParts}, {"decoded", decoded}, {"rebuilt", rebuilt}} {
+		}{{"built", built}, {"from parts", d3lFromCodecParts(t, model, values, lake.Tables)}, {"decoded", decoded}} {
 			checkD3LHoldsIDs(t, regime+", D3L "+eng.what, eng.d)
 		}
 
 		cfg := TUSConfig{Model: model, Dict: values}
-		newTUS := func() *TUS {
-			tus, err := NewTUS(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			tus.AddTables(lake.Tables, 2)
-			return tus
-		}
-		tus := newTUS()
-		if err := tus.Build(); err != nil {
-			t.Fatal(err)
-		}
-		stagedTUS := newTUS()
-		e = new(snap.Encoder)
-		AppendTUSParts(e, stagedTUS.Parts())
-		tparts, err := DecodeTUSParts(snap.NewDecoder(e.Bytes()))
-		if err != nil {
-			t.Fatal(err)
-		}
-		tusFromParts, err := NewTUSFromParts(TUSConfig{Model: model, Dict: stagedTUS.dict}, tparts, nil, nil, lookup)
-		if err != nil {
-			t.Fatal(err)
-		}
+		tus := buildTUS(t, cfg, lake.Tables)
 		e = new(snap.Encoder)
 		tus.AppendSnapshot(e, values)
 		tusDecoded, err := DecodeTUSSnapshot(snap.NewDecoder(e.Bytes()), cfg, lookup)
 		if err != nil {
 			t.Fatal(err)
 		}
-		rebuiltTUS, err := NewTUS(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rebuiltTUS.AddTables(lake.Tables[:half], 2)
-		if err := rebuiltTUS.Build(); err != nil {
-			t.Fatal(err)
-		}
-		rebuiltTUS.AddTables(lake.Tables[half:], 2)
-		if err := rebuiltTUS.Build(); err != nil {
-			t.Fatal(err)
-		}
-		if got, want := rebuiltTUS.Parts(), tus.Parts(); !reflect.DeepEqual(got, want) {
-			t.Fatalf("%s: TUS built in two steps has other parts than one built at once", regime)
-		}
 		for _, eng := range []struct {
 			what string
 			tus  *TUS
-		}{{"built", tus}, {"from parts", tusFromParts}, {"decoded", tusDecoded}, {"rebuilt", rebuiltTUS}} {
-			checkTUSHoldsIDs(t, regime+", TUS "+eng.what, eng.tus)
-		}
-		// A staged engine counts its universe only when built; Parts
-		// alone must still drop the strings.
-		for _, id := range stagedTUS.ids {
-			for _, c := range stagedTUS.tables[id].cols {
-				if c.values != nil {
-					t.Fatalf("%s, TUS staged after Parts: column %s.%s keeps its values as strings", regime, id, c.name)
-				}
-			}
+		}{{"built", tus}, {"from parts", tusFromCodecParts(t, cfg, lake.Tables)}, {"decoded", tusDecoded}} {
+			checkTUSUniverse(t, regime+", TUS "+eng.what, eng.tus)
 		}
 	}
 }

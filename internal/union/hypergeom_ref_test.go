@@ -84,15 +84,19 @@ func TestHypergeomCDFStopsBitIdentical(t *testing.T) {
 
 	lake := datagen.Generate(datagen.Config{Seed: 1, NumDomains: 20, DomainSize: 80, NumTemplates: 10, TablesPerTemplate: 30})
 	model := embedding.Train(lake.ColumnContexts(), embedding.Config{Dim: 8, Seed: 3})
-	tus, err := NewTUS(TUSConfig{Model: model, Dict: valueDict(lake.Tables)})
+	b, err := NewTUSBuilder(TUSConfig{Model: model, Dict: valueDict(lake.Tables)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	tus.AddTables(lake.Tables, 0)
+	b.AddTables(lake.Tables, 0)
 	// The set measure reads only the encoded columns, the universe and
-	// the ln n! cache: Build's part that makes them, without the LSH
-	// bands and the NL graph.
-	tus.encodeColumns()
+	// the ln n! cache: the part of an assembly that makes them, without
+	// the LSH bands and the NL graph.
+	d, parts := b.Parts()
+	tus := &TUS{tusAnalyzer: b.tusAnalyzer, dict: d}
+	if err := tus.adopt(parts, tablesByID(lake.Tables)); err != nil {
+		t.Fatal(err)
+	}
 	tus.freezeUniverse()
 	// Overlaps come from the scoring kernel, one query table at a time;
 	// cells with the same (overlap, sizes) ask the same question, so it

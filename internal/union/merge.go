@@ -1,18 +1,21 @@
-// Per-table parts for incremental (delta) index maintenance: each
-// union engine decomposes into portable per-table parts, written and
-// read by one codec per engine (a delta's section, and the table
-// blocks of the TUS and D3L snapshot sections), and reassembles from
-// parts gathered across a base snapshot and a delta chain. The
-// reassembly paths replay each engine's own Build freeze — same sorted
-// orders, same index parameters, same encodings — so a merged engine
-// answers every query bit-identically to a from-scratch build over the
-// merged catalog.
+// Per-table parts, the one form every union engine is assembled from.
+// A builder (TUSBuilder, SantosBuilder, D3LBuilder) analyzes tables
+// into parts and an engine decomposes back into them; one codec per
+// engine writes and reads them (a delta's section, and the table
+// blocks of the TUS and D3L snapshot sections). Each engine has one
+// assembly, New*FromParts, over one adoption path: a build assembles
+// its builder's parts, a merge the parts gathered across a base
+// snapshot and a delta chain, and a load adopts the decoded ones. So
+// a merged engine — same sorted orders, same index parameters, same
+// encodings — answers every query bit-identically to a from-scratch
+// build over the merged catalog.
 package union
 
 import (
 	"errors"
 	"fmt"
 	"slices"
+	"sort"
 
 	"tablehound/internal/dict"
 	"tablehound/internal/embedding"
@@ -45,15 +48,8 @@ type TUSTableParts struct {
 }
 
 // Parts returns the engine's per-table column analyses in sorted-ID
-// order. On a staged engine it first encodes the staged columns as
-// Build does (without freezing the candidate indexes), so the parts
-// equal the built engine's; like Build it must then not run
-// concurrently with AddTable or Search. Slices alias the engine's
-// state; do not mutate.
+// order. Slices alias the engine's state; do not mutate.
 func (t *TUS) Parts() []TUSTableParts {
-	if !t.built {
-		t.encodeColumns()
-	}
 	out := make([]TUSTableParts, 0, len(t.ids))
 	for _, id := range t.ids {
 		p := TUSTableParts{ID: id}
@@ -108,10 +104,11 @@ func DecodeTUSParts(d *snap.Decoder) ([]TUSTableParts, error) {
 // of NewTUSFromParts and of a snapshot decode. Every column set must
 // pass dict.IDSet.Check against t.dict — an ID beyond it or out of
 // order would silently mis-score the set measure. A table without
-// columns is skipped, as AddTable skips it; lookup resolves table IDs
+// columns is skipped, as a builder skips it; lookup resolves table IDs
 // against the catalog.
 func (t *TUS) adopt(parts []TUSTableParts, lookup func(id string) *table.Table) error {
 	size := t.dict.Size()
+	t.tables = make(map[string]*tusTable, len(parts))
 	t.ids = make([]string, 0, len(parts))
 	for _, p := range parts {
 		tbl := lookup(p.ID)
@@ -129,10 +126,7 @@ func (t *TUS) adopt(parts []TUSTableParts, lookup func(id string) *table.Table) 
 			if err := c.IDs.Check(size); err != nil {
 				return fmt.Errorf("union: TUS column %s.%s: %v", p.ID, c.Name, err)
 			}
-			entry.cols[i] = &tusColumn{
-				name: c.Name, ids: c.IDs, sig: c.Sig, vec: c.Vec, norm: c.Vec.Norm(),
-				semType: c.SemType, semCover: c.SemCover,
-			}
+			entry.cols[i] = newTUSColumn(c)
 		}
 		t.tables[p.ID] = entry
 		t.ids = append(t.ids, p.ID)
@@ -140,32 +134,43 @@ func (t *TUS) adopt(parts []TUSTableParts, lookup func(id string) *table.Table) 
 	return nil
 }
 
-// NewTUSFromParts assembles a built TUS engine from parts whose column
-// sets are all encoded in cfg.Dict (required). The value universe is
-// counted over the column sets, and the set-LSH freezes
-// exactly as a from-scratch build's does (sorted table-ID order, same
-// parameters). The NL graph starts from g — a fresh one when nil — and
-// grows by each batch of sorted table IDs in turn, in the order Build
-// inserts in; g is grown in place. lookup resolves table IDs against
-// the merged catalog.
+// NewTUSFromParts assembles a TUS engine from parts whose column sets
+// are all encoded in cfg.Dict (required): the one assembly of a build
+// (TUSBuilder.Build), a merge and a load (see DecodeTUSSnapshot). The
+// value universe is counted over the column sets, and the set-LSH
+// freezes over the tables in parts order (sorted by ID, as every
+// caller passes them). The NL graph starts from g — a fresh one when
+// nil — and grows by each batch of sorted table IDs in turn, nil
+// batches being one batch of every table; g is grown in place. lookup
+// resolves table IDs against the catalog.
 func NewTUSFromParts(cfg TUSConfig, parts []TUSTableParts, g *hnsw.Graph, batches [][]string, lookup func(id string) *table.Table) (*TUS, error) {
 	if cfg.Dict == nil {
 		return nil, errors.New("union: TUS parts require the dictionary they are encoded in")
 	}
-	t, err := NewTUS(cfg)
+	a, err := newTUSAnalyzer(cfg)
 	if err != nil {
 		return nil, err
 	}
-	t.dict = cfg.Dict
+	t := &TUS{tusAnalyzer: a, dict: cfg.Dict}
 	if err := t.adopt(parts, lookup); err != nil {
 		return nil, err
 	}
 	if len(t.tables) == 0 {
-		return nil, errors.New("union: no tables in TUS parts")
+		return nil, errors.New("union: no TUS tables")
 	}
-	// The columns are already encoded in t.dict, so build's
-	// encodeColumns keeps them as they are.
-	if err := t.build(g, batches); err != nil {
+	if g == nil {
+		g = hnsw.New(nlGraphConfig)
+	}
+	if batches == nil {
+		batches = [][]string{t.ids}
+	}
+	t.nlIndex = g
+	for _, ids := range batches {
+		if err := t.insertNL(ids); err != nil {
+			return nil, err
+		}
+	}
+	if err := t.freeze(); err != nil {
 		return nil, err
 	}
 	return t, nil
@@ -174,8 +179,8 @@ func NewTUSFromParts(cfg TUSConfig, parts []TUSTableParts, g *hnsw.Graph, batche
 // --- SANTOS ---
 
 // SantosRelParts is one relationship: the raw subject "\n" object pair
-// tokens (dictionary-independent — SANTOS re-interns its pair
-// vocabulary on every Build) and the curated-KB annotation.
+// tokens (dictionary-independent — every SANTOS assembly re-interns
+// its pair vocabulary) and the curated-KB annotation.
 type SantosRelParts struct {
 	ColName  string
 	Pairs    []string
@@ -190,22 +195,15 @@ type SantosTableParts struct {
 }
 
 // Parts returns the engine's per-table relationships with pair tokens
-// in raw string form, decoding through the pair dictionary when the
-// engine is built (pair sets come back sorted; SANTOS scoring is
-// order-independent). Works on both built engines (a loaded base) and
-// staged-only engines (a delta scratch build).
+// decoded through the pair dictionary (pair sets come back sorted;
+// SANTOS scoring is order-independent).
 func (s *Santos) Parts() []SantosTableParts {
-	ids := append([]string(nil), s.ids...)
-	out := make([]SantosTableParts, 0, len(ids))
-	for _, id := range ids {
+	out := make([]SantosTableParts, 0, len(s.ids))
+	for _, id := range s.ids {
 		p := SantosTableParts{ID: id}
 		for _, rel := range s.tables[id].rels {
-			pairs := rel.pairs
-			if pairs == nil && rel.pairIDs != nil {
-				pairs = s.pairDict.Decode(rel.pairIDs)
-			}
 			p.Rels = append(p.Rels, SantosRelParts{
-				ColName: rel.colName, Pairs: pairs,
+				ColName: rel.colName, Pairs: s.pairDict.Decode(rel.pairIDs),
 				Pred: rel.pred, PredFrac: rel.predFrac,
 			})
 		}
@@ -247,13 +245,17 @@ func DecodeSantosParts(d *snap.Decoder) ([]SantosTableParts, error) {
 	return parts, d.Err()
 }
 
-// NewSantosFromParts assembles a built SANTOS engine from parts.
-// Build re-interns the pair vocabulary into a fresh lexicographic
-// dictionary over the union of all pairs — the very thing a
-// from-scratch build does — so the merged engine is bit-identical to
-// one built over the merged catalog. lookup resolves table IDs.
+// NewSantosFromParts assembles a SANTOS engine from parts: the one
+// assembly of a build (SantosBuilder.Build) and a merge. It interns
+// the pair vocabulary into a fresh lexicographic dictionary over the
+// union of all pairs, encodes every relationship's pair set to sorted
+// IDs, and indexes the tables, in sorted-ID order, by pair and by
+// predicate, so a merged engine is bit-identical to one built over the
+// merged catalog. Parts without a table make an empty engine, which
+// answers every query with nothing. lookup resolves table IDs.
 func NewSantosFromParts(curated *kb.KB, parts []SantosTableParts, lookup func(id string) *table.Table) (*Santos, error) {
-	s := NewSantos(curated)
+	s := &Santos{curated: curated, tables: make(map[string]*santosTable, len(parts))}
+	db := dict.NewBuilder()
 	for _, p := range parts {
 		tbl := lookup(p.ID)
 		if tbl == nil {
@@ -262,24 +264,24 @@ func NewSantosFromParts(curated *kb.KB, parts []SantosTableParts, lookup func(id
 		if _, dup := s.tables[p.ID]; dup {
 			return nil, fmt.Errorf("union: duplicate SANTOS table %q", p.ID)
 		}
-		st := &santosTable{tbl: tbl}
-		for _, r := range p.Rels {
-			st.rels = append(st.rels, santosRel{
-				colName: r.ColName, pairs: r.Pairs,
-				pred: r.Pred, predFrac: r.PredFrac,
-			})
-		}
-		s.tables[p.ID] = st
+		s.tables[p.ID] = &santosTable{tbl: tbl}
 		s.ids = append(s.ids, p.ID)
+		for _, r := range p.Rels {
+			db.Add(r.Pairs...)
+		}
 	}
-	if len(s.tables) == 0 {
-		// An empty SANTOS engine is legal (Build is only called when
-		// tables exist — mirrors core.Build's stageSantos).
-		return s, nil
+	if len(s.ids) > 0 {
+		s.pairDict = db.Build()
 	}
-	if err := s.Build(); err != nil {
-		return nil, err
+	for _, p := range parts {
+		st := s.tables[p.ID]
+		for _, r := range p.Rels {
+			ids, _ := s.pairDict.EncodeKnown(r.Pairs)
+			st.rels = append(st.rels, santosRel{colName: r.ColName, pairIDs: ids, pred: r.Pred, predFrac: r.PredFrac})
+		}
 	}
+	sort.Strings(s.ids)
+	s.index()
 	return s, nil
 }
 
@@ -313,15 +315,8 @@ type D3LParts struct {
 }
 
 // Parts returns the engine's per-table column analyses in sorted-ID
-// order. On a staged engine it first encodes the staged columns as
-// Build does (without deriving the value index), so the parts equal
-// the built engine's; like Build it must then not run concurrently
-// with AddTable or Search. Slices alias the engine's state; do not
-// mutate.
+// order. Slices alias the engine's state; do not mutate.
 func (d *D3L) Parts() D3LParts {
-	if !d.built {
-		d.encode()
-	}
 	out := D3LParts{Words: d.words, Tables: make([]D3LTableParts, 0, len(d.ids))}
 	for _, id := range d.ids {
 		p := D3LTableParts{ID: id}
@@ -430,25 +425,20 @@ func remapWordIDs(ids, remap []uint32) ([]uint32, bool) {
 	return out, true
 }
 
-// NewD3LFromParts assembles a built D3L engine from parts whose value
-// IDs are in lake, the merged lake's dictionary (see NewD3L); lookup
-// resolves table IDs. Build then derives the labels and the value index
-// exactly as a from-scratch build does.
-func NewD3LFromParts(model *embedding.Model, lake *dict.Dict, parts D3LParts, lookup func(id string) *table.Table) (*D3L, error) {
-	return newD3LFromParts(model, lake, lake, parts, lookup)
-}
-
-// newD3LFromParts is NewD3LFromParts for parts whose value IDs are in
-// values, which need not be the engine's lake dictionary.
-func newD3LFromParts(model *embedding.Model, lake, values *dict.Dict, parts D3LParts, lookup func(id string) *table.Table) (*D3L, error) {
-	d3, err := NewD3L(model, lake)
-	if err != nil {
-		return nil, err
+// NewD3LFromParts assembles a D3L engine from parts whose value IDs
+// are in values: the one assembly of a build (D3LBuilder.Build), a
+// merge and a load (see DecodeD3LSnapshot). It adopts the parts and
+// derives the labels and the value index exactly as every assembly
+// does; lookup resolves table IDs.
+func NewD3LFromParts(model *embedding.Model, values *dict.Dict, parts D3LParts, lookup func(id string) *table.Table) (*D3L, error) {
+	if model == nil {
+		return nil, errors.New("union: D3L requires an embedding model")
 	}
+	d3 := &D3L{model: model}
 	if err := d3.adopt(parts, values, lookup); err != nil {
 		return nil, err
 	}
-	d3.Build()
+	d3.freeze()
 	return d3, nil
 }
 
@@ -458,8 +448,9 @@ func newD3LFromParts(model *embedding.Model, lake, values *dict.Dict, parts D3LP
 // size, its word IDs a set of positions in the list, parallel to its
 // frequencies, and its format signature formatDims long (a scan reads
 // it against the query's). Words no column holds are dropped from the
-// list, so it is the list a Build over the same columns makes.
+// list, so it is the list a builder over the same columns makes.
 func (d3 *D3L) adopt(parts D3LParts, values *dict.Dict, lookup func(id string) *table.Table) error {
+	d3.tables = make(map[string]*d3lTable, len(parts.Tables))
 	words := parts.Words
 	for i := 1; i < len(words); i++ {
 		if words[i-1] >= words[i] {

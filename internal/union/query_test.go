@@ -2,7 +2,6 @@ package union
 
 import (
 	"context"
-	"errors"
 	"math"
 	"reflect"
 	"sync"
@@ -11,23 +10,31 @@ import (
 	"tablehound/internal/table"
 )
 
-// TestTUSSearchRequiresBuild pins the read-path contract: Search never
-// mutates the engine, so an unbuilt (or re-staged) engine reports
-// ErrNotBuilt instead of building implicitly.
+// TestTUSSearchRequiresBuild pins the read-path contract: only a built
+// engine searches, and staging more tables on its builder afterwards
+// leaves the engine as it was built — same tables, same answers.
 func TestTUSSearchRequiresBuild(t *testing.T) {
 	lake, tus := lakeAndTUS(t, false, false)
-	fresh, err := NewTUS(TUSConfig{Model: tus.cfg.Model})
+	b, err := NewTUSBuilder(TUSConfig{Model: tus.cfg.Model})
 	if err != nil {
 		t.Fatal(err)
 	}
-	fresh.AddTable(lake.Tables[0])
-	if _, err := fresh.Search(context.Background(), lake.Tables[1], 3, SetMeasure); !errors.Is(err, ErrNotBuilt) {
-		t.Errorf("Search before Build: err = %v, want ErrNotBuilt", err)
+	b.AddTables(lake.Tables, 2)
+	eng, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
 	}
-	// Staging a table after Build un-freezes the index again.
-	tus.AddTable(confusableTables("restaged", 0, 1, 20)[0])
-	if _, err := tus.Search(context.Background(), lake.Tables[1], 3, SetMeasure); !errors.Is(err, ErrNotBuilt) {
-		t.Errorf("Search after post-Build AddTable: err = %v, want ErrNotBuilt", err)
+	want, err := eng.Search(context.Background(), lake.Tables[1], 3, SetMeasure)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b.AddTables(confusableTables("restaged", 0, 1, 20), 1)
+	got, err := eng.Search(context.Background(), lake.Tables[1], 3, SetMeasure)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if eng.NumTables() != len(lake.Tables) || !reflect.DeepEqual(got, want) {
+		t.Errorf("staging after Build moved the engine: %d tables, %v; want %d, %v", eng.NumTables(), got, len(lake.Tables), want)
 	}
 }
 
@@ -94,12 +101,23 @@ func TestTUSConcurrentSearch(t *testing.T) {
 // TestSantosSearchRequiresBuild mirrors the TUS contract for SANTOS.
 func TestSantosSearchRequiresBuild(t *testing.T) {
 	groupA := confusableTables("locA", 0, 3, 40)
-	s := NewSantos(nil)
-	for _, tbl := range groupA {
-		s.AddTable(tbl)
+	b := NewSantosBuilder(nil)
+	b.AddTables(groupA, 2)
+	s, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := s.Search(context.Background(), groupA[0], 3, SynthOnly); !errors.Is(err, ErrNotBuilt) {
-		t.Errorf("Search before Build: err = %v, want ErrNotBuilt", err)
+	want, err := s.Search(context.Background(), groupA[0], 3, SynthOnly)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b.AddTables(confusableTables("restaged", 0, 3, 40), 2)
+	got, err := s.Search(context.Background(), groupA[0], 3, SynthOnly)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.NumTables() != len(groupA) || !reflect.DeepEqual(got, want) {
+		t.Errorf("staging after Build moved the engine: %d tables, %v; want %d, %v", s.NumTables(), got, len(groupA), want)
 	}
 }
 
@@ -185,13 +203,7 @@ func sameTable(tb *table.Table) *table.Table {
 // makes the reuse invisible in every ranking.
 func TestPrepareReusesStagedAnalysis(t *testing.T) {
 	lake, tus := lakeAndTUS(t, false, true)
-	santos := NewSantos(lake.BuildKB(0.9))
-	for _, tb := range lake.Tables {
-		santos.AddTable(tb)
-	}
-	if err := santos.Build(); err != nil {
-		t.Fatal(err)
-	}
+	santos := builtSantos(t, lake.Tables, lake.BuildKB(0.9))
 	santosQueries := 0
 	for _, tb := range lake.Tables {
 		staged, err := tus.Prepare(tb)

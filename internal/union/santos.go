@@ -2,13 +2,13 @@ package union
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"slices"
-	"sort"
+	"strings"
 
 	"tablehound/internal/dict"
 	"tablehound/internal/kb"
+	"tablehound/internal/parallel"
 	"tablehound/internal/table"
 	"tablehound/internal/tokenize"
 )
@@ -37,22 +37,111 @@ func (m SantosMode) String() string {
 	return "unknown"
 }
 
+// SantosBuilder analyzes tables for a SANTOS engine: add tables, then
+// take their Parts (a delta's analysis) or Build the engine from them.
+// It must not be used concurrently.
+type SantosBuilder struct {
+	curated *kb.KB
+	tables  map[string]*table.Table
+	parts   []SantosTableParts // empty, not nil, without tables: as the codec reads them back
+}
+
+// NewSantosBuilder creates a builder; curated may be nil (SynthOnly
+// then).
+func NewSantosBuilder(curated *kb.KB) *SantosBuilder {
+	return &SantosBuilder{curated: curated, tables: make(map[string]*table.Table), parts: []SantosTableParts{}}
+}
+
+// AddTables stages a batch of tables using up to workers goroutines:
+// relationship extraction fans out per table, and registration commits
+// sequentially in batch order, so the staged state is identical at
+// any worker count. A table already staged, or without the intent
+// column and second string column SANTOS needs, is skipped.
+func (b *SantosBuilder) AddTables(tbls []*table.Table, workers int) {
+	rels, _ := parallel.Map(len(tbls), workers, func(i int) ([]SantosRelParts, error) {
+		return analyzeSantos(b.curated, tbls[i]), nil
+	})
+	for i, t := range tbls {
+		if _, dup := b.tables[t.ID]; dup || rels[i] == nil {
+			continue
+		}
+		b.tables[t.ID] = t
+		b.parts = append(b.parts, SantosTableParts{ID: t.ID, Rels: rels[i]})
+	}
+}
+
+// NumTables returns the number of staged tables.
+func (b *SantosBuilder) NumTables() int { return len(b.parts) }
+
+// Parts returns the staged tables' relationships in sorted-ID order,
+// pair tokens raw, in first-occurrence order. Slices alias the
+// builder's state; do not mutate.
+func (b *SantosBuilder) Parts() []SantosTableParts {
+	slices.SortFunc(b.parts, func(x, y SantosTableParts) int { return strings.Compare(x.ID, y.ID) })
+	return b.parts
+}
+
+// Build assembles the engine over the staged tables from their Parts.
+func (b *SantosBuilder) Build() (*Santos, error) {
+	return NewSantosFromParts(b.curated, b.Parts(), func(id string) *table.Table { return b.tables[id] })
+}
+
+// analyzeSantos extracts a table's relationships: those between its
+// intent column (the first usable string column) and each other
+// string column, nil when the table has no second one.
+func analyzeSantos(curated *kb.KB, tbl *table.Table) []SantosRelParts {
+	if !SantosIndexes(tbl) {
+		return nil
+	}
+	cols := stringColumns(tbl)
+	intent := cols[0]
+	rels := make([]SantosRelParts, 0, len(cols)-1)
+	for _, c := range cols[1:] {
+		rel := SantosRelParts{ColName: c.Name}
+		seen := make(map[string]bool)
+		var kbPairs [][2]string
+		for r := 0; r < tbl.NumRows(); r++ {
+			a := tokenize.Normalize(intent.Values[r])
+			b := tokenize.Normalize(c.Values[r])
+			if a == "" || b == "" {
+				continue
+			}
+			// Normalize never emits "\n", so no two pairs share a token.
+			tok := a + "\n" + b
+			if !seen[tok] {
+				seen[tok] = true
+				rel.Pairs = append(rel.Pairs, tok)
+				kbPairs = append(kbPairs, [2]string{a, b})
+			}
+		}
+		if curated != nil && len(kbPairs) > 0 {
+			if pred, frac, ok := curated.DominantPredicate(kbPairs); ok && frac >= 0.5 {
+				rel.Pred, rel.PredFrac = pred, frac
+			}
+		}
+		rels = append(rels, rel)
+	}
+	return rels
+}
+
 // Santos is a relationship-aware union search engine. A table is
 // modeled as its intent column (the first usable string column, the
 // subject of the table) plus the binary relationships between the
 // intent column and every other column. A candidate is unionable when
 // its columns AND its relationships align with the query's.
 //
-// Search is read-only and safe for concurrent use once Build has
-// returned; AddTable/Build must not run concurrently with Search.
+// An engine is built by a SantosBuilder or assembled from parts
+// (NewSantosFromParts) or a snapshot. Search is read-only and safe for
+// concurrent use.
 type Santos struct {
 	curated *kb.KB
 	tables  map[string]*santosTable
 	ids     []string
 	// pairDict interns every subject "\n" object pair token mined from
 	// the lake; relationships hold sorted ID sets over it, so pair
-	// containment is an integer merge. Rebuilt by Build (the pair
-	// vocabulary is lake-derived, never external).
+	// containment is an integer merge. Assembly builds it afresh (the
+	// pair vocabulary is lake-derived, never external); nil for an
+	// engine without tables.
 	pairDict *dict.Dict
 	// The synthesized KB, mined from the lake itself: the tables
 	// holding pair ID p are pairTables[pairOff[p]:pairOff[p+1]], as
@@ -62,7 +151,6 @@ type Santos struct {
 	// predTables maps a curated predicate to the ordinals of the tables
 	// with a relationship annotated by it, ascending, each once.
 	predTables map[string][]int32
-	built      bool
 
 	// QueryParallelism bounds the per-query candidate-verification
 	// fan-out in Search: 0 = GOMAXPROCS, negative or 1 = sequential.
@@ -80,113 +168,19 @@ type santosTable struct {
 
 type santosRel struct {
 	colName string
-	// pairs holds the subject "\n" object value-pair tokens between
-	// staging and Build; Build encodes them into pairIDs and clears the
-	// slice. Query relationships are encoded immediately.
-	pairs []string
-	// pairIDs is the same token set as sorted pair-dictionary IDs.
+	// pairIDs is the subject "\n" object value-pair token set as sorted
+	// pair-dictionary IDs.
 	pairIDs dict.IDSet
 	// pred is the curated-KB dominant predicate, when covered.
 	pred     string
 	predFrac float64
 }
 
-// NewSantos creates an engine; curated may be nil (SynthOnly then).
-func NewSantos(curated *kb.KB) *Santos {
-	return &Santos{
-		curated: curated,
-		tables:  make(map[string]*santosTable),
-	}
-}
-
-// AddTable stages a table.
-func (s *Santos) AddTable(tbl *table.Table) {
-	if _, dup := s.tables[tbl.ID]; dup {
-		return
-	}
-	st := s.analyze(tbl)
-	if st == nil {
-		return
-	}
-	s.tables[tbl.ID] = st
-	s.ids = append(s.ids, tbl.ID)
-	s.built = false
-}
-
-// analyze extracts the intent column and its relationships.
-func (s *Santos) analyze(tbl *table.Table) *santosTable {
-	if !SantosIndexes(tbl) {
-		return nil
-	}
-	cols := stringColumns(tbl)
-	intent := cols[0]
-	st := &santosTable{tbl: tbl}
-	for _, c := range cols[1:] {
-		rel := santosRel{colName: c.Name}
-		seen := make(map[string]bool)
-		var kbPairs [][2]string
-		for r := 0; r < tbl.NumRows(); r++ {
-			a := tokenize.Normalize(intent.Values[r])
-			b := tokenize.Normalize(c.Values[r])
-			if a == "" || b == "" {
-				continue
-			}
-			// Normalize never emits "\n", so no two pairs share a token.
-			tok := a + "\n" + b
-			if !seen[tok] {
-				seen[tok] = true
-				rel.pairs = append(rel.pairs, tok)
-				kbPairs = append(kbPairs, [2]string{a, b})
-			}
-		}
-		if s.curated != nil && len(kbPairs) > 0 {
-			if pred, frac, ok := s.curated.DominantPredicate(kbPairs); ok && frac >= 0.5 {
-				rel.pred, rel.predFrac = pred, frac
-			}
-		}
-		st.rels = append(st.rels, rel)
-	}
-	return st
-}
-
-// Build freezes the synthesized pair index: it interns the pair
-// vocabulary into a fresh dictionary, encodes every relationship's
-// pair set to sorted IDs, and indexes the tables by pair and by
-// predicate. Relationships encoded by an earlier Build are first
-// decoded through the old dictionary — IDs from two dictionaries must
-// never mix.
-func (s *Santos) Build() error {
-	if len(s.tables) == 0 {
-		return errors.New("union: no tables added to SANTOS")
-	}
-	sort.Strings(s.ids)
-	db := dict.NewBuilder()
-	for _, id := range s.ids {
-		for i := range s.tables[id].rels {
-			rel := &s.tables[id].rels[i]
-			if rel.pairs == nil && rel.pairIDs != nil {
-				rel.pairs = s.pairDict.Decode(rel.pairIDs)
-			}
-			db.Add(rel.pairs...)
-		}
-	}
-	s.pairDict = db.Build()
-	for _, id := range s.ids {
-		for i := range s.tables[id].rels {
-			rel := &s.tables[id].rels[i]
-			rel.pairIDs, _ = s.pairDict.EncodeKnown(rel.pairs)
-			rel.pairs = nil
-		}
-	}
-	s.index()
-	s.built = true
-	return nil
-}
-
 // index builds the candidate indexes over the tables in ids order:
 // the pair index's CSR arrays and the predicate index. Every
 // relationship's pair IDs must lie below the pair dictionary's size,
-// as Build encodes them and DecodeSantosSnapshot checks them.
+// as NewSantosFromParts encodes them and DecodeSantosSnapshot checks
+// them.
 func (s *Santos) index() {
 	n := s.pairDict.Size()
 	s.pairOff = make([]uint32, n+1)
@@ -233,7 +227,7 @@ func (s *Santos) index() {
 // NumTables returns the number of indexed tables.
 func (s *Santos) NumTables() int { return len(s.tables) }
 
-// PairDict returns the pair-token dictionary (nil before Build).
+// PairDict returns the pair-token dictionary (nil without tables).
 func (s *Santos) PairDict() *dict.Dict { return s.pairDict }
 
 // PairFootprint reports the resident cost of the ID-encoded pair sets
@@ -250,9 +244,8 @@ func (s *Santos) PairFootprint() dict.Footprint {
 }
 
 // Search returns the k tables whose relationships best align with the
-// query's, under the given knowledge mode. Search is a pure read: it
-// requires a prior Build (ErrNotBuilt otherwise) and is safe for
-// concurrent use; candidate verification fans out over
+// query's, under the given knowledge mode. Search is a pure read and
+// safe for concurrent use; candidate verification fans out over
 // QueryParallelism workers with bit-identical results and checks ctx
 // between candidate tables. A query table without the shape SANTOS
 // needs wraps table.ErrBadQuery.
@@ -276,24 +269,21 @@ type SantosQuery struct {
 // pair sets against the frozen pair dictionary. One encoder across
 // relationships: pairs absent from the lake get ephemeral IDs (never
 // matching an indexed pair) that are shared between query
-// relationships. A query that is a staged table reuses its staged
+// relationships. A query that is an indexed table reuses its
 // relationships (all its pairs are in the dictionary). A query without
 // the shape SANTOS needs wraps table.ErrBadQuery.
 func (s *Santos) Prepare(query *table.Table) (*SantosQuery, error) {
-	if !s.built {
-		return nil, ErrNotBuilt
-	}
 	if st := s.tables[query.ID]; st != nil && st.tbl == query {
 		return &SantosQuery{id: query.ID, q: st}, nil
 	}
-	q := s.analyze(query)
-	if q == nil {
+	rels := analyzeSantos(s.curated, query)
+	if rels == nil {
 		return nil, fmt.Errorf("union: query table needs an intent column and one other string column: %w", table.ErrBadQuery)
 	}
+	q := &santosTable{tbl: query, rels: make([]santosRel, len(rels))}
 	enc := s.pairDict.Encoder()
-	for i := range q.rels {
-		q.rels[i].pairIDs = enc.Encode(q.rels[i].pairs)
-		q.rels[i].pairs = nil
+	for i, r := range rels {
+		q.rels[i] = santosRel{colName: r.ColName, pairIDs: enc.Encode(r.Pairs), pred: r.Pred, predFrac: r.PredFrac}
 	}
 	return &SantosQuery{id: query.ID, q: q}, nil
 }

@@ -126,14 +126,13 @@ func santosOracleRelScore(a, b santosRel, mode SantosMode) float64 {
 	}
 }
 
-// builtSantos stages and freezes a SANTOS engine over tables.
+// builtSantos builds a SANTOS engine over tables.
 func builtSantos(t testing.TB, tables []*table.Table, curated *kb.KB) *Santos {
 	t.Helper()
-	s := NewSantos(curated)
-	for _, tbl := range tables {
-		s.AddTable(tbl)
-	}
-	if err := s.Build(); err != nil {
+	b := NewSantosBuilder(curated)
+	b.AddTables(tables, 2)
+	s, err := b.Build()
+	if err != nil {
 		t.Fatal(err)
 	}
 	return s

@@ -51,14 +51,7 @@ func buildSantos(t *testing.T, curated *kb.KB) (*Santos, []*table.Table, []*tabl
 	t.Helper()
 	groupA := confusableTables("locA", 0, 5, 60)
 	groupB := confusableTables("visB", 7, 5, 60)
-	s := NewSantos(curated)
-	for _, tbl := range append(append([]*table.Table{}, groupA...), groupB...) {
-		s.AddTable(tbl)
-	}
-	if err := s.Build(); err != nil {
-		t.Fatal(err)
-	}
-	return s, groupA, groupB
+	return builtSantos(t, append(append([]*table.Table{}, groupA...), groupB...), curated), groupA, groupB
 }
 
 func topIDs(rs []Result) []string {
@@ -92,16 +85,7 @@ func TestSantosColumnOnlyBaselineConfused(t *testing.T) {
 	groupA := confusableTables("locA", 0, 5, 60)
 	groupB := confusableTables("visB", 7, 5, 60)
 	model := embedding.Train(nil, embedding.Config{Dim: 32, Seed: 1})
-	tus, err := NewTUS(TUSConfig{Model: model, Exhaustive: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, tbl := range append(append([]*table.Table{}, groupA...), groupB...) {
-		tus.AddTable(tbl)
-	}
-	if err := tus.Build(); err != nil {
-		t.Fatal(err)
-	}
+	tus := buildTUS(t, TUSConfig{Model: model, Exhaustive: true}, append(append([]*table.Table{}, groupA...), groupB...))
 	res, err := tus.Search(context.Background(), groupA[0], 9, SetMeasure)
 	if err != nil {
 		t.Fatal(err)
@@ -163,16 +147,22 @@ func TestSantosWithoutKB(t *testing.T) {
 }
 
 func TestSantosErrors(t *testing.T) {
-	s := NewSantos(nil)
-	if err := s.Build(); err == nil {
-		t.Error("empty Build should fail")
-	}
-	// Single-column tables are unusable.
-	s.AddTable(table.MustNew("one", "one", []*table.Column{
+	// Single-column tables are unusable: the builder skips them, and an
+	// engine without tables answers every query with nothing.
+	s := NewSantosBuilder(nil)
+	s.AddTables([]*table.Table{table.MustNew("one", "one", []*table.Column{
 		table.NewColumn("only", []string{"a", "b"}),
-	}))
+	})}, 1)
 	if s.NumTables() != 0 {
 		t.Error("single-column table should be skipped")
+	}
+	empty, err := s.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	groupB := confusableTables("visB", 7, 1, 20)
+	if res, err := empty.Search(context.Background(), groupB[0], 3, Hybrid); err != nil || len(res) != 0 {
+		t.Errorf("engine without tables: %v, %v; want no results", res, err)
 	}
 	s2, groupA, _ := buildSantos(t, nil)
 	oneCol := table.MustNew("q", "q", []*table.Column{
@@ -203,12 +193,7 @@ func TestSantosPairTokensDoNotCollide(t *testing.T) {
 		table.NewColumn("subject", []string{"x", "c1", "c2"}),
 		table.NewColumn("object", []string{"|y", "d1", "d2"}),
 	})
-	s := NewSantos(nil)
-	s.AddTable(left)
-	s.AddTable(right)
-	if err := s.Build(); err != nil {
-		t.Fatal(err)
-	}
+	s := builtSantos(t, []*table.Table{left, right}, nil)
 	if s.NumTables() != 2 || s.PairDict().Size() != 6 {
 		t.Errorf("%d tables, %d pair tokens; want 2 tables of 3 distinct pairs each", s.NumTables(), s.PairDict().Size())
 	}

@@ -35,10 +35,10 @@ func (t *TUS) AppendSnapshot(e *snap.Encoder, sysDict *dict.Dict) {
 
 // DecodeTUSSnapshot rebuilds a TUS engine written by AppendSnapshot,
 // adopting its tables as NewTUSFromParts does but keeping the stored
-// HNSW topology instead of rebuilding it. cfg supplies
-// the runtime resources (model, KB, lake dictionary) the snapshot
-// references rather than stores; lookup resolves table IDs against
-// the loaded catalog.
+// HNSW topology instead of growing one. cfg supplies the runtime
+// resources (model, KB, lake dictionary) the snapshot references
+// rather than stores; lookup resolves table IDs against the loaded
+// catalog.
 func DecodeTUSSnapshot(d *snap.Decoder, cfg TUSConfig, lookup func(id string) *table.Table) (*TUS, error) {
 	cfg.Exhaustive = d.Bool()
 	cfg.NumHashes = int(d.U32())
@@ -49,11 +49,12 @@ func DecodeTUSSnapshot(d *snap.Decoder, cfg TUSConfig, lookup func(id string) *t
 	if err != nil {
 		return nil, err
 	}
-	t, err := NewTUS(cfg)
+	a, err := newTUSAnalyzer(cfg)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", snap.ErrCorrupt, err)
 	}
-	t.hasher = hasher
+	a.hasher = hasher
+	t := &TUS{tusAnalyzer: a}
 	shared := d.Bool()
 	if d.Err() != nil {
 		return nil, d.Err()
@@ -81,28 +82,23 @@ func DecodeTUSSnapshot(d *snap.Decoder, cfg TUSConfig, lookup func(id string) *t
 	if t.nlIndex, err = hnsw.DecodeSnapshot(d); err != nil {
 		return nil, err
 	}
-	if err := t.bindNL(); err != nil {
+	if err := t.freeze(); err != nil {
 		return nil, fmt.Errorf("%w: %v", snap.ErrCorrupt, err)
 	}
-	// Rebuild the candidate-generation LSH exactly as Build does: same
-	// banding parameters, same insertion order.
-	if err := t.buildSetLSH(); err != nil {
-		return nil, fmt.Errorf("%w: %v", snap.ErrCorrupt, err)
-	}
-	t.freezeUniverse()
-	t.built = true
 	return t, nil
 }
 
-// AppendSnapshot encodes a SANTOS engine: the pair dictionary, each
-// table's encoded relationships, and the built flag. The pair and
-// predicate indexes are rebuilt on decode by Build's index over the
-// stored (sorted) table order.
+// AppendSnapshot encodes a SANTOS engine: whether it has tables, twice
+// (once as the built flag of the format's staged engines, which no
+// longer exist, and once as whether a pair dictionary follows), the
+// pair dictionary, and each table's encoded relationships. The pair
+// and predicate indexes are rebuilt on decode by the assembly's index
+// over the stored (sorted) table order.
 func (s *Santos) AppendSnapshot(e *snap.Encoder) {
-	e.Bool(s.built)
-	hasPairDict := s.pairDict != nil
-	e.Bool(hasPairDict)
-	if hasPairDict {
+	hasTables := s.pairDict != nil
+	e.Bool(hasTables)
+	e.Bool(hasTables)
+	if hasTables {
 		s.pairDict.AppendSnapshot(e)
 	}
 	e.Strs(s.ids)
@@ -122,11 +118,14 @@ func (s *Santos) AppendSnapshot(e *snap.Encoder) {
 // AppendSnapshot. curated is the loaded KB (may be nil); lookup
 // resolves table IDs against the loaded catalog.
 func DecodeSantosSnapshot(d *snap.Decoder, curated *kb.KB, lookup func(id string) *table.Table) (*Santos, error) {
-	s := NewSantos(curated)
+	s := &Santos{curated: curated, tables: make(map[string]*santosTable)}
 	built := d.Bool()
 	hasPairDict := d.Bool()
 	if d.Err() != nil {
 		return nil, d.Err()
+	}
+	if built != hasPairDict {
+		return nil, fmt.Errorf("%w: SANTOS built flag disagrees with its pair dictionary", snap.ErrCorrupt)
 	}
 	if hasPairDict {
 		var err error
@@ -138,14 +137,14 @@ func DecodeSantosSnapshot(d *snap.Decoder, curated *kb.KB, lookup func(id string
 	if d.Err() != nil {
 		return nil, d.Err()
 	}
-	if !sort.StringsAreSorted(ids) && built {
+	if !sort.StringsAreSorted(ids) {
 		return nil, fmt.Errorf("%w: SANTOS table IDs not sorted", snap.ErrCorrupt)
 	}
-	s.ids = ids
-	pairs := 0 // without a pair dictionary no relationship may hold a pair
-	if s.pairDict != nil {
-		pairs = s.pairDict.Size()
+	if built != (len(ids) > 0) {
+		return nil, fmt.Errorf("%w: SANTOS has %d tables and a pair dictionary: %v", snap.ErrCorrupt, len(ids), hasPairDict)
 	}
+	s.ids = ids
+	pairs := s.pairDict.Size()
 	for _, id := range ids {
 		tbl := lookup(id)
 		if tbl == nil {
@@ -177,22 +176,19 @@ func DecodeSantosSnapshot(d *snap.Decoder, curated *kb.KB, lookup func(id string
 		s.tables[id] = st
 	}
 	s.index()
-	s.built = built
 	return s, nil
 }
 
-// AppendSnapshot encodes a D3L engine: whether it shares the lake
-// dictionary (the dictionary inline when it does not, as TUS writes
-// it), then its parts (see AppendD3LParts). A staged engine is encoded
-// first, as Parts does.
-func (d3 *D3L) AppendSnapshot(e *snap.Encoder) {
-	parts := d3.Parts()
-	shared := d3.dict == d3.lake
+// AppendSnapshot encodes a D3L engine: whether it shares the system
+// dictionary sysDict (the dictionary inline when it does not, as TUS
+// writes it), then its parts (see AppendD3LParts).
+func (d3 *D3L) AppendSnapshot(e *snap.Encoder, sysDict *dict.Dict) {
+	shared := d3.dict == sysDict
 	e.Bool(shared)
 	if !shared {
 		d3.dict.AppendSnapshot(e)
 	}
-	AppendD3LParts(e, parts)
+	AppendD3LParts(e, d3.Parts())
 }
 
 // decodeD3LSection reads a section AppendSnapshot wrote: the
@@ -217,15 +213,15 @@ func decodeD3LSection(d *snap.Decoder, lake *dict.Dict) (*dict.Dict, D3LParts, e
 }
 
 // DecodeD3LSnapshot rebuilds a D3L engine written by AppendSnapshot,
-// adopting its parts as NewD3LFromParts does; lake is the loaded
-// system's dictionary (see NewD3L) and lookup resolves table IDs
-// against the loaded catalog.
+// assembling it from its parts as NewD3LFromParts does; lake is the
+// loaded system's dictionary and lookup resolves table IDs against the
+// loaded catalog.
 func DecodeD3LSnapshot(d *snap.Decoder, model *embedding.Model, lake *dict.Dict, lookup func(id string) *table.Table) (*D3L, error) {
 	values, parts, err := decodeD3LSection(d, lake)
 	if err != nil {
 		return nil, err
 	}
-	d3, err := newD3LFromParts(model, lake, values, parts, lookup)
+	d3, err := NewD3LFromParts(model, values, parts, lookup)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", snap.ErrCorrupt, err)
 	}
@@ -244,7 +240,7 @@ func DecodeD3LSnapshotParts(d *snap.Decoder, lake *dict.Dict, lookup func(id str
 	if values != lake {
 		return D3LParts{}, fmt.Errorf("%w: D3L does not share the system dictionary, so its parts cannot merge", snap.ErrCorrupt)
 	}
-	if err := (&D3L{tables: make(map[string]*d3lTable)}).adopt(parts, values, lookup); err != nil {
+	if err := new(D3L).adopt(parts, values, lookup); err != nil {
 		return D3LParts{}, fmt.Errorf("%w: %v", snap.ErrCorrupt, err)
 	}
 	return parts, nil

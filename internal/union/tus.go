@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 
@@ -27,9 +28,10 @@ type TUSConfig struct {
 	// without it the semantic measure scores 0 everywhere.
 	KB *kb.KB
 	// Dict is the lake-wide value dictionary; optional. When it covers
-	// every staged value, columns are encoded through it so the set
-	// measure shares the lake ID space; otherwise Build falls back to a
-	// self-built dictionary over the staged universe.
+	// every staged value, a builder encodes columns through it so the
+	// set measure shares the lake ID space; otherwise it falls back to a
+	// self-built dictionary over the staged universe. An engine's
+	// assembly requires the dictionary its parts are encoded in.
 	Dict *dict.Dict
 	// Exhaustive disables index-based candidate generation and scores
 	// every table (the accuracy ceiling; slow).
@@ -38,12 +40,143 @@ type TUSConfig struct {
 	NumHashes int
 }
 
-// TUS is a table union search engine. Add tables, Build, then Search.
-// Search is read-only and safe for concurrent use once Build has
-// returned; AddTable/AddTables/Build must not run concurrently with
-// each other or with Search.
+// tusAnalyzer analyzes columns for TUS: a builder's tables and an
+// engine's query tables alike. The hasher, model and KB are only read.
+type tusAnalyzer struct {
+	cfg    TUSConfig
+	hasher *minhash.Hasher
+}
+
+func newTUSAnalyzer(cfg TUSConfig) (tusAnalyzer, error) {
+	if cfg.Model == nil {
+		return tusAnalyzer{}, errors.New("union: TUSConfig.Model is required")
+	}
+	if cfg.NumHashes <= 0 {
+		cfg.NumHashes = 128
+	}
+	return tusAnalyzer{cfg: cfg, hasher: minhash.NewHasher(cfg.NumHashes, 7)}, nil
+}
+
+// column returns a column's analysis, its ID set still empty, and its
+// distinct normalized values, which the IDs will encode.
+func (a tusAnalyzer) column(c *table.Column) (TUSColumnParts, []string) {
+	values := tokenize.NormalizeSet(c.Values)
+	p := TUSColumnParts{Name: c.Name, Sig: a.hasher.Sign(values), Vec: a.cfg.Model.ColumnVector(values)}
+	if a.cfg.KB != nil {
+		if typ, cover, ok := a.cfg.KB.DominantType(values, 0.5); ok {
+			p.SemType, p.SemCover = typ, cover
+		}
+	}
+	return p, values
+}
+
+// TUSBuilder analyzes tables for a TUS engine: add tables, then take
+// their Parts (a delta's analysis) or Build the engine from them. It
+// must not be used concurrently.
+type TUSBuilder struct {
+	tusAnalyzer
+	tables map[string]*tusStaged
+	ids    []string
+}
+
+// tusStaged is one staged table: its columns' analyses and each
+// column's distinct normalized values, parallel to them.
+type tusStaged struct {
+	tbl    *table.Table
+	cols   []TUSColumnParts
+	values [][]string
+}
+
+// NewTUSBuilder creates a builder.
+func NewTUSBuilder(cfg TUSConfig) (*TUSBuilder, error) {
+	a, err := newTUSAnalyzer(cfg)
+	if err != nil {
+		return nil, err
+	}
+	return &TUSBuilder{tusAnalyzer: a, tables: make(map[string]*tusStaged)}, nil
+}
+
+// AddTables stages a batch of tables using up to workers goroutines.
+// Column analysis (normalization, MinHash signing, embedding, KB
+// annotation) — the dominant cost — fans out per table; registration
+// commits sequentially in batch order, so the staged state is
+// identical at any worker count. A table already staged, or without a
+// string column, is skipped.
+func (b *TUSBuilder) AddTables(tbls []*table.Table, workers int) {
+	staged, _ := parallel.Map(len(tbls), workers, func(i int) (*tusStaged, error) {
+		st := &tusStaged{tbl: tbls[i]}
+		for _, c := range stringColumns(tbls[i]) {
+			col, values := b.column(c)
+			st.cols = append(st.cols, col)
+			st.values = append(st.values, values)
+		}
+		return st, nil
+	})
+	for _, st := range staged {
+		if _, dup := b.tables[st.tbl.ID]; dup || len(st.cols) == 0 {
+			continue
+		}
+		b.tables[st.tbl.ID] = st
+		b.ids = append(b.ids, st.tbl.ID)
+	}
+}
+
+// NumTables returns the number of staged tables.
+func (b *TUSBuilder) NumTables() int { return len(b.ids) }
+
+// Parts returns the staged tables' analyses in sorted-ID order, every
+// column's values encoded into a sorted ID set, and the dictionary the
+// sets are in: the configured lake dictionary when it holds every
+// staged value, otherwise one built over those values. Slices alias
+// the builder's state; do not mutate.
+func (b *TUSBuilder) Parts() (*dict.Dict, []TUSTableParts) {
+	sort.Strings(b.ids)
+	d := b.cfg.Dict
+	covered := d != nil
+	for _, st := range b.tables {
+		for _, vals := range st.values {
+			for _, v := range vals {
+				if !covered {
+					break
+				}
+				_, covered = d.ID(v)
+			}
+		}
+	}
+	if !covered {
+		db := dict.NewBuilder()
+		for _, st := range b.tables {
+			for _, vals := range st.values {
+				db.Add(vals...)
+			}
+		}
+		d = db.Build()
+	}
+	parts := make([]TUSTableParts, len(b.ids))
+	for i, id := range b.ids {
+		st := b.tables[id]
+		p := TUSTableParts{ID: id, Cols: slices.Clone(st.cols)}
+		for j := range p.Cols {
+			p.Cols[j].IDs, _ = d.EncodeKnown(st.values[j])
+		}
+		parts[i] = p
+	}
+	return d, parts
+}
+
+// Build assembles the engine over the staged tables from their Parts.
+func (b *TUSBuilder) Build() (*TUS, error) {
+	cfg := b.cfg
+	d, parts := b.Parts()
+	cfg.Dict = d
+	return NewTUSFromParts(cfg, parts, nil, nil, func(id string) *table.Table { return b.tables[id].tbl })
+}
+
+// TUS is a table union search engine, built by a TUSBuilder or
+// assembled from parts (NewTUSFromParts, a snapshot decode). Search is
+// read-only and safe for concurrent use.
 type TUS struct {
-	cfg     TUSConfig
+	tusAnalyzer
 	tables  map[string]*tusTable
 	ids     []string
 	univ    int        // distinct values across the columns (the set measure's universe)
@@ -51,9 +184,7 @@ type TUS struct {
 	setLSH  *lsh.Index
 	owner   []int32 // setLSH ordinal (a column, tables in ids order) -> position in ids of its table
 	nlIndex *hnsw.Graph
-	hasher  *minhash.Hasher
 	lfact   logFactTable // ln n! cache for the hypergeometric CDF
-	built   bool
 
 	// QueryParallelism bounds the per-query candidate-scoring fan-out
 	// in Search: 0 = GOMAXPROCS, negative or 1 = sequential. Results
@@ -70,13 +201,9 @@ type tusTable struct {
 
 type tusColumn struct {
 	name string
-	// values holds the distinct normalized values between staging and
-	// Build; Build encodes them into ids and clears the slice. Query
-	// columns are encoded immediately and never carry values.
-	values []string
-	ids    dict.IDSet // same values as sorted dictionary IDs
-	sig    minhash.Signature
-	vec    embedding.Vector
+	ids  dict.IDSet // the distinct normalized values as sorted dictionary IDs
+	sig  minhash.Signature
+	vec  embedding.Vector
 	// norm is vec.Norm(), computed once where the column is made so the
 	// NL measure costs one dot product per matrix cell. Derived, never
 	// persisted.
@@ -86,74 +213,12 @@ type tusColumn struct {
 	semCover float64
 }
 
-// NewTUS creates an engine.
-func NewTUS(cfg TUSConfig) (*TUS, error) {
-	if cfg.Model == nil {
-		return nil, errors.New("union: TUSConfig.Model is required")
+// newTUSColumn makes an engine column of an analysis.
+func newTUSColumn(c TUSColumnParts) *tusColumn {
+	return &tusColumn{
+		name: c.Name, ids: c.IDs, sig: c.Sig, vec: c.Vec, norm: c.Vec.Norm(),
+		semType: c.SemType, semCover: c.SemCover,
 	}
-	if cfg.NumHashes <= 0 {
-		cfg.NumHashes = 128
-	}
-	return &TUS{
-		cfg:    cfg,
-		tables: make(map[string]*tusTable),
-		hasher: minhash.NewHasher(cfg.NumHashes, 7),
-	}, nil
-}
-
-// AddTable stages a table for indexing.
-func (t *TUS) AddTable(tbl *table.Table) {
-	if _, dup := t.tables[tbl.ID]; dup || !TUSIndexes(tbl) {
-		return
-	}
-	entry := &tusTable{tbl: tbl}
-	for _, c := range stringColumns(tbl) {
-		entry.cols = append(entry.cols, t.makeColumn(c))
-	}
-	t.tables[tbl.ID] = entry
-	t.ids = append(t.ids, tbl.ID)
-	t.built = false
-}
-
-// AddTables stages a batch of tables using up to workers goroutines.
-// Column analysis (normalization, MinHash signing, embedding, KB
-// annotation) — the dominant cost — fans out per table; registration
-// commits sequentially in batch order, so the engine state is
-// identical at any worker count. The hasher, model, and KB are only
-// read.
-func (t *TUS) AddTables(tbls []*table.Table, workers int) {
-	entries, _ := parallel.Map(len(tbls), workers, func(i int) (*tusTable, error) {
-		entry := &tusTable{tbl: tbls[i]}
-		for _, c := range stringColumns(tbls[i]) {
-			entry.cols = append(entry.cols, t.makeColumn(c))
-		}
-		return entry, nil
-	})
-	for _, entry := range entries {
-		if _, dup := t.tables[entry.tbl.ID]; dup || !TUSIndexes(entry.tbl) {
-			continue
-		}
-		t.tables[entry.tbl.ID] = entry
-		t.ids = append(t.ids, entry.tbl.ID)
-		t.built = false
-	}
-}
-
-func (t *TUS) makeColumn(c *table.Column) *tusColumn {
-	values := tokenize.NormalizeSet(c.Values)
-	tc := &tusColumn{
-		name:   c.Name,
-		values: values,
-		sig:    t.hasher.Sign(values),
-		vec:    t.cfg.Model.ColumnVector(values),
-	}
-	tc.norm = tc.vec.Norm()
-	if t.cfg.KB != nil {
-		if typ, cover, ok := t.cfg.KB.DominantType(values, 0.5); ok {
-			tc.semType, tc.semCover = typ, cover
-		}
-	}
-	return tc
 }
 
 // queryColumn analyzes an ad-hoc column and encodes it through enc.
@@ -161,48 +226,24 @@ func (t *TUS) makeColumn(c *table.Column) *tusColumn {
 // the same encoder, so two query columns still see their mutual
 // overlap even off the lake vocabulary.
 func (t *TUS) queryColumn(c *table.Column, enc *dict.Encoder) *tusColumn {
-	tc := t.makeColumn(c)
-	tc.ids = enc.Encode(tc.values)
-	tc.values = nil
-	return tc
+	p, values := t.column(c)
+	p.IDs = enc.Encode(values)
+	return newTUSColumn(p)
 }
 
 // nlGraphConfig shapes the natural-language column graph.
 var nlGraphConfig = hnsw.Config{M: 12, EfConstruction: 80, Seed: 11}
 
-// Build freezes the candidate-generation indexes.
-func (t *TUS) Build() error { return t.build(nil, nil) }
-
-// build freezes the candidate-generation indexes. The NL graph starts
-// from g — a fresh one when nil — and grows by each batch of table IDs
-// in turn (see insertNL); nil batches are every table, which with a
-// fresh graph is Build. The graph must end up holding exactly the
-// engine's columns.
-func (t *TUS) build(g *hnsw.Graph, batches [][]string) error {
-	if len(t.tables) == 0 {
-		return errors.New("union: no tables added")
-	}
-	t.encodeColumns()
-	if err := t.buildSetLSH(); err != nil {
-		return err
-	}
-	if g == nil {
-		g = hnsw.New(nlGraphConfig)
-	}
-	if batches == nil {
-		batches = [][]string{t.ids}
-	}
-	t.nlIndex = g
-	for _, ids := range batches {
-		if err := t.insertNL(ids); err != nil {
-			return err
-		}
-	}
+// freeze binds the NL graph and freezes the set-LSH and the universe
+// over the adopted columns: the last step of every assembly.
+func (t *TUS) freeze() error {
 	if err := t.bindNL(); err != nil {
 		return err
 	}
+	if err := t.buildSetLSH(); err != nil {
+		return err
+	}
 	t.freezeUniverse()
-	t.built = true
 	return nil
 }
 
@@ -230,10 +271,9 @@ func (t *TUS) freezeUniverse() {
 
 // insertNL adds to the NL graph each column of the tables ids names
 // that the graph lacks, tables in ids order (sorted, as every caller
-// passes them) and each table's columns in order: the order a Build
-// inserts in, and the one insertion loop of Build and of a merge (see
-// NewTUSFromParts). IDs of tables the engine does not hold (no string
-// column) are skipped.
+// passes them) and each table's columns in order: the one insertion
+// loop of every assembly (see NewTUSFromParts). IDs of tables the
+// engine does not hold (no string column) are skipped.
 func (t *TUS) insertNL(ids []string) error {
 	for _, id := range ids {
 		entry := t.tables[id]
@@ -278,9 +318,9 @@ func (t *TUS) bindNL() error {
 	return nil
 }
 
-// buildSetLSH freezes the candidate-generation LSH over every staged
-// column, tables in ids order. The threshold is low: candidate columns
-// need only weak set overlap; scoring decides.
+// buildSetLSH freezes the candidate-generation LSH over every column,
+// tables in ids order. The threshold is low: candidate columns need
+// only weak set overlap; scoring decides.
 func (t *TUS) buildSetLSH() error {
 	b, r := lsh.OptimalParams(0.3, t.cfg.NumHashes, 0.8, 0.2)
 	t.setLSH = lsh.New(b, r)
@@ -299,62 +339,10 @@ func (t *TUS) buildSetLSH() error {
 	return nil
 }
 
-// encodeColumns sorts the table IDs, picks the dictionary for this
-// build and encodes every column's values into sorted ID sets — the
-// half of Build that Parts also needs. The configured lake dictionary
-// is used when it holds every value of every column (the staged ones
-// read, the encoded ones in it already); otherwise a dictionary is
-// built over those values. When the dictionary changes between builds
-// (the self-built one grows with new tables), previously encoded
-// columns are re-encoded — IDs from different dictionaries must never
-// mix, or cross-column overlap breaks.
-func (t *TUS) encodeColumns() {
-	sort.Strings(t.ids)
-	d := t.cfg.Dict
-	covered := d != nil && (t.dict == nil || t.dict == d)
-	for _, id := range t.ids {
-		for _, c := range t.tables[id].cols {
-			for _, v := range c.values {
-				if !covered {
-					break
-				}
-				_, covered = d.ID(v)
-			}
-		}
-	}
-	if !covered {
-		db := dict.NewBuilder()
-		for _, id := range t.ids {
-			for _, c := range t.tables[id].cols {
-				if c.values == nil {
-					db.Add(t.dict.Decode(c.ids)...)
-				}
-				db.Add(c.values...)
-			}
-		}
-		d = db.Build()
-	}
-	rebuild := d != t.dict
-	for _, id := range t.ids {
-		for _, c := range t.tables[id].cols {
-			if c.ids != nil && !rebuild {
-				continue
-			}
-			if c.values == nil {
-				c.values = t.dict.Decode(c.ids)
-			}
-			c.ids, _ = d.EncodeKnown(c.values)
-			c.values = nil
-		}
-	}
-	t.dict = d
-}
-
 // NumTables returns the number of indexed tables.
 func (t *TUS) NumTables() int { return len(t.tables) }
 
-// Dict returns the dictionary the engine's columns are encoded in
-// (nil before the first Build).
+// Dict returns the dictionary the engine's columns are encoded in.
 func (t *TUS) Dict() *dict.Dict { return t.dict }
 
 // SetsFootprint reports the resident cost of the ID-encoded column
@@ -507,14 +495,9 @@ func nlUnionability(a, b *tusColumn, dot float64) float64 {
 	return (embedding.CosineOfDot(dot, a.norm, b.norm) + 1) / 2
 }
 
-// ErrNotBuilt is returned by Search when the index has pending tables
-// that Build has not frozen yet.
-var ErrNotBuilt = errors.New("union: index not built (call Build after adding tables)")
-
 // Search returns the k tables most unionable with the query under the
-// measure. The query need not be indexed. Search is a pure read: it
-// requires a prior Build (ErrNotBuilt otherwise, never an implicit
-// rebuild) and is safe for concurrent use. Candidate scoring — the
+// measure. The query need not be indexed. Search is a pure read and
+// safe for concurrent use. Candidate scoring — the
 // bipartite-matching + hypergeometric hot loop — fans out over
 // QueryParallelism workers into indexed slots, so results are
 // bit-identical to the sequential scan; it checks ctx between candidate
@@ -548,14 +531,11 @@ func newTUSQuery(id string, qcols []*tusColumn) *TUSQuery {
 }
 
 // Prepare encodes a query table's string columns against the frozen
-// dictionary; a query that is a staged table reuses its staged columns
-// (every staged value is in the dictionary, so they are what encoding
+// dictionary; a query that is an indexed table reuses its columns
+// (every indexed value is in the dictionary, so they are what encoding
 // would produce). A query without usable string columns wraps
 // table.ErrBadQuery.
 func (t *TUS) Prepare(query *table.Table) (*TUSQuery, error) {
-	if !t.built {
-		return nil, ErrNotBuilt
-	}
 	if entry := t.tables[query.ID]; entry != nil && entry.tbl == query {
 		return newTUSQuery(query.ID, entry.cols), nil
 	}
@@ -663,8 +643,7 @@ func (t *TUS) candidateTables(qcols []*tusColumn) []string {
 	return out
 }
 
-// NLGraph returns the natural-language column graph (nil before
-// Build). A merge grows it in place (see NewTUSFromParts), so the
+// NLGraph returns the natural-language column graph. A merge grows it in place (see NewTUSFromParts), so the
 // engine it came from must not serve afterwards.
 func (t *TUS) NLGraph() *hnsw.Graph { return t.nlIndex }
 

@@ -9,13 +9,14 @@ import (
 	"tablehound/internal/datagen"
 	"tablehound/internal/dict"
 	"tablehound/internal/embedding"
+	"tablehound/internal/table"
 	"tablehound/internal/tokenize"
 )
 
 // TestTUSAddTablesMatchesSequential checks the batch loader's parity
-// contract: AddTables at any worker count must produce the same engine
-// state — and therefore the same search results — as the historical
-// one-at-a-time AddTable loop.
+// contract: AddTables at any worker count must stage the same parts —
+// and so build an engine with the same search results — as adding the
+// tables one at a time.
 func TestTUSAddTablesMatchesSequential(t *testing.T) {
 	lake := datagen.Generate(datagen.Config{
 		Seed:              31,
@@ -27,36 +28,39 @@ func TestTUSAddTablesMatchesSequential(t *testing.T) {
 	model := embedding.Train(lake.ColumnContexts(), embedding.Config{Dim: 64, Seed: 3})
 	kb := lake.BuildKB(0.9)
 
-	newEngine := func() *TUS {
-		tus, err := NewTUS(TUSConfig{Model: model, KB: kb})
+	newBuilder := func() *TUSBuilder {
+		b, err := NewTUSBuilder(TUSConfig{Model: model, KB: kb})
 		if err != nil {
 			t.Fatal(err)
 		}
-		return tus
+		return b
 	}
-	seq := newEngine()
+	seq := newBuilder()
 	for _, tbl := range lake.Tables {
-		seq.AddTable(tbl)
+		seq.AddTables([]*table.Table{tbl}, 1)
 	}
-	if err := seq.Build(); err != nil {
-		t.Fatal(err)
-	}
-	query := lake.Tables[0]
-	want, err := seq.Search(context.Background(), query, 5, EnsembleMeasure)
+	seqEngine, err := seq.Build()
 	if err != nil {
 		t.Fatal(err)
 	}
+	query := lake.Tables[0]
+	want, err := seqEngine.Search(context.Background(), query, 5, EnsembleMeasure)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, wantParts := seq.Parts()
 
 	for _, workers := range []int{1, 4} {
-		par := newEngine()
+		par := newBuilder()
 		par.AddTables(lake.Tables, workers)
-		if par.NumTables() != seq.NumTables() {
-			t.Fatalf("workers=%d: staged %d tables, want %d", workers, par.NumTables(), seq.NumTables())
+		if _, got := par.Parts(); !reflect.DeepEqual(got, wantParts) {
+			t.Fatalf("workers=%d: staged parts differ from one-at-a-time staging", workers)
 		}
-		if err := par.Build(); err != nil {
+		eng, err := par.Build()
+		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := par.Search(context.Background(), query, 5, EnsembleMeasure)
+		got, err := eng.Search(context.Background(), query, 5, EnsembleMeasure)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -66,10 +70,10 @@ func TestTUSAddTablesMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestTUSStagedPartsEqualBuilt pins what delta analysis relies on: the
-// parts of a staged engine (never built, tables added out of order)
-// equal those of the same engine after Build — with the lake dictionary
-// the columns encode in, and with the self-built fallback.
+// TestTUSStagedPartsEqualBuilt pins what delta analysis relies on: a
+// builder's parts (tables added out of order) equal those of an engine
+// built over the same tables — with the lake dictionary the columns
+// encode in, and with the self-built fallback.
 func TestTUSStagedPartsEqualBuilt(t *testing.T) {
 	lake := datagen.Generate(datagen.Config{Seed: 31, NumDomains: 10, DomainSize: 80, NumTemplates: 3, TablesPerTemplate: 3})
 	model := embedding.Train(lake.ColumnContexts(), embedding.Config{Dim: 32, Seed: 3})
@@ -84,22 +88,19 @@ func TestTUSStagedPartsEqualBuilt(t *testing.T) {
 	slices.Reverse(reversed)
 	for _, d := range []*dict.Dict{db.Build(), nil} {
 		cfg := TUSConfig{Model: model, KB: lake.BuildKB(0.9), Dict: d}
-		staged, err := NewTUS(cfg)
+		staged, err := NewTUSBuilder(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
 		staged.AddTables(reversed, 2)
-		built, err := NewTUS(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		built.AddTables(lake.Tables, 1)
-		if err := built.Build(); err != nil {
-			t.Fatal(err)
-		}
-		got, want := staged.Parts(), built.Parts()
+		built := buildTUS(t, cfg, lake.Tables)
+		sd, got := staged.Parts()
+		want := built.Parts()
 		if len(want) != len(lake.Tables) || !reflect.DeepEqual(got, want) {
 			t.Errorf("lake dictionary %v: staged parts (%d tables) differ from built parts (%d tables)", d != nil, len(got), len(want))
+		}
+		if (d != nil) != (sd == d) || sd.Size() != built.Dict().Size() {
+			t.Errorf("lake dictionary %v: staged parts in a dictionary of %d values, the engine's has %d", d != nil, sd.Size(), built.Dict().Size())
 		}
 	}
 }

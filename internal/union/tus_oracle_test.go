@@ -61,20 +61,27 @@ func tusOracleColumnScore(t *TUS, a, b *tusColumn, m Measure) float64 {
 	return max(set, sem, nl)
 }
 
-// builtTUS stages and freezes a TUS engine over tables, with the
-// lake's KB when useKB is set.
+// builtTUS builds a TUS engine over the lake's tables, with the lake's
+// KB when useKB is set.
 func builtTUS(t testing.TB, lake *datagen.Lake, model *embedding.Model, useKB bool) *TUS {
 	t.Helper()
 	cfg := TUSConfig{Model: model}
 	if useKB {
 		cfg.KB = lake.BuildKB(0.9)
 	}
-	tus, err := NewTUS(cfg)
+	return buildTUS(t, cfg, lake.Tables)
+}
+
+// buildTUS builds a TUS engine over tables.
+func buildTUS(t testing.TB, cfg TUSConfig, tables []*table.Table) *TUS {
+	t.Helper()
+	b, err := NewTUSBuilder(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tus.AddTables(lake.Tables, 2)
-	if err := tus.Build(); err != nil {
+	b.AddTables(tables, 2)
+	tus, err := b.Build()
+	if err != nil {
 		t.Fatal(err)
 	}
 	return tus

@@ -24,17 +24,7 @@ func lakeAndTUS(t *testing.T, exhaustive bool, useKB bool) (*datagen.Lake, *TUS)
 	if useKB {
 		cfg.KB = lake.BuildKB(0.9)
 	}
-	tus, err := NewTUS(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, tbl := range lake.Tables {
-		tus.AddTable(tbl)
-	}
-	if err := tus.Build(); err != nil {
-		t.Fatal(err)
-	}
-	return lake, tus
+	return lake, buildTUS(t, cfg, lake.Tables)
 }
 
 func TestTUSFindsUnionableTables(t *testing.T) {
@@ -131,21 +121,18 @@ func TestTUSWithoutKBSemIsZero(t *testing.T) {
 }
 
 func TestTUSErrors(t *testing.T) {
-	if _, err := NewTUS(TUSConfig{}); err == nil {
+	if _, err := NewTUSBuilder(TUSConfig{}); err == nil {
 		t.Error("nil model should fail")
 	}
 	model := embedding.Train(nil, embedding.Config{Dim: 16})
-	tus, _ := NewTUS(TUSConfig{Model: model})
-	if err := tus.Build(); err == nil {
+	b, _ := NewTUSBuilder(TUSConfig{Model: model})
+	if _, err := b.Build(); err == nil {
 		t.Error("Build with no tables should fail")
 	}
-	tus.AddTable(table.MustNew("t", "t", []*table.Column{
+	tus := buildTUS(t, TUSConfig{Model: model}, []*table.Table{table.MustNew("t", "t", []*table.Column{
 		table.NewColumn("a", []string{"x", "y", "z"}),
 		table.NewColumn("b", []string{"p", "q", "r"}),
-	}))
-	if err := tus.Build(); err != nil {
-		t.Fatal(err)
-	}
+	})})
 	// Query with only numeric columns fails.
 	numQuery := table.MustNew("n", "n", []*table.Column{
 		table.NewColumn("v", []string{"1", "2", "3"}),
@@ -194,14 +181,7 @@ var tusBenchSink []Result
 func BenchmarkTUSSearch(b *testing.B) {
 	lake := datagen.Generate(datagen.Config{Seed: 1, NumDomains: 20, DomainSize: 80, NumTemplates: 10, TablesPerTemplate: 30})
 	model := embedding.Train(lake.ColumnContexts(), embedding.Config{Dim: 64, Seed: 3})
-	tus, err := NewTUS(TUSConfig{Model: model, Dict: valueDict(lake.Tables)})
-	if err != nil {
-		b.Fatal(err)
-	}
-	tus.AddTables(lake.Tables, 0)
-	if err := tus.Build(); err != nil {
-		b.Fatal(err)
-	}
+	tus := buildTUS(b, TUSConfig{Model: model, Dict: valueDict(lake.Tables)}, lake.Tables)
 	tus.QueryParallelism = 1
 	ctx := context.Background()
 	b.ReportAllocs()

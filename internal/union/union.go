@@ -62,15 +62,15 @@ func stringColumns(t *table.Table) []*table.Column {
 	return out
 }
 
-// TUSIndexes reports whether TUS's AddTable indexes a table: it has a
+// TUSIndexes reports whether a TUSBuilder indexes a table: it has a
 // string column.
 func TUSIndexes(t *table.Table) bool { return slices.ContainsFunc(t.Columns, isStringColumn) }
 
-// D3LIndexes reports whether D3L's AddTable indexes a table: it has a
+// D3LIndexes reports whether a D3LBuilder indexes a table: it has a
 // string column.
 func D3LIndexes(t *table.Table) bool { return slices.ContainsFunc(t.Columns, isStringColumn) }
 
-// SantosIndexes reports whether SANTOS's AddTable indexes a table: it
+// SantosIndexes reports whether a SantosBuilder indexes a table: it
 // has an intent column and a string column to relate it to.
 func SantosIndexes(t *table.Table) bool { return len(stringColumns(t)) >= 2 }
 
