@@ -555,7 +555,7 @@ func analyzeDelta(delta *Delta, base *System, ext *dict.Dict) error {
 			return inExt("join index", d)
 		},
 		func() error {
-			b, err := union.NewTUSBuilder(union.TUSConfig{Model: base.Model, KB: base.KB, Dict: ext, NumHashes: 128})
+			b, err := union.NewTUSBuilder(union.TUSConfig{Model: base.Model, KB: base.KB, Dict: ext})
 			if err != nil {
 				return err
 			}

@@ -193,7 +193,7 @@ func (p pipeline) graphs() graphFold {
 // builder's, whose column analysis fans out per table.
 func (p pipeline) tus() (int, error) {
 	s := p.s
-	cfg := union.TUSConfig{Model: s.Model, KB: s.KB, Dict: s.Dict, NumHashes: 128}
+	cfg := union.TUSConfig{Model: s.Model, KB: s.KB, Dict: s.Dict}
 	var parts []union.TUSTableParts
 	if p.parts != nil {
 		parts = p.parts.tus

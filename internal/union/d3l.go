@@ -129,9 +129,6 @@ func (b *D3LBuilder) AddTables(tbls []*table.Table, workers int) {
 	}
 }
 
-// NumTables returns the number of staged tables.
-func (b *D3LBuilder) NumTables() int { return len(b.ids) }
-
 // Parts returns the staged tables' analyses in sorted-ID order, encoded
 // (see encodeD3L), and the dictionary their value IDs are in. Slices
 // alias the builder's state; do not mutate.

@@ -117,7 +117,7 @@ func TestD3LErrors(t *testing.T) {
 		table.NewColumn("v", []string{"1", "2", "3"}),
 	})
 	b.AddTables([]*table.Table{numeric}, 1) // no string columns: skipped
-	if b.NumTables() != 0 {
+	if _, p := b.Parts(); len(p.Tables) != 0 {
 		t.Error("numeric-only table staged")
 	}
 	d, err := b.Build()
@@ -136,7 +136,7 @@ func TestD3LDuplicateAdd(t *testing.T) {
 	})
 	b.AddTables([]*table.Table{tbl}, 1)
 	b.AddTables([]*table.Table{tbl}, 1)
-	if b.NumTables() != 1 {
+	if _, p := b.Parts(); len(p.Tables) != 1 {
 		t.Error("duplicate add changed count")
 	}
 }

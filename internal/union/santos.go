@@ -70,9 +70,6 @@ func (b *SantosBuilder) AddTables(tbls []*table.Table, workers int) {
 	}
 }
 
-// NumTables returns the number of staged tables.
-func (b *SantosBuilder) NumTables() int { return len(b.parts) }
-
 // Parts returns the staged tables' relationships in sorted-ID order,
 // pair tokens raw, in first-occurrence order. Slices alias the
 // builder's state; do not mutate.

@@ -121,9 +121,6 @@ func (b *TUSBuilder) AddTables(tbls []*table.Table, workers int) {
 	}
 }
 
-// NumTables returns the number of staged tables.
-func (b *TUSBuilder) NumTables() int { return len(b.ids) }
-
 // Parts returns the staged tables' analyses in sorted-ID order, every
 // column's values encoded into a sorted ID set, and the dictionary the
 // sets are in: the configured lake dictionary when it holds every
