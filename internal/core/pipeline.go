@@ -180,23 +180,15 @@ func (p pipeline) assembled(err error) error {
 	return err
 }
 
-// graphs returns where a stage grows its HNSW graph from: a merge's
-// fold, or nothing, which grows fresh graphs over every table.
-func (p pipeline) graphs() graphFold {
-	if p.parts != nil {
-		return p.parts.graphs
-	}
-	return graphFold{}
-}
-
 // tus assembles the TUS union engine from a merge's parts or from a
 // builder's, whose column analysis fans out per table.
 func (p pipeline) tus() (int, error) {
 	s := p.s
 	cfg := union.TUSConfig{Model: s.Model, KB: s.KB, Dict: s.Dict}
 	var parts []union.TUSTableParts
+	var g graphFold // a build's: fresh graphs over every table
 	if p.parts != nil {
-		parts = p.parts.tus
+		parts, g = p.parts.tus, p.parts.graphs
 	} else {
 		b, err := union.NewTUSBuilder(cfg)
 		if err != nil {
@@ -205,7 +197,6 @@ func (p pipeline) tus() (int, error) {
 		b.AddTables(s.Catalog.Tables(), p.opts.Parallelism)
 		cfg.Dict, parts = b.Parts()
 	}
-	g := p.graphs()
 	tus, err := union.NewTUSFromParts(cfg, parts, g.tus, g.batches, s.Catalog.Table)
 	if err != nil {
 		return 0, p.assembled(err)
@@ -263,14 +254,14 @@ func (p pipeline) starmie() (int, error) {
 	s := p.s
 	enc := starmie.NewEncoder(s.Model, contextWeight)
 	var parts []starmie.TableParts
+	var g graphFold // a build's: a fresh graph over every table
 	if p.parts != nil {
-		parts = p.parts.starmie
+		parts, g = p.parts.starmie, p.parts.graphs
 	} else {
 		b := starmie.NewBuilder(enc)
 		b.AddTables(s.Catalog.Tables(), p.opts.Parallelism)
 		parts = b.Parts()
 	}
-	g := p.graphs()
 	ix, err := starmie.NewIndexFromParts(enc, parts, g.starmie, g.batches, s.Catalog.Table)
 	if err != nil {
 		return 0, p.assembled(err)

@@ -136,8 +136,8 @@ func (t *TUS) adopt(parts []TUSTableParts, lookup func(id string) *table.Table) 
 
 // NewTUSFromParts assembles a TUS engine from parts whose column sets
 // are all encoded in cfg.Dict (required): the one assembly of a build
-// (TUSBuilder.Build), a merge and a load (see DecodeTUSSnapshot). The
-// value universe is counted over the column sets, and the set-LSH
+// (TUSBuilder.Build) and a merge, whose adoption and freeze a load
+// shares (see DecodeTUSSnapshot). The value universe is counted over the column sets, and the set-LSH
 // freezes over the tables in parts order (sorted by ID, as every
 // caller passes them). The NL graph starts from g — a fresh one when
 // nil — and grows by each batch of sorted table IDs in turn, nil
