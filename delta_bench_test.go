@@ -260,11 +260,12 @@ func firstCall(b *testing.B, fresh func() (*core.System, error), call func(*core
 // end-to-end benchmark's `serve_cold` delta_visible_s, over that lake
 // shape. Besides the load it reports, in ms per load, the merge's own
 // walls for the stages that fold the base's state instead of deriving
-// it again — dict, keyword, join — for the two union engines that
-// remap their folded ID sets — tus, d3l — and for the vector store.
+// it again — dict, keyword, join — for the three union engines that
+// remap their folded ID sets — tus, santos, d3l — and for the vector
+// store.
 func BenchmarkDeltaChainLoadServing(b *testing.B) {
 	deltaBenchServingSetup(b)
-	deltaBenchServing.chainLoad(b, "dict", "keyword", "join", "tus", "d3l", "vecs")
+	deltaBenchServing.chainLoad(b, "dict", "keyword", "join", "tus", "santos", "d3l", "vecs")
 }
 
 func deltaBenchServingSetup(b *testing.B) {

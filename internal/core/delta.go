@@ -161,11 +161,13 @@ func (l *Lineage) LastCompactGen() uint64 {
 // 2 chained on content-folded generations (snap.HashTables); version 3
 // lays each engine section out in that engine's per-table parts codec;
 // version 4 carries D3L's values as IDs in the extended dictionary and
-// its words as positions in the section's own word list. Older files
-// fail with ErrVersionMismatch rather than a confusing chain error.
+// its words as positions in the section's own word list; version 5
+// carries SANTOS's pairs as packed pairs of extended-dictionary IDs.
+// Older files fail with ErrVersionMismatch rather than a confusing
+// chain error.
 const (
 	deltaMagic   uint32 = 0x54484442 // "THDB": tablehound delta binary
-	deltaVersion uint16 = 4
+	deltaVersion uint16 = 5
 )
 
 // Delta section IDs, in stream order.
@@ -206,8 +208,9 @@ type Delta struct {
 	// these columns through dict.Sign, bit-identically, and keeps the
 	// base snapshot's stored ones for the tables the chain leaves alone.
 	JoinIDSets map[string]dict.IDSet
-	// Per-surface parts for the added tables. TUS's and D3L's value IDs
-	// are in the extended dictionary.
+	// Per-surface parts for the added tables. TUS's and D3L's value IDs,
+	// and both halves of SANTOS's packed pairs, are in the extended
+	// dictionary.
 	TUS     []union.TUSTableParts
 	Santos  []union.SantosTableParts
 	D3L     union.D3LParts
@@ -315,6 +318,8 @@ func LoadDelta(r io.Reader) (*Delta, error) {
 // hold one it would not. A merge folds parts by table ID, so such a part
 // would replace a base table's analysis or index a column that is not
 // there, and a missing one would leave the table out of that engine.
+// Each SANTOS relationship's packed pairs must be strictly ascending,
+// both halves IDs of the delta's extended dictionary.
 func (d *Delta) checkParts() error {
 	added := make(map[string]*table.Table, d.Catalog.Len())
 	for _, t := range d.Catalog.Tables() {
@@ -336,6 +341,14 @@ func (d *Delta) checkParts() error {
 			key := table.ColumnKey(t.ID, c.Name)
 			if _, ok := d.JoinIDSets[key]; ok != join.Indexes(c, minJoinCardinality) {
 				return corrupt("join parts disagree with the join index on column %q", key)
+			}
+		}
+	}
+	extSize := d.BaseDictSize + len(d.NewValues)
+	for _, p := range d.Santos {
+		for _, r := range p.Rels {
+			if err := union.CheckSantosPairs(r.Pairs, extSize); err != nil {
+				return corrupt("SANTOS relationship %s.%s: %v", p.ID, r.ColName, err)
 			}
 		}
 	}
@@ -565,10 +578,11 @@ func analyzeDelta(delta *Delta, base *System, ext *dict.Dict) error {
 			return inExt("TUS", d)
 		},
 		func() error {
-			b := union.NewSantosBuilder(base.KB)
+			b := union.NewSantosBuilder(base.KB, ext)
 			b.AddTables(tables, workers)
-			delta.Santos = b.Parts()
-			return nil
+			var d *dict.Dict
+			d, delta.Santos = b.Parts()
+			return inExt("SANTOS", d)
 		},
 		func() error {
 			b, err := union.NewD3LBuilder(base.Model, ext)
@@ -747,6 +761,9 @@ func applyDeltas(base *System, d3lParts union.D3LParts, deltas []*Delta, infos [
 		return nil, fmt.Errorf("%w: join engine does not share the system dictionary, so its parts cannot merge", ErrCorruptSnapshot)
 	}
 	joinSets := base.Join.Parts().IDSets
+	if base.Santos.Values() != base.Dict {
+		return nil, fmt.Errorf("%w: SANTOS does not share the system dictionary, so its parts cannot merge", ErrCorruptSnapshot)
+	}
 	tus := foldParts(base.TUS.Parts(), func(p union.TUSTableParts) string { return p.ID })
 	santos := foldParts(base.Santos.Parts(), func(p union.SantosTableParts) string { return p.ID })
 	// D3L's word IDs index each part set's own word list: they move onto
@@ -840,13 +857,19 @@ func applyDeltas(base *System, d3lParts union.D3LParts, deltas []*Delta, infos [
 	}); err != nil {
 		return nil, err
 	}
+	remapID := func(id uint32) (uint32, error) {
+		if int(id) >= len(remap) || remap[id] == unmapped {
+			return 0, fmt.Errorf("%w: ID %d references a value outside the merged lake", ErrDeltaChain, id)
+		}
+		return remap[id], nil
+	}
 	remapSet := func(ids dict.IDSet) (dict.IDSet, error) {
 		out := make(dict.IDSet, len(ids))
 		for i, id := range ids {
-			if int(id) >= len(remap) || remap[id] == unmapped {
-				return nil, fmt.Errorf("%w: ID %d references a value outside the merged lake", ErrDeltaChain, id)
+			var err error
+			if out[i], err = remapID(id); err != nil {
+				return nil, err
 			}
-			out[i] = remap[id]
 		}
 		slices.Sort(out)
 		return out, nil
@@ -879,13 +902,35 @@ func applyDeltas(base *System, d3lParts union.D3LParts, deltas []*Delta, infos [
 			c.IDs = ns
 		}
 	}
+	// SANTOS's pairs move half by half; NewSantosFromParts sorts them.
+	santosOrdered := santos.inIDOrder(ids)
+	for ti := range santosOrdered {
+		p := &santosOrdered[ti]
+		p.Rels = slices.Clone(p.Rels)
+		for ri := range p.Rels {
+			r := &p.Rels[ri]
+			pairs := make([]uint64, len(r.Pairs))
+			for k, pair := range r.Pairs {
+				sub, err := remapID(uint32(pair >> 32))
+				obj, oerr := remapID(uint32(pair))
+				if err == nil {
+					err = oerr
+				}
+				if err != nil {
+					return nil, fmt.Errorf("SANTOS relationship %s.%s: %w", p.ID, r.ColName, err)
+				}
+				pairs[k] = uint64(sub)<<32 | uint64(obj)
+			}
+			r.Pairs = pairs
+		}
+	}
 	mp := mergedParts{
 		added:   added,
 		keyword: base.Keyword,
 		values:  base.Values,
 		join:    join.EngineParts{IDSets: joinSets},
 		tus:     tusOrdered,
-		santos:  santos.inIDOrder(ids),
+		santos:  santosOrdered,
 		d3l:     union.D3LParts{Words: words, Tables: d3lOrdered},
 		starmie: star.inIDOrder(ids),
 		graphs:  graphs,

@@ -512,6 +512,23 @@ func TestDeltaRejectsForeignParts(t *testing.T) {
 			c.WordIDs = slices.Clone(c.WordIDs)
 			c.WordIDs[0], c.WordIDs[1] = c.WordIDs[1], c.WordIDs[0]
 		}},
+		{"SANTOS pairs out of order", func(v *Delta) {
+			r := forgeSantosRel(v, d)
+			r.Pairs[0], r.Pairs[1] = r.Pairs[1], r.Pairs[0]
+		}},
+		{"SANTOS pair repeated", func(v *Delta) {
+			r := forgeSantosRel(v, d)
+			r.Pairs[1] = r.Pairs[0]
+		}},
+		{"SANTOS subject past the extended dictionary", func(v *Delta) {
+			r := forgeSantosRel(v, d)
+			r.Pairs[len(r.Pairs)-1] = uint64(v.BaseDictSize+len(v.NewValues)) << 32
+		}},
+		{"SANTOS object past the extended dictionary", func(v *Delta) {
+			r := forgeSantosRel(v, d)
+			last := &r.Pairs[len(r.Pairs)-1]
+			*last = *last>>32<<32 | uint64(v.BaseDictSize+len(v.NewValues))
+		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			v := *d
@@ -525,6 +542,20 @@ func TestDeltaRejectsForeignParts(t *testing.T) {
 			}
 		})
 	}
+}
+
+// forgeSantosRel gives v a copy of d's SANTOS parts and returns the
+// first relationship of its first table, with a copy of its pairs, to
+// forge; it holds at least two pairs.
+func forgeSantosRel(v, d *Delta) *union.SantosRelParts {
+	v.Santos = slices.Clone(d.Santos)
+	v.Santos[0].Rels = slices.Clone(d.Santos[0].Rels)
+	r := &v.Santos[0].Rels[0]
+	r.Pairs = slices.Clone(r.Pairs)
+	if len(r.Pairs) < 2 {
+		panic("fixture SANTOS relationship holds fewer than two pairs")
+	}
+	return r
 }
 
 // forgeD3LColumn gives v a copy of d's D3L parts and returns the first
@@ -772,9 +803,10 @@ func TestDeltaRejectsCorruption(t *testing.T) {
 		}
 	})
 	// A delta written before the engine sections followed the parts
-	// codecs (v2), or while D3L's section carried strings (v3), is
-	// stale, not damaged, and the message names both versions.
-	for _, v := range []byte{2, 3} {
+	// codecs (v2), while D3L's section carried strings (v3), or while
+	// SANTOS's did (v4), is stale, not damaged, and the message names
+	// both versions.
+	for _, v := range []byte{2, 3, 4} {
 		t.Run(fmt.Sprintf("v%d header", v), func(t *testing.T) {
 			bad := append([]byte{}, good...)
 			bad[4], bad[5] = v, 0
@@ -782,8 +814,8 @@ func TestDeltaRejectsCorruption(t *testing.T) {
 			if !errors.Is(err, ErrVersionMismatch) || errors.Is(err, ErrCorruptSnapshot) {
 				t.Fatalf("err = %v, want ErrVersionMismatch alone", err)
 			}
-			if msg := err.Error(); !strings.Contains(msg, fmt.Sprintf("version %d", v)) || !strings.Contains(msg, "expected 4") {
-				t.Errorf("err %q does not name versions %d and 4", msg, v)
+			if msg := err.Error(); !strings.Contains(msg, fmt.Sprintf("version %d", v)) || !strings.Contains(msg, "expected 5") {
+				t.Errorf("err %q does not name versions %d and 5", msg, v)
 			}
 		})
 	}

@@ -67,7 +67,7 @@ func (s *System) MemStats() MemReport {
 		add("d3l-sets", s.D3L.NumTables(), s.D3L.SetsFootprint())
 	}
 	if s.Santos != nil {
-		add("santos-dict", 0, s.Santos.PairDict().Footprint())
+		add("santos-pairlist", 0, s.Santos.PairListFootprint())
 		add("santos-pairs", s.Santos.NumTables(), s.Santos.PairFootprint())
 	}
 	if s.Keyword != nil {

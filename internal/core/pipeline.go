@@ -205,19 +205,20 @@ func (p pipeline) tus() (int, error) {
 	return tus.NumTables(), nil
 }
 
-// santos assembles the SANTOS union engine from a merge's parts or
-// from a builder's; without a table it is empty.
+// santos assembles the SANTOS union engine from a merge's parts, in
+// the system dictionary, or from a builder's; without a table it is
+// empty.
 func (p pipeline) santos() (int, error) {
 	s := p.s
-	var parts []union.SantosTableParts
+	values, parts := s.Dict, []union.SantosTableParts(nil)
 	if p.parts != nil {
 		parts = p.parts.santos
 	} else {
-		b := union.NewSantosBuilder(s.KB)
+		b := union.NewSantosBuilder(s.KB, s.Dict)
 		b.AddTables(s.Catalog.Tables(), p.opts.Parallelism)
-		parts = b.Parts()
+		values, parts = b.Parts()
 	}
-	santos, err := union.NewSantosFromParts(s.KB, parts, s.Catalog.Table)
+	santos, err := union.NewSantosFromParts(s.KB, values, parts, s.Catalog.Table)
 	if err != nil {
 		return 0, p.assembled(err)
 	}

@@ -79,10 +79,12 @@ var ErrVersionMismatch = errors.New("core: snapshot version mismatch")
 // signatures: containment is answered from the inverted index. Version
 // 11 stores D3L's values as dictionary IDs and its words as positions
 // in one word list, and drops TUS's universe strings (a load counts
-// them).
+// them). Version 12 stores SANTOS's pairs as packed pairs of
+// dictionary IDs instead of a pair-token dictionary, and writes the
+// join column keys once, not again inside the inverted index.
 const (
 	snapMagic   uint32 = 0x54485342 // "THSB": tablehound system binary
-	snapVersion uint16 = 11
+	snapVersion uint16 = 12
 
 	// snapHeaderLen is the byte length of the snap header (magic,
 	// version, flags) that precedes the first section; blob-offset
@@ -153,7 +155,7 @@ func (s *System) Save(w io.Writer) error {
 		{secValues, s.Values.AppendSnapshot},
 		{secJoin, func(e *snap.Encoder) { s.Join.AppendSnapshot(e, s.Dict) }},
 		{secTUS, func(e *snap.Encoder) { s.TUS.AppendSnapshot(e, s.Dict) }},
-		{secSantos, s.Santos.AppendSnapshot},
+		{secSantos, func(e *snap.Encoder) { s.Santos.AppendSnapshot(e, s.Dict) }},
 		{secD3L, func(e *snap.Encoder) { s.D3L.AppendSnapshot(e, s.Dict) }},
 		{secStarmie, s.Starmie.AppendSnapshot},
 		// The vector block closes the stream: its directory (shape,
@@ -440,7 +442,7 @@ func (o *opened) decode(d3lParts *union.D3LParts) (*System, error) {
 	})
 	g.run(secSantos, secs, func(d *snap.Decoder) error {
 		var derr error
-		s.Santos, derr = union.DecodeSantosSnapshot(d, s.KB, lookup)
+		s.Santos, derr = union.DecodeSantosSnapshot(d, s.KB, s.Dict, lookup)
 		return derr
 	})
 	g.run(secD3L, secs, func(d *snap.Decoder) (derr error) {

@@ -13,7 +13,6 @@ import (
 	"testing"
 
 	"tablehound/internal/datagen"
-	"tablehound/internal/dict"
 	"tablehound/internal/lake"
 	"tablehound/internal/snap"
 	"tablehound/internal/table"
@@ -210,8 +209,8 @@ func TestSnapshotRejectsCorruption(t *testing.T) {
 		// the corruption sentinel. v7 still stored the Starmie coarse
 		// quantizer, v8 the organization and graph sections, v9 the join
 		// signatures, v10 D3L's value and word strings and TUS's
-		// universe.
-		for _, v := range []byte{7, 8, 9, 10} {
+		// universe, v11 SANTOS's pair strings and the join keys twice.
+		for _, v := range []byte{7, 8, 9, 10, 11} {
 			bad := append([]byte{}, good...)
 			bad[4], bad[5] = v, 0 // version lives at header bytes 4..5
 			_, err := Load(bytes.NewReader(bad), Options{})
@@ -221,7 +220,7 @@ func TestSnapshotRejectsCorruption(t *testing.T) {
 			if errors.Is(err, ErrCorruptSnapshot) {
 				t.Errorf("v%d: version mismatch also satisfies ErrCorruptSnapshot: %v", v, err)
 			}
-			for _, want := range []string{fmt.Sprintf("found version %d", v), "expected 11"} {
+			for _, want := range []string{fmt.Sprintf("found version %d", v), "expected 12"} {
 				if err == nil || !strings.Contains(err.Error(), want) {
 					t.Errorf("err %q does not name versions (%q missing)", err, want)
 				}
@@ -328,9 +327,10 @@ func reframe(t *testing.T, good []byte, last, id uint16, edit func(payload []byt
 // TestSnapshotRejectsForgedIDSets re-encodes the SANTOS and join
 // sections of a valid snapshot with one bad ID set at a time: an ID
 // past its dictionary, IDs not strictly ascending, and pair IDs in a
-// SANTOS section without a pair dictionary. Each one used to load, and
-// then panicked in a later delta merge or Save; LoadFile must refuse it
-// as corrupt.
+// SANTOS section without a pair list; and SANTOS's packed pair list
+// with a pair repeated or a value ID past the lake dictionary. Each
+// bad ID set used to load, and then panicked in a later delta merge or
+// Save; LoadFile must refuse every one as corrupt.
 func TestSnapshotRejectsForgedIDSets(t *testing.T) {
 	gen := datagen.Generate(datagen.Config{Seed: 5, NumTemplates: 2, TablesPerTemplate: 2})
 	cat := lake.NewCatalog()
@@ -343,20 +343,17 @@ func TestSnapshotRejectsForgedIDSets(t *testing.T) {
 	}
 	good := saved(t, built)
 	at := func(p []byte, d *snap.Decoder) int { return len(p) - d.Remaining() }
-	// santos walks a SANTOS payload to its pair dictionary and to the
-	// first element of the first pair set with two or more IDs.
-	santos := func(p []byte) (dictStart, dictEnd, set, pairs int) {
+	// santos walks a SANTOS payload to its packed pair list (the count,
+	// and the end of the list) and to the first element of the first
+	// pair set with two or more IDs.
+	santos := func(p []byte) (listStart, listEnd, set, pairs int) {
 		d := snap.NewDecoder(p)
-		d.Bool()
 		if !d.Bool() {
-			t.Fatal("SANTOS section has no pair dictionary")
+			t.Fatal("SANTOS section carries its own dictionary")
 		}
-		dictStart = at(p, d)
-		pd, err := dict.DecodeSnapshot(d)
-		if err != nil {
-			t.Fatal(err)
-		}
-		dictEnd = at(p, d)
+		listStart = at(p, d)
+		pairs = len(d.U64s())
+		listEnd = at(p, d)
 		for range d.Strs() {
 			for r := d.U32(); r > 0; r-- {
 				d.Str()
@@ -368,10 +365,16 @@ func TestSnapshotRejectsForgedIDSets(t *testing.T) {
 				d.F64()
 			}
 		}
-		if set == 0 {
+		if set == 0 || pairs < 2 {
 			t.Fatal("no SANTOS pair set with two IDs")
 		}
-		return dictStart, dictEnd, set, pd.Size()
+		return listStart, listEnd, set, pairs
+	}
+	// lastPair is the offset of the last packed pair of a SANTOS
+	// payload's pair list: its object half, then its subject half.
+	lastPair := func(p []byte) int {
+		_, end, _, _ := santos(p)
+		return end - 8
 	}
 	// joinSet is the offset of the first element of the first join
 	// column set with two or more IDs.
@@ -412,8 +415,19 @@ func TestSnapshotRejectsForgedIDSets(t *testing.T) {
 			return equalNext(p, set)
 		}},
 		{"SANTOS pair IDs without a pair dictionary", secSantos, func(p []byte) []byte {
-			start, end, _, _ := santos(p)
-			return append(append(p[:start-1:start-1], 0), p[end:]...)
+			start, end, _, _ := santos(p) // an empty pair list instead
+			return append(append(p[:start:start], 0, 0, 0, 0), p[end:]...)
+		}},
+		{"SANTOS pair repeated", secSantos, func(p []byte) []byte {
+			off := lastPair(p)
+			copy(p[off:off+8], p[off-8:off])
+			return p
+		}},
+		{"SANTOS pair subject past the dictionary", secSantos, func(p []byte) []byte {
+			return put(p, lastPair(p)+4, uint32(built.Dict.Size()))
+		}},
+		{"SANTOS pair object past the dictionary", secSantos, func(p []byte) []byte {
+			return put(p, lastPair(p), uint32(built.Dict.Size()))
 		}},
 		{"join ID past the dictionary", secJoin, func(p []byte) []byte {
 			return put(p, joinSet(p), uint32(built.Dict.Size()))

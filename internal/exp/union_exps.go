@@ -123,7 +123,7 @@ func E4Santos() Report {
 			}
 		}
 	}
-	sb := union.NewSantosBuilder(nil)
+	sb := union.NewSantosBuilder(nil, nil)
 	sb.AddTables(tables, 1)
 	santos, err := sb.Build()
 	if err != nil {

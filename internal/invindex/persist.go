@@ -14,9 +14,11 @@ var ErrCorruptSnapshot = snap.ErrCorrupt
 
 // AppendSnapshot encodes the index payload. The index has no framing
 // of its own: it is embedded in a larger snapshot (the join engine's
-// section), whose container frames and checksums it. Postings are
-// rebuilt on decode from the stored sets — they are fully determined
-// by them and roughly double the on-disk size if stored.
+// section), whose container frames and checksums it. The set keys are
+// not written: the embedding snapshot stores them once and hands them
+// to DecodeSnapshot. Postings are rebuilt on decode from the stored
+// sets — they are fully determined by them and roughly double the
+// on-disk size if stored.
 func (ix *Index) AppendSnapshot(e *snap.Encoder) {
 	// The built-from-IDs flag is explicit: an ID-built index over
 	// all-empty sets has zero tokens and would otherwise silently
@@ -33,7 +35,6 @@ func (ix *Index) AppendSnapshot(e *snap.Encoder) {
 		e.Strs(tokens)
 	}
 	e.I32s(ix.df)
-	e.Strs(ix.keys)
 	e.U32(uint32(len(ix.sets)))
 	for _, set := range ix.sets {
 		e.I32s(set)
@@ -41,10 +42,12 @@ func (ix *Index) AppendSnapshot(e *snap.Encoder) {
 }
 
 // DecodeSnapshot rebuilds an index written by AppendSnapshot,
-// validating every structural invariant the query paths rely on. An
-// ID-built index's IDs must be below idSpace, the size of their
-// dictionary, since the largest one sizes the ID → rank table.
-func DecodeSnapshot(d *snap.Decoder, idSpace int) (*Index, error) {
+// validating every structural invariant the query paths rely on. keys
+// are the sets' keys in set-ID order, one per stored set and distinct;
+// the index keeps the slice. An ID-built index's IDs must be below
+// idSpace, the size of their dictionary, since the largest one sizes
+// the ID → rank table.
+func DecodeSnapshot(d *snap.Decoder, idSpace int, keys []string) (*Index, error) {
 	idBuilt := d.Bool()
 	var ids []uint32
 	var tokens []string
@@ -54,7 +57,6 @@ func DecodeSnapshot(d *snap.Decoder, idSpace int) (*Index, error) {
 		tokens = d.Strs()
 	}
 	df := d.I32s()
-	keys := d.Strs()
 	numSets := int(d.U32())
 	if d.Err() != nil {
 		return nil, d.Err()

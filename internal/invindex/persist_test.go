@@ -18,11 +18,12 @@ func encode(ix *Index) []byte {
 	return e.Bytes()
 }
 
-// decode reads a payload encode wrote, all of it, as the container's
-// section reader does: bytes left unconsumed are corruption.
-func decode(payload []byte) (*Index, error) {
+// decode reads a payload encode wrote, all of it, with the sets' keys
+// the embedding snapshot stores, as the container's section reader
+// does: bytes left unconsumed are corruption.
+func decode(payload []byte, keys []string) (*Index, error) {
 	d := snap.NewDecoder(payload)
-	ix, err := DecodeSnapshot(d, math.MaxInt)
+	ix, err := DecodeSnapshot(d, math.MaxInt, keys)
 	if err != nil {
 		return nil, err
 	}
@@ -46,7 +47,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	back, err := decode(encode(orig))
+	back, err := decode(encode(orig), orig.keys)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +80,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 }
 
 func TestLoadRejectsGarbage(t *testing.T) {
-	if _, err := decode([]byte("garbage")); err == nil {
+	if _, err := decode([]byte("garbage"), nil); err == nil {
 		t.Error("garbage should fail to load")
 	}
 }
@@ -105,7 +106,7 @@ func TestSaveLoadRoundTripIDs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	back, err := decode(encode(orig))
+	back, err := decode(encode(orig), orig.keys)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +154,7 @@ func TestSaveLoadEmptyIDIndexStaysIDBuilt(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	back, err := decode(encode(orig))
+	back, err := decode(encode(orig), orig.keys)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,55 +171,50 @@ func TestSaveLoadEmptyIDIndexStaysIDBuilt(t *testing.T) {
 func TestLoadRejectsInconsistentSnapshots(t *testing.T) {
 	cases := []struct {
 		name   string
+		keys   []string // the keys the embedding snapshot hands over
 		encode func(*snap.Encoder)
 	}{
-		{"keys vs sets", func(e *snap.Encoder) {
+		{"keys vs sets", []string{"k"}, func(e *snap.Encoder) {
 			e.Bool(false)
 			e.Strs([]string{"a"}) // tokens
 			e.I32s([]int32{1})    // df
-			e.Strs([]string{"k"}) // keys
 			e.U32(0)              // sets: none, but one key
 		}},
-		{"tokens vs df", func(e *snap.Encoder) {
+		{"tokens vs df", nil, func(e *snap.Encoder) {
 			e.Bool(false)
 			e.Strs([]string{"a", "b"})
 			e.I32s([]int32{1})
-			e.Strs(nil)
 			e.U32(0)
 		}},
-		{"ids vs df", func(e *snap.Encoder) {
+		{"ids vs df", nil, func(e *snap.Encoder) {
 			e.Bool(true)
 			e.U32s([]uint32{1, 2})
 			e.I32s([]int32{1})
-			e.Strs(nil)
 			e.U32(0)
 		}},
-		{"rank out of range", func(e *snap.Encoder) {
+		{"rank out of range", []string{"k"}, func(e *snap.Encoder) {
 			e.Bool(false)
 			e.Strs([]string{"a"})
 			e.I32s([]int32{1})
-			e.Strs([]string{"k"})
 			e.U32(1)
 			e.I32s([]int32{7})
 		}},
-		{"duplicate key", func(e *snap.Encoder) {
+		{"duplicate key", []string{"k", "k"}, func(e *snap.Encoder) {
 			e.Bool(false)
 			e.Strs([]string{"a"})
 			e.I32s([]int32{2})
-			e.Strs([]string{"k", "k"})
 			e.U32(2)
 			e.I32s([]int32{0})
 			e.I32s([]int32{0})
 		}},
-		{"payload too short", func(e *snap.Encoder) {
+		{"payload too short", nil, func(e *snap.Encoder) {
 			e.Bool(false)
 			e.Strs([]string{"a"})
 		}},
-		{"trailing payload bytes", func(e *snap.Encoder) {
+		{"trailing payload bytes", []string{"k"}, func(e *snap.Encoder) {
 			e.Bool(false)
 			e.Strs(nil)
 			e.I32s(nil)
-			e.Strs([]string{"k"})
 			e.U32(1)
 			e.I32s(nil)
 			e.U8(0xff) // one byte the decoder never consumes
@@ -228,7 +224,7 @@ func TestLoadRejectsInconsistentSnapshots(t *testing.T) {
 		t.Run(c.name, func(t *testing.T) {
 			var e snap.Encoder
 			c.encode(&e)
-			_, err := decode(e.Bytes())
+			_, err := decode(e.Bytes(), c.keys)
 			if err == nil {
 				t.Fatal("inconsistent snapshot loaded without error")
 			}
@@ -254,7 +250,7 @@ func TestLoadRejectsTruncation(t *testing.T) {
 	}
 	data := encode(ix)
 	for n := 0; n < len(data); n++ {
-		_, err := decode(data[:n])
+		_, err := decode(data[:n], ix.keys)
 		if err == nil {
 			t.Fatalf("truncated payload (%d/%d bytes) loaded", n, len(data))
 		}

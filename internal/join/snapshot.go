@@ -16,7 +16,8 @@ import (
 // container's copy; when Build fell back to a self-built dictionary it
 // is serialized inline. Then come the sorted column keys, each
 // column's ID set, and the inverted index over them, which every
-// overlap and containment search reads.
+// overlap and containment search reads; the index shares the keys,
+// which are written once.
 func (e *Engine) AppendSnapshot(enc *snap.Encoder, sysDict *dict.Dict) {
 	shared := e.dict == sysDict
 	enc.Bool(shared)
@@ -34,8 +35,8 @@ func (e *Engine) AppendSnapshot(enc *snap.Encoder, sysDict *dict.Dict) {
 // sysDict is the container's loaded dictionary, substituted when the
 // snapshot recorded a shared encoding. It checks what the engine
 // relies on: sorted, distinct keys, a non-empty ID set inside the
-// dictionary per column, and an inverted index over exactly those
-// columns.
+// dictionary per column, and an inverted index with one set per
+// column, which shares the engine's keys.
 func DecodeEngineSnapshot(d *snap.Decoder, sysDict *dict.Dict) (*Engine, error) {
 	e := &Engine{dict: sysDict}
 	shared := d.Bool()
@@ -74,17 +75,10 @@ func DecodeEngineSnapshot(d *snap.Decoder, sysDict *dict.Dict) (*Engine, error) 
 		}
 		e.idsets[i] = ids
 	}
-	if e.inv, err = invindex.DecodeSnapshot(d, e.dict.Size()); err != nil {
+	// The engine finds a column's ID set by its set ID, the column's
+	// position in keys.
+	if e.inv, err = invindex.DecodeSnapshot(d, e.dict.Size(), e.keys); err != nil {
 		return nil, err
-	}
-	if e.inv.NumSets() != len(e.keys) {
-		return nil, fmt.Errorf("%w: inverted index has %d sets for %d join columns", snap.ErrCorrupt, e.inv.NumSets(), len(e.keys))
-	}
-	// The engine finds a column's ID set by its set ID.
-	for i, key := range e.keys {
-		if e.inv.Key(int32(i)) != key {
-			return nil, fmt.Errorf("%w: inverted index set %d is %q, join column %d is %q", snap.ErrCorrupt, i, e.inv.Key(int32(i)), i, key)
-		}
 	}
 	e.searcher = josie.NewSearcher(e.inv)
 	return e, nil

@@ -178,12 +178,14 @@ func NewTUSFromParts(cfg TUSConfig, parts []TUSTableParts, g *hnsw.Graph, batche
 
 // --- SANTOS ---
 
-// SantosRelParts is one relationship: the raw subject "\n" object pair
-// tokens (dictionary-independent — every SANTOS assembly re-interns
-// its pair vocabulary) and the curated-KB annotation.
+// SantosRelParts is one relationship: its (subject, object) value
+// pairs, each packed from two IDs of the dictionary the parts travel
+// with (see packPair; for a delta, the extended base dictionary), and
+// its curated-KB annotation. A builder and an engine emit the pairs
+// ascending; an assembly takes them in any order.
 type SantosRelParts struct {
 	ColName  string
-	Pairs    []string
+	Pairs    []uint64
 	Pred     string
 	PredFrac float64
 }
@@ -194,18 +196,21 @@ type SantosTableParts struct {
 	Rels []SantosRelParts
 }
 
-// Parts returns the engine's per-table relationships with pair tokens
-// decoded through the pair dictionary (pair sets come back sorted;
-// SANTOS scoring is order-independent).
+// Parts returns the engine's per-table relationships in sorted-ID
+// order, their pairs packed in the engine's dictionary, ascending.
 func (s *Santos) Parts() []SantosTableParts {
 	out := make([]SantosTableParts, 0, len(s.ids))
 	for _, id := range s.ids {
 		p := SantosTableParts{ID: id}
 		for _, rel := range s.tables[id].rels {
-			p.Rels = append(p.Rels, SantosRelParts{
-				ColName: rel.colName, Pairs: s.pairDict.Decode(rel.pairIDs),
-				Pred: rel.pred, PredFrac: rel.predFrac,
-			})
+			var pairs []uint64
+			if len(rel.pairIDs) > 0 {
+				pairs = make([]uint64, len(rel.pairIDs))
+				for i, pid := range rel.pairIDs {
+					pairs[i] = s.pairs[pid]
+				}
+			}
+			p.Rels = append(p.Rels, SantosRelParts{ColName: rel.colName, Pairs: pairs, Pred: rel.pred, PredFrac: rel.predFrac})
 		}
 		out = append(out, p)
 	}
@@ -224,38 +229,58 @@ func AppendSantosParts(e *snap.Encoder, parts []SantosTableParts) {
 		e.U32(uint32(len(p.Rels)))
 		for _, r := range p.Rels {
 			e.Str(r.ColName)
-			e.Strs(r.Pairs)
+			e.U64s(r.Pairs)
 			e.Str(r.Pred)
 			e.F64(r.PredFrac)
 		}
 	}
 }
 
-// DecodeSantosParts reads what AppendSantosParts wrote.
+// DecodeSantosParts reads what AppendSantosParts wrote. It checks
+// nothing against a dictionary; CheckSantosPairs does.
 func DecodeSantosParts(d *snap.Decoder) ([]SantosTableParts, error) {
 	ids := d.Strs()
 	parts := make([]SantosTableParts, len(ids))
 	for i, id := range ids {
 		rels := make([]SantosRelParts, d.Count(20)) // a relationship is at least 20 bytes
 		for j := range rels {
-			rels[j] = SantosRelParts{ColName: d.Str(), Pairs: d.Strs(), Pred: d.Str(), PredFrac: d.F64()}
+			rels[j] = SantosRelParts{ColName: d.Str(), Pairs: d.U64s(), Pred: d.Str(), PredFrac: d.F64()}
 		}
 		parts[i] = SantosTableParts{ID: id, Rels: rels}
 	}
 	return parts, d.Err()
 }
 
-// NewSantosFromParts assembles a SANTOS engine from parts: the one
-// assembly of a build (SantosBuilder.Build) and a merge. It interns
-// the pair vocabulary into a fresh lexicographic dictionary over the
-// union of all pairs, encodes every relationship's pair set to sorted
-// IDs, and indexes the tables, in sorted-ID order, by pair and by
-// predicate, so a merged engine is bit-identical to one built over the
-// merged catalog. Parts without a table make an empty engine, which
-// answers every query with nothing. lookup resolves table IDs.
-func NewSantosFromParts(curated *kb.KB, parts []SantosTableParts, lookup func(id string) *table.Table) (*Santos, error) {
-	s := &Santos{curated: curated, tables: make(map[string]*santosTable, len(parts))}
-	db := dict.NewBuilder()
+// CheckSantosPairs reports why pairs are not a strictly ascending list
+// of packed pairs whose halves are IDs below size.
+func CheckSantosPairs(pairs []uint64, size int) error {
+	for i, p := range pairs {
+		if i > 0 && pairs[i-1] >= p {
+			return fmt.Errorf("pairs not strictly ascending at position %d", i)
+		}
+		if int(p>>32) >= size || int(uint32(p)) >= size {
+			return fmt.Errorf("pair (%d, %d) has a value ID out of range [0, %d)", p>>32, uint32(p), size)
+		}
+	}
+	return nil
+}
+
+// NewSantosFromParts assembles a SANTOS engine from parts whose pairs
+// are packed from IDs of values (required): the one assembly of a
+// build (SantosBuilder.Build) and a merge. Every pair's halves must lie
+// below values' size. It sorts and deduplicates each relationship's
+// pairs, gathers the distinct pairs of all of them into the ascending
+// pair list, encodes each relationship as the sorted positions of its
+// pairs there, and indexes the tables, in sorted-ID order, by pair and
+// by predicate, so a merged engine is bit-identical to one built over
+// the merged catalog. Parts without a table make an empty engine,
+// which answers every query with nothing. lookup resolves table IDs.
+func NewSantosFromParts(curated *kb.KB, values *dict.Dict, parts []SantosTableParts, lookup func(id string) *table.Table) (*Santos, error) {
+	if values == nil {
+		return nil, errors.New("union: SANTOS parts require the dictionary they are encoded in")
+	}
+	s := &Santos{curated: curated, values: values, tables: make(map[string]*santosTable, len(parts))}
+	var all []uint64
 	for _, p := range parts {
 		tbl := lookup(p.ID)
 		if tbl == nil {
@@ -267,17 +292,29 @@ func NewSantosFromParts(curated *kb.KB, parts []SantosTableParts, lookup func(id
 		s.tables[p.ID] = &santosTable{tbl: tbl}
 		s.ids = append(s.ids, p.ID)
 		for _, r := range p.Rels {
-			db.Add(r.Pairs...)
+			all = append(all, r.Pairs...)
 		}
 	}
-	if len(s.ids) > 0 {
-		s.pairDict = db.Build()
+	slices.Sort(all)
+	s.pairs = slices.Clone(slices.Compact(all))
+	if err := CheckSantosPairs(s.pairs, values.Size()); err != nil {
+		return nil, fmt.Errorf("union: SANTOS: %v", err)
 	}
 	for _, p := range parts {
 		st := s.tables[p.ID]
-		for _, r := range p.Rels {
-			ids, _ := s.pairDict.EncodeKnown(r.Pairs)
-			st.rels = append(st.rels, santosRel{colName: r.ColName, pairIDs: ids, pred: r.Pred, predFrac: r.PredFrac})
+		st.rels = make([]santosRel, len(p.Rels))
+		for i, r := range p.Rels {
+			var ids dict.IDSet
+			if len(r.Pairs) > 0 {
+				ids = make(dict.IDSet, len(r.Pairs))
+				for k, pair := range r.Pairs {
+					pos, _ := slices.BinarySearch(s.pairs, pair)
+					ids[k] = uint32(pos)
+				}
+				slices.Sort(ids)
+				ids = slices.Compact(ids)
+			}
+			st.rels[i] = santosRel{colName: r.ColName, pairIDs: ids, pred: r.Pred, predFrac: r.PredFrac}
 		}
 	}
 	sort.Strings(s.ids)

@@ -101,7 +101,7 @@ func TestTUSConcurrentSearch(t *testing.T) {
 // TestSantosSearchRequiresBuild mirrors the TUS contract for SANTOS.
 func TestSantosSearchRequiresBuild(t *testing.T) {
 	groupA := confusableTables("locA", 0, 3, 40)
-	b := NewSantosBuilder(nil)
+	b := NewSantosBuilder(nil, nil)
 	b.AddTables(groupA, 2)
 	s, err := b.Build()
 	if err != nil {

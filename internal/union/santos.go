@@ -42,14 +42,34 @@ func (m SantosMode) String() string {
 // It must not be used concurrently.
 type SantosBuilder struct {
 	curated *kb.KB
+	values  *dict.Dict
 	tables  map[string]*table.Table
-	parts   []SantosTableParts // empty, not nil, without tables: as the codec reads them back
+	staged  []santosStaged
+}
+
+// santosStaged is one staged table's relationships, pairs still as
+// strings.
+type santosStaged struct {
+	id   string
+	rels []santosAnalysis
+}
+
+// santosAnalysis is one analyzed relationship: its distinct normalized
+// (subject, object) value pairs in first-occurrence order, and its
+// curated-KB annotation.
+type santosAnalysis struct {
+	colName  string
+	pairs    [][2]string
+	pred     string
+	predFrac float64
 }
 
 // NewSantosBuilder creates a builder; curated may be nil (SynthOnly
-// then).
-func NewSantosBuilder(curated *kb.KB) *SantosBuilder {
-	return &SantosBuilder{curated: curated, tables: make(map[string]*table.Table), parts: []SantosTableParts{}}
+// then). values is the lake-wide value dictionary, optional: when it
+// holds every staged value, Parts encodes pairs in it, otherwise in
+// one built over the staged values.
+func NewSantosBuilder(curated *kb.KB, values *dict.Dict) *SantosBuilder {
+	return &SantosBuilder{curated: curated, values: values, tables: make(map[string]*table.Table)}
 }
 
 // AddTables stages a batch of tables using up to workers goroutines:
@@ -58,7 +78,7 @@ func NewSantosBuilder(curated *kb.KB) *SantosBuilder {
 // any worker count. A table already staged, or without the intent
 // column and second string column SANTOS needs, is skipped.
 func (b *SantosBuilder) AddTables(tbls []*table.Table, workers int) {
-	rels, _ := parallel.Map(len(tbls), workers, func(i int) ([]SantosRelParts, error) {
+	rels, _ := parallel.Map(len(tbls), workers, func(i int) ([]santosAnalysis, error) {
 		return analyzeSantos(b.curated, tbls[i]), nil
 	})
 	for i, t := range tbls {
@@ -66,54 +86,97 @@ func (b *SantosBuilder) AddTables(tbls []*table.Table, workers int) {
 			continue
 		}
 		b.tables[t.ID] = t
-		b.parts = append(b.parts, SantosTableParts{ID: t.ID, Rels: rels[i]})
+		b.staged = append(b.staged, santosStaged{id: t.ID, rels: rels[i]})
 	}
 }
 
 // Parts returns the staged tables' relationships in sorted-ID order,
-// pair tokens raw, in first-occurrence order. Slices alias the
-// builder's state; do not mutate.
-func (b *SantosBuilder) Parts() []SantosTableParts {
-	slices.SortFunc(b.parts, func(x, y SantosTableParts) int { return strings.Compare(x.ID, y.ID) })
-	return b.parts
+// every relationship's pairs packed (see packPair) and ascending, and
+// the dictionary the pairs' halves are IDs in: the configured one when
+// it holds every staged value, otherwise one built over those values.
+func (b *SantosBuilder) Parts() (*dict.Dict, []SantosTableParts) {
+	slices.SortFunc(b.staged, func(x, y santosStaged) int { return strings.Compare(x.id, y.id) })
+	d := b.values
+	parts, ok := b.encode(d)
+	if !ok {
+		db := dict.NewBuilder()
+		for _, st := range b.staged {
+			for _, r := range st.rels {
+				for _, p := range r.pairs {
+					db.Add(p[0], p[1])
+				}
+			}
+		}
+		d = db.Build()
+		parts, _ = b.encode(d)
+	}
+	return d, parts
+}
+
+// encode returns the staged tables' parts with their pairs packed
+// from IDs of d, or false when d (which may be nil) lacks a value.
+func (b *SantosBuilder) encode(d *dict.Dict) ([]SantosTableParts, bool) {
+	if d == nil {
+		return nil, false
+	}
+	parts := make([]SantosTableParts, len(b.staged))
+	for i, st := range b.staged {
+		rels := make([]SantosRelParts, len(st.rels))
+		for j, r := range st.rels {
+			var pairs []uint64
+			if len(r.pairs) > 0 {
+				pairs = make([]uint64, len(r.pairs))
+			}
+			for k, p := range r.pairs {
+				sub, ok := d.ID(p[0])
+				obj, ok2 := d.ID(p[1])
+				if !ok || !ok2 {
+					return nil, false
+				}
+				pairs[k] = packPair(sub, obj)
+			}
+			slices.Sort(pairs)
+			rels[j] = SantosRelParts{ColName: r.colName, Pairs: pairs, Pred: r.pred, PredFrac: r.predFrac}
+		}
+		parts[i] = SantosTableParts{ID: st.id, Rels: rels}
+	}
+	return parts, true
 }
 
 // Build assembles the engine over the staged tables from their Parts.
 func (b *SantosBuilder) Build() (*Santos, error) {
-	return NewSantosFromParts(b.curated, b.Parts(), func(id string) *table.Table { return b.tables[id] })
+	d, parts := b.Parts()
+	return NewSantosFromParts(b.curated, d, parts, func(id string) *table.Table { return b.tables[id] })
 }
+
+// packPair packs a (subject, object) pair of value IDs into one
+// integer; packed pairs order as their (subject, object) IDs do.
+func packPair(sub, obj uint32) uint64 { return uint64(sub)<<32 | uint64(obj) }
 
 // analyzeSantos extracts a table's relationships: those between its
 // intent column (the first usable string column) and each other
 // string column, nil when the table has no second one.
-func analyzeSantos(curated *kb.KB, tbl *table.Table) []SantosRelParts {
+func analyzeSantos(curated *kb.KB, tbl *table.Table) []santosAnalysis {
 	if !SantosIndexes(tbl) {
 		return nil
 	}
 	cols := stringColumns(tbl)
 	intent := cols[0]
-	rels := make([]SantosRelParts, 0, len(cols)-1)
+	rels := make([]santosAnalysis, 0, len(cols)-1)
 	for _, c := range cols[1:] {
-		rel := SantosRelParts{ColName: c.Name}
-		seen := make(map[string]bool)
-		var kbPairs [][2]string
+		rel := santosAnalysis{colName: c.Name}
+		seen := make(map[[2]string]bool)
 		for r := 0; r < tbl.NumRows(); r++ {
-			a := tokenize.Normalize(intent.Values[r])
-			b := tokenize.Normalize(c.Values[r])
-			if a == "" || b == "" {
+			p := [2]string{tokenize.Normalize(intent.Values[r]), tokenize.Normalize(c.Values[r])}
+			if p[0] == "" || p[1] == "" || seen[p] {
 				continue
 			}
-			// Normalize never emits "\n", so no two pairs share a token.
-			tok := a + "\n" + b
-			if !seen[tok] {
-				seen[tok] = true
-				rel.Pairs = append(rel.Pairs, tok)
-				kbPairs = append(kbPairs, [2]string{a, b})
-			}
+			seen[p] = true
+			rel.pairs = append(rel.pairs, p)
 		}
-		if curated != nil && len(kbPairs) > 0 {
-			if pred, frac, ok := curated.DominantPredicate(kbPairs); ok && frac >= 0.5 {
-				rel.Pred, rel.PredFrac = pred, frac
+		if curated != nil && len(rel.pairs) > 0 {
+			if pred, frac, ok := curated.DominantPredicate(rel.pairs); ok && frac >= 0.5 {
+				rel.pred, rel.predFrac = pred, frac
 			}
 		}
 		rels = append(rels, rel)
@@ -134,12 +197,14 @@ type Santos struct {
 	curated *kb.KB
 	tables  map[string]*santosTable
 	ids     []string
-	// pairDict interns every subject "\n" object pair token mined from
-	// the lake; relationships hold sorted ID sets over it, so pair
-	// containment is an integer merge. Assembly builds it afresh (the
-	// pair vocabulary is lake-derived, never external); nil for an
-	// engine without tables.
-	pairDict *dict.Dict
+	// values is the dictionary the pairs' halves are IDs in (a
+	// system's lake dictionary), and pairs every distinct (subject,
+	// object) pair the relationships hold, packed (see packPair) and
+	// ascending. A pair's ID is its position in pairs, and
+	// relationships hold sorted sets of them, so pair containment is an
+	// integer merge.
+	values *dict.Dict
+	pairs  []uint64
 	// The synthesized KB, mined from the lake itself: the tables
 	// holding pair ID p are pairTables[pairOff[p]:pairOff[p+1]], as
 	// ascending ordinals into ids, each once.
@@ -165,8 +230,8 @@ type santosTable struct {
 
 type santosRel struct {
 	colName string
-	// pairIDs is the subject "\n" object value-pair token set as sorted
-	// pair-dictionary IDs.
+	// pairIDs is the (subject, object) value-pair set as sorted pair
+	// IDs, positions in Santos.pairs.
 	pairIDs dict.IDSet
 	// pred is the curated-KB dominant predicate, when covered.
 	pred     string
@@ -175,11 +240,11 @@ type santosRel struct {
 
 // index builds the candidate indexes over the tables in ids order:
 // the pair index's CSR arrays and the predicate index. Every
-// relationship's pair IDs must lie below the pair dictionary's size,
-// as NewSantosFromParts encodes them and DecodeSantosSnapshot checks
+// relationship's pair IDs must lie below the pair count, as
+// NewSantosFromParts encodes them and DecodeSantosSnapshot checks
 // them.
 func (s *Santos) index() {
-	n := s.pairDict.Size()
+	n := len(s.pairs)
 	s.pairOff = make([]uint32, n+1)
 	s.predTables = make(map[string][]int32)
 	last := make([]int32, n) // 1 + the ordinal of the last table counted for a pair
@@ -224,20 +289,46 @@ func (s *Santos) index() {
 // NumTables returns the number of indexed tables.
 func (s *Santos) NumTables() int { return len(s.tables) }
 
-// PairDict returns the pair-token dictionary (nil without tables).
-func (s *Santos) PairDict() *dict.Dict { return s.pairDict }
+// NumPairs returns the number of distinct (subject, object) value
+// pairs the relationships hold.
+func (s *Santos) NumPairs() int { return len(s.pairs) }
+
+// Values returns the dictionary the engine's pairs are IDs in.
+func (s *Santos) Values() *dict.Dict { return s.values }
+
+// PairListFootprint reports the resident cost of the packed pair list,
+// 8 bytes a pair, next to an estimate of the pair-token dictionary it
+// replaced: each pair's subject "\n" object string, twice a string
+// header, and a map entry with its 4-byte ID.
+func (s *Santos) PairListFootprint() dict.Footprint {
+	f := dict.Footprint{Count: len(s.pairs), Bytes: int64(len(s.pairs)) * 8}
+	for _, p := range s.pairs {
+		f.LegacyBytes += s.pairTokenBytes(p) + 2*dict.StringHeaderBytes + 4 + dict.MapEntryBytes
+	}
+	return f
+}
 
 // PairFootprint reports the resident cost of the ID-encoded pair sets
 // next to an estimate of the per-relationship string maps they
-// replaced.
+// replaced, whose keys were the pairs' subject "\n" object strings.
 func (s *Santos) PairFootprint() dict.Footprint {
 	var f dict.Footprint
 	for _, id := range s.ids {
 		for _, rel := range s.tables[id].rels {
-			f.Accumulate(s.pairDict.SetFootprint(rel.pairIDs))
+			f.Count += len(rel.pairIDs)
+			f.Bytes += int64(len(rel.pairIDs)) * 4
+			for _, p := range rel.pairIDs {
+				f.LegacyBytes += s.pairTokenBytes(s.pairs[p]) + dict.StringHeaderBytes + dict.MapEntryBytes
+			}
 		}
 	}
 	return f
+}
+
+// pairTokenBytes is the length of a packed pair's subject "\n" object
+// string.
+func (s *Santos) pairTokenBytes(p uint64) int64 {
+	return int64(len(s.values.Value(uint32(p>>32))) + 1 + len(s.values.Value(uint32(p))))
 }
 
 // Search returns the k tables whose relationships best align with the
@@ -255,7 +346,7 @@ func (s *Santos) Search(ctx context.Context, query *table.Table, k int, mode San
 }
 
 // SantosQuery is a query table analyzed and pair-encoded against the
-// frozen pair dictionary. Prepare once, then reuse across Candidates
+// engine's frozen pair list. Prepare once, then reuse across Candidates
 // and ScoreAmong so staged planners do not re-encode per stage.
 type SantosQuery struct {
 	id string
@@ -263,12 +354,13 @@ type SantosQuery struct {
 }
 
 // Prepare analyzes a query table into relationships and encodes its
-// pair sets against the frozen pair dictionary. One encoder across
-// relationships: pairs absent from the lake get ephemeral IDs (never
-// matching an indexed pair) that are shared between query
+// pair sets against the frozen pair list: a pair whose halves are both
+// values of the dictionary is looked up by binary search, and a pair
+// absent from the lake gets an ephemeral ID at or past the pair count
+// (never matching an indexed pair), shared between the query's
 // relationships. A query that is an indexed table reuses its
-// relationships (all its pairs are in the dictionary). A query without
-// the shape SANTOS needs wraps table.ErrBadQuery.
+// relationships (all its pairs are in the list). A query without the
+// shape SANTOS needs wraps table.ErrBadQuery.
 func (s *Santos) Prepare(query *table.Table) (*SantosQuery, error) {
 	if st := s.tables[query.ID]; st != nil && st.tbl == query {
 		return &SantosQuery{id: query.ID, q: st}, nil
@@ -278,11 +370,44 @@ func (s *Santos) Prepare(query *table.Table) (*SantosQuery, error) {
 		return nil, fmt.Errorf("union: query table needs an intent column and one other string column: %w", table.ErrBadQuery)
 	}
 	q := &santosTable{tbl: query, rels: make([]santosRel, len(rels))}
-	enc := s.pairDict.Encoder()
+	var oov map[[2]string]uint32 // the ephemeral IDs given so far
 	for i, r := range rels {
-		q.rels[i] = santosRel{colName: r.ColName, pairIDs: enc.Encode(r.Pairs), pred: r.Pred, predFrac: r.PredFrac}
+		var ids dict.IDSet
+		if len(r.pairs) > 0 {
+			ids = make(dict.IDSet, 0, len(r.pairs))
+		}
+		for _, p := range r.pairs {
+			id, ok := s.pairID(p)
+			if !ok {
+				if id, ok = oov[p]; !ok {
+					if oov == nil {
+						oov = make(map[[2]string]uint32)
+					}
+					id = uint32(len(s.pairs) + len(oov))
+					oov[p] = id
+				}
+			}
+			ids = append(ids, id)
+		}
+		slices.Sort(ids) // distinct pairs have distinct IDs
+		q.rels[i] = santosRel{colName: r.colName, pairIDs: ids, pred: r.pred, predFrac: r.predFrac}
 	}
 	return &SantosQuery{id: query.ID, q: q}, nil
+}
+
+// pairID returns the ID of a (subject, object) pair of normalized
+// values, if the lake holds it.
+func (s *Santos) pairID(p [2]string) (uint32, bool) {
+	sub, ok := s.values.ID(p[0])
+	if !ok {
+		return 0, false
+	}
+	obj, ok := s.values.ID(p[1])
+	if !ok {
+		return 0, false
+	}
+	i, ok := slices.BinarySearch(s.pairs, packPair(sub, obj))
+	return uint32(i), ok
 }
 
 // Candidates returns the sorted candidate table IDs for a prepared
@@ -302,7 +427,7 @@ func (s *Santos) ScoreAmong(ctx context.Context, pq *SantosQuery, ids []string, 
 	q := pq.q
 	var marks *queryMarks // only synthesized evidence reads overlaps
 	if mode != CuratedOnly {
-		marks = newQueryMarks(s.pairDict.Size())
+		marks = newQueryMarks(len(s.pairs))
 		defer marks.release()
 		for i, rel := range q.rels {
 			marks.add(i, rel.pairIDs, nil)

@@ -126,10 +126,11 @@ func santosOracleRelScore(a, b santosRel, mode SantosMode) float64 {
 	}
 }
 
-// builtSantos builds a SANTOS engine over tables.
+// builtSantos builds a SANTOS engine over tables, in a dictionary it
+// builds over their values.
 func builtSantos(t testing.TB, tables []*table.Table, curated *kb.KB) *Santos {
 	t.Helper()
-	b := NewSantosBuilder(curated)
+	b := NewSantosBuilder(curated, nil)
 	b.AddTables(tables, 2)
 	s, err := b.Build()
 	if err != nil {
@@ -148,12 +149,12 @@ func santosRebuilds(t *testing.T, s *Santos, tables []*table.Table) map[string]*
 	}
 	lookup := func(id string) *table.Table { return byID[id] }
 	e := new(snap.Encoder)
-	s.AppendSnapshot(e)
-	loaded, err := DecodeSantosSnapshot(snap.NewDecoder(e.Bytes()), s.curated, lookup)
+	s.AppendSnapshot(e, nil)
+	loaded, err := DecodeSantosSnapshot(snap.NewDecoder(e.Bytes()), s.curated, nil, lookup)
 	if err != nil {
 		t.Fatal(err)
 	}
-	merged, err := NewSantosFromParts(s.curated, s.Parts(), lookup)
+	merged, err := NewSantosFromParts(s.curated, s.values, s.Parts(), lookup)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -261,20 +262,29 @@ var santosBenchSink []Result
 // BenchmarkSantosSearch is one hybrid-mode search, candidates and
 // scoring on one goroutine, over the lake shape BenchmarkD3LSearch
 // scans (the serving benchmark's: 300 tables), without a KB as a
-// served system has, queried by staged tables as the table_id
-// endpoints do.
+// served system has. /staged queries by staged tables, as the table_id
+// endpoints do; /inline sends copies of them under their own IDs,
+// which Prepare analyzes and looks up in the pair list, as a routed
+// shard that does not own the table does.
 func BenchmarkSantosSearch(b *testing.B) {
 	lake := datagen.Generate(datagen.Config{Seed: 1, NumDomains: 20, DomainSize: 80, NumTemplates: 10, TablesPerTemplate: 30})
 	s := builtSantos(b, lake.Tables, nil)
 	s.QueryParallelism = 1
-	ctx := context.Background()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		rs, err := s.Search(ctx, lake.Tables[i%len(lake.Tables)], 10, Hybrid)
-		if err != nil {
-			b.Fatal(err)
-		}
-		santosBenchSink = rs
+	inline := make([]*table.Table, len(lake.Tables))
+	for i, tb := range lake.Tables {
+		inline[i] = table.MustNew(tb.ID, tb.Name, tb.Columns)
 	}
+	search := func(b *testing.B, queries []*table.Table) {
+		ctx := context.Background()
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			rs, err := s.Search(ctx, queries[i%len(queries)], 10, Hybrid)
+			if err != nil {
+				b.Fatal(err)
+			}
+			santosBenchSink = rs
+		}
+	}
+	b.Run("staged", func(b *testing.B) { search(b, lake.Tables) })
+	b.Run("inline", func(b *testing.B) { search(b, inline) })
 }

@@ -149,11 +149,11 @@ func TestSantosWithoutKB(t *testing.T) {
 func TestSantosErrors(t *testing.T) {
 	// Single-column tables are unusable: the builder skips them, and an
 	// engine without tables answers every query with nothing.
-	s := NewSantosBuilder(nil)
+	s := NewSantosBuilder(nil, nil)
 	s.AddTables([]*table.Table{table.MustNew("one", "one", []*table.Column{
 		table.NewColumn("only", []string{"a", "b"}),
 	})}, 1)
-	if len(s.Parts()) != 0 {
+	if _, parts := s.Parts(); len(parts) != 0 {
 		t.Error("single-column table should be skipped")
 	}
 	empty, err := s.Build()
@@ -194,8 +194,8 @@ func TestSantosPairTokensDoNotCollide(t *testing.T) {
 		table.NewColumn("object", []string{"|y", "d1", "d2"}),
 	})
 	s := builtSantos(t, []*table.Table{left, right}, nil)
-	if s.NumTables() != 2 || s.PairDict().Size() != 6 {
-		t.Errorf("%d tables, %d pair tokens; want 2 tables of 3 distinct pairs each", s.NumTables(), s.PairDict().Size())
+	if s.NumTables() != 2 || s.NumPairs() != 6 {
+		t.Errorf("%d tables, %d pairs; want 2 tables of 3 distinct pairs each", s.NumTables(), s.NumPairs())
 	}
 	res, err := s.Search(context.Background(), left, 5, SynthOnly)
 	if err != nil {

@@ -88,19 +88,19 @@ func DecodeTUSSnapshot(d *snap.Decoder, cfg TUSConfig, lookup func(id string) *t
 	return t, nil
 }
 
-// AppendSnapshot encodes a SANTOS engine: whether it has tables, twice
-// (once as the built flag of the format's staged engines, which no
-// longer exist, and once as whether a pair dictionary follows), the
-// pair dictionary, and each table's encoded relationships. The pair
-// and predicate indexes are rebuilt on decode by the assembly's index
-// over the stored (sorted) table order.
-func (s *Santos) AppendSnapshot(e *snap.Encoder) {
-	hasTables := s.pairDict != nil
-	e.Bool(hasTables)
-	e.Bool(hasTables)
-	if hasTables {
-		s.pairDict.AppendSnapshot(e)
+// AppendSnapshot encodes a SANTOS engine against the system
+// dictionary sysDict: whether it shares that dictionary (the
+// dictionary inline when it does not, as TUS writes it), the packed
+// pair list, and each table's relationships as sets of positions in
+// that list. The pair and predicate indexes are rebuilt on decode by
+// the assembly's index over the stored (sorted) table order.
+func (s *Santos) AppendSnapshot(e *snap.Encoder, sysDict *dict.Dict) {
+	shared := s.values == sysDict
+	e.Bool(shared)
+	if !shared {
+		s.values.AppendSnapshot(e)
 	}
+	e.U64s(s.pairs)
 	e.Strs(s.ids)
 	for _, id := range s.ids {
 		st := s.tables[id]
@@ -115,47 +115,45 @@ func (s *Santos) AppendSnapshot(e *snap.Encoder) {
 }
 
 // DecodeSantosSnapshot rebuilds a SANTOS engine written by
-// AppendSnapshot. curated is the loaded KB (may be nil); lookup
-// resolves table IDs against the loaded catalog.
-func DecodeSantosSnapshot(d *snap.Decoder, curated *kb.KB, lookup func(id string) *table.Table) (*Santos, error) {
-	s := &Santos{curated: curated, tables: make(map[string]*santosTable)}
-	built := d.Bool()
-	hasPairDict := d.Bool()
+// AppendSnapshot. curated is the loaded KB (may be nil), lake the
+// loaded system's dictionary, and lookup resolves table IDs against
+// the loaded catalog. The pair list must be strictly ascending with
+// both halves of every pair below its dictionary's size, and every
+// relationship's pair IDs a set of positions in it.
+func DecodeSantosSnapshot(d *snap.Decoder, curated *kb.KB, lake *dict.Dict, lookup func(id string) *table.Table) (*Santos, error) {
+	s := &Santos{curated: curated, values: lake, tables: make(map[string]*santosTable)}
+	shared := d.Bool()
 	if d.Err() != nil {
 		return nil, d.Err()
 	}
-	if built != hasPairDict {
-		return nil, fmt.Errorf("%w: SANTOS built flag disagrees with its pair dictionary", snap.ErrCorrupt)
+	if shared && lake == nil {
+		return nil, fmt.Errorf("%w: SANTOS shares a dictionary the snapshot does not carry", snap.ErrCorrupt)
 	}
-	if hasPairDict {
+	if !shared {
 		var err error
-		if s.pairDict, err = dict.DecodeSnapshot(d); err != nil {
+		if s.values, err = dict.DecodeSnapshot(d); err != nil {
 			return nil, err
 		}
 	}
+	s.pairs = d.U64s()
 	ids := d.Strs()
 	if d.Err() != nil {
 		return nil, d.Err()
 	}
+	if err := CheckSantosPairs(s.pairs, s.values.Size()); err != nil {
+		return nil, fmt.Errorf("%w: SANTOS %v", snap.ErrCorrupt, err)
+	}
 	if !sort.StringsAreSorted(ids) {
 		return nil, fmt.Errorf("%w: SANTOS table IDs not sorted", snap.ErrCorrupt)
 	}
-	if built != (len(ids) > 0) {
-		return nil, fmt.Errorf("%w: SANTOS has %d tables and a pair dictionary: %v", snap.ErrCorrupt, len(ids), hasPairDict)
-	}
 	s.ids = ids
-	pairs := s.pairDict.Size()
 	for _, id := range ids {
 		tbl := lookup(id)
 		if tbl == nil {
 			return nil, fmt.Errorf("%w: SANTOS table %q missing from catalog", snap.ErrCorrupt, id)
 		}
-		numRels := int(d.U32())
-		if d.Err() != nil {
-			return nil, d.Err()
-		}
-		st := &santosTable{tbl: tbl}
-		for j := 0; j < numRels; j++ {
+		st := &santosTable{tbl: tbl, rels: make([]santosRel, d.Count(20))} // a relationship is at least 20 bytes
+		for j := range st.rels {
 			rel := santosRel{
 				colName:  d.Str(),
 				pairIDs:  dict.IDSet(d.U32s()),
@@ -165,10 +163,13 @@ func DecodeSantosSnapshot(d *snap.Decoder, curated *kb.KB, lookup func(id string
 			if d.Err() != nil {
 				return nil, d.Err()
 			}
-			if err := rel.pairIDs.Check(pairs); err != nil {
+			if err := rel.pairIDs.Check(len(s.pairs)); err != nil {
 				return nil, fmt.Errorf("%w: SANTOS relationship %s.%s: %v", snap.ErrCorrupt, id, rel.colName, err)
 			}
-			st.rels = append(st.rels, rel)
+			st.rels[j] = rel
+		}
+		if d.Err() != nil {
+			return nil, d.Err()
 		}
 		if _, dup := s.tables[id]; dup {
 			return nil, fmt.Errorf("%w: duplicate SANTOS table %q", snap.ErrCorrupt, id)

@@ -73,12 +73,19 @@ var harnessLake = sync.OnceValues(func() (*datagen.Lake, core.Options) {
 // of "||", which reorders its pair dictionary. Only the tus, santos and
 // d3l entries of goldenHarnessSections were re-recorded with it; every
 // other section digest and the blob hash as before.
-const goldenHarnessSnapshot = "64205989aa78f73592388662c6a364e9f90fcabbcbcc9d5ab08ccbd5ef894b3c"
+//
+// Re-recorded for format v12, which stores SANTOS's pairs as packed
+// pairs of lake-dictionary IDs instead of a pair-token dictionary, and
+// writes the join column keys once instead of again inside the
+// inverted index. Only the join and santos entries of
+// goldenHarnessSections were re-recorded with it; every other section
+// digest and the blob hash as before.
+const goldenHarnessSnapshot = "8e6fc2c09d0c8fce8de482ec59e02b92f9588a41419f19692ae92317ec437646"
 
 // goldenHarnessSections is the SHA-256 of each section payload of that
 // snapshot, in stream order, and of the vector blob after them. They
-// were recorded from the v6 snapshot (options and vecs from v8, join
-// from v10, tus, santos and d3l from v11), so a format change that only drops or renumbers sections
+// were recorded from the v6 snapshot (options and vecs from v8, tus and
+// d3l from v11, join and santos from v12), so a format change that only drops or renumbers sections
 // leaves them all in place, and the one whose digest moves names the
 // section that changed.
 var goldenHarnessSections = []struct{ name, sha string }{
@@ -90,9 +97,9 @@ var goldenHarnessSections = []struct{ name, sha string }{
 	{"dict", "355135e4e8ef8371f6cd69823ce0dfad8f2357c875b225d0fcfd3f2b4bd7a3e3"},
 	{"keyword", "9ac97e224d0cc308137895e25020727651c2f6ee7ae27fd80a87e40d74dab859"},
 	{"values", "688a3d7953c68020de6076bd31c65ed8ffdbf9578e56c4dfb3ebdea57332009a"},
-	{"join", "d7c31a69d1d302362ee0b193c3bb8004b60040da26f03d9f6263f163612d81d3"},
+	{"join", "9bf615e49716c7d6924303527603cfe828f18285bfa2b1997f216d735c6a04cf"},
 	{"tus", "9a59585c606e4139e34a02a97786128f0b906466706a91ad8ab02d287bf1fbeb"},
-	{"santos", "8b72993ba54e007e76e214bd2d6823a0f54429b32db898ce056f729defdb704a"},
+	{"santos", "4df1cc811b8213e535d228f0b9db147f9ddca17eec304355b8b21c0ade980c7f"},
 	{"d3l", "37b488c4cc511bad6aa35fb3afe2afde1b059e0889631676d06a9cefc479c6b3"},
 	{"starmie", "97b0b86176ea6c5efc373da07e672ad8790eee67b56f9359bbdde03ae578f6d2"},
 	{"vecs", "b72d98b8dd78d9dbbf3148a1709584434a39f48f0526d8f2a859a234f0255d60"},
