@@ -902,26 +902,15 @@ func applyDeltas(base *System, d3lParts union.D3LParts, deltas []*Delta, infos [
 			c.IDs = ns
 		}
 	}
-	// SANTOS's pairs move half by half; NewSantosFromParts sorts them.
+	// NewSantosFromParts sorts the remapped pairs.
 	santosOrdered := santos.inIDOrder(ids)
-	for ti := range santosOrdered {
-		p := &santosOrdered[ti]
-		p.Rels = slices.Clone(p.Rels)
+	for _, p := range santosOrdered {
 		for ri := range p.Rels {
 			r := &p.Rels[ri]
-			pairs := make([]uint64, len(r.Pairs))
-			for k, pair := range r.Pairs {
-				sub, err := remapID(uint32(pair >> 32))
-				obj, oerr := remapID(uint32(pair))
-				if err == nil {
-					err = oerr
-				}
-				if err != nil {
-					return nil, fmt.Errorf("SANTOS relationship %s.%s: %w", p.ID, r.ColName, err)
-				}
-				pairs[k] = uint64(sub)<<32 | uint64(obj)
+			var rerr error
+			if r.Pairs, rerr = union.RemapSantosPairs(r.Pairs, remapID); rerr != nil {
+				return nil, fmt.Errorf("SANTOS relationship %s.%s: %w", p.ID, r.ColName, rerr)
 			}
-			r.Pairs = pairs
 		}
 	}
 	mp := mergedParts{

@@ -12,6 +12,7 @@
 package union
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"slices"
@@ -203,12 +204,9 @@ func (s *Santos) Parts() []SantosTableParts {
 	for _, id := range s.ids {
 		p := SantosTableParts{ID: id}
 		for _, rel := range s.tables[id].rels {
-			var pairs []uint64
-			if len(rel.pairIDs) > 0 {
-				pairs = make([]uint64, len(rel.pairIDs))
-				for i, pid := range rel.pairIDs {
-					pairs[i] = s.pairs[pid]
-				}
+			pairs := make([]uint64, len(rel.pairIDs))
+			for i, pid := range rel.pairIDs {
+				pairs[i] = s.pairs[pid]
 			}
 			p.Rels = append(p.Rels, SantosRelParts{ColName: rel.colName, Pairs: pairs, Pred: rel.pred, PredFrac: rel.predFrac})
 		}
@@ -265,6 +263,22 @@ func CheckSantosPairs(pairs []uint64, size int) error {
 	return nil
 }
 
+// RemapSantosPairs returns pairs with both halves of every pair moved
+// through remap, in a fresh slice and no longer sorted: how a merge
+// moves pairs onto its dictionary. It fails with remap's error.
+func RemapSantosPairs(pairs []uint64, remap func(uint32) (uint32, error)) ([]uint64, error) {
+	out := make([]uint64, len(pairs))
+	for i, p := range pairs {
+		sub, serr := remap(uint32(p >> 32))
+		obj, oerr := remap(uint32(p))
+		if err := cmp.Or(serr, oerr); err != nil {
+			return nil, err
+		}
+		out[i] = packPair(sub, obj)
+	}
+	return out, nil
+}
+
 // NewSantosFromParts assembles a SANTOS engine from parts whose pairs
 // are packed from IDs of values (required): the one assembly of a
 // build (SantosBuilder.Build) and a merge. Every pair's halves must lie
@@ -304,16 +318,13 @@ func NewSantosFromParts(curated *kb.KB, values *dict.Dict, parts []SantosTablePa
 		st := s.tables[p.ID]
 		st.rels = make([]santosRel, len(p.Rels))
 		for i, r := range p.Rels {
-			var ids dict.IDSet
-			if len(r.Pairs) > 0 {
-				ids = make(dict.IDSet, len(r.Pairs))
-				for k, pair := range r.Pairs {
-					pos, _ := slices.BinarySearch(s.pairs, pair)
-					ids[k] = uint32(pos)
-				}
-				slices.Sort(ids)
-				ids = slices.Compact(ids)
+			ids := make(dict.IDSet, len(r.Pairs))
+			for k, pair := range r.Pairs {
+				pos, _ := slices.BinarySearch(s.pairs, pair)
+				ids[k] = uint32(pos)
 			}
+			slices.Sort(ids)
+			ids = slices.Compact(ids)
 			st.rels[i] = santosRel{colName: r.ColName, pairIDs: ids, pred: r.Pred, predFrac: r.PredFrac}
 		}
 	}

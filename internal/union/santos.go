@@ -372,10 +372,7 @@ func (s *Santos) Prepare(query *table.Table) (*SantosQuery, error) {
 	q := &santosTable{tbl: query, rels: make([]santosRel, len(rels))}
 	var oov map[[2]string]uint32 // the ephemeral IDs given so far
 	for i, r := range rels {
-		var ids dict.IDSet
-		if len(r.pairs) > 0 {
-			ids = make(dict.IDSet, 0, len(r.pairs))
-		}
+		ids := make(dict.IDSet, 0, len(r.pairs))
 		for _, p := range r.pairs {
 			id, ok := s.pairID(p)
 			if !ok {
