@@ -20,10 +20,12 @@ import (
 // delta format or of what a build computes moves it: re-record it then,
 // and say why.
 //
-// Re-recorded for delta format v5, whose SANTOS section carries packed
-// pairs of extended-dictionary IDs instead of pair strings; only the
-// santos entry of goldenDeltaSections was re-recorded with it.
-const goldenDelta = "95a016a16c491e9c59189f2dc5bed4848fb7b78e7129ad26d10e6c3d4a2bae44"
+// Re-recorded for delta format v6, whose SANTOS section is written as
+// the SANTOS snapshot section's parts are (one pair list, and per
+// relationship its positions there) instead of packed pairs per
+// relationship; only the santos entry of goldenDeltaSections was
+// re-recorded with it.
+const goldenDelta = "78094fca4b5ef7d42e6b1f5207792fe1ec377b8069c1c5cf255e205b30f5422a"
 
 // goldenDeltaSections is the SHA-256 of each section payload of that
 // delta, in stream order, so the one whose digest moves names the
@@ -34,7 +36,7 @@ var goldenDeltaSections = []struct{ name, sha string }{
 	{"catalog", "9d84d58b76a29c478053304e518b9d909278c7479da13dfa1ff956d286c88bf1"},
 	{"join", "f9d3e59b523b24ce702222eb9ce0e34de850752e0d36384b9ebb72337b6a855e"},
 	{"tus", "a83b65fb1a8526802a98c4657e802a45a2fa6b6f315fd582f02588b787d00b10"},
-	{"santos", "6d3763d0e41b0279a7c2648d17c160ef3748f890b4f02b1baa3ce9ce127731fc"},
+	{"santos", "5a2f8b81d54a5bfb043afaa0ef7285b773d8a95b2a3db064ec2c2e2f61d69518"},
 	{"d3l", "fe2a601731b99b66ec9ebbe0531e8998b89c5685f4370f9bff2f7bd1160fad78"},
 	{"starmie", "a1d245dc70e003303d8e721782e5d11f50f84d3e1cdd4ddf9b9e1d7e29611883"},
 }

@@ -162,12 +162,13 @@ func (l *Lineage) LastCompactGen() uint64 {
 // lays each engine section out in that engine's per-table parts codec;
 // version 4 carries D3L's values as IDs in the extended dictionary and
 // its words as positions in the section's own word list; version 5
-// carries SANTOS's pairs as packed pairs of extended-dictionary IDs.
-// Older files fail with ErrVersionMismatch rather than a confusing
-// chain error.
+// carries SANTOS's pairs as packed pairs of extended-dictionary IDs;
+// version 6 writes SANTOS's parts as its snapshot section does, one
+// pair list and per relationship its positions there. Older files fail
+// with ErrVersionMismatch rather than a confusing chain error.
 const (
 	deltaMagic   uint32 = 0x54484442 // "THDB": tablehound delta binary
-	deltaVersion uint16 = 5
+	deltaVersion uint16 = 6
 )
 
 // Delta section IDs, in stream order.
@@ -212,7 +213,7 @@ type Delta struct {
 	// and both halves of SANTOS's packed pairs, are in the extended
 	// dictionary.
 	TUS     []union.TUSTableParts
-	Santos  []union.SantosTableParts
+	Santos  union.SantosParts
 	D3L     union.D3LParts
 	Starmie []starmie.TableParts
 }
@@ -318,8 +319,8 @@ func LoadDelta(r io.Reader) (*Delta, error) {
 // hold one it would not. A merge folds parts by table ID, so such a part
 // would replace a base table's analysis or index a column that is not
 // there, and a missing one would leave the table out of that engine.
-// Each SANTOS relationship's packed pairs must be strictly ascending,
-// both halves IDs of the delta's extended dictionary.
+// SANTOS's packed pair list must be strictly ascending, both halves of
+// every pair IDs of the delta's extended dictionary.
 func (d *Delta) checkParts() error {
 	added := make(map[string]*table.Table, d.Catalog.Len())
 	for _, t := range d.Catalog.Tables() {
@@ -344,13 +345,8 @@ func (d *Delta) checkParts() error {
 			}
 		}
 	}
-	extSize := d.BaseDictSize + len(d.NewValues)
-	for _, p := range d.Santos {
-		for _, r := range p.Rels {
-			if err := union.CheckSantosPairs(r.Pairs, extSize); err != nil {
-				return corrupt("SANTOS relationship %s.%s: %v", p.ID, r.ColName, err)
-			}
-		}
+	if err := union.CheckSantosPairs(d.Santos.Pairs, d.BaseDictSize+len(d.NewValues)); err != nil {
+		return corrupt("SANTOS %v", err)
 	}
 	for _, e := range []struct {
 		engine  string
@@ -358,7 +354,7 @@ func (d *Delta) checkParts() error {
 		indexes func(*table.Table) bool // nil: every table
 	}{
 		{"TUS", partIDs(d.TUS, func(p union.TUSTableParts) string { return p.ID }), union.TUSIndexes},
-		{"SANTOS", partIDs(d.Santos, func(p union.SantosTableParts) string { return p.ID }), union.SantosIndexes},
+		{"SANTOS", partIDs(d.Santos.Tables, func(p union.SantosTableParts) string { return p.ID }), union.SantosIndexes},
 		{"D3L", partIDs(d.D3L.Tables, func(p union.D3LTableParts) string { return p.ID }), union.D3LIndexes},
 		{"Starmie", partIDs(d.Starmie, func(p starmie.TableParts) string { return p.ID }), nil},
 	} {
@@ -683,9 +679,10 @@ func applyMembership(d *Delta, path string, live map[string]uint64, gen uint64, 
 // The base is only decoded, not derived, while a merge may follow:
 // the merge does not read the base's catalog statistics and derives
 // them over the merged catalog, so deriving them over the base first
-// would be done twice and discarded once. Its D3L section decodes as
-// parts, for the same reason. The base derives itself only
-// when nothing is left to apply and it is the system returned.
+// would be done twice and discarded once. For the same reason its
+// union sections stay parts: the merge folds them, and no base union
+// engine is assembled. The base derives itself only when nothing is
+// left to apply and it is the system returned.
 func LoadChainFiles(basePath string, deltaPaths []string, opts Options) (*System, error) {
 	if len(deltaPaths) == 0 {
 		return LoadFile(basePath, opts)
@@ -708,12 +705,11 @@ func LoadChainFiles(basePath string, deltaPaths []string, opts Options) (*System
 		base.Lineage.Folded = skipped
 		return base, nil
 	}
-	var d3lParts union.D3LParts
-	base, err := o.decode(&d3lParts)
+	base, u, err := o.decode(false)
 	if err != nil {
 		return nil, err
 	}
-	sys, err := applyDeltas(base, d3lParts, deltas[folded:], infos[folded:])
+	sys, err := applyDeltas(base, u, deltas[folded:], infos[folded:])
 	if err != nil {
 		return nil, err
 	}
@@ -726,27 +722,25 @@ func LoadChainFiles(basePath string, deltaPaths []string, opts Options) (*System
 const unmapped = ^uint32(0)
 
 // applyDeltas folds an ordered delta chain over a freshly decoded base
-// system and returns the merged system. The base's D3L engine comes as
-// parts, d3lParts (base.D3L is not read). The base is consumed: its
-// model is rebound onto the merged vector block, so it must not keep
-// serving queries (LoadChainFiles decodes a fresh base per merge).
-// Only what a snapshot stores is read from the base; its Stats may be
-// nil.
+// system and returns the merged system. The base's union engines come
+// as their sections' parts, u (the base's union engines are not read).
+// The base is consumed: its model is rebound onto the merged vector
+// block, so it must not keep serving queries (LoadChainFiles decodes a
+// fresh base per merge). Only what a snapshot stores is read from the
+// base; its Stats may be nil.
 //
-// The merge analyses only the tables the chain adds; every other live
+// The merge analyses only the tables a chain adds; every other live
 // table is the base's, and what the base derived from it carries over:
 // its dictionary values (on a chain without tombstones), its keyword
-// postings, its join ID sets and its graph nodes (see graphFold).
-func applyDeltas(base *System, d3lParts union.D3LParts, deltas []*Delta, infos []DeltaInfo) (*System, error) {
+// postings, its join ID sets, its union parts and its graph nodes (see
+// graphFold).
+func applyDeltas(base *System, u *unionSections, deltas []*Delta, infos []DeltaInfo) (*System, error) {
 	start := time.Now()
 	if base.Lineage == nil {
 		return nil, errors.New("core: base system has no lineage (not loaded from a snapshot)")
 	}
 	bopts := base.buildOpts
 	gen := base.Lineage.Gen
-	// dictSize is the size of the chain's extended dictionary: each
-	// delta's new values take the IDs after the previous ones.
-	dictSize := base.Dict.Size()
 	// live is the membership the generation chain folds over, as table
 	// ID → content hash. Base hashes come from the snapshot's meta
 	// section so they are never recomputed over the full base catalog.
@@ -754,36 +748,29 @@ func applyDeltas(base *System, d3lParts union.D3LParts, deltas []*Delta, infos [
 		return nil, fmt.Errorf("core: base lineage has %d content hashes for %d table IDs", len(base.Lineage.TableHashes), len(base.Lineage.TableIDs))
 	}
 	live := base.Lineage.live()
+	// A merge moves the base's value IDs onto the merged dictionary, so
+	// each engine's must be the system's: the join engine's as decoded,
+	// each union section's by its dictionary flag.
+	for _, e := range []struct {
+		name   string
+		values *dict.Dict
+	}{{"join engine", base.Join.Dict()}, {"TUS", u.tus.Dict}, {"SANTOS", u.santosDict}, {"D3L", u.d3lDict}} {
+		if e.values != base.Dict {
+			return nil, fmt.Errorf("%w: %s does not share the system dictionary, so its parts cannot merge", ErrCorruptSnapshot, e.name)
+		}
+	}
 	// The catalog folds like the engines' parts: the table under each
-	// live ID, and each engine's parts for it.
+	// live ID. The union parts fold once the dictionary is merged (see
+	// foldUnion); sets holds them, the base's first, with the size of
+	// the dictionary each set's value IDs are in: the base's, then each
+	// delta's extended one.
 	tables := foldParts(base.Catalog.Tables(), func(t *table.Table) string { return t.ID })
-	if base.Join.Dict() != base.Dict {
-		return nil, fmt.Errorf("%w: join engine does not share the system dictionary, so its parts cannot merge", ErrCorruptSnapshot)
-	}
 	joinSets := base.Join.Parts().IDSets
-	if base.Santos.Values() != base.Dict {
-		return nil, fmt.Errorf("%w: SANTOS does not share the system dictionary, so its parts cannot merge", ErrCorruptSnapshot)
-	}
-	tus := foldParts(base.TUS.Parts(), func(p union.TUSTableParts) string { return p.ID })
-	santos := foldParts(base.Santos.Parts(), func(p union.SantosTableParts) string { return p.ID })
-	// D3L's word IDs index each part set's own word list: they move onto
-	// the lists' union as they fold, and its value IDs are remapped with
-	// TUS's below.
-	wordLists := [][]string{d3lParts.Words}
-	for _, dd := range deltas {
-		wordLists = append(wordLists, dd.D3L.Words)
-	}
-	words, wordRemaps := union.MergeWords(wordLists...)
-	baseD3L, err := union.RemapWordIDs(d3lParts.Tables, wordRemaps[0])
-	if err != nil {
-		return nil, fmt.Errorf("%w: base: %w", ErrCorruptSnapshot, err)
-	}
-	d3l := foldParts(baseD3L, func(p union.D3LTableParts) string { return p.ID })
-	star := foldParts(base.Starmie.Parts(), func(p starmie.TableParts) string { return p.ID })
+	sets := []partSet{{name: "base", size: base.Dict.Size(), tus: u.tus.Parts, santos: u.santos, d3l: u.d3l, starmie: u.starmie.Parts}}
 	// The two HNSW graphs fold too: from the base's, each delta inserts
 	// the columns of the tables it adds, and one that tombstones any
 	// table restarts them empty over the tables live after it.
-	graphs := graphFold{starmie: base.Starmie.Graph(), tus: base.TUS.NLGraph()}
+	graphs := graphFold{starmie: u.starmie.Graph, tus: u.tus.Graph}
 	// added holds the live tables the chain added, replaced ones
 	// included; blocks holds each delta's new dictionary values.
 	added := make(map[string]*table.Table)
@@ -795,7 +782,8 @@ func applyDeltas(base *System, d3lParts union.D3LParts, deltas []*Delta, infos [
 		if i < len(infos) && infos[i].Path != "" {
 			path = infos[i].Path
 		}
-		if err := applyMembership(dd, path, live, gen, dictSize); err != nil {
+		last := sets[len(sets)-1]
+		if err := applyMembership(dd, path, live, gen, last.size); err != nil {
 			return nil, err
 		}
 		for _, id := range dd.Tombstones {
@@ -816,18 +804,13 @@ func applyDeltas(base *System, d3lParts union.D3LParts, deltas []*Delta, infos [
 			added[t.ID] = t
 		}
 		tables.apply(dd.Tombstones, dd.Catalog.Tables())
-		tus.apply(dd.Tombstones, dd.TUS)
-		santos.apply(dd.Tombstones, dd.Santos)
-		d3lAdded, err := union.RemapWordIDs(dd.D3L.Tables, wordRemaps[i+1])
-		if err != nil {
-			return nil, fmt.Errorf("%w: delta %s: %w", ErrCorruptSnapshot, path, err)
-		}
-		d3l.apply(dd.Tombstones, d3lAdded)
-		star.apply(dd.Tombstones, dd.Starmie)
 		graphs.apply(dd, live)
 		tombstoned = tombstoned || len(dd.Tombstones) > 0
 		blocks = append(blocks, dd.NewValues)
-		dictSize += len(dd.NewValues)
+		sets = append(sets, partSet{
+			name: "delta " + path, tombstones: dd.Tombstones, size: last.size + len(dd.NewValues),
+			tus: dd.TUS, santos: dd.Santos, d3l: dd.D3L, starmie: dd.Starmie,
+		})
 		gen = dd.ResultGen
 	}
 
@@ -857,72 +840,26 @@ func applyDeltas(base *System, d3lParts union.D3LParts, deltas []*Delta, infos [
 	}); err != nil {
 		return nil, err
 	}
-	remapID := func(id uint32) (uint32, error) {
-		if int(id) >= len(remap) || remap[id] == unmapped {
-			return 0, fmt.Errorf("%w: ID %d references a value outside the merged lake", ErrDeltaChain, id)
-		}
-		return remap[id], nil
-	}
-	remapSet := func(ids dict.IDSet) (dict.IDSet, error) {
-		out := make(dict.IDSet, len(ids))
-		for i, id := range ids {
-			var err error
-			if out[i], err = remapID(id); err != nil {
-				return nil, err
-			}
-		}
-		slices.Sort(out)
-		return out, nil
-	}
 	for key, set := range joinSets {
-		ns, rerr := remapSet(set)
-		if rerr != nil {
-			return nil, fmt.Errorf("join column %q: %w", key, rerr)
+		ns := make(dict.IDSet, len(set))
+		for i, id := range set {
+			if int(id) >= len(remap) || remap[id] == unmapped {
+				return nil, fmt.Errorf("join column %q: %w: ID %d references a value outside the merged lake", key, ErrDeltaChain, id)
+			}
+			ns[i] = remap[id]
 		}
+		slices.Sort(ns)
 		joinSets[key] = ns
-	}
-	tusOrdered := tus.inIDOrder(ids)
-	for ti := range tusOrdered {
-		for ci := range tusOrdered[ti].Cols {
-			ns, rerr := remapSet(tusOrdered[ti].Cols[ci].IDs)
-			if rerr != nil {
-				return nil, fmt.Errorf("TUS column %s.%s: %w", tusOrdered[ti].ID, tusOrdered[ti].Cols[ci].Name, rerr)
-			}
-			tusOrdered[ti].Cols[ci].IDs = ns
-		}
-	}
-	d3lOrdered := d3l.inIDOrder(ids)
-	for ti := range d3lOrdered {
-		for ci := range d3lOrdered[ti].Cols {
-			c := &d3lOrdered[ti].Cols[ci]
-			ns, rerr := remapSet(c.IDs)
-			if rerr != nil {
-				return nil, fmt.Errorf("D3L column %d of table %s: %w", c.ColIdx, d3lOrdered[ti].ID, rerr)
-			}
-			c.IDs = ns
-		}
-	}
-	// NewSantosFromParts sorts the remapped pairs.
-	santosOrdered := santos.inIDOrder(ids)
-	for _, p := range santosOrdered {
-		for ri := range p.Rels {
-			r := &p.Rels[ri]
-			var rerr error
-			if r.Pairs, rerr = union.RemapSantosPairs(r.Pairs, remapID); rerr != nil {
-				return nil, fmt.Errorf("SANTOS relationship %s.%s: %w", p.ID, r.ColName, rerr)
-			}
-		}
 	}
 	mp := mergedParts{
 		added:   added,
 		keyword: base.Keyword,
 		values:  base.Values,
 		join:    join.EngineParts{IDSets: joinSets},
-		tus:     tusOrdered,
-		santos:  santosOrdered,
-		d3l:     union.D3LParts{Words: words, Tables: d3lOrdered},
-		starmie: star.inIDOrder(ids),
 		graphs:  graphs,
+	}
+	if err := mp.foldUnion(sets, remap, ids); err != nil {
+		return nil, err
 	}
 	// Build's stage table over the merged catalog, with the base's
 	// build parameters: the keyword indexes and the engines fold from
@@ -940,6 +877,94 @@ func applyDeltas(base *System, d3lParts union.D3LParts, deltas []*Delta, infos [
 	sys.Lineage = &Lineage{BaseGen: base.Lineage.Gen, Gen: gen, TableIDs: ids, TableHashes: hashes, Deltas: infos}
 	stats.Total = time.Since(start)
 	return sys, nil
+}
+
+// partSet is one set of union parts a merge folds — the base's
+// sections' or one delta's — with the tables it removes first and the
+// size of the dictionary its value IDs are in.
+type partSet struct {
+	name       string
+	tombstones []string
+	size       int
+	tus        []union.TUSTableParts
+	santos     union.SantosParts
+	d3l        union.D3LParts
+	starmie    []starmie.TableParts
+}
+
+// foldUnion folds the union part sets in chain order into mp, each
+// table's parts in the merged lake's table order ids. Before a set
+// folds, its value IDs move through remap onto the merged dictionary,
+// each ID set checked against the set's own dictionary; D3L's word IDs
+// move onto the union of the sets' word lists, and SANTOS's pair IDs
+// onto the union of their pair lists, whose pairs move through remap
+// first. A value no live table holds moves to unmapped, and a pair
+// holding one to union.NoPair: only the tables the chain removes may
+// hold either, and an assembly refuses both.
+func (mp *mergedParts) foldUnion(sets []partSet, remap []uint32, ids []string) error {
+	wordLists, pairLists := make([][]string, len(sets)), make([][]uint64, len(sets))
+	for i, set := range sets {
+		if err := union.CheckSantosPairs(set.santos.Pairs, set.size); err != nil {
+			return fmt.Errorf("%w: %s: SANTOS %v", ErrCorruptSnapshot, set.name, err)
+		}
+		wordLists[i], pairLists[i] = set.d3l.Words, set.santos.Pairs
+	}
+	words, wordRemaps := union.MergeWords(wordLists...)
+	pairs, pairRemaps := union.MergePairs(pairLists, func(id uint32) (uint32, bool) { return remap[id], remap[id] != unmapped })
+	tus := foldParts[union.TUSTableParts](nil, func(p union.TUSTableParts) string { return p.ID })
+	santos := foldParts[union.SantosTableParts](nil, func(p union.SantosTableParts) string { return p.ID })
+	d3l := foldParts[union.D3LTableParts](nil, func(p union.D3LTableParts) string { return p.ID })
+	star := foldParts[starmie.TableParts](nil, func(p starmie.TableParts) string { return p.ID })
+	for i, set := range sets {
+		values := func(ids dict.IDSet) (dict.IDSet, error) {
+			if err := ids.Check(set.size); err != nil {
+				return nil, err
+			}
+			out := make(dict.IDSet, len(ids))
+			for k, id := range ids {
+				out[k] = remap[id]
+			}
+			slices.Sort(out)
+			return out, nil
+		}
+		corrupt := func(err error) error { return fmt.Errorf("%w: %s: %w", ErrCorruptSnapshot, set.name, err) }
+		tusMoved := make([]union.TUSTableParts, len(set.tus))
+		for ti, p := range set.tus {
+			tusMoved[ti] = union.TUSTableParts{ID: p.ID, Cols: slices.Clone(p.Cols)}
+			for ci := range p.Cols {
+				c := &tusMoved[ti].Cols[ci]
+				var err error
+				if c.IDs, err = values(c.IDs); err != nil {
+					return corrupt(fmt.Errorf("TUS column %s.%s: %v", p.ID, c.Name, err))
+				}
+			}
+		}
+		d3lMoved, err := union.RemapWordIDs(set.d3l.Tables, wordRemaps[i])
+		if err != nil {
+			return corrupt(err)
+		}
+		for _, p := range d3lMoved {
+			for ci := range p.Cols {
+				c := &p.Cols[ci]
+				if c.IDs, err = values(c.IDs); err != nil {
+					return corrupt(fmt.Errorf("D3L column %d of table %s: %v", c.ColIdx, p.ID, err))
+				}
+			}
+		}
+		santosMoved, err := union.RemapPairIDs(set.santos.Tables, pairRemaps[i])
+		if err != nil {
+			return corrupt(err)
+		}
+		tus.apply(set.tombstones, tusMoved)
+		santos.apply(set.tombstones, santosMoved)
+		d3l.apply(set.tombstones, d3lMoved)
+		star.apply(set.tombstones, set.starmie)
+	}
+	mp.tus = tus.inIDOrder(ids)
+	mp.santos = union.SantosParts{Pairs: pairs, Tables: santos.inIDOrder(ids)}
+	mp.d3l = union.D3LParts{Words: words, Tables: d3l.inIDOrder(ids)}
+	mp.starmie = star.inIDOrder(ids)
+	return nil
 }
 
 // mergeDict returns the merged lake's dictionary — the sorted one a
@@ -1000,7 +1025,7 @@ type mergedParts struct {
 	values  *keyword.ValueIndex
 	join    join.EngineParts
 	tus     []union.TUSTableParts
-	santos  []union.SantosTableParts
+	santos  union.SantosParts
 	d3l     union.D3LParts
 	starmie []starmie.TableParts
 	graphs  graphFold

@@ -392,15 +392,14 @@ func TestDeltaChainValidation(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var parts union.D3LParts
-		base, err := o.decode(&parts)
+		base, u, err := o.decode(false)
 		if err != nil {
 			t.Fatal(err)
 		}
 		dup := *d
 		dup.ParentGen, dup.BaseDictSize, dup.NewValues = d.ResultGen, d.BaseDictSize+len(d.NewValues), nil
 		dup.Catalog = lake.NewCatalog()
-		_, err = applyDeltas(base, parts, []*Delta{d, &dup}, nil)
+		_, err = applyDeltas(base, u, []*Delta{d, &dup}, nil)
 		if !errors.Is(err, ErrDeltaChain) || !strings.Contains(err.Error(), "re-adds join column") {
 			t.Errorf("err = %v, want ErrDeltaChain naming %q", err, "re-adds join column")
 		}
@@ -412,8 +411,7 @@ func TestDeltaChainValidation(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var parts union.D3LParts
-		base, err := o.decode(&parts)
+		base, u, err := o.decode(false)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -424,7 +422,7 @@ func TestDeltaChainValidation(t *testing.T) {
 		if base.Join, err = jb.Build(); err != nil {
 			t.Fatal(err)
 		}
-		_, err = applyDeltas(base, parts, []*Delta{d}, nil)
+		_, err = applyDeltas(base, u, []*Delta{d}, nil)
 		if !errors.Is(err, ErrCorruptSnapshot) || !strings.Contains(err.Error(), "does not share the system dictionary") {
 			t.Errorf("err = %v, want ErrCorruptSnapshot naming the dictionary", err)
 		}
@@ -452,7 +450,7 @@ func TestDeltaChainValidation(t *testing.T) {
 func TestDeltaRejectsForeignParts(t *testing.T) {
 	basePath, deltaPath, d, added := deltaFixture(t)
 	const baseID = "t000_00"
-	if len(d.TUS) == 0 || len(d.Santos) == 0 || len(d.D3L.Tables) == 0 || len(d.Starmie) == 0 || len(d.JoinIDSets) == 0 {
+	if len(d.TUS) == 0 || len(d.Santos.Tables) == 0 || len(d.D3L.Tables) == 0 || len(d.Starmie) == 0 || len(d.JoinIDSets) == 0 {
 		t.Fatal("fixture delta lacks parts for some engine")
 	}
 	relabel := func(p *string) { *p = baseID }
@@ -465,8 +463,8 @@ func TestDeltaRejectsForeignParts(t *testing.T) {
 			relabel(&v.TUS[0].ID)
 		}},
 		{"SANTOS part of a base table", func(v *Delta) {
-			v.Santos = append([]union.SantosTableParts(nil), d.Santos...)
-			relabel(&v.Santos[0].ID)
+			v.Santos.Tables = append([]union.SantosTableParts(nil), d.Santos.Tables...)
+			relabel(&v.Santos.Tables[0].ID)
 		}},
 		{"D3L part of a base table", func(v *Delta) {
 			v.D3L.Tables = append([]union.D3LTableParts(nil), d.D3L.Tables...)
@@ -492,7 +490,7 @@ func TestDeltaRejectsForeignParts(t *testing.T) {
 			delete(v.JoinIDSets, sortedKeys(d.JoinIDSets)[0])
 		}},
 		{"TUS part dropped", func(v *Delta) { v.TUS = nil }},
-		{"SANTOS part dropped", func(v *Delta) { v.Santos = nil }},
+		{"SANTOS part dropped", func(v *Delta) { v.Santos.Tables = nil }},
 		{"D3L part dropped", func(v *Delta) { v.D3L.Tables = nil }},
 		{"Starmie part dropped", func(v *Delta) { v.Starmie = nil }},
 		{"D3L column past its table", func(v *Delta) {
@@ -513,21 +511,27 @@ func TestDeltaRejectsForeignParts(t *testing.T) {
 			c.WordIDs[0], c.WordIDs[1] = c.WordIDs[1], c.WordIDs[0]
 		}},
 		{"SANTOS pairs out of order", func(v *Delta) {
-			r := forgeSantosRel(v, d)
-			r.Pairs[0], r.Pairs[1] = r.Pairs[1], r.Pairs[0]
+			pairs := forgeSantosPairs(v, d)
+			pairs[0], pairs[1] = pairs[1], pairs[0]
 		}},
 		{"SANTOS pair repeated", func(v *Delta) {
-			r := forgeSantosRel(v, d)
-			r.Pairs[1] = r.Pairs[0]
+			pairs := forgeSantosPairs(v, d)
+			pairs[1] = pairs[0]
 		}},
 		{"SANTOS subject past the extended dictionary", func(v *Delta) {
-			r := forgeSantosRel(v, d)
-			r.Pairs[len(r.Pairs)-1] = uint64(v.BaseDictSize+len(v.NewValues)) << 32
+			pairs := forgeSantosPairs(v, d)
+			pairs[len(pairs)-1] = uint64(v.BaseDictSize+len(v.NewValues)) << 32
 		}},
 		{"SANTOS object past the extended dictionary", func(v *Delta) {
-			r := forgeSantosRel(v, d)
-			last := &r.Pairs[len(r.Pairs)-1]
+			pairs := forgeSantosPairs(v, d)
+			last := &pairs[len(pairs)-1]
 			*last = *last>>32<<32 | uint64(v.BaseDictSize+len(v.NewValues))
+		}},
+		{"SANTOS pair ID past the pair list", func(v *Delta) {
+			v.Santos.Tables = slices.Clone(d.Santos.Tables)
+			v.Santos.Tables[0].Rels = slices.Clone(d.Santos.Tables[0].Rels)
+			r := &v.Santos.Tables[0].Rels[0]
+			r.PairIDs = append(slices.Clone(r.PairIDs), uint32(len(d.Santos.Pairs)))
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -544,18 +548,14 @@ func TestDeltaRejectsForeignParts(t *testing.T) {
 	}
 }
 
-// forgeSantosRel gives v a copy of d's SANTOS parts and returns the
-// first relationship of its first table, with a copy of its pairs, to
-// forge; it holds at least two pairs.
-func forgeSantosRel(v, d *Delta) *union.SantosRelParts {
-	v.Santos = slices.Clone(d.Santos)
-	v.Santos[0].Rels = slices.Clone(d.Santos[0].Rels)
-	r := &v.Santos[0].Rels[0]
-	r.Pairs = slices.Clone(r.Pairs)
-	if len(r.Pairs) < 2 {
-		panic("fixture SANTOS relationship holds fewer than two pairs")
+// forgeSantosPairs gives v a copy of d's SANTOS pair list and returns
+// it to forge; it holds at least two pairs.
+func forgeSantosPairs(v, d *Delta) []uint64 {
+	v.Santos.Pairs = slices.Clone(d.Santos.Pairs)
+	if len(v.Santos.Pairs) < 2 {
+		panic("fixture SANTOS pair list holds fewer than two pairs")
 	}
-	return r
+	return v.Santos.Pairs
 }
 
 // forgeD3LColumn gives v a copy of d's D3L parts and returns the first
@@ -803,10 +803,11 @@ func TestDeltaRejectsCorruption(t *testing.T) {
 		}
 	})
 	// A delta written before the engine sections followed the parts
-	// codecs (v2), while D3L's section carried strings (v3), or while
-	// SANTOS's did (v4), is stale, not damaged, and the message names
+	// codecs (v2), while D3L's section carried strings (v3), while
+	// SANTOS's did (v4), or while SANTOS's pairs were packed per
+	// relationship (v5), is stale, not damaged, and the message names
 	// both versions.
-	for _, v := range []byte{2, 3, 4} {
+	for _, v := range []byte{2, 3, 4, 5} {
 		t.Run(fmt.Sprintf("v%d header", v), func(t *testing.T) {
 			bad := append([]byte{}, good...)
 			bad[4], bad[5] = v, 0
@@ -814,8 +815,8 @@ func TestDeltaRejectsCorruption(t *testing.T) {
 			if !errors.Is(err, ErrVersionMismatch) || errors.Is(err, ErrCorruptSnapshot) {
 				t.Fatalf("err = %v, want ErrVersionMismatch alone", err)
 			}
-			if msg := err.Error(); !strings.Contains(msg, fmt.Sprintf("version %d", v)) || !strings.Contains(msg, "expected 5") {
-				t.Errorf("err %q does not name versions %d and 5", msg, v)
+			if msg := err.Error(); !strings.Contains(msg, fmt.Sprintf("version %d", v)) || !strings.Contains(msg, "expected 6") {
+				t.Errorf("err %q does not name versions %d and 6", msg, v)
 			}
 		})
 	}
@@ -1063,10 +1064,10 @@ func TestDeltaPartsRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n := len(removeOnly.JoinIDSets) + len(removeOnly.TUS) + len(removeOnly.Santos) + len(removeOnly.D3L.Tables) + len(removeOnly.Starmie); n != 0 {
+	if n := len(removeOnly.JoinIDSets) + len(removeOnly.TUS) + len(removeOnly.Santos.Tables) + len(removeOnly.D3L.Tables) + len(removeOnly.Starmie); n != 0 {
 		t.Fatalf("remove-only delta carries %d engine parts", n)
 	}
-	if n := len(numericOnly.TUS) + len(numericOnly.Santos) + len(numericOnly.D3L.Tables); n != 0 || len(numericOnly.Starmie) != 1 {
+	if n := len(numericOnly.TUS) + len(numericOnly.Santos.Tables) + len(numericOnly.D3L.Tables); n != 0 || len(numericOnly.Starmie) != 1 {
 		t.Fatalf("numeric-only delta: %d TUS/SANTOS/D3L parts, %d Starmie parts; want 0 and 1", n, len(numericOnly.Starmie))
 	}
 	for _, tc := range []struct {

@@ -210,7 +210,7 @@ func (p pipeline) tus() (int, error) {
 // empty.
 func (p pipeline) santos() (int, error) {
 	s := p.s
-	values, parts := s.Dict, []union.SantosTableParts(nil)
+	values, parts := s.Dict, union.SantosParts{}
 	if p.parts != nil {
 		parts = p.parts.santos
 	} else {

@@ -215,8 +215,9 @@ func decodeOptions(d *snap.Decoder, rt Options) Options {
 // LoadFile for the zero-copy mmap path.
 //
 // A load is two halves run back to back: decode reads, checksums and
-// decodes every section, derive runs the rebuild-on-load stages over
-// what was decoded. A chain load runs only the first half on a base
+// decodes every section and assembles the union engines from theirs,
+// derive runs the rebuild-on-load stages over what was decoded. A
+// chain load runs only the first half, without the assembly, on a base
 // the delta merge is about to consume (see LoadChainFiles).
 func Load(r io.Reader, opts Options) (*System, error) {
 	return load(open(r, nil, opts))
@@ -227,7 +228,7 @@ func load(o *opened, err error) (*System, error) {
 	if err != nil {
 		return nil, err
 	}
-	s, err := o.decode(nil)
+	s, _, err := o.decode(true)
 	if err != nil {
 		return nil, err
 	}
@@ -405,62 +406,87 @@ func (o *opened) foundations(g *decodeGroup) error {
 	return nil
 }
 
-// decode is the first half of a load: every section is decoded and
-// every stored engine is live, but the rebuild-on-load field (Stats) is
-// still nil. With d3lParts non-nil the D3L section decodes into it
-// instead, checked, and D3L stays nil: a merge reads the base's D3L
-// engine only as parts, so building it would be wasted.
-func (o *opened) decode(d3lParts *union.D3LParts) (*System, error) {
+// unionSections is a snapshot's union-engine sections, each read as
+// what its engine's New*FromParts takes.
+type unionSections struct {
+	tus                 union.TUSSection
+	santosDict, d3lDict *dict.Dict
+	santos              union.SantosParts
+	d3l                 union.D3LParts
+	starmie             starmie.Section
+}
+
+// noBatches is what a load's graphs grow by: nothing, since each
+// section stores its graph whole.
+var noBatches = [][]string{}
+
+// decode is the first half of a load: every section is decoded, and
+// the rebuild-on-load field (Stats) is still nil. The union sections
+// are read as parts. With assemble set, each union engine is assembled
+// from its section through its New*FromParts, with the stored graph
+// and nothing to insert; without it they stay parts, which a chain
+// load hands to the merge, and the union engines stay nil.
+func (o *opened) decode(assemble bool) (*System, *unionSections, error) {
 	s, secs, bopts := o.s, o.secs, o.s.buildOpts
 	// Phase 1: the foundations and the catalog — everything later
 	// decodes against them — together with every other section that
 	// needs nothing else; its members are mutually independent.
 	g := &decodeGroup{parallel: bopts.Parallelism > 1}
 	if err := o.foundations(g); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	g.run(secCatalog, secs, into(&s.Catalog, lake.DecodeSnapshot))
 	g.run(secKeyword, secs, into(&s.Keyword, keyword.DecodeIndexSnapshot))
 	g.run(secValues, secs, into(&s.Values, keyword.DecodeValueIndexSnapshot))
 	if err := g.wait(); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	s.buildOpts.KB = s.KB
 	lookup := s.Catalog.Table
 
 	// Phase 2: the search engines, each depending only on phase-1
 	// results.
+	u := &unionSections{}
 	g = &decodeGroup{parallel: bopts.Parallelism > 1}
-	g.run(secJoin, secs, func(d *snap.Decoder) (derr error) {
-		s.Join, derr = join.DecodeEngineSnapshot(d, s.Dict)
-		return derr
+	g.run(secJoin, secs, func(d *snap.Decoder) (err error) {
+		s.Join, err = join.DecodeEngineSnapshot(d, s.Dict)
+		return err
 	})
-	g.run(secTUS, secs, func(d *snap.Decoder) error {
-		var derr error
-		s.TUS, derr = union.DecodeTUSSnapshot(d, union.TUSConfig{Model: s.Model, KB: s.KB, Dict: s.Dict}, lookup)
-		return derr
-	})
-	g.run(secSantos, secs, func(d *snap.Decoder) error {
-		var derr error
-		s.Santos, derr = union.DecodeSantosSnapshot(d, s.KB, s.Dict, lookup)
-		return derr
-	})
-	g.run(secD3L, secs, func(d *snap.Decoder) (derr error) {
-		if d3lParts != nil {
-			*d3lParts, derr = union.DecodeD3LSnapshotParts(d, s.Dict, lookup)
-		} else {
-			s.D3L, derr = union.DecodeD3LSnapshot(d, s.Model, s.Dict, lookup)
+	g.run(secTUS, secs, func(d *snap.Decoder) (err error) {
+		if u.tus, err = union.DecodeTUSSection(d, s.Dict); err != nil || !assemble {
+			return err
 		}
-		return derr
+		cfg := union.TUSConfig{Model: s.Model, KB: s.KB, Dict: u.tus.Dict, Exhaustive: u.tus.Exhaustive, NumHashes: u.tus.NumHashes}
+		s.TUS, err = union.NewTUSFromParts(cfg, u.tus.Parts, u.tus.Graph, noBatches, lookup)
+		return corruptParts(err)
+	})
+	g.run(secSantos, secs, func(d *snap.Decoder) (err error) {
+		if u.santosDict, u.santos, err = union.DecodeSantosSection(d, s.Dict); err != nil || !assemble {
+			return err
+		}
+		s.Santos, err = union.NewSantosFromParts(s.KB, u.santosDict, u.santos, lookup)
+		return corruptParts(err)
+	})
+	g.run(secD3L, secs, func(d *snap.Decoder) (err error) {
+		if u.d3lDict, u.d3l, err = union.DecodeD3LSection(d, s.Dict); err != nil || !assemble {
+			return err
+		}
+		s.D3L, err = union.NewD3LFromParts(s.Model, u.d3lDict, u.d3l, lookup)
+		return corruptParts(err)
 	})
 	sv, _ := s.Vecs.View("starmie")
-	g.run(secStarmie, secs, func(d *snap.Decoder) error {
-		var derr error
-		s.Starmie, derr = starmie.DecodeSnapshot(d, s.Model, sv, lookup)
-		return derr
+	g.run(secStarmie, secs, func(d *snap.Decoder) (err error) {
+		if u.starmie, err = starmie.DecodeSection(d, sv); err != nil || !assemble {
+			return err
+		}
+		enc := starmie.NewEncoder(s.Model, u.starmie.ContextWeight)
+		if s.Starmie, err = starmie.NewIndexFromParts(enc, u.starmie.Parts, u.starmie.Graph, noBatches, lookup); err == nil {
+			err = s.Starmie.Bind(sv)
+		}
+		return corruptParts(err)
 	})
 	if err := g.wait(); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 
 	stats := newBuildStats(bopts.Parallelism)
@@ -471,7 +497,7 @@ func (o *opened) decode(d3lParts *union.D3LParts) (*System, error) {
 	}
 	stats.Total = time.Since(o.start)
 	s.BuildStats = stats
-	return s, nil
+	return s, u, nil
 }
 
 // derive is the second half of a load: the rebuild-on-load stage

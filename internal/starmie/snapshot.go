@@ -7,7 +7,6 @@ import (
 	"tablehound/internal/embedding"
 	"tablehound/internal/hnsw"
 	"tablehound/internal/snap"
-	"tablehound/internal/table"
 	"tablehound/internal/vecstore"
 )
 
@@ -37,69 +36,58 @@ func (ix *Index) AppendSnapshot(e *snap.Encoder) {
 	ix.graph.AppendSnapshotShared(e)
 }
 
-// DecodeSnapshot rebuilds an index written by AppendSnapshot over the
-// loaded embedding model and the snapshot's "starmie" vector segment,
-// whose row i backs colKeys[i] and graph node i (a snapshot whose node
-// keys are not colKeys, in order, is corrupt). The loaded index comes
-// back bound (norm-precomputed scoring). lookup resolves table IDs
-// against the loaded catalog, binding each indexed table to the table
-// a table_id query will present (see PrepareTable).
-func DecodeSnapshot(d *snap.Decoder, model *embedding.Model, view vecstore.View, lookup func(id string) *table.Table) (*Index, error) {
-	contextWeight := d.F64()
+// Section is a Starmie snapshot section as NewIndexFromParts takes it:
+// the encoder's context weight, the per-table parts, whose vectors are
+// rows of the snapshot's "starmie" vector segment, and the stored
+// graph over those rows.
+type Section struct {
+	ContextWeight float64
+	Parts         []TableParts
+	Graph         *hnsw.Graph
+}
+
+// DecodeSection reads a section AppendSnapshot wrote over the
+// snapshot's "starmie" vector segment, whose row i backs colKeys[i]
+// and graph node i (a snapshot whose node keys are not colKeys, in
+// order, is corrupt: nothing else ties a node to its row, and a
+// swapped pair would score each node by another column's vector).
+func DecodeSection(d *snap.Decoder, view vecstore.View) (Section, error) {
+	sec := Section{ContextWeight: d.F64()}
 	colKeys := d.Strs()
 	if d.Err() != nil {
-		return nil, d.Err()
+		return sec, d.Err()
 	}
 	if view.Len() != len(colKeys) {
-		return nil, fmt.Errorf("%w: starmie has %d columns, vector segment %d rows", snap.ErrCorrupt, len(colKeys), view.Len())
+		return sec, fmt.Errorf("%w: starmie has %d columns, vector segment %d rows", snap.ErrCorrupt, len(colKeys), view.Len())
 	}
-	ix := newIndex(NewEncoder(model, contextWeight))
-	ix.colKeys = colKeys
-	ix.rowOf = make(map[string]int, len(colKeys))
+	rowOf := make(map[string]int, len(colKeys))
 	for i, k := range colKeys {
-		if _, dup := ix.vecs[k]; dup {
-			return nil, fmt.Errorf("%w: duplicate starmie column %q", snap.ErrCorrupt, k)
-		}
-		ix.vecs[k] = embedding.Vector(view.Vec(i))
-		ix.rowOf[k] = i
+		rowOf[k] = i
 	}
-	numTables := int(d.U32())
-	if d.Err() != nil {
-		return nil, d.Err()
-	}
-	for i := 0; i < numTables; i++ {
-		id := d.Str()
-		keys := d.Strs()
-		if d.Err() != nil {
-			return nil, d.Err()
-		}
-		if _, dup := ix.byTable[id]; dup {
-			return nil, fmt.Errorf("%w: duplicate starmie table %q", snap.ErrCorrupt, id)
-		}
-		tbl := lookup(id)
-		if tbl == nil {
-			return nil, fmt.Errorf("%w: starmie table %q missing from catalog", snap.ErrCorrupt, id)
-		}
-		for _, k := range keys {
-			if _, ok := ix.vecs[k]; !ok {
-				return nil, fmt.Errorf("%w: starmie table %q references unknown column %q", snap.ErrCorrupt, id, k)
+	sec.Parts = make([]TableParts, d.Count(8)) // a table is at least 8 bytes
+	for i := range sec.Parts {
+		p := TableParts{ID: d.Str(), Keys: d.Strs()}
+		p.Vecs = make([]embedding.Vector, len(p.Keys))
+		for j, k := range p.Keys {
+			row, ok := rowOf[k]
+			if !ok {
+				return sec, fmt.Errorf("%w: starmie table %q references unknown column %q", snap.ErrCorrupt, p.ID, k)
 			}
+			p.Vecs[j] = embedding.Vector(view.Vec(row))
 		}
-		ix.byTable[id] = keys
-		ix.indexed[id] = tbl
+		sec.Parts[i] = p
+	}
+	if d.Err() != nil {
+		return sec, d.Err()
 	}
 	var err error
-	if ix.graph, err = hnsw.DecodeSnapshotShared(d, view.Vec, view.Len()); err != nil {
-		return nil, err
+	if sec.Graph, err = hnsw.DecodeSnapshotShared(d, view.Vec, view.Len()); err != nil {
+		return sec, err
 	}
-	// Row i backs both colKeys[i] and graph node i, and nothing else
-	// ties the two: a swapped pair would score each node by another
-	// column's vector.
-	for i, k := range ix.graph.Keys() {
+	for i, k := range sec.Graph.Keys() {
 		if k != colKeys[i] {
-			return nil, fmt.Errorf("%w: starmie graph node %d is %q, row %d is %q", snap.ErrCorrupt, i, k, i, colKeys[i])
+			return sec, fmt.Errorf("%w: starmie graph node %d is %q, row %d is %q", snap.ErrCorrupt, i, k, i, colKeys[i])
 		}
 	}
-	ix.view, ix.hasView = view, true
-	return ix, nil
+	return sec, nil
 }

@@ -266,7 +266,7 @@ func d3lRoundTrips(t *testing.T, model *embedding.Model, values *dict.Dict, tabl
 	built := builtD3LOver(t, model, values, tables)
 	e := new(snap.Encoder)
 	built.AppendSnapshot(e, values)
-	decoded, err := DecodeD3LSnapshot(snap.NewDecoder(e.Bytes()), model, values, lookup)
+	decoded, err := loadD3L(e.Bytes(), model, values, lookup)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -526,7 +526,7 @@ func TestD3LPostingsPassMatchesMerge(t *testing.T) {
 		}
 		e := new(snap.Encoder)
 		built.AppendSnapshot(e, nil)
-		decoded, err := DecodeD3LSnapshot(snap.NewDecoder(e.Bytes()), built.model, nil, lookup)
+		decoded, err := loadD3L(e.Bytes(), built.model, nil, lookup)
 		if err != nil {
 			t.Fatal(err)
 		}

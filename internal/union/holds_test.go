@@ -134,7 +134,7 @@ func TestUnionEnginesHoldNoValueStrings(t *testing.T) {
 		built := builtD3LOver(t, model, values, lake.Tables)
 		e := new(snap.Encoder)
 		built.AppendSnapshot(e, values)
-		decoded, err := DecodeD3LSnapshot(snap.NewDecoder(e.Bytes()), model, values, lookup)
+		decoded, err := loadD3L(e.Bytes(), model, values, lookup)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -149,7 +149,7 @@ func TestUnionEnginesHoldNoValueStrings(t *testing.T) {
 		tus := buildTUS(t, cfg, lake.Tables)
 		e = new(snap.Encoder)
 		tus.AppendSnapshot(e, values)
-		tusDecoded, err := DecodeTUSSnapshot(snap.NewDecoder(e.Bytes()), cfg, lookup)
+		tusDecoded, err := loadTUS(e.Bytes(), cfg, lookup)
 		if err != nil {
 			t.Fatal(err)
 		}

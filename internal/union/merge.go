@@ -1,22 +1,19 @@
 // Per-table parts, the one form every union engine is assembled from.
 // A builder (TUSBuilder, SantosBuilder, D3LBuilder) analyzes tables
 // into parts and an engine decomposes back into them; one codec per
-// engine writes and reads them (a delta's section, and the table
-// blocks of the TUS and D3L snapshot sections). Each engine has one
-// assembly, New*FromParts, over one adoption path: a build assembles
-// its builder's parts, a merge the parts gathered across a base
-// snapshot and a delta chain, and a load adopts the decoded ones. So
-// a merged engine — same sorted orders, same index parameters, same
-// encodings — answers every query bit-identically to a from-scratch
-// build over the merged catalog.
+// engine writes and reads them (a delta's section, and the parts of
+// the engine's snapshot section). Each engine has one assembly,
+// New*FromParts: a build assembles its builder's parts, a merge the
+// parts gathered across a base snapshot's sections and a delta chain,
+// and a load a snapshot section's. So a merged engine — same sorted
+// orders, same index parameters, same encodings — answers every query
+// bit-identically to a from-scratch build over the merged catalog.
 package union
 
 import (
-	"cmp"
 	"errors"
 	"fmt"
 	"slices"
-	"sort"
 
 	"tablehound/internal/dict"
 	"tablehound/internal/embedding"
@@ -66,8 +63,8 @@ func (t *TUS) Parts() []TUSTableParts {
 }
 
 // AppendTUSParts writes parts as their table-ID list followed by each
-// table's column block: the table blocks of the TUS snapshot section
-// and the whole of a delta's TUS section.
+// table's column block: the parts of the TUS snapshot section and the
+// whole of a delta's TUS section.
 func AppendTUSParts(e *snap.Encoder, parts []TUSTableParts) {
 	ids := make([]string, len(parts))
 	for i, p := range parts {
@@ -101,23 +98,22 @@ func DecodeTUSParts(d *snap.Decoder) ([]TUSTableParts, error) {
 	return parts, d.Err()
 }
 
-// adopt installs parts as the engine's tables: the one adoption path
-// of NewTUSFromParts and of a snapshot decode. Every column set must
-// pass dict.IDSet.Check against t.dict — an ID beyond it or out of
-// order would silently mis-score the set measure. A table without
-// columns is skipped, as a builder skips it; lookup resolves table IDs
-// against the catalog.
+// adopt installs parts as the engine's tables, which must be strictly
+// ascending by ID. Every column set must pass dict.IDSet.Check against
+// t.dict — an ID beyond it or out of order would silently mis-score
+// the set measure. A table without columns is skipped, as a builder
+// skips it; lookup resolves table IDs against the catalog.
 func (t *TUS) adopt(parts []TUSTableParts, lookup func(id string) *table.Table) error {
 	size := t.dict.Size()
 	t.tables = make(map[string]*tusTable, len(parts))
 	t.ids = make([]string, 0, len(parts))
-	for _, p := range parts {
+	for i, p := range parts {
+		if i > 0 && parts[i-1].ID >= p.ID {
+			return fmt.Errorf("union: TUS table IDs not strictly ascending at %q", p.ID)
+		}
 		tbl := lookup(p.ID)
 		if tbl == nil {
 			return fmt.Errorf("union: TUS table %q missing from catalog", p.ID)
-		}
-		if _, dup := t.tables[p.ID]; dup {
-			return fmt.Errorf("union: duplicate TUS table %q", p.ID)
 		}
 		if len(p.Cols) == 0 {
 			continue
@@ -137,13 +133,14 @@ func (t *TUS) adopt(parts []TUSTableParts, lookup func(id string) *table.Table) 
 
 // NewTUSFromParts assembles a TUS engine from parts whose column sets
 // are all encoded in cfg.Dict (required): the one assembly of a build
-// (TUSBuilder.Build) and a merge, whose adoption and freeze a load
-// shares (see DecodeTUSSnapshot). The value universe is counted over the column sets, and the set-LSH
+// (TUSBuilder.Build), a merge and a load. The value universe is
+// counted over the column sets, and the set-LSH
 // freezes over the tables in parts order (sorted by ID, as every
 // caller passes them). The NL graph starts from g — a fresh one when
 // nil — and grows by each batch of sorted table IDs in turn, nil
-// batches being one batch of every table; g is grown in place. lookup
-// resolves table IDs against the catalog.
+// batches being one batch of every table (a load passes its stored
+// graph and no batch); g is grown in place. lookup resolves table IDs
+// against the catalog.
 func NewTUSFromParts(cfg TUSConfig, parts []TUSTableParts, g *hnsw.Graph, batches [][]string, lookup func(id string) *table.Table) (*TUS, error) {
 	if cfg.Dict == nil {
 		return nil, errors.New("union: TUS parts require the dictionary they are encoded in")
@@ -180,13 +177,11 @@ func NewTUSFromParts(cfg TUSConfig, parts []TUSTableParts, g *hnsw.Graph, batche
 // --- SANTOS ---
 
 // SantosRelParts is one relationship: its (subject, object) value
-// pairs, each packed from two IDs of the dictionary the parts travel
-// with (see packPair; for a delta, the extended base dictionary), and
-// its curated-KB annotation. A builder and an engine emit the pairs
-// ascending; an assembly takes them in any order.
+// pairs as a set of positions in its parts' pair list, and its
+// curated-KB annotation.
 type SantosRelParts struct {
 	ColName  string
-	Pairs    []uint64
+	PairIDs  dict.IDSet
 	Pred     string
 	PredFrac float64
 }
@@ -197,37 +192,44 @@ type SantosTableParts struct {
 	Rels []SantosRelParts
 }
 
-// Parts returns the engine's per-table relationships in sorted-ID
-// order, their pairs packed in the engine's dictionary, ascending.
-func (s *Santos) Parts() []SantosTableParts {
-	out := make([]SantosTableParts, 0, len(s.ids))
+// SantosParts is a SANTOS engine's per-table relationships in sorted-ID
+// order and the ascending list of packed pairs (see packPair) their
+// pair IDs index. A pair's halves are IDs of the dictionary the parts
+// travel with (for a delta, the extended base dictionary).
+type SantosParts struct {
+	Pairs  []uint64
+	Tables []SantosTableParts
+}
+
+// Parts returns the engine's pair list and per-table relationships in
+// sorted-ID order. Slices alias the engine's state; do not mutate.
+func (s *Santos) Parts() SantosParts {
+	out := SantosParts{Pairs: s.pairs, Tables: make([]SantosTableParts, 0, len(s.ids))}
 	for _, id := range s.ids {
 		p := SantosTableParts{ID: id}
 		for _, rel := range s.tables[id].rels {
-			pairs := make([]uint64, len(rel.pairIDs))
-			for i, pid := range rel.pairIDs {
-				pairs[i] = s.pairs[pid]
-			}
-			p.Rels = append(p.Rels, SantosRelParts{ColName: rel.colName, Pairs: pairs, Pred: rel.pred, PredFrac: rel.predFrac})
+			p.Rels = append(p.Rels, SantosRelParts{ColName: rel.colName, PairIDs: rel.pairIDs, Pred: rel.pred, PredFrac: rel.predFrac})
 		}
-		out = append(out, p)
+		out.Tables = append(out.Tables, p)
 	}
 	return out
 }
 
-// AppendSantosParts writes parts as their table-ID list followed by
-// each table's relationship block: a delta's SANTOS section.
-func AppendSantosParts(e *snap.Encoder, parts []SantosTableParts) {
-	ids := make([]string, len(parts))
-	for i, p := range parts {
+// AppendSantosParts writes parts as their pair list, their table-ID
+// list and each table's relationship block: the whole of a delta's
+// SANTOS section, and the SANTOS snapshot section after its dictionary.
+func AppendSantosParts(e *snap.Encoder, parts SantosParts) {
+	e.U64s(parts.Pairs)
+	ids := make([]string, len(parts.Tables))
+	for i, p := range parts.Tables {
 		ids[i] = p.ID
 	}
 	e.Strs(ids)
-	for _, p := range parts {
+	for _, p := range parts.Tables {
 		e.U32(uint32(len(p.Rels)))
 		for _, r := range p.Rels {
 			e.Str(r.ColName)
-			e.U64s(r.Pairs)
+			e.U32s(r.PairIDs)
 			e.Str(r.Pred)
 			e.F64(r.PredFrac)
 		}
@@ -235,16 +237,17 @@ func AppendSantosParts(e *snap.Encoder, parts []SantosTableParts) {
 }
 
 // DecodeSantosParts reads what AppendSantosParts wrote. It checks
-// nothing against a dictionary; CheckSantosPairs does.
-func DecodeSantosParts(d *snap.Decoder) ([]SantosTableParts, error) {
+// nothing against a dictionary or the pair list; adoption does.
+func DecodeSantosParts(d *snap.Decoder) (SantosParts, error) {
+	parts := SantosParts{Pairs: d.U64s()}
 	ids := d.Strs()
-	parts := make([]SantosTableParts, len(ids))
+	parts.Tables = make([]SantosTableParts, len(ids))
 	for i, id := range ids {
 		rels := make([]SantosRelParts, d.Count(20)) // a relationship is at least 20 bytes
 		for j := range rels {
-			rels[j] = SantosRelParts{ColName: d.Str(), Pairs: d.U64s(), Pred: d.Str(), PredFrac: d.F64()}
+			rels[j] = SantosRelParts{ColName: d.Str(), PairIDs: d.U32s(), Pred: d.Str(), PredFrac: d.F64()}
 		}
-		parts[i] = SantosTableParts{ID: id, Rels: rels}
+		parts.Tables[i] = SantosTableParts{ID: id, Rels: rels}
 	}
 	return parts, d.Err()
 }
@@ -263,72 +266,127 @@ func CheckSantosPairs(pairs []uint64, size int) error {
 	return nil
 }
 
-// RemapSantosPairs returns pairs with both halves of every pair moved
-// through remap, in a fresh slice and no longer sorted: how a merge
-// moves pairs onto its dictionary. It fails with remap's error.
-func RemapSantosPairs(pairs []uint64, remap func(uint32) (uint32, error)) ([]uint64, error) {
-	out := make([]uint64, len(pairs))
-	for i, p := range pairs {
-		sub, serr := remap(uint32(p >> 32))
-		obj, oerr := remap(uint32(p))
-		if err := cmp.Or(serr, oerr); err != nil {
-			return nil, err
+// NoPair is the position MergePairs gives a pair that its remap drops.
+// It lies past every pair list, so no assembly accepts it.
+const NoPair = ^uint32(0)
+
+// MergePairs moves both halves of every pair of each packed-pair list
+// through remap and returns the ascending union of the moved pairs and,
+// for each list, the position each of its pairs takes there: the remap
+// that moves pair IDs of parts over the lists onto one list, as
+// MergeWords does for D3L's words. A pair with a half remap drops (a
+// value no live table holds) is left out, at NoPair. A remap that keeps
+// the order of the values it keeps keeps an ascending list ascending,
+// so its positions ascend too.
+func MergePairs(lists [][]uint64, remap func(uint32) (uint32, bool)) ([]uint64, [][]uint32) {
+	move := func(p uint64) (uint64, bool) {
+		sub, ok := remap(uint32(p >> 32))
+		obj, ok2 := remap(uint32(p))
+		return packPair(sub, obj), ok && ok2
+	}
+	var all []uint64
+	for _, l := range lists {
+		for _, p := range l {
+			if q, ok := move(p); ok {
+				all = append(all, q)
+			}
 		}
-		out[i] = packPair(sub, obj)
+	}
+	slices.Sort(all)
+	all = slices.Clip(slices.Compact(all))
+	remaps := make([][]uint32, len(lists))
+	for i, l := range lists {
+		remaps[i] = make([]uint32, len(l))
+		for j, p := range l {
+			remaps[i][j] = NoPair
+			if q, ok := move(p); ok {
+				pos, _ := slices.BinarySearch(all, q)
+				remaps[i][j] = uint32(pos)
+			}
+		}
+	}
+	return all, remaps
+}
+
+// RemapPairIDs returns tables with every relationship's pair IDs moved
+// through remap, into fresh sorted sets. A relationship whose pair IDs
+// are not a set of positions in remap is an error.
+func RemapPairIDs(tables []SantosTableParts, remap []uint32) ([]SantosTableParts, error) {
+	out := make([]SantosTableParts, len(tables))
+	for i, p := range tables {
+		out[i] = SantosTableParts{ID: p.ID, Rels: slices.Clone(p.Rels)}
+		for j := range out[i].Rels {
+			r := &out[i].Rels[j]
+			if err := r.PairIDs.Check(len(remap)); err != nil {
+				return nil, fmt.Errorf("union: SANTOS relationship %s.%s: %v", p.ID, r.ColName, err)
+			}
+			ids := make(dict.IDSet, len(r.PairIDs))
+			for k, id := range r.PairIDs {
+				ids[k] = remap[id]
+			}
+			slices.Sort(ids)
+			r.PairIDs = ids
+		}
 	}
 	return out, nil
 }
 
 // NewSantosFromParts assembles a SANTOS engine from parts whose pairs
 // are packed from IDs of values (required): the one assembly of a
-// build (SantosBuilder.Build) and a merge. Every pair's halves must lie
-// below values' size. It sorts and deduplicates each relationship's
-// pairs, gathers the distinct pairs of all of them into the ascending
-// pair list, encodes each relationship as the sorted positions of its
-// pairs there, and indexes the tables, in sorted-ID order, by pair and
-// by predicate, so a merged engine is bit-identical to one built over
-// the merged catalog. Parts without a table make an empty engine,
-// which answers every query with nothing. lookup resolves table IDs.
-func NewSantosFromParts(curated *kb.KB, values *dict.Dict, parts []SantosTableParts, lookup func(id string) *table.Table) (*Santos, error) {
+// build (SantosBuilder.Build), a merge and a load. The pair list must
+// be strictly ascending with both halves of every pair below values'
+// size, the tables strictly ascending by ID, and every relationship's
+// pair IDs a set of positions in the list. Pairs no relationship holds
+// are dropped, so the list is the one a builder over the same tables
+// makes. It indexes the tables by pair and by predicate, so a merged
+// engine is bit-identical to one built over the merged catalog. Parts
+// without a table make an empty engine, which answers every query with
+// nothing. lookup resolves table IDs.
+func NewSantosFromParts(curated *kb.KB, values *dict.Dict, parts SantosParts, lookup func(id string) *table.Table) (*Santos, error) {
 	if values == nil {
 		return nil, errors.New("union: SANTOS parts require the dictionary they are encoded in")
 	}
-	s := &Santos{curated: curated, values: values, tables: make(map[string]*santosTable, len(parts))}
-	var all []uint64
-	for _, p := range parts {
+	if err := CheckSantosPairs(parts.Pairs, values.Size()); err != nil {
+		return nil, fmt.Errorf("union: SANTOS: %v", err)
+	}
+	s := &Santos{curated: curated, values: values, pairs: parts.Pairs, tables: make(map[string]*santosTable, len(parts.Tables))}
+	used := make([]bool, len(parts.Pairs))
+	for i, p := range parts.Tables {
+		if i > 0 && parts.Tables[i-1].ID >= p.ID {
+			return nil, fmt.Errorf("union: SANTOS table IDs not strictly ascending at %q", p.ID)
+		}
 		tbl := lookup(p.ID)
 		if tbl == nil {
 			return nil, fmt.Errorf("union: SANTOS table %q missing from catalog", p.ID)
 		}
-		if _, dup := s.tables[p.ID]; dup {
-			return nil, fmt.Errorf("union: duplicate SANTOS table %q", p.ID)
-		}
-		s.tables[p.ID] = &santosTable{tbl: tbl}
-		s.ids = append(s.ids, p.ID)
-		for _, r := range p.Rels {
-			all = append(all, r.Pairs...)
-		}
-	}
-	slices.Sort(all)
-	s.pairs = slices.Clone(slices.Compact(all))
-	if err := CheckSantosPairs(s.pairs, values.Size()); err != nil {
-		return nil, fmt.Errorf("union: SANTOS: %v", err)
-	}
-	for _, p := range parts {
-		st := s.tables[p.ID]
-		st.rels = make([]santosRel, len(p.Rels))
-		for i, r := range p.Rels {
-			ids := make(dict.IDSet, len(r.Pairs))
-			for k, pair := range r.Pairs {
-				pos, _ := slices.BinarySearch(s.pairs, pair)
-				ids[k] = uint32(pos)
+		st := &santosTable{tbl: tbl, rels: make([]santosRel, len(p.Rels))}
+		for j, r := range p.Rels {
+			if err := r.PairIDs.Check(len(parts.Pairs)); err != nil {
+				return nil, fmt.Errorf("union: SANTOS relationship %s.%s: %v", p.ID, r.ColName, err)
 			}
-			slices.Sort(ids)
-			ids = slices.Compact(ids)
-			st.rels[i] = santosRel{colName: r.ColName, pairIDs: ids, pred: r.Pred, predFrac: r.PredFrac}
+			for _, id := range r.PairIDs {
+				used[id] = true
+			}
+			st.rels[j] = santosRel{colName: r.ColName, pairIDs: r.PairIDs, pred: r.Pred, predFrac: r.PredFrac}
+		}
+		s.tables[p.ID] = st
+		s.ids = append(s.ids, p.ID)
+	}
+	if slices.Contains(used, false) {
+		remap := make([]uint32, len(used))
+		s.pairs = nil
+		for i, u := range used {
+			if u {
+				remap[i] = uint32(len(s.pairs))
+				s.pairs = append(s.pairs, parts.Pairs[i])
+			}
+		}
+		for _, st := range s.tables {
+			for j := range st.rels {
+				st.rels[j].pairIDs, _ = remapIDs(st.rels[j].pairIDs, remap) // checked above
+			}
 		}
 	}
-	sort.Strings(s.ids)
 	s.index()
 	return s, nil
 }
@@ -452,7 +510,7 @@ func RemapWordIDs(tables []D3LTableParts, remap []uint32) ([]D3LTableParts, erro
 		for j := range out[i].Cols {
 			c := &out[i].Cols[j]
 			var ok bool
-			if c.WordIDs, ok = remapWordIDs(c.WordIDs, remap); !ok {
+			if c.WordIDs, ok = remapIDs(c.WordIDs, remap); !ok {
 				return nil, fmt.Errorf("union: D3L table %q: a word ID outside a list of %d", p.ID, len(remap))
 			}
 		}
@@ -460,9 +518,9 @@ func RemapWordIDs(tables []D3LTableParts, remap []uint32) ([]D3LTableParts, erro
 	return out, nil
 }
 
-// remapWordIDs returns ids moved through remap, in a fresh slice, and
+// remapIDs returns ids moved through remap, in a fresh slice, and
 // whether every ID indexed remap.
-func remapWordIDs(ids, remap []uint32) ([]uint32, bool) {
+func remapIDs(ids, remap []uint32) ([]uint32, bool) {
 	out := make([]uint32, len(ids))
 	for k, w := range ids {
 		if int(w) >= len(remap) {
@@ -475,7 +533,7 @@ func remapWordIDs(ids, remap []uint32) ([]uint32, bool) {
 
 // NewD3LFromParts assembles a D3L engine from parts whose value IDs
 // are in values: the one assembly of a build (D3LBuilder.Build), a
-// merge and a load (see DecodeD3LSnapshot). It adopts the parts and
+// merge and a load. It adopts the parts and
 // derives the labels and the value index exactly as every assembly
 // does; lookup resolves table IDs.
 func NewD3LFromParts(model *embedding.Model, values *dict.Dict, parts D3LParts, lookup func(id string) *table.Table) (*D3L, error) {
@@ -491,7 +549,8 @@ func NewD3LFromParts(model *embedding.Model, values *dict.Dict, parts D3LParts, 
 }
 
 // adopt installs parts, encoded in values, as the engine's columns,
-// each table resolved through lookup and checked: the word list must be
+// tables strictly ascending by ID, each resolved through lookup and
+// checked: the word list must be
 // strictly ascending, and each column's value IDs a set below values'
 // size, its word IDs a set of positions in the list, parallel to its
 // frequencies, and its format signature formatDims long (a scan reads
@@ -508,13 +567,13 @@ func (d3 *D3L) adopt(parts D3LParts, values *dict.Dict, lookup func(id string) *
 	used := make([]bool, len(words))
 	size := values.Size()
 	d3.ids = make([]string, 0, len(parts.Tables))
-	for _, p := range parts.Tables {
+	for i, p := range parts.Tables {
+		if i > 0 && parts.Tables[i-1].ID >= p.ID {
+			return fmt.Errorf("union: D3L table IDs not strictly ascending at %q", p.ID)
+		}
 		tbl := lookup(p.ID)
 		if tbl == nil {
 			return fmt.Errorf("union: D3L table %q missing from catalog", p.ID)
-		}
-		if _, dup := d3.tables[p.ID]; dup {
-			return fmt.Errorf("union: duplicate D3L table %q", p.ID)
 		}
 		entry := &d3lTable{tbl: tbl}
 		for _, c := range p.Cols {
@@ -560,7 +619,7 @@ func (d3 *D3L) adopt(parts D3LParts, values *dict.Dict, lookup func(id string) *
 	}
 	for _, t := range d3.tables {
 		for _, c := range t.cols {
-			c.wordIDs, _ = remapWordIDs(c.wordIDs, remap) // checked above
+			c.wordIDs, _ = remapIDs(c.wordIDs, remap) // checked above
 		}
 	}
 	return nil

@@ -91,13 +91,14 @@ func (b *SantosBuilder) AddTables(tbls []*table.Table, workers int) {
 }
 
 // Parts returns the staged tables' relationships in sorted-ID order,
-// every relationship's pairs packed (see packPair) and ascending, and
-// the dictionary the pairs' halves are IDs in: the configured one when
-// it holds every staged value, otherwise one built over those values.
-func (b *SantosBuilder) Parts() (*dict.Dict, []SantosTableParts) {
+// every pair packed (see packPair) and gathered into the ascending pair
+// list whose positions the relationships hold, and the dictionary the
+// pairs' halves are IDs in: the configured one when it holds every
+// staged value, otherwise one built over those values.
+func (b *SantosBuilder) Parts() (*dict.Dict, SantosParts) {
 	slices.SortFunc(b.staged, func(x, y santosStaged) int { return strings.Compare(x.id, y.id) })
 	d := b.values
-	parts, ok := b.encode(d)
+	packed, ok := b.pack(d)
 	if !ok {
 		db := dict.NewBuilder()
 		for _, st := range b.staged {
@@ -108,25 +109,46 @@ func (b *SantosBuilder) Parts() (*dict.Dict, []SantosTableParts) {
 			}
 		}
 		d = db.Build()
-		parts, _ = b.encode(d)
+		packed, _ = b.pack(d)
+	}
+	var all []uint64
+	for _, p := range packed {
+		all = append(all, p...)
+	}
+	slices.Sort(all)
+	parts := SantosParts{Pairs: slices.Clip(slices.Compact(all)), Tables: make([]SantosTableParts, len(b.staged))}
+	next := 0 // the next relationship's packed pairs
+	for i, st := range b.staged {
+		rels := make([]SantosRelParts, len(st.rels))
+		for j, r := range st.rels {
+			var ids dict.IDSet
+			if len(packed[next]) > 0 {
+				ids = make(dict.IDSet, len(packed[next]))
+			}
+			for k, p := range packed[next] {
+				pos, _ := slices.BinarySearch(parts.Pairs, p)
+				ids[k] = uint32(pos)
+			}
+			slices.Sort(ids)
+			next++
+			rels[j] = SantosRelParts{ColName: r.colName, PairIDs: ids, Pred: r.pred, PredFrac: r.predFrac}
+		}
+		parts.Tables[i] = SantosTableParts{ID: st.id, Rels: rels}
 	}
 	return d, parts
 }
 
-// encode returns the staged tables' parts with their pairs packed
-// from IDs of d, or false when d (which may be nil) lacks a value.
-func (b *SantosBuilder) encode(d *dict.Dict) ([]SantosTableParts, bool) {
+// pack returns every staged relationship's pairs packed from IDs of d,
+// relationships in staged order, or false when d (which may be nil)
+// lacks a value.
+func (b *SantosBuilder) pack(d *dict.Dict) ([][]uint64, bool) {
 	if d == nil {
 		return nil, false
 	}
-	parts := make([]SantosTableParts, len(b.staged))
-	for i, st := range b.staged {
-		rels := make([]SantosRelParts, len(st.rels))
-		for j, r := range st.rels {
-			var pairs []uint64
-			if len(r.pairs) > 0 {
-				pairs = make([]uint64, len(r.pairs))
-			}
+	var packed [][]uint64
+	for _, st := range b.staged {
+		for _, r := range st.rels {
+			pairs := make([]uint64, len(r.pairs))
 			for k, p := range r.pairs {
 				sub, ok := d.ID(p[0])
 				obj, ok2 := d.ID(p[1])
@@ -135,12 +157,10 @@ func (b *SantosBuilder) encode(d *dict.Dict) ([]SantosTableParts, bool) {
 				}
 				pairs[k] = packPair(sub, obj)
 			}
-			slices.Sort(pairs)
-			rels[j] = SantosRelParts{ColName: r.colName, Pairs: pairs, Pred: r.pred, PredFrac: r.predFrac}
+			packed = append(packed, pairs)
 		}
-		parts[i] = SantosTableParts{ID: st.id, Rels: rels}
 	}
-	return parts, true
+	return packed, true
 }
 
 // Build assembles the engine over the staged tables from their Parts.
@@ -191,7 +211,7 @@ func analyzeSantos(curated *kb.KB, tbl *table.Table) []santosAnalysis {
 // its columns AND its relationships align with the query's.
 //
 // An engine is built by a SantosBuilder or assembled from parts
-// (NewSantosFromParts) or a snapshot. Search is read-only and safe for
+// (NewSantosFromParts). Search is read-only and safe for
 // concurrent use.
 type Santos struct {
 	curated *kb.KB
@@ -241,8 +261,7 @@ type santosRel struct {
 // index builds the candidate indexes over the tables in ids order:
 // the pair index's CSR arrays and the predicate index. Every
 // relationship's pair IDs must lie below the pair count, as
-// NewSantosFromParts encodes them and DecodeSantosSnapshot checks
-// them.
+// NewSantosFromParts checks them.
 func (s *Santos) index() {
 	n := len(s.pairs)
 	s.pairOff = make([]uint32, n+1)
@@ -292,9 +311,6 @@ func (s *Santos) NumTables() int { return len(s.tables) }
 // NumPairs returns the number of distinct (subject, object) value
 // pairs the relationships hold.
 func (s *Santos) NumPairs() int { return len(s.pairs) }
-
-// Values returns the dictionary the engine's pairs are IDs in.
-func (s *Santos) Values() *dict.Dict { return s.values }
 
 // PairListFootprint reports the resident cost of the packed pair list,
 // 8 bytes a pair, next to an estimate of the pair-token dictionary it

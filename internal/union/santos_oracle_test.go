@@ -150,7 +150,7 @@ func santosRebuilds(t *testing.T, s *Santos, tables []*table.Table) map[string]*
 	lookup := func(id string) *table.Table { return byID[id] }
 	e := new(snap.Encoder)
 	s.AppendSnapshot(e, nil)
-	loaded, err := DecodeSantosSnapshot(snap.NewDecoder(e.Bytes()), s.curated, nil, lookup)
+	loaded, err := loadSantos(e.Bytes(), s.curated, nil, lookup)
 	if err != nil {
 		t.Fatal(err)
 	}

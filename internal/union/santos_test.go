@@ -153,7 +153,7 @@ func TestSantosErrors(t *testing.T) {
 	s.AddTables([]*table.Table{table.MustNew("one", "one", []*table.Column{
 		table.NewColumn("only", []string{"a", "b"}),
 	})}, 1)
-	if _, parts := s.Parts(); len(parts) != 0 {
+	if _, parts := s.Parts(); len(parts.Tables) != 0 {
 		t.Error("single-column table should be skipped")
 	}
 	empty, err := s.Build()

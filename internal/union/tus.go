@@ -170,7 +170,7 @@ func (b *TUSBuilder) Build() (*TUS, error) {
 }
 
 // TUS is a table union search engine, built by a TUSBuilder or
-// assembled from parts (NewTUSFromParts, a snapshot decode). Search is
+// assembled from parts (NewTUSFromParts). Search is
 // read-only and safe for concurrent use.
 type TUS struct {
 	tusAnalyzer

@@ -51,7 +51,7 @@ func TestTUSGraphSharesColumnVectors(t *testing.T) {
 		tus.AppendSnapshot(&e, nil)
 		return e.Bytes()
 	}
-	decoded, err := DecodeTUSSnapshot(snap.NewDecoder(encode(built)), TUSConfig{Model: model}, lookup)
+	decoded, err := loadTUS(encode(built), TUSConfig{Model: model}, lookup)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +84,7 @@ func TestTUSGraphSharesColumnVectors(t *testing.T) {
 	}
 	bad := *built
 	bad.nlIndex = forged
-	if _, err := DecodeTUSSnapshot(snap.NewDecoder(encode(&bad)), TUSConfig{Model: model}, lookup); !errors.Is(err, snap.ErrCorrupt) {
+	if _, err := loadTUS(encode(&bad), TUSConfig{Model: model}, lookup); !errors.Is(err, snap.ErrCorrupt) {
 		t.Errorf("node vector off its column's: err = %v, want snap.ErrCorrupt", err)
 	}
 }
