@@ -392,6 +392,44 @@ func TestSnapshotRejectsForgedIDSets(t *testing.T) {
 		t.Fatal("no join column with two IDs")
 		return 0
 	}
+	// swapIndexSets swaps two equally long, different sets of a join
+	// payload's inverted index, so each column's index set is
+	// another's.
+	swapIndexSets := func(p []byte) []byte {
+		d := snap.NewDecoder(p)
+		if !d.Bool() {
+			t.Fatal("join section carries its own dictionary")
+		}
+		for range d.Strs() {
+			d.U32s()
+		}
+		d.Bool()
+		d.U32s()
+		d.I32s()
+		type span struct{ off, end int }
+		var sets []span
+		for n := d.U32(); n > 0; n-- {
+			off := at(p, d)
+			d.I32s()
+			sets = append(sets, span{off, at(p, d)})
+		}
+		if d.Err() != nil {
+			t.Fatal(d.Err())
+		}
+		for i, a := range sets {
+			for _, b := range sets[i+1:] {
+				x, y := p[a.off:a.end], p[b.off:b.end]
+				if len(x) == len(y) && !bytes.Equal(x, y) {
+					tmp := bytes.Clone(x)
+					copy(x, y)
+					copy(y, tmp)
+					return p
+				}
+			}
+		}
+		t.Fatal("no two join index sets of one length")
+		return nil
+	}
 	put := func(p []byte, off int, v uint32) []byte {
 		binary.LittleEndian.PutUint32(p[off:], v)
 		return p
@@ -433,6 +471,7 @@ func TestSnapshotRejectsForgedIDSets(t *testing.T) {
 			return put(p, joinSet(p), uint32(built.Dict.Size()))
 		}},
 		{"join IDs not ascending", secJoin, func(p []byte) []byte { return equalNext(p, joinSet(p)) }},
+		{"join index sets swapped", secJoin, swapIndexSets},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			path := filepath.Join(dir, "forged.snap")

@@ -36,7 +36,8 @@ func (e *Engine) AppendSnapshot(enc *snap.Encoder, sysDict *dict.Dict) {
 // snapshot recorded a shared encoding. It checks what the engine
 // relies on: sorted, distinct keys, a non-empty ID set inside the
 // dictionary per column, and an inverted index with one set per
-// column, which shares the engine's keys.
+// column, holding that column's values, which shares the engine's
+// keys.
 func DecodeEngineSnapshot(d *snap.Decoder, sysDict *dict.Dict) (*Engine, error) {
 	e := &Engine{dict: sysDict}
 	shared := d.Bool()
@@ -79,6 +80,27 @@ func DecodeEngineSnapshot(d *snap.Decoder, sysDict *dict.Dict) (*Engine, error) 
 	// position in keys.
 	if e.inv, err = invindex.DecodeSnapshot(d, e.dict.Size(), e.keys); err != nil {
 		return nil, err
+	}
+	// Overlap searches read the index, the rest the ID sets: each
+	// column's index set must hold exactly its values. A set's ranks
+	// must ascend (so they are distinct), each be the rank of one of
+	// the column's IDs (marked with the column's ordinal), and number
+	// as many as its IDs.
+	mark := make([]int32, e.inv.NumTokens())
+	for i, ids := range e.idsets {
+		for _, id := range ids {
+			if r := e.inv.RankOfID(id); r >= 0 {
+				mark[r] = int32(i + 1)
+			}
+		}
+		set := e.inv.Set(int32(i))
+		ok := len(set) == len(ids)
+		for j, r := range set {
+			ok = ok && mark[r] == int32(i+1) && (j == 0 || set[j-1] < r)
+		}
+		if !ok {
+			return nil, fmt.Errorf("%w: join column %q: its inverted-index set does not hold its values", snap.ErrCorrupt, e.keys[i])
+		}
 	}
 	e.searcher = josie.NewSearcher(e.inv)
 	return e, nil
