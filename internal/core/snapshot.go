@@ -81,10 +81,13 @@ var ErrVersionMismatch = errors.New("core: snapshot version mismatch")
 // in one word list, and drops TUS's universe strings (a load counts
 // them). Version 12 stores SANTOS's pairs as packed pairs of
 // dictionary IDs instead of a pair-token dictionary, and writes the
-// join column keys once, not again inside the inverted index.
+// join column keys once, not again inside the inverted index. Version
+// 13 drops TUS's MinHash hasher and signature length (constants) and
+// writes its NL graph's topology only: its nodes take the column
+// vectors the TUS parts hold.
 const (
 	snapMagic   uint32 = 0x54485342 // "THSB": tablehound system binary
-	snapVersion uint16 = 12
+	snapVersion uint16 = 13
 
 	// snapHeaderLen is the byte length of the snap header (magic,
 	// version, flags) that precedes the first section; blob-offset
@@ -456,7 +459,7 @@ func (o *opened) decode(assemble bool) (*System, *unionSections, error) {
 		if u.tus, err = union.DecodeTUSSection(d, s.Dict); err != nil || !assemble {
 			return err
 		}
-		cfg := union.TUSConfig{Model: s.Model, KB: s.KB, Dict: u.tus.Dict, Exhaustive: u.tus.Exhaustive, NumHashes: u.tus.NumHashes}
+		cfg := union.TUSConfig{Model: s.Model, KB: s.KB, Dict: u.tus.Dict, Exhaustive: u.tus.Exhaustive}
 		s.TUS, err = union.NewTUSFromParts(cfg, u.tus.Parts, u.tus.Graph, noBatches, lookup)
 		return corruptParts(err)
 	})

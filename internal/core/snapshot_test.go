@@ -209,8 +209,9 @@ func TestSnapshotRejectsCorruption(t *testing.T) {
 		// the corruption sentinel. v7 still stored the Starmie coarse
 		// quantizer, v8 the organization and graph sections, v9 the join
 		// signatures, v10 D3L's value and word strings and TUS's
-		// universe, v11 SANTOS's pair strings and the join keys twice.
-		for _, v := range []byte{7, 8, 9, 10, 11} {
+		// universe, v11 SANTOS's pair strings and the join keys twice,
+		// v12 TUS's hasher and its NL graph's vectors.
+		for _, v := range []byte{7, 8, 9, 10, 11, 12} {
 			bad := append([]byte{}, good...)
 			bad[4], bad[5] = v, 0 // version lives at header bytes 4..5
 			_, err := Load(bytes.NewReader(bad), Options{})
@@ -220,7 +221,7 @@ func TestSnapshotRejectsCorruption(t *testing.T) {
 			if errors.Is(err, ErrCorruptSnapshot) {
 				t.Errorf("v%d: version mismatch also satisfies ErrCorruptSnapshot: %v", v, err)
 			}
-			for _, want := range []string{fmt.Sprintf("found version %d", v), "expected 12"} {
+			for _, want := range []string{fmt.Sprintf("found version %d", v), "expected 13"} {
 				if err == nil || !strings.Contains(err.Error(), want) {
 					t.Errorf("err %q does not name versions (%q missing)", err, want)
 				}

@@ -14,7 +14,7 @@ import (
 // TestDecodedGraphKeepsGrowing is the property a merge that extends a
 // loaded graph rests on: build over keys[:n], save, decode, insert
 // keys[n:] — the graph saves the bytes inserting every key into one
-// graph saves, in both layouts, at every split.
+// graph saves, at every split.
 func TestDecodedGraphKeepsGrowing(t *testing.T) {
 	const total = 120
 	for _, cfg := range productionConfigs {
@@ -40,24 +40,13 @@ func TestDecodedGraphKeepsGrowing(t *testing.T) {
 					prefix := New(cfg)
 					add(t, prefix, 0, n)
 
-					g, err := DecodeSnapshot(snap.NewDecoder(snapshotBytes(prefix)))
+					g, err := DecodeSnapshotShared(snap.NewDecoder(snapshotBytes(prefix)), func(i int, _ string) embedding.Vector { return vecs[i] })
 					if err != nil {
 						t.Fatal(err)
 					}
 					add(t, g, n, total)
 					if got := snapshotBytes(g); string(got) != string(want) {
-						t.Errorf("inline layout: grown graph saves other bytes than one built at once")
-					}
-
-					e := new(snap.Encoder)
-					prefix.AppendSnapshotShared(e)
-					g, err = DecodeSnapshotShared(snap.NewDecoder(e.Bytes()), func(i int) []float32 { return vecs[i] }, n)
-					if err != nil {
-						t.Fatal(err)
-					}
-					add(t, g, n, total)
-					if got := snapshotBytes(g); string(got) != string(want) {
-						t.Errorf("shared layout: grown graph saves other bytes than one built at once")
+						t.Errorf("grown graph saves other bytes than one built at once")
 					}
 					if got := g.Keys(); len(got) != total || got[0] != keys[0] || got[total-1] != keys[total-1] {
 						t.Errorf("Keys() = %d keys from %q, want insertion order", len(got), got[0])
@@ -93,8 +82,8 @@ func TestDecodeRejectsLinkAboveTop(t *testing.T) {
 		t.Fatal("graph has no node above level 0 or none only on it")
 	}
 	g.nodes[high].neighbors[1] = append(g.nodes[high].neighbors[1], int32(low))
-	if _, err := DecodeSnapshot(snap.NewDecoder(snapshotBytes(g))); !errors.Is(err, snap.ErrCorrupt) {
-		t.Fatalf("DecodeSnapshot = %v, want ErrCorrupt", err)
+	if _, err := decodeWith(g, snapshotBytes(g)); !errors.Is(err, snap.ErrCorrupt) {
+		t.Fatalf("DecodeSnapshotShared = %v, want ErrCorrupt", err)
 	}
 }
 

@@ -44,8 +44,17 @@ func clusteredVectors(seed int64, n, dim int, dups bool) []embedding.Vector {
 
 func snapshotBytes(g *Graph) []byte {
 	e := new(snap.Encoder)
-	g.AppendSnapshot(e)
+	g.AppendSnapshotShared(e)
 	return e.Bytes()
+}
+
+// decodeWith decodes a snapshot whose nodes take the vectors of g's
+// nodes under the same keys.
+func decodeWith(g *Graph, b []byte) (*Graph, error) {
+	return DecodeSnapshotShared(snap.NewDecoder(b), func(_ int, key string) embedding.Vector {
+		v, _ := g.Vector(key)
+		return v
+	})
 }
 
 // TestKernelMatchesReference holds the scratch-based kernel to the
@@ -144,17 +153,17 @@ func TestDecodeRejectsForgedCounts(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	g := buildGraph(t, clustered(rng, 40, 3, 8), Config{M: 4, EfConstruction: 20, Seed: 6})
 	good := snapshotBytes(g)
-	if _, err := DecodeSnapshot(snap.NewDecoder(good)); err != nil {
+	if _, err := decodeWith(g, good); err != nil {
 		t.Fatalf("unforged snapshot: %v", err)
 	}
 	// Layout: M u32 | ef u32 | seed i64 | entry i64 | maxLevel u32 | numNodes u32 | nodes…
-	// Node 0: key (u32 len + bytes) | vec (u32 len + 4·dim) | levels u32 | …
+	// Node 0: key (u32 len + bytes) | levels u32 | …
 	const (
 		offEntry    = 16
 		offMaxLevel = 24
 		offNumNodes = 28
 	)
-	offLevels0 := 32 + 4 + len("v00000") + 4 + 4*8
+	offLevels0 := 32 + 4 + len("v00000")
 	put32 := func(b []byte, off int, v uint32) {
 		b[off], b[off+1], b[off+2], b[off+3] = byte(v), byte(v>>8), byte(v>>16), byte(v>>24)
 	}
@@ -183,8 +192,8 @@ func TestDecodeRejectsForgedCounts(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			b := append([]byte(nil), good...)
 			tc.forge(b)
-			if _, err := DecodeSnapshot(snap.NewDecoder(b)); !errors.Is(err, snap.ErrCorrupt) {
-				t.Fatalf("DecodeSnapshot = %v, want ErrCorrupt", err)
+			if _, err := decodeWith(g, b); !errors.Is(err, snap.ErrCorrupt) {
+				t.Fatalf("DecodeSnapshotShared = %v, want ErrCorrupt", err)
 			}
 		})
 	}

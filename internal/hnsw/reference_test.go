@@ -38,7 +38,7 @@ func newReference(cfg Config) *referenceGraph {
 }
 
 // graph views the reference topology as a production Graph, for
-// AppendSnapshot. The node slices are shared, not copied.
+// AppendSnapshotShared. The node slices are shared, not copied.
 func (g *referenceGraph) graph() *Graph {
 	return &Graph{cfg: g.cfg, ml: g.ml, rng: g.rng, nodes: g.nodes, byKey: g.byKey, entry: g.entry, maxLevel: g.maxLevel}
 }

@@ -9,37 +9,15 @@ import (
 	"tablehound/internal/snap"
 )
 
-// AppendSnapshot encodes the full graph topology. HNSW construction
-// is insertion-order- and RNG-dependent, so unlike the LSH indexes it
-// cannot be rebuilt deterministically from its inputs alone — the
-// nodes, their per-level neighbor lists, the entry point, and the top
-// level are all serialized verbatim.
-func (g *Graph) AppendSnapshot(e *snap.Encoder) {
-	g.mu.RLock()
-	defer g.mu.RUnlock()
-	e.U32(uint32(g.cfg.M))
-	e.U32(uint32(g.cfg.EfConstruction))
-	e.I64(g.cfg.Seed)
-	e.I64(int64(g.entry))
-	e.U32(uint32(g.maxLevel))
-	e.U32(uint32(len(g.nodes)))
-	for i := range g.nodes {
-		n := &g.nodes[i]
-		e.Str(n.key)
-		e.F32s(n.vec)
-		e.U32(uint32(len(n.neighbors)))
-		for _, level := range n.neighbors {
-			e.I32s(level)
-		}
-	}
-}
-
-// AppendSnapshotShared encodes the graph topology only: node keys,
-// neighbor lists, entry point. Vectors are omitted — the caller
-// stores them in the shared vector block, whose row i backs node i —
-// which keeps big graphs' snapshot sections small and their decode
-// copy-free. Graphs whose vectors are not externalized (TUS's
-// natural-language index) keep using AppendSnapshot.
+// AppendSnapshotShared encodes the graph topology: node keys, neighbor
+// lists, entry point. HNSW construction is insertion-order- and
+// RNG-dependent, so unlike the LSH indexes it cannot be rebuilt
+// deterministically from its inputs alone — the nodes, their per-level
+// neighbor lists, the entry point, and the top level are all
+// serialized verbatim. Vectors are omitted: the caller stores them
+// (in the shared vector block, or as the columns the nodes index) and
+// hands them back to DecodeSnapshotShared, which keeps the snapshot
+// section small and its decode copy-free.
 func (g *Graph) AppendSnapshotShared(e *snap.Encoder) {
 	g.mu.RLock()
 	defer g.mu.RUnlock()
@@ -57,14 +35,6 @@ func (g *Graph) AppendSnapshotShared(e *snap.Encoder) {
 			e.I32s(level)
 		}
 	}
-}
-
-// DecodeSnapshotShared rebuilds a graph written by
-// AppendSnapshotShared: at(i) supplies node i's vector (typically a
-// vector-store row, possibly mmap-backed) and must be valid for n
-// nodes. The level RNG continues as DecodeSnapshot's does.
-func DecodeSnapshotShared(d *snap.Decoder, at func(int) []float32, n int) (*Graph, error) {
-	return decodeSnapshot(d, at, n)
 }
 
 // RebindVecs points every node's vector at vecOf(its key), for callers
@@ -102,20 +72,16 @@ func bitEqual(a, b embedding.Vector) bool {
 	return true
 }
 
-// DecodeSnapshot rebuilds a graph written by AppendSnapshot. The
-// level RNG is re-seeded from the stored config and advanced past one
-// draw per node, where the saved graph's stream stood: a caller that
-// keeps inserting after load draws the levels the saved graph would
-// have drawn, so saving, loading and inserting the rest builds the
-// graph inserting every key into one graph builds.
-func DecodeSnapshot(d *snap.Decoder) (*Graph, error) {
-	return decodeSnapshot(d, nil, 0)
-}
-
-// decodeSnapshot handles both layouts: with at == nil vectors are
-// inline per node; otherwise they come from at and n is the required
-// node count.
-func decodeSnapshot(d *snap.Decoder, at func(int) []float32, n int) (*Graph, error) {
+// DecodeSnapshotShared rebuilds a graph written by AppendSnapshotShared:
+// vecOf supplies node i, whose key is key, its vector (a vector-store
+// row, possibly mmap-backed, or the vector its caller holds under the
+// key), nil when it has none, which fails the decode. The level RNG is
+// re-seeded from the stored config and advanced past one draw per
+// node, where the saved graph's stream stood: a caller that keeps
+// inserting after load draws the levels the saved graph would have
+// drawn, so saving, loading and inserting the rest builds the graph
+// inserting every key into one graph builds.
+func DecodeSnapshotShared(d *snap.Decoder, vecOf func(i int, key string) embedding.Vector) (*Graph, error) {
 	cfg := Config{
 		M:              int(d.U32()),
 		EfConstruction: int(d.U32()),
@@ -130,17 +96,10 @@ func decodeSnapshot(d *snap.Decoder, at func(int) []float32, n int) (*Graph, err
 	if cfg.M <= 0 {
 		return nil, fmt.Errorf("%w: hnsw M=%d", snap.ErrCorrupt, cfg.M)
 	}
-	if at != nil && numNodes != n {
-		return nil, fmt.Errorf("%w: hnsw has %d nodes, vector segment %d rows", snap.ErrCorrupt, numNodes, n)
-	}
 	// The counts below size allocations, so each is held to the bytes
-	// left: a node is at least a key length and a level count (plus a
-	// vector length when inline), a level at least a neighbor count.
-	minNode := 8
-	if at == nil {
-		minNode = 12
-	}
-	if numNodes > d.Remaining()/minNode {
+	// left: a node is at least a key length and a level count, a level
+	// at least a neighbor count.
+	if numNodes > d.Remaining()/8 {
 		return nil, fmt.Errorf("%w: hnsw claims %d nodes in %d bytes", snap.ErrCorrupt, numNodes, d.Remaining())
 	}
 	g := &Graph{
@@ -154,15 +113,13 @@ func decodeSnapshot(d *snap.Decoder, at func(int) []float32, n int) (*Graph, err
 	g.nodes = make([]node, numNodes)
 	for i := 0; i < numNodes; i++ {
 		key := d.Str()
-		var vec embedding.Vector
-		if at == nil {
-			vec = d.F32s()
-		} else {
-			vec = embedding.Vector(at(i))
-		}
 		levels := int(d.U32())
 		if d.Err() != nil {
 			return nil, d.Err()
+		}
+		vec := vecOf(i, key)
+		if vec == nil {
+			return nil, fmt.Errorf("%w: hnsw node %d (%q) has no vector", snap.ErrCorrupt, i, key)
 		}
 		if levels > d.Remaining()/4 {
 			return nil, fmt.Errorf("%w: hnsw node %d claims %d levels in %d bytes", snap.ErrCorrupt, i, levels, d.Remaining())

@@ -81,13 +81,16 @@ func DecodeSection(d *snap.Decoder, view vecstore.View) (Section, error) {
 		return sec, d.Err()
 	}
 	var err error
-	if sec.Graph, err = hnsw.DecodeSnapshotShared(d, view.Vec, view.Len()); err != nil {
+	if sec.Graph, err = hnsw.DecodeSnapshotShared(d, func(i int, key string) embedding.Vector {
+		if i >= len(colKeys) || key != colKeys[i] {
+			return nil
+		}
+		return view.Vec(i)
+	}); err != nil {
 		return sec, err
 	}
-	for i, k := range sec.Graph.Keys() {
-		if k != colKeys[i] {
-			return sec, fmt.Errorf("%w: starmie graph node %d is %q, row %d is %q", snap.ErrCorrupt, i, k, i, colKeys[i])
-		}
+	if n := sec.Graph.Len(); n != len(colKeys) {
+		return sec, fmt.Errorf("%w: starmie graph has %d nodes for %d rows", snap.ErrCorrupt, n, len(colKeys))
 	}
 	return sec, nil
 }

@@ -4,9 +4,10 @@ import (
 	"fmt"
 
 	"tablehound/internal/dict"
+	"tablehound/internal/embedding"
 	"tablehound/internal/hnsw"
-	"tablehound/internal/minhash"
 	"tablehound/internal/snap"
+	"tablehound/internal/table"
 )
 
 // Each union engine's snapshot section is its parts in the engine's
@@ -45,37 +46,33 @@ func decodeValues(d *snap.Decoder, lake *dict.Dict, engine string) (*dict.Dict, 
 }
 
 // AppendSnapshot encodes a TUS engine against the system dictionary
-// sysDict: its configuration, its dictionary (see appendValues), its
-// parts (see AppendTUSParts) and its NL graph.
+// sysDict: whether it is exhaustive, its dictionary (see appendValues),
+// its parts (see AppendTUSParts) and its NL graph's topology, whose
+// node vectors are the parts' column vectors.
 func (t *TUS) AppendSnapshot(e *snap.Encoder, sysDict *dict.Dict) {
 	e.Bool(t.cfg.Exhaustive)
-	e.U32(uint32(t.cfg.NumHashes))
-	t.hasher.AppendSnapshot(e)
 	appendValues(e, t.dict, sysDict)
 	AppendTUSParts(e, t.Parts())
-	t.nlIndex.AppendSnapshot(e)
+	t.nlIndex.AppendSnapshotShared(e)
 }
 
-// TUSSection is a TUS snapshot section as NewTUSFromParts takes it: the
-// stored configuration, the dictionary the parts are encoded in, the
-// parts, and the stored NL graph.
+// TUSSection is a TUS snapshot section as NewTUSFromParts takes it:
+// whether the engine is exhaustive, the dictionary the parts are
+// encoded in, the parts, and the stored NL graph.
 type TUSSection struct {
 	Exhaustive bool
-	NumHashes  int
 	Dict       *dict.Dict
 	Parts      []TUSTableParts
 	Graph      *hnsw.Graph
 }
 
 // DecodeTUSSection reads a section TUS.AppendSnapshot wrote; lake is
-// the loaded system's dictionary.
+// the loaded system's dictionary. Each graph node takes the vector of
+// the column it is keyed by; a node no column backs is corrupt.
 func DecodeTUSSection(d *snap.Decoder, lake *dict.Dict) (TUSSection, error) {
-	sec := TUSSection{Exhaustive: d.Bool(), NumHashes: int(d.U32())}
+	sec := TUSSection{Exhaustive: d.Bool()}
 	if d.Err() != nil {
 		return sec, d.Err()
-	}
-	if _, err := minhash.DecodeSnapshot(d); err != nil {
-		return sec, err
 	}
 	var err error
 	if sec.Dict, err = decodeValues(d, lake, "TUS"); err != nil {
@@ -84,7 +81,13 @@ func DecodeTUSSection(d *snap.Decoder, lake *dict.Dict) (TUSSection, error) {
 	if sec.Parts, err = DecodeTUSParts(d); err != nil {
 		return sec, err
 	}
-	sec.Graph, err = hnsw.DecodeSnapshot(d)
+	vecs := make(map[string]embedding.Vector)
+	for _, p := range sec.Parts {
+		for _, c := range p.Cols {
+			vecs[table.ColumnKey(p.ID, c.Name)] = c.Vec
+		}
+	}
+	sec.Graph, err = hnsw.DecodeSnapshotShared(d, func(_ int, key string) embedding.Vector { return vecs[key] })
 	return sec, err
 }
 

@@ -36,9 +36,10 @@ type TUSConfig struct {
 	// Exhaustive disables index-based candidate generation and scores
 	// every table (the accuracy ceiling; slow).
 	Exhaustive bool
-	// NumHashes is the MinHash signature length (default 128).
-	NumHashes int
 }
+
+// tusNumHashes is the length of a TUS column's MinHash signature.
+const tusNumHashes = 128
 
 // tusAnalyzer analyzes columns for TUS: a builder's tables and an
 // engine's query tables alike. The hasher, model and KB are only read.
@@ -51,10 +52,7 @@ func newTUSAnalyzer(cfg TUSConfig) (tusAnalyzer, error) {
 	if cfg.Model == nil {
 		return tusAnalyzer{}, errors.New("union: TUSConfig.Model is required")
 	}
-	if cfg.NumHashes <= 0 {
-		cfg.NumHashes = 128
-	}
-	return tusAnalyzer{cfg: cfg, hasher: minhash.NewHasher(cfg.NumHashes, 7)}, nil
+	return tusAnalyzer{cfg: cfg, hasher: minhash.NewHasher(tusNumHashes, 7)}, nil
 }
 
 // column returns a column's analysis, its ID set still empty, and its
@@ -319,7 +317,7 @@ func (t *TUS) bindNL() error {
 // tables in ids order. The threshold is low: candidate columns need
 // only weak set overlap; scoring decides.
 func (t *TUS) buildSetLSH() error {
-	b, r := lsh.OptimalParams(0.3, t.cfg.NumHashes, 0.8, 0.2)
+	b, r := lsh.OptimalParams(0.3, tusNumHashes, 0.8, 0.2)
 	t.setLSH = lsh.New(b, r)
 	t.owner = t.owner[:0]
 	for ti, id := range t.ids {

@@ -34,8 +34,9 @@ func assertNLAliasesColumns(t *testing.T, name string, tus *TUS) {
 // TestTUSGraphSharesColumnVectors checks that the NL graph keeps no
 // vectors of its own: a built, a decoded and a parts-assembled engine
 // all point each node at its column's vector — the last one also when
-// it grows a graph decoded on its own, whose vectors are copies. A
-// snapshot whose node vector is not its column's fails to decode.
+// it grows a graph decoded on its own over copies of the vectors. A
+// graph whose node vector is not its column's does not assemble, and a
+// snapshot whose graph holds a node no column backs fails to decode.
 func TestTUSGraphSharesColumnVectors(t *testing.T) {
 	lake := datagen.Generate(datagen.Config{Seed: 4, NumTemplates: 3, TablesPerTemplate: 3})
 	model := embedding.Train(lake.ColumnContexts(), embedding.Config{Dim: 16, Seed: 3})
@@ -58,33 +59,44 @@ func TestTUSGraphSharesColumnVectors(t *testing.T) {
 	assertNLAliasesColumns(t, "decoded", decoded)
 
 	var ge snap.Encoder
-	built.nlIndex.AppendSnapshot(&ge)
-	copied, err := hnsw.DecodeSnapshot(snap.NewDecoder(ge.Bytes()))
+	built.nlIndex.AppendSnapshotShared(&ge)
+	copied, err := hnsw.DecodeSnapshotShared(snap.NewDecoder(ge.Bytes()), func(_ int, key string) embedding.Vector {
+		v, _ := built.nlIndex.Vector(key)
+		return slices.Clone(v)
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	merged, err := NewTUSFromParts(TUSConfig{Model: model, Dict: decoded.dict}, decoded.Parts(), copied, nil, lookup)
+	cfg := TUSConfig{Model: model, Dict: decoded.dict}
+	merged, err := NewTUSFromParts(cfg, decoded.Parts(), copied, nil, lookup)
 	if err != nil {
 		t.Fatal(err)
 	}
 	assertNLAliasesColumns(t, "from parts", merged)
 
-	// A graph over the same keys whose first node's vector is nudged.
-	keys := built.nlIndex.Keys()
-	forged := hnsw.New(nlGraphConfig)
-	for i, key := range keys {
+	// Graphs over the same vectors, one with its first node's vector
+	// nudged, one with its first node keyed by no column.
+	nudged, renamed := hnsw.New(nlGraphConfig), hnsw.New(nlGraphConfig)
+	for i, key := range built.nlIndex.Keys() {
 		v, _ := built.nlIndex.Vector(key)
-		v = slices.Clone(v)
+		w := slices.Clone(v)
 		if i == 0 {
-			v[0] += 1e-3
+			w[0] += 1e-3
+			key = "zz.nocolumn"
 		}
-		if err := forged.Add(key, v); err != nil {
+		if err := nudged.Add(built.nlIndex.Keys()[i], w); err != nil {
+			t.Fatal(err)
+		}
+		if err := renamed.Add(key, v); err != nil {
 			t.Fatal(err)
 		}
 	}
+	if _, err := NewTUSFromParts(cfg, decoded.Parts(), nudged, [][]string{}, lookup); err == nil {
+		t.Error("node vector off its column's: the engine assembled")
+	}
 	bad := *built
-	bad.nlIndex = forged
+	bad.nlIndex = renamed
 	if _, err := loadTUS(encode(&bad), TUSConfig{Model: model}, lookup); !errors.Is(err, snap.ErrCorrupt) {
-		t.Errorf("node vector off its column's: err = %v, want snap.ErrCorrupt", err)
+		t.Errorf("node keyed by no column: err = %v, want snap.ErrCorrupt", err)
 	}
 }
