@@ -716,7 +716,28 @@ func TestCompactedSnapshotBytesEqualFreshBuild(t *testing.T) {
 					survivors = append(survivors, tb)
 				}
 			}
-			want := freshSnapshot(t, base, survivors)
+			fresh := freshSystem(t, base, survivors)
+			// The victim holds pairs no survivor holds: the merge must
+			// leave them out of SANTOS's pair list, as a fresh build
+			// never makes them.
+			only := 0
+			bp := base.Santos.Parts()
+			for _, p := range bp.Tables {
+				for _, r := range p.Rels {
+					for _, id := range r.PairIDs {
+						if p.ID == victim.ID && !holdsPair(csys, base.Dict, bp.Pairs[id]) {
+							only++
+						}
+					}
+				}
+			}
+			if only == 0 {
+				t.Fatal("the victim holds no SANTOS pair of its own")
+			}
+			if got, want := csys.Santos.Parts().Pairs, fresh.Santos.Parts().Pairs; !slices.Equal(got, want) {
+				t.Errorf("merged SANTOS pair list holds %d pairs, a fresh build's %d: not equal", len(got), len(want))
+			}
+			want := saved(t, fresh)
 			if got := saved(t, csys); !bytes.Equal(got, want) {
 				t.Errorf("compacted system saves %d bytes, fresh build %d: not byte-identical", len(got), len(want))
 			}
@@ -729,6 +750,18 @@ func TestCompactedSnapshotBytesEqualFreshBuild(t *testing.T) {
 			}
 		})
 	}
+}
+
+// holdsPair reports whether s's SANTOS engine holds the pair packed
+// from two IDs of d.
+func holdsPair(s *System, d *dict.Dict, pair uint64) bool {
+	sub, ok := s.Dict.ID(d.Value(uint32(pair >> 32)))
+	obj, ok2 := s.Dict.ID(d.Value(uint32(pair)))
+	if !ok || !ok2 {
+		return false
+	}
+	_, found := slices.BinarySearch(s.Santos.Parts().Pairs, uint64(sub)<<32|uint64(obj))
+	return found
 }
 
 // freshSnapshot builds a system over tables (in sorted-ID order, the

@@ -15,13 +15,16 @@ import (
 	"tablehound/internal/union"
 )
 
+// fuzzLake is the lake fuzzBase is built over.
+var fuzzLake = datagen.Config{Seed: 5, NumDomains: 6, DomainSize: 20, NumTemplates: 2, TablesPerTemplate: 2, RowsMin: 8, RowsMax: 12}
+
 // fuzzBase is the snapshot FuzzLoadSection forges sections into: a
 // four-table lake built with the default options, so the options
 // section lets a loaded system build its fuzzy index, organization and
 // graph, and queryEveryEngine builds all three from the forged
 // sections.
 var fuzzBase = sync.OnceValues(func() ([]byte, error) {
-	gen := datagen.Generate(datagen.Config{Seed: 5, NumDomains: 6, DomainSize: 20, NumTemplates: 2, TablesPerTemplate: 2, RowsMin: 8, RowsMax: 12})
+	gen := datagen.Generate(fuzzLake)
 	cat := lake.NewCatalog()
 	if err := cat.AddBatch(gen.Tables); err != nil {
 		return nil, err
@@ -36,23 +39,40 @@ var fuzzBase = sync.OnceValues(func() ([]byte, error) {
 })
 
 // FuzzLoadSection replaces one section payload of a valid snapshot with
-// the fuzzer's bytes, re-framed under a valid checksum, and loads it.
-// The contract: Load succeeds or fails with ErrCorruptSnapshot, and
-// never panics; a system that loads answers one query per engine
-// without panicking. The committed seeds under testdata/fuzz are every
-// real section of fuzzBase, which plain `go test` replays.
+// the fuzzer's bytes, re-framed under a valid checksum, and loads it on
+// its own and as the base of a chain under a fixed one-table delta
+// built against the valid snapshot. The contract: Load succeeds or
+// fails with ErrCorruptSnapshot, LoadChainFiles succeeds or fails with
+// ErrCorruptSnapshot or ErrDeltaChain (a forged meta section no longer
+// chains), and neither panics; a system that loads answers one query
+// per engine without panicking. The committed seeds under
+// testdata/fuzz are every real section of fuzzBase, which plain `go
+// test` replays.
 func FuzzLoadSection(f *testing.F) {
+	good, err := fuzzBase()
+	if err != nil {
+		f.Fatal(err)
+	}
+	gen := datagen.Generate(fuzzLake)
+	deltaPath := chainDelta(f, f.TempDir(), good, gen.Tables[0])
 	f.Fuzz(func(t *testing.T, id uint16, payload []byte) {
-		good, err := fuzzBase()
-		if err != nil {
-			t.Fatal(err)
-		}
 		sec := secOptions + id%secVecs
 		forged := withSection(t, good, sec, func([]byte) []byte { return payload })
 		sys, err := Load(bytes.NewReader(forged), Options{Parallelism: 1})
 		if err != nil {
 			if !errors.Is(err, ErrCorruptSnapshot) {
 				t.Fatalf("section %d: err = %v, want ErrCorruptSnapshot", sec, err)
+			}
+		} else {
+			queryEveryEngine(sys)
+		}
+		path := filepath.Join(t.TempDir(), "forged.snap")
+		if err := os.WriteFile(path, forged, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if sys, err = LoadChainFiles(path, []string{deltaPath}, Options{Parallelism: 1}); err != nil {
+			if !errors.Is(err, ErrCorruptSnapshot) && !errors.Is(err, ErrDeltaChain) {
+				t.Fatalf("section %d, chained: err = %v, want ErrCorruptSnapshot or ErrDeltaChain", sec, err)
 			}
 			return
 		}

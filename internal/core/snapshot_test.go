@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -263,9 +264,9 @@ func TestSaveRejectsPartialSystem(t *testing.T) {
 }
 
 // TestSnapshotRejectsTUSIDBeyondDict forges a CRC-valid TUS section
-// whose column references a value ID past the dictionary: the load must
-// fail as corrupt rather than serve a set measure scored over a value
-// that does not exist.
+// whose column references a value ID past the dictionary: the load, and
+// a chain load over it, must fail as corrupt rather than serve a set
+// measure scored over a value that does not exist.
 func TestSnapshotRejectsTUSIDBeyondDict(t *testing.T) {
 	gen := datagen.Generate(datagen.Config{Seed: 5, NumTemplates: 2, TablesPerTemplate: 2})
 	cat := lake.NewCatalog()
@@ -278,10 +279,18 @@ func TestSnapshotRejectsTUSIDBeyondDict(t *testing.T) {
 	}
 	// Parts alias the engine's column sets, so writing through them
 	// forges the section Save encodes.
+	dir := t.TempDir()
+	deltaPath := chainDelta(t, dir, saved(t, built), gen.Tables[0])
 	ids := built.TUS.Parts()[0].Cols[0].IDs
 	ids[len(ids)-1] = uint32(built.Dict.Size())
-	if _, err := Load(bytes.NewReader(saved(t, built)), Options{}); !errors.Is(err, ErrCorruptSnapshot) {
-		t.Fatalf("TUS ID %d with a %d-value dictionary: err = %v, want ErrCorruptSnapshot", built.Dict.Size(), built.Dict.Size(), err)
+	path := filepath.Join(dir, "forged.snap")
+	if err := os.WriteFile(path, saved(t, built), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for way, err := range loadBothWays(path, deltaPath) {
+		if !errors.Is(err, ErrCorruptSnapshot) {
+			t.Errorf("%s: TUS ID %d with a %d-value dictionary: err = %v, want ErrCorruptSnapshot", way, built.Dict.Size(), built.Dict.Size(), err)
+		}
 	}
 }
 
@@ -293,6 +302,43 @@ func withSection(t *testing.T, good []byte, id uint16, edit func(payload []byte)
 	out, pos := reframe(t, good, secVecs, id, edit)
 	out = append(out, make([]byte, vecstore.PadTo(int64(len(out))))...)
 	return append(out, good[pos+vecstore.PadTo(int64(pos)):]...)
+}
+
+// chainDelta saves the snapshot good under dir and returns the path of
+// a one-table delta built against it, adding a copy of tbl under a new
+// ID with one more column of values the base lacks, so the chain's
+// dictionary outgrows the base's. Every forged copy of good that keeps
+// its meta section chains under it.
+func chainDelta(t testing.TB, dir string, good []byte, tbl *table.Table) string {
+	t.Helper()
+	basePath := filepath.Join(dir, "good.snap")
+	if err := os.WriteFile(basePath, good, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	fresh := make([]string, tbl.NumRows())
+	for i := range fresh {
+		fresh[i] = fmt.Sprintf("zz fresh %d", i)
+	}
+	cols := append(slices.Clone(tbl.Columns), table.NewColumn("zz_fresh", fresh))
+	d, err := BuildDelta(basePath, nil, []*table.Table{table.MustNew("zz_chained", tbl.Name, cols)}, nil, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	deltaPath := filepath.Join(dir, "chained.thdb")
+	if err := d.SaveFile(deltaPath); err != nil {
+		t.Fatal(err)
+	}
+	return deltaPath
+}
+
+// loadBothWays loads the snapshot at path with LoadFile and, as the base
+// of a chain under deltaPath, with LoadChainFiles, and returns each
+// way's error by its name: a base's sections are read by both, and each
+// must make every check.
+func loadBothWays(path, deltaPath string) map[string]error {
+	_, plain := LoadFile(path, Options{})
+	_, chained := LoadChainFiles(path, []string{deltaPath}, Options{})
+	return map[string]error{"LoadFile": plain, "LoadChainFiles": chained}
 }
 
 // reframe re-encodes the header and the section frames 1..last of a
@@ -331,7 +377,10 @@ func reframe(t *testing.T, good []byte, last, id uint16, edit func(payload []byt
 // SANTOS section without a pair list; and SANTOS's packed pair list
 // with a pair repeated or a value ID past the lake dictionary. Each
 // bad ID set used to load, and then panicked in a later delta merge or
-// Save; LoadFile must refuse every one as corrupt.
+// Save; LoadFile, and LoadChainFiles over the forged base, must refuse
+// every one as corrupt. So must they a join section whose inverted
+// index swaps two columns' sets, which overlap searches would read as
+// each other's.
 func TestSnapshotRejectsForgedIDSets(t *testing.T) {
 	gen := datagen.Generate(datagen.Config{Seed: 5, NumTemplates: 2, TablesPerTemplate: 2})
 	cat := lake.NewCatalog()
@@ -439,6 +488,7 @@ func TestSnapshotRejectsForgedIDSets(t *testing.T) {
 	equalNext := func(p []byte, off int) []byte { return put(p, off, binary.LittleEndian.Uint32(p[off+4:])) }
 
 	dir := t.TempDir()
+	deltaPath := chainDelta(t, dir, good, gen.Tables[0])
 	for _, c := range []struct {
 		name string
 		sec  uint16
@@ -479,15 +529,14 @@ func TestSnapshotRejectsForgedIDSets(t *testing.T) {
 			if err := os.WriteFile(path, withSection(t, good, c.sec, c.edit), 0o644); err != nil {
 				t.Fatal(err)
 			}
-			_, err := LoadFile(path, Options{})
-			if c.name == "unchanged" {
-				if err != nil {
-					t.Fatalf("re-framed snapshot does not load: %v", err)
+			for way, err := range loadBothWays(path, deltaPath) {
+				if c.name == "unchanged" {
+					if err != nil {
+						t.Errorf("%s: re-framed snapshot does not load: %v", way, err)
+					}
+				} else if !errors.Is(err, ErrCorruptSnapshot) {
+					t.Errorf("%s: err = %v, want ErrCorruptSnapshot", way, err)
 				}
-				return
-			}
-			if !errors.Is(err, ErrCorruptSnapshot) {
-				t.Fatalf("err = %v, want ErrCorruptSnapshot", err)
 			}
 		})
 	}
@@ -541,7 +590,7 @@ func TestLoadedBuildReportNamesEveryStage(t *testing.T) {
 // graph nodes in a CRC-valid section. Row i of the vector segment backs
 // both colKeys[i] and node i, so the forged graph would score each of
 // the two nodes by the other's vector: a silently wrong ranking. The
-// load must fail as corrupt instead.
+// load, and a chain load over it, must fail as corrupt instead.
 func TestSnapshotRejectsSwappedStarmieNodes(t *testing.T) {
 	gen := datagen.Generate(datagen.Config{Seed: 5, NumTemplates: 2, TablesPerTemplate: 2})
 	cat := lake.NewCatalog()
@@ -599,6 +648,7 @@ func TestSnapshotRejectsSwappedStarmieNodes(t *testing.T) {
 		return nil
 	}
 	dir := t.TempDir()
+	deltaPath := chainDelta(t, dir, good, gen.Tables[0])
 	for _, c := range []struct {
 		name string
 		edit func([]byte) []byte
@@ -611,15 +661,14 @@ func TestSnapshotRejectsSwappedStarmieNodes(t *testing.T) {
 			if err := os.WriteFile(path, withSection(t, good, secStarmie, c.edit), 0o644); err != nil {
 				t.Fatal(err)
 			}
-			_, err := LoadFile(path, Options{})
-			if c.name == "unchanged" {
-				if err != nil {
-					t.Fatalf("re-framed snapshot does not load: %v", err)
+			for way, err := range loadBothWays(path, deltaPath) {
+				if c.name == "unchanged" {
+					if err != nil {
+						t.Errorf("%s: re-framed snapshot does not load: %v", way, err)
+					}
+				} else if !errors.Is(err, ErrCorruptSnapshot) {
+					t.Errorf("%s: err = %v, want ErrCorruptSnapshot", way, err)
 				}
-				return
-			}
-			if !errors.Is(err, ErrCorruptSnapshot) {
-				t.Fatalf("err = %v, want ErrCorruptSnapshot", err)
 			}
 		})
 	}
