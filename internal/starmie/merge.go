@@ -1,7 +1,9 @@
-// Per-table parts for incremental (delta) index maintenance: an index
+// Per-table parts, the one form an index is assembled from: an index
 // decomposes into per-table column vectors, written and read by one
-// codec (a delta's Starmie section), and reassembles from parts
-// gathered across a base snapshot and a delta chain. Column vectors
+// codec (a delta's Starmie section; a snapshot section stores them as
+// rows of its vector segment, see DecodeSection), and reassembles from
+// parts gathered across a base snapshot and a delta chain, or from a
+// snapshot section's. Column vectors
 // are pure functions of the frozen embedding model and the table's own
 // content, so the reassembled index holds the vectors a from-scratch
 // build over the merged catalog holds. Its graph is the one the merge
@@ -82,7 +84,8 @@ func DecodeParts(d *snap.Decoder) ([]TableParts, error) {
 }
 
 // NewIndexFromParts assembles an index from parts: the one assembly of
-// a build (Builder.Build) and a merge. Every table's keys register in
+// a build (Builder.Build), a merge and a load (which passes its stored
+// graph and no batch). Every table's keys register in
 // their original column order (preserving byTable iteration order for
 // candidate scoring). The graph starts from g — a fresh one when nil —
 // and grows by each batch of table IDs in turn, nil batches being one
@@ -92,8 +95,8 @@ func DecodeParts(d *snap.Decoder) ([]TableParts, error) {
 // that graph's node order: its rows follow, not the sorted order. g is
 // grown in place. lookup resolves table IDs against the merged
 // catalog, binding each part to the table a table_id query will
-// present (see PrepareTable). The caller re-binds the index onto a
-// vector store afterwards (see core's buildVecStore).
+// present (see PrepareTable). The caller binds the index onto a vector
+// store afterwards (see Bind).
 func NewIndexFromParts(enc *Encoder, parts []TableParts, g *hnsw.Graph, batches [][]string, lookup func(id string) *table.Table) (*Index, error) {
 	ix := newIndex(enc)
 	for _, p := range parts {

@@ -146,9 +146,8 @@ func (b *Builder) Build() (*Index, error) {
 }
 
 // Index retrieves unionable tables by contextualized column vectors. It
-// is built by a Builder or assembled from parts (NewIndexFromParts, a
-// snapshot decode); every search is a pure read, safe for concurrent
-// use.
+// is built by a Builder or assembled from parts (NewIndexFromParts);
+// every search is a pure read, safe for concurrent use.
 type Index struct {
 	enc     *Encoder
 	graph   *hnsw.Graph
@@ -209,9 +208,7 @@ func (ix *Index) NumColumns() int { return len(ix.colKeys) }
 // callers must not mutate it.
 func (ix *Index) ColumnKeys() []string { return ix.colKeys }
 
-// Graph returns the column graph. A merge grows it
-// in place (see NewIndexFromParts), so the index it came from must not
-// serve afterwards.
+// Graph returns the column graph.
 func (ix *Index) Graph() *hnsw.Graph { return ix.graph }
 
 // VectorOf returns the indexed vector for a column key, or nil.

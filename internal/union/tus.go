@@ -638,8 +638,7 @@ func (t *TUS) candidateTables(qcols []*tusColumn) []string {
 	return out
 }
 
-// NLGraph returns the natural-language column graph. A merge grows it in place (see NewTUSFromParts), so the
-// engine it came from must not serve afterwards.
+// NLGraph returns the natural-language column graph.
 func (t *TUS) NLGraph() *hnsw.Graph { return t.nlIndex }
 
 // LSHFootprint reports the resident cost of the set-LSH band tables
