@@ -909,7 +909,10 @@ func (mp *mergedParts) foldUnion(sets []partSet, remap []uint32, ids []string) e
 		}
 		wordLists[i], pairLists[i] = set.d3l.Words, set.santos.Pairs
 	}
-	words, wordRemaps := union.MergeWords(wordLists...)
+	words, wordRemaps, err := union.MergeWords(wordLists...)
+	if err != nil {
+		return fmt.Errorf("%w: %w", ErrCorruptSnapshot, err)
+	}
 	pairs, pairRemaps := union.MergePairs(pairLists, func(id uint32) (uint32, bool) { return remap[id], remap[id] != unmapped })
 	tus := foldParts[union.TUSTableParts](nil, func(p union.TUSTableParts) string { return p.ID })
 	santos := foldParts[union.SantosTableParts](nil, func(p union.SantosTableParts) string { return p.ID })

@@ -479,12 +479,17 @@ func DecodeD3LParts(d *snap.Decoder) (D3LParts, error) {
 	return parts, d.Err()
 }
 
-// MergeWords returns the sorted union of sorted word lists and, for
-// each list, the position each of its words takes in the union: the
-// remap that moves word IDs of parts over the lists onto one list.
-func MergeWords(lists ...[]string) ([]string, [][]uint32) {
+// MergeWords returns the sorted union of word lists and, for each
+// list, the position each of its words takes in the union: the remap
+// that moves word IDs of parts over the lists onto one list. Each list
+// must be strictly ascending, as an adoption requires, or two of its
+// words could land on one position.
+func MergeWords(lists ...[]string) ([]string, [][]uint32, error) {
 	var all []string
 	for _, l := range lists {
+		if err := checkWords(l); err != nil {
+			return nil, nil, err
+		}
 		all = append(all, l...)
 	}
 	slices.Sort(all)
@@ -497,7 +502,17 @@ func MergeWords(lists ...[]string) ([]string, [][]uint32) {
 			remaps[i][j] = uint32(pos)
 		}
 	}
-	return all, remaps
+	return all, remaps, nil
+}
+
+// checkWords reports why words is not a strictly ascending word list.
+func checkWords(words []string) error {
+	for i := 1; i < len(words); i++ {
+		if words[i-1] >= words[i] {
+			return fmt.Errorf("union: D3L words not strictly ascending at %q", words[i])
+		}
+	}
+	return nil
 }
 
 // RemapWordIDs returns tables with every column's word IDs moved
@@ -559,10 +574,8 @@ func NewD3LFromParts(model *embedding.Model, values *dict.Dict, parts D3LParts, 
 func (d3 *D3L) adopt(parts D3LParts, values *dict.Dict, lookup func(id string) *table.Table) error {
 	d3.tables = make(map[string]*d3lTable, len(parts.Tables))
 	words := parts.Words
-	for i := 1; i < len(words); i++ {
-		if words[i-1] >= words[i] {
-			return fmt.Errorf("union: D3L words not strictly ascending at %q", words[i])
-		}
+	if err := checkWords(words); err != nil {
+		return err
 	}
 	used := make([]bool, len(words))
 	size := values.Size()

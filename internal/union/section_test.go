@@ -93,3 +93,18 @@ func TestMergePairs(t *testing.T) {
 		t.Errorf("the ordered list's positions %v do not ascend", kept)
 	}
 }
+
+// TestMergeWordsRejectsUnorderedLists checks that MergeWords refuses a
+// word list that does not strictly ascend, which could put two of its
+// words on one position of the union, and merges ordered ones.
+func TestMergeWordsRejectsUnorderedLists(t *testing.T) {
+	for _, l := range [][]string{{"b", "a"}, {"a", "a"}} {
+		if _, _, err := MergeWords([]string{"a", "c"}, l); err == nil {
+			t.Errorf("MergeWords took the list %q", l)
+		}
+	}
+	words, remaps, err := MergeWords([]string{"a", "c"}, []string{"b", "c"})
+	if err != nil || !slices.Equal(words, []string{"a", "b", "c"}) || !slices.Equal(remaps[1], []uint32{1, 2}) {
+		t.Errorf("MergeWords = %q, %v, %v", words, remaps, err)
+	}
+}
