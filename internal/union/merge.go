@@ -320,10 +320,7 @@ func RemapPairIDs(tables []SantosTableParts, remap []uint32) ([]SantosTableParts
 			if err := r.PairIDs.Check(len(remap)); err != nil {
 				return nil, fmt.Errorf("union: SANTOS relationship %s.%s: %v", p.ID, r.ColName, err)
 			}
-			ids := make(dict.IDSet, len(r.PairIDs))
-			for k, id := range r.PairIDs {
-				ids[k] = remap[id]
-			}
+			ids, _ := remapIDs(r.PairIDs, remap) // checked above
 			slices.Sort(ids)
 			r.PairIDs = ids
 		}
