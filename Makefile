@@ -122,9 +122,11 @@ bench-snapshot:
 # end-to-end benchmark's 100-table `lifecycle` lake shape with every
 # rebuilt stage on (BenchmarkDeltaChainLoadFullPipeline), and over its
 # 300-table `serve_cold` shape with the serving options
-# (BenchmarkDeltaChainLoadServing, which also reports the merge's
-# dict, keyword, join and vecs stage walls). Results recorded in
-# EXPERIMENTS.md.
+# (BenchmarkDeltaChainLoadServing, which also reports seven of the
+# merge's stage walls: dict, keyword, join, tus, santos, d3l and vecs).
+# BenchmarkDeltaAddServing is `lakectl add` over that `serve_cold`
+# shape (BuildDelta + SaveFile, the harness's delta_build phase), with
+# its allocations. Results recorded in EXPERIMENTS.md.
 bench-delta:
 	$(GO) test -run xxx -bench 'BenchmarkDelta' -benchtime 2x -timeout 1200s .
 

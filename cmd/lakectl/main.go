@@ -431,9 +431,14 @@ func cmdMemStats(args []string) error {
 		}
 	}
 	if v := sys.Vecs; v != nil {
-		residency := "heap"
-		if v.Mapped() {
+		// A merged chain over a mapped base is "mixed": its model rows
+		// alias the base's file, its Starmie rows live on the heap.
+		residency := v.Residency()
+		switch residency {
+		case "mmap":
 			residency = "mmap (file-backed, zero-copy)"
+		case "mixed":
+			residency = fmt.Sprintf("mixed (%s on the heap, the rest file-backed)", memBytes(v.HeapBytes()))
 		}
 		fmt.Printf("vector block:     %d vectors x %d dims in %d segments, %s on disk, residency %s\n",
 			v.Count(), v.Dim(), len(v.Segments()), memBytes(v.DataBytes()+v.NormBytes()), residency)

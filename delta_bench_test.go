@@ -268,6 +268,30 @@ func BenchmarkDeltaChainLoadServing(b *testing.B) {
 	deltaBenchServing.chainLoad(b, "dict", "keyword", "join", "tus", "santos", "d3l", "vecs")
 }
 
+// BenchmarkDeltaAddServing is `lakectl add` of the held-out 10 tables
+// over the `serve_cold` lake shape's 290-table base: BuildDelta and
+// SaveFile, the end-to-end benchmark's delta_build phase, which with
+// the chain load makes that workload's delta_visible_s. Its B/op counts
+// the base blob read (heap, so the blob's CRC is verified) and the
+// extended dictionary.
+func BenchmarkDeltaAddServing(b *testing.B) {
+	deltaBenchServingSetup(b)
+	out := filepath.Join(deltaBenchServing.dir, "add.thdb")
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		d, err := core.BuildDelta(deltaBenchServing.basePath, nil, deltaBenchServing.add, nil, core.Options{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := d.SaveFile(out); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	os.Remove(out)
+}
+
 func deltaBenchServingSetup(b *testing.B) {
 	deltaBenchServing.setup(b, 30, func(*datagen.Lake) core.Options {
 		return core.Options{SkipFuzzy: true, SkipGraph: true, SkipOrganization: true}

@@ -113,11 +113,12 @@ type System struct {
 	// cell value interned to a dense uint32 ID. The set-based indexes
 	// (Join, TUS, Fuzzy) encode their columns against it.
 	Dict *dict.Dict
-	// Vecs is the flat vector block behind the embedding model and the
-	// Starmie column index: one contiguous float32 blob plus
-	// precomputed norms, carved into named segments. After Build or
-	// Load, Model and Starmie alias rows of this store (which may
-	// itself alias an mmap'd snapshot region — see Options.VecMode).
+	// Vecs is the vector store behind the embedding model and the
+	// Starmie column index: float32 rows plus precomputed norms in
+	// named segments, saved as one flat blob. After Build or Load,
+	// Model and Starmie alias rows of this store (which may itself
+	// alias an mmap'd snapshot region — see Options.VecMode); after a
+	// delta merge the model segment is the base store's, shared.
 	Vecs *vecstore.Store
 
 	Keyword *keyword.Index
@@ -221,40 +222,6 @@ func Build(catalog *lake.Catalog, opts Options) (*System, error) {
 	}
 	stats.Total = time.Since(start)
 	return s, nil
-}
-
-// buildVecStore consolidates the trained model's token vectors and the
-// Starmie index's column vectors into one contiguous vecstore block and
-// rebinds both owners onto the block. Vector values are copied
-// bit-for-bit, so every search surface is unchanged; only the backing
-// memory moves — which is what makes snapshot reload O(1) and lets
-// replicas share pages via mmap.
-func buildVecStore(s *System) (int, error) {
-	b := vecstore.NewBuilder(s.Model.Dim())
-	tokens, colKeys := s.Model.Tokens(), s.Starmie.ColumnKeys()
-	b.Grow(len(tokens) + len(colKeys))
-	for _, tok := range tokens {
-		b.Append("model", s.Model.TokenVector(tok))
-	}
-	for _, key := range colKeys {
-		b.Append("starmie", s.Starmie.VectorOf(key))
-	}
-	store, err := b.Build()
-	if err != nil {
-		return 0, err
-	}
-	if mv, ok := store.View("model"); ok {
-		if err := s.Model.Rebind(mv.Vec, mv.Len()); err != nil {
-			return 0, err
-		}
-	}
-	if sv, ok := store.View("starmie"); ok {
-		if err := s.Starmie.Bind(sv); err != nil {
-			return 0, err
-		}
-	}
-	s.Vecs = store
-	return store.Count(), nil
 }
 
 // onDemand is an index a System builds on its first reader: get runs

@@ -64,6 +64,7 @@ import (
 	"tablehound/internal/table"
 	"tablehound/internal/tokenize"
 	"tablehound/internal/union"
+	"tablehound/internal/vecstore"
 )
 
 // ErrDeltaChain marks a structurally sound delta that does not chain
@@ -724,10 +725,12 @@ const unmapped = ^uint32(0)
 // applyDeltas folds an ordered delta chain over a freshly decoded base
 // system and returns the merged system. The base's union engines come
 // as their sections' parts, u (the base's union engines are not read).
-// The base is consumed: its model is rebound onto the merged vector
-// block, so it must not keep serving queries (LoadChainFiles decodes a
-// fresh base per merge). Only what a snapshot stores is read from the
-// base; its Stats may be nil.
+// The base is consumed: the merged system takes over its model, KB and
+// keyword indexes, and the merged vector store shares its store's model
+// segment (rows, norms and any mapping) without a copy, so the base
+// must not keep serving queries (LoadChainFiles decodes a fresh base
+// per merge). Only what a snapshot stores is read from the base; its
+// Stats may be nil.
 //
 // The merge analyses only the tables a chain adds; every other live
 // table is the base's, and what the base derived from it carries over:
@@ -851,7 +854,12 @@ func applyDeltas(base *System, u *unionSections, deltas []*Delta, infos []DeltaI
 		slices.Sort(ns)
 		joinSets[key] = ns
 	}
+	model, ok := base.Vecs.View("model")
+	if !ok {
+		return nil, fmt.Errorf("%w: vector directory has no model segment", ErrCorruptSnapshot)
+	}
 	mp := mergedParts{
+		model:   model,
 		added:   added,
 		keyword: base.Keyword,
 		values:  base.Values,
@@ -1019,10 +1027,12 @@ func mergeDict(base *dict.Dict, blocks [][]string, tombstoned bool, tables []*ta
 	return d, remap, nil
 }
 
-// mergedParts carries what a merge folds into the keyword and engine
-// stages: the tables the chain added (by ID, replaced ones included),
-// the base's keyword indexes, and each engine's folded parts.
+// mergedParts carries what a merge folds into the keyword, engine and
+// vector stages: the tables the chain added (by ID, replaced ones
+// included), the base's keyword indexes, each engine's folded parts,
+// and the base store's model segment, which the merged store shares.
 type mergedParts struct {
+	model   vecstore.View
 	added   map[string]*table.Table
 	keyword *keyword.Index
 	values  *keyword.ValueIndex

@@ -77,21 +77,16 @@ func (s *System) MemStats() MemReport {
 		add("keyword-values", s.Values.Len(), s.Values.Footprint())
 	}
 	if s.Vecs != nil {
-		// The shared vector block. "Legacy" is what the pre-block form
-		// cost: one heap slice per vector (24 B header) behind a map
-		// entry (32 B), with no precomputed norms. Bytes is what is
-		// actually heap-resident now — the full block when heap-loaded,
-		// nothing when the block aliases mmap'd (file-backed, shared,
-		// evictable) pages.
-		blockBytes := s.Vecs.DataBytes() + s.Vecs.NormBytes()
-		resident := blockBytes
-		if s.Vecs.Mapped() {
-			resident = 0
-		}
+		// The vector store. "Legacy" is what the pre-block form cost:
+		// one heap slice per vector (24 B header) behind a map entry
+		// (32 B), with no precomputed norms. Bytes is what is actually
+		// heap-resident now: the segments on the heap, not those that
+		// alias mmap'd (file-backed, shared, evictable) pages — a merged
+		// store's model segment when its base was mapped.
 		dim := int64(s.Vecs.Dim())
 		add("vec-block", len(s.Vecs.Segments()), dict.Footprint{
 			Count:       s.Vecs.Count(),
-			Bytes:       resident,
+			Bytes:       s.Vecs.HeapBytes(),
 			LegacyBytes: int64(s.Vecs.Count()) * (dim*4 + 24 + 32),
 		})
 	}

@@ -18,6 +18,7 @@ import (
 	"tablehound/internal/parallel"
 	"tablehound/internal/starmie"
 	"tablehound/internal/union"
+	"tablehound/internal/vecstore"
 )
 
 // Stage indices. stageModel and stageDict are the shared dependencies
@@ -89,7 +90,7 @@ func (p pipeline) run(ids ...int) error {
 		return err
 	}
 	if len(ids) == 0 {
-		if err := stats.time(stageVecs, func() (int, error) { return buildVecStore(s) }); err != nil {
+		if err := stats.time(stageVecs, p.vecs); err != nil {
 			return err
 		}
 	}
@@ -269,6 +270,49 @@ func (p pipeline) starmie() (int, error) {
 	}
 	s.Starmie = ix
 	return ix.NumColumns(), nil
+}
+
+// vecs consolidates the model's token vectors and the Starmie index's
+// column vectors into one vecstore store, which every owner's rows
+// then alias. A build copies both, bit for bit, and rebinds the model
+// onto its segment; a merge keeps the base's frozen model, whose rows
+// the base's store already holds, and shares that segment without a
+// copy. Only the backing memory moves, so every search surface is
+// unchanged — which is what makes snapshot reload O(1) and lets
+// replicas share pages via mmap.
+func (p pipeline) vecs() (int, error) {
+	s := p.s
+	b := vecstore.NewBuilder(s.Model.Dim())
+	if p.parts != nil {
+		b.Share("model", p.parts.model)
+	} else {
+		tokens := s.Model.Tokens()
+		b.Grow("model", len(tokens))
+		for _, tok := range tokens {
+			b.Append("model", s.Model.TokenVector(tok))
+		}
+	}
+	colKeys := s.Starmie.ColumnKeys()
+	b.Grow("starmie", len(colKeys))
+	for _, key := range colKeys {
+		b.Append("starmie", s.Starmie.VectorOf(key))
+	}
+	store, err := b.Build()
+	if err != nil {
+		return 0, err
+	}
+	if mv, ok := store.View("model"); ok && p.parts == nil {
+		if err := s.Model.Rebind(mv.Vec, mv.Len()); err != nil {
+			return 0, err
+		}
+	}
+	if sv, ok := store.View("starmie"); ok {
+		if err := s.Starmie.Bind(sv); err != nil {
+			return 0, err
+		}
+	}
+	s.Vecs = store
+	return store.Count(), nil
 }
 
 // StageTiming records one pipeline stage's work.

@@ -380,7 +380,8 @@ func reframe(t *testing.T, good []byte, last, id uint16, edit func(payload []byt
 // Save; LoadFile, and LoadChainFiles over the forged base, must refuse
 // every one as corrupt. So must they a join section whose inverted
 // index swaps two columns' sets, which overlap searches would read as
-// each other's.
+// each other's, and one whose index stores a df its postings do not
+// hold, which JOSIE's cost model and the planner's cost would read.
 func TestSnapshotRejectsForgedIDSets(t *testing.T) {
 	gen := datagen.Generate(datagen.Config{Seed: 5, NumTemplates: 2, TablesPerTemplate: 2})
 	cat := lake.NewCatalog()
@@ -480,6 +481,25 @@ func TestSnapshotRejectsForgedIDSets(t *testing.T) {
 		t.Fatal("no two join index sets of one length")
 		return nil
 	}
+	// bumpDF raises the first token's stored df in a join payload's
+	// inverted index by one, past the postings its sets hold.
+	bumpDF := func(p []byte) []byte {
+		d := snap.NewDecoder(p)
+		if !d.Bool() {
+			t.Fatal("join section carries its own dictionary")
+		}
+		for range d.Strs() {
+			d.U32s()
+		}
+		d.Bool()
+		d.U32s()
+		if n := binary.LittleEndian.Uint32(p[at(p, d):]); n == 0 {
+			t.Fatal("join index has no token")
+		}
+		off := at(p, d) + 4
+		binary.LittleEndian.PutUint32(p[off:], binary.LittleEndian.Uint32(p[off:])+1)
+		return p
+	}
 	put := func(p []byte, off int, v uint32) []byte {
 		binary.LittleEndian.PutUint32(p[off:], v)
 		return p
@@ -523,6 +543,7 @@ func TestSnapshotRejectsForgedIDSets(t *testing.T) {
 		}},
 		{"join IDs not ascending", secJoin, func(p []byte) []byte { return equalNext(p, joinSet(p)) }},
 		{"join index sets swapped", secJoin, swapIndexSets},
+		{"join index df above its postings", secJoin, bumpDF},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			path := filepath.Join(dir, "forged.snap")

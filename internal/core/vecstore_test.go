@@ -83,8 +83,8 @@ func TestSnapshotLoadFileVecModes(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if loaded.Vecs.Mapped() {
-			t.Error("VecMode heap produced a mapped store")
+		if got := loaded.Vecs.Residency(); got != "heap" {
+			t.Errorf("VecMode heap produced a %s store", got)
 		}
 		check(t, loaded)
 	})
@@ -100,8 +100,8 @@ func TestSnapshotLoadFileVecModes(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer loaded.Vecs.Close()
-		if !loaded.Vecs.Mapped() {
-			t.Error("VecMode mmap produced an unmapped store")
+		if got := loaded.Vecs.Residency(); got != "mmap" {
+			t.Errorf("VecMode mmap produced a %s store", got)
 		}
 		check(t, loaded)
 	})
@@ -111,8 +111,8 @@ func TestSnapshotLoadFileVecModes(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer loaded.Vecs.Close()
-		if loaded.Vecs.Mapped() != vecstore.MmapSupported() {
-			t.Errorf("auto mode: Mapped() = %v, MmapSupported() = %v", loaded.Vecs.Mapped(), vecstore.MmapSupported())
+		if got := loaded.Vecs.Residency(); (got == "mmap") != vecstore.MmapSupported() {
+			t.Errorf("auto mode: residency %s, MmapSupported() = %v", got, vecstore.MmapSupported())
 		}
 		check(t, loaded)
 	})
@@ -164,5 +164,73 @@ func TestModelSharesVecStoreRows(t *testing.T) {
 	b := embedding.Vector(sv.Vec(1))
 	if got, want := embedding.CosineWithNorms(a, b, sv.Norm(0), sv.Norm(1)), embedding.Cosine(a, b); got != want {
 		t.Fatalf("CosineWithNorms %v != Cosine %v", got, want)
+	}
+}
+
+// TestChainLoadSharesBaseModelRows pins what a merge does with the
+// base's frozen model: the merged store's model segment is the base
+// store's, row for row the same memory, and the model reads those rows;
+// only the Starmie rows are the merged store's own. Over a mapped base
+// the merged store is mixed, and the memory report counts its heap
+// rows only.
+func TestChainLoadSharesBaseModelRows(t *testing.T) {
+	basePath, deltaPath, _, _ := deltaFixture(t)
+	for _, mode := range []string{"heap", "mmap"} {
+		t.Run(mode, func(t *testing.T) {
+			if mode == "mmap" && !vecstore.MmapSupported() {
+				t.Skip("mmap unsupported on this platform")
+			}
+			o, err := openFile(basePath, Options{VecMode: mode})
+			if err != nil {
+				t.Fatal(err)
+			}
+			deltas, infos, err := loadDeltaFiles([]string{deltaPath})
+			if err != nil {
+				t.Fatal(err)
+			}
+			base, u, err := o.decode(false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			baseRows, _ := base.Vecs.View("model")
+			sys, err := applyDeltas(base, u, deltas, infos)
+			if err != nil {
+				t.Fatal(err)
+			}
+			mv, ok := sys.Vecs.View("model")
+			if !ok || mv.Len() != baseRows.Len() || mv.Len() == 0 {
+				t.Fatalf("merged model segment has %d rows, the base's %d", mv.Len(), baseRows.Len())
+			}
+			for i, tok := range sys.Model.Tokens() {
+				row, got := mv.Vec(i), sys.Model.TokenVector(tok)
+				if &row[0] != &baseRows.Vec(i)[0] || &got[0] != &row[0] || mv.Norm(i) != baseRows.Norm(i) {
+					t.Fatalf("token %q: the merged model row is not the base store's", tok)
+				}
+			}
+			sv, ok := sys.Vecs.View("starmie")
+			if !ok || sv.Mapped() {
+				t.Fatal("the merged Starmie rows are not the merged store's heap rows")
+			}
+			for i, key := range sys.Starmie.ColumnKeys() {
+				if &sys.Starmie.VectorOf(key)[0] != &sv.Vec(i)[0] {
+					t.Fatalf("column %q vector is not a merged store row", key)
+				}
+			}
+			wantRes, wantHeap := "heap", sys.Vecs.DataBytes()+sys.Vecs.NormBytes()
+			if mode == "mmap" {
+				wantRes, wantHeap = "mixed", int64(sv.Len())*int64(sv.Dim()*4+8)
+			}
+			if got := sys.Vecs.Residency(); got != wantRes {
+				t.Errorf("merged store residency %q, want %q", got, wantRes)
+			}
+			if got := sys.Vecs.HeapBytes(); got != wantHeap {
+				t.Errorf("merged store heap bytes %d, want %d", got, wantHeap)
+			}
+			for _, e := range sys.MemStats().Entries {
+				if e.Name == "vec-block" && e.Bytes != wantHeap {
+					t.Errorf("memstats vec-block counts %d bytes, want the %d heap bytes", e.Bytes, wantHeap)
+				}
+			}
+		})
 	}
 }

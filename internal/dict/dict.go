@@ -26,8 +26,11 @@ import "sort"
 // Dict is a frozen value dictionary. Build one with a Builder; a
 // frozen Dict is immutable and safe for unbounded concurrent use.
 type Dict struct {
-	values []string          // ID -> value, sorted ascending
-	ids    map[string]uint32 // value -> ID
+	values []string          // ID -> value; ascending in a root dictionary
+	ids    map[string]uint32 // value -> ID: a root's every value, an extension's appended ones
+	// root is an extension's root dictionary (see Extend), whose values
+	// keep their IDs and are looked up in its map; nil for a root.
+	root *Dict
 }
 
 // Builder accumulates distinct values before freezing them into a
@@ -89,6 +92,11 @@ func (d *Dict) Value(id uint32) string { return d.values[id] }
 func (d *Dict) ID(v string) (uint32, bool) {
 	if d == nil {
 		return 0, false
+	}
+	if d.root != nil {
+		if id, ok := d.root.ids[v]; ok {
+			return id, true
+		}
 	}
 	id, ok := d.ids[v]
 	return id, ok

@@ -3,6 +3,7 @@ package dict
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"sync"
 	"testing"
@@ -353,5 +354,92 @@ func TestMergeEqualsBuild(t *testing.T) {
 	}
 	if _, _, err := Merge(base, []string{"zz-new"}, []string{"zz-new"}); err == nil {
 		t.Error("two blocks adding one value merged")
+	}
+}
+
+// flatExtend is Extend as a flat copy: the base's values and its whole
+// value → ID map copied, the new values appended in sorted order. The
+// layered Extend must behave exactly like it.
+func flatExtend(base *Dict, values []string) *Dict {
+	d := &Dict{ids: make(map[string]uint32)}
+	for i := 0; i < base.Size(); i++ {
+		v := base.Value(uint32(i))
+		d.values = append(d.values, v)
+		d.ids[v] = uint32(i)
+	}
+	var fresh []string
+	for _, v := range values {
+		if _, ok := d.ids[v]; !ok && v != "" && !slices.Contains(fresh, v) {
+			fresh = append(fresh, v)
+		}
+	}
+	slices.Sort(fresh)
+	for _, v := range fresh {
+		d.ids[v] = uint32(len(d.values))
+		d.values = append(d.values, v)
+	}
+	return d
+}
+
+// TestExtendChainEqualsFlatCopy: three chained Extends answer every
+// lookup and encoding a flat copy does, and none holds its root's map:
+// each looks the root's values up there and keeps only the values
+// appended since.
+func TestExtendChainEqualsFlatCopy(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	b := NewBuilder()
+	b.Add(randValues(rng, 200, 300)...)
+	root := b.Build()
+	got, want := root, root
+	probe := randValues(rng, 400, 900)
+	for step := 0; step < 3; step++ {
+		vals := append(randValues(rng, 60, 900), "", root.Value(uint32(step)))
+		got, want = Extend(got, vals), flatExtend(want, vals)
+		if got.root != root {
+			t.Fatalf("extension %d: root is not the base dictionary", step)
+		}
+		if len(got.ids) != got.Size()-root.Size() {
+			t.Fatalf("extension %d: own map holds %d values, %d were appended", step, len(got.ids), got.Size()-root.Size())
+		}
+		if got.Size() != want.Size() {
+			t.Fatalf("extension %d: size %d, flat copy %d", step, got.Size(), want.Size())
+		}
+		for i := 0; i < want.Size(); i++ {
+			v := want.Value(uint32(i))
+			if got.Value(uint32(i)) != v {
+				t.Fatalf("extension %d: Value(%d) = %q, flat copy %q", step, i, got.Value(uint32(i)), v)
+			}
+			if id, ok := got.ID(v); !ok || id != uint32(i) {
+				t.Fatalf("extension %d: ID(%q) = %d, %v; want %d", step, v, id, ok, i)
+			}
+		}
+		for _, v := range probe {
+			gid, gok := got.ID(v)
+			wid, wok := want.ID(v)
+			if gid != wid || gok != wok {
+				t.Fatalf("extension %d: ID(%q) = %d, %v; flat copy %d, %v", step, v, gid, gok, wid, wok)
+			}
+		}
+		q := probe[:50]
+		gs, gok := got.EncodeKnown(q)
+		ws, wok := want.EncodeKnown(q)
+		if gok != wok || !slices.Equal(gs, ws) {
+			t.Fatalf("extension %d: EncodeKnown differs from the flat copy", step)
+		}
+		known := make([]string, 0, 40)
+		for i := 0; i < 40; i++ {
+			known = append(known, want.Value(uint32(rng.Intn(want.Size()))))
+		}
+		gs, gok = got.EncodeKnown(known)
+		ws, wok = want.EncodeKnown(known)
+		if !gok || !wok || !slices.Equal(gs, ws) {
+			t.Fatalf("extension %d: EncodeKnown of interned values differs from the flat copy", step)
+		}
+		if g, w := got.Encoder().Encode(q), want.Encoder().Encode(q); !slices.Equal(g, w) {
+			t.Fatalf("extension %d: Encoder differs from the flat copy", step)
+		}
+	}
+	if fresh := Extend(nil, []string{"b", "a", "b"}); fresh.root != nil || fresh.Size() != 2 || fresh.Value(0) != "a" {
+		t.Fatalf("Extend(nil) = %v over %d values, want a root of a, b", fresh.values, fresh.Size())
 	}
 }

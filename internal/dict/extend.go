@@ -25,6 +25,12 @@ import (
 // and already-interned values skipped) appended in sorted order at IDs
 // starting at base.Size(). The base dictionary is not mutated and
 // remains safe for concurrent readers. A nil base is treated as empty.
+//
+// No map of the root dictionary is copied: an extension looks a value
+// up in its root's map, then in its own, which holds only the values
+// appended since the root. Extending an extension keeps the same root
+// and copies only that small map, so a chain of deltas stays two maps
+// deep however long it grows.
 func Extend(base *Dict, values []string) *Dict {
 	fresh := make(map[string]struct{})
 	for _, v := range values {
@@ -43,15 +49,18 @@ func Extend(base *Dict, values []string) *Dict {
 	sort.Strings(appended)
 
 	n := base.Size()
-	d := &Dict{
-		values: make([]string, 0, n+len(appended)),
-		ids:    make(map[string]uint32, n+len(appended)),
-	}
+	d := &Dict{values: make([]string, 0, n+len(appended))}
+	var own map[string]uint32
 	if base != nil {
 		d.values = append(d.values, base.values...)
-		for v, id := range base.ids {
-			d.ids[v] = id
+		d.root = base
+		if base.root != nil {
+			d.root, own = base.root, base.ids
 		}
+	}
+	d.ids = make(map[string]uint32, len(own)+len(appended))
+	for v, id := range own {
+		d.ids[v] = id
 	}
 	for i, v := range appended {
 		d.values = append(d.values, v)

@@ -140,7 +140,6 @@ func (b *Builder) Build() (*Index, error) {
 	ix := &Index{
 		tokenIDs: make(map[string]int32, len(tokens)),
 		df:       make([]int32, len(tokens)),
-		postings: make([][]Posting, len(tokens)),
 		sets:     make([][]int32, len(b.keys)),
 		keys:     b.keys,
 		keyToSet: make(map[string]int32, len(b.keys)),
@@ -154,13 +153,11 @@ func (b *Builder) Build() (*Index, error) {
 		for i, v := range vs {
 			ranks[i] = ix.tokenIDs[v]
 		}
-		sort.Slice(ranks, func(i, j int) bool { return ranks[i] < ranks[j] })
+		slices.Sort(ranks)
 		ix.sets[sid] = ranks
 		ix.keyToSet[b.keys[sid]] = int32(sid)
-		for pos, r := range ranks {
-			ix.postings[r] = append(ix.postings[r], Posting{Set: int32(sid), Pos: int32(pos)})
-		}
 	}
+	ix.postings = postingsCSR(ix.sets, ix.df)
 	return ix, nil
 }
 
@@ -178,52 +175,83 @@ func (b *Builder) buildIDs() (*Index, error) {
 		}
 	}
 	df := make([]int32, maxID+1)
+	maxDF := int32(0)
 	for _, vs := range b.idValues {
 		for _, id := range vs {
 			df[id]++
+			maxDF = max(maxDF, df[id])
 		}
 	}
-	tokens := make([]uint32, 0, len(df))
-	for id, n := range df {
+	// Rank tokens by ascending df, ties by ID: a counting sort over df.
+	// Tokens enter their df's bucket in ascending ID order, so each
+	// bucket keeps the (df, ID) order a comparison sort gives.
+	// next[n] starts as the first rank of df n: the count of tokens of
+	// a smaller df. next[maxDF+1] ends as the token count.
+	next := make([]int32, maxDF+2)
+	for _, n := range df {
 		if n > 0 {
-			tokens = append(tokens, uint32(id))
+			next[n+1]++
 		}
 	}
-	sort.Slice(tokens, func(i, j int) bool {
-		if df[tokens[i]] != df[tokens[j]] {
-			return df[tokens[i]] < df[tokens[j]]
-		}
-		return tokens[i] < tokens[j]
-	})
+	for n := int32(1); n <= maxDF; n++ {
+		next[n+1] += next[n]
+	}
+	ntok := next[maxDF+1]
 	ix := &Index{
-		idOf:     tokens,
+		idOf:     make([]uint32, ntok),
 		rankOfID: make([]int32, maxID+1),
-		df:       make([]int32, len(tokens)),
-		postings: make([][]Posting, len(tokens)),
+		df:       make([]int32, ntok),
 		sets:     make([][]int32, len(b.keys)),
 		keys:     b.keys,
 		keyToSet: make(map[string]int32, len(b.keys)),
 	}
-	for i := range ix.rankOfID {
-		ix.rankOfID[i] = -1
-	}
-	for rank, id := range tokens {
-		ix.rankOfID[id] = int32(rank)
-		ix.df[rank] = df[id]
+	for id, n := range df {
+		rank := int32(-1)
+		if n > 0 {
+			rank = next[n]
+			next[n]++
+			ix.idOf[rank] = uint32(id)
+			ix.df[rank] = n
+		}
+		ix.rankOfID[id] = rank
 	}
 	for sid, vs := range b.idValues {
 		ranks := make([]int32, len(vs))
 		for i, id := range vs {
 			ranks[i] = ix.rankOfID[id]
 		}
-		sort.Slice(ranks, func(i, j int) bool { return ranks[i] < ranks[j] })
+		slices.Sort(ranks)
 		ix.sets[sid] = ranks
 		ix.keyToSet[b.keys[sid]] = int32(sid)
-		for pos, r := range ranks {
-			ix.postings[r] = append(ix.postings[r], Posting{Set: int32(sid), Pos: int32(pos)})
+	}
+	ix.postings = postingsCSR(ix.sets, ix.df)
+	return ix, nil
+}
+
+// postingsCSR builds every rank's posting list from the rank-ordered
+// sets, as slices of one backing array: list r holds counts[r] entries
+// (the rank's df, which the sets must agree with), in ascending set ID,
+// and its capacity is its length. A rank with no posting gets nil.
+func postingsCSR(sets [][]int32, counts []int32) [][]Posting {
+	total := 0
+	for _, n := range counts {
+		total += int(n)
+	}
+	backing := make([]Posting, total)
+	postings := make([][]Posting, len(counts))
+	off := 0
+	for r, n := range counts {
+		if n > 0 {
+			postings[r] = backing[off : off : off+int(n)]
+			off += int(n)
 		}
 	}
-	return ix, nil
+	for sid, set := range sets {
+		for pos, r := range set {
+			postings[r] = append(postings[r], Posting{Set: int32(sid), Pos: int32(pos)})
+		}
+	}
+	return postings
 }
 
 // NumSets returns the number of indexed sets.

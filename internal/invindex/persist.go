@@ -73,7 +73,6 @@ func DecodeSnapshot(d *snap.Decoder, idSpace int, keys []string) (*Index, error)
 	}
 	ix := &Index{
 		df:       df,
-		postings: make([][]Posting, len(df)),
 		sets:     make([][]int32, numSets),
 		keys:     keys,
 		keyToSet: make(map[string]int32, numSets),
@@ -106,6 +105,11 @@ func DecodeSnapshot(d *snap.Decoder, idSpace int, keys []string) (*Index, error)
 			ix.tokenIDs[tok] = int32(rank)
 		}
 	}
+	// The count pass: decode every set, count each rank's postings and
+	// hold the stored df to the counts, which JOSIE's cost model and
+	// the planner's cost read; then lay the postings out as postingsCSR
+	// does for a build.
+	counts := make([]int32, len(df))
 	for sid := 0; sid < numSets; sid++ {
 		set := d.I32s()
 		if d.Err() != nil {
@@ -116,12 +120,18 @@ func DecodeSnapshot(d *snap.Decoder, idSpace int, keys []string) (*Index, error)
 			return nil, fmt.Errorf("%w: duplicate set key %q", ErrCorruptSnapshot, keys[sid])
 		}
 		ix.keyToSet[keys[sid]] = int32(sid)
-		for pos, rank := range set {
-			if rank < 0 || int(rank) >= len(ix.postings) {
+		for _, rank := range set {
+			if rank < 0 || int(rank) >= len(counts) {
 				return nil, fmt.Errorf("%w: rank %d out of range in set %d", ErrCorruptSnapshot, rank, sid)
 			}
-			ix.postings[rank] = append(ix.postings[rank], Posting{Set: int32(sid), Pos: int32(pos)})
+			counts[rank]++
 		}
 	}
+	for rank, n := range counts {
+		if df[rank] != n {
+			return nil, fmt.Errorf("%w: token rank %d stores df %d over %d postings", ErrCorruptSnapshot, rank, df[rank], n)
+		}
+	}
+	ix.postings = postingsCSR(ix.sets, counts)
 	return ix, nil
 }

@@ -207,6 +207,20 @@ func TestLoadRejectsInconsistentSnapshots(t *testing.T) {
 			e.I32s([]int32{0})
 			e.I32s([]int32{0})
 		}},
+		{"df above its postings", []string{"k"}, func(e *snap.Encoder) {
+			e.Bool(true)
+			e.U32s([]uint32{0, 1})
+			e.I32s([]int32{1, 2}) // rank 1 claims two sets, one holds it
+			e.U32(1)
+			e.I32s([]int32{0, 1})
+		}},
+		{"df of an unposted token", []string{"k"}, func(e *snap.Encoder) {
+			e.Bool(false)
+			e.Strs([]string{"a", "b"})
+			e.I32s([]int32{1, 1}) // no set holds rank 1
+			e.U32(1)
+			e.I32s([]int32{0})
+		}},
 		{"payload too short", nil, func(e *snap.Encoder) {
 			e.Bool(false)
 			e.Strs([]string{"a"})

@@ -126,8 +126,10 @@ type HealthResponse struct {
 	// serving snapshot (0 when serving a plain base); a deep chain is a
 	// signal to compact.
 	DeltaDepth int `json:"delta_depth,omitempty"`
-	// VecMode is how the serving snapshot's vector block is resident:
-	// "mmap" (zero-copy, page-cache shared) or "heap".
+	// VecMode is how the serving snapshot's vector store is resident:
+	// "mmap" (zero-copy, page-cache shared), "heap", or "mixed" — a
+	// merged delta chain whose model rows alias the mapped base while
+	// its Starmie rows were built on the heap.
 	VecMode string       `json:"vec_mode,omitempty"`
 	Shard   *ShardHealth `json:"shard,omitempty"`
 }
@@ -200,14 +202,18 @@ type DeltaStats struct {
 	LastCompactGen string `json:"last_compact_gen"`
 }
 
-// VecStoreStats describes the serving system's shared vector block:
-// residency mode, shape and on-disk bytes.
+// VecStoreStats describes the serving system's vector store:
+// residency mode, shape, on-disk bytes and the share of them on the
+// heap. Mode is "heap", "mmap", or "mixed" when some segments alias a
+// mapped file and others live on the heap (a merged delta chain over
+// a mapped base); HeapBytes counts the heap-resident segments only.
 type VecStoreStats struct {
-	Mode     string `json:"mode"` // "heap" | "mmap"
-	Vectors  int    `json:"vectors"`
-	Dim      int    `json:"dim"`
-	Segments int    `json:"segments"`
-	Bytes    int64  `json:"bytes"`
+	Mode      string `json:"mode"` // "heap" | "mmap" | "mixed"
+	Vectors   int    `json:"vectors"`
+	Dim       int    `json:"dim"`
+	Segments  int    `json:"segments"`
+	Bytes     int64  `json:"bytes"`
+	HeapBytes int64  `json:"heap_bytes"`
 }
 
 // LakeStats mirrors lake.Stats for the wire.
@@ -323,10 +329,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		DeltaDepth:    snap.sys.Lineage.Depth(),
 	}
 	if v := snap.sys.Vecs; v != nil {
-		resp.VecMode = "heap"
-		if v.Mapped() {
-			resp.VecMode = "mmap"
-		}
+		resp.VecMode = v.Residency()
 	}
 	if sh := s.cfg.Shard; sh != nil {
 		resp.Shard = &ShardHealth{
@@ -386,16 +389,13 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	}
 	var vs *VecStoreStats
 	if v := snap.sys.Vecs; v != nil {
-		mode := "heap"
-		if v.Mapped() {
-			mode = "mmap"
-		}
 		vs = &VecStoreStats{
-			Mode:     mode,
-			Vectors:  v.Count(),
-			Dim:      v.Dim(),
-			Segments: len(v.Segments()),
-			Bytes:    v.DataBytes() + v.NormBytes(),
+			Mode:      v.Residency(),
+			Vectors:   v.Count(),
+			Dim:       v.Dim(),
+			Segments:  len(v.Segments()),
+			Bytes:     v.DataBytes() + v.NormBytes(),
+			HeapBytes: v.HeapBytes(),
 		}
 	}
 	var ds *DeltaStats

@@ -16,7 +16,3 @@ func mmapRegion(f *os.File, off int64, length int) (view, mapping []byte, err er
 }
 
 func munmapRegion(mapping []byte) error { return nil }
-
-func f32sOf(b []byte) []float32 { panic("vecstore: no mmap on this platform") }
-
-func f64sOf(b []byte) []float64 { panic("vecstore: no mmap on this platform") }

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"os"
 	"syscall"
-	"unsafe"
 )
 
 // MmapSupported reports whether this build can serve the vector blob
@@ -30,17 +29,4 @@ func mmapRegion(f *os.File, off int64, length int) (view, mapping []byte, err er
 
 func munmapRegion(mapping []byte) error {
 	return syscall.Munmap(mapping)
-}
-
-// f32sOf reinterprets little-endian float32 bytes in place. The
-// caller guarantees 4-byte alignment (the blob sits at a 64-aligned
-// file offset inside a page-aligned mapping) and len(b)%4 == 0.
-func f32sOf(b []byte) []float32 {
-	return unsafe.Slice((*float32)(unsafe.Pointer(&b[0])), len(b)/4)
-}
-
-// f64sOf reinterprets little-endian float64 bytes in place; the blob
-// layout 8-aligns the norms block.
-func f64sOf(b []byte) []float64 {
-	return unsafe.Slice((*float64)(unsafe.Pointer(&b[0])), len(b)/8)
 }

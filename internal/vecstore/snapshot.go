@@ -8,6 +8,7 @@ import (
 	"math"
 	"os"
 	"slices"
+	"unsafe"
 
 	"tablehound/internal/snap"
 )
@@ -50,8 +51,7 @@ func PadTo(off int64) int {
 
 // BlobLen returns the byte length of the store's raw blob.
 func (s *Store) BlobLen() uint64 {
-	dataBytes := uint64(len(s.data)) * 4
-	return align8(dataBytes) + uint64(len(s.norms))*8
+	return align8(uint64(s.DataBytes())) + uint64(s.NormBytes())
 }
 
 // AppendDirectory encodes everything about the store except the raw
@@ -139,7 +139,7 @@ func DecodeDirectory(d *snap.Decoder) (*Directory, error) {
 			return corrupt("segment %q: %d rows over store count %d", name, n, count)
 		}
 		dir.segIx[name] = len(dir.segs)
-		dir.segs = append(dir.segs, segment{name: name, off: off, n: int(n)})
+		dir.segs = append(dir.segs, segment{name: name, n: int(n)})
 		off += int(n)
 	}
 	if uint64(off) != count {
@@ -152,95 +152,129 @@ func DecodeDirectory(d *snap.Decoder) (*Directory, error) {
 	return dir, nil
 }
 
-// WriteBlob writes the raw blob (data, pad to 8, norms). The caller
-// must have positioned w at a blobAlign-aligned file offset.
+// WriteBlob writes the raw blob: every segment's rows, the zero pad to
+// 8, every segment's norms. The caller must have positioned w at a
+// blobAlign-aligned file offset.
 func (s *Store) WriteBlob(w io.Writer) error {
-	return writeBlob(w, s.data, s.norms)
+	return s.writeBlob(w, hostLittleEndian)
 }
 
-func writeBlob(w io.Writer, data []float32, norms []float64) error {
+// writeBlob writes the blob's bytes. inPlace writes each segment's
+// rows and norms as they lie in memory, which only a little-endian
+// host may do; otherwise every value is encoded through a buffer.
+func (s *Store) writeBlob(w io.Writer, inPlace bool) error {
+	pad := make([]byte, align8(uint64(s.DataBytes()))-uint64(s.DataBytes()))
+	if inPlace {
+		for _, sg := range s.segs {
+			if _, err := w.Write(f32Bytes(sg.data)); err != nil {
+				return err
+			}
+		}
+		if _, err := w.Write(pad); err != nil {
+			return err
+		}
+		for _, sg := range s.segs {
+			if _, err := w.Write(f64Bytes(sg.norms)); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
 	var buf [32 * 1024]byte
 	fill := 0
-	flush := func() error {
-		if fill == 0 {
+	// reserve flushes buf unless n more bytes fit.
+	reserve := func(n int) error {
+		if fill+n <= len(buf) {
 			return nil
 		}
 		_, err := w.Write(buf[:fill])
 		fill = 0
 		return err
 	}
-	for _, v := range data {
-		if fill+4 > len(buf) {
-			if err := flush(); err != nil {
+	for _, sg := range s.segs {
+		for _, v := range sg.data {
+			if err := reserve(4); err != nil {
 				return err
 			}
+			binary.LittleEndian.PutUint32(buf[fill:], math.Float32bits(v))
+			fill += 4
 		}
-		binary.LittleEndian.PutUint32(buf[fill:], math.Float32bits(v))
-		fill += 4
 	}
-	if pad := int(align8(uint64(len(data))*4) - uint64(len(data))*4); pad > 0 {
-		if fill+pad > len(buf) {
-			if err := flush(); err != nil {
+	if err := reserve(len(pad)); err != nil {
+		return err
+	}
+	fill += copy(buf[fill:], pad)
+	for _, sg := range s.segs {
+		for _, v := range sg.norms {
+			if err := reserve(8); err != nil {
 				return err
 			}
+			binary.LittleEndian.PutUint64(buf[fill:], math.Float64bits(v))
+			fill += 8
 		}
-		for i := 0; i < pad; i++ {
-			buf[fill+i] = 0
-		}
-		fill += pad
 	}
-	for _, v := range norms {
-		if fill+8 > len(buf) {
-			if err := flush(); err != nil {
-				return err
-			}
-		}
-		binary.LittleEndian.PutUint64(buf[fill:], math.Float64bits(v))
-		fill += 8
-	}
-	return flush()
+	_, err := w.Write(buf[:fill])
+	return err
 }
 
-// blobCRC is the CRC32-IEEE of exactly the bytes WriteBlob emits.
-func blobCRC(data []float32, norms []float64) uint32 {
+// crc is the CRC32-IEEE of exactly the bytes WriteBlob emits; inPlace
+// as for writeBlob, under which crc32.Update runs over the rows and
+// norms where they lie.
+func (s *Store) crc(inPlace bool) uint32 {
 	h := crc32.NewIEEE()
-	writeBlob(h, data, norms) // hash.Hash never errors
+	s.writeBlob(h, inPlace) // hash.Hash never errors
 	return h.Sum32()
 }
 
-// ReadBlob consumes the blob from r, verifies its CRC, and decodes
-// it onto the heap — the portable fallback, byte-identical in effect
-// to the mmap path.
+// ReadBlob consumes the blob from r, verifies its CRC and padding, and
+// returns a heap-backed store — the portable fallback, byte-identical
+// in effect to the mmap path. The blob is read into one 8-byte-aligned
+// buffer, which a little-endian host then views in place as the rows
+// and norms; a big-endian one decodes them from it.
 func (dir *Directory) ReadBlob(r io.Reader) (*Store, error) {
 	// Read in 64 MiB chunks: a declared length the stream does not hold
-	// fails at the stream's end instead of sizing one allocation.
-	var raw []byte
-	for n := 0; n < int(dir.BlobLen); n = len(raw) {
+	// fails at the stream's end instead of sizing one allocation. The
+	// blob length is a multiple of 8 (DecodeDirectory checks it against
+	// the shape), so the words hold it exactly.
+	if dir.BlobLen%8 != 0 {
+		return nil, fmt.Errorf("%w: vecstore: blob length %d not a multiple of 8", snap.ErrCorrupt, dir.BlobLen)
+	}
+	var words []uint64
+	for n := 0; n < int(dir.BlobLen); n = len(words) * 8 {
 		m := min(int(dir.BlobLen)-n, 64<<20)
-		raw = slices.Grow(raw, m)[:n+m]
-		if _, err := io.ReadFull(r, raw[n:]); err != nil {
+		words = slices.Grow(words, m/8)[:(n+m)/8]
+		if _, err := io.ReadFull(r, u64Bytes(words)[n:]); err != nil {
 			return nil, fmt.Errorf("%w: vecstore: short blob: %v", snap.ErrCorrupt, err)
 		}
 	}
+	raw := u64Bytes(words)
 	if got := crc32.ChecksumIEEE(raw); got != dir.CRC {
 		return nil, fmt.Errorf("%w: vecstore: blob checksum mismatch", snap.ErrCorrupt)
 	}
 	nData := dir.Count * dir.Dim
-	data := make([]float32, nData)
-	for i := range data {
-		data[i] = math.Float32frombits(binary.LittleEndian.Uint32(raw[i*4:]))
-	}
 	normsOff := int(align8(uint64(nData) * 4))
 	for i := nData * 4; i < normsOff; i++ {
 		if raw[i] != 0 {
 			return nil, fmt.Errorf("%w: vecstore: nonzero blob padding", snap.ErrCorrupt)
 		}
 	}
+	if hostLittleEndian {
+		return dir.assemble(f32sOf(raw[:nData*4]), f64sOf(raw[normsOff:]), nil), nil
+	}
+	data := make([]float32, nData)
+	for i := range data {
+		data[i] = math.Float32frombits(binary.LittleEndian.Uint32(raw[i*4:]))
+	}
 	norms := make([]float64, dir.Count)
 	for i := range norms {
 		norms[i] = math.Float64frombits(binary.LittleEndian.Uint64(raw[normsOff+i*8:]))
 	}
 	return dir.assemble(data, norms, nil), nil
+}
+
+// u64Bytes views words as their in-memory bytes.
+func u64Bytes(words []uint64) []byte {
+	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(words))), len(words)*8)
 }
 
 // MmapBlob maps the blob at byte offset off of f (off must be
@@ -274,25 +308,28 @@ func (dir *Directory) MmapBlob(f *os.File, off int64) (*Store, error) {
 	}
 	nData := dir.Count * dir.Dim
 	normsOff := int(align8(uint64(nData) * 4))
-	var data []float32
-	var norms []float64
-	if nData > 0 {
-		data = f32sOf(view[:nData*4])
-	}
-	if dir.Count > 0 {
-		norms = f64sOf(view[normsOff : normsOff+dir.Count*8])
-	}
-	return dir.assemble(data, norms, mapping), nil
+	return dir.assemble(f32sOf(view[:nData*4]), f64sOf(view[normsOff:normsOff+dir.Count*8]), mapping), nil
 }
 
+// assemble cuts the one decoded block — all rows, then all norms — into
+// the directory's segments, each owning its run of both.
 func (dir *Directory) assemble(data []float32, norms []float64, mapping []byte) *Store {
-	return &Store{
+	s := &Store{
 		dim:     dir.Dim,
-		data:    data,
-		norms:   norms,
-		segs:    dir.segs,
+		count:   dir.Count,
+		segs:    make([]segment, len(dir.segs)),
 		segIx:   dir.segIx,
 		blobCRC: dir.CRC,
 		mapping: mapping,
 	}
+	off := 0
+	for i, sg := range dir.segs {
+		lo, hi := off*dir.Dim, (off+sg.n)*dir.Dim
+		sg.data = data[lo:hi:hi]
+		sg.norms = norms[off : off+sg.n : off+sg.n]
+		sg.mapped = mapping != nil
+		s.segs[i] = sg
+		off += sg.n
+	}
+	return s
 }

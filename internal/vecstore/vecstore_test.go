@@ -59,6 +59,16 @@ func buildStore(t testing.TB, vecs [][]float32, seg string) *Store {
 	return s
 }
 
+// blobOf is the blob WriteBlob writes for s.
+func blobOf(t testing.TB, s *Store) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := s.WriteBlob(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
 func TestBuilderNormsMatchVectorNorm(t *testing.T) {
 	vecs := synthVecs(100, 16, 4, 1)
 	s := buildStore(t, vecs, "a")
@@ -79,7 +89,7 @@ func TestBuilderGrowSameStore(t *testing.T) {
 	vecs := synthVecs(300, 16, 4, 2)
 	want := buildStore(t, vecs, "a")
 	b := NewBuilder(16)
-	b.Grow(len(vecs))
+	b.Grow("a", len(vecs))
 	for _, v := range vecs {
 		b.Append("a", v)
 	}
@@ -87,7 +97,7 @@ func TestBuilderGrowSameStore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(got.data, want.data) || !reflect.DeepEqual(got.norms, want.norms) || got.BlobCRC() != want.BlobCRC() {
+	if !bytes.Equal(blobOf(t, got), blobOf(t, want)) || got.BlobCRC() != want.BlobCRC() {
 		t.Fatal("a grown builder built a different store")
 	}
 }
@@ -172,7 +182,7 @@ func TestSnapshotRoundTripHeap(t *testing.T) {
 	}
 
 	got := roundTrip(t, s)
-	if !reflect.DeepEqual(got.data, s.data) || !reflect.DeepEqual(got.norms, s.norms) {
+	if !bytes.Equal(blobOf(t, got), blobOf(t, s)) {
 		t.Fatal("blob data changed across round trip")
 	}
 	if !reflect.DeepEqual(got.segs, s.segs) {
@@ -245,10 +255,10 @@ func TestMmapParity(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer m.Close()
-	if !m.Mapped() {
-		t.Fatal("store not mapped")
+	if m.Residency() != "mmap" || m.HeapBytes() != 0 {
+		t.Fatalf("store residency %q with %d heap bytes, want mmap with none", m.Residency(), m.HeapBytes())
 	}
-	if !reflect.DeepEqual(m.data, s.data) || !reflect.DeepEqual(m.norms, s.norms) {
+	if !bytes.Equal(blobOf(t, m), blobOf(t, s)) {
 		t.Fatal("mmap view differs from built data")
 	}
 	sameRows(t, m, s)
