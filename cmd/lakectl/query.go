@@ -103,6 +103,12 @@ func remoteStats(addr string) error {
 		st.Cache.Hits, st.Cache.Misses, st.Cache.HitRatio, st.Cache.Entries, st.Cache.Evictions)
 	fmt.Printf("admission:       %d in flight, %d queued, %d shed, %d timeouts\n",
 		st.InFlight, st.QueueDepth, st.Shed, st.Timeouts)
+	if vs := st.VecStore; vs != nil {
+		// "mixed": a merged delta chain's model rows alias the mapped
+		// base file, its Starmie rows live on the heap.
+		fmt.Printf("vector store:    %d vectors x %d dims in %d segments, %s on disk, %s on the heap, residency %s\n",
+			vs.Vectors, vs.Dim, vs.Segments, memBytes(vs.Bytes), memBytes(vs.HeapBytes), vs.Mode)
+	}
 	for _, name := range []string{"join", "union", "keyword", "discover"} {
 		ep, ok := st.Endpoints[name]
 		if !ok {

@@ -15,6 +15,7 @@ import (
 	"tablehound/internal/datagen"
 	"tablehound/internal/lake"
 	"tablehound/internal/table"
+	"tablehound/internal/vecstore"
 )
 
 // deltaFixture builds a small base snapshot plus one add-delta on disk
@@ -227,6 +228,19 @@ func TestAdminCompactAndDeltaObservability(t *testing.T) {
 	}
 	if sr.Delta.DeltaCount != 1 || sr.Delta.LastCompactGen == "" {
 		t.Fatalf("stats delta block = %+v, want delta_count 1 and a last_compact_gen", sr.Delta)
+	}
+	// The chain's model rows are the mapped base's, its Starmie rows
+	// the merge's heap rows: a mixed store, reported as such.
+	wantMode := "heap"
+	if vecstore.MmapSupported() {
+		wantMode = "mixed"
+	}
+	if hr.VecMode != wantMode {
+		t.Errorf("healthz vec_mode = %q, want %q", hr.VecMode, wantMode)
+	}
+	if vs := sr.VecStore; vs == nil || vs.Mode != wantMode || vs.HeapBytes != chain.Vecs.HeapBytes() ||
+		(wantMode == "mixed") != (vs.HeapBytes < vs.Bytes) {
+		t.Errorf("stats vecstore block = %+v, want mode %q and the store's %d heap bytes", vs, wantMode, chain.Vecs.HeapBytes())
 	}
 
 	// Without a compactor the endpoint is explicit about it.

@@ -264,3 +264,33 @@ func TestResidencyMixed(t *testing.T) {
 		t.Error("segment residency: model should be mapped, starmie not")
 	}
 }
+
+// TestReadBlobDecodingPathMatchesInPlace runs the heap read's
+// big-endian path — every value decoded out of the buffer — on this
+// host by clearing hostLittleEndian, and holds it to the in-place view.
+func TestReadBlobDecodingPathMatchesInPlace(t *testing.T) {
+	s := segStore(t, 5, []string{"a", "b"}, []int{3, 4}, 8)
+	read := func() *Store {
+		t.Helper()
+		e := &snap.Encoder{}
+		s.AppendDirectory(e)
+		dir, err := DecodeDirectory(snap.NewDecoder(e.Bytes()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := dir.ReadBlob(bytes.NewReader(encodedBlob(t, s)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return got
+	}
+	inPlace := read()
+	defer func(le bool) { hostLittleEndian = le }(hostLittleEndian)
+	hostLittleEndian = false
+	decoded := read()
+	sameRows(t, decoded, s)
+	sameRows(t, inPlace, s)
+	if !bytes.Equal(blobOf(t, decoded), encodedBlob(t, s)) || decoded.BlobCRC() != s.BlobCRC() {
+		t.Fatal("the decoding path's store writes another blob")
+	}
+}
