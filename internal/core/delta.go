@@ -854,10 +854,7 @@ func applyDeltas(base *System, u *unionSections, deltas []*Delta, infos []DeltaI
 		slices.Sort(ns)
 		joinSets[key] = ns
 	}
-	model, ok := base.Vecs.View("model")
-	if !ok {
-		return nil, fmt.Errorf("%w: vector directory has no model segment", ErrCorruptSnapshot)
-	}
+	model, _ := base.Vecs.View("model") // the base's foundations required it
 	mp := mergedParts{
 		model:   model,
 		added:   added,
