@@ -103,7 +103,8 @@ bench-build:
 # BenchmarkSnapshotLoadFullPipeline loads the end-to-end benchmark's
 # `lifecycle` lake shape with the default options (its load_s), and
 # BenchmarkSnapshotLoadServing its `serve_cold` shape with the serving
-# options. BenchmarkFuzzyFirstSearch, BenchmarkFirstNavigate and
+# options, with its allocations (allocs/op, B/op) and the heap one
+# loaded system retains (heap-MiB). BenchmarkFuzzyFirstSearch, BenchmarkFirstNavigate and
 # BenchmarkFirstJoinPath time the first call of a fresh `lifecycle`
 # system, which builds the index no build or load does: the fuzzy index
 # and its k-means table, the organization, the Aurum graph.
@@ -122,8 +123,9 @@ bench-snapshot:
 # end-to-end benchmark's 100-table `lifecycle` lake shape with every
 # rebuilt stage on (BenchmarkDeltaChainLoadFullPipeline), and over its
 # 300-table `serve_cold` shape with the serving options
-# (BenchmarkDeltaChainLoadServing, which also reports seven of the
-# merge's stage walls: dict, keyword, join, tus, santos, d3l and vecs).
+# (BenchmarkDeltaChainLoadServing, which also reports its allocations
+# and seven of the merge's stage walls: dict, keyword, join, tus,
+# santos, d3l and vecs).
 # BenchmarkDeltaAddServing is `lakectl add` over that `serve_cold`
 # shape (BuildDelta + SaveFile, the harness's delta_build phase), with
 # its allocations. Results recorded in EXPERIMENTS.md.

@@ -10,7 +10,7 @@
 //	lakectl add -base FILE.snap [-deltas D1,D2] -o DELTA.thdb FILE.csv...
 //	lakectl remove -base FILE.snap [-deltas D1,D2] -ids ID1,ID2 -o DELTA.thdb
 //	lakectl compact -base FILE.snap -deltas D1,D2 -o NEW.snap
-//	lakectl stats -lake DIR | -addr HOST:PORT
+//	lakectl stats -lake DIR | -snapshot FILE.snap [-deltas D1,D2] | -addr HOST:PORT
 //	lakectl query <search|vsearch|join|union> -addr HOST:PORT [flags]
 //	lakectl search -lake DIR -q "topic keywords" [-k 10]
 //	lakectl join -lake DIR -table ID -column NAME [-k 10]
@@ -117,7 +117,8 @@ commands:
             (no rebuild; query with -snapshot BASE -deltas DELTA,...)
   remove    tombstone tables as a delta snapshot chained to a base
   compact   fold a delta chain into a fresh full base snapshot
-  stats     print catalog statistics for a lake (or -addr for a daemon)
+  stats     print catalog statistics for a lake, a snapshot and its
+            deltas, or (-addr) a daemon
   query     run a search against a running lakeserved daemon
   search    keyword search over table metadata
   join      find joinable columns for a query column
@@ -396,9 +397,20 @@ func cmdStats(args []string) error {
 	if *addr != "" {
 		return remoteStats(*addr)
 	}
-	cat, err := bf.loadCatalog(*dir)
-	if err != nil {
-		return err
+	var cat *lake.Catalog
+	if *bf.snapshot != "" || *bf.deltas != "" {
+		// The catalog a snapshot (and its delta chain) holds: the chain
+		// is loaded as every system command loads it.
+		sys, err := bf.buildSystem(*dir)
+		if err != nil {
+			return err
+		}
+		cat = sys.Catalog
+	} else {
+		var err error
+		if cat, err = bf.loadCatalog(*dir); err != nil {
+			return err
+		}
 	}
 	s := cat.Stats()
 	fmt.Printf("tables:          %d\ncolumns:         %d\nrows:            %d\ndistinct values: %d\n",

@@ -82,6 +82,66 @@ func TestCmdGenAndStats(t *testing.T) {
 	}
 }
 
+// TestCmdStatsFromSnapshot: stats over a snapshot, and over a snapshot
+// with a delta chained onto it, print what stats over the CSV lake with
+// the same tables prints.
+func TestCmdStatsFromSnapshot(t *testing.T) {
+	silence(t)
+	dir := genLake(t)
+	tmp := t.TempDir()
+	snapPath := filepath.Join(tmp, "lake.snap")
+	if err := cmdBuild([]string{"-lake", dir, "-o", snapPath}); err != nil {
+		t.Fatal(err)
+	}
+	csv, err := os.ReadFile(filepath.Join(dir, "t000_00.csv"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	extra := filepath.Join(tmp, "zz_extra.csv")
+	if err := os.WriteFile(extra, csv, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	deltaPath := filepath.Join(tmp, "extra.thdb")
+	if err := cmdAdd([]string{"-base", snapPath, "-o", deltaPath, extra}); err != nil {
+		t.Fatal(err)
+	}
+	grown := filepath.Join(tmp, "grown")
+	if err := os.Mkdir(grown, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		b, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		if err == nil {
+			err = os.WriteFile(filepath.Join(grown, e.Name()), b, 0o644)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := os.WriteFile(filepath.Join(grown, "zz_extra.csv"), csv, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name       string
+		want, from []string
+	}{
+		{"snapshot", []string{"-lake", dir}, []string{"-snapshot", snapPath}},
+		{"chain", []string{"-lake", grown}, []string{"-snapshot", snapPath, "-deltas", deltaPath}},
+	} {
+		want := stdoutSHA(t, func() error { return cmdStats(c.want) })
+		if got := stdoutSHA(t, func() error { return cmdStats(c.from) }); got != want {
+			t.Errorf("%s: stats %v printed other bytes than stats %v", c.name, c.from, c.want)
+		}
+	}
+	if err := cmdStats([]string{"-deltas", deltaPath}); err == nil {
+		t.Error("stats with -deltas and no -snapshot should fail")
+	}
+}
+
 func TestCmdSearchJoinUnion(t *testing.T) {
 	silence(t)
 	dir := genLake(t)

@@ -265,6 +265,7 @@ func firstCall(b *testing.B, fresh func() (*core.System, error), call func(*core
 // store.
 func BenchmarkDeltaChainLoadServing(b *testing.B) {
 	deltaBenchServingSetup(b)
+	b.ReportAllocs()
 	deltaBenchServing.chainLoad(b, "dict", "keyword", "join", "tus", "santos", "d3l", "vecs")
 }
 
@@ -308,6 +309,7 @@ func loadServingBase() (*core.System, error) {
 // retains, measured outside the timer.
 func BenchmarkSnapshotLoadServing(b *testing.B) {
 	deltaBenchServingSetup(b)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := loadServingBase(); err != nil {

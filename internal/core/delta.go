@@ -42,7 +42,6 @@
 package core
 
 import (
-	"bufio"
 	"errors"
 	"fmt"
 	"io"
@@ -263,19 +262,31 @@ func (d *Delta) SaveFile(path string) error {
 	return writeFile(path, d.Save)
 }
 
-// LoadDelta reads a delta written by Save. Structural damage surfaces
-// ErrCorruptSnapshot; chain consistency is NOT checked here (apply
-// time owns that — the same delta file can be valid for one lake and
-// stale for another).
+// LoadDelta reads a delta written by Save, whole. Structural damage
+// surfaces ErrCorruptSnapshot; chain consistency is NOT checked here
+// (apply time owns that — the same delta file can be valid for one
+// lake and stale for another).
 func LoadDelta(r io.Reader) (*Delta, error) {
-	version, _, err := snap.ReadHeader(r, deltaMagic)
+	buf, err := io.ReadAll(r)
+	if err != nil {
+		return nil, err
+	}
+	return decodeDelta(buf)
+}
+
+// decodeDelta decodes a whole delta file's bytes.
+func decodeDelta(buf []byte) (*Delta, error) {
+	version, flags, err := snap.ReadHeader(buf, deltaMagic)
 	if err != nil {
 		return nil, err
 	}
 	if version != deltaVersion {
 		return nil, fmt.Errorf("%w: found delta version %d, expected %d", ErrVersionMismatch, version, deltaVersion)
 	}
-	sr := snap.NewReader(r)
+	if flags != 0 {
+		return nil, fmt.Errorf("%w: unknown delta header flags %#x", ErrCorruptSnapshot, flags)
+	}
+	sr := snap.NewReader(buf[snap.HeaderLen:])
 	d := &Delta{}
 	for _, sec := range []struct {
 		id  uint16
@@ -389,12 +400,11 @@ func partIDs[P any](parts []P, id func(P) string) []string {
 
 // LoadDeltaFile loads a delta from a file written by SaveFile.
 func LoadDeltaFile(path string) (*Delta, error) {
-	f, err := os.Open(path)
+	buf, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	defer f.Close()
-	return LoadDelta(bufio.NewReaderSize(f, 1<<20))
+	return decodeDelta(buf)
 }
 
 // live returns the lineage's membership as table ID → content hash,
@@ -439,8 +449,8 @@ func BuildDelta(basePath string, deltaPaths []string, add []*table.Table, remove
 	// Of the base only the foundations every delta encodes against are
 	// decoded (model, KB, dictionary): the engines, catalog and HNSW
 	// graphs are framed and checksummed but never decoded, which keeps
-	// `lakectl add` far under the cost of a full load. The vector blob
-	// is read rather than mapped, so its checksum is verified too.
+	// `lakectl add` far under the cost of a full load. The file is read
+	// rather than mapped, so the vector blob's checksum is verified too.
 	o, err := openFile(basePath, Options{Parallelism: opts.Parallelism, VecMode: "heap"})
 	if err != nil {
 		return nil, err
@@ -694,6 +704,7 @@ func LoadChainFiles(basePath string, deltaPaths []string, opts Options) (*System
 	}
 	deltas, infos, err := loadDeltaFiles(deltaPaths)
 	if err != nil {
+		o.discard()
 		return nil, err
 	}
 	folded := foldedPrefix(deltas, o.s.Lineage.Gen)
@@ -707,11 +718,12 @@ func LoadChainFiles(basePath string, deltaPaths []string, opts Options) (*System
 		return base, nil
 	}
 	base, u, err := o.decode(false)
-	if err != nil {
-		return nil, err
+	var sys *System
+	if err == nil {
+		sys, err = applyDeltas(base, u, deltas[folded:], infos[folded:])
 	}
-	sys, err := applyDeltas(base, u, deltas[folded:], infos[folded:])
 	if err != nil {
+		o.discard()
 		return nil, err
 	}
 	sys.Lineage.Folded = skipped

@@ -92,7 +92,7 @@ const (
 	// snapHeaderLen is the byte length of the snap header (magic,
 	// version, flags) that precedes the first section; blob-offset
 	// arithmetic below counts from it.
-	snapHeaderLen = 8
+	snapHeaderLen = snap.HeaderLen
 )
 
 // Section IDs, in stream order. The sequence is fixed; optional
@@ -214,16 +214,20 @@ func decodeOptions(d *snap.Decoder, rt Options) Options {
 // per-query fan-out of the loaded engines); everything else —
 // catalog, model, KB, build parameters — comes from the snapshot. The
 // loaded system answers every search surface bit-identically to the
-// saved one. Load always reads the vector blob onto the heap; use
-// LoadFile for the zero-copy mmap path.
+// saved one. Load reads r whole and copies the vector blob onto the
+// heap; use LoadFile for the zero-copy mmap path.
 //
-// A load is two halves run back to back: decode reads, checksums and
-// decodes every section and assembles the union engines from theirs,
-// derive runs the rebuild-on-load stages over what was decoded. A
-// chain load runs only the first half, without the assembly, on a base
-// the delta merge is about to consume (see LoadChainFiles).
+// A load is two halves run back to back: decode checksums and decodes
+// every section and assembles the union engines from theirs, derive
+// runs the rebuild-on-load stages over what was decoded. A chain load
+// runs only the first half, without the assembly, on a base the delta
+// merge is about to consume (see LoadChainFiles).
 func Load(r io.Reader, opts Options) (*System, error) {
-	return load(open(r, nil, opts))
+	buf, err := io.ReadAll(r)
+	if err != nil {
+		return nil, err
+	}
+	return load(open(buf, false, opts))
 }
 
 // load runs both halves of a load on an opened snapshot.
@@ -232,10 +236,11 @@ func load(o *opened, err error) (*System, error) {
 		return nil, err
 	}
 	s, _, err := o.decode(true)
-	if err != nil {
-		return nil, err
+	if err == nil {
+		err = s.derive()
 	}
-	if err := s.derive(); err != nil {
+	if err != nil {
+		o.discard()
 		return nil, err
 	}
 	return s, nil
@@ -250,22 +255,32 @@ type opened struct {
 	start time.Time
 }
 
-// open reads the header and checks its version, reads and checksums
-// every section frame (decoding is deferred so independent sections
-// can decode in parallel), materializes the vector block, and decodes
-// the options (with opts' runtime knobs) and the meta section. When
-// blobFile is non-nil the vector blob is mmap'd from it at its recorded
-// offset instead of being read (and CRC-verified) through r.
-func open(r io.Reader, blobFile *os.File, opts Options) (*opened, error) {
+// discard releases what a snapshot whose load failed holds: the file
+// mapping its store took, which nothing else references then.
+func (o *opened) discard() { o.s.Vecs.Close() }
+
+// open checks the header and its version, checksums every section
+// frame of buf, the whole snapshot (decoding is deferred so independent
+// sections can decode in parallel), materializes the vector block, and
+// decodes the options (with opts' runtime knobs) and the meta section.
+// Every section payload is a view of buf. When mapped, buf is a file
+// mapping: the vector blob is a view of it too, and the store takes
+// the mapping. Otherwise the blob is copied onto the heap
+// (CRC-verified) and nothing keeps buf. A failed open leaves buf to
+// its caller.
+func open(buf []byte, mapped bool, opts Options) (*opened, error) {
 	start := time.Now()
-	version, _, err := snap.ReadHeader(r, snapMagic)
+	version, flags, err := snap.ReadHeader(buf, snapMagic)
 	if err != nil {
 		return nil, err
 	}
 	if version != snapVersion {
 		return nil, fmt.Errorf("%w: found version %d, expected %d", ErrVersionMismatch, version, snapVersion)
 	}
-	sr := snap.NewReader(r)
+	if flags != 0 {
+		return nil, fmt.Errorf("%w: unknown header flags %#x", ErrCorruptSnapshot, flags)
+	}
+	sr := snap.NewReader(buf[snapHeaderLen:])
 	secs := make(map[uint16]*snap.Decoder, secVecs)
 	for id := secOptions; id <= secVecs; id++ {
 		d, err := sr.Payload(id)
@@ -279,55 +294,38 @@ func open(r io.Reader, blobFile *os.File, opts Options) (*opened, error) {
 	// and Starmie sections hold no vector bytes of their own, only
 	// references into the block's segments. The directory is decoded
 	// and fully validated (shape vs declared blob length, segment
-	// cover) before any blob slice or mapping is
-	// constructed; then the alignment pad is consumed and checked, and
-	// the blob either decodes onto the heap (CRC-verified) or is
-	// mmap'd at its recorded offset — O(1) in the vector count.
+	// cover) before any blob slice is cut; then the alignment pad is
+	// checked, the snapshot must end exactly where the blob does, and
+	// the blob is either copied onto the heap (CRC-verified) or viewed
+	// in the mapping — O(1) in the vector count.
 	var store *vecstore.Store
 	if err := decodeSection(secVecs, secs, func(d *snap.Decoder) error {
 		dir, derr := vecstore.DecodeDirectory(d)
 		if derr != nil {
 			return derr
 		}
-		blobOff := int64(snapHeaderLen) + sr.Consumed()
-		pad := vecstore.PadTo(blobOff)
-		if pad > 0 {
-			var padBuf [64]byte
-			if _, rerr := io.ReadFull(r, padBuf[:pad]); rerr != nil {
-				return fmt.Errorf("%w: short vector-blob padding: %v", ErrCorruptSnapshot, rerr)
-			}
-			for _, pb := range padBuf[:pad] {
-				if pb != 0 {
-					return fmt.Errorf("%w: nonzero vector-blob padding", ErrCorruptSnapshot)
-				}
+		tail := sr.Rest()
+		pad := vecstore.PadTo(int64(snapHeaderLen) + sr.Consumed())
+		if uint64(len(tail)) < uint64(pad)+dir.BlobLen {
+			return fmt.Errorf("%w: vector blob needs %d bytes after the sections, %d left", ErrCorruptSnapshot, uint64(pad)+dir.BlobLen, len(tail))
+		}
+		for _, pb := range tail[:pad] {
+			if pb != 0 {
+				return fmt.Errorf("%w: nonzero vector-blob padding", ErrCorruptSnapshot)
 			}
 		}
-		if blobFile != nil {
-			store, derr = dir.MmapBlob(blobFile, blobOff+int64(pad))
-			if derr != nil {
-				return derr
-			}
-			// The mmap path never streams the blob through r, so the
-			// reader's trailing-bytes check cannot run; the equivalent
-			// guarantee is that the file ends exactly where the blob does.
-			fi, serr := blobFile.Stat()
-			if serr != nil {
-				return serr
-			}
-			if want := uint64(blobOff) + uint64(pad) + dir.BlobLen; uint64(fi.Size()) != want {
-				return fmt.Errorf("%w: %d trailing bytes after vector blob", ErrCorruptSnapshot, uint64(fi.Size())-want)
-			}
-			return nil
+		if extra := uint64(len(tail)) - uint64(pad) - dir.BlobLen; extra > 0 {
+			return fmt.Errorf("%w: %d trailing bytes after vector blob", ErrCorruptSnapshot, extra)
 		}
-		store, derr = dir.ReadBlob(r)
+		blob := tail[pad:]
+		if mapped {
+			store, derr = dir.ViewBlob(blob, buf)
+		} else {
+			store, derr = dir.ReadBlob(blob)
+		}
 		return derr
 	}); err != nil {
 		return nil, err
-	}
-	if blobFile == nil {
-		if err := sr.Close(); err != nil {
-			return nil, err
-		}
 	}
 
 	// Build options decode inline: they govern the rebuild stages.
@@ -363,32 +361,45 @@ func open(r io.Reader, blobFile *os.File, opts Options) (*opened, error) {
 	return &opened{s: s, secs: secs, start: start}, nil
 }
 
-// openFile is open over a snapshot file, with the vector blob
-// materialized per opts.VecMode. Every section is in memory when it
-// returns, and a mapping outlives the file handle, so the file is
-// closed.
+// openFile is open over a snapshot file, per opts.VecMode either
+// mapped once, whole, or read whole onto the heap. A mapping outlives
+// the file handle, so the file is closed. When the open fails, a
+// mapping it made is released.
 func openFile(path string, opts Options) (*opened, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	var blobFile *os.File
+	var mmap bool
 	switch opts.VecMode {
 	case "", "auto":
-		if vecstore.MmapSupported() {
-			blobFile = f
-		}
+		mmap = vecstore.MmapSupported()
 	case "heap":
 	case "mmap":
 		if !vecstore.MmapSupported() {
 			return nil, fmt.Errorf("core: VecMode \"mmap\": not supported on this platform")
 		}
-		blobFile = f
+		mmap = true
 	default:
 		return nil, fmt.Errorf("core: unknown VecMode %q (want auto, heap, or mmap)", opts.VecMode)
 	}
-	return open(bufio.NewReaderSize(f, 1<<20), blobFile, opts)
+	if !mmap {
+		buf, err := os.ReadFile(path)
+		if err != nil {
+			return nil, err
+		}
+		return open(buf, false, opts)
+	}
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	mapping, err := vecstore.MapFile(f)
+	f.Close()
+	if err != nil {
+		return nil, err
+	}
+	o, err := open(mapping, true, opts)
+	if err != nil {
+		vecstore.Unmap(mapping)
+	}
+	return o, err
 }
 
 // foundations queues on g the sections every other section decodes

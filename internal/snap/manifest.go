@@ -138,16 +138,26 @@ func WriteManifest(w io.Writer, m *Manifest) error {
 }
 
 // ReadManifest reads a manifest written by WriteManifest. Corruption
-// in any form satisfies errors.Is(err, ErrCorrupt).
+// in any form satisfies errors.Is(err, ErrCorrupt); an error reading r
+// is returned as is.
 func ReadManifest(r io.Reader) (*Manifest, error) {
-	version, _, err := ReadHeader(r, manifestMagic)
+	buf, err := io.ReadAll(r)
+	if err != nil {
+		return nil, err
+	}
+	return decodeManifest(buf)
+}
+
+// decodeManifest decodes a whole manifest file's bytes.
+func decodeManifest(buf []byte) (*Manifest, error) {
+	version, _, err := ReadHeader(buf, manifestMagic)
 	if err != nil {
 		return nil, err
 	}
 	if version != manifestVersion {
 		return nil, fmt.Errorf("%w: unsupported manifest version %d (want %d)", ErrCorrupt, version, manifestVersion)
 	}
-	sr := NewReader(r)
+	sr := NewReader(buf[HeaderLen:])
 	m := &Manifest{}
 	if err := sr.Section(secManifest, func(d *Decoder) error {
 		m.Assign = d.Str()
@@ -197,10 +207,9 @@ func WriteManifestFile(path string, m *Manifest) error {
 
 // ReadManifestFile reads a manifest from a file.
 func ReadManifestFile(path string) (*Manifest, error) {
-	f, err := os.Open(path)
+	buf, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	defer f.Close()
-	return ReadManifest(bufio.NewReader(f))
+	return decodeManifest(buf)
 }

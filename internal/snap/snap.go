@@ -25,16 +25,23 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
+	"strings"
 )
 
 // ErrCorrupt marks a snapshot whose bytes are structurally invalid:
 // truncated, checksum-mismatched, or carrying trailing garbage.
 var ErrCorrupt = errors.New("snap: corrupt snapshot")
 
-// maxSectionBytes bounds a single section payload. It exists purely
-// so a corrupt length field cannot drive a multi-gigabyte allocation
-// before the checksum gets a chance to reject the bytes.
-const maxSectionBytes = 1 << 34 // 16 GiB
+// HeaderLen is the byte length of the fixed header (magic, version,
+// flags) that precedes the first section.
+const HeaderLen = 8
+
+// A section frame is a 10-byte head (id u16, payload length u64), the
+// payload, and a 4-byte CRC32 over head and payload.
+const (
+	frameHeadLen = 10
+	crcLen       = 4
+)
 
 // --- header ---
 
@@ -48,17 +55,17 @@ func WriteHeader(w io.Writer, magic uint32, version, flags uint16) error {
 	return err
 }
 
-// ReadHeader reads and validates the header's magic, returning the
-// version and flags for the caller to range-check.
-func ReadHeader(r io.Reader, magic uint32) (version, flags uint16, err error) {
-	var h [8]byte
-	if _, err := io.ReadFull(r, h[:]); err != nil {
-		return 0, 0, fmt.Errorf("%w: short header: %v", ErrCorrupt, err)
+// ReadHeader validates the header at the front of buf, the whole
+// stream, and returns the version and flags for the caller to
+// range-check. The sections start at buf[HeaderLen:].
+func ReadHeader(buf []byte, magic uint32) (version, flags uint16, err error) {
+	if len(buf) < HeaderLen {
+		return 0, 0, fmt.Errorf("%w: short header: %d of %d bytes", ErrCorrupt, len(buf), HeaderLen)
 	}
-	if got := binary.LittleEndian.Uint32(h[0:]); got != magic {
+	if got := binary.LittleEndian.Uint32(buf[0:]); got != magic {
 		return 0, 0, fmt.Errorf("%w: bad magic %#x (want %#x)", ErrCorrupt, got, magic)
 	}
-	return binary.LittleEndian.Uint16(h[4:]), binary.LittleEndian.Uint16(h[6:]), nil
+	return binary.LittleEndian.Uint16(buf[4:]), binary.LittleEndian.Uint16(buf[6:]), nil
 }
 
 // --- sections ---
@@ -87,13 +94,13 @@ func (sw *Writer) Section(id uint16, encode func(*Encoder)) error {
 	encode(&e)
 	sw.buf = e.buf // keep the grown buffer for the next section
 
-	var head [10]byte
+	var head [frameHeadLen]byte
 	binary.LittleEndian.PutUint16(head[0:], id)
 	binary.LittleEndian.PutUint64(head[2:], uint64(len(e.buf)))
 	crc := crc32.NewIEEE()
 	crc.Write(head[:])
 	crc.Write(e.buf)
-	var sum [4]byte
+	var sum [crcLen]byte
 	binary.LittleEndian.PutUint32(sum[:], crc.Sum32())
 
 	if _, err := sw.w.Write(head[:]); err != nil {
@@ -109,122 +116,85 @@ func (sw *Writer) Section(id uint16, encode func(*Encoder)) error {
 	return nil
 }
 
-// Reader reads framed sections back. Sections must be requested in
-// exactly the order they were written; any deviation is corruption.
+// Reader reads framed sections out of one byte slice: a file read
+// whole, or a file mapping. Sections must be requested in exactly the
+// order they were written; any deviation is corruption. Each payload a
+// Reader hands out is a view of that slice, never a copy, so decoders
+// copy whatever they keep.
 type Reader struct {
-	r   io.Reader
 	buf []byte
-	n   int64
+	off int
 }
 
-// NewReader returns a section reader over r, to be used after the
-// header has been read (ReadHeader).
-func NewReader(r io.Reader) *Reader { return &Reader{r: r} }
+// NewReader returns a section reader over buf, the stream after the
+// header (buf[HeaderLen:] of what ReadHeader checked).
+func NewReader(buf []byte) *Reader { return &Reader{buf: buf} }
 
 // Consumed reports the total bytes read through Section and Payload
 // calls (frame headers, payloads, and checksums). It does not include
 // the snapshot header, which the caller reads directly.
-func (sr *Reader) Consumed() int64 { return sr.n }
+func (sr *Reader) Consumed() int64 { return int64(sr.off) }
+
+// Rest returns the bytes after the last section read: what a format
+// keeps outside the section framing, such as an aligned tail.
+func (sr *Reader) Rest() []byte { return sr.buf[sr.off:] }
 
 // Section reads the next section, verifies its id and checksum, runs
 // decode over the payload, and requires the decoder to consume the
-// payload exactly — short reads, checksum mismatches, and leftover
+// payload exactly — short frames, checksum mismatches, and leftover
 // bytes all yield ErrCorrupt.
 func (sr *Reader) Section(id uint16, decode func(*Decoder) error) error {
-	var head [10]byte
-	if _, err := io.ReadFull(sr.r, head[:]); err != nil {
-		return fmt.Errorf("%w: section %d: short frame header: %v", ErrCorrupt, id, err)
-	}
-	gotID := binary.LittleEndian.Uint16(head[0:])
-	if gotID != id {
-		return fmt.Errorf("%w: section id %d where %d expected", ErrCorrupt, gotID, id)
-	}
-	n := binary.LittleEndian.Uint64(head[2:])
-	if n > maxSectionBytes {
-		return fmt.Errorf("%w: section %d: implausible length %d", ErrCorrupt, id, n)
-	}
-	if uint64(cap(sr.buf)) < n {
-		sr.buf = make([]byte, n)
-	}
-	payload := sr.buf[:n]
-	if _, err := io.ReadFull(sr.r, payload); err != nil {
-		return fmt.Errorf("%w: section %d: short payload: %v", ErrCorrupt, id, err)
-	}
-	var sum [4]byte
-	if _, err := io.ReadFull(sr.r, sum[:]); err != nil {
-		return fmt.Errorf("%w: section %d: short checksum: %v", ErrCorrupt, id, err)
-	}
-	crc := crc32.NewIEEE()
-	crc.Write(head[:])
-	crc.Write(payload)
-	if got := binary.LittleEndian.Uint32(sum[:]); got != crc.Sum32() {
-		return fmt.Errorf("%w: section %d: checksum mismatch", ErrCorrupt, id)
-	}
-
-	sr.n += int64(len(head)) + int64(n) + int64(len(sum))
-
-	d := Decoder{buf: payload}
-	if err := decode(&d); err != nil {
+	d, err := sr.Payload(id)
+	if err != nil {
 		return err
 	}
-	if d.err != nil {
-		return fmt.Errorf("section %d: %w", id, d.err)
+	if err := decode(d); err != nil {
+		return err
 	}
-	if d.off != len(d.buf) {
-		return fmt.Errorf("%w: section %d: %d bytes left unconsumed", ErrCorrupt, id, len(d.buf)-d.off)
+	if err := d.Finish(); err != nil {
+		return fmt.Errorf("section %d: %w", id, err)
 	}
 	return nil
 }
 
 // Payload reads the next section, verifies its id and checksum, and
-// returns a decoder over the payload for deferred decoding — the
-// buffer is owned by the returned decoder, so payloads of consecutive
-// sections can be decoded later, or concurrently. The caller must
-// finish each decoder with Finish to get the full-consumption check
-// Section performs inline.
+// returns a decoder over a view of the payload for deferred decoding:
+// payloads of consecutive sections can be decoded later, or
+// concurrently. The caller must finish each decoder with Finish to get
+// the full-consumption check Section performs inline.
 func (sr *Reader) Payload(id uint16) (*Decoder, error) {
-	var head [10]byte
-	if _, err := io.ReadFull(sr.r, head[:]); err != nil {
-		return nil, fmt.Errorf("%w: section %d: short frame header: %v", ErrCorrupt, id, err)
+	rest := sr.buf[sr.off:]
+	if len(rest) < frameHeadLen {
+		return nil, fmt.Errorf("%w: section %d: short frame header: %d bytes left", ErrCorrupt, id, len(rest))
 	}
-	gotID := binary.LittleEndian.Uint16(head[0:])
-	if gotID != id {
+	head := rest[:frameHeadLen]
+	if gotID := binary.LittleEndian.Uint16(head[0:]); gotID != id {
 		return nil, fmt.Errorf("%w: section id %d where %d expected", ErrCorrupt, gotID, id)
 	}
+	rest = rest[frameHeadLen:]
 	n := binary.LittleEndian.Uint64(head[2:])
-	if n > maxSectionBytes {
-		return nil, fmt.Errorf("%w: section %d: implausible length %d", ErrCorrupt, id, n)
+	if n > uint64(len(rest)) {
+		return nil, fmt.Errorf("%w: section %d: short payload: %d bytes declared, %d left", ErrCorrupt, id, n, len(rest))
 	}
-	payload := make([]byte, n)
-	if _, err := io.ReadFull(sr.r, payload); err != nil {
-		return nil, fmt.Errorf("%w: section %d: short payload: %v", ErrCorrupt, id, err)
+	payload := rest[:n:n]
+	if len(rest)-int(n) < crcLen {
+		return nil, fmt.Errorf("%w: section %d: short checksum", ErrCorrupt, id)
 	}
-	var sum [4]byte
-	if _, err := io.ReadFull(sr.r, sum[:]); err != nil {
-		return nil, fmt.Errorf("%w: section %d: short checksum: %v", ErrCorrupt, id, err)
-	}
-	crc := crc32.NewIEEE()
-	crc.Write(head[:])
-	crc.Write(payload)
-	if got := binary.LittleEndian.Uint32(sum[:]); got != crc.Sum32() {
+	crc := crc32.Update(crc32.ChecksumIEEE(head), crc32.IEEETable, payload)
+	if got := binary.LittleEndian.Uint32(rest[n:]); got != crc {
 		return nil, fmt.Errorf("%w: section %d: checksum mismatch", ErrCorrupt, id)
 	}
-	sr.n += int64(len(head)) + int64(n) + int64(len(sum))
+	sr.off += frameHeadLen + int(n) + crcLen
 	return &Decoder{buf: payload}, nil
 }
 
 // Close verifies the stream ends exactly after the last section;
 // trailing garbage is corruption.
 func (sr *Reader) Close() error {
-	var one [1]byte
-	switch _, err := io.ReadFull(sr.r, one[:]); err {
-	case io.EOF:
-		return nil
-	case nil:
-		return fmt.Errorf("%w: trailing bytes after final section", ErrCorrupt)
-	default:
-		return err
+	if n := len(sr.buf) - sr.off; n > 0 {
+		return fmt.Errorf("%w: %d trailing bytes after final section", ErrCorrupt, n)
 	}
+	return nil
 }
 
 // --- encoder ---
@@ -336,11 +306,11 @@ type Decoder struct {
 	err error
 }
 
-// Err returns the latched decode error, if any.
 // NewDecoder returns a decoder over a raw payload buffer, for
 // callers that obtained the bytes outside the section framing.
 func NewDecoder(buf []byte) *Decoder { return &Decoder{buf: buf} }
 
+// Err returns the latched decode error, if any.
 func (d *Decoder) Err() error { return d.err }
 
 // Finish reports the decoder's terminal state: the latched error if
@@ -466,15 +436,50 @@ func (d *Decoder) Str() string {
 	return string(b)
 }
 
-// Strs reads a count-prefixed string slice.
+// Strs reads a count-prefixed string slice. Its strings share one
+// block: the list costs two allocations however long it is, and any
+// one string kept keeps the whole block. A failure latches the error
+// and offset n Str calls would, and the strings framed before it are
+// returned, the rest empty.
 func (d *Decoder) Strs() []string {
 	n := d.Count(4)
 	if d.err != nil || n == 0 {
 		return nil
 	}
+	// Frame every string first, checking each length prefix as Str does,
+	// to size the block; framed counts the strings that fit.
+	start, p, total, framed := d.off, d.off, 0, 0
+	for ; framed < n; framed++ {
+		left := len(d.buf) - p
+		if left < 4 {
+			d.off = p
+			d.fail("need %d bytes, have %d", 4, left)
+			break
+		}
+		l := int(binary.LittleEndian.Uint32(d.buf[p:]))
+		p += 4
+		if l > left-4 {
+			d.off = p
+			d.fail("count %d exceeds %d remaining bytes", l, left-4)
+			break
+		}
+		p += l
+		total += l
+	}
+	if d.err == nil {
+		d.off = p
+	}
+	// The block is grown to its final size up front, so it never moves
+	// and each string can be cut from it as soon as it is written.
+	var block strings.Builder
+	block.Grow(total)
 	out := make([]string, n)
-	for i := range out {
-		out[i] = d.Str()
+	for i, p := 0, start; i < framed; i++ {
+		l := int(binary.LittleEndian.Uint32(d.buf[p:]))
+		p += 4
+		block.Write(d.buf[p : p+l])
+		p += l
+		out[i] = block.String()[block.Len()-l:]
 	}
 	return out
 }
@@ -485,9 +490,10 @@ func (d *Decoder) U32s() []uint32 {
 	if d.err != nil || n == 0 {
 		return nil
 	}
+	b := d.take(4 * n)
 	out := make([]uint32, n)
 	for i := range out {
-		out[i] = d.U32()
+		out[i] = binary.LittleEndian.Uint32(b[4*i:])
 	}
 	return out
 }
@@ -498,9 +504,10 @@ func (d *Decoder) I32s() []int32 {
 	if d.err != nil || n == 0 {
 		return nil
 	}
+	b := d.take(4 * n)
 	out := make([]int32, n)
 	for i := range out {
-		out[i] = int32(d.U32())
+		out[i] = int32(binary.LittleEndian.Uint32(b[4*i:]))
 	}
 	return out
 }
@@ -511,35 +518,54 @@ func (d *Decoder) U64s() []uint64 {
 	if d.err != nil || n == 0 {
 		return nil
 	}
+	b := d.take(8 * n)
 	out := make([]uint64, n)
 	for i := range out {
-		out[i] = d.U64()
+		out[i] = binary.LittleEndian.Uint64(b[8*i:])
 	}
 	return out
 }
 
-// F64s reads a count-prefixed []float64.
+// F64s reads a count-prefixed []float64. A non-finite element latches
+// the error and offset F64 would, and reads 0 like every one after it.
 func (d *Decoder) F64s() []float64 {
 	n := d.Count(8)
 	if d.err != nil || n == 0 {
 		return nil
 	}
+	start := d.off
+	b := d.take(8 * n)
 	out := make([]float64, n)
 	for i := range out {
-		out[i] = d.F64()
+		v := math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			d.off = start + 8*(i+1)
+			d.fail("non-finite float %v", v)
+			break
+		}
+		out[i] = v
 	}
 	return out
 }
 
-// F32s reads a count-prefixed []float32.
+// F32s reads a count-prefixed []float32. A non-finite element latches
+// the error and offset F32 would, and reads 0 like every one after it.
 func (d *Decoder) F32s() []float32 {
 	n := d.Count(4)
 	if d.err != nil || n == 0 {
 		return nil
 	}
+	start := d.off
+	b := d.take(4 * n)
 	out := make([]float32, n)
 	for i := range out {
-		out[i] = d.F32()
+		v := math.Float32frombits(binary.LittleEndian.Uint32(b[4*i:]))
+		if f := float64(v); math.IsNaN(f) || math.IsInf(f, 0) {
+			d.off = start + 4*(i+1)
+			d.fail("non-finite float %v", f)
+			break
+		}
+		out[i] = v
 	}
 	return out
 }

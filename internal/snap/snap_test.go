@@ -46,15 +46,14 @@ func encodeStream(t *testing.T) []byte {
 }
 
 func decodeStream(data []byte) error {
-	r := bytes.NewReader(data)
-	version, flags, err := ReadHeader(r, testMagic)
+	version, flags, err := ReadHeader(data, testMagic)
 	if err != nil {
 		return err
 	}
 	if version != 3 || flags != 0x0005 {
 		return errors.New("wrong version/flags")
 	}
-	sr := NewReader(r)
+	sr := NewReader(data[HeaderLen:])
 	if err := sr.Section(1, func(d *Decoder) error {
 		if d.U8() != 7 || !d.Bool() || d.Bool() {
 			return errors.New("scalar mismatch")
@@ -159,7 +158,7 @@ func TestUnconsumedPayload(t *testing.T) {
 	if err := w.Section(1, func(e *Encoder) { e.U64(1); e.U64(2) }); err != nil {
 		t.Fatal(err)
 	}
-	err := NewReader(&buf).Section(1, func(d *Decoder) error {
+	err := NewReader(buf.Bytes()).Section(1, func(d *Decoder) error {
 		d.U64() // read only half the payload
 		return nil
 	})
@@ -174,7 +173,7 @@ func TestWrongSectionID(t *testing.T) {
 	if err := w.Section(1, func(e *Encoder) { e.U8(0) }); err != nil {
 		t.Fatal(err)
 	}
-	err := NewReader(&buf).Section(2, func(d *Decoder) error {
+	err := NewReader(buf.Bytes()).Section(2, func(d *Decoder) error {
 		d.U8()
 		return nil
 	})
@@ -198,11 +197,12 @@ func TestCountGuard(t *testing.T) {
 	}
 }
 
-// TestEOFPassthrough: a reader error other than EOF on Close is
-// passed through unchanged.
+// TestEOFPassthrough: a reader error other than EOF, met while a
+// manifest is read whole, is passed through unchanged rather than
+// reported as corruption.
 func TestEOFPassthrough(t *testing.T) {
-	sr := NewReader(errReader{})
-	if err := sr.Close(); !errors.Is(err, io.ErrClosedPipe) {
+	_, err := ReadManifest(errReader{})
+	if !errors.Is(err, io.ErrClosedPipe) || errors.Is(err, ErrCorrupt) {
 		t.Fatalf("got %v, want ErrClosedPipe", err)
 	}
 }

@@ -97,7 +97,7 @@ func BenchmarkVecBlobLoad(b *testing.B) {
 	raw, blobOff := benchCorpus.raw, benchCorpus.blobOff
 
 	decodeDir := func(b *testing.B) *Directory {
-		sr := snap.NewReader(bytes.NewReader(raw))
+		sr := snap.NewReader(raw)
 		var dir *Directory
 		if err := sr.Section(1, func(d *snap.Decoder) error {
 			var derr error
@@ -113,7 +113,7 @@ func BenchmarkVecBlobLoad(b *testing.B) {
 		b.SetBytes(int64(len(raw)) - blobOff)
 		for i := 0; i < b.N; i++ {
 			dir := decodeDir(b)
-			s, err := dir.ReadBlob(bytes.NewReader(raw[blobOff:]))
+			s, err := dir.ReadBlob(raw[blobOff:])
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -139,8 +139,12 @@ func BenchmarkVecBlobLoad(b *testing.B) {
 		b.SetBytes(int64(len(raw)) - blobOff)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
+			m, err := MapFile(f)
+			if err != nil {
+				b.Fatal(err)
+			}
 			dir := decodeDir(b)
-			s, err := dir.MmapBlob(f, blobOff)
+			s, err := dir.ViewBlob(m[blobOff:], m)
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -11,8 +11,8 @@ import (
 // use the portable heap reader.
 func MmapSupported() bool { return false }
 
-func mmapRegion(f *os.File, off int64, length int) (view, mapping []byte, err error) {
-	return nil, nil, fmt.Errorf("vecstore: mmap unsupported on this platform")
+func mmapFile(f *os.File, size int) ([]byte, error) {
+	return nil, fmt.Errorf("vecstore: mmap unsupported on this platform")
 }
 
-func munmapRegion(mapping []byte) error { return nil }
+func munmap(mapping []byte) error { return nil }

@@ -3,8 +3,6 @@ package vecstore
 import (
 	"bytes"
 	"math/rand"
-	"os"
-	"path/filepath"
 	"testing"
 
 	"tablehound/internal/snap"
@@ -174,7 +172,7 @@ func TestSmallBlobHeapMatchesMmap(t *testing.T) {
 			t.Fatal(err)
 		}
 		dirOf := func() *Directory {
-			sr := snap.NewReader(bytes.NewReader(buf.Bytes()))
+			sr := snap.NewReader(buf.Bytes())
 			var dir *Directory
 			if err := sr.Section(1, func(d *snap.Decoder) error {
 				var err error
@@ -185,20 +183,12 @@ func TestSmallBlobHeapMatchesMmap(t *testing.T) {
 			}
 			return dir
 		}
-		heap, err := dirOf().ReadBlob(bytes.NewReader(buf.Bytes()[blobOff:]))
+		heap, err := dirOf().ReadBlob(buf.Bytes()[blobOff:])
 		if err != nil {
 			t.Fatalf("%d-byte blob: heap read: %v", s.BlobLen(), err)
 		}
-		path := filepath.Join(t.TempDir(), "vec.bin")
-		if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		f, err := os.Open(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		mapped, err := dirOf().MmapBlob(f, int64(blobOff))
-		f.Close()
+		mapping := mapBytes(t, buf.Bytes())
+		mapped, err := dirOf().ViewBlob(mapping[blobOff:], mapping)
 		if err != nil {
 			t.Fatalf("%d-byte blob: mmap: %v", s.BlobLen(), err)
 		}
@@ -225,22 +215,14 @@ func TestResidencyMixed(t *testing.T) {
 	if err := s.WriteBlob(&buf); err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join(t.TempDir(), "vec.bin")
-	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	f, err := os.Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
+	mapping := mapBytes(t, buf.Bytes())
 	e := &snap.Encoder{}
 	s.AppendDirectory(e)
 	dir, err := DecodeDirectory(snap.NewDecoder(e.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	mapped, err := dir.MmapBlob(f, 0)
-	f.Close()
+	mapped, err := dir.ViewBlob(mapping, mapping)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -278,7 +260,7 @@ func TestReadBlobDecodingPathMatchesInPlace(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := dir.ReadBlob(bytes.NewReader(encodedBlob(t, s)))
+		got, err := dir.ReadBlob(encodedBlob(t, s))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -7,7 +7,6 @@ import (
 	"io"
 	"math"
 	"os"
-	"slices"
 	"unsafe"
 
 	"tablehound/internal/snap"
@@ -71,7 +70,7 @@ func (s *Store) AppendDirectory(e *snap.Encoder) {
 }
 
 // Directory is the decoded, validated metadata for a vector blob; it
-// is consumed by exactly one of ReadBlob (heap) or MmapBlob.
+// is consumed by exactly one of ReadBlob (heap) or ViewBlob (mapped).
 type Directory struct {
 	Dim     int
 	Count   int
@@ -226,48 +225,62 @@ func (s *Store) crc(inPlace bool) uint32 {
 	return h.Sum32()
 }
 
-// ReadBlob consumes the blob from r, verifies its CRC and padding, and
-// returns a heap-backed store — the portable fallback, byte-identical
-// in effect to the mmap path. The blob is read into one 8-byte-aligned
-// buffer, which a little-endian host then views in place as the rows
-// and norms; a big-endian one decodes them from it.
-func (dir *Directory) ReadBlob(r io.Reader) (*Store, error) {
-	// Read in 64 MiB chunks: a declared length the stream does not hold
-	// fails at the stream's end instead of sizing one allocation. The
-	// blob length is a multiple of 8 (DecodeDirectory checks it against
-	// the shape), so the words hold it exactly.
-	if dir.BlobLen%8 != 0 {
-		return nil, fmt.Errorf("%w: vecstore: blob length %d not a multiple of 8", snap.ErrCorrupt, dir.BlobLen)
+// MapFile maps the whole of f read-only and shared: the one mapping a
+// snapshot load reads its sections out of and takes its blob's view
+// from (ViewBlob). An empty file maps to nil. A mapping that no store
+// took is released with Unmap; a store releases the one it took in
+// Close.
+func MapFile(f *os.File) ([]byte, error) {
+	if !MmapSupported() {
+		return nil, fmt.Errorf("vecstore: mmap unsupported on this platform")
 	}
-	var words []uint64
-	for n := 0; n < int(dir.BlobLen); n = len(words) * 8 {
-		m := min(int(dir.BlobLen)-n, 64<<20)
-		words = slices.Grow(words, m/8)[:(n+m)/8]
-		if _, err := io.ReadFull(r, u64Bytes(words)[n:]); err != nil {
-			return nil, fmt.Errorf("%w: vecstore: short blob: %v", snap.ErrCorrupt, err)
-		}
+	fi, err := f.Stat()
+	if err != nil {
+		return nil, err
 	}
-	raw := u64Bytes(words)
-	if got := crc32.ChecksumIEEE(raw); got != dir.CRC {
+	size := fi.Size()
+	if size == 0 {
+		return nil, nil
+	}
+	if int64(int(size)) != size {
+		return nil, fmt.Errorf("vecstore: a %d-byte file does not fit the address space", size)
+	}
+	return mmapFile(f, int(size))
+}
+
+// Unmap releases a mapping MapFile returned that no store took.
+func Unmap(mapping []byte) error {
+	if mapping == nil {
+		return nil
+	}
+	return munmap(mapping)
+}
+
+// ReadBlob verifies the blob's CRC and padding and copies it into one
+// 8-byte-aligned heap buffer, which a little-endian host then views in
+// place as the rows and norms; a big-endian one decodes them from blob.
+// The store keeps no reference to blob. This is the portable fallback,
+// byte-identical in effect to the mapped path.
+func (dir *Directory) ReadBlob(blob []byte) (*Store, error) {
+	if err := dir.checkBlob(blob); err != nil {
+		return nil, err
+	}
+	if got := crc32.ChecksumIEEE(blob); got != dir.CRC {
 		return nil, fmt.Errorf("%w: vecstore: blob checksum mismatch", snap.ErrCorrupt)
 	}
-	nData := dir.Count * dir.Dim
-	normsOff := int(align8(uint64(nData) * 4))
-	for i := nData * 4; i < normsOff; i++ {
-		if raw[i] != 0 {
-			return nil, fmt.Errorf("%w: vecstore: nonzero blob padding", snap.ErrCorrupt)
-		}
-	}
+	nData, normsOff := dir.nData(), dir.normsOff()
 	if hostLittleEndian {
+		raw := u64Bytes(make([]uint64, len(blob)/8))
+		copy(raw, blob)
 		return dir.assemble(f32sOf(raw[:nData*4]), f64sOf(raw[normsOff:]), nil), nil
 	}
 	data := make([]float32, nData)
 	for i := range data {
-		data[i] = math.Float32frombits(binary.LittleEndian.Uint32(raw[i*4:]))
+		data[i] = math.Float32frombits(binary.LittleEndian.Uint32(blob[i*4:]))
 	}
 	norms := make([]float64, dir.Count)
 	for i := range norms {
-		norms[i] = math.Float64frombits(binary.LittleEndian.Uint64(raw[normsOff+i*8:]))
+		norms[i] = math.Float64frombits(binary.LittleEndian.Uint64(blob[normsOff+i*8:]))
 	}
 	return dir.assemble(data, norms, nil), nil
 }
@@ -277,39 +290,42 @@ func u64Bytes(words []uint64) []byte {
 	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(words))), len(words)*8)
 }
 
-// MmapBlob maps the blob at byte offset off of f (off must be
-// blobAlign-aligned, as produced by PadTo) and returns a store whose
-// data and norms alias the mapping. The blob CRC is intentionally
-// not verified here — reading every page would make load O(bytes)
-// again; the directory's shape checks plus the kernel's page cache
-// are the integrity story for the mmap path, and ReadBlob exists for
-// full verification.
-func (dir *Directory) MmapBlob(f *os.File, off int64) (*Store, error) {
-	if dir.BlobLen == 0 {
-		return dir.assemble(nil, nil, nil), nil
-	}
-	if !MmapSupported() {
-		return nil, fmt.Errorf("vecstore: mmap unsupported on this platform")
-	}
-	if off < 0 || off%blobAlign != 0 {
-		return nil, fmt.Errorf("%w: vecstore: blob offset %d not %d-aligned", snap.ErrCorrupt, off, blobAlign)
-	}
-	st, err := f.Stat()
-	if err != nil {
+// ViewBlob returns a store whose rows and norms are views of blob,
+// which lies inside mapping (a MapFile mapping) at a blobAlign-aligned
+// file offset. The store keeps the mapping, and Close unmaps it. The
+// blob CRC is intentionally not verified — reading every page would
+// make load O(bytes) again; the directory's shape checks plus the
+// kernel's page cache are the integrity story for the mapped path, and
+// ReadBlob exists for full verification.
+func (dir *Directory) ViewBlob(blob, mapping []byte) (*Store, error) {
+	if err := dir.checkBlob(blob); err != nil {
 		return nil, err
 	}
-	if uint64(st.Size()) < uint64(off)+dir.BlobLen {
-		return nil, fmt.Errorf("%w: vecstore: file holds %d bytes, blob needs %d at offset %d",
-			snap.ErrCorrupt, st.Size(), dir.BlobLen, off)
+	if uintptr(unsafe.Pointer(unsafe.SliceData(blob)))%blobAlign != 0 {
+		return nil, fmt.Errorf("vecstore: blob view not %d-byte aligned", blobAlign)
 	}
-	view, mapping, err := mmapRegion(f, off, int(dir.BlobLen))
-	if err != nil {
-		return nil, err
-	}
-	nData := dir.Count * dir.Dim
-	normsOff := int(align8(uint64(nData) * 4))
-	return dir.assemble(f32sOf(view[:nData*4]), f64sOf(view[normsOff:normsOff+dir.Count*8]), mapping), nil
+	nData, normsOff := dir.nData(), dir.normsOff()
+	return dir.assemble(f32sOf(blob[:nData*4]), f64sOf(blob[normsOff:]), mapping), nil
 }
+
+// checkBlob requires blob to be the directory's whole blob, with zero
+// padding between the rows and the norms.
+func (dir *Directory) checkBlob(blob []byte) error {
+	if uint64(len(blob)) != dir.BlobLen {
+		return fmt.Errorf("%w: vecstore: blob holds %d bytes, directory declares %d", snap.ErrCorrupt, len(blob), dir.BlobLen)
+	}
+	for _, b := range blob[dir.nData()*4 : dir.normsOff()] {
+		if b != 0 {
+			return fmt.Errorf("%w: vecstore: nonzero blob padding", snap.ErrCorrupt)
+		}
+	}
+	return nil
+}
+
+// nData is the blob's float32 count; normsOff is where its norms
+// start, after the zero pad to 8.
+func (dir *Directory) nData() int    { return dir.Count * dir.Dim }
+func (dir *Directory) normsOff() int { return int(align8(uint64(dir.nData()) * 4)) }
 
 // assemble cuts the one decoded block — all rows, then all norms — into
 // the directory's segments, each owning its run of both.

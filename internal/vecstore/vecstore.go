@@ -49,7 +49,7 @@ type Store struct {
 	segs    []segment
 	segIx   map[string]int
 	blobCRC uint32
-	mapping []byte // whole mmap region when this store mapped it, else nil
+	mapping []byte // the whole file mapping its rows are views of (ViewBlob), else nil
 }
 
 // Dim returns the vector dimensionality.
@@ -118,12 +118,13 @@ func (s *Store) View(name string) (View, bool) {
 	return View{dim: s.dim, seg: s.segs[ix]}, true
 }
 
-// Close releases the mmap mapping, if any. Only tests should call
-// this: production code keeps mappings alive for the life of the
-// process because query paths may hold aliased row slices. Never close
-// a store whose mapping another store shares (a merged store built
-// with Builder.Share over one of its views): the sharer's rows would
-// alias unmapped pages.
+// Close releases the file mapping the store took, if any: the whole
+// snapshot file, sections and blob. Production code calls it only on a
+// store whose load failed, which nothing else references; otherwise
+// mappings stay alive for the life of the process because query paths
+// may hold aliased row slices. Never close a store whose mapping
+// another store shares (a merged store built with Builder.Share over
+// one of its views): the sharer's rows would alias unmapped pages.
 func (s *Store) Close() error {
 	if s.mapping == nil {
 		return nil
@@ -133,7 +134,7 @@ func (s *Store) Close() error {
 	for i := range s.segs {
 		s.segs[i].data, s.segs[i].norms = nil, nil
 	}
-	return munmapRegion(m)
+	return munmap(m)
 }
 
 // View is a read-only window over one segment. The zero View is

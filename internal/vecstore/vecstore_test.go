@@ -145,8 +145,7 @@ func roundTrip(t *testing.T, s *Store) *Store {
 		t.Fatal(err)
 	}
 
-	r := bytes.NewReader(buf.Bytes())
-	sr := snap.NewReader(r)
+	sr := snap.NewReader(buf.Bytes())
 	var dir *Directory
 	if err := sr.Section(1, func(d *snap.Decoder) error {
 		var err error
@@ -155,11 +154,7 @@ func roundTrip(t *testing.T, s *Store) *Store {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	skip := make([]byte, PadTo(sr.Consumed()))
-	if _, err := r.Read(skip); err != nil {
-		t.Fatal(err)
-	}
-	got, err := dir.ReadBlob(r)
+	got, err := dir.ReadBlob(sr.Rest()[PadTo(sr.Consumed()):])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,17 +226,7 @@ func TestMmapParity(t *testing.T) {
 	if err := s.WriteBlob(&buf); err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join(t.TempDir(), "vec.bin")
-	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	f, err := os.Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-
-	sr := snap.NewReader(bytes.NewReader(buf.Bytes()))
+	sr := snap.NewReader(buf.Bytes())
 	var dir *Directory
 	if err := sr.Section(1, func(d *snap.Decoder) error {
 		var derr error
@@ -250,7 +235,8 @@ func TestMmapParity(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	m, err := dir.MmapBlob(f, blobOff)
+	mapping := mapBytes(t, buf.Bytes())
+	m, err := dir.ViewBlob(mapping[blobOff:], mapping)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -339,30 +325,50 @@ func TestReadBlobRejectsCorruption(t *testing.T) {
 	for off := 0; off < blob.Len(); off += 101 {
 		raw := append([]byte(nil), blob.Bytes()...)
 		raw[off] ^= 0x10
-		if _, err := dirOf().ReadBlob(bytes.NewReader(raw)); !errors.Is(err, snap.ErrCorrupt) {
+		if _, err := dirOf().ReadBlob(raw); !errors.Is(err, snap.ErrCorrupt) {
 			t.Fatalf("bit flip at %d not rejected: %v", off, err)
 		}
 	}
-	// Truncation fails the length read.
-	if _, err := dirOf().ReadBlob(bytes.NewReader(blob.Bytes()[:blob.Len()-3])); !errors.Is(err, snap.ErrCorrupt) {
+	// Truncation fails the length check.
+	if _, err := dirOf().ReadBlob(blob.Bytes()[:blob.Len()-3]); !errors.Is(err, snap.ErrCorrupt) {
 		t.Fatalf("truncation not rejected: %v", err)
 	}
 	// Pristine blob loads.
-	if _, err := dirOf().ReadBlob(bytes.NewReader(blob.Bytes())); err != nil {
+	if _, err := dirOf().ReadBlob(blob.Bytes()); err != nil {
 		t.Fatal(err)
 	}
 	// A directory that declares a 16 GiB blob over the same short
-	// stream fails without allocating the declared length.
+	// bytes fails without allocating the declared length.
 	big := dirOf()
 	big.Count, big.Dim = 1<<26, 63
 	big.BlobLen = uint64(big.Count*big.Dim*4) + uint64(big.Count)*8
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	if _, err := big.ReadBlob(bytes.NewReader(blob.Bytes())); !errors.Is(err, snap.ErrCorrupt) {
+	if _, err := big.ReadBlob(blob.Bytes()); !errors.Is(err, snap.ErrCorrupt) {
 		t.Fatalf("over-declared blob: err = %v, want snap.ErrCorrupt", err)
 	}
 	runtime.ReadMemStats(&after)
 	if grew := after.TotalAlloc - before.TotalAlloc; grew > 256<<20 {
-		t.Errorf("reading a short stream allocated %d MiB", grew>>20)
+		t.Errorf("reading a short blob allocated %d MiB", grew>>20)
 	}
+}
+
+// mapBytes writes raw to a file and maps it whole, as a snapshot load
+// maps its file; the store that takes the mapping unmaps it in Close.
+func mapBytes(t *testing.T, raw []byte) []byte {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "vec.bin")
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	m, err := MapFile(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
 }
