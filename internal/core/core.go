@@ -86,12 +86,12 @@ type Options struct {
 	// usually right (the queries themselves saturate the cores);
 	// larger values cut the latency of isolated queries.
 	QueryParallelism int
-	// VecMode selects how LoadFile materializes the snapshot's vector
-	// blob: "auto" (default) memory-maps it where the platform
-	// supports zero-copy mapping and falls back to a heap read
-	// elsewhere; "mmap" requires the mapping; "heap" forces the
-	// portable read. Ignored by Build and by Load from a plain reader
-	// (always heap).
+	// VecMode selects how LoadFile reads the snapshot and materializes
+	// its vector blob: "auto" (default) memory-maps the file where the
+	// platform supports zero-copy mapping, the blob a view of the
+	// mapping, and falls back to a heap read elsewhere; "mmap" requires
+	// the mapping; "heap" forces the portable read. Ignored by Build
+	// and by Load from a plain reader (always heap).
 	VecMode string
 }
 

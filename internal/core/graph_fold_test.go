@@ -133,7 +133,7 @@ func TestGraphFoldCompactsAnywhere(t *testing.T) {
 func snapshotSections(t *testing.T, b []byte) (map[uint16][]byte, []byte) {
 	t.Helper()
 	out := make(map[uint16][]byte, secVecs)
-	pos := snapHeaderLen
+	pos := snap.HeaderLen
 	for sid := uint16(1); sid <= secVecs; sid++ {
 		if got := binary.LittleEndian.Uint16(b[pos:]); got != sid {
 			t.Fatalf("section %d at offset %d, want %d", got, pos, sid)

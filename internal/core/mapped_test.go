@@ -19,6 +19,7 @@ import (
 
 	"tablehound/internal/datagen"
 	"tablehound/internal/lake"
+	"tablehound/internal/snap"
 	"tablehound/internal/union"
 	"tablehound/internal/vecstore"
 )
@@ -202,7 +203,7 @@ func TestLoadFileRejectsCorruptFiles(t *testing.T) {
 	// Every frame boundary: where each frame, payload and checksum
 	// starts, then where the pad, the blob and the file end.
 	var cuts []int
-	pos := snapHeaderLen
+	pos := snap.HeaderLen
 	for id := secOptions; id <= secVecs; id++ {
 		n := int(binary.LittleEndian.Uint64(raw[pos+2:]))
 		cuts = append(cuts, pos, pos+10, pos+10+n)
@@ -238,7 +239,7 @@ func TestLoadFileRejectsCorruptFiles(t *testing.T) {
 	// Frames that checksum but do not decode fail after the open.
 	try("catalog section a byte short", withSection(t, raw, secCatalog, func(p []byte) []byte { return p[:len(p)-1] }), "mmap", "heap")
 	try("empty file", nil, "mmap", "heap")
-	try("short header", raw[:snapHeaderLen-3], "mmap", "heap")
+	try("short header", raw[:snap.HeaderLen-3], "mmap", "heap")
 	for _, off := range offsets {
 		if off < 0 || off > len(raw) {
 			continue

@@ -88,11 +88,6 @@ var ErrVersionMismatch = errors.New("core: snapshot version mismatch")
 const (
 	snapMagic   uint32 = 0x54485342 // "THSB": tablehound system binary
 	snapVersion uint16 = 13
-
-	// snapHeaderLen is the byte length of the snap header (magic,
-	// version, flags) that precedes the first section; blob-offset
-	// arithmetic below counts from it.
-	snapHeaderLen = snap.HeaderLen
 )
 
 // Section IDs, in stream order. The sequence is fixed; optional
@@ -175,7 +170,7 @@ func (s *System) Save(w io.Writer) error {
 			return err
 		}
 	}
-	if pad := vecstore.PadTo(snapHeaderLen + sw.Written()); pad > 0 {
+	if pad := vecstore.PadTo(snap.HeaderLen + sw.Written()); pad > 0 {
 		if _, err := w.Write(make([]byte, pad)); err != nil {
 			return err
 		}
@@ -280,7 +275,7 @@ func open(buf []byte, mapped bool, opts Options) (*opened, error) {
 	if flags != 0 {
 		return nil, fmt.Errorf("%w: unknown header flags %#x", ErrCorruptSnapshot, flags)
 	}
-	sr := snap.NewReader(buf[snapHeaderLen:])
+	sr := snap.NewReader(buf[snap.HeaderLen:])
 	secs := make(map[uint16]*snap.Decoder, secVecs)
 	for id := secOptions; id <= secVecs; id++ {
 		d, err := sr.Payload(id)
@@ -305,7 +300,7 @@ func open(buf []byte, mapped bool, opts Options) (*opened, error) {
 			return derr
 		}
 		tail := sr.Rest()
-		pad := vecstore.PadTo(int64(snapHeaderLen) + sr.Consumed())
+		pad := vecstore.PadTo(int64(snap.HeaderLen) + sr.Consumed())
 		if uint64(len(tail)) < uint64(pad)+dir.BlobLen {
 			return fmt.Errorf("%w: vector blob needs %d bytes after the sections, %d left", ErrCorruptSnapshot, uint64(pad)+dir.BlobLen, len(tail))
 		}
@@ -653,12 +648,12 @@ func writeFile(path string, write func(io.Writer) error) error {
 	return err
 }
 
-// LoadFile loads a snapshot from a file written by SaveFile. The
-// vector blob is materialized per opts.VecMode: "auto" (or empty)
-// memory-maps it where supported and falls back to a heap read,
-// "mmap" requires the mapping, "heap" forces the portable read.
-// Mapped pages survive the file handle: they stay valid for the life
-// of the process and are shared between replicas by the page cache.
+// LoadFile loads a snapshot from a file written by SaveFile, per
+// opts.VecMode: "auto" (or empty) memory-maps the file where supported
+// and falls back to a heap read, "mmap" requires the mapping, "heap"
+// forces the portable read. Mapped, the vector blob is a view of the
+// mapping, which survives the file handle: it stays valid for the life
+// of the process and is shared between replicas by the page cache.
 func LoadFile(path string, opts Options) (*System, error) {
 	return load(openFile(path, opts))
 }

@@ -349,7 +349,7 @@ func reframe(t *testing.T, good []byte, last, id uint16, edit func(payload []byt
 	t.Helper()
 	var frames bytes.Buffer
 	sw := snap.NewWriter(&frames)
-	pos := snapHeaderLen
+	pos := snap.HeaderLen
 	for sid := uint16(1); sid <= last; sid++ {
 		if got := binary.LittleEndian.Uint16(good[pos:]); got != sid {
 			t.Fatalf("section %d at offset %d, want %d", got, pos, sid)
@@ -368,7 +368,7 @@ func reframe(t *testing.T, good []byte, last, id uint16, edit func(payload []byt
 			t.Fatal(err)
 		}
 	}
-	return append(append([]byte(nil), good[:snapHeaderLen]...), frames.Bytes()...), pos
+	return append(append([]byte(nil), good[:snap.HeaderLen]...), frames.Bytes()...), pos
 }
 
 // TestSnapshotRejectsForgedIDSets re-encodes the SANTOS and join

@@ -10,6 +10,10 @@
 //	section  id u16 | payload length u64 | payload | crc32(id|len|payload) u32
 //	...      (sections in a fixed, format-defined order)
 //
+// A stream is read back from one byte slice, a file read whole or
+// mapped: a Reader checks each frame there and hands out its payload
+// as a view, and the list decoders copy each list out in bulk.
+//
 // Corruption contract: every structural defect — truncated stream,
 // wrong magic, unknown version, mismatched section id, checksum
 // failure, a decoder running past the payload, or payload bytes left
